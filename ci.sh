@@ -47,6 +47,15 @@ step "go test"
 go test ./...
 step_done
 
+# bench/ is its own module (it imports this tree through a replace), so the
+# root ./... patterns above neither compile nor test it. Its smoke test
+# deploys all four BENCHMARK.json topologies on loopback and checks every
+# decision against the staged reference, which is also what gates a change
+# to the packages it imports (noc, agg, monitor, ingest, transport).
+step "bench module (go -C bench vet + smoke test)"
+go -C bench vet ./... && go -C bench test .
+step_done
+
 # Whole-tree race pass. This replaces the hand-maintained package lists that
 # accumulated over PRs 2-7 (par/transport/monitor/noc/obs/faults/ingest/trace,
 # then the ingest e2e cmds, then oracle): every new concurrent package — the

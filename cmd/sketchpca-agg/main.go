@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"streampca/internal/agg"
+	"streampca/internal/cliflags"
 	"streampca/internal/obs"
 	sketchpkg "streampca/internal/sketch"
 )
@@ -56,18 +57,11 @@ func run(args []string) error {
 		epoch    = fs.Uint64("shard-epoch", 1, "version of the pushed candidate list (bump when -peers changes)")
 		workers  = fs.Int("workers", 0, "worker goroutines for the sketch-merge path (0 = all CPUs)")
 		dialTO   = fs.Duration("dial-timeout", 5*time.Second, "NOC dial timeout")
-		fetchTO  = fs.Duration("fetch-timeout", 2*time.Second, "timeout for one downstream sketch-pull round")
-		retries  = fs.Int("fetch-retries", 1, "extra downstream pull rounds re-requesting missing responses")
-		backoff  = fs.Duration("fetch-backoff", 50*time.Millisecond, "initial retry backoff (doubles per round, jittered)")
-		backoffM = fs.Duration("fetch-backoff-max", time.Second, "retry backoff cap")
-		degraded = fs.Bool("degraded", true, "serve unresponsive monitors' flows from cached snapshots (flagged upstream)")
-		maxStale = fs.Int64("max-staleness", 0, "degraded mode: max snapshot age in intervals (0 = window/4)")
+		fetch    = cliflags.Fetch(fs, 2*time.Second, "timeout for one downstream sketch-pull round", 1, "extra downstream pull rounds re-requesting missing responses")
+		degraded = cliflags.Degraded(fs, true, "serve unresponsive monitors' flows from cached snapshots (flagged upstream)", "snapshot")
 		pendIntv = fs.Int("pending-intervals", 8, "partially-reported intervals buffered for the merged volume forward")
-		reconn   = fs.Bool("reconnect", true, "redial the NOC automatically when the link drops")
-		reconnB  = fs.Duration("reconnect-backoff", 200*time.Millisecond, "initial redial backoff (doubles per attempt)")
-		reconnM  = fs.Duration("reconnect-backoff-max", 5*time.Second, "redial backoff cap")
-		metrics  = fs.String("metrics-addr", "", "serve /metrics and /healthz on this address (off when empty)")
-		statsEvr = fs.Duration("stats-every", 0, "log a one-line stats summary at this period (off when 0)")
+		reconn   = cliflags.Reconnect(fs)
+		metrics  = cliflags.Metrics(fs, "/metrics and /healthz")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -84,7 +78,7 @@ func run(args []string) error {
 			}
 		}
 	}
-	staleness := *maxStale
+	staleness := degraded.MaxStaleness
 	if staleness == 0 {
 		staleness = int64(*window / 4)
 	}
@@ -99,17 +93,17 @@ func run(args []string) error {
 		Workers:             *workers,
 		Peers:               peers,
 		ShardEpoch:          *epoch,
-		FetchTimeout:        *fetchTO,
-		FetchRetries:        *retries,
-		FetchBackoff:        *backoff,
-		FetchBackoffMax:     *backoffM,
-		Degraded:            agg.DegradedPolicy{Enabled: *degraded, MaxStaleness: staleness},
+		FetchTimeout:        fetch.Timeout,
+		FetchRetries:        fetch.Retries,
+		FetchBackoff:        fetch.Backoff,
+		FetchBackoffMax:     fetch.BackoffMax,
+		Degraded:            agg.DegradedPolicy{Enabled: degraded.Enabled, MaxStaleness: staleness},
 		MaxPendingIntervals: *pendIntv,
-		Reconnect:           *reconn,
-		ReconnectBackoff:    *reconnB,
-		ReconnectBackoffMax: *reconnM,
+		Reconnect:           reconn.Enabled,
+		ReconnectBackoff:    reconn.Backoff,
+		ReconnectBackoffMax: reconn.BackoffMax,
 		Log:                 obs.NewLogger(os.Stderr, slog.LevelInfo, "agg"),
-		MetricsAddr:         *metrics,
+		MetricsAddr:         metrics.Addr,
 	})
 	if err != nil {
 		return err
@@ -124,27 +118,13 @@ func run(args []string) error {
 	fmt.Fprintf(os.Stderr, "sketchpca-agg: %s listening on %s, upstream %s (m=%d n=%d sketch=%d family=%s peers=%d)\n",
 		*id, svc.Addr(), *nocAddr, *flows, *window, *sketch, fam, len(peers))
 
-	stopStats := make(chan struct{})
-	if *statsEvr > 0 {
-		go func() {
-			ticker := time.NewTicker(*statsEvr)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ticker.C:
-					svc.LogSummary()
-				case <-stopStats:
-					return
-				}
-			}
-		}()
-	}
+	stopStats := metrics.LogEvery(svc.LogSummary)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "sketchpca-agg: shutting down")
-	close(stopStats)
+	stopStats()
 	svc.LogSummary()
 	return svc.Close()
 }

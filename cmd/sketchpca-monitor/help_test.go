@@ -1,0 +1,11 @@
+package main
+
+import (
+	"testing"
+
+	"streampca/internal/cliflags/helptest"
+)
+
+func TestHelpGolden(t *testing.T) {
+	helptest.Golden(t, func(args []string) error { return run(args, nil, nil) })
+}

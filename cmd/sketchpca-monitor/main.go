@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"streampca/internal/agg"
+	"streampca/internal/cliflags"
 	"streampca/internal/flow"
 	"streampca/internal/ingest"
 	"streampca/internal/monitor"
@@ -72,12 +73,9 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 		epsilon = fs.Float64("epsilon", 0.01, "variance-histogram ε (randproj only)")
 		seed    = fs.Uint64("seed", 42, "shared randomness seed (randproj only)")
 		dialTO  = fs.Duration("dial-timeout", 5*time.Second, "NOC dial timeout")
-		reconn  = fs.Bool("reconnect", true, "redial the NOC automatically when the link drops")
-		reconnB = fs.Duration("reconnect-backoff", 200*time.Millisecond, "initial redial backoff (doubles per attempt)")
-		reconnM = fs.Duration("reconnect-backoff-max", 5*time.Second, "redial backoff cap")
+		reconn  = cliflags.Reconnect(fs)
 		selfchk = fs.Int("selfcheck", 0, "validate the sketch state against an exact-window oracle every Nth interval (0 = off)")
-		metrics = fs.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (off when empty)")
-		statsEv = fs.Duration("stats-every", 0, "log a one-line stats summary at this period (off when 0)")
+		metrics = cliflags.Metrics(fs, "/metrics, /healthz and /debug/pprof")
 		workers = fs.Int("workers", 0, "worker goroutines for the sketch-update path (0 = all CPUs)")
 		traceOn = fs.Bool("trace", false, "record interval-lineage spans, served on /debug/trace (needs -metrics-addr to be visible)")
 		traceSm = fs.Int("trace-sample", 1, "with -trace, keep every trace whose id %% N == 0 (1 = all)")
@@ -156,12 +154,12 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 		FDEll:               *sketch,
 		Workers:             *workers,
 		SelfCheckEvery:      *selfchk,
-		Reconnect:           *reconn,
-		ReconnectBackoff:    *reconnB,
-		ReconnectBackoffMax: *reconnM,
+		Reconnect:           reconn.Enabled,
+		ReconnectBackoff:    reconn.Backoff,
+		ReconnectBackoffMax: reconn.BackoffMax,
 		Candidates:          aggs,
 		Log:                 obs.NewLogger(os.Stderr, slog.LevelInfo, "monitor"),
-		MetricsAddr:         *metrics,
+		MetricsAddr:         metrics.Addr,
 		Trace:               tracer,
 		FlightRecorder:      recorder,
 		OnAlarm: func(a transport.Alarm) {
@@ -206,22 +204,7 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 	if addr := svc.DiagAddr(); addr != "" {
 		fmt.Fprintf(os.Stderr, "%s: diagnostics on http://%s/metrics\n", *id, addr)
 	}
-	if *statsEv > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			ticker := time.NewTicker(*statsEv)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ticker.C:
-					svc.LogSummary()
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
+	defer metrics.LogEvery(svc.LogSummary)()
 
 	if *ingListen != "" {
 		return runIngest(svc, ingestOptions{
@@ -236,7 +219,7 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 			routers:    *routers,
 			id:         *id,
 			flows:      flows,
-			shed:       *reconn,
+			shed:       reconn.Enabled,
 			trace:      tracer,
 		}, shutdown)
 	}
@@ -272,7 +255,7 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 		}
 		// Interval indices start at 1 on the wire (0 is "never updated").
 		if err := svc.ReportInterval(interval+1, volumes); err != nil {
-			if *reconn {
+			if reconn.Enabled {
 				// The link is down and being redialed; shedding intervals
 				// beats killing the daemon (the NOC degrades gracefully).
 				fmt.Fprintf(os.Stderr, "%s: interval %d not reported: %v\n", *id, interval+1, err)

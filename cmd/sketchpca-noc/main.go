@@ -24,6 +24,7 @@ import (
 	"syscall"
 	"time"
 
+	"streampca/internal/cliflags"
 	"streampca/internal/core"
 	"streampca/internal/noc"
 	"streampca/internal/obs"
@@ -70,17 +71,12 @@ func run(args []string) error {
 		energy   = fs.Float64("energy", 0.9, "retained energy for -rank-mode energy")
 		seed     = fs.Uint64("seed", 42, "shared randomness seed")
 		quiet    = fs.Bool("quiet", false, "print only alarms, not every decision")
-		fetchTO  = fs.Duration("fetch-timeout", 5*time.Second, "timeout for one sketch-pull round")
-		retries  = fs.Int("fetch-retries", 2, "extra sketch-pull rounds re-requesting missing responses (-1 disables)")
-		backoff  = fs.Duration("fetch-backoff", 50*time.Millisecond, "initial retry backoff (doubles per round, jittered)")
-		backoffM = fs.Duration("fetch-backoff-max", time.Second, "retry backoff cap")
+		fetch    = cliflags.Fetch(fs, 5*time.Second, "timeout for one sketch-pull round", 2, "extra sketch-pull rounds re-requesting missing responses (-1 disables)")
 		brkThr   = fs.Int("breaker-threshold", 3, "consecutive fetch failures that open a monitor's circuit breaker (-1 disables)")
 		brkCool  = fs.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker skips its monitor")
-		degraded = fs.Bool("degraded", false, "keep deciding on cached volumes/sketches when monitors are missing")
-		maxStale = fs.Int64("max-staleness", 0, "degraded mode: max cache age in intervals (0 = window/4)")
+		degraded = cliflags.Degraded(fs, false, "keep deciding on cached volumes/sketches when monitors are missing", "cache")
 		selfchk  = fs.Int("selfcheck", 0, "validate every Nth interval against an exact batch-PCA oracle (0 = off)")
-		metrics  = fs.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (off when empty)")
-		statsEvr = fs.Duration("stats-every", 0, "log a one-line stats summary at this period (off when 0)")
+		metrics  = cliflags.Metrics(fs, "/metrics, /healthz and /debug/pprof")
 		workers  = fs.Int("workers", 0, "worker goroutines for the retrain kernels (0 = all CPUs)")
 		traceOn  = fs.Bool("trace", false, "record interval-lineage spans, served on /debug/trace (needs -metrics-addr to be visible)")
 		traceSm  = fs.Int("trace-sample", 1, "with -trace, keep every trace whose id %% N == 0 (1 = all)")
@@ -121,7 +117,7 @@ func run(args []string) error {
 	logger := obs.NewLogger(os.Stderr, slog.LevelInfo, "noc")
 	svc, err := noc.New(noc.Config{
 		Log:            logger,
-		MetricsAddr:    *metrics,
+		MetricsAddr:    metrics.Addr,
 		Trace:          tracer,
 		FlightRecorder: recorder,
 		FlightTopK:     *flightK,
@@ -143,16 +139,13 @@ func run(args []string) error {
 		Seed:             *seed,
 		Workers:          *workers,
 		SelfCheckEvery:   *selfchk,
-		FetchTimeout:     *fetchTO,
-		FetchRetries:     *retries,
-		FetchBackoff:     *backoff,
-		FetchBackoffMax:  *backoffM,
+		FetchTimeout:     fetch.Timeout,
+		FetchRetries:     fetch.Retries,
+		FetchBackoff:     fetch.Backoff,
+		FetchBackoffMax:  fetch.BackoffMax,
 		BreakerThreshold: *brkThr,
 		BreakerCooldown:  *brkCool,
-		Degraded: noc.DegradedPolicy{
-			Enabled:      *degraded,
-			MaxStaleness: *maxStale,
-		},
+		Degraded:         noc.DegradedPolicy{Enabled: degraded.Enabled, MaxStaleness: degraded.MaxStaleness},
 		OnDecision: func(d noc.Decision) {
 			flag := ""
 			if d.Degraded {
@@ -189,27 +182,13 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "sketchpca-noc: diagnostics on http://%s/metrics\n", addr)
 	}
 
-	stopStats := make(chan struct{})
-	if *statsEvr > 0 {
-		go func() {
-			ticker := time.NewTicker(*statsEvr)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ticker.C:
-					svc.LogSummary()
-				case <-stopStats:
-					return
-				}
-			}
-		}()
-	}
+	stopStats := metrics.LogEvery(svc.LogSummary)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "sketchpca-noc: shutting down")
-	close(stopStats)
+	stopStats()
 	svc.Shutdown()
 	obs, fetches, alarms := svc.DetectorStats()
 	fmt.Fprintf(os.Stderr, "sketchpca-noc: %d observations, %d sketch fetches, %d alarms\n",

@@ -1,21 +1,23 @@
 // Package agg implements the mid-tier aggregator of the federated topology:
 // a daemon that owns one shard of the flow space, fronting a set of local
 // monitors exactly like a NOC (registrations, volume reports, sketch pulls)
-// while presenting itself to the real NOC exactly like one big monitor.
+// while presenting itself to the real NOC exactly like one big monitor. It is
+// both halves of internal/tier — a Downstream below, an Uplink above — joined
+// by a sink that forwards each completed interval as one merged volume report
+// and answers each upstream pull with one sketch.Merge of a downstream pull.
 //
 // The tier rests on sketch linearity (Theorem 1): Ẑ = (1/√l)·RᵀY is linear
 // in the data, so sketches over disjoint flow shards merge losslessly by
 // column union (randproj) or with a composed deterministic bound (FD, see
-// sketch.Merge). Per interval the aggregator forwards upward one merged
-// volume report and, on demand, one merged sketch — the root NOC's fetch
-// path, circuit breakers, degraded mode and tracing all work unchanged
-// because the aggregator speaks the existing monitor wire protocol, only
-// tagging its Hello with transport.RoleAggregator.
+// sketch.Merge). The root NOC's fetch path, circuit breakers, degraded mode
+// and tracing all work unchanged because the aggregator speaks the existing
+// monitor wire protocol, only tagging its Hello with transport.RoleAggregator
+// — and its own are the same code.
 //
-// Fault model: a dead downstream monitor is served from the aggregator's
-// snapshot cache (the response is tagged Degraded/StaleFlows, which the NOC
-// folds into core.Fetch); a dead aggregator's monitors re-place themselves
-// onto surviving candidates via the ShardMap it pushed (Rendezvous), and the
+// Fault model: a dead downstream monitor is served from the tier's report
+// cache (the response is tagged Degraded/StaleFlows, which the NOC folds into
+// core.Fetch); a dead aggregator's monitors re-place themselves onto
+// surviving candidates via the ShardMap it pushed (Rendezvous), and the
 // survivor re-announces its grown flow union with a repeat Hello on its live
 // NOC connection.
 package agg
@@ -24,14 +26,12 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
-	"streampca/internal/core"
 	"streampca/internal/obs"
 	"streampca/internal/sketch"
+	"streampca/internal/tier"
 	"streampca/internal/transport"
 )
 
@@ -40,18 +40,15 @@ var (
 	// ErrConfig indicates an invalid service configuration.
 	ErrConfig = errors.New("agg: invalid configuration")
 	// ErrNotConnected indicates an operation requiring a live NOC link.
-	ErrNotConnected = errors.New("agg: not connected")
+	ErrNotConnected = tier.ErrNotConnected
 	// ErrAlreadyConnected indicates a second ConnectNOC/AttachNOC.
-	ErrAlreadyConnected = errors.New("agg: already connected")
+	ErrAlreadyConnected = tier.ErrAlreadyConnected
 )
 
 // DegradedPolicy mirrors the NOC's: substitute an unresponsive monitor's
 // cached snapshot into the merge when it is no staler than MaxStaleness
 // intervals (symmetric distance) from the fetch reference point.
-type DegradedPolicy struct {
-	Enabled      bool
-	MaxStaleness int64
-}
+type DegradedPolicy = tier.DegradedPolicy
 
 // Config parameterizes an aggregator service.
 type Config struct {
@@ -115,6 +112,8 @@ type metrics struct {
 	intervalDrops  *obs.Counter
 	fetches        *obs.Counter
 	fetchRetries   *obs.Counter
+	breakerOpen    *obs.Gauge
+	breakerOpens   *obs.Counter
 	mergeErrors    *obs.Counter
 	degradedMerges *obs.Counter
 	staleFlows     *obs.Gauge
@@ -137,6 +136,10 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Upstream sketch pulls answered with a merged snapshot."),
 		fetchRetries: reg.Counter("streampca_agg_fetch_retries_total",
 			"Extra downstream pull rounds after an incomplete first round."),
+		breakerOpen: reg.Gauge("streampca_agg_breaker_open",
+			"Monitors currently excluded from downstream pulls by an open circuit breaker."),
+		breakerOpens: reg.Counter("streampca_agg_breaker_opens_total",
+			"Circuit-breaker open transitions (consecutive-failure threshold crossed)."),
 		mergeErrors: reg.Counter("streampca_agg_merge_errors_total",
 			"Sketch merges that failed validation (no response sent upstream)."),
 		degradedMerges: reg.Counter("streampca_agg_degraded_merges_total",
@@ -152,23 +155,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 	}
 }
 
-// monitorEntry tracks one registered downstream monitor.
-type monitorEntry struct {
-	id    string
-	flows []int
-	conn  *transport.Conn
-}
-
-// intervalAccum collects one interval's volumes across monitors.
-type intervalAccum struct {
-	vol map[int]float64
-}
-
-// pendingFetch routes downstream sketch responses to the waiting fan-out.
-type pendingFetch struct {
-	respCh chan *transport.SketchResponse
-}
-
 // Service is a mid-tier aggregator. Create with New, expose to monitors with
 // Serve, wire upstream with ConnectNOC, stop with Close.
 type Service struct {
@@ -179,29 +165,13 @@ type Service struct {
 	met     *metrics
 	wireMet *transport.Metrics
 	diag    *obs.Server
-	server  *transport.Server
+	down    *tier.Downstream
+	up      *tier.Uplink
 
-	// helloMu serializes upstream Hello (re-)announcements so a stale union
-	// can never overtake a fresher one on the wire. Lock order: helloMu
-	// before mu, never the reverse.
-	helloMu sync.Mutex
+	// pulls tracks the goroutines answering upstream sketch pulls.
+	pulls sync.WaitGroup
 
-	mu        sync.Mutex
-	monitors  map[*transport.Conn]*monitorEntry
-	flowOwner map[int]*transport.Conn
-	intervals map[int64]*intervalAccum
-	pending   map[uint64]*pendingFetch
-	nextReq   uint64
-	// snapCache holds each monitor's last validated snapshot for the
-	// degraded substitution path, keyed by monitor ID.
-	snapCache    map[string]core.SketchReport
-	lastInterval int64
-	rng          *rand.Rand
-
-	up          *transport.Conn
-	upAddr      string
-	dialTimeout time.Duration
-	closed      bool
+	mu sync.Mutex // guards cfg.Peers and cfg.ShardEpoch
 }
 
 // New validates cfg and builds the service.
@@ -227,12 +197,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.FetchRetries < 0 {
 		return nil, fmt.Errorf("%w: %d fetch retries", ErrConfig, cfg.FetchRetries)
 	}
-	if cfg.FetchBackoff <= 0 {
-		cfg.FetchBackoff = 50 * time.Millisecond
-	}
-	if cfg.FetchBackoffMax <= 0 {
-		cfg.FetchBackoffMax = time.Second
-	}
 	if cfg.MaxPendingIntervals <= 0 {
 		cfg.MaxPendingIntervals = 8
 	}
@@ -248,21 +212,61 @@ func New(cfg Config) (*Service, error) {
 		log = obs.Nop()
 	}
 	s := &Service{
-		cfg:       cfg,
-		log:       log.With("agg", cfg.ID),
-		reg:       reg,
-		health:    obs.NewHealth(),
-		met:       newMetrics(reg),
-		wireMet:   transport.NewMetrics(reg),
-		monitors:  make(map[*transport.Conn]*monitorEntry),
-		flowOwner: make(map[int]*transport.Conn),
-		intervals: make(map[int64]*intervalAccum),
-		pending:   make(map[uint64]*pendingFetch),
-		snapCache: make(map[string]core.SketchReport),
-		rng:       rand.New(rand.NewSource(int64(cfg.Seed) ^ 0x5bd1e995)),
+		cfg:     cfg,
+		log:     log.With("agg", cfg.ID),
+		reg:     reg,
+		health:  obs.NewHealth(),
+		met:     newMetrics(reg),
+		wireMet: transport.NewMetrics(reg),
 	}
+	s.down = tier.NewDownstream(tier.DownstreamConfig{
+		Params: tier.Params{
+			Family:    cfg.Family,
+			NumFlows:  cfg.NumFlows,
+			WindowLen: cfg.WindowLen,
+			SketchLen: cfg.SketchLen,
+			Seed:      cfg.Seed,
+		},
+		FetchTimeout:    cfg.FetchTimeout,
+		FetchRetries:    cfg.FetchRetries,
+		FetchBackoff:    cfg.FetchBackoff,
+		FetchBackoffMax: cfg.FetchBackoffMax,
+		Degraded:        cfg.Degraded,
+		MaxPending:      cfg.MaxPendingIntervals,
+		WireMetrics:     s.wireMet,
+		Metrics: tier.Metrics{
+			Registrants:  s.met.monitors,
+			Rejected:     s.met.rejects,
+			Evicted:      s.met.intervalDrops,
+			PullRetries:  s.met.fetchRetries,
+			BreakerOpen:  s.met.breakerOpen,
+			BreakerOpens: s.met.breakerOpens,
+		},
+		Log:        s.log,
+		OnInterval: s.forwardVolumes,
+		OnJoin:     s.pushShardMap,
+		OnChange:   s.announce,
+	})
+	s.up = tier.NewUplink(tier.UplinkConfig{
+		ID:    cfg.ID,
+		Hello: s.hello,
+		OnRequest: func(c *transport.Conn, req transport.SketchRequest, tc *transport.TraceContext) {
+			s.pulls.Add(1)
+			go s.serveFetch(c, req.RequestID, tc)
+		},
+		OnAlarm:    s.relayAlarm,
+		Reconnect:  cfg.Reconnect,
+		Backoff:    cfg.ReconnectBackoff,
+		BackoffMax: cfg.ReconnectBackoffMax,
+		// A rejection here is a flow-claim conflict during a re-shard; it
+		// clears once the NOC drops the stale owner.
+		RetryRejected: true,
+		WireMetrics:   s.wireMet,
+		Reconnects:    s.met.reconnects,
+		Health:        s.health,
+		Log:           s.log,
+	})
 	s.health.Set("agg", obs.StatusOK, "ready")
-	s.health.Set("noc-link", obs.StatusDegraded, "not connected")
 	if cfg.MetricsAddr != "" {
 		diag, err := obs.StartServer(cfg.MetricsAddr, reg, s.health, s.log)
 		if err != nil {
@@ -284,114 +288,38 @@ func (s *Service) ID() string { return s.cfg.ID }
 
 // Serve starts accepting downstream monitor connections on addr.
 func (s *Service) Serve(addr string) error {
-	srv, err := transport.ListenWithMetrics(addr, s.handleMonitor, s.wireMet)
-	if err != nil {
+	if err := s.down.Serve(addr); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.server = srv
-	s.mu.Unlock()
-	s.log.Info("aggregator listening", "addr", srv.Addr(), "peers", len(s.cfg.Peers))
+	s.log.Info("aggregator listening", "addr", s.down.Addr())
 	return nil
 }
 
 // Addr returns the downstream listen address ("" before Serve).
-func (s *Service) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.server == nil {
-		return ""
-	}
-	return s.server.Addr()
-}
+func (s *Service) Addr() string { return s.down.Addr() }
 
 // Monitors lists the registered downstream monitor IDs, sorted.
-func (s *Service) Monitors() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.monitors))
-	for _, e := range s.monitors {
-		out = append(out, e.id)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *Service) Monitors() []string { return s.down.IDs() }
 
 // FlowUnion returns the sorted union of registered monitors' flows — the
 // shard this aggregator currently announces upstream.
-func (s *Service) FlowUnion() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flowUnionLocked()
-}
-
-func (s *Service) flowUnionLocked() []int {
-	out := make([]int, 0, len(s.flowOwner))
-	for f := range s.flowOwner {
-		out = append(out, f)
-	}
-	sort.Ints(out)
-	return out
-}
+func (s *Service) FlowUnion() []int { return s.down.OwnedFlows() }
 
 // ConnectNOC dials the NOC, announces the current flow union with a
 // Role-tagged Hello and starts serving its sketch pulls. With
 // Config.Reconnect, a later link loss redials automatically.
 func (s *Service) ConnectNOC(addr string, timeout time.Duration) error {
-	s.mu.Lock()
-	s.upAddr = addr
-	s.dialTimeout = timeout
-	s.mu.Unlock()
-	conn, err := transport.DialWithMetrics(addr, timeout, s.wireMet)
-	if err != nil {
-		s.health.Set("noc-link", obs.StatusDown, err.Error())
-		return fmt.Errorf("connect NOC: %w", err)
-	}
-	if err := s.AttachNOC(conn); err != nil {
-		_ = conn.Close()
-		return err
-	}
-	return nil
+	return s.up.Connect(addr, timeout)
 }
 
 // AttachNOC adopts an established upstream connection (tests, embedders).
-func (s *Service) AttachNOC(conn *transport.Conn) error {
-	s.helloMu.Lock()
-	defer s.helloMu.Unlock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: service closed", ErrNotConnected)
-	}
-	if s.up != nil {
-		s.mu.Unlock()
-		return ErrAlreadyConnected
-	}
-	s.up = conn
-	hello := s.helloLocked()
-	s.mu.Unlock()
+func (s *Service) AttachNOC(conn *transport.Conn) error { return s.up.Attach(conn) }
 
-	if err := conn.Send(transport.Envelope{Hello: &hello}); err != nil {
-		s.mu.Lock()
-		if s.up == conn {
-			s.up = nil
-		}
-		s.mu.Unlock()
-		s.health.Set("noc-link", obs.StatusDown, err.Error())
-		return fmt.Errorf("hello: %w", err)
-	}
-	s.health.Set("noc-link", obs.StatusOK, "registered with NOC")
-	s.log.Info("attached to NOC", "flows", len(hello.FlowIDs))
-	go s.upReadLoop(conn)
-	return nil
-}
-
-// helloLocked builds the upstream announcement for the current flow union.
-// Caller holds s.mu.
-func (s *Service) helloLocked() transport.Hello {
+// hello builds the upstream announcement for the current flow union.
+func (s *Service) hello() transport.Hello {
 	h := transport.Hello{
 		MonitorID: s.cfg.ID,
-		FlowIDs:   s.flowUnionLocked(),
+		FlowIDs:   s.down.OwnedFlows(),
 		SketchLen: s.cfg.SketchLen,
 		WindowLen: s.cfg.WindowLen,
 		Family:    s.cfg.Family,
@@ -403,222 +331,12 @@ func (s *Service) helloLocked() transport.Hello {
 	return h
 }
 
-// announce re-sends the Hello on the live upstream connection after the flow
-// union changed (the NOC treats a repeat Hello as re-registration). A send
-// failure is left to the read loop: it observes the dead link and redials.
+// announce re-sends the Hello on the live upstream connection after the
+// registrant set changed (the NOC treats a repeat Hello as re-registration).
 func (s *Service) announce() {
-	s.helloMu.Lock()
-	defer s.helloMu.Unlock()
-	s.mu.Lock()
-	conn := s.up
-	hello := s.helloLocked()
-	s.mu.Unlock()
-	if conn == nil {
-		return
+	if s.up.Announce() {
+		s.met.rehellos.Inc()
 	}
-	if err := conn.Send(transport.Envelope{Hello: &hello}); err != nil {
-		s.log.Warn("re-hello send failed", "err", err)
-		return
-	}
-	s.met.rehellos.Inc()
-	s.log.Info("re-announced flow union", "flows", len(hello.FlowIDs))
-}
-
-// upReadLoop serves the NOC until the link dies, then hands off to the
-// reconnect loop when enabled. A ProtocolError (e.g. a flow-claim conflict
-// while a dead peer's registration lingers) is retried like any link loss —
-// the conflict clears once the NOC drops the stale owner.
-func (s *Service) upReadLoop(conn *transport.Conn) {
-	for {
-		env, err := conn.Recv()
-		if err != nil {
-			break
-		}
-		switch {
-		case env.Request != nil:
-			req := *env.Request
-			tc := env.Trace
-			go s.serveFetch(conn, req.RequestID, tc)
-		case env.Alarm != nil:
-			s.broadcastAlarm(*env.Alarm, env.Trace)
-		case env.Error != nil:
-			s.log.Warn("NOC rejected registration; will retry", "err", env.Error.Msg)
-			s.health.Set("noc-link", obs.StatusDegraded, env.Error.Msg)
-		default:
-			// Tolerate well-formed but unexpected frames.
-		}
-	}
-
-	s.mu.Lock()
-	current := s.up == conn && !s.closed
-	if current {
-		s.up = nil
-	}
-	addr := s.upAddr
-	s.mu.Unlock()
-	if !current {
-		return
-	}
-	_ = conn.Close()
-	if s.cfg.Reconnect && addr != "" {
-		s.health.Set("noc-link", obs.StatusDegraded, "link lost; reconnecting")
-		s.log.Warn("NOC link lost, reconnecting", "addr", addr)
-		go s.reconnectLoop(addr)
-		return
-	}
-	s.health.Set("noc-link", obs.StatusDown, "link lost")
-	s.log.Warn("NOC link lost")
-}
-
-// reconnectLoop redials the NOC with capped exponential backoff until it
-// succeeds, the service closes, or another connection appears.
-func (s *Service) reconnectLoop(addr string) {
-	backoff := s.cfg.ReconnectBackoff
-	if backoff <= 0 {
-		backoff = 200 * time.Millisecond
-	}
-	max := s.cfg.ReconnectBackoffMax
-	if max <= 0 {
-		max = 5 * time.Second
-	}
-	for attempt := 1; ; attempt++ {
-		s.mu.Lock()
-		stop := s.closed || s.up != nil
-		timeout := s.dialTimeout
-		s.mu.Unlock()
-		if stop {
-			return
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > max {
-			backoff = max
-		}
-		err := s.ConnectNOC(addr, timeout)
-		if err == nil {
-			s.met.reconnects.Inc()
-			s.log.Info("reconnected to NOC", "addr", addr, "attempts", attempt)
-			return
-		}
-		if errors.Is(err, ErrAlreadyConnected) || errors.Is(err, ErrNotConnected) {
-			return
-		}
-		s.log.Warn("reconnect attempt failed", "attempt", attempt, "err", err)
-	}
-}
-
-// handleMonitor owns one downstream monitor connection: Hello handshake,
-// then volume reports and sketch responses until the link dies.
-func (s *Service) handleMonitor(conn *transport.Conn) {
-	env, err := conn.Recv()
-	if err != nil {
-		return
-	}
-	if env.Hello == nil {
-		_ = conn.Send(transport.Envelope{Error: &transport.ProtocolError{Msg: "first frame must be hello"}})
-		return
-	}
-	if err := s.register(conn, env.Hello); err != nil {
-		s.met.rejects.Inc()
-		s.log.Warn("monitor rejected", "monitor", env.Hello.MonitorID, "err", err)
-		_ = conn.Send(transport.Envelope{Error: &transport.ProtocolError{Msg: err.Error()}})
-		return
-	}
-	defer s.unregister(conn)
-	s.pushShardMap(conn)
-	s.announce()
-
-	for {
-		env, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		switch {
-		case env.Volume != nil:
-			s.addVolumes(env.Volume)
-		case env.Response != nil:
-			s.routeResponse(env.Response)
-		case env.Hello != nil:
-			if err := s.register(conn, env.Hello); err != nil {
-				s.met.rejects.Inc()
-				_ = conn.Send(transport.Envelope{Error: &transport.ProtocolError{Msg: err.Error()}})
-				return
-			}
-			s.announce()
-		default:
-			// Tolerate well-formed but unexpected frames.
-		}
-	}
-}
-
-// register validates a monitor's announced configuration against the shared
-// deployment parameters and claims its flows within this shard. A repeat
-// Hello on a live connection first releases the old claim (re-registration).
-func (s *Service) register(conn *transport.Conn, h *transport.Hello) error {
-	if h.Family != s.cfg.Family {
-		return fmt.Errorf("%w: monitor %q runs sketcher family %v, aggregator %v", ErrConfig, h.MonitorID, h.Family, s.cfg.Family)
-	}
-	if h.SketchLen != s.cfg.SketchLen {
-		return fmt.Errorf("%w: monitor %q sketch length %d, aggregator %d", ErrConfig, h.MonitorID, h.SketchLen, s.cfg.SketchLen)
-	}
-	if h.WindowLen != s.cfg.WindowLen {
-		return fmt.Errorf("%w: monitor %q window %d, aggregator %d", ErrConfig, h.MonitorID, h.WindowLen, s.cfg.WindowLen)
-	}
-	if s.cfg.Family == sketch.FamilyRandProj && h.Seed != s.cfg.Seed {
-		return fmt.Errorf("%w: monitor %q seed mismatch", ErrConfig, h.MonitorID)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.monitors[conn]; ok {
-		delete(s.monitors, conn)
-		for _, f := range old.flows {
-			if s.flowOwner[f] == conn {
-				delete(s.flowOwner, f)
-			}
-		}
-	}
-	for _, f := range h.FlowIDs {
-		if f < 0 || f >= s.cfg.NumFlows {
-			return fmt.Errorf("%w: monitor %q flow %d of %d", ErrConfig, h.MonitorID, f, s.cfg.NumFlows)
-		}
-		if owner, taken := s.flowOwner[f]; taken && owner != conn {
-			return fmt.Errorf("%w: flow %d already owned", ErrConfig, f)
-		}
-	}
-	entry := &monitorEntry{id: h.MonitorID, flows: append([]int(nil), h.FlowIDs...), conn: conn}
-	s.monitors[conn] = entry
-	for _, f := range h.FlowIDs {
-		s.flowOwner[f] = conn
-	}
-	s.met.monitors.Set(float64(len(s.monitors)))
-	s.log.Info("monitor registered", "monitor", h.MonitorID, "flows", len(h.FlowIDs),
-		"union", len(s.flowOwner))
-	return nil
-}
-
-func (s *Service) unregister(conn *transport.Conn) {
-	s.mu.Lock()
-	entry, ok := s.monitors[conn]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.monitors, conn)
-	for _, f := range entry.flows {
-		if s.flowOwner[f] == conn {
-			delete(s.flowOwner, f)
-		}
-	}
-	s.met.monitors.Set(float64(len(s.monitors)))
-	// A shrunken union can complete pending intervals (the dead monitor's
-	// flows are no longer required); flush oldest-first.
-	ready := s.completePendingLocked()
-	up := s.up
-	s.mu.Unlock()
-	s.log.Info("monitor dropped", "monitor", entry.id, "flows", len(entry.flows))
-	for i := range ready {
-		s.forwardVolumes(up, &ready[i])
-	}
-	s.announce()
 }
 
 // SetPeers replaces the aggregator-candidate list pushed to monitors, for
@@ -628,244 +346,68 @@ func (s *Service) SetPeers(peers []string, epoch uint64) {
 	s.mu.Lock()
 	s.cfg.Peers = append([]string(nil), peers...)
 	s.cfg.ShardEpoch = epoch
-	conns := make([]*transport.Conn, 0, len(s.monitors))
-	for c := range s.monitors {
-		conns = append(conns, c)
-	}
 	s.mu.Unlock()
-	for _, c := range conns {
-		s.pushShardMap(c)
+	if sm := s.shardMap(); sm != nil {
+		s.down.Broadcast(transport.Envelope{Shards: sm})
 	}
 }
 
-// pushShardMap sends the aggregator-candidate list so the monitor can
-// re-place itself if this aggregator dies.
-func (s *Service) pushShardMap(conn *transport.Conn) {
+// shardMap snapshots the candidate list, nil when there is none to push.
+func (s *Service) shardMap() *transport.ShardMap {
 	s.mu.Lock()
-	sm := transport.ShardMap{
-		Aggregators: append([]string(nil), s.cfg.Peers...),
-		Epoch:       s.cfg.ShardEpoch,
+	defer s.mu.Unlock()
+	if len(s.cfg.Peers) == 0 {
+		return nil
 	}
-	s.mu.Unlock()
-	if len(sm.Aggregators) == 0 {
+	return &transport.ShardMap{Aggregators: append([]string(nil), s.cfg.Peers...), Epoch: s.cfg.ShardEpoch}
+}
+
+// pushShardMap sends the aggregator-candidate list to a newly registered
+// monitor so it can re-place itself if this aggregator dies.
+func (s *Service) pushShardMap(conn *transport.Conn) {
+	sm := s.shardMap()
+	if sm == nil {
 		return
 	}
-	if err := conn.Send(transport.Envelope{Shards: &sm}); err != nil {
+	if err := conn.Send(transport.Envelope{Shards: sm}); err != nil {
 		s.log.Warn("shard map push failed", "err", err)
 	}
 }
 
-// addVolumes folds a monitor's report into its interval accumulator and
-// forwards one merged VolumeReport upstream once every currently-owned flow
-// has reported.
-func (s *Service) addVolumes(v *transport.VolumeReport) {
-	if len(v.FlowIDs) != len(v.Volumes) {
-		return // malformed; drop
-	}
-	s.mu.Lock()
-	if v.Interval > s.lastInterval {
-		s.lastInterval = v.Interval
-	}
-	acc, ok := s.intervals[v.Interval]
-	if !ok {
-		if len(s.intervals) >= s.cfg.MaxPendingIntervals {
-			var oldest int64 = 1<<63 - 1
-			for iv := range s.intervals {
-				if iv < oldest {
-					oldest = iv
-				}
-			}
-			delete(s.intervals, oldest)
-			s.met.intervalDrops.Inc()
-		}
-		acc = &intervalAccum{vol: make(map[int]float64)}
-		s.intervals[v.Interval] = acc
-	}
-	for i, f := range v.FlowIDs {
-		if f < 0 || f >= s.cfg.NumFlows {
-			continue
-		}
-		if _, dup := acc.vol[f]; !dup {
-			acc.vol[f] = v.Volumes[i]
-		}
-	}
-	report, complete := s.tryCompleteLocked(v.Interval, acc)
-	up := s.up
-	s.mu.Unlock()
-	if complete {
-		s.forwardVolumes(up, &report)
-	}
-}
-
-// tryCompleteLocked checks whether every currently-owned flow has reported
-// for interval iv; on success the accumulator is removed and the merged
-// report returned. Caller holds s.mu.
-func (s *Service) tryCompleteLocked(iv int64, acc *intervalAccum) (transport.VolumeReport, bool) {
-	if len(s.flowOwner) == 0 || len(acc.vol) == 0 {
-		return transport.VolumeReport{}, false
-	}
-	for f := range s.flowOwner {
-		if _, ok := acc.vol[f]; !ok {
-			return transport.VolumeReport{}, false
-		}
-	}
-	delete(s.intervals, iv)
-	flows := make([]int, 0, len(acc.vol))
-	for f := range acc.vol {
-		flows = append(flows, f)
-	}
-	sort.Ints(flows)
-	vols := make([]float64, len(flows))
-	for i, f := range flows {
-		vols[i] = acc.vol[f]
-	}
-	return transport.VolumeReport{
-		MonitorID: s.cfg.ID, Interval: iv, FlowIDs: flows, Volumes: vols,
-	}, true
-}
-
-// completePendingLocked re-examines pending intervals after an ownership
-// change, returning newly completable reports in interval order. Caller
-// holds s.mu.
-func (s *Service) completePendingLocked() []transport.VolumeReport {
-	var ready []transport.VolumeReport
-	for iv, acc := range s.intervals {
-		if rep, ok := s.tryCompleteLocked(iv, acc); ok {
-			ready = append(ready, rep)
-		}
-	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i].Interval < ready[j].Interval })
-	return ready
-}
-
-func (s *Service) forwardVolumes(up *transport.Conn, rep *transport.VolumeReport) {
+// forwardVolumes sends one merged VolumeReport upstream for an interval in
+// which every currently-owned flow has reported.
+func (s *Service) forwardVolumes(iv tier.Interval) {
+	up := s.up.Conn()
 	if up == nil {
 		return
 	}
-	if err := up.Send(transport.Envelope{Volume: rep}); err != nil {
+	rep := transport.VolumeReport{MonitorID: s.cfg.ID, Interval: iv.Index}
+	for f, seen := range iv.Seen {
+		if seen {
+			rep.FlowIDs = append(rep.FlowIDs, f)
+			rep.Volumes = append(rep.Volumes, iv.Volumes[f])
+		}
+	}
+	if err := up.Send(transport.Envelope{Volume: &rep}); err != nil {
 		s.log.Warn("volume forward failed", "interval", rep.Interval, "err", err)
 		return
 	}
 	s.met.volumeForwards.Inc()
 }
 
-// routeResponse hands a downstream sketch response to the waiting fan-out.
-func (s *Service) routeResponse(r *transport.SketchResponse) {
-	s.mu.Lock()
-	p, ok := s.pending[r.RequestID]
-	s.mu.Unlock()
-	if !ok {
-		return // stale or unknown round
-	}
-	select {
-	case p.respCh <- r:
-	default:
-	}
-}
-
-// serveFetch answers one upstream sketch pull: fan the request out to the
-// registered monitors (with retry rounds), substitute cached snapshots for
+// serveFetch answers one upstream sketch pull: pull the registered monitors
+// (retry rounds and breaker in the tier), substitute cached snapshots for
 // the unresponsive under the degraded policy, merge, and send one response.
 func (s *Service) serveFetch(up *transport.Conn, upReqID uint64, tc *transport.TraceContext) {
-	reports := make(map[string]core.SketchReport)
-	rounds := 1 + s.cfg.FetchRetries
-	backoff := s.cfg.FetchBackoff
-	for round := 0; round < rounds; round++ {
-		if round > 0 {
-			s.met.fetchRetries.Inc()
-			d := backoff
-			s.mu.Lock()
-			if j := int64(backoff / 2); j > 0 {
-				d += time.Duration(s.rng.Int63n(j))
-			}
-			s.mu.Unlock()
-			time.Sleep(d)
-			if backoff *= 2; backoff > s.cfg.FetchBackoffMax {
-				backoff = s.cfg.FetchBackoffMax
-			}
-		}
-		if s.fetchRound(reports, tc) == 0 {
-			break
-		}
-		s.mu.Lock()
-		missing := false
-		for _, e := range s.monitors {
-			if _, ok := reports[e.id]; !ok {
-				missing = true
-				break
-			}
-		}
-		s.mu.Unlock()
-		if !missing {
-			break
-		}
-	}
-
-	// Degraded substitution: cached snapshots stand in for monitors that
-	// did not answer, as long as they are fresh enough and their flows do
-	// not collide with anything already gathered (or owned by another
-	// monitor since). Sorted iteration keeps substitution deterministic.
-	stale := 0
-	s.mu.Lock()
-	if s.cfg.Degraded.Enabled {
-		ref := s.lastInterval
-		for _, rep := range reports {
-			if rep.Interval > ref {
-				ref = rep.Interval
-			}
-		}
-		covered := make(map[int]string)
-		for id, rep := range reports {
-			for _, f := range rep.FlowIDs {
-				covered[f] = id
-			}
-		}
-		ids := make([]string, 0, len(s.snapCache))
-		for id := range s.snapCache {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			if _, fresh := reports[id]; fresh {
-				continue
-			}
-			snap := s.snapCache[id]
-			age := ref - snap.Interval
-			if age < 0 {
-				age = -age
-			}
-			if age > s.cfg.Degraded.MaxStaleness {
-				continue
-			}
-			usable := len(snap.FlowIDs) > 0
-			for _, f := range snap.FlowIDs {
-				if _, seen := covered[f]; seen {
-					usable = false
-					break
-				}
-				if owner, owned := s.flowOwner[f]; owned && s.monitors[owner] != nil && s.monitors[owner].id != id {
-					usable = false
-					break
-				}
-			}
-			if !usable {
-				continue
-			}
-			for _, f := range snap.FlowIDs {
-				covered[f] = id
-			}
-			reports[id] = snap
-			stale += len(snap.FlowIDs)
-		}
-	}
-	s.mu.Unlock()
-
-	if len(reports) == 0 {
+	defer s.pulls.Done()
+	p := s.down.Pull(nil, tc)
+	stale, _ := s.down.FillCached(p)
+	if len(p.Reports) == 0 {
 		s.log.Warn("sketch pull unanswerable: no live or cached snapshots", "request", upReqID)
 		return
 	}
-	snaps := make([]sketch.Snapshot, 0, len(reports))
-	for _, rep := range reports {
+	snaps := make([]sketch.Snapshot, 0, len(p.Reports))
+	for _, rep := range p.Reports {
 		snaps = append(snaps, rep)
 	}
 	merged, err := sketch.Merge(snaps, s.cfg.SketchLen, s.cfg.Workers)
@@ -880,118 +422,24 @@ func (s *Service) serveFetch(up *transport.Conn, upReqID uint64, tc *transport.T
 		s.met.degradedMerges.Inc()
 		s.log.Warn("degraded merge", "request", upReqID, "stale_flows", stale)
 	}
+	// Degradation the answers themselves declared (a tier below serving from
+	// its own cache) composes with this tier's substitutions.
 	resp := transport.SketchResponse{
 		RequestID:  upReqID,
 		MonitorID:  s.cfg.ID,
 		Report:     merged,
-		Degraded:   stale > 0,
-		StaleFlows: stale,
+		Degraded:   stale > 0 || p.Degraded,
+		StaleFlows: stale + p.Stale,
 	}
 	if err := up.Send(transport.Envelope{Response: &resp, Trace: tc}); err != nil {
 		s.log.Warn("merged response send failed", "request", upReqID, "err", err)
 	}
 }
 
-// fetchRound asks every registered monitor without a gathered report for its
-// sketch and folds validated responses into reports (and the snapshot
-// cache). Returns the number of monitors successfully asked.
-func (s *Service) fetchRound(reports map[string]core.SketchReport, tc *transport.TraceContext) int {
-	s.mu.Lock()
-	targets := make(map[*transport.Conn]*monitorEntry)
-	for c, e := range s.monitors {
-		if _, done := reports[e.id]; !done {
-			targets[c] = e
-		}
-	}
-	if len(targets) == 0 {
-		s.mu.Unlock()
-		return 0
-	}
-	s.nextReq++
-	id := s.nextReq
-	p := &pendingFetch{respCh: make(chan *transport.SketchResponse, len(targets))}
-	s.pending[id] = p
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.pending, id)
-		s.mu.Unlock()
-	}()
-
-	awaiting := make(map[string]bool, len(targets))
-	for c, e := range targets {
-		if err := c.Send(transport.Envelope{Request: &transport.SketchRequest{RequestID: id}, Trace: tc}); err != nil {
-			s.log.Warn("sketch request send failed", "monitor", e.id, "err", err)
-			continue
-		}
-		awaiting[e.id] = true
-	}
-	asked := len(awaiting)
-	if asked == 0 {
-		return 0
-	}
-
-	timer := time.NewTimer(s.cfg.FetchTimeout)
-	defer timer.Stop()
-	for remaining := asked; remaining > 0; {
-		select {
-		case r := <-p.respCh:
-			if !awaiting[r.MonitorID] {
-				continue
-			}
-			awaiting[r.MonitorID] = false
-			remaining--
-			if err := r.Report.Validate(s.cfg.SketchLen); err != nil {
-				s.log.Warn("invalid sketch report", "monitor", r.MonitorID, "err", err)
-				continue
-			}
-			if r.Report.Family != s.cfg.Family {
-				s.log.Warn("sketch report from wrong family", "monitor", r.MonitorID)
-				continue
-			}
-			ok := true
-			for _, f := range r.Report.FlowIDs {
-				if f < 0 || f >= s.cfg.NumFlows {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				s.log.Warn("sketch report names unknown flow", "monitor", r.MonitorID)
-				continue
-			}
-			reports[r.MonitorID] = r.Report
-			s.mu.Lock()
-			s.snapCache[r.MonitorID] = r.Report
-			if r.Report.Interval > s.lastInterval {
-				s.lastInterval = r.Report.Interval
-			}
-			s.mu.Unlock()
-		case <-timer.C:
-			for mid, waiting := range awaiting {
-				if waiting {
-					s.log.Warn("sketch response timed out", "monitor", mid, "timeout", s.cfg.FetchTimeout)
-				}
-			}
-			return asked
-		}
-	}
-	return asked
-}
-
-// broadcastAlarm re-broadcasts a NOC alarm to every downstream monitor.
-func (s *Service) broadcastAlarm(a transport.Alarm, tc *transport.TraceContext) {
-	s.mu.Lock()
-	conns := make([]*transport.Conn, 0, len(s.monitors))
-	for c := range s.monitors {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, c := range conns {
-		if err := c.Send(transport.Envelope{Alarm: &a, Trace: tc}); err == nil {
-			s.met.alarmsRelayed.Inc()
-		}
-	}
+// relayAlarm re-broadcasts a NOC alarm to every downstream monitor.
+func (s *Service) relayAlarm(a transport.Alarm, tc *transport.TraceContext) {
+	_, delivered := s.down.Broadcast(transport.Envelope{Alarm: &a, Trace: tc})
+	s.met.alarmsRelayed.Add(int64(delivered))
 }
 
 // Stats is a snapshot of the aggregator's counters for periodic summaries.
@@ -1007,11 +455,8 @@ type Stats struct {
 
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	n := len(s.monitors)
-	s.mu.Unlock()
 	return Stats{
-		Monitors:       n,
+		Monitors:       len(s.down.IDs()),
 		VolumeForwards: s.met.volumeForwards.Value(),
 		Fetches:        s.met.fetches.Value(),
 		MergeErrors:    s.met.mergeErrors.Value(),
@@ -1034,27 +479,18 @@ func (s *Service) LogSummary() {
 		"reconnects", st.Reconnects)
 }
 
-// Close tears down the downstream server, the NOC link and the diagnostics
-// endpoint. Safe to call multiple times.
+// Close tears down the NOC link, the downstream server and the diagnostics
+// endpoint, and waits for the link reader and the pulls in flight. The link
+// goes first so nothing the departing monitors trigger is sent upstream.
+// Safe to call multiple times.
 func (s *Service) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	up := s.up
-	s.up = nil
-	srv := s.server
-	s.server = nil
-	s.mu.Unlock()
-	if srv != nil {
-		srv.Shutdown()
-	}
-	var err error
-	if up != nil {
-		err = up.Close()
-	}
+	err := s.up.Close()
+	s.down.Shutdown()
+	s.up.Wait()
+	s.pulls.Wait()
 	if s.diag != nil {
 		_ = s.diag.Close()
 	}
 	s.health.Set("agg", obs.StatusDown, "closed")
-	s.health.Set("noc-link", obs.StatusDown, "closed")
 	return err
 }

@@ -3,6 +3,7 @@ package agg
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,7 +99,7 @@ func newTestAgg(t *testing.T, cfg Config) *Service {
 func attachMonitor(t *testing.T, s *Service, id string, flows []int) *transport.Conn {
 	t.Helper()
 	mon, srv := transport.Pipe()
-	go s.handleMonitor(srv)
+	go s.down.Handle(srv)
 	hello := transport.Hello{
 		MonitorID: id, FlowIDs: flows,
 		SketchLen: s.cfg.SketchLen, WindowLen: s.cfg.WindowLen,
@@ -262,9 +263,7 @@ func TestVolumeMergeForward(t *testing.T) {
 	// Half an interval: nothing may be forwarded yet.
 	send(m1, "m1", 1, []int{0, 1}, []float64{10, 11})
 	waitFor(t, func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.intervals) == 1
+		return s.down.PendingIntervals() == 1
 	}, "partial interval buffered")
 	if got := s.Stats().VolumeForwards; got != 0 {
 		t.Fatalf("forwarded a partial interval (%d forwards)", got)
@@ -389,7 +388,7 @@ func TestRegisterRejections(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mon, srv := transport.Pipe()
 			defer mon.Close()
-			go s.handleMonitor(srv)
+			go s.down.Handle(srv)
 			if err := mon.Send(transport.Envelope{Hello: &tc.hello}); err != nil {
 				t.Fatal(err)
 			}
@@ -461,9 +460,7 @@ func TestMonitorDropCompletesPendingInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.intervals) == 1
+		return s.down.PendingIntervals() == 1
 	}, "interval 5 pending")
 
 	_ = m2.Close() // m2 never reports; its departure releases flow 2
@@ -490,13 +487,26 @@ func TestAlarmRebroadcast(t *testing.T) {
 	if err := noc.Send(transport.Envelope{Alarm: &a}); err != nil {
 		t.Fatal(err)
 	}
+	// The relay sends to the monitors one after the other in no fixed order
+	// and the pipes are unbuffered, so both must be read at once.
+	got := make(chan transport.Envelope, 2)
 	for _, mon := range []*transport.Conn{m1, m2} {
-		env := recvEnvelope(t, mon)
-		if env.Alarm == nil {
-			t.Fatalf("expected relayed alarm, got %+v", env)
-		}
-		if env.Alarm.Interval != 9 || env.Alarm.Distance != 3.5 {
-			t.Fatalf("alarm mangled: %+v", env.Alarm)
+		go func() {
+			env, _ := mon.Recv()
+			got <- env
+		}()
+	}
+	for range 2 {
+		select {
+		case env := <-got:
+			if env.Alarm == nil {
+				t.Fatalf("expected relayed alarm, got %+v", env)
+			}
+			if env.Alarm.Interval != 9 || env.Alarm.Distance != 3.5 {
+				t.Fatalf("alarm mangled: %+v", env.Alarm)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("relayed alarm never arrived")
 		}
 	}
 }
@@ -514,5 +524,76 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("config %d accepted: %+v", i, cfg)
 		}
+	}
+}
+
+// TestBreakerSkipsMonitorThatTimesOut pins what the aggregator gains from the
+// shared tier core: a monitor that times out three pulls in a row (the NOC's
+// default threshold — the aggregator has no knob for it) is not asked on the
+// fourth, and the merged response stays covered from the report cache, tagged
+// Degraded.
+func TestBreakerSkipsMonitorThatTimesOut(t *testing.T) {
+	cfg := testConfig()
+	cfg.FetchTimeout = 60 * time.Millisecond
+	s := newTestAgg(t, cfg)
+	m1 := attachMonitor(t, s, "m1", []int{0, 1})
+	m2 := attachMonitor(t, s, "m2", []int{4, 5})
+	noc, _ := attachFakeNOC(t, s)
+
+	pull := func(id uint64, interval int64) *transport.SketchResponse {
+		t.Helper()
+		if err := noc.Send(transport.Envelope{Request: &transport.SketchRequest{RequestID: id}}); err != nil {
+			t.Fatal(err)
+		}
+		goServe(t, m1, "m1", randprojReport(interval, []int{0, 1}))
+		env := recvEnvelope(t, noc)
+		if env.Response == nil {
+			t.Fatalf("pull %d: expected a merged response, got %+v", id, env)
+		}
+		return env.Response
+	}
+
+	// Warm-up: both answer, so m2 has a cached snapshot to stand in later.
+	goServe(t, m2, "m2", randprojReport(1, []int{4, 5}))
+	if resp := pull(1, 1); resp.Degraded {
+		t.Fatalf("warm-up pull degraded: %+v", resp)
+	}
+	// From here on m2 reads its requests and answers none.
+	var m2Asked atomic.Int64
+	go func() {
+		for {
+			env, err := m2.Recv()
+			if err != nil {
+				return
+			}
+			if env.Request != nil {
+				m2Asked.Add(1)
+			}
+		}
+	}()
+	for i := uint64(2); i <= 4; i++ {
+		if resp := pull(i, 1); !resp.Degraded || resp.StaleFlows != 2 {
+			t.Fatalf("pull %d with m2 mute: degraded=%t stale=%d, want true/2", i, resp.Degraded, resp.StaleFlows)
+		}
+	}
+	if got := m2Asked.Load(); got != 3 {
+		t.Fatalf("m2 asked %d times over three pulls, want 3", got)
+	}
+	if got := s.reg.Gauge("streampca_agg_breaker_open", "").Value(); got != 1 {
+		t.Fatalf("breaker_open gauge = %v after three timeouts, want 1", got)
+	}
+	start := time.Now()
+	resp := pull(5, 1)
+	if got := m2Asked.Load(); got != 3 {
+		t.Fatalf("m2 asked again (%d requests) with its breaker open", got)
+	}
+	if !resp.Degraded || resp.StaleFlows != 2 {
+		t.Fatalf("fourth pull: degraded=%t stale=%d, want true/2", resp.Degraded, resp.StaleFlows)
+	}
+	if want := []int{0, 1, 4, 5}; !reflect.DeepEqual(resp.Report.FlowIDs, want) {
+		t.Fatalf("fourth pull covers %v, want %v", resp.Report.FlowIDs, want)
+	}
+	if took := time.Since(start); took >= cfg.FetchTimeout {
+		t.Fatalf("fourth pull took %v: it still waited out m2's timeout", took)
 	}
 }

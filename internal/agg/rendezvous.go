@@ -1,42 +1,10 @@
 package agg
 
-import (
-	"hash/fnv"
-	"sort"
-)
+import "streampca/internal/tier"
 
-// Rendezvous orders aggregator candidates by highest-random-weight (HRW)
-// preference for the given monitor ID: every monitor, hashing independently,
-// agrees on which live candidate owns it, and the death of one candidate
-// re-places only that candidate's monitors — the survivors' assignments are
-// untouched. Ties (identical hashes) break on the address string so the
-// order is total and deterministic. The input slice is not modified.
-//
-// The raw FNV-1a digest avalanches poorly over the short, near-identical
-// strings aggregator addresses tend to be ("agg-a:7101" vs "agg-b:7101"),
-// which skews placement badly; the murmur3 fmix64 finalizer restores full
-// bit diffusion.
+// Rendezvous orders aggregator candidates by highest-random-weight preference
+// for the given monitor ID; see tier.Rendezvous, which the monitors' failover
+// uses.
 func Rendezvous(monitorID string, candidates []string) []string {
-	out := append([]string(nil), candidates...)
-	weight := func(addr string) uint64 {
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(addr))
-		_, _ = h.Write([]byte{0})
-		_, _ = h.Write([]byte(monitorID))
-		x := h.Sum64()
-		x ^= x >> 33
-		x *= 0xff51afd7ed558ccd
-		x ^= x >> 33
-		x *= 0xc4ceb9fe1a85ec53
-		x ^= x >> 33
-		return x
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		wi, wj := weight(out[i]), weight(out[j])
-		if wi != wj {
-			return wi > wj
-		}
-		return out[i] < out[j]
-	})
-	return out
+	return tier.Rendezvous(monitorID, candidates)
 }

@@ -5,6 +5,8 @@
 // One duplex connection to the NOC carries everything: the monitor sends
 // Hello then VolumeReports; the NOC sends SketchRequests, which the monitor
 // answers with SketchResponses; Alarms may arrive for operator visibility.
+// Everything about that link — dial, Hello, read loop, redial over the
+// candidate list — is the uplink half of internal/tier.
 package monitor
 
 import (
@@ -14,13 +16,13 @@ import (
 	"sync"
 	"time"
 
-	"streampca/internal/agg"
 	"streampca/internal/core"
 	"streampca/internal/obs"
 	"streampca/internal/oracle"
 	"streampca/internal/par"
 	"streampca/internal/randproj"
 	"streampca/internal/sketch"
+	"streampca/internal/tier"
 	"streampca/internal/trace"
 	"streampca/internal/transport"
 )
@@ -30,9 +32,9 @@ var (
 	// ErrConfig indicates an invalid service configuration.
 	ErrConfig = errors.New("monitor: invalid configuration")
 	// ErrNotConnected indicates an operation requiring a live NOC link.
-	ErrNotConnected = errors.New("monitor: not connected")
+	ErrNotConnected = tier.ErrNotConnected
 	// ErrAlreadyConnected indicates a second Connect/Attach.
-	ErrAlreadyConnected = errors.New("monitor: already connected")
+	ErrAlreadyConnected = tier.ErrAlreadyConnected
 )
 
 // Config parameterizes a monitor service.
@@ -165,26 +167,15 @@ type Service struct {
 	wireMet *transport.Metrics
 	diag    *obs.Server
 
+	// up is the link to the NOC (or aggregator).
+	up *tier.Uplink
+
 	mu     sync.Mutex
 	core   *core.Monitor
 	oracle *oracle.Checker
-	conn   *transport.Conn
-	// nocAddr/dialTimeout remember the Connect parameters so the
-	// reconnect loop can redial; closed stops it permanently.
-	nocAddr     string
-	dialTimeout time.Duration
-	closed      bool
-	// candidates is the aggregator shard map (transport.ShardMap) most
-	// recently pushed on the link, kept at the highest epoch seen. When
-	// non-empty, the reconnect loop dials the rendezvous order over it
-	// instead of pinning to the last address — the federated failover path.
-	candidates     []string
-	candidateEpoch uint64
 	// ingestStats, when set, snapshots the live-ingest pipeline feeding
 	// this monitor for Stats/LogSummary (see SetIngestStats).
 	ingestStats func() IngestStats
-
-	readerDone chan struct{}
 }
 
 // New validates cfg and builds the sketch state.
@@ -235,7 +226,6 @@ func New(cfg Config) (*Service, error) {
 		wireMet: transport.NewMetrics(reg),
 		core:    cm,
 	}
-	s.candidates = append([]string(nil), cfg.Candidates...)
 	if cfg.SelfCheckEvery > 0 {
 		chk, err := oracle.NewChecker(oracle.CheckerConfig{
 			Every:     cfg.SelfCheckEvery,
@@ -254,7 +244,20 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.met.workers.Set(float64(par.Workers(cfg.Workers)))
 	s.health.Set("monitor", obs.StatusOK, "sketch state ready")
-	s.health.Set("noc-link", obs.StatusDegraded, "not connected")
+	s.up = tier.NewUplink(tier.UplinkConfig{
+		ID:          cfg.ID,
+		Hello:       s.hello,
+		OnRequest:   s.serveSketch,
+		OnAlarm:     s.alarm,
+		Reconnect:   cfg.Reconnect,
+		Backoff:     cfg.ReconnectBackoff,
+		BackoffMax:  cfg.ReconnectBackoffMax,
+		Candidates:  cfg.Candidates,
+		WireMetrics: s.wireMet,
+		Reconnects:  s.met.reconnects,
+		Health:      s.health,
+		Log:         s.log,
+	})
 	if cfg.MetricsAddr != "" {
 		diag, err := obs.StartServerWith(cfg.MetricsAddr, reg, s.health, cfg.Trace.Recorder(), s.log)
 		if err != nil {
@@ -298,39 +301,16 @@ func (s *Service) ID() string { return s.cfg.ID }
 // sketch requests. With Config.Reconnect set, a later link loss redials
 // this address automatically.
 func (s *Service) Connect(nocAddr string, timeout time.Duration) error {
-	s.mu.Lock()
-	s.nocAddr = nocAddr
-	s.dialTimeout = timeout
-	s.mu.Unlock()
-	conn, err := transport.DialWithMetrics(nocAddr, timeout, s.wireMet)
-	if err != nil {
-		s.health.Set("noc-link", obs.StatusDown, err.Error())
-		return fmt.Errorf("connect NOC: %w", err)
-	}
-	if err := s.Attach(conn); err != nil {
-		_ = conn.Close()
-		return err
-	}
-	return nil
+	return s.up.Connect(nocAddr, timeout)
 }
 
 // Attach adopts an established connection (used by tests and embedders),
 // sends the Hello and starts the reader.
-func (s *Service) Attach(conn *transport.Conn) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: service closed", ErrNotConnected)
-	}
-	if s.conn != nil {
-		s.mu.Unlock()
-		return ErrAlreadyConnected
-	}
-	s.conn = conn
-	s.readerDone = make(chan struct{})
-	s.mu.Unlock()
+func (s *Service) Attach(conn *transport.Conn) error { return s.up.Attach(conn) }
 
-	hello := transport.Hello{
+// hello announces this monitor's flows and sketch parameters.
+func (s *Service) hello() transport.Hello {
+	h := transport.Hello{
 		MonitorID: s.cfg.ID,
 		FlowIDs:   s.core.FlowIDs(),
 		SketchLen: s.sketchParam(),
@@ -338,188 +318,58 @@ func (s *Service) Attach(conn *transport.Conn) error {
 		Family:    s.cfg.Family,
 	}
 	if s.gen != nil {
-		hello.Seed = s.gen.Seed()
+		h.Seed = s.gen.Seed()
 	}
-	if err := conn.Send(transport.Envelope{Hello: &hello}); err != nil {
-		s.health.Set("noc-link", obs.StatusDown, err.Error())
-		return fmt.Errorf("hello: %w", err)
-	}
-	s.health.Set("noc-link", obs.StatusOK, "registered with NOC")
-	s.log.Info("attached to NOC", "flows", len(hello.FlowIDs), "window", hello.WindowLen, "sketch", hello.SketchLen)
-	go s.readLoop(conn, s.readerDone)
-	return nil
+	return h
 }
 
-// readLoop serves NOC requests until the connection dies, then hands off
-// to the reconnect loop when enabled.
-func (s *Service) readLoop(conn *transport.Conn, done chan struct{}) {
-	defer close(done)
-	rejected := false
-loop:
-	for {
-		env, err := conn.Recv()
-		if err != nil {
-			break
-		}
-		switch {
-		case env.Request != nil:
-			s.met.sketchReqs.Inc()
-			// Parent the serving span under the NOC's fetch span when the
-			// request carries a trace context (cross-process lineage).
-			var sp *trace.Span
-			if tc := env.Trace; tc != nil {
-				sp = s.cfg.Trace.Start(trace.ID(tc.TraceID), trace.SpanID(tc.SpanID),
-					"monitor.sketch_report", trace.I("request", int64(env.Request.RequestID)))
-			}
-			s.mu.Lock()
-			rep := s.core.Report()
-			s.mu.Unlock()
-			sp.SetAttr(trace.I("sketch_interval", rep.Interval), trace.I("flows", int64(len(rep.FlowIDs))))
-			resp := transport.SketchResponse{
-				RequestID: env.Request.RequestID,
-				MonitorID: s.cfg.ID,
-				Report:    rep,
-			}
-			err := conn.Send(transport.Envelope{Response: &resp, Trace: env.Trace})
-			if err != nil {
-				sp.Event("send_error", trace.S("err", err.Error()))
-			}
-			sp.End()
-			if err != nil {
-				break loop
-			}
-		case env.Alarm != nil:
-			s.met.alarmsRecv.Inc()
-			s.log.Warn("alarm from NOC", "interval", env.Alarm.Interval,
-				"distance", env.Alarm.Distance, "threshold", env.Alarm.Threshold,
-				"degraded", env.Alarm.Degraded)
-			if fr := s.cfg.FlightRecorder; fr != nil {
-				s.mu.Lock()
-				last := s.core.Now()
-				s.mu.Unlock()
-				if err := fr.Record(alarmRecord{
-					Kind:         "monitor.alarm_received",
-					Monitor:      s.cfg.ID,
-					Trace:        trace.ForInterval(env.Alarm.Interval),
-					Interval:     env.Alarm.Interval,
-					SPE:          env.Alarm.Distance,
-					Threshold:    env.Alarm.Threshold,
-					Degraded:     env.Alarm.Degraded,
-					LastInterval: last,
-					UnixNanos:    time.Now().UnixNano(),
-				}); err != nil {
-					s.log.Warn("flight record failed", "err", err)
-				}
-			}
-			if s.cfg.OnAlarm != nil {
-				s.cfg.OnAlarm(*env.Alarm)
-			}
-		case env.Shards != nil:
-			// An aggregator announced the candidate list fronting the NOC;
-			// keep the highest epoch for rendezvous failover.
-			s.mu.Lock()
-			if len(env.Shards.Aggregators) > 0 && env.Shards.Epoch >= s.candidateEpoch {
-				s.candidateEpoch = env.Shards.Epoch
-				s.candidates = append([]string(nil), env.Shards.Aggregators...)
-			}
-			n, epoch := len(s.candidates), s.candidateEpoch
-			s.mu.Unlock()
-			s.log.Info("shard map received", "aggregators", n, "epoch", epoch)
-		case env.Error != nil:
-			// The upstream rejected us. With no alternatives, reconnecting
-			// would only loop; with a shard map, the rejection is usually a
-			// transient re-shard conflict and failover should keep trying.
-			rejected = true
-			s.health.Set("noc-link", obs.StatusDown, env.Error.Msg)
-			s.log.Error("NOC rejected connection", "err", env.Error.Msg)
-			break loop
-		default:
-			// Ignore unexpected but well-formed frames (forward compat).
-		}
+// serveSketch answers one sketch pull with the current sketch state.
+func (s *Service) serveSketch(conn *transport.Conn, req transport.SketchRequest, tc *transport.TraceContext) {
+	s.met.sketchReqs.Inc()
+	// Parent the serving span under the NOC's fetch span when the request
+	// carries a trace context (cross-process lineage).
+	var sp *trace.Span
+	if tc != nil {
+		sp = s.cfg.Trace.Start(trace.ID(tc.TraceID), trace.SpanID(tc.SpanID),
+			"monitor.sketch_report", trace.I("request", int64(req.RequestID)))
 	}
-
-	// Release this connection if it is still the current one; Close may
-	// already have swapped it out (then there is nothing to do).
 	s.mu.Lock()
-	current := s.conn == conn && !s.closed
-	if current {
-		s.conn = nil
-	}
-	addr := s.nocAddr
+	rep := s.core.Report()
 	s.mu.Unlock()
-	if !current {
-		return
+	sp.SetAttr(trace.I("sketch_interval", rep.Interval), trace.I("flows", int64(len(rep.FlowIDs))))
+	resp := transport.SketchResponse{RequestID: req.RequestID, MonitorID: s.cfg.ID, Report: rep}
+	if err := conn.Send(transport.Envelope{Response: &resp, Trace: tc}); err != nil {
+		sp.Event("send_error", trace.S("err", err.Error()))
+		_ = conn.Close() // a link that cannot answer is dead: let the reader see it
 	}
-	_ = conn.Close()
-	s.mu.Lock()
-	nCandidates := len(s.candidates)
-	s.mu.Unlock()
-	if s.cfg.Reconnect && addr != "" && (!rejected || nCandidates > 1) {
-		s.health.Set("noc-link", obs.StatusDegraded, "link lost; reconnecting")
-		s.log.Warn("NOC link lost, reconnecting", "addr", addr, "candidates", nCandidates)
-		go s.reconnectLoop(addr)
-		return
-	}
-	if !rejected {
-		s.health.Set("noc-link", obs.StatusDown, "link lost")
-		s.log.Warn("NOC link lost")
-	}
+	sp.End()
 }
 
-// reconnectLoop redials the upstream with capped exponential backoff until
-// it succeeds, the service is closed, or another connection appears. With an
-// aggregator shard map on file the loop walks the rendezvous order for this
-// monitor's ID each round (falling back to the last good address when it is
-// not in the map), so the death of one aggregator re-places this monitor
-// onto the surviving candidate every other monitor independently agrees on.
-func (s *Service) reconnectLoop(fallback string) {
-	backoff := s.cfg.ReconnectBackoff
-	if backoff <= 0 {
-		backoff = 200 * time.Millisecond
-	}
-	max := s.cfg.ReconnectBackoffMax
-	if max <= 0 {
-		max = 5 * time.Second
-	}
-	for attempt := 1; ; attempt++ {
+// alarm records an alarm broadcast and hands it to Config.OnAlarm.
+func (s *Service) alarm(a transport.Alarm, _ *transport.TraceContext) {
+	s.met.alarmsRecv.Inc()
+	s.log.Warn("alarm from NOC", "interval", a.Interval,
+		"distance", a.Distance, "threshold", a.Threshold, "degraded", a.Degraded)
+	if fr := s.cfg.FlightRecorder; fr != nil {
 		s.mu.Lock()
-		stop := s.closed || s.conn != nil
-		timeout := s.dialTimeout
-		cands := append([]string(nil), s.candidates...)
+		last := s.core.Now()
 		s.mu.Unlock()
-		if stop {
-			return
+		if err := fr.Record(alarmRecord{
+			Kind:         "monitor.alarm_received",
+			Monitor:      s.cfg.ID,
+			Trace:        trace.ForInterval(a.Interval),
+			Interval:     a.Interval,
+			SPE:          a.Distance,
+			Threshold:    a.Threshold,
+			Degraded:     a.Degraded,
+			LastInterval: last,
+			UnixNanos:    time.Now().UnixNano(),
+		}); err != nil {
+			s.log.Warn("flight record failed", "err", err)
 		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > max {
-			backoff = max
-		}
-		order := []string{fallback}
-		if len(cands) > 0 {
-			order = agg.Rendezvous(s.cfg.ID, cands)
-			inMap := false
-			for _, a := range order {
-				if a == fallback {
-					inMap = true
-					break
-				}
-			}
-			if fallback != "" && !inMap {
-				order = append(order, fallback)
-			}
-		}
-		for _, addr := range order {
-			err := s.Connect(addr, timeout)
-			if err == nil {
-				s.met.reconnects.Inc()
-				s.log.Info("reconnected upstream", "addr", addr, "attempts", attempt)
-				return
-			}
-			if errors.Is(err, ErrAlreadyConnected) || errors.Is(err, ErrNotConnected) {
-				return // someone else attached, or the service closed
-			}
-			s.log.Warn("reconnect attempt failed", "attempt", attempt, "addr", addr, "err", err)
-		}
+	}
+	if s.cfg.OnAlarm != nil {
+		s.cfg.OnAlarm(a)
 	}
 }
 
@@ -533,14 +383,13 @@ func (s *Service) ReportInterval(t int64, volumes []float64) error {
 		trace.S("monitor", s.cfg.ID),
 		trace.I("interval", t),
 		trace.I("flows", int64(len(volumes))))
-	s.mu.Lock()
-	conn := s.conn
+	conn := s.up.Conn()
 	if conn == nil {
-		s.mu.Unlock()
 		sp.Event("not_connected")
 		sp.End()
 		return ErrNotConnected
 	}
+	s.mu.Lock()
 	if t > s.core.Now() {
 		start := time.Now()
 		if err := s.core.Update(t, volumes); err != nil {
@@ -710,24 +559,14 @@ func (s *Service) Report() core.SketchReport {
 // for the reader to exit. Safe to call multiple times and before Connect;
 // the service cannot be re-attached afterwards.
 func (s *Service) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	conn := s.conn
-	done := s.readerDone
-	s.conn = nil
-	s.readerDone = nil
-	s.mu.Unlock()
+	attached := s.up.Conn() != nil
+	err := s.up.Close()
 	if s.diag != nil {
 		_ = s.diag.Close()
 	}
 	s.health.Set("monitor", obs.StatusDown, "closed")
-	s.health.Set("noc-link", obs.StatusDown, "closed")
-	var err error
-	if conn != nil {
-		err = conn.Close()
-	}
-	if done != nil {
-		<-done
+	s.up.Wait()
+	if attached {
 		s.LogSummary()
 	}
 	return err

@@ -1,10 +1,10 @@
 package noc
 
 import (
-	"sort"
 	"time"
 
 	"streampca/internal/core"
+	"streampca/internal/tier"
 	"streampca/internal/trace"
 )
 
@@ -83,17 +83,17 @@ type FlightIdentified struct {
 }
 
 // flightRecord appends one audit line for this decision. Called only from
-// the processing goroutine (lastSketch and detMu discipline). ident is the
-// identification already computed for an alarmed decision (nil otherwise).
-func (s *Service) flightRecord(item workItem, res core.Decision, warmup, degraded bool, ident *core.Identification) {
+// the processing goroutine (detMu discipline). ident is the identification
+// already computed for an alarmed decision (nil otherwise).
+func (s *Service) flightRecord(item tier.Interval, res core.Decision, warmup, degraded bool, ident *core.Identification) {
 	fr := s.cfg.FlightRecorder
 	if fr == nil {
 		return
 	}
 	rec := FlightRecord{
 		Kind:                 "noc.decision",
-		Trace:                trace.ForInterval(item.interval),
-		Interval:             item.interval,
+		Trace:                trace.ForInterval(item.Index),
+		Interval:             item.Index,
 		UnixNanos:            time.Now().UnixNano(),
 		SPE:                  res.Distance,
 		Threshold:            res.Threshold,
@@ -101,8 +101,8 @@ func (s *Service) flightRecord(item workItem, res core.Decision, warmup, degrade
 		Anomalous:            res.Anomalous,
 		Warmup:               warmup,
 		Degraded:             degraded,
-		VectorDegraded:       item.degraded,
-		StaleVolumeFlows:     item.staleFlows,
+		VectorDegraded:       item.Stale > 0,
+		StaleVolumeFlows:     item.Stale,
 		ModelDegraded:        res.Degraded,
 		ModelStaleFlows:      res.StaleFlows,
 		Refreshed:            res.Refreshed,
@@ -111,7 +111,7 @@ func (s *Service) flightRecord(item workItem, res core.Decision, warmup, degrade
 	// residual ranking, so the common path never pays the projection.
 	if !warmup && res.Anomalous && s.cfg.FlightTopK > 0 {
 		s.detMu.Lock()
-		top, err := s.det.Attribute(item.volumes, s.cfg.FlightTopK)
+		top, err := s.det.Attribute(item.Volumes, s.cfg.FlightTopK)
 		s.detMu.Unlock()
 		if err == nil {
 			for _, c := range top {
@@ -126,27 +126,16 @@ func (s *Service) flightRecord(item workItem, res core.Decision, warmup, degrade
 			rec.Identified = append(rec.Identified, FlightIdentified{Flow: f.Flow, Amount: f.Amount, Confidence: f.Confidence})
 		}
 	}
-	s.mu.Lock()
-	now := time.Now()
-	for _, e := range s.monitors {
-		fm := FlightMonitor{ID: e.id, Flows: len(e.flows), SketchInterval: -1, SketchAge: -1}
-		if at, ok := s.lastSketch[e.id]; ok {
-			fm.SketchInterval = at
-			fm.SketchAge = item.interval - at
-			if s.cfg.Degraded.MaxStaleness > 0 && fm.SketchAge > s.cfg.Degraded.MaxStaleness {
-				fm.Stale = true
-			}
-		}
-		if b := s.breakers[e.id]; b != nil && s.cfg.BreakerThreshold > 0 &&
-			b.failures >= s.cfg.BreakerThreshold && now.Before(b.openUntil) {
-			fm.BreakerOpen = true
+	for _, r := range s.down.Registrants() {
+		fm := FlightMonitor{ID: r.ID, Flows: r.Flows, SketchInterval: r.SketchInterval, SketchAge: -1, BreakerOpen: r.BreakerOpen}
+		if r.SketchInterval >= 0 {
+			fm.SketchAge = item.Index - r.SketchInterval
+			fm.Stale = s.cfg.Degraded.MaxStaleness > 0 && fm.SketchAge > s.cfg.Degraded.MaxStaleness
 		}
 		rec.Monitors = append(rec.Monitors, fm)
 	}
-	s.mu.Unlock()
-	sort.Slice(rec.Monitors, func(i, j int) bool { return rec.Monitors[i].ID < rec.Monitors[j].ID })
 	if err := fr.Record(rec); err != nil {
-		s.log.Warn("flight record failed", "interval", item.interval, "err", err)
+		s.log.Warn("flight record failed", "interval", item.Index, "err", err)
 		return
 	}
 	s.met.flightRecords.Inc()

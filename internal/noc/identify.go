@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"streampca/internal/core"
+	"streampca/internal/tier"
 	"streampca/internal/trace"
 	"streampca/internal/transport"
 )
@@ -14,18 +15,18 @@ import (
 // assembled measurement vector — both are byte-identical between flat and
 // federated topologies (DESIGN.md §16), so identifications are too
 // (DESIGN.md §17, gated by the federated identification differential e2e).
-func (s *Service) identify(item workItem, sp *trace.Span) *core.Identification {
+func (s *Service) identify(item tier.Interval, sp *trace.Span) *core.Identification {
 	if s.cfg.IdentifyMaxK < 0 {
 		return nil
 	}
 	t0 := time.Now()
 	s.detMu.Lock()
-	id, err := s.det.Identify(item.volumes, s.cfg.IdentifyMaxK)
+	id, err := s.det.Identify(item.Volumes, s.cfg.IdentifyMaxK)
 	s.detMu.Unlock()
 	s.met.identifySeconds.Observe(time.Since(t0).Seconds())
 	if err != nil {
 		s.met.identifyErrors.Inc()
-		s.log.Warn("identification failed", "interval", item.interval, "err", err)
+		s.log.Warn("identification failed", "interval", item.Index, "err", err)
 		sp.Event("identify_failed", trace.S("err", err.Error()))
 		return nil
 	}

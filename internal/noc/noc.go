@@ -1,8 +1,9 @@
-// Package noc implements the Network Operation Center service of Fig. 1:
-// it accepts monitor connections, assembles per-interval network-wide
-// measurement vectors from their volume reports, and drives the lazy
-// sketch-PCA detection protocol (core.Detector) — pulling sketches from all
-// monitors only when a measurement exceeds the current threshold.
+// Package noc implements the Network Operation Center service of Fig. 1: the
+// downstream half of internal/tier (registrations, per-interval assembly of
+// the network-wide measurement vector, lazy sketch pulls, alarm fan-out) with
+// a sink that drives the sketch-PCA detection protocol (core.Detector) —
+// pulling sketches only when a measurement exceeds the current threshold —
+// and identifies and flight-records what it alarms on.
 package noc
 
 import (
@@ -10,9 +11,9 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streampca/internal/core"
@@ -21,6 +22,7 @@ import (
 	"streampca/internal/oracle"
 	"streampca/internal/randproj"
 	"streampca/internal/sketch"
+	"streampca/internal/tier"
 	"streampca/internal/trace"
 	"streampca/internal/transport"
 )
@@ -56,22 +58,12 @@ type Decision struct {
 	Identified *core.Identification
 }
 
-// DegradedPolicy configures graceful degradation: instead of stalling when
-// monitors are missing, the NOC substitutes each missing flow's last
-// validated data — volumes when assembling the measurement vector, sketch
-// reports when rebuilding the model — and flags the resulting decisions
-// Degraded. Sharan et al. show sketch-based detection tolerates approximate
-// inputs; the substitution trades Theorem 2's freshness for availability.
-type DegradedPolicy struct {
-	// Enabled turns degradation on. Off (the default), incomplete coverage
-	// stalls interval assembly and sketch fetches fail with ErrCoverage.
-	Enabled bool
-	// MaxStaleness bounds, in intervals, how old cached volumes and sketch
-	// reports may be and still stand in for a missing flow. Flows staler
-	// than this block the interval (or fail the fetch) as before.
-	// Defaults to WindowLen/4.
-	MaxStaleness int64
-}
+// DegradedPolicy configures graceful degradation (see tier.DegradedPolicy):
+// instead of stalling when monitors are missing, the NOC substitutes each
+// missing flow's last validated data — volumes when assembling the
+// measurement vector, sketch reports when rebuilding the model — and flags
+// the resulting decisions Degraded. MaxStaleness defaults to WindowLen/4.
+type DegradedPolicy = tier.DegradedPolicy
 
 // Config parameterizes the NOC service.
 type Config struct {
@@ -287,34 +279,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 	}
 }
 
-type monitorEntry struct {
-	id    string
-	flows []int
-	conn  *transport.Conn
-	// role is what the peer announced in its Hello: a leaf monitor or a
-	// mid-tier aggregator fronting a shard of monitors (federated topology).
-	role transport.Role
-}
-
-type pendingFetch struct {
-	respCh chan *transport.SketchResponse
-}
-
-type intervalAccum struct {
-	volumes []float64
-	seen    map[int]struct{}
-}
-
-// breakerState tracks a monitor's consecutive fetch failures. The breaker
-// is open while failures >= Config.BreakerThreshold; openUntil gates the
-// half-open probe.
-type breakerState struct {
-	failures  int
-	openUntil time.Time
-}
-
-// sketchEntry is one flow's last validated sketch report, kept for
-// DegradedPolicy fallback. Touched only from the processing goroutine.
+// sketchEntry is one flow's last validated sketch column, kept for the
+// DegradedPolicy fallback (randproj columns are independent, so the cache is
+// per flow). Touched only from the processing goroutine.
 type sketchEntry struct {
 	sketch []float64
 	mean   float64
@@ -323,30 +290,15 @@ type sketchEntry struct {
 
 // Service is the NOC. Start it with Serve, stop with Shutdown.
 type Service struct {
-	cfg    Config
-	server *transport.Server
-	log    *slog.Logger
+	cfg  Config
+	log  *slog.Logger
+	down *tier.Downstream
 
 	reg     *obs.Registry
 	health  *obs.Health
 	met     *metrics
 	wireMet *transport.Metrics
 	diag    *obs.Server
-
-	mu        sync.Mutex
-	monitors  map[*transport.Conn]*monitorEntry
-	flowOwner map[int]*transport.Conn
-	pending   map[uint64]*pendingFetch
-	nextReq   uint64
-	intervals map[int64]*intervalAccum
-	// breakers is keyed by monitor ID (so it survives reconnects of the
-	// same identity until a registration or success resets it).
-	breakers map[string]*breakerState
-	// lastVol/lastVolAt cache each flow's most recent reported volume for
-	// degraded interval assembly; lastVolAt is -1 until first seen.
-	lastVol      []float64
-	lastVolAt    []int64
-	lastInterval int64
 
 	detMu sync.Mutex
 	det   *core.Detector
@@ -356,37 +308,16 @@ type Service struct {
 	// localMon holds the NOC-side variance histograms when LocalSketches
 	// is enabled; accessed only from the processing goroutine.
 	localMon *core.Monitor
-	// sketchCache and rng are likewise processing-goroutine-only (the
-	// fetch path): per-flow cached sketch reports and the backoff jitter
-	// source, seeded from Config.Seed for reproducible chaos tests.
+	// sketchCache is likewise processing-goroutine-only (the fetch path).
 	sketchCache []sketchEntry
-	// fdCache is the FD-family counterpart of sketchCache: each monitor's
-	// last validated block snapshot, kept whole because FD blocks only merge
-	// at block granularity. Processing-goroutine only.
-	fdCache map[string]core.SketchReport
-	rng     *rand.Rand
-	// lastSketch remembers each monitor's most recent validated sketch
-	// report interval, for flight-record sketch ages. Processing-goroutine
-	// only (fetchRound writes, flight records read).
-	lastSketch map[string]int64
 
-	completeCh chan Decision // buffered channel feeding the processor
-	workCh     chan workItem
-	procDone   chan struct{}
+	workCh   chan tier.Interval // buffered channel feeding the processor
+	procDone chan struct{}
 
 	// serving records whether processLoop was started; Shutdown must not
 	// wait on procDone otherwise. shutdownOnce makes Shutdown idempotent.
-	serving      bool
+	serving      atomic.Bool
 	shutdownOnce sync.Once
-}
-
-type workItem struct {
-	interval int64
-	volumes  []float64
-	// degraded marks intervals assembled with cached volumes for
-	// staleFlows unowned flows (see DegradedPolicy).
-	degraded   bool
-	staleFlows int
 }
 
 // New validates cfg and builds the service (not yet listening).
@@ -398,41 +329,17 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, fmt.Errorf("detector: %w", err)
 	}
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 5 * time.Second
-	}
 	switch {
 	case cfg.FetchRetries == 0:
 		cfg.FetchRetries = 2
 	case cfg.FetchRetries < 0:
 		cfg.FetchRetries = 0
 	}
-	if cfg.FetchBackoff <= 0 {
-		cfg.FetchBackoff = 50 * time.Millisecond
-	}
-	if cfg.FetchBackoffMax <= 0 {
-		cfg.FetchBackoffMax = time.Second
-	}
-	if cfg.FetchBackoffMax < cfg.FetchBackoff {
-		cfg.FetchBackoffMax = cfg.FetchBackoff
-	}
-	switch {
-	case cfg.BreakerThreshold == 0:
-		cfg.BreakerThreshold = 3
-	case cfg.BreakerThreshold < 0:
-		cfg.BreakerThreshold = 0 // disabled
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 5 * time.Second
-	}
 	if cfg.Degraded.Enabled && cfg.Degraded.MaxStaleness <= 0 {
 		cfg.Degraded.MaxStaleness = int64(cfg.Detector.WindowLen / 4)
 		if cfg.Degraded.MaxStaleness < 1 {
 			cfg.Degraded.MaxStaleness = 1
 		}
-	}
-	if cfg.MaxPendingIntervals <= 0 {
-		cfg.MaxPendingIntervals = 64
 	}
 	if cfg.FlightTopK == 0 {
 		cfg.FlightTopK = defaultFlightTopK
@@ -487,10 +394,6 @@ func New(cfg Config) (*Service, error) {
 		log = obs.Nop()
 	}
 	m := cfg.Detector.NumFlows
-	lastVolAt := make([]int64, m)
-	for i := range lastVolAt {
-		lastVolAt[i] = -1
-	}
 	s := &Service{
 		cfg:         cfg,
 		log:         log,
@@ -498,22 +401,43 @@ func New(cfg Config) (*Service, error) {
 		health:      obs.NewHealth(),
 		met:         newMetrics(reg),
 		wireMet:     transport.NewMetrics(reg),
-		monitors:    make(map[*transport.Conn]*monitorEntry),
-		flowOwner:   make(map[int]*transport.Conn),
-		pending:     make(map[uint64]*pendingFetch),
-		intervals:   make(map[int64]*intervalAccum),
-		breakers:    make(map[string]*breakerState),
-		lastVol:     make([]float64, m),
-		lastVolAt:   lastVolAt,
 		sketchCache: make([]sketchEntry, m),
-		fdCache:     make(map[string]core.SketchReport),
-		rng:         rand.New(rand.NewSource(int64(cfg.Seed) + 1)),
-		lastSketch:  make(map[string]int64),
 		det:         det,
 		localMon:    localMon,
-		workCh:      make(chan workItem, 256),
+		workCh:      make(chan tier.Interval, 256),
 		procDone:    make(chan struct{}),
 	}
+	s.down = tier.NewDownstream(tier.DownstreamConfig{
+		Params: tier.Params{
+			Family:    cfg.Detector.Family,
+			NumFlows:  m,
+			WindowLen: cfg.Detector.WindowLen,
+			SketchLen: cfg.Detector.SketchLen,
+			Seed:      cfg.Seed,
+		},
+		RequireAll:       true,
+		FetchTimeout:     cfg.FetchTimeout,
+		FetchRetries:     cfg.FetchRetries,
+		FetchBackoff:     cfg.FetchBackoff,
+		FetchBackoffMax:  cfg.FetchBackoffMax,
+		BreakerThreshold: cfg.BreakerThreshold,
+		BreakerCooldown:  cfg.BreakerCooldown,
+		Degraded:         cfg.Degraded,
+		MaxPending:       cfg.MaxPendingIntervals,
+		Faults:           cfg.Faults,
+		WireMetrics:      s.wireMet,
+		Metrics: tier.Metrics{
+			Registrants:  s.met.monitors,
+			Rejected:     s.met.rejects,
+			Evicted:      s.met.drops,
+			PullRetries:  s.met.fetchRetries,
+			BreakerOpen:  s.met.breakerOpen,
+			BreakerOpens: s.met.breakerOpens,
+		},
+		Log:        log,
+		OnInterval: s.enqueue,
+		OnChange:   s.countAggregators,
+	})
 	if cfg.SelfCheckEvery > 0 {
 		eps := cfg.Epsilon
 		if eps == 0 {
@@ -558,48 +482,40 @@ func (s *Service) DiagAddr() string {
 // Serve starts listening on addr and processing intervals; when
 // Config.MetricsAddr is set it also starts the diagnostics HTTP server.
 func (s *Service) Serve(addr string) error {
-	srv, err := transport.ListenWithOptions(addr, s.handleConn, s.wireMet, s.cfg.Faults)
-	if err != nil {
+	if err := s.down.Serve(addr); err != nil {
 		return err
 	}
 	if s.cfg.MetricsAddr != "" {
 		diag, err := obs.StartServerWith(s.cfg.MetricsAddr, s.reg, s.health, s.cfg.Trace.Recorder(), s.log)
 		if err != nil {
-			srv.Shutdown()
+			s.down.Shutdown()
 			return err
 		}
 		s.diag = diag
 	}
-	s.mu.Lock()
-	s.server = srv
-	s.serving = true
-	s.mu.Unlock()
+	s.serving.Store(true)
 	s.health.Set("noc", obs.StatusOK, "serving")
-	s.log.Info("NOC serving", "addr", srv.Addr(),
+	s.log.Info("NOC serving", "addr", s.down.Addr(),
 		"flows", s.cfg.Detector.NumFlows, "window", s.cfg.Detector.WindowLen,
 		"sketch", s.cfg.Detector.SketchLen)
 	go s.processLoop()
 	return nil
 }
 
-// Addr returns the bound listen address.
-func (s *Service) Addr() string { return s.server.Addr() }
+// Addr returns the bound listen address ("" before Serve).
+func (s *Service) Addr() string { return s.down.Addr() }
 
 // Shutdown stops the listener, drops all monitors, stops the processor and
 // closes the diagnostics server after flushing a final stats summary. It is
 // idempotent and safe to call even if Serve was never invoked.
 func (s *Service) Shutdown() {
 	s.shutdownOnce.Do(func() {
-		s.mu.Lock()
-		srv, serving := s.server, s.serving
-		s.mu.Unlock()
-		if srv != nil {
-			// Shutdown waits for every handleConn to return, so no sender
-			// can race the close of workCh below.
-			srv.Shutdown()
-		}
+		// The downstream shutdown aborts a pull in flight and waits for every
+		// connection reader to return, so no sender can race the close of
+		// workCh below.
+		s.down.Shutdown()
 		close(s.workCh)
-		if serving {
+		if s.serving.Load() {
 			<-s.procDone
 		}
 		s.health.Set("noc", obs.StatusDown, "shut down")
@@ -644,281 +560,23 @@ func (s *Service) DetectorStats() (observations, fetches, alarms int64) {
 }
 
 // Monitors returns the ids of currently registered monitors, sorted.
-func (s *Service) Monitors() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.monitors))
-	for _, e := range s.monitors {
-		out = append(out, e.id)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *Service) Monitors() []string { return s.down.IDs() }
 
-// handleConn is the per-connection reader: Hello registration, then volume
-// reports and sketch responses until the peer drops.
-func (s *Service) handleConn(conn *transport.Conn) {
-	env, err := conn.Recv()
-	if err != nil {
-		return
-	}
-	if env.Hello == nil {
-		_ = conn.Send(transport.Envelope{Error: &transport.ProtocolError{Msg: "first frame must be hello"}})
-		return
-	}
-	if err := s.register(conn, env.Hello); err != nil {
-		s.met.rejects.Inc()
-		s.log.Warn("monitor rejected", "monitor", env.Hello.MonitorID, "err", err)
-		_ = conn.Send(transport.Envelope{Error: &transport.ProtocolError{Msg: err.Error()}})
-		return
-	}
-	defer s.unregister(conn)
-
-	for {
-		env, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		switch {
-		case env.Volume != nil:
-			s.addVolumes(env.Volume)
-		case env.Response != nil:
-			s.routeResponse(env.Response)
-		case env.Hello != nil:
-			// Re-hello on a live connection: an aggregator re-announces when
-			// its flow union changes after a re-shard. A conflicting claim
-			// gets the same reject-and-close as an initial Hello — the
-			// peer's reconnect loop retries once the conflict clears.
-			if err := s.register(conn, env.Hello); err != nil {
-				s.met.rejects.Inc()
-				s.log.Warn("re-registration rejected", "monitor", env.Hello.MonitorID, "err", err)
-				_ = conn.Send(transport.Envelope{Error: &transport.ProtocolError{Msg: err.Error()}})
-				return
-			}
-			// Flows that left the union are unowned now: pending intervals
-			// blocked on them may be completable in degraded mode, exactly
-			// as when their owner disconnects.
-			s.mu.Lock()
-			ready := s.completePendingLocked()
-			s.mu.Unlock()
-			for _, item := range ready {
-				s.enqueue(item)
-			}
-		default:
-			// Tolerate well-formed but unexpected frames.
-		}
-	}
-}
-
-// register validates a monitor's announced configuration and claims its flows.
-func (s *Service) register(conn *transport.Conn, h *transport.Hello) error {
-	d := s.cfg.Detector
-	if h.Family != d.Family {
-		return fmt.Errorf("%w: monitor %q runs sketcher family %v, NOC %v", ErrConfig, h.MonitorID, h.Family, d.Family)
-	}
-	if h.SketchLen != d.SketchLen {
-		return fmt.Errorf("%w: monitor %q sketch length %d, NOC %d", ErrConfig, h.MonitorID, h.SketchLen, d.SketchLen)
-	}
-	if h.WindowLen != d.WindowLen {
-		return fmt.Errorf("%w: monitor %q window %d, NOC %d", ErrConfig, h.MonitorID, h.WindowLen, d.WindowLen)
-	}
-	// Only the randproj family carries shared randomness; FD monitors
-	// announce Seed 0 and there is nothing to agree on.
-	if d.Family == sketch.FamilyRandProj && h.Seed != s.cfg.Seed {
-		return fmt.Errorf("%w: monitor %q seed mismatch", ErrConfig, h.MonitorID)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Re-registration on a live connection (an aggregator whose flow union
-	// changed after a re-shard) first releases the old claim, so shrinking
-	// unions free their flows for the peer that inherited them. A failed
-	// re-hello leaves the connection unregistered; handleConn closes it and
-	// the peer's reconnect loop retries with a fresh Hello.
-	if old, ok := s.monitors[conn]; ok {
-		delete(s.monitors, conn)
-		for _, f := range old.flows {
-			if s.flowOwner[f] == conn {
-				delete(s.flowOwner, f)
-			}
-		}
-	}
-	for _, f := range h.FlowIDs {
-		if f < 0 || f >= d.NumFlows {
-			return fmt.Errorf("%w: monitor %q flow %d of %d", ErrConfig, h.MonitorID, f, d.NumFlows)
-		}
-		if owner, taken := s.flowOwner[f]; taken && owner != conn {
-			return fmt.Errorf("%w: flow %d already owned", ErrConfig, f)
-		}
-	}
-	entry := &monitorEntry{id: h.MonitorID, flows: append([]int(nil), h.FlowIDs...), conn: conn, role: h.Role}
-	s.monitors[conn] = entry
-	for _, f := range h.FlowIDs {
-		s.flowOwner[f] = conn
-	}
-	// A (re-)registration is proof of life: forget past failures so the
-	// fetch path asks this monitor again immediately.
-	if _, tripped := s.breakers[h.MonitorID]; tripped {
-		delete(s.breakers, h.MonitorID)
-		s.breakerGaugeLocked()
-	}
-	s.peerGaugesLocked()
-	s.log.Info("monitor registered", "monitor", h.MonitorID, "role", h.Role.String(),
-		"flows", len(h.FlowIDs), "covered", len(s.flowOwner), "of", d.NumFlows)
-	return nil
-}
-
-// peerGaugesLocked refreshes the connected-peer gauges. Caller holds s.mu.
-func (s *Service) peerGaugesLocked() {
+// countAggregators refreshes the gauge of registrants that announced
+// RoleAggregator after every change of the registrant set.
+func (s *Service) countAggregators() {
 	aggs := 0
-	for _, e := range s.monitors {
-		if e.role == transport.RoleAggregator {
+	for _, r := range s.down.Registrants() {
+		if r.Role == transport.RoleAggregator {
 			aggs++
 		}
 	}
-	s.met.monitors.Set(float64(len(s.monitors)))
 	s.met.aggregators.Set(float64(aggs))
-}
-
-func (s *Service) unregister(conn *transport.Conn) {
-	s.mu.Lock()
-	entry, ok := s.monitors[conn]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.monitors, conn)
-	for _, f := range entry.flows {
-		if s.flowOwner[f] == conn {
-			delete(s.flowOwner, f)
-		}
-	}
-	s.peerGaugesLocked()
-	// Losing an owner can make pending intervals completable in degraded
-	// mode (its flows fall back to cached volumes); flush them oldest-first
-	// so decisions stay ordered.
-	ready := s.completePendingLocked()
-	s.mu.Unlock()
-	s.log.Info("monitor dropped", "monitor", entry.id, "flows", len(entry.flows))
-	for _, item := range ready {
-		s.enqueue(item)
-	}
-}
-
-// completePendingLocked re-examines every pending interval after an
-// ownership change and returns the newly completable ones in interval
-// order. Caller holds s.mu.
-func (s *Service) completePendingLocked() []workItem {
-	var ready []workItem
-	for iv, acc := range s.intervals {
-		if item, ok := s.tryCompleteLocked(iv, acc); ok {
-			ready = append(ready, item)
-		}
-	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i].interval < ready[j].interval })
-	return ready
-}
-
-// addVolumes folds a volume report into its interval accumulator; a complete
-// interval is queued for detection.
-func (s *Service) addVolumes(v *transport.VolumeReport) {
-	if len(v.FlowIDs) != len(v.Volumes) {
-		return // malformed; drop
-	}
-	m := s.cfg.Detector.NumFlows
-
-	s.mu.Lock()
-	if v.Interval > s.lastInterval {
-		s.lastInterval = v.Interval
-	}
-	acc, ok := s.intervals[v.Interval]
-	if !ok {
-		// Bound the number of partial intervals (drop the oldest).
-		if len(s.intervals) >= s.cfg.MaxPendingIntervals {
-			var oldest int64 = 1<<63 - 1
-			for iv := range s.intervals {
-				if iv < oldest {
-					oldest = iv
-				}
-			}
-			delete(s.intervals, oldest)
-			s.met.drops.Inc()
-		}
-		acc = &intervalAccum{volumes: make([]float64, m), seen: make(map[int]struct{}, m)}
-		s.intervals[v.Interval] = acc
-	}
-	for i, f := range v.FlowIDs {
-		if f < 0 || f >= m {
-			continue
-		}
-		if v.Interval >= s.lastVolAt[f] {
-			s.lastVol[f] = v.Volumes[i]
-			s.lastVolAt[f] = v.Interval
-		}
-		if _, dup := acc.seen[f]; dup {
-			continue
-		}
-		acc.seen[f] = struct{}{}
-		acc.volumes[f] = v.Volumes[i]
-	}
-	item, complete := s.tryCompleteLocked(v.Interval, acc)
-	s.mu.Unlock()
-
-	if complete {
-		s.enqueue(item)
-	}
-}
-
-// tryCompleteLocked decides whether interval iv can be dispatched: either
-// every flow has reported, or — under DegradedPolicy — every currently-owned
-// flow has reported and each unowned flow has a cached volume no staler than
-// MaxStaleness to stand in. Owned-but-silent flows always block (their
-// monitor is alive and its report is coming). Caller holds s.mu; on success
-// the accumulator is removed from s.intervals.
-func (s *Service) tryCompleteLocked(iv int64, acc *intervalAccum) (workItem, bool) {
-	m := s.cfg.Detector.NumFlows
-	if len(acc.seen) == m {
-		delete(s.intervals, iv)
-		return workItem{interval: iv, volumes: acc.volumes}, true
-	}
-	if !s.cfg.Degraded.Enabled {
-		return workItem{}, false
-	}
-	// Check every missing flow is substitutable before mutating anything.
-	stale := 0
-	for f := 0; f < m; f++ {
-		if _, ok := acc.seen[f]; ok {
-			continue
-		}
-		if _, owned := s.flowOwner[f]; owned {
-			return workItem{}, false
-		}
-		// Symmetric distance: a monitor that raced ahead before vanishing
-		// leaves cache entries newer than iv, and backfilling an old
-		// interval from the far future is as wrong as from the far past.
-		age := iv - s.lastVolAt[f]
-		if age < 0 {
-			age = -age
-		}
-		if s.lastVolAt[f] < 0 || age > s.cfg.Degraded.MaxStaleness {
-			return workItem{}, false
-		}
-		stale++
-	}
-	if stale == 0 {
-		return workItem{}, false
-	}
-	for f := 0; f < m; f++ {
-		if _, ok := acc.seen[f]; !ok {
-			acc.volumes[f] = s.lastVol[f]
-		}
-	}
-	delete(s.intervals, iv)
-	return workItem{interval: iv, volumes: acc.volumes, degraded: true, staleFlows: stale}, true
 }
 
 // enqueue hands a completed interval to the processing goroutine,
 // dropping it if the detector is saturated (never stall a monitor reader).
-func (s *Service) enqueue(item workItem) {
+func (s *Service) enqueue(item tier.Interval) {
 	s.met.intervals.Inc()
 	select {
 	case s.workCh <- item:
@@ -927,18 +585,12 @@ func (s *Service) enqueue(item workItem) {
 	}
 }
 
-// routeResponse hands a sketch response to the fetch waiting for it.
-func (s *Service) routeResponse(r *transport.SketchResponse) {
-	s.mu.Lock()
-	p, ok := s.pending[r.RequestID]
-	s.mu.Unlock()
-	if !ok {
-		return // late or unknown; ignore
+// traceContext is the wire form of sp, nil when tracing is off.
+func traceContext(sp *trace.Span) *transport.TraceContext {
+	if sp == nil {
+		return nil
 	}
-	select {
-	case p.respCh <- r:
-	default:
-	}
+	return &transport.TraceContext{TraceID: uint64(sp.Trace()), SpanID: uint64(sp.ID())}
 }
 
 // processLoop serializes detection over completed intervals. Intervals
@@ -947,13 +599,16 @@ func (s *Service) routeResponse(r *transport.SketchResponse) {
 func (s *Service) processLoop() {
 	defer close(s.procDone)
 	for item := range s.workCh {
+		// vectorDegraded marks intervals assembled with cached volumes for
+		// item.Stale unowned flows (see DegradedPolicy).
+		vectorDegraded := item.Stale > 0
 		// §V-A variant: the NOC owns the histograms, so it can test the
 		// incoming vector BEFORE folding it in (detect-then-absorb, which
 		// also limits model poisoning by the anomalous interval itself);
 		// the fold happens after the decision below.
 		absorb := func() {
-			if s.localMon != nil && item.interval > s.localMon.Now() {
-				_ = s.localMon.Update(item.interval, item.volumes)
+			if s.localMon != nil && item.Index > s.localMon.Now() {
+				_ = s.localMon.Update(item.Index, item.Volumes)
 			}
 		}
 		// Feed the oracle's exact shadow window. Degraded intervals are
@@ -961,27 +616,27 @@ func (s *Service) processLoop() {
 		// gap just makes the affected exact windows non-reconstructible
 		// (checks skip) instead of silently comparing against wrong data.
 		shadow := func(dec core.Decision, model *core.Model) {
-			if s.oracle != nil && !item.degraded {
-				s.oracle.ObserveNOC(item.interval, item.volumes, dec, model)
+			if s.oracle != nil && !vectorDegraded {
+				s.oracle.ObserveNOC(item.Index, item.Volumes, dec, model)
 			}
 		}
-		sp := s.cfg.Trace.Start(trace.ForInterval(item.interval), 0, "noc.decide",
-			trace.I("interval", item.interval),
-			trace.B("vector_degraded", item.degraded),
-			trace.I("stale_volume_flows", int64(item.staleFlows)))
-		if item.interval < int64(s.cfg.Detector.WindowLen) {
+		sp := s.cfg.Trace.Start(trace.ForInterval(item.Index), 0, "noc.decide",
+			trace.I("interval", item.Index),
+			trace.B("vector_degraded", vectorDegraded),
+			trace.I("stale_volume_flows", int64(item.Stale)))
+		if item.Index < int64(s.cfg.Detector.WindowLen) {
 			absorb()
 			shadow(core.Decision{ThresholdUnavailable: true}, nil)
 			s.met.warmups.Inc()
 			sp.Event("warmup")
-			if item.degraded {
+			if vectorDegraded {
 				s.met.degraded.Inc()
 				s.flightRecord(item, core.Decision{ThresholdUnavailable: true}, true, true, nil)
 			}
 			sp.End()
 			if s.cfg.OnDecision != nil {
-				s.cfg.OnDecision(Decision{Interval: item.interval, Vector: item.volumes,
-					Warmup: true, Degraded: item.degraded, StaleFlows: item.staleFlows})
+				s.cfg.OnDecision(Decision{Interval: item.Index, Vector: item.Volumes,
+					Warmup: true, Degraded: vectorDegraded, StaleFlows: item.Stale})
 			}
 			continue
 		}
@@ -1014,12 +669,12 @@ func (s *Service) processLoop() {
 		s.met.observations.Inc()
 		start := time.Now()
 		s.detMu.Lock()
-		res, err := s.det.Observe(item.volumes, timedFetch)
+		res, err := s.det.Observe(item.Volumes, timedFetch)
 		s.detMu.Unlock()
 		total := time.Since(start)
 		absorb()
 		if err != nil {
-			s.log.Warn("observation failed", "interval", item.interval, "err", err)
+			s.log.Warn("observation failed", "interval", item.Index, "err", err)
 			sp.Event("observation_failed", trace.S("err", err.Error()))
 			sp.End()
 			continue // fetch failed (e.g. monitor churn); next interval retries
@@ -1049,7 +704,7 @@ func (s *Service) processLoop() {
 		if model != nil {
 			s.met.thresholdCapped.Set(float64(model.ThresholdCapped))
 		}
-		degraded := item.degraded || res.Degraded
+		degraded := vectorDegraded || res.Degraded
 		if degraded {
 			s.met.degraded.Inc()
 		}
@@ -1065,7 +720,7 @@ func (s *Service) processLoop() {
 			s.health.Set("detector", obs.StatusDegraded,
 				"threshold unavailable: degenerate residual spectrum")
 			s.log.Warn("threshold unavailable, interval not classified",
-				"interval", item.interval, "distance", res.Distance)
+				"interval", item.Index, "distance", res.Distance)
 		} else {
 			s.met.threshold.Set(res.Threshold)
 		}
@@ -1085,20 +740,18 @@ func (s *Service) processLoop() {
 					culprits = append(culprits, f.Flow)
 				}
 			}
-			s.log.Warn("anomaly detected", "interval", item.interval,
+			s.log.Warn("anomaly detected", "interval", item.Index,
 				"distance", res.Distance, "threshold", res.Threshold, "degraded", degraded,
 				"culprits", culprits)
-			var tc *transport.TraceContext
-			if sp != nil {
-				tc = &transport.TraceContext{TraceID: uint64(sp.Trace()), SpanID: uint64(sp.ID())}
-			}
-			sent := s.broadcastAlarm(transport.Alarm{
-				Interval:   item.interval,
+			// Best effort, with the decision span's context attached.
+			sent, _ := s.down.Broadcast(transport.Envelope{Alarm: &transport.Alarm{
+				Interval:   item.Index,
 				Distance:   res.Distance,
 				Threshold:  res.Threshold,
 				Degraded:   degraded,
 				Identified: wireIdentified(ident),
-			}, tc)
+			}, Trace: traceContext(sp)})
+			s.met.alarmSends.Add(int64(sent))
 			sp.Event("alarm_broadcast", trace.I("monitors", int64(sent)))
 		}
 		if res.Anomalous || degraded {
@@ -1106,8 +759,8 @@ func (s *Service) processLoop() {
 		}
 		sp.End()
 		if s.cfg.OnDecision != nil {
-			s.cfg.OnDecision(Decision{Interval: item.interval, Vector: item.volumes,
-				Degraded: degraded, StaleFlows: item.staleFlows, Result: res,
+			s.cfg.OnDecision(Decision{Interval: item.Index, Vector: item.Volumes,
+				Degraded: degraded, StaleFlows: item.Stale, Result: res,
 				Identified: ident})
 		}
 	}
@@ -1126,22 +779,6 @@ func (s *Service) fetchLocal(sp *trace.Span) (core.Fetch, error) {
 	}
 	return core.Fetch{Sketches: rep.Sketches, Means: rep.Means, Interval: rep.Interval}, nil
 }
-
-// missingFlows lists the flows a pull has not yet covered.
-func missingFlows(sketches [][]float64) []int {
-	var miss []int
-	for f, sk := range sketches {
-		if sk == nil {
-			miss = append(miss, f)
-		}
-	}
-	return miss
-}
-
-// fdCovered marks a flow as covered by an FD block in the per-flow coverage
-// bookkeeping (FD blocks are kept whole; there is no per-flow sketch vector
-// to store, only the fact that some validated block owns the flow).
-var fdCovered = []float64{}
 
 // sortedBlocks flattens the per-monitor FD block map into a slice ordered by
 // each block's smallest flow id — the same canonical key sketch.Merge uses.
@@ -1182,457 +819,80 @@ func minBlockFlow(b core.SketchReport) int {
 	return min
 }
 
-// fetchSketches implements core.FetchFunc over the registered monitors.
-// It runs up to 1+FetchRetries rounds with capped exponential backoff,
-// each round re-requesting only the monitors that still owe flows (partial
-// results are kept across rounds, and each round uses a fresh request ID so
-// a late response to an earlier round is dropped, never misattributed).
-// If flows remain uncovered afterwards and DegradedPolicy allows it, each
-// missing flow is served from its last validated sketch report (randproj:
-// per-flow cache entries; FD: each absent monitor's whole cached block, since
-// FD state only merges at block granularity).
+// fetchSketches implements core.FetchFunc over the registered monitors: one
+// tier pull (retry rounds, breaker, report validation — see tier.Pull), and,
+// if required flows remain uncovered and DegradedPolicy allows it, each of
+// them served from its last validated sketch report (randproj: per-flow
+// columns from this NOC's cache; FD: each absent registrant's whole cached
+// block, since FD state only merges at block granularity).
 //
-// sp is the enclosing "noc.fetch" span (nil when tracing is off); retry
-// rounds, per-monitor failures, breaker transitions and the degraded
-// fallback are recorded on it as events.
+// sp is the enclosing "noc.fetch" span (nil when tracing is off); the pull
+// records its rounds on it and the degraded fallback is added here.
 func (s *Service) fetchSketches(sp *trace.Span) (core.Fetch, error) {
 	m := s.cfg.Detector.NumFlows
 	fd := s.cfg.Detector.Family == sketch.FamilyFD
-	sketches := make([][]float64, m)
-	means := make([]float64, m)
-	var blocks map[string]core.SketchReport
+	p := s.down.Pull(sp, traceContext(sp))
+	// An aggregator that served part of its merge from its own degraded
+	// cache tags the response, and the resulting model must be flagged
+	// exactly like one rebuilt from this NOC's cache.
+	out := core.Fetch{Interval: p.Newest, Degraded: p.Degraded, StaleFlows: p.Stale}
+	if !fd {
+		out.Sketches, out.Means = make([][]float64, m), make([]float64, m)
+		for _, rep := range p.Reports {
+			for i, f := range rep.FlowIDs {
+				out.Sketches[f], out.Means[f] = rep.Sketches[i], rep.Means[i]
+				// Monitor.Report allocates fresh slices per call, so
+				// retaining the column is safe.
+				if e := &s.sketchCache[f]; rep.Interval >= e.at || e.sketch == nil {
+					*e = sketchEntry{sketch: rep.Sketches[i], mean: rep.Means[i], at: rep.Interval}
+				}
+			}
+		}
+	}
+
+	miss := s.down.Uncovered(p)
+	filled, cachedNewest := 0, int64(0)
+	if len(miss) > 0 && fd {
+		filled, cachedNewest = s.down.FillCached(p)
+		miss = s.down.Uncovered(p)
+	} else if len(miss) > 0 {
+		still := miss[:0]
+		for _, f := range miss {
+			e := s.sketchCache[f]
+			if e.sketch == nil || !s.cfg.Degraded.Fresh(p.Ref, e.at) {
+				still = append(still, f)
+				continue
+			}
+			out.Sketches[f], out.Means[f] = e.sketch, e.mean
+			if e.at > cachedNewest {
+				cachedNewest = e.at
+			}
+			filled++
+		}
+		miss = still
+	}
+	if len(miss) > 0 {
+		return core.Fetch{}, fmt.Errorf("%w: %d of %d flows missing after %d rounds",
+			ErrCoverage, len(miss), m, p.Rounds)
+	}
+	if filled > 0 {
+		out.Degraded = true
+		out.StaleFlows += filled
+		if out.Interval == 0 {
+			out.Interval = cachedNewest
+		}
+		sp.Event("degraded_fallback",
+			trace.I("stale_flows", int64(out.StaleFlows)),
+			trace.I("rounds", int64(p.Rounds)))
+		s.log.Warn("degraded sketch fetch", "stale_flows", out.StaleFlows,
+			"rounds", p.Rounds, "interval", out.Interval)
+	} else if p.Degraded {
+		sp.Event("upstream_degraded", trace.I("stale_flows", int64(p.Stale)))
+		s.log.Warn("degraded upstream sketch fetch", "stale_flows", p.Stale, "interval", p.Newest)
+	}
+	s.met.staleFlows.Set(float64(out.StaleFlows))
 	if fd {
-		blocks = make(map[string]core.SketchReport)
+		out.Blocks = sortedBlocks(p.Reports)
 	}
-	var newest int64
-	// up accumulates degradation reported by the responses themselves: an
-	// aggregator that served part of its merge from its own degraded cache
-	// tags the response, and the resulting model must be flagged exactly
-	// like one rebuilt from this NOC's cache.
-	var up fetchDegradation
-
-	rounds := 1 + s.cfg.FetchRetries
-	backoff := s.cfg.FetchBackoff
-	attempted := 0
-	for round := 0; round < rounds; round++ {
-		miss := missingFlows(sketches)
-		if len(miss) == 0 {
-			break
-		}
-		if round > 0 {
-			s.met.fetchRetries.Inc()
-			// Capped exponential backoff with jitter in [0, backoff/2).
-			d := backoff
-			if j := int64(backoff / 2); j > 0 {
-				d += time.Duration(s.rng.Int63n(j))
-			}
-			sp.Event("retry",
-				trace.I("round", int64(round)),
-				trace.I("missing_flows", int64(len(miss))),
-				trace.F("backoff_ms", float64(d)/float64(time.Millisecond)))
-			time.Sleep(d)
-			if backoff *= 2; backoff > s.cfg.FetchBackoffMax {
-				backoff = s.cfg.FetchBackoffMax
-			}
-			s.log.Info("sketch fetch retry", "round", round, "missing_flows", len(miss))
-		}
-		attempted = round + 1
-		if s.fetchRound(sp, miss, sketches, means, blocks, &newest, &up) == 0 {
-			// Nothing askable: the missing flows are unowned or their
-			// monitors are breaker-open / unreachable. More rounds cannot
-			// make progress within this fetch.
-			break
-		}
-	}
-
-	miss := missingFlows(sketches)
-	if len(miss) == 0 {
-		s.met.staleFlows.Set(float64(up.stale))
-		if up.degraded {
-			sp.Event("upstream_degraded", trace.I("stale_flows", int64(up.stale)))
-			s.log.Warn("degraded upstream sketch fetch", "stale_flows", up.stale, "interval", newest)
-		}
-		f := core.Fetch{Interval: newest, Degraded: up.degraded, StaleFlows: up.stale}
-		if fd {
-			f.Blocks = sortedBlocks(blocks)
-		} else {
-			f.Sketches, f.Means = sketches, means
-		}
-		return f, nil
-	}
-
-	if s.cfg.Degraded.Enabled {
-		s.mu.Lock()
-		ref := s.lastInterval
-		s.mu.Unlock()
-		if newest > ref {
-			ref = newest
-		}
-		var filled int
-		var cachedNewest int64
-		if fd {
-			filled, cachedNewest = s.fdDegradedFill(sketches, blocks, ref)
-		} else {
-			for _, f := range miss {
-				e := &s.sketchCache[f]
-				if e.sketch == nil || ref-e.at > s.cfg.Degraded.MaxStaleness {
-					continue
-				}
-				sketches[f] = e.sketch
-				means[f] = e.mean
-				if e.at > cachedNewest {
-					cachedNewest = e.at
-				}
-				filled++
-			}
-		}
-		if filled > 0 && len(missingFlows(sketches)) == 0 {
-			if cachedNewest > newest && newest == 0 {
-				newest = cachedNewest
-			}
-			s.met.staleFlows.Set(float64(filled + up.stale))
-			sp.Event("degraded_fallback",
-				trace.I("stale_flows", int64(filled+up.stale)),
-				trace.I("rounds", int64(attempted)))
-			s.log.Warn("degraded sketch fetch", "stale_flows", filled+up.stale,
-				"rounds", attempted, "interval", newest)
-			f := core.Fetch{Interval: newest, Degraded: true, StaleFlows: filled + up.stale}
-			if fd {
-				f.Blocks = sortedBlocks(blocks)
-			} else {
-				f.Sketches, f.Means = sketches, means
-			}
-			return f, nil
-		}
-	}
-	return core.Fetch{}, fmt.Errorf("%w: %d of %d flows missing after %d rounds",
-		ErrCoverage, len(miss), m, attempted)
-}
-
-// fdDegradedFill substitutes cached FD blocks for monitors that did not
-// answer this fetch. A cached block is usable only whole: every flow it
-// names must still be uncovered (a partially superseded block cannot merge
-// without double-counting) and it must be no staler than MaxStaleness
-// relative to ref. Blocks are considered in monitor-ID order for
-// determinism. Returns the number of flows filled and the newest cached
-// block interval used.
-func (s *Service) fdDegradedFill(sketches [][]float64, blocks map[string]core.SketchReport, ref int64) (filled int, cachedNewest int64) {
-	m := s.cfg.Detector.NumFlows
-	ids := make([]string, 0, len(s.fdCache))
-	for id := range s.fdCache {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if _, fresh := blocks[id]; fresh {
-			continue
-		}
-		snap := s.fdCache[id]
-		// Symmetric distance, matching tryCompleteLocked: a cached block from
-		// the far future is as wrong as one from the far past.
-		age := ref - snap.Interval
-		if age < 0 {
-			age = -age
-		}
-		if age > s.cfg.Degraded.MaxStaleness {
-			continue
-		}
-		usable := len(snap.FlowIDs) > 0
-		for _, f := range snap.FlowIDs {
-			if f < 0 || f >= m || sketches[f] != nil {
-				usable = false
-				break
-			}
-		}
-		if !usable {
-			continue
-		}
-		for _, f := range snap.FlowIDs {
-			sketches[f] = fdCovered
-		}
-		blocks[id] = snap
-		if snap.Interval > cachedNewest {
-			cachedNewest = snap.Interval
-		}
-		filled += len(snap.FlowIDs)
-	}
-	return filled, cachedNewest
-}
-
-// fetchRound issues one sketch pull for the given missing flows and folds
-// every validated response that arrives before FetchTimeout into
-// sketches/means (randproj) or blocks (FD, with sketches as per-flow
-// coverage bookkeeping). A failed send or bad report from one monitor never
-// aborts the round — it is charged to that monitor's breaker and the others
-// proceed. Returns the number of monitors successfully asked.
-func (s *Service) fetchRound(sp *trace.Span, missing []int, sketches [][]float64, means []float64, blocks map[string]core.SketchReport, newest *int64, up *fetchDegradation) int {
-	m := s.cfg.Detector.NumFlows
-	now := time.Now()
-
-	s.mu.Lock()
-	targets := make(map[*transport.Conn]*monitorEntry)
-	var skipped []string
-	for _, f := range missing {
-		if c, ok := s.flowOwner[f]; ok {
-			if e, live := s.monitors[c]; live {
-				if s.breakerAllowLocked(e.id, now) {
-					targets[c] = e
-				} else if _, seen := targets[c]; !seen {
-					skipped = append(skipped, e.id)
-				}
-			}
-		}
-	}
-	if len(targets) == 0 {
-		s.mu.Unlock()
-		for _, id := range dedupSorted(skipped) {
-			sp.Event("breaker_skip", trace.S("monitor", id))
-		}
-		return 0
-	}
-	s.nextReq++
-	id := s.nextReq
-	p := &pendingFetch{respCh: make(chan *transport.SketchResponse, len(targets))}
-	s.pending[id] = p
-	s.mu.Unlock()
-	for _, mid := range dedupSorted(skipped) {
-		sp.Event("breaker_skip", trace.S("monitor", mid))
-	}
-	defer func() {
-		// Deleting the entry makes routeResponse drop any straggler reply
-		// to this round's ID.
-		s.mu.Lock()
-		delete(s.pending, id)
-		s.mu.Unlock()
-	}()
-
-	// Requests carry the fetch span's context so the monitor's serving
-	// span parents under it (cross-process lineage).
-	var tc *transport.TraceContext
-	if sp != nil {
-		tc = &transport.TraceContext{TraceID: uint64(sp.Trace()), SpanID: uint64(sp.ID())}
-	}
-	awaiting := make(map[string]bool, len(targets))
-	for c, e := range targets {
-		if err := c.Send(transport.Envelope{Request: &transport.SketchRequest{RequestID: id}, Trace: tc}); err != nil {
-			s.log.Warn("sketch request send failed", "monitor", e.id, "err", err)
-			sp.Event("request_send_failed", trace.S("monitor", e.id))
-			if s.breakerFailure(e.id) {
-				sp.Event("breaker_open", trace.S("monitor", e.id))
-			}
-			continue
-		}
-		awaiting[e.id] = true
-	}
-	asked := len(awaiting)
-	if asked == 0 {
-		return 0
-	}
-
-	timer := time.NewTimer(s.cfg.FetchTimeout)
-	defer timer.Stop()
-	for remaining := asked; remaining > 0; {
-		select {
-		case r := <-p.respCh:
-			if !awaiting[r.MonitorID] {
-				continue // duplicate or unknown responder
-			}
-			awaiting[r.MonitorID] = false
-			remaining--
-			if err := r.Report.Validate(s.cfg.Detector.SketchLen); err != nil {
-				s.log.Warn("invalid sketch report", "monitor", r.MonitorID, "err", err)
-				sp.Event("invalid_report", trace.S("monitor", r.MonitorID))
-				if s.breakerFailure(r.MonitorID) {
-					sp.Event("breaker_open", trace.S("monitor", r.MonitorID))
-				}
-				continue
-			}
-			if r.Report.Family != s.cfg.Detector.Family {
-				s.log.Warn("sketch report from wrong family", "monitor", r.MonitorID,
-					"family", r.Report.Family)
-				sp.Event("invalid_report", trace.S("monitor", r.MonitorID))
-				if s.breakerFailure(r.MonitorID) {
-					sp.Event("breaker_open", trace.S("monitor", r.MonitorID))
-				}
-				continue
-			}
-			ok := true
-			for _, f := range r.Report.FlowIDs {
-				if f < 0 || f >= m {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				s.log.Warn("sketch report names unknown flow", "monitor", r.MonitorID)
-				sp.Event("invalid_report", trace.S("monitor", r.MonitorID))
-				if s.breakerFailure(r.MonitorID) {
-					sp.Event("breaker_open", trace.S("monitor", r.MonitorID))
-				}
-				continue
-			}
-			if blocks != nil {
-				for _, f := range r.Report.FlowIDs {
-					sketches[f] = fdCovered
-				}
-				blocks[r.MonitorID] = r.Report
-				s.fdCache[r.MonitorID] = r.Report
-			} else {
-				for i, f := range r.Report.FlowIDs {
-					sketches[f] = r.Report.Sketches[i]
-					means[f] = r.Report.Means[i]
-				}
-				s.cacheReport(&r.Report)
-			}
-			if r.Degraded {
-				up.degraded = true
-				up.stale += r.StaleFlows
-			}
-			if r.Report.Interval > *newest {
-				*newest = r.Report.Interval
-			}
-			s.lastSketch[r.MonitorID] = r.Report.Interval
-			sp.Event("report", trace.S("monitor", r.MonitorID),
-				trace.I("sketch_interval", r.Report.Interval))
-			if s.breakerSuccess(r.MonitorID) {
-				sp.Event("breaker_close", trace.S("monitor", r.MonitorID))
-			}
-		case <-timer.C:
-			for mid, waiting := range awaiting {
-				if waiting {
-					s.log.Warn("sketch response timed out", "monitor", mid,
-						"request", id, "timeout", s.cfg.FetchTimeout)
-					sp.Event("response_timeout", trace.S("monitor", mid))
-					if s.breakerFailure(mid) {
-						sp.Event("breaker_open", trace.S("monitor", mid))
-					}
-				}
-			}
-			return asked
-		}
-	}
-	return asked
-}
-
-// fetchDegradation accumulates degradation carried by the sketch responses
-// themselves (a federated aggregator serving part of its merge from cache),
-// as opposed to degradation introduced by this NOC's own cache fallback.
-type fetchDegradation struct {
-	degraded bool
-	stale    int
-}
-
-// dedupSorted sorts ids and removes duplicates (stable breaker_skip event
-// order regardless of map iteration).
-func dedupSorted(ids []string) []string {
-	if len(ids) < 2 {
-		return ids
-	}
-	sort.Strings(ids)
-	out := ids[:1]
-	for _, id := range ids[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// cacheReport remembers a validated report's per-flow sketches for the
-// degraded fallback. Processing-goroutine only; Monitor.Report allocates
-// fresh slices per call, so retaining them is safe.
-func (s *Service) cacheReport(rep *core.SketchReport) {
-	for i, f := range rep.FlowIDs {
-		e := &s.sketchCache[f]
-		if rep.Interval >= e.at || e.sketch == nil {
-			e.sketch = rep.Sketches[i]
-			e.mean = rep.Means[i]
-			e.at = rep.Interval
-		}
-	}
-}
-
-// breakerAllowLocked reports whether monitor id may be asked for sketches:
-// always while closed; once open, only after the cooldown (the half-open
-// probe). Caller holds s.mu.
-func (s *Service) breakerAllowLocked(id string, now time.Time) bool {
-	b := s.breakers[id]
-	if b == nil || s.cfg.BreakerThreshold <= 0 || b.failures < s.cfg.BreakerThreshold {
-		return true
-	}
-	return !now.Before(b.openUntil)
-}
-
-// breakerFailure charges one consecutive failure to monitor id, opening
-// (or re-arming) its breaker at the threshold. Reports whether this call
-// performed the closed→open transition (for span events).
-func (s *Service) breakerFailure(id string) bool {
-	if s.cfg.BreakerThreshold <= 0 {
-		return false
-	}
-	opened := false
-	s.mu.Lock()
-	b := s.breakers[id]
-	if b == nil {
-		b = &breakerState{}
-		s.breakers[id] = b
-	}
-	b.failures++
-	if b.failures >= s.cfg.BreakerThreshold {
-		opened = b.failures == s.cfg.BreakerThreshold
-		b.openUntil = time.Now().Add(s.cfg.BreakerCooldown)
-		if opened {
-			s.met.breakerOpens.Inc()
-			s.log.Warn("circuit breaker opened", "monitor", id,
-				"failures", b.failures, "cooldown", s.cfg.BreakerCooldown)
-		}
-		s.breakerGaugeLocked()
-	}
-	s.mu.Unlock()
-	return opened
-}
-
-// breakerSuccess clears monitor id's failure streak. Reports whether an
-// open breaker actually closed (for span events).
-func (s *Service) breakerSuccess(id string) bool {
-	closed := false
-	s.mu.Lock()
-	if b := s.breakers[id]; b != nil {
-		if s.cfg.BreakerThreshold > 0 && b.failures >= s.cfg.BreakerThreshold {
-			closed = true
-			s.log.Info("circuit breaker closed", "monitor", id)
-		}
-		delete(s.breakers, id)
-		s.breakerGaugeLocked()
-	}
-	s.mu.Unlock()
-	return closed
-}
-
-// breakerGaugeLocked recomputes the open-breaker gauge. Caller holds s.mu.
-func (s *Service) breakerGaugeLocked() {
-	open := 0
-	for _, b := range s.breakers {
-		if s.cfg.BreakerThreshold > 0 && b.failures >= s.cfg.BreakerThreshold {
-			open++
-		}
-	}
-	s.met.breakerOpen.Set(float64(open))
-}
-
-// broadcastAlarm pushes an alarm to every monitor (with the decision
-// span's trace context attached when tracing is on) and returns the number
-// of sends attempted.
-func (s *Service) broadcastAlarm(a transport.Alarm, tc *transport.TraceContext) int {
-	s.mu.Lock()
-	conns := make([]*transport.Conn, 0, len(s.monitors))
-	for c := range s.monitors {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, c := range conns {
-		s.met.alarmSends.Inc()
-		_ = c.Send(transport.Envelope{Alarm: &a, Trace: tc}) // best effort
-	}
-	return len(conns)
+	return out, nil
 }

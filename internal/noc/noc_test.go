@@ -503,3 +503,90 @@ func TestFetchErrors(t *testing.T) {
 		t.Fatalf("no monitors: %v", err)
 	}
 }
+
+func TestAddrBeforeServe(t *testing.T) {
+	svc, err := New(nocConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.Addr(); got != "" {
+		t.Fatalf("Addr before Serve = %q, want empty", got)
+	}
+}
+
+// TestSketchCacheStalenessIsSymmetric is the regression for the one-sided
+// randproj cache test (ref-at > MaxStaleness admitted any entry newer than
+// ref). A monitor answers a pull with its sketch state at interval t — ahead
+// of every volume report, as when the pull lands between its sketch update
+// and its volume send — and vanishes before the volume report for t lands.
+// Its cached columns must be aged against |ref − t|: usable when t is within
+// MaxStaleness of the reference point, refused when it is far in its future.
+func TestSketchCacheStalenessIsSymmetric(t *testing.T) {
+	const maxStale = 2
+	racerFlows := []int{1, 4, 7}
+	for _, tc := range []struct {
+		ahead    int64
+		admitted bool
+	}{{maxStale, true}, {maxStale + 8, false}} {
+		cfg := chaosConfig()
+		cfg.FetchRetries = -1
+		cfg.Degraded.MaxStaleness = maxStale
+		svc, decisions := startNOC(t, cfg)
+		mons := startMonitors(t, svc.Addr(), 3)
+		waitMonitors(t, svc, 3)
+		rows := chaosRows(21, testWindow+1)
+		for i, row := range rows {
+			feedInterval(t, mons, int64(i+1), row)
+			nextDecision(t, decisions, int64(i+1))
+		}
+		last := int64(len(rows)) // the newest interval any volume report named
+
+		// mon-b (flows 1, 4, 7) gives way to a racer that answers one pull
+		// with mon-b's sketch state stamped `ahead` intervals past `last`.
+		rep := mons[1].Report()
+		rep.Interval = last + tc.ahead
+		_ = mons[1].Close()
+		waitMonitors(t, svc, 2)
+		racer, err := transport.Dial(svc.Addr(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = racer.Close() })
+		if err := racer.Send(transport.Envelope{Hello: &transport.Hello{
+			MonitorID: "racer", FlowIDs: racerFlows,
+			SketchLen: testSketch, WindowLen: testWindow, Seed: testSeed,
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		waitMonitors(t, svc, 3)
+		go func() {
+			env, err := racer.Recv()
+			if err != nil || env.Request == nil {
+				t.Errorf("racer expected a sketch request: %+v, %v", env, err)
+				return
+			}
+			_ = racer.Send(transport.Envelope{Response: &transport.SketchResponse{
+				RequestID: env.Request.RequestID, MonitorID: "racer", Report: rep,
+			}})
+		}()
+		// No interval is in flight, so driving the fetch path from the test
+		// does not race the processing goroutine.
+		if f, err := svc.fetchSketches(nil); err != nil || f.Degraded || f.Interval != last+tc.ahead {
+			t.Fatalf("ahead=%d: live fetch = degraded %t at interval %d, %v; want healthy at the racer's interval",
+				tc.ahead, f.Degraded, f.Interval, err)
+		}
+		_ = racer.Close()
+		waitMonitors(t, svc, 2)
+
+		f, err := svc.fetchSketches(nil)
+		switch {
+		case tc.admitted && (err != nil || !f.Degraded || f.StaleFlows != len(racerFlows)):
+			t.Fatalf("ahead=%d: fetch = degraded %t, stale %d, err %v; want the cached columns to fill in",
+				tc.ahead, f.Degraded, f.StaleFlows, err)
+		case !tc.admitted && !errors.Is(err, ErrCoverage):
+			t.Fatalf("ahead=%d: fetch = degraded %t, stale %d, err %v; want ErrCoverage — the cached columns are %d intervals from ref, MaxStaleness is %d",
+				tc.ahead, f.Degraded, f.StaleFlows, err, tc.ahead, maxStale)
+		}
+		svc.Shutdown()
+	}
+}

@@ -36,7 +36,7 @@ func TestPipeTransportCountersEndToEnd(t *testing.T) {
 	go func() {
 		defer close(handleDone)
 		defer func() { _ = nocEnd.Close() }() // what acceptLoop does for TCP conns
-		svc.handleConn(nocEnd)
+		svc.down.Handle(nocEnd)
 	}()
 
 	flowIDs := make([]int, testFlows)
