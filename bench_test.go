@@ -14,9 +14,6 @@ import (
 
 	"streampca/internal/core"
 	"streampca/internal/eval"
-	"streampca/internal/ewma"
-	"streampca/internal/filter"
-	"streampca/internal/markov"
 	"streampca/internal/mat"
 	"streampca/internal/obs"
 	"streampca/internal/pca"
@@ -523,13 +520,12 @@ func BenchmarkIdentify(b *testing.B) {
 	}
 }
 
-// BenchmarkSymEigen and BenchmarkSVD size the linear-algebra substrate. The
-// legacy sizes (n=20, 81) run serial; the PR2 sizes (n=64, 256) sweep the
-// worker count of the round-robin Jacobi solver — scripts/bench.sh parses
-// these into the tracked baseline (BENCH_PR5.json). n=64 sits below the parEigenMinN fallback, so
-// its worker variants document the (flat) serial-fallback cost.
+// BenchmarkSymEigen and BenchmarkSVD size the linear-algebra substrate.
+// scripts/bench.sh parses these into the tracked baseline; the kernel cells
+// below keep the "/workers=1" suffix they carried while a worker sweep ran
+// beside them, so BENCH_PR10.json stays a valid baseline.
 func BenchmarkSymEigen(b *testing.B) {
-	bench := func(n, workers int) func(b *testing.B) {
+	bench := func(n int) func(b *testing.B) {
 		return func(b *testing.B) {
 			rng := rand.New(rand.NewSource(7))
 			a := mat.NewMatrix(n, n)
@@ -542,25 +538,23 @@ func BenchmarkSymEigen(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := mat.SymEigenWorkers(a, workers); err != nil {
+				if _, err := mat.SymEigen(a); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	}
 	for _, n := range []int{20, 81} {
-		b.Run(fmt.Sprintf("n=%d", n), bench(n, 1))
+		b.Run(fmt.Sprintf("n=%d", n), bench(n))
 	}
 	for _, n := range []int{64, 256} {
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("m=%d/workers=%d", n, w), bench(n, w))
-		}
+		b.Run(fmt.Sprintf("m=%d/workers=1", n), bench(n))
 	}
 }
 
-// BenchmarkGram sweeps the row-parallel Gram kernel over the PR2 grid: the
-// sketch matrix shape is l×m with l=200 (the paper's default sketch length)
-// and m the network-wide flow count.
+// BenchmarkGram sizes the Gram kernel: the sketch matrix shape is l×m with
+// l=200 (the paper's default sketch length) and m the network-wide flow
+// count.
 func BenchmarkGram(b *testing.B) {
 	const l = 200
 	rng := rand.New(rand.NewSource(14))
@@ -572,20 +566,18 @@ func BenchmarkGram(b *testing.B) {
 				row[j] = rng.NormFloat64()
 			}
 		}
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("m=%d/workers=%d", m, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					_ = z.GramWorkers(w)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("m=%d/workers=1", m), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = z.Gram()
+			}
+		})
 	}
 }
 
-// BenchmarkMul sweeps the blocked-tile MulWorkers kernel over the worker
-// grid on a NOC-shaped product (model projection: a tall window panel times
-// a flow-space operator). The inner dimension exceeds one L2 panel of the
-// right operand, so the k-blocking path is exercised, not just sharding.
+// BenchmarkMul sizes the k-blocked Mul kernel on a NOC-shaped product (model
+// projection: a tall window panel times a flow-space operator). The inner
+// dimension exceeds one L2 panel of the right operand, so the k-blocking
+// path is exercised.
 func BenchmarkMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(15))
 	const rows, inner, cols = 200, 1024, 256
@@ -603,85 +595,78 @@ func BenchmarkMul(b *testing.B) {
 			row[j] = rng.NormFloat64()
 		}
 	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shape=%dx%dx%d/workers=%d", rows, inner, cols, w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := a.MulWorkers(o, w); err != nil {
-					b.Fatal(err)
-				}
+	b.Run(fmt.Sprintf("shape=%dx%dx%d/workers=1", rows, inner, cols), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := a.Mul(o); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
-// BenchmarkMonitorUpdate sweeps the sharded per-interval sketch update over
-// the worker grid at a fat-monitor flow count (1024 flows on one box is the
-// regime the parallel update path targets).
+// BenchmarkMonitorUpdate sizes the per-interval sketch update at a
+// fat-monitor flow count (1024 flows on one box).
 func BenchmarkMonitorUpdate(b *testing.B) {
 	const flows = 1024
 	const window = 4096
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("flows=%d/workers=%d", flows, w), func(b *testing.B) {
-			gen, err := randproj.NewGenerator(randproj.Config{Seed: 1, SketchLen: 100, WindowLen: window})
-			if err != nil {
+	b.Run(fmt.Sprintf("flows=%d/workers=1", flows), func(b *testing.B) {
+		gen, err := randproj.NewGenerator(randproj.Config{Seed: 1, SketchLen: 100, WindowLen: window})
+		if err != nil {
+			b.Fatal(err)
+		}
+		flowIDs := make([]int, flows)
+		for j := range flowIDs {
+			flowIDs[j] = j
+		}
+		mon, err := core.NewMonitor(core.MonitorConfig{
+			FlowIDs: flowIDs, WindowLen: window, Epsilon: 0.1, Gen: gen,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(2))
+		volumes := make([]float64, flows)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := range volumes {
+				volumes[j] = 1000 + 50*rng.NormFloat64()
+			}
+			if err := mon.Update(int64(i+1), volumes); err != nil {
 				b.Fatal(err)
 			}
-			flowIDs := make([]int, flows)
+		}
+	})
+}
+
+// BenchmarkFDUpdate measures the Frequent Directions sketcher's per-interval
+// cost at fat-monitor flow counts. Each iteration appends one centered row;
+// the ℓ-amortized shrink (a 2ℓ×2ℓ eigensolve plus the buffer rescale) is
+// folded into the average, so the cell reports
+// the steady-state per-interval cost, not the append-only fast path.
+// scripts/bench.sh tracks these cells in the BENCH_PR8.json baseline.
+func BenchmarkFDUpdate(b *testing.B) {
+	for _, m := range []int{64, 256} {
+		b.Run(fmt.Sprintf("m=%d/workers=1", m), func(b *testing.B) {
+			flowIDs := make([]int, m)
 			for j := range flowIDs {
 				flowIDs[j] = j
 			}
-			mon, err := core.NewMonitor(core.MonitorConfig{
-				FlowIDs: flowIDs, WindowLen: window, Epsilon: 0.1, Gen: gen, Workers: w,
-			})
+			fd, err := sketch.NewFD(sketch.Config{FlowIDs: flowIDs})
 			if err != nil {
 				b.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(2))
-			volumes := make([]float64, flows)
+			rng := rand.New(rand.NewSource(16))
+			volumes := make([]float64, m)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := range volumes {
 					volumes[j] = 1000 + 50*rng.NormFloat64()
 				}
-				if err := mon.Update(int64(i+1), volumes); err != nil {
+				if err := fd.Update(int64(i+1), volumes); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkFDUpdate measures the Frequent Directions sketcher's per-interval
-// cost at fat-monitor flow counts. Each iteration appends one centered row;
-// the ℓ-amortized shrink (a 2ℓ×2ℓ eigensolve plus the buffer rescale through
-// the blocked-tile kernels) is folded into the average, so the cell reports
-// the steady-state per-interval cost, not the append-only fast path.
-// scripts/bench.sh tracks these cells in the BENCH_PR8.json baseline.
-func BenchmarkFDUpdate(b *testing.B) {
-	for _, m := range []int{64, 256} {
-		for _, w := range []int{1, 4} {
-			b.Run(fmt.Sprintf("m=%d/workers=%d", m, w), func(b *testing.B) {
-				flowIDs := make([]int, m)
-				for j := range flowIDs {
-					flowIDs[j] = j
-				}
-				fd, err := sketch.NewFD(sketch.Config{FlowIDs: flowIDs, Workers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(16))
-				volumes := make([]float64, m)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for j := range volumes {
-						volumes[j] = 1000 + 50*rng.NormFloat64()
-					}
-					if err := fd.Update(int64(i+1), volumes); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -692,86 +677,82 @@ func BenchmarkFDUpdate(b *testing.B) {
 func BenchmarkRSVDBuild(b *testing.B) {
 	const l = 200
 	for _, m := range []int{64, 256} {
-		for _, w := range []int{1, 4} {
-			b.Run(fmt.Sprintf("m=%d/workers=%d", m, w), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(17))
-				sketches := make([][]float64, m)
-				means := make([]float64, m)
-				for j := range sketches {
-					s := make([]float64, l)
-					for k := range s {
-						s[k] = rng.NormFloat64()
-					}
-					sketches[j] = s
+		b.Run(fmt.Sprintf("m=%d/workers=1", m), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(17))
+			sketches := make([][]float64, m)
+			means := make([]float64, m)
+			for j := range sketches {
+				s := make([]float64, l)
+				for k := range s {
+					s[k] = rng.NormFloat64()
 				}
-				det, err := core.NewDetector(core.DetectorConfig{
-					NumFlows: m, WindowLen: 4032, SketchLen: l, Alpha: 0.01,
-					FixedRank: 6, Builder: core.BuildRSVD, Workers: w,
-				})
-				if err != nil {
+				sketches[j] = s
+			}
+			det, err := core.NewDetector(core.DetectorConfig{
+				NumFlows: m, WindowLen: 4032, SketchLen: l, Alpha: 0.01,
+				FixedRank: 6, Builder: core.BuildRSVD,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := det.RebuildModel(sketches, means, int64(i+1)); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := det.RebuildModel(sketches, means, int64(i+1)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // BenchmarkFDModelBuild measures the FD-family NOC retrain: per-block
 // small-side eigensolves (≤ 2ℓ×2ℓ each) over the monitors' basis blocks plus
 // the global spectrum merge. benchcheck.sh's FD-retrain gate requires the
-// m=256 single-worker cell to beat the Jacobi full rebuild at the same m
+// m=256 cell to beat the Jacobi full rebuild at the same m
 // (BenchmarkGram + BenchmarkSymEigen, both at m=256/workers=1) by
 // BENCHCHECK_FD_SPEEDUP — the headline retrain-cost advantage of the family.
 func BenchmarkFDModelBuild(b *testing.B) {
 	const flowsPerBlock = 32 // ℓ = DefaultEll(32) = 12, so 2ℓ < w: real truncation
 	for _, m := range []int{64, 256} {
-		for _, w := range []int{1, 4} {
-			b.Run(fmt.Sprintf("m=%d/workers=%d", m, w), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(18))
-				numBlocks := m / flowsPerBlock
-				blocks := make([]sketch.Snapshot, numBlocks)
-				for bi := 0; bi < numBlocks; bi++ {
-					flowIDs := make([]int, flowsPerBlock)
-					for j := range flowIDs {
-						flowIDs[j] = bi*flowsPerBlock + j
-					}
-					fd, err := sketch.NewFD(sketch.Config{FlowIDs: flowIDs})
-					if err != nil {
-						b.Fatal(err)
-					}
-					volumes := make([]float64, flowsPerBlock)
-					for t := 1; t <= 96; t++ { // several shrink cycles deep
-						for j := range volumes {
-							volumes[j] = 1000 + 50*rng.NormFloat64()
-						}
-						if err := fd.Update(int64(t), volumes); err != nil {
-							b.Fatal(err)
-						}
-					}
-					blocks[bi] = fd.Snapshot()
+		b.Run(fmt.Sprintf("m=%d/workers=1", m), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(18))
+			numBlocks := m / flowsPerBlock
+			blocks := make([]sketch.Snapshot, numBlocks)
+			for bi := 0; bi < numBlocks; bi++ {
+				flowIDs := make([]int, flowsPerBlock)
+				for j := range flowIDs {
+					flowIDs[j] = bi*flowsPerBlock + j
 				}
-				det, err := core.NewDetector(core.DetectorConfig{
-					NumFlows: m, WindowLen: 4032,
-					SketchLen: sketch.DefaultEll(flowsPerBlock), Alpha: 0.01,
-					FixedRank: 6, Family: sketch.FamilyFD, Workers: w,
-				})
+				fd, err := sketch.NewFD(sketch.Config{FlowIDs: flowIDs})
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := det.RebuildFD(blocks, int64(i+1)); err != nil {
+				volumes := make([]float64, flowsPerBlock)
+				for t := 1; t <= 96; t++ { // several shrink cycles deep
+					for j := range volumes {
+						volumes[j] = 1000 + 50*rng.NormFloat64()
+					}
+					if err := fd.Update(int64(t), volumes); err != nil {
 						b.Fatal(err)
 					}
 				}
+				blocks[bi] = fd.Snapshot()
+			}
+			det, err := core.NewDetector(core.DetectorConfig{
+				NumFlows: m, WindowLen: 4032,
+				SketchLen: sketch.DefaultEll(flowsPerBlock), Alpha: 0.01,
+				FixedRank: 6, Family: sketch.FamilyFD,
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := det.RebuildFD(blocks, int64(i+1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -839,62 +820,6 @@ func BenchmarkIncrementalVsBatchPCA(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkEWMAObserve sizes the per-interval cost of the classical
-// per-flow baseline for contrast with the subspace detectors.
-func BenchmarkEWMAObserve(b *testing.B) {
-	const m = 81
-	d, err := ewma.New(ewma.Config{NumFlows: m, Lambda: 0.1, K: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	row := make([]float64, m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range row {
-			row[j] = 1000 + 30*rng.NormFloat64()
-		}
-		if _, err := d.Observe(row); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMarkovObserve sizes the §VII Markov-extension layer per interval.
-func BenchmarkMarkovObserve(b *testing.B) {
-	c, err := markov.New(markov.Config{NumStates: 5, WindowLen: 512, MinProb: 0.02})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(12))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Observe(100 + 5*rng.NormFloat64()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFilterObserve sizes the Huang-style tolerance filter.
-func BenchmarkFilterObserve(b *testing.B) {
-	const m = 81
-	f, err := filter.NewMonitor(filter.Config{NumFlows: m, Tolerance: 0.1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	row := make([]float64, m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range row {
-			row[j] = 1000 + 30*rng.NormFloat64()
-		}
-		if _, err := f.Observe(row); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkClusterStep measures one full interval through the in-process

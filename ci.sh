@@ -129,14 +129,6 @@ step "fuzz smoke (FD snapshot absorb, 10s)"
 go test -run 'XXXnone' -fuzz '^FuzzFDAbsorbSnapshot$' -fuzztime 10s ./internal/sketch/ > /dev/null
 step_done
 
-# The parallel kernels promise identical results for any worker count and any
-# scheduling; re-run their determinism property tests under the race detector
-# at two GOMAXPROCS settings so shard handoffs actually interleave.
-step "go test -race, GOMAXPROCS=2 and 4 (par, mat, core, randproj, sketch)"
-GOMAXPROCS=2 go test -race ./internal/par/... ./internal/mat/... ./internal/core/... ./internal/randproj/... ./internal/sketch/...
-GOMAXPROCS=4 go test -race ./internal/par/... ./internal/mat/... ./internal/core/... ./internal/randproj/... ./internal/sketch/...
-step_done
-
 step "bench smoke (1 iteration per benchmark)"
 go test . ./internal/... -run 'XXXnone' -bench . -benchtime 1x > /dev/null
 step_done

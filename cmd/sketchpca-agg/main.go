@@ -3,7 +3,7 @@
 // registrations, per-interval volume reports, sketch pulls) and presents the
 // shard to the real NOC as one monitor whose flows are the union of its
 // monitors' and whose sketch responses are interval-aligned merges
-// (sketch.Merge — lossless column union for randproj, deterministic-bound
+// (sketch.MergeColumns — lossless column union for randproj, deterministic-bound
 // re-insertion for fd).
 //
 // Usage:
@@ -32,7 +32,6 @@ import (
 	"streampca/internal/agg"
 	"streampca/internal/cliflags"
 	"streampca/internal/obs"
-	sketchpkg "streampca/internal/sketch"
 )
 
 func main() {
@@ -50,12 +49,10 @@ func run(args []string) error {
 		id       = fs.String("id", "agg-1", "aggregator identifier (the monitor id the NOC sees)")
 		flows    = fs.Int("flows", 81, "network-wide number of aggregated flows (m)")
 		window   = fs.Int("window", 4032, "sliding-window length in intervals (n)")
-		sketch   = fs.Int("sketch", 200, "sketch length (l for -sketcher randproj, basis budget ℓ for fd)")
-		family   = fs.String("sketcher", "randproj", "sketcher family: randproj or fd (must match NOC and monitors)")
+		sk       = cliflags.Sketcher(fs, " (must match NOC and monitors)")
 		seed     = fs.Uint64("seed", 42, "shared randomness seed (randproj only)")
 		peersStr = fs.String("peers", "", "comma-separated aggregator candidate addresses (incl. this one) pushed to monitors for failover")
 		epoch    = fs.Uint64("shard-epoch", 1, "version of the pushed candidate list (bump when -peers changes)")
-		workers  = fs.Int("workers", 0, "worker goroutines for the sketch-merge path (0 = all CPUs)")
 		dialTO   = fs.Duration("dial-timeout", 5*time.Second, "NOC dial timeout")
 		fetch    = cliflags.Fetch(fs, 2*time.Second, "timeout for one downstream sketch-pull round", 1, "extra downstream pull rounds re-requesting missing responses")
 		degraded = cliflags.Degraded(fs, true, "serve unresponsive monitors' flows from cached snapshots (flagged upstream)", "snapshot")
@@ -66,9 +63,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	fam, err := sketchpkg.ParseFamily(*family)
+	fam, err := sk.Family()
 	if err != nil {
-		return fmt.Errorf("-sketcher: %w", err)
+		return err
 	}
 	var peers []string
 	if strings.TrimSpace(*peersStr) != "" {
@@ -88,9 +85,8 @@ func run(args []string) error {
 		Family:              fam,
 		NumFlows:            *flows,
 		WindowLen:           *window,
-		SketchLen:           *sketch,
+		SketchLen:           sk.Len,
 		Seed:                *seed,
-		Workers:             *workers,
 		Peers:               peers,
 		ShardEpoch:          *epoch,
 		FetchTimeout:        fetch.Timeout,
@@ -116,7 +112,7 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "sketchpca-agg: %s listening on %s, upstream %s (m=%d n=%d sketch=%d family=%s peers=%d)\n",
-		*id, svc.Addr(), *nocAddr, *flows, *window, *sketch, fam, len(peers))
+		*id, svc.Addr(), *nocAddr, *flows, *window, sk.Len, fam, len(peers))
 
 	stopStats := metrics.LogEvery(svc.LogSummary)
 

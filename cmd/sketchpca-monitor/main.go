@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -44,7 +45,6 @@ import (
 	"streampca/internal/monitor"
 	"streampca/internal/obs"
 	"streampca/internal/randproj"
-	sketchpkg "streampca/internal/sketch"
 	"streampca/internal/trace"
 	"streampca/internal/traffic"
 	"streampca/internal/transport"
@@ -68,18 +68,14 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 		flowStr = fs.String("flows", "", "comma-separated global flow ids owned by this monitor")
 		colStr  = fs.String("columns", "", "comma-separated stdin CSV columns feeding those flows (defaults to -flows)")
 		window  = fs.Int("window", 4032, "sliding-window length (n)")
-		sketch  = fs.Int("sketch", 200, "sketch length (l for -sketcher randproj, basis budget ℓ for fd)")
-		family  = fs.String("sketcher", "randproj", "sketcher family: randproj or fd (must match the NOC)")
+		sk      = cliflags.Sketcher(fs, " (must match the NOC)")
 		epsilon = fs.Float64("epsilon", 0.01, "variance-histogram ε (randproj only)")
 		seed    = fs.Uint64("seed", 42, "shared randomness seed (randproj only)")
 		dialTO  = fs.Duration("dial-timeout", 5*time.Second, "NOC dial timeout")
 		reconn  = cliflags.Reconnect(fs)
-		selfchk = fs.Int("selfcheck", 0, "validate the sketch state against an exact-window oracle every Nth interval (0 = off)")
+		selfchk = cliflags.SelfCheck(fs, "validate the sketch state against an exact-window oracle every Nth interval (0 = off)")
 		metrics = cliflags.Metrics(fs, "/metrics, /healthz and /debug/pprof")
-		workers = fs.Int("workers", 0, "worker goroutines for the sketch-update path (0 = all CPUs)")
-		traceOn = fs.Bool("trace", false, "record interval-lineage spans, served on /debug/trace (needs -metrics-addr to be visible)")
-		traceSm = fs.Int("trace-sample", 1, "with -trace, keep every trace whose id %% N == 0 (1 = all)")
-		flight  = fs.String("flight-recorder", "", "append one JSONL audit record per received alarm to this file (off when empty)")
+		tracing = cliflags.Trace(fs, "append one JSONL audit record per received alarm to this file (off when empty)")
 
 		ingListen = fs.String("ingest-listen", "", "UDP address for live NetFlow v5 ingestion (off when empty; replaces the stdin CSV path)")
 		ingColl   = fs.Int("ingest-collectors", 1, "UDP collector sockets (SO_REUSEPORT where available; falls back to shared-socket readers)")
@@ -119,22 +115,15 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 		}
 	}
 
-	var tracer *trace.Tracer
-	if *traceOn {
-		tracer = trace.New(trace.Config{Component: "monitor/" + *id, Sample: *traceSm})
-	}
-	var recorder *trace.FlightRecorder
-	if *flight != "" {
-		recorder, err = trace.OpenFlightRecorder(*flight)
-		if err != nil {
-			return fmt.Errorf("-flight-recorder: %w", err)
-		}
-		defer func() { _ = recorder.Close() }()
-	}
-
-	fam, err := sketchpkg.ParseFamily(*family)
+	tracer, recorder, err := tracing.Open("monitor/" + *id)
 	if err != nil {
-		return fmt.Errorf("-sketcher: %w", err)
+		return err
+	}
+	defer func() { _ = recorder.Close() }()
+
+	fam, err := sk.Family()
+	if err != nil {
+		return err
 	}
 	var aggs []string
 	if strings.TrimSpace(*aggsStr) != "" {
@@ -150,9 +139,8 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 		FlowIDs:             flows,
 		WindowLen:           *window,
 		Epsilon:             *epsilon,
-		Sketch:              randproj.Config{Seed: *seed, SketchLen: *sketch, WindowLen: *window},
-		FDEll:               *sketch,
-		Workers:             *workers,
+		Sketch:              randproj.Config{Seed: *seed, SketchLen: sk.Len, WindowLen: *window},
+		FDEll:               sk.Len,
 		SelfCheckEvery:      *selfchk,
 		Reconnect:           reconn.Enabled,
 		ReconnectBackoff:    reconn.Backoff,
@@ -250,6 +238,10 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 			v, err := strconv.ParseFloat(fields[idx], 64)
 			if err != nil {
 				return fmt.Errorf("line %d column %d: %w", lineNo, c, err)
+			}
+			// ParseFloat accepts "NaN" and "Inf"; the sketch state does not.
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("line %d column %d: non-finite volume %q", lineNo, c, fields[idx])
 			}
 			volumes[i] = v
 		}

@@ -145,6 +145,28 @@ func TestRunFeedsNOC(t *testing.T) {
 	}
 }
 
+// A NaN or Inf cell parses as a float; the CSV loop must refuse it by line
+// and column instead of handing it to the sketch state.
+func TestRunRejectsNonFiniteCell(t *testing.T) {
+	svc, err := noc.New(noc.Config{
+		Detector: core.DetectorConfig{NumFlows: 2, WindowLen: 8, SketchLen: 4, Alpha: 0.01, FixedRank: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown()
+	for _, cell := range []string{"NaN", "+Inf"} {
+		in := strings.NewReader("0,10,20\n1,11," + cell + "\n")
+		err := run([]string{"-noc", svc.Addr(), "-flows", "0,1", "-window", "8", "-sketch", "4"}, in, nil)
+		if err == nil || !strings.Contains(err.Error(), "line 2 column 1: non-finite") {
+			t.Fatalf("cell %s: got %v, want a line 2 column 1 non-finite error", cell, err)
+		}
+	}
+}
+
 func itoa(v int) string { return strconv.Itoa(v) }
 
 func ftoa(v int) string { return strconv.Itoa(v) }

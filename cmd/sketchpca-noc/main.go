@@ -28,8 +28,6 @@ import (
 	"streampca/internal/core"
 	"streampca/internal/noc"
 	"streampca/internal/obs"
-	sketchpkg "streampca/internal/sketch"
-	"streampca/internal/trace"
 )
 
 func main() {
@@ -59,8 +57,7 @@ func run(args []string) error {
 		listen   = fs.String("listen", "127.0.0.1:7100", "listen address")
 		flows    = fs.Int("flows", 81, "network-wide number of aggregated flows (m)")
 		window   = fs.Int("window", 4032, "sliding-window length in intervals (n)")
-		sketch   = fs.Int("sketch", 200, "sketch length (l for -sketcher randproj, basis budget ℓ for fd)")
-		family   = fs.String("sketcher", "randproj", "sketcher family: randproj or fd")
+		sk       = cliflags.Sketcher(fs, "")
 		builder  = fs.String("modelbuilder", "jacobi", "model eigensolver: jacobi or rsvd (randproj only)")
 		rsvdOver = fs.Int("rsvd-oversample", 10, "randomized SVD oversampling columns (with -modelbuilder rsvd)")
 		rsvdPow  = fs.Int("rsvd-power", 1, "randomized SVD power iterations (with -modelbuilder rsvd)")
@@ -75,12 +72,9 @@ func run(args []string) error {
 		brkThr   = fs.Int("breaker-threshold", 3, "consecutive fetch failures that open a monitor's circuit breaker (-1 disables)")
 		brkCool  = fs.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker skips its monitor")
 		degraded = cliflags.Degraded(fs, false, "keep deciding on cached volumes/sketches when monitors are missing", "cache")
-		selfchk  = fs.Int("selfcheck", 0, "validate every Nth interval against an exact batch-PCA oracle (0 = off)")
+		selfchk  = cliflags.SelfCheck(fs, "validate every Nth interval against an exact batch-PCA oracle (0 = off)")
 		metrics  = cliflags.Metrics(fs, "/metrics, /healthz and /debug/pprof")
-		workers  = fs.Int("workers", 0, "worker goroutines for the retrain kernels (0 = all CPUs)")
-		traceOn  = fs.Bool("trace", false, "record interval-lineage spans, served on /debug/trace (needs -metrics-addr to be visible)")
-		traceSm  = fs.Int("trace-sample", 1, "with -trace, keep every trace whose id %% N == 0 (1 = all)")
-		flight   = fs.String("flight-recorder", "", "append one JSONL audit record per alarm/degraded decision to this file (off when empty)")
+		tracing  = cliflags.Trace(fs, "append one JSONL audit record per alarm/degraded decision to this file (off when empty)")
 		flightK  = fs.Int("flight-topk", 0, "residual flows attributed per alarm flight record (0 = default 5, -1 disables)")
 		identK   = fs.Int("identify-topk", 0, "max anomography culprits identified per alarm (0 = default, -1 disables)")
 	)
@@ -92,27 +86,20 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fam, err := sketchpkg.ParseFamily(*family)
+	fam, err := sk.Family()
 	if err != nil {
-		return fmt.Errorf("-sketcher: %w", err)
+		return err
 	}
 	bld, err := core.ParseModelBuilder(*builder)
 	if err != nil {
 		return fmt.Errorf("-modelbuilder: %w", err)
 	}
 
-	var tracer *trace.Tracer
-	if *traceOn {
-		tracer = trace.New(trace.Config{Component: "noc", Sample: *traceSm})
+	tracer, recorder, err := tracing.Open("noc")
+	if err != nil {
+		return err
 	}
-	var recorder *trace.FlightRecorder
-	if *flight != "" {
-		recorder, err = trace.OpenFlightRecorder(*flight)
-		if err != nil {
-			return fmt.Errorf("-flight-recorder: %w", err)
-		}
-		defer func() { _ = recorder.Close() }()
-	}
+	defer func() { _ = recorder.Close() }()
 
 	logger := obs.NewLogger(os.Stderr, slog.LevelInfo, "noc")
 	svc, err := noc.New(noc.Config{
@@ -127,7 +114,7 @@ func run(args []string) error {
 			Builder:        bld,
 			NumFlows:       *flows,
 			WindowLen:      *window,
-			SketchLen:      *sketch,
+			SketchLen:      sk.Len,
 			Alpha:          *alpha,
 			Mode:           mode,
 			FixedRank:      *rank,
@@ -137,7 +124,6 @@ func run(args []string) error {
 			RSVDSeed:       *rsvdSeed,
 		},
 		Seed:             *seed,
-		Workers:          *workers,
 		SelfCheckEvery:   *selfchk,
 		FetchTimeout:     fetch.Timeout,
 		FetchRetries:     fetch.Retries,
@@ -177,7 +163,7 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "sketchpca-noc: listening on %s (m=%d n=%d sketch=%d family=%s builder=%s)\n",
-		svc.Addr(), *flows, *window, *sketch, fam, bld)
+		svc.Addr(), *flows, *window, sk.Len, fam, bld)
 	if addr := svc.DiagAddr(); addr != "" {
 		fmt.Fprintf(os.Stderr, "sketchpca-noc: diagnostics on http://%s/metrics\n", addr)
 	}

@@ -42,7 +42,6 @@ import (
 
 func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve NOC diagnostics (/metrics, /healthz, /debug/pprof, /debug/trace) on this address")
-	workers := flag.Int("workers", 0, "worker goroutines for sketch updates and retrains (0 = all CPUs)")
 	ingestMode := flag.Bool("ingest", false, "feed monitors through NetFlow v5 ingest pipelines instead of direct volume rows")
 	sketcher := flag.String("sketcher", "randproj", "sketcher family: randproj or fd")
 	builder := flag.String("modelbuilder", "jacobi", "model eigensolver: jacobi or rsvd (randproj only)")
@@ -50,12 +49,12 @@ func main() {
 	traceSm := flag.Int("trace-sample", 1, "with -trace, keep every trace whose id % N == 0 (1 = all)")
 	flight := flag.String("flight-recorder", "", "append one JSONL audit record per alarm/degraded decision to this file")
 	flag.Parse()
-	if err := run(*metricsAddr, *workers, *ingestMode, *sketcher, *builder, *traceOn, *traceSm, *flight); err != nil {
+	if err := run(*metricsAddr, *ingestMode, *sketcher, *builder, *traceOn, *traceSm, *flight); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(metricsAddr string, workers int, ingestMode bool, sketcher, builder string, traceOn bool, traceSample int, flightPath string) error {
+func run(metricsAddr string, ingestMode bool, sketcher, builder string, traceOn bool, traceSample int, flightPath string) error {
 	const (
 		perDay    = traffic.IntervalsPerDay5Min
 		windowLen = perDay / 2
@@ -121,8 +120,7 @@ func run(metricsAddr string, workers int, ingestMode bool, sketcher, builder str
 			Mode:      core.RankFixed,
 			FixedRank: 6,
 		},
-		Seed:    seed,
-		Workers: workers,
+		Seed: seed,
 		// Fault tolerance: retry missing sketch responses and, should a
 		// monitor vanish mid-run, keep deciding on its cached state.
 		FetchRetries:   2,
@@ -161,7 +159,6 @@ func run(metricsAddr string, workers int, ingestMode bool, sketcher, builder str
 			Epsilon:   0.02,
 			Sketch:    randproj.Config{Seed: seed, SketchLen: sketchParam, WindowLen: windowLen},
 			FDEll:     sketchParam,
-			Workers:   workers,
 			Reconnect: true,
 			OnAlarm: func(a transport.Alarm) {
 				alarmsSeen.Add(1)
@@ -193,7 +190,7 @@ func run(metricsAddr string, workers int, ingestMode bool, sketcher, builder str
 		}
 	}
 	if ingestMode {
-		if err := streamViaIngest(tr, mons, assign, workers, decisions, tally); err != nil {
+		if err := streamViaIngest(tr, mons, assign, decisions, tally); err != nil {
 			return err
 		}
 	} else {
@@ -242,7 +239,7 @@ func run(metricsAddr string, workers int, ingestMode bool, sketcher, builder str
 // before moving on. Closing the pipelines drains and seals the final
 // (partial) interval — the same graceful-shutdown path the daemons use.
 func streamViaIngest(tr *traffic.Trace, mons []*monitor.Service, assign [][]int,
-	workers int, decisions chan noc.Decision, tally func(int, noc.Decision)) error {
+	decisions chan noc.Decision, tally func(int, noc.Decision)) error {
 	agg, err := traffic.NewAbileneAggregator()
 	if err != nil {
 		return err
@@ -254,7 +251,6 @@ func streamViaIngest(tr *traffic.Trace, mons []*monitor.Service, assign [][]int,
 		p, err := ingest.NewPipeline(ingest.Config{
 			Aggregator: agg,
 			Interval:   300 * time.Second,
-			Shards:     workers,
 			Sink: func(iv ingest.Interval) error {
 				local := make([]float64, len(mine))
 				for k, f := range mine {

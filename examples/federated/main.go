@@ -35,15 +35,14 @@ import (
 
 func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve NOC diagnostics (/metrics, /healthz, /debug/pprof) on this address")
-	workers := flag.Int("workers", 0, "worker goroutines for sketch updates, merges and retrains (0 = all CPUs)")
 	sketcher := flag.String("sketcher", "randproj", "sketcher family: randproj or fd")
 	flag.Parse()
-	if err := run(*metricsAddr, *workers, *sketcher); err != nil {
+	if err := run(*metricsAddr, *sketcher); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(metricsAddr string, workers int, sketcher string) error {
+func run(metricsAddr string, sketcher string) error {
 	const (
 		perDay    = traffic.IntervalsPerDay5Min
 		windowLen = perDay / 2
@@ -89,7 +88,6 @@ func run(metricsAddr string, workers int, sketcher string) error {
 			FixedRank: 6,
 		},
 		Seed:         seed,
-		Workers:      workers,
 		FetchRetries: 2,
 		Degraded:     noc.DegradedPolicy{Enabled: true},
 		OnDecision:   func(d noc.Decision) { decisions <- d },
@@ -117,7 +115,6 @@ func run(metricsAddr string, workers int, sketcher string) error {
 			WindowLen:    windowLen,
 			SketchLen:    sketchParam,
 			Seed:         seed,
-			Workers:      workers,
 			FetchRetries: 2,
 			Degraded:     agg.DegradedPolicy{Enabled: true, MaxStaleness: int64(windowLen / 4)},
 			Reconnect:    true,
@@ -159,7 +156,6 @@ func run(metricsAddr string, workers int, sketcher string) error {
 			Epsilon:    0.02,
 			Sketch:     randproj.Config{Seed: seed, SketchLen: sketchParam, WindowLen: windowLen},
 			FDEll:      sketchParam,
-			Workers:    workers,
 			Reconnect:  true,
 			Candidates: aggAddrs,
 			OnAlarm:    func(transport.Alarm) { alarmsSeen.Add(1) },

@@ -4,12 +4,12 @@
 // while presenting itself to the real NOC exactly like one big monitor. It is
 // both halves of internal/tier — a Downstream below, an Uplink above — joined
 // by a sink that forwards each completed interval as one merged volume report
-// and answers each upstream pull with one sketch.Merge of a downstream pull.
+// and answers each upstream pull with one sketch.MergeColumns of a downstream pull.
 //
 // The tier rests on sketch linearity (Theorem 1): Ẑ = (1/√l)·RᵀY is linear
 // in the data, so sketches over disjoint flow shards merge losslessly by
 // column union (randproj) or with a composed deterministic bound (FD, see
-// sketch.Merge). The root NOC's fetch path, circuit breakers, degraded mode
+// sketch.MergeColumns). The root NOC's fetch path, circuit breakers, degraded mode
 // and tracing all work unchanged because the aggregator speaks the existing
 // monitor wire protocol, only tagging its Hello with transport.RoleAggregator
 // — and its own are the same code.
@@ -63,9 +63,6 @@ type Config struct {
 	WindowLen int
 	SketchLen int
 	Seed      uint64
-	// Workers bounds the goroutines sketch.Merge shards FD rebuild work
-	// across; 0 selects runtime.GOMAXPROCS(0).
-	Workers int
 	// Peers is the full list of aggregator candidate addresses fronting the
 	// same NOC (including this one's advertised address). It is pushed to
 	// every registering monitor as a transport.ShardMap so monitors can
@@ -410,7 +407,7 @@ func (s *Service) serveFetch(up *transport.Conn, upReqID uint64, tc *transport.T
 	for _, rep := range p.Reports {
 		snaps = append(snaps, rep)
 	}
-	merged, err := sketch.Merge(snaps, s.cfg.SketchLen, s.cfg.Workers)
+	merged, err := sketch.MergeColumns(snaps, s.cfg.SketchLen)
 	if err != nil {
 		s.met.mergeErrors.Inc()
 		s.log.Warn("sketch merge failed", "request", upReqID, "inputs", len(snaps), "err", err)

@@ -28,7 +28,7 @@ func BenchmarkAggregatorMerge(b *testing.B) {
 				snaps := benchShardSnapshots(b, family, shards, 2*l+64, l, window)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := sketch.Merge(snaps, l, 1); err != nil {
+					if _, err := sketch.MergeColumns(snaps, l); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -61,7 +61,7 @@ func benchShardSnapshots(b *testing.B, family sketch.Family, shards, width, sket
 		}
 		sk, err := sketch.New(sketch.Config{
 			Family: family, FlowIDs: ids, WindowLen: window,
-			Epsilon: 0.1, Gen: gen, Ell: sketchParam, Workers: 1,
+			Epsilon: 0.1, Gen: gen, Ell: sketchParam,
 		})
 		if err != nil {
 			b.Fatal(err)

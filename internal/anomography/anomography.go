@@ -20,8 +20,7 @@
 //
 // PCP (pcp.go) is the offline comparator: relaxed Principal Component
 // Pursuit via inexact ALM (Wang et al., arXiv:1104.2156), decomposing a
-// traffic-matrix window into low-rank + sparse on the same blocked-tile
-// kernels.
+// traffic-matrix window into low-rank + sparse.
 package anomography
 
 import (
@@ -81,8 +80,6 @@ type Config struct {
 	// MinGainFrac stops when a selection's marginal explained-energy
 	// fraction falls below it (≤ 0 → DefaultMinGainFrac).
 	MinGainFrac float64
-	// Workers is forwarded to the blocked-tile kernels (0 = auto).
-	Workers int
 }
 
 // StopReason records why the pursuit terminated.
@@ -135,10 +132,9 @@ type Result struct {
 }
 
 // Residual projects the centered measurement y onto the anomalous subspace:
-// r = y − P_r(P_rᵀy). Both products run through mat.MulWorkers, so the
-// result is bit-identical at any worker count. pr is m×rank (nil or zero
-// columns → the model has no normal subspace and r = y).
-func Residual(pr *mat.Matrix, y []float64, workers int) ([]float64, error) {
+// r = y − P_r(P_rᵀy). pr is m×rank (nil or zero columns → the model has no
+// normal subspace and r = y).
+func Residual(pr *mat.Matrix, y []float64) ([]float64, error) {
 	m := len(y)
 	if !mat.VecIsFinite(y) {
 		return nil, fmt.Errorf("%w: non-finite measurement", ErrInput)
@@ -150,15 +146,11 @@ func Residual(pr *mat.Matrix, y []float64, workers int) ([]float64, error) {
 	if pr.Rows() != m {
 		return nil, fmt.Errorf("%w: %d components rows for %d flows", ErrInput, pr.Rows(), m)
 	}
-	yRow, err := mat.NewMatrixFromData(1, m, y)
+	coeff, err := pr.TMulVec(y) // rank entries â_jᵀy
 	if err != nil {
 		return nil, err
 	}
-	coeff, err := yRow.MulWorkers(pr, workers) // 1×rank, entries â_jᵀy
-	if err != nil {
-		return nil, err
-	}
-	normal, err := projectUp(pr, coeff.RowView(0), workers)
+	normal, err := pr.MulVec(coeff) // back to flow space: P_r·coeff
 	if err != nil {
 		return nil, err
 	}
@@ -166,19 +158,6 @@ func Residual(pr *mat.Matrix, y []float64, workers int) ([]float64, error) {
 		r[i] -= normal[i]
 	}
 	return r, nil
-}
-
-// projectUp maps rank-space coefficients back to flow space: P_r·q.
-func projectUp(pr *mat.Matrix, q []float64, workers int) ([]float64, error) {
-	qCol, err := mat.NewMatrixFromData(len(q), 1, q)
-	if err != nil {
-		return nil, err
-	}
-	up, err := pr.MulWorkers(qCol, workers)
-	if err != nil {
-		return nil, err
-	}
-	return up.Col(0), nil
 }
 
 // Pursue runs the greedy sparse-residual pursuit. pr is the m×rank matrix
@@ -293,8 +272,7 @@ func Pursue(pr *mat.Matrix, residual []float64, cfg Config) (Result, error) {
 		}
 
 		// Re-project: r = r₀ − Σ_u a_u s_u. The scatter part is k coordinate
-		// updates; the normal-subspace correction P_r(Σ_u a_u p_u) goes
-		// through the blocked-tile kernel like every other projection.
+		// updates; the normal-subspace correction is P_r(Σ_u a_u p_u).
 		copy(rPrev, r)
 		copy(r, r0)
 		for u, fu := range selected {
@@ -305,7 +283,7 @@ func Pursue(pr *mat.Matrix, residual []float64, cfg Config) (Result, error) {
 			for u, fu := range selected {
 				mat.AddScaled(q, a[u], pr.RowView(fu))
 			}
-			up, err := projectUp(pr, q, cfg.Workers)
+			up, err := pr.MulVec(q) // back to flow space: P_r·q
 			if err != nil {
 				return res, err
 			}

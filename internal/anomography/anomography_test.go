@@ -39,7 +39,7 @@ func TestResidualOrthogonalToNormalSubspace(t *testing.T) {
 	for i := range y {
 		y[i] = rng.NormFloat64() * 100
 	}
-	res, err := Residual(pr, y, 0)
+	res, err := Residual(pr, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestPursueSingleFlow(t *testing.T) {
 	pr := randomBasis(t, m, r, 3)
 	y := make([]float64, m)
 	y[flow] = amount
-	r0, err := Residual(pr, y, 0)
+	r0, err := Residual(pr, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestPursueBeatsRawResidualSort(t *testing.T) {
 	pr.Set(1, 0, -math.Sqrt(0.1))
 	y := make([]float64, m)
 	y[0] = 1000
-	r0, err := Residual(pr, y, 0)
+	r0, err := Residual(pr, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPursueMultiFlow(t *testing.T) {
 	for f, a := range truth {
 		y[f] = a
 	}
-	r0, err := Residual(pr, y, 0)
+	r0, err := Residual(pr, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestPursueStopsAtThreshold(t *testing.T) {
 	y := make([]float64, m)
 	y[9] = 10000
 	y[27] = 10 // far below any alarm-worthy residual
-	r0, err := Residual(pr, y, 0)
+	r0, err := Residual(pr, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestPursueGainStopDiscardsNoise(t *testing.T) {
 	for i := range y {
 		y[i] += rng.NormFloat64() // tiny background noise on every flow
 	}
-	r0, err := Residual(pr, y, 0)
+	r0, err := Residual(pr, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +228,8 @@ func TestPursueNoModelSubspace(t *testing.T) {
 	}
 }
 
+// TestPursueDeterministicAcrossWorkers: residual and pursuit are pure functions
+// of their inputs.
 func TestPursueDeterministicAcrossWorkers(t *testing.T) {
 	const m, r = 96, 8
 	pr := randomBasis(t, m, r, 17)
@@ -239,12 +241,12 @@ func TestPursueDeterministicAcrossWorkers(t *testing.T) {
 	y[40] += 20000
 	y[71] += 12000
 	var ref Result
-	for i, w := range []int{1, 2, 4, 7} {
-		r0, err := Residual(pr, y, w)
+	for i := 0; i < 2; i++ {
+		r0, err := Residual(pr, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Pursue(pr, r0, Config{MaxK: 6, Workers: w})
+		res, err := Pursue(pr, r0, Config{MaxK: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,11 +256,11 @@ func TestPursueDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if len(res.Culprits) != len(ref.Culprits) ||
 			res.InitialSPE != ref.InitialSPE || res.ResidualSPE != ref.ResidualSPE {
-			t.Fatalf("workers=%d diverged: %+v vs %+v", w, res, ref)
+			t.Fatalf("second run diverged: %+v vs %+v", res, ref)
 		}
 		for j := range res.Culprits {
 			if res.Culprits[j] != ref.Culprits[j] {
-				t.Fatalf("workers=%d culprit %d: %+v vs %+v", w, j, res.Culprits[j], ref.Culprits[j])
+				t.Fatalf("second run, culprit %d: %+v vs %+v", j, res.Culprits[j], ref.Culprits[j])
 			}
 		}
 	}
@@ -274,7 +276,7 @@ func TestPursueBadInput(t *testing.T) {
 	if _, err := Pursue(pr, bad, Config{}); err == nil {
 		t.Fatal("non-finite residual must error")
 	}
-	if _, err := Residual(pr, bad, 0); err == nil {
+	if _, err := Residual(pr, bad); err == nil {
 		t.Fatal("non-finite measurement must error")
 	}
 }

@@ -17,8 +17,6 @@ type PCPConfig struct {
 	Tol float64
 	// MaxIter bounds the ALM iterations (0 → 100).
 	MaxIter int
-	// Workers is forwarded to the blocked-tile kernels (0 = auto).
-	Workers int
 }
 
 // PCPResult is a low-rank + sparse decomposition D ≈ L + S.
@@ -41,11 +39,9 @@ type PCPResult struct {
 // multiplier method for relaxed Principal Component Pursuit (Wang et al.,
 // arXiv:1104.2156; the IALM scheme of Lin, Chen & Ma). Each iteration
 // soft-thresholds the singular values of D − S + Y/μ and then the entries
-// of D − L + Y/μ. The singular-value step runs entirely on the §14
-// blocked-tile kernels — Gram via GramWorkers, eigenvectors via
-// SymEigenWorkers, and the reconstruction via MulWorkers — so the
-// decomposition is bit-identical at any worker count. It is an offline
-// comparator for the online pursuit, not a streaming component.
+// of D − L + Y/μ. The singular-value step runs on the small side — Gram,
+// SymEigen and two Muls, never an n×n factor. It is an offline comparator
+// for the online pursuit, not a streaming component.
 func PCP(d *mat.Matrix, cfg PCPConfig) (*PCPResult, error) {
 	if d == nil || d.Rows() == 0 || d.Cols() == 0 {
 		return nil, fmt.Errorf("%w: empty pcp input", ErrInput)
@@ -81,7 +77,7 @@ func PCP(d *mat.Matrix, cfg PCPConfig) (*PCPResult, error) {
 	if dNorm == 0 {
 		return &PCPResult{L: mat.NewMatrix(n, m), S: mat.NewMatrix(n, m), Converged: true}, nil
 	}
-	spec, err := spectralNorm(d, cfg.Workers)
+	spec, err := spectralNorm(d)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +113,7 @@ func PCP(d *mat.Matrix, cfg PCPConfig) (*PCPResult, error) {
 				wr[jj] = dr[jj] - sr[jj] + yr[jj]/mu
 			}
 		}
-		l, res.RankL, err = svt(work, 1/mu, cfg.Workers)
+		l, res.RankL, err = svt(work, 1/mu)
 		if err != nil {
 			return nil, err
 		}
@@ -155,10 +151,9 @@ func PCP(d *mat.Matrix, cfg PCPConfig) (*PCPResult, error) {
 // svt soft-thresholds the singular values of a (n×m, n ≥ m) at tau via the
 // Gram route: G = AᵀA = VΣ²Vᵀ, so A = (AV)Σ⁻¹·Σ·Vᵀ and
 // SVT_τ(A) = A·V·diag((σ−τ)₊/σ)·Vᵀ — one Gram, one symmetric eigensolve
-// and two MulWorkers, never forming U explicitly.
-func svt(a *mat.Matrix, tau float64, workers int) (*mat.Matrix, int, error) {
-	g := a.GramWorkers(workers)
-	eig, err := mat.SymEigenWorkers(g, workers)
+// and two Muls, never forming U explicitly.
+func svt(a *mat.Matrix, tau float64) (*mat.Matrix, int, error) {
+	eig, err := mat.SymEigen(a.Gram())
 	if err != nil {
 		return nil, 0, err
 	}
@@ -187,11 +182,11 @@ func svt(a *mat.Matrix, tau float64, workers int) (*mat.Matrix, int, error) {
 			row[j] *= w[j]
 		}
 	}
-	wm, err := vw.MulWorkers(eig.Vectors.T(), workers)
+	wm, err := vw.Mul(eig.Vectors.T())
 	if err != nil {
 		return nil, 0, err
 	}
-	l, err := a.MulWorkers(wm, workers)
+	l, err := a.Mul(wm)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -212,25 +207,19 @@ func shrink(v, t float64) float64 {
 
 // spectralNorm estimates ‖a‖₂ by power iteration on the Gram matrix with a
 // fixed all-ones start, so the estimate is deterministic.
-func spectralNorm(a *mat.Matrix, workers int) (float64, error) {
-	g := a.GramWorkers(workers)
-	m := g.Cols()
-	v := make([]float64, m)
+func spectralNorm(a *mat.Matrix) (float64, error) {
+	g := a.Gram()
+	v := make([]float64, g.Cols())
 	for i := range v {
 		v[i] = 1
 	}
 	mat.Normalize(v)
 	var lam float64
 	for it := 0; it < 60; it++ {
-		vCol, err := mat.NewMatrixFromData(m, 1, v)
+		next, err := g.MulVec(v)
 		if err != nil {
 			return 0, err
 		}
-		gv, err := g.MulWorkers(vCol, workers)
-		if err != nil {
-			return 0, err
-		}
-		next := gv.Col(0)
 		nl := mat.Norm(next)
 		if nl == 0 {
 			return 0, nil

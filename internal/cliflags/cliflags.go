@@ -7,7 +7,11 @@ package cliflags
 
 import (
 	"flag"
+	"fmt"
 	"time"
+
+	"streampca/internal/sketch"
+	"streampca/internal/trace"
 )
 
 // FetchValues holds the -fetch-* group: the sketch-pull retry rounds.
@@ -101,4 +105,69 @@ func (v *MetricsValues) LogEvery(summary func()) (stop func()) {
 		close(quit)
 		<-done
 	}
+}
+
+// SketcherValues holds the sketcher-family group.
+type SketcherValues struct {
+	family string
+	// Len is -sketch: the projection length l for randproj, the basis
+	// budget ℓ for fd.
+	Len int
+}
+
+// Sketcher registers -sketcher and -sketch. mustMatch is appended to the
+// -sketcher help (which peers have to run the same family).
+func Sketcher(fs *flag.FlagSet, mustMatch string) *SketcherValues {
+	v := &SketcherValues{}
+	fs.StringVar(&v.family, "sketcher", "randproj", "sketcher family: randproj or fd"+mustMatch)
+	fs.IntVar(&v.Len, "sketch", 200, "sketch length (l for -sketcher randproj, basis budget ℓ for fd)")
+	return v
+}
+
+// Family parses -sketcher.
+func (v *SketcherValues) Family() (sketch.Family, error) {
+	fam, err := sketch.ParseFamily(v.family)
+	if err != nil {
+		return fam, fmt.Errorf("-sketcher: %w", err)
+	}
+	return fam, nil
+}
+
+// SelfCheck registers -selfcheck, the every-Nth-interval oracle validation.
+func SelfCheck(fs *flag.FlagSet, help string) *int {
+	return fs.Int("selfcheck", 0, help)
+}
+
+// TraceValues holds the tracing and audit group.
+type TraceValues struct {
+	on     bool
+	sample int
+	flight string
+}
+
+// Trace registers -trace, -trace-sample and -flight-recorder. flightHelp says
+// what the daemon appends a record for.
+func Trace(fs *flag.FlagSet, flightHelp string) *TraceValues {
+	v := &TraceValues{}
+	fs.BoolVar(&v.on, "trace", false, "record interval-lineage spans, served on /debug/trace (needs -metrics-addr to be visible)")
+	fs.IntVar(&v.sample, "trace-sample", 1, "with -trace, keep every trace whose id %% N == 0 (1 = all)")
+	fs.StringVar(&v.flight, "flight-recorder", "", flightHelp)
+	return v
+}
+
+// Open builds what the group asked for: the tracer (nil without -trace) and
+// the flight recorder (nil without -flight-recorder), which the caller closes.
+func (v *TraceValues) Open(component string) (*trace.Tracer, *trace.FlightRecorder, error) {
+	var tracer *trace.Tracer
+	if v.on {
+		tracer = trace.New(trace.Config{Component: component, Sample: v.sample})
+	}
+	if v.flight == "" {
+		return tracer, nil, nil
+	}
+	recorder, err := trace.OpenFlightRecorder(v.flight)
+	if err != nil {
+		return nil, nil, fmt.Errorf("-flight-recorder: %w", err)
+	}
+	return tracer, recorder, nil
 }

@@ -18,8 +18,8 @@ type FlowContribution struct {
 // Attribute decomposes a measurement into its normal and anomalous parts
 // (paper eq. 4) and returns the topK flows ranked by their contribution to
 // the anomalous residual — the raw view of which OD flows drive an alarm.
-// The projection runs on the same blocked-tile kernels as Identify, so it
-// is bit-identical at any worker count. topK ≤ 0 returns all flows.
+// The projection is the one Identify starts from (anomalousResidual).
+// topK ≤ 0 returns all flows.
 //
 // Attribute ranks raw residual coordinates; when PCA correlates flows, the
 // projection smears a single-flow spike across its correlated peers and

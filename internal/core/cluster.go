@@ -45,10 +45,6 @@ type ClusterConfig struct {
 	RSVDOversample int
 	RSVDPowerIters int
 	RSVDSeed       uint64
-	// Workers bounds the goroutines each monitor and the detector use for
-	// their sharded hot paths; 0 (or negative) selects
-	// runtime.GOMAXPROCS(0). Results are identical for any value.
-	Workers int
 }
 
 // Cluster is an in-process assembly of monitors and a NOC detector.
@@ -124,7 +120,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Epsilon:   cfg.Epsilon,
 			Gen:       gen,
 			FDEll:     sketchLen,
-			Workers:   cfg.Workers,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("monitor %d: %w", i, err)
@@ -140,7 +135,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Mode:           cfg.Mode,
 		FixedRank:      cfg.FixedRank,
 		EnergyFrac:     cfg.EnergyFrac,
-		Workers:        cfg.Workers,
 		Family:         cfg.Family,
 		Builder:        cfg.Builder,
 		RSVDOversample: cfg.RSVDOversample,

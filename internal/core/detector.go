@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"streampca/internal/mat"
-	"streampca/internal/par"
 	"streampca/internal/sketch"
 	"streampca/internal/stats"
 )
@@ -106,10 +105,6 @@ type DetectorConfig struct {
 	// EnergyFrac is the retained-energy fraction for RankEnergy
 	// (defaults to 0.9, the paper's "90% energy" observation).
 	EnergyFrac float64
-	// Workers bounds the goroutines used by the model rebuild's matrix
-	// kernels (Gram product and eigendecomposition); 0 (or negative)
-	// selects runtime.GOMAXPROCS(0). Results are identical for any value.
-	Workers int
 	// Family is the sketcher family the monitors run; the zero value is
 	// the paper's random projection. For sketch.FamilyFD, Rebuild consumes
 	// Fetch.Blocks and builds the model per monitor block on the small
@@ -239,7 +234,6 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown model builder %d", ErrConfig, int(cfg.Builder))
 	}
-	cfg.Workers = par.Workers(cfg.Workers)
 	return &Detector{cfg: cfg}, nil
 }
 
@@ -303,9 +297,8 @@ func (d *Detector) RebuildModel(sketches [][]float64, means []float64, builtAt i
 	case BuildJacobi:
 		// PCA on Ẑ via the m×m Gram matrix: eigenvalues are λ̂²,
 		// eigenvectors are the right singular vectors â — the only pieces
-		// the detector needs. Both kernels shard across the configured
-		// workers with bit-identical results for any worker count.
-		eig, err := mat.SymEigenWorkers(z.GramWorkers(d.cfg.Workers), d.cfg.Workers)
+		// the detector needs.
+		eig, err := mat.SymEigen(z.Gram())
 		if err != nil {
 			return fmt.Errorf("sketch eigendecomposition: %w", err)
 		}
@@ -331,7 +324,7 @@ func (d *Detector) RebuildModel(sketches [][]float64, means []float64, builtAt i
 			}
 		}
 		svd, err := mat.RandomizedSVD(z, target, d.cfg.RSVDOversample,
-			d.cfg.RSVDPowerIters, d.cfg.RSVDSeed, d.cfg.Workers)
+			d.cfg.RSVDPowerIters, d.cfg.RSVDSeed)
 		if err != nil {
 			return fmt.Errorf("sketch randomized svd: %w", err)
 		}
@@ -448,8 +441,8 @@ func (d *Detector) RebuildFD(blocks []sketch.Snapshot, builtAt int64) error {
 		for i, r := range b.FDRows {
 			copy(rows.RowView(i), r)
 		}
-		// B·Bᵀ = (Bᵀ)ᵀ(Bᵀ): small-side Gram through the blocked-tile kernel.
-		eig, err := mat.SymEigenWorkers(rows.T().GramWorkers(d.cfg.Workers), d.cfg.Workers)
+		// B·Bᵀ = (Bᵀ)ᵀ(Bᵀ): small-side Gram.
+		eig, err := mat.SymEigen(rows.T().Gram())
 		if err != nil {
 			return fmt.Errorf("fd block %d eigendecomposition: %w", bi, err)
 		}

@@ -50,9 +50,8 @@ func (d *Detector) principal() *mat.Matrix {
 }
 
 // anomalousResidual centers x against the model means and projects it onto
-// the anomalous subspace through the blocked-tile kernels. Both Attribute
-// and Identify start here, so the two views of an alarm are computed from
-// the same residual bit for bit.
+// the anomalous subspace. Both Attribute and Identify start here, so the two
+// views of an alarm are computed from the same residual bit for bit.
 func (d *Detector) anomalousResidual(x []float64, pr *mat.Matrix) ([]float64, error) {
 	m := d.cfg.NumFlows
 	if len(x) != m {
@@ -62,7 +61,7 @@ func (d *Detector) anomalousResidual(x []float64, pr *mat.Matrix) ([]float64, er
 	for j, v := range x {
 		y[j] = v - d.model.Means[j]
 	}
-	return anomography.Residual(pr, y, d.cfg.Workers)
+	return anomography.Residual(pr, y)
 }
 
 // Identify runs the anomography pursuit on a measurement against the
@@ -85,7 +84,6 @@ func (d *Detector) Identify(x []float64, maxK int) (*Identification, error) {
 	cfg := anomography.Config{
 		MaxK:         maxK,
 		MinSignature: anomography.DefaultMinSignature(d.cfg.NumFlows, d.model.Rank),
-		Workers:      d.cfg.Workers,
 	}
 	if !d.model.ThresholdUnavailable {
 		cfg.MinResidual = d.model.Threshold

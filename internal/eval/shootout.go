@@ -32,8 +32,6 @@ type ShootoutConfig struct {
 	Rank int
 	// NumMonitors partitions the flows round-robin, as the cluster does.
 	NumMonitors int
-	// Workers bounds the retrain kernels' goroutines (0 = all CPUs).
-	Workers int
 	// Oracle enables the per-family differential validation: the randproj
 	// variants run the sampled exact-batch model oracle (the -selfcheck
 	// path), the FD variant replays every monitor's centered stream and
@@ -124,7 +122,6 @@ func shootoutVariant(volumes *mat.Matrix, truth *Truth, cfg ShootoutConfig, name
 		Family:      family,
 		Mode:        core.RankFixed,
 		FixedRank:   cfg.Rank,
-		Workers:     cfg.Workers,
 	}
 	if family == sketch.FamilyFD {
 		ccfg.FDEll = cfg.FDEll

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/netip"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"streampca/internal/faults"
 	"streampca/internal/flow"
 	"streampca/internal/obs"
-	"streampca/internal/par"
 	"streampca/internal/trace"
 )
 
@@ -78,7 +78,7 @@ type Config struct {
 	// bins). Required, ≥ 1ms.
 	Interval time.Duration
 	// Shards is the number of parallel aggregation shards; values < 1
-	// resolve like internal/par worker counts (all CPUs).
+	// resolve to runtime.GOMAXPROCS(0).
 	Shards int
 	// QueueLen is the per-shard bounded queue capacity in batches
 	// (datagrams); default 256.
@@ -218,7 +218,10 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if log == nil {
 		log = obs.Nop()
 	}
-	n := par.Workers(cfg.Shards)
+	n := cfg.Shards
+	if n < 1 {
+		n = runtime.GOMAXPROCS(0)
+	}
 	p := &Pipeline{
 		cfg:         cfg,
 		agg:         cfg.Aggregator,
@@ -435,7 +438,7 @@ type mergeState struct {
 }
 
 // mergerLoop collects the per-shard rows of each sealed epoch, sums them
-// (via the internal/par kernels) and delivers the interval to the sink.
+// and delivers the interval to the sink.
 // Per-shard seal order plus channel FIFO guarantee epochs complete in
 // increasing order (see DESIGN.md §12).
 func (p *Pipeline) mergerLoop() {
@@ -488,17 +491,10 @@ func (p *Pipeline) deliver(epoch, seq int64, st *mergeState) {
 		trace.B("partial", st.partial))
 	m := p.agg.NumFlows()
 	volumes := make([]float64, m)
-	if len(st.rows) == 1 {
-		copy(volumes, st.rows[0])
-	} else if len(st.rows) > 1 {
-		rows := st.rows
-		par.For(len(p.shards), m, 2048, func(lo, hi int) {
-			for _, row := range rows {
-				for j := lo; j < hi; j++ {
-					volumes[j] += row[j]
-				}
-			}
-		})
+	for _, row := range st.rows {
+		for j := range volumes {
+			volumes[j] += row[j]
+		}
 	}
 	iv := Interval{
 		Epoch:   epoch,

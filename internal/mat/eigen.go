@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"streampca/internal/par"
 )
 
 // EigenSym holds the eigendecomposition A = V·diag(Values)·Vᵀ of a symmetric
@@ -23,33 +21,18 @@ type EigenSym struct {
 // sweeps and 64 is far beyond any realistic need.
 const maxJacobiSweeps = 64
 
-// parEigenMinN is the smallest dimension for which the rotation rounds are
-// sharded across workers; below it the per-round work (≈4n² flops) is too
-// small to amortize a fork/join barrier and the rounds run inline.
-const parEigenMinN = 96
-
-// SymEigen computes the eigendecomposition of the symmetric matrix a. It is
-// SymEigenWorkers with a single worker; the two share every code path, so
-// results are identical.
-func SymEigen(a *Matrix) (*EigenSym, error) {
-	return SymEigenWorkers(a, 1)
-}
-
-// SymEigenWorkers computes the eigendecomposition of the symmetric matrix a
-// using a round-robin (parallel-ordering) Jacobi method: each sweep visits
-// every pivot pair once, organized into n−1 rounds of ⌊n/2⌋ mutually
-// disjoint pairs. Within a round all rotation angles are computed from the
-// round-start matrix, then applied in two phases — first to columns, then to
-// rows — so rotations of disjoint pairs touch disjoint memory and shard
-// across up to `workers` goroutines (0 = auto). The schedule, the angles and
-// the application order are all independent of the worker count, making the
-// result bit-identical for any value of workers.
+// SymEigen computes the eigendecomposition of the symmetric matrix a using a
+// round-robin Jacobi method: each sweep visits every pivot pair once,
+// organized into n−1 rounds of ⌊n/2⌋ mutually disjoint pairs. Within a round
+// all rotation angles are computed from the round-start matrix, then applied
+// in two phases — first to columns, then to rows — so the column phase can
+// walk each matrix row once per round instead of once per rotation.
 //
 // Only the upper triangle is read; the matrix is not modified. It returns
 // ErrShape for non-square input, ErrNotFinite for NaN/Inf entries and
 // ErrNoConverge if the off-diagonal mass does not vanish within the sweep
 // budget.
-func SymEigenWorkers(a *Matrix, workers int) (*EigenSym, error) {
+func SymEigen(a *Matrix) (*EigenSym, error) {
 	n := a.rows
 	if n != a.cols {
 		return nil, fmt.Errorf("%w: eigendecomposition of %dx%d", ErrShape, a.rows, a.cols)
@@ -88,18 +71,6 @@ func SymEigenWorkers(a *Matrix, workers int) (*EigenSym, error) {
 	}
 	tol := 1e-28 * normA * normA
 
-	// Small-input fallback: the rounds still run, but strictly inline.
-	if n < parEigenMinN {
-		workers = 1
-	}
-	pool := par.NewPool(workers)
-	defer pool.Close()
-	// Grain in pairs: each pair costs ≈8n multiply-adds per phase.
-	grain := 1 + shardWork/(8*n)
-	// Grain in rows for the row-sharded column phase: each row pays ≈6 flops
-	// per rotation and a round carries up to n/2 rotations.
-	rowGrain := 1 + shardWork/(3*n)
-
 	// Round-robin tournament schedule. slots is n rounded up to even; the
 	// extra slot (index ≥ n) is a bye. Position 0 is fixed, the rest rotate.
 	slots := n
@@ -121,30 +92,23 @@ func SymEigenWorkers(a *Matrix, workers int) (*EigenSym, error) {
 		for round := 0; round < slots-1; round++ {
 			rots = planRound(w, idx, rots[:0])
 			if len(rots) > 0 {
-				// Phase 1: column rotations of W and V, sharded by matrix
-				// row. The round's pairs touch disjoint column pairs, so for
-				// a fixed row every rotation updates disjoint entries —
-				// applying them row-major touches each cache line once per
-				// round (the pair-major order re-streamed every row n/16
-				// times) and the per-entry arithmetic is unchanged, keeping
-				// results bit-identical for any worker count. Rows [0, n)
-				// are W's, rows [n, 2n) are V's: one barrier covers both.
-				pool.For(2*n, rowGrain, func(lo, hi int) {
-					for k := lo; k < hi; k++ {
-						if k < n {
-							rotateRowEntries(w.data[k*n:(k+1)*n], rots)
-						} else {
-							rotateRowEntries(v.data[(k-n)*n:(k-n+1)*n], rots)
-						}
-					}
-				})
+				// Phase 1: column rotations of W and V. The round's pairs
+				// touch disjoint column pairs, so for a fixed row every
+				// rotation updates disjoint entries — applying them
+				// row-major touches each cache line once per round (the
+				// pair-major order re-streamed every row n/16 times) and
+				// the per-entry arithmetic is unchanged.
+				for k := 0; k < n; k++ {
+					rotateRowEntries(w.data[k*n:(k+1)*n], rots)
+				}
+				for k := 0; k < n; k++ {
+					rotateRowEntries(v.data[k*n:(k+1)*n], rots)
+				}
 				// Phase 2: row rotations of W (disjoint row pairs per
 				// rotation; two contiguous rows each — already streaming).
-				pool.For(len(rots), grain, func(lo, hi int) {
-					for _, r := range rots[lo:hi] {
-						rotateRows(w, r)
-					}
-				})
+				for _, r := range rots {
+					rotateRows(w, r)
+				}
 				// The pivot entries are annihilated analytically; zero them
 				// exactly rather than keeping rounding residue.
 				for _, r := range rots {

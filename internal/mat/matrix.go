@@ -224,11 +224,6 @@ func (m *Matrix) Sub(o *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// Mul returns the matrix product m·o as a new matrix.
-func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
-	return m.MulWorkers(o, 1)
-}
-
 // MulVec returns the matrix-vector product m·v.
 func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 	out := make([]float64, m.rows)
@@ -275,11 +270,6 @@ func (m *Matrix) TMulVec(v []float64) ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// Gram returns mᵀ·m (the c×c Gram matrix) exploiting symmetry.
-func (m *Matrix) Gram() *Matrix {
-	return m.GramWorkers(1)
 }
 
 // FrobeniusNorm returns the Frobenius norm sqrt(Σ m_ij²).

@@ -45,7 +45,7 @@ func TestRandomizedSVDMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := RandomizedSVD(a, r, 10, 1, 7, 1)
+	approx, err := RandomizedSVD(a, r, 10, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,26 +84,24 @@ func TestRandomizedSVDMatchesExact(t *testing.T) {
 func TestRandomizedSVDDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := lowRankPlusNoise(rng, 50, 30, 4, 0.1)
-	ref, err := RandomizedSVD(a, 6, 4, 2, 123, 1)
+	ref, err := RandomizedSVD(a, 6, 4, 2, 123)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{2, 3, 7} {
-		got, err := RandomizedSVD(a, 6, 4, 2, 123, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range ref.Values {
-			if got.Values[k] != ref.Values[k] {
-				t.Fatalf("workers=%d: value %d differs bitwise (%v vs %v)", w, k, got.Values[k], ref.Values[k])
-			}
-		}
-		if !got.V.Equal(ref.V, 0) {
-			t.Fatalf("workers=%d: V differs bitwise", w)
+	got, err := RandomizedSVD(a, 6, 4, 2, 123)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range ref.Values {
+		if got.Values[k] != ref.Values[k] {
+			t.Fatalf("value %d differs bitwise between runs (%v vs %v)", k, got.Values[k], ref.Values[k])
 		}
 	}
+	if !got.V.Equal(ref.V, 0) {
+		t.Fatal("V differs bitwise between runs")
+	}
 	// A different seed must change the sample (sanity that seeding works).
-	other, err := RandomizedSVD(a, 6, 4, 0, 124, 1)
+	other, err := RandomizedSVD(a, 6, 4, 0, 124)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +120,7 @@ func TestRandomizedSVDWideAndTall(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, dims := range [][2]int{{20, 64}, {64, 20}, {8, 8}} {
 		a := lowRankPlusNoise(rng, dims[0], dims[1], 3, 1e-4)
-		got, err := RandomizedSVD(a, 3, 5, 1, 1, 0)
+		got, err := RandomizedSVD(a, 3, 5, 1, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -149,15 +147,15 @@ func TestRandomizedSVDWideAndTall(t *testing.T) {
 func TestRandomizedSVDErrors(t *testing.T) {
 	a := NewMatrix(4, 4)
 	a.Set(0, 0, 1)
-	if _, err := RandomizedSVD(a, -1, 2, 0, 1, 1); !errors.Is(err, ErrShape) {
+	if _, err := RandomizedSVD(a, -1, 2, 0, 1); !errors.Is(err, ErrShape) {
 		t.Fatalf("negative rank: %v", err)
 	}
-	if _, err := RandomizedSVD(a, 0, 0, 0, 1, 1); !errors.Is(err, ErrShape) {
+	if _, err := RandomizedSVD(a, 0, 0, 0, 1); !errors.Is(err, ErrShape) {
 		t.Fatalf("zero sample: %v", err)
 	}
 	bad := NewMatrix(2, 2)
 	bad.Set(0, 0, math.NaN())
-	if _, err := RandomizedSVD(bad, 1, 1, 0, 1, 1); !errors.Is(err, ErrNotFinite) {
+	if _, err := RandomizedSVD(bad, 1, 1, 0, 1); !errors.Is(err, ErrNotFinite) {
 		t.Fatalf("non-finite: %v", err)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"streampca/internal/core"
 	"streampca/internal/obs"
 	"streampca/internal/oracle"
-	"streampca/internal/par"
 	"streampca/internal/randproj"
 	"streampca/internal/sketch"
 	"streampca/internal/tier"
@@ -55,10 +54,6 @@ type Config struct {
 	// FDEll is the Frequent Directions basis budget ℓ (FD family only); 0
 	// selects sketch.DefaultEll of the assigned flow count.
 	FDEll int
-	// Workers bounds the goroutines the sketch update shards per-flow work
-	// across; 0 selects runtime.GOMAXPROCS(0). Sketch state is identical
-	// for any value (see internal/par).
-	Workers int
 	// OnAlarm, when set, is invoked for alarms pushed by the NOC.
 	OnAlarm func(transport.Alarm)
 	// Reconnect enables automatic redial when the NOC link drops: the
@@ -124,8 +119,6 @@ type metrics struct {
 	// vhBuckets tracks the O(w·log² n) variance-histogram state size.
 	vhBuckets    *obs.Gauge
 	lastInterval *obs.Gauge
-	// workers exposes the resolved parallelism of the sketch-update path.
-	workers *obs.Gauge
 	// reconnects counts successful automatic redials of the NOC link.
 	reconnects *obs.Counter
 }
@@ -146,8 +139,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Sketch state cells: variance-histogram buckets summed over assigned flows (randproj, O(w log^2 n) space) or live FD buffer rows (≤ 2ℓ)."),
 		lastInterval: reg.Gauge("streampca_monitor_last_interval",
 			"Most recent interval folded into the sketch state."),
-		workers: reg.Gauge("streampca_monitor_workers",
-			"Resolved worker count for the sharded sketch-update path."),
 		reconnects: reg.Counter("streampca_monitor_reconnects_total",
 			"Successful automatic redials after the NOC link dropped."),
 	}
@@ -203,7 +194,6 @@ func New(cfg Config) (*Service, error) {
 		Epsilon:   cfg.Epsilon,
 		Gen:       gen,
 		FDEll:     cfg.FDEll,
-		Workers:   cfg.Workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core monitor: %w", err)
@@ -242,7 +232,6 @@ func New(cfg Config) (*Service, error) {
 		}
 		s.oracle = chk
 	}
-	s.met.workers.Set(float64(par.Workers(cfg.Workers)))
 	s.health.Set("monitor", obs.StatusOK, "sketch state ready")
 	s.up = tier.NewUplink(tier.UplinkConfig{
 		ID:          cfg.ID,

@@ -234,7 +234,7 @@ func TestFederatedMatchesFlatDecisions(t *testing.T) {
 }
 
 // TestFederatedFDOneMonitorPerAggMatchesFlat pins the FD pass-through
-// guarantee: with exactly one monitor per aggregator, sketch.Merge is a
+// guarantee: with exactly one monitor per aggregator, sketch.MergeColumns is a
 // verbatim deep copy, so even the non-linear FD family is byte-identical to
 // the flat topology. (Multi-monitor FD shards merge per aggregator and
 // legitimately differ from flat — DESIGN.md §16.)

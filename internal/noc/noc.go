@@ -118,11 +118,6 @@ type Config struct {
 	// Epsilon is the VH parameter when LocalSketches is set; defaults to
 	// 0.01 (the paper's setting).
 	Epsilon float64
-	// Workers bounds the goroutines the retrain kernels (and the local
-	// sketch state under LocalSketches) shard across; 0 selects
-	// runtime.GOMAXPROCS(0). Fills Detector.Workers when that is unset.
-	// Results are identical for any value (see internal/par).
-	Workers int
 	// SelfCheckEvery, when ≥ 1, enables the internal/oracle differential
 	// validator: the NOC shadows every non-degraded completed interval
 	// vector and every SelfCheckEvery-th interval validates the model in
@@ -192,8 +187,6 @@ type metrics struct {
 	warmups     *obs.Counter
 	intervals   *obs.Counter
 	drops       *obs.Counter
-	// workers exposes the resolved parallelism of the retrain kernels.
-	workers *obs.Gauge
 	// Fault-tolerance surface: retry rounds, degraded decisions, stale
 	// substitutions and circuit-breaker state.
 	fetchRetries *obs.Counter
@@ -250,8 +243,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Completed network-wide measurement vectors assembled."),
 		drops: reg.Counter("streampca_noc_dropped_intervals_total",
 			"Intervals discarded (straggler eviction or saturated detector)."),
-		workers: reg.Gauge("streampca_noc_workers",
-			"Resolved worker count for the sharded retrain kernels."),
 		fetchRetries: reg.Counter("streampca_noc_fetch_retries_total",
 			"Sketch-pull retry rounds issued (re-requests of missing responses)."),
 		staleFlows: reg.Gauge("streampca_noc_stale_flows",
@@ -322,9 +313,6 @@ type Service struct {
 
 // New validates cfg and builds the service (not yet listening).
 func New(cfg Config) (*Service, error) {
-	if cfg.Detector.Workers == 0 {
-		cfg.Detector.Workers = cfg.Workers
-	}
 	det, err := core.NewDetector(cfg.Detector)
 	if err != nil {
 		return nil, fmt.Errorf("detector: %w", err)
@@ -352,7 +340,6 @@ func New(cfg Config) (*Service, error) {
 		mcfg := core.MonitorConfig{
 			Family:    cfg.Detector.Family,
 			WindowLen: cfg.Detector.WindowLen,
-			Workers:   cfg.Workers,
 		}
 		switch cfg.Detector.Family {
 		case sketch.FamilyRandProj:
@@ -459,7 +446,6 @@ func New(cfg Config) (*Service, error) {
 		}
 		s.oracle = chk
 	}
-	s.met.workers.Set(float64(det.Config().Workers))
 	s.health.Set("noc", obs.StatusDegraded, "not serving yet")
 	s.health.Set("detector", obs.StatusDegraded, "no model built")
 	return s, nil
@@ -781,7 +767,7 @@ func (s *Service) fetchLocal(sp *trace.Span) (core.Fetch, error) {
 }
 
 // sortedBlocks flattens the per-monitor FD block map into a slice ordered by
-// each block's smallest flow id — the same canonical key sketch.Merge uses.
+// each block's smallest flow id — the same canonical key sketch.MergeColumns uses.
 // Ordering by content rather than registrant name keeps FD model assembly
 // identical across topologies: a federated tier renames the registrants
 // (aggregator ids instead of monitor ids) and rendezvous placement permutes

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"streampca/internal/mat"
-	"streampca/internal/par"
 )
 
 // FD is a Frequent Directions sketcher (Liberty's algorithm, analyzed for
@@ -19,14 +18,13 @@ import (
 //
 // Unlike the variance-histogram sketch, FD summarizes the full stream prefix
 // — rows never expire. The shrink runs on the small side: B·Bᵀ is 2ℓ×2ℓ, so
-// one shrink costs O(ℓ²·w + ℓ³) via the blocked-tile Gram/Mul kernels and
-// the parallel Jacobi eigensolver, amortized over ℓ appends.
+// one shrink costs O(ℓ²·w + ℓ³) via the Gram/Mul kernels and the Jacobi
+// eigensolver, amortized over ℓ appends.
 //
 // FD is not safe for concurrent use; callers serialize.
 type FD struct {
 	flowIDs []int
 	ell     int
-	workers int
 	// buf is the 2ℓ×w row buffer; rows [0, used) are live.
 	buf  *mat.Matrix
 	used int
@@ -60,7 +58,6 @@ func NewFD(cfg Config) (*FD, error) {
 	return &FD{
 		flowIDs:    append([]int(nil), cfg.FlowIDs...),
 		ell:        ell,
-		workers:    par.Workers(cfg.Workers),
 		buf:        mat.NewMatrix(2*ell, w),
 		sums:       make([]float64, w),
 		rowScratch: make([]float64, w),
@@ -139,15 +136,15 @@ func (m *FD) insertRow(row []float64) error {
 // (2ℓ×2ℓ), drop δ = λ_ℓ from every retained squared singular value, and
 // rebuild the top-ℓ rows as scaled left-projections of B.
 func (m *FD) shrink() error {
-	// B·Bᵀ = (Bᵀ)ᵀ·(Bᵀ): the transpose feeds the blocked-tile Gram kernel,
-	// which exploits symmetry and shards across workers deterministically.
-	g := m.buf.T().GramWorkers(m.workers)
+	// B·Bᵀ = (Bᵀ)ᵀ·(Bᵀ): the transpose feeds the Gram kernel, which
+	// exploits symmetry.
+	g := m.buf.T().Gram()
 	if !g.IsFinite() {
 		// Finite rows whose squared sums overflow float64; hostile payloads
 		// can construct this, so fail typed instead of via the eigensolver.
 		return fmt.Errorf("%w: fd shrink overflow (non-finite Gram product)", ErrInput)
 	}
-	eig, err := mat.SymEigenWorkers(g, m.workers)
+	eig, err := mat.SymEigen(g)
 	if err != nil {
 		return fmt.Errorf("fd shrink eigendecomposition: %w", err)
 	}
@@ -163,7 +160,7 @@ func (m *FD) shrink() error {
 			ut.Set(i, j, eig.Vectors.At(j, i))
 		}
 	}
-	p, err := ut.MulWorkers(m.buf, m.workers)
+	p, err := ut.Mul(m.buf)
 	if err != nil {
 		return fmt.Errorf("fd shrink projection: %w", err)
 	}

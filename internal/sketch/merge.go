@@ -6,7 +6,7 @@ import (
 	"sort"
 )
 
-// Merge combines same-family snapshots over pairwise-disjoint flow sets into
+// MergeColumns combines same-family snapshots over pairwise-disjoint flow sets into
 // one snapshot covering the union — the column-shard merge a mid-tier
 // aggregator applies before forwarding a single report upstream.
 //
@@ -25,14 +25,12 @@ import (
 //
 // The result is independent of input order: inputs are sorted by their
 // smallest flow id before merging (flow sets are disjoint, so the order is
-// total), the randproj union is additionally sorted by flow id, and the FD
-// insertion path is bit-deterministic for any worker count. sketchParam is
-// the family's shared parameter (l for RandProj, ℓ for FD); workers bounds
-// the FD merge's kernel goroutines.
+// total) and the randproj union is additionally sorted by flow id.
+// sketchParam is the family's shared parameter (l for RandProj, ℓ for FD).
 //
 // A single input is passed through as a deep copy, byte-identical — an
 // aggregator fronting one monitor adds no approximation.
-func Merge(snaps []Snapshot, sketchParam, workers int) (Snapshot, error) {
+func MergeColumns(snaps []Snapshot, sketchParam int) (Snapshot, error) {
 	if len(snaps) == 0 {
 		return Snapshot{}, fmt.Errorf("%w: merge of no snapshots", ErrInput)
 	}
@@ -72,7 +70,7 @@ func Merge(snaps []Snapshot, sketchParam, workers int) (Snapshot, error) {
 	case FamilyRandProj:
 		return mergeRandProj(snaps, order), nil
 	case FamilyFD:
-		return mergeFD(snaps, order, sketchParam, workers)
+		return mergeFD(snaps, order, sketchParam)
 	default:
 		return Snapshot{}, fmt.Errorf("%w: merge of unknown family %d", ErrInput, int(family))
 	}
@@ -164,7 +162,7 @@ func mergeRandProj(snaps []Snapshot, order []int) Snapshot {
 // a fresh FD over the sorted union flow set ingests every input row
 // zero-padded to the union width (shrinking as it fills), and the inputs' Δ
 // are added on top of the merge's own shrinkage.
-func mergeFD(snaps []Snapshot, order []int, ell, workers int) (Snapshot, error) {
+func mergeFD(snaps []Snapshot, order []int, ell int) (Snapshot, error) {
 	var union []int
 	for i := range snaps {
 		union = append(union, snaps[i].FlowIDs...)
@@ -174,7 +172,7 @@ func mergeFD(snaps []Snapshot, order []int, ell, workers int) (Snapshot, error) 
 	for i, id := range union {
 		pos[id] = i
 	}
-	fd, err := NewFD(Config{Family: FamilyFD, FlowIDs: union, Ell: ell, Workers: workers})
+	fd, err := NewFD(Config{Family: FamilyFD, FlowIDs: union, Ell: ell})
 	if err != nil {
 		return Snapshot{}, fmt.Errorf("fd merge: %w", err)
 	}

@@ -68,7 +68,7 @@ func TestMergeRandProjExactUnion(t *testing.T) {
 	rows := globalRows(31, n, m)
 	snaps := shardSnapshots(t, FamilyRandProj, assign, l, window, rows)
 
-	merged, err := Merge(snaps, l, 0)
+	merged, err := MergeColumns(snaps, l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestMergeOrderIndependence(t *testing.T) {
 		param  int
 	}{{FamilyRandProj, 8}, {FamilyFD, 2}} {
 		snaps := shardSnapshots(t, tc.family, assign, tc.param, window, rows)
-		base, err := Merge(snaps, tc.param, 0)
+		base, err := MergeColumns(snaps, tc.param)
 		if err != nil {
 			t.Fatalf("%v: %v", tc.family, err)
 		}
@@ -123,7 +123,7 @@ func TestMergeOrderIndependence(t *testing.T) {
 			for i, idx := range p {
 				shuffled[i] = snaps[idx]
 			}
-			got, err := Merge(shuffled, tc.param, 0)
+			got, err := MergeColumns(shuffled, tc.param)
 			if err != nil {
 				t.Fatalf("%v perm %v: %v", tc.family, p, err)
 			}
@@ -131,16 +131,13 @@ func TestMergeOrderIndependence(t *testing.T) {
 				t.Fatalf("%v: merge of order %v differs from canonical", tc.family, p)
 			}
 		}
-		// Worker count must not affect the result either (FD shrink kernels
-		// are bit-deterministic by construction).
-		for _, workers := range []int{1, 2, 4} {
-			got, err := Merge(snaps, tc.param, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, base) {
-				t.Fatalf("%v: merge at %d workers differs", tc.family, workers)
-			}
+		// The deprecated three-argument form is the same merge.
+		got, err := Merge(snaps, tc.param, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, base) {
+			t.Fatalf("%v: Merge differs from MergeColumns", tc.family)
 		}
 	}
 }
@@ -153,7 +150,7 @@ func TestMergeFDGuarantee(t *testing.T) {
 	assign := [][]int{{0, 1, 2, 3, 4, 5, 6}, {7, 8, 9, 10, 11, 12, 13}}
 	rows := globalRows(33, n, m)
 	snaps := shardSnapshots(t, FamilyFD, assign, ell, 0, rows)
-	merged, err := Merge(snaps, ell, 0)
+	merged, err := MergeColumns(snaps, ell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +229,7 @@ func TestMergeSingleInputPassThrough(t *testing.T) {
 		param  int
 	}{{FamilyRandProj, 8}, {FamilyFD, 3}} {
 		snaps := shardSnapshots(t, tc.family, assign, tc.param, 64, rows)
-		got, err := Merge(snaps, tc.param, 0)
+		got, err := MergeColumns(snaps, tc.param)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,24 +252,24 @@ func TestMergeRejects(t *testing.T) {
 	rp := shardSnapshots(t, FamilyRandProj, [][]int{{0, 1, 2}, {3, 4, 5}}, 4, 32, rows)
 	fd := shardSnapshots(t, FamilyFD, [][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}}, 2, 0, rows)
 
-	if _, err := Merge(nil, 4, 0); !errors.Is(err, ErrInput) {
+	if _, err := MergeColumns(nil, 4); !errors.Is(err, ErrInput) {
 		t.Fatalf("empty merge err = %v", err)
 	}
-	if _, err := Merge([]Snapshot{rp[0], fd[0]}, 4, 0); !errors.Is(err, ErrInput) {
+	if _, err := MergeColumns([]Snapshot{rp[0], fd[0]}, 4); !errors.Is(err, ErrInput) {
 		t.Fatalf("mixed families err = %v", err)
 	}
 	dup := []Snapshot{rp[0], rp[0]}
-	if _, err := Merge(dup, 4, 0); !errors.Is(err, ErrInput) {
+	if _, err := MergeColumns(dup, 4); !errors.Is(err, ErrInput) {
 		t.Fatalf("duplicate flows err = %v", err)
 	}
-	if _, err := Merge(rp, 5, 0); !errors.Is(err, ErrInput) {
+	if _, err := MergeColumns(rp, 5); !errors.Is(err, ErrInput) {
 		t.Fatalf("wrong sketch param err = %v", err)
 	}
 	empty := rp[1]
 	empty.FlowIDs = nil
 	empty.Sketches = nil
 	empty.Means = nil
-	if _, err := Merge([]Snapshot{rp[0], empty}, 4, 0); !errors.Is(err, ErrInput) {
+	if _, err := MergeColumns([]Snapshot{rp[0], empty}, 4); !errors.Is(err, ErrInput) {
 		t.Fatalf("empty input err = %v", err)
 	}
 }

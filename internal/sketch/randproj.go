@@ -2,23 +2,19 @@ package sketch
 
 import (
 	"fmt"
+	"math"
 
-	"streampca/internal/par"
 	"streampca/internal/randproj"
 	"streampca/internal/vh"
 )
 
 // RandProj is the paper's sketcher: one variance histogram per assigned flow
 // carrying random-projection partial sums, O(w·log n) update time and
-// O(w·log² n) space for w flows (§IV-A/B). Internally Update shards the
-// per-flow histogram work across Workers goroutines — each flow's histogram
-// is touched by exactly one shard, so the resulting state is identical for
-// any worker count.
+// O(w·log² n) space for w flows (§IV-A/B).
 type RandProj struct {
 	flowIDs []int
 	hists   []*vh.Histogram
 	gen     *randproj.Generator
-	workers int
 	// rowScratch holds the interval's shared projection row r_{t,·}; reused
 	// across updates to keep the per-interval path allocation-free.
 	rowScratch []float64
@@ -45,7 +41,6 @@ func NewRandProj(cfg Config) (*RandProj, error) {
 		flowIDs:    append([]int(nil), cfg.FlowIDs...),
 		hists:      hists,
 		gen:        cfg.Gen,
-		workers:    par.Workers(cfg.Workers),
 		rowScratch: make([]float64, cfg.Gen.SketchLen()),
 	}, nil
 }
@@ -86,34 +81,31 @@ func (m *RandProj) StateSize() int {
 	return total
 }
 
-// updateGrain is the minimum flows per shard in Update; below it the
-// per-flow histogram work cannot amortize fork/join.
-const updateGrain = 32
-
 // Update ingests the volumes of interval t; volumes[i] belongs to
-// FlowIDs()[i]. Intervals must be strictly increasing.
-//
-// On error the lowest-indexed failing flow is reported and flows in other
-// shards may already have absorbed the interval; callers treat an Update
-// error as fatal for the sketcher (all current ones do).
+// FlowIDs()[i]. Intervals must be strictly increasing. The input is validated
+// before any histogram is touched, so a rejected call leaves the sketcher
+// unchanged and the same interval can be retried; the error names the
+// lowest-indexed offending flow.
 func (m *RandProj) Update(t int64, volumes []float64) error {
 	if len(volumes) != len(m.flowIDs) {
 		return fmt.Errorf("%w: %d volumes for %d flows", ErrInput, len(volumes), len(m.flowIDs))
+	}
+	if t <= m.now {
+		return fmt.Errorf("%w: flow %d: interval %d not after %d", ErrInput, m.flowIDs[0], t, m.now)
+	}
+	for i, v := range volumes {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: flow %d: non-finite volume at interval %d", ErrInput, m.flowIDs[i], t)
+		}
 	}
 	// The random row r_{t,·} is shared by every flow at interval t; compute
 	// it once into the reusable scratch buffer.
 	m.gen.RowInto(t, m.rowScratch)
 	row := m.rowScratch
-	err := par.ForErr(m.workers, len(volumes), updateGrain, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := m.hists[i].UpdateWithRow(t, volumes[i], row); err != nil {
-				return fmt.Errorf("flow %d: %w", m.flowIDs[i], err)
-			}
+	for i, h := range m.hists {
+		if err := h.UpdateWithRow(t, volumes[i], row); err != nil {
+			return fmt.Errorf("flow %d: %w", m.flowIDs[i], err)
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 	m.now = t
 	return nil

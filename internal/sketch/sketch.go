@@ -119,10 +119,6 @@ type Config struct {
 	Gen *randproj.Generator
 	// Ell is the FD basis budget ℓ ≥ 1 (FD only); see DefaultEll.
 	Ell int
-	// Workers bounds the goroutines used by per-flow update sharding
-	// (RandProj) and the FD shrink's matrix kernels; 0 (or negative)
-	// selects runtime.GOMAXPROCS(0). Results are identical for any value.
-	Workers int
 }
 
 // DefaultEll is the FD basis budget used when none is configured:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"streampca/internal/mat"
@@ -413,6 +414,47 @@ func TestRandProjSnapshotMatchesValidate(t *testing.T) {
 	}
 	if snap.MemoryBytes() <= 0 {
 		t.Fatal("MemoryBytes must be positive")
+	}
+}
+
+// TestRandProjUpdateAllOrNothing: a rejected Update (the issue's reproducer:
+// a NaN in the third of four flows) must leave every histogram untouched, so
+// the same interval can be retried with clean volumes.
+func TestRandProjUpdateAllOrNothing(t *testing.T) {
+	const l, window = 8, 32
+	gen, err := randproj.NewGenerator(randproj.Config{Seed: 3, SketchLen: l, WindowLen: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := NewRandProj(Config{FlowIDs: flowIDs(4), WindowLen: window, Epsilon: 0.1, Gen: gen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sk.Update(1, []float64{5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	before := sk.Snapshot()
+	for _, bad := range [][]float64{
+		{1, 2, math.NaN(), 4},
+		{1, 2, 3, math.Inf(1)},
+		{1, 2, 3},
+	} {
+		err := sk.Update(2, bad)
+		if after := sk.Snapshot(); !reflect.DeepEqual(after, before) || sk.Now() != 1 {
+			t.Fatalf("%v: state moved on a rejected update (%v):\n before %+v\n after  %+v", bad, err, before, after)
+		}
+		if !errors.Is(err, ErrInput) {
+			t.Fatalf("%v: err = %v, want ErrInput", bad, err)
+		}
+	}
+	if err := sk.Update(1, []float64{1, 2, 3, 4}); !errors.Is(err, ErrInput) {
+		t.Fatalf("stale interval: err = %v, want ErrInput", err)
+	}
+	if err := sk.Update(2, []float64{1, 2, 3, 4}); err != nil {
+		t.Fatalf("clean retry of interval 2: %v", err)
+	}
+	if snap := sk.Snapshot(); sk.Now() != 2 || !reflect.DeepEqual(snap.Counts, []int64{2, 2, 2, 2}) {
+		t.Fatalf("after retry: now %d counts %v", sk.Now(), snap.Counts)
 	}
 }
 

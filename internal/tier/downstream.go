@@ -5,7 +5,7 @@
 // it (Uplink: dial, Hello, serve requests, redial). The NOC is a Downstream
 // whose sink feeds core.Detector; an aggregator is a Downstream plus an
 // Uplink whose sink forwards merged volumes and answers pulls with
-// sketch.Merge; a monitor is an Uplink in front of its sketch state. Because
+// sketch.MergeColumns; a monitor is an Uplink in front of its sketch state. Because
 // mergeable sketches make a mid tier the same pull-merge-forward step, a tier
 // whose upstream is another tier needs no further code.
 //

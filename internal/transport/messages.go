@@ -34,7 +34,7 @@ const (
 	RoleMonitor Role = iota
 	// RoleAggregator is a mid-tier aggregator fronting a shard of monitors:
 	// its Hello's FlowIDs are the union of its monitors' flows and its
-	// sketch responses are interval-aligned merges (sketch.Merge).
+	// sketch responses are interval-aligned merges (sketch.MergeColumns).
 	RoleAggregator
 )
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Runs the tracked benchmark cells — the kernel worker sweeps (Gram, Mul,
-# SymEigen, MonitorUpdate at workers 1/2/4/8), the PR8 sketcher-family cells
-# (FDUpdate, FDModelBuild, RSVDBuild at m=64/256, workers 1/4), the ingest
+# Runs the tracked benchmark cells — the kernel cells (Gram, Mul, SymEigen,
+# MonitorUpdate; serial, recorded under their historical "workers=1" names),
+# the PR8 sketcher-family cells (FDUpdate, FDModelBuild, RSVDBuild at
+# m=64/256), the ingest
 # benchmarks (IngestDecode, IngestPipeline at 1/2/4 shards, IngestCollectors
 # at 1/2/4/8 concurrent producers), the PR6 tracing cells
 # (TracedSketchUpdate at mode=base/off/on) and the PR9 aggregator-merge
@@ -25,10 +26,10 @@
 # pattern as the chaos flight-recorder JSONL). No JSON baseline is written
 # in this mode — profiles and medians come from separate runs by design.
 #
-# The absolute numbers and the parallel speedup depend on the host's core
-# count; run `nproc` alongside and record it (EXPERIMENTS.md does). On a
-# single-core host the worker and collector sweeps measure overhead, not
-# speedup — see the PR7 section of EXPERIMENTS.md.
+# The absolute numbers and the ingest collector speedup depend on the host's
+# core count; run `nproc` alongside and record it (EXPERIMENTS.md does). On a
+# single-core host the collector sweep measures overhead, not speedup — see
+# the PR7 section of EXPERIMENTS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -104,8 +105,8 @@ import json, re, statistics, sys
 
 # Benchmark lines look like (the -N GOMAXPROCS suffix is absent when
 # GOMAXPROCS is 1):
-#   BenchmarkGram/m=256/workers=4-8            100   1234567 ns/op
-#   BenchmarkMul/shape=200x1024x256/workers=4   50   2345678 ns/op
+#   BenchmarkGram/m=256/workers=1-8            100   1234567 ns/op
+#   BenchmarkMul/shape=200x1024x256/workers=1   50   2345678 ns/op
 #   BenchmarkIngestCollectors/collectors=8-8  1000      9107 ns/op ...
 kernel = re.compile(
     r'^Benchmark(Gram|SymEigen|MonitorUpdate|FDUpdate|FDModelBuild|RSVDBuild)/'

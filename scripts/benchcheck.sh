@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Guards the tracked benchmarks — the kernel worker sweeps (Gram, Mul,
-# SymEigen, MonitorUpdate), the PR8 sketcher-family cells (FDUpdate,
+# Guards the tracked benchmarks — the kernel cells (Gram, Mul, SymEigen,
+# MonitorUpdate), the PR8 sketcher-family cells (FDUpdate,
 # FDModelBuild, RSVDBuild), the ingest cells (IngestDecode, IngestPipeline,
 # IngestCollectors), the PR6 tracing cells (TracedSketchUpdate at
 # mode=base/off/on), the PR9 aggregator-merge cells (AggregatorMerge at
@@ -17,16 +17,14 @@
 # trace calls at all), compared min-to-min within the same run so host
 # speed cancels out.
 #
-# The scaling gates (PR7) compare cells within the same run, so they are
-# host-speed independent but do need cores: the 4-worker Gram at m=256 must
-# be >= BENCHCHECK_GRAM_SPEEDUP x its 1-worker cell (only when the host has
-# >= 4 CPUs), and 8-collector ingest must be >= BENCHCHECK_INGEST_SPEEDUP x
-# single-collector throughput (only with >= 8 CPUs). Hosts with fewer cores
-# print a skip line — the sweep still runs, guarding against overhead
-# regressions via the plain tolerance gate above.
+# The scaling gate (PR7) compares cells within the same run, so it is
+# host-speed independent but does need cores: 8-collector ingest must be
+# >= BENCHCHECK_INGEST_SPEEDUP x single-collector throughput (only with
+# >= 8 CPUs). Hosts with fewer cores print a skip line — the sweep still
+# runs, guarding against overhead regressions via the plain tolerance gate
+# above.
 #
-# The FD-retrain gate (PR8) is also within-run: the single-worker FD model
-# build at m=256 (per-block 2l x 2l eigensolves) must beat the Jacobi full
+# The FD-retrain gate (PR8) is also within-run: the FD model build at m=256 (per-block 2l x 2l eigensolves) must beat the Jacobi full
 # rebuild at the same m — Gram + SymEigen, both at m=256/workers=1 — by
 # BENCHCHECK_FD_SPEEDUP x. This is the retrain-cost claim the FD family
 # rides on; tiny runners (< 2 CPUs), where single-iteration cells are too
@@ -37,8 +35,6 @@
 #   BENCHCHECK_TOLERANCE        allowed slowdown in percent (default 20)
 #   BENCHCHECK_TRACE_TOLERANCE  allowed disabled-tracing overhead in percent
 #                               (default 5, the PR6 acceptance bound)
-#   BENCHCHECK_GRAM_SPEEDUP     required 4-vs-1-worker Gram speedup at m=256
-#                               (default 2.0; needs >= 4 CPUs)
 #   BENCHCHECK_INGEST_SPEEDUP   required 8-vs-1-collector ingest speedup
 #                               (default 4.0; needs >= 8 CPUs)
 #   BENCHCHECK_FD_SPEEDUP       required FD-retrain-vs-Jacobi-rebuild speedup
@@ -75,7 +71,6 @@ fi
 COUNT="${BENCHCHECK_COUNT:-3}"
 TOLERANCE="${BENCHCHECK_TOLERANCE:-20}"
 TRACE_TOLERANCE="${BENCHCHECK_TRACE_TOLERANCE:-5}"
-GRAM_SPEEDUP="${BENCHCHECK_GRAM_SPEEDUP:-2.0}"
 INGEST_SPEEDUP="${BENCHCHECK_INGEST_SPEEDUP:-4.0}"
 FD_SPEEDUP="${BENCHCHECK_FD_SPEEDUP:-2.0}"
 MERGE_FLOOR="${BENCHCHECK_MERGE_FLOOR:-500}"
@@ -118,7 +113,7 @@ go test ./internal/agg -run 'XXXnone' \
     -benchtime 20x -count "$COUNT" >> "$RAW"
 
 python3 - "$RAW" "$TOLERANCE" "$TRACE_TOLERANCE" \
-    "$GRAM_SPEEDUP" "$INGEST_SPEEDUP" "$SCALING" "$NPROC" "$FD_SPEEDUP" \
+    "$INGEST_SPEEDUP" "$SCALING" "$NPROC" "$FD_SPEEDUP" \
     "$MERGE_FLOOR" "$MERGE_FLOOR_FD" "$IDENTIFY_FLOOR" <<'EOF'
 import json, re, sys
 
@@ -174,14 +169,13 @@ baseline = {
 }
 tolerance = float(sys.argv[2])
 trace_tolerance = float(sys.argv[3])
-gram_speedup = float(sys.argv[4])
-ingest_speedup = float(sys.argv[5])
-scaling = sys.argv[6] == "1"
-nproc = int(sys.argv[7])
-fd_speedup = float(sys.argv[8])
-merge_floor = float(sys.argv[9])
-merge_floor_fd = float(sys.argv[10])
-identify_floor = float(sys.argv[11])
+ingest_speedup = float(sys.argv[4])
+scaling = sys.argv[5] == "1"
+nproc = int(sys.argv[6])
+fd_speedup = float(sys.argv[7])
+merge_floor = float(sys.argv[8])
+merge_floor_fd = float(sys.argv[9])
+identify_floor = float(sys.argv[10])
 
 failed = False
 for key in sorted(set(cells) | set(baseline)):
@@ -217,9 +211,9 @@ else:
     print("benchcheck: disabled-tracing overhead not measured "
           "(traced cells missing)")
 
-# Scaling gates: within-run ratios, so host speed cancels; core count does
-# not, hence the nproc conditions. ns/op is inversely proportional to
-# throughput in both sweeps (fixed work per op), so speedup = ns1 / nsN.
+# Scaling gate: a within-run ratio, so host speed cancels; core count does
+# not, hence the nproc condition. ns/op is inversely proportional to
+# throughput (fixed work per op), so speedup = ns1 / nsN.
 def gate(label, slow_key, fast_key, need_cores, required):
     global failed
     if not scaling:
@@ -241,16 +235,14 @@ def gate(label, slow_key, fast_key, need_cores, required):
     print("benchcheck: %s %.2fx (required %.2fx) %s"
           % (label, speedup, required, verdict))
 
-gate("Gram scaling 4w vs 1w at m=256",
-     ("Gram", 256, 1), ("Gram", 256, 4), 4, gram_speedup)
 gate("ingest scaling 8 vs 1 collectors",
      ("IngestCollectors", 0, 1), ("IngestCollectors", 0, 8), 8, ingest_speedup)
 
-# FD-retrain gate (PR8): the single-worker FD model build at m=256 must beat
+# FD-retrain gate (PR8): the FD model build at m=256 must beat
 # the Jacobi full rebuild at the same m, composed within this run from its
 # two tracked kernels (Gram over the 200x256 sketch matrix + the 256x256
-# eigensolve). Within-run and single-worker on both sides, so host speed and
-# core count cancel; tiny runners still skip — their 1x-benchtime cells are
+# eigensolve). Within-run and serial on both sides, so host speed and core
+# count cancel; tiny runners still skip — their 1x-benchtime cells are
 # too noisy for a trustworthy ratio.
 label = "FD retrain vs Jacobi rebuild at m=256"
 if not scaling:
