@@ -251,9 +251,7 @@ func tracedBenchUpdate(tr *trace.Tracer, mon *core.Monitor, t int64, volumes []f
 // update with no trace calls at all; "off" threads a nil tracer through the
 // instrumented call site (what every untraced deployment pays — the ≤5%
 // acceptance bound from PR 6); "on" records the span into an enabled
-// tracer's ring. scripts/bench.sh and scripts/benchcheck.sh parse these
-// cells into BENCH_PR6.json, and benchcheck additionally fails when
-// off-vs-base exceeds BENCHCHECK_TRACE_TOLERANCE percent.
+// tracer's ring.
 func BenchmarkTracedSketchUpdate(b *testing.B) {
 	const w, n, l = 9, 4096, 32
 	newMon := func(b *testing.B) *core.Monitor {
@@ -473,8 +471,7 @@ func BenchmarkDetectorDistance(b *testing.B) {
 // k×k least-squares refit, so the cost grows with both the flow count and
 // the culprit budget. Twelve spiked flows keep the residual above the
 // Q-threshold through every round, so the k=8 cells do the full eight
-// selections rather than stopping early — the worst case the
-// identification-latency floor in scripts/benchcheck.sh guards.
+// selections rather than stopping early — the worst case.
 func BenchmarkIdentify(b *testing.B) {
 	for _, m := range []int{64, 256} {
 		const l = 128
@@ -521,9 +518,6 @@ func BenchmarkIdentify(b *testing.B) {
 }
 
 // BenchmarkSymEigen and BenchmarkSVD size the linear-algebra substrate.
-// scripts/bench.sh parses these into the tracked baseline; the kernel cells
-// below keep the "/workers=1" suffix they carried while a worker sweep ran
-// beside them, so BENCH_PR10.json stays a valid baseline.
 func BenchmarkSymEigen(b *testing.B) {
 	bench := func(n int) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -548,7 +542,7 @@ func BenchmarkSymEigen(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), bench(n))
 	}
 	for _, n := range []int{64, 256} {
-		b.Run(fmt.Sprintf("m=%d/workers=1", n), bench(n))
+		b.Run(fmt.Sprintf("m=%d", n), bench(n))
 	}
 }
 
@@ -566,7 +560,7 @@ func BenchmarkGram(b *testing.B) {
 				row[j] = rng.NormFloat64()
 			}
 		}
-		b.Run(fmt.Sprintf("m=%d/workers=1", m), func(b *testing.B) {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = z.Gram()
 			}
@@ -595,7 +589,7 @@ func BenchmarkMul(b *testing.B) {
 			row[j] = rng.NormFloat64()
 		}
 	}
-	b.Run(fmt.Sprintf("shape=%dx%dx%d/workers=1", rows, inner, cols), func(b *testing.B) {
+	b.Run(fmt.Sprintf("shape=%dx%dx%d", rows, inner, cols), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := a.Mul(o); err != nil {
 				b.Fatal(err)
@@ -609,7 +603,7 @@ func BenchmarkMul(b *testing.B) {
 func BenchmarkMonitorUpdate(b *testing.B) {
 	const flows = 1024
 	const window = 4096
-	b.Run(fmt.Sprintf("flows=%d/workers=1", flows), func(b *testing.B) {
+	b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
 		gen, err := randproj.NewGenerator(randproj.Config{Seed: 1, SketchLen: 100, WindowLen: window})
 		if err != nil {
 			b.Fatal(err)
@@ -643,10 +637,9 @@ func BenchmarkMonitorUpdate(b *testing.B) {
 // the ℓ-amortized shrink (a 2ℓ×2ℓ eigensolve plus the buffer rescale) is
 // folded into the average, so the cell reports
 // the steady-state per-interval cost, not the append-only fast path.
-// scripts/bench.sh tracks these cells in the BENCH_PR8.json baseline.
 func BenchmarkFDUpdate(b *testing.B) {
 	for _, m := range []int{64, 256} {
-		b.Run(fmt.Sprintf("m=%d/workers=1", m), func(b *testing.B) {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			flowIDs := make([]int, m)
 			for j := range flowIDs {
 				flowIDs[j] = j
@@ -673,11 +666,11 @@ func BenchmarkFDUpdate(b *testing.B) {
 // BenchmarkRSVDBuild measures the NOC model rebuild through the randomized
 // range-finder SVD on the l×m sketch matrix (never forming the m×m Gram),
 // for contrast with the Jacobi cells (BenchmarkGram + BenchmarkSymEigen at
-// the same m cover the full-rebuild path benchcheck.sh gates against).
+// the same m cover the full-rebuild path).
 func BenchmarkRSVDBuild(b *testing.B) {
 	const l = 200
 	for _, m := range []int{64, 256} {
-		b.Run(fmt.Sprintf("m=%d/workers=1", m), func(b *testing.B) {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(17))
 			sketches := make([][]float64, m)
 			means := make([]float64, m)
@@ -707,14 +700,13 @@ func BenchmarkRSVDBuild(b *testing.B) {
 
 // BenchmarkFDModelBuild measures the FD-family NOC retrain: per-block
 // small-side eigensolves (≤ 2ℓ×2ℓ each) over the monitors' basis blocks plus
-// the global spectrum merge. benchcheck.sh's FD-retrain gate requires the
-// m=256 cell to beat the Jacobi full rebuild at the same m
-// (BenchmarkGram + BenchmarkSymEigen, both at m=256/workers=1) by
-// BENCHCHECK_FD_SPEEDUP — the headline retrain-cost advantage of the family.
+// the global spectrum merge. Compare the m=256 cell with the Jacobi full
+// rebuild at the same m (BenchmarkGram + BenchmarkSymEigen) for the
+// retrain-cost advantage of the family.
 func BenchmarkFDModelBuild(b *testing.B) {
 	const flowsPerBlock = 32 // ℓ = DefaultEll(32) = 12, so 2ℓ < w: real truncation
 	for _, m := range []int{64, 256} {
-		b.Run(fmt.Sprintf("m=%d/workers=1", m), func(b *testing.B) {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(18))
 			numBlocks := m / flowsPerBlock
 			blocks := make([]sketch.Snapshot, numBlocks)

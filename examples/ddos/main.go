@@ -1,7 +1,5 @@
-// DDoS scenario: exercises the full local-monitor data path — packet
-// headers → longest-prefix-match OD aggregation → volume counter →
-// variance-histogram sketches — and detects a high-profile volumetric
-// attack against one destination.
+// DDoS scenario: a high-profile volumetric attack against one destination,
+// detected from the per-interval OD-flow volumes the monitors sketch.
 //
 //	go run ./examples/ddos
 package main
@@ -9,12 +7,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"streampca"
 
 	"streampca/internal/traffic"
-	"streampca/internal/volume"
 )
 
 func main() {
@@ -31,23 +27,11 @@ func run() error {
 		sketchLen = 100
 	)
 
-	// The packet-facing substrate: routing table + OD aggregator + volume
-	// counter, exactly the Fig. 2/4 pipeline.
-	agg, err := traffic.NewAbileneAggregator()
-	if err != nil {
-		return err
-	}
-	counter, err := volume.NewCounter(agg.NumFlows())
-	if err != nil {
-		return err
-	}
-
 	// Baseline traffic with a DDoS against WASH (router 8) near the end:
 	// every OD flow into WASH surges 5× its baseline for 30 minutes.
 	tr, err := traffic.Generate(traffic.GeneratorConfig{
 		NumIntervals: total,
 		Seed:         2024,
-		TotalVolume:  2e6, // keep packet counts small for the demo
 	})
 	if err != nil {
 		return err
@@ -59,7 +43,7 @@ func run() error {
 	}
 
 	cl, err := streampca.NewCluster(streampca.ClusterConfig{
-		NumFlows:    agg.NumFlows(),
+		NumFlows:    tr.NumFlows(),
 		NumMonitors: 3,
 		WindowLen:   windowLen,
 		Epsilon:     0.02,
@@ -73,30 +57,11 @@ func run() error {
 	}
 
 	fmt.Printf("ddos demo: %d flows, window %d, attack on %s at [%d,%d)\n",
-		agg.NumFlows(), windowLen, traffic.AbileneRouters[washIdx], attackStart, attackEnd)
+		tr.NumFlows(), windowLen, traffic.AbileneRouters[washIdx], attackStart, attackEnd)
 
-	rng := rand.New(rand.NewSource(5))
 	var detected []int
 	for i := 0; i < total; i++ {
-		// Replay the interval as packets through the aggregation path.
-		pkts, err := tr.Packetize(i, traffic.PacketizeOptions{MaxPackets: 4, Seed: 11})
-		if err != nil {
-			return err
-		}
-		// Shuffle to mimic interleaved arrivals.
-		rng.Shuffle(len(pkts), func(a, b int) { pkts[a], pkts[b] = pkts[b], pkts[a] })
-		for _, p := range pkts {
-			id, err := agg.FlowID(p)
-			if err != nil {
-				return fmt.Errorf("aggregate packet: %w", err)
-			}
-			if err := counter.Add(id, float64(p.Size)); err != nil {
-				return err
-			}
-		}
-		snap := counter.Roll()
-
-		dec, err := cl.Step(int64(i+1), snap.Volumes)
+		dec, err := cl.Step(int64(i+1), tr.Volumes.Row(i))
 		if err != nil {
 			return err
 		}
@@ -113,7 +78,7 @@ func run() error {
 	}
 	fmt.Printf("alarms: %d total, %d inside the attack window\n", len(detected), inWindow)
 	if inWindow > 0 {
-		fmt.Println("result: high-profile DDoS detected through the packet→sketch pipeline ✔")
+		fmt.Println("result: high-profile DDoS detected ✔")
 	} else {
 		fmt.Println("result: attack missed — inspect parameters")
 	}

@@ -35,15 +35,8 @@ import (
 	"streampca/internal/transport"
 )
 
-// Errors returned by the package.
-var (
-	// ErrConfig indicates an invalid service configuration.
-	ErrConfig = errors.New("agg: invalid configuration")
-	// ErrNotConnected indicates an operation requiring a live NOC link.
-	ErrNotConnected = tier.ErrNotConnected
-	// ErrAlreadyConnected indicates a second ConnectNOC/AttachNOC.
-	ErrAlreadyConnected = tier.ErrAlreadyConnected
-)
+// ErrConfig indicates an invalid service configuration.
+var ErrConfig = errors.New("agg: invalid configuration")
 
 // DegradedPolicy mirrors the NOC's: substitute an unresponsive monitor's
 // cached snapshot into the merge when it is no staler than MaxStaleness
@@ -157,7 +150,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 type Service struct {
 	cfg     Config
 	log     *slog.Logger
-	reg     *obs.Registry
 	health  *obs.Health
 	met     *metrics
 	wireMet *transport.Metrics
@@ -211,7 +203,6 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:     cfg,
 		log:     log.With("agg", cfg.ID),
-		reg:     reg,
 		health:  obs.NewHealth(),
 		met:     newMetrics(reg),
 		wireMet: transport.NewMetrics(reg),
@@ -273,12 +264,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	return s, nil
 }
-
-// Registry exposes the metrics registry.
-func (s *Service) Registry() *obs.Registry { return s.reg }
-
-// Health exposes the component health tracker.
-func (s *Service) Health() *obs.Health { return s.health }
 
 // ID returns the aggregator's identifier.
 func (s *Service) ID() string { return s.cfg.ID }

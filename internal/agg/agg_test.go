@@ -579,7 +579,7 @@ func TestBreakerSkipsMonitorThatTimesOut(t *testing.T) {
 	if got := m2Asked.Load(); got != 3 {
 		t.Fatalf("m2 asked %d times over three pulls, want 3", got)
 	}
-	if got := s.reg.Gauge("streampca_agg_breaker_open", "").Value(); got != 1 {
+	if got := s.met.breakerOpen.Value(); got != 1 {
 		t.Fatalf("breaker_open gauge = %v after three timeouts, want 1", got)
 	}
 	start := time.Now()

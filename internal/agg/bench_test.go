@@ -13,8 +13,7 @@ import (
 // aggregator performs in serveFetch: combining the sketch reports of its
 // registered monitors (4 shards here) into the single upstream snapshot.
 // Cells sweep the shared sketch parameter l ∈ {64, 128} for both families;
-// the sketches/s metric is shard snapshots consumed per second, the number
-// the BENCHCHECK_MERGE_FLOOR gate in scripts/benchcheck.sh guards.
+// the sketches/s metric is shard snapshots consumed per second.
 //
 // Each shard is 2l+64 flows wide so the FD cells respect the 2ℓ < w
 // compression bound at the same parameter values as randproj.

@@ -43,8 +43,13 @@ func TestResidualOrthogonalToNormalSubspace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := 0; j < r; j++ {
-		if d := math.Abs(mat.Dot(res, pr.Col(j))); d > 1e-8*mat.Norm(y) {
+	// Pᵀ·res holds the residual's inner product with every component.
+	proj, err := pr.TMulVec(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, d := range proj {
+		if math.Abs(d) > 1e-8*mat.Norm(y) {
 			t.Fatalf("residual not orthogonal to component %d: %g", j, d)
 		}
 	}

@@ -90,12 +90,11 @@ func TestPCPWideMatrixTranspose(t *testing.T) {
 	if res.L.Rows() != n || res.L.Cols() != m || res.S.Rows() != n || res.S.Cols() != m {
 		t.Fatalf("shape: L %dx%d S %dx%d, want %dx%d", res.L.Rows(), res.L.Cols(), res.S.Rows(), res.S.Cols(), n, m)
 	}
-	sum, err := res.L.Add(res.S)
+	diff, err := d.Sub(res.L)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff, err := sum.Sub(d)
-	if err != nil {
+	if diff, err = diff.Sub(res.S); err != nil {
 		t.Fatal(err)
 	}
 	if rel := diff.FrobeniusNorm() / d.FrobeniusNorm(); rel > 1e-5 {

@@ -55,7 +55,6 @@ type Cluster struct {
 	// flow's position within that monitor.
 	flowOwner []int
 	flowSlot  []int
-	gen       *randproj.Generator
 	family    sketch.Family
 	sketchLen int
 	windowLen int
@@ -149,22 +148,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		detector:  det,
 		flowOwner: flowOwner,
 		flowSlot:  flowSlot,
-		gen:       gen,
 		family:    cfg.Family,
 		sketchLen: sketchLen,
 		windowLen: cfg.WindowLen,
 	}, nil
 }
 
-// Monitors returns the cluster's monitors.
-func (c *Cluster) Monitors() []*Monitor { return c.monitors }
-
 // Detector returns the NOC detector.
 func (c *Cluster) Detector() *Detector { return c.detector }
-
-// Generator returns the shared random-projection generator, nil when the
-// cluster runs the FD family (which has no projection).
-func (c *Cluster) Generator() *randproj.Generator { return c.gen }
 
 // Update feeds interval t's full volume vector to the owning monitors.
 func (c *Cluster) Update(t int64, volumes []float64) error {
@@ -193,45 +184,58 @@ func (c *Cluster) Update(t int64, volumes []float64) error {
 // skips detection.
 func (c *Cluster) Warm() bool { return c.updates >= c.windowLen }
 
-// Fetch gathers every monitor's report — flow-indexed sketch and mean arrays
-// for the randproj family, per-monitor Blocks for FD — the in-process
-// FetchFunc.
-func (c *Cluster) Fetch() (Fetch, error) {
-	m := len(c.flowOwner)
-	if c.family == sketch.FamilyFD {
-		f := Fetch{Blocks: make([]sketch.Snapshot, 0, len(c.monitors))}
-		for _, mon := range c.monitors {
-			rep := mon.Report()
-			if err := rep.Validate(c.sketchLen); err != nil {
-				return Fetch{}, err
-			}
-			f.Blocks = append(f.Blocks, rep)
-			if rep.Interval > f.Interval {
-				f.Interval = rep.Interval
-			}
+// AssembleFetch turns validated sketch reports into a Fetch. For the
+// randproj family it scatters them into flow-indexed Sketches and Means,
+// leaving nil the flows no report covers (the caller rejects or fills those);
+// for FD the reports become Blocks in sketch.CanonicalOrder, so FD model
+// assembly is identical across topologies — a federated tier renames the
+// registrants and rendezvous placement permutes which name fronts which
+// shard, but the shards themselves are fixed. Interval is the newest
+// report's. The retained slices are the reports' own.
+func AssembleFetch(family sketch.Family, numFlows int, reports []SketchReport) (Fetch, error) {
+	var f Fetch
+	for i := range reports {
+		if reports[i].Interval > f.Interval {
+			f.Interval = reports[i].Interval
+		}
+	}
+	if family == sketch.FamilyFD {
+		f.Blocks = make([]SketchReport, 0, len(reports))
+		for _, i := range sketch.CanonicalOrder(reports) {
+			f.Blocks = append(f.Blocks, reports[i])
 		}
 		return f, nil
 	}
-	f := Fetch{Sketches: make([][]float64, m), Means: make([]float64, m)}
-	for _, mon := range c.monitors {
-		rep := mon.Report()
-		if err := rep.Validate(c.sketchLen); err != nil {
-			return Fetch{}, err
-		}
+	f.Sketches, f.Means = make([][]float64, numFlows), make([]float64, numFlows)
+	for _, rep := range reports {
 		for i, id := range rep.FlowIDs {
-			if id < 0 || id >= m {
-				return Fetch{}, fmt.Errorf("%w: reported flow %d of %d", ErrInput, id, m)
+			if id < 0 || id >= numFlows {
+				return Fetch{}, fmt.Errorf("%w: reported flow %d of %d", ErrInput, id, numFlows)
 			}
-			f.Sketches[id] = rep.Sketches[i]
-			f.Means[id] = rep.Means[i]
-		}
-		if rep.Interval > f.Interval {
-			f.Interval = rep.Interval
+			f.Sketches[id], f.Means[id] = rep.Sketches[i], rep.Means[i]
 		}
 	}
-	for j, s := range f.Sketches {
-		if s == nil {
-			return Fetch{}, fmt.Errorf("%w: no monitor reported flow %d", ErrInput, j)
+	return f, nil
+}
+
+// Fetch gathers every monitor's report into the in-process FetchFunc.
+func (c *Cluster) Fetch() (Fetch, error) {
+	reports := make([]SketchReport, len(c.monitors))
+	for i, mon := range c.monitors {
+		reports[i] = mon.Report()
+		if err := reports[i].Validate(c.sketchLen); err != nil {
+			return Fetch{}, err
+		}
+	}
+	f, err := AssembleFetch(c.family, len(c.flowOwner), reports)
+	if err != nil {
+		return Fetch{}, err
+	}
+	if c.family != sketch.FamilyFD {
+		for j, s := range f.Sketches {
+			if s == nil {
+				return Fetch{}, fmt.Errorf("%w: no monitor reported flow %d", ErrInput, j)
+			}
 		}
 	}
 	return f, nil

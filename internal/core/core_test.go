@@ -255,11 +255,7 @@ func TestDetectorMatchesExactPCA(t *testing.T) {
 	}
 
 	// Thresholds land in the same ballpark.
-	dt, err := cl.Detector().Threshold()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio := dt / exactDet.Threshold(); ratio < 0.5 || ratio > 2 {
+	if ratio := cl.Detector().Model().Threshold / exactDet.Threshold(); ratio < 0.5 || ratio > 2 {
 		t.Fatalf("δ/Q = %v", ratio)
 	}
 }
@@ -274,9 +270,6 @@ func TestDetectorNoModelErrors(t *testing.T) {
 	}
 	if _, err := det.Distance([]float64{1, 2, 3}); !errors.Is(err, ErrNoModel) {
 		t.Fatalf("distance: %v", err)
-	}
-	if _, err := det.Threshold(); !errors.Is(err, ErrNoModel) {
-		t.Fatalf("threshold: %v", err)
 	}
 }
 

@@ -11,11 +11,6 @@ import (
 	"streampca/internal/stats"
 )
 
-// ErrThresholdUnavailable reports that the current model has no usable δ
-// threshold because its residual spectrum was degenerate (see
-// stats.ErrDegenerate and Model.ThresholdUnavailable).
-var ErrThresholdUnavailable = errors.New("core: threshold unavailable (degenerate residual spectrum)")
-
 // RankMode selects how the NOC chooses the normal-subspace size r.
 type RankMode int
 
@@ -147,9 +142,7 @@ type Model struct {
 	// ThresholdUnavailable marks a model whose residual spectrum was
 	// degenerate for the Jackson–Mudholkar expansion (stats.ErrDegenerate):
 	// Threshold is stored as 0 and must not be compared against. Observe
-	// reports the condition on its Decision instead of alarming. The field's
-	// zero value means "available", so models checkpointed before the field
-	// existed restore correctly.
+	// reports the condition on its Decision instead of alarming.
 	ThresholdUnavailable bool
 	// ThresholdCapped is the number of trailing residual components
 	// stats.QStatisticCapped dropped to recover a usable control limit from
@@ -236,9 +229,6 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 	}
 	return &Detector{cfg: cfg}, nil
 }
-
-// Config returns the detector configuration.
-func (d *Detector) Config() DetectorConfig { return d.cfg }
 
 // HasModel reports whether a model has been built.
 func (d *Detector) HasModel() bool { return d.model != nil }
@@ -589,19 +579,6 @@ func (d *Detector) Distance(x []float64) (float64, error) {
 	return math.Sqrt(rem), nil
 }
 
-// Threshold returns the current δ. It fails with ErrNoModel before the first
-// model and with ErrThresholdUnavailable when the current model's residual
-// spectrum was degenerate.
-func (d *Detector) Threshold() (float64, error) {
-	if d.model == nil {
-		return 0, ErrNoModel
-	}
-	if d.model.ThresholdUnavailable {
-		return 0, ErrThresholdUnavailable
-	}
-	return d.model.Threshold, nil
-}
-
 // Fetch is the result of one sketch pull: sketches and means indexed by
 // global flow id plus the interval they cover. A fault-tolerant fetcher may
 // return Degraded results where StaleFlows of the entries are cached
@@ -665,86 +642,52 @@ func (d *Detector) Observe(x []float64, fetch FetchFunc) (Decision, error) {
 	}
 	d.observations++
 
-	refresh := func() error {
-		f, err := fetch()
-		if err != nil {
-			return fmt.Errorf("fetch sketches: %w", err)
-		}
-		d.fetches++
-		if err := d.Rebuild(f); err != nil {
-			return fmt.Errorf("rebuild: %w", err)
-		}
-		d.model.Degraded = f.Degraded
-		d.model.StaleFlows = f.StaleFlows
-		return nil
-	}
-
 	var dec Decision
-	if d.model == nil {
-		if err := refresh(); err != nil {
-			return Decision{}, err
-		}
-		dec.Refreshed = true
-	}
-
-	dist, err := d.Distance(x)
-	if err != nil {
-		return Decision{}, err
-	}
-	dec.Distance = dist
-	dec.StaleDistance = dist
-	dec.Threshold = d.model.Threshold
-	dec.Degraded = d.model.Degraded
-	dec.StaleFlows = d.model.StaleFlows
-
-	if d.model.ThresholdUnavailable {
-		// No usable δ: a stale model may be the cause, so pull fresh
-		// sketches once; if the fresh spectrum is degenerate too, report
-		// the condition instead of comparing against the 0 placeholder
-		// (or, worse, a NaN — which compares false and never alarms).
-		if !dec.Refreshed {
-			if err := refresh(); err != nil {
-				return Decision{}, err
+	// evaluate is one step of the protocol: optionally pull fresh sketches
+	// and rebuild, then score x against the model in force and copy that
+	// model's threshold state onto the decision.
+	evaluate := func(pull bool) error {
+		if pull {
+			f, err := fetch()
+			if err != nil {
+				return fmt.Errorf("fetch sketches: %w", err)
 			}
+			d.fetches++
+			if err := d.Rebuild(f); err != nil {
+				return fmt.Errorf("rebuild: %w", err)
+			}
+			d.model.Degraded = f.Degraded
+			d.model.StaleFlows = f.StaleFlows
 			dec.Refreshed = true
-			if dist, err = d.Distance(x); err != nil {
-				return Decision{}, err
-			}
-			dec.Distance = dist
-			dec.Threshold = d.model.Threshold
-			dec.Degraded = d.model.Degraded
-			dec.StaleFlows = d.model.StaleFlows
 		}
-		if d.model.ThresholdUnavailable {
-			dec.ThresholdUnavailable = true
-			return dec, nil
-		}
-	}
-
-	if dist <= d.model.Threshold {
-		return dec, nil
-	}
-	if !dec.Refreshed {
-		// The model may be stale: pull fresh sketches and re-evaluate.
-		if err := refresh(); err != nil {
-			return Decision{}, err
-		}
-		dec.Refreshed = true
-		fresh, err := d.Distance(x)
+		dist, err := d.Distance(x)
 		if err != nil {
-			return Decision{}, err
+			return err
 		}
-		dec.Distance = fresh
+		dec.Distance = dist
 		dec.Threshold = d.model.Threshold
 		dec.Degraded = d.model.Degraded
 		dec.StaleFlows = d.model.StaleFlows
-		if d.model.ThresholdUnavailable {
-			dec.ThresholdUnavailable = true
-			return dec, nil
+		dec.ThresholdUnavailable = d.model.ThresholdUnavailable
+		return nil
+	}
+
+	if err := evaluate(d.model == nil); err != nil {
+		return Decision{}, err
+	}
+	dec.StaleDistance = dec.Distance
+	// No usable δ, or a distance above it: the model may be stale, so pull
+	// fresh sketches once and re-evaluate.
+	if !dec.Refreshed && (dec.ThresholdUnavailable || !(dec.Distance <= dec.Threshold)) {
+		if err := evaluate(true); err != nil {
+			return Decision{}, err
 		}
-		if fresh <= d.model.Threshold {
-			return dec, nil
-		}
+	}
+	// A spectrum that is degenerate even when fresh is reported, not
+	// compared against the 0 placeholder (or, worse, a NaN — which compares
+	// false and never alarms).
+	if dec.ThresholdUnavailable || dec.Distance <= dec.Threshold {
+		return dec, nil
 	}
 	dec.Anomalous = true
 	d.alarms++

@@ -74,10 +74,7 @@ func TestIdentify(t *testing.T) {
 	if id.Flows[0].Flow != 2 {
 		t.Fatalf("heavier injection must rank first: %+v", id.Flows)
 	}
-	thr, err := det.Threshold()
-	if err != nil {
-		t.Fatal(err)
-	}
+	thr := det.Model().Threshold
 	if id.InitialSPE <= thr {
 		t.Fatalf("test premise broken: injected SPE %g under threshold %g", id.InitialSPE, thr)
 	}

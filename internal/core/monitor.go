@@ -82,11 +82,8 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	return &Monitor{sk: sk}, nil
 }
 
-// Family returns the sketcher family this monitor runs.
-func (m *Monitor) Family() sketch.Family { return m.sk.Family() }
-
-// Sketcher exposes the underlying sketcher (internal/noc's warmup shadow
-// path and the FD absorb-based aggregation use this).
+// Sketcher exposes the underlying sketcher (the monitor service reads the
+// resolved FD basis budget ℓ off it for its Hello).
 func (m *Monitor) Sketcher() sketch.Sketcher { return m.sk }
 
 // FlowIDs returns a copy of the assigned global flow indices.

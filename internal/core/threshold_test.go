@@ -50,9 +50,6 @@ func TestRebuildModelCapsDegenerateSpectrum(t *testing.T) {
 	if model.Threshold <= 0 || math.IsNaN(model.Threshold) || math.IsInf(model.Threshold, 0) {
 		t.Fatalf("capped threshold = %v", model.Threshold)
 	}
-	if th, err := det.Threshold(); err != nil || th != model.Threshold {
-		t.Fatalf("Threshold() = %v, %v", th, err)
-	}
 }
 
 // TestObserveCappedThresholdAlarms drives the lazy protocol against the

@@ -124,9 +124,6 @@ func NewAggregator(table *Table, numRouters int, names []string) (*Aggregator, e
 // pairs, matching the Abilene OD-flow convention).
 func (a *Aggregator) NumFlows() int { return a.numRouters * a.numRouters }
 
-// NumRouters returns the number of routers.
-func (a *Aggregator) NumRouters() int { return a.numRouters }
-
 // FlowID maps a packet to its OD flow index origin·numRouters + destination.
 func (a *Aggregator) FlowID(p Packet) (int, error) {
 	origin, err := a.table.Lookup(p.Src)
@@ -166,12 +163,4 @@ func (a *Aggregator) FlowName(flowID int) string {
 		return "R" + strconv.Itoa(int(r))
 	}
 	return name(origin) + "→" + name(dest)
-}
-
-// FlowIndex returns the flow id for an explicit OD router pair.
-func (a *Aggregator) FlowIndex(origin, dest RouterID) (int, error) {
-	if origin < 0 || int(origin) >= a.numRouters || dest < 0 || int(dest) >= a.numRouters {
-		return 0, fmt.Errorf("%w: od pair (%d,%d) with %d routers", ErrConfig, origin, dest, a.numRouters)
-	}
-	return int(origin)*a.numRouters + int(dest), nil
 }

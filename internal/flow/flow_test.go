@@ -180,22 +180,16 @@ func TestFlowIndexRoundTrip(t *testing.T) {
 	agg, _ := NewAggregator(buildTable(t), 5, nil)
 	for o := RouterID(0); o < 5; o++ {
 		for d := RouterID(0); d < 5; d++ {
-			id, err := agg.FlowIndex(o, d)
-			if err != nil {
-				t.Fatal(err)
-			}
+			id := int(o)*5 + int(d)
 			gotO, gotD, err := agg.ODPair(id)
 			if err != nil || gotO != o || gotD != d {
 				t.Fatalf("round trip (%d,%d) → %d → (%d,%d)", o, d, id, gotO, gotD)
 			}
 		}
 	}
-	if _, err := agg.FlowIndex(5, 0); !errors.Is(err, ErrConfig) {
-		t.Fatalf("bad origin: %v", err)
-	}
 }
 
-// Property: FlowIndex and ODPair are inverse bijections over valid ranges.
+// Property: ODPair inverts the origin·numRouters + destination flow index.
 func TestQuickFlowIndexBijection(t *testing.T) {
 	agg, err := NewAggregator(NewTable(), 9, nil)
 	if err != nil {
@@ -204,10 +198,7 @@ func TestQuickFlowIndexBijection(t *testing.T) {
 	f := func(rawO, rawD uint8) bool {
 		o := RouterID(int(rawO) % 9)
 		d := RouterID(int(rawD) % 9)
-		id, err := agg.FlowIndex(o, d)
-		if err != nil {
-			return false
-		}
+		id := int(o)*9 + int(d)
 		gotO, gotD, err := agg.ODPair(id)
 		return err == nil && gotO == o && gotD == d && id >= 0 && id < agg.NumFlows()
 	}

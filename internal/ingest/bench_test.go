@@ -85,7 +85,7 @@ func BenchmarkIngestDecode(b *testing.B) {
 // HandleDatagram simultaneously. Decode runs outside the pipeline lock, so
 // added collectors should raise aggregate throughput until the lock or the
 // shards saturate; the reported records/s across the collectors cells is the
-// ingest-scaling curve scripts/bench.sh records.
+// ingest-scaling curve.
 func BenchmarkIngestCollectors(b *testing.B) {
 	agg, err := traffic.NewAbileneAggregator()
 	if err != nil {

@@ -50,12 +50,6 @@ type Collector struct {
 	wg       sync.WaitGroup
 }
 
-// Listen opens a UDP socket on addr (e.g. "127.0.0.1:2055", port 0 for
-// ephemeral) and starts the read loop. It is ListenN with one socket.
-func Listen(addr string, p *Pipeline) (*Collector, error) {
-	return ListenN(addr, 1, p)
-}
-
 // ListenN opens up to n UDP sockets on addr and starts one read loop per
 // socket (n < 1 is treated as 1). For n > 1 it attempts SO_REUSEPORT
 // sockets; if the platform or kernel refuses, it falls back to a single

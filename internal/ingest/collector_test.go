@@ -12,7 +12,7 @@ import (
 
 func TestCollectorReceivesOverUDP(t *testing.T) {
 	p, rec := newTestPipeline(t, nil)
-	c, err := Listen("127.0.0.1:0", p)
+	c, err := ListenN("127.0.0.1:0", 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestCollectorSurvivesGarbageAndStopsOnDisconnectFault(t *testing.T) {
 	plan := faults.MustPlan(3,
 		faults.Rule{Dir: faults.DirRecv, Type: "netflow", After: 3, Disconnect: true})
 	p, _ := newTestPipeline(t, func(c *Config) { c.Faults = plan })
-	c, err := Listen("127.0.0.1:0", p)
+	c, err := ListenN("127.0.0.1:0", 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,9 +261,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 // Metrics exposes the pipeline's instrumentation (e.g. for tests).
 func (p *Pipeline) Metrics() *Metrics { return p.met }
 
-// NumShards returns the resolved shard count.
-func (p *Pipeline) NumShards() int { return len(p.shards) }
-
 // HandleDatagram ingests one raw NetFlow v5 datagram. Malformed datagrams
 // are counted and dropped, never fatal. The only error returns are
 // ErrClosed — after Close, or when the fault injector demands a disconnect

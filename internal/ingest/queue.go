@@ -216,10 +216,3 @@ func (q *queue) pop() batch {
 	q.mu.Unlock()
 	return b
 }
-
-// depth returns the current number of queued batches.
-func (q *queue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n
-}

@@ -164,7 +164,7 @@ func TestColInto(t *testing.T) {
 		if err := m.ColInto(j, dst); err != nil {
 			t.Fatal(err)
 		}
-		want := m.Col(j)
+		want := col(m, j)
 		for i := range dst {
 			if dst[i] != want[i] {
 				t.Fatalf("col %d row %d: %v != %v", j, i, dst[i], want[i])

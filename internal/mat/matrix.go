@@ -67,15 +67,6 @@ func NewMatrixFromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// NewMatrixFromData wraps a row-major backing slice as an r×c matrix. The
-// slice is used directly (not copied); len(data) must equal r*c.
-func NewMatrixFromData(r, c int, data []float64) (*Matrix, error) {
-	if r < 0 || c < 0 || len(data) != r*c {
-		return nil, fmt.Errorf("%w: %d values for %dx%d matrix", ErrShape, len(data), r, c)
-	}
-	return &Matrix{rows: r, cols: c, data: data}, nil
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
@@ -110,42 +101,14 @@ func (m *Matrix) RowView(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	m.ColInto(j, out)
-	return out
-}
-
-// ColInto copies column j into dst, which must have length Rows. It is the
-// allocation-free variant of Col for hot loops that scan many columns (e.g.
-// the detector's 3σ rank scan reusing one scratch column).
+// ColInto copies column j into dst, which must have length Rows, without
+// allocating (e.g. the detector's 3σ rank scan reusing one scratch column).
 func (m *Matrix) ColInto(j int, dst []float64) error {
 	if len(dst) != m.rows {
 		return fmt.Errorf("%w: column of %d rows into buffer of %d", ErrShape, m.rows, len(dst))
 	}
 	for i := 0; i < m.rows; i++ {
 		dst[i] = m.data[i*m.cols+j]
-	}
-	return nil
-}
-
-// SetRow copies v into row i. len(v) must equal Cols.
-func (m *Matrix) SetRow(i int, v []float64) error {
-	if len(v) != m.cols {
-		return fmt.Errorf("%w: row of length %d into %d columns", ErrShape, len(v), m.cols)
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
-	return nil
-}
-
-// SetCol copies v into column j. len(v) must equal Rows.
-func (m *Matrix) SetCol(j int, v []float64) error {
-	if len(v) != m.rows {
-		return fmt.Errorf("%w: column of length %d into %d rows", ErrShape, len(v), m.rows)
-	}
-	for i := 0; i < m.rows; i++ {
-		m.data[i*m.cols+j] = v[i]
 	}
 	return nil
 }
@@ -198,18 +161,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 		m.data[i] *= s
 	}
 	return m
-}
-
-// Add returns m + o as a new matrix.
-func (m *Matrix) Add(o *Matrix) (*Matrix, error) {
-	if m.rows != o.rows || m.cols != o.cols {
-		return nil, fmt.Errorf("%w: add %dx%d and %dx%d", ErrShape, m.rows, m.cols, o.rows, o.cols)
-	}
-	out := m.Clone()
-	for i, v := range o.data {
-		out.data[i] += v
-	}
-	return out, nil
 }
 
 // Sub returns m − o as a new matrix.
@@ -302,18 +253,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// Trace returns the sum of diagonal elements; the matrix must be square.
-func (m *Matrix) Trace() (float64, error) {
-	if m.rows != m.cols {
-		return 0, fmt.Errorf("%w: trace of %dx%d", ErrShape, m.rows, m.cols)
-	}
-	var s float64
-	for i := 0; i < m.rows; i++ {
-		s += m.data[i*m.cols+i]
-	}
-	return s, nil
 }
 
 // CenterColumns subtracts each column's mean from the column in place and

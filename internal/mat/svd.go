@@ -155,41 +155,3 @@ func finishSVD(w, v *Matrix) *SVD {
 	}
 	return &SVD{U: u, Values: values, V: vv}
 }
-
-// Reconstruct multiplies U·diag(Values)·Vᵀ back into a dense matrix; useful
-// for testing and for low-rank truncation when values beyond rank are zeroed.
-func (s *SVD) Reconstruct() (*Matrix, error) {
-	n := s.U.rows
-	k := len(s.Values)
-	m := s.V.rows
-	if s.U.cols != k || s.V.cols != k {
-		return nil, fmt.Errorf("%w: svd reconstruct with U %dx%d, %d values, V %dx%d",
-			ErrShape, s.U.rows, s.U.cols, k, s.V.rows, s.V.cols)
-	}
-	out := NewMatrix(n, m)
-	for i := 0; i < n; i++ {
-		for j := 0; j < m; j++ {
-			var acc float64
-			for t := 0; t < k; t++ {
-				acc += s.U.data[i*k+t] * s.Values[t] * s.V.data[j*k+t]
-			}
-			out.data[i*m+j] = acc
-		}
-	}
-	return out, nil
-}
-
-// Rank returns the number of singular values exceeding tol·max(value).
-func (s *SVD) Rank(tol float64) int {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	thresh := tol * s.Values[0]
-	r := 0
-	for _, v := range s.Values {
-		if v > thresh {
-			r++
-		}
-	}
-	return r
-}

@@ -28,7 +28,13 @@ func TestSVDReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", sh, err)
 		}
-		back, err := svd.Reconstruct()
+		us := svd.U.Clone()
+		for i := 0; i < us.Rows(); i++ {
+			for j, sv := range svd.Values {
+				us.Set(i, j, us.At(i, j)*sv)
+			}
+		}
+		back, err := us.Mul(svd.V.T())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,8 +90,10 @@ func TestSVDRankDeficient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := svd.Rank(1e-10); got != 1 {
-		t.Fatalf("rank = %d, want 1 (values %v)", got, svd.Values)
+	for _, v := range svd.Values[1:] {
+		if v > 1e-10*svd.Values[0] {
+			t.Fatalf("rank-1 matrix has singular values %v", svd.Values)
+		}
 	}
 }
 
@@ -98,9 +106,6 @@ func TestSVDZeroAndEmpty(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("zero matrix singular values = %v", z.Values)
 		}
-	}
-	if z.Rank(1e-12) != 0 {
-		t.Fatal("zero matrix must have rank 0")
 	}
 	e, err := ComputeSVD(NewMatrix(3, 0))
 	if err != nil {
@@ -116,13 +121,6 @@ func TestSVDNotFinite(t *testing.T) {
 	bad.Set(0, 0, math.Inf(-1))
 	if _, err := ComputeSVD(bad); !errors.Is(err, ErrNotFinite) {
 		t.Fatalf("want ErrNotFinite, got %v", err)
-	}
-}
-
-func TestSVDReconstructShapeError(t *testing.T) {
-	s := &SVD{U: NewMatrix(3, 2), Values: []float64{1}, V: NewMatrix(2, 2)}
-	if _, err := s.Reconstruct(); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape, got %v", err)
 	}
 }
 
@@ -158,11 +156,11 @@ func TestQuickSVDSingularPairs(t *testing.T) {
 			return false
 		}
 		for j := range svd.Values {
-			av, err := a.MulVec(svd.V.Col(j))
+			av, err := a.MulVec(col(svd.V, j))
 			if err != nil {
 				return false
 			}
-			u := svd.U.Col(j)
+			u := col(svd.U, j)
 			for i := range av {
 				if !almostEqual(av[i], svd.Values[j]*u[i], 1e-7*math.Max(1, a.MaxAbs())) {
 					return false

@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Dot returns the inner product of a and b. The slices must have equal
 // length; a mismatched call is a programming error and panics via the
@@ -51,18 +48,6 @@ func ScaleVec(v []float64, s float64) {
 	}
 }
 
-// SubVec returns a − b as a new slice.
-func SubVec(a, b []float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("%w: sub vectors of %d and %d", ErrShape, len(a), len(b))
-	}
-	out := make([]float64, len(a))
-	for i, av := range a {
-		out[i] = av - b[i]
-	}
-	return out, nil
-}
-
 // Normalize scales v to unit Euclidean norm in place and returns the
 // original norm. A zero vector is left untouched and 0 is returned.
 func Normalize(v []float64) float64 {
@@ -82,31 +67,4 @@ func VecIsFinite(v []float64) bool {
 		}
 	}
 	return true
-}
-
-// Mean returns the arithmetic mean of v (0 for an empty slice).
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
-}
-
-// Variance returns the population variance Σ(x−mean)² of v (not divided by
-// n), matching the paper's definition (10). An empty slice yields 0.
-func Variance(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	mean := Mean(v)
-	var s float64
-	for _, x := range v {
-		d := x - mean
-		s += d * d
-	}
-	return s
 }

@@ -1,7 +1,6 @@
 package mat
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -57,19 +56,6 @@ func TestAddScaledAndScaleVec(t *testing.T) {
 	}
 }
 
-func TestSubVec(t *testing.T) {
-	got, err := SubVec([]float64{5, 7}, []float64{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 3 || got[1] != 4 {
-		t.Fatalf("SubVec = %v", got)
-	}
-	if _, err := SubVec([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrShape) {
-		t.Fatalf("shape: %v", err)
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	v := []float64{3, 4}
 	n := Normalize(v)
@@ -97,20 +83,6 @@ func TestVecIsFinite(t *testing.T) {
 	}
 }
 
-func TestMeanVariance(t *testing.T) {
-	v := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(v); !almostEqual(got, 5, 1e-12) {
-		t.Fatalf("mean = %v", got)
-	}
-	// Population sum-of-squares variance per paper eq. (10): Σ(x−x̄)² = 32.
-	if got := Variance(v); !almostEqual(got, 32, 1e-12) {
-		t.Fatalf("variance = %v, want 32", got)
-	}
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Fatal("empty stats must be 0")
-	}
-}
-
 // Property: Cauchy–Schwarz |a·b| ≤ ‖a‖‖b‖.
 func TestQuickCauchySchwarz(t *testing.T) {
 	f := func(seed int64) bool {
@@ -123,33 +95,6 @@ func TestQuickCauchySchwarz(t *testing.T) {
 			b[i] = r.NormFloat64()
 		}
 		return math.Abs(Dot(a, b)) <= Norm(a)*Norm(b)*(1+1e-12)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Variance is translation invariant and quadratic under scaling.
-func TestQuickVarianceProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(30)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = r.NormFloat64() * 10
-		}
-		shift := r.NormFloat64() * 100
-		scale := 1 + r.Float64()*3
-		shifted := make([]float64, n)
-		scaled := make([]float64, n)
-		for i := range v {
-			shifted[i] = v[i] + shift
-			scaled[i] = v[i] * scale
-		}
-		base := Variance(v)
-		tol := 1e-7 * math.Max(1, base)
-		return almostEqual(Variance(shifted), base, tol*10) &&
-			almostEqual(Variance(scaled), base*scale*scale, tol*scale*scale*10)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -32,8 +32,6 @@ var (
 	ErrConfig = errors.New("monitor: invalid configuration")
 	// ErrNotConnected indicates an operation requiring a live NOC link.
 	ErrNotConnected = tier.ErrNotConnected
-	// ErrAlreadyConnected indicates a second Connect/Attach.
-	ErrAlreadyConnected = tier.ErrAlreadyConnected
 )
 
 // Config parameterizes a monitor service.
@@ -272,9 +270,6 @@ func (s *Service) sketchParam() int {
 // Registry exposes the metrics registry (shared when Config.Obs was set).
 func (s *Service) Registry() *obs.Registry { return s.reg }
 
-// Health exposes the component health tracker backing /healthz.
-func (s *Service) Health() *obs.Health { return s.health }
-
 // DiagAddr returns the diagnostics server address, or "" when disabled.
 func (s *Service) DiagAddr() string {
 	if s.diag == nil {
@@ -363,21 +358,17 @@ func (s *Service) alarm(a transport.Alarm, _ *transport.TraceContext) {
 }
 
 // ReportInterval ingests interval t's volumes (indexed like Config.FlowIDs)
-// into the sketch state and pushes the volume report to the NOC. An
-// interval already folded into the sketch state — a retry after a failed
-// send — skips the update and only re-sends the report, so the call is
-// safe to repeat across link losses and reconnects.
+// into the sketch state and pushes the volume report to the NOC. The fold
+// comes first, so an interval measured while the uplink is down (the call
+// then returns ErrNotConnected) is still in the next sketch report. An
+// interval already folded — a retry after a failed send — skips the update
+// and only re-sends the report, so the call is safe to repeat across link
+// losses and reconnects.
 func (s *Service) ReportInterval(t int64, volumes []float64) error {
 	sp := s.cfg.Trace.Start(trace.ForInterval(t), 0, "monitor.update",
 		trace.S("monitor", s.cfg.ID),
 		trace.I("interval", t),
 		trace.I("flows", int64(len(volumes))))
-	conn := s.up.Conn()
-	if conn == nil {
-		sp.Event("not_connected")
-		sp.End()
-		return ErrNotConnected
-	}
 	s.mu.Lock()
 	if t > s.core.Now() {
 		start := time.Now()
@@ -404,6 +395,12 @@ func (s *Service) ReportInterval(t int64, volumes []float64) error {
 	flowIDs := s.core.FlowIDs()
 	s.mu.Unlock()
 
+	conn := s.up.Conn()
+	if conn == nil {
+		sp.Event("not_connected")
+		sp.End()
+		return ErrNotConnected
+	}
 	report := transport.VolumeReport{
 		MonitorID: s.cfg.ID,
 		Interval:  t,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"streampca/internal/randproj"
+	"streampca/internal/tier"
 	"streampca/internal/transport"
 )
 
@@ -91,6 +92,45 @@ func TestReportIntervalRequiresConnection(t *testing.T) {
 	}
 }
 
+// TestReportIntervalFoldsWhileDisconnected: intervals measured during a link
+// outage are in hand, so they must reach the sketch state even though the
+// volume report cannot be sent.
+func TestReportIntervalFoldsWhileDisconnected(t *testing.T) {
+	svc, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 3; i++ {
+		if err := svc.ReportInterval(i, []float64{10, 20, 30}); !errors.Is(err, ErrNotConnected) {
+			t.Fatalf("interval %d with no connection: %v", i, err)
+		}
+	}
+	local, remote := transport.Pipe()
+	recvCh := startReader(remote)
+	if err := svc.Attach(local); err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if hello := expectFrame(t, recvCh); hello.Hello == nil {
+		t.Fatalf("first frame = %+v, want hello", hello)
+	}
+	if err := svc.ReportInterval(4, []float64{10, 20, 30}); err != nil {
+		t.Fatal(err)
+	}
+	if vol := expectFrame(t, recvCh); vol.Volume == nil || vol.Volume.Interval != 4 {
+		t.Fatalf("volume = %+v", vol.Volume)
+	}
+	rep := svc.Report()
+	if rep.Interval != 4 {
+		t.Fatalf("sketch state at interval %d, want 4", rep.Interval)
+	}
+	for i, c := range rep.Counts {
+		if c != 4 {
+			t.Fatalf("flow %d summarizes %d intervals, want 4 (outage intervals lost)", rep.FlowIDs[i], c)
+		}
+	}
+}
+
 func TestHandshakeAndVolumeReports(t *testing.T) {
 	svc, err := New(testConfig())
 	if err != nil {
@@ -118,7 +158,7 @@ func TestHandshakeAndVolumeReports(t *testing.T) {
 	}
 
 	// Double attach rejected.
-	if err := svc.Attach(local); !errors.Is(err, ErrAlreadyConnected) {
+	if err := svc.Attach(local); !errors.Is(err, tier.ErrAlreadyConnected) {
 		t.Fatalf("double attach: %v", err)
 	}
 }

@@ -32,7 +32,10 @@ type FlightMonitor struct {
 	// -1 when the NOC has never validated a report from this monitor.
 	SketchInterval int64 `json:"sketch_interval"`
 	SketchAge      int64 `json:"sketch_age"`
-	// Stale marks a sketch older than DegradedPolicy.MaxStaleness.
+	// Stale marks a sketch further than DegradedPolicy.MaxStaleness from
+	// the decision interval in either direction — the symmetric distance of
+	// DegradedPolicy.Fresh, so a registrant that raced ahead (negative age)
+	// is flagged exactly when its cache entry would be refused.
 	Stale       bool `json:"stale,omitempty"`
 	BreakerOpen bool `json:"breaker_open,omitempty"`
 }
@@ -130,7 +133,11 @@ func (s *Service) flightRecord(item tier.Interval, res core.Decision, warmup, de
 		fm := FlightMonitor{ID: r.ID, Flows: r.Flows, SketchInterval: r.SketchInterval, SketchAge: -1, BreakerOpen: r.BreakerOpen}
 		if r.SketchInterval >= 0 {
 			fm.SketchAge = item.Index - r.SketchInterval
-			fm.Stale = s.cfg.Degraded.MaxStaleness > 0 && fm.SketchAge > s.cfg.Degraded.MaxStaleness
+			dist := fm.SketchAge
+			if dist < 0 {
+				dist = -dist
+			}
+			fm.Stale = s.cfg.Degraded.MaxStaleness > 0 && dist > s.cfg.Degraded.MaxStaleness
 		}
 		rec.Monitors = append(rec.Monitors, fm)
 	}

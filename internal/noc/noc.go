@@ -10,8 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,8 +29,6 @@ import (
 var (
 	// ErrConfig indicates an invalid service configuration.
 	ErrConfig = errors.New("noc: invalid configuration")
-	// ErrFetchTimeout indicates a sketch pull did not complete in time.
-	ErrFetchTimeout = errors.New("noc: sketch fetch timed out")
 	// ErrCoverage indicates the registered monitors do not cover all flows.
 	ErrCoverage = errors.New("noc: incomplete flow coverage")
 )
@@ -451,12 +447,6 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Registry exposes the metrics registry (shared when Config.Obs was set).
-func (s *Service) Registry() *obs.Registry { return s.reg }
-
-// Health exposes the component health tracker backing /healthz.
-func (s *Service) Health() *obs.Health { return s.health }
-
 // DiagAddr returns the diagnostics server address, or "" when disabled.
 func (s *Service) DiagAddr() string {
 	if s.diag == nil {
@@ -760,49 +750,7 @@ func (s *Service) fetchLocal(sp *trace.Span) (core.Fetch, error) {
 	if err := rep.Validate(s.cfg.Detector.SketchLen); err != nil {
 		return core.Fetch{}, err
 	}
-	if s.cfg.Detector.Family == sketch.FamilyFD {
-		return core.Fetch{Blocks: []core.SketchReport{rep}, Interval: rep.Interval}, nil
-	}
-	return core.Fetch{Sketches: rep.Sketches, Means: rep.Means, Interval: rep.Interval}, nil
-}
-
-// sortedBlocks flattens the per-monitor FD block map into a slice ordered by
-// each block's smallest flow id — the same canonical key sketch.MergeColumns uses.
-// Ordering by content rather than registrant name keeps FD model assembly
-// identical across topologies: a federated tier renames the registrants
-// (aggregator ids instead of monitor ids) and rendezvous placement permutes
-// which name fronts which shard, but the shards themselves are fixed, so a
-// content key yields the same insertion order either way. Monitor id breaks
-// the (never expected) tie of two blocks sharing a minimum flow.
-func sortedBlocks(blocks map[string]core.SketchReport) []core.SketchReport {
-	ids := make([]string, 0, len(blocks))
-	for id := range blocks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		fa, fb := minBlockFlow(blocks[ids[a]]), minBlockFlow(blocks[ids[b]])
-		if fa != fb {
-			return fa < fb
-		}
-		return ids[a] < ids[b]
-	})
-	out := make([]core.SketchReport, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, blocks[id])
-	}
-	return out
-}
-
-// minBlockFlow returns the smallest flow id a block covers (MaxInt for an
-// empty block, which validation rejects upstream anyway).
-func minBlockFlow(b core.SketchReport) int {
-	min := math.MaxInt
-	for _, id := range b.FlowIDs {
-		if id < min {
-			min = id
-		}
-	}
-	return min
+	return core.AssembleFetch(s.cfg.Detector.Family, s.cfg.Detector.NumFlows, []core.SketchReport{rep})
 }
 
 // fetchSketches implements core.FetchFunc over the registered monitors: one
@@ -818,15 +766,9 @@ func (s *Service) fetchSketches(sp *trace.Span) (core.Fetch, error) {
 	m := s.cfg.Detector.NumFlows
 	fd := s.cfg.Detector.Family == sketch.FamilyFD
 	p := s.down.Pull(sp, traceContext(sp))
-	// An aggregator that served part of its merge from its own degraded
-	// cache tags the response, and the resulting model must be flagged
-	// exactly like one rebuilt from this NOC's cache.
-	out := core.Fetch{Interval: p.Newest, Degraded: p.Degraded, StaleFlows: p.Stale}
 	if !fd {
-		out.Sketches, out.Means = make([][]float64, m), make([]float64, m)
 		for _, rep := range p.Reports {
 			for i, f := range rep.FlowIDs {
-				out.Sketches[f], out.Means[f] = rep.Sketches[i], rep.Means[i]
 				// Monitor.Report allocates fresh slices per call, so
 				// retaining the column is safe.
 				if e := &s.sketchCache[f]; rep.Interval >= e.at || e.sketch == nil {
@@ -841,7 +783,20 @@ func (s *Service) fetchSketches(sp *trace.Span) (core.Fetch, error) {
 	if len(miss) > 0 && fd {
 		filled, cachedNewest = s.down.FillCached(p)
 		miss = s.down.Uncovered(p)
-	} else if len(miss) > 0 {
+	}
+	reports := make([]core.SketchReport, 0, len(p.Reports))
+	for _, rep := range p.Reports {
+		reports = append(reports, rep)
+	}
+	out, err := core.AssembleFetch(s.cfg.Detector.Family, m, reports)
+	if err != nil {
+		return core.Fetch{}, err
+	}
+	// An aggregator that served part of its merge from its own degraded
+	// cache tags the response, and the resulting model must be flagged
+	// exactly like one rebuilt from this NOC's cache.
+	out.Interval, out.Degraded, out.StaleFlows = p.Newest, p.Degraded, p.Stale
+	if len(miss) > 0 && !fd {
 		still := miss[:0]
 		for _, f := range miss {
 			e := s.sketchCache[f]
@@ -877,8 +832,5 @@ func (s *Service) fetchSketches(sp *trace.Span) (core.Fetch, error) {
 		s.log.Warn("degraded upstream sketch fetch", "stale_flows", p.Stale, "interval", p.Newest)
 	}
 	s.met.staleFlows.Set(float64(out.StaleFlows))
-	if fd {
-		out.Blocks = sortedBlocks(p.Reports)
-	}
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"sync"
@@ -10,6 +12,8 @@ import (
 	"streampca/internal/core"
 	"streampca/internal/monitor"
 	"streampca/internal/randproj"
+	"streampca/internal/tier"
+	"streampca/internal/trace"
 	"streampca/internal/transport"
 )
 
@@ -521,6 +525,8 @@ func TestAddrBeforeServe(t *testing.T) {
 // and its volume send — and vanishes before the volume report for t lands.
 // Its cached columns must be aged against |ref − t|: usable when t is within
 // MaxStaleness of the reference point, refused when it is far in its future.
+// A flight record written while the racer is registered must flag its row by
+// the same distance.
 func TestSketchCacheStalenessIsSymmetric(t *testing.T) {
 	const maxStale = 2
 	racerFlows := []int{1, 4, 7}
@@ -531,6 +537,8 @@ func TestSketchCacheStalenessIsSymmetric(t *testing.T) {
 		cfg := chaosConfig()
 		cfg.FetchRetries = -1
 		cfg.Degraded.MaxStaleness = maxStale
+		var flight bytes.Buffer
+		cfg.FlightRecorder = trace.NewFlightRecorder(&flight)
 		svc, decisions := startNOC(t, cfg)
 		mons := startMonitors(t, svc.Addr(), 3)
 		waitMonitors(t, svc, 3)
@@ -574,6 +582,17 @@ func TestSketchCacheStalenessIsSymmetric(t *testing.T) {
 		if f, err := svc.fetchSketches(nil); err != nil || f.Degraded || f.Interval != last+tc.ahead {
 			t.Fatalf("ahead=%d: live fetch = degraded %t at interval %d, %v; want healthy at the racer's interval",
 				tc.ahead, f.Degraded, f.Interval, err)
+		}
+		flight.Reset()
+		svc.flightRecord(tier.Interval{Index: last}, core.Decision{}, false, true, nil)
+		var rec FlightRecord
+		if err := json.Unmarshal(flight.Bytes(), &rec); err != nil {
+			t.Fatalf("ahead=%d: flight record: %v", tc.ahead, err)
+		}
+		for _, fm := range rec.Monitors {
+			if want := fm.ID == "racer" && !tc.admitted; fm.Stale != want || (fm.ID == "racer" && fm.SketchAge != -tc.ahead) {
+				t.Fatalf("ahead=%d: flight row %+v, want stale=%t", tc.ahead, fm, want)
+			}
 		}
 		_ = racer.Close()
 		waitMonitors(t, svc, 2)

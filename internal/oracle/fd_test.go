@@ -47,7 +47,7 @@ func TestCheckFDPasses(t *testing.T) {
 	// subset like a sharded monitor's.
 	tr, snap := fdTrace(t, 300, 12, 3, fdCols)
 	res := CheckFD(tr, snap)
-	if !res.OK() {
+	if len(res.Violations) > 0 {
 		t.Fatalf("honest FD snapshot violated the oracle: %v", res.Violations)
 	}
 	if res.Checks < 4 {
@@ -64,7 +64,7 @@ func TestCheckFDCatchesUnderstatedDelta(t *testing.T) {
 	// than its rows support.
 	snap.FDDelta = 0
 	res := CheckFD(tr, snap)
-	if res.OK() {
+	if len(res.Violations) == 0 {
 		t.Fatal("zeroed Δ must violate fd-guarantee")
 	}
 }
@@ -75,7 +75,7 @@ func TestCheckFDCatchesCorruptRows(t *testing.T) {
 		snap.FDRows[0][i] *= 25
 	}
 	res := CheckFD(tr, snap)
-	if res.OK() {
+	if len(res.Violations) == 0 {
 		t.Fatal("corrupted basis row must violate fd-guarantee")
 	}
 }
@@ -84,7 +84,7 @@ func TestCheckFDCatchesDriftedMeans(t *testing.T) {
 	tr, snap := fdTrace(t, 300, 12, 3, fdCols)
 	snap.Means[2] *= 1.5
 	res := CheckFD(tr, snap)
-	if res.OK() {
+	if len(res.Violations) == 0 {
 		t.Fatal("drifted running mean must violate fd-mean-exact")
 	}
 }

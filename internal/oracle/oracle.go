@@ -60,9 +60,6 @@ type Result struct {
 	MaxRelErr float64
 }
 
-// OK reports whether every check passed.
-func (r *Result) OK() bool { return len(r.Violations) == 0 }
-
 // Merge folds another result into r.
 func (r *Result) Merge(o Result) {
 	r.Checks += o.Checks

@@ -88,7 +88,7 @@ func TestCheckHistogramProperty(t *testing.T) {
 						if res.Checks == 0 {
 							t.Fatalf("%v/%s eps=%v: no checks ran", dist, tg.name, eps)
 						}
-						if !res.OK() {
+						if len(res.Violations) > 0 {
 							t.Fatalf("%v/%s eps=%v n=%d l=%d t=%d: %v",
 								dist, tg.name, eps, dims.n, dims.l, ti, res.Worst())
 						}
@@ -129,7 +129,7 @@ func TestCheckHistogramDetectsMutations(t *testing.T) {
 	}
 
 	g := newGen(t, randproj.Gaussian, l, n, 1)
-	if res := run(g, g, eps); !res.OK() {
+	if res := run(g, g, eps); len(res.Violations) > 0 {
 		t.Fatalf("control run violated: %v", res.Worst())
 	}
 
@@ -177,7 +177,7 @@ func TestCheckHistogramDetectsMutations(t *testing.T) {
 			honest.Merge(CheckHistogram(h, w, g2, eps))
 		}
 	}
-	if !honest.OK() {
+	if len(honest.Violations) > 0 {
 		t.Fatalf("true-eps control violated on step traffic: %v", honest.Worst())
 	}
 	found = false
@@ -282,7 +282,7 @@ func TestCheckModelEndToEnd(t *testing.T) {
 			continue
 		}
 		checked++
-		if !res.OK() {
+		if len(res.Violations) > 0 {
 			t.Fatalf("t=%d: %v", ti, res.Worst())
 		}
 		if res.Checks < 3 {
@@ -416,7 +416,7 @@ func TestCheckerNOCObserve(t *testing.T) {
 		}
 		if res, ok := chk.ObserveNOC(ti, x, dec, p.det.Model()); ok {
 			ran++
-			if !res.OK() {
+			if len(res.Violations) > 0 {
 				t.Fatalf("t=%d: %v", ti, res.Worst())
 			}
 		}

@@ -14,7 +14,6 @@ import (
 type Detector struct {
 	model     *Model
 	rank      int
-	alpha     float64
 	threshold float64
 }
 
@@ -35,7 +34,7 @@ func NewDetector(model *Model, rank int, alpha float64) (*Detector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("q statistic: %w", err)
 	}
-	return &Detector{model: model, rank: rank, alpha: alpha, threshold: threshold}, nil
+	return &Detector{model: model, rank: rank, threshold: threshold}, nil
 }
 
 // NewDetectorThreshold builds a detector with a caller-supplied threshold,
@@ -53,17 +52,8 @@ func NewDetectorThreshold(model *Model, rank int, threshold float64) (*Detector,
 	if math.IsNaN(threshold) || threshold < 0 {
 		return nil, fmt.Errorf("%w: threshold %v", ErrInput, threshold)
 	}
-	return &Detector{model: model, rank: rank, alpha: math.NaN(), threshold: threshold}, nil
+	return &Detector{model: model, rank: rank, threshold: threshold}, nil
 }
-
-// Model returns the underlying fitted model.
-func (d *Detector) Model() *Model { return d.model }
-
-// Rank returns the normal-subspace rank r.
-func (d *Detector) Rank() int { return d.rank }
-
-// Alpha returns the configured false-alarm rate.
-func (d *Detector) Alpha() float64 { return d.alpha }
 
 // Threshold returns the Q-statistic threshold on the distance scale.
 func (d *Detector) Threshold() float64 { return d.threshold }
@@ -107,29 +97,4 @@ func (d *Detector) IsAnomalous(x []float64) (bool, float64, error) {
 		return false, 0, err
 	}
 	return dist > d.threshold, dist, nil
-}
-
-// Decompose splits a raw measurement into its normal and anomalous parts
-// (eq. 4): x − x̄ = y_normal + y_anomaly with y_normal = PPᵀ(x − x̄).
-func (d *Detector) Decompose(x []float64) (normal, anomaly []float64, err error) {
-	y, err := d.model.Center(x)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := len(y)
-	normal = make([]float64, m)
-	for j := 0; j < d.rank; j++ {
-		s, err := d.model.Score(y, j)
-		if err != nil {
-			return nil, nil, err
-		}
-		for i := 0; i < m; i++ {
-			normal[i] += s * d.model.Components.At(i, j)
-		}
-	}
-	anomaly = make([]float64, m)
-	for i := 0; i < m; i++ {
-		anomaly[i] = y[i] - normal[i]
-	}
-	return normal, anomaly, nil
 }

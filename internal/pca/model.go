@@ -102,125 +102,3 @@ func (md *Model) Score(y []float64, j int) (float64, error) {
 	}
 	return s, nil
 }
-
-// ComponentStdDev returns σ_j = η_j/√(n−1), the standard deviation of the
-// projections on component j (eq. 9).
-func (md *Model) ComponentStdDev(j int) (float64, error) {
-	if j < 0 || j >= len(md.Singular) {
-		return 0, fmt.Errorf("%w: component %d of %d", ErrRank, j, len(md.Singular))
-	}
-	return md.Singular[j] / math.Sqrt(float64(md.WindowLen-1)), nil
-}
-
-// EnergyRank returns the smallest r such that the first r components retain
-// at least frac of the total energy Σ η² (the "90% energy" heuristic used in
-// the paper's evaluation discussion).
-func (md *Model) EnergyRank(frac float64) (int, error) {
-	if math.IsNaN(frac) || frac <= 0 || frac > 1 {
-		return 0, fmt.Errorf("%w: energy fraction %v", ErrRank, frac)
-	}
-	var total float64
-	for _, s := range md.Singular {
-		total += s * s
-	}
-	if total == 0 {
-		return 0, nil
-	}
-	var acc float64
-	for j, s := range md.Singular {
-		acc += s * s
-		if acc >= frac*total {
-			return j + 1, nil
-		}
-	}
-	return len(md.Singular), nil
-}
-
-// ThreeSigmaRank implements the 3σ-heuristic of §IV-D: examine the window's
-// projection onto each component in order; the first component whose
-// projection contains a value beyond 3σ_j of its (zero) mean starts the
-// anomalous subspace, so the normal rank is that component's index. When no
-// component trips the test, the rank is m (everything looks normal).
-//
-// x is the raw window matrix the model was fitted on (or comparable data).
-func (md *Model) ThreeSigmaRank(x *mat.Matrix) (int, error) {
-	m := md.NumFlows()
-	if x.Cols() != m {
-		return 0, fmt.Errorf("%w: window with %d columns for %d flows", ErrInput, x.Cols(), m)
-	}
-	n := x.Rows()
-	if n < 2 {
-		return 0, fmt.Errorf("%w: window of %d rows", ErrInput, n)
-	}
-	y := x.Clone()
-	y.CenterColumns()
-	for j := 0; j < m; j++ {
-		sigma, err := md.ComponentStdDev(j)
-		if err != nil {
-			return 0, err
-		}
-		if sigma == 0 {
-			// Zero-variance components and all after them carry no
-			// signal; they belong to the residual subspace.
-			return j, nil
-		}
-		limit := 3 * sigma
-		for i := 0; i < n; i++ {
-			s, err := md.Score(y.RowView(i), j)
-			if err != nil {
-				return 0, err
-			}
-			if math.Abs(s) > limit {
-				return j, nil
-			}
-		}
-	}
-	return m, nil
-}
-
-// ScreeRank implements Cattell's scree test on the singular-value profile:
-// it returns the index after the "elbow", found as the point maximizing the
-// distance to the line joining the first and last log-eigenvalues.
-func ScreeRank(singular []float64) (int, error) {
-	m := len(singular)
-	if m == 0 {
-		return 0, fmt.Errorf("%w: empty spectrum", ErrInput)
-	}
-	if m <= 2 {
-		return 1, nil
-	}
-	// Work in log-eigenvalue space, flooring zeros.
-	logs := make([]float64, m)
-	floor := math.Inf(1)
-	for _, s := range singular {
-		if s > 0 {
-			floor = math.Min(floor, s)
-		}
-	}
-	if math.IsInf(floor, 1) {
-		return 1, nil // all-zero spectrum
-	}
-	for i, s := range singular {
-		if s <= 0 {
-			s = floor * 1e-6
-		}
-		logs[i] = 2 * math.Log(s)
-	}
-	x1, y1 := 0.0, logs[0]
-	x2, y2 := float64(m-1), logs[m-1]
-	dx, dy := x2-x1, y2-y1
-	norm := math.Hypot(dx, dy)
-	if norm == 0 {
-		return 1, nil
-	}
-	best, bestDist := 1, -1.0
-	for i := 1; i < m-1; i++ {
-		// Perpendicular distance from (i, logs[i]) to the chord.
-		d := math.Abs(dy*float64(i)-dx*logs[i]+x2*y1-y2*x1) / norm
-		if d > bestDist {
-			bestDist = d
-			best = i
-		}
-	}
-	return best + 1, nil
-}

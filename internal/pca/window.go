@@ -26,9 +26,6 @@ func NewWindow(n, m int) (*Window, error) {
 	return &Window{n: n, m: m, rows: make([]float64, n*m)}, nil
 }
 
-// Cap returns the window capacity n.
-func (w *Window) Cap() int { return w.n }
-
 // Len returns the number of vectors currently held.
 func (w *Window) Len() int { return w.count }
 
@@ -96,7 +93,6 @@ type SlidingDetector struct {
 	window     *Window
 	det        *Detector
 	sinceRefit int
-	refits     int
 }
 
 // NewSlidingDetector validates cfg and returns an empty detector.
@@ -166,7 +162,6 @@ func (s *SlidingDetector) Observe(x []float64) (Result, error) {
 		}
 		s.det = det
 		s.sinceRefit = 0
-		s.refits++
 		res.Refitted = true
 	}
 	anomalous, dist, err := s.det.IsAnomalous(x)
@@ -180,10 +175,3 @@ func (s *SlidingDetector) Observe(x []float64) (Result, error) {
 	res.ThresholdUnavailable = math.IsInf(res.Threshold, 1)
 	return res, nil
 }
-
-// Refits returns how many PCA refits have run.
-func (s *SlidingDetector) Refits() int { return s.refits }
-
-// Detector returns the current fitted detector, or nil before the window
-// first fills.
-func (s *SlidingDetector) Detector() *Detector { return s.det }

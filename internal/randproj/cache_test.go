@@ -28,9 +28,8 @@ func TestRowCacheMatchesAt(t *testing.T) {
 			}
 		}
 	}
-	hits, misses := g.CacheStats()
-	if misses != 20 || hits != 20 {
-		t.Fatalf("want 20 misses and 20 hits, got %d/%d", misses, hits)
+	if len(g.rows) != 20 {
+		t.Fatalf("cache holds %d rows after two passes over 20, want 20", len(g.rows))
 	}
 	// Mutating a returned row must not poison the cache.
 	row := g.Row(3)
@@ -51,15 +50,17 @@ func TestRowCacheEviction(t *testing.T) {
 		t.Fatalf("cache holds %d/%d entries, want 4", g.lru.Len(), len(g.rows))
 	}
 	// t=0 was evicted long ago; it must still derive correctly (a new miss).
-	_, missesBefore := g.CacheStats()
+	if _, ok := g.rows[0]; ok {
+		t.Fatal("row 0 should have been evicted")
+	}
 	row := g.Row(0)
 	for k, v := range row {
 		if want := g.At(0, k); v != want {
 			t.Fatalf("evicted row k=%d: %v != %v", k, want, v)
 		}
 	}
-	if _, misses := g.CacheStats(); misses != missesBefore+1 {
-		t.Fatalf("re-deriving an evicted row should miss (misses %d -> %d)", missesBefore, misses)
+	if _, ok := g.rows[0]; !ok || len(g.rows) != 4 {
+		t.Fatalf("re-derived row not re-inserted within capacity (%d rows)", len(g.rows))
 	}
 }
 
@@ -74,8 +75,8 @@ func TestRowCacheDisabled(t *testing.T) {
 			}
 		}
 	}
-	if hits, misses := g.CacheStats(); hits != 0 || misses != 0 {
-		t.Fatalf("disabled cache recorded %d hits %d misses", hits, misses)
+	if len(g.rows) != 0 {
+		t.Fatalf("disabled cache holds %d rows", len(g.rows))
 	}
 }
 

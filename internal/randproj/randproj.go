@@ -23,7 +23,6 @@ import (
 	"math"
 	"sync"
 
-	"streampca/internal/mat"
 	"streampca/internal/stats"
 )
 
@@ -108,8 +107,6 @@ type Generator struct {
 	cacheCap int
 	rows     map[int64]*list.Element
 	lru      *list.List // front = most recent; values are *cachedRow
-	hits     uint64
-	misses   uint64
 }
 
 // cachedRow is one LRU entry.
@@ -163,9 +160,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 // SketchLen returns l, the number of projection directions.
 func (g *Generator) SketchLen() int { return g.sketchLen }
 
-// Dist returns the configured distribution family.
-func (g *Generator) Dist() Distribution { return g.dist }
-
 // Seed returns the shared seed.
 func (g *Generator) Seed() uint64 { return g.seed }
 
@@ -215,11 +209,9 @@ func (g *Generator) RowInto(t int64, dst []float64) {
 	if el, ok := g.rows[t]; ok {
 		g.lru.MoveToFront(el)
 		copy(dst, el.Value.(*cachedRow).row)
-		g.hits++
 		g.mu.Unlock()
 		return
 	}
-	g.misses++
 	g.mu.Unlock()
 
 	// Derive outside the lock: misses are the expensive path and deriving is
@@ -244,53 +236,6 @@ func (g *Generator) fillRow(t int64, dst []float64) {
 	for k := range dst {
 		dst[k] = g.At(t, k)
 	}
-}
-
-// CacheStats reports cumulative row-cache hits and misses (both zero when
-// the cache is disabled).
-func (g *Generator) CacheStats() (hits, misses uint64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.hits, g.misses
-}
-
-// Matrix materializes the n×l random matrix R for intervals
-// t0, t0+1, …, t0+n−1. Intended for tests and the exact-projection
-// reference; the streaming algorithm never builds it.
-func (g *Generator) Matrix(t0 int64, n int) *mat.Matrix {
-	r := mat.NewMatrix(n, g.sketchLen)
-	for i := 0; i < n; i++ {
-		g.RowInto(t0+int64(i), r.RowView(i))
-	}
-	return r
-}
-
-// Project computes the exact sketch matrix Z = (1/√l)·Rᵀ·Y for the window
-// starting at interval t0, where Y is n×m. This is the reference the
-// variance-histogram sketches approximate (paper eq. 24).
-func (g *Generator) Project(t0 int64, y *mat.Matrix) (*mat.Matrix, error) {
-	n, m := y.Rows(), y.Cols()
-	l := g.sketchLen
-	z := mat.NewMatrix(l, m)
-	scale := 1 / math.Sqrt(float64(l))
-	scratch := make([]float64, l)
-	for i := 0; i < n; i++ {
-		yrow := y.RowView(i)
-		t := t0 + int64(i)
-		g.RowInto(t, scratch)
-		for k := 0; k < l; k++ {
-			r := scratch[k]
-			if r == 0 {
-				continue
-			}
-			zrow := z.RowView(k)
-			for j, yv := range yrow {
-				zrow[j] += r * yv
-			}
-		}
-	}
-	z.Scale(scale)
-	return z, nil
 }
 
 // mix combines two 64-bit words into one with good avalanche behaviour.

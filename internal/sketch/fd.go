@@ -79,9 +79,6 @@ func (m *FD) Now() int64 { return m.now }
 // Ell returns the basis budget ℓ.
 func (m *FD) Ell() int { return m.ell }
 
-// Delta returns the accumulated shrinkage Δ bounding ‖AᵀA − BᵀB‖₂.
-func (m *FD) Delta() float64 { return m.delta }
-
 // StateSize returns the number of live buffer rows (≤ 2ℓ).
 func (m *FD) StateSize() int { return m.used }
 
@@ -214,65 +211,4 @@ func (m *FD) Snapshot() Snapshot {
 		}
 	}
 	return rep
-}
-
-// Absorb merges another FD sketch over the same flow set into this one (the
-// row-shard merge: both summarize disjoint subsets of the same row stream).
-// The merged sketch carries the standard additive guarantee: its Δ is the
-// sum of both inputs' Δ plus any shrinkage the merge itself triggers.
-func (m *FD) Absorb(snap Snapshot) error {
-	if snap.Family != FamilyFD {
-		return fmt.Errorf("%w: absorb of %v snapshot into fd", ErrInput, snap.Family)
-	}
-	if err := snap.Validate(m.ell); err != nil {
-		return err
-	}
-	if len(snap.FlowIDs) != len(m.flowIDs) {
-		return fmt.Errorf("%w: absorb across flow sets (%d vs %d flows)",
-			ErrInput, len(snap.FlowIDs), len(m.flowIDs))
-	}
-	for i, id := range snap.FlowIDs {
-		if id != m.flowIDs[i] {
-			return fmt.Errorf("%w: absorb flow mismatch at column %d (%d vs %d)",
-				ErrInput, i, id, m.flowIDs[i])
-		}
-	}
-	// Stage the scalar merges before touching the buffer so the overflow
-	// checks run on hostile payloads without poisoning state.
-	if d := m.delta + snap.FDDelta; math.IsInf(d, 0) || math.IsNaN(d) {
-		return fmt.Errorf("%w: absorb overflows Δ", ErrInput)
-	}
-	var c int64
-	if len(snap.Counts) > 0 {
-		c = snap.Counts[0]
-	}
-	sums := m.sums
-	if c > 0 {
-		sums = make([]float64, len(m.sums))
-		for i := range sums {
-			sums[i] = m.sums[i] + snap.Means[i]*float64(c)
-			if math.IsInf(sums[i], 0) || math.IsNaN(sums[i]) {
-				return fmt.Errorf("%w: absorb overflows mean sums", ErrInput)
-			}
-		}
-	}
-	// insertRow may shrink, growing m.delta; the snapshot's own Δ is added
-	// on top (the merged guarantee sums both inputs' Δ plus merge shrinkage).
-	for _, row := range snap.FDRows {
-		if err := m.insertRow(row); err != nil {
-			return err
-		}
-	}
-	m.delta += snap.FDDelta
-	if math.IsInf(m.delta, 0) || math.IsNaN(m.delta) {
-		return fmt.Errorf("%w: absorb overflows Δ", ErrInput)
-	}
-	m.sums = sums
-	if c > 0 {
-		m.count += c
-	}
-	if snap.Interval > m.now {
-		m.now = snap.Interval
-	}
-	return nil
 }

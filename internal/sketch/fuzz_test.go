@@ -9,12 +9,12 @@ import (
 	"testing"
 )
 
-// FuzzFDAbsorbSnapshot drives hostile FD snapshots through the same path a
-// NOC-side aggregator would: gob round-trip (the wire format) followed by
-// Validate and Absorb. The invariants: no panics, Absorb only ever fails
-// with typed ErrInput, and a snapshot that Absorb accepts leaves the
-// sketcher in a state whose own Snapshot still validates.
-func FuzzFDAbsorbSnapshot(f *testing.F) {
+// FuzzMergeColumns drives hostile FD snapshots through the path an
+// aggregator exposes to its registrants: gob round-trip (the wire format),
+// Validate, then MergeColumns beside a well-formed peer's snapshot. The
+// invariants: no panics, both steps only ever fail with typed ErrInput, and
+// an accepted merge covers both flow sets and still validates.
+func FuzzMergeColumns(f *testing.F) {
 	// Seed corpus: a well-formed two-flow snapshot and a few mutations.
 	seed := func(ell, flows, rows int, delta float64, vals ...float64) []byte {
 		var buf bytes.Buffer
@@ -77,23 +77,32 @@ func FuzzFDAbsorbSnapshot(f *testing.F) {
 			t.Fatalf("gob decode: %v", err)
 		}
 
-		fd, err := NewFD(Config{FlowIDs: []int{0, 1, 2, 3, 4, 5, 6}, Ell: 3})
+		const peerEll = 2 // the seed corpus's budget, so its well-formed entry merges
+		fd, err := NewFD(Config{FlowIDs: []int{10, 11, 12, 13, 14, 15, 16}, Ell: peerEll})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := fd.Update(1, []float64{1, 2, 3, 4, 5, 6, 7}); err != nil {
 			t.Fatal(err)
 		}
-		if err := fd.Absorb(back); err != nil {
+		if err := back.Validate(peerEll); err != nil {
 			if !errors.Is(err, ErrInput) {
-				t.Fatalf("Absorb error not typed ErrInput: %v", err)
+				t.Fatalf("Validate error not typed ErrInput: %v", err)
 			}
 			return
 		}
-		// Accepted: the merged state must still be a valid snapshot.
-		out := fd.Snapshot()
-		if err := out.Validate(fd.Ell()); err != nil {
-			t.Fatalf("post-absorb snapshot invalid: %v", err)
+		merged, err := MergeColumns([]Snapshot{fd.Snapshot(), back}, peerEll)
+		if err != nil {
+			if !errors.Is(err, ErrInput) {
+				t.Fatalf("MergeColumns error not typed ErrInput: %v", err)
+			}
+			return
+		}
+		if len(merged.FlowIDs) != 7+flows {
+			t.Fatalf("merged snapshot covers %d flows, want %d", len(merged.FlowIDs), 7+flows)
+		}
+		if err := merged.Validate(peerEll); err != nil {
+			t.Fatalf("merged snapshot invalid: %v", err)
 		}
 	})
 }

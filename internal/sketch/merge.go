@@ -20,8 +20,7 @@ import (
 //     same budget ℓ. The deterministic guarantee composes additively:
 //     ‖AᵀA − BᵀB‖₂ ≤ Σ inputs' Δ + the merge's own shrinkage. Per-flow means
 //     and counts come from the owning input (each input centered its own
-//     columns; FD.Absorb's count summing is for row shards and must not be
-//     used here).
+//     columns, so counts are carried over, never summed).
 //
 // The result is independent of input order: inputs are sorted by their
 // smallest flow id before merging (flow sets are disjoint, so the order is
@@ -57,15 +56,7 @@ func MergeColumns(snaps []Snapshot, sketchParam int) (Snapshot, error) {
 	if len(snaps) == 1 {
 		return copySnapshot(&snaps[0]), nil
 	}
-	// Canonical input order: ascending smallest flow id. Disjointness makes
-	// this a total order, so any arrival order merges identically.
-	order := make([]int, len(snaps))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return minFlow(&snaps[order[a]]) < minFlow(&snaps[order[b]])
-	})
+	order := CanonicalOrder(snaps)
 	switch family {
 	case FamilyRandProj:
 		return mergeRandProj(snaps, order), nil
@@ -76,9 +67,25 @@ func MergeColumns(snaps []Snapshot, sketchParam int) (Snapshot, error) {
 	}
 }
 
+// CanonicalOrder returns the indices of snaps in ascending order of each
+// snapshot's smallest flow id (a snapshot covering no flows sorts last).
+// Over pairwise-disjoint flow sets that is a total order, so any arrival
+// order — and any naming or placement of the reporting registrants — merges
+// and assembles identically.
+func CanonicalOrder(snaps []Snapshot) []int {
+	order := make([]int, len(snaps))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return minFlow(&snaps[order[a]]) < minFlow(&snaps[order[b]])
+	})
+	return order
+}
+
 func minFlow(s *Snapshot) int {
-	min := s.FlowIDs[0]
-	for _, id := range s.FlowIDs[1:] {
+	min := math.MaxInt
+	for _, id := range s.FlowIDs {
 		if id < min {
 			min = id
 		}

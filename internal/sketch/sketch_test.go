@@ -143,14 +143,14 @@ func TestFDDeterministicBound(t *testing.T) {
 	gap := covGap(t, a, snap.FDRows, w)
 	// Numerical slack: the bound is exact in real arithmetic.
 	tol := 1e-6 * a.Gram().FrobeniusNorm()
-	if gap > fd.Delta()+tol {
-		t.Fatalf("‖AᵀA−BᵀB‖₂ = %v exceeds Δ = %v", gap, fd.Delta())
+	if gap > snap.FDDelta+tol {
+		t.Fatalf("‖AᵀA−BᵀB‖₂ = %v exceeds Δ = %v", gap, snap.FDDelta)
 	}
 	fro := a.FrobeniusNorm()
-	if fd.Delta() > fro*fro/float64(ell)+tol {
-		t.Fatalf("Δ = %v exceeds ‖A‖²_F/ℓ = %v", fd.Delta(), fro*fro/float64(ell))
+	if snap.FDDelta > fro*fro/float64(ell)+tol {
+		t.Fatalf("Δ = %v exceeds ‖A‖²_F/ℓ = %v", snap.FDDelta, fro*fro/float64(ell))
 	}
-	if fd.Delta() == 0 {
+	if snap.FDDelta == 0 {
 		t.Fatal("Δ stayed 0 over 400 rows: shrink never ran")
 	}
 	if snap.Interval != int64(n) || fd.Now() != int64(n) {
@@ -240,109 +240,6 @@ func TestNewFDRejectsVacuousBudget(t *testing.T) {
 	}
 }
 
-func TestFDAbsorbRowShards(t *testing.T) {
-	const w, n, ell = 10, 300, 4
-	rows := randRows(23, n, w)
-	// Monolithic reference over all rows.
-	mono, err := NewFD(Config{FlowIDs: flowIDs(w), Ell: ell})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two row shards: even and odd intervals.
-	shards := [2]*FD{}
-	for s := range shards {
-		shards[s], err = NewFD(Config{FlowIDs: flowIDs(w), Ell: ell})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, row := range rows {
-		if err := mono.Update(int64(i+1), row); err != nil {
-			t.Fatal(err)
-		}
-		if err := shards[i%2].Update(int64(i+1), row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, err := NewFD(Config{FlowIDs: flowIDs(w), Ell: ell})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range shards {
-		if err := merged.Absorb(s.Snapshot()); err != nil {
-			t.Fatalf("Absorb: %v", err)
-		}
-	}
-	// The merged sketch's guarantee is against the union of rows as each
-	// shard inserted them (each shard centered by its own running means).
-	union := make([][]float64, 0, n)
-	for s := range shards {
-		sums := make([]float64, w)
-		c := 0
-		for i, row := range rows {
-			if i%2 != s {
-				continue
-			}
-			cr := make([]float64, w)
-			for j, v := range row {
-				mean := 0.0
-				if c > 0 {
-					mean = sums[j] / float64(c)
-				}
-				cr[j] = v - mean
-				sums[j] += v
-			}
-			c++
-			union = append(union, cr)
-		}
-	}
-	a := mat.NewMatrix(len(union), w)
-	for i, r := range union {
-		copy(a.RowView(i), r)
-	}
-	snap := merged.Snapshot()
-	gap := covGap(t, a, snap.FDRows, w)
-	tol := 1e-6 * a.Gram().FrobeniusNorm()
-	if gap > merged.Delta()+tol {
-		t.Fatalf("merged ‖AᵀA−BᵀB‖₂ = %v exceeds Δ = %v", gap, merged.Delta())
-	}
-	// Count/means merge: every row was seen exactly once.
-	if got := snap.Counts[0]; got != int64(n) {
-		t.Fatalf("merged count %d, want %d", got, n)
-	}
-	monoSnap := mono.Snapshot()
-	for j := range snap.Means {
-		if math.Abs(snap.Means[j]-monoSnap.Means[j]) > 1e-9 {
-			t.Fatalf("merged mean[%d] = %v, mono %v", j, snap.Means[j], monoSnap.Means[j])
-		}
-	}
-}
-
-func TestFDAbsorbRejectsMismatch(t *testing.T) {
-	fd, err := NewFD(Config{FlowIDs: flowIDs(5), Ell: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := NewFD(Config{FlowIDs: []int{7, 8, 9, 10, 11}, Ell: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fd.Absorb(other.Snapshot()); !errors.Is(err, ErrInput) {
-		t.Fatalf("flow mismatch err = %v", err)
-	}
-	rp := Snapshot{Family: FamilyRandProj}
-	if err := fd.Absorb(rp); !errors.Is(err, ErrInput) {
-		t.Fatalf("family mismatch err = %v", err)
-	}
-	wrongEll, err := NewFD(Config{FlowIDs: flowIDs(9), Ell: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fd.Absorb(wrongEll.Snapshot()); !errors.Is(err, ErrInput) {
-		t.Fatalf("ell mismatch err = %v", err)
-	}
-}
-
 func TestSnapshotValidateFD(t *testing.T) {
 	good := Snapshot{
 		FlowIDs: []int{0, 1},
@@ -411,9 +308,6 @@ func TestRandProjSnapshotMatchesValidate(t *testing.T) {
 	}
 	if sk.Histogram(0) == nil || sk.Histogram(-1) != nil || sk.Histogram(w) != nil {
 		t.Fatal("Histogram accessor bounds")
-	}
-	if snap.MemoryBytes() <= 0 {
-		t.Fatal("MemoryBytes must be positive")
 	}
 }
 

@@ -94,18 +94,3 @@ func (r *Snapshot) Validate(sketchParam int) error {
 	}
 	return nil
 }
-
-// MemoryBytes estimates the payload's retained sketch-state size: the
-// float64 cells of the per-flow sketches (RandProj) or buffer rows (FD).
-// Used by the three-way shoot-out's space column.
-func (r *Snapshot) MemoryBytes() int {
-	cells := 0
-	for _, s := range r.Sketches {
-		cells += len(s)
-	}
-	for _, row := range r.FDRows {
-		cells += len(row)
-	}
-	cells += len(r.Means)
-	return 8 * cells
-}

@@ -23,11 +23,6 @@ func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// NormalPDF returns the standard normal density at x.
-func NormalPDF(x float64) float64 {
-	return math.Exp(-0.5*x*x) / math.Sqrt(2*math.Pi)
-}
-
 // NormalQuantile returns the standard normal quantile z_p with
 // P(Z ≤ z_p) = p, using Acklam's rational approximation refined by one
 // Halley step, accurate to full double precision over (0, 1).

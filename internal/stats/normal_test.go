@@ -25,15 +25,6 @@ func TestNormalCDFKnownValues(t *testing.T) {
 	}
 }
 
-func TestNormalPDF(t *testing.T) {
-	if got := NormalPDF(0); math.Abs(got-0.3989422804014327) > 1e-15 {
-		t.Fatalf("PDF(0) = %v", got)
-	}
-	if NormalPDF(3) >= NormalPDF(0) {
-		t.Fatal("PDF must decrease away from 0")
-	}
-}
-
 func TestNormalQuantileKnownValues(t *testing.T) {
 	tests := []struct {
 		p, want float64

@@ -125,17 +125,3 @@ func QStatisticCapped(singularValues []float64, windowLen, normalRank int, alpha
 	}
 	return 0, 0, lastErr
 }
-
-// ResidualVariances converts singular values to the per-component variances
-// σ_j² = η_j²/(n−1) of eq. (9), for all components.
-func ResidualVariances(singularValues []float64, windowLen int) ([]float64, error) {
-	if windowLen < 2 {
-		return nil, fmt.Errorf("%w: window length %d", ErrBadInput, windowLen)
-	}
-	out := make([]float64, len(singularValues))
-	denom := float64(windowLen - 1)
-	for i, eta := range singularValues {
-		out[i] = eta * eta / denom
-	}
-	return out, nil
-}

@@ -259,19 +259,6 @@ func TestQStatisticCalibrationOnGaussianData(t *testing.T) {
 	}
 }
 
-func TestResidualVariances(t *testing.T) {
-	out, err := ResidualVariances([]float64{3, 2}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(out[0]-1) > 1e-12 || math.Abs(out[1]-4.0/9) > 1e-12 {
-		t.Fatalf("variances = %v", out)
-	}
-	if _, err := ResidualVariances([]float64{1}, 1); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("window 1: %v", err)
-	}
-}
-
 // Property: Q is finite and non-negative for arbitrary decaying spectra.
 func TestQuickQStatisticFinite(t *testing.T) {
 	f := func(seed int64) bool {

@@ -103,30 +103,3 @@ func (tr *Trace) AnomalousFlows(i int) []int {
 	sort.Ints(out)
 	return out
 }
-
-// InjectedAmount returns the total volume injected on flow f at interval i
-// across all injections (flash crowds contribute their ramped value).
-func (tr *Trace) InjectedAmount(i, f int) float64 {
-	var total float64
-	for _, inj := range tr.Injections {
-		if i < inj.Start || i >= inj.End {
-			continue
-		}
-		hit := false
-		for _, jf := range inj.Flows {
-			if jf == f {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			continue
-		}
-		mag := inj.Magnitude
-		if inj.Kind == FlashCrowd {
-			mag *= float64(i-inj.Start+1) / float64(inj.End-inj.Start)
-		}
-		total += mag * tr.baseMeans[f]
-	}
-	return total
-}

@@ -10,61 +10,6 @@ import (
 // ErrLRDConfig indicates invalid long-range-dependence parameters.
 var ErrLRDConfig = errors.New("traffic: invalid LRD configuration")
 
-// FGN generates n samples of fractional Gaussian noise with Hurst parameter
-// H ∈ (0, 1) and unit marginal variance, using the Hosking (Durbin–Levinson)
-// method. The method is exact but O(n²); use it for validation and
-// moderate-length series, and MultiScaleNoise for long generator runs.
-func FGN(n int, hurst float64, rng *rand.Rand) ([]float64, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("%w: n = %d", ErrLRDConfig, n)
-	}
-	if math.IsNaN(hurst) || hurst <= 0 || hurst >= 1 {
-		return nil, fmt.Errorf("%w: hurst = %v", ErrLRDConfig, hurst)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-
-	// Autocovariance of fGn: γ(k) = ½(|k+1|^{2H} − 2|k|^{2H} + |k−1|^{2H}).
-	gamma := make([]float64, n)
-	twoH := 2 * hurst
-	for k := 0; k < n; k++ {
-		fk := float64(k)
-		gamma[k] = 0.5 * (math.Pow(fk+1, twoH) - 2*math.Pow(fk, twoH) + math.Pow(math.Abs(fk-1), twoH))
-	}
-
-	out := make([]float64, n)
-	phi := make([]float64, n)
-	prevPhi := make([]float64, n)
-	v := gamma[0]
-	out[0] = rng.NormFloat64() * math.Sqrt(v)
-
-	for i := 1; i < n; i++ {
-		// Durbin–Levinson step: new reflection coefficient.
-		var acc float64
-		for j := 1; j < i; j++ {
-			acc += prevPhi[j] * gamma[i-j]
-		}
-		phiII := (gamma[i] - acc) / v
-		phi[i] = phiII
-		for j := 1; j < i; j++ {
-			phi[j] = prevPhi[j] - phiII*prevPhi[i-j]
-		}
-		v *= 1 - phiII*phiII
-		if v < 0 {
-			v = 0
-		}
-
-		var mean float64
-		for j := 1; j <= i; j++ {
-			mean += phi[j] * out[i-j]
-		}
-		out[i] = mean + rng.NormFloat64()*math.Sqrt(v)
-		copy(prevPhi[:i+1], phi[:i+1])
-	}
-	return out, nil
-}
-
 // MultiScaleNoise approximates long-range-dependent noise as a weighted sum
 // of AR(1) (Ornstein–Uhlenbeck-like) components with geometrically spread
 // time constants. The superposition reproduces slowly decaying correlations
@@ -122,56 +67,4 @@ func (m *MultiScaleNoise) Step() float64 {
 		out += m.weights[c] * m.state[c]
 	}
 	return out
-}
-
-// EstimateHurst estimates the Hurst parameter of data with the aggregated-
-// variance method: for block sizes b the variance of block means scales as
-// b^{2H−2}; H is recovered by least-squares on the log-log plot.
-func EstimateHurst(data []float64) (float64, error) {
-	if len(data) < 64 {
-		return 0, fmt.Errorf("%w: need at least 64 samples, got %d", ErrLRDConfig, len(data))
-	}
-	var xs, ys []float64
-	for b := 1; b <= len(data)/8; b *= 2 {
-		nBlocks := len(data) / b
-		means := make([]float64, nBlocks)
-		for i := 0; i < nBlocks; i++ {
-			var s float64
-			for j := i * b; j < (i+1)*b; j++ {
-				s += data[j]
-			}
-			means[i] = s / float64(b)
-		}
-		// Variance of block means.
-		var mean float64
-		for _, v := range means {
-			mean += v
-		}
-		mean /= float64(nBlocks)
-		var variance float64
-		for _, v := range means {
-			d := v - mean
-			variance += d * d
-		}
-		variance /= float64(nBlocks)
-		if variance <= 0 {
-			continue
-		}
-		xs = append(xs, math.Log(float64(b)))
-		ys = append(ys, math.Log(variance))
-	}
-	if len(xs) < 3 {
-		return 0, fmt.Errorf("%w: degenerate series", ErrLRDConfig)
-	}
-	// Least-squares slope.
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-	}
-	fn := float64(len(xs))
-	slope := (fn*sxy - sx*sy) / (fn*sxx - sx*sx)
-	return slope/2 + 1, nil
 }

@@ -60,92 +60,6 @@ func TestNewAbileneAggregator(t *testing.T) {
 	}
 }
 
-func TestFGNBasic(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	x, err := FGN(512, 0.8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(x) != 512 {
-		t.Fatalf("len = %d", len(x))
-	}
-	for i, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("non-finite at %d", i)
-		}
-	}
-	// Unit marginal variance, roughly.
-	var mean, variance float64
-	for _, v := range x {
-		mean += v
-	}
-	mean /= float64(len(x))
-	for _, v := range x {
-		d := v - mean
-		variance += d * d
-	}
-	variance /= float64(len(x))
-	if variance < 0.4 || variance > 2.5 {
-		t.Fatalf("variance = %v, want ≈1", variance)
-	}
-}
-
-func TestFGNValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := FGN(-1, 0.8, rng); !errors.Is(err, ErrLRDConfig) {
-		t.Fatalf("negative n: %v", err)
-	}
-	for _, h := range []float64{0, 1, -0.5, math.NaN()} {
-		if _, err := FGN(10, h, rng); !errors.Is(err, ErrLRDConfig) {
-			t.Fatalf("hurst %v: %v", h, err)
-		}
-	}
-	out, err := FGN(0, 0.8, rng)
-	if err != nil || out != nil {
-		t.Fatalf("n=0: %v, %v", out, err)
-	}
-}
-
-func TestFGNHurstRecovery(t *testing.T) {
-	// The aggregated-variance estimator should recover H within a loose
-	// tolerance, and H=0.85 noise must estimate clearly above H=0.5 noise.
-	rng := rand.New(rand.NewSource(5))
-	long, err := FGN(4096, 0.85, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hLong, err := EstimateHurst(long)
-	if err != nil {
-		t.Fatal(err)
-	}
-	short := make([]float64, 4096)
-	for i := range short {
-		short[i] = rng.NormFloat64() // H = 0.5 white noise
-	}
-	hShort, err := EstimateHurst(short)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hLong < 0.65 {
-		t.Fatalf("estimated H for fGn(0.85) = %v, want > 0.65", hLong)
-	}
-	if hShort > 0.65 {
-		t.Fatalf("estimated H for white noise = %v, want < 0.65", hShort)
-	}
-	if hLong <= hShort {
-		t.Fatalf("H(fGn 0.85) = %v must exceed H(white) = %v", hLong, hShort)
-	}
-}
-
-func TestEstimateHurstErrors(t *testing.T) {
-	if _, err := EstimateHurst(make([]float64, 10)); !errors.Is(err, ErrLRDConfig) {
-		t.Fatalf("short: %v", err)
-	}
-	if _, err := EstimateHurst(make([]float64, 128)); !errors.Is(err, ErrLRDConfig) {
-		t.Fatalf("constant series: %v", err)
-	}
-}
-
 func TestMultiScaleNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m, err := NewMultiScaleNoise(5, rng)
@@ -171,7 +85,7 @@ func TestMultiScaleNoise(t *testing.T) {
 		t.Fatalf("variance = %v, want ≈1", variance)
 	}
 	// Long-memory flavour: estimated Hurst above white noise's.
-	h, err := EstimateHurst(data)
+	h, err := estimateHurst(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,52 +306,6 @@ func TestInjectValidation(t *testing.T) {
 	}
 	if _, err := tr.BaselineMean(-1); !errors.Is(err, ErrInject) {
 		t.Fatalf("baseline mean: %v", err)
-	}
-}
-
-func TestPacketizeRoundTrip(t *testing.T) {
-	tr, err := Generate(GeneratorConfig{
-		Routers:      []string{"A", "B", "C"},
-		NumIntervals: 5,
-		Seed:         7,
-		TotalVolume:  1e6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts, err := tr.Packetize(2, PacketizeOptions{MaxPackets: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkts) == 0 {
-		t.Fatal("no packets")
-	}
-	// Re-aggregate the packets and compare per-flow byte totals with the
-	// trace row (within rounding: sizes are truncated to ints).
-	tbl, err := BuildRoutingTable(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := newAggForTest(tbl, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, 9)
-	for _, p := range pkts {
-		id, err := agg.FlowID(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[id] += float64(p.Size)
-	}
-	for j := 0; j < 9; j++ {
-		want := tr.Volumes.At(2, j)
-		if math.Abs(got[j]-want) > 8+want*1e-3 {
-			t.Fatalf("flow %d: packetized %v, trace %v", j, got[j], want)
-		}
-	}
-	if _, err := tr.Packetize(99, PacketizeOptions{}); !errors.Is(err, ErrInject) {
-		t.Fatalf("bad interval: %v", err)
 	}
 }
 

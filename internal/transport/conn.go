@@ -28,13 +28,8 @@ type Conn struct {
 	closeErr  error
 }
 
-// NewConn wraps an established stream (net.Conn or an in-memory pipe).
-func NewConn(raw io.ReadWriteCloser) *Conn {
-	return NewConnWithMetrics(raw, nil)
-}
-
-// NewConnWithMetrics wraps an established stream and records wire traffic on
-// m (nil disables instrumentation).
+// NewConnWithMetrics wraps an established stream (net.Conn or an in-memory
+// pipe) and records wire traffic on m (nil disables instrumentation).
 func NewConnWithMetrics(raw io.ReadWriteCloser, m *Metrics) *Conn {
 	registerTypes()
 	stream := raw

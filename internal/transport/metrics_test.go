@@ -97,13 +97,13 @@ func TestEncodeErrorCounted(t *testing.T) {
 
 func TestServerMetricsOnAcceptedConns(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv, err := ListenWithMetrics("127.0.0.1:0", func(c *Conn) {
+	srv, err := ListenWithOptions("127.0.0.1:0", func(c *Conn) {
 		for {
 			if _, err := c.Recv(); err != nil {
 				return
 			}
 		}
-	}, NewMetrics(reg))
+	}, NewMetrics(reg), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,13 +29,7 @@ type Server struct {
 
 // Listen starts a server on addr (e.g. "127.0.0.1:0").
 func Listen(addr string, handler Handler) (*Server, error) {
-	return ListenWithMetrics(addr, handler, nil)
-}
-
-// ListenWithMetrics is Listen with wire instrumentation: every accepted
-// connection records its traffic on m (nil disables).
-func ListenWithMetrics(addr string, handler Handler, m *Metrics) (*Server, error) {
-	return ListenWithOptions(addr, handler, m, nil)
+	return ListenWithOptions(addr, handler, nil, nil)
 }
 
 // ListenWithOptions is Listen with wire instrumentation on m and a fault

@@ -136,18 +136,6 @@ func New(cfg Config) (*Histogram, error) {
 	return h, nil
 }
 
-// WindowLen returns the configured window length n.
-func (h *Histogram) WindowLen() int { return h.cfg.WindowLen }
-
-// Epsilon returns the configured approximation parameter.
-func (h *Histogram) Epsilon() float64 { return h.cfg.Epsilon }
-
-// SketchLen returns l, or 0 when running without sketches.
-func (h *Histogram) SketchLen() int { return h.sketchL }
-
-// Now returns the time of the most recent update.
-func (h *Histogram) Now() int64 { return h.now }
-
 // NumBuckets returns the current number of buckets (the space the summary
 // occupies is NumBuckets·O(l)).
 func (h *Histogram) NumBuckets() int { return len(h.buckets) }
@@ -295,35 +283,10 @@ func (h *Histogram) mergeScan() {
 	}
 }
 
-// Aggregate merges all buckets into one summary B_all = ∪_p B_p. The
-// returned bucket owns fresh Z/R slices. An empty histogram yields a zero
-// bucket.
-func (h *Histogram) Aggregate() Bucket {
-	var all Bucket
-	if len(h.buckets) == 0 {
-		if h.sketchL > 0 {
-			all.Z = make([]float64, h.sketchL)
-			all.R = make([]float64, h.sketchL)
-		}
-		return all
-	}
-	first := h.buckets[0]
-	all = Bucket{Timestamp: first.Timestamp, Count: first.Count, Mean: first.Mean, Var: first.Var}
-	if h.sketchL > 0 {
-		all.Z = append([]float64(nil), first.Z...)
-		all.R = append([]float64(nil), first.R...)
-	}
-	for i := 1; i < len(h.buckets); i++ {
-		all.mergeInto(&h.buckets[i])
-	}
-	return all
-}
-
 // EstimateVariance returns V̂, the ε-approximate window variance (sum of
 // squared deviations, eq. 10). It folds count/mean/var across the bucket list
 // with the merge recurrence and never touches the Z/R sketch slices, so it is
-// allocation-free — Aggregate() deep-copies O(buckets·l) floats, which is too
-// expensive for the per-interval monitor path.
+// allocation-free on the per-interval monitor path.
 func (h *Histogram) EstimateVariance() float64 {
 	count, _, variance := h.aggregateMoments()
 	if count == 0 {
@@ -375,31 +338,4 @@ func (h *Histogram) Sketch() []float64 {
 		out[k] = scale * (h.totalZ[k] - mean*h.totalR[k])
 	}
 	return out
-}
-
-// Buckets returns a deep copy of the current bucket list (oldest first),
-// for inspection, testing and serialization.
-func (h *Histogram) Buckets() []Bucket {
-	out := make([]Bucket, len(h.buckets))
-	for i, b := range h.buckets {
-		out[i] = Bucket{Timestamp: b.Timestamp, Count: b.Count, Mean: b.Mean, Var: b.Var}
-		if b.Z != nil {
-			out[i].Z = append([]float64(nil), b.Z...)
-			out[i].R = append([]float64(nil), b.R...)
-		}
-	}
-	return out
-}
-
-// Reset discards all state, keeping the configuration.
-func (h *Histogram) Reset() {
-	h.buckets = h.buckets[:0]
-	h.now = 0
-	h.started = false
-	h.totalCount = 0
-	h.totalSum = 0
-	for k := range h.totalZ {
-		h.totalZ[k] = 0
-		h.totalR[k] = 0
-	}
 }

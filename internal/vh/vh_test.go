@@ -211,10 +211,10 @@ func TestBucketCompression(t *testing.T) {
 	}
 }
 
-func TestBucketsOrderingAndCopy(t *testing.T) {
+func TestBucketsOrdering(t *testing.T) {
 	h := mustHist(t, Config{WindowLen: 10, Epsilon: 0.1})
 	feed(t, h, []float64{1, 2, 3})
-	bs := h.Buckets()
+	bs := h.buckets
 	if len(bs) != 3 {
 		t.Fatalf("buckets = %d", len(bs))
 	}
@@ -223,23 +223,30 @@ func TestBucketsOrderingAndCopy(t *testing.T) {
 			t.Fatal("buckets must be ordered oldest first")
 		}
 	}
-	bs[0].Mean = 999 // must not affect the histogram
-	if h.EstimateMean() == 999 {
-		t.Fatal("Buckets must return a copy")
-	}
 }
 
-func TestReset(t *testing.T) {
-	h := mustHist(t, Config{WindowLen: 10, Epsilon: 0.1})
-	feed(t, h, []float64{1, 2, 3})
-	h.Reset()
-	if h.Count() != 0 || h.NumBuckets() != 0 {
-		t.Fatal("reset must clear state")
+// aggregate merges all buckets into one summary B_all = ∪_p B_p, the
+// bucket-list ground truth the incremental totals and the moment fold are
+// checked against. An empty histogram yields a zero bucket.
+func aggregate(h *Histogram) Bucket {
+	var all Bucket
+	if len(h.buckets) == 0 {
+		if h.sketchL > 0 {
+			all.Z = make([]float64, h.sketchL)
+			all.R = make([]float64, h.sketchL)
+		}
+		return all
 	}
-	// Time restarts after reset.
-	if err := h.Update(1, 5); err != nil {
-		t.Fatalf("update after reset: %v", err)
+	first := h.buckets[0]
+	all = Bucket{Timestamp: first.Timestamp, Count: first.Count, Mean: first.Mean, Var: first.Var}
+	if h.sketchL > 0 {
+		all.Z = append([]float64(nil), first.Z...)
+		all.R = append([]float64(nil), first.R...)
 	}
+	for i := 1; i < len(h.buckets); i++ {
+		all.mergeInto(&h.buckets[i])
+	}
+	return all
 }
 
 func newSketchGen(t *testing.T, l int, window int) *randproj.Generator {
@@ -333,25 +340,6 @@ func TestSketchApproximatesProjectionWithMerging(t *testing.T) {
 	}
 }
 
-func TestAggregateMergesAllBuckets(t *testing.T) {
-	g := newSketchGen(t, 4, 8)
-	h := mustHist(t, Config{WindowLen: 8, Epsilon: 0.01, Gen: g})
-	feed(t, h, []float64{1, 2, 3, 4})
-	all := h.Aggregate()
-	if all.Count != 4 {
-		t.Fatalf("aggregate count = %d", all.Count)
-	}
-	if math.Abs(all.Mean-2.5) > 1e-12 {
-		t.Fatalf("aggregate mean = %v", all.Mean)
-	}
-	if math.Abs(all.Var-5) > 1e-12 { // Σ(x−2.5)² = 2.25+0.25+0.25+2.25
-		t.Fatalf("aggregate var = %v", all.Var)
-	}
-	if len(all.Z) != 4 || len(all.R) != 4 {
-		t.Fatal("aggregate must carry sketch sums")
-	}
-}
-
 func TestMergeIntoFormulae(t *testing.T) {
 	// Merge two buckets and compare against direct computation over the
 	// concatenated samples.
@@ -430,7 +418,7 @@ func TestQuickIncrementalTotalsMatchAggregate(t *testing.T) {
 				return false
 			}
 		}
-		agg := h.Aggregate()
+		agg := aggregate(h)
 		if h.Count() != agg.Count {
 			return false
 		}
@@ -493,7 +481,7 @@ func TestLongRunTotalsDrift(t *testing.T) {
 		// must end on an even (unit) phase.
 		t.Fatalf("workload must end in a unit-magnitude phase")
 	}
-	agg := h.Aggregate()
+	agg := aggregate(h)
 	if h.Count() != agg.Count {
 		t.Fatalf("Count() = %d, aggregate count = %d", h.Count(), agg.Count)
 	}
@@ -512,7 +500,7 @@ func TestLongRunTotalsDrift(t *testing.T) {
 }
 
 // TestEstimateVarianceMatchesAggregate pins the sketch-free moment fold to
-// the Aggregate() reference: both walk the bucket list with the same merge
+// the aggregate() reference: both walk the bucket list with the same merge
 // recurrence, so they must agree bit-for-bit.
 func TestEstimateVarianceMatchesAggregate(t *testing.T) {
 	g, err := randproj.NewGenerator(randproj.Config{Seed: 5, SketchLen: 8})
@@ -526,14 +514,14 @@ func TestEstimateVarianceMatchesAggregate(t *testing.T) {
 			t.Fatalf("update %d: %v", i, err)
 		}
 		if i%97 == 0 {
-			agg := h.Aggregate()
+			agg := aggregate(h)
 			if got := h.EstimateVariance(); got != agg.Var {
-				t.Fatalf("update %d: EstimateVariance() = %v, Aggregate().Var = %v", i, got, agg.Var)
+				t.Fatalf("update %d: EstimateVariance() = %v, aggregate().Var = %v", i, got, agg.Var)
 			}
 		}
 	}
 	// Empty histogram.
-	h.Reset()
+	h = mustHist(t, Config{WindowLen: 128, Epsilon: 0.1, Gen: g})
 	if got := h.EstimateVariance(); got != 0 {
 		t.Fatalf("empty EstimateVariance() = %v", got)
 	}
@@ -574,16 +562,6 @@ func TestUpdateWithRowValidation(t *testing.T) {
 	}
 	if err := h.UpdateWithRow(1, 5, g.Row(1)); err != nil {
 		t.Fatal(err)
-	}
-	// Reset clears the incremental totals too.
-	h.Reset()
-	if h.Count() != 0 || h.EstimateMean() != 0 {
-		t.Fatal("reset must clear totals")
-	}
-	for _, v := range h.Sketch() {
-		if v != 0 {
-			t.Fatal("reset must clear sketch totals")
-		}
 	}
 }
 
