@@ -56,7 +56,7 @@ go -C bench vet ./... && go -C bench test .
 step_done
 
 # Whole-tree race pass. This replaces the hand-maintained package lists that
-# accumulated over PRs 2-7 (par/transport/monitor/noc/obs/faults/ingest/trace,
+# accumulated over PRs 2-7 (transport/monitor/noc/obs/faults/ingest/trace,
 # then the ingest e2e cmds, then oracle): every new concurrent package — the
 # PR8 sketcher families included — is covered the day it lands instead of
 # waiting for someone to remember the list. The differential-validation

@@ -216,7 +216,6 @@ func TestRunIngestMatchesDirectFeed(t *testing.T) {
 			"-ingest-listen", listen,
 			"-routers", itoa(e2eRouters),
 			"-interval", "300s",
-			"-ingest-shards", "2",
 			"-metrics-addr", metricsAddr,
 		}, strings.NewReader(""), sig)
 	}()
@@ -343,7 +342,6 @@ func TestChaosIngestFaultyDatagrams(t *testing.T) {
 	p, err := ingest.NewPipeline(ingest.Config{
 		Aggregator: agg,
 		Interval:   300 * time.Second,
-		Shards:     2,
 		Faults:     plan,
 		Sink: func(iv ingest.Interval) error {
 			return svc.ReportInterval(iv.Seq, iv.Volumes)

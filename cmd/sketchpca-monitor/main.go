@@ -10,8 +10,8 @@
 // collects NetFlow v5 datagrams over UDP, aggregates them into per-interval
 // OD volume rows (internal/ingest) and reports this monitor's -flows slice
 // of each sealed row. SIGINT/SIGTERM shut down gracefully: the collector
-// stops reading, queued batches drain, and the current partial interval is
-// sealed and reported before the NOC link closes.
+// stops reading, and the current partial interval is sealed and reported
+// before the NOC link closes.
 //
 // Usage:
 //
@@ -78,10 +78,6 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 		tracing = cliflags.Trace(fs, "append one JSONL audit record per received alarm to this file (off when empty)")
 
 		ingListen = fs.String("ingest-listen", "", "UDP address for live NetFlow v5 ingestion (off when empty; replaces the stdin CSV path)")
-		ingColl   = fs.Int("ingest-collectors", 1, "UDP collector sockets (SO_REUSEPORT where available; falls back to shared-socket readers)")
-		ingShards = fs.Int("ingest-shards", 0, "ingest aggregation shards (0 = all CPUs)")
-		ingQueue  = fs.Int("ingest-queue", 256, "per-shard ingest queue length, in record batches")
-		ingPolicy = fs.String("ingest-policy", "block", "ingest backpressure policy: block, drop-oldest or drop-newest")
 		ingIntvl  = fs.Duration("interval", 5*time.Minute, "measurement interval length (ingest mode)")
 		ingLate   = fs.Duration("ingest-lateness", 0, "accept records up to this much older than the stream head before sealing their interval")
 		ingClock  = fs.String("ingest-clock", "record", "interval clock: record (exporter timestamps) or wall")
@@ -109,9 +105,17 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 	}
 
 	if *ingListen == "" {
-		// CSV mode ignores the ingest tuning flags; catch accidental mixes.
-		if *ingShards != 0 || *routers != 0 || *ingColl != 1 {
-			return fmt.Errorf("-ingest-shards/-ingest-collectors/-routers need -ingest-listen")
+		// CSV mode reads none of the ingest flags; an operator who set one
+		// meant ingest mode.
+		var stray string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "interval", "ingest-lateness", "ingest-clock", "routers":
+				stray = f.Name
+			}
+		})
+		if stray != "" {
+			return fmt.Errorf("-%s needs -ingest-listen", stray)
 		}
 	}
 
@@ -196,19 +200,15 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 
 	if *ingListen != "" {
 		return runIngest(svc, ingestOptions{
-			listen:     *ingListen,
-			collectors: *ingColl,
-			shards:     *ingShards,
-			queueLen:   *ingQueue,
-			policy:     *ingPolicy,
-			interval:   *ingIntvl,
-			lateness:   *ingLate,
-			clock:      *ingClock,
-			routers:    *routers,
-			id:         *id,
-			flows:      flows,
-			shed:       reconn.Enabled,
-			trace:      tracer,
+			listen:   *ingListen,
+			interval: *ingIntvl,
+			lateness: *ingLate,
+			clock:    *ingClock,
+			routers:  *routers,
+			id:       *id,
+			flows:    flows,
+			shed:     reconn.Enabled,
+			trace:    tracer,
 		}, shutdown)
 	}
 
@@ -265,27 +265,23 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 
 // ingestOptions carries the -ingest-* flag values into runIngest.
 type ingestOptions struct {
-	listen     string
-	collectors int
-	shards     int
-	queueLen   int
-	policy     string
-	interval   time.Duration
-	lateness   time.Duration
-	clock      string
-	routers    int
-	id         string
-	flows      []int
-	shed       bool // shed intervals instead of failing while the NOC link redials
-	trace      *trace.Tracer
+	listen   string
+	interval time.Duration
+	lateness time.Duration
+	clock    string
+	routers  int
+	id       string
+	flows    []int
+	shed     bool // shed intervals instead of failing while the NOC link redials
+	trace    *trace.Tracer
 }
 
-// runIngest runs the live-ingestion loop: a UDP NetFlow collector feeding a
-// sharded aggregation pipeline whose sealed interval rows are sliced down to
-// this monitor's flows and reported to the NOC. It blocks until shutdown
-// fires, then drains: collector first (stop reading), pipeline second (flush
-// queues, seal the partial interval), so every received record still reaches
-// the NOC before the link closes.
+// runIngest runs the live-ingestion loop: a UDP NetFlow collector feeding
+// the aggregation pipeline whose sealed interval rows are sliced down to this
+// monitor's flows and reported to the NOC. It blocks until shutdown fires,
+// then drains: collector first (stop reading), pipeline second (seal the
+// partial interval), so every received record still reaches the NOC before
+// the link closes.
 func runIngest(svc *monitor.Service, o ingestOptions, shutdown <-chan os.Signal) error {
 	var (
 		agg *flow.Aggregator
@@ -307,10 +303,6 @@ func runIngest(svc *monitor.Service, o ingestOptions, shutdown <-chan os.Signal)
 		if f < 0 || f >= agg.NumFlows() {
 			return fmt.Errorf("-flows: %d outside the %d-flow topology", f, agg.NumFlows())
 		}
-	}
-	policy, err := ingest.ParsePolicy(o.policy)
-	if err != nil {
-		return fmt.Errorf("-ingest-policy: %w", err)
 	}
 	clock, err := ingest.ParseClock(o.clock)
 	if err != nil {
@@ -338,9 +330,6 @@ func runIngest(svc *monitor.Service, o ingestOptions, shutdown <-chan os.Signal)
 	p, err := ingest.NewPipeline(ingest.Config{
 		Aggregator: agg,
 		Interval:   o.interval,
-		Shards:     o.shards,
-		QueueLen:   o.queueLen,
-		Policy:     policy,
 		Clock:      clock,
 		Lateness:   o.lateness,
 		Sink:       sink,
@@ -356,21 +345,19 @@ func runIngest(svc *monitor.Service, o ingestOptions, shutdown <-chan os.Signal)
 	met := p.Metrics()
 	svc.SetIngestStats(func() monitor.IngestStats {
 		return monitor.IngestStats{
-			QueueDepth:     int64(met.QueueDepth.Value()),
-			DroppedRecords: met.DroppedOldest.Value() + met.DroppedNewest.Value(),
-			FutureDrops:    met.FutureDrops.Value(),
-			LateRecords:    met.LateRecords.Value(),
-			EpochsSealed:   met.EpochsSealed.Value(),
-			PartialEpochs:  met.PartialEpochs.Value(),
+			FutureDrops:   met.FutureDrops.Value(),
+			LateRecords:   met.LateRecords.Value(),
+			EpochsSealed:  met.EpochsSealed.Value(),
+			PartialEpochs: met.PartialEpochs.Value(),
 		}
 	})
-	c, err := ingest.ListenN(o.listen, o.collectors, p)
+	c, err := ingest.Listen(o.listen, p)
 	if err != nil {
 		_ = p.Close()
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "%s: ingesting NetFlow v5 on %s (%d socket(s), interval %s, %d flows of %d)\n",
-		o.id, c.Addr(), c.Sockets(), o.interval, len(o.flows), agg.NumFlows())
+	fmt.Fprintf(os.Stderr, "%s: ingesting NetFlow v5 on %s (interval %s, %d flows of %d)\n",
+		o.id, c.Addr(), o.interval, len(o.flows), agg.NumFlows())
 
 	<-shutdown
 	fmt.Fprintf(os.Stderr, "%s: shutting down: draining ingest and sealing the open interval\n", o.id)

@@ -66,6 +66,23 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 }
 
+// An ingest-only flag in CSV mode is a mistake the daemon must name, not a
+// setting it silently drops.
+func TestRunRejectsIngestFlagsWithoutListen(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"-interval", "1m"},
+		{"-ingest-lateness", "1m"},
+		{"-ingest-clock", "wall"},
+		{"-routers", "3"},
+	} {
+		err := run([]string{"-flows", "0", "-noc", "127.0.0.1:1", "-dial-timeout", "50ms", c.flag, c.value},
+			strings.NewReader(""), nil)
+		if want := c.flag + " needs -ingest-listen"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s %s on stdin mode: %v, want %q", c.flag, c.value, err, want)
+		}
+	}
+}
+
 // End-to-end CLI glue: a real NOC service, the monitor run() fed CSV on a
 // reader, decisions observed at the NOC.
 func TestRunFeedsNOC(t *testing.T) {

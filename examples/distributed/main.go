@@ -10,7 +10,7 @@
 // Pass -ingest to feed each monitor through an internal/ingest pipeline
 // instead of direct volume rows: the trace is serialized to NetFlow v5
 // datagrams (each monitor sees only its own flows) and re-aggregated into
-// interval rows by the sharded ingestion path before reporting.
+// interval rows by the ingestion path before reporting.
 //
 // Pass -sketcher fd for the Frequent Directions family. Expect it to miss
 // this scenario's low-profile coordinated anomaly: FD models the full stream

@@ -1,54 +1,26 @@
 package ingest
 
-import (
-	"runtime"
-	"runtime/debug"
-	"testing"
-)
+import "testing"
 
-// TestIngestHotPathZeroAlloc pins the steady-state decode+aggregate path to
-// zero heap allocations per datagram: decodeRecords parses into a pooled
-// slab, the shard folds it and returns the slab to the pool, and nothing in
-// between boxes, copies or grows. The run disables GC so the pool cannot be
-// purged mid-measurement, and each measured iteration drains the shard queue
-// so the slab round-trips back to the pool before the next Get.
+// TestIngestHotPathZeroAlloc pins the steady-state decode+fold path to zero
+// heap allocations per datagram: decodeRecords parses into a slab on
+// HandleDatagram's stack and the fold adds into the open epoch's row, which
+// exists after the first datagram.
 func TestIngestHotPathZeroAlloc(t *testing.T) {
-	p, _ := newTestPipeline(t, func(c *Config) {
-		c.Shards = 1
-		c.QueueLen = 64
-	})
+	p, _ := newTestPipeline(t, nil)
 	defer func() { _ = p.Close() }()
-	met := p.Metrics()
 
 	base := int64(1_200_000_000)
-	// Same epoch throughout: the shard's accumulator row and record-count map
-	// entries exist after warm-up, so the measured runs only fold.
 	bufs := make([][]byte, 64)
 	for i := range bufs {
 		bufs[i] = dgram(t, uint32(i+1), base, i%3, (i+1)%3, 100)
 	}
-	drain := func() {
-		for met.QueueDepth.Value() != 0 {
-			runtime.Gosched()
-		}
-	}
-	// Warm-up: seed the slab pool with enough slabs that one still being
-	// folded never forces a fresh allocation, and materialize the epoch row.
-	for _, b := range bufs {
-		if err := p.HandleDatagram(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	drain()
-
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	i := 0
 	avg := testing.AllocsPerRun(200, func() {
 		if err := p.HandleDatagram(bufs[i%len(bufs)]); err != nil {
 			t.Fatal(err)
 		}
 		i++
-		drain()
 	})
 	if avg != 0 {
 		t.Fatalf("ingest hot path allocates %.2f per datagram, want 0", avg)

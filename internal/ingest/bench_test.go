@@ -1,8 +1,6 @@
 package ingest
 
 import (
-	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,108 +68,43 @@ func BenchmarkIngestDecode(b *testing.B) {
 	b.ReportMetric(float64(b.N)*MaxRecords/b.Elapsed().Seconds(), "records/s")
 }
 
-// BenchmarkIngestPipeline measures end-to-end datagram throughput —
-// decode, sequence tracking, shard dispatch and OD aggregation — through a
-// running pipeline at 1, 2 and 4 shards. One iteration ingests one full
-// datagram (30 records); the reported records/s is the aggregate rate the
-// producer sustained, with PolicyBlock coupling it to the shards'
-// consumption. All datagrams land in a single epoch so the timed loop
-// measures the per-record hot path; sealing is exercised once at Close,
-// outside the timer (rollover is a once-per-interval event, not a
+// BenchmarkIngestPipeline measures datagram throughput through a running
+// pipeline: decode, sequence tracking and the OD fold. One iteration ingests
+// one full datagram (30 records). All datagrams land in a single epoch so
+// the timed loop measures the per-record hot path; sealing is exercised once
+// at Close, outside the timer (rollover is a once-per-interval event, not a
 // throughput factor).
-// BenchmarkIngestCollectors measures front-end scalability: N concurrent
-// producers (standing in for N SO_REUSEPORT collector read loops, minus the
-// kernel socket — loopback UDP would add loss and jitter, not signal) feed
-// HandleDatagram simultaneously. Decode runs outside the pipeline lock, so
-// added collectors should raise aggregate throughput until the lock or the
-// shards saturate; the reported records/s across the collectors cells is the
-// ingest-scaling curve.
-func BenchmarkIngestCollectors(b *testing.B) {
-	agg, err := traffic.NewAbileneAggregator()
-	if err != nil {
-		b.Fatal(err)
-	}
-	grams := benchDatagrams(b, 64, 1_200_000_000)
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("collectors=%d", n), func(b *testing.B) {
-			p, err := NewPipeline(Config{
-				Aggregator: agg,
-				Interval:   300 * time.Second,
-				Shards:     4,
-				QueueLen:   256,
-				Sink:       func(Interval) error { return nil },
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var fed atomic.Int64
-			b.SetBytes(int64(len(grams[0])))
-			b.ReportAllocs()
-			b.SetParallelism(n)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if err := p.HandleDatagram(grams[i%len(grams)]); err != nil {
-						b.Error(err)
-						return
-					}
-					i++
-				}
-				fed.Add(int64(i))
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)*MaxRecords/b.Elapsed().Seconds(), "records/s")
-			if err := p.Close(); err != nil {
-				b.Fatal(err)
-			}
-			if got := p.Metrics().Records.Value(); got != fed.Load()*MaxRecords {
-				b.Fatalf("pipeline folded %d records, fed %d", got, fed.Load()*MaxRecords)
-			}
-			if un := p.Metrics().Unroutable.Value(); un != 0 {
-				b.Fatalf("%d unroutable records", un)
-			}
-		})
-	}
-}
-
 func BenchmarkIngestPipeline(b *testing.B) {
 	agg, err := traffic.NewAbileneAggregator()
 	if err != nil {
 		b.Fatal(err)
 	}
 	grams := benchDatagrams(b, 64, 1_200_000_000)
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			p, err := NewPipeline(Config{
-				Aggregator: agg,
-				Interval:   300 * time.Second,
-				Shards:     shards,
-				Sink:       func(Interval) error { return nil },
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(grams[0])))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := p.HandleDatagram(grams[i%len(grams)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			rate := float64(b.N) * MaxRecords / b.Elapsed().Seconds()
-			b.ReportMetric(rate, "records/s")
-			if err := p.Close(); err != nil {
-				b.Fatal(err)
-			}
-			if got := p.Metrics().Records.Value(); got != int64(b.N)*MaxRecords {
-				b.Fatalf("pipeline folded %d records, fed %d", got, int64(b.N)*MaxRecords)
-			}
-			if un := p.Metrics().Unroutable.Value(); un != 0 {
-				b.Fatalf("%d unroutable records: the benchmark must exercise the full aggregation path", un)
-			}
-		})
+	p, err := NewPipeline(Config{
+		Aggregator: agg,
+		Interval:   300 * time.Second,
+		Sink:       func(Interval) error { return nil },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(grams[0])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.HandleDatagram(grams[i%len(grams)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)*MaxRecords/b.Elapsed().Seconds(), "records/s")
+	if err := p.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if got := p.Metrics().Records.Value(); got != int64(b.N)*MaxRecords {
+		b.Fatalf("pipeline folded %d records, fed %d", got, int64(b.N)*MaxRecords)
+	}
+	if un := p.Metrics().Unroutable.Value(); un != 0 {
+		b.Fatalf("%d unroutable records: the benchmark must exercise the full aggregation path", un)
 	}
 }

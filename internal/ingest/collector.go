@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// readBufferBytes is the kernel receive buffer requested per collector
+// readBufferBytes is the kernel receive buffer requested for the collector
 // socket. NetFlow exporters are fire-and-forget UDP senders, so this buffer
 // is the only slack between an export burst and datagram loss; 4 MiB absorbs
 // roughly a second of a saturated gigabit export stream. SetReadBuffer is
@@ -26,130 +26,57 @@ const (
 	readBackoffMax = time.Second
 )
 
-// Collector is the UDP front door of the ingest pipeline: one or more
-// sockets, each with a goroutine reading datagrams into a private reusable
-// buffer and handing each to Pipeline.HandleDatagram. NetFlow exporters are
-// fire-and-forget UDP senders, so the collector's only flow control is the
-// kernel socket buffer; overload beyond that surfaces as sequence gaps.
-//
-// With n > 1 the collector prefers n independent SO_REUSEPORT sockets bound
-// to the same address — the kernel then hashes datagrams across them, giving
-// each reader a private socket buffer and lock — and falls back to n reader
-// goroutines sharing one socket where the option is unavailable (ReadFrom is
-// concurrency-safe).
+// Collector is the UDP front door of the ingest pipeline: one socket and
+// one goroutine reading datagrams into a reused buffer and handing each to
+// Pipeline.HandleDatagram. NetFlow exporters are fire-and-forget UDP senders,
+// so the collector's only flow control is the kernel socket buffer; overload
+// beyond that surfaces as sequence gaps.
 type Collector struct {
-	pcs []net.PacketConn
-	p   *Pipeline
+	pc net.PacketConn
+	p  *Pipeline
 
-	mu     sync.Mutex
-	closed bool
-	// teardown closes every socket exactly once when any read loop observes
-	// pipeline shutdown (the loops share the pipeline, so one seeing ErrClosed
-	// means all must stop).
-	teardown sync.Once
-	wg       sync.WaitGroup
+	closed atomic.Bool   // Close was called: read errors are the shutdown
+	done   chan struct{} // closed when the read loop has returned
 }
 
-// ListenN opens up to n UDP sockets on addr and starts one read loop per
-// socket (n < 1 is treated as 1). For n > 1 it attempts SO_REUSEPORT
-// sockets; if the platform or kernel refuses, it falls back to a single
-// socket read by n goroutines. Ephemeral addresses (port 0) work with
-// either: the first socket binds the concrete port the rest then share.
-func ListenN(addr string, n int, p *Pipeline) (*Collector, error) {
+// Listen opens a UDP socket on addr and starts its read loop.
+func Listen(addr string, p *Pipeline) (*Collector, error) {
 	if p == nil {
 		return nil, fmt.Errorf("%w: nil pipeline", ErrConfig)
 	}
-	if n < 1 {
-		n = 1
-	}
-	c := &Collector{p: p}
-	if n == 1 || !reusePortSupported {
-		pc, err := net.ListenPacket("udp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: listen %s: %w", addr, err)
-		}
-		c.pcs = []net.PacketConn{pc}
-	} else {
-		pcs, err := listenReusePortGroup(addr, n)
-		if err != nil {
-			// SO_REUSEPORT can fail even where compiled in (old kernels,
-			// exotic socket filters); degrade to the shared-socket layout
-			// rather than refuse to start.
-			p.log.Warn("collector: SO_REUSEPORT unavailable, sharing one socket",
-				"sockets", n, "err", err)
-			pc, lerr := net.ListenPacket("udp", addr)
-			if lerr != nil {
-				return nil, fmt.Errorf("ingest: listen %s: %w", addr, lerr)
-			}
-			c.pcs = []net.PacketConn{pc}
-		} else {
-			c.pcs = pcs
-		}
-	}
-	for _, pc := range c.pcs {
-		if uc, ok := pc.(*net.UDPConn); ok {
-			if err := uc.SetReadBuffer(readBufferBytes); err != nil {
-				p.log.Warn("collector: SetReadBuffer failed",
-					"bytes", readBufferBytes, "err", err)
-			}
-		}
-	}
-	// With one socket, n loops share it; with SO_REUSEPORT, one loop each.
-	loops := n
-	if len(c.pcs) > 1 {
-		loops = len(c.pcs)
-	}
-	for i := 0; i < loops; i++ {
-		pc := c.pcs[i%len(c.pcs)]
-		c.wg.Add(1)
-		go c.readLoop(pc)
-	}
-	return c, nil
-}
-
-// listenReusePortGroup binds count SO_REUSEPORT UDP sockets to addr. For an
-// ephemeral request (port 0) the first bind picks the concrete port and the
-// remaining sockets join it — binding each to port 0 independently would
-// scatter them across different ports.
-func listenReusePortGroup(addr string, count int) ([]net.PacketConn, error) {
-	pcs := make([]net.PacketConn, 0, count)
-	first, err := listenReusePort(addr)
+	pc, err := net.ListenPacket("udp", addr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ingest: listen %s: %w", addr, err)
 	}
-	pcs = append(pcs, first)
-	bound := first.LocalAddr().String()
-	for len(pcs) < count {
-		pc, err := listenReusePort(bound)
-		if err != nil {
-			for _, prev := range pcs {
-				_ = prev.Close()
-			}
-			return nil, err
+	if uc, ok := pc.(*net.UDPConn); ok {
+		if err := uc.SetReadBuffer(readBufferBytes); err != nil {
+			p.log.Warn("collector: SetReadBuffer failed",
+				"bytes", readBufferBytes, "err", err)
 		}
-		pcs = append(pcs, pc)
 	}
-	return pcs, nil
+	return startCollector(pc, p), nil
 }
 
-// Addr returns the bound socket address (all sockets share it).
-func (c *Collector) Addr() string { return c.pcs[0].LocalAddr().String() }
+// startCollector runs the read loop on an already-open socket.
+func startCollector(pc net.PacketConn, p *Pipeline) *Collector {
+	c := &Collector{pc: pc, p: p, done: make(chan struct{})}
+	go c.readLoop()
+	return c
+}
 
-// Sockets reports how many UDP sockets the collector bound (1 when
-// SO_REUSEPORT was unavailable and readers share a socket).
-func (c *Collector) Sockets() int { return len(c.pcs) }
+// Addr returns the bound socket address.
+func (c *Collector) Addr() string { return c.pc.LocalAddr().String() }
 
-// readLoop reads datagrams from pc until the socket closes. The buffer is
-// private to the loop and reused across reads; HandleDatagram copies what it
-// keeps before returning.
-func (c *Collector) readLoop(pc net.PacketConn) {
-	defer c.wg.Done()
+// readLoop reads datagrams until the socket closes. The buffer is reused
+// across reads; HandleDatagram keeps nothing of it.
+func (c *Collector) readLoop() {
+	defer close(c.done)
 	buf := make([]byte, 65536)
 	backoff := time.Duration(0)
 	for {
-		n, _, err := pc.ReadFrom(buf)
+		n, _, err := c.pc.ReadFrom(buf)
 		if err != nil {
-			if c.isClosed() || errors.Is(err, net.ErrClosed) {
+			if c.closed.Load() || errors.Is(err, net.ErrClosed) {
 				return
 			}
 			// Transient read errors (e.g. ICMP-induced) are survivable, but
@@ -166,48 +93,26 @@ func (c *Collector) readLoop(pc net.PacketConn) {
 		}
 		backoff = 0
 		if err := c.p.HandleDatagram(buf[:n]); err != nil {
-			// ErrClosed: the pipeline shut down (or a fault plan demanded a
-			// disconnect) — every loop must stop, so close all sockets.
-			c.closeSockets()
+			// ErrClosed: the pipeline shut down, or a fault plan demanded a
+			// disconnect. Stop reading; Close sees an already-closed socket.
+			_ = c.pc.Close()
 			return
 		}
 	}
 }
 
-func (c *Collector) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
-
-// closeSockets closes every socket exactly once (read loops racing Close).
-func (c *Collector) closeSockets() (err error) {
-	c.teardown.Do(func() {
-		for _, pc := range c.pcs {
-			if cerr := pc.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-	})
-	return err
-}
-
-// Close stops the read loops and closes the sockets. It does not close the
-// pipeline — callers drain it separately so queued records survive
+// Close stops the read loop and closes the socket. It does not close the
+// pipeline — callers drain it separately so the open intervals survive
 // shutdown. Safe to call multiple times.
 func (c *Collector) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.wg.Wait()
+	if c.closed.Swap(true) {
+		<-c.done
 		return nil
 	}
-	c.closed = true
-	c.mu.Unlock()
-	err := c.closeSockets()
-	c.wg.Wait()
+	err := c.pc.Close()
+	<-c.done
 	if errors.Is(err, net.ErrClosed) {
-		// A read loop already closed the sockets (pipeline shutdown or a
+		// The read loop already closed the socket (pipeline shutdown or a
 		// disconnect fault); that is not a caller-visible failure.
 		return nil
 	}

@@ -12,7 +12,7 @@ import (
 
 func TestCollectorReceivesOverUDP(t *testing.T) {
 	p, rec := newTestPipeline(t, nil)
-	c, err := ListenN("127.0.0.1:0", 1, p)
+	c, err := Listen("127.0.0.1:0", p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,80 +43,6 @@ func TestCollectorReceivesOverUDP(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err) // double Close is a no-op
-	}
-}
-
-// TestCollectorListenNMultiSocket: four collectors on one ephemeral address
-// must all bind the same port (SO_REUSEPORT group) and jointly deliver every
-// datagram, from several sender sockets, exactly once.
-func TestCollectorListenNMultiSocket(t *testing.T) {
-	p, rec := newTestPipeline(t, nil)
-	c, err := ListenN("127.0.0.1:0", 4, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if reusePortSupported && c.Sockets() != 4 {
-		t.Fatalf("bound %d sockets, want 4", c.Sockets())
-	}
-
-	const senders, per = 4, 25
-	for s := 0; s < senders; s++ {
-		conn, err := net.Dial("udp", c.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < per; i++ {
-			if _, err := conn.Write(dgram(t, uint32(s*per+i), 42, 0, 1, 100)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		conn.Close()
-	}
-	waitCounter(t, func() int64 { return p.Metrics().Records.Value() }, senders*per)
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := rec.snapshot()
-	if len(got) != 1 || got[0].Volumes[1] != senders*per*100 {
-		t.Fatalf("collected volumes wrong: %+v", got)
-	}
-}
-
-// TestCollectorListenNSingleReaderFallback: n readers sharing one socket is
-// the portable layout; it must deliver everything too.
-func TestCollectorListenNSingleReaderFallback(t *testing.T) {
-	p, _ := newTestPipeline(t, nil)
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &Collector{pcs: []net.PacketConn{pc}, p: p}
-	for i := 0; i < 3; i++ {
-		c.wg.Add(1)
-		go c.readLoop(pc)
-	}
-	defer c.Close()
-
-	conn, err := net.Dial("udp", c.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	for i := 0; i < 30; i++ {
-		if _, err := conn.Write(dgram(t, uint32(i), 42, 0, 1, 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitCounter(t, func() int64 { return p.Metrics().Records.Value() }, 30)
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -167,10 +93,8 @@ func TestCollectorReadLoopBacksOffOnTransientErrors(t *testing.T) {
 		payload:    dgram(t, 1, 42, 0, 1, 100),
 		closed:     make(chan struct{}),
 	}
-	c := &Collector{pcs: []net.PacketConn{fc}, p: p}
 	start := time.Now()
-	c.wg.Add(1)
-	go c.readLoop(fc)
+	c := startCollector(fc, p)
 
 	waitCounter(t, func() int64 { return p.Metrics().Records.Value() }, 1)
 	// 4 consecutive failures sleep 1+2+4+8 ms before the successful read.
@@ -189,7 +113,7 @@ func TestCollectorSurvivesGarbageAndStopsOnDisconnectFault(t *testing.T) {
 	plan := faults.MustPlan(3,
 		faults.Rule{Dir: faults.DirRecv, Type: "netflow", After: 3, Disconnect: true})
 	p, _ := newTestPipeline(t, func(c *Config) { c.Faults = plan })
-	c, err := ListenN("127.0.0.1:0", 1, p)
+	c, err := Listen("127.0.0.1:0", p)
 	if err != nil {
 		t.Fatal(err)
 	}

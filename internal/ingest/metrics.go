@@ -19,29 +19,21 @@ type Metrics struct {
 	// timestamp jumped implausibly far ahead of the watermark.
 	LateRecords *obs.Counter
 	FutureDrops *obs.Counter
-	// DroppedOldest/DroppedNewest count records shed by the backpressure
-	// policy.
-	DroppedOldest *obs.Counter
-	DroppedNewest *obs.Counter
 	// Unroutable counts records whose addresses matched no prefix in the
 	// routing table.
 	Unroutable *obs.Counter
 	// FaultDrops counts datagrams suppressed by the fault injector (chaos
 	// testing only; zero in production).
 	FaultDrops *obs.Counter
-	// QueueDepth is the instantaneous sum of the shard queue depths.
-	QueueDepth *obs.Gauge
 	// EpochsSealed counts sealed intervals; PartialEpochs the subset sealed
 	// early by shutdown drain.
 	EpochsSealed  *obs.Counter
 	PartialEpochs *obs.Counter
 	// SinkErrors counts sealed rows the sink rejected.
 	SinkErrors *obs.Counter
-	// RolloverSeconds times an interval rollover: from the seal broadcast
-	// to sink completion (queue drain + shard merge + delivery).
+	// RolloverSeconds times an interval rollover: from the seal to sink
+	// completion (wait in the delivery FIFO + the sink call).
 	RolloverSeconds *obs.Histogram
-	// Shards exposes the resolved shard count.
-	Shards *obs.Gauge
 }
 
 // NewMetrics registers the ingest metric family on reg.
@@ -61,16 +53,10 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Records arriving after their interval was sealed (beyond the lateness slack)."),
 		FutureDrops: reg.Counter("streampca_ingest_future_drop_records_total",
 			"Records dropped for timestamps implausibly far ahead of the watermark."),
-		DroppedOldest: reg.Counter("streampca_ingest_dropped_records_total",
-			"Records shed by the backpressure policy.", obs.L("policy", "drop-oldest")),
-		DroppedNewest: reg.Counter("streampca_ingest_dropped_records_total",
-			"Records shed by the backpressure policy.", obs.L("policy", "drop-newest")),
 		Unroutable: reg.Counter("streampca_ingest_unroutable_records_total",
 			"Records whose addresses matched no routing-table prefix."),
 		FaultDrops: reg.Counter("streampca_ingest_fault_dropped_datagrams_total",
 			"Datagrams suppressed by the fault injector (chaos tests)."),
-		QueueDepth: reg.Gauge("streampca_ingest_queue_depth",
-			"Queued batches summed over the shard queues."),
 		EpochsSealed: reg.Counter("streampca_ingest_epochs_sealed_total",
 			"Intervals sealed and delivered to the sink."),
 		PartialEpochs: reg.Counter("streampca_ingest_partial_epochs_total",
@@ -78,8 +64,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		SinkErrors: reg.Counter("streampca_ingest_sink_errors_total",
 			"Sealed interval rows the sink rejected."),
 		RolloverSeconds: reg.Histogram("streampca_ingest_rollover_seconds",
-			"Interval rollover latency: seal broadcast to sink completion.", nil),
-		Shards: reg.Gauge("streampca_ingest_shards",
-			"Resolved shard count of the ingest pipeline."),
+			"Interval rollover latency: seal to sink completion.", nil),
 	}
 }

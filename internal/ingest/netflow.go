@@ -4,15 +4,13 @@
 // monitor.Service.Update expects. The paper specifies the local monitor as
 // consuming a live measurement stream ("each monitoring point observes the
 // traffic ... and updates its summary per arrival"); this package is that
-// stream's aggregation stage, built to sustain millions of flow records per
-// second (see DESIGN.md §12).
+// stream's aggregation stage (see DESIGN.md §12).
 //
-// The pipeline is: Collector (UDP read loop, reusable buffers) →
-// Pipeline.HandleDatagram (decode, sequence tracking, epoch assignment,
-// fault injection) → N shard queues (bounded, explicit backpressure
-// policy) → shard accumulators (private per-shard volume rows, keyed by
-// epoch) → epoch rollover (seal tokens, shard-row merge) → Sink (the
-// monitor core). Everything is stdlib-only and instrumented via
+// The pipeline is: Collector (one UDP read loop, one reused buffer) →
+// Pipeline.HandleDatagram (fault injection, decode, sequence tracking,
+// epoch assignment, fold into the open epoch's volume row) → epoch rollover
+// (the row goes to one bounded FIFO) → Sink (the monitor core), called from
+// one delivery goroutine. Everything is stdlib-only and instrumented via
 // internal/obs.
 package ingest
 
@@ -168,13 +166,28 @@ func DecodeDatagram(buf []byte, d *Datagram) error {
 	return nil
 }
 
-// decodeRecords is the pipeline's batch-decode hot path: it validates buf
-// exactly like DecodeDatagram (same length, version and count checks, so the
-// two paths accept and reject identical inputs — pinned by FuzzDecodeDatagram)
-// but parses only the fields the aggregation shards consume — endpoint
-// addresses and octet counts — straight into a pooled record slab, skipping
-// the netip.Addr conversions and the ten unused per-record fields. It
-// allocates nothing, whatever the input.
+// rec is the compact per-record view the pipeline folds: the OD lookup needs
+// only the endpoint addresses, and the volume row only the bytes.
+type rec struct {
+	src, dst [4]byte
+	octets   uint32
+}
+
+// recSlab is the fixed-capacity arena one datagram's records decode into. It
+// is small enough to live on HandleDatagram's stack, which is what keeps the
+// hot path at zero allocations (TestIngestHotPathZeroAlloc).
+type recSlab struct {
+	n    int
+	recs [MaxRecords]rec
+}
+
+// decodeRecords is the pipeline's decode hot path: it validates buf exactly
+// like DecodeDatagram (same length, version and count checks, so the two
+// paths accept and reject identical inputs — pinned by FuzzDecodeDatagram)
+// but parses only the fields the fold consumes — endpoint addresses and
+// octet counts — straight into slab, skipping the netip.Addr conversions and
+// the ten unused per-record fields. It allocates nothing, whatever the
+// input.
 func decodeRecords(buf []byte, h *Header, slab *recSlab) error {
 	if len(buf) < HeaderLen {
 		return fmt.Errorf("%w: %d bytes, header needs %d", ErrDecode, len(buf), HeaderLen)

@@ -159,18 +159,6 @@ func TestSeqTracker(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for _, p := range []Policy{PolicyBlock, PolicyDropOldest, PolicyDropNewest} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("round trip %v: got %v, %v", p, got, err)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); !errors.Is(err, ErrConfig) {
-		t.Fatalf("bogus policy: %v", err)
-	}
-}
-
 func TestParseClock(t *testing.T) {
 	for _, c := range []Clock{ClockRecord, ClockWall} {
 		got, err := ParseClock(c.String())

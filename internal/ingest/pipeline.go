@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/netip"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"streampca/internal/faults"
@@ -71,20 +69,12 @@ type Interval struct {
 
 // Config parameterizes a Pipeline.
 type Config struct {
-	// Aggregator maps record addresses to OD flow indices. It is read
-	// concurrently by every shard and must not be mutated after Start.
+	// Aggregator maps record addresses to OD flow indices. It must not be
+	// mutated once the pipeline runs.
 	Aggregator *flow.Aggregator
 	// Interval is the measurement interval length (the paper's 5-minute
 	// bins). Required, ≥ 1ms.
 	Interval time.Duration
-	// Shards is the number of parallel aggregation shards; values < 1
-	// resolve to runtime.GOMAXPROCS(0).
-	Shards int
-	// QueueLen is the per-shard bounded queue capacity in batches
-	// (datagrams); default 256.
-	QueueLen int
-	// Policy is the backpressure policy when a shard queue fills.
-	Policy Policy
 	// Clock selects record-timestamp or wall-clock interval assignment.
 	Clock Clock
 	// Lateness is the slack for late/out-of-order records: an interval is
@@ -109,36 +99,34 @@ type Config struct {
 	// Log receives structured logs; nil discards them.
 	Log *slog.Logger
 	// Trace, when non-nil, emits one "ingest.seal" span per delivered
-	// interval (trace id trace.ForInterval(Seq)) carrying the drop/partial/
+	// interval (trace id trace.ForInterval(Seq)) carrying the partial and
 	// lateness counters at seal time — the first hop of the interval's
 	// lineage. Nil costs one pointer check per interval.
 	Trace *trace.Tracer
 }
 
-// sealed is one shard's contribution to a sealed epoch.
+// sealed is one epoch's volume row: open in Pipeline.acc while records fold
+// into it, then on its way to the sink.
 type sealed struct {
 	epoch    int64
-	row      []float64 // nil when the shard saw no records for the epoch
+	row      []float64 // nil when the epoch saw no datagram
 	records  int64
 	partial  bool
 	sealedAt time.Time
 }
 
-// shard owns one private volume accumulator set, fed by its bounded queue.
-type shard struct {
-	q   *queue
-	agg *flow.Aggregator
-	// acc/recCount hold the open epochs' accumulator rows (at most
-	// slack+2 epochs are open at once).
-	acc      map[int64][]float64
-	recCount map[int64]int64
-	done     chan struct{}
-}
+// sealBacklog is how many sealed intervals may wait for the sink before the
+// front end stalls: a few rollovers of slack for a sink that is a network
+// report, and enough that a short run of quiet epochs seals without a
+// hand-off per epoch. A sink that stays slower than the interval clock fills
+// it, HandleDatagram then blocks, the socket buffer fills, and the loss
+// shows up as sequence gaps.
+const sealBacklog = 8
 
-// Pipeline is the ingest subsystem: decode → shard queues → accumulate →
-// seal → merge → sink. Create with NewPipeline, feed with HandleDatagram
-// (or a Collector), stop with Close — Close drains every queued batch and
-// seals open intervals before returning, so no accepted record is lost.
+// Pipeline is the ingest subsystem: decode → fold into the open epoch's row
+// → seal → sink. Create with NewPipeline, feed with HandleDatagram (or a
+// Collector), stop with Close — Close seals the open intervals and waits for
+// the sink to take them, so no accepted record is lost.
 type Pipeline struct {
 	cfg         Config
 	agg         *flow.Aggregator
@@ -148,33 +136,29 @@ type Pipeline struct {
 	slackEpochs int64
 	maxJump     int64
 
-	shards  []*shard
-	mergeCh chan sealed
-	depth   atomic.Int64 // queued data batches across shards
-
-	// mu serializes the front end's bookkeeping: sequence tracking,
-	// watermark/seal state, round-robin shard selection, and the queue
-	// pushes themselves (so a seal token can never overtake the data it
-	// must follow). Datagram decode happens *before* the lock, into a
-	// pooled slab, so concurrent collector sockets pay the lock only for
-	// the cheap ordered tail of the path.
+	// mu serializes everything after the decode: sequence tracking, the
+	// watermark and seal state, the open epochs' rows, and the sends on
+	// sealCh. One lock and one FIFO are the whole ordering argument: an
+	// epoch's row leaves acc under the lock that folds into it, and epochs
+	// enter sealCh in increasing order (DESIGN.md §12). A send may block
+	// while mu is held; that is the backpressure, and the delivery goroutine
+	// never takes mu, so it always drains.
 	mu            sync.Mutex
 	seq           SeqTracker
 	started       bool
 	watermark     int64
 	sealedThrough int64
-	rr            int
 	closed        bool
+	acc           map[int64]*sealed // open epochs, at most slack+2 at once
 
-	slabPool sync.Pool
-
-	mergerDone chan struct{}
-	wallStop   chan struct{}
-	wallDone   chan struct{}
+	sealCh      chan sealed
+	deliverDone chan struct{}
+	wallStop    chan struct{}
+	wallDone    chan struct{}
 }
 
-// NewPipeline validates cfg and starts the shard, merger and (for
-// ClockWall) ticker goroutines.
+// NewPipeline validates cfg and starts the delivery goroutine and, for
+// ClockWall, the ticker.
 func NewPipeline(cfg Config) (*Pipeline, error) {
 	if cfg.Aggregator == nil {
 		return nil, fmt.Errorf("%w: nil aggregator", ErrConfig)
@@ -188,22 +172,11 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if cfg.Lateness < 0 {
 		return nil, fmt.Errorf("%w: negative lateness %v", ErrConfig, cfg.Lateness)
 	}
-	if cfg.QueueLen == 0 {
-		cfg.QueueLen = 256
-	}
-	if cfg.QueueLen < 1 {
-		return nil, fmt.Errorf("%w: queue length %d", ErrConfig, cfg.QueueLen)
-	}
 	if cfg.MaxEpochJump == 0 {
 		cfg.MaxEpochJump = 64
 	}
 	if cfg.MaxEpochJump < 1 {
 		return nil, fmt.Errorf("%w: max epoch jump %d", ErrConfig, cfg.MaxEpochJump)
-	}
-	switch cfg.Policy {
-	case PolicyBlock, PolicyDropOldest, PolicyDropNewest:
-	default:
-		return nil, fmt.Errorf("%w: policy %v", ErrConfig, cfg.Policy)
 	}
 	switch cfg.Clock {
 	case ClockRecord, ClockWall:
@@ -218,10 +191,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if log == nil {
 		log = obs.Nop()
 	}
-	n := cfg.Shards
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
 	p := &Pipeline{
 		cfg:         cfg,
 		agg:         cfg.Aggregator,
@@ -230,30 +199,17 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		intervalNs:  cfg.Interval.Nanoseconds(),
 		slackEpochs: (cfg.Lateness.Nanoseconds() + cfg.Interval.Nanoseconds() - 1) / cfg.Interval.Nanoseconds(),
 		maxJump:     cfg.MaxEpochJump,
-		mergeCh:     make(chan sealed, 4*n),
-		mergerDone:  make(chan struct{}),
+		acc:         make(map[int64]*sealed),
+		sealCh:      make(chan sealed, sealBacklog),
+		deliverDone: make(chan struct{}),
 	}
-	p.slabPool.New = func() any { return new(recSlab) }
-	p.met.Shards.Set(float64(n))
-	for i := 0; i < n; i++ {
-		sh := &shard{
-			q:        newQueue(cfg.QueueLen, cfg.Policy),
-			agg:      cfg.Aggregator,
-			acc:      make(map[int64][]float64),
-			recCount: make(map[int64]int64),
-			done:     make(chan struct{}),
-		}
-		p.shards = append(p.shards, sh)
-		go p.shardLoop(sh)
-	}
-	go p.mergerLoop()
+	go p.deliverLoop()
 	if cfg.Clock == ClockWall {
 		p.wallStop = make(chan struct{})
 		p.wallDone = make(chan struct{})
 		go p.wallLoop()
 	}
 	p.log.Info("ingest pipeline started",
-		"shards", n, "queue", cfg.QueueLen, "policy", cfg.Policy.String(),
 		"interval", cfg.Interval, "lateness", cfg.Lateness, "clock", cfg.Clock)
 	return p, nil
 }
@@ -287,13 +243,14 @@ func (p *Pipeline) HandleDatagram(buf []byte) error {
 		}
 	}
 
-	// Batch decode before taking the front-end lock: the expensive per-record
-	// parse runs concurrently across collector sockets, straight into a
-	// pooled slab in the compact shard-facing layout.
-	slab := p.slabPool.Get().(*recSlab)
-	var h Header
-	if err := decodeRecords(buf, &h, slab); err != nil {
-		p.slabPool.Put(slab)
+	// Decode before taking the lock, into a slab on this goroutine's stack:
+	// the per-record parse of concurrent callers overlaps, and the locked
+	// part is the table lookup and the add.
+	var (
+		h    Header
+		slab recSlab
+	)
+	if err := decodeRecords(buf, &h, &slab); err != nil {
 		p.met.DecodeErrors.Inc()
 		return nil
 	}
@@ -307,9 +264,8 @@ func (p *Pipeline) HandleDatagram(buf []byte) error {
 	epoch := ns / p.intervalNs
 
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
-		p.slabPool.Put(slab)
 		return ErrClosed
 	}
 	p.met.Datagrams.Inc()
@@ -327,199 +283,114 @@ func (p *Pipeline) HandleDatagram(buf []byte) error {
 	}
 	if epoch <= p.sealedThrough {
 		p.met.LateRecords.Add(count)
-		p.mu.Unlock()
-		p.slabPool.Put(slab)
 		return nil
 	}
 	if epoch > p.watermark+p.maxJump {
 		p.met.FutureDrops.Add(count)
-		p.mu.Unlock()
-		p.slabPool.Put(slab)
 		return nil
 	}
 	if epoch > p.watermark {
 		p.watermark = epoch
 	}
 	p.sealThroughLocked(p.watermark-1-p.slackEpochs, false)
-
-	// Round-robin the datagram's slab to a shard.
-	sh := p.shards[p.rr%len(p.shards)]
-	p.rr++
-	admitted, evicted := sh.q.pushData(batch{epoch: epoch, slab: slab})
-	if admitted {
-		p.met.QueueDepth.Set(float64(p.depth.Add(1)))
-	} else {
-		p.met.DroppedNewest.Add(int64(slab.n))
-		p.slabPool.Put(slab)
-	}
-	if evicted != nil {
-		p.met.DroppedOldest.Add(int64(evicted.n))
-		p.met.QueueDepth.Set(float64(p.depth.Add(-1)))
-		p.slabPool.Put(evicted)
-	}
-	p.mu.Unlock()
+	p.foldLocked(epoch, slab.recs[:slab.n])
 	return nil
 }
 
-// sealThroughLocked broadcasts seal tokens for every unsealed epoch up to
-// and including target. Seal tokens follow all data batches already queued
-// for those epochs (same queues, same producer lock), so a shard sees the
-// seal only after folding everything in.
+// foldLocked adds recs to epoch's accumulator row. Records whose addresses
+// match no prefix are counted and left out.
+func (p *Pipeline) foldLocked(epoch int64, recs []rec) {
+	a := p.acc[epoch]
+	if a == nil {
+		a = &sealed{epoch: epoch, row: make([]float64, p.agg.NumFlows())}
+		p.acc[epoch] = a
+	}
+	var unroutable int64
+	for i := range recs {
+		r := &recs[i]
+		id, err := p.agg.FlowID(flow.Packet{
+			Src: netip.AddrFrom4(r.src),
+			Dst: netip.AddrFrom4(r.dst),
+		})
+		if err != nil {
+			unroutable++
+			continue
+		}
+		a.row[id] += float64(r.octets)
+	}
+	a.records += int64(len(recs)) - unroutable
+	if unroutable > 0 {
+		p.met.Unroutable.Add(unroutable)
+	}
+}
+
+// sealThroughLocked hands every unsealed epoch up to and including target
+// to the delivery goroutine, in order. Once an epoch is sealed the late
+// check in HandleDatagram keeps records out of it, so the row it sends is
+// final.
 func (p *Pipeline) sealThroughLocked(target int64, partial bool) {
 	if !p.started || target <= p.sealedThrough {
 		return
 	}
 	now := time.Now()
 	for e := p.sealedThrough + 1; e <= target; e++ {
-		for _, sh := range p.shards {
-			sh.q.pushCtl(batch{ctl: ctlSeal, epoch: e, partial: partial, sealedAt: now})
+		s := sealed{epoch: e}
+		if a := p.acc[e]; a != nil {
+			s = *a
+			delete(p.acc, e)
 		}
+		s.partial, s.sealedAt = partial, now
+		p.sealCh <- s
 	}
 	p.sealedThrough = target
 }
 
-// shardLoop drains one shard's queue: data batches fold into the shard's
-// private per-epoch accumulator; seal tokens hand the finished row to the
-// merger; stop tokens exit after everything queued has been processed.
-func (p *Pipeline) shardLoop(sh *shard) {
-	defer close(sh.done)
-	for {
-		b := sh.q.pop()
-		switch b.ctl {
-		case ctlData:
-			p.met.QueueDepth.Set(float64(p.depth.Add(-1)))
-			row := sh.acc[b.epoch]
-			if row == nil {
-				row = make([]float64, p.agg.NumFlows())
-				sh.acc[b.epoch] = row
-			}
-			var unroutable int64
-			recs := b.slab.recs[:b.slab.n]
-			for i := range recs {
-				r := &recs[i]
-				id, err := sh.agg.FlowID(flow.Packet{
-					Src: netip.AddrFrom4(r.src),
-					Dst: netip.AddrFrom4(r.dst),
-				})
-				if err != nil {
-					unroutable++
-					continue
-				}
-				row[id] += float64(r.octets)
-			}
-			sh.recCount[b.epoch] += int64(len(recs)) - unroutable
-			if unroutable > 0 {
-				p.met.Unroutable.Add(unroutable)
-			}
-			p.slabPool.Put(b.slab)
-		case ctlSeal:
-			row := sh.acc[b.epoch]
-			records := sh.recCount[b.epoch]
-			delete(sh.acc, b.epoch)
-			delete(sh.recCount, b.epoch)
-			p.mergeCh <- sealed{epoch: b.epoch, row: row, records: records,
-				partial: b.partial, sealedAt: b.sealedAt}
-		case ctlStop:
-			return
-		}
+// deliverLoop numbers the sealed epochs and calls the sink, one at a time,
+// in the order they were sealed.
+func (p *Pipeline) deliverLoop() {
+	defer close(p.deliverDone)
+	var seq int64
+	for s := range p.sealCh {
+		seq++
+		p.deliver(seq, s)
 	}
 }
 
-// mergeState accumulates the shard contributions for one sealing epoch.
-type mergeState struct {
-	rows     [][]float64
-	records  int64
-	seen     int
-	partial  bool
-	sealedAt time.Time
-}
-
-// mergerLoop collects the per-shard rows of each sealed epoch, sums them
-// and delivers the interval to the sink.
-// Per-shard seal order plus channel FIFO guarantee epochs complete in
-// increasing order (see DESIGN.md §12).
-func (p *Pipeline) mergerLoop() {
-	defer close(p.mergerDone)
-	pending := make(map[int64]*mergeState)
-	var baseEpoch, deliveredTo int64
-	first := true
-	for s := range p.mergeCh {
-		st := pending[s.epoch]
-		if st == nil {
-			st = &mergeState{sealedAt: s.sealedAt}
-			pending[s.epoch] = st
-		}
-		st.seen++
-		st.records += s.records
-		st.partial = st.partial || s.partial
-		if s.row != nil {
-			st.rows = append(st.rows, s.row)
-		}
-		if st.seen < len(p.shards) {
-			continue
-		}
-		delete(pending, s.epoch)
-		if first {
-			baseEpoch = s.epoch
-			deliveredTo = s.epoch - 1
-			first = false
-		}
-		if s.epoch != deliveredTo+1 {
-			// Cannot happen given the seal-ordering invariant; surface
-			// loudly rather than feeding the monitor out of order.
-			p.log.Error("ingest merger: epoch out of order",
-				"epoch", s.epoch, "expected", deliveredTo+1)
-		}
-		deliveredTo = s.epoch
-		p.deliver(s.epoch, s.epoch-baseEpoch+1, st)
-	}
-	if len(pending) > 0 {
-		p.log.Error("ingest merger: undelivered epochs at shutdown", "count", len(pending))
-	}
-}
-
-// deliver merges st's shard rows into one volume vector and hands it to
-// the sink.
-func (p *Pipeline) deliver(epoch, seq int64, st *mergeState) {
+// deliver hands one sealed epoch to the sink as interval seq.
+func (p *Pipeline) deliver(seq int64, s sealed) {
 	sp := p.cfg.Trace.Start(trace.ForInterval(seq), 0, "ingest.seal",
 		trace.I("interval", seq),
-		trace.I("epoch", epoch),
-		trace.I("records", st.records),
-		trace.B("partial", st.partial))
-	m := p.agg.NumFlows()
-	volumes := make([]float64, m)
-	for _, row := range st.rows {
-		for j := range volumes {
-			volumes[j] += row[j]
-		}
+		trace.I("epoch", s.epoch),
+		trace.I("records", s.records),
+		trace.B("partial", s.partial))
+	volumes := s.row
+	if volumes == nil {
+		volumes = make([]float64, p.agg.NumFlows())
 	}
 	iv := Interval{
-		Epoch:   epoch,
+		Epoch:   s.epoch,
 		Seq:     seq,
 		Volumes: volumes,
-		Records: st.records,
-		Partial: st.partial,
+		Records: s.records,
+		Partial: s.partial,
 	}
 	if err := p.cfg.Sink(iv); err != nil {
 		p.met.SinkErrors.Inc()
-		p.log.Warn("ingest sink rejected interval", "seq", seq, "epoch", epoch, "err", err)
+		p.log.Warn("ingest sink rejected interval", "seq", seq, "epoch", s.epoch, "err", err)
 		sp.Event("sink_error", trace.S("err", err.Error()))
 	}
 	p.met.EpochsSealed.Inc()
-	if st.partial {
+	if s.partial {
 		p.met.PartialEpochs.Inc()
 	}
-	p.met.RolloverSeconds.Observe(time.Since(st.sealedAt).Seconds())
+	p.met.RolloverSeconds.Observe(time.Since(s.sealedAt).Seconds())
 	if sp != nil {
 		// Cumulative pipeline counters at seal time: diffing consecutive
-		// seal spans localizes drops and late arrivals to an interval.
+		// seal spans localizes late arrivals to an interval.
 		sp.SetAttr(
 			trace.I("late_records", p.met.LateRecords.Value()),
 			trace.I("future_drops", p.met.FutureDrops.Value()),
-			trace.I("dropped_oldest", p.met.DroppedOldest.Value()),
-			trace.I("dropped_newest", p.met.DroppedNewest.Value()),
 			trace.I("partial_epochs", p.met.PartialEpochs.Value()),
-			trace.F("queue_depth", p.met.QueueDepth.Value()),
 		)
 		sp.End()
 	}
@@ -546,10 +417,9 @@ func (p *Pipeline) wallLoop() {
 }
 
 // Close drains the pipeline: it stops accepting datagrams, seals every
-// open epoch (marking intervals whose slack had not elapsed as Partial),
-// waits for the shards to fold every queued batch, and delivers the final
-// intervals to the sink before returning. No accepted record is discarded.
-// Safe to call multiple times.
+// open epoch (marking intervals whose slack had not elapsed as Partial) and
+// delivers the final intervals to the sink before returning. No accepted
+// record is discarded. Safe to call multiple times.
 func (p *Pipeline) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -560,20 +430,15 @@ func (p *Pipeline) Close() error {
 	onTime := p.watermark - 1 - p.slackEpochs
 	p.sealThroughLocked(onTime, false)
 	p.sealThroughLocked(p.watermark, true)
-	for _, sh := range p.shards {
-		sh.q.pushCtl(batch{ctl: ctlStop})
-	}
 	p.mu.Unlock()
 
 	if p.wallStop != nil {
 		close(p.wallStop)
 		<-p.wallDone
 	}
-	for _, sh := range p.shards {
-		<-sh.done
-	}
-	close(p.mergeCh)
-	<-p.mergerDone
+	// closed is set and mu released: nothing sends on sealCh any more.
+	close(p.sealCh)
+	<-p.deliverDone
 	p.log.Info("ingest pipeline drained",
 		"records", p.met.Records.Value(),
 		"epochs", p.met.EpochsSealed.Value(),

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,7 +29,7 @@ func testAggregator(t testing.TB) *flow.Aggregator {
 	return agg
 }
 
-// sinkRecorder collects sealed intervals (the merger delivers from its own
+// sinkRecorder collects sealed intervals (the pipeline delivers from its own
 // goroutine).
 type sinkRecorder struct {
 	mu        sync.Mutex
@@ -48,9 +50,8 @@ func (s *sinkRecorder) snapshot() []Interval {
 	return append([]Interval(nil), s.intervals...)
 }
 
-// dgram builds a single-record datagram: flow (o→d), octets bytes, epoch
-// given in seconds (1s test interval).
-func dgram(t testing.TB, seq uint32, unixSecs int64, o, d int, octets uint32) []byte {
+// odRecord builds one record of flow (o→d) carrying octets bytes.
+func odRecord(t testing.TB, o, d int, octets uint32) Record {
 	t.Helper()
 	src, err := traffic.RouterAddr(o, 1)
 	if err != nil {
@@ -60,10 +61,17 @@ func dgram(t testing.TB, seq uint32, unixSecs int64, o, d int, octets uint32) []
 	if err != nil {
 		t.Fatal(err)
 	}
+	return Record{SrcAddr: src, DstAddr: dst, Packets: 1, Octets: octets}
+}
+
+// dgram builds a single-record datagram: flow (o→d), octets bytes, epoch
+// given in seconds (1s test interval).
+func dgram(t testing.TB, seq uint32, unixSecs int64, o, d int, octets uint32) []byte {
+	t.Helper()
 	buf, err := AppendDatagram(nil, Header{
 		UnixSecs:     uint32(unixSecs),
 		FlowSequence: seq,
-	}, []Record{{SrcAddr: src, DstAddr: dst, Packets: 1, Octets: octets}})
+	}, []Record{odRecord(t, o, d, octets)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +84,6 @@ func newTestPipeline(t testing.TB, mod func(*Config)) (*Pipeline, *sinkRecorder)
 	cfg := Config{
 		Aggregator: testAggregator(t),
 		Interval:   time.Second,
-		Shards:     2,
-		QueueLen:   16,
 		Sink:       rec.sink,
 	}
 	if mod != nil {
@@ -283,100 +289,57 @@ func TestPipelineSequenceGaps(t *testing.T) {
 	}
 }
 
-func TestPipelineDropNewestPolicy(t *testing.T) {
-	rec := &sinkRecorder{}
-	p, err := NewPipeline(Config{
-		Aggregator: testAggregator(t),
-		Interval:   time.Second,
-		Shards:     1,
-		QueueLen:   1,
-		Policy:     PolicyDropNewest,
-		Sink:       rec.sink,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flood the single-slot queue; the shard drains concurrently, so the
-	// exact split is timing-dependent — the invariant is accounting:
-	// every record is either folded in or counted dropped.
-	for i := 0; i < 200; i++ {
-		if err := p.HandleDatagram(dgram(t, uint32(i), 42, 0, 1, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	kept := rec.snapshot()[0].Records
-	dropped := p.Metrics().DroppedNewest.Value()
-	if kept+dropped != 200 {
-		t.Fatalf("kept %d + dropped %d != 200", kept, dropped)
-	}
-	if kept < 1 {
-		t.Fatalf("kept = %d", kept)
-	}
-}
-
-func TestPipelineDropOldestPolicy(t *testing.T) {
-	rec := &sinkRecorder{}
-	p, err := NewPipeline(Config{
-		Aggregator: testAggregator(t),
-		Interval:   time.Second,
-		Shards:     1,
-		QueueLen:   1,
-		Policy:     PolicyDropOldest,
-		Sink:       rec.sink,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if err := p.HandleDatagram(dgram(t, uint32(i), 42, 0, 1, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	kept := rec.snapshot()[0].Records
-	dropped := p.Metrics().DroppedOldest.Value()
-	if kept+dropped != 200 {
-		t.Fatalf("kept %d + dropped %d != 200", kept, dropped)
-	}
-}
-
+// TestPipelineBlockPolicyLossless: a sink that does not return stalls
+// HandleDatagram once sealBacklog sealed intervals wait behind it, and
+// releasing it loses nothing.
 func TestPipelineBlockPolicyLossless(t *testing.T) {
 	rec := &sinkRecorder{}
-	p, err := NewPipeline(Config{
-		Aggregator: testAggregator(t),
-		Interval:   time.Second,
-		Shards:     2,
-		QueueLen:   1,
-		Policy:     PolicyBlock,
-		Sink:       rec.sink,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 500
-	for i := 0; i < n; i++ {
-		if err := p.HandleDatagram(dgram(t, uint32(i), 42, 0, 1, 2)); err != nil {
-			t.Fatal(err)
+	release := make(chan struct{})
+	p, _ := newTestPipeline(t, func(c *Config) {
+		c.Sink = func(iv Interval) error {
+			<-release
+			return rec.sink(iv)
 		}
+	})
+	// One datagram per epoch: each seals its predecessor. The sink holds the
+	// first sealed interval, sealBacklog more fit the channel, and the
+	// datagram after that must block.
+	const n = sealBacklog + 4
+	var fed atomic.Int64
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := p.HandleDatagram(dgram(t, uint32(i), 42+int64(i), 0, 1, 2)); err != nil {
+				done <- err
+				return
+			}
+			fed.Add(1)
+		}
+		done <- nil
+	}()
+	// Datagram k seals epoch k-1, so datagrams 0..sealBacklog+1 get through
+	// (one interval in the sink, sealBacklog queued) and the next one stalls.
+	const admitted = sealBacklog + 2
+	waitCounter(t, fed.Load, admitted)
+	time.Sleep(20 * time.Millisecond)
+	if got := fed.Load(); got != admitted {
+		t.Fatalf("fed %d datagrams past a blocked sink, want %d", got, admitted)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got := rec.snapshot()
-	if len(got) != 1 {
-		t.Fatalf("sealed %d intervals, want 1", len(got))
+	if len(got) != n {
+		t.Fatalf("sealed %d intervals, want %d", len(got), n)
 	}
-	if got[0].Records != n || got[0].Volumes[1] != float64(2*n) {
-		t.Fatalf("block policy lost records: %+v", got[0])
-	}
-	m := p.Metrics()
-	if m.DroppedNewest.Value()+m.DroppedOldest.Value() != 0 {
-		t.Fatal("block policy dropped records")
+	for i, iv := range got {
+		if iv.Seq != int64(i+1) || iv.Records != 1 || iv.Volumes[1] != 2 {
+			t.Fatalf("interval %d lost its record: %+v", i, iv)
+		}
 	}
 }
 
@@ -458,9 +421,7 @@ func TestPipelineConfigValidation(t *testing.T) {
 		{Aggregator: agg, Interval: time.Microsecond, Sink: sink},                    // sub-ms interval
 		{Aggregator: agg, Interval: time.Second},                                     // nil sink
 		{Aggregator: agg, Interval: time.Second, Sink: sink, Lateness: -time.Second}, // negative slack
-		{Aggregator: agg, Interval: time.Second, Sink: sink, QueueLen: -1},           // bad queue
 		{Aggregator: agg, Interval: time.Second, Sink: sink, MaxEpochJump: -1},       // bad jump
-		{Aggregator: agg, Interval: time.Second, Sink: sink, Policy: Policy(99)},     // bad policy
 		{Aggregator: agg, Interval: time.Second, Sink: sink, Clock: Clock(99)},       // bad clock
 	}
 	for i, cfg := range bad {
@@ -503,4 +464,163 @@ func waitCounter(t testing.TB, get func() int64, want int64) {
 func mustAddr(t testing.TB, a, b, c, d byte) netip.Addr {
 	t.Helper()
 	return netip.AddrFrom4([4]byte{a, b, c, d})
+}
+
+// settledGoroutines reads the goroutine count once goroutines that earlier
+// tests have already told to exit are gone.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		time.Sleep(2 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestPipelineConcurrentFeedMatchesSerialFold feeds one pipeline from K
+// goroutines at once, epoch by epoch. Within an epoch the goroutines race
+// datagrams for every epoch the lateness slack still admits; after a barrier
+// (the watermark has then reached the epoch) they race one late datagram, one
+// future jump and one with an unroutable record each. Which datagrams are
+// admitted is fixed by that construction, so the sink must see exactly the
+// serial fold of them, numbered 1, 2, 3, …, the open epochs as Partial, and
+// the drop counters must balance.
+func TestPipelineConcurrentFeedMatchesSerialFold(t *testing.T) {
+	const (
+		feeders = 6
+		epochs  = 6
+		maxJump = 4
+		base    = int64(1_000_000)
+	)
+	for _, slack := range []int64{0, 2} {
+		t.Run(fmt.Sprintf("slack=%d", slack), func(t *testing.T) {
+			before := settledGoroutines()
+			p, rec := newTestPipeline(t, func(c *Config) {
+				c.Lateness = time.Duration(slack) * time.Second
+				c.MaxEpochJump = maxJump
+			})
+			if got := runtime.NumGoroutine(); got != before+1 {
+				t.Fatalf("a running pipeline owns %d goroutines, want 1", got-before)
+			}
+
+			type want struct {
+				row     [9]float64
+				records int64
+			}
+			expect := make([]want, epochs)
+			var late, future, unroutable, decoded int64
+			encode := func(epoch int64, recs ...Record) []byte {
+				buf, err := AppendDatagram(nil, Header{UnixSecs: uint32(base + epoch)}, recs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				decoded += int64(len(recs))
+				return buf
+			}
+			admit := func(epoch int64, o, d int, octets uint32) Record {
+				expect[epoch].row[o*3+d] += float64(octets)
+				expect[epoch].records++
+				return odRecord(t, o, d, octets)
+			}
+
+			// open[e][g] and after[e][g] are what feeder g sends before and
+			// after epoch e's barrier.
+			open := make([][][][]byte, epochs)
+			after := make([][][][]byte, epochs)
+			for e := int64(0); e < epochs; e++ {
+				open[e] = make([][][]byte, feeders)
+				after[e] = make([][][]byte, feeders)
+				for g := 0; g < feeders; g++ {
+					for j := int64(0); j <= slack+1; j++ {
+						// The last j is 0 back: every feeder pushes the
+						// watermark to e before the barrier.
+						target := e - (slack+1-j)%(slack+1)
+						if target < 0 {
+							target = 0
+						}
+						octets := uint32(1 + g + int(j))
+						open[e][g] = append(open[e][g], encode(target,
+							admit(target, g%3, int(j)%3, octets),
+							admit(target, int(j)%3, g%3, 2*octets)))
+					}
+					after[e][g] = [][]byte{
+						encode(e-slack-1, odRecord(t, 0, 0, 1000)),
+						encode(e+maxJump+1, odRecord(t, 0, 0, 1000)),
+						encode(e, admit(e, g%3, g%3, 7), Record{
+							SrcAddr: mustAddr(t, 192, 0, 2, 1),
+							DstAddr: mustAddr(t, 10, 0, 0, 1),
+							Octets:  1000,
+						}),
+					}
+					late++
+					future++
+					unroutable++
+				}
+			}
+
+			race := func(part [][][]byte) {
+				var wg sync.WaitGroup
+				for g := range part {
+					wg.Add(1)
+					go func(bufs [][]byte) {
+						defer wg.Done()
+						for _, b := range bufs {
+							if err := p.HandleDatagram(b); err != nil {
+								t.Error(err)
+							}
+						}
+					}(part[g])
+				}
+				wg.Wait()
+			}
+			for e := range open {
+				race(open[e])
+				race(after[e])
+			}
+
+			onTime := int64(epochs) - 1 - slack
+			waitCounter(t, func() int64 { return p.Metrics().EpochsSealed.Value() }, onTime)
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got := rec.snapshot()
+			if len(got) != epochs {
+				t.Fatalf("sealed %d intervals, want %d", len(got), epochs)
+			}
+			var folded int64
+			for i, iv := range got {
+				if iv.Seq != int64(i+1) || iv.Epoch != base+int64(i) {
+					t.Fatalf("interval %d: seq %d epoch %d", i, iv.Seq, iv.Epoch-base)
+				}
+				if iv.Partial != (int64(i) >= onTime) {
+					t.Errorf("interval %d: partial %v with %d sealed on time", i, iv.Partial, onTime)
+				}
+				if iv.Records != expect[i].records {
+					t.Errorf("interval %d: %d records, serial fold %d", i, iv.Records, expect[i].records)
+				}
+				for f, v := range iv.Volumes {
+					if v != expect[i].row[f] {
+						t.Errorf("interval %d flow %d: volume %v, serial fold %v", i, f, v, expect[i].row[f])
+					}
+				}
+				folded += iv.Records
+			}
+			m := p.Metrics()
+			if m.LateRecords.Value() != late || m.FutureDrops.Value() != future || m.Unroutable.Value() != unroutable {
+				t.Errorf("late %d future %d unroutable %d, want %d %d %d",
+					m.LateRecords.Value(), m.FutureDrops.Value(), m.Unroutable.Value(), late, future, unroutable)
+			}
+			if m.Records.Value() != decoded || decoded-late-future-unroutable != folded {
+				t.Errorf("decoded %d (fed %d) - late %d - future %d - unroutable %d != folded %d",
+					m.Records.Value(), decoded, late, future, unroutable, folded)
+			}
+			if left := settledGoroutines() - before; left != 0 {
+				t.Errorf("%d goroutines survive Close", left)
+			}
+		})
+	}
 }

@@ -443,14 +443,10 @@ type alarmRecord struct {
 // without scraping /metrics. The daemon wires it with SetIngestStats; a
 // CSV- or test-fed monitor has none.
 type IngestStats struct {
-	// QueueDepth is the current shard-queue backlog in batches.
-	QueueDepth int64
-	// DroppedRecords counts records shed by backpressure (both the
-	// drop-oldest and drop-newest policies), FutureDrops the clock-anomaly
-	// rejections and LateRecords the arrivals behind the seal watermark.
-	DroppedRecords int64
-	FutureDrops    int64
-	LateRecords    int64
+	// FutureDrops counts the clock-anomaly rejections and LateRecords the
+	// arrivals behind the seal watermark.
+	FutureDrops int64
+	LateRecords int64
 	// EpochsSealed and PartialEpochs count delivered intervals and the
 	// subset sealed early by shutdown drain.
 	EpochsSealed  int64
@@ -509,8 +505,8 @@ func (s *Service) Stats() Stats {
 
 // LogSummary emits the one-line slog summary daemons print periodically.
 // With an ingest pipeline attached (SetIngestStats) the line also covers
-// the ingest side, so backpressure drops and partial epochs show up in the
-// same place as sketch-side stats.
+// the ingest side, so late records and partial epochs show up in the same
+// place as sketch-side stats.
 func (s *Service) LogSummary() {
 	st := s.Stats()
 	args := []any{
@@ -523,8 +519,6 @@ func (s *Service) LogSummary() {
 	}
 	if st.Ingest != nil {
 		args = append(args,
-			"ingest_queue_depth", st.Ingest.QueueDepth,
-			"ingest_dropped", st.Ingest.DroppedRecords,
 			"ingest_future_drops", st.Ingest.FutureDrops,
 			"ingest_late", st.Ingest.LateRecords,
 			"ingest_sealed", st.Ingest.EpochsSealed,

@@ -169,7 +169,6 @@ func TestChaosTraceLineage(t *testing.T) {
 		p, err := ingest.NewPipeline(ingest.Config{
 			Aggregator: agg,
 			Interval:   stepSec * time.Second,
-			Shards:     2,
 			Sink: func(iv ingest.Interval) error {
 				local := make([]float64, len(mine))
 				for k, f := range mine {

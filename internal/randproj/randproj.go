@@ -17,11 +17,9 @@
 package randproj
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"streampca/internal/stats"
 )
@@ -77,21 +75,12 @@ type Config struct {
 	SparseS int
 	// WindowLen is n, used only by VerySparse to set s = √n.
 	WindowLen int
-	// RowCache bounds the LRU cache of materialized rows r_{t,·}. The hot
-	// paths (monitor updates, exact projections) ask for the same row once
-	// per flow or column; caching turns l hash evaluations into a copy.
-	// 0 selects the default (128 rows); negative disables caching.
-	RowCache int
 }
-
-// defaultRowCache is the row-cache capacity when Config.RowCache is 0. At
-// typical sketch lengths (l ≈ 50–100) this is well under 128 KiB.
-const defaultRowCache = 128
 
 // Generator deterministically produces the shared random numbers r_{tk}.
 //
-// A Generator is safe for concurrent use: the derivation is pure and the row
-// cache is mutex-protected.
+// A Generator is immutable after NewGenerator and the derivation is pure, so
+// it is safe for concurrent use.
 type Generator struct {
 	seed      uint64
 	sketchLen int
@@ -100,19 +89,6 @@ type Generator struct {
 	sparseInv float64
 	// sparseScale is √s, the variance-restoring scale of sparse entries.
 	sparseScale float64
-
-	// Bounded LRU cache of materialized rows, keyed by interval t. Entries
-	// are immutable once inserted; Row/RowInto copy out under the lock.
-	mu       sync.Mutex
-	cacheCap int
-	rows     map[int64]*list.Element
-	lru      *list.List // front = most recent; values are *cachedRow
-}
-
-// cachedRow is one LRU entry.
-type cachedRow struct {
-	t   int64
-	row []float64
 }
 
 // NewGenerator validates cfg and returns a Generator.
@@ -125,16 +101,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		dist = Gaussian
 	}
 	g := &Generator{seed: cfg.Seed, sketchLen: cfg.SketchLen, dist: dist}
-	switch {
-	case cfg.RowCache > 0:
-		g.cacheCap = cfg.RowCache
-	case cfg.RowCache == 0:
-		g.cacheCap = defaultRowCache
-	}
-	if g.cacheCap > 0 {
-		g.rows = make(map[int64]*list.Element, g.cacheCap)
-		g.lru = list.New()
-	}
 	switch dist {
 	case Gaussian, TugOfWar:
 		// No extra parameters.
@@ -197,42 +163,9 @@ func (g *Generator) Row(t int64) []float64 {
 }
 
 // RowInto fills dst (which must have length ≥ l) with the row for interval t
-// without allocating. Rows are served from a bounded LRU cache when enabled;
-// a miss derives the row entry-by-entry and inserts it.
+// without allocating.
 func (g *Generator) RowInto(t int64, dst []float64) {
 	dst = dst[:g.sketchLen]
-	if g.cacheCap <= 0 {
-		g.fillRow(t, dst)
-		return
-	}
-	g.mu.Lock()
-	if el, ok := g.rows[t]; ok {
-		g.lru.MoveToFront(el)
-		copy(dst, el.Value.(*cachedRow).row)
-		g.mu.Unlock()
-		return
-	}
-	g.mu.Unlock()
-
-	// Derive outside the lock: misses are the expensive path and deriving is
-	// pure, so concurrent misses for the same t just race to insert equal rows.
-	g.fillRow(t, dst)
-	stored := append([]float64(nil), dst...)
-
-	g.mu.Lock()
-	if _, ok := g.rows[t]; !ok {
-		for g.lru.Len() >= g.cacheCap {
-			oldest := g.lru.Back()
-			g.lru.Remove(oldest)
-			delete(g.rows, oldest.Value.(*cachedRow).t)
-		}
-		g.rows[t] = g.lru.PushFront(&cachedRow{t: t, row: stored})
-	}
-	g.mu.Unlock()
-}
-
-// fillRow derives the row for interval t directly into dst.
-func (g *Generator) fillRow(t int64, dst []float64) {
 	for k := range dst {
 		dst[k] = g.At(t, k)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -174,12 +175,42 @@ func TestGaussianMoments(t *testing.T) {
 
 func TestRowAgreesWithAt(t *testing.T) {
 	g := mustGen(t, Config{Seed: 2, SketchLen: 6})
-	row := g.Row(42)
-	for k, v := range row {
-		if v != g.At(42, k) {
-			t.Fatalf("Row mismatch at k=%d", k)
+	into := make([]float64, g.SketchLen()+2) // RowInto takes a longer dst
+	for _, tt := range []int64{0, 42, -3} {
+		g.RowInto(tt, into)
+		for name, row := range map[string][]float64{"Row": g.Row(tt), "RowInto": into[:g.SketchLen()]} {
+			for k, v := range row {
+				if v != g.At(tt, k) {
+					t.Fatalf("%s mismatch at t=%d k=%d", name, tt, k)
+				}
+			}
 		}
 	}
+}
+
+// TestRowIntoConcurrent derives rows from several goroutines at once (run
+// with -race); every reader must see the correct row.
+func TestRowIntoConcurrent(t *testing.T) {
+	g := mustGen(t, Config{Seed: 11, SketchLen: 16})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			dst := make([]float64, g.SketchLen())
+			for i := 0; i < 200; i++ {
+				tt := int64((w + i) % 16)
+				g.RowInto(tt, dst)
+				for k, v := range dst {
+					if want := g.At(tt, k); v != want {
+						t.Errorf("t=%d k=%d: %v != %v", tt, k, v, want)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // Lemma 2/3 property: E(‖z‖²) = ‖y‖², checked empirically over seeds.
