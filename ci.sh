@@ -115,7 +115,9 @@ step_done
 
 # Fuzz smokes: ten seconds of coverage-guided input on each hostile decoder
 # (NetFlow v5 datagrams off the wire, trace CSVs off disk, peer snapshots an
-# aggregator validates and merges). Go allows one -fuzz target per invocation.
+# aggregator validates and merges) and on the variance histogram's storage,
+# differentially against a brute-force window. Go allows one -fuzz target per
+# invocation.
 step "fuzz smoke (NetFlow decoder, 10s)"
 go test -run 'XXXnone' -fuzz '^FuzzDecodeDatagram$' -fuzztime 10s ./internal/ingest/ > /dev/null
 step_done
@@ -126,6 +128,10 @@ step_done
 
 step "fuzz smoke (peer snapshot merge, 10s)"
 go test -run 'XXXnone' -fuzz '^FuzzMergeColumns$' -fuzztime 10s ./internal/sketch/ > /dev/null
+step_done
+
+step "fuzz smoke (variance histogram against the exact window, 10s)"
+go test -run 'XXXnone' -fuzz '^FuzzHistogramAgainstWindow$' -fuzztime 10s ./internal/vh/ > /dev/null
 step_done
 
 step "bench smoke (1 iteration per benchmark)"

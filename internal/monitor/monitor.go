@@ -159,6 +159,10 @@ type Service struct {
 	// up is the link to the NOC (or aggregator).
 	up *tier.Uplink
 
+	// flowIDs is the assignment, fixed at New; every volume report carries
+	// it and nothing writes it.
+	flowIDs []int
+
 	mu     sync.Mutex
 	core   *core.Monitor
 	oracle *oracle.Checker
@@ -212,6 +216,7 @@ func New(cfg Config) (*Service, error) {
 		health:  obs.NewHealth(),
 		met:     newMetrics(reg),
 		wireMet: transport.NewMetrics(reg),
+		flowIDs: cm.FlowIDs(),
 		core:    cm,
 	}
 	if cfg.SelfCheckEvery > 0 {
@@ -296,7 +301,7 @@ func (s *Service) Attach(conn *transport.Conn) error { return s.up.Attach(conn) 
 func (s *Service) hello() transport.Hello {
 	h := transport.Hello{
 		MonitorID: s.cfg.ID,
-		FlowIDs:   s.core.FlowIDs(),
+		FlowIDs:   s.flowIDs,
 		SketchLen: s.sketchParam(),
 		WindowLen: s.cfg.WindowLen,
 		Family:    s.cfg.Family,
@@ -380,10 +385,11 @@ func (s *Service) ReportInterval(t int64, volumes []float64) error {
 			return fmt.Errorf("sketch update: %w", err)
 		}
 		s.met.updateSeconds.Observe(time.Since(start).Seconds())
-		s.met.vhBuckets.Set(float64(s.core.NumBucketsTotal()))
+		buckets := s.core.NumBucketsTotal()
+		s.met.vhBuckets.Set(float64(buckets))
 		s.met.intervals.Inc()
 		s.met.lastInterval.Set(float64(t))
-		sp.Event("sketch_updated", trace.I("vh_buckets", int64(s.core.NumBucketsTotal())))
+		sp.Event("sketch_updated", trace.I("vh_buckets", int64(buckets)))
 		if s.oracle != nil {
 			// Shadow only intervals actually folded into the sketch state
 			// (retries re-enter with t ≤ Now and must not double-push).
@@ -392,7 +398,6 @@ func (s *Service) ReportInterval(t int64, volumes []float64) error {
 	} else {
 		sp.Event("update_skipped", trace.I("now", s.core.Now()))
 	}
-	flowIDs := s.core.FlowIDs()
 	s.mu.Unlock()
 
 	conn := s.up.Conn()
@@ -404,7 +409,7 @@ func (s *Service) ReportInterval(t int64, volumes []float64) error {
 	report := transport.VolumeReport{
 		MonitorID: s.cfg.ID,
 		Interval:  t,
-		FlowIDs:   flowIDs,
+		FlowIDs:   s.flowIDs,
 		Volumes:   append([]float64(nil), volumes...),
 	}
 	env := transport.Envelope{Volume: &report}

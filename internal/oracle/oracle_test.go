@@ -54,6 +54,21 @@ func newGen(t *testing.T, dist randproj.Distribution, l, n int, seed uint64) *ra
 	return g
 }
 
+// newHist builds a stand-alone histogram with a private row ring over g. The
+// checks keep reading g itself: the reference must not read the ring it checks.
+func newHist(t *testing.T, n int, eps float64, g *randproj.Generator) *vh.Histogram {
+	t.Helper()
+	ring, err := randproj.NewRing(g, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := vh.New(vh.Config{WindowLen: n, Epsilon: eps, Gen: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // TestCheckHistogramProperty sweeps all four projection families, ε values
 // (including the adversarial sweep ε ∈ {0.05, 0.1, 0.3}) and window/sketch
 // sizes over the adversarial traffic families, asserting the full histogram
@@ -68,10 +83,7 @@ func TestCheckHistogramProperty(t *testing.T) {
 			for _, dims := range []struct{ n, l int }{{64, 8}, {256, 32}} {
 				for _, tg := range trafficGens() {
 					g := newGen(t, dist, dims.l, dims.n, 0x5eed)
-					h, err := vh.New(vh.Config{WindowLen: dims.n, Epsilon: eps, Gen: g})
-					if err != nil {
-						t.Fatal(err)
-					}
+					h := newHist(t, dims.n, eps, g)
 					w := NewWindow(dims.n)
 					r := rand.New(rand.NewSource(int64(dims.n)*31 + int64(eps*1000)))
 					steps := int64(3*dims.n + 17)
@@ -108,10 +120,7 @@ func TestCheckHistogramDetectsMutations(t *testing.T) {
 	// only intermittently leaves the covered set short of the full window, so
 	// a single end-of-run probe can land on a fully-covered interval.
 	run := func(g, oracleGen *randproj.Generator, checkEps float64) Result {
-		h, err := vh.New(vh.Config{WindowLen: n, Epsilon: eps, Gen: g})
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := newHist(t, n, eps, g)
 		w := NewWindow(n)
 		r := rand.New(rand.NewSource(11))
 		var res Result
@@ -157,10 +166,7 @@ func TestCheckHistogramDetectsMutations(t *testing.T) {
 	// bound allows but an ε = 0 claim must flag.
 	const n2 = 512
 	g2 := newGen(t, randproj.Gaussian, l, n2, 1)
-	h, err := vh.New(vh.Config{WindowLen: n2, Epsilon: eps, Gen: g2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newHist(t, n2, eps, g2)
 	w := NewWindow(n2)
 	var strict, honest Result
 	for ti := int64(1); ti <= 4*n2; ti++ {

@@ -14,11 +14,7 @@ import (
 type RandProj struct {
 	flowIDs []int
 	hists   []*vh.Histogram
-	gen     *randproj.Generator
-	// rowScratch holds the interval's shared projection row r_{t,·}; reused
-	// across updates to keep the per-interval path allocation-free.
-	rowScratch []float64
-	now        int64
+	now     int64
 }
 
 // NewRandProj validates cfg and builds the per-flow histograms.
@@ -29,20 +25,21 @@ func NewRandProj(cfg Config) (*RandProj, error) {
 	if cfg.Gen == nil {
 		return nil, fmt.Errorf("%w: nil random generator", ErrConfig)
 	}
+	// One ring of projection rows for all w histograms: the first to update
+	// at interval t generates r_{t,·}, the rest read it back.
+	ring, err := randproj.NewRing(cfg.Gen, cfg.WindowLen)
+	if err != nil {
+		return nil, fmt.Errorf("row ring: %w", err)
+	}
 	hists := make([]*vh.Histogram, len(cfg.FlowIDs))
 	for i := range cfg.FlowIDs {
-		h, err := vh.New(vh.Config{WindowLen: cfg.WindowLen, Epsilon: cfg.Epsilon, Gen: cfg.Gen})
+		h, err := vh.New(vh.Config{WindowLen: cfg.WindowLen, Epsilon: cfg.Epsilon, Gen: ring})
 		if err != nil {
 			return nil, fmt.Errorf("histogram for flow %d: %w", cfg.FlowIDs[i], err)
 		}
 		hists[i] = h
 	}
-	return &RandProj{
-		flowIDs:    append([]int(nil), cfg.FlowIDs...),
-		hists:      hists,
-		gen:        cfg.Gen,
-		rowScratch: make([]float64, cfg.Gen.SketchLen()),
-	}, nil
+	return &RandProj{flowIDs: append([]int(nil), cfg.FlowIDs...), hists: hists}, nil
 }
 
 // Family implements Sketcher.
@@ -98,12 +95,8 @@ func (m *RandProj) Update(t int64, volumes []float64) error {
 			return fmt.Errorf("%w: flow %d: non-finite volume at interval %d", ErrInput, m.flowIDs[i], t)
 		}
 	}
-	// The random row r_{t,·} is shared by every flow at interval t; compute
-	// it once into the reusable scratch buffer.
-	m.gen.RowInto(t, m.rowScratch)
-	row := m.rowScratch
 	for i, h := range m.hists {
-		if err := h.UpdateWithRow(t, volumes[i], row); err != nil {
+		if err := h.Update(t, volumes[i]); err != nil {
 			return fmt.Errorf("flow %d: %w", m.flowIDs[i], err)
 		}
 	}

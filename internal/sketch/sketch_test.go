@@ -352,6 +352,56 @@ func TestRandProjUpdateAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestRandProjUpdateZeroAlloc pins the steady-state quiet path to zero
+// allocations, at the benchmark's deployed point (where no pair can merge and
+// every bucket is a singleton read off the shared row ring) and at a point
+// where merges take and return slab rows every interval.
+func TestRandProjUpdateZeroAlloc(t *testing.T) {
+	for _, tt := range []struct {
+		name      string
+		window    int
+		eps       float64
+		singleton bool
+	}{
+		{name: "deployed n=144 eps=0.02", window: 144, eps: 0.02, singleton: true},
+		{name: "merging n=512 eps=0.3", window: 512, eps: 0.3},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			const w, l = 27, 100
+			gen, err := randproj.NewGenerator(randproj.Config{Seed: 3, SketchLen: l, WindowLen: tt.window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sk, err := NewRandProj(Config{FlowIDs: flowIDs(w), WindowLen: tt.window, Epsilon: tt.eps, Gen: gen})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(9))
+			volumes := make([]float64, w)
+			ti := int64(0)
+			update := func() {
+				ti++
+				for i := range volumes {
+					volumes[i] = 1000 + 50*rng.NormFloat64()
+				}
+				if err := sk.Update(ti, volumes); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 2*tt.window; i++ {
+				update()
+			}
+			if avg := testing.AllocsPerRun(tt.window, update); avg != 0 {
+				t.Fatalf("Update allocates %.2f times per call, want 0", avg)
+			}
+			if got := sk.StateSize() == w*tt.window; got != tt.singleton {
+				t.Fatalf("state size %d for %d flows of window %d: all-singleton = %v, want %v",
+					sk.StateSize(), w, tt.window, got, tt.singleton)
+			}
+		})
+	}
+}
+
 func TestDefaultEll(t *testing.T) {
 	if got := DefaultEll(81); got != 18 {
 		t.Fatalf("DefaultEll(81) = %d, want 18", got)

@@ -60,6 +60,7 @@ func TestNewValidation(t *testing.T) {
 		{name: "eps zero", cfg: Config{WindowLen: 10}},
 		{name: "eps one", cfg: Config{WindowLen: 10, Epsilon: 1}},
 		{name: "eps NaN", cfg: Config{WindowLen: 10, Epsilon: math.NaN()}},
+		{name: "ring shorter than window", cfg: Config{WindowLen: 10, Epsilon: 0.1, Gen: newRing(t, 1, 2, 9)}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -133,23 +134,81 @@ func TestExpiry(t *testing.T) {
 	}
 }
 
+// suffixStats is the brute-force reference over the last c of the updates
+// (ts, xs): their mean and their eq.-17 sketch, every row regenerated from
+// the generator and never read from the ring under test.
+func suffixStats(g *randproj.Generator, ts []int64, xs []float64, c int) (mean float64, sk []float64) {
+	ts, xs = ts[len(ts)-c:], xs[len(xs)-c:]
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(c)
+	if g == nil {
+		return mean, nil
+	}
+	sk = make([]float64, g.SketchLen())
+	for i, x := range xs {
+		for k := range sk {
+			sk[k] += (x - mean) * g.At(ts[i], k)
+		}
+	}
+	for k := range sk {
+		sk[k] /= math.Sqrt(float64(len(sk)))
+	}
+	return mean, sk
+}
+
+// TestExpiryWithTimeGaps jumps the clock so that the expiring element sits
+// exactly n, n+1 and more than 3n intervals behind the new one. Two
+// histograms share one ring: the first to update at t takes the slot of
+// t−(n+1), so the second can only subtract that expiring singleton by the
+// ring's regenerate path.
 func TestExpiryWithTimeGaps(t *testing.T) {
-	h := mustHist(t, Config{WindowLen: 5, Epsilon: 0.01})
-	if err := h.Update(1, 100); err != nil {
-		t.Fatal(err)
+	const n, l = 5, 3
+	tests := []struct {
+		name      string
+		times     []int64
+		wantCount int64
+	}{
+		{name: "far jump empties the list", times: []int64{1, 2, 100}, wantCount: 1},
+		{name: "jump of n", times: []int64{0, 2, n}, wantCount: 2},
+		{name: "jump of n+1 retakes the expiring slot", times: []int64{0, 3, n + 1}, wantCount: 2},
+		{name: "jump of 3n+7", times: []int64{0, 1, 3*n + 7}, wantCount: 1},
+		{name: "negative start", times: []int64{-20, -17, -20 + n + 1}, wantCount: 2},
+		{name: "jump of n+1 across zero", times: []int64{-4, -1, 2}, wantCount: 2},
 	}
-	if err := h.Update(2, 200); err != nil {
-		t.Fatal(err)
-	}
-	// Jump far ahead: both previous elements expire at once.
-	if err := h.Update(100, 7); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Count(); got != 1 {
-		t.Fatalf("count after gap = %d, want 1", got)
-	}
-	if got := h.EstimateMean(); got != 7 {
-		t.Fatalf("mean after gap = %v, want 7", got)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			g, ring := newGenRing(t, 99, l, n)
+			hs := []*Histogram{
+				mustHist(t, Config{WindowLen: n, Epsilon: 0.01, Gen: ring}),
+				mustHist(t, Config{WindowLen: n, Epsilon: 0.01, Gen: ring}),
+			}
+			xs := make([][]float64, len(hs))
+			for i, ti := range tt.times {
+				for j, h := range hs {
+					x := float64(100*(i+1) + 7*j)
+					xs[j] = append(xs[j], x)
+					if err := h.Update(ti, x); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for j, h := range hs {
+				if got := h.Count(); got != tt.wantCount {
+					t.Fatalf("histogram %d: count = %d, want %d", j, got, tt.wantCount)
+				}
+				mean, sk := suffixStats(g, tt.times, xs[j], int(tt.wantCount))
+				if got := h.EstimateMean(); math.Abs(got-mean) > 1e-12*mean {
+					t.Fatalf("histogram %d: mean = %v, want %v", j, got, mean)
+				}
+				for k, got := range h.Sketch() {
+					if math.Abs(got-sk[k]) > 1e-9 {
+						t.Fatalf("histogram %d: sketch[%d] = %v, want %v", j, k, got, sk[k])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -214,7 +273,7 @@ func TestBucketCompression(t *testing.T) {
 func TestBucketsOrdering(t *testing.T) {
 	h := mustHist(t, Config{WindowLen: 10, Epsilon: 0.1})
 	feed(t, h, []float64{1, 2, 3})
-	bs := h.buckets
+	bs := h.store[h.head:]
 	if len(bs) != 3 {
 		t.Fatalf("buckets = %d", len(bs))
 	}
@@ -225,45 +284,69 @@ func TestBucketsOrdering(t *testing.T) {
 	}
 }
 
+// summary is a bucket with its sketch sums materialised.
+type summary struct {
+	bucket
+	Z, R []float64
+}
+
 // aggregate merges all buckets into one summary B_all = ∪_p B_p, the
 // bucket-list ground truth the incremental totals and the moment fold are
-// checked against. An empty histogram yields a zero bucket.
-func aggregate(h *Histogram) Bucket {
-	var all Bucket
-	if len(h.buckets) == 0 {
+// checked against. Singletons are materialised through the ring. An empty
+// histogram yields a zero summary.
+func aggregate(h *Histogram) summary {
+	all := summary{Z: make([]float64, h.sketchL), R: make([]float64, h.sketchL)}
+	for i, b := range h.store[h.head:] {
 		if h.sketchL > 0 {
-			all.Z = make([]float64, h.sketchL)
-			all.R = make([]float64, h.sketchL)
+			if b.slot == noSlot {
+				for k, r := range h.cfg.Gen.Row(b.Timestamp) {
+					all.Z[k] += b.Mean * r
+					all.R[k] += r
+				}
+			} else {
+				z, r := h.rows(b.slot)
+				for k := range z {
+					all.Z[k] += z[k]
+					all.R[k] += r[k]
+				}
+			}
 		}
-		return all
-	}
-	first := h.buckets[0]
-	all = Bucket{Timestamp: first.Timestamp, Count: first.Count, Mean: first.Mean, Var: first.Var}
-	if h.sketchL > 0 {
-		all.Z = append([]float64(nil), first.Z...)
-		all.R = append([]float64(nil), first.R...)
-	}
-	for i := 1; i < len(h.buckets); i++ {
-		all.mergeInto(&h.buckets[i])
+		if i == 0 {
+			all.bucket = b
+			continue
+		}
+		all.mergeInto(&b)
 	}
 	return all
 }
 
-func newSketchGen(t *testing.T, l int, window int) *randproj.Generator {
+// newGenRing returns a generator and a private row ring over it for a
+// stand-alone histogram; references read the generator, never the ring.
+func newGenRing(t testing.TB, seed uint64, l, window int) (*randproj.Generator, *randproj.Ring) {
 	t.Helper()
-	g, err := randproj.NewGenerator(randproj.Config{Seed: 99, SketchLen: l, WindowLen: window})
+	g, err := randproj.NewGenerator(randproj.Config{Seed: seed, SketchLen: l, WindowLen: window})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	ring, err := randproj.NewRing(g, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, ring
+}
+
+func newRing(t testing.TB, seed uint64, l, window int) *randproj.Ring {
+	t.Helper()
+	_, ring := newGenRing(t, seed, l, window)
+	return ring
 }
 
 func TestSketchExactWithoutMerging(t *testing.T) {
 	// ε tiny → no merging → the sketch equals the exact projection of the
 	// centered window column.
 	l, n := 12, 64
-	g := newSketchGen(t, l, n)
-	h := mustHist(t, Config{WindowLen: n, Epsilon: 0.001, Gen: g})
+	g, ring := newGenRing(t, 99, l, n)
+	h := mustHist(t, Config{WindowLen: n, Epsilon: 0.001, Gen: ring})
 	rng := rand.New(rand.NewSource(77))
 	var data []float64
 	for i := 0; i < 2*n; i++ {
@@ -302,9 +385,9 @@ func TestSketchApproximatesProjectionWithMerging(t *testing.T) {
 	// With moderate ε and merging active, the sketch must stay close to the
 	// exact projection in relative L2 error.
 	l, n := 16, 256
-	g := newSketchGen(t, l, n)
+	g, ring := newGenRing(t, 99, l, n)
 	eps := 0.1
-	h := mustHist(t, Config{WindowLen: n, Epsilon: eps, Gen: g})
+	h := mustHist(t, Config{WindowLen: n, Epsilon: eps, Gen: ring})
 	rng := rand.New(rand.NewSource(123))
 	var data []float64
 	for i := 0; i < 4*n; i++ {
@@ -358,8 +441,8 @@ func TestMergeIntoFormulae(t *testing.T) {
 	}
 }
 
-func bucketOf(ts int64, vals []float64) Bucket {
-	var b Bucket
+func bucketOf(ts int64, vals []float64) bucket {
+	var b bucket
 	b.Timestamp = ts
 	b.Count = int64(len(vals))
 	for _, v := range vals {
@@ -403,11 +486,7 @@ func TestQuickIncrementalTotalsMatchAggregate(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 16 + r.Intn(64)
 		l := 1 + r.Intn(8)
-		g, err := randproj.NewGenerator(randproj.Config{Seed: uint64(seed) + 1, SketchLen: l})
-		if err != nil {
-			return false
-		}
-		h, err := New(Config{WindowLen: n, Epsilon: 0.05 + 0.5*r.Float64(), Gen: g})
+		h, err := New(Config{WindowLen: n, Epsilon: 0.05 + 0.5*r.Float64(), Gen: newRing(t, uint64(seed)+1, l, n)})
 		if err != nil {
 			return false
 		}
@@ -458,11 +537,7 @@ func TestLongRunTotalsDrift(t *testing.T) {
 		phase   = 1024 // intervals per magnitude regime
 		updates = 1_000_000
 	)
-	g, err := randproj.NewGenerator(randproj.Config{Seed: 99, SketchLen: l})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := mustHist(t, Config{WindowLen: window, Epsilon: 0.3, Gen: g})
+	h := mustHist(t, Config{WindowLen: window, Epsilon: 0.3, Gen: newRing(t, 99, l, window)})
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < updates; i++ {
 		x := 1 + r.Float64()
@@ -499,14 +574,101 @@ func TestLongRunTotalsDrift(t *testing.T) {
 	}
 }
 
+// gaussRowMax bounds |r_{tk}| for the Gaussian family, whose uniform is
+// clamped at 1e-17 before the quantile.
+const gaussRowMax = 8.5
+
+// totalsRelBound is the documented totals bound in its every-step form
+// (B + 2P ≤ 5n), relative to the window sum, with 8n·u on top for the
+// rounding of whatever reference it is compared with.
+func totalsRelBound(n int) float64 {
+	const u = 1.0 / (1 << 53)
+	return (5*cliffFactor + 8) * float64(n) * u
+}
+
+// checkTotals asserts the bound the Histogram comment documents between the
+// incremental totals and the bucket-list aggregate. It holds for
+// non-negative volumes.
+func checkTotals(t testing.TB, h *Histogram) {
+	t.Helper()
+	agg := aggregate(h)
+	if h.Count() != agg.Count {
+		t.Fatalf("t=%d: Count() = %d, aggregate count = %d", h.now, h.Count(), agg.Count)
+	}
+	const u = 1.0 / (1 << 53)
+	n := float64(h.cfg.WindowLen)
+	rel := totalsRelBound(h.cfg.WindowLen)
+	mean := h.EstimateMean()
+	if d := math.Abs(mean - agg.Mean); d > rel*agg.Mean {
+		t.Fatalf("t=%d: EstimateMean() = %v, bucket list %v: off by %.3g, bound %.3g", h.now, mean, agg.Mean, d, rel*agg.Mean)
+	}
+	count := float64(agg.Count)
+	errZ := rel * count * agg.Mean * gaussRowMax
+	errR := 13 * n * u * count * gaussRowMax
+	scale := 1 / math.Sqrt(float64(h.sketchL))
+	for k, got := range h.Sketch() {
+		want := scale * (agg.Z[k] - agg.Mean*agg.R[k])
+		bound := scale * (errZ + agg.Mean*errR + math.Abs(agg.R[k])*rel*agg.Mean)
+		if d := math.Abs(got - want); d > bound {
+			t.Fatalf("t=%d: Sketch()[%d] = %v, bucket list %v: off by %.3g, bound %.3g", h.now, k, got, want, d, bound)
+		}
+	}
+}
+
+// updateChecked is Update followed by the every-step assertions: the totals
+// bound, and that a scheduled rebase only ran once at least NumBuckets()
+// updates had passed since the previous rebase.
+func updateChecked(t testing.TB, h *Histogram, ti int64, x float64) {
+	t.Helper()
+	passed, scheduled := h.sinceRebase+1, h.scheduledRebases
+	if err := h.Update(ti, x); err != nil {
+		t.Fatalf("update t=%d: %v", ti, err)
+	}
+	if h.scheduledRebases != scheduled && passed < h.NumBuckets() {
+		t.Fatalf("t=%d: scheduled rebase after %d updates with %d buckets live", ti, passed, h.NumBuckets())
+	}
+	checkTotals(t, h)
+}
+
+// TestTotalsBoundEveryStep runs the TestLongRunTotalsDrift workload for a few
+// phases and holds the totals to the documented bound after every update:
+// expiry subtracts, so the steps where a 1e12 phase has just left a window of
+// unit volumes are the ones that would show its residue.
+func TestTotalsBoundEveryStep(t *testing.T) {
+	const (
+		window = 256
+		l      = 4
+		phase  = 1024
+	)
+	for _, gaps := range []bool{false, true} {
+		h := mustHist(t, Config{WindowLen: window, Epsilon: 0.3, Gen: newRing(t, 99, l, window)})
+		r := rand.New(rand.NewSource(7))
+		ti := int64(0)
+		for i := 0; i < 6*phase; i++ {
+			x := 1 + r.Float64()
+			if (i/phase)%2 == 1 {
+				x *= 1e12
+			}
+			ti++
+			if gaps {
+				ti += int64(r.Intn(3))
+				if i%777 == 776 {
+					ti += window / 2
+				}
+			}
+			updateChecked(t, h, ti, x)
+		}
+		if h.scheduledRebases == 0 {
+			t.Fatalf("gaps=%v: no scheduled rebase in %d updates", gaps, 6*phase)
+		}
+	}
+}
+
 // TestEstimateVarianceMatchesAggregate pins the sketch-free moment fold to
 // the aggregate() reference: both walk the bucket list with the same merge
 // recurrence, so they must agree bit-for-bit.
 func TestEstimateVarianceMatchesAggregate(t *testing.T) {
-	g, err := randproj.NewGenerator(randproj.Config{Seed: 5, SketchLen: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := newRing(t, 5, 8, 128)
 	h := mustHist(t, Config{WindowLen: 128, Epsilon: 0.1, Gen: g})
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 5000; i++ {
@@ -531,11 +693,7 @@ func TestEstimateVarianceMatchesAggregate(t *testing.T) {
 // allocation-free (it used to call Aggregate(), deep-copying every bucket's
 // Z/R slices).
 func BenchmarkEstimateVariance(b *testing.B) {
-	g, err := randproj.NewGenerator(randproj.Config{Seed: 5, SketchLen: 200})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h, err := New(Config{WindowLen: 4032, Epsilon: 0.01, Gen: g})
+	h, err := New(Config{WindowLen: 4032, Epsilon: 0.01, Gen: newRing(b, 5, 200, 4032)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -552,17 +710,6 @@ func BenchmarkEstimateVariance(b *testing.B) {
 		sink += h.EstimateVariance()
 	}
 	_ = sink
-}
-
-func TestUpdateWithRowValidation(t *testing.T) {
-	g := newSketchGen(t, 4, 8)
-	h := mustHist(t, Config{WindowLen: 8, Epsilon: 0.1, Gen: g})
-	if err := h.UpdateWithRow(1, 5, []float64{1, 2}); !errors.Is(err, ErrConfig) {
-		t.Fatalf("short row: %v", err)
-	}
-	if err := h.UpdateWithRow(1, 5, g.Row(1)); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // Property: Lemma 1 holds for random streams and epsilons.
