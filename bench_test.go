@@ -548,9 +548,12 @@ func BenchmarkIdentify(b *testing.B) {
 	}
 }
 
-// BenchmarkSymEigen and BenchmarkSVD size the linear-algebra substrate.
+// BenchmarkSymEigen sizes the eigensolvers: the Householder + QL solver the
+// NOC rebuild runs, at the model sizes the benchmark deploys (m = 81, 144)
+// and the one it cannot yet afford (256), and under jacobi/ the FD-only
+// Jacobi kernel at its real size (2ℓ = 16) and at n = 81 for contrast.
 func BenchmarkSymEigen(b *testing.B) {
-	bench := func(n int) func(b *testing.B) {
+	bench := func(solve func(*mat.Matrix) (*mat.EigenSym, error), n int) func(b *testing.B) {
 		return func(b *testing.B) {
 			rng := rand.New(rand.NewSource(7))
 			a := mat.NewMatrix(n, n)
@@ -563,17 +566,20 @@ func BenchmarkSymEigen(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := mat.SymEigen(a); err != nil {
+				if _, err := solve(a); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	}
 	for _, n := range []int{20, 81} {
-		b.Run(fmt.Sprintf("n=%d", n), bench(n))
+		b.Run(fmt.Sprintf("n=%d", n), bench(mat.SymEigen, n))
 	}
-	for _, n := range []int{64, 256} {
-		b.Run(fmt.Sprintf("m=%d", n), bench(n))
+	for _, n := range []int{64, 144, 256} {
+		b.Run(fmt.Sprintf("m=%d", n), bench(mat.SymEigen, n))
+	}
+	for _, n := range []int{16, 81} {
+		b.Run(fmt.Sprintf("jacobi/n=%d", n), bench(mat.SymEigenJacobi, n))
 	}
 }
 
@@ -694,44 +700,9 @@ func BenchmarkFDUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkRSVDBuild measures the NOC model rebuild through the randomized
-// range-finder SVD on the l×m sketch matrix (never forming the m×m Gram),
-// for contrast with the Jacobi cells (BenchmarkGram + BenchmarkSymEigen at
-// the same m cover the full-rebuild path).
-func BenchmarkRSVDBuild(b *testing.B) {
-	const l = 200
-	for _, m := range []int{64, 256} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(17))
-			sketches := make([][]float64, m)
-			means := make([]float64, m)
-			for j := range sketches {
-				s := make([]float64, l)
-				for k := range s {
-					s[k] = rng.NormFloat64()
-				}
-				sketches[j] = s
-			}
-			det, err := core.NewDetector(core.DetectorConfig{
-				NumFlows: m, WindowLen: 4032, SketchLen: l, Alpha: 0.01,
-				FixedRank: 6, Builder: core.BuildRSVD,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := det.RebuildModel(sketches, means, int64(i+1)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFDModelBuild measures the FD-family NOC retrain: per-block
 // small-side eigensolves (≤ 2ℓ×2ℓ each) over the monitors' basis blocks plus
-// the global spectrum merge. Compare the m=256 cell with the Jacobi full
+// the global spectrum merge. Compare the m=256 cell with the randproj full
 // rebuild at the same m (BenchmarkGram + BenchmarkSymEigen) for the
 // retrain-cost advantage of the family.
 func BenchmarkFDModelBuild(b *testing.B) {
@@ -776,23 +747,6 @@ func BenchmarkFDModelBuild(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkSVD(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	a := mat.NewMatrix(128, 32)
-	for i := 0; i < 128; i++ {
-		row := a.RowView(i)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mat.ComputeSVD(a); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

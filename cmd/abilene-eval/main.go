@@ -10,7 +10,7 @@
 //	abilene-eval -figure 9          # errors vs sketch length at r = 6
 //	abilene-eval -figure 10         # NOC computation overhead
 //	abilene-eval -bounds            # empirical Lemma 5/6, Theorem 2 checks
-//	abilene-eval -shootout          # three-way sketcher family comparison
+//	abilene-eval -shootout          # sketcher family comparison
 //	abilene-eval -identify          # per-flow identification scorecard
 //	abilene-eval -figure 7 -full    # paper-scale run (hours)
 //
@@ -90,7 +90,7 @@ func run(args []string, out io.Writer) error {
 	fs.Float64Var(&p.epsilon, "epsilon", 0.01, "variance-histogram ε (paper: 0.01)")
 	fs.Float64Var(&p.alpha, "alpha", 0.01, "Q-statistic false-alarm rate (paper: 0.01)")
 	fs.BoolVar(&p.comm, "comm", false, "report the lazy protocol's communication cost")
-	fs.BoolVar(&p.shootout, "shootout", false, "run the three-way sketcher shoot-out (randproj+jacobi, randproj+rsvd, fd) with per-family oracle checks")
+	fs.BoolVar(&p.shootout, "shootout", false, "run the sketcher-family shoot-out (randproj, fd) with per-family oracle checks")
 	fs.BoolVar(&p.identify, "identify", false, "score per-flow identification on the labeled attack suite (online pursuit per family + offline PCP comparator)")
 	fs.Float64Var(&p.idMinP3, "identify-min-p3", 0, "gate: fail unless every online family's precision@3 meets this floor (0 = no gate)")
 	fs.Float64Var(&p.idMinRecall, "identify-min-recall", 0, "gate: fail unless every online family's recall meets this floor (0 = no gate)")
@@ -438,7 +438,7 @@ func oracleReport(p params, out io.Writer) error {
 	return nil
 }
 
-// shootoutReport runs the three sketcher/builder families over the same
+// shootoutReport runs the sketcher families over the same
 // trace and ground truth and prints one scorecard row each: detection
 // accuracy, the size of one sketch pull, the measured retrain bill, and the
 // per-family oracle outcome (exact-batch model checks for randproj, the

@@ -58,10 +58,6 @@ func run(args []string) error {
 		flows    = fs.Int("flows", 81, "network-wide number of aggregated flows (m)")
 		window   = fs.Int("window", 4032, "sliding-window length in intervals (n)")
 		sk       = cliflags.Sketcher(fs, "")
-		builder  = fs.String("modelbuilder", "jacobi", "model eigensolver: jacobi or rsvd (randproj only)")
-		rsvdOver = fs.Int("rsvd-oversample", 10, "randomized SVD oversampling columns (with -modelbuilder rsvd)")
-		rsvdPow  = fs.Int("rsvd-power", 1, "randomized SVD power iterations (with -modelbuilder rsvd)")
-		rsvdSeed = fs.Uint64("rsvd-seed", 1, "randomized SVD test-matrix seed (with -modelbuilder rsvd)")
 		alpha    = fs.Float64("alpha", 0.01, "Q-statistic false-alarm rate")
 		rankMode = fs.String("rank-mode", "fixed", "rank selection: fixed, 3sigma or energy")
 		rank     = fs.Int("rank", 6, "normal-subspace size for -rank-mode fixed")
@@ -90,10 +86,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	bld, err := core.ParseModelBuilder(*builder)
-	if err != nil {
-		return fmt.Errorf("-modelbuilder: %w", err)
-	}
 
 	tracer, recorder, err := tracing.Open("noc")
 	if err != nil {
@@ -110,18 +102,14 @@ func run(args []string) error {
 		FlightTopK:     *flightK,
 		IdentifyMaxK:   *identK,
 		Detector: core.DetectorConfig{
-			Family:         fam,
-			Builder:        bld,
-			NumFlows:       *flows,
-			WindowLen:      *window,
-			SketchLen:      sk.Len,
-			Alpha:          *alpha,
-			Mode:           mode,
-			FixedRank:      *rank,
-			EnergyFrac:     *energy,
-			RSVDOversample: *rsvdOver,
-			RSVDPowerIters: *rsvdPow,
-			RSVDSeed:       *rsvdSeed,
+			Family:     fam,
+			NumFlows:   *flows,
+			WindowLen:  *window,
+			SketchLen:  sk.Len,
+			Alpha:      *alpha,
+			Mode:       mode,
+			FixedRank:  *rank,
+			EnergyFrac: *energy,
 		},
 		Seed:             *seed,
 		SelfCheckEvery:   *selfchk,
@@ -162,8 +150,8 @@ func run(args []string) error {
 	if err := svc.Serve(*listen); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "sketchpca-noc: listening on %s (m=%d n=%d sketch=%d family=%s builder=%s)\n",
-		svc.Addr(), *flows, *window, sk.Len, fam, bld)
+	fmt.Fprintf(os.Stderr, "sketchpca-noc: listening on %s (m=%d n=%d sketch=%d family=%s)\n",
+		svc.Addr(), *flows, *window, sk.Len, fam)
 	if addr := svc.DiagAddr(); addr != "" {
 		fmt.Fprintf(os.Stderr, "sketchpca-noc: diagnostics on http://%s/metrics\n", addr)
 	}

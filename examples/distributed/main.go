@@ -44,17 +44,16 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve NOC diagnostics (/metrics, /healthz, /debug/pprof, /debug/trace) on this address")
 	ingestMode := flag.Bool("ingest", false, "feed monitors through NetFlow v5 ingest pipelines instead of direct volume rows")
 	sketcher := flag.String("sketcher", "randproj", "sketcher family: randproj or fd")
-	builder := flag.String("modelbuilder", "jacobi", "model eigensolver: jacobi or rsvd (randproj only)")
 	traceOn := flag.Bool("trace", false, "record interval-lineage spans on the NOC (served on /debug/trace with -metrics-addr)")
 	traceSm := flag.Int("trace-sample", 1, "with -trace, keep every trace whose id % N == 0 (1 = all)")
 	flight := flag.String("flight-recorder", "", "append one JSONL audit record per alarm/degraded decision to this file")
 	flag.Parse()
-	if err := run(*metricsAddr, *ingestMode, *sketcher, *builder, *traceOn, *traceSm, *flight); err != nil {
+	if err := run(*metricsAddr, *ingestMode, *sketcher, *traceOn, *traceSm, *flight); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(metricsAddr string, ingestMode bool, sketcher, builder string, traceOn bool, traceSample int, flightPath string) error {
+func run(metricsAddr string, ingestMode bool, sketcher string, traceOn bool, traceSample int, flightPath string) error {
 	const (
 		perDay    = traffic.IntervalsPerDay5Min
 		windowLen = perDay / 2
@@ -66,10 +65,6 @@ func run(metricsAddr string, ingestMode bool, sketcher, builder string, traceOn 
 	fam, err := sketchpkg.ParseFamily(sketcher)
 	if err != nil {
 		return fmt.Errorf("-sketcher: %w", err)
-	}
-	bld, err := core.ParseModelBuilder(builder)
-	if err != nil {
-		return fmt.Errorf("-modelbuilder: %w", err)
 	}
 
 	tr, err := traffic.Generate(traffic.GeneratorConfig{NumIntervals: total, Seed: 60})
@@ -112,7 +107,6 @@ func run(metricsAddr string, ingestMode bool, sketcher, builder string, traceOn 
 	nocSvc, err := noc.New(noc.Config{
 		Detector: core.DetectorConfig{
 			Family:    fam,
-			Builder:   bld,
 			NumFlows:  m,
 			WindowLen: windowLen,
 			SketchLen: sketchParam,
@@ -137,8 +131,8 @@ func run(metricsAddr string, ingestMode bool, sketcher, builder string, traceOn 
 		return err
 	}
 	defer nocSvc.Shutdown()
-	fmt.Printf("NOC listening on %s (sketcher=%s builder=%s sketch=%d)\n",
-		nocSvc.Addr(), fam, bld, sketchParam)
+	fmt.Printf("NOC listening on %s (sketcher=%s sketch=%d)\n",
+		nocSvc.Addr(), fam, sketchParam)
 	if addr := nocSvc.DiagAddr(); addr != "" {
 		fmt.Printf("NOC diagnostics on http://%s/metrics\n", addr)
 	}

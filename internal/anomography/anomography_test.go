@@ -18,17 +18,11 @@ func randomBasis(t *testing.T, m, r int, seed int64) *mat.Matrix {
 			a.Set(i, j, rng.NormFloat64())
 		}
 	}
-	svd, err := mat.ComputeSVD(a)
+	qr, err := mat.ComputeQR(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	basis := mat.NewMatrix(m, r)
-	for i := 0; i < m; i++ {
-		for j := 0; j < r; j++ {
-			basis.Set(i, j, svd.U.At(i, j))
-		}
-	}
-	return basis
+	return qr.Q
 }
 
 func TestResidualOrthogonalToNormalSubspace(t *testing.T) {

@@ -39,12 +39,6 @@ type ClusterConfig struct {
 	Mode       RankMode
 	FixedRank  int
 	EnergyFrac float64
-	// Builder selects the randproj model build (see DetectorConfig); ignored
-	// for the FD family.
-	Builder        ModelBuilder
-	RSVDOversample int
-	RSVDPowerIters int
-	RSVDSeed       uint64
 }
 
 // Cluster is an in-process assembly of monitors and a NOC detector.
@@ -127,18 +121,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	det, err := NewDetector(DetectorConfig{
-		NumFlows:       cfg.NumFlows,
-		WindowLen:      cfg.WindowLen,
-		SketchLen:      sketchLen,
-		Alpha:          cfg.Alpha,
-		Mode:           cfg.Mode,
-		FixedRank:      cfg.FixedRank,
-		EnergyFrac:     cfg.EnergyFrac,
-		Family:         cfg.Family,
-		Builder:        cfg.Builder,
-		RSVDOversample: cfg.RSVDOversample,
-		RSVDPowerIters: cfg.RSVDPowerIters,
-		RSVDSeed:       cfg.RSVDSeed,
+		NumFlows:   cfg.NumFlows,
+		WindowLen:  cfg.WindowLen,
+		SketchLen:  sketchLen,
+		Alpha:      cfg.Alpha,
+		Mode:       cfg.Mode,
+		FixedRank:  cfg.FixedRank,
+		EnergyFrac: cfg.EnergyFrac,
+		Family:     cfg.Family,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("detector: %w", err)

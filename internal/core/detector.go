@@ -39,47 +39,6 @@ func (m RankMode) String() string {
 	}
 }
 
-// ModelBuilder selects how the NOC turns the assembled sketch matrix into a
-// PCA model (randproj family only; the FD family always builds per block on
-// the small side).
-type ModelBuilder int
-
-const (
-	// BuildJacobi eigendecomposes the m×m Gram matrix ẐᵀẐ — the exact
-	// O(m²·l + m³)-per-rebuild path the paper costs out. The zero value, so
-	// configurations written before the field existed keep their meaning.
-	BuildJacobi ModelBuilder = iota
-	// BuildRSVD runs the randomized range-finder SVD on Ẑ directly:
-	// O(l·m·p) for p = rank+oversample sampled directions, never forming
-	// the Gram matrix. The spectrum is truncated to p values; see
-	// Model.ThresholdUnavailable for the rank ≥ p degenerate case.
-	BuildRSVD
-)
-
-// String implements fmt.Stringer.
-func (b ModelBuilder) String() string {
-	switch b {
-	case BuildJacobi:
-		return "jacobi"
-	case BuildRSVD:
-		return "rsvd"
-	default:
-		return fmt.Sprintf("builder(%d)", int(b))
-	}
-}
-
-// ParseModelBuilder maps the -modelbuilder flag spelling to a ModelBuilder.
-func ParseModelBuilder(s string) (ModelBuilder, error) {
-	switch s {
-	case "", "jacobi":
-		return BuildJacobi, nil
-	case "rsvd":
-		return BuildRSVD, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown model builder %q (want jacobi or rsvd)", ErrConfig, s)
-	}
-}
-
 // DetectorConfig parameterizes the NOC-side detector.
 type DetectorConfig struct {
 	// NumFlows is m, the network-wide number of aggregated flows.
@@ -106,17 +65,6 @@ type DetectorConfig struct {
 	// side; RankThreeSigma is unsupported (it needs the global sketch
 	// matrix, which FD never materializes).
 	Family sketch.Family
-	// Builder selects the randproj model build (Jacobi Gram eigensolve, the
-	// default, or the randomized range-finder SVD). Ignored for FD.
-	Builder ModelBuilder
-	// RSVDOversample pads the sampled subspace beyond the target rank
-	// (default 10, the standard recommendation).
-	RSVDOversample int
-	// RSVDPowerIters is the number of power passes sharpening the sampled
-	// range (default 1; each costs one extra sweep over Ẑ).
-	RSVDPowerIters int
-	// RSVDSeed seeds the deterministic gaussian test matrix.
-	RSVDSeed uint64
 }
 
 // Model is a fitted sketch-PCA model at the NOC.
@@ -202,30 +150,8 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 		if cfg.Mode == RankThreeSigma {
 			return nil, fmt.Errorf("%w: rank mode 3sigma needs the global sketch matrix, which the fd family never materializes", ErrConfig)
 		}
-		if cfg.Builder != BuildJacobi {
-			return nil, fmt.Errorf("%w: the fd family has its own per-block eigensolve; a model builder only applies to randproj", ErrConfig)
-		}
 	default:
 		return nil, fmt.Errorf("%w: unknown sketch family %d", ErrConfig, int(cfg.Family))
-	}
-	switch cfg.Builder {
-	case BuildJacobi:
-	case BuildRSVD:
-		if cfg.RSVDOversample == 0 {
-			cfg.RSVDOversample = 10
-		}
-		if cfg.RSVDOversample < 0 {
-			return nil, fmt.Errorf("%w: rsvd oversample %d", ErrConfig, cfg.RSVDOversample)
-		}
-		switch {
-		case cfg.RSVDPowerIters == 0:
-			cfg.RSVDPowerIters = 1
-		case cfg.RSVDPowerIters < 0:
-			// Explicit "no power passes".
-			cfg.RSVDPowerIters = 0
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown model builder %d", ErrConfig, int(cfg.Builder))
 	}
 	return &Detector{cfg: cfg}, nil
 }
@@ -278,59 +204,20 @@ func (d *Detector) RebuildModel(sketches [][]float64, means []float64, builtAt i
 	if err != nil {
 		return err
 	}
-	var (
-		components *mat.Matrix
-		sv         []float64
-		realLen    int
-	)
-	switch d.cfg.Builder {
-	case BuildJacobi:
-		// PCA on Ẑ via the m×m Gram matrix: eigenvalues are λ̂²,
-		// eigenvectors are the right singular vectors â — the only pieces
-		// the detector needs.
-		eig, err := mat.SymEigen(z.Gram())
-		if err != nil {
-			return fmt.Errorf("sketch eigendecomposition: %w", err)
-		}
-		components = eig.Vectors
-		sv = make([]float64, d.cfg.NumFlows)
-		for j, lam := range eig.Values {
-			if lam < 0 {
-				lam = 0
-			}
-			sv[j] = math.Sqrt(lam)
-		}
-		realLen = len(sv)
-	case BuildRSVD:
-		// Randomized range finder on Ẑ itself: never forms the m×m Gram.
-		// The sampled subspace targets FixedRank directions (the only mode
-		// with a rank known before the decomposition); other modes fall
-		// back to sampling the full min(l, m) spectrum.
-		target := minInt(d.cfg.SketchLen, d.cfg.NumFlows)
-		if d.cfg.Mode == RankFixed {
-			target = d.cfg.FixedRank
-			if target < 1 {
-				target = 1
-			}
-		}
-		svd, err := mat.RandomizedSVD(z, target, d.cfg.RSVDOversample,
-			d.cfg.RSVDPowerIters, d.cfg.RSVDSeed)
-		if err != nil {
-			return fmt.Errorf("sketch randomized svd: %w", err)
-		}
-		realLen = len(svd.Values)
-		components = mat.NewMatrix(d.cfg.NumFlows, d.cfg.NumFlows)
-		for j := 0; j < realLen; j++ {
-			for i := 0; i < d.cfg.NumFlows; i++ {
-				components.Set(i, j, svd.V.At(i, j))
-			}
-		}
-		sv = make([]float64, d.cfg.NumFlows)
-		copy(sv, svd.Values)
-	default:
-		return fmt.Errorf("%w: unknown model builder %d", ErrConfig, int(d.cfg.Builder))
+	// PCA on Ẑ via the m×m Gram matrix: eigenvalues are λ̂², eigenvectors
+	// are the right singular vectors â — the only pieces the detector needs.
+	eig, err := mat.SymEigen(z.Gram())
+	if err != nil {
+		return fmt.Errorf("sketch eigendecomposition: %w", err)
 	}
-	return d.finishModel(z, components, sv, realLen, means, builtAt)
+	sv := make([]float64, d.cfg.NumFlows)
+	for j, lam := range eig.Values {
+		if lam < 0 {
+			lam = 0
+		}
+		sv[j] = math.Sqrt(lam)
+	}
+	return d.finishModel(z, eig.Vectors, sv, len(sv), means, builtAt)
 }
 
 // finishModel runs the family-independent tail of every rebuild: rank
@@ -345,13 +232,13 @@ func (d *Detector) finishModel(z *mat.Matrix, components *mat.Matrix, sv []float
 	}
 	threshold, unavailable, capped := 0.0, false, 0
 	if rank >= realLen && realLen < d.cfg.NumFlows {
-		// Truncated spectrum (rSVD sampling or FD's ≤ Σ2ℓ bases) with the
-		// whole of it assigned to the normal subspace: the residual energy
-		// lives entirely beyond what the decomposition kept, so no control
-		// limit can be formed. QStatistic would report an empty residual
+		// Truncated spectrum (FD keeps ≤ Σ2ℓ bases) with the whole of it
+		// assigned to the normal subspace: the residual energy lives
+		// entirely beyond what the decomposition kept, so no control limit
+		// can be formed. QStatistic would report an empty residual
 		// (threshold 0) — correct for a genuinely full-rank model, an
 		// alarm-on-everything trap here. Same typed degradation as the
-		// PR-4 Jacobi fix: keep the subspace, flag the threshold.
+		// PR-4 degenerate-spectrum fix: keep the subspace, flag the threshold.
 		unavailable = true
 	} else {
 		// Residual-rank capping (stats.QStatisticCapped): an h0 ≤ 0 spectrum
@@ -393,6 +280,15 @@ func (d *Detector) finishModel(z *mat.Matrix, components *mat.Matrix, sv []float
 // descending, is the model spectrum: cross-monitor covariance is not
 // represented (the FD trade-off DESIGN.md §15 documents), so each component
 // is supported on a single monitor's flow columns.
+//
+// The block eigensolve is mat.SymEigenJacobi, not mat.SymEigen, on purpose.
+// An aggregator-merged block stacks rows that are zero outside their source
+// monitor's columns (sketch.FD.shrink keeps them so, for the wire-size reason
+// stated there), so B·Bᵀ is block diagonal up to a permutation. Jacobi never
+// rotates across an exact-zero pivot: every u, and with it every component
+// Bᵀu/σ, is supported on one source monitor's columns exactly rather than to
+// rounding. At ≤ 2ℓ = 16 rows the solve is microseconds with either solver,
+// so the dense one has nothing to offer here.
 func (d *Detector) RebuildFD(blocks []sketch.Snapshot, builtAt int64) error {
 	m := d.cfg.NumFlows
 	if len(blocks) == 0 {
@@ -431,8 +327,8 @@ func (d *Detector) RebuildFD(blocks []sketch.Snapshot, builtAt int64) error {
 		for i, r := range b.FDRows {
 			copy(rows.RowView(i), r)
 		}
-		// B·Bᵀ = (Bᵀ)ᵀ(Bᵀ): small-side Gram.
-		eig, err := mat.SymEigen(rows.T().Gram())
+		// B·Bᵀ = (Bᵀ)ᵀ(Bᵀ): small-side Gram; Jacobi on purpose, see above.
+		eig, err := mat.SymEigenJacobi(rows.T().Gram())
 		if err != nil {
 			return fmt.Errorf("fd block %d eigendecomposition: %w", bi, err)
 		}
@@ -483,13 +379,6 @@ func (d *Detector) Rebuild(f Fetch) error {
 		return d.RebuildFD(f.Blocks, f.Interval)
 	}
 	return d.RebuildModel(f.Sketches, f.Means, f.Interval)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // chooseRank applies the configured rank policy to a freshly decomposed

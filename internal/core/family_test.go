@@ -2,159 +2,11 @@ package core
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 
 	"streampca/internal/sketch"
 )
-
-// plantedSketches builds per-flow sketch columns of an l×m matrix with the
-// given planted singular spectrum plus tiny noise, so the residual spectrum
-// past any fixed rank has real structure both builders must agree on.
-func plantedSketches(rng *rand.Rand, l, m int, spectrum []float64, noise float64) [][]float64 {
-	z := make([][]float64, l)
-	for k := range z {
-		z[k] = make([]float64, m)
-	}
-	for _, s := range spectrum {
-		u := make([]float64, l)
-		v := make([]float64, m)
-		var un, vn float64
-		for i := range u {
-			u[i] = rng.NormFloat64()
-			un += u[i] * u[i]
-		}
-		for j := range v {
-			v[j] = rng.NormFloat64()
-			vn += v[j] * v[j]
-		}
-		un, vn = math.Sqrt(un), math.Sqrt(vn)
-		for i := range u {
-			for j := range v {
-				z[i][j] += s * (u[i] / un) * (v[j] / vn)
-			}
-		}
-	}
-	for i := range z {
-		for j := range z[i] {
-			z[i][j] += noise * rng.NormFloat64()
-		}
-	}
-	sketches := make([][]float64, m)
-	for j := 0; j < m; j++ {
-		col := make([]float64, l)
-		for k := 0; k < l; k++ {
-			col[k] = z[k][j]
-		}
-		sketches[j] = col
-	}
-	return sketches
-}
-
-// TestRSVDBuilderMatchesJacobi: on a spectrum whose residual mass sits well
-// inside the sampled subspace, the randomized builder must reproduce the
-// Jacobi model — same rank, matching leading singular values and threshold.
-func TestRSVDBuilderMatchesJacobi(t *testing.T) {
-	rng := rand.New(rand.NewSource(404))
-	const l, m, r = 16, 24, 3
-	spectrum := make([]float64, 8)
-	for j := range spectrum {
-		spectrum[j] = 100 / float64(j+1)
-	}
-	sketches := plantedSketches(rng, l, m, spectrum, 1e-8)
-	means := make([]float64, m)
-
-	build := func(b ModelBuilder) *Model {
-		det, err := NewDetector(DetectorConfig{
-			NumFlows: m, WindowLen: 512, SketchLen: l,
-			Alpha: 0.01, Mode: RankFixed, FixedRank: r,
-			Builder: b, RSVDSeed: 9,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := det.RebuildModel(sketches, means, 1); err != nil {
-			t.Fatalf("builder %v: %v", b, err)
-		}
-		return det.Model()
-	}
-	exact := build(BuildJacobi)
-	approx := build(BuildRSVD)
-	if exact.Rank != approx.Rank {
-		t.Fatalf("ranks differ: %d vs %d", exact.Rank, approx.Rank)
-	}
-	if len(approx.Singular) != m {
-		t.Fatalf("rsvd spectrum zero-padded to %d, want %d", len(approx.Singular), m)
-	}
-	for j := 0; j < len(spectrum); j++ {
-		rel := math.Abs(approx.Singular[j]-exact.Singular[j]) / exact.Singular[j]
-		if rel > 1e-6 {
-			t.Fatalf("singular value %d: %v vs %v (rel %v)", j, approx.Singular[j], exact.Singular[j], rel)
-		}
-	}
-	if exact.ThresholdUnavailable || approx.ThresholdUnavailable {
-		t.Fatal("threshold unavailable on a well-conditioned spectrum")
-	}
-	if rel := math.Abs(approx.Threshold-exact.Threshold) / exact.Threshold; rel > 1e-3 {
-		t.Fatalf("thresholds diverge: %v vs %v (rel %v)", approx.Threshold, exact.Threshold, rel)
-	}
-	// The subspaces agree: each leading rsvd component is ±the Jacobi one.
-	for j := 0; j < r; j++ {
-		var dot float64
-		for i := 0; i < m; i++ {
-			dot += approx.Components.At(i, j) * exact.Components.At(i, j)
-		}
-		if math.Abs(math.Abs(dot)-1) > 1e-6 {
-			t.Fatalf("component %d: |<v,v*>| = %v", j, math.Abs(dot))
-		}
-	}
-}
-
-// TestRSVDTruncatedSpectrumThresholdUnavailable: when the whole sampled
-// spectrum lands in the normal subspace (rank ≥ p < m) there is no residual
-// to form a control limit from, and the model must be flagged — the rsvd
-// analogue of the PR-4 degenerate-spectrum fix, not a silent 0 threshold.
-func TestRSVDTruncatedSpectrumThresholdUnavailable(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	const l, m = 8, 20
-	sketches := plantedSketches(rng, l, m, []float64{50, 20, 10, 5}, 1e-6)
-	means := make([]float64, m)
-	det, err := NewDetector(DetectorConfig{
-		NumFlows: m, WindowLen: 256, SketchLen: l,
-		Alpha: 0.01, Mode: RankFixed, FixedRank: 8, // ≥ p = min(8+10, l=8, m)
-		Builder: BuildRSVD, RSVDSeed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := det.RebuildModel(sketches, means, 1); err != nil {
-		t.Fatal(err)
-	}
-	model := det.Model()
-	if !model.ThresholdUnavailable {
-		t.Fatal("rank ≥ sampled spectrum must flag ThresholdUnavailable")
-	}
-	if model.Threshold != 0 {
-		t.Fatalf("placeholder threshold = %v, want 0", model.Threshold)
-	}
-
-	// The same rank under Jacobi sees the full m-length spectrum: 8 < m
-	// leaves a genuine residual and the threshold stays available.
-	det2, err := NewDetector(DetectorConfig{
-		NumFlows: m, WindowLen: 256, SketchLen: l,
-		Alpha: 0.01, Mode: RankFixed, FixedRank: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := det2.RebuildModel(sketches, means, 1); err != nil {
-		t.Fatal(err)
-	}
-	if det2.Model().ThresholdUnavailable {
-		t.Fatal("jacobi with rank < m must keep its threshold")
-	}
-}
 
 // fdBlocks feeds a stream through one FD sketcher per monitor block and
 // returns the per-block snapshots.
@@ -182,8 +34,8 @@ func fdBlocks(t *testing.T, assign [][]int, ell int, x [][]float64) []sketch.Sna
 
 // TestRebuildFDTruncatedSpectrumThresholdUnavailable: FD keeps at most Σ2ℓ
 // basis directions; asking for a normal subspace at least that large leaves
-// no residual spectrum and must flag the threshold, exactly like the rsvd
-// truncation and the PR-4 degenerate case.
+// no residual spectrum and must flag the threshold, exactly like the PR-4
+// degenerate case.
 func TestRebuildFDTruncatedSpectrumThresholdUnavailable(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const m, ell = 6, 2

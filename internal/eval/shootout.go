@@ -11,18 +11,19 @@ import (
 	"streampca/internal/sketch"
 )
 
-// ShootoutConfig parameterizes the three-family comparison: the same trace
-// and ground truth drive randproj+jacobi (the paper's pipeline),
-// randproj+rsvd (randomized range-finder model build) and fd (Frequent
-// Directions) once each.
+// ShootoutConfig parameterizes the sketcher-family comparison: the same trace
+// and ground truth drive randproj (the paper's pipeline; its row keeps the
+// label "randproj+jacobi" from when the model build was a choice, so
+// scorecards diff against recorded ones) and fd (Frequent Directions) once
+// each.
 type ShootoutConfig struct {
 	// WindowLen, Epsilon, Alpha as in the paper.
 	WindowLen int
 	Epsilon   float64
 	Alpha     float64
-	// Seed feeds the shared projection generator and the rSVD test matrix.
+	// Seed feeds the shared projection generator.
 	Seed uint64
-	// SketchLen is the random-projection l (both randproj variants).
+	// SketchLen is the random-projection l.
 	SketchLen int
 	// FDEll is the per-monitor Frequent Directions basis budget ℓ; 0 selects
 	// sketch.DefaultEll of each monitor's flow count (NumMonitors must then
@@ -33,7 +34,7 @@ type ShootoutConfig struct {
 	// NumMonitors partitions the flows round-robin, as the cluster does.
 	NumMonitors int
 	// Oracle enables the per-family differential validation: the randproj
-	// variants run the sampled exact-batch model oracle (the -selfcheck
+	// variant runs the sampled exact-batch model oracle (the -selfcheck
 	// path), the FD variant replays every monitor's centered stream and
 	// asserts the deterministic ‖AᵀA−BᵀB‖₂ ≤ Δ ≤ ‖A‖²_F/ℓ guarantee.
 	Oracle bool
@@ -46,10 +47,9 @@ type ShootoutConfig struct {
 // ground truth, the space one full sketch pull costs, and the measured
 // retrain bill of the lazy protocol.
 type ShootoutRow struct {
-	// Variant names the combination, e.g. "randproj+jacobi".
+	// Variant is the row label: "randproj+jacobi" or "fd".
 	Variant string
 	Family  sketch.Family
-	Builder core.ModelBuilder
 	// SketchParam is the family's size knob: l for randproj, ℓ for fd.
 	SketchParam int
 	// TypeI = false alarms / true normals, TypeII = misses / true anomalies
@@ -78,9 +78,9 @@ type ShootoutRow struct {
 	OracleWorst      string
 }
 
-// Shootout runs the three sketcher/builder variants over the same trace
-// against the same ground truth and returns one row each, in the fixed order
-// randproj+jacobi, randproj+rsvd, fd.
+// Shootout runs each sketcher family over the same trace against the same
+// ground truth and returns one row each, in the fixed order
+// randproj+jacobi, fd.
 func Shootout(volumes *mat.Matrix, truth *Truth, cfg ShootoutConfig) ([]ShootoutRow, error) {
 	if truth == nil || len(truth.Ready) != volumes.Rows() {
 		return nil, fmt.Errorf("%w: truth does not match the volume matrix", ErrInput)
@@ -89,17 +89,15 @@ func Shootout(volumes *mat.Matrix, truth *Truth, cfg ShootoutConfig) ([]Shootout
 		return nil, fmt.Errorf("%w: %d monitors", ErrConfig, cfg.NumMonitors)
 	}
 	variants := []struct {
-		name    string
-		family  sketch.Family
-		builder core.ModelBuilder
+		name   string
+		family sketch.Family
 	}{
-		{"randproj+jacobi", sketch.FamilyRandProj, core.BuildJacobi},
-		{"randproj+rsvd", sketch.FamilyRandProj, core.BuildRSVD},
-		{"fd", sketch.FamilyFD, core.BuildJacobi},
+		{"randproj+jacobi", sketch.FamilyRandProj},
+		{"fd", sketch.FamilyFD},
 	}
 	out := make([]ShootoutRow, 0, len(variants))
 	for _, v := range variants {
-		row, err := shootoutVariant(volumes, truth, cfg, v.name, v.family, v.builder)
+		row, err := shootoutVariant(volumes, truth, cfg, v.name, v.family)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
@@ -110,9 +108,9 @@ func Shootout(volumes *mat.Matrix, truth *Truth, cfg ShootoutConfig) ([]Shootout
 
 // shootoutVariant drives one in-process cluster over the trace, scoring every
 // truth-ready interval and timing the refresh observations.
-func shootoutVariant(volumes *mat.Matrix, truth *Truth, cfg ShootoutConfig, name string, family sketch.Family, builder core.ModelBuilder) (ShootoutRow, error) {
+func shootoutVariant(volumes *mat.Matrix, truth *Truth, cfg ShootoutConfig, name string, family sketch.Family) (ShootoutRow, error) {
 	m := volumes.Cols()
-	row := ShootoutRow{Variant: name, Family: family, Builder: builder}
+	row := ShootoutRow{Variant: name, Family: family}
 	ccfg := core.ClusterConfig{
 		NumFlows:    m,
 		NumMonitors: cfg.NumMonitors,
@@ -131,8 +129,6 @@ func shootoutVariant(volumes *mat.Matrix, truth *Truth, cfg ShootoutConfig, name
 		}
 	} else {
 		ccfg.Sketch = randproj.Config{Seed: cfg.Seed, SketchLen: cfg.SketchLen, WindowLen: cfg.WindowLen}
-		ccfg.Builder = builder
-		ccfg.RSVDSeed = cfg.Seed
 		row.SketchParam = cfg.SketchLen
 	}
 	cl, err := core.NewCluster(ccfg)

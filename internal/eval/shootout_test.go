@@ -4,11 +4,10 @@ import (
 	"errors"
 	"testing"
 
-	"streampca/internal/core"
 	"streampca/internal/sketch"
 )
 
-func TestShootoutThreeWay(t *testing.T) {
+func TestShootoutFamilies(t *testing.T) {
 	tr := testTrace(t)
 	truth, err := GroundTruth(tr.Volumes, TruthConfig{
 		WindowLen: 128, Rank: 4, Alpha: 0.01, RefitEvery: 4,
@@ -23,10 +22,10 @@ func TestShootoutThreeWay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("%d rows, want 2", len(rows))
 	}
-	wantVariants := []string{"randproj+jacobi", "randproj+rsvd", "fd"}
+	wantVariants := []string{"randproj+jacobi", "fd"}
 	for i, row := range rows {
 		t.Logf("%s: typeI=%.3f typeII=%.3f retrains=%d retrain_ns=%d bytes=%d unavail=%d oracle=%d/%d maxrel=%.3g %s",
 			row.Variant, row.TypeI, row.TypeII, row.Retrains, row.RetrainNanos,
@@ -56,40 +55,34 @@ func TestShootoutThreeWay(t *testing.T) {
 			t.Fatalf("%s ran no oracle checks", row.Variant)
 		}
 	}
-	rj, rs, fd := rows[0], rows[1], rows[2]
-	if rj.SketchParam != 64 || rs.SketchParam != 64 {
-		t.Fatalf("randproj sketch param %d/%d, want 64", rj.SketchParam, rs.SketchParam)
+	rp, fd := rows[0], rows[1]
+	if rp.SketchParam != 64 {
+		t.Fatalf("randproj sketch param %d, want 64", rp.SketchParam)
 	}
 	if fd.SketchParam != sketch.DefaultEll(tr.NumFlows()/4) {
 		t.Fatalf("fd defaulted ℓ to %d", fd.SketchParam)
 	}
-	if fd.Family != sketch.FamilyFD || rs.Builder != core.BuildRSVD {
-		t.Fatalf("family/builder labels wrong: %+v %+v", fd, rs)
+	if rp.Family != sketch.FamilyRandProj || fd.Family != sketch.FamilyFD {
+		t.Fatalf("family labels wrong: %+v %+v", rp, fd)
 	}
 	// The paper's pipeline and the deterministic FD guarantee must both come
-	// through the oracle clean; rSVD shares the randproj model oracle.
-	if rj.OracleViolations != 0 {
-		t.Fatalf("randproj+jacobi oracle violations: %s", rj.OracleWorst)
+	// through the oracle clean.
+	if rp.OracleViolations != 0 {
+		t.Fatalf("randproj oracle violations: %s", rp.OracleWorst)
 	}
 	if fd.OracleViolations != 0 {
 		t.Fatalf("fd oracle violations: %s", fd.OracleWorst)
 	}
 	// Space: FD blocks (≤ 2ℓ rows of w floats per monitor) must undercut the
 	// randproj pull (l floats per flow) at these dimensions.
-	if fd.SketchBytes >= rj.SketchBytes {
-		t.Fatalf("fd pull (%d B) not smaller than randproj (%d B)", fd.SketchBytes, rj.SketchBytes)
+	if fd.SketchBytes >= rp.SketchBytes {
+		t.Fatalf("fd pull (%d B) not smaller than randproj (%d B)", fd.SketchBytes, rp.SketchBytes)
 	}
-	if rs.OracleViolations != 0 {
-		t.Fatalf("randproj+rsvd oracle violations: %s", rs.OracleWorst)
-	}
-	// Accuracy: the randproj variants run the lazy retrain-on-alarm protocol
-	// (staler models than the sweep's fixed cadence), so the bounds are
-	// looser than the sweep test's; a broken pipeline still lands well
-	// outside them.
-	for _, row := range []ShootoutRow{rj, rs} {
-		if row.TypeI > 0.2 || row.TypeII > 0.8 {
-			t.Fatalf("%s errors too high: TypeI=%v TypeII=%v", row.Variant, row.TypeI, row.TypeII)
-		}
+	// Accuracy: randproj runs the lazy retrain-on-alarm protocol (staler
+	// models than the sweep's fixed cadence), so the bounds are looser than
+	// the sweep test's; a broken pipeline still lands well outside them.
+	if rp.TypeI > 0.2 || rp.TypeII > 0.8 {
+		t.Fatalf("randproj errors too high: TypeI=%v TypeII=%v", rp.TypeI, rp.TypeII)
 	}
 }
 

@@ -121,36 +121,38 @@ func TestMulWorkersShapeError(t *testing.T) {
 	}
 }
 
-// TestSymEigenWorkersCorrect checks SymEigen's decomposition itself from
-// tiny inputs up to the detector's dimensions (odd n exercises the
+// TestSymEigenWorkersCorrect checks both eigensolvers' decompositions from
+// tiny inputs up to the detector's dimensions (odd n exercises the Jacobi
 // schedule's bye slot): orthonormal V, A·V ≈ V·Λ, descending eigenvalues.
 func TestSymEigenWorkersCorrect(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	for _, n := range []int{2, 7, 64, 96, 120, 150, 161} {
-		a := randomSymmetric(rng, n)
-		eig, err := SymEigen(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		checkOrthonormalColumns(t, eig.Vectors, 1e-9)
-		av, err := a.Mul(eig.Vectors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lam := NewMatrix(n, n)
-		for i, v := range eig.Values {
-			lam.Set(i, i, v)
-		}
-		vl, err := eig.Vectors.Mul(lam)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !av.Equal(vl, 1e-8*math.Max(1, a.MaxAbs())) {
-			t.Fatalf("n=%d: A·V does not match V·Λ", n)
-		}
-		for i := 1; i < n; i++ {
-			if eig.Values[i] > eig.Values[i-1]+1e-12 {
-				t.Fatalf("n=%d: eigenvalues not descending at %d", n, i)
+	for _, s := range eigenSolvers {
+		rng := rand.New(rand.NewSource(45))
+		for _, n := range []int{2, 7, 64, 96, 120, 150, 161} {
+			a := randomSymmetric(rng, n)
+			eig, err := s.solve(a)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", s.name, n, err)
+			}
+			checkOrthonormalColumns(t, eig.Vectors, 1e-9)
+			av, err := a.Mul(eig.Vectors)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lam := NewMatrix(n, n)
+			for i, v := range eig.Values {
+				lam.Set(i, i, v)
+			}
+			vl, err := eig.Vectors.Mul(lam)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !av.Equal(vl, 1e-8*math.Max(1, a.MaxAbs())) {
+				t.Fatalf("%s n=%d: A·V does not match V·Λ", s.name, n)
+			}
+			for i := 1; i < n; i++ {
+				if eig.Values[i] > eig.Values[i-1]+1e-12 {
+					t.Fatalf("%s n=%d: eigenvalues not descending at %d", s.name, n, i)
+				}
 			}
 		}
 	}

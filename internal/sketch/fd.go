@@ -132,6 +132,17 @@ func (m *FD) insertRow(row []float64) error {
 // shrink halves the full buffer: eigendecompose the small side B·Bᵀ
 // (2ℓ×2ℓ), drop δ = λ_ℓ from every retained squared singular value, and
 // rebuild the top-ℓ rows as scaled left-projections of B.
+//
+// The eigensolve is mat.SymEigenJacobi, not the ~10× cheaper mat.SymEigen,
+// and must stay so. mergeFD feeds this buffer rows that are zero outside
+// their source monitor's columns, so B·Bᵀ is block diagonal; Jacobi skips
+// exact-zero pivots, so every eigenvector stays on one block and every
+// rebuilt row uᵢᵀB stays exactly zero outside one monitor's columns
+// (TestMergeFDRowsStayOnOneBlock). gob ships each such zero in one byte. A
+// Householder/QL solver mixes the blocks at rounding level, the zeros become
+// 1e-17s at nine bytes each, and `wire_bytes_alarm_interval` on the
+// fed-fd-ingest benchmark rose 14 400 → 15 560 B (+7 %, bound 5 %) when it was
+// tried (PR 26). At 2ℓ = 16 the Jacobi solve is microseconds.
 func (m *FD) shrink() error {
 	// B·Bᵀ = (Bᵀ)ᵀ·(Bᵀ): the transpose feeds the Gram kernel, which
 	// exploits symmetry.
@@ -141,7 +152,7 @@ func (m *FD) shrink() error {
 		// can construct this, so fail typed instead of via the eigensolver.
 		return fmt.Errorf("%w: fd shrink overflow (non-finite Gram product)", ErrInput)
 	}
-	eig, err := mat.SymEigen(g)
+	eig, err := mat.SymEigenJacobi(g)
 	if err != nil {
 		return fmt.Errorf("fd shrink eigendecomposition: %w", err)
 	}

@@ -217,6 +217,53 @@ func TestMergeFDGuarantee(t *testing.T) {
 	}
 }
 
+// TestMergeFDRowsStayOnOneBlock pins the property the FD family's wire size
+// rests on (see FD.shrink): the union of column-sharded buffers is block
+// diagonal, the Jacobi eigensolve in shrink never rotates across an
+// exact-zero pivot, so even after the merge's own shrinks every merged row is
+// supported on one input shard's columns, with exact zeros — one gob byte
+// each — everywhere else.
+func TestMergeFDRowsStayOnOneBlock(t *testing.T) {
+	// n = 59 leaves every shard 2ℓ−1 = 7 live rows, so the merge shrinks six
+	// times; from the second on, the buffer's leading rows are earlier
+	// shrinks' output in eigenvalue order — the blocks interleaved, which is
+	// where a Householder-based solver starts leaking across them.
+	const shards, m, ell, n = 4, 36, 4, 59
+	assign := make([][]int, shards)
+	owner := make([]int, m)
+	for id := 0; id < m; id++ { // flow ids interleaved too
+		assign[id%shards] = append(assign[id%shards], id)
+		owner[id] = id % shards
+	}
+	snaps := shardSnapshots(t, FamilyFD, assign, ell, 0, globalRows(35, n, m))
+	var rowsIn int
+	var deltaIn float64
+	for _, s := range snaps {
+		rowsIn += len(s.FDRows)
+		deltaIn += s.FDDelta
+	}
+	merged, err := MergeColumns(snaps, ell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rowsIn < 4*ell || merged.FDDelta <= deltaIn {
+		t.Fatalf("merge of %d rows (Δ %v → %v) never shrank: the test is not exercising mergeFD's shrink",
+			rowsIn, deltaIn, merged.FDDelta)
+	}
+	for i, row := range merged.FDRows {
+		support := map[int]bool{}
+		for k, v := range row {
+			if v != 0 {
+				support[owner[merged.FlowIDs[k]]] = true
+			}
+		}
+		if len(support) != 1 {
+			t.Fatalf("merged row %d is non-zero on the columns of %d input blocks, want exactly 1: %v",
+				i, len(support), row)
+		}
+	}
+}
+
 // TestMergeSingleInputPassThrough: an aggregator fronting one monitor must
 // forward its snapshot byte-identically (deep copy, no re-sketching) — the
 // property the FD flat-vs-federated differential test rests on.

@@ -75,9 +75,6 @@ type (
 	// SketchFamily selects the streaming-summary implementation monitors
 	// run (random projection or Frequent Directions).
 	SketchFamily = sketch.Family
-	// ModelBuilder selects how the NOC decomposes the sketch matrix
-	// (Jacobi Gram eigensolve or randomized range-finder SVD).
-	ModelBuilder = core.ModelBuilder
 	// Cluster wires monitors and a detector in-process.
 	Cluster = core.Cluster
 	// ClusterConfig configures a Cluster.
@@ -112,15 +109,6 @@ const (
 	// FamilyFD is Frequent Directions — full-prefix semantics,
 	// deterministic ‖AᵀA − BᵀB‖₂ ≤ Δ bound in O(ℓ·w) space.
 	FamilyFD = sketch.FamilyFD
-)
-
-// Model builders (-modelbuilder flag spellings via ParseModelBuilder).
-const (
-	// BuildJacobi eigendecomposes the m×m sketch Gram matrix (exact; the
-	// default).
-	BuildJacobi = core.BuildJacobi
-	// BuildRSVD runs the randomized range-finder SVD on the sketch matrix.
-	BuildRSVD = core.BuildRSVD
 )
 
 // Random-projection families (paper §V-B).
@@ -170,10 +158,4 @@ func NewSketchGenerator(cfg SketchConfig) (*SketchGenerator, error) {
 // empty for the default) to a SketchFamily.
 func ParseSketchFamily(s string) (SketchFamily, error) {
 	return sketch.ParseFamily(s)
-}
-
-// ParseModelBuilder maps a -modelbuilder flag spelling ("jacobi", "rsvd", or
-// empty for the default) to a ModelBuilder.
-func ParseModelBuilder(s string) (ModelBuilder, error) {
-	return core.ParseModelBuilder(s)
 }
