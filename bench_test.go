@@ -50,26 +50,25 @@ func BenchmarkFig05CoordinatedTrace(b *testing.B) {
 	}
 }
 
+// benchScenario is the reduced evaluation set-up the figure benchmarks share.
+func benchScenario(b *testing.B, perDay, total, window int) eval.Scenario {
+	return eval.Scenario{
+		Trace: benchTrace(b, perDay, total, window), WindowLen: window, Rank: 6,
+		Alpha: 0.01, Epsilon: 0.01, Seed: 9, RefitEvery: 16,
+	}
+}
+
 // errorSurfaceBench runs the Fig. 7/8 pipeline (ground truth + (r,l) error
 // sweep) on a reduced grid.
 func errorSurfaceBench(b *testing.B, perDay int) {
-	window := perDay / 4
-	total := perDay
-	tr := benchTrace(b, perDay, total, window)
+	s := benchScenario(b, perDay, perDay, perDay/4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		truth, err := eval.GroundTruth(tr.Volumes, eval.TruthConfig{
-			WindowLen: window, Rank: 6, Alpha: 0.01, RefitEvery: 16,
-		})
+		truth, err := eval.GroundTruth(s)
 		if err != nil {
 			b.Fatal(err)
 		}
-		points, err := eval.SweepErrors(tr.Volumes, truth, eval.SweepConfig{
-			WindowLen: window, Epsilon: 0.01, Alpha: 0.01, Seed: 9,
-			Ranks:      []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-			SketchLens: []int{10, 50},
-			RefitEvery: 16,
-		})
+		points, err := eval.SweepErrors(s, truth, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, []int{10, 50})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,20 +94,14 @@ func BenchmarkFig08ErrorSurface1Min(b *testing.B) {
 // 6, sweeping the sketch length.
 func BenchmarkFig09ErrorsVsSketchLen(b *testing.B) {
 	perDay := traffic.IntervalsPerDay5Min
-	window := perDay / 4
-	tr := benchTrace(b, perDay, perDay, window)
-	truth, err := eval.GroundTruth(tr.Volumes, eval.TruthConfig{
-		WindowLen: window, Rank: 6, Alpha: 0.01, RefitEvery: 16,
-	})
+	s := benchScenario(b, perDay, perDay, perDay/4)
+	truth, err := eval.GroundTruth(s)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.SweepErrors(tr.Volumes, truth, eval.SweepConfig{
-			WindowLen: window, Epsilon: 0.01, Alpha: 0.01, Seed: 9,
-			Ranks: []int{6}, SketchLens: []int{10, 50, 200}, RefitEvery: 16,
-		}); err != nil {
+		if _, err := eval.SweepErrors(s, truth, []int{6}, []int{10, 50, 200}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1+ check: everything CI (or a reviewer) needs to trust a change.
-#   ./ci.sh    fmt + vet (linux & darwin) + build + tests + race + fuzz and
-#              bench smokes
+#   ./ci.sh    fmt + vet (linux & darwin) + build + tests + race + eval
+#              goldens + fuzz and bench smokes
 #
 # Environment: CHAOS_FLIGHT_DIR overrides where the chaos e2e's
 # flight-recorder JSONL artifacts land (default ci-artifacts/chaos-flight).
@@ -110,7 +110,39 @@ step_done
 # is informational (printed, not gated). ~4s; fully seeded, so a failure
 # is a real quality regression, not flake.
 step "identification quality gate (abilene-eval -identify)"
-go run ./cmd/abilene-eval -identify -identify-min-p3 0.8 -identify-min-recall 0.7
+EVAL_TMP=$(mktemp -d)
+trap 'rm -rf "$EVAL_TMP"' EXIT
+go build -o "$EVAL_TMP/abilene-eval" ./cmd/abilene-eval
+"$EVAL_TMP/abilene-eval" -identify -identify-min-p3 0.8 -identify-min-recall 0.7
+step_done
+
+# Evaluation goldens: every abilene-eval mode prints deterministic stdout, and
+# cmd/abilene-eval's TestGoldenOutputs holds the sub-second modes to the byte.
+# The three multi-second ones (-oracle and the 1-minute sweeps, ~3 + 2 + 5 s)
+# are compared here instead, once and outside -race, against goldens in the
+# same testdata/ directory (regenerate all nine with
+# `go test ./cmd/abilene-eval -run TestGoldenOutputs -update`). A golden's
+# first line names the architecture that recorded it — fused multiply-adds
+# print different digits elsewhere — so another architecture skips.
+step "evaluation goldens (abilene-eval -oracle, -figure 8, -figure 9)"
+eval_golden() {
+    golden="cmd/abilene-eval/testdata/$1.golden"
+    shift
+    if [ "$(head -n 1 "$golden")" != "# GOARCH $(go env GOARCH)" ]; then
+        echo "   $golden: recorded on another architecture, skipped"
+        return 0
+    fi
+    tail -n +2 "$golden" > "$EVAL_TMP/want"
+    "$EVAL_TMP/abilene-eval" "$@" > "$EVAL_TMP/got"
+    if ! cmp -s "$EVAL_TMP/want" "$EVAL_TMP/got"; then
+        echo "abilene-eval $* differs from $golden; first difference (< golden, > now):" >&2
+        diff "$EVAL_TMP/want" "$EVAL_TMP/got" | head -n 4 >&2
+        exit 1
+    fi
+}
+eval_golden oracle -oracle
+eval_golden fig8 -figure 8
+eval_golden fig9 -figure 9
 step_done
 
 # Fuzz smokes: ten seconds of coverage-guided input on each hostile decoder

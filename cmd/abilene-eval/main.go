@@ -14,8 +14,8 @@
 //	abilene-eval -identify          # per-flow identification scorecard
 //	abilene-eval -figure 7 -full    # paper-scale run (hours)
 //
-// The default runs use a documented scaled-down grid so the whole suite
-// completes in minutes; -full switches to the paper's dimensions.
+// The default runs use a documented scaled-down grid (the whole suite is
+// seconds, see EXPERIMENTS.md); -full switches to the paper's dimensions.
 package main
 
 import (
@@ -29,6 +29,7 @@ import (
 	"streampca/internal/core"
 	"streampca/internal/eval"
 	"streampca/internal/randproj"
+	"streampca/internal/sketch"
 	"streampca/internal/traffic"
 )
 
@@ -98,7 +99,7 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&p.shootSketch, "shootout-sketch", 100, "random-projection l for the shoot-out's randproj variants")
 	fs.IntVar(&p.fdEll, "fd-ell", 0, "per-monitor Frequent Directions basis budget ℓ for the shoot-out (0 = 2·⌈√w⌉ per monitor)")
 	fs.IntVar(&p.monitors, "monitors", 9, "monitors partitioning the flows in the shoot-out")
-	fs.StringVar(&p.trace, "trace", "", "replay a trafficgen-format CSV instead of the synthetic workload (figures 7–9)")
+	fs.StringVar(&p.trace, "trace", "", "replay a trafficgen-format CSV instead of the synthetic workload ("+traceModes+")")
 	fs.IntVar(&p.traceWindow, "trace-window", 0, "sliding-window length when -trace is set")
 	distName := fs.String("dist", "gaussian", "projection family: gaussian, tugofwar, sparse or verysparse")
 	if err := fs.Parse(args); err != nil {
@@ -112,67 +113,126 @@ func run(args []string, out io.Writer) error {
 	if p.figure == "" && !p.bounds && !p.oracle && !p.comm && !p.shootout && !p.identify {
 		return fmt.Errorf("nothing to do: pass -figure N, -bounds, -oracle, -comm, -shootout and/or -identify")
 	}
-	if p.trace != "" && p.traceWindow < 2 {
-		return fmt.Errorf("-trace requires -trace-window >= 2")
-	}
-
 	figures := []string{p.figure}
 	if p.figure == "all" {
 		figures = []string{"5", "7", "8", "9", "10"}
 	}
+	if p.trace != "" {
+		if p.traceWindow < 2 {
+			return fmt.Errorf("-trace requires -trace-window >= 2")
+		}
+		// The other modes build their own labeled or fixed-shape trace; running
+		// them on the synthetic one while -trace names a file would pass for a
+		// replay that never happened.
+		own := p.bounds || p.oracle || p.identify
+		for _, f := range figures {
+			own = own || f == "5" || f == "10"
+		}
+		if own {
+			return fmt.Errorf("-trace is replayed by %s only; drop it or the other modes", traceModes)
+		}
+	}
+
+	sess := &session{params: p, workloads: map[bool]*workload{}}
 	for _, f := range figures {
+		var err error
 		switch f {
 		case "":
 		case "5":
-			if err := figure5(p, out); err != nil {
-				return fmt.Errorf("figure 5: %w", err)
-			}
+			err = sess.figure5(out)
 		case "7":
-			if err := errorSurface(p, out, false); err != nil {
-				return fmt.Errorf("figure 7: %w", err)
-			}
+			err = sess.errorSurface(out, false)
 		case "8":
-			if err := errorSurface(p, out, true); err != nil {
-				return fmt.Errorf("figure 8: %w", err)
-			}
+			err = sess.errorSurface(out, true)
 		case "9":
-			if err := figure9(p, out); err != nil {
-				return fmt.Errorf("figure 9: %w", err)
-			}
+			err = sess.figure9(out)
 		case "10":
-			if err := figure10(p, out); err != nil {
-				return fmt.Errorf("figure 10: %w", err)
-			}
+			err = sess.figure10(out)
 		default:
 			return fmt.Errorf("unknown figure %q", f)
 		}
-	}
-	if p.bounds {
-		if err := boundsReport(p, out); err != nil {
-			return fmt.Errorf("bounds: %w", err)
+		if err != nil {
+			return fmt.Errorf("figure %s: %w", f, err)
 		}
 	}
-	if p.oracle {
-		if err := oracleReport(p, out); err != nil {
-			return fmt.Errorf("oracle: %w", err)
+	for _, mode := range []struct {
+		on   bool
+		name string
+		run  func(io.Writer) error
+	}{
+		{p.bounds, "bounds", sess.boundsReport},
+		{p.oracle, "oracle", sess.oracleReport},
+		{p.comm, "comm", sess.commReport},
+		{p.shootout, "shootout", sess.shootoutReport},
+		{p.identify, "identify", sess.identifyReport},
+	} {
+		if !mode.on {
+			continue
 		}
-	}
-	if p.comm {
-		if err := commReport(p, out); err != nil {
-			return fmt.Errorf("comm: %w", err)
-		}
-	}
-	if p.shootout {
-		if err := shootoutReport(p, out); err != nil {
-			return fmt.Errorf("shootout: %w", err)
-		}
-	}
-	if p.identify {
-		if err := identifyReport(p, out); err != nil {
-			return fmt.Errorf("identify: %w", err)
+		if err := mode.run(out); err != nil {
+			return fmt.Errorf("%s: %w", mode.name, err)
 		}
 	}
 	return nil
+}
+
+// traceModes names the modes that replay -trace.
+const traceModes = "-figure 7, 8, 9, -comm and -shootout"
+
+// session is one invocation: the flags, and per resolution the workload the
+// modes share.
+type session struct {
+	params
+	workloads map[bool]*workload // by oneMinute
+}
+
+// workload is the evaluation scenario at one resolution, with the exact
+// method's labels fitted at most once per process however many modes score
+// against them.
+type workload struct {
+	eval.Scenario
+	truth *eval.Truth
+}
+
+// scenario fills the one evaluation set-up from the flags; modes override the
+// field they sweep.
+func (p params) scenario(tr *traffic.Trace, window int) eval.Scenario {
+	return eval.Scenario{
+		Trace: tr, WindowLen: window, Rank: 6, Alpha: p.alpha, Epsilon: p.epsilon,
+		Seed: uint64(p.seed), SketchLen: p.shootSketch, FDEll: p.fdEll,
+		Monitors: p.monitors, RefitEvery: p.refitEvery, Dist: p.dist,
+	}
+}
+
+// workload returns the evaluation workload at one resolution: a replayed CSV
+// (-trace) or the synthetic default.
+func (s *session) workload(oneMinute bool) (*workload, error) {
+	if w := s.workloads[oneMinute]; w != nil {
+		return w, nil
+	}
+	perDay, window, total, _ := surfaceDims(s.params, oneMinute)
+	tr, window, err := loadWorkload(s.params, perDay, window, total)
+	if err != nil {
+		return nil, err
+	}
+	w := &workload{Scenario: s.scenario(tr, window)}
+	s.workloads[oneMinute] = w
+	return w, nil
+}
+
+// labeled is workload plus the exact Lakhina method's labels at r* = 6 — the
+// one place truth is fitted.
+func (s *session) labeled(oneMinute bool) (*workload, *eval.Truth, error) {
+	w, err := s.workload(oneMinute)
+	if err != nil {
+		return nil, nil, err
+	}
+	if w.truth == nil {
+		if w.truth, err = eval.GroundTruth(w.Scenario); err != nil {
+			return nil, nil, err
+		}
+	}
+	return w, w.truth, nil
 }
 
 // loadWorkload returns the evaluation trace and window: either a replayed
@@ -195,12 +255,12 @@ func loadWorkload(p params, perDay, window, total int) (*traffic.Trace, int, err
 }
 
 // figure5 prints the coordinated-anomaly time series of four OD flows.
-func figure5(p params, out io.Writer) error {
+func (s *session) figure5(out io.Writer) error {
 	n := 4 * traffic.IntervalsPerDay5Min
-	if p.full {
+	if s.full {
 		n = 30 * traffic.IntervalsPerDay5Min
 	}
-	tr, start, end, err := eval.BuildFig5Trace(p.seed, n)
+	tr, start, end, err := eval.BuildFig5Trace(s.seed, n)
 	if err != nil {
 		return err
 	}
@@ -220,8 +280,8 @@ func figure5(p params, out io.Writer) error {
 	for i := lo; i < hi; i++ {
 		row := make([]string, 0, 1+len(series))
 		row = append(row, strconv.Itoa(i))
-		for _, s := range series {
-			row = append(row, strconv.FormatFloat(s.Values[i-lo], 'f', 0, 64))
+		for _, sr := range series {
+			row = append(row, strconv.FormatFloat(sr.Values[i-lo], 'f', 0, 64))
 		}
 		fmt.Fprintln(out, strings.Join(row, ","))
 	}
@@ -251,71 +311,47 @@ func surfaceDims(p params, oneMinute bool) (perDay, window, total int, sketchLen
 }
 
 // errorSurface regenerates Fig. 7 (5-minute) or Fig. 8 (1-minute).
-func errorSurface(p params, out io.Writer, oneMinute bool) error {
-	perDay, window, total, sketchLens := surfaceDims(p, oneMinute)
-	figure := "7"
-	label := "5-minute"
+func (s *session) errorSurface(out io.Writer, oneMinute bool) error {
+	_, _, _, sketchLens := surfaceDims(s.params, oneMinute)
+	figure, label := "7", "5-minute"
 	if oneMinute {
 		figure, label = "8", "1-minute"
 	}
-	tr, window, err := loadWorkload(p, perDay, window, total)
+	w, truth, err := s.labeled(oneMinute)
 	if err != nil {
 		return err
 	}
-	total = tr.NumIntervals()
-	truth, err := eval.GroundTruth(tr.Volumes, eval.TruthConfig{
-		WindowLen: window, Rank: 6, Alpha: p.alpha, RefitEvery: p.refitEvery,
-	})
-	if err != nil {
-		return err
-	}
-	ranks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	points, err := eval.SweepErrors(tr.Volumes, truth, eval.SweepConfig{
-		WindowLen: window, Epsilon: p.epsilon, Alpha: p.alpha, Seed: uint64(p.seed),
-		Ranks: ranks, SketchLens: sketchLens, RefitEvery: p.refitEvery,
-		Dist: p.dist,
-	})
+	points, err := eval.SweepErrors(w.Scenario, truth, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, sketchLens)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "# Figure %s — Type I and Type II errors vs (r, l), %s intervals\n", figure, label)
 	fmt.Fprintf(out, "# window n=%d, trace %d intervals, epsilon=%v, alpha=%v, truth rank r*=6, %d true anomalies, %d true normals\n",
-		window, total, p.epsilon, p.alpha, truth.NumAnomalous, truth.NumNormal)
+		w.WindowLen, w.Trace.NumIntervals(), s.epsilon, s.alpha, truth.NumAnomalous, truth.NumNormal)
 	fmt.Fprintln(out, "r,l,typeI,typeII")
 	for _, pt := range points {
-		fmt.Fprintf(out, "%d,%d,%.4f,%.4f\n", pt.Rank, pt.SketchLen, pt.TypeI, pt.TypeII)
+		fmt.Fprintf(out, "%d,%d,%.4f,%.4f\n", pt.Rank, pt.SketchLen, pt.TypeI(), pt.TypeII())
 	}
 	return nil
 }
 
 // figure9 fixes r = 6 and sweeps l for both interval resolutions.
-func figure9(p params, out io.Writer) error {
+func (s *session) figure9(out io.Writer) error {
 	fmt.Fprintln(out, "# Figure 9 — Type I and Type II errors vs sketch length l at r = 6")
 	fmt.Fprintln(out, "resolution,l,typeI,typeII")
+	sketchLens := []int{10, 20, 50, 100, 200, 400, 700, 1000}
+	if s.full {
+		sketchLens = nil
+		for l := 10; l <= 1000; l += 10 {
+			sketchLens = append(sketchLens, l)
+		}
+	}
 	for _, oneMinute := range []bool{false, true} {
-		perDay, window, total, _ := surfaceDims(p, oneMinute)
-		sketchLens := []int{10, 20, 50, 100, 200, 400, 700, 1000}
-		if p.full {
-			sketchLens = nil
-			for l := 10; l <= 1000; l += 10 {
-				sketchLens = append(sketchLens, l)
-			}
-		}
-		tr, window, err := loadWorkload(p, perDay, window, total)
+		w, truth, err := s.labeled(oneMinute)
 		if err != nil {
 			return err
 		}
-		truth, err := eval.GroundTruth(tr.Volumes, eval.TruthConfig{
-			WindowLen: window, Rank: 6, Alpha: p.alpha, RefitEvery: p.refitEvery,
-		})
-		if err != nil {
-			return err
-		}
-		points, err := eval.SweepErrors(tr.Volumes, truth, eval.SweepConfig{
-			WindowLen: window, Epsilon: p.epsilon, Alpha: p.alpha, Seed: uint64(p.seed),
-			Ranks: []int{6}, SketchLens: sketchLens, RefitEvery: p.refitEvery,
-			Dist: p.dist,
-		})
+		points, err := eval.SweepErrors(w.Scenario, truth, []int{6}, sketchLens)
 		if err != nil {
 			return err
 		}
@@ -324,7 +360,7 @@ func figure9(p params, out io.Writer) error {
 			label = "1min"
 		}
 		for _, pt := range points {
-			fmt.Fprintf(out, "%s,%d,%.4f,%.4f\n", label, pt.SketchLen, pt.TypeI, pt.TypeII)
+			fmt.Fprintf(out, "%s,%d,%.4f,%.4f\n", label, pt.SketchLen, pt.TypeI(), pt.TypeII())
 		}
 	}
 	return nil
@@ -332,10 +368,10 @@ func figure9(p params, out io.Writer) error {
 
 // figure10 prints the NOC computation-overhead comparison in the paper's
 // m²·n vs m²·l operation counts plus measured rebuild times.
-func figure10(p params, out io.Writer) error {
+func (s *session) figure10(out io.Writer) error {
 	m := 81
 	sketchLens := []int{10, 50, 100, 200, 400, 700, 1000}
-	if p.full {
+	if s.full {
 		sketchLens = nil
 		for l := 10; l <= 1000; l += 10 {
 			sketchLens = append(sketchLens, l)
@@ -360,53 +396,34 @@ func figure10(p params, out io.Writer) error {
 	return nil
 }
 
-// commReport runs the in-process cluster over the scaled workload and
+// commReport replays the scaled workload through the in-process cluster and
 // prints the communication-cost breakdown of the lazy protocol.
-func commReport(p params, out io.Writer) error {
-	perDay, window, total, _ := surfaceDims(p, false)
-	tr, window, err := loadWorkload(p, perDay, window, total)
+func (s *session) commReport(out io.Writer) error {
+	w, err := s.workload(false)
 	if err != nil {
 		return err
 	}
-	const monitors = 9
-	const sketchLen = 200
-	cl, err := core.NewCluster(core.ClusterConfig{
-		NumFlows:    tr.NumFlows(),
-		NumMonitors: monitors,
-		WindowLen:   window,
-		Epsilon:     p.epsilon,
-		Alpha:       p.alpha,
-		Sketch:      randproj.Config{Seed: uint64(p.seed), SketchLen: sketchLen},
-		Mode:        core.RankFixed,
-		FixedRank:   6,
-	})
+	sc := w.Scenario
+	sc.Monitors, sc.SketchLen = 9, 200
+	cl, err := sc.Replay(sketch.FamilyRandProj, func(*core.Cluster, eval.Step) error { return nil })
 	if err != nil {
 		return err
-	}
-	for i := 0; i < tr.NumIntervals(); i++ {
-		if _, err := cl.Step(int64(i+1), tr.Volumes.RowView(i)); err != nil {
-			return err
-		}
 	}
 	obs, fetches, alarms := cl.Detector().Stats()
-	model := eval.CommModel{NumFlows: tr.NumFlows(), NumMonitors: monitors, SketchLen: sketchLen}
+	model := eval.CommModel{NumFlows: sc.Trace.NumFlows(), NumMonitors: sc.Monitors, SketchLen: sc.SketchLen}
 	cost, err := model.Bytes(obs, fetches)
 	if err != nil {
 		return err
 	}
+	lazy := cost.LazyBytes
+	if lazy < 1 {
+		lazy = 1
+	}
 	fmt.Fprintln(out, "# Communication cost — lazy sketch pulls vs eager per-interval pushes")
 	fmt.Fprintf(out, "observations,%d\nfetches,%d\nalarms,%d\n", obs, fetches, alarms)
 	fmt.Fprintf(out, "volume_bytes,%d\nlazy_sketch_bytes,%d\neager_sketch_bytes,%d\nsavings_factor,%.1f\n",
-		cost.VolumeBytes, cost.LazyBytes, cost.EagerBytes,
-		float64(cost.EagerBytes)/float64(maxInt64(cost.LazyBytes, 1)))
+		cost.VolumeBytes, cost.LazyBytes, cost.EagerBytes, float64(cost.EagerBytes)/float64(lazy))
 	return nil
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // oracleReport prints one bound-violation row per projection family: the
@@ -414,25 +431,27 @@ func maxInt64(a, b int64) int64 {
 // differentially validated (exactness, Lemma 1, Lemmas 5–6, Theorem 2,
 // alarm agreement) on sampled intervals. Any nonzero violation count is a
 // numerical-correctness bug, not a statistical miss.
-func oracleReport(p params, out io.Writer) error {
-	perDay, window, total, _ := surfaceDims(p, false)
-	tr, err := eval.BuildEvalTrace(p.seed, total, perDay, window)
+func (s *session) oracleReport(out io.Writer) error {
+	w, err := s.workload(false)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(out, "# Oracle — differential validation of the streaming pipeline vs exact references")
 	fmt.Fprintln(out, "dist,l,checks,violations,max_rel_err,worst")
 	for _, l := range []int{16, 64} {
-		rows, err := eval.OracleSweep(tr.Volumes, eval.OracleConfig{
-			WindowLen: window, SketchLen: l, Rank: 6,
-			Epsilon: p.epsilon, Alpha: p.alpha, Seed: uint64(p.seed),
-		})
+		sc := w.Scenario
+		sc.SketchLen = l
+		rows, err := eval.OracleSweep(sc)
 		if err != nil {
 			return err
 		}
 		for _, r := range rows {
+			worst := ""
+			if v := r.Worst(); v != nil {
+				worst = v.String()
+			}
 			fmt.Fprintf(out, "%v,%d,%d,%d,%.3e,%s\n",
-				r.Dist, r.SketchLen, r.Checks, r.Violations, r.MaxRelErr, r.Worst)
+				r.Dist, r.SketchLen, r.Checks, len(r.Violations), r.MaxRelErr, worst)
 		}
 	}
 	return nil
@@ -443,37 +462,26 @@ func oracleReport(p params, out io.Writer) error {
 // accuracy, the size of one sketch pull, the measured retrain bill, and the
 // per-family oracle outcome (exact-batch model checks for randproj, the
 // deterministic ‖AᵀA−BᵀB‖₂ ≤ Δ ≤ ‖A‖²_F/ℓ replay for fd).
-func shootoutReport(p params, out io.Writer) error {
-	perDay, window, total, _ := surfaceDims(p, false)
-	tr, window, err := loadWorkload(p, perDay, window, total)
+func (s *session) shootoutReport(out io.Writer) error {
+	w, truth, err := s.labeled(false)
 	if err != nil {
 		return err
 	}
-	truth, err := eval.GroundTruth(tr.Volumes, eval.TruthConfig{
-		WindowLen: window, Rank: 6, Alpha: p.alpha, RefitEvery: p.refitEvery,
-	})
-	if err != nil {
-		return err
-	}
-	rows, err := eval.Shootout(tr.Volumes, truth, eval.ShootoutConfig{
-		WindowLen: window, Epsilon: p.epsilon, Alpha: p.alpha, Seed: uint64(p.seed),
-		SketchLen: p.shootSketch, FDEll: p.fdEll, Rank: 6,
-		NumMonitors: p.monitors, Oracle: true,
-	})
+	rows, err := eval.Shootout(w.Scenario, truth)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(out, "# Shoot-out — sketcher families on one trace, same ground truth")
 	fmt.Fprintf(out, "# window n=%d, trace %d intervals, m=%d flows, %d monitors, %d true anomalies, %d true normals\n",
-		window, tr.NumIntervals(), tr.NumFlows(), p.monitors, truth.NumAnomalous, truth.NumNormal)
+		w.WindowLen, w.Trace.NumIntervals(), w.Trace.NumFlows(), s.monitors, truth.NumAnomalous, truth.NumNormal)
 	fmt.Fprintln(out, "variant,sketch_param,typeI,typeII,false_alarms,misses,threshold_unavail,retrains,retrain_ms,pull_bytes,oracle_checks,oracle_violations,oracle_max_rel_err")
 	for _, r := range rows {
 		fmt.Fprintf(out, "%s,%d,%.4f,%.4f,%d,%d,%d,%d,%.1f,%d,%d,%d,%.3e\n",
-			r.Variant, r.SketchParam, r.TypeI, r.TypeII, r.FalseAlarms, r.Misses,
+			r.Variant, r.SketchParam, r.TypeI(), r.TypeII(), r.FalseAlarms, r.Misses,
 			r.ThresholdUnavail, r.Retrains, float64(r.RetrainNanos)/1e6,
-			r.SketchBytes, r.OracleChecks, r.OracleViolations, r.OracleMaxRelErr)
-		if r.OracleViolations > 0 {
-			fmt.Fprintf(out, "# %s worst violation: %s\n", r.Variant, r.OracleWorst)
+			r.SketchBytes, r.Oracle.Checks, len(r.Oracle.Violations), r.Oracle.MaxRelErr)
+		if v := r.Oracle.Worst(); v != nil {
+			fmt.Fprintf(out, "# %s worst violation: %s\n", r.Variant, v)
 		}
 	}
 	return nil
@@ -484,18 +492,13 @@ func shootoutReport(p params, out io.Writer) error {
 // CI-gated sketcher family, plus the offline relaxed-PCP comparator. The
 // -identify-min-p3 / -identify-min-recall gates turn the scorecard into a
 // CI check: any online family below a floor fails the run.
-func identifyReport(p params, out io.Writer) error {
-	perDay, window, total, _ := surfaceDims(p, false)
-	tr, err := eval.BuildIdentifyTrace(p.seed, total, perDay, window, nil)
+func (s *session) identifyReport(out io.Writer) error {
+	perDay, window, total, _ := surfaceDims(s.params, false)
+	tr, err := eval.BuildIdentifyTrace(s.seed, total, perDay, window, nil)
 	if err != nil {
 		return err
 	}
-	rows, err := eval.IdentifySuite(tr, eval.IdentifyConfig{
-		WindowLen: window, Epsilon: p.epsilon, Alpha: p.alpha, Seed: uint64(p.seed),
-		SketchLen: p.shootSketch, FDEll: p.fdEll, Rank: 6,
-		NumMonitors: p.monitors, FDMonitors: p.idFDMonitors,
-		PCP: true, PCPFrom: window,
-	})
+	rows, err := eval.IdentifySuite(s.scenario(tr, window), s.idFDMonitors)
 	if err != nil {
 		return err
 	}
@@ -515,11 +518,11 @@ func identifyReport(p params, out io.Writer) error {
 		if r.Variant == "pcp-offline" {
 			continue // the comparator is context, not a gated family
 		}
-		if p.idMinP3 > 0 && r.Precision3 < p.idMinP3 {
-			gateErrs = append(gateErrs, fmt.Sprintf("%s precision@3 %.4f < %.4f", r.Variant, r.Precision3, p.idMinP3))
+		if s.idMinP3 > 0 && r.Precision3 < s.idMinP3 {
+			gateErrs = append(gateErrs, fmt.Sprintf("%s precision@3 %.4f < %.4f", r.Variant, r.Precision3, s.idMinP3))
 		}
-		if p.idMinRecall > 0 && r.Recall < p.idMinRecall {
-			gateErrs = append(gateErrs, fmt.Sprintf("%s recall %.4f < %.4f", r.Variant, r.Recall, p.idMinRecall))
+		if s.idMinRecall > 0 && r.Recall < s.idMinRecall {
+			gateErrs = append(gateErrs, fmt.Sprintf("%s recall %.4f < %.4f", r.Variant, r.Recall, s.idMinRecall))
 		}
 	}
 	if len(gateErrs) > 0 {
@@ -529,16 +532,17 @@ func identifyReport(p params, out io.Writer) error {
 }
 
 // boundsReport prints the empirical Lemma 5/6 and Theorem 2 checks.
-func boundsReport(p params, out io.Writer) error {
-	perDay, window, total, _ := surfaceDims(p, false)
-	tr, err := eval.BuildEvalTrace(p.seed, total, perDay, window)
+func (s *session) boundsReport(out io.Writer) error {
+	w, err := s.workload(false)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(out, "# Error bounds — empirical Lemma 5 (singular ratios), Lemma 6 (covariance), Theorem 2 (distance)")
 	fmt.Fprintln(out, "l,min_sv_ratio,max_sv_ratio,cov_rel_err,mean_dist_rel_err,max_dist_rel_err,spectral_gap")
 	for _, l := range []int{8, 32, 128, 512} {
-		rep, err := eval.CheckBounds(tr.Volumes, window, l, 6, uint64(p.seed))
+		sc := w.Scenario
+		sc.SketchLen = l
+		rep, err := eval.CheckBounds(sc)
 		if err != nil {
 			return err
 		}

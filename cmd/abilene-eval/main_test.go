@@ -110,13 +110,31 @@ func TestTraceReplay(t *testing.T) {
 		t.Fatalf("missing sweep rows in output:\n%s", buf.String())
 	}
 
-	// -trace without a window is rejected.
-	if err := run([]string{"-figure", "9", "-trace", path}, &buf); err == nil {
-		t.Fatal("missing -trace-window must fail")
-	}
-	// Unreadable trace path.
-	if err := run([]string{"-figure", "9", "-trace", "/nonexistent", "-trace-window", "20"}, &buf); err == nil {
-		t.Fatal("missing file must fail")
+	// -trace is rejected without a window, with an unreadable path, and with
+	// any mode that builds its own trace and would silently ignore the file.
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string // substring of the error
+	}{
+		{"no window", []string{"-figure", "9", "-trace", path}, "-trace-window"},
+		{"missing file", []string{"-figure", "9", "-trace", "/nonexistent", "-trace-window", "20"}, "/nonexistent"},
+		{"figure 5", []string{"-figure", "5", "-trace", path, "-trace-window", "20"}, traceModes},
+		{"figure 10", []string{"-figure", "10", "-trace", path, "-trace-window", "20"}, traceModes},
+		{"figure all", []string{"-figure", "all", "-trace", path, "-trace-window", "20"}, traceModes},
+		{"bounds", []string{"-bounds", "-trace", path, "-trace-window", "20"}, traceModes},
+		{"oracle", []string{"-oracle", "-trace", path, "-trace-window", "20"}, traceModes},
+		{"identify", []string{"-identify", "-trace", path, "-trace-window", "20"}, traceModes},
+		{"replayable mode beside one that is not", []string{"-figure", "9", "-identify", "-trace", path, "-trace-window", "20"}, traceModes},
+	} {
+		buf.Reset()
+		err := run(tc.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if tc.want == traceModes && buf.Len() != 0 {
+			t.Errorf("%s: printed %d bytes before rejecting the flags", tc.name, buf.Len())
+		}
 	}
 }
 
@@ -143,7 +161,7 @@ func TestShootoutReport(t *testing.T) {
 	if !strings.Contains(out, "# Shoot-out") || !strings.Contains(out, "variant,sketch_param,") {
 		t.Fatalf("missing headers in:\n%s", out)
 	}
-	for _, variant := range []string{"randproj+jacobi,16,", "fd,"} {
+	for _, variant := range []string{"randproj,16,", "fd,"} {
 		if !strings.Contains(out, "\n"+variant) {
 			t.Fatalf("missing %q row in:\n%s", variant, out)
 		}

@@ -1,15 +1,13 @@
 package eval
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"streampca/internal/core"
 	"streampca/internal/mat"
-	"streampca/internal/pca"
-	"streampca/internal/randproj"
-	"streampca/internal/stats"
+	"streampca/internal/oracle"
+	"streampca/internal/sketch"
 )
 
 // BoundsReport records an empirical check of the paper's error bounds on one
@@ -32,102 +30,65 @@ type BoundsReport struct {
 }
 
 // CheckBounds runs the exact and sketch decompositions on the trailing
-// window of the volume matrix and reports the empirical error figures.
-func CheckBounds(volumes *mat.Matrix, windowLen, sketchLen, rank int, seed uint64) (*BoundsReport, error) {
-	rows, m := volumes.Rows(), volumes.Cols()
-	if windowLen < 2 || windowLen > rows {
-		return nil, fmt.Errorf("%w: window %d over %d rows", ErrConfig, windowLen, rows)
+// window of the scenario's trace and reports the empirical error figures:
+// the quantities oracle.CheckModel asserts on (oracle.MeasureModel), printed
+// instead.
+func CheckBounds(s Scenario) (*BoundsReport, error) {
+	rows, m := s.Trace.NumIntervals(), s.Trace.NumFlows()
+	if s.WindowLen < 2 || s.WindowLen > rows {
+		return nil, fmt.Errorf("%w: window %d over %d rows", ErrConfig, s.WindowLen, rows)
 	}
-	if rank < 1 || rank >= m {
-		return nil, fmt.Errorf("%w: rank %d with %d flows", ErrConfig, rank, m)
-	}
-
-	// Exact PCA on the trailing window.
-	win := mat.NewMatrix(windowLen, m)
-	lo := rows - windowLen
-	for i := 0; i < windowLen; i++ {
-		copy(win.RowView(i), volumes.RowView(lo+i))
-	}
-	exact, err := pca.Fit(win)
-	if err != nil {
-		return nil, fmt.Errorf("exact fit: %w", err)
-	}
-	exactDet, err := pca.NewDetector(exact, rank, 0.01)
-	if errors.Is(err, stats.ErrDegenerate) {
-		// Only distances are read here; +Inf keeps the detector usable.
-		exactDet, err = pca.NewDetectorThreshold(exact, rank, math.Inf(1))
-	}
-	if err != nil {
-		return nil, err
+	if s.Rank < 1 || s.Rank >= m {
+		return nil, fmt.Errorf("%w: rank %d with %d flows", ErrConfig, s.Rank, m)
 	}
 
-	// Sketch side: run a monitor over the same rows.
-	gen, err := randproj.NewGenerator(randproj.Config{Seed: seed, SketchLen: sketchLen, WindowLen: windowLen})
+	// Sketch side: monitors that saw exactly the trailing window, one pull,
+	// one model build.
+	cl, err := core.NewCluster(s.clusterConfig(sketch.FamilyRandProj))
 	if err != nil {
 		return nil, err
 	}
-	flowIDs := make([]int, m)
-	for j := range flowIDs {
-		flowIDs[j] = j
-	}
-	mon, err := core.NewMonitor(core.MonitorConfig{
-		FlowIDs: flowIDs, WindowLen: windowLen, Epsilon: 0.01, Gen: gen,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < windowLen; i++ {
-		if err := mon.Update(int64(lo+i+1), volumes.RowView(lo+i)); err != nil {
+	win := mat.NewMatrix(s.WindowLen, m)
+	lo := rows - s.WindowLen
+	for i := 0; i < s.WindowLen; i++ {
+		copy(win.RowView(i), s.Trace.Volumes.RowView(lo+i))
+		if err := cl.Update(int64(lo+i+1), win.RowView(i)); err != nil {
 			return nil, err
 		}
 	}
-	det, err := core.NewDetector(core.DetectorConfig{
-		NumFlows: m, WindowLen: windowLen, SketchLen: sketchLen,
-		Alpha: 0.01, Mode: core.RankFixed, FixedRank: rank,
-	})
+	f, err := cl.Fetch()
 	if err != nil {
 		return nil, err
 	}
-	rep := mon.Report()
-	if err := det.RebuildModel(rep.Sketches, rep.Means, rep.Interval); err != nil {
+	det := cl.Detector()
+	if err := det.Rebuild(f); err != nil {
 		return nil, err
 	}
 	sk := det.Model()
 
-	report := &BoundsReport{SketchLen: sketchLen}
-
-	// Lemma 5: singular ratios for the leading rank components.
-	report.SingularRatios = make([]float64, rank)
-	for j := 0; j < rank; j++ {
-		if exact.Singular[j] > 0 {
-			report.SingularRatios[j] = sk.Singular[j] / exact.Singular[j]
+	// Exact side, on a copy: MeasureModel centers its window in place and
+	// the distance loop below reads the raw rows.
+	ref, err := oracle.MeasureModel(sk, win.Clone(), s.Alpha)
+	if err != nil {
+		return nil, fmt.Errorf("exact fit: %w", err)
+	}
+	report := &BoundsReport{SketchLen: s.SketchLen, SpectralGap: ref.Gap}
+	report.SingularRatios = make([]float64, s.Rank)
+	for j := range report.SingularRatios {
+		if eta := ref.Exact.Singular[j]; eta > 0 {
+			report.SingularRatios[j] = sk.Singular[j] / eta
 		}
 	}
-
-	// Lemma 6: covariance error. V = YᵀY of the centered window; Â = ẐᵀẐ.
-	y := win.Clone()
-	y.CenterColumns()
-	v := y.Gram()
-	z, err := core.AssembleSketchMatrix(rep.Sketches, sketchLen)
-	if err != nil {
-		return nil, err
-	}
-	a := z.Gram()
-	diff, err := v.Sub(a)
-	if err != nil {
-		return nil, err
-	}
-	yf := y.FrobeniusNorm()
-	if yf > 0 {
-		report.CovRelError = diff.FrobeniusNorm() / (yf * yf)
+	if ref.Energy > 0 {
+		report.CovRelError = ref.CovDiff / ref.Energy
 	}
 
 	// Theorem 2: distance agreement across the window rows.
-	var sum, worst float64
+	var sum float64
 	var count int
-	for i := 0; i < windowLen; i++ {
-		row := win.Row(i)
-		de, err := exactDet.Distance(row)
+	for i := 0; i < s.WindowLen; i++ {
+		row := win.RowView(i)
+		de, err := ref.Det.Distance(row)
 		if err != nil {
 			return nil, err
 		}
@@ -140,16 +101,11 @@ func CheckBounds(volumes *mat.Matrix, windowLen, sketchLen, rank int, seed uint6
 		}
 		rel := math.Abs(ds-de) / de
 		sum += rel
-		if rel > worst {
-			worst = rel
-		}
+		report.MaxDistRelError = math.Max(report.MaxDistRelError, rel)
 		count++
 	}
 	if count > 0 {
 		report.MeanDistRelError = sum / float64(count)
 	}
-	report.MaxDistRelError = worst
-	report.SpectralGap = exact.Singular[rank-1]*exact.Singular[rank-1] -
-		exact.Singular[rank]*exact.Singular[rank]
 	return report, nil
 }

@@ -34,11 +34,19 @@ func testTrace(t *testing.T) *traffic.Trace {
 	return tr
 }
 
+// testScenario is the set-up the small-network tests share: n = 128, r = 4,
+// the paper's ε and α, four monitors over the 16 flows.
+func testScenario(t *testing.T) Scenario {
+	return Scenario{
+		Trace: testTrace(t), WindowLen: 128, Rank: 4, Alpha: 0.01, Epsilon: 0.01,
+		Seed: 9, SketchLen: 64, Monitors: 4, RefitEvery: 4,
+	}
+}
+
 func TestGroundTruthBasics(t *testing.T) {
-	tr := testTrace(t)
-	truth, err := GroundTruth(tr.Volumes, TruthConfig{
-		WindowLen: 128, Rank: 4, Alpha: 0.01, RefitEvery: 4,
-	})
+	s := testScenario(t)
+	tr := s.Trace
+	truth, err := GroundTruth(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +99,7 @@ func TestGroundTruthBasics(t *testing.T) {
 
 func TestGroundTruthValidation(t *testing.T) {
 	tr := testTrace(t)
-	cases := []TruthConfig{
+	cases := []Scenario{
 		{WindowLen: 1, Rank: 2, Alpha: 0.01},
 		{WindowLen: 100000, Rank: 2, Alpha: 0.01},
 		{WindowLen: 64, Rank: -1, Alpha: 0.01},
@@ -99,30 +107,21 @@ func TestGroundTruthValidation(t *testing.T) {
 		{WindowLen: 64, Rank: 2, Alpha: 0},
 		{WindowLen: 64, Rank: 2, Alpha: 0.01, RefitEvery: -2},
 	}
-	for i, cfg := range cases {
-		if _, err := GroundTruth(tr.Volumes, cfg); !errors.Is(err, ErrConfig) {
+	for i, s := range cases {
+		s.Trace = tr
+		if _, err := GroundTruth(s); !errors.Is(err, ErrConfig) {
 			t.Fatalf("case %d: want ErrConfig, got %v", i, err)
 		}
 	}
 }
 
 func TestSweepErrorsAgainstTruth(t *testing.T) {
-	tr := testTrace(t)
-	truth, err := GroundTruth(tr.Volumes, TruthConfig{
-		WindowLen: 128, Rank: 4, Alpha: 0.01, RefitEvery: 4,
-	})
+	s := testScenario(t)
+	truth, err := GroundTruth(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := SweepErrors(tr.Volumes, truth, SweepConfig{
-		WindowLen:  128,
-		Epsilon:    0.01,
-		Alpha:      0.01,
-		Seed:       9,
-		Ranks:      []int{1, 2, 3, 4, 5, 6},
-		SketchLens: []int{8, 32, 128},
-		RefitEvery: 4,
-	})
+	points, err := SweepErrors(s, truth, []int{1, 2, 3, 4, 5, 6}, []int{8, 32, 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +130,7 @@ func TestSweepErrorsAgainstTruth(t *testing.T) {
 	}
 	byKey := make(map[[2]int]ErrorPoint, len(points))
 	for _, p := range points {
-		if p.TypeI < 0 || p.TypeI > 1 || p.TypeII < 0 || p.TypeII > 1 {
+		if p.TypeI() < 0 || p.TypeI() > 1 || p.TypeII() < 0 || p.TypeII() > 1 {
 			t.Fatalf("error rates out of range: %+v", p)
 		}
 		if p.TrueAnomalies != truth.NumAnomalous || p.TrueNormals != truth.NumNormal {
@@ -144,12 +143,12 @@ func TestSweepErrorsAgainstTruth(t *testing.T) {
 	// approximation should track the exact method closely.
 	small := byKey[[2]int{4, 8}]
 	large := byKey[[2]int{4, 128}]
-	if large.TypeI+large.TypeII > small.TypeI+small.TypeII+0.1 {
+	if large.TypeI()+large.TypeII() > small.TypeI()+small.TypeII()+0.1 {
 		t.Fatalf("errors grew with sketch length: l=8 %v/%v, l=128 %v/%v",
-			small.TypeI, small.TypeII, large.TypeI, large.TypeII)
+			small.TypeI(), small.TypeII(), large.TypeI(), large.TypeII())
 	}
-	if large.TypeI > 0.15 || large.TypeII > 0.5 {
-		t.Fatalf("large-sketch errors too high: TypeI=%v TypeII=%v", large.TypeI, large.TypeII)
+	if large.TypeI() > 0.15 || large.TypeII() > 0.5 {
+		t.Fatalf("large-sketch errors too high: TypeI=%v TypeII=%v", large.TypeI(), large.TypeII())
 	}
 }
 
@@ -157,24 +156,18 @@ func TestSweepErrorsAgainstTruth(t *testing.T) {
 // error rates across projection distributions must agree closely at a
 // moderate sketch length.
 func TestSweepDistributionEquivalence(t *testing.T) {
-	tr := testTrace(t)
-	truth, err := GroundTruth(tr.Volumes, TruthConfig{
-		WindowLen: 128, Rank: 4, Alpha: 0.01, RefitEvery: 8,
-	})
+	s := testScenario(t)
+	s.Seed, s.RefitEvery = 77, 8
+	truth, err := GroundTruth(s)
 	if err != nil {
 		t.Fatal(err)
-	}
-	base := SweepConfig{
-		WindowLen: 128, Epsilon: 0.01, Alpha: 0.01, Seed: 77,
-		Ranks: []int{4}, SketchLens: []int{96}, RefitEvery: 8,
 	}
 	results := make(map[randproj.Distribution]ErrorPoint, 4)
 	for _, dist := range []randproj.Distribution{
 		randproj.Gaussian, randproj.TugOfWar, randproj.Sparse, randproj.VerySparse,
 	} {
-		cfg := base
-		cfg.Dist = dist
-		points, err := SweepErrors(tr.Volumes, truth, cfg)
+		s.Dist = dist
+		points, err := SweepErrors(s, truth, []int{4}, []int{96})
 		if err != nil {
 			t.Fatalf("%v: %v", dist, err)
 		}
@@ -182,39 +175,31 @@ func TestSweepDistributionEquivalence(t *testing.T) {
 	}
 	ref := results[randproj.Gaussian]
 	for dist, p := range results {
-		if math.Abs(p.TypeI-ref.TypeI) > 0.12 || math.Abs(p.TypeII-ref.TypeII) > 0.25 {
+		if math.Abs(p.TypeI()-ref.TypeI()) > 0.12 || math.Abs(p.TypeII()-ref.TypeII()) > 0.25 {
 			t.Fatalf("%v diverges from gaussian: TypeI %v vs %v, TypeII %v vs %v",
-				dist, p.TypeI, ref.TypeI, p.TypeII, ref.TypeII)
+				dist, p.TypeI(), ref.TypeI(), p.TypeII(), ref.TypeII())
 		}
 	}
 }
 
 func TestSweepErrorsValidation(t *testing.T) {
-	tr := testTrace(t)
-	truth, err := GroundTruth(tr.Volumes, TruthConfig{WindowLen: 128, Rank: 4, Alpha: 0.01, RefitEvery: 8})
+	s := testScenario(t)
+	s.RefitEvery = 8
+	truth, err := GroundTruth(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := SweepConfig{
-		WindowLen: 128, Epsilon: 0.01, Alpha: 0.01, Seed: 1,
-		Ranks: []int{2}, SketchLens: []int{8},
-	}
-	if _, err := SweepErrors(tr.Volumes, nil, base); !errors.Is(err, ErrInput) {
+	if _, err := SweepErrors(s, nil, []int{2}, []int{8}); !errors.Is(err, ErrInput) {
 		t.Fatalf("nil truth: %v", err)
 	}
-	bad := base
-	bad.Ranks = nil
-	if _, err := SweepErrors(tr.Volumes, truth, bad); !errors.Is(err, ErrConfig) {
+	if _, err := SweepErrors(s, truth, nil, []int{8}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("no ranks: %v", err)
 	}
-	bad = base
-	bad.Ranks = []int{99}
-	if _, err := SweepErrors(tr.Volumes, truth, bad); !errors.Is(err, ErrConfig) {
+	if _, err := SweepErrors(s, truth, []int{99}, []int{8}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("rank too big: %v", err)
 	}
-	bad = base
-	bad.RefitEvery = -1
-	if _, err := SweepErrors(tr.Volumes, truth, bad); !errors.Is(err, ErrConfig) {
+	s.RefitEvery = -1
+	if _, err := SweepErrors(s, truth, []int{2}, []int{8}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("bad cadence: %v", err)
 	}
 }
@@ -258,8 +243,9 @@ func TestOverhead(t *testing.T) {
 }
 
 func TestCheckBounds(t *testing.T) {
-	tr := testTrace(t)
-	rep, err := CheckBounds(tr.Volumes, 128, 256, 4, 5)
+	s := testScenario(t)
+	s.Seed, s.SketchLen = 5, 256
+	rep, err := CheckBounds(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,21 +266,27 @@ func TestCheckBounds(t *testing.T) {
 	if math.IsNaN(rep.SpectralGap) {
 		t.Fatal("spectral gap NaN")
 	}
-	if _, err := CheckBounds(tr.Volumes, 1, 10, 2, 1); !errors.Is(err, ErrConfig) {
+	bad := s
+	bad.WindowLen = 1
+	if _, err := CheckBounds(bad); !errors.Is(err, ErrConfig) {
 		t.Fatalf("bad window: %v", err)
 	}
-	if _, err := CheckBounds(tr.Volumes, 64, 10, 0, 1); !errors.Is(err, ErrConfig) {
+	bad = s
+	bad.Rank = 0
+	if _, err := CheckBounds(bad); !errors.Is(err, ErrConfig) {
 		t.Fatalf("bad rank: %v", err)
 	}
 }
 
 func TestBoundsTightenWithSketchLength(t *testing.T) {
-	tr := testTrace(t)
-	loose, err := CheckBounds(tr.Volumes, 128, 8, 4, 5)
+	s := testScenario(t)
+	s.Seed, s.SketchLen = 5, 8
+	loose, err := CheckBounds(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := CheckBounds(tr.Volumes, 128, 512, 4, 5)
+	s.SketchLen = 512
+	tight, err := CheckBounds(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,46 +8,14 @@ import (
 	"streampca/internal/anomography"
 	"streampca/internal/core"
 	"streampca/internal/mat"
-	"streampca/internal/randproj"
 	"streampca/internal/sketch"
 	"streampca/internal/traffic"
 )
 
-// IdentifyConfig parameterizes the identification scorecard: the same labeled
-// attack trace drives the online pursuit (per sketcher family) and the
-// offline relaxed-PCP comparator, all scored against per-flow ground truth.
-type IdentifyConfig struct {
-	// WindowLen, Epsilon, Alpha as in the paper.
-	WindowLen int
-	Epsilon   float64
-	Alpha     float64
-	// Seed feeds the shared projection generator.
-	Seed uint64
-	// SketchLen is the random-projection l; FDEll the per-monitor Frequent
-	// Directions budget (0 defaults as in the shoot-out).
-	SketchLen int
-	FDEll     int
-	// Rank is the fixed normal-subspace size r.
-	Rank int
-	// NumMonitors partitions the flows round-robin. FDMonitors overrides the
-	// monitor count for the FD variant (0 → NumMonitors): Frequent Directions
-	// needs 2ℓ < shard width, so narrow shards cannot hold the rank-r model
-	// plus enough residual spectrum for a Q-threshold — the FD scorecard
-	// typically runs wider shards than the randproj one.
-	NumMonitors int
-	FDMonitors  int
-	// MaxK bounds the culprits the pursuit may select per alarm (0 → 16,
-	// enough for an Abilene-scale fan-out scenario).
-	MaxK int
-	// PCP adds the offline relaxed-PCP comparator row; PCPFrom is the first
-	// interval of the matrix it decomposes (typically the warmup boundary).
-	PCP     bool
-	PCPFrom int
-}
-
-// defaultIdentifyMaxK covers the widest injected scenario (a port-scan
-// fan-out touches nR−1 = 10 flows on Abilene) with headroom.
-const defaultIdentifyMaxK = 16
+// identifyMaxK bounds the culprits a method may name per alarm: it covers the
+// widest injected scenario (a port-scan fan-out touches nR−1 = 10 flows on
+// Abilene) with headroom.
+const identifyMaxK = 16
 
 // IdentifyKindScore is the per-scenario breakdown of one variant's row.
 type IdentifyKindScore struct {
@@ -66,7 +34,7 @@ type IdentifyKindScore struct {
 // IdentifyRow is one identification scorecard: how precisely a method names
 // the injected flows when it alarms.
 type IdentifyRow struct {
-	// Variant names the method: "randproj+jacobi", "fd" or "pcp-offline".
+	// Variant names the method: "randproj", "fd" or "pcp-offline".
 	Variant string
 	Family  sketch.Family
 	// SketchParam is the family's size knob (0 for the offline comparator).
@@ -227,40 +195,38 @@ func busiestRouters(tr *traffic.Trace) (src, ddDest, fcDest int) {
 	return src, ddDest, fcDest
 }
 
-// IdentifySuite scores per-flow identification on a labeled trace: the online
-// greedy pursuit once per sketcher family (randproj+jacobi and fd, the two
-// CI-gated families), plus the offline relaxed-PCP comparator when
-// cfg.PCP is set. Rows come back in that fixed order.
-func IdentifySuite(tr *traffic.Trace, cfg IdentifyConfig) ([]IdentifyRow, error) {
-	if tr == nil || len(tr.Injections) == 0 {
+// IdentifySuite scores per-flow identification on the scenario's labeled
+// trace: the online greedy pursuit once per sketcher family (randproj and fd,
+// the two CI-gated families), then the offline relaxed-PCP comparator. Rows
+// come back in that fixed order. fdMonitors overrides the monitor count for
+// the FD variant (0 → s.Monitors): Frequent Directions needs 2ℓ < shard
+// width, so narrow shards cannot hold the rank-r model plus enough residual
+// spectrum for a Q-threshold — the FD scorecard typically runs wider shards
+// than the randproj one.
+func IdentifySuite(s Scenario, fdMonitors int) ([]IdentifyRow, error) {
+	if s.Trace == nil || len(s.Trace.Injections) == 0 {
 		return nil, fmt.Errorf("%w: trace carries no injected ground truth", ErrInput)
 	}
-	if cfg.NumMonitors < 1 {
-		return nil, fmt.Errorf("%w: %d monitors", ErrConfig, cfg.NumMonitors)
+	if s.Monitors < 1 {
+		return nil, fmt.Errorf("%w: %d monitors", ErrConfig, s.Monitors)
 	}
-	variants := []struct {
-		name   string
-		family sketch.Family
-	}{
-		{"randproj+jacobi", sketch.FamilyRandProj},
-		{"fd", sketch.FamilyFD},
-	}
-	out := make([]IdentifyRow, 0, len(variants)+1)
-	for _, v := range variants {
-		row, err := identifyVariant(tr, cfg, v.name, v.family)
+	out := make([]IdentifyRow, 0, len(onlineVariants)+1)
+	for _, v := range onlineVariants {
+		vs := s
+		if v.family == sketch.FamilyFD && fdMonitors > 0 {
+			vs.Monitors = fdMonitors
+		}
+		row, err := vs.identifyVariant(v.name, v.family)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
 		out = append(out, row)
 	}
-	if cfg.PCP {
-		row, err := pcpIdentifyRow(tr, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("pcp-offline: %w", err)
-		}
-		out = append(out, row)
+	row, err := s.pcpIdentifyRow()
+	if err != nil {
+		return nil, fmt.Errorf("pcp-offline: %w", err)
 	}
-	return out, nil
+	return append(out, row), nil
 }
 
 // identifyScorer accumulates per-interval identification scores.
@@ -402,81 +368,45 @@ func recallOf(ranked []int, truth map[int]bool) float64 {
 // an abstained interval counts as missed, never as a wrong identification.
 const identifyMinExplained = 0.5
 
-// identifyVariant drives one in-process cluster over the trace, running the
-// pursuit on every alarmed interval and scoring against the injection labels.
-func identifyVariant(tr *traffic.Trace, cfg IdentifyConfig, name string, family sketch.Family) (IdentifyRow, error) {
-	volumes := tr.Volumes
-	m := volumes.Cols()
-	ccfg := core.ClusterConfig{
-		NumFlows:    m,
-		NumMonitors: cfg.NumMonitors,
-		WindowLen:   cfg.WindowLen,
-		Epsilon:     cfg.Epsilon,
-		Alpha:       cfg.Alpha,
-		Family:      family,
-		Mode:        core.RankFixed,
-		FixedRank:   cfg.Rank,
-	}
-	param := cfg.SketchLen
-	if family == sketch.FamilyFD {
-		if cfg.FDMonitors > 0 {
-			ccfg.NumMonitors = cfg.FDMonitors
+// identifyVariant replays the trace through one family's cluster, running
+// the pursuit on every alarmed interval and scoring against the injection
+// labels.
+func (s Scenario) identifyVariant(name string, family sketch.Family) (IdentifyRow, error) {
+	tr := s.Trace
+	sc := newIdentifyScorer(name, family, s.sketchParam(family))
+	_, err := s.Replay(family, func(cl *core.Cluster, st Step) error {
+		if !st.Warm {
+			return nil
 		}
-		ccfg.FDEll = cfg.FDEll
-		param = cfg.FDEll
-		if param == 0 && m%ccfg.NumMonitors == 0 {
-			param = sketch.DefaultEll(m / ccfg.NumMonitors)
-		}
-	} else {
-		ccfg.Sketch = randproj.Config{Seed: cfg.Seed, SketchLen: cfg.SketchLen, WindowLen: cfg.WindowLen}
-	}
-	sc := newIdentifyScorer(name, family, param)
-	cl, err := core.NewCluster(ccfg)
-	if err != nil {
-		return sc.row, err
-	}
-	maxK := cfg.MaxK
-	if maxK <= 0 {
-		maxK = defaultIdentifyMaxK
-	}
-	det := cl.Detector()
-	x := make([]float64, m)
-	for i := 0; i < volumes.Rows(); i++ {
-		copy(x, volumes.RowView(i))
-		if err := cl.Update(int64(i+1), x); err != nil {
-			return sc.row, err
-		}
-		if !cl.Warm() {
-			continue
-		}
-		dec, err := det.Observe(x, cl.Fetch)
-		if err != nil {
-			return sc.row, err
-		}
+		i := st.Index
 		injected := len(tr.AnomalousFlows(i)) > 0
-		if !dec.Anomalous {
+		if !st.Decision.Anomalous {
 			if injected {
 				sc.miss(tr, i)
 			}
-			continue
+			return nil
 		}
 		if !injected {
 			sc.row.FalseAlarms++
-			continue
+			return nil
 		}
-		id, err := det.Identify(x, maxK)
+		id, err := cl.Detector().Identify(st.Volumes, identifyMaxK)
 		if err != nil {
-			return sc.row, err
+			return err
 		}
 		if len(id.Flows) == 0 || id.ExplainedFrac < identifyMinExplained {
 			sc.miss(tr, i)
-			continue
+			return nil
 		}
 		ranked := make([]int, len(id.Flows))
 		for j, f := range id.Flows {
 			ranked[j] = f.Flow
 		}
 		sc.score(tr, i, ranked, id.ExplainedFrac)
+		return nil
+	})
+	if err != nil {
+		return sc.row, err
 	}
 	return sc.finish(), nil
 }
@@ -485,15 +415,16 @@ func identifyVariant(tr *traffic.Trace, cfg IdentifyConfig, name string, family 
 // fraction of the row's largest magnitude are residual noise, not culprits.
 const pcpRowRelFloor = 0.25
 
-// pcpIdentifyRow decomposes the post-warmup traffic matrix with relaxed PCP
-// and scores RowCulprits of the sparse part against the same ground truth.
-// The comparator sees the whole matrix at once (offline, no sliding window,
-// no sketch) — the quality ceiling the streaming pursuit is judged against.
-func pcpIdentifyRow(tr *traffic.Trace, cfg IdentifyConfig) (IdentifyRow, error) {
+// pcpIdentifyRow decomposes the post-warmup traffic matrix (from the window
+// boundary on) with relaxed PCP and scores RowCulprits of the sparse part
+// against the same ground truth. The comparator sees the whole matrix at
+// once (offline, no sliding window, no sketch) — the quality ceiling the
+// streaming pursuit is judged against.
+func (s Scenario) pcpIdentifyRow() (IdentifyRow, error) {
 	sc := newIdentifyScorer("pcp-offline", sketch.Family(0), 0)
-	from := cfg.PCPFrom
+	tr, from := s.Trace, s.WindowLen
 	if from < 0 || from >= tr.NumIntervals() {
-		return sc.row, fmt.Errorf("%w: pcp-from %d of %d intervals", ErrConfig, from, tr.NumIntervals())
+		return sc.row, fmt.Errorf("%w: window %d of %d intervals", ErrConfig, from, tr.NumIntervals())
 	}
 	volumes := tr.Volumes
 	n, m := volumes.Rows()-from, volumes.Cols()
@@ -505,10 +436,6 @@ func pcpIdentifyRow(tr *traffic.Trace, cfg IdentifyConfig) (IdentifyRow, error) 
 	if err != nil {
 		return sc.row, err
 	}
-	maxK := cfg.MaxK
-	if maxK <= 0 {
-		maxK = defaultIdentifyMaxK
-	}
 	for i := from; i < volumes.Rows(); i++ {
 		if len(tr.AnomalousFlows(i)) == 0 {
 			continue
@@ -516,11 +443,9 @@ func pcpIdentifyRow(tr *traffic.Trace, cfg IdentifyConfig) (IdentifyRow, error) 
 		r := i - from
 		var rowMax float64
 		for _, v := range res.S.RowView(r) {
-			if a := math.Abs(v); a > rowMax {
-				rowMax = a
-			}
+			rowMax = math.Max(rowMax, math.Abs(v))
 		}
-		ranked := anomography.RowCulprits(res.S, r, maxK, pcpRowRelFloor*rowMax)
+		ranked := anomography.RowCulprits(res.S, r, identifyMaxK, pcpRowRelFloor*rowMax)
 		if len(ranked) == 0 {
 			sc.miss(tr, i)
 			continue

@@ -18,24 +18,24 @@ func identifyTestTrace(t *testing.T) *traffic.Trace {
 	return tr
 }
 
-func identifyTestConfig() IdentifyConfig {
-	return IdentifyConfig{
-		WindowLen: 128, Epsilon: 0.01, Alpha: 0.01, Seed: 9,
-		SketchLen: 64, Rank: 4, NumMonitors: 4, FDMonitors: 1, MaxK: 8,
-		PCP: true, PCPFrom: 128,
+// identifyTestScenario runs the suite on that trace with four randproj
+// monitors; the tests give fd one wide shard (fdMonitors = 1).
+func identifyTestScenario(t *testing.T) Scenario {
+	return Scenario{
+		Trace: identifyTestTrace(t), WindowLen: 128, Rank: 4, Alpha: 0.01, Epsilon: 0.01,
+		Seed: 9, SketchLen: 64, Monitors: 4,
 	}
 }
 
 func TestIdentifySuiteScoresAllVariants(t *testing.T) {
-	tr := identifyTestTrace(t)
-	rows, err := IdentifySuite(tr, identifyTestConfig())
+	rows, err := IdentifySuite(identifyTestScenario(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 3 {
 		t.Fatalf("%d rows, want 3", len(rows))
 	}
-	wantVariants := []string{"randproj+jacobi", "fd", "pcp-offline"}
+	wantVariants := []string{"randproj", "fd", "pcp-offline"}
 	for i, row := range rows {
 		t.Logf("%s: scored=%d missed=%d false=%d p@1=%.3f p@3=%.3f recall=%.3f explained=%.3f culprits=%.1f",
 			row.Variant, row.Scored, row.Missed, row.FalseAlarms,
@@ -62,8 +62,7 @@ func TestIdentifySuiteScoresAllVariants(t *testing.T) {
 // exfiltration) the pursuit must name the injected flow with precision@k
 // ≥ 0.8, for both sketcher families.
 func TestIdentifyPrecisionSingleFlowScenarios(t *testing.T) {
-	tr := identifyTestTrace(t)
-	rows, err := IdentifySuite(tr, identifyTestConfig())
+	rows, err := IdentifySuite(identifyTestScenario(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +90,7 @@ func TestIdentifyPrecisionSingleFlowScenarios(t *testing.T) {
 // flash crowd and DDoS hit the same destination, so identification must
 // recover the same flow set for both (high recall on each).
 func TestIdentifyFlashCrowdDDoSSameCulprits(t *testing.T) {
-	tr := identifyTestTrace(t)
-	rows, err := IdentifySuite(tr, identifyTestConfig())
+	rows, err := IdentifySuite(identifyTestScenario(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +110,9 @@ func TestIdentifyFlashCrowdDDoSSameCulprits(t *testing.T) {
 }
 
 func TestIdentifySuiteValidation(t *testing.T) {
-	tr := identifyTestTrace(t)
-	cfg := identifyTestConfig()
-	cfg.NumMonitors = 0
-	if _, err := IdentifySuite(tr, cfg); !errors.Is(err, ErrConfig) {
+	s := identifyTestScenario(t)
+	s.Monitors = 0
+	if _, err := IdentifySuite(s, 1); !errors.Is(err, ErrConfig) {
 		t.Fatalf("zero monitors: %v", err)
 	}
 	clean, err := traffic.Generate(traffic.GeneratorConfig{
@@ -124,13 +121,17 @@ func TestIdentifySuiteValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IdentifySuite(clean, identifyTestConfig()); !errors.Is(err, ErrInput) {
+	s = identifyTestScenario(t)
+	s.Trace = clean
+	if _, err := IdentifySuite(s, 1); !errors.Is(err, ErrInput) {
 		t.Fatalf("unlabeled trace: %v", err)
 	}
-	cfg = identifyTestConfig()
-	cfg.PCPFrom = 10_000
-	if _, err := IdentifySuite(tr, cfg); !errors.Is(err, ErrConfig) {
-		t.Fatalf("pcp-from out of range: %v", err)
+	// A window the trace never fills leaves the comparator nothing to
+	// decompose.
+	s = identifyTestScenario(t)
+	s.WindowLen = 10_000
+	if _, err := IdentifySuite(s, 1); !errors.Is(err, ErrConfig) {
+		t.Fatalf("window past the trace: %v", err)
 	}
 	if _, err := BuildIdentifyTrace(1, 140, 96, 128, nil); !errors.Is(err, ErrConfig) {
 		t.Fatalf("too-short trace: %v", err)

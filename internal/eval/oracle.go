@@ -4,82 +4,52 @@ import (
 	"fmt"
 
 	"streampca/internal/core"
-	"streampca/internal/mat"
 	"streampca/internal/oracle"
 	"streampca/internal/randproj"
+	"streampca/internal/sketch"
 )
-
-// OracleConfig parameterizes the differential-validation sweep.
-type OracleConfig struct {
-	// WindowLen is n, SketchLen l, Rank r, Epsilon ε and Alpha the
-	// false-alarm rate — the same knobs the streaming pipeline takes.
-	WindowLen int
-	SketchLen int
-	Rank      int
-	Epsilon   float64
-	Alpha     float64
-	// Seed feeds the shared projection generator.
-	Seed uint64
-	// Every samples one oracle pass out of this many intervals; ≤ 0
-	// selects 16.
-	Every int
-}
 
 // OracleRow is the outcome of one oracle scenario: a full streaming stack
 // (per-flow variance histograms plus the lazy detector) driven over the
 // workload under one projection family, differentially validated against
 // the exact references on sampled intervals.
 type OracleRow struct {
-	Dist       randproj.Distribution
-	SketchLen  int
-	Checks     int
-	Violations int
-	MaxRelErr  float64
-	// Worst is the worst violation's description, empty when all passed.
-	Worst string
+	Dist      randproj.Distribution
+	SketchLen int
+	oracle.Result
 }
 
 // OracleSweep runs the oracle scenario for every projection family and
 // returns one row each. Any violation marks a numerical-correctness bug in
 // the pipeline (or a miscalibrated bound), not a statistical miss.
-func OracleSweep(volumes *mat.Matrix, cfg OracleConfig) ([]OracleRow, error) {
-	if cfg.Every <= 0 {
-		cfg.Every = 16
-	}
+func OracleSweep(s Scenario) ([]OracleRow, error) {
 	dists := []randproj.Distribution{
 		randproj.Gaussian, randproj.TugOfWar, randproj.Sparse, randproj.VerySparse,
 	}
 	rows := make([]OracleRow, 0, len(dists))
 	for _, dist := range dists {
-		res, err := oracleScenario(volumes, cfg, dist)
+		s.Dist = dist
+		res, err := s.oracleScenario()
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", dist, err)
 		}
-		row := OracleRow{
-			Dist:       dist,
-			SketchLen:  cfg.SketchLen,
-			Checks:     res.Checks,
-			Violations: len(res.Violations),
-			MaxRelErr:  res.MaxRelErr,
-		}
-		if w := res.Worst(); w != nil {
-			row.Worst = w.String()
-		}
-		rows = append(rows, row)
+		rows = append(rows, OracleRow{Dist: dist, SketchLen: s.SketchLen, Result: res})
 	}
 	return rows, nil
 }
 
-// oracleScenario drives one full pipeline over the workload and merges every
-// sampled oracle pass. It reuses the same Checker type the -selfcheck
-// daemons embed, so the eval exercises the production validation path.
-func oracleScenario(volumes *mat.Matrix, cfg OracleConfig, dist randproj.Distribution) (oracle.Result, error) {
+// oracleScenario replays the workload through a one-monitor cluster and
+// merges every sampled oracle pass. It uses the same Checker type the
+// -selfcheck daemons embed, so the eval exercises the production validation
+// path. The monitor-side checks read variance histograms, which core.Cluster
+// keeps to itself; they run on a twin of the cluster's monitor, built from
+// the same generator and fed the same rows (a monitor's state is a pure
+// function of the two).
+func (s Scenario) oracleScenario() (oracle.Result, error) {
 	var total oracle.Result
-	T, m := volumes.Rows(), volumes.Cols()
-	gen, err := randproj.NewGenerator(randproj.Config{
-		Seed: cfg.Seed, SketchLen: cfg.SketchLen, Dist: dist,
-		SparseS: 3, WindowLen: cfg.WindowLen,
-	})
+	m := s.Trace.NumFlows()
+	s.Monitors = 1
+	gen, err := randproj.NewGenerator(s.sketchConfig())
 	if err != nil {
 		return total, err
 	}
@@ -87,56 +57,36 @@ func oracleScenario(volumes *mat.Matrix, cfg OracleConfig, dist randproj.Distrib
 	for j := range flowIDs {
 		flowIDs[j] = j
 	}
-	mon, err := core.NewMonitor(core.MonitorConfig{
-		FlowIDs: flowIDs, WindowLen: cfg.WindowLen, Epsilon: cfg.Epsilon, Gen: gen,
+	twin, err := core.NewMonitor(core.MonitorConfig{
+		FlowIDs: flowIDs, WindowLen: s.WindowLen, Epsilon: s.Epsilon, Gen: gen,
 	})
 	if err != nil {
 		return total, err
 	}
-	det, err := core.NewDetector(core.DetectorConfig{
-		NumFlows: m, WindowLen: cfg.WindowLen, SketchLen: cfg.SketchLen,
-		Alpha: cfg.Alpha, Mode: core.RankFixed, FixedRank: cfg.Rank,
-	})
+	checker := func(component string) (*oracle.Checker, error) {
+		return oracle.NewChecker(oracle.CheckerConfig{
+			Every: oracleEvery, WindowLen: s.WindowLen, Epsilon: s.Epsilon,
+			Alpha: s.Alpha, Gen: gen, NumFlows: m, Component: component,
+		})
+	}
+	monChk, err := checker("monitor")
 	if err != nil {
 		return total, err
 	}
-	monChk, err := oracle.NewChecker(oracle.CheckerConfig{
-		Every: cfg.Every, WindowLen: cfg.WindowLen, Epsilon: cfg.Epsilon,
-		Gen: gen, NumFlows: m, Component: "monitor",
-	})
+	nocChk, err := checker("noc")
 	if err != nil {
 		return total, err
 	}
-	nocChk, err := oracle.NewChecker(oracle.CheckerConfig{
-		Every: cfg.Every, WindowLen: cfg.WindowLen, Epsilon: cfg.Epsilon,
-		Alpha: cfg.Alpha, Gen: gen, NumFlows: m, Component: "noc",
-	})
-	if err != nil {
-		return total, err
-	}
-	fetch := func() (core.Fetch, error) {
-		rep := mon.Report()
-		return core.Fetch{Sketches: rep.Sketches, Means: rep.Means, Interval: rep.Interval}, nil
-	}
-	x := make([]float64, m)
-	for i := 0; i < T; i++ {
-		t := int64(i + 1)
-		copy(x, volumes.RowView(i))
-		if err := mon.Update(t, x); err != nil {
-			return total, err
+	_, err = s.Replay(sketch.FamilyRandProj, func(cl *core.Cluster, st Step) error {
+		t := int64(st.Index + 1)
+		if err := twin.Update(t, st.Volumes); err != nil {
+			return err
 		}
-		total.Merge(monChk.ObserveMonitor(t, x, mon))
-		if t < int64(cfg.WindowLen) {
-			nocChk.ObserveNOC(t, x, core.Decision{ThresholdUnavailable: true}, nil)
-			continue
-		}
-		dec, err := det.Observe(x, fetch)
-		if err != nil {
-			return total, err
-		}
-		if res, ok := nocChk.ObserveNOC(t, x, dec, det.Model()); ok {
+		total.Merge(monChk.ObserveMonitor(t, st.Volumes, twin))
+		if res, ok := nocChk.ObserveNOC(t, st.Volumes, st.Decision, cl.Detector().Model()); ok {
 			total.Merge(res)
 		}
-	}
-	return total, nil
+		return nil
+	})
+	return total, err
 }

@@ -8,29 +8,25 @@ import (
 )
 
 func TestShootoutFamilies(t *testing.T) {
-	tr := testTrace(t)
-	truth, err := GroundTruth(tr.Volumes, TruthConfig{
-		WindowLen: 128, Rank: 4, Alpha: 0.01, RefitEvery: 4,
-	})
+	s := testScenario(t)
+	tr := s.Trace
+	truth, err := GroundTruth(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Shootout(tr.Volumes, truth, ShootoutConfig{
-		WindowLen: 128, Epsilon: 0.01, Alpha: 0.01, Seed: 9,
-		SketchLen: 64, Rank: 4, NumMonitors: 4, Oracle: true,
-	})
+	rows, err := Shootout(s, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("%d rows, want 2", len(rows))
 	}
-	wantVariants := []string{"randproj+jacobi", "fd"}
+	wantVariants := []string{"randproj", "fd"}
 	for i, row := range rows {
 		t.Logf("%s: typeI=%.3f typeII=%.3f retrains=%d retrain_ns=%d bytes=%d unavail=%d oracle=%d/%d maxrel=%.3g %s",
-			row.Variant, row.TypeI, row.TypeII, row.Retrains, row.RetrainNanos,
-			row.SketchBytes, row.ThresholdUnavail, row.OracleViolations, row.OracleChecks,
-			row.OracleMaxRelErr, row.OracleWorst)
+			row.Variant, row.TypeI(), row.TypeII(), row.Retrains, row.RetrainNanos,
+			row.SketchBytes, row.ThresholdUnavail, len(row.Oracle.Violations), row.Oracle.Checks,
+			row.Oracle.MaxRelErr, row.Oracle.Worst())
 		if row.Variant != wantVariants[i] {
 			t.Fatalf("row %d variant %q, want %q", i, row.Variant, wantVariants[i])
 		}
@@ -39,7 +35,7 @@ func TestShootoutFamilies(t *testing.T) {
 			t.Fatalf("%s scored %d/%d intervals, truth has %d/%d",
 				row.Variant, row.TrueAnomalies, row.TrueNormals, truth.NumAnomalous, truth.NumNormal)
 		}
-		if row.TypeI < 0 || row.TypeI > 1 || row.TypeII < 0 || row.TypeII > 1 {
+		if row.TypeI() < 0 || row.TypeI() > 1 || row.TypeII() < 0 || row.TypeII() > 1 {
 			t.Fatalf("%s error rates out of range: %+v", row.Variant, row)
 		}
 		if row.Retrains < 1 {
@@ -51,7 +47,7 @@ func TestShootoutFamilies(t *testing.T) {
 		if row.SketchBytes <= 0 {
 			t.Fatalf("%s sketch pull has no size", row.Variant)
 		}
-		if row.OracleChecks < 1 {
+		if row.Oracle.Checks < 1 {
 			t.Fatalf("%s ran no oracle checks", row.Variant)
 		}
 	}
@@ -67,11 +63,11 @@ func TestShootoutFamilies(t *testing.T) {
 	}
 	// The paper's pipeline and the deterministic FD guarantee must both come
 	// through the oracle clean.
-	if rp.OracleViolations != 0 {
-		t.Fatalf("randproj oracle violations: %s", rp.OracleWorst)
+	if len(rp.Oracle.Violations) != 0 {
+		t.Fatalf("randproj oracle violations: %s", rp.Oracle.Worst())
 	}
-	if fd.OracleViolations != 0 {
-		t.Fatalf("fd oracle violations: %s", fd.OracleWorst)
+	if len(fd.Oracle.Violations) != 0 {
+		t.Fatalf("fd oracle violations: %s", fd.Oracle.Worst())
 	}
 	// Space: FD blocks (≤ 2ℓ rows of w floats per monitor) must undercut the
 	// randproj pull (l floats per flow) at these dimensions.
@@ -81,35 +77,29 @@ func TestShootoutFamilies(t *testing.T) {
 	// Accuracy: randproj runs the lazy retrain-on-alarm protocol (staler
 	// models than the sweep's fixed cadence), so the bounds are looser than
 	// the sweep test's; a broken pipeline still lands well outside them.
-	if rp.TypeI > 0.2 || rp.TypeII > 0.8 {
-		t.Fatalf("randproj errors too high: TypeI=%v TypeII=%v", rp.TypeI, rp.TypeII)
+	if rp.TypeI() > 0.2 || rp.TypeII() > 0.8 {
+		t.Fatalf("randproj errors too high: TypeI=%v TypeII=%v", rp.TypeI(), rp.TypeII())
 	}
 }
 
 func TestShootoutValidation(t *testing.T) {
-	tr := testTrace(t)
-	truth, err := GroundTruth(tr.Volumes, TruthConfig{
-		WindowLen: 128, Rank: 4, Alpha: 0.01,
-	})
+	s := testScenario(t)
+	s.SketchLen = 16
+	truth, err := GroundTruth(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Shootout(tr.Volumes, nil, ShootoutConfig{
-		WindowLen: 128, Alpha: 0.01, SketchLen: 16, Rank: 4, NumMonitors: 4,
-	}); !errors.Is(err, ErrInput) {
+	if _, err := Shootout(s, nil); !errors.Is(err, ErrInput) {
 		t.Fatalf("nil truth: %v", err)
 	}
-	if _, err := Shootout(tr.Volumes, truth, ShootoutConfig{
-		WindowLen: 128, Alpha: 0.01, SketchLen: 16, Rank: 4,
-	}); !errors.Is(err, ErrConfig) {
+	s.Monitors = 0
+	if _, err := Shootout(s, truth); !errors.Is(err, ErrConfig) {
 		t.Fatalf("zero monitors: %v", err)
 	}
 	// 16 flows across 5 monitors split unevenly: the FD variant cannot
 	// default a shared ℓ and must fail loudly, not silently diverge.
-	if _, err := Shootout(tr.Volumes, truth, ShootoutConfig{
-		WindowLen: 128, Epsilon: 0.01, Alpha: 0.01, SketchLen: 16, Rank: 4,
-		NumMonitors: 5,
-	}); err == nil {
+	s.Monitors = 5
+	if _, err := Shootout(s, truth); err == nil {
 		t.Fatal("uneven FD split must fail")
 	}
 }

@@ -1,81 +1,45 @@
 package eval
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
 	"streampca/internal/core"
-	"streampca/internal/mat"
-	"streampca/internal/randproj"
-	"streampca/internal/stats"
+	"streampca/internal/pca"
+	"streampca/internal/sketch"
 )
-
-// SweepConfig parameterizes the sketch-method error sweep (Figs. 7–9).
-type SweepConfig struct {
-	// WindowLen, Epsilon, Alpha as in the paper (ε = 0.01, α = 0.01).
-	WindowLen int
-	Epsilon   float64
-	Alpha     float64
-	// Seed is the shared randomness seed.
-	Seed uint64
-	// Dist selects the projection family (0 → Gaussian).
-	Dist randproj.Distribution
-	// SparseS is the s parameter for Dist == Sparse (defaults to 3,
-	// Achlioptas' classic choice).
-	SparseS int
-	// Ranks lists the r values to evaluate (paper: 1…10).
-	Ranks []int
-	// SketchLens lists the l values to evaluate (paper: 10, 20, …).
-	SketchLens []int
-	// RefitEvery is the sketch model's retraining cadence; 0 → 1.
-	RefitEvery int
-}
 
 // ErrorPoint is one cell of the (r, l) error grid.
 type ErrorPoint struct {
 	Rank      int
 	SketchLen int
-	// TypeI = false anomalies / true normals;
-	// TypeII = false normals / true anomalies (paper §VI definitions).
-	TypeI  float64
-	TypeII float64
-	// Raw counts backing the rates.
-	FalseAlarms   int
-	Misses        int
-	TrueNormals   int
-	TrueAnomalies int
+	Tally
 }
 
-// SweepErrors runs the sketch-based detector across the (rank, sketch-length)
-// grid against the given ground truth. For each sketch length the monitor
-// side runs once; each retraining performs one sketch PCA whose scores are
-// shared across all ranks, so the rank sweep is nearly free — mirroring how
-// the paper evaluates all r for each l.
-func SweepErrors(volumes *mat.Matrix, truth *Truth, cfg SweepConfig) ([]ErrorPoint, error) {
-	rows, m := volumes.Rows(), volumes.Cols()
-	if truth == nil || len(truth.Ready) != rows {
+// SweepErrors scores the sketch method across the (rank, sketch-length) grid
+// against the given ground truth (Figs. 7–9; ranks 1…10 and l = 10, 20, … in
+// the paper). For each sketch length the monitor side runs once, retraining
+// every s.RefitEvery intervals; each retraining is one PCA of the sketch
+// matrix shared by all ranks — mirroring how the paper evaluates all r for
+// each l.
+func SweepErrors(s Scenario, truth *Truth, ranks, sketchLens []int) ([]ErrorPoint, error) {
+	if truth == nil || len(truth.Ready) != s.Trace.NumIntervals() {
 		return nil, fmt.Errorf("%w: truth does not match the volume matrix", ErrInput)
 	}
-	if len(cfg.Ranks) == 0 || len(cfg.SketchLens) == 0 {
+	if len(ranks) == 0 || len(sketchLens) == 0 {
 		return nil, fmt.Errorf("%w: empty rank or sketch-length grid", ErrConfig)
 	}
-	for _, r := range cfg.Ranks {
-		if r < 0 || r > m {
+	for _, r := range ranks {
+		if m := s.Trace.NumFlows(); r < 0 || r > m {
 			return nil, fmt.Errorf("%w: rank %d with %d flows", ErrConfig, r, m)
 		}
 	}
-	refit := cfg.RefitEvery
-	if refit == 0 {
-		refit = 1
+	if s.RefitEvery < 0 {
+		return nil, fmt.Errorf("%w: refit cadence %d", ErrConfig, s.RefitEvery)
 	}
-	if refit < 0 {
-		return nil, fmt.Errorf("%w: refit cadence %d", ErrConfig, cfg.RefitEvery)
-	}
-
 	var out []ErrorPoint
-	for _, l := range cfg.SketchLens {
-		points, err := sweepOneSketchLen(volumes, truth, cfg, l, refit)
+	for _, l := range sketchLens {
+		s.SketchLen = l
+		points, err := s.sweepRanks(truth, ranks)
 		if err != nil {
 			return nil, fmt.Errorf("sketch length %d: %w", l, err)
 		}
@@ -84,169 +48,59 @@ func SweepErrors(volumes *mat.Matrix, truth *Truth, cfg SweepConfig) ([]ErrorPoi
 	return out, nil
 }
 
-// sweepOneSketchLen drives one monitor pass and the per-interval sketch PCA
-// for a single l, scoring every configured rank.
-func sweepOneSketchLen(volumes *mat.Matrix, truth *Truth, cfg SweepConfig, l, refit int) ([]ErrorPoint, error) {
-	rows, m := volumes.Rows(), volumes.Cols()
-	sparseS := cfg.SparseS
-	if cfg.Dist == randproj.Sparse && sparseS == 0 {
-		sparseS = 3
-	}
-	gen, err := randproj.NewGenerator(randproj.Config{
-		Seed: cfg.Seed, SketchLen: l, Dist: cfg.Dist, WindowLen: cfg.WindowLen,
-		SparseS: sparseS,
-	})
+// sweepRanks drives one monitor pass at s.SketchLen. The sketch matrix Ẑ
+// stands in for the centered window (§IV-C), so each retraining is a
+// pca.Model of ẐᵀẐ and each rank a pca.Detector on it — the same distance
+// and threshold code that labels truth, fed the approximation.
+func (s Scenario) sweepRanks(truth *Truth, ranks []int) ([]ErrorPoint, error) {
+	// Per-flow sketches do not depend on how flows are split across monitors,
+	// and one monitor draws each interval's projection row once.
+	s.Monitors = 1
+	cl, err := core.NewCluster(s.clusterConfig(sketch.FamilyRandProj))
 	if err != nil {
 		return nil, err
 	}
-	flowIDs := make([]int, m)
-	for j := range flowIDs {
-		flowIDs[j] = j
+	points := make([]ErrorPoint, len(ranks))
+	for ri, r := range ranks {
+		points[ri] = ErrorPoint{Rank: r, SketchLen: s.SketchLen}
 	}
-	mon, err := core.NewMonitor(core.MonitorConfig{
-		FlowIDs:   flowIDs,
-		WindowLen: cfg.WindowLen,
-		Epsilon:   cfg.Epsilon,
-		Gen:       gen,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	nRanks := len(cfg.Ranks)
-	points := make([]ErrorPoint, nRanks)
-	for ri, r := range cfg.Ranks {
-		points[ri] = ErrorPoint{Rank: r, SketchLen: l}
-	}
-
-	// Per-refit model state.
-	var components *mat.Matrix
-	var means []float64
-	thresholds := make([]float64, nRanks)
-	sinceRefit := refit
-
-	scores := make([]float64, m)
-	y := make([]float64, m)
-
-	for i := 0; i < rows; i++ {
-		row := volumes.RowView(i)
-		if err := mon.Update(int64(i+1), row); err != nil {
+	dets := make([]*pca.Detector, len(ranks))
+	sinceRefit := s.RefitEvery // force a fit at the first labeled interval
+	for i := 0; i < s.Trace.NumIntervals(); i++ {
+		row := s.Trace.Volumes.RowView(i)
+		if err := cl.Update(int64(i+1), row); err != nil {
 			return nil, err
 		}
 		if !truth.Ready[i] {
 			continue
 		}
-		sinceRefit++
-		if components == nil || sinceRefit >= refit {
-			rep := mon.Report()
-			z, err := core.AssembleSketchMatrix(rep.Sketches, l)
+		if sinceRefit++; sinceRefit >= s.RefitEvery {
+			f, err := cl.Fetch()
 			if err != nil {
 				return nil, err
 			}
-			eig, err := mat.SymEigen(z.Gram())
+			z, err := core.AssembleSketchMatrix(f.Sketches, s.SketchLen)
 			if err != nil {
 				return nil, err
 			}
-			sv := make([]float64, m)
-			for j, lam := range eig.Values {
-				if lam < 0 {
-					lam = 0
-				}
-				sv[j] = math.Sqrt(lam)
+			model, err := pca.NewModel(z.Gram(), f.Means, s.WindowLen)
+			if err != nil {
+				return nil, err
 			}
-			components = eig.Vectors
-			means = rep.Means
-			for ri, r := range cfg.Ranks {
-				th, err := stats.QStatistic(sv, cfg.WindowLen, r, cfg.Alpha)
-				if err != nil {
-					if !errors.Is(err, stats.ErrDegenerate) {
-						return nil, err
-					}
-					// No usable threshold at this rank for this refit: +Inf
-					// flags nothing (counted as misses, never false alarms)
-					// instead of aborting the whole sweep.
-					th = math.Inf(1)
+			for ri, r := range ranks {
+				if dets[ri], err = pca.NewDetector(model, r, s.Alpha); err != nil {
+					return nil, err
 				}
-				thresholds[ri] = th
 			}
 			sinceRefit = 0
 		}
-
-		// Scores against every component, shared across ranks.
-		var total float64
-		for j := 0; j < m; j++ {
-			y[j] = row[j] - means[j]
-			total += y[j] * y[j]
-		}
-		if err := componentScores(components, y, scores); err != nil {
-			return nil, err
-		}
-		isAnomaly := truth.Anomalous[i]
-		cum := 0.0
-		rankIdx := 0
-		// Walk ranks in the caller's order but compute cumulative energy
-		// once per distinct prefix; ranks are typically ascending.
-		for ri, r := range cfg.Ranks {
-			// Cumulative Σ_{j<r} score² — recompute prefix sums cheaply.
-			if ri == 0 || r < cfg.Ranks[ri-1] {
-				cum = 0
-				rankIdx = 0
+		for ri, det := range dets {
+			flagged, _, err := det.IsAnomalous(row)
+			if err != nil {
+				return nil, err
 			}
-			for rankIdx < r {
-				cum += scores[rankIdx] * scores[rankIdx]
-				rankIdx++
-			}
-			rem := total - cum
-			if rem < 0 {
-				rem = 0
-			}
-			dist := math.Sqrt(rem)
-			flagged := dist > thresholds[ri]
-			p := &points[ri]
-			switch {
-			case flagged && !isAnomaly:
-				p.FalseAlarms++
-			case !flagged && isAnomaly:
-				p.Misses++
-			}
-			if isAnomaly {
-				p.TrueAnomalies++
-			} else {
-				p.TrueNormals++
-			}
-		}
-	}
-
-	for ri := range points {
-		p := &points[ri]
-		if p.TrueNormals > 0 {
-			p.TypeI = float64(p.FalseAlarms) / float64(p.TrueNormals)
-		}
-		if p.TrueAnomalies > 0 {
-			p.TypeII = float64(p.Misses) / float64(p.TrueAnomalies)
+			points[ri].Add(flagged, truth.Anomalous[i])
 		}
 	}
 	return points, nil
-}
-
-// componentScores computes scores[j] = column_j(components)·y.
-func componentScores(components *mat.Matrix, y, scores []float64) error {
-	m := len(y)
-	if components.Rows() != m || components.Cols() != m || len(scores) != m {
-		return fmt.Errorf("%w: score buffers mismatch", ErrInput)
-	}
-	for j := range scores {
-		scores[j] = 0
-	}
-	for i := 0; i < m; i++ {
-		yi := y[i]
-		if yi == 0 {
-			continue
-		}
-		row := components.RowView(i)
-		for j, c := range row {
-			scores[j] += yi * c
-		}
-	}
-	return nil
 }

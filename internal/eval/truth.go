@@ -1,132 +1,52 @@
-// Package eval implements the paper's evaluation protocol (§VI) over the
-// synthetic Abilene substrate:
-//
-//   - ground-truth labeling: run the exact Lakhina method with a fixed
-//     reference rank r* and treat its detections as the "real" anomalies,
-//     exactly as the paper does;
-//   - Type I / Type II error computation for the sketch-based detector
-//     across (r, l) grids (Figs. 7–9);
-//   - the NOC computation-overhead comparison m²·n vs m²·l (Fig. 10),
-//     both as the paper's operation counts and as measured wall time;
-//   - empirical checks of the error bounds (Lemmas 5–6, Theorem 2).
 package eval
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
-	"streampca/internal/mat"
 	"streampca/internal/pca"
-	"streampca/internal/stats"
 )
-
-// Errors returned by the package.
-var (
-	// ErrConfig indicates an invalid evaluation configuration.
-	ErrConfig = errors.New("eval: invalid configuration")
-	// ErrInput indicates structurally invalid data.
-	ErrInput = errors.New("eval: invalid input")
-)
-
-// TruthConfig parameterizes ground-truth labeling with the exact method.
-type TruthConfig struct {
-	// WindowLen is n (the paper uses two weeks of intervals).
-	WindowLen int
-	// Rank is the reference normal-subspace size r* used to define truth.
-	Rank int
-	// Alpha is the Q-statistic false-alarm rate (paper: 0.01).
-	Alpha float64
-	// RefitEvery is the exact method's retraining cadence; 0 → 1 (every
-	// interval, the paper's cost model).
-	RefitEvery int
-}
 
 // Truth holds per-interval ground-truth labels from the exact method.
 type Truth struct {
 	// Ready[i] is true once the window was full at interval i; labels are
 	// only meaningful where Ready.
 	Ready []bool
-	// Anomalous[i] is the exact method's verdict.
+	// Anomalous[i] is the exact method's verdict. A refit whose residual
+	// spectrum admits no control limit labels its intervals "normal"
+	// (pca.NewDetector) rather than aborting the labeling.
 	Anomalous []bool
-	// Distances and Thresholds record the exact detector's outputs.
-	Distances  []float64
-	Thresholds []float64
 	// NumAnomalous and NumNormal count labeled intervals.
 	NumAnomalous int
 	NumNormal    int
 }
 
-// GroundTruth runs the exact Lakhina method over the volume matrix
-// (rows = intervals) using incremental sliding-window PCA, producing the
-// labels the sketch method is scored against.
-func GroundTruth(volumes *mat.Matrix, cfg TruthConfig) (*Truth, error) {
-	n := cfg.WindowLen
-	rows, m := volumes.Rows(), volumes.Cols()
-	if n < 2 || n > rows {
-		return nil, fmt.Errorf("%w: window %d over %d intervals", ErrConfig, n, rows)
+// GroundTruth runs the exact Lakhina method — pca.SlidingDetector at rank
+// s.Rank, refitting every s.RefitEvery intervals — over the trace and
+// records its verdicts: the labels the sketch method is scored against.
+func GroundTruth(s Scenario) (*Truth, error) {
+	rows := s.Trace.NumIntervals()
+	if s.WindowLen > rows {
+		return nil, fmt.Errorf("%w: window %d over %d intervals", ErrConfig, s.WindowLen, rows)
 	}
-	if cfg.Rank < 0 || cfg.Rank > m {
-		return nil, fmt.Errorf("%w: rank %d with %d flows", ErrConfig, cfg.Rank, m)
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha >= 1 {
-		return nil, fmt.Errorf("%w: alpha %v", ErrConfig, cfg.Alpha)
-	}
-	refit := cfg.RefitEvery
-	if refit == 0 {
-		refit = 1
-	}
-	if refit < 0 {
-		return nil, fmt.Errorf("%w: refit cadence %d", ErrConfig, cfg.RefitEvery)
-	}
-
-	inc, err := pca.NewIncremental(n, m)
+	exact, err := pca.NewSlidingDetector(pca.SlidingConfig{
+		WindowLen: s.WindowLen, NumFlows: s.Trace.NumFlows(),
+		Rank: s.Rank, Alpha: s.Alpha, RefitEvery: s.RefitEvery,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
-	truth := &Truth{
-		Ready:      make([]bool, rows),
-		Anomalous:  make([]bool, rows),
-		Distances:  make([]float64, rows),
-		Thresholds: make([]float64, rows),
-	}
-	var det *pca.Detector
-	sinceRefit := refit // force a fit at the first full window
+	truth := &Truth{Ready: make([]bool, rows), Anomalous: make([]bool, rows)}
 	for i := 0; i < rows; i++ {
-		row := volumes.RowView(i)
-		if err := inc.Push(row); err != nil {
-			return nil, fmt.Errorf("interval %d: %w", i, err)
-		}
-		if !inc.Full() {
-			continue
-		}
-		sinceRefit++
-		if det == nil || sinceRefit >= refit {
-			model, err := inc.Model()
-			if err != nil {
-				return nil, fmt.Errorf("interval %d: %w", i, err)
-			}
-			det, err = pca.NewDetector(model, cfg.Rank, cfg.Alpha)
-			if errors.Is(err, stats.ErrDegenerate) {
-				// No usable control limit on this window's residual spectrum:
-				// label the intervals "normal" via a +Inf threshold (recorded
-				// as such in Thresholds) rather than aborting the labeling.
-				det, err = pca.NewDetectorThreshold(model, cfg.Rank, math.Inf(1))
-			}
-			if err != nil {
-				return nil, fmt.Errorf("interval %d: %w", i, err)
-			}
-			sinceRefit = 0
-		}
-		bad, dist, err := det.IsAnomalous(row)
+		res, err := exact.Observe(s.Trace.Volumes.RowView(i))
 		if err != nil {
 			return nil, fmt.Errorf("interval %d: %w", i, err)
 		}
+		if !res.Ready {
+			continue
+		}
 		truth.Ready[i] = true
-		truth.Anomalous[i] = bad
-		truth.Distances[i] = dist
-		truth.Thresholds[i] = det.Threshold()
-		if bad {
+		truth.Anomalous[i] = res.Anomalous
+		if res.Anomalous {
 			truth.NumAnomalous++
 		} else {
 			truth.NumNormal++

@@ -1,12 +1,11 @@
 package oracle
 
 import (
-	"errors"
 	"math"
 
 	"streampca/internal/core"
 	"streampca/internal/mat"
-	"streampca/internal/stats"
+	"streampca/internal/pca"
 )
 
 // ModelCheckConfig parameterizes the spectral and detection checks.
@@ -36,6 +35,54 @@ const svSignificance = 1e-3
 // the eigengap λ²_r − λ²_{r+1}, so it is vacuous (astronomically large) when
 // the gap is a negligible fraction of the spectral energy.
 const gapSignificance = 1e-6
+
+// Reference is the exact side of the paper's spectral bounds for one sketch
+// model: what Lemmas 5–6 and Theorem 2 compare the model against, measured
+// on the true window it summarizes. CheckModel asserts on it; eval.CheckBounds
+// prints it.
+type Reference struct {
+	// Exact is the exact PCA (internal/pca) of the centered window Yc: η_j
+	// descending, to set against the model's λ̂_j (Lemma 5).
+	Exact *pca.Model
+	// Det is the exact detector at the sketch model's rank: the d_Y(y) that
+	// Theorem 2 sets against d_Ẑ(y), with the exact Q-statistic threshold.
+	Det *pca.Detector
+	// Energy is ‖Yc‖²_F and CovDiff is ‖V·diag(λ̂²)·Vᵀ − YcᵀYc‖_F, the two
+	// sides of Lemma 6.
+	Energy  float64
+	CovDiff float64
+	// Gap is η²_r − η²_{r+1}, the denominator of Theorem 2's bound; 0 when the
+	// rank leaves no cut inside the spectrum.
+	Gap float64
+}
+
+// MeasureModel fits the exact reference for model on the n×m window of raw
+// measurement vectors it was built from. window is centered in place.
+func MeasureModel(model *core.Model, window *mat.Matrix, alpha float64) (Reference, error) {
+	var ref Reference
+	n := window.Rows()
+	means := window.CenterColumns()
+	for i := 0; i < n; i++ {
+		for _, v := range window.RowView(i) {
+			ref.Energy += v * v
+		}
+	}
+	// Same kernel, same ordering convention (descending) as the detector
+	// applies to the sketch matrix.
+	gram := window.Gram()
+	var err error
+	if ref.Exact, err = pca.NewModel(gram, means, n); err != nil {
+		return ref, err
+	}
+	if ref.Det, err = pca.NewDetector(ref.Exact, model.Rank, alpha); err != nil {
+		return ref, err
+	}
+	ref.CovDiff = covarianceDiffFrob(model, gram)
+	if r, eta := model.Rank, ref.Exact.Singular; r >= 1 && r < len(eta) {
+		ref.Gap = eta[r-1]*eta[r-1] - eta[r]*eta[r]
+	}
+	return ref, nil
+}
 
 // CheckModel differentially validates one NOC model and the decision it
 // produced against an exact batch-PCA reference fitted on the true window
@@ -79,31 +126,20 @@ func CheckModel(model *core.Model, dec core.Decision, x []float64, vw *VectorWin
 		deadBand = 0.2
 	}
 
-	// Exact reference spectrum: center the true window column-wise and
-	// eigendecompose its Gram matrix — same kernel, same ordering convention
-	// (descending) as the detector applies to the sketch matrix.
-	exactMeans := y.CenterColumns()
-	frob2 := 0.0
-	for i := 0; i < n; i++ {
-		for _, v := range y.RowView(i) {
-			frob2 += v * v
-		}
-	}
-	eig, err := mat.SymEigen(y.Gram())
+	ref, err := MeasureModel(model, y, cfg.Alpha)
 	if err != nil {
 		res.Checks++
 		res.Violations = append(res.Violations, Violation{
-			Check: "exact-eigen", Err: math.Inf(1), Bound: 0,
-			Detail: "exact window eigendecomposition failed: " + err.Error(),
+			Check: "exact-reference", Err: math.Inf(1), Bound: 0,
+			Detail: "exact window reference failed: " + err.Error(),
 		})
 		return res, true
 	}
-	exactVals := eig.Values // λ²_j descending
+	exactVals := make([]float64, m) // η²_j descending
 	total := 0.0
-	for _, lam := range exactVals {
-		if lam > 0 {
-			total += lam
-		}
+	for j, eta := range ref.Exact.Singular {
+		exactVals[j] = eta * eta
+		total += exactVals[j]
 	}
 
 	// Lemma 5 — per-component squared-singular-value ratios.
@@ -115,10 +151,10 @@ func CheckModel(model *core.Model, dec core.Decision, x []float64, vw *VectorWin
 		}
 		hat := model.Singular[j] * model.Singular[j]
 		if hat == 0 {
-			// Truncated spectra (the rSVD sampling budget, FD's ≤ Σ2ℓ basis
-			// rows) carry exact-zero tail values by construction; the energy
-			// they omit is still covered by Lemma 6's global covariance bound
-			// below, so only estimated components face the ratio check.
+			// Truncated spectra (FD's ≤ Σ2ℓ basis rows) carry exact-zero tail
+			// values by construction; the energy they omit is still covered
+			// by Lemma 6's global covariance bound below, so only estimated
+			// components face the ratio check.
 			continue
 		}
 		if e := math.Abs(hat-exact) / exact; e > worst {
@@ -133,39 +169,28 @@ func CheckModel(model *core.Model, dec core.Decision, x []float64, vw *VectorWin
 
 	// Lemma 6 — ‖Â − A‖_F ≤ √6·ε·‖Yc‖²_F with Â from the model's own
 	// eigenpairs and A = YcᵀYc exactly.
-	if frob2 > 0 {
-		diffF := covarianceDiffFrob(model, y.Gram())
-		res.check("lemma6", diffF/frob2, math.Sqrt(6)*eps,
-			"‖Ahat−A‖_F = %.6g, ‖Yc‖²_F = %.6g", diffF, frob2)
+	if ref.Energy > 0 {
+		res.check("lemma6", ref.CovDiff/ref.Energy, math.Sqrt(6)*eps,
+			"‖Ahat−A‖_F = %.6g, ‖Yc‖²_F = %.6g", ref.CovDiff, ref.Energy)
 	}
 
 	// Exact batch detector: distance of x against the exact subspace at the
-	// model's rank, threshold from the exact spectrum.
-	rank := model.Rank
-	if rank < 0 || rank > m {
-		return res, true
-	}
-	exactDist := exactDistance(x, exactMeans, eig.Vectors, rank)
+	// model's rank. len(x) == m was checked above, the only error either call
+	// can return.
+	exactDist, _ := ref.Det.Distance(x)
+	yc, _ := ref.Exact.Center(x)
 
 	// Theorem 2 — additive distance bound, meaningful only with a real
 	// eigengap at the subspace cut. allow is carried into the alarm-agreement
 	// gate: classification differences the distance bound permits are not
 	// violations.
 	allow := math.Inf(1)
-	if rank >= 1 && rank < m {
-		gap := exactVals[rank-1] - exactVals[rank]
-		if gap > gapSignificance*total && total > 0 {
-			yNorm := 0.0
-			for j, v := range x {
-				d := v - exactMeans[j]
-				yNorm += d * d
-			}
-			yNorm = math.Sqrt(yNorm)
-			allow = 2 * math.Sqrt(3*eps) * frob2 * yNorm / gap
-			res.check("theorem2", math.Abs(dec.Distance-exactDist), allow,
-				"sketch distance %.6g vs exact %.6g (gap %.3g, ‖y‖ %.3g)",
-				dec.Distance, exactDist, gap, yNorm)
-		}
+	if ref.Gap > gapSignificance*total && total > 0 {
+		yNorm := math.Sqrt(mat.Dot(yc, yc))
+		allow = 2 * math.Sqrt(3*eps) * ref.Energy * yNorm / ref.Gap
+		res.check("theorem2", math.Abs(dec.Distance-exactDist), allow,
+			"sketch distance %.6g vs exact %.6g (gap %.3g, ‖y‖ %.3g)",
+			dec.Distance, exactDist, ref.Gap, yNorm)
 	}
 
 	// Decision consistency — with a usable threshold, the alarm bit must be
@@ -184,36 +209,22 @@ func CheckModel(model *core.Model, dec core.Decision, x []float64, vw *VectorWin
 	// Alarm agreement — the sketch and exact detectors must classify
 	// identically whenever the disagreement cannot be explained by the
 	// approximation bounds: the exact margin exceeds the dead band AND the
-	// sketch-exact distance gap exceeds the Theorem 2 allowance.
-	if !dec.ThresholdUnavailable && !model.ThresholdUnavailable {
-		exactSV := make([]float64, m)
-		for j, lam := range exactVals {
-			if lam < 0 {
-				lam = 0
-			}
-			exactSV[j] = math.Sqrt(lam)
-		}
-		exactTh, err := stats.QStatistic(exactSV, n, rank, cfg.Alpha)
-		switch {
-		case err == nil:
-			gapExplains := math.Abs(dec.Distance-exactDist) <= allow
-			if dec.Anomalous && exactDist < (1-deadBand)*exactTh && !gapExplains {
-				res.check("alarm-agreement", 1, 0,
-					"sketch alarmed (d %.6g > δ %.6g) but exact is clearly normal (d %.6g, δ %.6g)",
-					dec.Distance, dec.Threshold, exactDist, exactTh)
-			} else if !dec.Anomalous && exactDist > (1+deadBand)*exactTh && !gapExplains {
-				res.check("alarm-agreement", 1, 0,
-					"sketch stayed quiet (d %.6g ≤ δ %.6g) but exact clearly alarms (d %.6g, δ %.6g)",
-					dec.Distance, dec.Threshold, exactDist, exactTh)
-			} else {
-				res.Checks++ // agreement evaluated, no violation
-			}
-		case !errors.Is(err, stats.ErrDegenerate):
-			res.Checks++
-			res.Violations = append(res.Violations, Violation{
-				Check: "exact-threshold", Err: math.Inf(1), Bound: 0,
-				Detail: "exact Q-statistic failed: " + err.Error(),
-			})
+	// sketch-exact distance gap exceeds the Theorem 2 allowance. An exact
+	// spectrum with no control limit (+Inf, see pca.NewDetector) has nothing
+	// to agree with.
+	exactTh := ref.Det.Threshold()
+	if !dec.ThresholdUnavailable && !model.ThresholdUnavailable && !math.IsInf(exactTh, 1) {
+		gapExplains := math.Abs(dec.Distance-exactDist) <= allow
+		if dec.Anomalous && exactDist < (1-deadBand)*exactTh && !gapExplains {
+			res.check("alarm-agreement", 1, 0,
+				"sketch alarmed (d %.6g > δ %.6g) but exact is clearly normal (d %.6g, δ %.6g)",
+				dec.Distance, dec.Threshold, exactDist, exactTh)
+		} else if !dec.Anomalous && exactDist > (1+deadBand)*exactTh && !gapExplains {
+			res.check("alarm-agreement", 1, 0,
+				"sketch stayed quiet (d %.6g ≤ δ %.6g) but exact clearly alarms (d %.6g, δ %.6g)",
+				dec.Distance, dec.Threshold, exactDist, exactTh)
+		} else {
+			res.Checks++ // agreement evaluated, no violation
 		}
 	}
 	return res, true
@@ -245,28 +256,4 @@ func covarianceDiffFrob(model *core.Model, a *mat.Matrix) float64 {
 		}
 	}
 	return math.Sqrt(sum)
-}
-
-// exactDistance is the batch anomaly distance of x against the exact
-// subspace: ‖(I − PPᵀ)(x − μ)‖ with P the first rank exact components.
-func exactDistance(x, means []float64, components *mat.Matrix, rank int) float64 {
-	m := len(x)
-	y := make([]float64, m)
-	for j, v := range x {
-		y[j] = v - means[j]
-	}
-	total := mat.Dot(y, y)
-	var normal float64
-	for j := 0; j < rank; j++ {
-		var s float64
-		for i := 0; i < m; i++ {
-			s += components.At(i, j) * y[i]
-		}
-		normal += s * s
-	}
-	rem := total - normal
-	if rem < 0 {
-		rem = 0
-	}
-	return math.Sqrt(rem)
 }

@@ -1,6 +1,7 @@
 package pca
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -18,10 +19,11 @@ type Detector struct {
 }
 
 // NewDetector builds a detector from a fitted model, a normal-subspace rank
-// r ∈ [0, m], and a false-alarm rate alpha ∈ (0, 1). When the residual
-// spectrum admits no Jackson–Mudholkar limit the error wraps
-// stats.ErrDegenerate; callers that only need distances (not alarms) can fall
-// back to NewDetectorThreshold.
+// r ∈ [0, m], and a false-alarm rate alpha ∈ (0, 1). A residual spectrum that
+// admits no Jackson–Mudholkar limit (stats.ErrDegenerate) is not an error:
+// the detector keeps scoring distances under a +Inf threshold, so it flags
+// nothing until a refit on a healthier window replaces it. Every exact
+// detector in the tree is built here, so that fallback is decided once.
 func NewDetector(model *Model, rank int, alpha float64) (*Detector, error) {
 	if model == nil {
 		return nil, fmt.Errorf("%w: nil model", ErrInput)
@@ -31,31 +33,17 @@ func NewDetector(model *Model, rank int, alpha float64) (*Detector, error) {
 		return nil, fmt.Errorf("%w: rank %d with %d flows", ErrRank, rank, m)
 	}
 	threshold, err := stats.QStatistic(model.Singular, model.WindowLen, rank, alpha)
+	if errors.Is(err, stats.ErrDegenerate) {
+		threshold, err = math.Inf(1), nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("q statistic: %w", err)
 	}
 	return &Detector{model: model, rank: rank, threshold: threshold}, nil
 }
 
-// NewDetectorThreshold builds a detector with a caller-supplied threshold,
-// bypassing the Q statistic. Evaluation harnesses use it with +Inf to keep
-// scoring distances when NewDetector fails with stats.ErrDegenerate (with
-// +Inf, IsAnomalous never flags).
-func NewDetectorThreshold(model *Model, rank int, threshold float64) (*Detector, error) {
-	if model == nil {
-		return nil, fmt.Errorf("%w: nil model", ErrInput)
-	}
-	m := model.NumFlows()
-	if rank < 0 || rank > m {
-		return nil, fmt.Errorf("%w: rank %d with %d flows", ErrRank, rank, m)
-	}
-	if math.IsNaN(threshold) || threshold < 0 {
-		return nil, fmt.Errorf("%w: threshold %v", ErrInput, threshold)
-	}
-	return &Detector{model: model, rank: rank, threshold: threshold}, nil
-}
-
-// Threshold returns the Q-statistic threshold on the distance scale.
+// Threshold returns the Q-statistic threshold on the distance scale; +Inf
+// when the model's residual spectrum admits none.
 func (d *Detector) Threshold() float64 { return d.threshold }
 
 // Distance returns the anomaly distance of a raw measurement vector x:

@@ -14,8 +14,8 @@ import (
 // the second-moment accumulation numerically well conditioned for
 // large-magnitude traffic volumes.
 //
-// Incremental produces bitwise-comparable results to Fit (same eigensolver,
-// same Gram matrix up to rounding); the evaluation harness uses it to make
+// Incremental produces bitwise-comparable results to Fit (same NewModel,
+// same Gram matrix up to rounding); SlidingDetector runs on it, which makes
 // per-interval Lakhina retraining affordable at the paper's scale.
 type Incremental struct {
 	n, m   int
@@ -119,25 +119,9 @@ func (inc *Incremental) Model() (*Model, error) {
 			g.Set(b, a, g.At(a, b))
 		}
 	}
-	eig, err := mat.SymEigen(g)
-	if err != nil {
-		return nil, fmt.Errorf("incremental eigendecomposition: %w", err)
-	}
-	sv := make([]float64, inc.m)
-	for j, lam := range eig.Values {
-		if lam < 0 {
-			lam = 0
-		}
-		sv[j] = math.Sqrt(lam)
-	}
 	means := make([]float64, inc.m)
 	for j := range means {
 		means[j] = inc.ref[j] + inc.sum[j]/nf
 	}
-	return &Model{
-		Components: eig.Vectors,
-		Singular:   sv,
-		Means:      means,
-		WindowLen:  inc.n,
-	}, nil
+	return NewModel(g, means, inc.n)
 }

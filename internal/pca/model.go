@@ -39,20 +39,18 @@ type Model struct {
 	WindowLen int
 }
 
-// Fit computes the PCA of the n×m measurement matrix x (raw volumes; the
-// column means are removed internally and retained in the model). The
-// decomposition runs on the m×m Gram matrix YᵀY, whose eigenvalues are η².
-func Fit(x *mat.Matrix) (*Model, error) {
-	n, m := x.Rows(), x.Cols()
-	if n < 2 || m < 1 {
-		return nil, fmt.Errorf("%w: %dx%d matrix", ErrInput, n, m)
+// NewModel turns the m×m Gram matrix of a centered window — YᵀY, whose
+// eigenvalues are η², or ẐᵀẐ of a sketch standing in for it — together with
+// the column means that were removed and the window length n into a Model.
+// Every exact decomposition in the tree goes through here, so the clamp of
+// negative rounding noise and the descending order are decided once.
+func NewModel(gram *mat.Matrix, means []float64, n int) (*Model, error) {
+	m := len(means)
+	if n < 2 || m < 1 || gram.Rows() != m || gram.Cols() != m {
+		return nil, fmt.Errorf("%w: %dx%d gram matrix for %d flows over %d rows",
+			ErrInput, gram.Rows(), gram.Cols(), m, n)
 	}
-	if !x.IsFinite() {
-		return nil, fmt.Errorf("%w: non-finite measurements", ErrInput)
-	}
-	y := x.Clone()
-	means := y.CenterColumns()
-	eig, err := mat.SymEigen(y.Gram())
+	eig, err := mat.SymEigen(gram)
 	if err != nil {
 		return nil, fmt.Errorf("eigendecomposition: %w", err)
 	}
@@ -63,12 +61,18 @@ func Fit(x *mat.Matrix) (*Model, error) {
 		}
 		sv[j] = math.Sqrt(lam)
 	}
-	return &Model{
-		Components: eig.Vectors,
-		Singular:   sv,
-		Means:      means,
-		WindowLen:  n,
-	}, nil
+	return &Model{Components: eig.Vectors, Singular: sv, Means: means, WindowLen: n}, nil
+}
+
+// Fit computes the PCA of the n×m measurement matrix x (raw volumes; the
+// column means are removed internally and retained in the model).
+func Fit(x *mat.Matrix) (*Model, error) {
+	if !x.IsFinite() {
+		return nil, fmt.Errorf("%w: non-finite measurements", ErrInput)
+	}
+	y := x.Clone()
+	means := y.CenterColumns()
+	return NewModel(y.Gram(), means, x.Rows())
 }
 
 // NumFlows returns m.

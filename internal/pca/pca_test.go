@@ -231,14 +231,17 @@ func TestWindowRing(t *testing.T) {
 	if !w.Full() || w.Len() != 3 {
 		t.Fatal("window must be full with 3 rows")
 	}
-	m := w.Matrix()
-	// Oldest remaining is row 3.
-	want := [][]float64{{3, 30}, {4, 40}, {5, 50}}
-	for i := range want {
-		for j := range want[i] {
-			if m.At(i, j) != want[i][j] {
-				t.Fatalf("window matrix = %v", m)
-			}
+	// Rows 3, 4, 5 remain; each further push evicts the oldest in turn.
+	for want := 3.0; want <= 5; want++ {
+		oldest, err := w.Oldest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oldest[0] != want || oldest[1] != 10*want {
+			t.Fatalf("oldest = %v, want row %v", oldest, want)
+		}
+		if err := w.Push([]float64{0, 0}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := w.Push([]float64{1}); !errors.Is(err, ErrInput) {

@@ -1,13 +1,6 @@
 package pca
 
-import (
-	"errors"
-	"fmt"
-	"math"
-
-	"streampca/internal/mat"
-	"streampca/internal/stats"
-)
+import "fmt"
 
 // Window is a fixed-capacity ring buffer of measurement vectors, oldest
 // evicted first — the O(nm) state Lakhina's method must keep.
@@ -58,17 +51,6 @@ func (w *Window) Oldest() ([]float64, error) {
 	return w.rows[w.head*w.m : (w.head+1)*w.m], nil
 }
 
-// Matrix materializes the window contents as a Len()×m matrix, oldest row
-// first. The data is copied.
-func (w *Window) Matrix() *mat.Matrix {
-	out := mat.NewMatrix(w.count, w.m)
-	for i := 0; i < w.count; i++ {
-		slot := (w.head + i) % w.n
-		copy(out.RowView(i), w.rows[slot*w.m:(slot+1)*w.m])
-	}
-	return out
-}
-
 // SlidingConfig parameterizes a SlidingDetector.
 type SlidingConfig struct {
 	// WindowLen is n. Required, ≥ 2.
@@ -80,17 +62,19 @@ type SlidingConfig struct {
 	// Alpha is the false-alarm rate for the Q threshold.
 	Alpha float64
 	// RefitEvery is the retraining cadence in intervals once the window is
-	// full; 1 (the default when 0) refits on every interval, which is the
-	// O(m²n)-per-interval cost profile the paper attributes to Lakhina's
-	// method.
+	// full; 1 (the default when 0) refits on every interval, the cadence of
+	// the paper's cost model for Lakhina's method.
 	RefitEvery int
 }
 
 // SlidingDetector runs the full (exact) Lakhina method online: it keeps the
-// raw window, refits PCA on a cadence and tests each arriving vector.
+// raw window (as an Incremental, so a refit is O(m²) to assemble plus the
+// eigensolve), refits PCA on a cadence and tests each arriving vector. It is
+// the tree's one sliding exact detector; the evaluation harness reads ground
+// truth off it.
 type SlidingDetector struct {
 	cfg        SlidingConfig
-	window     *Window
+	inc        *Incremental
 	det        *Detector
 	sinceRefit int
 }
@@ -109,11 +93,11 @@ func NewSlidingDetector(cfg SlidingConfig) (*SlidingDetector, error) {
 	if cfg.Alpha <= 0 || cfg.Alpha >= 1 {
 		return nil, fmt.Errorf("%w: alpha %v", ErrInput, cfg.Alpha)
 	}
-	w, err := NewWindow(cfg.WindowLen, cfg.NumFlows)
+	inc, err := NewIncremental(cfg.WindowLen, cfg.NumFlows)
 	if err != nil {
 		return nil, err
 	}
-	return &SlidingDetector{cfg: cfg, window: w}, nil
+	return &SlidingDetector{cfg: cfg, inc: inc}, nil
 }
 
 // Result reports the outcome of one Observe call.
@@ -123,55 +107,42 @@ type Result struct {
 	Ready bool
 	// Distance is the anomaly distance of the observed vector.
 	Distance float64
-	// Threshold is the Q-statistic threshold in force.
+	// Threshold is the Q-statistic threshold in force; +Inf while the model's
+	// residual spectrum admits none (see NewDetector), until a refit recovers.
 	Threshold float64
 	// Anomalous reports Distance > Threshold.
 	Anomalous bool
 	// Refitted reports whether this observation triggered a PCA refit.
 	Refitted bool
-	// ThresholdUnavailable reports that the current model's residual
-	// spectrum admits no Q threshold (stats.ErrDegenerate); Threshold is
-	// then +Inf and Anomalous is always false until a refit recovers.
-	ThresholdUnavailable bool
 }
 
 // Observe pushes a measurement vector and tests it against the current
 // model, refitting PCA on the configured cadence.
 func (s *SlidingDetector) Observe(x []float64) (Result, error) {
-	if err := s.window.Push(x); err != nil {
+	if err := s.inc.Push(x); err != nil {
 		return Result{}, err
 	}
-	if !s.window.Full() {
+	if !s.inc.Full() {
 		return Result{}, nil
 	}
-	var res Result
+	res := Result{Ready: true}
 	s.sinceRefit++
 	if s.det == nil || s.sinceRefit >= s.cfg.RefitEvery {
-		model, err := Fit(s.window.Matrix())
+		model, err := s.inc.Model()
 		if err != nil {
 			return Result{}, fmt.Errorf("refit: %w", err)
 		}
-		det, err := NewDetector(model, s.cfg.Rank, s.cfg.Alpha)
-		if errors.Is(err, stats.ErrDegenerate) {
-			// No trustworthy threshold on this window's spectrum: keep
-			// scoring distances, never alarm, recover on a later refit.
-			det, err = NewDetectorThreshold(model, s.cfg.Rank, math.Inf(1))
-		}
-		if err != nil {
+		if s.det, err = NewDetector(model, s.cfg.Rank, s.cfg.Alpha); err != nil {
 			return Result{}, fmt.Errorf("refit: %w", err)
 		}
-		s.det = det
 		s.sinceRefit = 0
 		res.Refitted = true
 	}
-	anomalous, dist, err := s.det.IsAnomalous(x)
+	var err error
+	res.Anomalous, res.Distance, err = s.det.IsAnomalous(x)
 	if err != nil {
 		return Result{}, err
 	}
-	res.Ready = true
-	res.Distance = dist
 	res.Threshold = s.det.Threshold()
-	res.Anomalous = anomalous
-	res.ThresholdUnavailable = math.IsInf(res.Threshold, 1)
 	return res, nil
 }
