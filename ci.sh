@@ -70,7 +70,10 @@ step_done
 # The chaos e2e suite (fault-injected NOC/monitor deployments, the
 # trace-lineage e2e, and the PR9 aggregator-failover scenario) is where the
 # retry, breaker and reconnect goroutines actually contend; run it under the
-# race detector explicitly so a -run filter change elsewhere can't drop it. CHAOS_FLIGHT_DIR redirects the
+# race detector explicitly so a -run filter change elsewhere can't drop it.
+# The same regex gates the one degraded-fill rule (TestDegraded*: its
+# family-granular table in internal/tier, the aggregator's per-flow
+# substitution in internal/agg). CHAOS_FLIGHT_DIR redirects the
 # suite's flight-recorder JSONL to a kept directory; on failure the audit
 # records are dumped so the workflow can collect them as artifacts.
 step "go test -race chaos e2e"
@@ -78,7 +81,7 @@ CHAOS_FLIGHT_DIR="${CHAOS_FLIGHT_DIR:-$(pwd)/ci-artifacts/chaos-flight}"
 export CHAOS_FLIGHT_DIR
 mkdir -p "$CHAOS_FLIGHT_DIR"
 rm -f "$CHAOS_FLIGHT_DIR"/*.jsonl
-if ! go test -race -run 'TestChaos' ./internal/noc/ ./cmd/sketchpca-monitor/; then
+if ! go test -race -run 'TestChaos|TestDegraded' ./internal/noc/ ./cmd/sketchpca-monitor/ ./internal/tier/ ./internal/agg/; then
     echo "chaos e2e FAILED; flight-recorder JSONL from $CHAOS_FLIGHT_DIR:" >&2
     for f in "$CHAOS_FLIGHT_DIR"/*.jsonl; do
         [ -f "$f" ] || continue

@@ -75,11 +75,6 @@ func run(args []string) error {
 			}
 		}
 	}
-	staleness := degraded.MaxStaleness
-	if staleness == 0 {
-		staleness = int64(*window / 4)
-	}
-
 	svc, err := agg.New(agg.Config{
 		ID:                  *id,
 		Family:              fam,
@@ -93,7 +88,7 @@ func run(args []string) error {
 		FetchRetries:        fetch.Retries,
 		FetchBackoff:        fetch.Backoff,
 		FetchBackoffMax:     fetch.BackoffMax,
-		Degraded:            agg.DegradedPolicy{Enabled: degraded.Enabled, MaxStaleness: staleness},
+		Degraded:            agg.DegradedPolicy{Enabled: degraded.Enabled, MaxStaleness: degraded.MaxStaleness},
 		MaxPendingIntervals: *pendIntv,
 		Reconnect:           reconn.Enabled,
 		ReconnectBackoff:    reconn.Backoff,

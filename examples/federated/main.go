@@ -116,7 +116,7 @@ func run(metricsAddr string, sketcher string) error {
 			SketchLen:    sketchParam,
 			Seed:         seed,
 			FetchRetries: 2,
-			Degraded:     agg.DegradedPolicy{Enabled: true, MaxStaleness: int64(windowLen / 4)},
+			Degraded:     agg.DegradedPolicy{Enabled: true},
 			Reconnect:    true,
 		})
 		if err != nil {

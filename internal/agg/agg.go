@@ -14,12 +14,12 @@
 // monitor wire protocol, only tagging its Hello with transport.RoleAggregator
 // — and its own are the same code.
 //
-// Fault model: a dead downstream monitor is served from the tier's report
-// cache (the response is tagged Degraded/StaleFlows, which the NOC folds into
-// core.Fetch); a dead aggregator's monitors re-place themselves onto
-// surviving candidates via the ShardMap it pushed (Rendezvous), and the
-// survivor re-announces its grown flow union with a repeat Hello on its live
-// NOC connection.
+// Fault model: a dead downstream monitor is served from the tier's sketch
+// cache by the NOC's rule (the response is tagged Degraded/StaleFlows, which
+// the NOC folds into core.Fetch); a dead aggregator's monitors re-place
+// themselves onto surviving candidates via the ShardMap it pushed
+// (Rendezvous), and the survivor re-announces its grown flow union with a
+// repeat Hello on its live NOC connection.
 package agg
 
 import (
@@ -38,9 +38,11 @@ import (
 // ErrConfig indicates an invalid service configuration.
 var ErrConfig = errors.New("agg: invalid configuration")
 
-// DegradedPolicy mirrors the NOC's: substitute an unresponsive monitor's
-// cached snapshot into the merge when it is no staler than MaxStaleness
-// intervals (symmetric distance) from the fetch reference point.
+// DegradedPolicy is the NOC's (see tier.DegradedPolicy): substitute an
+// unresponsive monitor's cached sketches into the merge when they are no
+// staler than MaxStaleness intervals (symmetric distance) from the pull's
+// reference point. MaxStaleness 0 selects max(1, WindowLen/4); a negative
+// bound is refused.
 type DegradedPolicy = tier.DegradedPolicy
 
 // Config parameterizes an aggregator service.
@@ -185,6 +187,9 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.FetchRetries < 0 {
 		return nil, fmt.Errorf("%w: %d fetch retries", ErrConfig, cfg.FetchRetries)
+	}
+	if cfg.Degraded.MaxStaleness < 0 {
+		return nil, fmt.Errorf("%w: max staleness %d", ErrConfig, cfg.Degraded.MaxStaleness)
 	}
 	if cfg.MaxPendingIntervals <= 0 {
 		cfg.MaxPendingIntervals = 8
@@ -377,41 +382,34 @@ func (s *Service) forwardVolumes(iv tier.Interval) {
 	s.met.volumeForwards.Inc()
 }
 
-// serveFetch answers one upstream sketch pull: pull the registered monitors
-// (retry rounds and breaker in the tier), substitute cached snapshots for
-// the unresponsive under the degraded policy, merge, and send one response.
+// serveFetch answers one upstream sketch pull: one tier pull of the
+// registered monitors (retry rounds, breaker and, under the degraded policy,
+// cache substitution), merged into one response.
 func (s *Service) serveFetch(up *transport.Conn, upReqID uint64, tc *transport.TraceContext) {
 	defer s.pulls.Done()
 	p := s.down.Pull(nil, tc)
-	stale, _ := s.down.FillCached(p)
 	if len(p.Reports) == 0 {
 		s.log.Warn("sketch pull unanswerable: no live or cached snapshots", "request", upReqID)
 		return
 	}
-	snaps := make([]sketch.Snapshot, 0, len(p.Reports))
-	for _, rep := range p.Reports {
-		snaps = append(snaps, rep)
-	}
-	merged, err := sketch.MergeColumns(snaps, s.cfg.SketchLen)
+	merged, err := sketch.MergeColumns(p.Reports, s.cfg.SketchLen)
 	if err != nil {
 		s.met.mergeErrors.Inc()
-		s.log.Warn("sketch merge failed", "request", upReqID, "inputs", len(snaps), "err", err)
+		s.log.Warn("sketch merge failed", "request", upReqID, "inputs", len(p.Reports), "err", err)
 		return
 	}
 	s.met.fetches.Inc()
-	s.met.staleFlows.Set(float64(stale))
-	if stale > 0 {
+	s.met.staleFlows.Set(float64(p.Filled))
+	if p.Filled > 0 {
 		s.met.degradedMerges.Inc()
-		s.log.Warn("degraded merge", "request", upReqID, "stale_flows", stale)
+		s.log.Warn("degraded merge", "request", upReqID, "stale_flows", p.Filled)
 	}
-	// Degradation the answers themselves declared (a tier below serving from
-	// its own cache) composes with this tier's substitutions.
 	resp := transport.SketchResponse{
 		RequestID:  upReqID,
 		MonitorID:  s.cfg.ID,
 		Report:     merged,
-		Degraded:   stale > 0 || p.Degraded,
-		StaleFlows: stale + p.Stale,
+		Degraded:   p.Degraded,
+		StaleFlows: p.Stale,
 	}
 	if err := up.Send(transport.Envelope{Response: &resp, Trace: tc}); err != nil {
 		s.log.Warn("merged response send failed", "request", upReqID, "err", err)

@@ -368,6 +368,59 @@ func TestFetchSubstitutesCachedSnapshot(t *testing.T) {
 	_ = m2 // kept open but silent
 }
 
+// TestDegradedMergeFillsPartlyReclaimedMonitor: a dead monitor whose flows
+// were partly claimed again is not dropped whole — the aggregator fills the
+// unclaimed randproj column from cache per flow, as the NOC does.
+func TestDegradedMergeFillsPartlyReclaimedMonitor(t *testing.T) {
+	cfg := testConfig()
+	cfg.FetchTimeout = 150 * time.Millisecond
+	s := newTestAgg(t, cfg)
+	m1 := attachMonitor(t, s, "m1", []int{0, 1})
+	m2 := attachMonitor(t, s, "m2", []int{4, 5})
+	noc, _ := attachFakeNOC(t, s)
+	// Re-Hellos announcing the changing union arrive between the responses.
+	response := func() *transport.SketchResponse {
+		t.Helper()
+		for {
+			if env := recvEnvelope(t, noc); env.Response != nil {
+				return env.Response
+			}
+		}
+	}
+
+	if err := noc.Send(transport.Envelope{Request: &transport.SketchRequest{RequestID: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	goServe(t, m1, "m1", randprojReport(2, []int{0, 1}))
+	goServe(t, m2, "m2", randprojReport(2, []int{4, 5}))
+	if resp := response(); resp.Degraded {
+		t.Fatalf("warm-up pull degraded: %+v", resp)
+	}
+
+	// m2 dies and m3 claims flow 5 of its two.
+	_ = m2.Close()
+	waitFor(t, func() bool { return len(s.Monitors()) == 1 }, "m2 dropped")
+	m3 := attachMonitor(t, s, "m3", []int{5})
+	if err := noc.Send(transport.Envelope{Request: &transport.SketchRequest{RequestID: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	goServe(t, m1, "m1", randprojReport(3, []int{0, 1}))
+	goServe(t, m3, "m3", randprojReport(3, []int{5}))
+	resp := response()
+	if !resp.Degraded || resp.StaleFlows != 1 {
+		t.Fatalf("degraded = %v stale = %d, want true/1 (flow 4 from m2's cached column)", resp.Degraded, resp.StaleFlows)
+	}
+	if want := []int{0, 1, 4, 5}; !reflect.DeepEqual(resp.Report.FlowIDs, want) {
+		t.Fatalf("merged flows = %v, want %v", resp.Report.FlowIDs, want)
+	}
+	if want := randprojReport(2, []int{4}).Sketches[0]; !reflect.DeepEqual(resp.Report.Sketches[2], want) {
+		t.Fatalf("flow 4 column = %v, want m2's cached %v", resp.Report.Sketches[2], want)
+	}
+	if want := randprojReport(3, []int{5}).Sketches[0]; !reflect.DeepEqual(resp.Report.Sketches[3], want) {
+		t.Fatalf("flow 5 column = %v, want m3's fresh %v", resp.Report.Sketches[3], want)
+	}
+}
+
 func TestRegisterRejections(t *testing.T) {
 	s := newTestAgg(t, testConfig())
 	good := attachMonitor(t, s, "good", []int{0, 1})
@@ -519,6 +572,7 @@ func TestConfigValidation(t *testing.T) {
 		{ID: "a", Family: sketch.FamilyRandProj, NumFlows: 1, WindowLen: 1, SketchLen: 0},
 		{ID: "a", Family: sketch.Family(99), NumFlows: 1, WindowLen: 1, SketchLen: 1},
 		{ID: "a", Family: sketch.FamilyRandProj, NumFlows: 1, WindowLen: 1, SketchLen: 1, FetchRetries: -1},
+		{ID: "a", Family: sketch.FamilyRandProj, NumFlows: 1, WindowLen: 1, SketchLen: 1, Degraded: DegradedPolicy{Enabled: true, MaxStaleness: -1}},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

@@ -147,6 +147,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // Detector returns the NOC detector.
 func (c *Cluster) Detector() *Detector { return c.detector }
 
+// Monitors returns the cluster's monitors, in flow-assignment order (monitor
+// i owns flows i, i+NumMonitors, …).
+func (c *Cluster) Monitors() []*Monitor { return c.monitors }
+
 // Update feeds interval t's full volume vector to the owning monitors.
 func (c *Cluster) Update(t int64, volumes []float64) error {
 	if len(volumes) != len(c.flowOwner) {

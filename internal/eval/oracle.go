@@ -41,25 +41,14 @@ func OracleSweep(s Scenario) ([]OracleRow, error) {
 // oracleScenario replays the workload through a one-monitor cluster and
 // merges every sampled oracle pass. It uses the same Checker type the
 // -selfcheck daemons embed, so the eval exercises the production validation
-// path. The monitor-side checks read variance histograms, which core.Cluster
-// keeps to itself; they run on a twin of the cluster's monitor, built from
-// the same generator and fed the same rows (a monitor's state is a pure
-// function of the two).
+// path: the monitor-side checks read the cluster's own variance histograms.
+// The checkers get their own generator from the same configuration — a
+// projection is a pure function of it.
 func (s Scenario) oracleScenario() (oracle.Result, error) {
 	var total oracle.Result
 	m := s.Trace.NumFlows()
 	s.Monitors = 1
 	gen, err := randproj.NewGenerator(s.sketchConfig())
-	if err != nil {
-		return total, err
-	}
-	flowIDs := make([]int, m)
-	for j := range flowIDs {
-		flowIDs[j] = j
-	}
-	twin, err := core.NewMonitor(core.MonitorConfig{
-		FlowIDs: flowIDs, WindowLen: s.WindowLen, Epsilon: s.Epsilon, Gen: gen,
-	})
 	if err != nil {
 		return total, err
 	}
@@ -79,10 +68,7 @@ func (s Scenario) oracleScenario() (oracle.Result, error) {
 	}
 	_, err = s.Replay(sketch.FamilyRandProj, func(cl *core.Cluster, st Step) error {
 		t := int64(st.Index + 1)
-		if err := twin.Update(t, st.Volumes); err != nil {
-			return err
-		}
-		total.Merge(monChk.ObserveMonitor(t, st.Volumes, twin))
+		total.Merge(monChk.ObserveMonitor(t, st.Volumes, cl.Monitors()[0]))
 		if res, ok := nocChk.ObserveNOC(t, st.Volumes, st.Decision, cl.Detector().Model()); ok {
 			total.Merge(res)
 		}

@@ -32,10 +32,10 @@ type FlightMonitor struct {
 	// -1 when the NOC has never validated a report from this monitor.
 	SketchInterval int64 `json:"sketch_interval"`
 	SketchAge      int64 `json:"sketch_age"`
-	// Stale marks a sketch further than DegradedPolicy.MaxStaleness from
-	// the decision interval in either direction — the symmetric distance of
-	// DegradedPolicy.Fresh, so a registrant that raced ahead (negative age)
-	// is flagged exactly when its cache entry would be refused.
+	// Stale marks, in degraded mode, a sketch DegradedPolicy.Fresh refuses
+	// at the decision interval — the symmetric distance, so a registrant
+	// that raced ahead (negative age) is flagged exactly when its cache
+	// entry would be refused.
 	Stale       bool `json:"stale,omitempty"`
 	BreakerOpen bool `json:"breaker_open,omitempty"`
 }
@@ -129,15 +129,12 @@ func (s *Service) flightRecord(item tier.Interval, res core.Decision, warmup, de
 			rec.Identified = append(rec.Identified, FlightIdentified{Flow: f.Flow, Amount: f.Amount, Confidence: f.Confidence})
 		}
 	}
+	pol := s.down.Degraded()
 	for _, r := range s.down.Registrants() {
 		fm := FlightMonitor{ID: r.ID, Flows: r.Flows, SketchInterval: r.SketchInterval, SketchAge: -1, BreakerOpen: r.BreakerOpen}
 		if r.SketchInterval >= 0 {
 			fm.SketchAge = item.Index - r.SketchInterval
-			dist := fm.SketchAge
-			if dist < 0 {
-				dist = -dist
-			}
-			fm.Stale = s.cfg.Degraded.MaxStaleness > 0 && dist > s.cfg.Degraded.MaxStaleness
+			fm.Stale = pol.Enabled && !pol.Fresh(item.Index, r.SketchInterval)
 		}
 		rec.Monitors = append(rec.Monitors, fm)
 	}

@@ -58,7 +58,8 @@ type Decision struct {
 // instead of stalling when monitors are missing, the NOC substitutes each
 // missing flow's last validated data — volumes when assembling the
 // measurement vector, sketch reports when rebuilding the model — and flags
-// the resulting decisions Degraded. MaxStaleness defaults to WindowLen/4.
+// the resulting decisions Degraded. MaxStaleness 0 selects the tier default,
+// max(1, WindowLen/4); a negative bound is refused.
 type DegradedPolicy = tier.DegradedPolicy
 
 // Config parameterizes the NOC service.
@@ -266,15 +267,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 	}
 }
 
-// sketchEntry is one flow's last validated sketch column, kept for the
-// DegradedPolicy fallback (randproj columns are independent, so the cache is
-// per flow). Touched only from the processing goroutine.
-type sketchEntry struct {
-	sketch []float64
-	mean   float64
-	at     int64
-}
-
 // Service is the NOC. Start it with Serve, stop with Shutdown.
 type Service struct {
 	cfg  Config
@@ -295,8 +287,6 @@ type Service struct {
 	// localMon holds the NOC-side variance histograms when LocalSketches
 	// is enabled; accessed only from the processing goroutine.
 	localMon *core.Monitor
-	// sketchCache is likewise processing-goroutine-only (the fetch path).
-	sketchCache []sketchEntry
 
 	workCh   chan tier.Interval // buffered channel feeding the processor
 	procDone chan struct{}
@@ -319,11 +309,8 @@ func New(cfg Config) (*Service, error) {
 	case cfg.FetchRetries < 0:
 		cfg.FetchRetries = 0
 	}
-	if cfg.Degraded.Enabled && cfg.Degraded.MaxStaleness <= 0 {
-		cfg.Degraded.MaxStaleness = int64(cfg.Detector.WindowLen / 4)
-		if cfg.Degraded.MaxStaleness < 1 {
-			cfg.Degraded.MaxStaleness = 1
-		}
+	if cfg.Degraded.MaxStaleness < 0 {
+		return nil, fmt.Errorf("%w: max staleness %d", ErrConfig, cfg.Degraded.MaxStaleness)
 	}
 	if cfg.FlightTopK == 0 {
 		cfg.FlightTopK = defaultFlightTopK
@@ -378,17 +365,16 @@ func New(cfg Config) (*Service, error) {
 	}
 	m := cfg.Detector.NumFlows
 	s := &Service{
-		cfg:         cfg,
-		log:         log,
-		reg:         reg,
-		health:      obs.NewHealth(),
-		met:         newMetrics(reg),
-		wireMet:     transport.NewMetrics(reg),
-		sketchCache: make([]sketchEntry, m),
-		det:         det,
-		localMon:    localMon,
-		workCh:      make(chan tier.Interval, 256),
-		procDone:    make(chan struct{}),
+		cfg:      cfg,
+		log:      log,
+		reg:      reg,
+		health:   obs.NewHealth(),
+		met:      newMetrics(reg),
+		wireMet:  transport.NewMetrics(reg),
+		det:      det,
+		localMon: localMon,
+		workCh:   make(chan tier.Interval, 256),
+		procDone: make(chan struct{}),
 	}
 	s.down = tier.NewDownstream(tier.DownstreamConfig{
 		Params: tier.Params{
@@ -754,83 +740,36 @@ func (s *Service) fetchLocal(sp *trace.Span) (core.Fetch, error) {
 }
 
 // fetchSketches implements core.FetchFunc over the registered monitors: one
-// tier pull (retry rounds, breaker, report validation — see tier.Pull), and,
-// if required flows remain uncovered and DegradedPolicy allows it, each of
-// them served from its last validated sketch report (randproj: per-flow
-// columns from this NOC's cache; FD: each absent registrant's whole cached
-// block, since FD state only merges at block granularity).
+// tier pull (retry rounds, breaker, report validation and, under
+// DegradedPolicy, cache substitution — see tier.Pull), which must cover
+// every flow, assembled into core.Fetch.
 //
 // sp is the enclosing "noc.fetch" span (nil when tracing is off); the pull
-// records its rounds on it and the degraded fallback is added here.
+// records its rounds on it and the degraded outcome is added here.
 func (s *Service) fetchSketches(sp *trace.Span) (core.Fetch, error) {
 	m := s.cfg.Detector.NumFlows
-	fd := s.cfg.Detector.Family == sketch.FamilyFD
 	p := s.down.Pull(sp, traceContext(sp))
-	if !fd {
-		for _, rep := range p.Reports {
-			for i, f := range rep.FlowIDs {
-				// Monitor.Report allocates fresh slices per call, so
-				// retaining the column is safe.
-				if e := &s.sketchCache[f]; rep.Interval >= e.at || e.sketch == nil {
-					*e = sketchEntry{sketch: rep.Sketches[i], mean: rep.Means[i], at: rep.Interval}
-				}
-			}
-		}
-	}
-
-	miss := s.down.Uncovered(p)
-	filled, cachedNewest := 0, int64(0)
-	if len(miss) > 0 && fd {
-		filled, cachedNewest = s.down.FillCached(p)
-		miss = s.down.Uncovered(p)
-	}
-	reports := make([]core.SketchReport, 0, len(p.Reports))
-	for _, rep := range p.Reports {
-		reports = append(reports, rep)
-	}
-	out, err := core.AssembleFetch(s.cfg.Detector.Family, m, reports)
-	if err != nil {
-		return core.Fetch{}, err
-	}
-	// An aggregator that served part of its merge from its own degraded
-	// cache tags the response, and the resulting model must be flagged
-	// exactly like one rebuilt from this NOC's cache.
-	out.Interval, out.Degraded, out.StaleFlows = p.Newest, p.Degraded, p.Stale
-	if len(miss) > 0 && !fd {
-		still := miss[:0]
-		for _, f := range miss {
-			e := s.sketchCache[f]
-			if e.sketch == nil || !s.cfg.Degraded.Fresh(p.Ref, e.at) {
-				still = append(still, f)
-				continue
-			}
-			out.Sketches[f], out.Means[f] = e.sketch, e.mean
-			if e.at > cachedNewest {
-				cachedNewest = e.at
-			}
-			filled++
-		}
-		miss = still
-	}
-	if len(miss) > 0 {
+	if miss := s.down.Uncovered(p); len(miss) > 0 {
 		return core.Fetch{}, fmt.Errorf("%w: %d of %d flows missing after %d rounds",
 			ErrCoverage, len(miss), m, p.Rounds)
 	}
-	if filled > 0 {
-		out.Degraded = true
-		out.StaleFlows += filled
-		if out.Interval == 0 {
-			out.Interval = cachedNewest
-		}
-		sp.Event("degraded_fallback",
-			trace.I("stale_flows", int64(out.StaleFlows)),
-			trace.I("rounds", int64(p.Rounds)))
-		s.log.Warn("degraded sketch fetch", "stale_flows", out.StaleFlows,
-			"rounds", p.Rounds, "interval", out.Interval)
-	} else if p.Degraded {
-		sp.Event("upstream_degraded", trace.I("stale_flows", int64(p.Stale)))
-		s.log.Warn("degraded upstream sketch fetch", "stale_flows", p.Stale, "interval", p.Newest)
+	out, err := core.AssembleFetch(s.cfg.Detector.Family, m, p.Reports)
+	if err != nil {
+		return core.Fetch{}, err
 	}
-	s.met.staleFlows.Set(float64(out.StaleFlows))
+	out.Interval, out.Degraded, out.StaleFlows = p.Interval, p.Degraded, p.Stale
+	switch {
+	case p.Filled > 0:
+		sp.Event("degraded_fallback",
+			trace.I("stale_flows", int64(p.Stale)),
+			trace.I("rounds", int64(p.Rounds)))
+		s.log.Warn("degraded sketch fetch", "stale_flows", p.Stale,
+			"rounds", p.Rounds, "interval", p.Interval)
+	case p.Degraded:
+		// An aggregator served part of its merge from its own cache.
+		sp.Event("upstream_degraded", trace.I("stale_flows", int64(p.Stale)))
+		s.log.Warn("degraded upstream sketch fetch", "stale_flows", p.Stale, "interval", p.Interval)
+	}
+	s.met.staleFlows.Set(float64(p.Stale))
 	return out, nil
 }

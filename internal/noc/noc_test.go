@@ -134,6 +134,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("bad detector config must fail")
 	}
+	cfg = nocConfig()
+	cfg.Degraded = DegradedPolicy{Enabled: true, MaxStaleness: -1}
+	if _, err := New(cfg); !errors.Is(err, ErrConfig) {
+		t.Fatalf("negative max staleness: %v, want ErrConfig", err)
+	}
 }
 
 func TestEndToEndDetection(t *testing.T) {

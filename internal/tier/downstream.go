@@ -11,8 +11,9 @@
 //
 // The core is parameterised by data — the deployment parameters, the required
 // flow set, timeouts, metric handles and sink callbacks — never by which role
-// is calling, so the circuit breaker, the symmetric staleness rule and the
-// flush of pending intervals on every ownership change exist exactly once.
+// is calling, so the circuit breaker, the symmetric staleness rule, the cache
+// substitution it gates and the flush of pending intervals on every ownership
+// change exist exactly once.
 package tier
 
 import (
@@ -57,7 +58,8 @@ type DegradedPolicy struct {
 	// stalls interval assembly and leaves pulls uncovered.
 	Enabled bool
 	// MaxStaleness bounds, in intervals, how far cached data may lie from the
-	// point it stands in for.
+	// point it stands in for. NewDownstream turns 0 into max(1, WindowLen/4);
+	// the services refuse a negative bound.
 	MaxStaleness int64
 }
 
@@ -168,6 +170,13 @@ type breakerState struct {
 	openUntil time.Time
 }
 
+// column is one flow's cached randproj sketch column.
+type column struct {
+	sketch []float64
+	mean   float64
+	at     int64
+}
+
 type response struct {
 	conn *transport.Conn
 	r    *transport.SketchResponse
@@ -188,9 +197,12 @@ type Downstream struct {
 	rounds  map[uint64]chan response
 	nextReq uint64
 	// breakers and cache are keyed by registrant ID, so they survive a
-	// reconnect under the same identity.
+	// reconnect under the same identity. cache holds each registrant's last
+	// validated report; cols, kept only for a degraded randproj tier, each
+	// flow's newest validated column. Pull fills from the two (see fill).
 	breakers map[string]*breakerState
 	cache    map[string]core.SketchReport
+	cols     []column
 	// lastVol/lastVolAt hold each flow's most recent reported volume;
 	// lastVolAt is -1 until first seen. lastInterval is the newest interval
 	// any volume report named.
@@ -223,12 +235,19 @@ func NewDownstream(cfg DownstreamConfig) *Downstream {
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = 64
 	}
+	if cfg.Degraded.MaxStaleness == 0 {
+		cfg.Degraded.MaxStaleness = max(1, int64(cfg.WindowLen/4))
+	}
 	if cfg.Log == nil {
 		cfg.Log = obs.Nop()
 	}
 	lastVolAt := make([]int64, cfg.NumFlows)
 	for i := range lastVolAt {
 		lastVolAt[i] = -1
+	}
+	var cols []column
+	if cfg.Degraded.Enabled && cfg.Family == sketch.FamilyRandProj {
+		cols = make([]column, cfg.NumFlows)
 	}
 	return &Downstream{
 		cfg:       cfg,
@@ -240,6 +259,7 @@ func NewDownstream(cfg DownstreamConfig) *Downstream {
 		rounds:    make(map[uint64]chan response),
 		breakers:  make(map[string]*breakerState),
 		cache:     make(map[string]core.SketchReport),
+		cols:      cols,
 		lastVol:   make([]float64, cfg.NumFlows),
 		lastVolAt: lastVolAt,
 		// Seeded so chaos tests see reproducible backoff jitter.
@@ -302,6 +322,9 @@ func (d *Downstream) Registrants() []Registrant {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
+
+// Degraded returns the degraded-mode policy in force, defaults applied.
+func (d *Downstream) Degraded() DegradedPolicy { return d.cfg.Degraded }
 
 // IDs lists the registered peers' IDs, sorted.
 func (d *Downstream) IDs() []string {

@@ -326,8 +326,8 @@ func TestSupersededRequestIDDropped(t *testing.T) {
 	if p.Rounds != 2 || len(d.Uncovered(p)) != 0 {
 		t.Fatalf("rounds = %d, uncovered = %v", p.Rounds, d.Uncovered(p))
 	}
-	if got := p.Reports["a"].Interval; got != 9 {
-		t.Fatalf("pull kept the report of interval %d, want 9 (round 2's answer)", got)
+	if len(p.Reports) != 1 || p.Reports[0].Interval != 9 {
+		t.Fatalf("pull kept %+v, want only the report of interval 9 (round 2's answer)", p.Reports)
 	}
 	if a.requests[0] == a.requests[1] {
 		t.Fatalf("both rounds used request ID %d", a.requests[0])
@@ -439,7 +439,7 @@ func TestFramesBoundToTheirConnection(t *testing.T) {
 		if got := d.Uncovered(p); !reflect.DeepEqual(got, []int{0, 1}) {
 			t.Errorf("%s: uncovered = %v, want a's flows [0 1]", name, got)
 		}
-		if rep, ok := p.Reports["b"]; !ok || len(p.Reports) != 1 || !reflect.DeepEqual(rep, report(4, []int{2, 3})) {
+		if len(p.Reports) != 1 || !reflect.DeepEqual(p.Reports[0], report(4, []int{2, 3})) {
 			t.Errorf("%s: reports = %+v, want only b's own", name, p.Reports)
 		}
 		// The invalid report is charged to the sender, never to b.
@@ -466,32 +466,129 @@ func TestFramesBoundToTheirConnection(t *testing.T) {
 	}
 }
 
-func TestFillCachedWholeReportsWithinStaleness(t *testing.T) {
-	d, _ := newDownstream(t, func(c *DownstreamConfig) { c.Degraded = DegradedPolicy{Enabled: true, MaxStaleness: 2} })
-	a := attach(t, d, "a", []int{0, 1}, honest(10))
+// reportOf builds a valid snapshot of family fam with recognizable values.
+func reportOf(fam sketch.Family, interval int64, flows []int) core.SketchReport {
+	if fam == sketch.FamilyRandProj {
+		return report(interval, flows)
+	}
+	rep := core.SketchReport{Interval: interval, FlowIDs: append([]int(nil), flows...), Family: fam, FDEll: testSketchLen}
+	row := make([]float64, len(flows))
+	for i, f := range flows {
+		rep.Means = append(rep.Means, float64(f))
+		row[i] = float64(interval)
+	}
+	rep.FDRows = [][]float64{row}
+	return rep
+}
+
+// TestDegradedFillGranularity pins the one substitution rule of a degraded
+// pull for both families: a dead registrant's cached sketches stand in while
+// Fresh admits them against the reference point, in either direction. Once
+// another registrant claims part of its flows, its FD block is unusable
+// whole, while its randproj column of the unclaimed flow still fills in.
+func TestDegradedFillGranularity(t *testing.T) {
+	for _, fam := range []sketch.Family{sketch.FamilyRandProj, sketch.FamilyFD} {
+		t.Run(fam.String(), func(t *testing.T) {
+			d, _ := newDownstream(t, func(c *DownstreamConfig) {
+				c.Family = fam
+				c.Degraded = DegradedPolicy{Enabled: true, MaxStaleness: 2}
+			})
+			at := func(interval int64) func(*peer, uint64) {
+				return func(p *peer, reqID uint64) {
+					p.send(transport.Envelope{Response: &transport.SketchResponse{
+						RequestID: reqID, MonitorID: p.id, Report: reportOf(fam, interval, p.flows)}})
+				}
+			}
+			join := func(id string, flows []int, answer func(*peer, uint64)) *peer {
+				h := hello(id, flows)
+				h.Family = fam
+				p := dial(t, d, h, answer)
+				waitFor(t, "registration of "+id, func() bool { return registered(d, id) })
+				return p
+			}
+			a := join("a", []int{0, 1}, at(10))
+			b := join("b", []int{2, 3}, at(10))
+			if p := d.Pull(nil, nil); p.Degraded || p.Filled != 0 {
+				t.Fatalf("priming pull (both at 10) degraded=%t filled=%d", p.Degraded, p.Filled)
+			}
+			_ = b.conn.Close()
+			waitFor(t, "b dropped", func() bool { return !registered(d, "b") })
+
+			rows := []struct {
+				name       string
+				fresh      int64 // interval a answers at; it becomes the reference point
+				claim3     bool  // c claims flow 3 before the pull
+				rp, fdWant int
+			}{
+				{"within staleness", 12, false, 2, 2},
+				{"beyond it", 13, false, 0, 0},
+				{"ahead of the reference point", 8, false, 2, 2},
+				{"too far ahead of it", 7, false, 0, 0},
+				{"partly superseded", 10, true, 1, 0},
+			}
+			for _, r := range rows {
+				if r.claim3 {
+					join("c", []int{3}, at(10))
+				}
+				a.setAnswer(at(r.fresh))
+				p := d.Pull(nil, nil)
+				want := r.rp
+				if fam == sketch.FamilyFD {
+					want = r.fdWant
+				}
+				if p.Filled != want || p.Stale != want || p.Degraded != (want > 0) {
+					t.Errorf("%s (reference %d, cache at 10, staleness 2): filled %d stale %d degraded %t, want %d",
+						r.name, r.fresh, p.Filled, p.Stale, p.Degraded, want)
+				}
+				if p.Interval != r.fresh {
+					t.Errorf("%s: answer interval %d, want the fresh %d", r.name, p.Interval, r.fresh)
+				}
+			}
+		})
+	}
+}
+
+// TestDegradedFillKeepsColumnsASmallerReportLeftOut: a randproj column stays
+// in the cache after its registrant's later report no longer names the flow.
+func TestDegradedFillKeepsColumnsASmallerReportLeftOut(t *testing.T) {
+	d, _ := newDownstream(t, func(c *DownstreamConfig) {
+		c.RequireAll = true
+		c.Degraded = DegradedPolicy{Enabled: true, MaxStaleness: 2}
+	})
+	attach(t, d, "a", []int{0, 1}, honest(11))
 	b := attach(t, d, "b", []int{2, 3}, honest(10))
-	d.Pull(nil, nil) // primes the cache: both at interval 10
+	d.Pull(nil, nil)
+	h := hello("b", []int{2})
+	b.send(transport.Envelope{Hello: &h})
+	waitFor(t, "b shrinks", func() bool { return len(d.OwnedFlows()) == 3 })
+	b.setAnswer(func(p *peer, reqID uint64) { p.respond(reqID, "b", 11, []int{2}) })
+	if p := d.Pull(nil, nil); p.Filled != 1 || len(d.Uncovered(p)) != 0 {
+		t.Fatalf("b's smaller report: filled %d, uncovered %v; want flow 3 from b's earlier report", p.Filled, d.Uncovered(p))
+	}
+}
+
+// TestDegradedConcurrentPulls: an aggregator answers upstream pulls
+// concurrently, so folds and fills share the cache under -race.
+func TestDegradedConcurrentPulls(t *testing.T) {
+	d, _ := newDownstream(t, func(c *DownstreamConfig) {
+		c.Degraded = DegradedPolicy{Enabled: true, MaxStaleness: 2}
+	})
+	attach(t, d, "a", []int{0, 1}, honest(10))
+	b := attach(t, d, "b", []int{2, 3}, honest(10))
+	d.Pull(nil, nil)
 	_ = b.conn.Close()
 	waitFor(t, "b dropped", func() bool { return !registered(d, "b") })
-
-	cases := []struct {
-		fresh  int64 // interval a answers at; it becomes the reference point
-		filled int
-	}{{10, 2}, {12, 2}, {13, 0}, {8, 2}, {7, 0}}
-	for _, tc := range cases {
-		a.setAnswer(honest(tc.fresh))
-		p := d.Pull(nil, nil)
-		if filled, _ := d.FillCached(p); filled != tc.filled {
-			t.Errorf("reference %d vs cache at 10, staleness 2: filled %d flows, want %d", tc.fresh, filled, tc.filled)
-		}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if p := d.Pull(nil, nil); p.Filled != 2 {
+				t.Errorf("concurrent pull filled %d flows, want b's 2", p.Filled)
+			}
+		}()
 	}
-	// A partly superseded report is not usable: c now owns one of b's flows.
-	attach(t, d, "c", []int{3}, honest(10))
-	a.setAnswer(honest(10))
-	p := d.Pull(nil, nil)
-	if filled, _ := d.FillCached(p); filled != 0 {
-		t.Errorf("filled %d flows from a report whose flow 3 another registrant covers", filled)
-	}
+	wg.Wait()
 }
 
 func TestAddrAndShutdownWithoutServe(t *testing.T) {

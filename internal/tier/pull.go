@@ -6,40 +6,45 @@ import (
 	"time"
 
 	"streampca/internal/core"
+	"streampca/internal/sketch"
 	"streampca/internal/trace"
 	"streampca/internal/transport"
 )
 
-// Pull is the state and result of one lazy sketch pull (§IV-C).
+// Pull is the result of one lazy sketch pull (§IV-C): the finished answer,
+// cache substitutions included.
 type Pull struct {
-	// Reports holds the validated sketch reports by registrant ID: the fresh
-	// answers, plus whatever FillCached substituted.
-	Reports map[string]core.SketchReport
-	// Newest is the newest interval among the fresh reports; Ref the
-	// staleness reference point when the rounds ended: the newest interval a
-	// volume report or one of these fresh reports has named. A sketch report
-	// from an earlier pull never moves it, so a registrant that raced ahead
-	// and vanished cannot vouch for its own cache entry.
-	Newest, Ref int64
+	// Reports are the validated answers plus what DegradedPolicy filled from
+	// the tier's cache; their flow sets are pairwise disjoint.
+	Reports []core.SketchReport
+	// Interval is the newest interval among the answers, or among the cached
+	// reports when nothing answered.
+	Interval int64
 	// Rounds counts the rounds attempted.
 	Rounds int
-	// Degraded/Stale sum the degradation the answers themselves declared: a
-	// mid tier that served part of its merge from cache tags its response,
-	// and whatever is built from it must be flagged like a local fallback.
+	// Degraded/Stale sum the degradation the answers declared (a mid tier
+	// that served part of its merge from cache tags its response) and this
+	// tier's own fill; Filled counts the flows of the latter.
 	Degraded bool
 	Stale    int
+	Filled   int
 
 	by []string // per flow: ID of the report covering it, "" = uncovered
 }
+
+// fromCache marks in Pull.by the flows a randproj fill covered.
+const fromCache = "(cache)"
 
 // Pull asks the registrants for their sketches: up to 1+FetchRetries rounds
 // with capped, jittered exponential backoff, each asking only the owners of
 // flows still uncovered (partial results are kept across rounds) under a
 // fresh request ID, so a late answer to an earlier round is dropped, never
-// misattributed. sp, when non-nil, receives retry, per-registrant failure and
-// breaker events; tc rides on the requests so serving spans parent under it.
+// misattributed. Under DegradedPolicy what the rounds left uncovered is then
+// filled from cache (see fill). sp, when non-nil, receives retry,
+// per-registrant failure and breaker events; tc rides on the requests so
+// serving spans parent under it.
 func (d *Downstream) Pull(sp *trace.Span, tc *transport.TraceContext) *Pull {
-	p := &Pull{Reports: make(map[string]core.SketchReport), by: make([]string, d.cfg.NumFlows)}
+	p := &Pull{by: make([]string, d.cfg.NumFlows)}
 	backoff := d.cfg.FetchBackoff
 	for round := 0; round <= d.cfg.FetchRetries; round++ {
 		miss := len(d.Uncovered(p))
@@ -74,11 +79,8 @@ func (d *Downstream) Pull(sp *trace.Span, tc *transport.TraceContext) *Pull {
 			break
 		}
 	}
-	d.mu.Lock()
-	p.Ref = d.lastInterval
-	d.mu.Unlock()
-	if p.Newest > p.Ref {
-		p.Ref = p.Newest
+	if d.cfg.Degraded.Enabled {
+		d.fill(p)
 	}
 	return p
 }
@@ -107,44 +109,75 @@ func (p *Pull) owes(flows []int) bool {
 	return false
 }
 
-// FillCached substitutes cached reports for registrants that did not answer.
-// A cached report is usable only whole — every flow it names still uncovered
-// and not owned by a live registrant of another identity (sketch state merges
-// at report granularity; a partly superseded one would double-count) — and
-// only while DegradedPolicy calls it fresh against p.Ref. Candidates are
-// taken in ID order for determinism. Returns the flows filled and the newest
-// interval among the reports used.
-func (d *Downstream) FillCached(p *Pull) (filled int, newest int64) {
+// fill substitutes cached sketches for the flows the rounds left uncovered,
+// at the granularity the family allows, each only while DegradedPolicy calls
+// it fresh against the reference point: the newest interval a volume report
+// or an answer of this pull has named. A report from an earlier pull never
+// moves it, so a registrant that raced ahead and vanished cannot vouch for
+// its own cache entry.
+//
+//   - randproj: a flow's column depends on its own window alone (§IV-B), so
+//     each uncovered flow takes the newest cached column of that flow,
+//     whoever reported it — also one a later, smaller report left out. The
+//     columns become one report.
+//   - FD: a block does not split, so a registrant's last report is usable
+//     only whole — every flow it names still uncovered and not owned by a
+//     live registrant of another identity (a partly superseded block would
+//     double-count). Candidates are taken in ID order for determinism.
+func (d *Downstream) fill(p *Pull) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ids := make([]string, 0, len(d.cache))
-	for id := range d.cache {
-		if _, fresh := p.Reports[id]; !fresh {
+	ref := max(d.lastInterval, p.Interval)
+	var newest int64
+	if d.cfg.Family == sketch.FamilyFD {
+		ids := make([]string, 0, len(d.cache))
+		for id := range d.cache {
 			ids = append(ids, id)
 		}
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		snap := d.cache[id]
-		usable := len(snap.FlowIDs) > 0 && d.cfg.Degraded.Fresh(p.Ref, snap.Interval)
-		for _, f := range snap.FlowIDs {
-			if p.by[f] != "" || (d.owner[f] != nil && d.owner[f].id != id) {
-				usable = false
+		sort.Strings(ids)
+		for _, id := range ids {
+			snap := d.cache[id]
+			usable := len(snap.FlowIDs) > 0 && d.cfg.Degraded.Fresh(ref, snap.Interval)
+			for _, f := range snap.FlowIDs {
+				if p.by[f] != "" || (d.owner[f] != nil && d.owner[f].id != id) {
+					usable = false
+				}
 			}
+			if !usable {
+				continue
+			}
+			for _, f := range snap.FlowIDs {
+				p.by[f] = id
+			}
+			p.Reports = append(p.Reports, snap)
+			p.Filled += len(snap.FlowIDs)
+			newest = max(newest, snap.Interval)
 		}
-		if !usable {
-			continue
+	} else {
+		cached := core.SketchReport{Family: sketch.FamilyRandProj}
+		for f, c := range d.cols {
+			if p.by[f] != "" || c.sketch == nil || !d.cfg.Degraded.Fresh(ref, c.at) {
+				continue
+			}
+			p.by[f] = fromCache
+			cached.FlowIDs = append(cached.FlowIDs, f)
+			cached.Sketches = append(cached.Sketches, c.sketch)
+			cached.Means = append(cached.Means, c.mean)
+			cached.Interval = max(cached.Interval, c.at)
 		}
-		for _, f := range snap.FlowIDs {
-			p.by[f] = id
-		}
-		p.Reports[id] = snap
-		filled += len(snap.FlowIDs)
-		if snap.Interval > newest {
-			newest = snap.Interval
+		if len(cached.FlowIDs) > 0 {
+			p.Reports = append(p.Reports, cached)
+			p.Filled = len(cached.FlowIDs)
+			newest = cached.Interval
 		}
 	}
-	return filled, newest
+	if p.Filled > 0 {
+		p.Degraded = true
+		p.Stale += p.Filled
+		if p.Interval == 0 {
+			p.Interval = newest
+		}
+	}
 }
 
 // round issues one pull round and folds every validated answer that arrives
@@ -229,7 +262,7 @@ func (d *Downstream) round(p *Pull, sp *trace.Span, tc *transport.TraceContext) 
 	return asked
 }
 
-// fold validates one answer and adds it to p and the report cache. The
+// fold validates one answer and adds it to p and the cache. The
 // answer is bound to the connection it arrived on: it must carry that
 // registrant's ID and may not name a flow that another live registrant owns
 // or another report of this pull already covers. Flows nobody owns are
@@ -257,18 +290,19 @@ func (d *Downstream) fold(p *Pull, in response, mid string) error {
 			return fmt.Errorf("flow %d already covered by %q", f, p.by[f])
 		}
 	}
-	for _, f := range rep.FlowIDs {
+	for i, f := range rep.FlowIDs {
 		p.by[f] = mid
+		if c := d.cols; c != nil && (c[f].sketch == nil || rep.Interval >= c[f].at) {
+			c[f] = column{sketch: rep.Sketches[i], mean: rep.Means[i], at: rep.Interval}
+		}
 	}
-	p.Reports[mid] = *rep
+	p.Reports = append(p.Reports, *rep)
 	d.cache[mid] = *rep
 	if in.r.Degraded {
 		p.Degraded = true
 		p.Stale += in.r.StaleFlows
 	}
-	if rep.Interval > p.Newest {
-		p.Newest = rep.Interval
-	}
+	p.Interval = max(p.Interval, rep.Interval)
 	return nil
 }
 
