@@ -330,11 +330,18 @@ func BenchmarkTracedSketchUpdate(b *testing.B) {
 }
 
 // BenchmarkNOCRecompute measures the NOC-side sketch-PCA rebuild
-// (O(m²·l) + eigendecomposition) across sketch lengths.
+// (O(m²·l) Gram + eigenvalues + r = 6 leading vectors) across sketch lengths
+// at m = 81, and at fed-wide's m = 144, l = 100.
 func BenchmarkNOCRecompute(b *testing.B) {
-	const m = 81
-	for _, l := range []int{32, 128, 512} {
-		b.Run(fmt.Sprintf("l=%d", l), func(b *testing.B) {
+	type cell struct{ m, l int }
+	cells := []cell{{81, 32}, {81, 128}, {81, 512}, {144, 100}}
+	for _, c := range cells {
+		m, l := c.m, c.l
+		name := fmt.Sprintf("l=%d", l)
+		if m != 81 {
+			name = fmt.Sprintf("m=%d/l=%d", m, l)
+		}
+		b.Run(name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(3))
 			sketches := make([][]float64, m)
 			means := make([]float64, m)
@@ -352,6 +359,7 @@ func BenchmarkNOCRecompute(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := det.RebuildModel(sketches, means, int64(i)); err != nil {
@@ -541,10 +549,12 @@ func BenchmarkIdentify(b *testing.B) {
 	}
 }
 
-// BenchmarkSymEigen sizes the eigensolvers: the Householder + QL solver the
-// NOC rebuild runs, at the model sizes the benchmark deploys (m = 81, 144)
-// and the one it cannot yet afford (256), and under jacobi/ the FD-only
-// Jacobi kernel at its real size (2ℓ = 16) and at n = 81 for contrast.
+// BenchmarkSymEigen sizes the eigensolvers: the all-pairs Householder + QL
+// solver the exact references run, at the model sizes the benchmark deploys
+// (m = 81, 144) and at 256; under leading/ the factorization the NOC rebuild
+// runs, all eigenvalues and the r = 6 leading vectors, at the same sizes; and
+// under jacobi/ the FD-only Jacobi kernel at its real size (2ℓ = 16) and at
+// n = 81 for contrast.
 func BenchmarkSymEigen(b *testing.B) {
 	bench := func(solve func(*mat.Matrix) (*mat.EigenSym, error), n int) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -570,6 +580,17 @@ func BenchmarkSymEigen(b *testing.B) {
 	}
 	for _, n := range []int{64, 144, 256} {
 		b.Run(fmt.Sprintf("m=%d", n), bench(mat.SymEigen, n))
+	}
+	leading := func(a *mat.Matrix) (*mat.EigenSym, error) {
+		f, err := mat.SymEigenLeading(a)
+		if err != nil {
+			return nil, err
+		}
+		v, err := f.Vectors(6)
+		return &mat.EigenSym{Values: f.Values, Vectors: v}, err
+	}
+	for _, n := range []int{81, 144, 256} {
+		b.Run(fmt.Sprintf("leading/k=6/m=%d", n), bench(leading, n))
 	}
 	for _, n := range []int{16, 81} {
 		b.Run(fmt.Sprintf("jacobi/n=%d", n), bench(mat.SymEigenJacobi, n))

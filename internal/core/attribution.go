@@ -29,7 +29,7 @@ func (d *Detector) Attribute(x []float64, topK int) ([]FlowContribution, error) 
 	if d.model == nil {
 		return nil, ErrNoModel
 	}
-	residual, err := d.anomalousResidual(x, d.principal())
+	residual, err := d.anomalousResidual(x)
 	if err != nil {
 		return nil, err
 	}

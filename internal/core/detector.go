@@ -69,10 +69,16 @@ type DetectorConfig struct {
 
 // Model is a fitted sketch-PCA model at the NOC.
 type Model struct {
-	// Components' column j is â_j (m×m orthonormal).
+	// Components is the m×Rank leading basis P_r: column j is â_j, the
+	// unit eigenvector of λ̂²_j. The m − Rank residual directions are never
+	// built; nothing reads them.
 	Components *mat.Matrix
-	// Singular holds λ̂_j descending.
+	// Singular holds all m λ̂_j descending (zero past what the family keeps).
 	Singular []float64
+	// Cov is the m×m sketch covariance the model was fitted to: ẐᵀẐ for the
+	// random-projection family, the blocks' BᵀB scattered onto their flows
+	// for Frequent Directions. Its eigenvalues are λ̂²_j.
+	Cov *mat.Matrix
 	// Means holds μ_all per flow, used to center measurements.
 	Means []float64
 	// Rank is the chosen normal-subspace size r.
@@ -205,8 +211,10 @@ func (d *Detector) RebuildModel(sketches [][]float64, means []float64, builtAt i
 		return err
 	}
 	// PCA on Ẑ via the m×m Gram matrix: eigenvalues are λ̂², eigenvectors
-	// are the right singular vectors â — the only pieces the detector needs.
-	eig, err := mat.SymEigen(z.Gram())
+	// are the right singular vectors â. The threshold reads every λ̂, the
+	// detector only the leading r vectors, so only those are built.
+	cov := z.Gram()
+	eig, err := mat.SymEigenLeading(cov)
 	if err != nil {
 		return fmt.Errorf("sketch eigendecomposition: %w", err)
 	}
@@ -217,21 +225,25 @@ func (d *Detector) RebuildModel(sketches [][]float64, means []float64, builtAt i
 		}
 		sv[j] = math.Sqrt(lam)
 	}
-	return d.finishModel(z, eig.Vectors, sv, len(sv), means, builtAt)
-}
-
-// finishModel runs the family-independent tail of every rebuild: rank
-// selection, the Q-statistic threshold over the real (non-padded) part of
-// the spectrum, and model installation. z is the sketch matrix when one
-// exists (nil for FD; only RankThreeSigma reads it, and NewDetector rejects
-// that combination).
-func (d *Detector) finishModel(z *mat.Matrix, components *mat.Matrix, sv []float64, realLen int, means []float64, builtAt int64) error {
-	rank, err := d.chooseRank(z, components, sv[:realLen])
+	rank, err := d.chooseRank(sv, z, eig.Vector)
 	if err != nil {
 		return fmt.Errorf("rank selection: %w", err)
 	}
-	threshold, unavailable, capped := 0.0, false, 0
-	if rank >= realLen && realLen < d.cfg.NumFlows {
+	basis, err := eig.Vectors(rank)
+	if err != nil {
+		return fmt.Errorf("sketch eigendecomposition: %w", err)
+	}
+	return d.finishModel(&Model{Components: basis, Singular: sv, Cov: cov, Rank: rank}, len(sv), means, builtAt)
+}
+
+// finishModel runs the family-independent tail of every rebuild: the
+// Q-statistic threshold over the real (non-padded) part of the spectrum and
+// model installation. model carries the family's Components, Singular, Cov
+// and Rank.
+func (d *Detector) finishModel(model *Model, realLen int, means []float64, builtAt int64) error {
+	model.Means = append([]float64(nil), means...)
+	model.BuiltAt = builtAt
+	if model.Rank >= realLen && realLen < d.cfg.NumFlows {
 		// Truncated spectrum (FD keeps ≤ Σ2ℓ bases) with the whole of it
 		// assigned to the normal subspace: the residual energy lives
 		// entirely beyond what the decomposition kept, so no control limit
@@ -239,36 +251,29 @@ func (d *Detector) finishModel(z *mat.Matrix, components *mat.Matrix, sv []float
 		// (threshold 0) — correct for a genuinely full-rank model, an
 		// alarm-on-everything trap here. Same typed degradation as the
 		// PR-4 degenerate-spectrum fix: keep the subspace, flag the threshold.
-		unavailable = true
+		model.ThresholdUnavailable = true
 	} else {
 		// Residual-rank capping (stats.QStatisticCapped): an h0 ≤ 0 spectrum
 		// gets its near-zero trailing residual eigenvalues treated as exact
 		// zeros and the limit recomputed on what remains, instead of
 		// declaring the whole model threshold-less. Only when no cap admits
 		// a limit does the typed degradation below fire.
-		threshold, capped, err = stats.QStatisticCapped(sv[:realLen], d.cfg.WindowLen, rank, d.cfg.Alpha)
-		if err != nil {
-			if !errors.Is(err, stats.ErrDegenerate) {
-				return fmt.Errorf("threshold: %w", err)
-			}
+		threshold, capped, err := stats.QStatisticCapped(model.Singular[:realLen], d.cfg.WindowLen, model.Rank, d.cfg.Alpha)
+		switch {
+		case err == nil:
+			model.Threshold, model.ThresholdCapped = threshold, capped
+		case errors.Is(err, stats.ErrDegenerate):
 			// A degenerate residual spectrum with no usable cap has no
 			// trustworthy control limit at all. Keep the freshly fitted
 			// subspace (distances are still meaningful diagnostics) but mark
-			// the threshold unusable rather than storing a NaN/garbage value
-			// that comparisons would silently never exceed.
-			threshold, unavailable, capped = 0, true, 0
+			// the threshold unusable (stored as 0) rather than storing a
+			// NaN/garbage value that comparisons would silently never exceed.
+			model.ThresholdUnavailable = true
+		default:
+			return fmt.Errorf("threshold: %w", err)
 		}
 	}
-	d.model = &Model{
-		Components:           components,
-		Singular:             sv,
-		Means:                append([]float64(nil), means...),
-		Rank:                 rank,
-		Threshold:            threshold,
-		BuiltAt:              builtAt,
-		ThresholdUnavailable: unavailable,
-		ThresholdCapped:      capped,
-	}
+	d.model = model
 	return nil
 }
 
@@ -294,13 +299,17 @@ func (d *Detector) RebuildFD(blocks []sketch.Snapshot, builtAt int64) error {
 	if len(blocks) == 0 {
 		return fmt.Errorf("%w: no fd blocks", ErrInput)
 	}
+	// A pair keeps its block's Bᵀu = σ·v; only the top-rank pairs are
+	// scattered into the basis.
 	type pair struct {
-		s   float64
-		vec []float64
+		s     float64
+		ids   []int
+		local []float64
 	}
 	var pairs []pair
 	means := make([]float64, m)
 	covered := make([]bool, m)
+	cov := mat.NewMatrix(m, m)
 	for bi := range blocks {
 		b := &blocks[bi]
 		if b.Family != sketch.FamilyFD {
@@ -327,6 +336,12 @@ func (d *Detector) RebuildFD(blocks []sketch.Snapshot, builtAt int64) error {
 		for i, r := range b.FDRows {
 			copy(rows.RowView(i), r)
 		}
+		btb := rows.Gram()
+		for i, id := range b.FlowIDs {
+			for k, id2 := range b.FlowIDs {
+				cov.Set(id, id2, btb.At(i, k))
+			}
+		}
 		// B·Bᵀ = (Bᵀ)ᵀ(Bᵀ): small-side Gram; Jacobi on purpose, see above.
 		eig, err := mat.SymEigenJacobi(rows.T().Gram())
 		if err != nil {
@@ -345,11 +360,7 @@ func (d *Detector) RebuildFD(blocks []sketch.Snapshot, builtAt int64) error {
 			if err != nil {
 				return fmt.Errorf("fd block %d component %d: %w", bi, k, err)
 			}
-			vec := make([]float64, m)
-			for i, id := range b.FlowIDs {
-				vec[id] = local[i] / s
-			}
-			pairs = append(pairs, pair{s: s, vec: vec})
+			pairs = append(pairs, pair{s: s, ids: b.FlowIDs, local: local})
 		}
 	}
 	for id, ok := range covered {
@@ -362,15 +373,23 @@ func (d *Detector) RebuildFD(blocks []sketch.Snapshot, builtAt int64) error {
 	if realLen > m {
 		realLen = m
 	}
-	components := mat.NewMatrix(m, m)
 	sv := make([]float64, m)
 	for j := 0; j < realLen; j++ {
 		sv[j] = pairs[j].s
-		for i := 0; i < m; i++ {
-			components.Set(i, j, pairs[j].vec[i])
+	}
+	rank, err := d.chooseRank(sv[:realLen], nil, nil)
+	if err != nil {
+		return fmt.Errorf("rank selection: %w", err)
+	}
+	// Columns past the kept spectrum stay zero: a fixed rank may exceed it.
+	basis := mat.NewMatrix(m, rank)
+	for j := 0; j < rank && j < realLen; j++ {
+		p := pairs[j]
+		for i, id := range p.ids {
+			basis.Set(id, j, p.local[i]/p.s)
 		}
 	}
-	return d.finishModel(nil, components, sv, realLen, means, builtAt)
+	return d.finishModel(&Model{Components: basis, Singular: sv, Cov: cov, Rank: rank}, realLen, means, builtAt)
 }
 
 // Rebuild dispatches a fetched sketch pull to the family's model build.
@@ -382,8 +401,10 @@ func (d *Detector) Rebuild(f Fetch) error {
 }
 
 // chooseRank applies the configured rank policy to a freshly decomposed
-// sketch matrix.
-func (d *Detector) chooseRank(z *mat.Matrix, components *mat.Matrix, sv []float64) (int, error) {
+// sketch matrix: sv is its spectrum. Only RankThreeSigma reads z, the sketch
+// matrix, and vector(j), â_j — asking for one vector at a time until its rule
+// stops; both are nil for FD, and NewDetector rejects that combination.
+func (d *Detector) chooseRank(sv []float64, z *mat.Matrix, vector func(int) ([]float64, error)) (int, error) {
 	switch d.cfg.Mode {
 	case RankFixed:
 		return d.cfg.FixedRank, nil
@@ -406,18 +427,15 @@ func (d *Detector) chooseRank(z *mat.Matrix, components *mat.Matrix, sv []float6
 	case RankThreeSigma:
 		// Examine Ẑ·â_j one component at a time; the first projection with
 		// an element beyond 3σ_j starts the anomalous subspace (§IV-D).
-		// col and proj are reused across components: the old per-component
-		// Col+MulVec pair allocated two vectors per j, which dominated the
-		// rebuild profile at large m.
 		l := z.Rows()
-		col := make([]float64, components.Rows())
 		proj := make([]float64, l)
 		for j := 0; j < len(sv); j++ {
 			if sv[j] == 0 {
 				return j, nil
 			}
 			sigma := sv[j] / math.Sqrt(float64(l))
-			if err := components.ColInto(j, col); err != nil {
+			col, err := vector(j)
+			if err != nil {
 				return 0, err
 			}
 			if err := z.MulVecTo(proj, col); err != nil {

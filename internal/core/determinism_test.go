@@ -105,7 +105,8 @@ func TestMonitorUpdateErrorDeterministic(t *testing.T) {
 }
 
 // TestDetectorRebuildDeterministic: the full rebuild (Gram + eigensolver +
-// rank + threshold) must be identical between independently built detectors.
+// rank + threshold + leading basis) must be identical between independently
+// built detectors.
 func TestDetectorRebuildDeterministic(t *testing.T) {
 	const (
 		numFlows  = 100
@@ -151,8 +152,11 @@ func TestDetectorRebuildDeterministic(t *testing.T) {
 			t.Fatalf("singular value %d differs", j)
 		}
 	}
+	if got.Components.Cols() != ref.Components.Cols() {
+		t.Fatalf("basis width %d != %d", got.Components.Cols(), ref.Components.Cols())
+	}
 	for i := 0; i < numFlows; i++ {
-		for j := 0; j < numFlows; j++ {
+		for j := 0; j < ref.Components.Cols(); j++ {
 			if got.Components.At(i, j) != ref.Components.At(i, j) {
 				t.Fatalf("component (%d,%d) differs", i, j)
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"streampca/internal/anomography"
-	"streampca/internal/mat"
 )
 
 // IdentifiedFlow is one culprit flow from Identify, in the wire-friendly
@@ -32,27 +31,11 @@ type Identification struct {
 	Stop string
 }
 
-// principal returns the m×rank matrix of in-force principal components
-// (column j = â_j) — the P_r the attribution and identification paths
-// project against. Returns nil for a rank-0 model.
-func (d *Detector) principal() *mat.Matrix {
-	r := d.model.Rank
-	if r <= 0 {
-		return nil
-	}
-	m := d.cfg.NumFlows
-	pr := mat.NewMatrix(m, r)
-	for i := 0; i < m; i++ {
-		src := d.model.Components.RowView(i)
-		copy(pr.RowView(i), src[:r])
-	}
-	return pr
-}
-
 // anomalousResidual centers x against the model means and projects it onto
-// the anomalous subspace. Both Attribute and Identify start here, so the two
-// views of an alarm are computed from the same residual bit for bit.
-func (d *Detector) anomalousResidual(x []float64, pr *mat.Matrix) ([]float64, error) {
+// the anomalous subspace, the complement of Components = P_r. Both Attribute
+// and Identify start here, so the two views of an alarm are computed from the
+// same residual bit for bit.
+func (d *Detector) anomalousResidual(x []float64) ([]float64, error) {
 	m := d.cfg.NumFlows
 	if len(x) != m {
 		return nil, fmt.Errorf("%w: vector of %d for %d flows", ErrInput, len(x), m)
@@ -61,7 +44,7 @@ func (d *Detector) anomalousResidual(x []float64, pr *mat.Matrix) ([]float64, er
 	for j, v := range x {
 		y[j] = v - d.model.Means[j]
 	}
-	return anomography.Residual(pr, y)
+	return anomography.Residual(d.model.Components, y)
 }
 
 // Identify runs the anomography pursuit on a measurement against the
@@ -76,8 +59,7 @@ func (d *Detector) Identify(x []float64, maxK int) (*Identification, error) {
 	if d.model == nil {
 		return nil, ErrNoModel
 	}
-	pr := d.principal()
-	r0, err := d.anomalousResidual(x, pr)
+	r0, err := d.anomalousResidual(x)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +70,7 @@ func (d *Detector) Identify(x []float64, maxK int) (*Identification, error) {
 	if !d.model.ThresholdUnavailable {
 		cfg.MinResidual = d.model.Threshold
 	}
-	res, err := anomography.Pursue(pr, r0, cfg)
+	res, err := anomography.Pursue(d.model.Components, r0, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,16 @@
 // Package mat provides the dense linear-algebra substrate used by the
-// streaming-PCA library: column-major-free dense matrices, vectors,
-// Householder QR, a cyclic Jacobi symmetric eigensolver and a one-sided
-// Jacobi (Hestenes) singular value decomposition.
+// streaming-PCA library: row-major dense matrices and vectors, the Gram
+// kernel, Householder QR with least squares, and three symmetric
+// eigensolvers over one Householder + implicit-QL core — SymEigen, every
+// eigenpair (the exact references); SymEigenLeading, every eigenvalue and
+// only the leading eigenvectors asked for (the NOC model build); and
+// SymEigenJacobi, the round-robin Jacobi kernel Frequent Directions keeps
+// for its exact-zero pivots.
 //
 // The package is deliberately small and dependency-free (stdlib only). It is
 // tuned for the matrix sizes that occur in network-wide PCA detection —
-// tens-to-hundreds of aggregated flows — where the robustness of Jacobi
-// methods matters more than raw LAPACK-style throughput.
+// tens-to-hundreds of aggregated flows — and its results are pure functions
+// of their inputs: no parallelism, no data-dependent scheduling.
 //
 // All matrices use row-major storage. Dimensions are validated eagerly;
 // functions return errors rather than panicking for user-reachable failure

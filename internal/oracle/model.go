@@ -47,8 +47,8 @@ type Reference struct {
 	// Det is the exact detector at the sketch model's rank: the d_Y(y) that
 	// Theorem 2 sets against d_Ẑ(y), with the exact Q-statistic threshold.
 	Det *pca.Detector
-	// Energy is ‖Yc‖²_F and CovDiff is ‖V·diag(λ̂²)·Vᵀ − YcᵀYc‖_F, the two
-	// sides of Lemma 6.
+	// Energy is ‖Yc‖²_F and CovDiff is ‖Â − YcᵀYc‖_F with Â the model's
+	// sketch covariance (core.Model.Cov), the two sides of Lemma 6.
 	Energy  float64
 	CovDiff float64
 	// Gap is η²_r − η²_{r+1}, the denominator of Theorem 2's bound; 0 when the
@@ -77,7 +77,11 @@ func MeasureModel(model *core.Model, window *mat.Matrix, alpha float64) (Referen
 	if ref.Det, err = pca.NewDetector(ref.Exact, model.Rank, alpha); err != nil {
 		return ref, err
 	}
-	ref.CovDiff = covarianceDiffFrob(model, gram)
+	diff, err := model.Cov.Sub(gram)
+	if err != nil {
+		return ref, err
+	}
+	ref.CovDiff = diff.FrobeniusNorm()
 	if r, eta := model.Rank, ref.Exact.Singular; r >= 1 && r < len(eta) {
 		ref.Gap = eta[r-1]*eta[r-1] - eta[r]*eta[r]
 	}
@@ -98,17 +102,18 @@ func MeasureModel(model *core.Model, window *mat.Matrix, alpha float64) (Referen
 //
 // Checks, in order: Lemma 5 (eq. 25) — squared singular values of the sketch
 // model within (1±3ε) of the exact window's, for energy-significant
-// components; Lemma 6 (eq. 26) — the model's implied covariance
-// V·diag(λ̂²)·Vᵀ within √6·ε·‖Yc‖²_F of YcᵀYc in Frobenius norm; Theorem 2 —
+// components; Lemma 6 (eq. 26) — the covariance Â the model was fitted to
+// within √6·ε·‖Yc‖²_F of YcᵀYc in Frobenius norm; Theorem 2 —
 // the sketch anomaly distance within the additive bound of the exact one; and
 // alarm agreement with an exact Q-statistic detector outside a dead band.
 func CheckModel(model *core.Model, dec core.Decision, x []float64, vw *VectorWindow, cfg ModelCheckConfig) (Result, bool) {
 	var res Result
-	if model == nil || model.Degraded || model.Components == nil {
+	if model == nil || model.Degraded || model.Components == nil || model.Cov == nil {
 		return res, false
 	}
 	m := len(model.Singular)
-	if m == 0 || len(x) != m || model.Components.Rows() != m || model.Components.Cols() != m {
+	if m == 0 || len(x) != m || model.Components.Rows() != m || model.Components.Cols() < model.Rank ||
+		model.Cov.Rows() != m || model.Cov.Cols() != m {
 		return res, false
 	}
 	y, _, okWin := vw.MatrixEnding(model.BuiltAt)
@@ -167,8 +172,8 @@ func CheckModel(model *core.Model, dec core.Decision, x []float64, vw *VectorWin
 			model.Singular[worstJ]*model.Singular[worstJ], exactVals[worstJ])
 	}
 
-	// Lemma 6 — ‖Â − A‖_F ≤ √6·ε·‖Yc‖²_F with Â from the model's own
-	// eigenpairs and A = YcᵀYc exactly.
+	// Lemma 6 — ‖Â − A‖_F ≤ √6·ε·‖Yc‖²_F with Â the model's sketch
+	// covariance and A = YcᵀYc exactly.
 	if ref.Energy > 0 {
 		res.check("lemma6", ref.CovDiff/ref.Energy, math.Sqrt(6)*eps,
 			"‖Ahat−A‖_F = %.6g, ‖Yc‖²_F = %.6g", ref.CovDiff, ref.Energy)
@@ -228,32 +233,4 @@ func CheckModel(model *core.Model, dec core.Decision, x []float64, vw *VectorWin
 		}
 	}
 	return res, true
-}
-
-// covarianceDiffFrob computes ‖V·diag(λ̂²)·Vᵀ − A‖_F without materializing
-// the m×m reconstruction: row i of Â is Σ_j λ̂²_j·V[i][j]·V[·][j].
-func covarianceDiffFrob(model *core.Model, a *mat.Matrix) float64 {
-	m := len(model.Singular)
-	v := model.Components
-	row := make([]float64, m)
-	sum := 0.0
-	for i := 0; i < m; i++ {
-		for k := range row {
-			row[k] = 0
-		}
-		for j := 0; j < m; j++ {
-			w := model.Singular[j] * model.Singular[j] * v.At(i, j)
-			if w == 0 {
-				continue
-			}
-			for k := 0; k < m; k++ {
-				row[k] += w * v.At(k, j)
-			}
-		}
-		for k := 0; k < m; k++ {
-			d := row[k] - a.At(i, k)
-			sum += d * d
-		}
-	}
-	return math.Sqrt(sum)
 }

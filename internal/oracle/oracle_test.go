@@ -299,13 +299,14 @@ func TestCheckModelEndToEnd(t *testing.T) {
 		t.Fatalf("only %d model checks completed", checked)
 	}
 
-	// Mutation: drop the 1/√l normalization — every λ̂ inflates by √l.
-	// Lemma 5 (and 6) must catch it.
+	// Mutation: drop the 1/√l normalization — every λ̂ inflates by √l and
+	// the sketch covariance ẐᵀẐ by l. Lemma 5 (and 6) must catch it.
 	mut := *p.det.Model()
 	mut.Singular = append([]float64(nil), mut.Singular...)
 	for j := range mut.Singular {
 		mut.Singular[j] *= math.Sqrt(float64(l))
 	}
+	mut.Cov = mut.Cov.Scale(float64(l))
 	res, ok := CheckModel(&mut, lastDec, lastX, p.vw, cfg)
 	if !ok {
 		t.Fatal("mutated model check skipped")
@@ -316,6 +317,37 @@ func TestCheckModelEndToEnd(t *testing.T) {
 	}
 	if !hit["lemma5"] || !hit["lemma6"] {
 		t.Fatalf("dropped 1/√l scale not detected (violations: %+v)", res.Violations)
+	}
+}
+
+// TestCheckModelChecksLeadingBasisModel: a freshly built randproj model
+// carries only its m×r leading basis, and CheckModel must still run its
+// checks on it rather than skip it as malformed.
+func TestCheckModelChecksLeadingBasisModel(t *testing.T) {
+	const m, n, l, rank = 16, 40, 16, 2
+	p := newPipeline(t, m, n, l, rank)
+	var x []float64
+	for ti := int64(1); ti <= int64(n); ti++ {
+		x = p.vector(ti)
+		if err := p.mon.Update(ti, x); err != nil {
+			t.Fatal(err)
+		}
+		p.vw.Push(ti, x)
+	}
+	dec, err := p.det.Observe(x, p.fetch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := p.det.Model()
+	if c := model.Components.Cols(); c != rank {
+		t.Fatalf("basis has %d columns, want the rank %d", c, rank)
+	}
+	res, ok := CheckModel(model, dec, x, p.vw, ModelCheckConfig{Epsilon: 0.1, Alpha: 0.01, SketchLen: l})
+	if !ok || res.Checks == 0 {
+		t.Fatalf("fresh model not checked: ok=%v checks=%d", ok, res.Checks)
+	}
+	if len(res.Violations) > 0 {
+		t.Fatal(res.Worst())
 	}
 }
 
