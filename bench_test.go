@@ -552,9 +552,7 @@ func BenchmarkIdentify(b *testing.B) {
 // BenchmarkSymEigen sizes the eigensolvers: the all-pairs Householder + QL
 // solver the exact references run, at the model sizes the benchmark deploys
 // (m = 81, 144) and at 256; under leading/ the factorization the NOC rebuild
-// runs, all eigenvalues and the r = 6 leading vectors, at the same sizes; and
-// under jacobi/ the FD-only Jacobi kernel at its real size (2ℓ = 16) and at
-// n = 81 for contrast.
+// runs, all eigenvalues and the r = 6 leading vectors, at the same sizes.
 func BenchmarkSymEigen(b *testing.B) {
 	bench := func(solve func(*mat.Matrix) (*mat.EigenSym, error), n int) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -591,9 +589,6 @@ func BenchmarkSymEigen(b *testing.B) {
 	}
 	for _, n := range []int{81, 144, 256} {
 		b.Run(fmt.Sprintf("leading/k=6/m=%d", n), bench(leading, n))
-	}
-	for _, n := range []int{16, 81} {
-		b.Run(fmt.Sprintf("jacobi/n=%d", n), bench(mat.SymEigenJacobi, n))
 	}
 }
 

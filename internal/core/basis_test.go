@@ -45,7 +45,9 @@ func fullRandProj(t *testing.T, f Fetch, l int) (fullBuild, *mat.Matrix) {
 }
 
 // fullFD scatters every FD block's small-side singular pairs into m×m and
-// every block's BᵀB into the covariance.
+// every block's BᵀB into the covariance. It shares RebuildFD's solver on
+// purpose: it is the reference for the model's assembly, not for the
+// eigensolve.
 func fullFD(t *testing.T, f Fetch, m int) fullBuild {
 	t.Helper()
 	type pair struct {
@@ -65,7 +67,7 @@ func fullFD(t *testing.T, f Fetch, m int) fullBuild {
 				cov.Set(a, c, btb.At(i, k))
 			}
 		}
-		eig, err := mat.SymEigenJacobi(rows.T().Gram())
+		eig, err := mat.SymEigen(rows.T().Gram())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -285,15 +285,6 @@ func (d *Detector) finishModel(model *Model, realLen int, means []float64, built
 // descending, is the model spectrum: cross-monitor covariance is not
 // represented (the FD trade-off DESIGN.md §15 documents), so each component
 // is supported on a single monitor's flow columns.
-//
-// The block eigensolve is mat.SymEigenJacobi, not mat.SymEigen, on purpose.
-// An aggregator-merged block stacks rows that are zero outside their source
-// monitor's columns (sketch.FD.shrink keeps them so, for the wire-size reason
-// stated there), so B·Bᵀ is block diagonal up to a permutation. Jacobi never
-// rotates across an exact-zero pivot: every u, and with it every component
-// Bᵀu/σ, is supported on one source monitor's columns exactly rather than to
-// rounding. At ≤ 2ℓ = 16 rows the solve is microseconds with either solver,
-// so the dense one has nothing to offer here.
 func (d *Detector) RebuildFD(blocks []sketch.Snapshot, builtAt int64) error {
 	m := d.cfg.NumFlows
 	if len(blocks) == 0 {
@@ -342,8 +333,8 @@ func (d *Detector) RebuildFD(blocks []sketch.Snapshot, builtAt int64) error {
 				cov.Set(id, id2, btb.At(i, k))
 			}
 		}
-		// B·Bᵀ = (Bᵀ)ᵀ(Bᵀ): small-side Gram; Jacobi on purpose, see above.
-		eig, err := mat.SymEigenJacobi(rows.T().Gram())
+		// B·Bᵀ = (Bᵀ)ᵀ(Bᵀ): small-side Gram.
+		eig, err := mat.SymEigen(rows.T().Gram())
 		if err != nil {
 			return fmt.Errorf("fd block %d eigendecomposition: %w", bi, err)
 		}

@@ -123,6 +123,65 @@ func TestRebuildFDValidation(t *testing.T) {
 	}
 }
 
+// TestRebuildFDMergedBlocksStayOnOneMonitor: an aggregator-merged FD block
+// stacks rows that are each zero outside one source monitor's flows, so its
+// B·Bᵀ is block diagonal and mat.SymEigen solves it block by block. Every
+// model component Bᵀu/σ must then be non-zero on one source monitor's flows
+// only, exactly — not to rounding.
+func TestRebuildFDMergedBlocksStayOnOneMonitor(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const monitors, m, ell, n, rank = 4, 48, 4, 59, 8
+	assign := make([][]int, monitors)
+	owner := make([]int, m)
+	for id := 0; id < m; id++ { // flows interleaved across monitors
+		assign[id%monitors] = append(assign[id%monitors], id)
+		owner[id] = id % monitors
+	}
+	x := make([][]float64, n)
+	for i := range x {
+		row := make([]float64, m)
+		for j := range row {
+			row[j] = 100 + 10*rng.NormFloat64()
+		}
+		x[i] = row
+	}
+	mon := fdBlocks(t, assign, ell, x)
+	var merged []sketch.Snapshot
+	for _, pair := range [][]int{{0, 2}, {1, 3}} {
+		b, err := sketch.MergeColumns([]sketch.Snapshot{mon[pair[0]], mon[pair[1]]}, ell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.FDDelta <= mon[pair[0]].FDDelta+mon[pair[1]].FDDelta {
+			t.Fatalf("merge of monitors %v never shrank", pair)
+		}
+		merged = append(merged, b)
+	}
+	det, err := NewDetector(DetectorConfig{
+		NumFlows: m, WindowLen: n, SketchLen: ell,
+		Alpha: 0.01, Mode: RankFixed, FixedRank: rank,
+		Family: sketch.FamilyFD,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := det.RebuildFD(merged, n); err != nil {
+		t.Fatal(err)
+	}
+	comp := det.Model().Components
+	for j := 0; j < comp.Cols(); j++ {
+		support := map[int]bool{}
+		for id := 0; id < m; id++ {
+			if comp.At(id, j) != 0 {
+				support[owner[id]] = true
+			}
+		}
+		if len(support) != 1 {
+			t.Errorf("component %d is non-zero on the flows of %d monitors, want exactly 1", j, len(support))
+		}
+	}
+}
+
 // TestFDClusterEndToEnd runs the full lazy protocol on the FD family: an
 // in-process cluster of FD monitors, per-block model builds at the NOC, and
 // an injected structured anomaly that must still raise an alarm.

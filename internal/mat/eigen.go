@@ -23,11 +23,19 @@ const maxQLIterations = 30
 
 // SymEigen computes the eigendecomposition of the symmetric matrix a by
 // Householder reduction to tridiagonal form followed by the implicit-shift QL
-// iteration with accumulated transformations (EISPACK tred2 + tql2): ≈ 8n³
-// flops against the ≈ 70n³ of the Jacobi sweeps it replaced on the alarm
-// path (SymEigenJacobi, which Frequent Directions keeps). The result is a
-// pure function of the input. Callers that read only the leading eigenvectors
-// want SymEigenLeading, which skips the ≈ 6n³ of it that builds the rest.
+// iteration with accumulated transformations (EISPACK tred2 + tql2), ≈ 8n³
+// flops. The result is a pure function of the input. Callers that read only
+// the leading eigenvectors want SymEigenLeading, which skips the ≈ 6n³ of it
+// that builds the rest.
+//
+// A reducible matrix, one whose exact non-zero off-diagonal pattern falls
+// into several connected components, is solved one principal sub-block at a
+// time: every eigenvector is exactly zero outside its component's indices,
+// where a whole-matrix reduction would leave rounding residue. Frequent
+// Directions relies on it (sketch.FD, core.Detector.RebuildFD): an
+// aggregator-merged buffer's B·Bᵀ is block diagonal over its source monitors,
+// and each rebuilt row stays on one monitor's columns. A dense matrix is one
+// component and takes the whole-matrix path.
 //
 // The matrix is not modified. It returns ErrShape for non-square input,
 // ErrNotFinite for NaN/Inf entries and ErrNoConverge if an eigenvalue does
@@ -38,20 +46,85 @@ func SymEigen(a *Matrix) (*EigenSym, error) {
 		return nil, err
 	}
 	n := z.rows
+	blocks := components(z)
+	if len(blocks) <= 1 {
+		d, err := qlEigen(z)
+		if err != nil {
+			return nil, err
+		}
+		return finishEigen(d, z), nil
+	}
+	// A block's eigenpairs take the slots of its indices: d[idx[i]] is its
+	// i-th eigenvalue, row idx[i] of vt that eigenvector scattered to n. A
+	// diagonal matrix, n blocks of one, thus reaches finishEigen exactly as
+	// the whole-matrix path hands it over, and sorts the same.
+	d, vt := make([]float64, n), NewMatrix(n, n)
+	for _, idx := range blocks {
+		k := len(idx)
+		sub := NewMatrix(k, k)
+		for i, r := range idx {
+			for j, c := range idx {
+				sub.data[i*k+j] = z.data[r*n+c]
+			}
+		}
+		ds, err := qlEigen(sub)
+		if err != nil {
+			return nil, err
+		}
+		for i, r := range idx {
+			d[r] = ds[i]
+			for j, c := range idx {
+				vt.data[r*n+c] = sub.data[i*k+j]
+			}
+		}
+	}
+	return finishEigen(d, vt), nil
+}
+
+// qlEigen runs tred2 + tql2 on the symmetric z in place and returns the
+// eigenvalues (unsorted), leaving row i of z the eigenvector of the i-th.
+func qlEigen(z *Matrix) ([]float64, error) {
+	n := z.rows
 	if n == 0 {
-		return finishEigen(nil, z), nil
+		return nil, nil
 	}
 	d, e := make([]float64, n), make([]float64, n)
 	tridiagonalize(z.data, n, d, e)
 	accumulateReflections(z.data, n, d, e)
-	err = tridiagonalQL(d, e, func(sw qlSweep) { sw.rotateRows(z.data, n) })
-	if err != nil {
+	if err := tridiagonalQL(d, e, func(sw qlSweep) { sw.rotateRows(z.data, n) }); err != nil {
 		return nil, err
 	}
 	if !VecIsFinite(d) || !z.IsFinite() {
 		return nil, fmt.Errorf("%w: ql eigendecomposition overflowed", ErrNoConverge)
 	}
-	return finishEigen(d, z), nil
+	return d, nil
+}
+
+// components partitions the indices of the symmetric z into the connected
+// components of its exact non-zero off-diagonal pattern, each in ascending
+// order and ordered by smallest index. A dense matrix is one component.
+func components(z *Matrix) [][]int {
+	n := z.rows
+	seen := make([]bool, n)
+	var blocks [][]int
+	for s := range seen {
+		if seen[s] {
+			continue
+		}
+		seen[s] = true
+		block := []int{s}
+		for q := 0; q < len(block); q++ {
+			for j, x := range z.data[block[q]*n : (block[q]+1)*n] {
+				if x != 0 && !seen[j] {
+					seen[j] = true
+					block = append(block, j)
+				}
+			}
+		}
+		sort.Ints(block)
+		blocks = append(blocks, block)
+	}
+	return blocks
 }
 
 // EigenLeading is a two-phase symmetric eigendecomposition: every eigenvalue
@@ -61,7 +134,7 @@ func SymEigen(a *Matrix) (*EigenSym, error) {
 // The value is a pure function of the input matrix, like SymEigen's.
 type EigenLeading struct {
 	// Values are all n eigenvalues in descending order, bit for bit the
-	// Values SymEigen returns for the same matrix.
+	// Values SymEigen returns for the same irreducible matrix.
 	Values []float64
 
 	n int
@@ -83,11 +156,14 @@ const rotationChunk = 4096
 // SymEigenLeading factors the symmetric matrix a for its eigenvalues and
 // leading eigenvectors: Householder reduction without accumulating Q, and one
 // QL iteration on the tridiagonal that logs its plane rotations instead of
-// applying them. Values are available at once and bitwise equal to
-// SymEigen's; Vectors and Vector build eigenvectors on demand by replaying
-// the log backward on unit vectors and reflecting the result through the
-// stored Householder vectors. They agree with SymEigen's to rounding error
-// (the same transformations, applied in another order).
+// applying them. Values are available at once and, for an irreducible matrix
+// (one component, see SymEigen), bitwise equal to SymEigen's; a reducible one
+// is not split here, so they agree to rounding error. Its one caller, the
+// randproj model build, factors a dense Gram. Vectors and Vector build
+// eigenvectors on demand by replaying the log backward on unit vectors and
+// reflecting the result through the stored Householder vectors. They agree
+// with SymEigen's to rounding error (the same transformations, applied in
+// another order).
 //
 // Errors are SymEigen's, reported here rather than by Vectors.
 func SymEigenLeading(a *Matrix) (*EigenLeading, error) {

@@ -121,9 +121,9 @@ func TestMulWorkersShapeError(t *testing.T) {
 	}
 }
 
-// TestSymEigenWorkersCorrect checks both eigensolvers' decompositions from
-// tiny inputs up to the detector's dimensions (odd n exercises the Jacobi
-// schedule's bye slot): orthonormal V, A·V ≈ V·Λ, descending eigenvalues.
+// TestSymEigenWorkersCorrect checks both entry points' decompositions from
+// tiny inputs up to the detector's dimensions, odd and even n: orthonormal V,
+// A·V ≈ V·Λ, descending eigenvalues.
 func TestSymEigenWorkersCorrect(t *testing.T) {
 	for _, s := range eigenSolvers {
 		rng := rand.New(rand.NewSource(45))

@@ -1,11 +1,11 @@
 // Package mat provides the dense linear-algebra substrate used by the
 // streaming-PCA library: row-major dense matrices and vectors, the Gram
-// kernel, Householder QR with least squares, and three symmetric
-// eigensolvers over one Householder + implicit-QL core — SymEigen, every
-// eigenpair (the exact references); SymEigenLeading, every eigenvalue and
-// only the leading eigenvectors asked for (the NOC model build); and
-// SymEigenJacobi, the round-robin Jacobi kernel Frequent Directions keeps
-// for its exact-zero pivots.
+// kernel, Householder QR with least squares, and one symmetric eigensolver,
+// Householder tridiagonalisation + implicit QL, behind two entry points —
+// SymEigen, every eigenpair, solved block by block when the matrix is
+// reducible (the exact references and Frequent Directions); and
+// SymEigenLeading, every eigenvalue and only the leading eigenvectors asked
+// for (the NOC model build).
 //
 // The package is deliberately small and dependency-free (stdlib only). It is
 // tuned for the matrix sizes that occur in network-wide PCA detection —

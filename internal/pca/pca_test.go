@@ -82,24 +82,53 @@ func TestFitRecoversSubspace(t *testing.T) {
 }
 
 func TestFitMatchesSVDOfCenteredMatrix(t *testing.T) {
+	// Independent reference: a prescribed SVD. Y = U·diag(σ)·Vᵀ with U's
+	// orthonormal columns orthogonal to 1 (Q of a column-centered matrix) has
+	// column means zero, so x = 100 + Y centers back to Y and Fit must return
+	// σ as its singular values.
+	const n, m = 60, 7
+	sigma := []float64{400, 150, 60, 25, 1.5, 1, 0.5}
 	rng := rand.New(rand.NewSource(4))
-	x := lowRankData(rng, 60, 7, 4, 1)
+	gaussian := func(r, c int) *mat.Matrix {
+		g := mat.NewMatrix(r, c)
+		for i := 0; i < r; i++ {
+			for j := range g.RowView(i) {
+				g.Set(i, j, rng.NormFloat64())
+			}
+		}
+		return g
+	}
+	centered := gaussian(n, m)
+	centered.CenterColumns()
+	u, err := mat.ComputeQR(centered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := mat.ComputeQR(gaussian(m, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		row := u.Q.RowView(i)
+		for j := range row {
+			row[j] *= sigma[j]
+		}
+	}
+	x, err := u.Q.Mul(v.Q.T())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		for j, y := range x.RowView(i) {
+			x.Set(i, j, 100+y)
+		}
+	}
 	model, err := Fit(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := x.Clone()
-	y.CenterColumns()
-	// Independent reference: the singular values of Y are the square roots
-	// of YᵀY's eigenvalues, taken from the Jacobi solver Fit does not use.
-	eig, err := mat.SymEigenJacobi(y.Gram())
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := math.Sqrt(eig.Values[0])
-	for j := range model.Singular {
-		want := math.Sqrt(math.Max(eig.Values[j], 0))
-		if math.Abs(model.Singular[j]-want) > 1e-7*math.Max(1, top) {
+	for j, want := range sigma {
+		if math.Abs(model.Singular[j]-want) > 1e-7*math.Max(1, sigma[0]) {
 			t.Fatalf("η_%d = %v vs SVD %v", j, model.Singular[j], want)
 		}
 	}

@@ -18,8 +18,8 @@ import (
 //
 // Unlike the variance-histogram sketch, FD summarizes the full stream prefix
 // — rows never expire. The shrink runs on the small side: B·Bᵀ is 2ℓ×2ℓ, so
-// one shrink costs O(ℓ²·w + ℓ³) via the Gram/Mul kernels and the Jacobi
-// eigensolver, amortized over ℓ appends.
+// one shrink costs O(ℓ²·w + ℓ³) via the Gram/Mul kernels and mat.SymEigen,
+// amortized over ℓ appends.
 //
 // FD is not safe for concurrent use; callers serialize.
 type FD struct {
@@ -132,17 +132,6 @@ func (m *FD) insertRow(row []float64) error {
 // shrink halves the full buffer: eigendecompose the small side B·Bᵀ
 // (2ℓ×2ℓ), drop δ = λ_ℓ from every retained squared singular value, and
 // rebuild the top-ℓ rows as scaled left-projections of B.
-//
-// The eigensolve is mat.SymEigenJacobi, not the ~10× cheaper mat.SymEigen,
-// and must stay so. mergeFD feeds this buffer rows that are zero outside
-// their source monitor's columns, so B·Bᵀ is block diagonal; Jacobi skips
-// exact-zero pivots, so every eigenvector stays on one block and every
-// rebuilt row uᵢᵀB stays exactly zero outside one monitor's columns
-// (TestMergeFDRowsStayOnOneBlock). gob ships each such zero in one byte. A
-// Householder/QL solver mixes the blocks at rounding level, the zeros become
-// 1e-17s at nine bytes each, and `wire_bytes_alarm_interval` on the
-// fed-fd-ingest benchmark rose 14 400 → 15 560 B (+7 %, bound 5 %) when it was
-// tried (PR 26). At 2ℓ = 16 the Jacobi solve is microseconds.
 func (m *FD) shrink() error {
 	// B·Bᵀ = (Bᵀ)ᵀ·(Bᵀ): the transpose feeds the Gram kernel, which
 	// exploits symmetry.
@@ -152,9 +141,10 @@ func (m *FD) shrink() error {
 		// can construct this, so fail typed instead of via the eigensolver.
 		return fmt.Errorf("%w: fd shrink overflow (non-finite Gram product)", ErrInput)
 	}
-	eig, err := mat.SymEigenJacobi(g)
+	eig, err := mat.SymEigen(g)
 	if err != nil {
-		return fmt.Errorf("fd shrink eigendecomposition: %w", err)
+		// A finite Gram whose spectrum overflows: hostile too.
+		return fmt.Errorf("%w: fd shrink eigendecomposition: %w", ErrInput, err)
 	}
 	delta := eig.Values[m.ell]
 	if delta < 0 {

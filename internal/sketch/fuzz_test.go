@@ -32,6 +32,8 @@ func FuzzMergeColumns(f *testing.F) {
 	f.Add(seed(2, 2, 5, -1, 1))
 	f.Add(seed(0, 0, 0, math.NaN()))
 	f.Add(seed(2, 3, 1, math.Inf(1), 1, 2, 3))
+	// Three rows whose Gram is finite but whose spectrum is not.
+	f.Add(seed(2, 2, 3, 0, 0, 1, 0, 1, 7e153, 7e153, 7e153, 7e153, 7e153, 7e153))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decode the fuzz input into a snapshot shape.
@@ -103,6 +105,20 @@ func FuzzMergeColumns(f *testing.F) {
 		}
 		if err := merged.Validate(peerEll); err != nil {
 			t.Fatalf("merged snapshot invalid: %v", err)
+		}
+		// The fuzzed input owns flows below 10, the peer the rest: whatever
+		// the values, every merged row stays on one input's columns.
+		for i, row := range merged.FDRows {
+			var fuzzed, peer bool
+			for k, v := range row {
+				if v != 0 {
+					fuzzed = fuzzed || merged.FlowIDs[k] < 10
+					peer = peer || merged.FlowIDs[k] >= 10
+				}
+			}
+			if fuzzed && peer {
+				t.Fatalf("merged row %d is non-zero on both inputs' columns: %v", i, row)
+			}
 		}
 	})
 }

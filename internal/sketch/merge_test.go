@@ -218,11 +218,12 @@ func TestMergeFDGuarantee(t *testing.T) {
 }
 
 // TestMergeFDRowsStayOnOneBlock pins the property the FD family's wire size
-// rests on (see FD.shrink): the union of column-sharded buffers is block
-// diagonal, the Jacobi eigensolve in shrink never rotates across an
-// exact-zero pivot, so even after the merge's own shrinks every merged row is
-// supported on one input shard's columns, with exact zeros — one gob byte
-// each — everywhere else.
+// rests on: the union of column-sharded buffers has a block-diagonal B·Bᵀ,
+// mat.SymEigen solves a reducible matrix one block at a time, so even after
+// the merge's own shrinks every merged row is supported on one input shard's
+// columns, with exact zeros — one gob byte each — everywhere else. A
+// merge of merges, the depth-2 aggregator, keeps every row on one original
+// shard's columns the same way.
 func TestMergeFDRowsStayOnOneBlock(t *testing.T) {
 	// n = 59 leaves every shard 2ℓ−1 = 7 live rows, so the merge shrinks six
 	// times; from the second on, the buffer's leading rows are earlier
@@ -250,18 +251,42 @@ func TestMergeFDRowsStayOnOneBlock(t *testing.T) {
 		t.Fatalf("merge of %d rows (Δ %v → %v) never shrank: the test is not exercising mergeFD's shrink",
 			rowsIn, deltaIn, merged.FDDelta)
 	}
-	for i, row := range merged.FDRows {
-		support := map[int]bool{}
-		for k, v := range row {
-			if v != 0 {
-				support[owner[merged.FlowIDs[k]]] = true
+	oneBlock := func(name string, merged Snapshot) {
+		t.Helper()
+		for i, row := range merged.FDRows {
+			support := map[int]bool{}
+			for k, v := range row {
+				if v != 0 {
+					support[owner[merged.FlowIDs[k]]] = true
+				}
+			}
+			if len(support) != 1 {
+				t.Fatalf("%s row %d is non-zero on the columns of %d input blocks, want exactly 1: %v",
+					name, i, len(support), row)
 			}
 		}
-		if len(support) != 1 {
-			t.Fatalf("merged row %d is non-zero on the columns of %d input blocks, want exactly 1: %v",
-				i, len(support), row)
-		}
 	}
+	oneBlock("merged", merged)
+
+	// Depth 2: two aggregators over interleaved shard pairs, then the NOC-side
+	// merge of their outputs.
+	var mid []Snapshot
+	for _, pair := range [][]int{{0, 2}, {1, 3}} {
+		agg, err := MergeColumns([]Snapshot{snaps[pair[0]], snaps[pair[1]]}, ell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneBlock("mid-tier merged", agg)
+		mid = append(mid, agg)
+	}
+	top, err := MergeColumns(mid, ell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if top.FDDelta <= mid[0].FDDelta+mid[1].FDDelta {
+		t.Fatalf("merge of merges (Δ %v) never shrank", top.FDDelta)
+	}
+	oneBlock("merge-of-merges", top)
 }
 
 // TestMergeSingleInputPassThrough: an aggregator fronting one monitor must
