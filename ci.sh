@@ -148,6 +148,24 @@ eval_golden fig8 -figure 8
 eval_golden fig9 -figure 9
 step_done
 
+# The example deployment in both topologies (~0.5 s each): sketch linearity
+# makes the aggregator tier transparent, so the flat run and the
+# three-aggregator run must print the same NOC summary and detection lines.
+step "example deployment: flat and federated agree (examples/distributed -aggs 0, -aggs 3)"
+go build -o "$EVAL_TMP/distributed" ./examples/distributed
+for aggs in 0 3; do
+    "$EVAL_TMP/distributed" -aggs "$aggs" | grep -E '^(NOC|detection):' > "$EVAL_TMP/aggs$aggs"
+    if [ "$(wc -l < "$EVAL_TMP/aggs$aggs")" -ne 2 ]; then
+        echo "examples/distributed -aggs $aggs printed no summary" >&2
+        exit 1
+    fi
+done
+if ! diff "$EVAL_TMP/aggs0" "$EVAL_TMP/aggs3"; then
+    echo "examples/distributed: the federated summary (>) differs from the flat one (<)" >&2
+    exit 1
+fi
+step_done
+
 # Fuzz smokes: ten seconds of coverage-guided input on each hostile decoder
 # (NetFlow v5 datagrams off the wire, trace CSVs off disk, peer snapshots an
 # aggregator validates and merges) and on the variance histogram's storage,

@@ -32,6 +32,7 @@ import (
 	"streampca/internal/agg"
 	"streampca/internal/cliflags"
 	"streampca/internal/obs"
+	"streampca/internal/tier"
 )
 
 func main() {
@@ -40,6 +41,11 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// daemonPull is the aggregator role's pull policy with one retry round: the
+// daemon retries once where the library does not, and -fetch-retries 0 means
+// this default here too.
+var daemonPull = tier.PullPolicy{Retries: 1}.Or(tier.AggPull)
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("sketchpca-agg", flag.ContinueOnError)
@@ -54,10 +60,10 @@ func run(args []string) error {
 		peersStr = fs.String("peers", "", "comma-separated aggregator candidate addresses (incl. this one) pushed to monitors for failover")
 		epoch    = fs.Uint64("shard-epoch", 1, "version of the pushed candidate list (bump when -peers changes)")
 		dialTO   = fs.Duration("dial-timeout", 5*time.Second, "NOC dial timeout")
-		fetch    = cliflags.Fetch(fs, 2*time.Second, "timeout for one downstream sketch-pull round", 1, "extra downstream pull rounds re-requesting missing responses")
+		pull     = cliflags.Pull(fs, daemonPull, "timeout for one downstream sketch-pull round", "extra downstream pull rounds re-requesting missing responses")
 		degraded = cliflags.Degraded(fs, true, "serve unresponsive monitors' flows from cached snapshots (flagged upstream)", "snapshot")
 		pendIntv = fs.Int("pending-intervals", 8, "partially-reported intervals buffered for the merged volume forward")
-		reconn   = cliflags.Reconnect(fs)
+		redial   = cliflags.Redial(fs)
 		metrics  = cliflags.Metrics(fs, "/metrics and /healthz")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -84,15 +90,10 @@ func run(args []string) error {
 		Seed:                *seed,
 		Peers:               peers,
 		ShardEpoch:          *epoch,
-		FetchTimeout:        fetch.Timeout,
-		FetchRetries:        fetch.Retries,
-		FetchBackoff:        fetch.Backoff,
-		FetchBackoffMax:     fetch.BackoffMax,
-		Degraded:            agg.DegradedPolicy{Enabled: degraded.Enabled, MaxStaleness: degraded.MaxStaleness},
+		Pull:                pull.Or(daemonPull),
+		Degraded:            *degraded,
 		MaxPendingIntervals: *pendIntv,
-		Reconnect:           reconn.Enabled,
-		ReconnectBackoff:    reconn.Backoff,
-		ReconnectBackoffMax: reconn.BackoffMax,
+		Redial:              *redial,
 		Log:                 obs.NewLogger(os.Stderr, slog.LevelInfo, "agg"),
 		MetricsAddr:         metrics.Addr,
 	})

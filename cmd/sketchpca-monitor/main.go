@@ -38,7 +38,6 @@ import (
 	"syscall"
 	"time"
 
-	"streampca/internal/agg"
 	"streampca/internal/cliflags"
 	"streampca/internal/flow"
 	"streampca/internal/ingest"
@@ -72,7 +71,7 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 		epsilon = fs.Float64("epsilon", 0.01, "variance-histogram ε (randproj only)")
 		seed    = fs.Uint64("seed", 42, "shared randomness seed (randproj only)")
 		dialTO  = fs.Duration("dial-timeout", 5*time.Second, "NOC dial timeout")
-		reconn  = cliflags.Reconnect(fs)
+		redial  = cliflags.Redial(fs)
 		selfchk = cliflags.SelfCheck(fs, "validate the sketch state against an exact-window oracle every Nth interval (0 = off)")
 		metrics = cliflags.Metrics(fs, "/metrics, /healthz and /debug/pprof")
 		tracing = cliflags.Trace(fs, "append one JSONL audit record per received alarm to this file (off when empty)")
@@ -138,22 +137,20 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 		}
 	}
 	svc, err := monitor.New(monitor.Config{
-		ID:                  *id,
-		Family:              fam,
-		FlowIDs:             flows,
-		WindowLen:           *window,
-		Epsilon:             *epsilon,
-		Sketch:              randproj.Config{Seed: *seed, SketchLen: sk.Len, WindowLen: *window},
-		FDEll:               sk.Len,
-		SelfCheckEvery:      *selfchk,
-		Reconnect:           reconn.Enabled,
-		ReconnectBackoff:    reconn.Backoff,
-		ReconnectBackoffMax: reconn.BackoffMax,
-		Candidates:          aggs,
-		Log:                 obs.NewLogger(os.Stderr, slog.LevelInfo, "monitor"),
-		MetricsAddr:         metrics.Addr,
-		Trace:               tracer,
-		FlightRecorder:      recorder,
+		ID:             *id,
+		Family:         fam,
+		FlowIDs:        flows,
+		WindowLen:      *window,
+		Epsilon:        *epsilon,
+		Sketch:         randproj.Config{Seed: *seed, SketchLen: sk.Len, WindowLen: *window},
+		FDEll:          sk.Len,
+		SelfCheckEvery: *selfchk,
+		Redial:         *redial,
+		Candidates:     aggs,
+		Log:            obs.NewLogger(os.Stderr, slog.LevelInfo, "monitor"),
+		MetricsAddr:    metrics.Addr,
+		Trace:          tracer,
+		FlightRecorder: recorder,
 		OnAlarm: func(a transport.Alarm) {
 			degraded := ""
 			if a.Degraded {
@@ -166,23 +163,12 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 	if err != nil {
 		return err
 	}
-	// With -aggs, dial the rendezvous order for this monitor's ID so every
-	// monitor independently lands on its agreed aggregator; otherwise the
-	// classic flat topology dials the NOC directly.
+	// With -aggs, register with the rendezvous-preferred aggregator — the
+	// walk a failover makes; otherwise the flat topology dials the NOC.
 	upstream := *nocAddr
 	if len(aggs) > 0 {
-		var dialErr error
-		connected := false
-		for _, addr := range agg.Rendezvous(*id, aggs) {
-			if dialErr = svc.Connect(addr, *dialTO); dialErr == nil {
-				upstream = addr
-				connected = true
-				break
-			}
-			fmt.Fprintf(os.Stderr, "%s: aggregator %s unavailable: %v\n", *id, addr, dialErr)
-		}
-		if !connected {
-			return fmt.Errorf("no aggregator reachable: %w", dialErr)
+		if upstream, err = svc.Place(*dialTO); err != nil {
+			return fmt.Errorf("no aggregator reachable: %w", err)
 		}
 	} else if err := svc.Connect(upstream, *dialTO); err != nil {
 		return err
@@ -207,7 +193,7 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 			routers:  *routers,
 			id:       *id,
 			flows:    flows,
-			shed:     reconn.Enabled,
+			shed:     redial.Enabled,
 			trace:    tracer,
 		}, shutdown)
 	}
@@ -247,7 +233,7 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 		}
 		// Interval indices start at 1 on the wire (0 is "never updated").
 		if err := svc.ReportInterval(interval+1, volumes); err != nil {
-			if reconn.Enabled {
+			if redial.Enabled {
 				// The link is down and being redialed; shedding intervals
 				// beats killing the daemon (the NOC degrades gracefully).
 				fmt.Fprintf(os.Stderr, "%s: interval %d not reported: %v\n", *id, interval+1, err)

@@ -28,6 +28,7 @@ import (
 	"streampca/internal/core"
 	"streampca/internal/noc"
 	"streampca/internal/obs"
+	"streampca/internal/tier"
 )
 
 func main() {
@@ -64,7 +65,7 @@ func run(args []string) error {
 		energy   = fs.Float64("energy", 0.9, "retained energy for -rank-mode energy")
 		seed     = fs.Uint64("seed", 42, "shared randomness seed")
 		quiet    = fs.Bool("quiet", false, "print only alarms, not every decision")
-		fetch    = cliflags.Fetch(fs, 5*time.Second, "timeout for one sketch-pull round", 2, "extra sketch-pull rounds re-requesting missing responses (-1 disables)")
+		pull     = cliflags.Pull(fs, tier.NOCPull, "timeout for one sketch-pull round", "extra sketch-pull rounds re-requesting missing responses")
 		brkThr   = fs.Int("breaker-threshold", 3, "consecutive fetch failures that open a monitor's circuit breaker (-1 disables)")
 		brkCool  = fs.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker skips its monitor")
 		degraded = cliflags.Degraded(fs, false, "keep deciding on cached volumes/sketches when monitors are missing", "cache")
@@ -113,13 +114,10 @@ func run(args []string) error {
 		},
 		Seed:             *seed,
 		SelfCheckEvery:   *selfchk,
-		FetchTimeout:     fetch.Timeout,
-		FetchRetries:     fetch.Retries,
-		FetchBackoff:     fetch.Backoff,
-		FetchBackoffMax:  fetch.BackoffMax,
+		Pull:             *pull,
 		BreakerThreshold: *brkThr,
 		BreakerCooldown:  *brkCool,
-		Degraded:         noc.DegradedPolicy{Enabled: degraded.Enabled, MaxStaleness: degraded.MaxStaleness},
+		Degraded:         *degraded,
 		OnDecision: func(d noc.Decision) {
 			flag := ""
 			if d.Degraded {

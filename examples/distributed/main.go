@@ -1,8 +1,23 @@
-// Distributed scenario: the full Fig. 1 deployment on loopback TCP — one
-// NOC service plus three local-monitor services, each owning a third of the
-// OD flows. Monitors stream per-interval volume reports; the NOC assembles
-// network-wide vectors and pulls sketches lazily; alarms are broadcast back
-// to every monitor.
+// Distributed scenario: the full Fig. 1 deployment on loopback TCP. With
+// -aggs 0 (the default) it is flat — one NOC service plus three local-monitor
+// services, each owning a third of the OD flows. With -aggs N it grows one
+// tier: N mid-tier aggregators shard the flow space, and 2N monitors each
+// register with their rendezvous-preferred aggregator, which merges its
+// shard's sketches and volume reports so the NOC sees N "monitors" whose
+// flows partition the network. Monitors stream per-interval volume reports;
+// the NOC assembles network-wide vectors and pulls sketches lazily; alarms
+// are broadcast back to every monitor.
+//
+// Sketch linearity makes the tier transparent: merged randproj columns are
+// byte-identical to what the flat topology delivers, so both topologies
+// print the same NOC summary and detection lines (ci.sh diffs them; the
+// differential e2e test in internal/noc pins the decisions). Pass
+// -sketcher fd for the Frequent Directions family. Expect it to miss this
+// scenario's low-profile coordinated anomaly: FD models the full stream
+// prefix per monitor block with no cross-monitor covariance, so a subtle
+// shift spread across the monitors stays inside each block's residual
+// budget (DESIGN.md §15; per-shard merged blocks under -aggs, §16; compare
+// the families head-to-head with abilene-eval -shootout).
 //
 // Pass -metrics-addr 127.0.0.1:9090 to watch the NOC's /metrics,
 // /healthz and /debug/pprof while the scenario streams.
@@ -12,14 +27,8 @@
 // datagrams (each monitor sees only its own flows) and re-aggregated into
 // interval rows by the ingestion path before reporting.
 //
-// Pass -sketcher fd for the Frequent Directions family. Expect it to miss
-// this scenario's low-profile coordinated anomaly: FD models the full stream
-// prefix per monitor block with no cross-monitor covariance, so a subtle
-// shift spread across all three monitors stays inside each block's residual
-// budget (the trade-off DESIGN.md §15 documents; compare the families
-// head-to-head with abilene-eval -shootout).
-//
 //	go run ./examples/distributed
+//	go run ./examples/distributed -aggs 3
 package main
 
 import (
@@ -29,40 +38,62 @@ import (
 	"sync/atomic"
 	"time"
 
+	"streampca/internal/agg"
 	"streampca/internal/core"
 	"streampca/internal/ingest"
 	"streampca/internal/monitor"
 	"streampca/internal/noc"
 	"streampca/internal/randproj"
 	sketchpkg "streampca/internal/sketch"
+	"streampca/internal/tier"
 	"streampca/internal/trace"
 	"streampca/internal/traffic"
 	"streampca/internal/transport"
 )
 
+// options are the command-line flags.
+type options struct {
+	aggs        int
+	metricsAddr string
+	ingest      bool
+	sketcher    string
+	trace       bool
+	traceSample int
+	flight      string
+}
+
 func main() {
-	metricsAddr := flag.String("metrics-addr", "", "serve NOC diagnostics (/metrics, /healthz, /debug/pprof, /debug/trace) on this address")
-	ingestMode := flag.Bool("ingest", false, "feed monitors through NetFlow v5 ingest pipelines instead of direct volume rows")
-	sketcher := flag.String("sketcher", "randproj", "sketcher family: randproj or fd")
-	traceOn := flag.Bool("trace", false, "record interval-lineage spans on the NOC (served on /debug/trace with -metrics-addr)")
-	traceSm := flag.Int("trace-sample", 1, "with -trace, keep every trace whose id % N == 0 (1 = all)")
-	flight := flag.String("flight-recorder", "", "append one JSONL audit record per alarm/degraded decision to this file")
+	var o options
+	flag.IntVar(&o.aggs, "aggs", 0, "mid-tier aggregators between the monitors and the NOC (0 = flat topology)")
+	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve NOC diagnostics (/metrics, /healthz, /debug/pprof, /debug/trace) on this address")
+	flag.BoolVar(&o.ingest, "ingest", false, "feed monitors through NetFlow v5 ingest pipelines instead of direct volume rows")
+	flag.StringVar(&o.sketcher, "sketcher", "randproj", "sketcher family: randproj or fd")
+	flag.BoolVar(&o.trace, "trace", false, "record interval-lineage spans on the NOC (served on /debug/trace with -metrics-addr)")
+	flag.IntVar(&o.traceSample, "trace-sample", 1, "with -trace, keep every trace whose id % N == 0 (1 = all)")
+	flag.StringVar(&o.flight, "flight-recorder", "", "append one JSONL audit record per alarm/degraded decision to this file")
 	flag.Parse()
-	if err := run(*metricsAddr, *ingestMode, *sketcher, *traceOn, *traceSm, *flight); err != nil {
+	if err := run(o); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(metricsAddr string, ingestMode bool, sketcher string, traceOn bool, traceSample int, flightPath string) error {
+func run(o options) error {
 	const (
 		perDay    = traffic.IntervalsPerDay5Min
 		windowLen = perDay / 2
 		total     = perDay * 3 / 2
 		sketchLen = 100
 		seed      = 777
-		numMons   = 3
+		dialTO    = 2 * time.Second
 	)
-	fam, err := sketchpkg.ParseFamily(sketcher)
+	if o.aggs < 0 {
+		return fmt.Errorf("-aggs %d: want 0 or more", o.aggs)
+	}
+	numMons := 3
+	if o.aggs > 0 {
+		numMons = 2 * o.aggs
+	}
+	fam, err := sketchpkg.ParseFamily(o.sketcher)
 	if err != nil {
 		return fmt.Errorf("-sketcher: %w", err)
 	}
@@ -89,20 +120,25 @@ func run(metricsAddr string, ingestMode bool, sketcher string, traceOn bool, tra
 	}
 
 	var tracer *trace.Tracer
-	if traceOn {
-		tracer = trace.New(trace.Config{Component: "noc", Sample: traceSample})
+	if o.trace {
+		tracer = trace.New(trace.Config{Component: "noc", Sample: o.traceSample})
 	}
 	var recorder *trace.FlightRecorder
-	if flightPath != "" {
-		var err error
-		recorder, err = trace.OpenFlightRecorder(flightPath)
+	if o.flight != "" {
+		recorder, err = trace.OpenFlightRecorder(o.flight)
 		if err != nil {
 			return fmt.Errorf("-flight-recorder: %w", err)
 		}
 		defer func() { _ = recorder.Close() }()
 	}
 
-	// NOC.
+	// Fault tolerance on every tier: retry missing sketch responses twice
+	// (the NOC's default; the aggregators set it) and, should a peer vanish
+	// mid-run, keep deciding on its cached state.
+	degraded := tier.DegradedPolicy{Enabled: true}
+
+	// NOC — the same in both topologies: it just sees registrants whose
+	// flows partition the network.
 	decisions := make(chan noc.Decision, total)
 	nocSvc, err := noc.New(noc.Config{
 		Detector: core.DetectorConfig{
@@ -114,13 +150,10 @@ func run(metricsAddr string, ingestMode bool, sketcher string, traceOn bool, tra
 			Mode:      core.RankFixed,
 			FixedRank: 6,
 		},
-		Seed: seed,
-		// Fault tolerance: retry missing sketch responses and, should a
-		// monitor vanish mid-run, keep deciding on its cached state.
-		FetchRetries:   2,
-		Degraded:       noc.DegradedPolicy{Enabled: true},
+		Seed:           seed,
+		Degraded:       degraded,
 		OnDecision:     func(d noc.Decision) { decisions <- d },
-		MetricsAddr:    metricsAddr,
+		MetricsAddr:    o.metricsAddr,
 		Trace:          tracer,
 		FlightRecorder: recorder,
 	})
@@ -131,13 +164,51 @@ func run(metricsAddr string, ingestMode bool, sketcher string, traceOn bool, tra
 		return err
 	}
 	defer nocSvc.Shutdown()
-	fmt.Printf("NOC listening on %s (sketcher=%s sketch=%d)\n",
-		nocSvc.Addr(), fam, sketchParam)
+	fmt.Printf("NOC listening on %s (sketcher=%s sketch=%d)\n", nocSvc.Addr(), fam, sketchParam)
 	if addr := nocSvc.DiagAddr(); addr != "" {
 		fmt.Printf("NOC diagnostics on http://%s/metrics\n", addr)
 	}
 
-	// Monitors, partitioning the flows round-robin.
+	// Aggregator tier. Ports are dynamic, so the full candidate list is
+	// installed with SetPeers once every listener is up, then each
+	// aggregator dials the NOC and announces its (initially empty) shard.
+	aggs := make([]*agg.Service, o.aggs)
+	aggAddrs := make([]string, o.aggs)
+	for i := range aggs {
+		a, err := agg.New(agg.Config{
+			ID:        fmt.Sprintf("agg-%d", i+1),
+			Family:    fam,
+			NumFlows:  m,
+			WindowLen: windowLen,
+			SketchLen: sketchParam,
+			Seed:      seed,
+			Pull:      tier.PullPolicy{Retries: 2},
+			Degraded:  degraded,
+			Redial:    tier.RedialPolicy{Enabled: true},
+		})
+		if err != nil {
+			return err
+		}
+		if err := a.Serve("127.0.0.1:0"); err != nil {
+			return err
+		}
+		defer func() { _ = a.Close() }()
+		aggs[i] = a
+		aggAddrs[i] = a.Addr()
+	}
+	for _, a := range aggs {
+		a.SetPeers(aggAddrs, 1)
+		if err := a.ConnectNOC(nocSvc.Addr(), dialTO); err != nil {
+			return err
+		}
+	}
+	if o.aggs > 0 {
+		fmt.Printf("%d aggregators up: %v\n", o.aggs, aggAddrs)
+	}
+
+	// Monitors, striping the flows. Flat, each dials the NOC; federated,
+	// each places itself on its rendezvous-preferred aggregator — the walk
+	// sketchpca-monitor -aggs makes and a failover repeats.
 	var alarmsSeen atomic.Int64
 	assign := make([][]int, numMons)
 	for f := 0; f < m; f++ {
@@ -146,27 +217,35 @@ func run(metricsAddr string, ingestMode bool, sketcher string, traceOn bool, tra
 	mons := make([]*monitor.Service, numMons)
 	for i := range mons {
 		svc, err := monitor.New(monitor.Config{
-			ID:        fmt.Sprintf("monitor-%d", i+1),
-			Family:    fam,
-			FlowIDs:   assign[i],
-			WindowLen: windowLen,
-			Epsilon:   0.02,
-			Sketch:    randproj.Config{Seed: seed, SketchLen: sketchParam, WindowLen: windowLen},
-			FDEll:     sketchParam,
-			Reconnect: true,
-			OnAlarm: func(a transport.Alarm) {
-				alarmsSeen.Add(1)
-			},
+			ID:         fmt.Sprintf("monitor-%d", i+1),
+			Family:     fam,
+			FlowIDs:    assign[i],
+			WindowLen:  windowLen,
+			Epsilon:    0.02,
+			Sketch:     randproj.Config{Seed: seed, SketchLen: sketchParam, WindowLen: windowLen},
+			FDEll:      sketchParam,
+			Redial:     tier.RedialPolicy{Enabled: true},
+			Candidates: aggAddrs,
+			OnAlarm:    func(transport.Alarm) { alarmsSeen.Add(1) },
 		})
 		if err != nil {
 			return err
 		}
-		if err := svc.Connect(nocSvc.Addr(), 2*time.Second); err != nil {
+		upstream := nocSvc.Addr()
+		if o.aggs > 0 {
+			upstream, err = svc.Place(dialTO)
+		} else {
+			err = svc.Connect(upstream, dialTO)
+		}
+		if err != nil {
 			return err
 		}
 		defer func() { _ = svc.Close() }()
 		mons[i] = svc
-		fmt.Printf("%s connected, owns %d flows\n", svc.ID(), len(assign[i]))
+		fmt.Printf("%s -> %s (%d flows)\n", svc.ID(), upstream, len(assign[i]))
+	}
+	if err := waitCoverage(aggs, m); err != nil {
+		return err
 	}
 
 	// Stream the trace, tallying the NOC's verdicts against ground truth.
@@ -183,7 +262,7 @@ func run(metricsAddr string, ingestMode bool, sketcher string, traceOn bool, tra
 			falseAlarms++
 		}
 	}
-	if ingestMode {
+	if o.ingest {
 		if err := streamViaIngest(tr, mons, assign, decisions, tally); err != nil {
 			return err
 		}
@@ -206,22 +285,50 @@ func run(metricsAddr string, ingestMode bool, sketcher string, traceOn bool, tra
 		}
 	}
 
-	// Alarm broadcasts race the final report; give them a beat.
-	time.Sleep(200 * time.Millisecond)
+	// Alarm broadcasts race the final report (and hop through the
+	// aggregators when there are any); give them a beat.
+	time.Sleep(300 * time.Millisecond)
 	obs, fetches, alarms := nocSvc.DetectorStats()
 	fmt.Printf("\nNOC: %d observations, %d lazy sketch pulls, %d alarms raised\n", obs, fetches, alarms)
-	fmt.Printf("monitor-1 received %d alarm broadcasts\n", alarmsSeen.Load())
+	for _, a := range aggs {
+		st := a.Stats()
+		fmt.Printf("%s: %d monitors, %d volume forwards, %d merged pulls, %d alarms relayed\n",
+			a.ID(), st.Monitors, st.VolumeForwards, st.Fetches, st.AlarmsRelayed)
+	}
+	fmt.Printf("monitors received %d alarm broadcasts\n", alarmsSeen.Load())
 	fmt.Printf("detection: %d/%d injected intervals flagged, %d false alarms\n",
 		hits, anomalyEnd-anomalyStart, falseAlarms)
 	if hits > 0 {
-		fmt.Println("result: distributed lazy protocol detected the coordinated anomaly ✔")
+		fmt.Println("result: the lazy protocol detected the coordinated anomaly ✔")
 	}
 	if tracer != nil {
 		fmt.Printf("trace: %d spans retained (GET /debug/trace on the NOC diagnostics address)\n",
 			tracer.Recorder().Len())
 	}
 	if recorder != nil {
-		fmt.Printf("flight recorder: %d audit records appended to %s\n", recorder.Count(), flightPath)
+		fmt.Printf("flight recorder: %d audit records appended to %s\n", recorder.Count(), o.flight)
+	}
+	return nil
+}
+
+// waitCoverage waits until the aggregators' flow unions cover all m flows:
+// an aggregator re-announces its union upstream as monitors register, and
+// an interval reported before the last registration lands would be
+// forwarded short of a monitor. The flat topology has nothing to wait for.
+func waitCoverage(aggs []*agg.Service, m int) error {
+	deadline := time.Now().Add(5 * time.Second)
+	for len(aggs) > 0 {
+		covered := 0
+		for _, a := range aggs {
+			covered += len(a.FlowUnion())
+		}
+		if covered == m {
+			break
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("aggregators cover %d of %d flows", covered, m)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	return nil
 }

@@ -38,13 +38,6 @@ import (
 // ErrConfig indicates an invalid service configuration.
 var ErrConfig = errors.New("agg: invalid configuration")
 
-// DegradedPolicy is the NOC's (see tier.DegradedPolicy): substitute an
-// unresponsive monitor's cached sketches into the merge when they are no
-// staler than MaxStaleness intervals (symmetric distance) from the pull's
-// reference point. MaxStaleness 0 selects max(1, WindowLen/4); a negative
-// bound is refused.
-type DegradedPolicy = tier.DegradedPolicy
-
 // Config parameterizes an aggregator service.
 type Config struct {
 	// ID names the aggregator; it is the MonitorID the NOC sees.
@@ -67,26 +60,20 @@ type Config struct {
 	// ShardEpoch versions the pushed map; monitors keep the highest epoch
 	// seen. Defaults to 1 when Peers is set.
 	ShardEpoch uint64
-	// FetchTimeout bounds one downstream sketch-pull round (default 2s);
-	// FetchRetries extra rounds re-ask only the missing monitors, with
-	// capped exponential backoff between rounds (defaults 0, 50ms, 1s).
-	FetchTimeout    time.Duration
-	FetchRetries    int
-	FetchBackoff    time.Duration
-	FetchBackoffMax time.Duration
-	// Degraded controls cached-snapshot substitution for unresponsive
-	// monitors.
-	Degraded DegradedPolicy
+	// Pull paces the downstream sketch pulls (tier.PullPolicy); unset fields
+	// take tier.AggPull's.
+	Pull tier.PullPolicy
+	// Degraded is the NOC's rule (tier.DegradedPolicy): an unresponsive
+	// monitor's cached sketches stand in for it in the merge.
+	Degraded tier.DegradedPolicy
 	// MaxPendingIntervals bounds partially-reported intervals held for the
 	// merged volume forward (default 8; oldest is dropped).
 	MaxPendingIntervals int
-	// Reconnect enables automatic redial of the NOC link with capped
-	// exponential backoff (defaults 200ms, 5s). Unlike a leaf monitor, an
-	// aggregator retries even after an explicit NOC rejection: a flow-claim
-	// conflict during a re-shard clears once the stale owner drops.
-	Reconnect           bool
-	ReconnectBackoff    time.Duration
-	ReconnectBackoffMax time.Duration
+	// Redial redials the NOC link when it drops (tier.RedialPolicy). Unlike
+	// a leaf monitor, an aggregator retries even after an explicit NOC
+	// rejection: a flow-claim conflict during a re-shard clears once the
+	// stale owner drops.
+	Redial tier.RedialPolicy
 	// Obs is the metrics registry the service instruments into; nil creates
 	// a private registry. Log receives structured logs; nil discards.
 	Obs *obs.Registry
@@ -182,15 +169,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.SketchLen < 1 {
 		return nil, fmt.Errorf("%w: sketch parameter %d", ErrConfig, cfg.SketchLen)
 	}
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 2 * time.Second
-	}
-	if cfg.FetchRetries < 0 {
-		return nil, fmt.Errorf("%w: %d fetch retries", ErrConfig, cfg.FetchRetries)
-	}
-	if cfg.Degraded.MaxStaleness < 0 {
-		return nil, fmt.Errorf("%w: max staleness %d", ErrConfig, cfg.Degraded.MaxStaleness)
-	}
 	if cfg.MaxPendingIntervals <= 0 {
 		cfg.MaxPendingIntervals = 8
 	}
@@ -212,7 +190,8 @@ func New(cfg Config) (*Service, error) {
 		met:     newMetrics(reg),
 		wireMet: transport.NewMetrics(reg),
 	}
-	s.down = tier.NewDownstream(tier.DownstreamConfig{
+	var err error
+	s.down, err = tier.NewDownstream(tier.DownstreamConfig{
 		Params: tier.Params{
 			Family:    cfg.Family,
 			NumFlows:  cfg.NumFlows,
@@ -220,13 +199,11 @@ func New(cfg Config) (*Service, error) {
 			SketchLen: cfg.SketchLen,
 			Seed:      cfg.Seed,
 		},
-		FetchTimeout:    cfg.FetchTimeout,
-		FetchRetries:    cfg.FetchRetries,
-		FetchBackoff:    cfg.FetchBackoff,
-		FetchBackoffMax: cfg.FetchBackoffMax,
-		Degraded:        cfg.Degraded,
-		MaxPending:      cfg.MaxPendingIntervals,
-		WireMetrics:     s.wireMet,
+		Pull:         cfg.Pull,
+		PullDefaults: tier.AggPull,
+		Degraded:     cfg.Degraded,
+		MaxPending:   cfg.MaxPendingIntervals,
+		WireMetrics:  s.wireMet,
 		Metrics: tier.Metrics{
 			Registrants:  s.met.monitors,
 			Rejected:     s.met.rejects,
@@ -240,6 +217,9 @@ func New(cfg Config) (*Service, error) {
 		OnJoin:     s.pushShardMap,
 		OnChange:   s.announce,
 	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
+	}
 	s.up = tier.NewUplink(tier.UplinkConfig{
 		ID:    cfg.ID,
 		Hello: s.hello,
@@ -247,10 +227,8 @@ func New(cfg Config) (*Service, error) {
 			s.pulls.Add(1)
 			go s.serveFetch(c, req.RequestID, tc)
 		},
-		OnAlarm:    s.relayAlarm,
-		Reconnect:  cfg.Reconnect,
-		Backoff:    cfg.ReconnectBackoff,
-		BackoffMax: cfg.ReconnectBackoffMax,
+		OnAlarm: s.relayAlarm,
+		Redial:  cfg.Redial,
 		// A rejection here is a flow-claim conflict during a re-shard; it
 		// clears once the NOC drops the stale owner.
 		RetryRejected: true,

@@ -9,6 +9,7 @@ import (
 
 	"streampca/internal/core"
 	"streampca/internal/sketch"
+	"streampca/internal/tier"
 	"streampca/internal/transport"
 )
 
@@ -73,14 +74,14 @@ func TestRendezvousStability(t *testing.T) {
 
 func testConfig() Config {
 	return Config{
-		ID:           "agg-test",
-		Family:       sketch.FamilyRandProj,
-		NumFlows:     testFlows,
-		WindowLen:    16,
-		SketchLen:    testSketchLen,
-		Seed:         testSeed,
-		FetchTimeout: 300 * time.Millisecond,
-		Degraded:     DegradedPolicy{Enabled: true, MaxStaleness: 4},
+		ID:        "agg-test",
+		Family:    sketch.FamilyRandProj,
+		NumFlows:  testFlows,
+		WindowLen: 16,
+		SketchLen: testSketchLen,
+		Seed:      testSeed,
+		Pull:      tier.PullPolicy{Timeout: 300 * time.Millisecond},
+		Degraded:  tier.DegradedPolicy{Enabled: true, MaxStaleness: 4},
 	}
 }
 
@@ -327,7 +328,7 @@ func TestFetchMergesMonitorSketches(t *testing.T) {
 
 func TestFetchSubstitutesCachedSnapshot(t *testing.T) {
 	cfg := testConfig()
-	cfg.FetchTimeout = 150 * time.Millisecond
+	cfg.Pull.Timeout = 150 * time.Millisecond
 	s := newTestAgg(t, cfg)
 	m1 := attachMonitor(t, s, "m1", []int{0, 1})
 	m2 := attachMonitor(t, s, "m2", []int{4, 5})
@@ -373,7 +374,7 @@ func TestFetchSubstitutesCachedSnapshot(t *testing.T) {
 // unclaimed randproj column from cache per flow, as the NOC does.
 func TestDegradedMergeFillsPartlyReclaimedMonitor(t *testing.T) {
 	cfg := testConfig()
-	cfg.FetchTimeout = 150 * time.Millisecond
+	cfg.Pull.Timeout = 150 * time.Millisecond
 	s := newTestAgg(t, cfg)
 	m1 := attachMonitor(t, s, "m1", []int{0, 1})
 	m2 := attachMonitor(t, s, "m2", []int{4, 5})
@@ -571,8 +572,7 @@ func TestConfigValidation(t *testing.T) {
 		{ID: "a", Family: sketch.FamilyRandProj, NumFlows: 1, WindowLen: 0, SketchLen: 1},
 		{ID: "a", Family: sketch.FamilyRandProj, NumFlows: 1, WindowLen: 1, SketchLen: 0},
 		{ID: "a", Family: sketch.Family(99), NumFlows: 1, WindowLen: 1, SketchLen: 1},
-		{ID: "a", Family: sketch.FamilyRandProj, NumFlows: 1, WindowLen: 1, SketchLen: 1, FetchRetries: -1},
-		{ID: "a", Family: sketch.FamilyRandProj, NumFlows: 1, WindowLen: 1, SketchLen: 1, Degraded: DegradedPolicy{Enabled: true, MaxStaleness: -1}},
+		{ID: "a", Family: sketch.FamilyRandProj, NumFlows: 1, WindowLen: 1, SketchLen: 1, Degraded: tier.DegradedPolicy{Enabled: true, MaxStaleness: -1}},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -588,7 +588,7 @@ func TestConfigValidation(t *testing.T) {
 // Degraded.
 func TestBreakerSkipsMonitorThatTimesOut(t *testing.T) {
 	cfg := testConfig()
-	cfg.FetchTimeout = 60 * time.Millisecond
+	cfg.Pull.Timeout = 60 * time.Millisecond
 	s := newTestAgg(t, cfg)
 	m1 := attachMonitor(t, s, "m1", []int{0, 1})
 	m2 := attachMonitor(t, s, "m2", []int{4, 5})
@@ -647,7 +647,7 @@ func TestBreakerSkipsMonitorThatTimesOut(t *testing.T) {
 	if want := []int{0, 1, 4, 5}; !reflect.DeepEqual(resp.Report.FlowIDs, want) {
 		t.Fatalf("fourth pull covers %v, want %v", resp.Report.FlowIDs, want)
 	}
-	if took := time.Since(start); took >= cfg.FetchTimeout {
+	if took := time.Since(start); took >= cfg.Pull.Timeout {
 		t.Fatalf("fourth pull took %v: it still waited out m2's timeout", took)
 	}
 }

@@ -1,8 +1,8 @@
 // Package cliflags registers the flag groups sketchpca-noc, sketchpca-agg and
 // sketchpca-monitor share, so a flag's name and meaning are written once. The
-// daemons' defaults differ where their tiers do (a NOC waits 5s for a pull
-// round and retries twice, an aggregator 2s and once) and so does some of the
-// wording; each group takes those as arguments and fixes the rest.
+// link-policy groups fill internal/tier's policy types directly; where the
+// daemons differ (their tier role's pull defaults, some wording) each group
+// takes that as an argument and fixes the rest.
 package cliflags
 
 import (
@@ -11,58 +11,39 @@ import (
 	"time"
 
 	"streampca/internal/sketch"
+	"streampca/internal/tier"
 	"streampca/internal/trace"
 )
 
-// FetchValues holds the -fetch-* group: the sketch-pull retry rounds.
-type FetchValues struct {
-	Timeout    time.Duration
-	Retries    int
-	Backoff    time.Duration
-	BackoffMax time.Duration
-}
-
-// Fetch registers -fetch-timeout, -fetch-retries, -fetch-backoff and
-// -fetch-backoff-max; the values are set once fs is parsed.
-func Fetch(fs *flag.FlagSet, timeout time.Duration, timeoutHelp string, retries int, retriesHelp string) *FetchValues {
-	v := &FetchValues{}
-	fs.DurationVar(&v.Timeout, "fetch-timeout", timeout, timeoutHelp)
-	fs.IntVar(&v.Retries, "fetch-retries", retries, retriesHelp)
-	fs.DurationVar(&v.Backoff, "fetch-backoff", 50*time.Millisecond, "initial retry backoff (doubles per round, jittered)")
-	fs.DurationVar(&v.BackoffMax, "fetch-backoff-max", time.Second, "retry backoff cap")
-	return v
-}
-
-// DegradedValues holds the degraded-mode group.
-type DegradedValues struct {
-	Enabled      bool
-	MaxStaleness int64
+// Pull registers -fetch-timeout, -fetch-retries, -fetch-backoff and
+// -fetch-backoff-max into the returned policy, their defaults def's; the
+// values are set once fs is parsed.
+func Pull(fs *flag.FlagSet, def tier.PullPolicy, timeoutHelp, retriesHelp string) *tier.PullPolicy {
+	p := &tier.PullPolicy{}
+	fs.DurationVar(&p.Timeout, "fetch-timeout", def.Timeout, timeoutHelp)
+	fs.IntVar(&p.Retries, "fetch-retries", def.Retries, retriesHelp+" (0 = default, -1 = none)")
+	fs.DurationVar(&p.Backoff, "fetch-backoff", def.Backoff, "initial retry backoff (doubles per round, jittered)")
+	fs.DurationVar(&p.BackoffMax, "fetch-backoff-max", def.BackoffMax, "retry backoff cap")
+	return p
 }
 
 // Degraded registers -degraded and -max-staleness. cached names what is
 // aged ("cache", "snapshot").
-func Degraded(fs *flag.FlagSet, enabled bool, enabledHelp, cached string) *DegradedValues {
-	v := &DegradedValues{}
-	fs.BoolVar(&v.Enabled, "degraded", enabled, enabledHelp)
-	fs.Int64Var(&v.MaxStaleness, "max-staleness", 0, "degraded mode: max "+cached+" age in intervals (0 = window/4)")
-	return v
+func Degraded(fs *flag.FlagSet, enabled bool, enabledHelp, cached string) *tier.DegradedPolicy {
+	p := &tier.DegradedPolicy{}
+	fs.BoolVar(&p.Enabled, "degraded", enabled, enabledHelp)
+	fs.Int64Var(&p.MaxStaleness, "max-staleness", 0, "degraded mode: max "+cached+" age in intervals (0 = window/4)")
+	return p
 }
 
-// ReconnectValues holds the upstream-redial group.
-type ReconnectValues struct {
-	Enabled    bool
-	Backoff    time.Duration
-	BackoffMax time.Duration
-}
-
-// Reconnect registers -reconnect, -reconnect-backoff and
-// -reconnect-backoff-max.
-func Reconnect(fs *flag.FlagSet) *ReconnectValues {
-	v := &ReconnectValues{}
-	fs.BoolVar(&v.Enabled, "reconnect", true, "redial the NOC automatically when the link drops")
-	fs.DurationVar(&v.Backoff, "reconnect-backoff", 200*time.Millisecond, "initial redial backoff (doubles per attempt)")
-	fs.DurationVar(&v.BackoffMax, "reconnect-backoff-max", 5*time.Second, "redial backoff cap")
-	return v
+// Redial registers -reconnect, -reconnect-backoff and -reconnect-backoff-max;
+// the daemons redial by default.
+func Redial(fs *flag.FlagSet) *tier.RedialPolicy {
+	p := &tier.RedialPolicy{}
+	fs.BoolVar(&p.Enabled, "reconnect", true, "redial the NOC automatically when the link drops")
+	fs.DurationVar(&p.Backoff, "reconnect-backoff", tier.DefaultRedial.Backoff, "initial redial backoff (doubles per attempt)")
+	fs.DurationVar(&p.BackoffMax, "reconnect-backoff-max", tier.DefaultRedial.BackoffMax, "redial backoff cap")
+	return p
 }
 
 // MetricsValues holds the diagnostics group.
@@ -150,7 +131,7 @@ type TraceValues struct {
 func Trace(fs *flag.FlagSet, flightHelp string) *TraceValues {
 	v := &TraceValues{}
 	fs.BoolVar(&v.on, "trace", false, "record interval-lineage spans, served on /debug/trace (needs -metrics-addr to be visible)")
-	fs.IntVar(&v.sample, "trace-sample", 1, "with -trace, keep every trace whose id %% N == 0 (1 = all)")
+	fs.IntVar(&v.sample, "trace-sample", 1, "with -trace, keep every trace whose id % N == 0 (1 = all)")
 	fs.StringVar(&v.flight, "flight-recorder", "", flightHelp)
 	return v
 }

@@ -54,23 +54,18 @@ type Config struct {
 	FDEll int
 	// OnAlarm, when set, is invoked for alarms pushed by the NOC.
 	OnAlarm func(transport.Alarm)
-	// Reconnect enables automatic redial when the NOC link drops: the
-	// service redials the address given to Connect with capped exponential
-	// backoff, resends Hello and resumes serving sketch pulls. Ineffective
-	// for Attach-ed connections (there is no address to redial) and after
-	// the NOC rejects the registration (retrying would loop forever) —
-	// unless an aggregator shard map has been received, in which case the
-	// redial walks the rendezvous-ordered candidate list (federated
-	// failover; a rejection there is usually a transient re-shard conflict).
-	Reconnect bool
-	// ReconnectBackoff is the pause before the first redial, doubling up
-	// to ReconnectBackoffMax. Defaults: 200ms and 5s.
-	ReconnectBackoff    time.Duration
-	ReconnectBackoffMax time.Duration
+	// Redial (tier.RedialPolicy), when enabled, redials after the NOC link
+	// drops, resends Hello and resumes serving sketch pulls: over the
+	// rendezvous-ordered candidate list when one is known (federated
+	// failover; a rejection there is usually a transient re-shard
+	// conflict), else the last address. Ineffective for Attach-ed
+	// connections (there is no address to redial) and, with no candidate to
+	// fail over to, after the NOC rejects the registration (retrying would
+	// loop forever).
+	Redial tier.RedialPolicy
 	// Candidates pre-seeds the aggregator candidate list normally learned
 	// from a transport.ShardMap push (epoch 0, so any pushed map replaces
-	// it). Set by daemons started with an explicit -aggs list so failover
-	// works even before the first registration completes.
+	// it); Place walks it for the first registration.
 	Candidates []string
 	// SelfCheckEvery, when ≥ 1, enables the internal/oracle differential
 	// validator: the service shadows every interval with an exact sliding
@@ -241,9 +236,7 @@ func New(cfg Config) (*Service, error) {
 		Hello:       s.hello,
 		OnRequest:   s.serveSketch,
 		OnAlarm:     s.alarm,
-		Reconnect:   cfg.Reconnect,
-		Backoff:     cfg.ReconnectBackoff,
-		BackoffMax:  cfg.ReconnectBackoffMax,
+		Redial:      cfg.Redial,
 		Candidates:  cfg.Candidates,
 		WireMetrics: s.wireMet,
 		Reconnects:  s.met.reconnects,
@@ -287,10 +280,17 @@ func (s *Service) DiagAddr() string {
 func (s *Service) ID() string { return s.cfg.ID }
 
 // Connect dials the NOC, performs the Hello handshake and starts serving
-// sketch requests. With Config.Reconnect set, a later link loss redials
-// this address automatically.
+// sketch requests. With Config.Redial enabled, a later link loss redials
+// automatically.
 func (s *Service) Connect(nocAddr string, timeout time.Duration) error {
 	return s.up.Connect(nocAddr, timeout)
+}
+
+// Place registers with the first reachable of Config.Candidates in this
+// monitor's rendezvous order — the walk a redial makes — and returns its
+// address.
+func (s *Service) Place(timeout time.Duration) (string, error) {
+	return s.up.Place(timeout)
 }
 
 // Attach adopts an established connection (used by tests and embedders),

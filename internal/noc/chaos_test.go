@@ -15,17 +15,18 @@ import (
 	"streampca/internal/monitor"
 	"streampca/internal/obs"
 	"streampca/internal/randproj"
+	"streampca/internal/tier"
 	"streampca/internal/transport"
 )
 
 // chaosConfig is nocConfig tuned for fast fault handling in tests.
 func chaosConfig() Config {
 	cfg := nocConfig()
-	cfg.FetchTimeout = 300 * time.Millisecond
-	cfg.FetchRetries = 3
-	cfg.FetchBackoff = 10 * time.Millisecond
-	cfg.FetchBackoffMax = 50 * time.Millisecond
-	cfg.Degraded = DegradedPolicy{Enabled: true} // MaxStaleness -> window/4 = 16
+	cfg.Pull.Timeout = 300 * time.Millisecond
+	cfg.Pull.Retries = 3
+	cfg.Pull.Backoff = 10 * time.Millisecond
+	cfg.Pull.BackoffMax = 50 * time.Millisecond
+	cfg.Degraded = tier.DegradedPolicy{Enabled: true} // MaxStaleness -> window/4 = 16
 	return cfg
 }
 
@@ -214,7 +215,7 @@ func TestChaosMonitorLossDegradedRecovery(t *testing.T) {
 // not misattributed to the new round. The fetch still completes healthy.
 func TestChaosDelayedResponseDropped(t *testing.T) {
 	cfg := chaosConfig()
-	cfg.FetchBackoff = 25 * time.Millisecond
+	cfg.Pull.Backoff = 25 * time.Millisecond
 	plan := faults.MustPlan(7, faults.Rule{
 		Dir: faults.DirRecv, Type: "sketch_response", Count: 1, Delay: 400 * time.Millisecond,
 	})
@@ -290,7 +291,7 @@ func TestChaosCorruptReportRetried(t *testing.T) {
 // the same identity resets the breaker and restores healthy fetches.
 func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 	cfg := chaosConfig()
-	cfg.FetchTimeout = 200 * time.Millisecond
+	cfg.Pull.Timeout = 200 * time.Millisecond
 	cfg.BreakerThreshold = 2
 	cfg.BreakerCooldown = time.Minute // stays open for the whole test
 	svc, decisions := startNOC(t, cfg)
@@ -433,14 +434,13 @@ func TestChaosMonitorAutoReconnect(t *testing.T) {
 	mons := make([]*monitor.Service, 3)
 	for i := range mons {
 		m, err := monitor.New(monitor.Config{
-			ID:               "mon-" + string(rune('a'+i)),
-			FlowIDs:          assign[i],
-			WindowLen:        testWindow,
-			Epsilon:          0.05,
-			Sketch:           randproj.Config{Seed: testSeed, SketchLen: testSketch},
-			Reconnect:        true,
-			ReconnectBackoff: 20 * time.Millisecond,
-			Obs:              reg,
+			ID:        "mon-" + string(rune('a'+i)),
+			FlowIDs:   assign[i],
+			WindowLen: testWindow,
+			Epsilon:   0.05,
+			Sketch:    randproj.Config{Seed: testSeed, SketchLen: testSketch},
+			Redial:    tier.RedialPolicy{Enabled: true, Backoff: 20 * time.Millisecond},
+			Obs:       reg,
 		})
 		if err != nil {
 			t.Fatal(err)

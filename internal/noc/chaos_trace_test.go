@@ -102,7 +102,7 @@ func TestChaosTraceLineage(t *testing.T) {
 	t.Cleanup(func() { _ = nocFlight.Close() })
 
 	cfg := chaosConfig()
-	cfg.FetchBackoff = 25 * time.Millisecond
+	cfg.Pull.Backoff = 25 * time.Millisecond
 	// Delay the first sketch response past the round timeout: the first
 	// model fetch must recover via a retry round and record it on its span.
 	plan := faults.MustPlan(7, faults.Rule{

@@ -9,6 +9,7 @@ import (
 	"streampca/internal/monitor"
 	"streampca/internal/randproj"
 	"streampca/internal/sketch"
+	"streampca/internal/tier"
 )
 
 const (
@@ -31,7 +32,7 @@ func fdNocConfig() Config {
 			Mode:      core.RankFixed,
 			FixedRank: 2,
 		},
-		FetchTimeout: 2 * time.Second,
+		Pull: tier.PullPolicy{Timeout: 2 * time.Second},
 	}
 }
 
@@ -172,8 +173,8 @@ func TestFDDegradedBlockFallback(t *testing.T) {
 	// whole cached block (FD state only merges at block granularity) and the
 	// rebuilt model is flagged degraded with that monitor's flows stale.
 	cfg := fdNocConfig()
-	cfg.FetchTimeout = 500 * time.Millisecond
-	cfg.Degraded = DegradedPolicy{Enabled: true, MaxStaleness: 1 << 40}
+	cfg.Pull.Timeout = 500 * time.Millisecond
+	cfg.Degraded = tier.DegradedPolicy{Enabled: true, MaxStaleness: 1 << 40}
 	svc, decisions := startNOC(t, cfg)
 	mons := startFDMonitors(t, svc.Addr(), 3)
 	waitMonitors(t, svc, 3)

@@ -9,6 +9,7 @@ import (
 	"streampca/internal/agg"
 	"streampca/internal/monitor"
 	"streampca/internal/sketch"
+	"streampca/internal/tier"
 	"streampca/internal/transport"
 )
 
@@ -34,14 +35,13 @@ func TestFederatedDepthTwoMatchesFlat(t *testing.T) {
 		var mons []*monitor.Service
 		if deep {
 			mid, err := agg.New(agg.Config{
-				ID:           "agg-mid",
-				Family:       sketch.FamilyRandProj,
-				NumFlows:     testFlows,
-				WindowLen:    testWindow,
-				SketchLen:    testSketch,
-				Seed:         testSeed,
-				FetchTimeout: 2 * time.Second,
-				FetchRetries: 1,
+				ID:        "agg-mid",
+				Family:    sketch.FamilyRandProj,
+				NumFlows:  testFlows,
+				WindowLen: testWindow,
+				SketchLen: testSketch,
+				Seed:      testSeed,
+				Pull:      tier.PullPolicy{Timeout: 2 * time.Second, Retries: 1},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"streampca/internal/obs"
 	"streampca/internal/randproj"
 	"streampca/internal/sketch"
+	"streampca/internal/tier"
 )
 
 // federation is one running aggregator tier plus its monitors.
@@ -32,16 +33,15 @@ func startFederation(t *testing.T, nocAddr string, nAgg, nMon, numFlows int,
 	addrs := make([]string, nAgg)
 	for i := 0; i < nAgg; i++ {
 		a, err := agg.New(agg.Config{
-			ID:           "agg-" + string(rune('1'+i)),
-			Family:       family,
-			NumFlows:     numFlows,
-			WindowLen:    testWindow,
-			SketchLen:    sketchParam,
-			Seed:         testSeed,
-			FetchTimeout: 2 * time.Second,
-			FetchRetries: 1,
-			Degraded:     agg.DegradedPolicy{Enabled: true, MaxStaleness: 1 << 40},
-			Reconnect:    true,
+			ID:        "agg-" + string(rune('1'+i)),
+			Family:    family,
+			NumFlows:  numFlows,
+			WindowLen: testWindow,
+			SketchLen: sketchParam,
+			Seed:      testSeed,
+			Pull:      tier.PullPolicy{Timeout: 2 * time.Second, Retries: 1},
+			Degraded:  tier.DegradedPolicy{Enabled: true, MaxStaleness: 1 << 40},
+			Redial:    tier.RedialPolicy{Enabled: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -82,14 +82,15 @@ func startFederation(t *testing.T, nocAddr string, nAgg, nMon, numFlows int,
 		if err != nil {
 			t.Fatal(err)
 		}
-		home := agg.Rendezvous(cfg.ID, addrs)[0]
 		if pinOneToOne {
 			if nMon != nAgg {
 				t.Fatalf("pinOneToOne needs nMon == nAgg, got %d/%d", nMon, nAgg)
 			}
-			home = addrs[i]
+			err = svc.Connect(addrs[i], 2*time.Second)
+		} else {
+			_, err = svc.Place(2 * time.Second)
 		}
-		if err := svc.Connect(home, 2*time.Second); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = svc.Close() })
@@ -285,17 +286,15 @@ func TestFederatedFDOneMonitorPerAggMatchesFlat(t *testing.T) {
 // decisions return to non-degraded.
 func TestChaosAggregatorFailover(t *testing.T) {
 	cfg := nocConfig()
-	cfg.FetchTimeout = 500 * time.Millisecond
-	cfg.Degraded = DegradedPolicy{Enabled: true, MaxStaleness: 1 << 40}
+	cfg.Pull.Timeout = 500 * time.Millisecond
+	cfg.Degraded = tier.DegradedPolicy{Enabled: true, MaxStaleness: 1 << 40}
 	svc, decisions := startNOC(t, cfg)
 	fed := startFederation(t, svc.Addr(), 3, 6, testFlows, sketch.FamilyRandProj, testSketch, false,
 		func(c *monitor.Config) {
-			c.Reconnect = true
 			// Big enough that the kill-to-failover window spans a few fed
 			// intervals (the degraded phase below), small enough to converge
 			// fast once asserted.
-			c.ReconnectBackoff = 300 * time.Millisecond
-			c.ReconnectBackoffMax = 300 * time.Millisecond
+			c.Redial = tier.RedialPolicy{Enabled: true, Backoff: 300 * time.Millisecond, BackoffMax: 300 * time.Millisecond}
 		})
 	waitMonitors(t, svc, 3)
 

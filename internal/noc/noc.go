@@ -42,7 +42,7 @@ type Decision struct {
 	Warmup bool
 	// Degraded marks a decision made on incomplete inputs: missing volumes
 	// were filled from each flow's last report and/or the model in force
-	// was rebuilt from cached sketch reports (see DegradedPolicy).
+	// was rebuilt from cached sketch reports (see Config.Degraded).
 	Degraded bool
 	// StaleFlows counts the flows whose volumes came from cache for this
 	// interval; the model's own substitution count is Result.StaleFlows.
@@ -54,14 +54,6 @@ type Decision struct {
 	Identified *core.Identification
 }
 
-// DegradedPolicy configures graceful degradation (see tier.DegradedPolicy):
-// instead of stalling when monitors are missing, the NOC substitutes each
-// missing flow's last validated data — volumes when assembling the
-// measurement vector, sketch reports when rebuilding the model — and flags
-// the resulting decisions Degraded. MaxStaleness 0 selects the tier default,
-// max(1, WindowLen/4); a negative bound is refused.
-type DegradedPolicy = tier.DegradedPolicy
-
 // Config parameterizes the NOC service.
 type Config struct {
 	// Detector configures the sketch-PCA detector (flows, window, sketch
@@ -71,19 +63,10 @@ type Config struct {
 	// family; FD monitors carry no shared randomness and announce 0). It
 	// also seeds the fetch-backoff jitter for reproducible chaos tests.
 	Seed uint64
-	// FetchTimeout bounds one sketch-pull round; defaults to 5s.
-	FetchTimeout time.Duration
-	// FetchRetries is the number of additional pull rounds after the first
-	// when responses are missing. Each round re-requests only the monitors
-	// owning still-missing flows — partial results from earlier rounds are
-	// kept, not discarded. 0 selects the default of 2; negative disables
-	// retries.
-	FetchRetries int
-	// FetchBackoff is the pause before the first retry round; it doubles
-	// each round (plus deterministic jitter) up to FetchBackoffMax.
-	// Defaults: 50ms and 1s.
-	FetchBackoff    time.Duration
-	FetchBackoffMax time.Duration
+	// Pull paces the sketch pulls (tier.PullPolicy); unset fields take
+	// tier.NOCPull's. Partial results of a round are kept, and a retry round
+	// re-requests only the monitors owning still-missing flows.
+	Pull tier.PullPolicy
 	// BreakerThreshold opens a monitor's circuit breaker after this many
 	// consecutive fetch failures (request send error, invalid report, or
 	// response timeout). Open monitors are skipped by the fetch path until
@@ -94,8 +77,12 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker excludes its monitor
 	// before the half-open probe; defaults to 5s.
 	BreakerCooldown time.Duration
-	// Degraded configures graceful degradation when monitors are missing.
-	Degraded DegradedPolicy
+	// Degraded configures graceful degradation (tier.DegradedPolicy): instead
+	// of stalling when monitors are missing, the NOC substitutes each missing
+	// flow's last validated data — volumes when assembling the measurement
+	// vector, sketch reports when rebuilding the model — and flags the
+	// resulting decisions Degraded.
+	Degraded tier.DegradedPolicy
 	// Faults, when non-nil, is installed on every accepted monitor
 	// connection — the chaos-testing hook. Production leaves it nil.
 	Faults faults.Injector
@@ -303,15 +290,6 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, fmt.Errorf("detector: %w", err)
 	}
-	switch {
-	case cfg.FetchRetries == 0:
-		cfg.FetchRetries = 2
-	case cfg.FetchRetries < 0:
-		cfg.FetchRetries = 0
-	}
-	if cfg.Degraded.MaxStaleness < 0 {
-		return nil, fmt.Errorf("%w: max staleness %d", ErrConfig, cfg.Degraded.MaxStaleness)
-	}
 	if cfg.FlightTopK == 0 {
 		cfg.FlightTopK = defaultFlightTopK
 	}
@@ -376,7 +354,7 @@ func New(cfg Config) (*Service, error) {
 		workCh:   make(chan tier.Interval, 256),
 		procDone: make(chan struct{}),
 	}
-	s.down = tier.NewDownstream(tier.DownstreamConfig{
+	s.down, err = tier.NewDownstream(tier.DownstreamConfig{
 		Params: tier.Params{
 			Family:    cfg.Detector.Family,
 			NumFlows:  m,
@@ -385,10 +363,8 @@ func New(cfg Config) (*Service, error) {
 			Seed:      cfg.Seed,
 		},
 		RequireAll:       true,
-		FetchTimeout:     cfg.FetchTimeout,
-		FetchRetries:     cfg.FetchRetries,
-		FetchBackoff:     cfg.FetchBackoff,
-		FetchBackoffMax:  cfg.FetchBackoffMax,
+		Pull:             cfg.Pull,
+		PullDefaults:     tier.NOCPull,
 		BreakerThreshold: cfg.BreakerThreshold,
 		BreakerCooldown:  cfg.BreakerCooldown,
 		Degraded:         cfg.Degraded,
@@ -407,6 +383,9 @@ func New(cfg Config) (*Service, error) {
 		OnInterval: s.enqueue,
 		OnChange:   s.countAggregators,
 	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
+	}
 	if cfg.SelfCheckEvery > 0 {
 		eps := cfg.Epsilon
 		if eps == 0 {

@@ -34,8 +34,8 @@ func nocConfig() Config {
 			Mode:      core.RankFixed,
 			FixedRank: 2,
 		},
-		Seed:         testSeed,
-		FetchTimeout: 2 * time.Second,
+		Seed: testSeed,
+		Pull: tier.PullPolicy{Timeout: 2 * time.Second},
 	}
 }
 
@@ -135,7 +135,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("bad detector config must fail")
 	}
 	cfg = nocConfig()
-	cfg.Degraded = DegradedPolicy{Enabled: true, MaxStaleness: -1}
+	cfg.Degraded = tier.DegradedPolicy{Enabled: true, MaxStaleness: -1}
 	if _, err := New(cfg); !errors.Is(err, ErrConfig) {
 		t.Fatalf("negative max staleness: %v, want ErrConfig", err)
 	}
@@ -344,7 +344,7 @@ func TestMonitorChurnRecovery(t *testing.T) {
 	// With a monitor gone, complete intervals never assemble, so no
 	// detections happen; after it reconnects, detection resumes.
 	cfg := nocConfig()
-	cfg.FetchTimeout = 500 * time.Millisecond
+	cfg.Pull.Timeout = 500 * time.Millisecond
 	svc, decisions := startNOC(t, cfg)
 	mons := startMonitors(t, svc.Addr(), 3)
 
@@ -540,7 +540,7 @@ func TestSketchCacheStalenessIsSymmetric(t *testing.T) {
 		admitted bool
 	}{{maxStale, true}, {maxStale + 8, false}} {
 		cfg := chaosConfig()
-		cfg.FetchRetries = -1
+		cfg.Pull.Retries = -1
 		cfg.Degraded.MaxStaleness = maxStale
 		var flight bytes.Buffer
 		cfg.FlightRecorder = trace.NewFlightRecorder(&flight)

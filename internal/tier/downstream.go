@@ -47,35 +47,6 @@ type Params struct {
 	Seed      uint64
 }
 
-// DegradedPolicy configures graceful degradation: instead of stalling when a
-// registrant is missing, its flows' last validated data — volumes when an
-// interval is assembled, sketch reports when a pull is answered — stand in,
-// and the result is flagged degraded. Sharan et al. show sketch-based
-// detection tolerates approximate inputs; the substitution trades Theorem 2's
-// freshness for availability.
-type DegradedPolicy struct {
-	// Enabled turns degradation on. Off (the default), incomplete coverage
-	// stalls interval assembly and leaves pulls uncovered.
-	Enabled bool
-	// MaxStaleness bounds, in intervals, how far cached data may lie from the
-	// point it stands in for. NewDownstream turns 0 into max(1, WindowLen/4);
-	// the services refuse a negative bound.
-	MaxStaleness int64
-}
-
-// Fresh is the one staleness rule: cached data from interval at may stand in
-// at reference interval ref when the policy is on and their distance is
-// within MaxStaleness. The distance is symmetric — a registrant that raced
-// ahead before vanishing leaves cache entries newer than ref, and filling
-// from the far future is as wrong as from the far past.
-func (p DegradedPolicy) Fresh(ref, at int64) bool {
-	age := ref - at
-	if age < 0 {
-		age = -age
-	}
-	return p.Enabled && age <= p.MaxStaleness
-}
-
 // Metrics are the obs handles the downstream half instruments into; the
 // caller registers them under its own names. All must be non-nil.
 type Metrics struct {
@@ -95,14 +66,10 @@ type DownstreamConfig struct {
 	// or cache-filled under Degraded) and covered by every pull; a flow that
 	// is not required matters only while a live registrant owns it.
 	RequireAll bool
-	// FetchTimeout bounds one pull round (default 5s). FetchRetries is the
-	// number of further rounds, each re-asking only the owners of flows still
-	// uncovered, after a pause that starts at FetchBackoff (default 50ms) and
-	// doubles, jittered, up to FetchBackoffMax (default 1s).
-	FetchTimeout    time.Duration
-	FetchRetries    int
-	FetchBackoff    time.Duration
-	FetchBackoffMax time.Duration
+	// Pull paces the sketch pulls; its unset fields take PullDefaults', the
+	// role's (NOCPull, AggPull).
+	Pull         PullPolicy
+	PullDefaults PullPolicy
 	// BreakerThreshold opens a registrant's circuit breaker after that many
 	// consecutive pull failures (send error, invalid report, timeout); open
 	// registrants are skipped until BreakerCooldown elapses, then probed
@@ -212,20 +179,14 @@ type Downstream struct {
 	rng          *rand.Rand
 }
 
-// NewDownstream applies the defaults and builds the half (not yet listening).
-func NewDownstream(cfg DownstreamConfig) *Downstream {
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 5 * time.Second
+// NewDownstream applies the defaults and builds the half (not yet
+// listening); it fails only on a policy the rule refuses (ErrPolicy).
+func NewDownstream(cfg DownstreamConfig) (*Downstream, error) {
+	var err error
+	if cfg.Degraded, err = cfg.Degraded.resolve(cfg.WindowLen); err != nil {
+		return nil, err
 	}
-	if cfg.FetchBackoff <= 0 {
-		cfg.FetchBackoff = 50 * time.Millisecond
-	}
-	if cfg.FetchBackoffMax <= 0 {
-		cfg.FetchBackoffMax = time.Second
-	}
-	if cfg.FetchBackoffMax < cfg.FetchBackoff {
-		cfg.FetchBackoffMax = cfg.FetchBackoff
-	}
+	cfg.Pull = cfg.Pull.Or(cfg.PullDefaults)
 	if cfg.BreakerThreshold == 0 {
 		cfg.BreakerThreshold = 3
 	}
@@ -234,9 +195,6 @@ func NewDownstream(cfg DownstreamConfig) *Downstream {
 	}
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = 64
-	}
-	if cfg.Degraded.MaxStaleness == 0 {
-		cfg.Degraded.MaxStaleness = max(1, int64(cfg.WindowLen/4))
 	}
 	if cfg.Log == nil {
 		cfg.Log = obs.Nop()
@@ -264,7 +222,7 @@ func NewDownstream(cfg DownstreamConfig) *Downstream {
 		lastVolAt: lastVolAt,
 		// Seeded so chaos tests see reproducible backoff jitter.
 		rng: rand.New(rand.NewSource(int64(cfg.Seed) + 1)),
-	}
+	}, nil
 }
 
 // Serve starts accepting registrants on addr.

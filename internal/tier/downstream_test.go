@@ -68,8 +68,8 @@ func newDownstream(t *testing.T, mutate func(*DownstreamConfig)) (*Downstream, *
 	s := &sink{}
 	cfg := DownstreamConfig{
 		Params:       Params{Family: sketch.FamilyRandProj, NumFlows: testFlows, WindowLen: testWindow, SketchLen: testSketchLen, Seed: testSeed},
-		FetchTimeout: 60 * time.Millisecond,
-		FetchBackoff: time.Millisecond,
+		Pull:         PullPolicy{Timeout: 60 * time.Millisecond, Backoff: time.Millisecond},
+		PullDefaults: AggPull,
 		Metrics:      testMetrics(),
 		OnInterval:   s.interval,
 		OnChange:     s.change,
@@ -77,7 +77,10 @@ func newDownstream(t *testing.T, mutate func(*DownstreamConfig)) (*Downstream, *
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	d := NewDownstream(cfg)
+	d, err := NewDownstream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(d.Shutdown)
 	return d, s
 }
@@ -313,7 +316,7 @@ func TestPendingEvictionDropsOldest(t *testing.T) {
 // TestSupersededRequestIDDropped: an answer to round 1 that arrives during
 // round 2 must be dropped, not taken for round 2's.
 func TestSupersededRequestIDDropped(t *testing.T) {
-	d, _ := newDownstream(t, func(c *DownstreamConfig) { c.FetchRetries = 1 })
+	d, _ := newDownstream(t, func(c *DownstreamConfig) { c.Pull.Retries = 1 })
 	a := attach(t, d, "a", []int{0, 1}, nil)
 	a.setAnswer(func(p *peer, reqID uint64) {
 		if p.asked() == 1 {
@@ -338,7 +341,7 @@ func TestSupersededRequestIDDropped(t *testing.T) {
 }
 
 func TestRetryRoundAsksOnlyOwnersOfUncoveredFlows(t *testing.T) {
-	d, _ := newDownstream(t, func(c *DownstreamConfig) { c.FetchRetries = 2; c.RequireAll = true })
+	d, _ := newDownstream(t, func(c *DownstreamConfig) { c.Pull.Retries = 2; c.RequireAll = true })
 	a := attach(t, d, "a", []int{0, 1}, honest(5))
 	b := attach(t, d, "b", []int{2, 3}, nil)
 	b.setAnswer(func(p *peer, reqID uint64) {

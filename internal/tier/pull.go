@@ -35,9 +35,9 @@ type Pull struct {
 // fromCache marks in Pull.by the flows a randproj fill covered.
 const fromCache = "(cache)"
 
-// Pull asks the registrants for their sketches: up to 1+FetchRetries rounds
-// with capped, jittered exponential backoff, each asking only the owners of
-// flows still uncovered (partial results are kept across rounds) under a
+// Pull asks the registrants for their sketches: up to 1+Pull.Retries rounds
+// with capped, jittered exponential backoff (PullPolicy), each asking only
+// the owners of flows still uncovered (partial results are kept across rounds) under a
 // fresh request ID, so a late answer to an earlier round is dropped, never
 // misattributed. Under DegradedPolicy what the rounds left uncovered is then
 // filled from cache (see fill). sp, when non-nil, receives retry,
@@ -45,8 +45,8 @@ const fromCache = "(cache)"
 // serving spans parent under it.
 func (d *Downstream) Pull(sp *trace.Span, tc *transport.TraceContext) *Pull {
 	p := &Pull{by: make([]string, d.cfg.NumFlows)}
-	backoff := d.cfg.FetchBackoff
-	for round := 0; round <= d.cfg.FetchRetries; round++ {
+	backoff := d.cfg.Pull.Backoff
+	for round := 0; round <= max(0, d.cfg.Pull.Retries); round++ {
 		miss := len(d.Uncovered(p))
 		if miss == 0 {
 			break
@@ -68,8 +68,8 @@ func (d *Downstream) Pull(sp *trace.Span, tc *transport.TraceContext) *Pull {
 			case <-time.After(pause):
 			case <-d.done:
 			}
-			if backoff *= 2; backoff > d.cfg.FetchBackoffMax {
-				backoff = d.cfg.FetchBackoffMax
+			if backoff *= 2; backoff > d.cfg.Pull.BackoffMax {
+				backoff = d.cfg.Pull.BackoffMax
 			}
 		}
 		p.Rounds = round + 1
@@ -181,7 +181,7 @@ func (d *Downstream) fill(p *Pull) {
 }
 
 // round issues one pull round and folds every validated answer that arrives
-// before FetchTimeout into p. A failed send or bad report from one registrant
+// before Pull.Timeout into p. A failed send or bad report from one registrant
 // never aborts the round — it is charged to that registrant's breaker and the
 // others proceed. Returns the number of registrants asked.
 func (d *Downstream) round(p *Pull, sp *trace.Span, tc *transport.TraceContext) int {
@@ -230,7 +230,7 @@ func (d *Downstream) round(p *Pull, sp *trace.Span, tc *transport.TraceContext) 
 		}
 	}
 	asked := len(awaiting)
-	timer := time.NewTimer(d.cfg.FetchTimeout)
+	timer := time.NewTimer(d.cfg.Pull.Timeout)
 	defer timer.Stop()
 	for len(awaiting) > 0 {
 		select {
@@ -251,7 +251,7 @@ func (d *Downstream) round(p *Pull, sp *trace.Span, tc *transport.TraceContext) 
 			}
 		case <-timer.C:
 			for _, mid := range awaiting {
-				d.log.Warn("sketch response timed out", "peer", mid, "request", id, "timeout", d.cfg.FetchTimeout)
+				d.log.Warn("sketch response timed out", "peer", mid, "request", id, "timeout", d.cfg.Pull.Timeout)
 				d.fail(sp, mid, "response_timeout")
 			}
 			return asked

@@ -37,16 +37,14 @@ type UplinkConfig struct {
 	// alarm broadcasts. tc is the frame's trace context, if any.
 	OnRequest func(c *transport.Conn, req transport.SketchRequest, tc *transport.TraceContext)
 	OnAlarm   func(a transport.Alarm, tc *transport.TraceContext)
-	// Reconnect redials with capped exponential backoff (defaults 200ms and
-	// 5s) when a link made by Connect drops: the rendezvous order over the
-	// candidate list when one is known, else the last address. After an
-	// explicit rejection the redial happens only with RetryRejected — for a
-	// peer whose rejections are transient, like a claim conflict during a
-	// re-shard that clears once the stale owner drops — or when there is
-	// more than one candidate to fail over to; otherwise it would loop.
-	Reconnect     bool
-	Backoff       time.Duration
-	BackoffMax    time.Duration
+	// Redial, when enabled, reconnects after a link made by Connect or Place
+	// drops: the walk Place makes, then the last address. Unset backoffs
+	// take DefaultRedial's. After an explicit rejection the redial happens
+	// only with RetryRejected — for a peer whose rejections are transient,
+	// like a claim conflict during a re-shard that clears once the stale
+	// owner drops — or when there is more than one candidate to fail over
+	// to; otherwise it would loop.
+	Redial        RedialPolicy
 	RetryRejected bool
 	// Candidates pre-seeds the candidate list normally learned from a pushed
 	// transport.ShardMap (epoch 0, so any pushed map replaces it).
@@ -85,12 +83,7 @@ type Uplink struct {
 
 // NewUplink builds the half (not yet connected).
 func NewUplink(cfg UplinkConfig) *Uplink {
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 200 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 5 * time.Second
-	}
+	cfg.Redial = cfg.Redial.Or(DefaultRedial)
 	cfg.Health.Set(linkHealth, obs.StatusDegraded, "not connected")
 	return &Uplink{
 		cfg:        cfg,
@@ -108,7 +101,7 @@ func (u *Uplink) Conn() *transport.Conn {
 }
 
 // Connect dials addr, registers and starts serving the link. With
-// Config.Reconnect a later loss redials automatically.
+// Config.Redial enabled a later loss redials automatically.
 func (u *Uplink) Connect(addr string, timeout time.Duration) error {
 	u.mu.Lock()
 	u.addr, u.dialTimeout = addr, timeout
@@ -227,7 +220,7 @@ func (u *Uplink) readLoop(conn *transport.Conn, reader chan struct{}) {
 		return
 	}
 	_ = conn.Close()
-	if u.cfg.Reconnect && addr != "" && (!rejected || u.cfg.RetryRejected || nCand > 1) {
+	if u.cfg.Redial.Enabled && addr != "" && (!rejected || u.cfg.RetryRejected || nCand > 1) {
 		u.cfg.Health.Set(linkHealth, obs.StatusDegraded, "link lost; reconnecting")
 		u.log.Warn("upstream link lost, reconnecting", "addr", addr, "candidates", nCand)
 		go u.redial(addr)
@@ -237,18 +230,43 @@ func (u *Uplink) readLoop(conn *transport.Conn, reader chan struct{}) {
 	}
 }
 
-// redial reconnects with capped exponential backoff until it succeeds, the
-// uplink closes or another link appears. With a candidate list on file each
-// round walks its rendezvous order for this ID (then the last good address,
-// when that is not on the list), so the death of one upstream re-places this
-// peer onto the survivor every other peer independently agrees on.
+// Place connects to the first reachable candidate in this ID's rendezvous
+// order and returns its address: every peer, hashing independently, lands on
+// the upstream the others agree it belongs to. A redial makes the same walk.
+func (u *Uplink) Place(timeout time.Duration) (string, error) {
+	return u.walk("", timeout)
+}
+
+// walk tries the rendezvous order over the candidate list, then fallback
+// when that is set and not on the list, until one Connect succeeds or the
+// uplink has a link or has closed. It returns the address it attached to.
+func (u *Uplink) walk(fallback string, timeout time.Duration) (string, error) {
+	u.mu.Lock()
+	order := Rendezvous(u.cfg.ID, u.candidates)
+	u.mu.Unlock()
+	if fallback != "" && !slices.Contains(order, fallback) {
+		order = append(order, fallback)
+	}
+	err := fmt.Errorf("%w: no upstream candidate", ErrNotConnected)
+	for _, addr := range order {
+		if err = u.Connect(addr, timeout); err == nil || errors.Is(err, ErrAlreadyConnected) || errors.Is(err, ErrNotConnected) {
+			return addr, err
+		}
+		u.log.Warn("upstream candidate unreachable", "addr", addr, "err", err)
+	}
+	return "", err
+}
+
+// redial walks the candidates (see walk) with capped exponential backoff
+// until it attaches, the uplink closes or another link appears, so the death
+// of one upstream re-places this peer onto the survivor every other peer
+// independently agrees on.
 func (u *Uplink) redial(fallback string) {
-	backoff := u.cfg.Backoff
+	backoff := u.cfg.Redial.Backoff
 	for attempt := 1; ; attempt++ {
 		u.mu.Lock()
 		stop := u.closed || u.conn != nil
 		timeout := u.dialTimeout
-		order := Rendezvous(u.cfg.ID, u.candidates)
 		u.mu.Unlock()
 		if stop {
 			return
@@ -258,23 +276,17 @@ func (u *Uplink) redial(fallback string) {
 		case <-u.stop:
 			return
 		}
-		if backoff *= 2; backoff > u.cfg.BackoffMax {
-			backoff = u.cfg.BackoffMax
+		if backoff *= 2; backoff > u.cfg.Redial.BackoffMax {
+			backoff = u.cfg.Redial.BackoffMax
 		}
-		if !slices.Contains(order, fallback) {
-			order = append(order, fallback)
-		}
-		for _, addr := range order {
-			err := u.Connect(addr, timeout)
-			if err == nil {
-				u.cfg.Reconnects.Inc()
-				u.log.Info("reconnected upstream", "addr", addr, "attempts", attempt)
-				return
-			}
-			if errors.Is(err, ErrAlreadyConnected) || errors.Is(err, ErrNotConnected) {
-				return // someone else attached, or the uplink closed
-			}
-			u.log.Warn("reconnect attempt failed", "attempt", attempt, "addr", addr, "err", err)
+		addr, err := u.walk(fallback, timeout)
+		switch {
+		case err == nil:
+			u.cfg.Reconnects.Inc()
+			u.log.Info("reconnected upstream", "addr", addr, "attempts", attempt)
+			return
+		case errors.Is(err, ErrAlreadyConnected) || errors.Is(err, ErrNotConnected):
+			return // someone else attached, or the uplink closed
 		}
 	}
 }

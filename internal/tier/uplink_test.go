@@ -2,6 +2,7 @@ package tier
 
 import (
 	"errors"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,9 +18,7 @@ func newUplink(t *testing.T, mutate func(*UplinkConfig)) *Uplink {
 		Hello:      func() transport.Hello { return hello("peer", []int{0}) },
 		OnRequest:  func(*transport.Conn, transport.SketchRequest, *transport.TraceContext) {},
 		OnAlarm:    func(transport.Alarm, *transport.TraceContext) {},
-		Reconnect:  true,
-		Backoff:    5 * time.Millisecond,
-		BackoffMax: 5 * time.Millisecond,
+		Redial:     RedialPolicy{Enabled: true, Backoff: 5 * time.Millisecond, BackoffMax: 5 * time.Millisecond},
 		Reconnects: obs.NewRegistry().Counter("reconnects", ""),
 		Health:     obs.NewHealth(),
 		Log:        obs.Nop(),
@@ -87,7 +86,7 @@ func TestRedialAfterRejection(t *testing.T) {
 // the test's goroutine accounting would hang or leak otherwise) and no later
 // Attach brings the uplink back.
 func TestCloseIsFinal(t *testing.T) {
-	u := newUplink(t, func(c *UplinkConfig) { c.Backoff, c.BackoffMax = time.Hour, time.Hour })
+	u := newUplink(t, func(c *UplinkConfig) { c.Redial.Backoff, c.Redial.BackoffMax = time.Hour, time.Hour })
 	srv, err := transport.Listen("127.0.0.1:0", func(c *transport.Conn) { _, _ = c.Recv() })
 	if err != nil {
 		t.Fatal(err)
@@ -105,5 +104,48 @@ func TestCloseIsFinal(t *testing.T) {
 	defer b.Close()
 	if err := u.Attach(a); !errors.Is(err, ErrNotConnected) {
 		t.Fatalf("Attach after Close: %v, want ErrNotConnected", err)
+	}
+}
+
+// TestPlaceWalksRendezvousOrder: the first placement is the walk a redial
+// makes — the rendezvous order for this ID, past candidates that refuse the
+// dial — and an empty list places nowhere.
+func TestPlaceWalksRendezvousOrder(t *testing.T) {
+	srv, err := transport.Listen("127.0.0.1:0", func(c *transport.Conn) { _, _ = c.Recv() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Shutdown)
+	live := srv.Addr()
+	// Find a dead candidate — a closed listener's address — that the
+	// rendezvous order prefers to the live one. The probes stay open until
+	// the pick, so each one holds a distinct port.
+	var dead string
+	var probes []net.Listener
+	for i := 0; i < 32 && dead == ""; i++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes = append(probes, l)
+		if cand := l.Addr().String(); Rendezvous("peer", []string{cand, live})[0] == cand {
+			dead = cand
+		}
+	}
+	for _, l := range probes {
+		_ = l.Close()
+	}
+	if dead == "" {
+		t.Fatal("no candidate outranks the live address")
+	}
+	u := newUplink(t, func(c *UplinkConfig) { c.Candidates = []string{live, dead} })
+	addr, err := u.Place(time.Second)
+	if err != nil || addr != live {
+		t.Fatalf("Place = %q, %v; want %q past the refusing %q", addr, err, live, dead)
+	}
+
+	empty := newUplink(t, func(*UplinkConfig) {})
+	if _, err := empty.Place(time.Second); !errors.Is(err, ErrNotConnected) {
+		t.Fatalf("Place with no candidates: %v, want ErrNotConnected", err)
 	}
 }
