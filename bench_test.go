@@ -329,12 +329,13 @@ func BenchmarkTracedSketchUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkNOCRecompute measures the NOC-side sketch-PCA rebuild
-// (O(m²·l) Gram + eigenvalues + r = 6 leading vectors) across sketch lengths
-// at m = 81, and at fed-wide's m = 144, l = 100.
+// BenchmarkNOCRecompute measures the NOC-side sketch-PCA rebuild (the Gram
+// of the smaller side, min(l, m)², its eigenvalues and r = 6 leading vectors)
+// across sketch lengths at m = 81, and at l = 100 for fed-wide's m = 144 and
+// the wider m = 256 and 1024, all solved on the l×l side.
 func BenchmarkNOCRecompute(b *testing.B) {
 	type cell struct{ m, l int }
-	cells := []cell{{81, 32}, {81, 128}, {81, 512}, {144, 100}}
+	cells := []cell{{81, 32}, {81, 128}, {81, 512}, {144, 100}, {256, 100}, {1024, 100}}
 	for _, c := range cells {
 		m, l := c.m, c.l
 		name := fmt.Sprintf("l=%d", l)
@@ -552,7 +553,8 @@ func BenchmarkIdentify(b *testing.B) {
 // BenchmarkSymEigen sizes the eigensolvers: the all-pairs Householder + QL
 // solver the exact references run, at the model sizes the benchmark deploys
 // (m = 81, 144) and at 256; under leading/ the factorization the NOC rebuild
-// runs, all eigenvalues and the r = 6 leading vectors, at the same sizes.
+// runs, all eigenvalues and the r = 6 leading vectors, at the same sizes and
+// at 100, the l×l side of an l = 100 sketch.
 func BenchmarkSymEigen(b *testing.B) {
 	bench := func(solve func(*mat.Matrix) (*mat.EigenSym, error), n int) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -587,7 +589,7 @@ func BenchmarkSymEigen(b *testing.B) {
 		v, err := f.Vectors(6)
 		return &mat.EigenSym{Values: f.Values, Vectors: v}, err
 	}
-	for _, n := range []int{81, 144, 256} {
+	for _, n := range []int{81, 100, 144, 256} {
 		b.Run(fmt.Sprintf("leading/k=6/m=%d", n), bench(leading, n))
 	}
 }
@@ -833,5 +835,72 @@ func BenchmarkClusterStep(b *testing.B) {
 		if _, err := cl.Step(int64(i+1), volumes); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWideClusterIdentifiesInjectedFlow runs the in-process cluster at the
+// width BenchmarkNOCRecompute's widest cell times, m = 1024 flows sketched at
+// l = 100, where the NOC solves the l×l side: after a window of rank-4
+// traffic, one interval with one flow spiked must alarm and identify exactly
+// that flow.
+func TestWideClusterIdentifiesInjectedFlow(t *testing.T) {
+	const m, n, l, factors, spiked = 1024, 144, 100, 4, 613
+	cl, err := NewCluster(ClusterConfig{
+		NumFlows: m, NumMonitors: 8, WindowLen: n, Epsilon: 0.02, Alpha: 0.01,
+		Sketch: SketchConfig{Seed: 1, SketchLen: l}, FixedRank: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	base := make([]float64, m)
+	loads := make([][]float64, m)
+	for j := range base {
+		base[j] = 1000 * (1 + rng.Float64())
+		loads[j] = make([]float64, factors)
+		for k := range loads[j] {
+			loads[j][k] = 50 * rng.NormFloat64()
+		}
+	}
+	row := func() []float64 {
+		f := make([]float64, factors)
+		for k := range f {
+			f[k] = rng.NormFloat64()
+		}
+		x := make([]float64, m)
+		for j := range x {
+			x[j] = base[j] + 5*rng.NormFloat64()
+			for k, w := range loads[j] {
+				x[j] += w * f[k]
+			}
+		}
+		return x
+	}
+	for i := 1; i <= n; i++ {
+		if err := cl.Update(int64(i), row()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x := row()
+	x[spiked] += 2000
+	det := cl.Detector()
+	dec, err := det.Observe(x, cl.Fetch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dec.Anomalous {
+		t.Fatalf("spiked interval not alarmed: distance %v, threshold %v", dec.Distance, dec.Threshold)
+	}
+	for j, s := range det.Model().Singular[l:] {
+		if s != 0 {
+			t.Fatalf("λ̂_%d = %v: the model was not solved on the l×l side", l+j, s)
+		}
+	}
+	id, err := det.Identify(x, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(id.Flows) != 1 || id.Flows[0].Flow != spiked {
+		t.Fatalf("identified %+v, want flow %d alone", id.Flows, spiked)
 	}
 }

@@ -15,8 +15,8 @@ import (
 
 // fullBuild is a model build that keeps every component, the shape the
 // detector built before it kept only the leading basis: the spectrum, all
-// realLen eigenvectors as columns of an m×m matrix and the covariance they
-// decompose.
+// realLen eigenvectors as columns of an m×m matrix and the m×m covariance
+// they decompose.
 type fullBuild struct {
 	sv      []float64
 	realLen int
@@ -157,107 +157,166 @@ func culprits(id *Identification) []int {
 }
 
 // TestLeadingBasisMatchesFullSolve is the differential test of the model
-// build against the one it replaced, for every rank mode of both families:
-// the reference keeps every component — the all-pairs mat.SymEigen of the
-// same sketch Gram for randproj, every block pair for FD — and applies the
-// rank rule and threshold to that. Spectrum, rank and threshold must agree
-// bit for bit, distances within 1e-12 relative, identified culprit sets
-// exactly, and Cov must be the covariance the reference decomposed.
+// build against one that keeps every component — the all-pairs mat.SymEigen
+// of the m×m sketch Gram for randproj, every block pair for FD — and applies
+// the rank rule and threshold to that, for every rank mode of both families.
+// Rank and ThresholdCapped must be equal, identified culprit sets identical
+// and the Gram of Sketch the covariance the reference decomposed.
+//
+// Where the build solves the same Gram (l ≥ m, FD, and sketches
+// rank-deficient at the cut) spectrum and threshold agree bit for bit and
+// distances within 1e-12 relative. Where it solves the l×l ẐẐᵀ instead,
+// λ̂²_j past l is exactly zero, every λ̂²_j is within 4·m·2⁻⁵²·λ̂²_1 of the
+// reference's (the eigenvalue error of either solve is of that order), the
+// threshold within 1e-12 relative and distances within 1e-9.
 func TestLeadingBasisMatchesFullSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	const n, m, k, l = 300, 24, 3, 32
-	x := lowRankStream(rng, n, m, k, 2)
-	for _, family := range []sketch.Family{sketch.FamilyRandProj, sketch.FamilyFD} {
-		for _, mode := range []RankMode{RankFixed, RankEnergy, RankThreeSigma} {
-			if family == sketch.FamilyFD && mode == RankThreeSigma {
-				continue // rejected by NewDetector
-			}
-			name := family.String() + "/" + mode.String()
-			cl, err := NewCluster(ClusterConfig{
-				NumFlows: m, NumMonitors: 3, WindowLen: n, Epsilon: 0.01, Alpha: 0.01,
-				Sketch: randproj.Config{Seed: 5, SketchLen: l}, Family: family,
-				Mode: mode, FixedRank: 4,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			driveCluster(t, cl, x)
-			f, err := cl.Fetch()
-			if err != nil {
-				t.Fatal(err)
-			}
-			det := cl.Detector()
-			if err := det.Rebuild(f); err != nil {
-				t.Fatal(err)
-			}
-			got := det.Model()
+	const n, k = 300, 3
+	rp := []sketch.Family{sketch.FamilyRandProj}
+	both := []sketch.Family{sketch.FamilyRandProj, sketch.FamilyFD}
+	all := []RankMode{RankFixed, RankEnergy, RankThreeSigma}
+	for _, c := range []struct {
+		m, l, fixedRank int
+		families        []sketch.Family
+		modes           []RankMode
+		// spiky: a very sparse projection and one spiked interval, so a left
+		// singular vector sits on a few sketch rows and the 3σ rule stops there.
+		spiky bool
+		// smallSide: the randproj build must take the l×l side.
+		smallSide bool
+	}{
+		{24, 32, 4, both, all, false, false},
+		{48, 32, 4, both, all, true, true},
+		// Dense sketches pass the 3σ rule up to λ̂_l, a rank the l×l side
+		// cannot hold, and so does a fixed rank above l.
+		{48, 32, 4, rp, []RankMode{RankThreeSigma}, false, false},
+		{48, 4, 6, rp, []RankMode{RankFixed}, false, false},
+	} {
+		m, l := c.m, c.l
+		rng := rand.New(rand.NewSource(30))
+		x := lowRankStream(rng, n, m, k, 2)
+		proj := randproj.Config{Seed: 5, SketchLen: l}
+		if c.spiky {
+			proj.Dist = randproj.VerySparse
+			x.Set(n/2, 7, x.At(n/2, 7)+400)
+		}
+		for _, family := range c.families {
+			for _, mode := range c.modes {
+				if family == sketch.FamilyFD && mode == RankThreeSigma {
+					continue // rejected by NewDetector
+				}
+				smallSide := c.smallSide && family == sketch.FamilyRandProj
+				name := fmt.Sprintf("m=%d/l=%d/%v/%v", m, l, family, mode)
+				cl, err := NewCluster(ClusterConfig{
+					NumFlows: m, NumMonitors: 3, WindowLen: n, Epsilon: 0.01, Alpha: 0.01,
+					Sketch: proj, Family: family, Mode: mode, FixedRank: c.fixedRank,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				driveCluster(t, cl, x)
+				f, err := cl.Fetch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				det := cl.Detector()
+				if err := det.Rebuild(f); err != nil {
+					t.Fatal(err)
+				}
+				got := det.Model()
 
-			var full fullBuild
-			var z *mat.Matrix
-			if family == sketch.FamilyFD {
-				full = fullFD(t, f, m)
-			} else {
-				full, z = fullRandProj(t, f, l)
-			}
-			rank := full.rank(t, det.cfg, z)
-			threshold, capped, err := stats.QStatisticCapped(full.sv[:full.realLen], n, rank, 0.01)
-			if err != nil {
-				t.Fatalf("%s: reference threshold: %v", name, err)
-			}
-			if got.Rank != rank || got.Components.Cols() != rank || got.Components.Rows() != m {
-				t.Fatalf("%s: rank %d, basis %dx%d; reference rank %d", name,
-					got.Rank, got.Components.Rows(), got.Components.Cols(), rank)
-			}
-			if math.Float64bits(got.Threshold) != math.Float64bits(threshold) ||
-				got.ThresholdCapped != capped || got.ThresholdUnavailable {
-				t.Fatalf("%s: threshold %v (capped %d, unavailable %v), reference %v (capped %d)", name,
-					got.Threshold, got.ThresholdCapped, got.ThresholdUnavailable, threshold, capped)
-			}
-			for j, s := range full.sv {
-				if math.Float64bits(got.Singular[j]) != math.Float64bits(s) {
-					t.Fatalf("%s: λ̂_%d = %v, reference %v", name, j, got.Singular[j], s)
+				var full fullBuild
+				var z *mat.Matrix
+				if family == sketch.FamilyFD {
+					full = fullFD(t, f, m)
+				} else {
+					full, z = fullRandProj(t, f, l)
 				}
-			}
-			if !got.Cov.Equal(full.cov, 0) {
-				t.Fatalf("%s: Cov is not the covariance the reference decomposed", name)
-			}
+				rank := full.rank(t, det.cfg, z)
+				threshold, capped, err := stats.QStatisticCapped(full.sv[:full.realLen], n, rank, 0.01)
+				if err != nil {
+					t.Fatalf("%s: reference threshold: %v", name, err)
+				}
+				if got.Rank != rank || got.Components.Cols() != rank || got.Components.Rows() != m {
+					t.Fatalf("%s: rank %d, basis %dx%d; reference rank %d", name,
+						got.Rank, got.Components.Rows(), got.Components.Cols(), rank)
+				}
+				if got.ThresholdCapped != capped || got.ThresholdUnavailable {
+					t.Fatalf("%s: capped %d (unavailable %v), reference capped %d", name,
+						got.ThresholdCapped, got.ThresholdUnavailable, capped)
+				}
+				distTol := 1e-12
+				if smallSide {
+					distTol = 1e-9
+					if math.Abs(got.Threshold-threshold) > 1e-12*threshold {
+						t.Fatalf("%s: threshold %v, reference %v", name, got.Threshold, threshold)
+					}
+					top := full.sv[0] * full.sv[0]
+					for j, s := range full.sv {
+						g := got.Singular[j]
+						if j >= l && g != 0 {
+							t.Fatalf("%s: λ̂_%d = %v past l, want exactly 0", name, j, g)
+						}
+						if math.Abs(g*g-s*s) > 4*float64(m)*0x1p-52*top {
+							t.Fatalf("%s: λ̂²_%d = %v, reference %v", name, j, g*g, s*s)
+						}
+					}
+				} else {
+					if math.Float64bits(got.Threshold) != math.Float64bits(threshold) {
+						t.Fatalf("%s: threshold %v, reference %v", name, got.Threshold, threshold)
+					}
+					for j, s := range full.sv {
+						if math.Float64bits(got.Singular[j]) != math.Float64bits(s) {
+							t.Fatalf("%s: λ̂_%d = %v, reference %v", name, j, got.Singular[j], s)
+						}
+					}
+				}
+				// FD stacks its blocks' rows, so the pairing of rows in the Gram
+				// kernel, and with it the rounding, may differ from per-block BᵀB.
+				covTol := 0.0
+				if family == sketch.FamilyFD {
+					covTol = 1e-12 * full.cov.MaxAbs()
+				}
+				if got.Sketch.Cols() != m || !got.Sketch.Gram().Equal(full.cov, covTol) {
+					t.Fatalf("%s: Sketch's Gram is not the covariance the reference decomposed", name)
+				}
 
-			basis := mat.NewMatrix(m, rank)
-			for i := 0; i < m; i++ {
-				copy(basis.RowView(i), full.v.RowView(i)[:rank])
-			}
-			ref := &Detector{cfg: det.cfg, model: &Model{
-				Components: basis, Singular: full.sv, Means: got.Means,
-				Rank: rank, Threshold: threshold, ThresholdCapped: capped,
-			}}
-			for i := 0; i < 100; i++ {
-				y := x.Row(rng.Intn(n))
-				y[rng.Intn(m)] += 200 * rng.NormFloat64()
-				dGot, err := det.Distance(y)
-				if err != nil {
-					t.Fatal(err)
+				basis := mat.NewMatrix(m, rank)
+				for i := 0; i < m; i++ {
+					copy(basis.RowView(i), full.v.RowView(i)[:rank])
 				}
-				dRef, err := ref.Distance(y)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(dGot-dRef) > 1e-12*dRef {
-					t.Fatalf("%s: distance %v, reference %v", name, dGot, dRef)
-				}
-				if i%10 != 0 {
-					continue
-				}
-				y[(i/10)%m] += 500
-				idGot, err := det.Identify(y, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				idRef, err := ref.Identify(y, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if a, b := culprits(idGot), culprits(idRef); len(a) == 0 || fmt.Sprint(a) != fmt.Sprint(b) {
-					t.Fatalf("%s: identified %v, reference %v", name, a, b)
+				ref := &Detector{cfg: det.cfg, model: &Model{
+					Components: basis, Singular: full.sv, Means: got.Means,
+					Rank: rank, Threshold: threshold, ThresholdCapped: capped,
+				}}
+				for i := 0; i < 100; i++ {
+					y := x.Row(rng.Intn(n))
+					y[rng.Intn(m)] += 200 * rng.NormFloat64()
+					dGot, err := det.Distance(y)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dRef, err := ref.Distance(y)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Abs(dGot-dRef) > distTol*dRef {
+						t.Fatalf("%s: distance %v, reference %v", name, dGot, dRef)
+					}
+					if i%10 != 0 {
+						continue
+					}
+					y[(i/10)%m] += 500
+					idGot, err := det.Identify(y, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					idRef, err := ref.Identify(y, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a, b := culprits(idGot), culprits(idRef); len(a) == 0 || fmt.Sprint(a) != fmt.Sprint(b) {
+						t.Fatalf("%s: identified %v, reference %v", name, a, b)
+					}
 				}
 			}
 		}

@@ -75,10 +75,12 @@ type Model struct {
 	Components *mat.Matrix
 	// Singular holds all m λ̂_j descending (zero past what the family keeps).
 	Singular []float64
-	// Cov is the m×m sketch covariance the model was fitted to: ẐᵀẐ for the
-	// random-projection family, the blocks' BᵀB scattered onto their flows
-	// for Frequent Directions. Its eigenvalues are λ̂²_j.
-	Cov *mat.Matrix
+	// Sketch holds the rows whose Gram SketchᵀSketch is the sketch covariance
+	// the model was fitted to, with eigenvalues λ̂²_j: Ẑ itself (l×m) for the
+	// random-projection family, every Frequent Directions block's rows
+	// scattered onto their flows and stacked for FD. The m×m covariance itself
+	// is never kept.
+	Sketch *mat.Matrix
 	// Means holds μ_all per flow, used to center measurements.
 	Means []float64
 	// Rank is the chosen normal-subspace size r.
@@ -210,36 +212,141 @@ func (d *Detector) RebuildModel(sketches [][]float64, means []float64, builtAt i
 	if err != nil {
 		return err
 	}
-	// PCA on Ẑ via the m×m Gram matrix: eigenvalues are λ̂², eigenvectors
-	// are the right singular vectors â. The threshold reads every λ̂, the
-	// detector only the leading r vectors, so only those are built.
-	cov := z.Gram()
-	eig, err := mat.SymEigenLeading(cov)
-	if err != nil {
-		return fmt.Errorf("sketch eigendecomposition: %w", err)
+	// PCA on Ẑ: the eigenvalues are λ̂², the eigenvectors the right singular
+	// vectors â. The side is chosen by shape: the l×l ẐẐᵀ when it is the
+	// smaller one and the sketch is well conditioned at the cut, the m×m
+	// Gram otherwise.
+	model, err := d.fitSmallSide(z)
+	if errors.Is(err, errNeedGram) {
+		model, err = d.fitGram(z)
 	}
-	sv := make([]float64, d.cfg.NumFlows)
-	for j, lam := range eig.Values {
+	if err != nil {
+		return err
+	}
+	model.Sketch = z
+	return d.finishModel(model, len(model.Singular), means, builtAt)
+}
+
+// errNeedGram is fitSmallSide's answer when the model has to come from the
+// m×m Gram instead.
+var errNeedGram = errors.New("core: sketch model needs the m×m Gram")
+
+// fitGram fits the model through the m×m Gram ẐᵀẐ. The threshold reads
+// every λ̂, the detector only the leading r vectors, so only those are built.
+func (d *Detector) fitGram(z *mat.Matrix) (*Model, error) {
+	eig, err := mat.SymEigenLeading(z.Gram())
+	if err != nil {
+		return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
+	}
+	sv := singularValues(eig.Values, d.cfg.NumFlows)
+	rank, err := d.chooseRank(sv, z, eig.Vector)
+	if err != nil {
+		return nil, fmt.Errorf("rank selection: %w", err)
+	}
+	basis, err := eig.Vectors(rank)
+	if err != nil {
+		return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
+	}
+	return &Model{Components: basis, Singular: sv, Rank: rank}, nil
+}
+
+// fitSmallSide fits the model through the l×l matrix ẐẐᵀ, which has the
+// Gram's non-zero spectrum: its eigenpairs are (λ̂²_j, u_j), â_j = Ẑᵀu_j/λ̂_j,
+// and the other m − l eigenvalues of the Gram are exactly zero. Nothing m×m is
+// formed or solved.
+//
+// It returns errNeedGram when l ≥ m, or when the sketch is rank-deficient at
+// the cut: when the first residual component, or any component the rank rule
+// reads, has λ̂²_j ≤ l·2⁻⁵²·λ̂²_1 (always so for r ≥ l). There Ẑᵀu_j/λ̂_j is
+// rounding noise rather than a unit vector, and the Gram's rounding-level
+// eigenvalues, which stand where this side has exact zeros, would set the
+// residual spectrum and the 3σ rule's stopping point.
+func (d *Detector) fitSmallSide(z *mat.Matrix) (*Model, error) {
+	l := z.Rows()
+	if l >= z.Cols() {
+		return nil, errNeedGram
+	}
+	eig, err := mat.SymEigenLeading(z.T().Gram())
+	if err != nil {
+		return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
+	}
+	sv := singularValues(eig.Values, d.cfg.NumFlows)
+	// λ̂_0 … λ̂_{k−1} are the components above rounding level.
+	floor := float64(l) * 0x1p-52 * eig.Values[0]
+	k := 0
+	for k < l && eig.Values[k] > floor {
+		k++
+	}
+	vector := func(j int) ([]float64, error) {
+		if j >= k {
+			return nil, errNeedGram
+		}
+		u, err := eig.Vector(j)
+		if err != nil {
+			return nil, err
+		}
+		return rightVector(z, u, sv[j])
+	}
+	rank, err := d.chooseRank(sv, z, vector)
+	if err != nil {
+		return nil, fmt.Errorf("rank selection: %w", err)
+	}
+	if rank >= k {
+		return nil, errNeedGram
+	}
+	// One replay for all r vectors; column j is bit for bit Vector(j).
+	u, err := eig.Vectors(rank)
+	if err != nil {
+		return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
+	}
+	basis := mat.NewMatrix(d.cfg.NumFlows, rank)
+	col := make([]float64, l)
+	for j := 0; j < rank; j++ {
+		if err := u.ColInto(j, col); err != nil {
+			return nil, err
+		}
+		v, err := rightVector(z, col, sv[j])
+		if err != nil {
+			return nil, err
+		}
+		for i, x := range v {
+			basis.Set(i, j, x)
+		}
+	}
+	return &Model{Components: basis, Singular: sv, Rank: rank}, nil
+}
+
+// singularValues returns λ̂_j = √λ̂²_j for the descending eigenvalues of a
+// sketch Gram, negative rounding clamped to zero and the tail zero-padded to
+// m entries.
+func singularValues(values []float64, m int) []float64 {
+	sv := make([]float64, m)
+	for j, lam := range values {
 		if lam < 0 {
 			lam = 0
 		}
 		sv[j] = math.Sqrt(lam)
 	}
-	rank, err := d.chooseRank(sv, z, eig.Vector)
+	return sv
+}
+
+// rightVector recovers the right singular vector Bᵀu/σ of the rows B from an
+// eigenvector u of B·Bᵀ with eigenvalue σ².
+func rightVector(b *mat.Matrix, u []float64, s float64) ([]float64, error) {
+	v, err := b.TMulVec(u)
 	if err != nil {
-		return fmt.Errorf("rank selection: %w", err)
+		return nil, err
 	}
-	basis, err := eig.Vectors(rank)
-	if err != nil {
-		return fmt.Errorf("sketch eigendecomposition: %w", err)
+	for i := range v {
+		v[i] /= s
 	}
-	return d.finishModel(&Model{Components: basis, Singular: sv, Cov: cov, Rank: rank}, len(sv), means, builtAt)
+	return v, nil
 }
 
 // finishModel runs the family-independent tail of every rebuild: the
 // Q-statistic threshold over the real (non-padded) part of the spectrum and
-// model installation. model carries the family's Components, Singular, Cov
-// and Rank.
+// model installation. model carries the family's Components, Singular,
+// Sketch and Rank.
 func (d *Detector) finishModel(model *Model, realLen int, means []float64, builtAt int64) error {
 	model.Means = append([]float64(nil), means...)
 	model.BuiltAt = builtAt
@@ -290,17 +397,18 @@ func (d *Detector) RebuildFD(blocks []sketch.Snapshot, builtAt int64) error {
 	if len(blocks) == 0 {
 		return fmt.Errorf("%w: no fd blocks", ErrInput)
 	}
-	// A pair keeps its block's Bᵀu = σ·v; only the top-rank pairs are
-	// scattered into the basis.
+	// A pair keeps its block's rows and eigenvector u; only the top-rank
+	// pairs have Bᵀu/σ recovered and scattered into the basis.
 	type pair struct {
-		s     float64
-		ids   []int
-		local []float64
+		s    float64
+		ids  []int
+		rows *mat.Matrix
+		u    []float64
 	}
 	var pairs []pair
 	means := make([]float64, m)
 	covered := make([]bool, m)
-	cov := mat.NewMatrix(m, m)
+	numRows := 0
 	for bi := range blocks {
 		b := &blocks[bi]
 		if b.Family != sketch.FamilyFD {
@@ -327,12 +435,7 @@ func (d *Detector) RebuildFD(blocks []sketch.Snapshot, builtAt int64) error {
 		for i, r := range b.FDRows {
 			copy(rows.RowView(i), r)
 		}
-		btb := rows.Gram()
-		for i, id := range b.FlowIDs {
-			for k, id2 := range b.FlowIDs {
-				cov.Set(id, id2, btb.At(i, k))
-			}
-		}
+		numRows += len(b.FDRows)
 		// B·Bᵀ = (Bᵀ)ᵀ(Bᵀ): small-side Gram.
 		eig, err := mat.SymEigen(rows.T().Gram())
 		if err != nil {
@@ -342,16 +445,11 @@ func (d *Detector) RebuildFD(blocks []sketch.Snapshot, builtAt int64) error {
 			if lam <= 0 {
 				break // descending: the rest are zero/noise directions
 			}
-			s := math.Sqrt(lam)
 			u := make([]float64, len(b.FDRows))
 			for i := range u {
 				u[i] = eig.Vectors.At(i, k)
 			}
-			local, err := rows.TMulVec(u) // Bᵀu = σ·v
-			if err != nil {
-				return fmt.Errorf("fd block %d component %d: %w", bi, k, err)
-			}
-			pairs = append(pairs, pair{s: s, ids: b.FlowIDs, local: local})
+			pairs = append(pairs, pair{s: math.Sqrt(lam), ids: b.FlowIDs, rows: rows, u: u})
 		}
 	}
 	for id, ok := range covered {
@@ -376,11 +474,28 @@ func (d *Detector) RebuildFD(blocks []sketch.Snapshot, builtAt int64) error {
 	basis := mat.NewMatrix(m, rank)
 	for j := 0; j < rank && j < realLen; j++ {
 		p := pairs[j]
+		v, err := rightVector(p.rows, p.u, p.s)
+		if err != nil {
+			return fmt.Errorf("fd component %d: %w", j, err)
+		}
 		for i, id := range p.ids {
-			basis.Set(id, j, p.local[i]/p.s)
+			basis.Set(id, j, v[i])
 		}
 	}
-	return d.finishModel(&Model{Components: basis, Singular: sv, Cov: cov, Rank: rank}, realLen, means, builtAt)
+	// Every block's rows on their own flows, stacked: blocks own disjoint
+	// flows, so the Gram of this is the blocks' BᵀB side by side.
+	stacked := mat.NewMatrix(numRows, m)
+	r := 0
+	for _, b := range blocks {
+		for _, row := range b.FDRows {
+			dst := stacked.RowView(r)
+			for i, id := range b.FlowIDs {
+				dst[id] = row[i]
+			}
+			r++
+		}
+	}
+	return d.finishModel(&Model{Components: basis, Singular: sv, Sketch: stacked, Rank: rank}, realLen, means, builtAt)
 }
 
 // Rebuild dispatches a fetched sketch pull to the family's model build.

@@ -159,7 +159,8 @@ const rotationChunk = 4096
 // applying them. Values are available at once and, for an irreducible matrix
 // (one component, see SymEigen), bitwise equal to SymEigen's; a reducible one
 // is not split here, so they agree to rounding error. Its one caller, the
-// randproj model build, factors a dense Gram. Vectors and Vector build
+// randproj model build, factors a dense Gram of either side of the sketch
+// matrix, the l×l ẐẐᵀ or the m×m ẐᵀẐ. Vectors and Vector build
 // eigenvectors on demand by replaying the log backward on unit vectors and
 // reflecting the result through the stored Householder vectors. They agree
 // with SymEigen's to rounding error (the same transformations, applied in

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -172,65 +173,74 @@ func feedAssigned(t *testing.T, mons []*monitor.Service, numFlows int, interval 
 // yield byte-identical alarm decisions to the flat 6-monitor topology,
 // because randproj sketches over disjoint flow shards merge by exact column
 // union (sketch linearity, Theorem 1). Both runs carry the oracle
-// (CheckModel-backed) self-check, which must stay violation-free.
+// (CheckModel-backed) self-check, which must run and stay violation-free. It
+// runs at l > m, where the NOC solves the m×m Gram, and at l < m, where it
+// solves the l×l ẐẐᵀ.
 func TestFederatedMatchesFlatDecisions(t *testing.T) {
 	const n = testWindow + 40
-	rows := genRows(n, testFlows, n-4)
+	for _, shape := range []struct{ m, l int }{{testFlows, testSketch}, {48, 16}} {
+		t.Run(fmt.Sprintf("m=%d/l=%d", shape.m, shape.l), func(t *testing.T) {
+			rows := genRows(n, shape.m, n-4)
+			run := func(federated bool) ([]Decision, *obs.Registry) {
+				reg := obs.NewRegistry()
+				cfg := nocConfig()
+				cfg.Detector.NumFlows, cfg.Detector.SketchLen = shape.m, shape.l
+				cfg.Obs = reg
+				cfg.SelfCheckEvery = 16
+				svc, decisions := startNOC(t, cfg)
+				var mons []*monitor.Service
+				if federated {
+					fed := startFederation(t, svc.Addr(), 3, 6, shape.m, sketch.FamilyRandProj, shape.l, false, nil)
+					mons = fed.mons
+					waitMonitors(t, svc, 3) // the NOC sees 3 aggregator registrants
+				} else {
+					mons = startMonitorsOver(t, svc.Addr(), 6, shape.m, shape.l)
+					waitMonitors(t, svc, 6)
+				}
+				out := make([]Decision, 0, n)
+				for i := 0; i < n; i++ {
+					iv := int64(i + 1)
+					feedAssigned(t, mons, shape.m, iv, rows[i])
+					out = append(out, nextDecision(t, decisions, iv))
+				}
+				for _, m := range mons {
+					_ = m.Close()
+				}
+				svc.Shutdown()
+				return out, reg
+			}
 
-	run := func(federated bool) ([]Decision, *obs.Registry) {
-		reg := obs.NewRegistry()
-		cfg := nocConfig()
-		cfg.Obs = reg
-		cfg.SelfCheckEvery = 16
-		svc, decisions := startNOC(t, cfg)
-		var mons []*monitor.Service
-		if federated {
-			fed := startFederation(t, svc.Addr(), 3, 6, testFlows, sketch.FamilyRandProj, testSketch, false, nil)
-			mons = fed.mons
-			waitMonitors(t, svc, 3) // the NOC sees 3 aggregator registrants
-		} else {
-			mons = startMonitors(t, svc.Addr(), 6)
-			waitMonitors(t, svc, 6)
-		}
-		out := make([]Decision, 0, n)
-		for i := 0; i < n; i++ {
-			iv := int64(i + 1)
-			feedAssigned(t, mons, testFlows, iv, rows[i])
-			out = append(out, nextDecision(t, decisions, iv))
-		}
-		for _, m := range mons {
-			_ = m.Close()
-		}
-		svc.Shutdown()
-		return out, reg
-	}
+			flat, flatReg := run(false)
+			fed, fedReg := run(true)
 
-	flat, flatReg := run(false)
-	fed, fedReg := run(true)
-
-	alarms := 0
-	for i := range flat {
-		f, g := flat[i], fed[i]
-		if f.Result.Anomalous != g.Result.Anomalous ||
-			f.Result.Distance != g.Result.Distance ||
-			f.Result.Threshold != g.Result.Threshold ||
-			f.Result.Refreshed != g.Result.Refreshed {
-			t.Fatalf("interval %d diverged:\n flat %+v\n fed  %+v", f.Interval, f.Result, g.Result)
-		}
-		if g.Degraded || g.Result.StaleFlows != 0 {
-			t.Fatalf("federated decision %d degraded with all peers alive: %+v", g.Interval, g)
-		}
-		if f.Result.Anomalous {
-			alarms++
-		}
-	}
-	if alarms == 0 {
-		t.Fatal("the injected spike raised no alarm in either topology — the comparison is vacuous")
-	}
-	for name, reg := range map[string]*obs.Registry{"flat": flatReg, "federated": fedReg} {
-		if v := reg.Counter("streampca_noc_oracle_violations_total", "").Value(); v != 0 {
-			t.Fatalf("%s run: %d oracle violations", name, v)
-		}
+			alarms := 0
+			for i := range flat {
+				f, g := flat[i], fed[i]
+				if f.Result.Anomalous != g.Result.Anomalous ||
+					f.Result.Distance != g.Result.Distance ||
+					f.Result.Threshold != g.Result.Threshold ||
+					f.Result.Refreshed != g.Result.Refreshed {
+					t.Fatalf("interval %d diverged:\n flat %+v\n fed  %+v", f.Interval, f.Result, g.Result)
+				}
+				if g.Degraded || g.Result.StaleFlows != 0 {
+					t.Fatalf("federated decision %d degraded with all peers alive: %+v", g.Interval, g)
+				}
+				if f.Result.Anomalous {
+					alarms++
+				}
+			}
+			if alarms == 0 {
+				t.Fatal("the injected spike raised no alarm in either topology — the comparison is vacuous")
+			}
+			for name, reg := range map[string]*obs.Registry{"flat": flatReg, "federated": fedReg} {
+				if c := reg.Counter("streampca_noc_oracle_checks_total", "").Value(); c == 0 {
+					t.Fatalf("%s run: the oracle checked no model", name)
+				}
+				if v := reg.Counter("streampca_noc_oracle_violations_total", "").Value(); v != 0 {
+					t.Fatalf("%s run: %d oracle violations", name, v)
+				}
+			}
+		})
 	}
 }
 

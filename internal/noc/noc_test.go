@@ -59,8 +59,14 @@ func startNOC(t *testing.T, cfg Config) (*Service, <-chan Decision) {
 // connects them to addr.
 func startMonitors(t *testing.T, addr string, nMon int) []*monitor.Service {
 	t.Helper()
+	return startMonitorsOver(t, addr, nMon, testFlows, testSketch)
+}
+
+// startMonitorsOver is startMonitors for numFlows flows sketched at length l.
+func startMonitorsOver(t *testing.T, addr string, nMon, numFlows, l int) []*monitor.Service {
+	t.Helper()
 	assign := make([][]int, nMon)
-	for f := 0; f < testFlows; f++ {
+	for f := 0; f < numFlows; f++ {
 		assign[f%nMon] = append(assign[f%nMon], f)
 	}
 	mons := make([]*monitor.Service, nMon)
@@ -70,7 +76,7 @@ func startMonitors(t *testing.T, addr string, nMon int) []*monitor.Service {
 			FlowIDs:   assign[i],
 			WindowLen: testWindow,
 			Epsilon:   0.05,
-			Sketch:    randproj.Config{Seed: testSeed, SketchLen: testSketch},
+			Sketch:    randproj.Config{Seed: testSeed, SketchLen: l},
 		})
 		if err != nil {
 			t.Fatal(err)

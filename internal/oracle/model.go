@@ -48,7 +48,8 @@ type Reference struct {
 	// Theorem 2 sets against d_Ẑ(y), with the exact Q-statistic threshold.
 	Det *pca.Detector
 	// Energy is ‖Yc‖²_F and CovDiff is ‖Â − YcᵀYc‖_F with Â the model's
-	// sketch covariance (core.Model.Cov), the two sides of Lemma 6.
+	// sketch covariance (the Gram of core.Model.Sketch), the two sides of
+	// Lemma 6.
 	Energy  float64
 	CovDiff float64
 	// Gap is η²_r − η²_{r+1}, the denominator of Theorem 2's bound; 0 when the
@@ -77,7 +78,7 @@ func MeasureModel(model *core.Model, window *mat.Matrix, alpha float64) (Referen
 	if ref.Det, err = pca.NewDetector(ref.Exact, model.Rank, alpha); err != nil {
 		return ref, err
 	}
-	diff, err := model.Cov.Sub(gram)
+	diff, err := model.Sketch.Gram().Sub(gram)
 	if err != nil {
 		return ref, err
 	}
@@ -108,12 +109,12 @@ func MeasureModel(model *core.Model, window *mat.Matrix, alpha float64) (Referen
 // alarm agreement with an exact Q-statistic detector outside a dead band.
 func CheckModel(model *core.Model, dec core.Decision, x []float64, vw *VectorWindow, cfg ModelCheckConfig) (Result, bool) {
 	var res Result
-	if model == nil || model.Degraded || model.Components == nil || model.Cov == nil {
+	if model == nil || model.Degraded || model.Components == nil || model.Sketch == nil {
 		return res, false
 	}
 	m := len(model.Singular)
 	if m == 0 || len(x) != m || model.Components.Rows() != m || model.Components.Cols() < model.Rank ||
-		model.Cov.Rows() != m || model.Cov.Cols() != m {
+		model.Sketch.Cols() != m {
 		return res, false
 	}
 	y, _, okWin := vw.MatrixEnding(model.BuiltAt)
@@ -154,14 +155,9 @@ func CheckModel(model *core.Model, dec core.Decision, x []float64, vw *VectorWin
 		if exact <= svSignificance*total || total == 0 {
 			break // descending: everything after is insignificant too
 		}
+		// A significant component past the sketch's rank (λ̂ = 0 beyond l rows)
+		// is a relative error of 1, which only a small l's widened ε admits.
 		hat := model.Singular[j] * model.Singular[j]
-		if hat == 0 {
-			// Truncated spectra (FD's ≤ Σ2ℓ basis rows) carry exact-zero tail
-			// values by construction; the energy they omit is still covered
-			// by Lemma 6's global covariance bound below, so only estimated
-			// components face the ratio check.
-			continue
-		}
 		if e := math.Abs(hat-exact) / exact; e > worst {
 			worst, worstJ = e, j
 		}

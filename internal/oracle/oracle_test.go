@@ -1,11 +1,13 @@
 package oracle
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"streampca/internal/core"
+	"streampca/internal/mat"
 	"streampca/internal/obs"
 	"streampca/internal/randproj"
 	"streampca/internal/vh"
@@ -257,97 +259,120 @@ func (p *pipeline) fetch() (core.Fetch, error) {
 // TestCheckModelEndToEnd drives the full stack and asserts the spectral
 // bounds (Lemmas 5–6), Theorem 2 and alarm agreement hold on sampled
 // intervals, and that a deliberate mutation — dropping the 1/√l sketch scale,
-// i.e. every singular value inflated by √l — is caught.
+// i.e. every singular value inflated by √l — is caught. It runs at l = m,
+// where the model solves the m×m Gram, and at l < m, where it solves the
+// l×l ẐẐᵀ.
 func TestCheckModelEndToEnd(t *testing.T) {
-	const m, n, l, rank = 24, 48, 24, 2
-	p := newPipeline(t, m, n, l, rank)
-	cfg := ModelCheckConfig{Epsilon: 0.1, Alpha: 0.01, SketchLen: l}
+	const m, n, rank = 24, 48, 2
+	for _, l := range []int{24, 16} {
+		t.Run(fmt.Sprintf("l=%d", l), func(t *testing.T) {
+			p := newPipeline(t, m, n, l, rank)
+			cfg := ModelCheckConfig{Epsilon: 0.1, Alpha: 0.01, SketchLen: l}
 
-	checked := 0
-	var lastDec core.Decision
-	var lastX []float64
-	for ti := int64(1); ti <= int64(4*n); ti++ {
-		x := p.vector(ti)
-		if err := p.mon.Update(ti, x); err != nil {
-			t.Fatal(err)
-		}
-		p.vw.Push(ti, x)
-		if ti < int64(n) {
-			continue
-		}
-		dec, err := p.det.Observe(x, p.fetch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lastDec, lastX = dec, x
-		if ti%7 != 0 {
-			continue
-		}
-		res, ok := CheckModel(p.det.Model(), dec, x, p.vw, cfg)
-		if !ok {
-			continue
-		}
-		checked++
-		if len(res.Violations) > 0 {
-			t.Fatalf("t=%d: %v", ti, res.Worst())
-		}
-		if res.Checks < 3 {
-			t.Fatalf("t=%d: only %d spectral checks ran", ti, res.Checks)
-		}
-	}
-	if checked < 5 {
-		t.Fatalf("only %d model checks completed", checked)
-	}
+			checked := 0
+			var lastDec core.Decision
+			var lastX []float64
+			for ti := int64(1); ti <= int64(4*n); ti++ {
+				x := p.vector(ti)
+				if err := p.mon.Update(ti, x); err != nil {
+					t.Fatal(err)
+				}
+				p.vw.Push(ti, x)
+				if ti < int64(n) {
+					continue
+				}
+				dec, err := p.det.Observe(x, p.fetch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lastDec, lastX = dec, x
+				if ti%7 != 0 {
+					continue
+				}
+				res, ok := CheckModel(p.det.Model(), dec, x, p.vw, cfg)
+				if !ok {
+					continue
+				}
+				checked++
+				if len(res.Violations) > 0 {
+					t.Fatalf("t=%d: %v", ti, res.Worst())
+				}
+				if res.Checks < 3 {
+					t.Fatalf("t=%d: only %d spectral checks ran", ti, res.Checks)
+				}
+			}
+			if checked < 5 {
+				t.Fatalf("only %d model checks completed", checked)
+			}
 
-	// Mutation: drop the 1/√l normalization — every λ̂ inflates by √l and
-	// the sketch covariance ẐᵀẐ by l. Lemma 5 (and 6) must catch it.
-	mut := *p.det.Model()
-	mut.Singular = append([]float64(nil), mut.Singular...)
-	for j := range mut.Singular {
-		mut.Singular[j] *= math.Sqrt(float64(l))
-	}
-	mut.Cov = mut.Cov.Scale(float64(l))
-	res, ok := CheckModel(&mut, lastDec, lastX, p.vw, cfg)
-	if !ok {
-		t.Fatal("mutated model check skipped")
-	}
-	hit := map[string]bool{}
-	for _, v := range res.Violations {
-		hit[v.Check] = true
-	}
-	if !hit["lemma5"] || !hit["lemma6"] {
-		t.Fatalf("dropped 1/√l scale not detected (violations: %+v)", res.Violations)
+			// Mutation: drop the 1/√l normalization — every λ̂ and the sketch
+			// Ẑ inflate by √l, its Gram by l. Lemma 5 (and 6) must catch it.
+			mut := *p.det.Model()
+			mut.Singular = append([]float64(nil), mut.Singular...)
+			for j := range mut.Singular {
+				mut.Singular[j] *= math.Sqrt(float64(l))
+			}
+			mut.Sketch = mut.Sketch.Clone().Scale(math.Sqrt(float64(l)))
+			res, ok := CheckModel(&mut, lastDec, lastX, p.vw, cfg)
+			if !ok {
+				t.Fatal("mutated model check skipped")
+			}
+			hit := map[string]bool{}
+			for _, v := range res.Violations {
+				hit[v.Check] = true
+			}
+			if !hit["lemma5"] || !hit["lemma6"] {
+				t.Fatalf("dropped 1/√l scale not detected (violations: %+v)", res.Violations)
+			}
+		})
 	}
 }
 
 // TestCheckModelChecksLeadingBasisModel: a freshly built randproj model
-// carries only its m×r leading basis, and CheckModel must still run its
-// checks on it rather than skip it as malformed.
+// carries only its m×r leading basis and its sketch rows, l×m whether it was
+// solved on the m×m or the l×l side, and CheckModel must still run its checks
+// on it rather than skip it as malformed. A model without its sketch, or with
+// one of the wrong width, is skipped.
 func TestCheckModelChecksLeadingBasisModel(t *testing.T) {
-	const m, n, l, rank = 16, 40, 16, 2
-	p := newPipeline(t, m, n, l, rank)
-	var x []float64
-	for ti := int64(1); ti <= int64(n); ti++ {
-		x = p.vector(ti)
-		if err := p.mon.Update(ti, x); err != nil {
-			t.Fatal(err)
-		}
-		p.vw.Push(ti, x)
-	}
-	dec, err := p.det.Observe(x, p.fetch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := p.det.Model()
-	if c := model.Components.Cols(); c != rank {
-		t.Fatalf("basis has %d columns, want the rank %d", c, rank)
-	}
-	res, ok := CheckModel(model, dec, x, p.vw, ModelCheckConfig{Epsilon: 0.1, Alpha: 0.01, SketchLen: l})
-	if !ok || res.Checks == 0 {
-		t.Fatalf("fresh model not checked: ok=%v checks=%d", ok, res.Checks)
-	}
-	if len(res.Violations) > 0 {
-		t.Fatal(res.Worst())
+	const m, n, rank = 16, 40, 2
+	for _, l := range []int{16, 10} {
+		t.Run(fmt.Sprintf("l=%d", l), func(t *testing.T) {
+			p := newPipeline(t, m, n, l, rank)
+			var x []float64
+			for ti := int64(1); ti <= int64(n); ti++ {
+				x = p.vector(ti)
+				if err := p.mon.Update(ti, x); err != nil {
+					t.Fatal(err)
+				}
+				p.vw.Push(ti, x)
+			}
+			dec, err := p.det.Observe(x, p.fetch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := p.det.Model()
+			if c := model.Components.Cols(); c != rank {
+				t.Fatalf("basis has %d columns, want the rank %d", c, rank)
+			}
+			if r, c := model.Sketch.Rows(), model.Sketch.Cols(); r != l || c != m {
+				t.Fatalf("sketch is %dx%d, want %dx%d", r, c, l, m)
+			}
+			cfg := ModelCheckConfig{Epsilon: 0.1, Alpha: 0.01, SketchLen: l}
+			res, ok := CheckModel(model, dec, x, p.vw, cfg)
+			if !ok || res.Checks == 0 {
+				t.Fatalf("fresh model not checked: ok=%v checks=%d", ok, res.Checks)
+			}
+			if len(res.Violations) > 0 {
+				t.Fatal(res.Worst())
+			}
+			for name, sk := range map[string]*mat.Matrix{"no sketch": nil, "narrow sketch": mat.NewMatrix(l, m-1)} {
+				bad := *model
+				bad.Sketch = sk
+				if _, ok := CheckModel(&bad, dec, x, p.vw, cfg); ok {
+					t.Fatalf("%s: checked, want skipped", name)
+				}
+			}
+		})
 	}
 }
 
