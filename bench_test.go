@@ -7,6 +7,7 @@ package streampca
 // completes in minutes; the binary regenerates the full-size figures.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"streampca/internal/stats"
 	"streampca/internal/trace"
 	"streampca/internal/traffic"
+	"streampca/internal/transport"
 	"streampca/internal/vh"
 )
 
@@ -837,6 +839,74 @@ func BenchmarkClusterStep(b *testing.B) {
 		}
 	}
 }
+
+// loopStream is a transport.Conn stream whose two ends are one buffer, so a
+// Send followed by a Recv is the envelope codec and nothing else.
+type loopStream struct{ bytes.Buffer }
+
+func (*loopStream) Close() error { return nil }
+
+// BenchmarkSketchResponseCodec round-trips one randproj SketchResponse
+// through a transport.Conn on a buffer (Send, then Recv), as gob columns and
+// as one ColumnsFrame, at the shard widths of the fed-wide benchmark workload
+// (24 flows per monitor, 48 per aggregator) and its l = 100. B/msg is the
+// encoded size of one response.
+func BenchmarkSketchResponseCodec(b *testing.B) {
+	const l = 100
+	for _, codec := range []string{"gob", "frame"} {
+		for _, flows := range []int{24, 48} {
+			b.Run(fmt.Sprintf("%s/flows=%d/l=%d", codec, flows, l), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(int64(flows)))
+				rep := core.SketchReport{Interval: 1}
+				for f := 0; f < flows; f++ {
+					col := make([]float64, l)
+					for i := range col {
+						col[i] = 1e5 * rng.NormFloat64()
+					}
+					rep.FlowIDs = append(rep.FlowIDs, f)
+					rep.Sketches = append(rep.Sketches, col)
+					rep.Means = append(rep.Means, 1e6*rng.Float64())
+					rep.Counts = append(rep.Counts, 144)
+					rep.Buckets = append(rep.Buckets, 40)
+				}
+				stream := &loopStream{}
+				conn := transport.NewConnWithMetrics(stream, nil)
+				roundTrip := func(e transport.Envelope) transport.Envelope {
+					if err := conn.Send(e); err != nil {
+						b.Fatal(err)
+					}
+					got, err := conn.Recv()
+					if err != nil {
+						b.Fatal(err)
+					}
+					return got
+				}
+				if codec == "frame" {
+					roundTrip(transport.Envelope{Request: &transport.SketchRequest{RequestID: 1}}) // asks for the frame
+				}
+				resp := transport.Envelope{Response: &transport.SketchResponse{RequestID: 1, MonitorID: "m", Report: rep}}
+				roundTrip(resp) // gob's type definitions go out with the first message only
+				var size int
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := conn.Send(resp); err != nil {
+						b.Fatal(err)
+					}
+					size += stream.Len()
+					got, err := conn.Recv()
+					if err != nil {
+						b.Fatal(err)
+					}
+					codecSink = got
+				}
+				b.ReportMetric(float64(size)/float64(b.N), "B/msg")
+			})
+		}
+	}
+}
+
+var codecSink transport.Envelope
 
 // TestWideClusterIdentifiesInjectedFlow runs the in-process cluster at the
 // width BenchmarkNOCRecompute's widest cell times, m = 1024 flows sketched at

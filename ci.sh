@@ -168,9 +168,9 @@ step_done
 
 # Fuzz smokes: ten seconds of coverage-guided input on each hostile decoder
 # (NetFlow v5 datagrams off the wire, trace CSVs off disk, peer snapshots an
-# aggregator validates and merges) and on the variance histogram's storage,
-# differentially against a brute-force window. Go allows one -fuzz target per
-# invocation.
+# aggregator validates and merges, the column frame of a sketch response) and
+# on the variance histogram's storage, differentially against a brute-force
+# window. Go allows one -fuzz target per invocation.
 step "fuzz smoke (NetFlow decoder, 10s)"
 go test -run 'XXXnone' -fuzz '^FuzzDecodeDatagram$' -fuzztime 10s ./internal/ingest/ > /dev/null
 step_done
@@ -181,6 +181,10 @@ step_done
 
 step "fuzz smoke (peer snapshot merge, 10s)"
 go test -run 'XXXnone' -fuzz '^FuzzMergeColumns$' -fuzztime 10s ./internal/sketch/ > /dev/null
+step_done
+
+step "fuzz smoke (sketch-response column frame, 10s)"
+go test -run 'XXXnone' -fuzz '^FuzzColumnsFrame$' -fuzztime 10s ./internal/transport/ > /dev/null
 step_done
 
 step "fuzz smoke (variance histogram against the exact window, 10s)"

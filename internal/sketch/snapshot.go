@@ -13,6 +13,10 @@ import (
 // Family's zero value is FamilyRandProj, which is exactly what such payloads
 // carry — and newer payloads decode on older binaries with the unknown
 // fields dropped (same versioning stance as transport.TraceContext).
+// Sketches is the one field that may leave gob: for a requester that asked,
+// transport.Conn ships equal-length randproj columns as one little-endian
+// transport.ColumnsFrame and rebuilds the field on receipt, so it holds the
+// same bits either way. FD snapshots always travel as gob.
 type Snapshot struct {
 	// Interval is the time of the most recent update covered.
 	Interval int64

@@ -3,9 +3,17 @@ package transport
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"net"
+	"reflect"
 	"testing"
+	"time"
 
 	"streampca/internal/core"
+	"streampca/internal/obs"
 	"streampca/internal/sketch"
 )
 
@@ -394,4 +402,279 @@ func TestIdentifiedAlarmOldToNewPeer(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatalf("legacy alarm invalid after decode: %v", err)
 	}
+}
+
+// legacySketchRequest mirrors the pre-frame request: no ReadsFrame. It stands
+// in for a requester built before sketch columns could travel as a
+// ColumnsFrame.
+type legacySketchRequest struct {
+	RequestID uint64
+}
+
+// splitStream is a Conn stream whose reads drain in and whose writes fill
+// out, so a test can play a peer's bytes in and read the Conn's bytes back.
+type splitStream struct{ in, out bytes.Buffer }
+
+func (s *splitStream) Read(p []byte) (int, error)  { return s.in.Read(p) }
+func (s *splitStream) Write(p []byte) (int, error) { return s.out.Write(p) }
+func (s *splitStream) Close() error                { return nil }
+
+// tapStream records every byte read through it.
+type tapStream struct {
+	io.ReadWriteCloser
+	read bytes.Buffer
+}
+
+func (s *tapStream) Read(p []byte) (int, error) {
+	n, err := s.ReadWriteCloser.Read(p)
+	s.read.Write(p[:n])
+	return n, err
+}
+
+// tappedPipe is PipeWithMetrics(ma, nil) whose b end records what it reads.
+func tappedPipe(ma *Metrics) (a, b *Conn, tap *tapStream) {
+	x, y := net.Pipe()
+	tap = &tapStream{ReadWriteCloser: y}
+	return NewConnWithMetrics(x, ma), NewConnWithMetrics(tap, nil), tap
+}
+
+// ask has requester send a SketchRequest and responder receive it, which
+// turns the column frame on for responder's next responses.
+func ask(t *testing.T, requester, responder *Conn) {
+	t.Helper()
+	envCh, errCh := recvOne(responder)
+	if err := requester.Send(Envelope{Request: &SketchRequest{RequestID: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-envCh:
+	case err := <-errCh:
+		t.Fatal(err)
+	case <-time.After(2 * time.Second):
+		t.Fatal("request never arrived")
+	}
+}
+
+// gobStream gob-encodes frames with one encoder, as one peer's stream.
+func gobStream(t *testing.T, frames ...any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	for i, f := range frames {
+		if err := enc.Encode(f); err != nil {
+			t.Fatalf("encode frame %d: %v", i, err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// wireEnvelope decodes the first envelope of a gob stream as it crossed the
+// wire, without a Conn, so a response's Columns is left as it arrived.
+func wireEnvelope(t *testing.T, stream []byte) Envelope {
+	t.Helper()
+	var e Envelope
+	if err := gob.NewDecoder(bytes.NewReader(stream)).Decode(&e); err != nil {
+		t.Fatalf("decode wire envelope: %v", err)
+	}
+	return e
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestColumnsFrameNegotiation: a responder packs a response's columns as a
+// ColumnsFrame only for a request that set ReadsFrame, and only for a
+// randproj report whose columns share one length; every other response is
+// gob as before, readable by a requester built before the frame existed.
+// Whatever the wire form, this tree's Recv returns the response that was
+// sent, so the receiver's Validate says what it said before the frame.
+func TestColumnsFrameNegotiation(t *testing.T) {
+	randproj := core.SketchReport{
+		Interval: 4, FlowIDs: []int{0, 1},
+		Sketches: [][]float64{{1, 2}, {3, 4}},
+		Means:    []float64{5, 6}, Counts: []int64{4, 4}, Buckets: []int{3, 3},
+	}
+	fd := core.SketchReport{
+		Interval: 4, FlowIDs: []int{0, 1},
+		Means: []float64{5, 6}, Counts: []int64{4, 4},
+		Family: sketch.FamilyFD, FDRows: [][]float64{{1, 0}, {0, 0.5}}, FDDelta: 0.25, FDEll: 2,
+	}
+	ragged := randproj
+	ragged.Sketches = [][]float64{{1, 2}, {3}}
+	oldRequest := struct{ Request *legacySketchRequest }{&legacySketchRequest{RequestID: 1}}
+	newRequest := Envelope{Request: &SketchRequest{RequestID: 1, ReadsFrame: true}}
+
+	for _, tc := range []struct {
+		name       string
+		request    any
+		rep        core.SketchReport
+		wantFramed bool
+	}{
+		{"old requester gets gob", oldRequest, randproj, false},
+		{"new requester gets the frame", newRequest, randproj, true},
+		{"fd is never framed", newRequest, fd, false},
+		{"ragged columns fall back to gob", newRequest, ragged, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &splitStream{}
+			s.in.Write(gobStream(t, tc.request))
+			c := NewConnWithMetrics(s, nil)
+			if env, err := c.Recv(); err != nil || env.Request == nil {
+				t.Fatalf("recv request: %+v, %v", env, err)
+			}
+			sent := SketchResponse{RequestID: 1, MonitorID: "m", Report: tc.rep}
+			if err := c.Send(Envelope{Response: &sent}); err != nil {
+				t.Fatal(err)
+			}
+			wire := s.out.Bytes()
+
+			raw := wireEnvelope(t, wire).Response
+			if framed := raw.Columns != nil; framed != tc.wantFramed {
+				t.Fatalf("response framed = %v, want %v", framed, tc.wantFramed)
+			}
+			if tc.wantFramed && raw.Report.Sketches != nil {
+				t.Fatalf("framed response also carries gob columns: %v", raw.Report.Sketches)
+			}
+			if !tc.wantFramed {
+				var old struct{ Response *legacySketchResponse }
+				if err := gob.NewDecoder(bytes.NewReader(wire)).Decode(&old); err != nil {
+					t.Fatalf("old requester failed to decode the response: %v", err)
+				}
+				if !reflect.DeepEqual(old.Response.Report.Sketches, tc.rep.Sketches) {
+					t.Fatalf("old requester decoded %v, want %v", old.Response.Report.Sketches, tc.rep.Sketches)
+				}
+			}
+
+			peer := &splitStream{}
+			peer.in.Write(wire)
+			env, err := NewConnWithMetrics(peer, nil).Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(*env.Response, sent) {
+				t.Fatalf("received %+v, sent %+v", *env.Response, sent)
+			}
+			got, want := env.Response.Report.Validate(2), tc.rep.Validate(2)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("receiver's Validate = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestColumnsFrameNewRequesterOldResponder: a responder built before
+// ReadsFrame existed reads this tree's request, drops the bit and answers in
+// gob, and the requester decodes those columns as it always has.
+func TestColumnsFrameNewRequesterOldResponder(t *testing.T) {
+	s := &splitStream{}
+	c := NewConnWithMetrics(s, nil)
+	if err := c.Send(Envelope{Request: &SketchRequest{RequestID: 6}}); err != nil {
+		t.Fatal(err)
+	}
+	if raw := wireEnvelope(t, s.out.Bytes()); !raw.Request.ReadsFrame {
+		t.Fatal("Send did not set ReadsFrame on the request")
+	}
+	var old struct{ Request *legacySketchRequest }
+	if err := gob.NewDecoder(&s.out).Decode(&old); err != nil || old.Request == nil || old.Request.RequestID != 6 {
+		t.Fatalf("old responder decoded %+v, %v", old.Request, err)
+	}
+
+	resp := legacySketchResponse{RequestID: 6, MonitorID: "m", Report: legacySketchReport{
+		Interval: 4, FlowIDs: []int{0, 1},
+		Sketches: [][]float64{{1, 2}, {3, 4}},
+		Means:    []float64{5, 6}, Counts: []int64{4, 4}, Buckets: []int{3, 3},
+	}}
+	s.in.Write(gobStream(t, struct{ Response *legacySketchResponse }{&resp}))
+	env, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(env.Response.Report.Sketches, resp.Report.Sketches) {
+		t.Fatalf("decoded %v, want %v", env.Response.Report.Sketches, resp.Report.Sketches)
+	}
+	if err := env.Response.Report.Validate(2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestColumnsFrameOverPipe: between two Conns of this tree a sketch pull
+// ships its columns framed, decoded bit for bit (−0, subnormals and
+// ±MaxFloat64 included), in fewer bytes than the same response in gob. The
+// columns are sketch-like, full-mantissa floats, which gob spends nine bytes
+// on; the specials sit at the head of each.
+func TestColumnsFrameOverPipe(t *testing.T) {
+	specials := []float64{
+		math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1030,
+		math.MaxFloat64, -math.MaxFloat64,
+	}
+	const k, l = 6, 32
+	rng := rand.New(rand.NewSource(34))
+	rep := core.SketchReport{Interval: 9}
+	for i := 0; i < k; i++ {
+		col := make([]float64, l)
+		for j := range col {
+			col[j] = 1e5 * rng.NormFloat64()
+		}
+		copy(col[i%2:], specials)
+		rep.FlowIDs = append(rep.FlowIDs, i)
+		rep.Sketches = append(rep.Sketches, col)
+		rep.Means = append(rep.Means, float64(i))
+	}
+
+	// pull runs one response from a to b twice, the second time measured:
+	// the first also carries gob's type definitions. With asked, b sends a
+	// request first.
+	pull := func(asked bool) (got [][]float64, framed bool, size int64) {
+		reg := obs.NewRegistry()
+		a, b, tap := tappedPipe(NewMetrics(reg))
+		defer a.Close()
+		defer b.Close()
+		if asked {
+			ask(t, b, a)
+		}
+		sentBytes := func() int64 { return counter(reg, "streampca_transport_bytes_total", obs.L("direction", "sent")) }
+		for i := 0; i < 2; i++ {
+			before := sentBytes()
+			envCh, errCh := recvOne(b)
+			if err := a.Send(Envelope{Response: &SketchResponse{RequestID: 1, MonitorID: "m", Report: rep}}); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case e := <-envCh:
+				got = e.Response.Report.Sketches
+			case err := <-errCh:
+				t.Fatal(err)
+			}
+			size = sentBytes() - before
+		}
+		return got, wireEnvelope(t, tap.read.Bytes()).Response.Columns != nil, size
+	}
+
+	gobCols, gobFramed, gobSize := pull(false)
+	cols, framed, size := pull(true)
+	if gobFramed || !framed {
+		t.Fatalf("framed without a request = %v, after one = %v; want false, true", gobFramed, framed)
+	}
+	if !sameBits(gobCols, rep.Sketches) || !sameBits(cols, rep.Sketches) {
+		t.Fatalf("columns changed in transit:\n sent  %v\n gob   %v\n frame %v", rep.Sketches, gobCols, cols)
+	}
+	if size >= gobSize {
+		t.Fatalf("framed response is %d bytes, gob %d", size, gobSize)
+	}
+	t.Logf("response of %d×%d floats: gob %d B, frame %d B", k, l, gobSize, size)
 }

@@ -8,9 +8,11 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streampca/internal/faults"
+	"streampca/internal/sketch"
 )
 
 // Conn is a framed, bidirectional message connection. Sends are serialized
@@ -24,9 +26,18 @@ type Conn struct {
 	enc    *gob.Encoder
 	dec    *gob.Decoder
 
+	// peerReadsFrame is the ReadsFrame bit of the last SketchRequest Recv
+	// returned: whether Send may pack a response's columns as a ColumnsFrame.
+	peerReadsFrame atomic.Bool
+
 	closeOnce sync.Once
 	closeErr  error
 }
+
+// framePool holds the buffers Send packs ColumnsFrames into. Gob copies the
+// frame into its own buffer during Encode, so a buffer is back in the pool
+// as soon as Encode returns, and a connection keeps none between pulls.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // NewConnWithMetrics wraps an established stream (net.Conn or an in-memory
 // pipe) and records wire traffic on m (nil disables instrumentation).
@@ -65,7 +76,10 @@ func DialWithMetrics(addr string, timeout time.Duration, m *Metrics) (*Conn, err
 	return NewConnWithMetrics(c, m), nil
 }
 
-// Send writes one envelope. It is safe for concurrent use.
+// Send writes one envelope. It is safe for concurrent use. It sets
+// ReadsFrame on every SketchRequest, and packs a randproj response's
+// equal-length columns as a ColumnsFrame when the peer's last request set it;
+// the caller's envelope is never modified.
 func (c *Conn) Send(e Envelope) error {
 	if err := e.Validate(); err != nil {
 		return err
@@ -85,6 +99,21 @@ func (c *Conn) Send(e Envelope) error {
 		if o.Corrupt {
 			e = corruptEnvelope(e)
 		}
+	}
+	if e.Request != nil && !e.Request.ReadsFrame {
+		r := *e.Request
+		r.ReadsFrame = true
+		e.Request = &r
+	}
+	if r := e.Response; r != nil && r.Report.Family == sketch.FamilyRandProj &&
+		c.peerReadsFrame.Load() && frameable(r.Report.Sketches) {
+		buf := framePool.Get().(*[]byte)
+		defer framePool.Put(buf)
+		*buf = appendColumns((*buf)[:0], r.Report.Sketches)
+		framed := *r
+		framed.Report.Sketches = nil
+		framed.Columns = &ColumnsFrame{packed: *buf}
+		e.Response = &framed
 	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
@@ -113,6 +142,12 @@ func (c *Conn) Recv() (Envelope, error) {
 		if err := e.Validate(); err != nil {
 			c.m.decodeError()
 			return Envelope{}, err
+		}
+		if e.Request != nil {
+			c.peerReadsFrame.Store(e.Request.ReadsFrame)
+		}
+		if r := e.Response; r != nil && r.Columns != nil {
+			r.Report.Sketches, r.Columns = r.Columns.cols, nil
 		}
 		if c.inj != nil {
 			o := c.inj.Decide(faults.DirRecv, e.TypeName())
@@ -159,13 +194,13 @@ func corruptEnvelope(e Envelope) Envelope {
 		e.Request = &r
 	case e.Response != nil:
 		r := *e.Response
-		if len(r.Report.Sketches) > 0 && len(r.Report.Sketches[0]) > 0 {
-			sk := make([][]float64, len(r.Report.Sketches))
-			for i, s := range r.Report.Sketches {
-				sk[i] = append([]float64(nil), s...)
-			}
-			sk[0][0] = math.NaN()
-			r.Report.Sketches = sk
+		switch rep := &r.Report; {
+		case len(rep.Sketches) > 0 && len(rep.Sketches[0]) > 0:
+			rep.Sketches = withNaN(rep.Sketches)
+		case len(rep.FDRows) > 0 && len(rep.FDRows[0]) > 0:
+			rep.FDRows = withNaN(rep.FDRows)
+		case rep.Family == sketch.FamilyFD:
+			rep.FDDelta = math.NaN()
 		}
 		e.Response = &r
 	case e.Alarm != nil:
@@ -174,6 +209,15 @@ func corruptEnvelope(e Envelope) Envelope {
 		e.Alarm = &a
 	}
 	return e
+}
+
+// withNaN returns rows with rows[0][0] set to NaN, copying the outer slice
+// and that row so the caller's arrays stay untouched.
+func withNaN(rows [][]float64) [][]float64 {
+	out := append([][]float64(nil), rows...)
+	out[0] = append([]float64(nil), rows[0]...)
+	out[0][0] = math.NaN()
+	return out
 }
 
 // Close tears the connection down; subsequent Sends and Recvs fail.

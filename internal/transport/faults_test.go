@@ -2,12 +2,13 @@ package transport
 
 import (
 	"errors"
-	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"streampca/internal/core"
 	"streampca/internal/faults"
+	"streampca/internal/sketch"
 )
 
 // recvOne reads a single envelope on its own goroutine (net.Pipe is
@@ -101,45 +102,77 @@ func TestFaultDelay(t *testing.T) {
 	}
 }
 
+// TestFaultCorruptResponse: a Corrupt rule on sketch_response damages the
+// payload of either family, in either encoding, so the receiver's Validate
+// fails, and never touches the sender's arrays. A randproj response is framed
+// when the receiver sent a request first.
 func TestFaultCorruptResponse(t *testing.T) {
-	a, b := Pipe()
-	defer a.Close()
-	defer b.Close()
-	a.SetFaults(faults.MustPlan(1, faults.Rule{Dir: faults.DirSend, Type: "sketch_response", Corrupt: true}))
+	randproj := core.SketchReport{
+		Interval: 3, FlowIDs: []int{0, 1},
+		Sketches: [][]float64{{1, 2}, {3, 4}},
+		Means:    []float64{1, 1},
+	}
+	fd := core.SketchReport{
+		Interval: 3, FlowIDs: []int{0, 1}, Means: []float64{1, 1},
+		Family: sketch.FamilyFD, FDRows: [][]float64{{1, -1}, {0.5, 0.25}}, FDDelta: 0.5, FDEll: 2,
+	}
+	fdNoRows := fd
+	fdNoRows.FDRows = nil
 
-	orig := [][]float64{{1, 2}, {3, 4}}
-	resp := SketchResponse{
-		RequestID: 5,
-		MonitorID: "m",
-		Report: core.SketchReport{
-			Interval: 3,
-			FlowIDs:  []int{0, 1},
-			Sketches: orig,
-			Means:    []float64{1, 1},
-		},
+	for _, tc := range []struct {
+		name   string
+		rep    core.SketchReport
+		asked  bool // the receiver sends a request first
+		framed bool
+	}{
+		{"randproj/gob", randproj, false, false},
+		{"randproj/frame", randproj, true, true},
+		{"fd/rows", fd, true, false},
+		{"fd/delta", fdNoRows, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b, tap := tappedPipe(nil)
+			defer a.Close()
+			defer b.Close()
+			a.SetFaults(faults.MustPlan(1, faults.Rule{Dir: faults.DirSend, Type: "sketch_response", Corrupt: true}))
+			if tc.asked {
+				ask(t, b, a)
+			}
+
+			sketches, rows := cloneRows(tc.rep.Sketches), cloneRows(tc.rep.FDRows)
+			envCh, errCh := recvOne(b)
+			if err := a.Send(Envelope{Response: &SketchResponse{RequestID: 5, MonitorID: "m", Report: tc.rep}}); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case e := <-envCh:
+				if e.Response.Report.Validate(2) == nil {
+					t.Fatalf("corrupted report passed validation: %+v", e.Response.Report)
+				}
+			case err := <-errCh:
+				t.Fatal(err)
+			case <-time.After(2 * time.Second):
+				t.Fatal("receiver starved")
+			}
+			if framed := wireEnvelope(t, tap.read.Bytes()).Response.Columns != nil; framed != tc.framed {
+				t.Fatalf("response framed = %v, want %v", framed, tc.framed)
+			}
+			if !reflect.DeepEqual(tc.rep.Sketches, sketches) || !reflect.DeepEqual(tc.rep.FDRows, rows) {
+				t.Fatalf("corruption leaked into the sender's report: %+v", tc.rep)
+			}
+		})
 	}
-	envCh, errCh := recvOne(b)
-	if err := a.Send(Envelope{Response: &resp}); err != nil {
-		t.Fatal(err)
+}
+
+func cloneRows(rows [][]float64) [][]float64 {
+	if rows == nil {
+		return nil
 	}
-	select {
-	case e := <-envCh:
-		got := e.Response.Report.Sketches
-		if !math.IsNaN(got[0][0]) {
-			t.Fatalf("sketch not corrupted: %v", got)
-		}
-		if e.Response.Report.Validate(2) == nil {
-			t.Fatal("corrupted report must fail validation")
-		}
-	case err := <-errCh:
-		t.Fatal(err)
-	case <-time.After(2 * time.Second):
-		t.Fatal("receiver starved")
+	out := make([][]float64, len(rows))
+	for i, r := range rows {
+		out[i] = append([]float64(nil), r...)
 	}
-	// The sender's own backing arrays must be untouched.
-	if orig[0][0] != 1 {
-		t.Fatalf("corruption leaked into the sender's report: %v", orig)
-	}
+	return out
 }
 
 func TestFaultDisconnect(t *testing.T) {

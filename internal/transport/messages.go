@@ -2,15 +2,21 @@
 // NOC (Fig. 1): gob-encoded messages over a single duplex TCP connection per
 // monitor. Monitors push per-interval volume reports; the NOC pulls sketches
 // on demand (the lazy protocol of §IV-C); alarms flow back for visibility.
+// A sketch response's randproj columns travel as one little-endian
+// ColumnsFrame inside the gob message when the request asked for it
+// (SketchRequest.ReadsFrame); every other payload is plain gob.
 //
 // An in-memory pipe transport with identical semantics backs the integration
 // tests, so protocol logic is exercised without sockets.
 package transport
 
 import (
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"streampca/internal/core"
 	"streampca/internal/sketch"
@@ -87,6 +93,10 @@ type VolumeReport struct {
 // SketchRequest asks a monitor for its current sketch state.
 type SketchRequest struct {
 	RequestID uint64
+	// ReadsFrame says the requester decodes SketchResponse.Columns.
+	// Conn.Send sets it on every request. A responder built before the field
+	// existed drops it and answers in plain gob, which Conn still decodes.
+	ReadsFrame bool
 }
 
 // SketchResponse answers a SketchRequest.
@@ -101,6 +111,82 @@ type SketchResponse struct {
 	// leave both zero.
 	Degraded   bool
 	StaleFlows int
+	// Columns carries Report.Sketches as one ColumnsFrame, with
+	// Report.Sketches nil on the wire. Conn.Send sets it only for a peer
+	// whose last request set ReadsFrame, and Conn.Recv moves it back into
+	// Report.Sketches, so callers neither set nor see it.
+	Columns *ColumnsFrame
+}
+
+// ColumnsFrame is a randproj report's ẑ columns as one little-endian byte
+// run: a uint32 column length l, then the k·l IEEE-754 bit patterns of the
+// k columns, flow-major. As a gob.GobEncoder it reaches the wire as one
+// byte slice, where gob would otherwise encode each float in turn.
+type ColumnsFrame struct {
+	packed []byte      // the frame GobEncode hands to gob (sending side)
+	cols   [][]float64 // the columns GobDecode built (receiving side)
+}
+
+// GobEncode returns the packed frame.
+func (f *ColumnsFrame) GobEncode() ([]byte, error) { return f.packed, nil }
+
+// GobDecode unpacks a frame into columns that share one backing array.
+func (f *ColumnsFrame) GobDecode(b []byte) error {
+	cols, err := decodeColumns(b)
+	f.cols = cols
+	return err
+}
+
+// frameable reports whether cols can travel as a ColumnsFrame: at least one
+// column, and every column of one non-zero length.
+func frameable(cols [][]float64) bool {
+	if len(cols) == 0 || len(cols[0]) == 0 {
+		return false
+	}
+	for _, c := range cols[1:] {
+		if len(c) != len(cols[0]) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendColumns appends the ColumnsFrame of cols, which must be frameable,
+// to dst.
+func appendColumns(dst []byte, cols [][]float64) []byte {
+	l := len(cols[0])
+	dst = slices.Grow(dst, 4+8*l*len(cols))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(l))
+	for _, c := range cols {
+		for _, v := range c {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
+	}
+	return dst
+}
+
+// decodeColumns is appendColumns' inverse. A frame with no column, a zero
+// column length or a body that is not a whole number of columns is
+// ErrBadMessage.
+func decodeColumns(b []byte) ([][]float64, error) {
+	if len(b) < 4 {
+		return nil, fmt.Errorf("%w: columns frame of %d bytes", ErrBadMessage, len(b))
+	}
+	l := uint64(binary.LittleEndian.Uint32(b))
+	body := b[4:]
+	if l == 0 || len(body) == 0 || uint64(len(body))%(8*l) != 0 {
+		return nil, fmt.Errorf("%w: columns frame body of %d bytes for column length %d", ErrBadMessage, len(body), l)
+	}
+	back := make([]float64, len(body)/8)
+	for i := range back {
+		back[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+	}
+	n := int(l)
+	cols := make([][]float64, len(back)/n)
+	for i := range cols {
+		cols[i] = back[i*n : (i+1)*n : (i+1)*n]
+	}
+	return cols, nil
 }
 
 // IdentifiedFlow names one culprit OD flow attached to an alarm by the
