@@ -168,11 +168,17 @@ step_done
 
 # Fuzz smokes: ten seconds of coverage-guided input on each hostile decoder
 # (NetFlow v5 datagrams off the wire, trace CSVs off disk, peer snapshots an
-# aggregator validates and merges, the column frame of a sketch response) and
-# on the variance histogram's storage, differentially against a brute-force
-# window. Go allows one -fuzz target per invocation.
+# aggregator validates and merges, the column frame of a sketch response),
+# and differentially against a brute-force reference on the routing trie
+# every NetFlow record is looked up in and on the variance histogram's
+# storage (against the exact window). Go allows one -fuzz target per
+# invocation.
 step "fuzz smoke (NetFlow decoder, 10s)"
 go test -run 'XXXnone' -fuzz '^FuzzDecodeDatagram$' -fuzztime 10s ./internal/ingest/ > /dev/null
+step_done
+
+step "fuzz smoke (prefix trie against a brute-force scan, 10s)"
+go test -run 'XXXnone' -fuzz '^FuzzTableLookup$' -fuzztime 10s ./internal/flow/ > /dev/null
 step_done
 
 step "fuzz smoke (trace CSV reader, 10s)"

@@ -282,29 +282,45 @@ func putAddr4(b []byte, a netip.Addr) {
 // datagram k+1 is datagram k's sequence plus its record count; a positive
 // difference is the number of records lost in flight.
 //
+// An exporter has a handful of engines, so the tracker keeps them in a short
+// slice it scans rather than a map it hashes into. A stream that cycles
+// through many engine ids makes every Observe scan all it has seen (at most
+// 65 536).
+//
 // SeqTracker is not safe for concurrent use; the pipeline serializes calls
 // under its ingest lock.
 type SeqTracker struct {
-	// next[e] is the expected FlowSequence for engine e; present only after
-	// the first datagram from that engine.
-	next map[uint16]uint32
+	// engines holds the expected FlowSequence of every engine seen so far,
+	// in first-seen order.
+	engines []engineSeq
+}
+
+// engineSeq is one engine (EngineType<<8 | EngineID) and its expected
+// FlowSequence.
+type engineSeq struct {
+	engine uint16
+	next   uint32
 }
 
 // Observe folds one datagram header in and returns the number of records
 // skipped since the previous datagram from the same engine (0 when in
 // order; restarts and wraparounds also report 0 rather than a huge gap).
 func (s *SeqTracker) Observe(h *Header) (gap uint32) {
-	if s.next == nil {
-		s.next = make(map[uint16]uint32)
-	}
 	engine := uint16(h.EngineType)<<8 | uint16(h.EngineID)
-	if want, ok := s.next[engine]; ok {
-		diff := h.FlowSequence - want // wraparound-safe modular difference
+	next := h.FlowSequence + uint32(h.Count)
+	for i := range s.engines {
+		e := &s.engines[i]
+		if e.engine != engine {
+			continue
+		}
+		diff := h.FlowSequence - e.next // wraparound-safe modular difference
 		// Treat a huge forward jump as an exporter restart, not loss.
 		if diff > 0 && diff < 1<<30 {
 			gap = diff
 		}
+		e.next = next
+		return gap
 	}
-	s.next[engine] = h.FlowSequence + uint32(h.Count)
-	return gap
+	s.engines = append(s.engines, engineSeq{engine: engine, next: next})
+	return 0
 }
