@@ -867,7 +867,6 @@ func BenchmarkSketchResponseCodec(b *testing.B) {
 					rep.Sketches = append(rep.Sketches, col)
 					rep.Means = append(rep.Means, 1e6*rng.Float64())
 					rep.Counts = append(rep.Counts, 144)
-					rep.Buckets = append(rep.Buckets, 40)
 				}
 				stream := &loopStream{}
 				conn := transport.NewConnWithMetrics(stream, nil)

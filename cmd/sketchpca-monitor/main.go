@@ -313,6 +313,8 @@ func runIngest(svc *monitor.Service, o ingestOptions, shutdown <-chan os.Signal)
 		}
 		return nil
 	}
+	// The pipeline registers into the monitor's registry, so /metrics and
+	// the -stats-every line cover the ingest counters too.
 	p, err := ingest.NewPipeline(ingest.Config{
 		Aggregator: agg,
 		Interval:   o.interval,
@@ -326,17 +328,6 @@ func runIngest(svc *monitor.Service, o ingestOptions, shutdown <-chan os.Signal)
 	if err != nil {
 		return err
 	}
-	// Fold the pipeline's counters into the monitor's -stats-every summary
-	// line, so one log line covers the whole daemon.
-	met := p.Metrics()
-	svc.SetIngestStats(func() monitor.IngestStats {
-		return monitor.IngestStats{
-			FutureDrops:   met.FutureDrops.Value(),
-			LateRecords:   met.LateRecords.Value(),
-			EpochsSealed:  met.EpochsSealed.Value(),
-			PartialEpochs: met.PartialEpochs.Value(),
-		}
-	})
 	c, err := ingest.Listen(o.listen, p)
 	if err != nil {
 		_ = p.Close()

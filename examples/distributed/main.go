@@ -43,6 +43,7 @@ import (
 	"streampca/internal/ingest"
 	"streampca/internal/monitor"
 	"streampca/internal/noc"
+	"streampca/internal/obs"
 	"streampca/internal/randproj"
 	sketchpkg "streampca/internal/sketch"
 	"streampca/internal/tier"
@@ -174,7 +175,9 @@ func run(o options) error {
 	// aggregator dials the NOC and announces its (initially empty) shard.
 	aggs := make([]*agg.Service, o.aggs)
 	aggAddrs := make([]string, o.aggs)
+	aggRegs := make([]*obs.Registry, o.aggs)
 	for i := range aggs {
+		aggRegs[i] = obs.NewRegistry()
 		a, err := agg.New(agg.Config{
 			ID:        fmt.Sprintf("agg-%d", i+1),
 			Family:    fam,
@@ -185,6 +188,7 @@ func run(o options) error {
 			Pull:      tier.PullPolicy{Retries: 2},
 			Degraded:  degraded,
 			Redial:    tier.RedialPolicy{Enabled: true},
+			Obs:       aggRegs[i],
 		})
 		if err != nil {
 			return err
@@ -288,12 +292,13 @@ func run(o options) error {
 	// Alarm broadcasts race the final report (and hop through the
 	// aggregators when there are any); give them a beat.
 	time.Sleep(300 * time.Millisecond)
-	obs, fetches, alarms := nocSvc.DetectorStats()
-	fmt.Printf("\nNOC: %d observations, %d lazy sketch pulls, %d alarms raised\n", obs, fetches, alarms)
-	for _, a := range aggs {
-		st := a.Stats()
+	observations, fetches, alarms := nocSvc.DetectorStats()
+	fmt.Printf("\nNOC: %d observations, %d lazy sketch pulls, %d alarms raised\n", observations, fetches, alarms)
+	for i, a := range aggs {
+		count := func(name string) int64 { return aggRegs[i].Counter("streampca_agg_"+name, "").Value() }
 		fmt.Printf("%s: %d monitors, %d volume forwards, %d merged pulls, %d alarms relayed\n",
-			a.ID(), st.Monitors, st.VolumeForwards, st.Fetches, st.AlarmsRelayed)
+			a.ID(), len(a.Monitors()), count("volume_forwards_total"), count("fetches_served_total"),
+			count("alarms_relayed_total"))
 	}
 	fmt.Printf("monitors received %d alarm broadcasts\n", alarmsSeen.Load())
 	fmt.Printf("detection: %d/%d injected intervals flagged, %d false alarms\n",

@@ -139,6 +139,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 type Service struct {
 	cfg     Config
 	log     *slog.Logger
+	reg     *obs.Registry
 	health  *obs.Health
 	met     *metrics
 	wireMet *transport.Metrics
@@ -186,6 +187,7 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:     cfg,
 		log:     log.With("agg", cfg.ID),
+		reg:     reg,
 		health:  obs.NewHealth(),
 		met:     newMetrics(reg),
 		wireMet: transport.NewMetrics(reg),
@@ -400,41 +402,10 @@ func (s *Service) relayAlarm(a transport.Alarm, tc *transport.TraceContext) {
 	s.met.alarmsRelayed.Add(int64(delivered))
 }
 
-// Stats is a snapshot of the aggregator's counters for periodic summaries.
-type Stats struct {
-	Monitors       int
-	VolumeForwards int64
-	Fetches        int64
-	MergeErrors    int64
-	DegradedMerges int64
-	AlarmsRelayed  int64
-	Reconnects     int64
-}
-
-// Stats returns a snapshot of the service counters.
-func (s *Service) Stats() Stats {
-	return Stats{
-		Monitors:       len(s.down.IDs()),
-		VolumeForwards: s.met.volumeForwards.Value(),
-		Fetches:        s.met.fetches.Value(),
-		MergeErrors:    s.met.mergeErrors.Value(),
-		DegradedMerges: s.met.degradedMerges.Value(),
-		AlarmsRelayed:  s.met.alarmsRelayed.Value(),
-		Reconnects:     s.met.reconnects.Value(),
-	}
-}
-
-// LogSummary emits the one-line slog summary the daemon prints periodically.
+// LogSummary emits the one-line slog summary the daemon prints periodically:
+// every unlabeled counter and gauge of the registry.
 func (s *Service) LogSummary() {
-	st := s.Stats()
-	s.log.Info("aggregator stats",
-		"monitors", st.Monitors,
-		"volume_forwards", st.VolumeForwards,
-		"fetches", st.Fetches,
-		"merge_errors", st.MergeErrors,
-		"degraded_merges", st.DegradedMerges,
-		"alarms_relayed", st.AlarmsRelayed,
-		"reconnects", st.Reconnects)
+	s.log.Info("aggregator stats", s.reg.LogArgs()...)
 }
 
 // Close tears down the NOC link, the downstream server and the diagnostics

@@ -101,17 +101,19 @@ const (
 	StopEmpty StopReason = "empty"
 )
 
-// Culprit is one identified flow.
+// Culprit is one identified flow. It is also the culprit record of the NOC's
+// alarm broadcasts and flight records (core.IdentifiedFlow and
+// transport.IdentifiedFlow name it), hence the JSON tags.
 type Culprit struct {
 	// Flow is the global flow index.
-	Flow int
+	Flow int `json:"flow"`
 	// Amount is the estimated injected volume on the flow (signed, in the
 	// measurement's units), from the final joint least-squares fit.
-	Amount float64
+	Amount float64 `json:"amount"`
 	// Confidence is the flow's marginal explained-energy fraction at
 	// selection time: the drop in residual energy it caused, divided by the
 	// initial residual energy. In [0, 1]; the culprits sum to at most 1.
-	Confidence float64
+	Confidence float64 `json:"confidence"`
 }
 
 // Result is a full identification.

@@ -4,15 +4,16 @@ import (
 	"sort"
 )
 
-// FlowContribution describes one flow's share of an anomalous residual.
+// FlowContribution describes one flow's share of an anomalous residual; the
+// NOC's flight records carry it as is, hence the JSON tags.
 type FlowContribution struct {
 	// Flow is the global flow index.
-	Flow int
+	Flow int `json:"flow"`
 	// Residual is the flow's component of the anomalous-subspace residual
 	// (signed: positive = more traffic than the normal pattern predicts).
-	Residual float64
+	Residual float64 `json:"residual"`
 	// Share is Residual²/‖residual‖², in [0, 1].
-	Share float64
+	Share float64 `json:"share"`
 }
 
 // Attribute decomposes a measurement into its normal and anomalous parts

@@ -6,16 +6,9 @@ import (
 	"streampca/internal/anomography"
 )
 
-// IdentifiedFlow is one culprit flow from Identify, in the wire-friendly
-// shape the NOC attaches to alarm broadcasts and flight records.
-type IdentifiedFlow struct {
-	// Flow is the global flow index.
-	Flow int
-	// Amount is the estimated injected volume (signed, measurement units).
-	Amount float64
-	// Confidence is the flow's marginal explained-energy fraction, in [0,1].
-	Confidence float64
-}
+// IdentifiedFlow is one culprit flow from Identify: the anomography record
+// itself, which the NOC attaches to alarm broadcasts and flight records.
+type IdentifiedFlow = anomography.Culprit
 
 // Identification is the full result of identifying an alarmed measurement.
 type Identification struct {
@@ -74,15 +67,11 @@ func (d *Detector) Identify(x []float64, maxK int) (*Identification, error) {
 	if err != nil {
 		return nil, err
 	}
-	id := &Identification{
-		Flows:         make([]IdentifiedFlow, len(res.Culprits)),
+	return &Identification{
+		Flows:         res.Culprits,
 		InitialSPE:    res.InitialSPE,
 		ResidualSPE:   res.ResidualSPE,
 		ExplainedFrac: res.ExplainedFrac,
 		Stop:          string(res.Stop),
-	}
-	for i, c := range res.Culprits {
-		id.Flows[i] = IdentifiedFlow{Flow: c.Flow, Amount: c.Amount, Confidence: c.Confidence}
-	}
-	return id, nil
+	}, nil
 }

@@ -161,9 +161,6 @@ type Service struct {
 	mu     sync.Mutex
 	core   *core.Monitor
 	oracle *oracle.Checker
-	// ingestStats, when set, snapshots the live-ingest pipeline feeding
-	// this monitor for Stats/LogSummary (see SetIngestStats).
-	ingestStats func() IngestStats
 }
 
 // New validates cfg and builds the sketch state.
@@ -443,94 +440,11 @@ type alarmRecord struct {
 	UnixNanos    int64    `json:"unix_ns"`
 }
 
-// IngestStats is a snapshot of the live-ingestion pipeline feeding this
-// monitor, surfaced in Stats and the LogSummary line so drops are visible
-// without scraping /metrics. The daemon wires it with SetIngestStats; a
-// CSV- or test-fed monitor has none.
-type IngestStats struct {
-	// FutureDrops counts the clock-anomaly rejections and LateRecords the
-	// arrivals behind the seal watermark.
-	FutureDrops int64
-	LateRecords int64
-	// EpochsSealed and PartialEpochs count delivered intervals and the
-	// subset sealed early by shutdown drain.
-	EpochsSealed  int64
-	PartialEpochs int64
-}
-
-// SetIngestStats installs the callback LogSummary/Stats use to snapshot the
-// ingest pipeline (nil detaches). The monitor never depends on
-// internal/ingest directly; the daemon that owns both wires them together.
-func (s *Service) SetIngestStats(fn func() IngestStats) {
-	s.mu.Lock()
-	s.ingestStats = fn
-	s.mu.Unlock()
-}
-
-// Stats is the monitor's counterpart to the NOC's DetectorStats: a snapshot
-// of the per-daemon counters for periodic one-line summaries.
-type Stats struct {
-	// Intervals is the number of intervals ingested, SketchRequests the
-	// sketch pulls served, AlarmsReceived the NOC broadcasts seen and
-	// ReportErrors the failed updates/sends.
-	Intervals      int64
-	SketchRequests int64
-	AlarmsReceived int64
-	ReportErrors   int64
-	// LastInterval is the newest interval in the sketch state and VHBuckets
-	// its current total bucket count.
-	LastInterval int64
-	VHBuckets    int
-	// Ingest is the live-ingestion snapshot; nil when the monitor is not
-	// fed by an ingest pipeline (see SetIngestStats).
-	Ingest *IngestStats
-}
-
-// Stats returns a snapshot of the service counters.
-func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	last := s.core.Now()
-	buckets := s.core.NumBucketsTotal()
-	ingestFn := s.ingestStats
-	s.mu.Unlock()
-	st := Stats{
-		Intervals:      s.met.intervals.Value(),
-		SketchRequests: s.met.sketchReqs.Value(),
-		AlarmsReceived: s.met.alarmsRecv.Value(),
-		ReportErrors:   s.met.reportErrors.Value(),
-		LastInterval:   last,
-		VHBuckets:      buckets,
-	}
-	if ingestFn != nil {
-		in := ingestFn()
-		st.Ingest = &in
-	}
-	return st
-}
-
-// LogSummary emits the one-line slog summary daemons print periodically.
-// With an ingest pipeline attached (SetIngestStats) the line also covers
-// the ingest side, so late records and partial epochs show up in the same
-// place as sketch-side stats.
+// LogSummary emits the one-line slog summary daemons print periodically:
+// every unlabeled counter and gauge of the registry, which includes an
+// ingest pipeline's when the daemon registers one there.
 func (s *Service) LogSummary() {
-	st := s.Stats()
-	args := []any{
-		"intervals", st.Intervals,
-		"sketch_requests", st.SketchRequests,
-		"alarms", st.AlarmsReceived,
-		"report_errors", st.ReportErrors,
-		"last_interval", st.LastInterval,
-		"vh_buckets", st.VHBuckets,
-	}
-	if st.Ingest != nil {
-		args = append(args,
-			"ingest_future_drops", st.Ingest.FutureDrops,
-			"ingest_late", st.Ingest.LateRecords,
-			"ingest_sealed", st.Ingest.EpochsSealed,
-			"ingest_partial", st.Ingest.PartialEpochs,
-		)
-	}
-	s.log.Info("monitor stats", args...)
+	s.log.Info("monitor stats", s.reg.LogArgs()...)
 }
 
 // Report returns the current sketch state (local inspection).

@@ -9,9 +9,9 @@ import (
 	"streampca/internal/transport"
 )
 
-// TestStatsAndInstrumentation exercises the registry-backed counters behind
-// Stats() across the full protocol surface: interval ingestion, sketch
-// pulls, and alarm broadcasts.
+// TestStatsAndInstrumentation exercises the registry's counters across the
+// full protocol surface: interval ingestion, sketch pulls, and alarm
+// broadcasts.
 func TestStatsAndInstrumentation(t *testing.T) {
 	reg := obs.NewRegistry()
 	alarmCh := make(chan transport.Alarm, 1)
@@ -55,10 +55,21 @@ func TestStatsAndInstrumentation(t *testing.T) {
 		t.Fatal("alarm callback never fired")
 	}
 
-	st := svc.Stats()
-	if st.Intervals != 3 || st.SketchRequests != 1 || st.AlarmsReceived != 1 ||
-		st.ReportErrors != 0 || st.LastInterval != 3 || st.VHBuckets == 0 {
-		t.Fatalf("stats = %+v", st)
+	for name, want := range map[string]int64{
+		"streampca_monitor_intervals_total":       3,
+		"streampca_monitor_sketch_requests_total": 1,
+		"streampca_monitor_alarms_received_total": 1,
+		"streampca_monitor_report_errors_total":   0,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := reg.Gauge("streampca_monitor_last_interval", "").Value(); got != 3 {
+		t.Errorf("last interval gauge = %v, want 3", got)
+	}
+	if got := reg.Gauge("streampca_monitor_vh_buckets", "").Value(); got == 0 {
+		t.Error("vh_buckets gauge never set")
 	}
 
 	// The update-latency histogram saw one sample per interval.

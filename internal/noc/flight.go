@@ -13,14 +13,6 @@ import (
 // scenarios (1–2 injected flows) with room for collateral contributions.
 const defaultFlightTopK = 5
 
-// FlightFlow is one flow's contribution to the anomalous residual, from
-// core.Detector.Attribute (paper eq. 4).
-type FlightFlow struct {
-	Flow     int     `json:"flow"`
-	Residual float64 `json:"residual"`
-	Share    float64 `json:"share"`
-}
-
 // FlightMonitor describes one registered monitor's state at decision time:
 // how fresh its last validated sketch report was and whether its circuit
 // breaker currently excludes it from fetches.
@@ -64,25 +56,19 @@ type FlightRecord struct {
 	ModelDegraded    bool `json:"model_degraded,omitempty"`
 	ModelStaleFlows  int  `json:"model_stale_flows,omitempty"`
 	Refreshed        bool `json:"refreshed,omitempty"`
-	// TopFlows ranks the flows driving the anomalous residual (alarmed
-	// decisions only — quiet and merely-degraded records skip the
-	// attribution; empty during warmup, when no model exists).
-	TopFlows []FlightFlow `json:"top_flows,omitempty"`
+	// TopFlows ranks the flows driving the anomalous residual, from
+	// core.Detector.Attribute (paper eq. 4; alarmed decisions only — quiet
+	// and merely-degraded records skip the attribution; empty during warmup,
+	// when no model exists).
+	TopFlows []core.FlowContribution `json:"top_flows,omitempty"`
 	// Identified is the anomography pursuit's culprit set for an alarmed
 	// decision, ranked by confidence; IdentifyExplained and IdentifyStop
 	// are the pursuit's explained-energy fraction and stop reason.
-	Identified        []FlightIdentified `json:"identified,omitempty"`
-	IdentifyExplained float64            `json:"identify_explained,omitempty"`
-	IdentifyStop      string             `json:"identify_stop,omitempty"`
+	Identified        []core.IdentifiedFlow `json:"identified,omitempty"`
+	IdentifyExplained float64               `json:"identify_explained,omitempty"`
+	IdentifyStop      string                `json:"identify_stop,omitempty"`
 	// Monitors is the contributing monitor set, sorted by ID.
 	Monitors []FlightMonitor `json:"monitors,omitempty"`
-}
-
-// FlightIdentified is one anomography culprit on a flight record.
-type FlightIdentified struct {
-	Flow       int     `json:"flow"`
-	Amount     float64 `json:"amount"`
-	Confidence float64 `json:"confidence"`
 }
 
 // flightRecord appends one audit line for this decision. Called only from
@@ -117,17 +103,13 @@ func (s *Service) flightRecord(item tier.Interval, res core.Decision, warmup, de
 		top, err := s.det.Attribute(item.Volumes, s.cfg.FlightTopK)
 		s.detMu.Unlock()
 		if err == nil {
-			for _, c := range top {
-				rec.TopFlows = append(rec.TopFlows, FlightFlow{Flow: c.Flow, Residual: c.Residual, Share: c.Share})
-			}
+			rec.TopFlows = top
 		}
 	}
 	if ident != nil {
+		rec.Identified = ident.Flows
 		rec.IdentifyExplained = ident.ExplainedFrac
 		rec.IdentifyStop = ident.Stop
-		for _, f := range ident.Flows {
-			rec.Identified = append(rec.Identified, FlightIdentified{Flow: f.Flow, Amount: f.Amount, Confidence: f.Confidence})
-		}
 	}
 	pol := s.down.Degraded()
 	for _, r := range s.down.Registrants() {

@@ -40,14 +40,11 @@ func (s *Service) identify(item tier.Interval, sp *trace.Span) *core.Identificat
 	return id
 }
 
-// wireIdentified converts an identification to the alarm-broadcast shape.
+// wireIdentified is an identification's culprit list as an alarm carries
+// it: nil when there is none.
 func wireIdentified(id *core.Identification) []transport.IdentifiedFlow {
 	if id == nil || len(id.Flows) == 0 {
 		return nil
 	}
-	out := make([]transport.IdentifiedFlow, len(id.Flows))
-	for i, f := range id.Flows {
-		out[i] = transport.IdentifiedFlow{Flow: f.Flow, Amount: f.Amount, Confidence: f.Confidence}
-	}
-	return out
+	return id.Flows
 }

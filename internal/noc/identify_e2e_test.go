@@ -1,10 +1,12 @@
 package noc
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"streampca/internal/core"
 	"streampca/internal/sketch"
 	"streampca/internal/trace"
 )
@@ -102,6 +104,32 @@ func TestAlarmFlightRecordsCarryIdentification(t *testing.T) {
 	}
 	if spikedHits == 0 {
 		t.Error("no identification named a flow spiked at its own interval")
+	}
+}
+
+// TestFlightRecordJSON pins a flight record's JSON keys, the two per-flow
+// lists included: the records are read offline, so the keys are a format.
+func TestFlightRecordJSON(t *testing.T) {
+	rec := FlightRecord{
+		Kind: "noc.decision", Trace: 0x2a, Interval: 7, UnixNanos: 1,
+		SPE: 3.5, Threshold: 2, Anomalous: true, Degraded: false,
+		TopFlows:          []core.FlowContribution{{Flow: 4, Residual: -1.5, Share: 0.75}},
+		Identified:        []core.IdentifiedFlow{{Flow: 4, Amount: 250, Confidence: 0.5}},
+		IdentifyExplained: 0.5, IdentifyStop: "threshold",
+		Monitors: []FlightMonitor{{ID: "m", Flows: 9, SketchInterval: 6, SketchAge: 1}},
+	}
+	got, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"kind":"noc.decision","trace":"000000000000002a","interval":7,"unix_ns":1,` +
+		`"spe":3.5,"threshold":2,"anomalous":true,"degraded":false,` +
+		`"top_flows":[{"flow":4,"residual":-1.5,"share":0.75}],` +
+		`"identified":[{"flow":4,"amount":250,"confidence":0.5}],` +
+		`"identify_explained":0.5,"identify_stop":"threshold",` +
+		`"monitors":[{"id":"m","flows":9,"sketch_interval":6,"sketch_age":1}]}`
+	if string(got) != want {
+		t.Fatalf("flight record JSON\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -468,20 +468,10 @@ func (s *Service) Shutdown() {
 }
 
 // LogSummary emits the one-line slog stats summary daemons print
-// periodically; Shutdown flushes it once more as the final snapshot.
+// periodically — every unlabeled counter and gauge of the registry; Shutdown
+// flushes it once more as the final snapshot.
 func (s *Service) LogSummary() {
-	observations, fetches, alarms := s.DetectorStats()
-	s.log.Info("noc stats",
-		"observations", observations,
-		"fetches", fetches,
-		"alarms", alarms,
-		"intervals", s.met.intervals.Value(),
-		"dropped", s.met.drops.Value(),
-		"fetch_errors", s.met.fetchErrors.Value(),
-		"fetch_retries", s.met.fetchRetries.Value(),
-		"degraded", s.met.degraded.Value(),
-		"monitors", int64(s.met.monitors.Value()),
-	)
+	s.log.Info("noc stats", s.reg.LogArgs()...)
 }
 
 // HasModel reports whether the detector has built a model yet.
@@ -491,11 +481,10 @@ func (s *Service) HasModel() bool {
 	return s.det.HasModel()
 }
 
-// DetectorStats returns the lazy-protocol counters. It is a compatibility
-// shim over the registry-backed metrics: observations maps to
-// streampca_noc_observations_total, fetches to streampca_noc_retrains_total
-// (every successful fetch triggers exactly one rebuild) and alarms to
-// streampca_noc_alarms_total.
+// DetectorStats reads the lazy-protocol counters from the registry:
+// observations is streampca_noc_observations_total, fetches
+// streampca_noc_retrains_total (every successful fetch triggers exactly one
+// rebuild) and alarms streampca_noc_alarms_total.
 func (s *Service) DetectorStats() (observations, fetches, alarms int64) {
 	return s.met.observations.Value(), s.met.retrains.Value(), s.met.alarms.Value()
 }

@@ -1,14 +1,20 @@
 package noc
 
 import (
+	"context"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"streampca/internal/agg"
+	"streampca/internal/ingest"
 	"streampca/internal/monitor"
 	"streampca/internal/obs"
 	"streampca/internal/randproj"
@@ -115,14 +121,168 @@ func TestPipeTransportCountersEndToEnd(t *testing.T) {
 		}
 	}
 	// The monitor-side registry also carries the monitor service metrics.
-	if st := mon.Stats(); st.Intervals != int64(total) || st.SketchRequests != reqs {
-		t.Fatalf("monitor stats = %+v", st)
+	if got := counterValue(monReg, "streampca_monitor_intervals_total"); got != int64(total) {
+		t.Fatalf("monitor intervals = %d, want %d", got, total)
 	}
-	// And the NOC's DetectorStats shim reads the same registry the alarms
-	// counter lives in.
+	if got := counterValue(monReg, "streampca_monitor_sketch_requests_total"); got != reqs {
+		t.Fatalf("monitor served %d sketch requests, received %d", got, reqs)
+	}
+	// And the NOC's DetectorStats reads the same registry the alarms counter
+	// lives in.
 	observations, fetches, _ := svc.DetectorStats()
 	if observations == 0 || fetches == 0 {
 		t.Fatalf("detector stats = %d obs, %d fetches", observations, fetches)
+	}
+}
+
+// recordLog is a slog.Handler that keeps every record it is handed, with the
+// record's own attributes only (not those a logger's With added).
+type recordLog struct {
+	mu   sync.Mutex
+	recs []slog.Record
+}
+
+func (h *recordLog) Enabled(context.Context, slog.Level) bool { return true }
+func (h *recordLog) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *recordLog) WithGroup(string) slog.Handler            { return h }
+func (h *recordLog) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.recs = append(h.recs, r.Clone())
+	return nil
+}
+
+// last returns the attributes of the newest record logged with msg, one
+// "key value" line each.
+func (h *recordLog) last(t *testing.T, msg string) []string {
+	t.Helper()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i := len(h.recs) - 1; i >= 0; i-- {
+		if h.recs[i].Message != msg {
+			continue
+		}
+		var out []string
+		h.recs[i].Attrs(func(a slog.Attr) bool {
+			out = append(out, a.Key+" "+a.Value.String())
+			return true
+		})
+		return out
+	}
+	t.Fatalf("no %q record logged", msg)
+	return nil
+}
+
+// unlabeledSeries returns the lines of reg's /metrics exposition that hold
+// an unlabeled counter or gauge, in order.
+func unlabeledSeries(t *testing.T, reg *obs.Registry) []string {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	kind := map[string]string{}
+	var out []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 4 && f[0] == "#" && f[1] == "TYPE":
+			kind[f[2]] = f[3]
+		case len(f) == 2 && (kind[f[0]] == "counter" || kind[f[0]] == "gauge"):
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// TestLogSummaryIsTheRegistry: the -stats-every line of each service — a NOC,
+// an aggregator, and a monitor whose registry also holds an ingest
+// pipeline's metrics and the self-check series — is exactly the unlabeled
+// counters and gauges of the registry passed as Config.Obs, keyed and valued
+// as /metrics prints them.
+func TestLogSummaryIsTheRegistry(t *testing.T) {
+	logs := &recordLog{}
+	nocReg, aggReg, monReg := obs.NewRegistry(), obs.NewRegistry(), obs.NewRegistry()
+
+	cfg := nocConfig()
+	cfg.Obs, cfg.Log, cfg.SelfCheckEvery = nocReg, slog.New(logs), 1
+	svc, decisions := startNOC(t, cfg)
+
+	a, err := agg.New(agg.Config{
+		ID: "agg-1", NumFlows: testFlows, WindowLen: testWindow, SketchLen: testSketch, Seed: testSeed,
+		Obs: aggReg, Log: slog.New(logs),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = a.Close() })
+	if err := a.ConnectNOC(svc.Addr(), 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	// What the monitor daemon's ingest pipeline registers beside the monitor.
+	ingest.NewMetrics(monReg).Unroutable.Add(3)
+	flows := make([]int, testFlows)
+	for f := range flows {
+		flows[f] = f
+	}
+	mon, err := monitor.New(monitor.Config{
+		ID: "mon-a", FlowIDs: flows, WindowLen: testWindow, Epsilon: 0.05,
+		Sketch:         randproj.Config{Seed: testSeed, SketchLen: testSketch},
+		SelfCheckEvery: 1,
+		Obs:            monReg,
+		Log:            slog.New(logs),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.Connect(a.Addr(), 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = mon.Close() })
+	for deadline := time.Now().Add(3 * time.Second); len(a.FlowUnion()) < testFlows; {
+		if time.Now().After(deadline) {
+			t.Fatal("the aggregator never announced the monitor's flows")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	rng := rand.New(rand.NewSource(36))
+	for i := int64(1); i <= testWindow+3; i++ {
+		if err := mon.ReportInterval(i, trafficRow(rng, i)); err != nil {
+			t.Fatal(err)
+		}
+		nextDecision(t, decisions, i)
+	}
+
+	for _, c := range []struct {
+		msg     string
+		reg     *obs.Registry
+		summary func()
+	}{
+		{"noc stats", nocReg, svc.LogSummary},
+		{"aggregator stats", aggReg, a.LogSummary},
+		{"monitor stats", monReg, mon.LogSummary},
+	} {
+		// An alarm relay may still move a counter; read until the exposition
+		// holds still across the summary.
+		for attempt := 0; ; attempt++ {
+			before := unlabeledSeries(t, c.reg)
+			c.summary()
+			got := logs.last(t, c.msg)
+			if !slices.Equal(before, unlabeledSeries(t, c.reg)) && attempt < 50 {
+				time.Sleep(10 * time.Millisecond)
+				continue
+			}
+			if !slices.Equal(got, before) {
+				t.Errorf("%q line:\n  %s\nwant the registry's unlabeled counters and gauges:\n  %s",
+					c.msg, strings.Join(got, "\n  "), strings.Join(before, "\n  "))
+			}
+			break
+		}
 	}
 }
 

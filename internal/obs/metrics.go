@@ -177,7 +177,7 @@ type family struct {
 // Registry holds metric families and renders them in the Prometheus text
 // exposition format. Metric handles are get-or-create: asking twice for the
 // same name+labels returns the same instance, so instrumentation sites and
-// stats shims can share counters without plumbing.
+// the tests that read them share counters without plumbing.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -302,6 +302,31 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// LogArgs returns every unlabeled counter and gauge as slog key/value pairs
+// in registration order, each keyed by its metric name as WritePrometheus
+// prints it: a service's periodic summary line is this call. Labeled series
+// and histograms stay on /metrics; every histogram's count already has a
+// counter beside it.
+func (r *Registry) LogArgs() []any {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var args []any
+	for _, name := range r.order {
+		fam := r.families[name]
+		s, ok := fam.series[""]
+		if !ok {
+			continue
+		}
+		switch fam.kind {
+		case kindCounter:
+			args = append(args, name, s.counter.Value())
+		case kindGauge:
+			args = append(args, name, s.gauge.Value())
+		}
+	}
+	return args
 }
 
 // renderLabels produces the canonical {a="b",c="d"} suffix ("" when empty).

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -164,6 +165,31 @@ streampca_update_seconds_count 3
 `
 	if got := b.String(); got != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestLogArgsAreTheUnlabeledSeries: the summary pairs are the unlabeled
+// counters and gauges, in registration order, keyed and valued as the
+// exposition prints them.
+func TestLogArgsAreTheUnlabeledSeries(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("a_total", "").Add(4)
+	reg.Counter("labeled_total", "", L("k", "v")).Inc()
+	reg.Histogram("h_seconds", "", nil).Observe(1)
+	reg.Gauge("b", "").Set(0.25)
+	reg.Gauge("c", "").Set(math.Inf(1))
+	var b strings.Builder
+	log := slog.New(slog.NewTextHandler(&b, &slog.HandlerOptions{
+		ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
+			if a.Key == slog.TimeKey {
+				return slog.Attr{}
+			}
+			return a
+		},
+	}))
+	log.Info("stats", reg.LogArgs()...)
+	if want := "level=INFO msg=stats a_total=4 b=0.25 c=+Inf\n"; b.String() != want {
+		t.Fatalf("summary line %q, want %q", b.String(), want)
 	}
 }
 

@@ -100,7 +100,6 @@ func copySnapshot(s *Snapshot) Snapshot {
 	out.FlowIDs = append([]int(nil), s.FlowIDs...)
 	out.Means = append([]float64(nil), s.Means...)
 	out.Counts = append([]int64(nil), s.Counts...)
-	out.Buckets = append([]int(nil), s.Buckets...)
 	if s.Sketches != nil {
 		out.Sketches = make([][]float64, len(s.Sketches))
 		for i, v := range s.Sketches {
@@ -117,15 +116,14 @@ func copySnapshot(s *Snapshot) Snapshot {
 }
 
 // mergeRandProj performs the exact column union, sorted by global flow id.
-// Buckets and Counts are carried when the input provides them (they are
-// diagnostics, not part of Validate's contract).
+// Counts are carried when the input provides them (they are not part of
+// Validate's contract).
 func mergeRandProj(snaps []Snapshot, order []int) Snapshot {
 	type column struct {
-		id      int
-		sketch  []float64
-		mean    float64
-		count   int64
-		buckets int
+		id     int
+		sketch []float64
+		mean   float64
+		count  int64
 	}
 	var cols []column
 	var interval int64
@@ -139,9 +137,6 @@ func mergeRandProj(snaps []Snapshot, order []int) Snapshot {
 			if i < len(s.Counts) {
 				c.count = s.Counts[i]
 			}
-			if i < len(s.Buckets) {
-				c.buckets = s.Buckets[i]
-			}
 			cols = append(cols, c)
 		}
 	}
@@ -153,14 +148,12 @@ func mergeRandProj(snaps []Snapshot, order []int) Snapshot {
 		Sketches: make([][]float64, len(cols)),
 		Means:    make([]float64, len(cols)),
 		Counts:   make([]int64, len(cols)),
-		Buckets:  make([]int, len(cols)),
 	}
 	for i, c := range cols {
 		out.FlowIDs[i] = c.id
 		out.Sketches[i] = c.sketch
 		out.Means[i] = c.mean
 		out.Counts[i] = c.count
-		out.Buckets[i] = c.buckets
 	}
 	return out
 }

@@ -112,14 +112,12 @@ func (m *RandProj) Snapshot() Snapshot {
 		Sketches: make([][]float64, len(m.flowIDs)),
 		Means:    make([]float64, len(m.flowIDs)),
 		Counts:   make([]int64, len(m.flowIDs)),
-		Buckets:  make([]int, len(m.flowIDs)),
 		Family:   FamilyRandProj,
 	}
 	for i, h := range m.hists {
 		rep.Sketches[i] = h.Sketch()
 		rep.Means[i] = h.EstimateMean()
 		rep.Counts[i] = h.Count()
-		rep.Buckets[i] = h.NumBuckets()
 	}
 	return rep
 }

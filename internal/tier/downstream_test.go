@@ -197,7 +197,6 @@ func report(interval int64, flows []int) core.SketchReport {
 		rep.Sketches = append(rep.Sketches, []float64{float64(f), float64(interval), 1})
 		rep.Means = append(rep.Means, float64(f))
 		rep.Counts = append(rep.Counts, interval)
-		rep.Buckets = append(rep.Buckets, 1)
 	}
 	return rep
 }

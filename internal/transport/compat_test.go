@@ -10,7 +10,6 @@ import (
 	"net"
 	"reflect"
 	"testing"
-	"time"
 
 	"streampca/internal/core"
 	"streampca/internal/obs"
@@ -404,13 +403,6 @@ func TestIdentifiedAlarmOldToNewPeer(t *testing.T) {
 	}
 }
 
-// legacySketchRequest mirrors the pre-frame request: no ReadsFrame. It stands
-// in for a requester built before sketch columns could travel as a
-// ColumnsFrame.
-type legacySketchRequest struct {
-	RequestID uint64
-}
-
 // splitStream is a Conn stream whose reads drain in and whose writes fill
 // out, so a test can play a peer's bytes in and read the Conn's bytes back.
 type splitStream struct{ in, out bytes.Buffer }
@@ -436,23 +428,6 @@ func tappedPipe(ma *Metrics) (a, b *Conn, tap *tapStream) {
 	x, y := net.Pipe()
 	tap = &tapStream{ReadWriteCloser: y}
 	return NewConnWithMetrics(x, ma), NewConnWithMetrics(tap, nil), tap
-}
-
-// ask has requester send a SketchRequest and responder receive it, which
-// turns the column frame on for responder's next responses.
-func ask(t *testing.T, requester, responder *Conn) {
-	t.Helper()
-	envCh, errCh := recvOne(responder)
-	if err := requester.Send(Envelope{Request: &SketchRequest{RequestID: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-envCh:
-	case err := <-errCh:
-		t.Fatal(err)
-	case <-time.After(2 * time.Second):
-		t.Fatal("request never arrived")
-	}
 }
 
 // gobStream gob-encodes frames with one encoder, as one peer's stream.
@@ -498,16 +473,16 @@ func sameBits(a, b [][]float64) bool {
 }
 
 // TestColumnsFrameNegotiation: a responder packs a response's columns as a
-// ColumnsFrame only for a request that set ReadsFrame, and only for a
-// randproj report whose columns share one length; every other response is
-// gob as before, readable by a requester built before the frame existed.
-// Whatever the wire form, this tree's Recv returns the response that was
-// sent, so the receiver's Validate says what it said before the frame.
+// ColumnsFrame whenever the report is randproj and its columns share one
+// length; every other response is gob as before, readable by a requester
+// built before the frame existed. Whatever the wire form, this tree's Recv
+// returns the response that was sent, so the receiver's Validate says what it
+// said before the frame.
 func TestColumnsFrameNegotiation(t *testing.T) {
 	randproj := core.SketchReport{
 		Interval: 4, FlowIDs: []int{0, 1},
 		Sketches: [][]float64{{1, 2}, {3, 4}},
-		Means:    []float64{5, 6}, Counts: []int64{4, 4}, Buckets: []int{3, 3},
+		Means:    []float64{5, 6}, Counts: []int64{4, 4},
 	}
 	fd := core.SketchReport{
 		Interval: 4, FlowIDs: []int{0, 1},
@@ -516,27 +491,19 @@ func TestColumnsFrameNegotiation(t *testing.T) {
 	}
 	ragged := randproj
 	ragged.Sketches = [][]float64{{1, 2}, {3}}
-	oldRequest := struct{ Request *legacySketchRequest }{&legacySketchRequest{RequestID: 1}}
-	newRequest := Envelope{Request: &SketchRequest{RequestID: 1, ReadsFrame: true}}
 
 	for _, tc := range []struct {
 		name       string
-		request    any
 		rep        core.SketchReport
 		wantFramed bool
 	}{
-		{"old requester gets gob", oldRequest, randproj, false},
-		{"new requester gets the frame", newRequest, randproj, true},
-		{"fd is never framed", newRequest, fd, false},
-		{"ragged columns fall back to gob", newRequest, ragged, false},
+		{"new requester gets the frame", randproj, true},
+		{"fd is never framed", fd, false},
+		{"ragged columns fall back to gob", ragged, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &splitStream{}
-			s.in.Write(gobStream(t, tc.request))
 			c := NewConnWithMetrics(s, nil)
-			if env, err := c.Recv(); err != nil || env.Request == nil {
-				t.Fatalf("recv request: %+v, %v", env, err)
-			}
 			sent := SketchResponse{RequestID: 1, MonitorID: "m", Report: tc.rep}
 			if err := c.Send(Envelope{Response: &sent}); err != nil {
 				t.Fatal(err)
@@ -577,23 +544,12 @@ func TestColumnsFrameNegotiation(t *testing.T) {
 	}
 }
 
-// TestColumnsFrameNewRequesterOldResponder: a responder built before
-// ReadsFrame existed reads this tree's request, drops the bit and answers in
-// gob, and the requester decodes those columns as it always has.
+// TestColumnsFrameNewRequesterOldResponder: a responder built before the
+// column frame existed answers in gob, and the requester decodes those
+// columns as it always has.
 func TestColumnsFrameNewRequesterOldResponder(t *testing.T) {
 	s := &splitStream{}
 	c := NewConnWithMetrics(s, nil)
-	if err := c.Send(Envelope{Request: &SketchRequest{RequestID: 6}}); err != nil {
-		t.Fatal(err)
-	}
-	if raw := wireEnvelope(t, s.out.Bytes()); !raw.Request.ReadsFrame {
-		t.Fatal("Send did not set ReadsFrame on the request")
-	}
-	var old struct{ Request *legacySketchRequest }
-	if err := gob.NewDecoder(&s.out).Decode(&old); err != nil || old.Request == nil || old.Request.RequestID != 6 {
-		t.Fatalf("old responder decoded %+v, %v", old.Request, err)
-	}
-
 	resp := legacySketchResponse{RequestID: 6, MonitorID: "m", Report: legacySketchReport{
 		Interval: 4, FlowIDs: []int{0, 1},
 		Sketches: [][]float64{{1, 2}, {3, 4}},
@@ -636,40 +592,57 @@ func TestColumnsFrameOverPipe(t *testing.T) {
 		rep.Means = append(rep.Means, float64(i))
 	}
 
-	// pull runs one response from a to b twice, the second time measured:
-	// the first also carries gob's type definitions. With asked, b sends a
-	// request first.
-	pull := func(asked bool) (got [][]float64, framed bool, size int64) {
-		reg := obs.NewRegistry()
-		a, b, tap := tappedPipe(NewMetrics(reg))
-		defer a.Close()
-		defer b.Close()
-		if asked {
-			ask(t, b, a)
+	// Each response goes out twice and the second is measured: the first also
+	// carries gob's type definitions.
+	resp := func() Envelope {
+		return Envelope{Response: &SketchResponse{RequestID: 1, MonitorID: "m", Report: rep}}
+	}
+	reg := obs.NewRegistry()
+	a, b, tap := tappedPipe(NewMetrics(reg))
+	defer a.Close()
+	defer b.Close()
+	sentBytes := func() int64 { return counter(reg, "streampca_transport_bytes_total", obs.L("direction", "sent")) }
+	var cols [][]float64
+	var size int64
+	for i := 0; i < 2; i++ {
+		before := sentBytes()
+		envCh, errCh := recvOne(b)
+		if err := a.Send(resp()); err != nil {
+			t.Fatal(err)
 		}
-		sentBytes := func() int64 { return counter(reg, "streampca_transport_bytes_total", obs.L("direction", "sent")) }
-		for i := 0; i < 2; i++ {
-			before := sentBytes()
-			envCh, errCh := recvOne(b)
-			if err := a.Send(Envelope{Response: &SketchResponse{RequestID: 1, MonitorID: "m", Report: rep}}); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case e := <-envCh:
-				got = e.Response.Report.Sketches
-			case err := <-errCh:
-				t.Fatal(err)
-			}
-			size = sentBytes() - before
+		select {
+		case e := <-envCh:
+			cols = e.Response.Report.Sketches
+		case err := <-errCh:
+			t.Fatal(err)
 		}
-		return got, wireEnvelope(t, tap.read.Bytes()).Response.Columns != nil, size
+		size = sentBytes() - before
+	}
+	if wireEnvelope(t, tap.read.Bytes()).Response.Columns == nil {
+		t.Fatal("the response crossed the pipe without a column frame")
 	}
 
-	gobCols, gobFramed, gobSize := pull(false)
-	cols, framed, size := pull(true)
-	if gobFramed || !framed {
-		t.Fatalf("framed without a request = %v, after one = %v; want false, true", gobFramed, framed)
+	// The same response in plain gob, as a responder built before the frame
+	// sends it; Recv decodes those columns too.
+	var gobWire bytes.Buffer
+	enc := gob.NewEncoder(&gobWire)
+	var gobSize int64
+	for i := 0; i < 2; i++ {
+		before := gobWire.Len()
+		e := resp()
+		if err := enc.Encode(&e); err != nil {
+			t.Fatal(err)
+		}
+		gobSize = int64(gobWire.Len() - before)
 	}
+	peer := &splitStream{}
+	peer.in.Write(gobWire.Bytes())
+	env, err := NewConnWithMetrics(peer, nil).Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gobCols := env.Response.Report.Sketches
+
 	if !sameBits(gobCols, rep.Sketches) || !sameBits(cols, rep.Sketches) {
 		t.Fatalf("columns changed in transit:\n sent  %v\n gob   %v\n frame %v", rep.Sketches, gobCols, cols)
 	}

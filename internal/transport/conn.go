@@ -8,7 +8,6 @@ import (
 	"math"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"streampca/internal/faults"
@@ -25,10 +24,6 @@ type Conn struct {
 	sendMu sync.Mutex
 	enc    *gob.Encoder
 	dec    *gob.Decoder
-
-	// peerReadsFrame is the ReadsFrame bit of the last SketchRequest Recv
-	// returned: whether Send may pack a response's columns as a ColumnsFrame.
-	peerReadsFrame atomic.Bool
 
 	closeOnce sync.Once
 	closeErr  error
@@ -76,10 +71,9 @@ func DialWithMetrics(addr string, timeout time.Duration, m *Metrics) (*Conn, err
 	return NewConnWithMetrics(c, m), nil
 }
 
-// Send writes one envelope. It is safe for concurrent use. It sets
-// ReadsFrame on every SketchRequest, and packs a randproj response's
-// equal-length columns as a ColumnsFrame when the peer's last request set it;
-// the caller's envelope is never modified.
+// Send writes one envelope. It is safe for concurrent use. It packs a
+// randproj response's equal-length columns as a ColumnsFrame; the caller's
+// envelope is never modified.
 func (c *Conn) Send(e Envelope) error {
 	if err := e.Validate(); err != nil {
 		return err
@@ -100,13 +94,7 @@ func (c *Conn) Send(e Envelope) error {
 			e = corruptEnvelope(e)
 		}
 	}
-	if e.Request != nil && !e.Request.ReadsFrame {
-		r := *e.Request
-		r.ReadsFrame = true
-		e.Request = &r
-	}
-	if r := e.Response; r != nil && r.Report.Family == sketch.FamilyRandProj &&
-		c.peerReadsFrame.Load() && frameable(r.Report.Sketches) {
+	if r := e.Response; r != nil && r.Report.Family == sketch.FamilyRandProj && frameable(r.Report.Sketches) {
 		buf := framePool.Get().(*[]byte)
 		defer framePool.Put(buf)
 		*buf = appendColumns((*buf)[:0], r.Report.Sketches)
@@ -142,9 +130,6 @@ func (c *Conn) Recv() (Envelope, error) {
 		if err := e.Validate(); err != nil {
 			c.m.decodeError()
 			return Envelope{}, err
-		}
-		if e.Request != nil {
-			c.peerReadsFrame.Store(e.Request.ReadsFrame)
 		}
 		if r := e.Response; r != nil && r.Columns != nil {
 			r.Report.Sketches, r.Columns = r.Columns.cols, nil

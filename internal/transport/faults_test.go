@@ -103,9 +103,9 @@ func TestFaultDelay(t *testing.T) {
 }
 
 // TestFaultCorruptResponse: a Corrupt rule on sketch_response damages the
-// payload of either family, in either encoding, so the receiver's Validate
-// fails, and never touches the sender's arrays. A randproj response is framed
-// when the receiver sent a request first.
+// payload of either family, in either encoding (randproj columns framed, FD
+// in gob), so the receiver's Validate fails, and never touches the sender's
+// arrays.
 func TestFaultCorruptResponse(t *testing.T) {
 	randproj := core.SketchReport{
 		Interval: 3, FlowIDs: []int{0, 1},
@@ -122,22 +122,17 @@ func TestFaultCorruptResponse(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		rep    core.SketchReport
-		asked  bool // the receiver sends a request first
 		framed bool
 	}{
-		{"randproj/gob", randproj, false, false},
-		{"randproj/frame", randproj, true, true},
-		{"fd/rows", fd, true, false},
-		{"fd/delta", fdNoRows, true, false},
+		{"randproj/frame", randproj, true},
+		{"fd/rows", fd, false},
+		{"fd/delta", fdNoRows, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b, tap := tappedPipe(nil)
 			defer a.Close()
 			defer b.Close()
 			a.SetFaults(faults.MustPlan(1, faults.Rule{Dir: faults.DirSend, Type: "sketch_response", Corrupt: true}))
-			if tc.asked {
-				ask(t, b, a)
-			}
 
 			sketches, rows := cloneRows(tc.rep.Sketches), cloneRows(tc.rep.FDRows)
 			envCh, errCh := recvOne(b)

@@ -3,8 +3,7 @@
 // monitor. Monitors push per-interval volume reports; the NOC pulls sketches
 // on demand (the lazy protocol of §IV-C); alarms flow back for visibility.
 // A sketch response's randproj columns travel as one little-endian
-// ColumnsFrame inside the gob message when the request asked for it
-// (SketchRequest.ReadsFrame); every other payload is plain gob.
+// ColumnsFrame inside the gob message; every other payload is plain gob.
 //
 // An in-memory pipe transport with identical semantics backs the integration
 // tests, so protocol logic is exercised without sockets.
@@ -93,10 +92,6 @@ type VolumeReport struct {
 // SketchRequest asks a monitor for its current sketch state.
 type SketchRequest struct {
 	RequestID uint64
-	// ReadsFrame says the requester decodes SketchResponse.Columns.
-	// Conn.Send sets it on every request. A responder built before the field
-	// existed drops it and answers in plain gob, which Conn still decodes.
-	ReadsFrame bool
 }
 
 // SketchResponse answers a SketchRequest.
@@ -112,9 +107,11 @@ type SketchResponse struct {
 	Degraded   bool
 	StaleFlows int
 	// Columns carries Report.Sketches as one ColumnsFrame, with
-	// Report.Sketches nil on the wire. Conn.Send sets it only for a peer
-	// whose last request set ReadsFrame, and Conn.Recv moves it back into
-	// Report.Sketches, so callers neither set nor see it.
+	// Report.Sketches nil on the wire. Conn.Send sets it for every randproj
+	// report whose columns share one length, and Conn.Recv moves it back into
+	// Report.Sketches (or keeps plain gob columns as they came), so callers
+	// neither set nor see it. A peer built before the field existed cannot
+	// read framed columns.
 	Columns *ColumnsFrame
 }
 
@@ -190,15 +187,9 @@ func decodeColumns(b []byte) ([][]float64, error) {
 }
 
 // IdentifiedFlow names one culprit OD flow attached to an alarm by the
-// NOC's anomography pursuit.
-type IdentifiedFlow struct {
-	// Flow is the global flow index.
-	Flow int
-	// Amount is the estimated injected volume (signed, measurement units).
-	Amount float64
-	// Confidence is the flow's marginal explained-energy fraction, in [0,1].
-	Confidence float64
-}
+// NOC's anomography pursuit. Gob matches struct fields by name, so the type's
+// own name is not part of the alarm's wire form.
+type IdentifiedFlow = core.IdentifiedFlow
 
 // Alarm notifies monitors (or other subscribers) of a detected anomaly.
 type Alarm struct {

@@ -61,7 +61,6 @@ func TestSketchResponseCarriesReport(t *testing.T) {
 		Sketches: [][]float64{{1, 2, 3}, {4, 5, 6}},
 		Means:    []float64{10, 20},
 		Counts:   []int64{9, 9},
-		Buckets:  []int{4, 4},
 	}
 	go func() {
 		_ = a.Send(Envelope{Response: &SketchResponse{RequestID: 7, MonitorID: "m", Report: rep}})

@@ -12,6 +12,15 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"streampca/internal/agg"
+	"streampca/internal/core"
+	"streampca/internal/ingest"
+	"streampca/internal/monitor"
+	"streampca/internal/noc"
+	"streampca/internal/obs"
+	"streampca/internal/randproj"
+	"streampca/internal/transport"
 )
 
 // TestREADMEFlagTablesMatchBinaries keeps README's flag tables equal to the
@@ -71,6 +80,80 @@ func TestREADMEFlagTablesMatchBinaries(t *testing.T) {
 	}
 	if len(stale) > 0 {
 		t.Errorf("flags in a README table row that no daemon registers: %s", strings.Join(stale, " "))
+	}
+}
+
+// TestREADMEMetricsMatchRegistries keeps README's metric names equal to the
+// families the services register: a NOC and a monitor with the self-check
+// on, an aggregator, an ingest pipeline and the wire. Every full
+// streampca_* name README mentions is registered, and every registered
+// family appears in README.
+func TestREADMEMetricsMatchRegistries(t *testing.T) {
+	reg := obs.NewRegistry()
+	nocSvc, err := noc.New(noc.Config{
+		Detector:       core.DetectorConfig{NumFlows: 4, WindowLen: 8, SketchLen: 2, Alpha: 0.01},
+		SelfCheckEvery: 1,
+		Obs:            reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nocSvc.Shutdown()
+	aggSvc, err := agg.New(agg.Config{ID: "a", NumFlows: 4, WindowLen: 8, SketchLen: 2, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer aggSvc.Close()
+	monSvc, err := monitor.New(monitor.Config{
+		ID: "m", FlowIDs: []int{0, 1}, WindowLen: 8, Epsilon: 0.1,
+		Sketch:         randproj.Config{SketchLen: 2},
+		SelfCheckEvery: 1,
+		Obs:            reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer monSvc.Close()
+	ingest.NewMetrics(reg)
+	transport.NewMetrics(reg)
+
+	var exposition strings.Builder
+	if err := reg.WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	registered := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(exposition.String(), -1) {
+		registered[m[1]] = true
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, name := range regexp.MustCompile(`streampca_\w+`).FindAllString(string(readme), -1) {
+		if !strings.HasSuffix(name, "_") { // streampca_ingest_* names a prefix
+			documented[name] = true
+		}
+	}
+
+	var missing, stale []string
+	for name := range registered {
+		if !documented[name] {
+			missing = append(missing, name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(missing)
+	sort.Strings(stale)
+	if len(missing) > 0 {
+		t.Errorf("registered metrics README never names: %s", strings.Join(missing, " "))
+	}
+	if len(stale) > 0 {
+		t.Errorf("README names metrics no service registers: %s", strings.Join(stale, " "))
 	}
 }
 
