@@ -63,26 +63,23 @@ step_done
 # (oracle) and live-ingestion e2e suites ride along; their scenarios are
 # seeded, so a failure here is a reproducible bug, not flake. EXPERIMENTS.md
 # records the timing delta vs the old three-step split.
+#
+# It is also the one race run of the chaos e2e suite (TestChaos*: fault-
+# injected NOC/monitor deployments, the trace-lineage e2e, the aggregator
+# failover), the degraded-fill rule (TestDegraded*) and the federated
+# differential e2e (TestFederated*: flat and 3-aggregator topologies must
+# make byte-identical decisions and name identical culprits), where the
+# retry, breaker and reconnect goroutines actually contend. CHAOS_FLIGHT_DIR
+# redirects the chaos suite's flight-recorder JSONL to a kept directory; on
+# failure the audit records are dumped so the workflow can collect them as
+# artifacts.
 step "go test -race ./..."
-go test -race ./...
-step_done
-
-# The chaos e2e suite (fault-injected NOC/monitor deployments, the
-# trace-lineage e2e, and the PR9 aggregator-failover scenario) is where the
-# retry, breaker and reconnect goroutines actually contend; run it under the
-# race detector explicitly so a -run filter change elsewhere can't drop it.
-# The same regex gates the one degraded-fill rule (TestDegraded*: its
-# family-granular table in internal/tier, the aggregator's per-flow
-# substitution in internal/agg). CHAOS_FLIGHT_DIR redirects the
-# suite's flight-recorder JSONL to a kept directory; on failure the audit
-# records are dumped so the workflow can collect them as artifacts.
-step "go test -race chaos e2e"
 CHAOS_FLIGHT_DIR="${CHAOS_FLIGHT_DIR:-$(pwd)/ci-artifacts/chaos-flight}"
 export CHAOS_FLIGHT_DIR
 mkdir -p "$CHAOS_FLIGHT_DIR"
 rm -f "$CHAOS_FLIGHT_DIR"/*.jsonl
-if ! go test -race -run 'TestChaos|TestDegraded' ./internal/noc/ ./cmd/sketchpca-monitor/ ./internal/tier/ ./internal/agg/; then
-    echo "chaos e2e FAILED; flight-recorder JSONL from $CHAOS_FLIGHT_DIR:" >&2
+if ! go test -race ./...; then
+    echo "go test -race FAILED; chaos flight-recorder JSONL from $CHAOS_FLIGHT_DIR:" >&2
     for f in "$CHAOS_FLIGHT_DIR"/*.jsonl; do
         [ -f "$f" ] || continue
         echo "--- $f ---" >&2
@@ -91,18 +88,6 @@ if ! go test -race -run 'TestChaos|TestDegraded' ./internal/noc/ ./cmd/sketchpca
     exit 1
 fi
 unset CHAOS_FLIGHT_DIR
-step_done
-
-# The federated differential e2e is the correctness bar of the PR9
-# aggregator tier: a 3-aggregator topology must produce byte-identical
-# alarm decisions to the flat NOC (randproj exactly; FD in the
-# one-monitor-per-aggregator pass-through configuration). Since PR10 the
-# same regex also gates the identification differential — federated and
-# flat deployments must name identical culprit sets. Run it explicitly so
-# the merge path is gated even if someone narrows the package test filters
-# above.
-step "go test -race federated differential e2e"
-go test -race -run 'TestFederated' ./internal/noc/
 step_done
 
 # Identification-quality gate (PR10): the anomography suite replays five

@@ -27,7 +27,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"streampca/internal/agg"
 	"streampca/internal/cliflags"
@@ -42,11 +41,6 @@ func main() {
 	}
 }
 
-// daemonPull is the aggregator role's pull policy with one retry round: the
-// daemon retries once where the library does not, and -fetch-retries 0 means
-// this default here too.
-var daemonPull = tier.PullPolicy{Retries: 1}.Or(tier.AggPull)
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("sketchpca-agg", flag.ContinueOnError)
 	var (
@@ -59,10 +53,8 @@ func run(args []string) error {
 		seed     = fs.Uint64("seed", 42, "shared randomness seed (randproj only)")
 		peersStr = fs.String("peers", "", "comma-separated aggregator candidate addresses (incl. this one) pushed to monitors for failover")
 		epoch    = fs.Uint64("shard-epoch", 1, "version of the pushed candidate list (bump when -peers changes)")
-		dialTO   = fs.Duration("dial-timeout", 5*time.Second, "NOC dial timeout")
-		pull     = cliflags.Pull(fs, daemonPull, "timeout for one downstream sketch-pull round", "extra downstream pull rounds re-requesting missing responses")
+		pull     = cliflags.Pull(fs, tier.AggPull, "timeout for one downstream sketch-pull round")
 		degraded = cliflags.Degraded(fs, true, "serve unresponsive monitors' flows from cached snapshots (flagged upstream)", "snapshot")
-		pendIntv = fs.Int("pending-intervals", 8, "partially-reported intervals buffered for the merged volume forward")
 		redial   = cliflags.Redial(fs)
 		metrics  = cliflags.Metrics(fs, "/metrics and /healthz")
 	)
@@ -82,20 +74,19 @@ func run(args []string) error {
 		}
 	}
 	svc, err := agg.New(agg.Config{
-		ID:                  *id,
-		Family:              fam,
-		NumFlows:            *flows,
-		WindowLen:           *window,
-		SketchLen:           sk.Len,
-		Seed:                *seed,
-		Peers:               peers,
-		ShardEpoch:          *epoch,
-		Pull:                pull.Or(daemonPull),
-		Degraded:            *degraded,
-		MaxPendingIntervals: *pendIntv,
-		Redial:              *redial,
-		Log:                 obs.NewLogger(os.Stderr, slog.LevelInfo, "agg"),
-		MetricsAddr:         metrics.Addr,
+		ID:          *id,
+		Family:      fam,
+		NumFlows:    *flows,
+		WindowLen:   *window,
+		SketchLen:   sk.Len,
+		Seed:        *seed,
+		Peers:       peers,
+		ShardEpoch:  *epoch,
+		Pull:        *pull,
+		Degraded:    *degraded,
+		Redial:      *redial,
+		Log:         obs.NewLogger(os.Stderr, slog.LevelInfo, "agg"),
+		MetricsAddr: metrics.Addr,
 	})
 	if err != nil {
 		return err
@@ -103,7 +94,7 @@ func run(args []string) error {
 	if err := svc.Serve(*listen); err != nil {
 		return err
 	}
-	if err := svc.ConnectNOC(*nocAddr, *dialTO); err != nil {
+	if err := svc.ConnectNOC(*nocAddr, tier.DialTimeout); err != nil {
 		_ = svc.Close()
 		return err
 	}

@@ -3,9 +3,9 @@
 // -sketcher fd: a Frequent Directions buffer), streams per-interval volume
 // reports to the NOC and answers its sketch pulls.
 //
-// Volumes arrive on stdin as CSV rows "interval,v0,v1,..." (for example a
-// column slice of trafficgen output); -columns selects which CSV columns
-// (0-based, after the interval column) map to this monitor's -flows.
+// Volumes arrive on stdin as CSV rows "interval,v0,v1,..." (for example
+// trafficgen output): CSV column f (0-based, after the interval column) feeds
+// flow f, and the monitor reads the columns of its -flows.
 // Alternatively -ingest-listen switches the daemon to live ingestion: it
 // collects NetFlow v5 datagrams over UDP, aggregates them into per-interval
 // OD volume rows (internal/ingest) and reports this monitor's -flows slice
@@ -17,7 +17,7 @@
 //
 //	trafficgen -intervals 8064 | sketchpca-monitor \
 //	    -noc 127.0.0.1:7100 -id mon-east \
-//	    -flows 0,1,2,9,10,11 -columns 0,1,2,9,10,11 \
+//	    -flows 0,1,2,9,10,11 \
 //	    -window 4032 -sketch 200 -seed 42
 //
 //	sketchpca-monitor -noc 127.0.0.1:7100 -id mon-east \
@@ -44,6 +44,7 @@ import (
 	"streampca/internal/monitor"
 	"streampca/internal/obs"
 	"streampca/internal/randproj"
+	"streampca/internal/tier"
 	"streampca/internal/trace"
 	"streampca/internal/traffic"
 	"streampca/internal/transport"
@@ -65,12 +66,10 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 		aggsStr = fs.String("aggs", "", "comma-separated aggregator candidate addresses; when set the monitor registers with its rendezvous-preferred aggregator instead of -noc (federated topology)")
 		id      = fs.String("id", "monitor-1", "monitor identifier")
 		flowStr = fs.String("flows", "", "comma-separated global flow ids owned by this monitor")
-		colStr  = fs.String("columns", "", "comma-separated stdin CSV columns feeding those flows (defaults to -flows)")
 		window  = fs.Int("window", 4032, "sliding-window length (n)")
 		sk      = cliflags.Sketcher(fs, " (must match the NOC)")
 		epsilon = fs.Float64("epsilon", 0.01, "variance-histogram ε (randproj only)")
 		seed    = fs.Uint64("seed", 42, "shared randomness seed (randproj only)")
-		dialTO  = fs.Duration("dial-timeout", 5*time.Second, "NOC dial timeout")
 		redial  = cliflags.Redial(fs)
 		selfchk = cliflags.SelfCheck(fs, "validate the sketch state against an exact-window oracle every Nth interval (0 = off)")
 		metrics = cliflags.Metrics(fs, "/metrics, /healthz and /debug/pprof")
@@ -91,16 +90,6 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 	}
 	if len(flows) == 0 {
 		return fmt.Errorf("-flows is required")
-	}
-	cols := flows
-	if *colStr != "" {
-		cols, err = parseIntList(*colStr)
-		if err != nil {
-			return fmt.Errorf("-columns: %w", err)
-		}
-	}
-	if len(cols) != len(flows) {
-		return fmt.Errorf("%d columns for %d flows", len(cols), len(flows))
 	}
 
 	if *ingListen == "" {
@@ -167,10 +156,10 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 	// walk a failover makes; otherwise the flat topology dials the NOC.
 	upstream := *nocAddr
 	if len(aggs) > 0 {
-		if upstream, err = svc.Place(*dialTO); err != nil {
+		if upstream, err = svc.Place(tier.DialTimeout); err != nil {
 			return fmt.Errorf("no aggregator reachable: %w", err)
 		}
-	} else if err := svc.Connect(upstream, *dialTO); err != nil {
+	} else if err := svc.Connect(upstream, tier.DialTimeout); err != nil {
 		return err
 	}
 	defer func() { _ = svc.Close() }()
@@ -215,19 +204,19 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 		if err != nil {
 			return fmt.Errorf("line %d: interval %q: %w", lineNo, fields[0], err)
 		}
-		volumes := make([]float64, len(cols))
-		for i, c := range cols {
-			idx := c + 1 // skip the interval column
+		volumes := make([]float64, len(flows))
+		for i, f := range flows {
+			idx := f + 1 // skip the interval column
 			if idx >= len(fields) {
-				return fmt.Errorf("line %d: column %d beyond %d fields", lineNo, c, len(fields))
+				return fmt.Errorf("line %d: column %d beyond %d fields", lineNo, f, len(fields))
 			}
 			v, err := strconv.ParseFloat(fields[idx], 64)
 			if err != nil {
-				return fmt.Errorf("line %d column %d: %w", lineNo, c, err)
+				return fmt.Errorf("line %d column %d: %w", lineNo, f, err)
 			}
 			// ParseFloat accepts "NaN" and "Inf"; the sketch state does not.
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("line %d column %d: non-finite volume %q", lineNo, c, fields[idx])
+				return fmt.Errorf("line %d column %d: non-finite volume %q", lineNo, f, fields[idx])
 			}
 			volumes[i] = v
 		}

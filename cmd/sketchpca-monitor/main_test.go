@@ -53,13 +53,10 @@ func TestIsNumeric(t *testing.T) {
 func TestRunFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{},                                     // missing -flows
-		{"-flows", "0,1", "-columns", "0"},     // count mismatch
 		{"-flows", "bad"},                      // unparseable flows
-		{"-flows", "0", "-columns", "x"},       // unparseable columns
 		{"-flows", "0", "-noc", "127.0.0.1:1"}, // NOC unreachable
 	}
 	for i, args := range cases {
-		args = append(args, "-dial-timeout", "50ms")
 		if err := run(args, strings.NewReader(""), nil); err == nil {
 			t.Fatalf("case %d (%v): want error", i, args)
 		}
@@ -75,7 +72,7 @@ func TestRunRejectsIngestFlagsWithoutListen(t *testing.T) {
 		{"-ingest-clock", "wall"},
 		{"-routers", "3"},
 	} {
-		err := run([]string{"-flows", "0", "-noc", "127.0.0.1:1", "-dial-timeout", "50ms", c.flag, c.value},
+		err := run([]string{"-flows", "0", "-noc", "127.0.0.1:1", c.flag, c.value},
 			strings.NewReader(""), nil)
 		if want := c.flag + " needs -ingest-listen"; err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s %s on stdin mode: %v, want %q", c.flag, c.value, err, want)
@@ -83,22 +80,24 @@ func TestRunRejectsIngestFlagsWithoutListen(t *testing.T) {
 	}
 }
 
-// End-to-end CLI glue: a real NOC service, the monitor run() fed CSV on a
-// reader, decisions observed at the NOC.
-func TestRunFeedsNOC(t *testing.T) {
-	const (
-		flows  = 4
-		window = 8
-		sketch = 6
-		seed   = 5
-	)
+// The deployment the CLI tests feed: 4 flows, a window of 8 and l = 6.
+const (
+	testFlows  = 4
+	testWindow = 8
+	testSketch = 6
+	testSeed   = 5
+)
+
+// startNOC serves a NOC for the test deployment and returns its decisions.
+func startNOC(t *testing.T) (*noc.Service, <-chan noc.Decision) {
+	t.Helper()
 	decisions := make(chan noc.Decision, 64)
 	svc, err := noc.New(noc.Config{
 		Detector: core.DetectorConfig{
-			NumFlows: flows, WindowLen: window, SketchLen: sketch,
+			NumFlows: testFlows, WindowLen: testWindow, SketchLen: testSketch,
 			Alpha: 0.01, FixedRank: 1,
 		},
-		Seed:       seed,
+		Seed:       testSeed,
 		OnDecision: func(d noc.Decision) { decisions <- d },
 	})
 	if err != nil {
@@ -107,58 +106,103 @@ func TestRunFeedsNOC(t *testing.T) {
 	if err := svc.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer svc.Shutdown()
+	t.Cleanup(svc.Shutdown)
+	return svc, decisions
+}
 
-	// CSV with a header and 20 intervals of 4 columns (+ a label column the
-	// monitor must ignore via -columns). The pipe stays open until the NOC
-	// has delivered every decision, keeping the monitor connected for the
-	// lazy sketch pulls.
+// csvCell is the test trace's volume of flow f at interval i.
+func csvCell(i, f int) int { return 100*(f+1) + i }
+
+// testCSV is a header and n intervals of the 4 flow columns, plus a label
+// column the monitor must ignore.
+func testCSV(n int) string {
+	var sb strings.Builder
+	sb.WriteString("interval,f0,f1,f2,f3,label\n")
+	for i := 0; i < n; i++ {
+		sb.WriteString(itoa(i))
+		for f := 0; f < testFlows; f++ {
+			sb.WriteString("," + itoa(csvCell(i, f)))
+		}
+		sb.WriteString(",0\n")
+	}
+	return sb.String()
+}
+
+// startMonitor runs the monitor CLI owning flows against nocAddr, fed csv
+// on a pipe that stays open, keeping the monitor connected for the lazy
+// sketch pulls, until the returned stop closes it and returns run's error.
+func startMonitor(t *testing.T, nocAddr, id, flows, csv string) (stop func() error) {
+	t.Helper()
 	pr, pw := io.Pipe()
 	runErr := make(chan error, 1)
 	go func() {
 		runErr <- run([]string{
-			"-noc", svc.Addr(),
-			"-id", "cli-test",
-			"-flows", "0,1,2,3",
-			"-columns", "0,1,2,3",
-			"-window", itoa(window),
-			"-sketch", itoa(sketch),
-			"-seed", itoa(seed),
+			"-noc", nocAddr,
+			"-id", id,
+			"-flows", flows,
+			"-window", itoa(testWindow),
+			"-sketch", itoa(testSketch),
+			"-seed", itoa(testSeed),
 		}, pr, nil)
 	}()
-	var sb strings.Builder
-	sb.WriteString("interval,f0,f1,f2,f3,label\n")
-	for i := 0; i < 20; i++ {
-		sb.WriteString(strings.Join([]string{
-			itoa(i),
-			ftoa(100 + i), ftoa(200 + i), ftoa(300 + i), ftoa(400 + i),
-			"0",
-		}, ","))
-		sb.WriteByte('\n')
+	go func() { _, _ = pw.Write([]byte(csv)) }()
+	return func() error {
+		_ = pw.Close()
+		return <-runErr
 	}
-	if _, err := pw.Write([]byte(sb.String())); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	// All 20 intervals must produce decisions (warm-up + detections).
-	seen := 0
+// awaitDecisions collects n decisions or fails the test.
+func awaitDecisions(t *testing.T, decisions <-chan noc.Decision, n int) []noc.Decision {
+	t.Helper()
+	var got []noc.Decision
 	deadline := time.After(5 * time.Second)
-	for seen < 20 {
+	for len(got) < n {
 		select {
-		case <-decisions:
-			seen++
+		case d := <-decisions:
+			got = append(got, d)
 		case <-deadline:
-			t.Fatalf("only %d/20 decisions arrived", seen)
+			t.Fatalf("only %d/%d decisions arrived", len(got), n)
 		}
 	}
+	return got
+}
+
+// End-to-end CLI glue: a real NOC service, the monitor run() fed CSV on a
+// reader, decisions observed at the NOC.
+func TestRunFeedsNOC(t *testing.T) {
+	svc, decisions := startNOC(t)
+	stop := startMonitor(t, svc.Addr(), "cli-test", "0,1,2,3", testCSV(20))
+	// All 20 intervals must produce decisions (warm-up + detections).
+	awaitDecisions(t, decisions, 20)
 	if !svc.HasModel() {
 		t.Fatal("NOC never built a model from the CLI monitor")
 	}
-	if err := pw.Close(); err != nil {
+	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-runErr; err != nil {
-		t.Fatal(err)
+}
+
+// CSV column f feeds flow f: two monitors owning interleaved flows read the
+// same CSV, and the NOC's assembled vectors hold each column at its flow.
+func TestRunReadsColumnsByFlowID(t *testing.T) {
+	svc, decisions := startNOC(t)
+	const n = 12
+	csv := testCSV(n)
+	stopOdd := startMonitor(t, svc.Addr(), "odd", "1,3", csv)
+	stopEven := startMonitor(t, svc.Addr(), "even", "0,2", csv)
+	for _, d := range awaitDecisions(t, decisions, n) {
+		i := int(d.Interval - 1) // intervals are 1-based on the wire
+		for _, f := range []int{1, 3} {
+			if want := float64(csvCell(i, f)); d.Vector[f] != want {
+				t.Errorf("interval %d: Vector[%d] = %v, want CSV column %d's %v", i, f, d.Vector[f], f, want)
+			}
+		}
+	}
+	for _, stop := range []func() error{stopOdd, stopEven} {
+		if err := stop(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -185,5 +229,3 @@ func TestRunRejectsNonFiniteCell(t *testing.T) {
 }
 
 func itoa(v int) string { return strconv.Itoa(v) }
-
-func ftoa(v int) string { return strconv.Itoa(v) }

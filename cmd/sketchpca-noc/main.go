@@ -22,7 +22,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"streampca/internal/cliflags"
 	"streampca/internal/core"
@@ -65,9 +64,7 @@ func run(args []string) error {
 		energy   = fs.Float64("energy", 0.9, "retained energy for -rank-mode energy")
 		seed     = fs.Uint64("seed", 42, "shared randomness seed")
 		quiet    = fs.Bool("quiet", false, "print only alarms, not every decision")
-		pull     = cliflags.Pull(fs, tier.NOCPull, "timeout for one sketch-pull round", "extra sketch-pull rounds re-requesting missing responses")
-		brkThr   = fs.Int("breaker-threshold", 3, "consecutive fetch failures that open a monitor's circuit breaker (-1 disables)")
-		brkCool  = fs.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker skips its monitor")
+		pull     = cliflags.Pull(fs, tier.NOCPull, "timeout for one sketch-pull round")
 		degraded = cliflags.Degraded(fs, false, "keep deciding on cached volumes/sketches when monitors are missing", "cache")
 		selfchk  = cliflags.SelfCheck(fs, "validate every Nth interval against an exact batch-PCA oracle (0 = off)")
 		metrics  = cliflags.Metrics(fs, "/metrics, /healthz and /debug/pprof")
@@ -112,12 +109,10 @@ func run(args []string) error {
 			FixedRank:  *rank,
 			EnergyFrac: *energy,
 		},
-		Seed:             *seed,
-		SelfCheckEvery:   *selfchk,
-		Pull:             *pull,
-		BreakerThreshold: *brkThr,
-		BreakerCooldown:  *brkCool,
-		Degraded:         *degraded,
+		Seed:           *seed,
+		SelfCheckEvery: *selfchk,
+		Pull:           *pull,
+		Degraded:       *degraded,
 		OnDecision: func(d noc.Decision) {
 			flag := ""
 			if d.Degraded {

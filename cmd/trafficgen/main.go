@@ -130,7 +130,7 @@ func run(args []string, out io.Writer) error {
 			seed:           *seed,
 		})
 	}
-	return writeCSV(out, tr)
+	return traffic.WriteCSV(out, tr)
 }
 
 type netFlowOptions struct {
@@ -225,35 +225,4 @@ func parseInjection(spec string) (ids []int, start, end int, mag float64, err er
 		return nil, 0, 0, 0, fmt.Errorf("magnitude %q: %w", parts[3], err)
 	}
 	return ids, start, end, mag, nil
-}
-
-// writeCSV emits interval, per-flow volumes and the ground-truth label.
-func writeCSV(out io.Writer, tr *traffic.Trace) error {
-	w := bufio.NewWriter(out)
-	defer w.Flush()
-
-	w.WriteString("interval")
-	for _, name := range tr.FlowNames {
-		w.WriteByte(',')
-		w.WriteString(name)
-	}
-	w.WriteString(",label\n")
-
-	labels := tr.Labels()
-	for i := 0; i < tr.NumIntervals(); i++ {
-		w.WriteString(strconv.Itoa(i))
-		row := tr.Volumes.RowView(i)
-		for _, v := range row {
-			w.WriteByte(',')
-			w.WriteString(strconv.FormatFloat(v, 'f', 0, 64))
-		}
-		w.WriteByte(',')
-		if labels[i] {
-			w.WriteByte('1')
-		} else {
-			w.WriteByte('0')
-		}
-		w.WriteByte('\n')
-	}
-	return w.Flush()
 }

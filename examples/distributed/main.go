@@ -85,7 +85,6 @@ func run(o options) error {
 		total     = perDay * 3 / 2
 		sketchLen = 100
 		seed      = 777
-		dialTO    = 2 * time.Second
 	)
 	if o.aggs < 0 {
 		return fmt.Errorf("-aggs %d: want 0 or more", o.aggs)
@@ -133,9 +132,10 @@ func run(o options) error {
 		defer func() { _ = recorder.Close() }()
 	}
 
-	// Fault tolerance on every tier: retry missing sketch responses twice
-	// (the NOC's default; the aggregators set it) and, should a peer vanish
-	// mid-run, keep deciding on its cached state.
+	// Fault tolerance on every tier: the NOC retries missing sketch responses
+	// twice (tier.NOCPull; an aggregator pulls once, tier.AggPull, and leaves
+	// the retrying to the NOC above it) and, should a peer vanish mid-run,
+	// every tier keeps deciding on its cached state.
 	degraded := tier.DegradedPolicy{Enabled: true}
 
 	// NOC — the same in both topologies: it just sees registrants whose
@@ -185,7 +185,6 @@ func run(o options) error {
 			WindowLen: windowLen,
 			SketchLen: sketchParam,
 			Seed:      seed,
-			Pull:      tier.PullPolicy{Retries: 2},
 			Degraded:  degraded,
 			Redial:    tier.RedialPolicy{Enabled: true},
 			Obs:       aggRegs[i],
@@ -202,7 +201,7 @@ func run(o options) error {
 	}
 	for _, a := range aggs {
 		a.SetPeers(aggAddrs, 1)
-		if err := a.ConnectNOC(nocSvc.Addr(), dialTO); err != nil {
+		if err := a.ConnectNOC(nocSvc.Addr(), tier.DialTimeout); err != nil {
 			return err
 		}
 	}
@@ -237,9 +236,9 @@ func run(o options) error {
 		}
 		upstream := nocSvc.Addr()
 		if o.aggs > 0 {
-			upstream, err = svc.Place(dialTO)
+			upstream, err = svc.Place(tier.DialTimeout)
 		} else {
-			err = svc.Connect(upstream, dialTO)
+			err = svc.Connect(upstream, tier.DialTimeout)
 		}
 		if err != nil {
 			return err

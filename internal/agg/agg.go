@@ -66,9 +66,6 @@ type Config struct {
 	// Degraded is the NOC's rule (tier.DegradedPolicy): an unresponsive
 	// monitor's cached sketches stand in for it in the merge.
 	Degraded tier.DegradedPolicy
-	// MaxPendingIntervals bounds partially-reported intervals held for the
-	// merged volume forward (default 8; oldest is dropped).
-	MaxPendingIntervals int
 	// Redial redials the NOC link when it drops (tier.RedialPolicy). Unlike
 	// a leaf monitor, an aggregator retries even after an explicit NOC
 	// rejection: a flow-claim conflict during a re-shard clears once the
@@ -170,9 +167,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.SketchLen < 1 {
 		return nil, fmt.Errorf("%w: sketch parameter %d", ErrConfig, cfg.SketchLen)
 	}
-	if cfg.MaxPendingIntervals <= 0 {
-		cfg.MaxPendingIntervals = 8
-	}
 	if cfg.ShardEpoch == 0 {
 		cfg.ShardEpoch = 1
 	}
@@ -204,7 +198,6 @@ func New(cfg Config) (*Service, error) {
 		Pull:         cfg.Pull,
 		PullDefaults: tier.AggPull,
 		Degraded:     cfg.Degraded,
-		MaxPending:   cfg.MaxPendingIntervals,
 		WireMetrics:  s.wireMet,
 		Metrics: tier.Metrics{
 			Registrants:  s.met.monitors,

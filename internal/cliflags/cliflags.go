@@ -15,15 +15,12 @@ import (
 	"streampca/internal/trace"
 )
 
-// Pull registers -fetch-timeout, -fetch-retries, -fetch-backoff and
-// -fetch-backoff-max into the returned policy, their defaults def's; the
-// values are set once fs is parsed.
-func Pull(fs *flag.FlagSet, def tier.PullPolicy, timeoutHelp, retriesHelp string) *tier.PullPolicy {
+// Pull registers -fetch-timeout into the returned policy, its default def's;
+// the rest of the policy is the tier role's. The value is set once fs is
+// parsed.
+func Pull(fs *flag.FlagSet, def tier.PullPolicy, timeoutHelp string) *tier.PullPolicy {
 	p := &tier.PullPolicy{}
 	fs.DurationVar(&p.Timeout, "fetch-timeout", def.Timeout, timeoutHelp)
-	fs.IntVar(&p.Retries, "fetch-retries", def.Retries, retriesHelp+" (0 = default, -1 = none)")
-	fs.DurationVar(&p.Backoff, "fetch-backoff", def.Backoff, "initial retry backoff (doubles per round, jittered)")
-	fs.DurationVar(&p.BackoffMax, "fetch-backoff-max", def.BackoffMax, "retry backoff cap")
 	return p
 }
 
@@ -36,13 +33,11 @@ func Degraded(fs *flag.FlagSet, enabled bool, enabledHelp, cached string) *tier.
 	return p
 }
 
-// Redial registers -reconnect, -reconnect-backoff and -reconnect-backoff-max;
-// the daemons redial by default.
+// Redial registers -reconnect; the daemons redial by default, paced by
+// tier.DefaultRedial.
 func Redial(fs *flag.FlagSet) *tier.RedialPolicy {
 	p := &tier.RedialPolicy{}
 	fs.BoolVar(&p.Enabled, "reconnect", true, "redial the NOC automatically when the link drops")
-	fs.DurationVar(&p.Backoff, "reconnect-backoff", tier.DefaultRedial.Backoff, "initial redial backoff (doubles per attempt)")
-	fs.DurationVar(&p.BackoffMax, "reconnect-backoff-max", tier.DefaultRedial.BackoffMax, "redial backoff cap")
 	return p
 }
 

@@ -89,9 +89,6 @@ type Config struct {
 	// OnDecision, when set, receives every completed-interval decision.
 	// It is called from the processing goroutine; keep it fast.
 	OnDecision func(Decision)
-	// MaxPendingIntervals bounds partially assembled intervals kept while
-	// waiting for stragglers; defaults to 64.
-	MaxPendingIntervals int
 	// LocalSketches enables the paper's §V-A variant for thin monitors:
 	// the NOC maintains the sketch state itself from the volume reports
 	// (variance histograms for randproj, one FD buffer for FD), so monitors
@@ -368,7 +365,6 @@ func New(cfg Config) (*Service, error) {
 		BreakerThreshold: cfg.BreakerThreshold,
 		BreakerCooldown:  cfg.BreakerCooldown,
 		Degraded:         cfg.Degraded,
-		MaxPending:       cfg.MaxPendingIntervals,
 		Faults:           cfg.Faults,
 		WireMetrics:      s.wireMet,
 		Metrics: tier.Metrics{

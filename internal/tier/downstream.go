@@ -77,8 +77,6 @@ type DownstreamConfig struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	Degraded         DegradedPolicy
-	// MaxPending bounds partially reported intervals (default 64).
-	MaxPending int
 	// Faults, when non-nil, is installed on every accepted connection.
 	Faults      faults.Injector
 	WireMetrics *transport.Metrics
@@ -123,6 +121,10 @@ type registrant struct {
 	conn  *transport.Conn
 	role  transport.Role
 }
+
+// maxPending bounds the partially reported intervals a tier holds; past it
+// the oldest is evicted and counted (Metrics.Evicted).
+const maxPending = 64
 
 type accum struct {
 	volumes []float64
@@ -192,9 +194,6 @@ func NewDownstream(cfg DownstreamConfig) (*Downstream, error) {
 	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 5 * time.Second
-	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 64
 	}
 	if cfg.Log == nil {
 		cfg.Log = obs.Nop()
@@ -498,7 +497,7 @@ func (d *Downstream) addVolumes(conn *transport.Conn, v *transport.VolumeReport)
 	}
 	acc := d.pending[v.Interval]
 	if acc == nil {
-		if len(d.pending) >= d.cfg.MaxPending {
+		if len(d.pending) >= maxPending {
 			var oldest int64 = 1<<63 - 1
 			for iv := range d.pending {
 				if iv < oldest {

@@ -290,25 +290,29 @@ func TestReHelloReleasesClaimAndFlushes(t *testing.T) {
 }
 
 func TestPendingEvictionDropsOldest(t *testing.T) {
-	d, s := newDownstream(t, func(c *DownstreamConfig) { c.MaxPending = 2 })
+	d, s := newDownstream(t, nil)
 	a := attach(t, d, "a", []int{0}, nil)
 	b := attach(t, d, "b", []int{1}, nil)
-	for iv := int64(1); iv <= 3; iv++ {
+	const last = maxPending + 1
+	for iv := int64(1); iv <= last; iv++ {
 		a.volumes("a", iv, []int{0}, float64(iv))
 	}
 	waitFor(t, "eviction", func() bool { return d.cfg.Metrics.Evicted.Value() == 1 })
-	if got := d.PendingIntervals(); got != 2 {
-		t.Fatalf("pending intervals = %d, want 2", got)
+	if got := d.PendingIntervals(); got != maxPending {
+		t.Fatalf("pending intervals = %d, want %d", got, maxPending)
 	}
-	// 2 and 3 survived; 1 was the oldest and is gone, so b's report for it
+	// 2..last survived; 1 was the oldest and is gone, so b's report for it
 	// opens a fresh accumulator instead of completing it.
-	b.volumes("b", 3, []int{1}, 33)
-	b.volumes("b", 2, []int{1}, 22)
-	waitFor(t, "intervals 3 and 2", func() bool { return len(s.indices()) == 2 })
-	b.volumes("b", 1, []int{1}, 11)
+	var want []int64
+	for iv := int64(last); iv >= 2; iv-- {
+		b.volumes("b", iv, []int{1}, 10*float64(iv))
+		want = append(want, iv)
+	}
+	waitFor(t, "intervals 2..last", func() bool { return len(s.indices()) == maxPending })
+	b.volumes("b", 1, []int{1}, 10)
 	waitFor(t, "interval 1 re-opened", func() bool { return d.PendingIntervals() == 1 })
-	if got := s.indices(); !reflect.DeepEqual(got, []int64{3, 2}) {
-		t.Fatalf("delivered %v, want [3 2]", got)
+	if got := s.indices(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivered %v, want %v", got, want)
 	}
 }
 

@@ -54,6 +54,9 @@ type DegradedPolicy struct {
 
 const pullBackoff, pullBackoffMax = 50 * time.Millisecond, time.Second
 
+// DialTimeout bounds every daemon's dial of its upstream tier.
+const DialTimeout = 5 * time.Second
+
 // The role defaults: a NOC waits 5s for a pull round and retries twice, an
 // aggregator 2s and not at all; every uplink redials from 200ms up to 5s.
 var (

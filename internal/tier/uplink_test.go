@@ -3,6 +3,7 @@ package tier
 import (
 	"errors"
 	"net"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -117,28 +118,26 @@ func TestPlaceWalksRendezvousOrder(t *testing.T) {
 	}
 	t.Cleanup(srv.Shutdown)
 	live := srv.Addr()
-	// Find a dead candidate — a closed listener's address — that the
-	// rendezvous order prefers to the live one. The probes stay open until
-	// the pick, so each one holds a distinct port.
-	var dead string
-	var probes []net.Listener
-	for i := 0; i < 32 && dead == ""; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	// A dead candidate is a closed listener's address. Find an uplink ID
+	// whose rendezvous order prefers it to the live one: each ID is a fresh
+	// coin flip, where a search over ports is not — a live address that
+	// outweighs most ports outweighs every probe.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := l.Addr().String()
+	_ = l.Close()
+	id := ""
+	for i := 0; i < 64 && id == ""; i++ {
+		if cand := "peer-" + strconv.Itoa(i); Rendezvous(cand, []string{live, dead})[0] == dead {
+			id = cand
 		}
-		probes = append(probes, l)
-		if cand := l.Addr().String(); Rendezvous("peer", []string{cand, live})[0] == cand {
-			dead = cand
-		}
 	}
-	for _, l := range probes {
-		_ = l.Close()
+	if id == "" {
+		t.Fatal("no uplink ID ranks the dead candidate first")
 	}
-	if dead == "" {
-		t.Fatal("no candidate outranks the live address")
-	}
-	u := newUplink(t, func(c *UplinkConfig) { c.Candidates = []string{live, dead} })
+	u := newUplink(t, func(c *UplinkConfig) { c.ID, c.Candidates = id, []string{live, dead} })
 	addr, err := u.Place(time.Second)
 	if err != nil || addr != live {
 		t.Fatalf("Place = %q, %v; want %q past the refusing %q", addr, err, live, dead)

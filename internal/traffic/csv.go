@@ -123,6 +123,33 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	return tr, nil
 }
 
+// WriteCSV writes tr in the format ReadCSV parses: the interval index, each
+// flow's volume rounded to an integer, and the ground-truth label.
+func WriteCSV(out io.Writer, tr *Trace) error {
+	w := bufio.NewWriter(out)
+	w.WriteString("interval")
+	for _, name := range tr.FlowNames {
+		w.WriteByte(',')
+		w.WriteString(name)
+	}
+	w.WriteString(",label\n")
+
+	labels := tr.Labels()
+	for i := 0; i < tr.NumIntervals(); i++ {
+		w.WriteString(strconv.Itoa(i))
+		for _, v := range tr.Volumes.RowView(i) {
+			w.WriteByte(',')
+			w.WriteString(strconv.FormatFloat(v, 'f', 0, 64))
+		}
+		if labels[i] {
+			w.WriteString(",1\n")
+		} else {
+			w.WriteString(",0\n")
+		}
+	}
+	return w.Flush()
+}
+
 // routersFromFlowNames recovers the router list when the flow names are a
 // complete "A→B" OD grid; returns nil otherwise.
 func routersFromFlowNames(names []string) []string {
