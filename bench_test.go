@@ -333,11 +333,14 @@ func BenchmarkTracedSketchUpdate(b *testing.B) {
 
 // BenchmarkNOCRecompute measures the NOC-side sketch-PCA rebuild (the Gram
 // of the smaller side, min(l, m)², its eigenvalues and r = 6 leading vectors)
-// across sketch lengths at m = 81, and at l = 100 for fed-wide's m = 144 and
-// the wider m = 256 and 1024, all solved on the l×l side.
+// across sketch lengths at m = 81, l = 100 being flat-*'s deployed shape and
+// the one deployed rebuild on the m×m side, and at l = 100 for fed-wide's
+// m = 144 and the wider m = 256 and 1024, all solved on the l×l side. One
+// detector rebuilds b.N times, so its reused workspace is warm and B/op is
+// what a deployed rebuild allocates.
 func BenchmarkNOCRecompute(b *testing.B) {
 	type cell struct{ m, l int }
-	cells := []cell{{81, 32}, {81, 128}, {81, 512}, {144, 100}, {256, 100}, {1024, 100}}
+	cells := []cell{{81, 32}, {81, 100}, {81, 128}, {81, 512}, {144, 100}, {256, 100}, {1024, 100}}
 	for _, c := range cells {
 		m, l := c.m, c.l
 		name := fmt.Sprintf("l=%d", l)

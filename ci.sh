@@ -154,9 +154,11 @@ step_done
 # Fuzz smokes: ten seconds of coverage-guided input on each hostile decoder
 # (NetFlow v5 datagrams off the wire, trace CSVs off disk, peer snapshots an
 # aggregator validates and merges, the column frame of a sketch response),
-# and differentially against a brute-force reference on the routing trie
-# every NetFlow record is looked up in and on the variance histogram's
-# storage (against the exact window). Go allows one -fuzz target per
+# and differentially against a reference on the routing trie every NetFlow
+# record is looked up in (a brute-force scan), on the variance histogram's
+# storage (the exact window) and on the NOC model build's eigensolver,
+# mat.SymEigenLeading's inverse iteration (the all-pairs mat.SymEigen, on
+# spectra with forced ties and clusters). Go allows one -fuzz target per
 # invocation.
 step "fuzz smoke (NetFlow decoder, 10s)"
 go test -run 'XXXnone' -fuzz '^FuzzDecodeDatagram$' -fuzztime 10s ./internal/ingest/ > /dev/null
@@ -180,6 +182,10 @@ step_done
 
 step "fuzz smoke (variance histogram against the exact window, 10s)"
 go test -run 'XXXnone' -fuzz '^FuzzHistogramAgainstWindow$' -fuzztime 10s ./internal/vh/ > /dev/null
+step_done
+
+step "fuzz smoke (leading eigenvectors against the all-pairs eigensolver, 10s)"
+go test -run 'XXXnone' -fuzz '^FuzzSymEigenLeading$' -fuzztime 10s ./internal/mat/ > /dev/null
 step_done
 
 step "bench smoke (1 iteration per benchmark)"

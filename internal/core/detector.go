@@ -112,6 +112,16 @@ type Model struct {
 type Detector struct {
 	cfg   DetectorConfig
 	model *Model
+	// The randproj rebuild's workspace, sized on the first RebuildModel and
+	// reused after that, so a rebuild allocates only the model it installs:
+	// gram is the Gram of the sketch matrix's smaller side, factored in place
+	// into eig; rows lists Ẑ's rows for the m×m side, u holds the l×l side's
+	// leading eigenvectors. y is Distance's centred measurement.
+	gram *mat.Matrix
+	eig  mat.EigenLeading
+	rows [][]float64
+	u    *mat.Matrix
+	y    []float64
 	// counters for the lazy protocol.
 	observations int64
 	fetches      int64
@@ -216,7 +226,7 @@ func (d *Detector) RebuildModel(sketches [][]float64, means []float64, builtAt i
 	// vectors â. The side is chosen by shape: the l×l ẐẐᵀ when it is the
 	// smaller one and the sketch is well conditioned at the cut, the m×m
 	// Gram otherwise.
-	model, err := d.fitSmallSide(z)
+	model, err := d.fitSmallSide(z, sketches)
 	if errors.Is(err, errNeedGram) {
 		model, err = d.fitGram(z)
 	}
@@ -231,29 +241,93 @@ func (d *Detector) RebuildModel(sketches [][]float64, means []float64, builtAt i
 // m×m Gram instead.
 var errNeedGram = errors.New("core: sketch model needs the m×m Gram")
 
-// fitGram fits the model through the m×m Gram ẐᵀẐ. The threshold reads
-// every λ̂, the detector only the leading r vectors, so only those are built.
-func (d *Detector) fitGram(z *mat.Matrix) (*Model, error) {
-	eig, err := mat.SymEigenLeading(z.Gram())
-	if err != nil {
-		return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
+// factor builds the n×n Gram of rows, each of length n, in the workspace and
+// factors it in place into d.eig.
+func (d *Detector) factor(n int, rows [][]float64) error {
+	if d.gram == nil || d.gram.Rows() != n {
+		d.gram = mat.NewMatrix(n, n)
 	}
-	sv := singularValues(eig.Values, d.cfg.NumFlows)
-	rank, err := d.chooseRank(sv, z, eig.Vector)
+	if err := mat.RowGramInto(d.gram, rows); err != nil {
+		return err
+	}
+	if err := d.eig.Factor(d.gram); err != nil {
+		return fmt.Errorf("sketch eigendecomposition: %w", err)
+	}
+	return nil
+}
+
+// fitGram fits the model through the m×m Gram ẐᵀẐ. The threshold reads
+// every λ̂, the detector only the leading r vectors, so only those are built,
+// straight into the model's basis.
+//
+// Past the sketch's numerical rank, where λ̂²_j ≤ m·2⁻⁵²·λ̂²_1 (l < m, or a
+// rank-deficient sketch), the eigenvalues are rounding noise of one
+// near-null space and its eigenvectors are not determined by the matrix: any
+// orthonormal basis of it is as good. There, and only there, the vectors the
+// rank rule reads and the basis keeps are the all-pairs mat.SymEigen's, the
+// exact reference the oracle decomposes, and a rank past it takes all r
+// columns from there.
+func (d *Detector) fitGram(z *mat.Matrix) (*Model, error) {
+	d.rows = d.rows[:0]
+	for k := 0; k < z.Rows(); k++ {
+		d.rows = append(d.rows, z.RowView(k))
+	}
+	err := d.factor(z.Cols(), d.rows)
+	clear(d.rows)
+	if err != nil {
+		return nil, err
+	}
+	m := d.cfg.NumFlows
+	floor := float64(m) * 0x1p-52 * d.eig.Values[0]
+	k := 0
+	for k < m && d.eig.Values[k] > floor {
+		k++
+	}
+	var full *mat.EigenSym
+	vector := func(j int) ([]float64, error) {
+		if j < k {
+			return d.eig.Vector(j)
+		}
+		if full == nil {
+			if full, err = mat.SymEigen(z.Gram()); err != nil {
+				return nil, err
+			}
+		}
+		col := make([]float64, m)
+		return col, full.Vectors.ColInto(j, col)
+	}
+	sv := singularValues(d.eig.Values, m)
+	rank, built, err := d.chooseRank(sv, z, vector)
 	if err != nil {
 		return nil, fmt.Errorf("rank selection: %w", err)
 	}
-	basis, err := eig.Vectors(rank)
-	if err != nil {
-		return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
+	if rank > k {
+		// The whole basis, so that its leading columns share the rounding of
+		// the near-null ones and stay orthogonal to them within n·ε, not
+		// ε·λ̂²_1/λ̂²_{k−1}.
+		if _, err := vector(k); err != nil {
+			return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
+		}
+		basis := mat.NewMatrix(m, rank)
+		for i := 0; i < m; i++ {
+			copy(basis.RowView(i), full.Vectors.RowView(i)[:rank])
+		}
+		return &Model{Components: basis, Singular: sv, Rank: rank}, nil
+	}
+	basis := columns(m, rank, built)
+	if built == nil {
+		if err := d.eig.VectorsInto(basis); err != nil {
+			return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
+		}
 	}
 	return &Model{Components: basis, Singular: sv, Rank: rank}, nil
 }
 
-// fitSmallSide fits the model through the l×l matrix ẐẐᵀ, which has the
-// Gram's non-zero spectrum: its eigenpairs are (λ̂²_j, u_j), â_j = Ẑᵀu_j/λ̂_j,
-// and the other m − l eigenvalues of the Gram are exactly zero. Nothing m×m is
-// formed or solved.
+// fitSmallSide fits the model through the l×l matrix ẐẐᵀ, built straight from
+// the per-flow sketches (the rows of Ẑᵀ), which has the Gram's non-zero
+// spectrum: its eigenpairs are (λ̂²_j, u_j), â_j = Ẑᵀu_j/λ̂_j, and the other
+// m − l eigenvalues of the Gram are exactly zero. Nothing m×m is formed or
+// solved.
 //
 // It returns errNeedGram when l ≥ m, or when the sketch is rank-deficient at
 // the cut: when the first residual component, or any component the rank rule
@@ -261,15 +335,15 @@ func (d *Detector) fitGram(z *mat.Matrix) (*Model, error) {
 // rounding noise rather than a unit vector, and the Gram's rounding-level
 // eigenvalues, which stand where this side has exact zeros, would set the
 // residual spectrum and the 3σ rule's stopping point.
-func (d *Detector) fitSmallSide(z *mat.Matrix) (*Model, error) {
+func (d *Detector) fitSmallSide(z *mat.Matrix, sketches [][]float64) (*Model, error) {
 	l := z.Rows()
 	if l >= z.Cols() {
 		return nil, errNeedGram
 	}
-	eig, err := mat.SymEigenLeading(z.T().Gram())
-	if err != nil {
-		return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
+	if err := d.factor(l, sketches); err != nil {
+		return nil, err
 	}
+	eig := &d.eig
 	sv := singularValues(eig.Values, d.cfg.NumFlows)
 	// λ̂_0 … λ̂_{k−1} are the components above rounding level.
 	floor := float64(l) * 0x1p-52 * eig.Values[0]
@@ -287,33 +361,54 @@ func (d *Detector) fitSmallSide(z *mat.Matrix) (*Model, error) {
 		}
 		return rightVector(z, u, sv[j])
 	}
-	rank, err := d.chooseRank(sv, z, vector)
+	rank, built, err := d.chooseRank(sv, z, vector)
 	if err != nil {
 		return nil, fmt.Errorf("rank selection: %w", err)
 	}
 	if rank >= k {
 		return nil, errNeedGram
 	}
-	// One replay for all r vectors; column j is bit for bit Vector(j).
-	u, err := eig.Vectors(rank)
-	if err != nil {
+	basis := columns(d.cfg.NumFlows, rank, built)
+	if built != nil {
+		return &Model{Components: basis, Singular: sv, Rank: rank}, nil
+	}
+	if d.u == nil || d.u.Rows() != l || d.u.Cols() != rank {
+		d.u = mat.NewMatrix(l, rank)
+	}
+	if err := eig.VectorsInto(d.u); err != nil {
 		return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
 	}
-	basis := mat.NewMatrix(d.cfg.NumFlows, rank)
-	col := make([]float64, l)
-	for j := 0; j < rank; j++ {
-		if err := u.ColInto(j, col); err != nil {
-			return nil, err
+	// Column j is rightVector(z, u_j, λ̂_j), accumulated in the same order.
+	for i := 0; i < l; i++ {
+		zi := z.RowView(i)
+		for j, uij := range d.u.RowView(i) {
+			if uij == 0 {
+				continue
+			}
+			for f, x := range zi {
+				basis.Set(f, j, basis.At(f, j)+uij*x)
+			}
 		}
-		v, err := rightVector(z, col, sv[j])
-		if err != nil {
-			return nil, err
-		}
-		for i, x := range v {
-			basis.Set(i, j, x)
+	}
+	for f := 0; f < d.cfg.NumFlows; f++ {
+		row := basis.RowView(f)
+		for j := range row {
+			row[j] /= sv[j]
 		}
 	}
 	return &Model{Components: basis, Singular: sv, Rank: rank}, nil
+}
+
+// columns returns the m×r basis whose first columns are vecs[:r], or a zero
+// one for nil vecs.
+func columns(m, r int, vecs [][]float64) *mat.Matrix {
+	basis := mat.NewMatrix(m, r)
+	for j := 0; j < r && vecs != nil; j++ {
+		for i, x := range vecs[j] {
+			basis.Set(i, j, x)
+		}
+	}
+	return basis
 }
 
 // singularValues returns λ̂_j = √λ̂²_j for the descending eigenvalues of a
@@ -466,7 +561,7 @@ func (d *Detector) RebuildFD(blocks []sketch.Snapshot, builtAt int64) error {
 	for j := 0; j < realLen; j++ {
 		sv[j] = pairs[j].s
 	}
-	rank, err := d.chooseRank(sv[:realLen], nil, nil)
+	rank, _, err := d.chooseRank(sv[:realLen], nil, nil)
 	if err != nil {
 		return fmt.Errorf("rank selection: %w", err)
 	}
@@ -509,53 +604,57 @@ func (d *Detector) Rebuild(f Fetch) error {
 // chooseRank applies the configured rank policy to a freshly decomposed
 // sketch matrix: sv is its spectrum. Only RankThreeSigma reads z, the sketch
 // matrix, and vector(j), â_j — asking for one vector at a time until its rule
-// stops; both are nil for FD, and NewDetector rejects that combination.
-func (d *Detector) chooseRank(sv []float64, z *mat.Matrix, vector func(int) ([]float64, error)) (int, error) {
+// stops; both are nil for FD, and NewDetector rejects that combination. It
+// returns the vectors it asked for, at least the first r, for the caller to
+// keep; nil under the other rules.
+func (d *Detector) chooseRank(sv []float64, z *mat.Matrix, vector func(int) ([]float64, error)) (int, [][]float64, error) {
 	switch d.cfg.Mode {
 	case RankFixed:
-		return d.cfg.FixedRank, nil
+		return d.cfg.FixedRank, nil, nil
 	case RankEnergy:
 		var total float64
 		for _, s := range sv {
 			total += s * s
 		}
 		if total == 0 {
-			return 0, nil
+			return 0, nil, nil
 		}
 		var acc float64
 		for j, s := range sv {
 			acc += s * s
 			if acc >= d.cfg.EnergyFrac*total {
-				return j + 1, nil
+				return j + 1, nil, nil
 			}
 		}
-		return len(sv), nil
+		return len(sv), nil, nil
 	case RankThreeSigma:
 		// Examine Ẑ·â_j one component at a time; the first projection with
 		// an element beyond 3σ_j starts the anomalous subspace (§IV-D).
 		l := z.Rows()
 		proj := make([]float64, l)
+		built := [][]float64{}
 		for j := 0; j < len(sv); j++ {
 			if sv[j] == 0 {
-				return j, nil
+				return j, built, nil
 			}
 			sigma := sv[j] / math.Sqrt(float64(l))
 			col, err := vector(j)
 			if err != nil {
-				return 0, err
+				return 0, nil, err
 			}
+			built = append(built, col)
 			if err := z.MulVecTo(proj, col); err != nil {
-				return 0, err
+				return 0, nil, err
 			}
 			for _, v := range proj {
 				if math.Abs(v) > 3*sigma {
-					return j, nil
+					return j, built, nil
 				}
 			}
 		}
-		return len(sv), nil
+		return len(sv), built, nil
 	default:
-		return 0, fmt.Errorf("%w: unknown rank mode %d", ErrConfig, int(d.cfg.Mode))
+		return 0, nil, fmt.Errorf("%w: unknown rank mode %d", ErrConfig, int(d.cfg.Mode))
 	}
 }
 
@@ -569,7 +668,10 @@ func (d *Detector) Distance(x []float64) (float64, error) {
 	if len(x) != m {
 		return 0, fmt.Errorf("%w: vector of %d for %d flows", ErrInput, len(x), m)
 	}
-	y := make([]float64, m)
+	if len(d.y) != m {
+		d.y = make([]float64, m)
+	}
+	y := d.y
 	for j, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return 0, fmt.Errorf("%w: non-finite measurement for flow %d", ErrInput, j)

@@ -3,6 +3,7 @@ package mat
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -91,7 +92,7 @@ func qlEigen(z *Matrix) ([]float64, error) {
 	d, e := make([]float64, n), make([]float64, n)
 	tridiagonalize(z.data, n, d, e)
 	accumulateReflections(z.data, n, d, e)
-	if err := tridiagonalQL(d, e, func(sw qlSweep) { sw.rotateRows(z.data, n) }); err != nil {
+	if err := tridiagonalQL(d, e, make([]float64, 0, 2*n), func(sw qlSweep) { sw.rotateRows(z.data, n) }); err != nil {
 		return nil, err
 	}
 	if !VecIsFinite(d) || !z.IsFinite() {
@@ -129,90 +130,108 @@ func components(z *Matrix) [][]int {
 
 // EigenLeading is a two-phase symmetric eigendecomposition: every eigenvalue
 // now, the eigenvectors only as many as asked for. It keeps the Householder
-// reflectors and the QL rotation log of its one solve, so Vectors(k) costs
-// O(k·(n² + rotations)) instead of the O(n³) of accumulating all n vectors.
-// The value is a pure function of the input matrix, like SymEigen's.
+// reflectors and the tridiagonal T = QᵀAQ of its one solve, so Vectors(k)
+// costs k inverse iterations on T, O(k·n) each, and the O(k·n²)
+// back-transform through the reflectors, instead of the O(n³) of
+// accumulating all n vectors. The value is a pure function of the input
+// matrix, like SymEigen's.
 type EigenLeading struct {
 	// Values are all n eigenvalues in descending order, bit for bit the
 	// Values SymEigen returns for the same irreducible matrix.
 	Values []float64
 
 	n int
-	// refl holds reflector i in row i's first i entries (tred2's layout);
-	// h[i] is its uᵀu/2, 0 for a reflection tridiagonalize skipped.
+	// refl holds reflector i in row i's first i entries (tred2's layout) and
+	// T's diagonal on its own; h[i] is the reflector's uᵀu/2, 0 for a
+	// reflection tridiagonalize skipped.
 	refl []float64
 	h    []float64
-	// sweeps is the QL rotation log, in the order the sweeps ran.
-	sweeps []qlSweep
-	// order[j] is the QL index of Values[j].
-	order []int
+	// off[i] couples rows i−1 and i of T, off[0] = off[n] = 0. T splits into
+	// unreduced blocks at the exact zeros of off, and blk[j] is the first row
+	// of the block Values[j] is an eigenvalue of. norm is ‖T‖₁.
+	off  []float64
+	blk  []int
+	norm float64
+	// Scratch, all carved from buf: QL's d, e and rotations cs; the iterate
+	// x, two entries longer than n; the rows of U in T − λI = P·L·U (diagonal
+	// u0, superdiagonals u1, u2); the back-transform's dot products g.
+	buf, d, e, x, u0, u1, u2, g, cs []float64
+	// tv holds the eigenvectors of T found since Factor, column-major.
+	tv []float64
 }
 
-// rotationChunk is how many floats SymEigenLeading's log allocates at a time
-// (32 KiB): the log of an m = 144 rebuild is ≈ 200 KB, and letting one slice
-// grow by append would allocate several times that to reach it.
-const rotationChunk = 4096
-
-// SymEigenLeading factors the symmetric matrix a for its eigenvalues and
-// leading eigenvectors: Householder reduction without accumulating Q, and one
-// QL iteration on the tridiagonal that logs its plane rotations instead of
-// applying them. Values are available at once and, for an irreducible matrix
-// (one component, see SymEigen), bitwise equal to SymEigen's; a reducible one
-// is not split here, so they agree to rounding error. Its one caller, the
-// randproj model build, factors a dense Gram of either side of the sketch
-// matrix, the l×l ẐẐᵀ or the m×m ẐᵀẐ. Vectors and Vector build
-// eigenvectors on demand by replaying the log backward on unit vectors and
-// reflecting the result through the stored Householder vectors. They agree
-// with SymEigen's to rounding error (the same transformations, applied in
-// another order).
-//
-// Errors are SymEigen's, reported here rather than by Vectors.
+// SymEigenLeading factors a copy of the symmetric matrix a (see Factor); a
+// is not modified.
 func SymEigenLeading(a *Matrix) (*EigenLeading, error) {
 	z, err := symmetrized(a)
 	if err != nil {
 		return nil, err
 	}
-	n := z.rows
-	f := &EigenLeading{Values: []float64{}, n: n}
-	if n == 0 {
-		return f, nil
-	}
-	h, e := make([]float64, n), make([]float64, n)
-	tridiagonalize(z.data, n, h, e)
-	// tridiagonalize leaves reflector i's scale in h[i] and the tridiagonal's
-	// diagonal on z's; accumulateReflections would copy it out the same way.
-	d := make([]float64, n)
-	for j := range d {
-		d[j] = z.data[j*n+j]
-	}
-	// The log keeps each sweep's (c, s) pairs in a slice carved from chunks
-	// of rotationChunk floats, since tridiagonalQL reuses its own buffer.
-	var free []float64
-	finite := true
-	f.sweeps = make([]qlSweep, 0, 2*n)
-	err = tridiagonalQL(d, e, func(sw qlSweep) {
-		if len(free) < len(sw.cs) {
-			free = make([]float64, max(len(sw.cs), rotationChunk))
-		}
-		own := free[:len(sw.cs):len(sw.cs)]
-		free = free[len(sw.cs):]
-		copy(own, sw.cs)
-		finite = finite && VecIsFinite(own)
-		f.sweeps = append(f.sweeps, qlSweep{lo: sw.lo, hi: sw.hi, cs: own})
-	})
-	if err != nil {
+	f := new(EigenLeading)
+	if err := f.Factor(z); err != nil {
 		return nil, err
 	}
-	if !finite || !VecIsFinite(d) || !z.IsFinite() {
-		return nil, fmt.Errorf("%w: ql eigendecomposition overflowed", ErrNoConverge)
-	}
-	f.refl, f.h = z.data, h
-	f.order = descendingOrder(d)
-	f.Values = make([]float64, n)
-	for j, src := range f.order {
-		f.Values[j] = d[src]
-	}
 	return f, nil
+}
+
+// Factor factors the symmetric matrix a in place for its eigenvalues and
+// leading eigenvectors: Householder reduction without accumulating Q, then
+// the QL iteration on the tridiagonal for values only. Values are available
+// at once and, for an irreducible matrix (one component, see SymEigen),
+// bitwise equal to SymEigen's; a reducible one is not split here, so they
+// agree to rounding error. Its one caller, the randproj model build, factors
+// a dense Gram of either side of the sketch matrix, the l×l ẐẐᵀ or the m×m
+// ẐᵀẐ, into one EigenLeading per detector.
+//
+// a must be exactly symmetric, as Gram's output is: unlike SymEigenLeading's
+// copy, it is not averaged with its transpose. Factor overwrites a and reads
+// it again in Vectors and Vector, up to the next Factor, which reuses f's
+// storage (Values included) whenever it is large enough. It returns ErrShape
+// for non-square input and ErrNoConverge if an eigenvalue does not settle or
+// the solve overflows, NaN and Inf entries included (SymEigenLeading reports
+// those as ErrNotFinite); Vectors reports ErrNoConverge only if an inverse
+// iteration does not settle.
+func (f *EigenLeading) Factor(a *Matrix) error {
+	n := a.rows
+	if n != a.cols {
+		return fmt.Errorf("%w: eigendecomposition of %dx%d", ErrShape, a.rows, a.cols)
+	}
+	if len(f.buf) < 12*n+3 {
+		f.blk, f.buf = make([]int, n), make([]float64, 12*n+3)
+	}
+	buf := f.buf
+	for _, s := range []*[]float64{&f.Values, &f.h, &f.d, &f.e, &f.u0, &f.u1, &f.u2, &f.g} {
+		*s, buf = buf[:n:n], buf[n:]
+	}
+	f.n, f.refl, f.blk, f.tv, f.norm = n, a.data, f.blk[:n], f.tv[:0], 0
+	f.off, f.x, f.cs = buf[:n+1], buf[n+1:2*n+3], buf[2*n+3:2*n+3:4*n+3]
+	if n == 0 {
+		return nil
+	}
+	tridiagonalize(a.data, n, f.h, f.e)
+	f.e[0], f.off[n] = 0, 0
+	copy(f.off, f.e)
+	for i := range f.d {
+		f.d[i] = a.data[i*n+i]
+		f.norm = math.Max(f.norm, math.Abs(f.d[i])+math.Abs(f.off[i])+math.Abs(f.off[i+1]))
+		f.u0[i] = float64(i)
+		if f.off[i] != 0 {
+			f.u0[i] = f.u0[i-1]
+		}
+	}
+	if err := tridiagonalQL(f.d, f.e, f.cs, func(qlSweep) {}); err != nil {
+		return err
+	}
+	if !VecIsFinite(f.d) || !a.IsFinite() {
+		return fmt.Errorf("%w: ql eigendecomposition overflowed", ErrNoConverge)
+	}
+	// QL never rotates across an exact zero of off, so d[i] is an eigenvalue
+	// of the block holding row i, which starts at row u0[i].
+	descendingOrder(f.blk, f.d)
+	for j, src := range f.blk {
+		f.Values[j], f.blk[j] = f.d[src], int(f.u0[src])
+	}
+	return nil
 }
 
 // Vectors returns the n×k matrix whose column j is the unit eigenvector for
@@ -221,72 +240,183 @@ func (f *EigenLeading) Vectors(k int) (*Matrix, error) {
 	if k < 0 || k > f.n {
 		return nil, fmt.Errorf("%w: %d leading eigenvectors of %d", ErrShape, k, f.n)
 	}
-	return f.vectors(f.order[:k]), nil
+	w := NewMatrix(f.n, k)
+	return w, f.vectors(w.data, 0, k)
+}
+
+// VectorsInto is Vectors(dst.Cols()) into the caller's n×k dst.
+func (f *EigenLeading) VectorsInto(dst *Matrix) error {
+	if dst.rows != f.n || dst.cols > f.n {
+		return fmt.Errorf("%w: %d leading eigenvectors of %d into %dx%d", ErrShape, dst.cols, f.n, dst.rows, dst.cols)
+	}
+	return f.vectors(dst.data, 0, dst.cols)
 }
 
 // Vector returns the unit eigenvector for Values[j], bit for bit column j of
-// any Vectors(k) with k > j: the columns are computed independently. It
+// any Vectors(k) with k > j: a column depends only on the columns before it
+// (see vectors), which Vector finds too but does not back-transform. It
 // returns ErrShape for j outside [0, n).
 func (f *EigenLeading) Vector(j int) ([]float64, error) {
 	if j < 0 || j >= f.n {
 		return nil, fmt.Errorf("%w: eigenvector %d of %d", ErrShape, j, f.n)
 	}
-	return f.vectors(f.order[j : j+1]).data, nil
+	v := make([]float64, f.n)
+	if err := f.vectors(v, j, j+1); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
-// vectors returns the n×len(src) matrix whose column c is the eigenvector of
-// the QL eigenvalue d[src[c]]: with SymEigen's accumulated V = Q·G₁⋯G_N, that
-// is Q·G₁⋯G_N·e_src, so the log replays last rotation first on the unit
-// vectors and the reflectors then apply first to last. The columns share
-// every pass over the log and the reflectors but no arithmetic.
-func (f *EigenLeading) vectors(src []int) *Matrix {
-	n, k := f.n, len(src)
-	w := NewMatrix(n, k)
-	for c, s := range src {
-		w.data[s*k+c] = 1
-	}
-	if k == 0 {
-		return w
-	}
-	for si := len(f.sweeps) - 1; si >= 0; si-- {
-		sw := f.sweeps[si]
-		p := len(sw.cs)
-		for i := sw.lo; i < sw.hi; i++ {
-			p -= 2
-			c, s := sw.cs[p], sw.cs[p+1]
-			wi := w.data[i*k : (i+1)*k]
-			wi1 := w.data[(i+1)*k : (i+2)*k]
-			for x, lo := range wi {
-				hi := wi1[x]
-				wi[x] = c*lo + s*hi
-				wi1[x] = c*hi - s*lo
+// vectors writes the eigenvectors for Values[from:k] into the n×(k−from)
+// row-major w. It finds the eigenvectors of T for Values[:k] that tv does
+// not hold yet, in order, and keeps them there; each comes from inverse
+// iteration on its block of T under LAPACK dstein's rules (a block of one is
+// a unit vector):
+//   - a shift within 10·ε·|λ| of the one before it in the block is moved that
+//     far below it, so that equal eigenvalues get distinct shifts;
+//   - the start vector is pseudo-random, seeded by the column;
+//   - each step scales the iterate b to n·‖T‖₁·max(ε, |u_nn|) in the max norm,
+//     solves (T − λI)x = b (see solveShifted) and orthogonalizes x by modified
+//     Gram–Schmidt;
+//   - a step counts once ‖x‖∞ reaches √(0.1/n); the iteration fails with
+//     ErrNoConverge after nine steps and leaves x unit, its largest entry
+//     positive.
+//
+// Two departures from dstein, each found by FuzzSymEigenLeading:
+//   - dstein orthogonalizes only within clusters, chains of eigenvalues less
+//     than 10⁻³·‖T‖₁ apart, which leaves vectors of different clusters
+//     orthogonal only to ε·‖T‖₁/gap (46·ε between two leading vectors of a
+//     20×20 Gram-like spectrum; 1.2 times TestSymEigenLeadingClusters'
+//     4·n·ε bound at n = 16 even with the step below). Here the Gram–Schmidt
+//     runs against every earlier vector of the block, at O(k²·n); another
+//     block's vectors are zero on this one.
+//   - dstein stops at the third counted step. Here four count, and a fifth
+//     solves with the shift raised by 10⁻⁸·‖T‖₁. Near a cluster narrower
+//     than rounding, T − λI is singular to working precision for several of
+//     its eigenvalues at once, so each member's solve returns much the same
+//     direction, the Gram–Schmidt cancels most of it, and what is left leaks
+//     out of the cluster by up to 10⁻¹¹ (residuals up to 6 times the
+//     bound). The raised shift amplifies every member alike and damps the
+//     leak by 10⁻⁸·‖T‖₁/gap.
+//
+// So column c depends on the columns before it and on nothing else, and is
+// found once per Factor, in order, whatever the calls asked for. The
+// reflectors then take w's columns to A's coordinates, first to last; the
+// columns share every pass over them but no arithmetic.
+func (f *EigenLeading) vectors(w []float64, from, k int) error {
+	n := f.n
+	for len(f.tv) < k*n {
+		c := len(f.tv) / n
+		lo, hi, lam := f.blk[c], f.blk[c]+1, math.Inf(1)
+		for hi < n && f.off[hi] != 0 {
+			hi++
+		}
+		for i := 0; i <= c; i++ {
+			if f.blk[i] == lo {
+				lam = min(f.Values[i], lam-10*0x1p-52*math.Abs(f.Values[i]))
 			}
 		}
+		x, seed := f.x[lo:hi], uint64(c)*0x9e3779b97f4a7c15
+		for i := range x {
+			seed += 0x9e3779b97f4a7c15
+			z := (seed ^ seed>>30) * 0xbf58476d1ce4e5b9
+			z = (z ^ z>>27) * 0x94d049bb133111eb
+			x[i] = float64((z^z>>31)>>11)*0x1p-52 - 1
+		}
+		for its, grown := 0, 0; len(x) > 1 && grown < 5; its++ {
+			if its == 9 {
+				return fmt.Errorf("%w: inverse iteration for eigenvector %d of %d", ErrNoConverge, c, n)
+			}
+			f.solveShifted(x, lo, lam+float64(grown/4)*1e-8*f.norm)
+			for p := 0; p < c; p++ {
+				prev := f.tv[p*n+lo : p*n+hi]
+				AddScaled(x, -Dot(x, prev), prev)
+			}
+			if math.Abs(x[iamax(x)]) >= math.Sqrt(0.1/float64(len(x))) {
+				grown++
+			}
+		}
+		norm := math.Copysign(Norm(x), x[iamax(x)])
+		f.tv = slices.Grow(f.tv, n)[:(c+1)*n]
+		clear(f.tv[c*n:])
+		for i, v := range x {
+			f.tv[c*n+lo+i] = v / norm
+		}
 	}
-	g := make([]float64, k)
+	k -= from
+	for c := 0; c < k; c++ {
+		for i := 0; i < n; i++ {
+			w[i*k+c] = f.tv[(from+c)*n+i]
+		}
+	}
+	g := f.g[:k]
 	for i := 1; i < n; i++ {
 		h := f.h[i]
 		if h == 0 {
 			continue
 		}
 		u := f.refl[i*n : i*n+i]
-		for c := range g {
-			g[c] = 0
-		}
+		clear(g)
 		for r, ur := range u {
-			for c, x := range w.data[r*k : (r+1)*k] {
-				g[c] += ur * x
+			for c, v := range w[r*k : (r+1)*k] {
+				g[c] += ur * v
 			}
 		}
 		for r, ur := range u {
 			ur /= h
-			row := w.data[r*k : (r+1)*k]
+			row := w[r*k : (r+1)*k]
 			for c := range row {
 				row[c] -= g[c] * ur
 			}
 		}
 	}
-	return w
+	return nil
+}
+
+// solveShifted overwrites the iterate x on T's block from row lo with
+// (T − λI)⁻¹·s·x: Gaussian elimination with partial pivoting on magnitude
+// (LAPACK dlagtf), s scaling L⁻¹P·x by dstein's n·‖T‖₁·max(ε, |u_nn|)/‖x‖∞,
+// and back substitution that takes a pivot below ε·‖T‖₁ as ±ε·‖T‖₁ (LAPACK
+// dlagts).
+func (f *EigenLeading) solveShifted(x []float64, lo int, lam float64) {
+	const eps = 0x1p-52
+	b, n, off, u0, u1, u2 := len(x), f.n, f.off[lo:], f.u0[lo:], f.u1[lo:], f.u2[lo:]
+	scale := float64(b) * f.norm / math.Abs(x[iamax(x)])
+	x = f.x[lo:]
+	x[b], x[b+1] = 0, 0
+	p0, p1 := f.refl[lo*n+lo]-lam, off[1]
+	for i := 0; i+1 < b; i++ {
+		sub, q0, q1 := off[i+1], f.refl[(lo+i+1)*(n+1)]-lam, off[i+2]
+		if math.Abs(sub) <= math.Abs(p0) {
+			m := sub / p0
+			u0[i], u1[i], u2[i] = p0, p1, 0
+			p0, p1, x[i+1] = q0-m*p1, q1, x[i+1]-m*x[i]
+		} else {
+			m := p0 / sub
+			u0[i], u1[i], u2[i] = sub, q0, q1
+			p0, p1, x[i], x[i+1] = p1-m*q0, -m*q1, x[i+1], x[i]-m*x[i+1]
+		}
+	}
+	u0[b-1], u1[b-1], u2[b-1] = p0, 0, 0
+	ScaleVec(x[:b], scale*math.Max(eps, math.Abs(p0)))
+	for i := b - 1; i >= 0; i-- {
+		t, p := x[i]-(u1[i]*x[i+1]+u2[i]*x[i+2]), u0[i]
+		if math.Abs(p) < eps*f.norm {
+			p = math.Copysign(eps*f.norm, p)
+		}
+		x[i] = t / p
+	}
+}
+
+// iamax returns the first index of the largest |x_i| (BLAS idamax).
+func iamax(x []float64) int {
+	best := 0
+	for i, v := range x {
+		if math.Abs(v) > math.Abs(x[best]) {
+			best = i
+		}
+	}
+	return best
 }
 
 // symmetrized validates an eigensolver's input and returns the working copy
@@ -472,15 +602,15 @@ func (sw qlSweep) rotateRows(z []float64, n int) {
 // tridiagonalQL diagonalizes the tridiagonal matrix (d, e) from
 // tridiagonalize by the implicit-shift QL iteration (EISPACK tql2). It records
 // each sweep's plane rotations instead of applying them inline and hands the
-// sweep to record, whose cs it reuses afterwards: d and e never read the
-// vectors, so SymEigen can rotate Qᵀ with each sweep and SymEigenLeading keep
-// the log for later. On return d holds the eigenvalues (unsorted).
-func tridiagonalQL(d, e []float64, record func(qlSweep)) error {
+// sweep to record, reusing cs (capacity 2n) for each sweep: d and e never
+// read the vectors, so SymEigen rotates Qᵀ with each sweep and Factor, whose
+// record does nothing, runs the same recurrence for values only. On return d
+// holds the eigenvalues (unsorted).
+func tridiagonalQL(d, e, cs []float64, record func(qlSweep)) error {
 	n := len(d)
 	copy(e, e[1:])
 	e[n-1] = 0
 
-	cs := make([]float64, 0, 2*n)
 	const eps = 0x1p-52
 	var f, tst1 float64
 	for l := 0; l < n; l++ {
@@ -543,14 +673,12 @@ func tridiagonalQL(d, e []float64, record func(qlSweep)) error {
 	return nil
 }
 
-// descendingOrder returns the permutation that sorts d descending.
-func descendingOrder(d []float64) []int {
-	order := make([]int, len(d))
+// descendingOrder fills order with the permutation that sorts d descending.
+func descendingOrder(order []int, d []float64) {
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return d[order[a]] > d[order[b]] })
-	return order
 }
 
 // finishEigen sorts the eigenpairs in descending eigenvalue order and
@@ -560,7 +688,9 @@ func finishEigen(d []float64, vt *Matrix) *EigenSym {
 	n := len(d)
 	values := make([]float64, n)
 	vectors := NewMatrix(n, n)
-	for j, src := range descendingOrder(d) {
+	order := make([]int, n)
+	descendingOrder(order, d)
+	for j, src := range order {
 		values[j] = d[src]
 		for i, x := range vt.data[src*n : (src+1)*n] {
 			vectors.data[i*n+j] = x

@@ -21,18 +21,10 @@ func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
 	// output rows are swept. Pure function of the shapes.
 	kb := o.rows
 	if o.cols > 0 {
-		if kb = tileBytes / (8 * o.cols); kb < 16 {
-			kb = 16
-		}
-		if kb > o.rows {
-			kb = o.rows
-		}
+		kb = min(max(tileBytes/(8*o.cols), 16), o.rows)
 	}
 	for k0 := 0; k0 < m.cols; k0 += kb {
-		k1 := k0 + kb
-		if k1 > m.cols {
-			k1 = m.cols
-		}
+		k1 := min(k0+kb, m.cols)
 		for i := 0; i < m.rows; i++ {
 			mrow := m.data[i*m.cols+k0 : i*m.cols+k1]
 			orow := out.data[i*o.cols : (i+1)*o.cols]
@@ -40,11 +32,7 @@ func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
 				if mv == 0 {
 					continue
 				}
-				k := k0 + kk
-				okrow := o.data[k*o.cols : (k+1)*o.cols]
-				for j, ov := range okrow {
-					orow[j] += mv * ov
-				}
+				AddScaled(orow, mv, o.RowView(k0+kk))
 			}
 		}
 	}
@@ -54,61 +42,73 @@ func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
 // Gram returns mᵀ·m (the c×c Gram matrix): one pass over the input rows
 // accumulates the upper triangle, which is then mirrored into the lower one.
 func (m *Matrix) Gram() *Matrix {
-	c := m.cols
-	out := NewMatrix(c, c)
-	gramAccumulate(m, out.data)
+	out := NewMatrix(m.cols, m.cols)
+	gramInto(out, m.rows, m.RowView)
+	return out
+}
+
+// RowGramInto overwrites the c×c dst with the Gram of the matrix whose rows
+// are rows, each of length c: bit for bit that matrix's Gram, without forming
+// the matrix.
+func RowGramInto(dst *Matrix, rows [][]float64) error {
+	bad := dst.rows != dst.cols
+	for _, r := range rows {
+		bad = bad || len(r) != dst.cols
+	}
+	if bad {
+		return fmt.Errorf("%w: gram of rows of other lengths into %dx%d", ErrShape, dst.rows, dst.cols)
+	}
+	gramInto(dst, len(rows), func(i int) []float64 { return rows[i] })
+	return nil
+}
+
+// gramInto overwrites the c×c out with the Gram of the rows row(0) …
+// row(rows−1), each of length c. One pass over the rows folds them into the
+// upper triangle, out[a][b] += row[a]·row[b] for b ≥ a, which is then mirrored
+// into the lower one. Rows are consumed in pairs — the panel is streamed once
+// per pair instead of once per row, and the two accumulation chains pipeline;
+// an odd last row pairs with zeros, which is the single-row update exactly.
+// The rows are resliced to length c and each panel row's operands to the
+// panel row's length, so the compiler drops the inner loops' bounds checks.
+// Zero entries skip their inner sweep entirely (the sketch matrices this
+// kernel serves are sparse for the sparse projection families); the skip only
+// elides adding ra·row[b] terms that are exactly ±0.
+func gramInto(out *Matrix, rows int, row func(int) []float64) {
+	c := out.cols
+	clear(out.data)
+	for i := 0; i < rows; i += 2 {
+		row0 := row(i)[:c]
+		row1 := row0
+		if i+1 < rows {
+			row1 = row(i + 1)[:c]
+		}
+		for a := 0; a < c; a++ {
+			r0, r1 := row0[a], row1[a]
+			if i+1 == rows {
+				r1 = 0
+			}
+			orow := out.data[a*c+a : (a+1)*c]
+			x0, x1 := row0[a:][:len(orow)], row1[a:][:len(orow)]
+			switch {
+			case r0 != 0 && r1 != 0:
+				for b := range orow {
+					orow[b] += r0*x0[b] + r1*x1[b]
+				}
+			case r0 != 0:
+				for b := range orow {
+					orow[b] += r0 * x0[b]
+				}
+			case r1 != 0:
+				for b := range orow {
+					orow[b] += r1 * x1[b]
+				}
+			}
+		}
+	}
 	for b := 1; b < c; b++ {
 		brow := out.data[b*c : b*c+b]
 		for a := range brow {
 			brow[a] = out.data[a*c+b]
-		}
-	}
-	return out
-}
-
-// gramAccumulate folds every input row into the upper triangle of the c×c
-// panel: out[a][b] += row[a]·row[b] for b ≥ a. Rows are consumed in pairs —
-// the panel is streamed once per pair instead of once per row, and the two
-// accumulation chains pipeline. Zero entries skip their inner sweep entirely
-// (the sketch matrices this kernel serves are sparse for the sparse
-// projection families); the skip only elides adding ra·row[b] terms that are
-// exactly ±0.
-func gramAccumulate(m *Matrix, out []float64) {
-	c := m.cols
-	i := 0
-	for ; i+1 < m.rows; i += 2 {
-		row0 := m.data[i*c : (i+1)*c]
-		row1 := m.data[(i+1)*c : (i+2)*c]
-		for a := 0; a < c; a++ {
-			r0, r1 := row0[a], row1[a]
-			orow := out[a*c+a : (a+1)*c]
-			switch {
-			case r0 != 0 && r1 != 0:
-				for b := range orow {
-					orow[b] += r0*row0[a+b] + r1*row1[a+b]
-				}
-			case r0 != 0:
-				for b := range orow {
-					orow[b] += r0 * row0[a+b]
-				}
-			case r1 != 0:
-				for b := range orow {
-					orow[b] += r1 * row1[a+b]
-				}
-			}
-		}
-	}
-	for ; i < m.rows; i++ {
-		row := m.data[i*c : (i+1)*c]
-		for a := 0; a < c; a++ {
-			ra := row[a]
-			if ra == 0 {
-				continue
-			}
-			orow := out[a*c+a : (a+1)*c]
-			for b := range orow {
-				orow[b] += ra * row[a+b]
-			}
 		}
 	}
 }

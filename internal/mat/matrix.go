@@ -5,7 +5,8 @@
 // SymEigen, every eigenpair, solved block by block when the matrix is
 // reducible (the exact references and Frequent Directions); and
 // SymEigenLeading, every eigenvalue and only the leading eigenvectors asked
-// for (the NOC model build).
+// for, by inverse iteration on the tridiagonal (the NOC model build, which
+// factors into storage it reuses from rebuild to rebuild).
 //
 // The package is deliberately small and dependency-free (stdlib only). It is
 // tuned for the matrix sizes that occur in network-wide PCA detection —
@@ -94,9 +95,7 @@ func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 
 // Row returns a copy of row i.
 func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
+	return append(make([]float64, 0, m.cols), m.RowView(i)...)
 }
 
 // RowView returns row i as a slice sharing the matrix's backing storage.
@@ -150,20 +149,11 @@ func (m *Matrix) Equal(o *Matrix, tol float64) bool {
 }
 
 // IsFinite reports whether every element is finite (no NaN/Inf).
-func (m *Matrix) IsFinite() bool {
-	for _, v := range m.data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
+func (m *Matrix) IsFinite() bool { return VecIsFinite(m.data) }
 
 // Scale multiplies every element by s in place and returns m.
 func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
+	ScaleVec(m.data, s)
 	return m
 }
 
@@ -173,9 +163,7 @@ func (m *Matrix) Sub(o *Matrix) (*Matrix, error) {
 		return nil, fmt.Errorf("%w: sub %dx%d and %dx%d", ErrShape, m.rows, m.cols, o.rows, o.cols)
 	}
 	out := m.Clone()
-	for i, v := range o.data {
-		out.data[i] -= v
-	}
+	AddScaled(out.data, -1, o.data)
 	return out, nil
 }
 
@@ -197,13 +185,8 @@ func (m *Matrix) MulVecTo(dst, v []float64) error {
 	if len(dst) != m.rows {
 		return fmt.Errorf("%w: mulvec %dx%d into buffer of %d", ErrShape, m.rows, m.cols, len(dst))
 	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, rv := range row {
-			s += rv * v[j]
-		}
-		dst[i] = s
+	for i := range dst {
+		dst[i] = Dot(m.RowView(i), v)
 	}
 	return nil
 }
@@ -214,39 +197,17 @@ func (m *Matrix) TMulVec(v []float64) ([]float64, error) {
 		return nil, fmt.Errorf("%w: tmulvec %dx%d by vector of %d", ErrShape, m.rows, m.cols, len(v))
 	}
 	out := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		vi := v[i]
-		if vi == 0 {
-			continue
-		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, rv := range row {
-			out[j] += vi * rv
+	for i, vi := range v {
+		if vi != 0 {
+			AddScaled(out, vi, m.RowView(i))
 		}
 	}
 	return out, nil
 }
 
-// FrobeniusNorm returns the Frobenius norm sqrt(Σ m_ij²).
-func (m *Matrix) FrobeniusNorm() float64 {
-	// Scaled accumulation to avoid overflow for large entries.
-	var scale, ssq float64 = 0, 1
-	for _, v := range m.data {
-		if v == 0 {
-			continue
-		}
-		av := math.Abs(v)
-		if scale < av {
-			r := scale / av
-			ssq = 1 + ssq*r*r
-			scale = av
-		} else {
-			r := av / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
+// FrobeniusNorm returns the Frobenius norm sqrt(Σ m_ij²), accumulated as
+// Norm does.
+func (m *Matrix) FrobeniusNorm() float64 { return Norm(m.data) }
 
 // MaxAbs returns the largest absolute element value (0 for empty matrices).
 func (m *Matrix) MaxAbs() float64 {
@@ -268,20 +229,11 @@ func (m *Matrix) CenterColumns() []float64 {
 		return means
 	}
 	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			means[j] += v
-		}
+		AddScaled(means, 1, m.RowView(i))
 	}
-	inv := 1 / float64(m.rows)
-	for j := range means {
-		means[j] *= inv
-	}
+	ScaleVec(means, 1/float64(m.rows))
 	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j := range row {
-			row[j] -= means[j]
-		}
+		AddScaled(m.RowView(i), -1, means)
 	}
 	return means
 }
@@ -289,28 +241,19 @@ func (m *Matrix) CenterColumns() []float64 {
 // String renders the matrix for debugging; large matrices are elided.
 func (m *Matrix) String() string {
 	const maxShow = 8
-	var b strings.Builder
-	b.WriteString(strconv.Itoa(m.rows))
-	b.WriteByte('x')
-	b.WriteString(strconv.Itoa(m.cols))
-	b.WriteString(" [")
-	for i := 0; i < m.rows && i < maxShow; i++ {
-		if i > 0 {
-			b.WriteString("; ")
-		}
-		for j := 0; j < m.cols && j < maxShow; j++ {
-			if j > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(strconv.FormatFloat(m.At(i, j), 'g', 5, 64))
+	var rows []string
+	for i := 0; i < min(m.rows, maxShow); i++ {
+		var row []string
+		for _, v := range m.RowView(i)[:min(m.cols, maxShow)] {
+			row = append(row, strconv.FormatFloat(v, 'g', 5, 64))
 		}
 		if m.cols > maxShow {
-			b.WriteString(" …")
+			row = append(row, "…")
 		}
+		rows = append(rows, strings.Join(row, " "))
 	}
 	if m.rows > maxShow {
-		b.WriteString("; …")
+		rows = append(rows, "…")
 	}
-	b.WriteByte(']')
-	return b.String()
+	return fmt.Sprintf("%dx%d [%s]", m.rows, m.cols, strings.Join(rows, "; "))
 }

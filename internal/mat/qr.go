@@ -28,21 +28,15 @@ func ComputeQR(a *Matrix) (*QR, error) {
 
 	for k := 0; k < m; k++ {
 		// Build the Householder vector for column k below the diagonal.
-		var normX float64
+		v := make([]float64, n-k)
 		for i := k; i < n; i++ {
-			x := r.data[i*m+k]
-			normX += x * x
+			v[i-k] = r.data[i*m+k]
 		}
-		normX = math.Sqrt(normX)
+		normX := math.Sqrt(Dot(v, v))
 		if normX == 0 {
 			continue
 		}
-		alpha := -math.Copysign(normX, r.data[k*m+k])
-		v := make([]float64, n-k)
-		v[0] = r.data[k*m+k] - alpha
-		for i := k + 1; i < n; i++ {
-			v[i-k] = r.data[i*m+k]
-		}
+		v[0] -= -math.Copysign(normX, v[0])
 		vnorm := Norm(v)
 		if vnorm == 0 {
 			continue
@@ -62,14 +56,8 @@ func ComputeQR(a *Matrix) (*QR, error) {
 		}
 		// Q ← Q(I − 2vvᵀ).
 		for i := 0; i < n; i++ {
-			var dot float64
-			for j := k; j < n; j++ {
-				dot += q.data[i*n+j] * v[j-k]
-			}
-			dot *= 2
-			for j := k; j < n; j++ {
-				q.data[i*n+j] -= dot * v[j-k]
-			}
+			row := q.data[i*n+k : (i+1)*n]
+			AddScaled(row, -2*Dot(row, v), v)
 		}
 	}
 
@@ -117,9 +105,6 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	qtb, err := qr.Q.TMulVec(b)
-	if err != nil {
-		return nil, err
-	}
+	qtb, _ := qr.Q.TMulVec(b) // Q has len(b) rows
 	return SolveUpperTriangular(qr.R, qtb)
 }

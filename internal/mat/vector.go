@@ -52,10 +52,9 @@ func ScaleVec(v []float64, s float64) {
 // original norm. A zero vector is left untouched and 0 is returned.
 func Normalize(v []float64) float64 {
 	n := Norm(v)
-	if n == 0 {
-		return 0
+	if n != 0 {
+		ScaleVec(v, 1/n)
 	}
-	ScaleVec(v, 1/n)
 	return n
 }
 
