@@ -116,12 +116,14 @@ type Detector struct {
 	// reused after that, so a rebuild allocates only the model it installs:
 	// gram is the Gram of the sketch matrix's smaller side, factored in place
 	// into eig; rows lists Ẑ's rows for the m×m side, u holds the l×l side's
-	// leading eigenvectors. y is Distance's centred measurement.
-	gram *mat.Matrix
-	eig  mat.EigenLeading
-	rows [][]float64
-	u    *mat.Matrix
-	y    []float64
+	// leading eigenvectors, uj one of them and aj its right vector. y is
+	// Distance's centred measurement.
+	gram   *mat.Matrix
+	eig    mat.EigenLeading
+	rows   [][]float64
+	u      *mat.Matrix
+	uj, aj []float64
+	y      []float64
 	// counters for the lazy protocol.
 	observations int64
 	fetches      int64
@@ -266,7 +268,13 @@ func (d *Detector) factor(n int, rows [][]float64) error {
 // orthonormal basis of it is as good. There, and only there, the vectors the
 // rank rule reads and the basis keeps are the all-pairs mat.SymEigen's, the
 // exact reference the oracle decomposes, and a rank past it takes all r
-// columns from there.
+// columns from there. Only a rank rule that reads past the numerical rank
+// gets there — a fixed rank above l, or a 3σ rule that passes every component
+// above rounding — and the path exists so that such a model is the one the
+// reference builds (TestLeadingBasisMatchesFullSolve's l < m rows). No
+// rebuild of abilene-eval's evaluations or of the benchmark's workloads takes
+// it. It allocates an m×m Gram and the full solve besides the model, 179 KB
+// at m = 81.
 func (d *Detector) fitGram(z *mat.Matrix) (*Model, error) {
 	d.rows = d.rows[:0]
 	for k := 0; k < z.Rows(); k++ {
@@ -359,7 +367,8 @@ func (d *Detector) fitSmallSide(z *mat.Matrix, sketches [][]float64) (*Model, er
 		if err != nil {
 			return nil, err
 		}
-		return rightVector(z, u, sv[j])
+		a := make([]float64, d.cfg.NumFlows)
+		return a, rightVector(a, z, u, sv[j])
 	}
 	rank, built, err := d.chooseRank(sv, z, vector)
 	if err != nil {
@@ -378,22 +387,18 @@ func (d *Detector) fitSmallSide(z *mat.Matrix, sketches [][]float64) (*Model, er
 	if err := eig.VectorsInto(d.u); err != nil {
 		return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
 	}
-	// Column j is rightVector(z, u_j, λ̂_j), accumulated in the same order.
-	for i := 0; i < l; i++ {
-		zi := z.RowView(i)
-		for j, uij := range d.u.RowView(i) {
-			if uij == 0 {
-				continue
-			}
-			for f, x := range zi {
-				basis.Set(f, j, basis.At(f, j)+uij*x)
-			}
-		}
+	if len(d.uj) != l || len(d.aj) != d.cfg.NumFlows {
+		d.uj, d.aj = make([]float64, l), make([]float64, d.cfg.NumFlows)
 	}
-	for f := 0; f < d.cfg.NumFlows; f++ {
-		row := basis.RowView(f)
-		for j := range row {
-			row[j] /= sv[j]
+	for j := 0; j < rank; j++ {
+		if err := d.u.ColInto(j, d.uj); err != nil {
+			return nil, err
+		}
+		if err := rightVector(d.aj, z, d.uj, sv[j]); err != nil {
+			return nil, err
+		}
+		for f, x := range d.aj {
+			basis.Set(f, j, x)
 		}
 	}
 	return &Model{Components: basis, Singular: sv, Rank: rank}, nil
@@ -425,17 +430,16 @@ func singularValues(values []float64, m int) []float64 {
 	return sv
 }
 
-// rightVector recovers the right singular vector Bᵀu/σ of the rows B from an
-// eigenvector u of B·Bᵀ with eigenvalue σ².
-func rightVector(b *mat.Matrix, u []float64, s float64) ([]float64, error) {
-	v, err := b.TMulVec(u)
-	if err != nil {
-		return nil, err
+// rightVector writes into dst the right singular vector Bᵀu/σ of the rows B,
+// recovered from an eigenvector u of B·Bᵀ with eigenvalue σ².
+func rightVector(dst []float64, b *mat.Matrix, u []float64, s float64) error {
+	if err := b.TMulVecTo(dst, u); err != nil {
+		return err
 	}
-	for i := range v {
-		v[i] /= s
+	for i := range dst {
+		dst[i] /= s
 	}
-	return v, nil
+	return nil
 }
 
 // finishModel runs the family-independent tail of every rebuild: the
@@ -569,8 +573,8 @@ func (d *Detector) RebuildFD(blocks []sketch.Snapshot, builtAt int64) error {
 	basis := mat.NewMatrix(m, rank)
 	for j := 0; j < rank && j < realLen; j++ {
 		p := pairs[j]
-		v, err := rightVector(p.rows, p.u, p.s)
-		if err != nil {
+		v := make([]float64, p.rows.Cols())
+		if err := rightVector(v, p.rows, p.u, p.s); err != nil {
 			return fmt.Errorf("fd component %d: %w", j, err)
 		}
 		for i, id := range p.ids {

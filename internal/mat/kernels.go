@@ -21,10 +21,18 @@ func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
 	// output rows are swept. Pure function of the shapes.
 	kb := o.rows
 	if o.cols > 0 {
-		kb = min(max(tileBytes/(8*o.cols), 16), o.rows)
+		if kb = tileBytes / (8 * o.cols); kb < 16 {
+			kb = 16
+		}
+		if kb > o.rows {
+			kb = o.rows
+		}
 	}
 	for k0 := 0; k0 < m.cols; k0 += kb {
-		k1 := min(k0+kb, m.cols)
+		k1 := k0 + kb
+		if k1 > m.cols {
+			k1 = m.cols
+		}
 		for i := 0; i < m.rows; i++ {
 			mrow := m.data[i*m.cols+k0 : i*m.cols+k1]
 			orow := out.data[i*o.cols : (i+1)*o.cols]
@@ -32,7 +40,11 @@ func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
 				if mv == 0 {
 					continue
 				}
-				AddScaled(orow, mv, o.RowView(k0+kk))
+				k := k0 + kk
+				okrow := o.data[k*o.cols : (k+1)*o.cols]
+				for j, ov := range okrow {
+					orow[j] += mv * ov
+				}
 			}
 		}
 	}
@@ -66,8 +78,7 @@ func RowGramInto(dst *Matrix, rows [][]float64) error {
 // row(rows−1), each of length c. One pass over the rows folds them into the
 // upper triangle, out[a][b] += row[a]·row[b] for b ≥ a, which is then mirrored
 // into the lower one. Rows are consumed in pairs — the panel is streamed once
-// per pair instead of once per row, and the two accumulation chains pipeline;
-// an odd last row pairs with zeros, which is the single-row update exactly.
+// per pair instead of once per row, and the two accumulation chains pipeline.
 // The rows are resliced to length c and each panel row's operands to the
 // panel row's length, so the compiler drops the inner loops' bounds checks.
 // Zero entries skip their inner sweep entirely (the sketch matrices this
@@ -76,17 +87,11 @@ func RowGramInto(dst *Matrix, rows [][]float64) error {
 func gramInto(out *Matrix, rows int, row func(int) []float64) {
 	c := out.cols
 	clear(out.data)
-	for i := 0; i < rows; i += 2 {
-		row0 := row(i)[:c]
-		row1 := row0
-		if i+1 < rows {
-			row1 = row(i + 1)[:c]
-		}
+	i := 0
+	for ; i+1 < rows; i += 2 {
+		row0, row1 := row(i)[:c], row(i + 1)[:c]
 		for a := 0; a < c; a++ {
 			r0, r1 := row0[a], row1[a]
-			if i+1 == rows {
-				r1 = 0
-			}
 			orow := out.data[a*c+a : (a+1)*c]
 			x0, x1 := row0[a:][:len(orow)], row1[a:][:len(orow)]
 			switch {
@@ -102,6 +107,20 @@ func gramInto(out *Matrix, rows int, row func(int) []float64) {
 				for b := range orow {
 					orow[b] += r1 * x1[b]
 				}
+			}
+		}
+	}
+	for ; i < rows; i++ {
+		r := row(i)[:c]
+		for a := 0; a < c; a++ {
+			ra := r[a]
+			if ra == 0 {
+				continue
+			}
+			orow := out.data[a*c+a : (a+1)*c]
+			x := r[a:][:len(orow)]
+			for b := range orow {
+				orow[b] += ra * x[b]
 			}
 		}
 	}

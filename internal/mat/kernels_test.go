@@ -206,6 +206,37 @@ func TestMulVecTo(t *testing.T) {
 	}
 }
 
+func TestTMulVecTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	m := randomSparseMatrix(rng, 11, 17)
+	v := make([]float64, 11)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	want, err := m.T().MulVec(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, 17)
+	for i := range dst {
+		dst[i] = math.NaN() // overwritten, not accumulated into
+	}
+	if err := m.TMulVecTo(dst, v); err != nil {
+		t.Fatal(err)
+	}
+	for j := range dst {
+		if dst[j] != want[j] {
+			t.Fatalf("column %d: %v != %v", j, dst[j], want[j])
+		}
+	}
+	if err := m.TMulVecTo(make([]float64, 3), v); !errors.Is(err, ErrShape) {
+		t.Fatal("want shape error for short dst")
+	}
+	if err := m.TMulVecTo(dst, make([]float64, 4)); !errors.Is(err, ErrShape) {
+		t.Fatal("want shape error for short v")
+	}
+}
+
 // bitIdentical reports exact elementwise equality (no tolerance).
 func bitIdentical(a, b *Matrix) bool {
 	if a.rows != b.rows || a.cols != b.cols {

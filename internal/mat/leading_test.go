@@ -59,27 +59,31 @@ func sortDescending(x []float64) {
 
 // checkClusters holds SymEigenLeading on a = Q·diag(values)·Qᵀ to the
 // leading-vector contract, with ql = SymEigen(a) the reference and k the
-// number of values the groups cover. With ε = 2⁻⁵² and ‖A‖ the Frobenius norm:
+// number of values the groups cover. With ε = 2⁻⁵², ‖A‖ the Frobenius norm
+// and ν = max(n, 8):
 //
 //	the Values equal ql's bit for bit when a is irreducible;
 //	Vector(j) is column j of Vectors(k) bit for bit;
-//	‖VᵀV − I‖_F              ≤ 4·n·ε;
-//	‖A·v_j − λ_j·v_j‖         ≤ 2·n·ε·‖A‖ for every j < k;
-//	‖V_G·V_Gᵀ − W_G·W_Gᵀ‖_F  ≤ max(n, 8)·ε·‖A‖/gap_G for each group G,
+//	‖VᵀV − I‖_F              ≤ 4·ν·ε;
+//	‖A·v_j − λ_j·v_j‖         ≤ 2·ν·ε·‖A‖ for every j < k;
+//	‖V_G·V_Gᵀ − W_G·W_Gᵀ‖_F  ≤ n·ε·‖A‖/gap_G for each group G, from n = 8,
 //
 // W_G being ql's vectors for G and gap_G G's distance to the rest of the
 // prescribed spectrum: a whole cluster's projector is determined where its
-// vectors are not. Below n = 8 the projector bound would fall under the few
-// ulps of rounding that forming A and the two projectors carry: at n = 3,
-// SymEigen's own projector is up to 1.4 times n·ε·‖A‖/gap from the exact
-// one's. Worst measured over 80 000 seeded inputs of FuzzSymEigenLeading's
-// shape, as a fraction of each bound: orthonormality 0.61, residual 0.68,
-// projector 0.70 at n ≥ 8 (2.5 at n ≤ 5 against n·ε·‖A‖/gap).
+// vectors are not. Below n = 8 rounding that does not grow with n dominates.
+// Over 20 000 seeds for each n from 3 to 12, as a fraction of 4·n·ε, 2·n·ε·‖A‖
+// and n·ε·‖A‖/gap, the worst orthonormality is 0.67, 0.58, 0.52, 0.52, 0.43
+// at n = 3 … 7 (0.43 at 8, 0.30 at 12), the worst residual 0.93, 0.67, 0.72,
+// 0.45, 0.45 (0.36, 0.28), and the worst projector 3.5, 2.0, 1.8, 0.64, 0.60
+// (0.54, 0.47). There the reference is the weak side: SymEigen's own
+// projector is up to 5.8, 4.0, 2.4, 1.1 and 0.90 times n·ε·‖A‖/gap from the
+// exact one, so below n = 8 the projectors are not compared; the
+// orthonormality and residual bounds, floored at ν, still hold there.
 func checkClusters(t *testing.T, name string, a *Matrix, values []float64, groups [][2]int) {
 	t.Helper()
 	const eps = 0x1p-52
 	n := a.Rows()
-	nEps, norm := float64(n)*eps, a.FrobeniusNorm()
+	nEps, norm := float64(max(n, 8))*eps, a.FrobeniusNorm()
 	ql, err := SymEigen(a)
 	if err != nil {
 		t.Fatalf("%s: SymEigen: %v", name, err)
@@ -126,6 +130,9 @@ func checkClusters(t *testing.T, name string, a *Matrix, values []float64, group
 	if orth := vtv.FrobeniusNorm(); orth > 4*nEps {
 		t.Errorf("%s: ‖VᵀV−I‖_F = %.3g > %.3g", name, orth, 4*nEps)
 	}
+	if n < 8 {
+		return
+	}
 	for _, g := range groups {
 		gap := math.Inf(1)
 		if g[0] > 0 {
@@ -142,7 +149,7 @@ func checkClusters(t *testing.T, name string, a *Matrix, values []float64, group
 				}
 			}
 		}
-		if d, tol := diff.FrobeniusNorm(), float64(max(n, 8))*eps*norm/gap; d > tol {
+		if d, tol := diff.FrobeniusNorm(), float64(n)*eps*norm/gap; d > tol {
 			t.Errorf("%s: group %v (λ %v…%v): projector off SymEigen's by %.3g > %.3g (gap %.3g)",
 				name, g, values[g[0]], values[g[1]-1], d, tol, gap)
 		}
@@ -168,7 +175,8 @@ func TestSymEigenLeadingClusters(t *testing.T) {
 // on fuzzer-chosen inputs: n ≤ 48, a clustered spectrum with forced ties
 // (clusteredSpectrum, its widths starting where the fuzzer says) and a seeded
 // orthogonal basis, held to checkClusters' bounds. The seed corpus ends with
-// five inputs that broke the bounds under LAPACK dstein's own rules (see
+// an n = 3 input whose projector is 3.5 times n·ε·‖A‖/gap from SymEigen's,
+// and five inputs that broke the bounds under LAPACK dstein's own rules (see
 // EigenLeading.vectors): four whose three-member clusters of relative width
 // 0 or 10⁻¹⁴ leaked under its stopping rule, one whose vectors of different
 // clusters it left too far from orthogonal.
@@ -179,7 +187,7 @@ func FuzzSymEigenLeading(f *testing.F) {
 		first uint8
 	}{
 		{1, 8, 0}, {2, 48, 1}, {3, 3, 2}, {4, 17, 3}, {5, 33, 4}, {6, 1, 0},
-		{-43, 46, 4}, {18279, 39, 0}, {-13422, 34, 0}, {-6264, 40, 4}, {-57, 111, 73},
+		{16254, 2, 4}, {-43, 46, 4}, {18279, 39, 0}, {-13422, 34, 0}, {-6264, 40, 4}, {-57, 111, 73},
 	} {
 		f.Add(seed.seed, seed.n, seed.first)
 	}

@@ -95,7 +95,9 @@ func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 
 // Row returns a copy of row i.
 func (m *Matrix) Row(i int) []float64 {
-	return append(make([]float64, 0, m.cols), m.RowView(i)...)
+	out := make([]float64, m.cols)
+	copy(out, m.data[i*m.cols:(i+1)*m.cols])
+	return out
 }
 
 // RowView returns row i as a slice sharing the matrix's backing storage.
@@ -149,11 +151,20 @@ func (m *Matrix) Equal(o *Matrix, tol float64) bool {
 }
 
 // IsFinite reports whether every element is finite (no NaN/Inf).
-func (m *Matrix) IsFinite() bool { return VecIsFinite(m.data) }
+func (m *Matrix) IsFinite() bool {
+	for _, v := range m.data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
 
 // Scale multiplies every element by s in place and returns m.
 func (m *Matrix) Scale(s float64) *Matrix {
-	ScaleVec(m.data, s)
+	for i := range m.data {
+		m.data[i] *= s
+	}
 	return m
 }
 
@@ -163,7 +174,9 @@ func (m *Matrix) Sub(o *Matrix) (*Matrix, error) {
 		return nil, fmt.Errorf("%w: sub %dx%d and %dx%d", ErrShape, m.rows, m.cols, o.rows, o.cols)
 	}
 	out := m.Clone()
-	AddScaled(out.data, -1, o.data)
+	for i, v := range o.data {
+		out.data[i] -= v
+	}
 	return out, nil
 }
 
@@ -185,29 +198,69 @@ func (m *Matrix) MulVecTo(dst, v []float64) error {
 	if len(dst) != m.rows {
 		return fmt.Errorf("%w: mulvec %dx%d into buffer of %d", ErrShape, m.rows, m.cols, len(dst))
 	}
-	for i := range dst {
-		dst[i] = Dot(m.RowView(i), v)
+	for i := 0; i < m.rows; i++ {
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		var s float64
+		for j, rv := range row {
+			s += rv * v[j]
+		}
+		dst[i] = s
 	}
 	return nil
 }
 
 // TMulVec returns mᵀ·v without materializing the transpose.
 func (m *Matrix) TMulVec(v []float64) ([]float64, error) {
-	if m.rows != len(v) {
-		return nil, fmt.Errorf("%w: tmulvec %dx%d by vector of %d", ErrShape, m.rows, m.cols, len(v))
-	}
 	out := make([]float64, m.cols)
-	for i, vi := range v {
-		if vi != 0 {
-			AddScaled(out, vi, m.RowView(i))
-		}
+	if err := m.TMulVecTo(out, v); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// FrobeniusNorm returns the Frobenius norm sqrt(Σ m_ij²), accumulated as
-// Norm does.
-func (m *Matrix) FrobeniusNorm() float64 { return Norm(m.data) }
+// TMulVecTo computes mᵀ·v into dst (length Cols) without allocating or
+// materializing the transpose. dst must not alias v.
+func (m *Matrix) TMulVecTo(dst, v []float64) error {
+	if m.rows != len(v) {
+		return fmt.Errorf("%w: tmulvec %dx%d by vector of %d", ErrShape, m.rows, m.cols, len(v))
+	}
+	if len(dst) != m.cols {
+		return fmt.Errorf("%w: tmulvec %dx%d into buffer of %d", ErrShape, m.rows, m.cols, len(dst))
+	}
+	clear(dst)
+	for i := 0; i < m.rows; i++ {
+		vi := v[i]
+		if vi == 0 {
+			continue
+		}
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		for j, rv := range row {
+			dst[j] += vi * rv
+		}
+	}
+	return nil
+}
+
+// FrobeniusNorm returns the Frobenius norm sqrt(Σ m_ij²).
+func (m *Matrix) FrobeniusNorm() float64 {
+	// Scaled accumulation to avoid overflow for large entries.
+	var scale, ssq float64 = 0, 1
+	for _, v := range m.data {
+		if v == 0 {
+			continue
+		}
+		av := math.Abs(v)
+		if scale < av {
+			r := scale / av
+			ssq = 1 + ssq*r*r
+			scale = av
+		} else {
+			r := av / scale
+			ssq += r * r
+		}
+	}
+	return scale * math.Sqrt(ssq)
+}
 
 // MaxAbs returns the largest absolute element value (0 for empty matrices).
 func (m *Matrix) MaxAbs() float64 {
@@ -229,11 +282,20 @@ func (m *Matrix) CenterColumns() []float64 {
 		return means
 	}
 	for i := 0; i < m.rows; i++ {
-		AddScaled(means, 1, m.RowView(i))
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		for j, v := range row {
+			means[j] += v
+		}
 	}
-	ScaleVec(means, 1/float64(m.rows))
+	inv := 1 / float64(m.rows)
+	for j := range means {
+		means[j] *= inv
+	}
 	for i := 0; i < m.rows; i++ {
-		AddScaled(m.RowView(i), -1, means)
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		for j := range row {
+			row[j] -= means[j]
+		}
 	}
 	return means
 }
@@ -241,19 +303,28 @@ func (m *Matrix) CenterColumns() []float64 {
 // String renders the matrix for debugging; large matrices are elided.
 func (m *Matrix) String() string {
 	const maxShow = 8
-	var rows []string
-	for i := 0; i < min(m.rows, maxShow); i++ {
-		var row []string
-		for _, v := range m.RowView(i)[:min(m.cols, maxShow)] {
-			row = append(row, strconv.FormatFloat(v, 'g', 5, 64))
+	var b strings.Builder
+	b.WriteString(strconv.Itoa(m.rows))
+	b.WriteByte('x')
+	b.WriteString(strconv.Itoa(m.cols))
+	b.WriteString(" [")
+	for i := 0; i < m.rows && i < maxShow; i++ {
+		if i > 0 {
+			b.WriteString("; ")
+		}
+		for j := 0; j < m.cols && j < maxShow; j++ {
+			if j > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(strconv.FormatFloat(m.At(i, j), 'g', 5, 64))
 		}
 		if m.cols > maxShow {
-			row = append(row, "…")
+			b.WriteString(" …")
 		}
-		rows = append(rows, strings.Join(row, " "))
 	}
 	if m.rows > maxShow {
-		rows = append(rows, "…")
+		b.WriteString("; …")
 	}
-	return fmt.Sprintf("%dx%d [%s]", m.rows, m.cols, strings.Join(rows, "; "))
+	b.WriteByte(']')
+	return b.String()
 }

@@ -28,15 +28,21 @@ func ComputeQR(a *Matrix) (*QR, error) {
 
 	for k := 0; k < m; k++ {
 		// Build the Householder vector for column k below the diagonal.
-		v := make([]float64, n-k)
+		var normX float64
 		for i := k; i < n; i++ {
-			v[i-k] = r.data[i*m+k]
+			x := r.data[i*m+k]
+			normX += x * x
 		}
-		normX := math.Sqrt(Dot(v, v))
+		normX = math.Sqrt(normX)
 		if normX == 0 {
 			continue
 		}
-		v[0] -= -math.Copysign(normX, v[0])
+		alpha := -math.Copysign(normX, r.data[k*m+k])
+		v := make([]float64, n-k)
+		v[0] = r.data[k*m+k] - alpha
+		for i := k + 1; i < n; i++ {
+			v[i-k] = r.data[i*m+k]
+		}
 		vnorm := Norm(v)
 		if vnorm == 0 {
 			continue
@@ -56,8 +62,14 @@ func ComputeQR(a *Matrix) (*QR, error) {
 		}
 		// Q ← Q(I − 2vvᵀ).
 		for i := 0; i < n; i++ {
-			row := q.data[i*n+k : (i+1)*n]
-			AddScaled(row, -2*Dot(row, v), v)
+			var dot float64
+			for j := k; j < n; j++ {
+				dot += q.data[i*n+j] * v[j-k]
+			}
+			dot *= 2
+			for j := k; j < n; j++ {
+				q.data[i*n+j] -= dot * v[j-k]
+			}
 		}
 	}
 
@@ -105,6 +117,9 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	qtb, _ := qr.Q.TMulVec(b) // Q has len(b) rows
+	qtb, err := qr.Q.TMulVec(b)
+	if err != nil {
+		return nil, err
+	}
 	return SolveUpperTriangular(qr.R, qtb)
 }

@@ -52,9 +52,10 @@ func ScaleVec(v []float64, s float64) {
 // original norm. A zero vector is left untouched and 0 is returned.
 func Normalize(v []float64) float64 {
 	n := Norm(v)
-	if n != 0 {
-		ScaleVec(v, 1/n)
+	if n == 0 {
+		return 0
 	}
+	ScaleVec(v, 1/n)
 	return n
 }
 
