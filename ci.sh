@@ -151,6 +151,28 @@ if ! diff "$EVAL_TMP/aggs0" "$EVAL_TMP/aggs3"; then
 fi
 step_done
 
+# The three small examples (~0.2-0.4 s each): quickstart and ddos must end
+# on their "result: ... ✔" line, botnet must print its three event rows
+# (exact vs sketch detections per injected event).
+step "small examples (examples/quickstart, examples/ddos, examples/botnet)"
+for ex in quickstart ddos botnet; do
+    go build -o "$EVAL_TMP/$ex" "./examples/$ex"
+    "$EVAL_TMP/$ex" > "$EVAL_TMP/$ex.out"
+done
+for ex in quickstart ddos; do
+    if ! grep -q '^result: .* ✔$' "$EVAL_TMP/$ex.out"; then
+        echo "examples/$ex printed no passing result line:" >&2
+        cat "$EVAL_TMP/$ex.out" >&2
+        exit 1
+    fi
+done
+if [ "$(grep -cE '^flows \[[0-9 ]+\] \[[0-9]+,[0-9]+\): +[0-9]+/[0-9]+ +[0-9]+/[0-9]+$' "$EVAL_TMP/botnet.out")" -ne 3 ]; then
+    echo "examples/botnet did not print its three event rows:" >&2
+    cat "$EVAL_TMP/botnet.out" >&2
+    exit 1
+fi
+step_done
+
 # Fuzz smokes: ten seconds of coverage-guided input on each hostile decoder
 # (NetFlow v5 datagrams off the wire, trace CSVs off disk, peer snapshots an
 # aggregator validates and merges, the column frame of a sketch response),

@@ -8,15 +8,15 @@
 //
 // Usage:
 //
-//	sketchpca-agg -listen 127.0.0.1:7201 -noc 127.0.0.1:7100 \
-//	    -id agg-east -flows 81 -window 4032 -sketch 200 -seed 42 \
+//	sketchpca-agg -listen 127.0.0.1:7201 -noc 127.0.0.1:7100 -id agg-east \
 //	    -peers 127.0.0.1:7201,127.0.0.1:7202,127.0.0.1:7203
 //
-// -window, -sketch, -sketcher and (randproj only) -seed must match both the
-// NOC's and the monitors'. -peers lists every aggregator fronting the same
-// NOC (including this one); it is pushed to registering monitors so they can
-// re-place themselves by rendezvous hashing if this aggregator dies.
-// Monitors pick their aggregator with sketchpca-monitor -aggs.
+// The aggregator dials the NOC before it serves: it adopts the protocol
+// parameters the NOC announces and announces them to its monitors. -peers
+// lists every aggregator fronting the same NOC (including this one); it is
+// pushed to registering monitors so they can re-place themselves by
+// rendezvous hashing if this aggregator dies. Monitors pick their
+// aggregator with sketchpca-monitor -aggs.
 package main
 
 import (
@@ -25,7 +25,6 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"streampca/internal/agg"
@@ -47,10 +46,6 @@ func run(args []string) error {
 		listen   = fs.String("listen", "127.0.0.1:7200", "listen address for downstream monitors")
 		nocAddr  = fs.String("noc", "127.0.0.1:7100", "upstream NOC address")
 		id       = fs.String("id", "agg-1", "aggregator identifier (the monitor id the NOC sees)")
-		flows    = fs.Int("flows", 81, "network-wide number of aggregated flows (m)")
-		window   = fs.Int("window", 4032, "sliding-window length in intervals (n)")
-		sk       = cliflags.Sketcher(fs, " (must match NOC and monitors)")
-		seed     = fs.Uint64("seed", 42, "shared randomness seed (randproj only)")
 		peersStr = fs.String("peers", "", "comma-separated aggregator candidate addresses (incl. this one) pushed to monitors for failover")
 		epoch    = fs.Uint64("shard-epoch", 1, "version of the pushed candidate list (bump when -peers changes)")
 		pull     = cliflags.Pull(fs, tier.AggPull, "timeout for one downstream sketch-pull round")
@@ -61,25 +56,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	fam, err := sk.Family()
-	if err != nil {
-		return err
-	}
-	var peers []string
-	if strings.TrimSpace(*peersStr) != "" {
-		for _, p := range strings.Split(*peersStr, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peers = append(peers, p)
-			}
-		}
-	}
+	peers := cliflags.List(*peersStr)
 	svc, err := agg.New(agg.Config{
 		ID:          *id,
-		Family:      fam,
-		NumFlows:    *flows,
-		WindowLen:   *window,
-		SketchLen:   sk.Len,
-		Seed:        *seed,
 		Peers:       peers,
 		ShardEpoch:  *epoch,
 		Pull:        *pull,
@@ -91,15 +70,16 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := svc.Serve(*listen); err != nil {
-		return err
-	}
 	if err := svc.ConnectNOC(*nocAddr, tier.DialTimeout); err != nil {
 		_ = svc.Close()
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "sketchpca-agg: %s listening on %s, upstream %s (m=%d n=%d sketch=%d family=%s peers=%d)\n",
-		*id, svc.Addr(), *nocAddr, *flows, *window, sk.Len, fam, len(peers))
+	if err := svc.Serve(*listen); err != nil {
+		_ = svc.Close()
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "sketchpca-agg: %s listening on %s, upstream %s (%+v, %d peers)\n",
+		*id, svc.Addr(), *nocAddr, svc.Params(), len(peers))
 
 	stopStats := metrics.LogEvery(svc.LogSummary)
 

@@ -210,9 +210,6 @@ func TestRunIngestMatchesDirectFeed(t *testing.T) {
 			"-noc", nocA.Addr(),
 			"-id", "ingest-e2e",
 			"-flows", "0,1,2,3,4,5,6,7,8",
-			"-window", itoa(e2eWindow),
-			"-sketch", itoa(e2eSketch),
-			"-seed", itoa(e2eSeed),
 			"-ingest-listen", listen,
 			"-routers", itoa(e2eRouters),
 			"-interval", "300s",
@@ -256,9 +253,6 @@ func TestRunIngestMatchesDirectFeed(t *testing.T) {
 			"-noc", nocB.Addr(),
 			"-id", "csv-e2e",
 			"-flows", "0,1,2,3,4,5,6,7,8",
-			"-window", itoa(e2eWindow),
-			"-sketch", itoa(e2eSketch),
-			"-seed", itoa(e2eSeed),
 		}, pr, nil)
 	}()
 	gotB := make(map[int64]noc.Decision, e2eIntervals)

@@ -16,12 +16,13 @@
 // Usage:
 //
 //	trafficgen -intervals 8064 | sketchpca-monitor \
-//	    -noc 127.0.0.1:7100 -id mon-east \
-//	    -flows 0,1,2,9,10,11 \
-//	    -window 4032 -sketch 200 -seed 42
+//	    -noc 127.0.0.1:7100 -id mon-east -flows 0,1,2,9,10,11
 //
 //	sketchpca-monitor -noc 127.0.0.1:7100 -id mon-east \
 //	    -flows 0,1,2 -ingest-listen 127.0.0.1:2055 -interval 5m
+//
+// The monitor builds its sketch state from the protocol parameters the NOC
+// announces (through its aggregator, with -aggs) when it registers.
 package main
 
 import (
@@ -43,7 +44,6 @@ import (
 	"streampca/internal/ingest"
 	"streampca/internal/monitor"
 	"streampca/internal/obs"
-	"streampca/internal/randproj"
 	"streampca/internal/tier"
 	"streampca/internal/trace"
 	"streampca/internal/traffic"
@@ -66,10 +66,6 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 		aggsStr = fs.String("aggs", "", "comma-separated aggregator candidate addresses; when set the monitor registers with its rendezvous-preferred aggregator instead of -noc (federated topology)")
 		id      = fs.String("id", "monitor-1", "monitor identifier")
 		flowStr = fs.String("flows", "", "comma-separated global flow ids owned by this monitor")
-		window  = fs.Int("window", 4032, "sliding-window length (n)")
-		sk      = cliflags.Sketcher(fs, " (must match the NOC)")
-		epsilon = fs.Float64("epsilon", 0.01, "variance-histogram ε (randproj only)")
-		seed    = fs.Uint64("seed", 42, "shared randomness seed (randproj only)")
 		redial  = cliflags.Redial(fs)
 		selfchk = cliflags.SelfCheck(fs, "validate the sketch state against an exact-window oracle every Nth interval (0 = off)")
 		metrics = cliflags.Metrics(fs, "/metrics, /healthz and /debug/pprof")
@@ -113,26 +109,10 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 	}
 	defer func() { _ = recorder.Close() }()
 
-	fam, err := sk.Family()
-	if err != nil {
-		return err
-	}
-	var aggs []string
-	if strings.TrimSpace(*aggsStr) != "" {
-		for _, a := range strings.Split(*aggsStr, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				aggs = append(aggs, a)
-			}
-		}
-	}
+	aggs := cliflags.List(*aggsStr)
 	svc, err := monitor.New(monitor.Config{
 		ID:             *id,
-		Family:         fam,
 		FlowIDs:        flows,
-		WindowLen:      *window,
-		Epsilon:        *epsilon,
-		Sketch:         randproj.Config{Seed: *seed, SketchLen: sk.Len, WindowLen: *window},
-		FDEll:          sk.Len,
 		SelfCheckEvery: *selfchk,
 		Redial:         *redial,
 		Candidates:     aggs,
@@ -336,13 +316,9 @@ func runIngest(svc *monitor.Service, o ingestOptions, shutdown <-chan os.Signal)
 }
 
 func parseIntList(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
+	var out []int
+	for _, p := range cliflags.List(s) {
+		v, err := strconv.Atoi(p)
 		if err != nil {
 			return nil, fmt.Errorf("%q: %w", p, err)
 		}

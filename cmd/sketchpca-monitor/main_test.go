@@ -140,9 +140,6 @@ func startMonitor(t *testing.T, nocAddr, id, flows, csv string) (stop func() err
 			"-noc", nocAddr,
 			"-id", id,
 			"-flows", flows,
-			"-window", itoa(testWindow),
-			"-sketch", itoa(testSketch),
-			"-seed", itoa(testSeed),
 		}, pr, nil)
 	}()
 	go func() { _, _ = pw.Write([]byte(csv)) }()
@@ -221,7 +218,7 @@ func TestRunRejectsNonFiniteCell(t *testing.T) {
 	defer svc.Shutdown()
 	for _, cell := range []string{"NaN", "+Inf"} {
 		in := strings.NewReader("0,10,20\n1,11," + cell + "\n")
-		err := run([]string{"-noc", svc.Addr(), "-flows", "0,1", "-window", "8", "-sketch", "4"}, in, nil)
+		err := run([]string{"-noc", svc.Addr(), "-flows", "0,1"}, in, nil)
 		if err == nil || !strings.Contains(err.Error(), "line 2 column 1: non-finite") {
 			t.Fatalf("cell %s: got %v, want a line 2 column 1 non-finite error", cell, err)
 		}

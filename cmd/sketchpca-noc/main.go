@@ -6,11 +6,13 @@
 // Usage:
 //
 //	sketchpca-noc -listen 127.0.0.1:7100 -flows 81 -window 4032 \
-//	    -sketch 200 -alpha 0.01 -rank 6 -seed 42
+//	    -sketch 200 -epsilon 0.01 -alpha 0.01 -rank 6 -seed 42
 //
-// Monitors must be started with the same -window, -sketch, -sketcher and
-// (randproj only) -seed. With -sketcher fd, -sketch carries the Frequent
-// Directions basis budget ℓ instead of the projection length l.
+// The NOC states the protocol parameters — -sketcher, -flows, -window,
+// -sketch, -epsilon and -seed — once for the deployment: it announces them
+// to every monitor and aggregator that registers, which adopt them. With
+// -sketcher fd, -sketch carries the Frequent Directions basis budget ℓ
+// instead of the projection length l.
 package main
 
 import (
@@ -27,6 +29,7 @@ import (
 	"streampca/internal/core"
 	"streampca/internal/noc"
 	"streampca/internal/obs"
+	"streampca/internal/sketch"
 	"streampca/internal/tier"
 )
 
@@ -57,7 +60,9 @@ func run(args []string) error {
 		listen   = fs.String("listen", "127.0.0.1:7100", "listen address")
 		flows    = fs.Int("flows", 81, "network-wide number of aggregated flows (m)")
 		window   = fs.Int("window", 4032, "sliding-window length in intervals (n)")
-		sk       = cliflags.Sketcher(fs, "")
+		family   = fs.String("sketcher", "randproj", "sketcher family: randproj or fd")
+		sketchL  = fs.Int("sketch", 200, "sketch length (l for -sketcher randproj, basis budget ℓ for fd)")
+		epsilon  = fs.Float64("epsilon", tier.DefaultEpsilon, "variance-histogram ε the monitors run at (randproj only)")
 		alpha    = fs.Float64("alpha", 0.01, "Q-statistic false-alarm rate")
 		rankMode = fs.String("rank-mode", "fixed", "rank selection: fixed, 3sigma or energy")
 		rank     = fs.Int("rank", 6, "normal-subspace size for -rank-mode fixed")
@@ -80,9 +85,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fam, err := sk.Family()
+	fam, err := sketch.ParseFamily(*family)
 	if err != nil {
-		return err
+		return fmt.Errorf("-sketcher: %w", err)
 	}
 
 	tracer, recorder, err := tracing.Open("noc")
@@ -103,13 +108,14 @@ func run(args []string) error {
 			Family:     fam,
 			NumFlows:   *flows,
 			WindowLen:  *window,
-			SketchLen:  sk.Len,
+			SketchLen:  *sketchL,
 			Alpha:      *alpha,
 			Mode:       mode,
 			FixedRank:  *rank,
 			EnergyFrac: *energy,
 		},
 		Seed:           *seed,
+		Epsilon:        *epsilon,
 		SelfCheckEvery: *selfchk,
 		Pull:           *pull,
 		Degraded:       *degraded,
@@ -143,8 +149,8 @@ func run(args []string) error {
 	if err := svc.Serve(*listen); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "sketchpca-noc: listening on %s (m=%d n=%d sketch=%d family=%s)\n",
-		svc.Addr(), *flows, *window, sk.Len, fam)
+	fmt.Fprintf(os.Stderr, "sketchpca-noc: listening on %s (m=%d n=%d sketch=%d epsilon=%g family=%s)\n",
+		svc.Addr(), *flows, *window, *sketchL, *epsilon, fam)
 	if addr := svc.DiagAddr(); addr != "" {
 		fmt.Fprintf(os.Stderr, "sketchpca-noc: diagnostics on http://%s/metrics\n", addr)
 	}

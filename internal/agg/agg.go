@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streampca/internal/obs"
@@ -42,10 +43,12 @@ var ErrConfig = errors.New("agg: invalid configuration")
 type Config struct {
 	// ID names the aggregator; it is the MonitorID the NOC sees.
 	ID string
-	// Family, NumFlows, WindowLen, SketchLen and Seed must agree with the
-	// NOC's detector configuration; monitors are validated against them on
+	// Family, NumFlows, WindowLen, SketchLen and Seed are the protocol
+	// parameters (tier.Params); monitors are validated against them on
 	// registration exactly as the NOC would. SketchLen carries the family's
-	// sketch parameter (l for randproj, the basis budget ℓ for FD).
+	// sketch parameter (l for randproj, the basis budget ℓ for FD). Left all
+	// zero, ConnectNOC adopts the NOC's announcement (ε included), which the
+	// service then announces to its monitors; it cannot Serve before.
 	Family    sketch.Family
 	NumFlows  int
 	WindowLen int
@@ -141,8 +144,10 @@ type Service struct {
 	met     *metrics
 	wireMet *transport.Metrics
 	diag    *obs.Server
-	down    *tier.Downstream
 	up      *tier.Uplink
+	// down faces the monitors. Before the parameters are known it is an
+	// empty stand-in; adopting them swaps in the real one.
+	down atomic.Pointer[tier.Downstream]
 
 	// pulls tracks the goroutines answering upstream sketch pulls.
 	pulls sync.WaitGroup
@@ -155,17 +160,9 @@ func New(cfg Config) (*Service, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("%w: empty aggregator id", ErrConfig)
 	}
-	if cfg.Family != sketch.FamilyRandProj && cfg.Family != sketch.FamilyFD {
-		return nil, fmt.Errorf("%w: unknown sketcher family %v", ErrConfig, cfg.Family)
-	}
-	if cfg.NumFlows < 1 {
-		return nil, fmt.Errorf("%w: %d flows", ErrConfig, cfg.NumFlows)
-	}
-	if cfg.WindowLen < 1 {
-		return nil, fmt.Errorf("%w: window length %d", ErrConfig, cfg.WindowLen)
-	}
-	if cfg.SketchLen < 1 {
-		return nil, fmt.Errorf("%w: sketch parameter %d", ErrConfig, cfg.SketchLen)
+	p := tier.Params{Family: cfg.Family, NumFlows: cfg.NumFlows, WindowLen: cfg.WindowLen, SketchLen: cfg.SketchLen, Seed: cfg.Seed}
+	if err := p.Validate(); err != nil && p != (tier.Params{}) {
+		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	if cfg.ShardEpoch == 0 {
 		cfg.ShardEpoch = 1
@@ -186,38 +183,13 @@ func New(cfg Config) (*Service, error) {
 		met:     newMetrics(reg),
 		wireMet: transport.NewMetrics(reg),
 	}
-	var err error
-	s.down, err = tier.NewDownstream(tier.DownstreamConfig{
-		Params: tier.Params{
-			Family:    cfg.Family,
-			NumFlows:  cfg.NumFlows,
-			WindowLen: cfg.WindowLen,
-			SketchLen: cfg.SketchLen,
-			Seed:      cfg.Seed,
-		},
-		Pull:         cfg.Pull,
-		PullDefaults: tier.AggPull,
-		Degraded:     cfg.Degraded,
-		WireMetrics:  s.wireMet,
-		Metrics: tier.Metrics{
-			Registrants:  s.met.monitors,
-			Rejected:     s.met.rejects,
-			Evicted:      s.met.intervalDrops,
-			PullRetries:  s.met.fetchRetries,
-			BreakerOpen:  s.met.breakerOpen,
-			BreakerOpens: s.met.breakerOpens,
-		},
-		Log:        s.log,
-		OnInterval: s.forwardVolumes,
-		OnJoin:     s.pushShardMap,
-		OnChange:   s.announce,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
+	if err := s.build(p); err != nil {
+		return nil, err
 	}
 	s.up = tier.NewUplink(tier.UplinkConfig{
 		ID:    cfg.ID,
 		Hello: s.hello,
+		Adopt: s.build,
 		OnRequest: func(c *transport.Conn, req transport.SketchRequest, tc *transport.TraceContext) {
 			s.pulls.Add(1)
 			go s.serveFetch(c, req.RequestID, tc)
@@ -243,31 +215,68 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// ID returns the aggregator's identifier.
-func (s *Service) ID() string { return s.cfg.ID }
-
-// Serve starts accepting downstream monitor connections on addr.
-func (s *Service) Serve(addr string) error {
-	if err := s.down.Serve(addr); err != nil {
-		return err
+// build makes the downstream half under p.
+func (s *Service) build(p tier.Params) error {
+	down, err := tier.NewDownstream(tier.DownstreamConfig{
+		Params:       p,
+		Pull:         s.cfg.Pull,
+		PullDefaults: tier.AggPull,
+		Degraded:     s.cfg.Degraded,
+		WireMetrics:  s.wireMet,
+		Metrics: tier.Metrics{
+			Registrants:  s.met.monitors,
+			Rejected:     s.met.rejects,
+			Evicted:      s.met.intervalDrops,
+			PullRetries:  s.met.fetchRetries,
+			BreakerOpen:  s.met.breakerOpen,
+			BreakerOpens: s.met.breakerOpens,
+		},
+		Log:        s.log,
+		OnInterval: s.forwardVolumes,
+		OnJoin:     s.pushShardMap,
+		OnChange:   s.announce,
+	})
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrConfig, err)
 	}
-	s.log.Info("aggregator listening", "addr", s.down.Addr())
+	s.down.Store(down)
 	return nil
 }
 
+// ID returns the aggregator's identifier.
+func (s *Service) ID() string { return s.cfg.ID }
+
+// Serve starts accepting downstream monitor connections on addr; it fails
+// before the protocol parameters are known.
+func (s *Service) Serve(addr string) error {
+	down := s.down.Load()
+	if down.Params().WindowLen == 0 {
+		return fmt.Errorf("%w: no protocol parameters before ConnectNOC", ErrConfig)
+	}
+	if err := down.Serve(addr); err != nil {
+		return err
+	}
+	s.log.Info("aggregator listening", "addr", down.Addr(), "params", down.Params())
+	return nil
+}
+
+// Params returns the protocol parameters, zero before they are known.
+func (s *Service) Params() tier.Params { return s.down.Load().Params() }
+
 // Addr returns the downstream listen address ("" before Serve).
-func (s *Service) Addr() string { return s.down.Addr() }
+func (s *Service) Addr() string { return s.down.Load().Addr() }
 
 // Monitors lists the registered downstream monitor IDs, sorted.
-func (s *Service) Monitors() []string { return s.down.IDs() }
+func (s *Service) Monitors() []string { return s.down.Load().IDs() }
 
 // FlowUnion returns the sorted union of registered monitors' flows — the
 // shard this aggregator currently announces upstream.
-func (s *Service) FlowUnion() []int { return s.down.OwnedFlows() }
+func (s *Service) FlowUnion() []int { return s.down.Load().OwnedFlows() }
 
 // ConnectNOC dials the NOC, announces the current flow union with a
-// Role-tagged Hello and starts serving its sketch pulls. With
-// Config.Reconnect, a later link loss redials automatically.
+// Role-tagged Hello and starts serving its sketch pulls; without parameters
+// it first adopts the NOC's. With Config.Redial, a later link loss redials
+// automatically.
 func (s *Service) ConnectNOC(addr string, timeout time.Duration) error {
 	return s.up.Connect(addr, timeout)
 }
@@ -275,20 +284,11 @@ func (s *Service) ConnectNOC(addr string, timeout time.Duration) error {
 // AttachNOC adopts an established upstream connection (tests, embedders).
 func (s *Service) AttachNOC(conn *transport.Conn) error { return s.up.Attach(conn) }
 
-// hello builds the upstream announcement for the current flow union.
+// hello builds the upstream registration for the current flow union, which
+// states no parameters while they are unknown.
 func (s *Service) hello() transport.Hello {
-	h := transport.Hello{
-		MonitorID: s.cfg.ID,
-		FlowIDs:   s.down.OwnedFlows(),
-		SketchLen: s.cfg.SketchLen,
-		WindowLen: s.cfg.WindowLen,
-		Family:    s.cfg.Family,
-		Role:      transport.RoleAggregator,
-	}
-	if s.cfg.Family == sketch.FamilyRandProj {
-		h.Seed = s.cfg.Seed
-	}
-	return h
+	down := s.down.Load()
+	return down.Params().Stated(transport.Hello{MonitorID: s.cfg.ID, FlowIDs: down.OwnedFlows(), Role: transport.RoleAggregator})
 }
 
 // announce re-sends the Hello on the live upstream connection after the
@@ -308,7 +308,7 @@ func (s *Service) SetPeers(peers []string, epoch uint64) {
 	s.cfg.ShardEpoch = epoch
 	s.mu.Unlock()
 	if sm := s.shardMap(); sm != nil {
-		s.down.Broadcast(transport.Envelope{Shards: sm})
+		s.down.Load().Broadcast(transport.Envelope{Shards: sm})
 	}
 }
 
@@ -360,12 +360,13 @@ func (s *Service) forwardVolumes(iv tier.Interval) {
 // cache substitution), merged into one response.
 func (s *Service) serveFetch(up *transport.Conn, upReqID uint64, tc *transport.TraceContext) {
 	defer s.pulls.Done()
-	p := s.down.Pull(nil, tc)
+	down := s.down.Load()
+	p := down.Pull(nil, tc)
 	if len(p.Reports) == 0 {
 		s.log.Warn("sketch pull unanswerable: no live or cached snapshots", "request", upReqID)
 		return
 	}
-	merged, err := sketch.MergeColumns(p.Reports, s.cfg.SketchLen)
+	merged, err := sketch.MergeColumns(p.Reports, down.Params().SketchLen)
 	if err != nil {
 		s.met.mergeErrors.Inc()
 		s.log.Warn("sketch merge failed", "request", upReqID, "inputs", len(p.Reports), "err", err)
@@ -391,7 +392,7 @@ func (s *Service) serveFetch(up *transport.Conn, upReqID uint64, tc *transport.T
 
 // relayAlarm re-broadcasts a NOC alarm to every downstream monitor.
 func (s *Service) relayAlarm(a transport.Alarm, tc *transport.TraceContext) {
-	_, delivered := s.down.Broadcast(transport.Envelope{Alarm: &a, Trace: tc})
+	_, delivered := s.down.Load().Broadcast(transport.Envelope{Alarm: &a, Trace: tc})
 	s.met.alarmsRelayed.Add(int64(delivered))
 }
 
@@ -407,7 +408,7 @@ func (s *Service) LogSummary() {
 // Safe to call multiple times.
 func (s *Service) Close() error {
 	err := s.up.Close()
-	s.down.Shutdown()
+	s.down.Load().Shutdown()
 	s.up.Wait()
 	s.pulls.Wait()
 	if s.diag != nil {

@@ -100,7 +100,7 @@ func newTestAgg(t *testing.T, cfg Config) *Service {
 func attachMonitor(t *testing.T, s *Service, id string, flows []int) *transport.Conn {
 	t.Helper()
 	mon, srv := transport.Pipe()
-	go s.down.Handle(srv)
+	go s.down.Load().Handle(srv)
 	hello := transport.Hello{
 		MonitorID: id, FlowIDs: flows,
 		SketchLen: s.cfg.SketchLen, WindowLen: s.cfg.WindowLen,
@@ -263,7 +263,7 @@ func TestVolumeMergeForward(t *testing.T) {
 	// Half an interval: nothing may be forwarded yet.
 	send(m1, "m1", 1, []int{0, 1}, []float64{10, 11})
 	waitFor(t, func() bool {
-		return s.down.PendingIntervals() == 1
+		return s.down.Load().PendingIntervals() == 1
 	}, "partial interval buffered")
 	if got := s.met.volumeForwards.Value(); got != 0 {
 		t.Fatalf("forwarded a partial interval (%d forwards)", got)
@@ -441,7 +441,7 @@ func TestRegisterRejections(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mon, srv := transport.Pipe()
 			defer mon.Close()
-			go s.down.Handle(srv)
+			go s.down.Load().Handle(srv)
 			if err := mon.Send(transport.Envelope{Hello: &tc.hello}); err != nil {
 				t.Fatal(err)
 			}
@@ -513,7 +513,7 @@ func TestMonitorDropCompletesPendingInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
-		return s.down.PendingIntervals() == 1
+		return s.down.Load().PendingIntervals() == 1
 	}, "interval 5 pending")
 
 	_ = m2.Close() // m2 never reports; its departure releases flow 2

@@ -8,9 +8,10 @@ package cliflags
 import (
 	"flag"
 	"fmt"
+	"strings"
 	"time"
+	"unicode"
 
-	"streampca/internal/sketch"
 	"streampca/internal/tier"
 	"streampca/internal/trace"
 )
@@ -83,30 +84,10 @@ func (v *MetricsValues) LogEvery(summary func()) (stop func()) {
 	}
 }
 
-// SketcherValues holds the sketcher-family group.
-type SketcherValues struct {
-	family string
-	// Len is -sketch: the projection length l for randproj, the basis
-	// budget ℓ for fd.
-	Len int
-}
-
-// Sketcher registers -sketcher and -sketch. mustMatch is appended to the
-// -sketcher help (which peers have to run the same family).
-func Sketcher(fs *flag.FlagSet, mustMatch string) *SketcherValues {
-	v := &SketcherValues{}
-	fs.StringVar(&v.family, "sketcher", "randproj", "sketcher family: randproj or fd"+mustMatch)
-	fs.IntVar(&v.Len, "sketch", 200, "sketch length (l for -sketcher randproj, basis budget ℓ for fd)")
-	return v
-}
-
-// Family parses -sketcher.
-func (v *SketcherValues) Family() (sketch.Family, error) {
-	fam, err := sketch.ParseFamily(v.family)
-	if err != nil {
-		return fam, fmt.Errorf("-sketcher: %w", err)
-	}
-	return fam, nil
+// List splits a comma-separated flag value; spaces around entries and empty
+// entries are dropped.
+func List(v string) []string {
+	return strings.FieldsFunc(v, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 }
 
 // SelfCheck registers -selfcheck, the every-Nth-interval oracle validation.

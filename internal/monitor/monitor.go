@@ -10,6 +10,7 @@
 package monitor
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -43,7 +44,11 @@ type Config struct {
 	Family sketch.Family
 	// FlowIDs lists the global flows this monitor measures.
 	FlowIDs []int
-	// WindowLen is n and Epsilon the VH parameter ε.
+	// WindowLen is n and Epsilon the VH parameter ε. WindowLen 0 leaves
+	// the protocol parameters to the tier above: Connect, Place and Attach
+	// adopt its announcement (family, n, l or ℓ, seed, and ε when it states
+	// one; else Epsilon, else tier.DefaultEpsilon) and return once the
+	// sketch state is built. Family, Sketch and FDEll are then ignored.
 	WindowLen int
 	Epsilon   float64
 	// Sketch configures the shared random projection. WindowLen is filled
@@ -142,7 +147,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 // ReportInterval, and stop with Close.
 type Service struct {
 	cfg Config
-	gen *randproj.Generator
 	log *slog.Logger
 
 	reg     *obs.Registry
@@ -158,39 +162,20 @@ type Service struct {
 	// it and nothing writes it.
 	flowIDs []int
 
+	// mu guards the sketch state: nil core and zero params until the
+	// protocol parameters are known, which is before the link serves
+	// anything.
 	mu     sync.Mutex
 	core   *core.Monitor
 	oracle *oracle.Checker
+	params tier.Params
 }
 
-// New validates cfg and builds the sketch state.
+// New validates cfg and builds the sketch state, or leaves it to the
+// announcement when cfg.WindowLen is 0.
 func New(cfg Config) (*Service, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("%w: empty monitor id", ErrConfig)
-	}
-	var gen *randproj.Generator
-	if cfg.Family == sketch.FamilyRandProj {
-		sketchCfg := cfg.Sketch
-		if sketchCfg.WindowLen == 0 {
-			sketchCfg.WindowLen = cfg.WindowLen
-		}
-		var err error
-		if gen, err = randproj.NewGenerator(sketchCfg); err != nil {
-			return nil, fmt.Errorf("generator: %w", err)
-		}
-	} else if cfg.SelfCheckEvery > 0 {
-		return nil, fmt.Errorf("%w: the oracle self-check shadows variance histograms and only supports the randproj family", ErrConfig)
-	}
-	cm, err := core.NewMonitor(core.MonitorConfig{
-		Family:    cfg.Family,
-		FlowIDs:   cfg.FlowIDs,
-		WindowLen: cfg.WindowLen,
-		Epsilon:   cfg.Epsilon,
-		Gen:       gen,
-		FDEll:     cfg.FDEll,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core monitor: %w", err)
 	}
 	reg := cfg.Obs
 	if reg == nil {
@@ -202,35 +187,22 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		cfg:     cfg,
-		gen:     gen,
 		log:     log.With("monitor", cfg.ID),
 		reg:     reg,
 		health:  obs.NewHealth(),
 		met:     newMetrics(reg),
 		wireMet: transport.NewMetrics(reg),
-		flowIDs: cm.FlowIDs(),
-		core:    cm,
+		flowIDs: append([]int(nil), cfg.FlowIDs...),
 	}
-	if cfg.SelfCheckEvery > 0 {
-		chk, err := oracle.NewChecker(oracle.CheckerConfig{
-			Every:     cfg.SelfCheckEvery,
-			WindowLen: cfg.WindowLen,
-			Epsilon:   cfg.Epsilon,
-			Gen:       gen,
-			NumFlows:  len(cfg.FlowIDs),
-			Component: "monitor",
-			Log:       s.log,
-			Reg:       reg,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("oracle checker: %w", err)
+	if cfg.WindowLen != 0 {
+		if err := s.build(cfg, 0); err != nil {
+			return nil, err
 		}
-		s.oracle = chk
 	}
-	s.health.Set("monitor", obs.StatusOK, "sketch state ready")
 	s.up = tier.NewUplink(tier.UplinkConfig{
 		ID:          cfg.ID,
 		Hello:       s.hello,
+		Adopt:       s.adopt,
 		OnRequest:   s.serveSketch,
 		OnAlarm:     s.alarm,
 		Redial:      cfg.Redial,
@@ -250,16 +222,56 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// sketchParam returns the family's shared sketch parameter announced in the
-// Hello: l from the generator for randproj, the resolved ℓ for FD.
-func (s *Service) sketchParam() int {
-	if s.gen != nil {
-		return s.gen.SketchLen()
+// build makes the sketch state under cfg's parameters, in a deployment of m
+// flows (0: unknown).
+func (s *Service) build(cfg Config, m int) error {
+	p := tier.Params{Family: cfg.Family, NumFlows: m, WindowLen: cfg.WindowLen, SketchLen: cfg.FDEll, Epsilon: cfg.Epsilon, Seed: cfg.Sketch.Seed}
+	if cfg.Family == sketch.FamilyRandProj {
+		p.SketchLen = cfg.Sketch.SketchLen
+	} else if cfg.SelfCheckEvery > 0 {
+		return fmt.Errorf("%w: the oracle self-check shadows variance histograms and only supports the randproj family", ErrConfig)
 	}
-	if fd, ok := s.core.Sketcher().(*sketch.FD); ok {
-		return fd.Ell()
+	cm, gen, err := p.NewMonitor(cfg.FlowIDs, cfg.Sketch)
+	if err != nil {
+		return fmt.Errorf("core monitor: %w", err)
 	}
-	return 0
+	if fd, ok := cm.Sketcher().(*sketch.FD); ok {
+		p.SketchLen = fd.Ell()
+	}
+	var chk *oracle.Checker
+	if cfg.SelfCheckEvery > 0 {
+		chk, err = oracle.NewChecker(oracle.CheckerConfig{
+			Every:     cfg.SelfCheckEvery,
+			WindowLen: cfg.WindowLen,
+			Epsilon:   cfg.Epsilon,
+			Gen:       gen,
+			NumFlows:  len(cfg.FlowIDs),
+			Component: "monitor",
+			Log:       s.log,
+			Reg:       s.reg,
+		})
+		if err != nil {
+			return fmt.Errorf("oracle checker: %w", err)
+		}
+	}
+	s.mu.Lock()
+	s.core, s.oracle, s.params = cm, chk, p
+	s.mu.Unlock()
+	s.health.Set("monitor", obs.StatusOK, "sketch state ready")
+	return nil
+}
+
+// adopt builds the sketch state under the announced parameters.
+func (s *Service) adopt(p tier.Params) error {
+	cfg := s.cfg
+	cfg.Family, cfg.WindowLen, cfg.FDEll = p.Family, p.WindowLen, p.SketchLen
+	cfg.Sketch = randproj.Config{Seed: p.Seed, SketchLen: p.SketchLen}
+	cfg.Epsilon = cmp.Or(p.Epsilon, cfg.Epsilon, tier.DefaultEpsilon)
+	if err := s.build(cfg, p.NumFlows); err != nil {
+		return err
+	}
+	s.log.Info("adopted upstream parameters", "params", fmt.Sprintf("%+v", p))
+	return nil
 }
 
 // Registry exposes the metrics registry (shared when Config.Obs was set).
@@ -294,19 +306,15 @@ func (s *Service) Place(timeout time.Duration) (string, error) {
 // sends the Hello and starts the reader.
 func (s *Service) Attach(conn *transport.Conn) error { return s.up.Attach(conn) }
 
-// hello announces this monitor's flows and sketch parameters.
+// hello announces this monitor's flows and sketch parameters; before the
+// sketch state exists it states neither.
 func (s *Service) hello() transport.Hello {
-	h := transport.Hello{
-		MonitorID: s.cfg.ID,
-		FlowIDs:   s.flowIDs,
-		SketchLen: s.sketchParam(),
-		WindowLen: s.cfg.WindowLen,
-		Family:    s.cfg.Family,
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.params.WindowLen != 0 {
+		return s.params.Stated(transport.Hello{MonitorID: s.cfg.ID, FlowIDs: s.flowIDs})
 	}
-	if s.gen != nil {
-		h.Seed = s.gen.Seed()
-	}
-	return h
+	return transport.Hello{MonitorID: s.cfg.ID}
 }
 
 // serveSketch answers one sketch pull with the current sketch state.
@@ -372,6 +380,11 @@ func (s *Service) ReportInterval(t int64, volumes []float64) error {
 		trace.I("interval", t),
 		trace.I("flows", int64(len(volumes))))
 	s.mu.Lock()
+	if s.core == nil {
+		s.mu.Unlock()
+		sp.End()
+		return fmt.Errorf("%w: no sketch state before the parameter announcement", ErrNotConnected)
+	}
 	if t > s.core.Now() {
 		start := time.Now()
 		if err := s.core.Update(t, volumes); err != nil {
@@ -447,7 +460,8 @@ func (s *Service) LogSummary() {
 	s.log.Info("monitor stats", s.reg.LogArgs()...)
 }
 
-// Report returns the current sketch state (local inspection).
+// Report returns the current sketch state (local inspection); the state
+// exists once New or the announcement built it.
 func (s *Service) Report() core.SketchReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -294,5 +295,78 @@ func TestCloseUnblocksReader(t *testing.T) {
 	// Idempotent.
 	if err := svc.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
+	}
+}
+
+// announced is an upstream's parameter announcement for the test deployment.
+func announced(eps float64) transport.Hello {
+	return tier.Params{NumFlows: 8, WindowLen: 16, SketchLen: 4, Epsilon: eps, Seed: 7}.Stated(transport.Hello{})
+}
+
+// TestAdoptsTheAnnouncement: a monitor built without parameters states none,
+// builds its sketch state from the announcement before Attach returns, and
+// registers again under the adopted parameters with its flows.
+func TestAdoptsTheAnnouncement(t *testing.T) {
+	cfg := Config{ID: "mon-1", FlowIDs: []int{0, 1, 2}}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = svc.Close() })
+	if err := svc.ReportInterval(1, []float64{1, 2, 3}); !errors.Is(err, ErrNotConnected) {
+		t.Fatalf("ReportInterval before adoption = %v, want ErrNotConnected", err)
+	}
+	local, remote := transport.Pipe()
+	recvCh := startReader(remote)
+	attached := make(chan error, 1)
+	go func() { attached <- svc.Attach(local) }()
+	if env := expectFrame(t, recvCh); env.Hello == nil || env.Hello.WindowLen != 0 || len(env.Hello.FlowIDs) != 0 {
+		t.Fatalf("first Hello = %+v, want one stating no parameters and no flows", env.Hello)
+	}
+	a := announced(0.3)
+	if err := remote.Send(transport.Envelope{Hello: &a}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-attached; err != nil {
+		t.Fatal(err)
+	}
+	re := expectFrame(t, recvCh)
+	if re.Hello == nil || tier.ParamsOf(*re.Hello) != tier.ParamsOf(a) || !reflect.DeepEqual(re.Hello.FlowIDs, cfg.FlowIDs) {
+		t.Fatalf("re-registration = %+v, want the adopted parameters and flows %v", re.Hello, cfg.FlowIDs)
+	}
+	if err := svc.ReportInterval(1, []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBadAnnouncementBuildsNoState: the announcement is input from another
+// process; one with a zero window or a NaN ε fails Attach and leaves the
+// monitor without sketch state.
+func TestBadAnnouncementBuildsNoState(t *testing.T) {
+	zeroWindow := announced(0.3)
+	zeroWindow.WindowLen = 0
+	for name, bad := range map[string]transport.Hello{
+		"zero window": zeroWindow,
+		"epsilon NaN": announced(math.NaN()),
+	} {
+		t.Run(name, func(t *testing.T) {
+			svc, err := New(Config{ID: "mon-1", FlowIDs: []int{0, 1, 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = svc.Close() })
+			local, remote := transport.Pipe()
+			go func() {
+				if _, err := remote.Recv(); err == nil {
+					_ = remote.Send(transport.Envelope{Hello: &bad})
+				}
+			}()
+			if err := svc.Attach(local); !errors.Is(err, tier.ErrParams) {
+				t.Fatalf("Attach = %v, want tier.ErrParams", err)
+			}
+			if err := svc.ReportInterval(1, []float64{1, 2, 3}); !errors.Is(err, ErrNotConnected) {
+				t.Fatalf("ReportInterval after a refused announcement = %v, want ErrNotConnected", err)
+			}
+		})
 	}
 }

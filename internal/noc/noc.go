@@ -59,9 +59,11 @@ type Config struct {
 	// Detector configures the sketch-PCA detector (flows, window, sketch
 	// length, alpha, rank policy, sketcher family and model builder).
 	Detector core.DetectorConfig
-	// Seed is the shared randomness seed monitors must announce (randproj
-	// family; FD monitors carry no shared randomness and announce 0). It
-	// also seeds the fetch-backoff jitter for reproducible chaos tests.
+	// Seed is the shared randomness seed (randproj family; FD carries no
+	// shared randomness). It also seeds the fetch-backoff jitter for
+	// reproducible chaos tests. With the family, m, n and l from Detector
+	// and Epsilon it makes the protocol parameters (tier.Params) the NOC
+	// announces to every peer and compares every Hello against.
 	Seed uint64
 	// Pull paces the sketch pulls (tier.PullPolicy); unset fields take
 	// tier.NOCPull's. Partial results of a round are kept, and a retry round
@@ -96,8 +98,11 @@ type Config struct {
 	// the NOC O(m·log n) extra time per interval and O(m·log²n) space for
 	// randproj, O(ℓ·m) for FD.
 	LocalSketches bool
-	// Epsilon is the VH parameter when LocalSketches is set; defaults to
-	// 0.01 (the paper's setting).
+	// Epsilon is the deployment's VH ε, announced to every peer: a monitor
+	// that adopts the announcement runs its histograms at it, a Hello that
+	// states another ε is refused, and the self-check and LocalSketches use
+	// it. 0 states no ε: peers keep their own, nothing compares it, and the
+	// NOC's own uses take tier.DefaultEpsilon.
 	Epsilon float64
 	// SelfCheckEvery, when ≥ 1, enables the internal/oracle differential
 	// validator: the NOC shadows every non-degraded completed interval
@@ -283,9 +288,14 @@ type Service struct {
 
 // New validates cfg and builds the service (not yet listening).
 func New(cfg Config) (*Service, error) {
+	params := tier.Params{Family: cfg.Detector.Family, NumFlows: cfg.Detector.NumFlows, WindowLen: cfg.Detector.WindowLen,
+		SketchLen: cfg.Detector.SketchLen, Epsilon: cfg.Epsilon, Seed: cfg.Seed}
 	det, err := core.NewDetector(cfg.Detector)
 	if err != nil {
 		return nil, fmt.Errorf("detector: %w", err)
+	}
+	if err := params.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	if cfg.FlightTopK == 0 {
 		cfg.FlightTopK = defaultFlightTopK
@@ -295,38 +305,15 @@ func New(cfg Config) (*Service, error) {
 	}
 	var localMon *core.Monitor
 	if cfg.LocalSketches {
-		mcfg := core.MonitorConfig{
-			Family:    cfg.Detector.Family,
-			WindowLen: cfg.Detector.WindowLen,
-		}
-		switch cfg.Detector.Family {
-		case sketch.FamilyRandProj:
-			if cfg.Epsilon == 0 {
-				cfg.Epsilon = 0.01
-			}
-			gen, err := randproj.NewGenerator(randproj.Config{
-				Seed:      cfg.Seed,
-				SketchLen: cfg.Detector.SketchLen,
-				WindowLen: cfg.Detector.WindowLen,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("local sketch generator: %w", err)
-			}
-			mcfg.Epsilon = cfg.Epsilon
-			mcfg.Gen = gen
-		case sketch.FamilyFD:
-			// One NOC-side FD buffer over all flows; the detector's
-			// SketchLen carries the basis budget ℓ for this family.
-			mcfg.FDEll = cfg.Detector.SketchLen
-		}
+		// The monitors' state over every flow; for FD one buffer whose
+		// budget ℓ is the detector's SketchLen.
 		flowIDs := make([]int, cfg.Detector.NumFlows)
 		for j := range flowIDs {
 			flowIDs[j] = j
 		}
-		mcfg.FlowIDs = flowIDs
-		var err error
-		localMon, err = core.NewMonitor(mcfg)
-		if err != nil {
+		local := params
+		local.Epsilon = params.VHEpsilon()
+		if localMon, _, err = local.NewMonitor(flowIDs, randproj.Config{}); err != nil {
 			return nil, fmt.Errorf("local sketch state: %w", err)
 		}
 	}
@@ -352,13 +339,7 @@ func New(cfg Config) (*Service, error) {
 		procDone: make(chan struct{}),
 	}
 	s.down, err = tier.NewDownstream(tier.DownstreamConfig{
-		Params: tier.Params{
-			Family:    cfg.Detector.Family,
-			NumFlows:  m,
-			WindowLen: cfg.Detector.WindowLen,
-			SketchLen: cfg.Detector.SketchLen,
-			Seed:      cfg.Seed,
-		},
+		Params:           params,
 		RequireAll:       true,
 		Pull:             cfg.Pull,
 		PullDefaults:     tier.NOCPull,
@@ -383,14 +364,10 @@ func New(cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	if cfg.SelfCheckEvery > 0 {
-		eps := cfg.Epsilon
-		if eps == 0 {
-			eps = 0.01 // the paper's default; monitors own the real value
-		}
 		chk, err := oracle.NewChecker(oracle.CheckerConfig{
 			Every:     cfg.SelfCheckEvery,
 			WindowLen: cfg.Detector.WindowLen,
-			Epsilon:   eps,
+			Epsilon:   params.VHEpsilon(),
 			Alpha:     cfg.Detector.Alpha,
 			SketchLen: cfg.Detector.SketchLen,
 			NumFlows:  m,
@@ -402,6 +379,7 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("oracle checker: %w", err)
 		}
 		s.oracle = chk
+		log.Info("oracle self-check on", "every", cfg.SelfCheckEvery, "epsilon", params.VHEpsilon())
 	}
 	s.health.Set("noc", obs.StatusDegraded, "not serving yet")
 	s.health.Set("detector", obs.StatusDegraded, "no model built")

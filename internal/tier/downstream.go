@@ -36,17 +36,6 @@ import (
 // parameters or claims flows it may not have.
 var ErrConfig = errors.New("tier: invalid registration")
 
-// Params are the deployment parameters every Hello is validated against.
-// SketchLen carries the family's sketch parameter (l for randproj, the basis
-// budget ℓ for FD); Seed is compared for the randproj family only.
-type Params struct {
-	Family    sketch.Family
-	NumFlows  int
-	WindowLen int
-	SketchLen int
-	Seed      uint64
-}
-
 // Metrics are the obs handles the downstream half instruments into; the
 // caller registers them under its own names. All must be non-nil.
 type Metrics struct {
@@ -280,6 +269,9 @@ func (d *Downstream) Registrants() []Registrant {
 	return out
 }
 
+// Params returns the protocol parameters the tier validates against.
+func (d *Downstream) Params() Params { return d.cfg.Params }
+
 // Degraded returns the degraded-mode policy in force, defaults applied.
 func (d *Downstream) Degraded() DegradedPolicy { return d.cfg.Degraded }
 
@@ -371,13 +363,23 @@ func (d *Downstream) Handle(conn *transport.Conn) {
 	}
 }
 
-// hello registers conn and settles the ownership change, or rejects it.
+// hello registers conn and settles the ownership change, or rejects it. A
+// Hello that states no parameters is answered with the announcement before
+// anything else is sent to the peer.
 func (d *Downstream) hello(conn *transport.Conn, h *transport.Hello, first bool) bool {
 	if err := d.register(conn, h); err != nil {
 		d.cfg.Metrics.Rejected.Inc()
 		d.log.Warn("registration rejected", "peer", h.MonitorID, "err", err)
-		_ = conn.Send(transport.Envelope{Error: &transport.ProtocolError{Msg: err.Error()}})
+		refusal := &transport.ProtocolError{Msg: err.Error()}
+		if errors.Is(err, ErrParams) {
+			refusal.Kind = transport.ErrorParams
+		}
+		_ = conn.Send(transport.Envelope{Error: refusal})
 		return false
+	}
+	if h.WindowLen == 0 {
+		a := d.cfg.Params.Stated(transport.Hello{})
+		_ = conn.Send(transport.Envelope{Hello: &a})
 	}
 	if first && d.cfg.OnJoin != nil {
 		d.cfg.OnJoin(conn)
@@ -387,20 +389,17 @@ func (d *Downstream) hello(conn *transport.Conn, h *transport.Hello, first bool)
 }
 
 // register validates a Hello against the deployment parameters and claims
-// its flows. A repeat Hello first releases the connection's old claim, so a
-// shrinking union frees its flows; a rejected one leaves it unregistered.
+// its flows. A Hello stating no window comes from a peer that has not
+// adopted the parameters yet; it may claim no flows. A repeat Hello first
+// releases the connection's old claim, so a shrinking union frees its flows;
+// a rejected one leaves it unregistered.
 func (d *Downstream) register(conn *transport.Conn, h *transport.Hello) error {
 	p := d.cfg.Params
-	switch {
-	case h.Family != p.Family:
-		return fmt.Errorf("%w: peer %q runs sketcher family %v, want %v", ErrConfig, h.MonitorID, h.Family, p.Family)
-	case h.SketchLen != p.SketchLen:
-		return fmt.Errorf("%w: peer %q sketch length %d, want %d", ErrConfig, h.MonitorID, h.SketchLen, p.SketchLen)
-	case h.WindowLen != p.WindowLen:
-		return fmt.Errorf("%w: peer %q window %d, want %d", ErrConfig, h.MonitorID, h.WindowLen, p.WindowLen)
-	case p.Family == sketch.FamilyRandProj && h.Seed != p.Seed:
-		// Only randproj carries shared randomness; FD peers announce 0.
-		return fmt.Errorf("%w: peer %q seed mismatch", ErrConfig, h.MonitorID)
+	switch got := ParamsOf(*h); {
+	case h.WindowLen == 0 && len(h.FlowIDs) > 0:
+		return fmt.Errorf("%w: peer %q claims flows under no parameters", ErrParams, h.MonitorID)
+	case h.WindowLen != 0 && !p.agrees(got):
+		return fmt.Errorf("%w: peer %q runs %+v, the deployment %+v", ErrParams, h.MonitorID, got, p)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -1,6 +1,8 @@
 package tier
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"sync"
@@ -97,6 +99,7 @@ type peer struct {
 	mu       sync.Mutex
 	requests []uint64
 	rejected bool
+	refusal  transport.ErrorKind
 	answer   func(p *peer, reqID uint64)
 }
 
@@ -146,7 +149,7 @@ func (p *peer) pump() {
 			}
 		case env.Error != nil:
 			p.mu.Lock()
-			p.rejected = true
+			p.rejected, p.refusal = true, env.Error.Kind
 			p.mu.Unlock()
 		}
 	}
@@ -214,24 +217,47 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// stating returns a Hello for flows that states p.
+func stating(p Params, flows ...int) transport.Hello {
+	return p.Stated(transport.Hello{MonitorID: "b", FlowIDs: flows})
+}
+
+// TestRegistrationClaims: one comparison of a Hello's parameters against the
+// deployment's refuses every mismatch with a typed refusal, and accepts what a
+// peer leaves unstated — m and ε from a peer built before it stated them, all
+// of them from a peer that has not adopted the announcement yet.
 func TestRegistrationClaims(t *testing.T) {
+	const eps = 0.3
+	deployed := Params{Family: sketch.FamilyRandProj, NumFlows: testFlows, WindowLen: testWindow, SketchLen: testSketchLen, Epsilon: eps, Seed: testSeed}
+	with := func(mutate func(*Params)) Params {
+		p := deployed
+		mutate(&p)
+		return p
+	}
+	params := transport.ErrorParams
 	cases := []struct {
 		name  string
 		hello transport.Hello
 		ok    bool
+		kind  transport.ErrorKind
 	}{
-		{"disjoint flows", hello("b", []int{2, 3}), true},
-		{"conflicting flow", hello("b", []int{1, 2}), false},
-		{"flow past the range", hello("b", []int{testFlows}), false},
-		{"negative flow", hello("b", []int{-1}), false},
-		{"seed mismatch", transport.Hello{MonitorID: "b", FlowIDs: []int{2}, SketchLen: testSketchLen, WindowLen: testWindow, Seed: testSeed + 1}, false},
-		{"sketch length mismatch", transport.Hello{MonitorID: "b", FlowIDs: []int{2}, SketchLen: testSketchLen + 1, WindowLen: testWindow, Seed: testSeed}, false},
-		{"window mismatch", transport.Hello{MonitorID: "b", FlowIDs: []int{2}, SketchLen: testSketchLen, WindowLen: testWindow + 1, Seed: testSeed}, false},
-		{"family mismatch", transport.Hello{MonitorID: "b", FlowIDs: []int{2}, SketchLen: testSketchLen, WindowLen: testWindow, Family: sketch.FamilyFD}, false},
+		{"disjoint flows", hello("b", []int{2, 3}), true, 0},
+		{"every parameter stated", stating(deployed, 2), true, 0},
+		{"no parameters yet", transport.Hello{MonitorID: "b"}, true, 0},
+		{"conflicting flow", hello("b", []int{1, 2}), false, 0},
+		{"flow past the range", hello("b", []int{testFlows}), false, 0},
+		{"negative flow", hello("b", []int{-1}), false, 0},
+		{"flows under no parameters", transport.Hello{MonitorID: "b", FlowIDs: []int{2}}, false, params},
+		{"seed mismatch", transport.Hello{MonitorID: "b", FlowIDs: []int{2}, SketchLen: testSketchLen, WindowLen: testWindow, Seed: testSeed + 1}, false, params},
+		{"sketch length mismatch", transport.Hello{MonitorID: "b", FlowIDs: []int{2}, SketchLen: testSketchLen + 1, WindowLen: testWindow, Seed: testSeed}, false, params},
+		{"window mismatch", transport.Hello{MonitorID: "b", FlowIDs: []int{2}, SketchLen: testSketchLen, WindowLen: testWindow + 1, Seed: testSeed}, false, params},
+		{"family mismatch", transport.Hello{MonitorID: "b", FlowIDs: []int{2}, SketchLen: testSketchLen, WindowLen: testWindow, Family: sketch.FamilyFD}, false, params},
+		{"flow count mismatch", stating(with(func(p *Params) { p.NumFlows++ }), 2), false, params},
+		{"epsilon mismatch", stating(with(func(p *Params) { p.Epsilon = 0.05 }), 2), false, params},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d, _ := newDownstream(t, nil)
+			d, _ := newDownstream(t, func(c *DownstreamConfig) { c.Params = deployed })
 			attach(t, d, "a", []int{0, 1}, nil)
 			b := dial(t, d, tc.hello, nil)
 			if tc.ok {
@@ -239,6 +265,12 @@ func TestRegistrationClaims(t *testing.T) {
 				return
 			}
 			waitFor(t, "rejection", b.wasRejected)
+			b.mu.Lock()
+			kind := b.refusal
+			b.mu.Unlock()
+			if kind != tc.kind {
+				t.Errorf("refusal kind = %v, want %v", kind, tc.kind)
+			}
 			if got := d.cfg.Metrics.Rejected.Value(); got != 1 {
 				t.Errorf("rejected counter = %d, want 1", got)
 			}
@@ -604,4 +636,37 @@ func TestAddrAndShutdownWithoutServe(t *testing.T) {
 	}
 	d.Shutdown()
 	d.Shutdown()
+}
+
+// TestEpsilonUnstatedByTheDeployment: a tier that states no ε compares none,
+// so monitors built with any ε register, as under every library deployment
+// before the NOC stated it.
+func TestEpsilonUnstatedByTheDeployment(t *testing.T) {
+	d, _ := newDownstream(t, nil)
+	p := d.cfg.Params
+	p.Epsilon = 0.05
+	dial(t, d, stating(p, 2), nil)
+	waitFor(t, "registration", func() bool { return registered(d, "b") })
+}
+
+func TestParamsValidate(t *testing.T) {
+	good := Params{Family: sketch.FamilyFD, NumFlows: 4, WindowLen: 8, SketchLen: 2, Epsilon: 0.3}
+	if err := good.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*Params){
+		"unknown family": func(p *Params) { p.Family = 7 },
+		"no flows":       func(p *Params) { p.NumFlows = 0 },
+		"zero window":    func(p *Params) { p.WindowLen = 0 },
+		"zero sketch":    func(p *Params) { p.SketchLen = 0 },
+		"epsilon NaN":    func(p *Params) { p.Epsilon = math.NaN() },
+		"epsilon 1":      func(p *Params) { p.Epsilon = 1 },
+		"epsilon < 0":    func(p *Params) { p.Epsilon = -0.1 },
+	} {
+		p := good
+		mutate(&p)
+		if err := p.Validate(); !errors.Is(err, ErrParams) {
+			t.Errorf("%s: Validate = %v, want ErrParams", name, err)
+		}
+	}
 }

@@ -37,13 +37,21 @@ type UplinkConfig struct {
 	// alarm broadcasts. tc is the frame's trace context, if any.
 	OnRequest func(c *transport.Conn, req transport.SketchRequest, tc *transport.TraceContext)
 	OnAlarm   func(a transport.Alarm, tc *transport.TraceContext)
+	// Adopt builds the owner's state from the parameters the tier above
+	// announces. It runs when the registration Hello states none (WindowLen
+	// 0), the one Hello a tier answers with the announcement: Attach reads
+	// it, checks it (Params.Validate), calls Adopt and registers again under
+	// the Hello that now states them.
+	Adopt func(Params) error
 	// Redial, when enabled, reconnects after a link made by Connect or Place
 	// drops: the walk Place makes, then the last address. Unset backoffs
 	// take DefaultRedial's. After an explicit rejection the redial happens
 	// only with RetryRejected — for a peer whose rejections are transient,
 	// like a claim conflict during a re-shard that clears once the stale
 	// owner drops — or when there is more than one candidate to fail over
-	// to; otherwise it would loop.
+	// to; otherwise it would loop. A refusal for other protocol parameters
+	// (transport.ErrorParams) is never redialed: no candidate runs other
+	// parameters than the tier that refused.
 	Redial        RedialPolicy
 	RetryRejected bool
 	// Candidates pre-seeds the candidate list normally learned from a pushed
@@ -119,7 +127,8 @@ func (u *Uplink) Connect(addr string, timeout time.Duration) error {
 }
 
 // Attach adopts an established connection (tests, embedders): sends the
-// Hello and starts the reader.
+// Hello and starts the reader. A Hello that states no parameters waits for
+// the announcement first (Config.Adopt), at most DialTimeout.
 func (u *Uplink) Attach(conn *transport.Conn) error {
 	u.helloMu.Lock()
 	defer u.helloMu.Unlock()
@@ -138,7 +147,11 @@ func (u *Uplink) Attach(conn *transport.Conn) error {
 	u.mu.Unlock()
 
 	hello := u.cfg.Hello()
-	if err := conn.Send(transport.Envelope{Hello: &hello}); err != nil {
+	err := conn.Send(transport.Envelope{Hello: &hello})
+	if err == nil && hello.WindowLen == 0 {
+		err = u.adopt(conn)
+	}
+	if err != nil {
 		u.mu.Lock()
 		if u.conn == conn {
 			u.conn = nil
@@ -151,7 +164,37 @@ func (u *Uplink) Attach(conn *transport.Conn) error {
 	u.cfg.Health.Set(linkHealth, obs.StatusOK, "registered upstream")
 	u.log.Info("attached upstream", "flows", len(hello.FlowIDs))
 	go u.readLoop(conn, reader)
+	if hello.WindowLen == 0 {
+		// Register again, now stating the adopted parameters; the reader
+		// takes what the tier pushes meanwhile, and sees a failed send as
+		// the dead link it is.
+		hello = u.cfg.Hello()
+		_ = conn.Send(transport.Envelope{Hello: &hello})
+	}
 	return nil
+}
+
+// adopt reads the announcement that answers a Hello stating no parameters,
+// the tier's first frame but for a broadcast it skips, and hands it to
+// Config.Adopt. A refusal or a bad announcement is ErrParams; the link is
+// closed when nothing arrives within DialTimeout.
+func (u *Uplink) adopt(conn *transport.Conn) error {
+	defer time.AfterFunc(DialTimeout, func() { _ = conn.Close() }).Stop()
+	for {
+		env, err := conn.Recv()
+		switch {
+		case err != nil:
+			return fmt.Errorf("awaiting the parameter announcement: %w", err)
+		case env.Error != nil:
+			return fmt.Errorf("%w: refused: %s", ErrParams, env.Error.Msg)
+		case env.Hello != nil:
+			p := ParamsOf(*env.Hello)
+			if err := p.Validate(); err != nil {
+				return err
+			}
+			return u.cfg.Adopt(p)
+		}
+	}
 }
 
 // Announce re-sends the Hello on the live link after the announced state
@@ -178,7 +221,7 @@ func (u *Uplink) Announce() bool {
 // when that is enabled and sensible.
 func (u *Uplink) readLoop(conn *transport.Conn, reader chan struct{}) {
 	defer close(reader)
-	rejected := false
+	rejected, refused := false, false
 	for !rejected {
 		env, err := conn.Recv()
 		if err != nil {
@@ -199,7 +242,7 @@ func (u *Uplink) readLoop(conn *transport.Conn, reader chan struct{}) {
 			u.mu.Unlock()
 			u.log.Info("shard map received", "aggregators", n, "epoch", epoch)
 		case env.Error != nil:
-			rejected = true
+			rejected, refused = true, env.Error.Kind == transport.ErrorParams
 			u.cfg.Health.Set(linkHealth, obs.StatusDown, env.Error.Msg)
 			u.log.Error("upstream rejected the registration", "err", env.Error.Msg)
 		default:
@@ -220,7 +263,7 @@ func (u *Uplink) readLoop(conn *transport.Conn, reader chan struct{}) {
 		return
 	}
 	_ = conn.Close()
-	if u.cfg.Redial.Enabled && addr != "" && (!rejected || u.cfg.RetryRejected || nCand > 1) {
+	if u.cfg.Redial.Enabled && addr != "" && !refused && (!rejected || u.cfg.RetryRejected || nCand > 1) {
 		u.cfg.Health.Set(linkHealth, obs.StatusDegraded, "link lost; reconnecting")
 		u.log.Warn("upstream link lost, reconnecting", "addr", addr, "candidates", nCand)
 		go u.redial(addr)
@@ -249,7 +292,7 @@ func (u *Uplink) walk(fallback string, timeout time.Duration) (string, error) {
 	}
 	err := fmt.Errorf("%w: no upstream candidate", ErrNotConnected)
 	for _, addr := range order {
-		if err = u.Connect(addr, timeout); err == nil || errors.Is(err, ErrAlreadyConnected) || errors.Is(err, ErrNotConnected) {
+		if err = u.Connect(addr, timeout); err == nil || errors.Is(err, ErrAlreadyConnected) || errors.Is(err, ErrNotConnected) || errors.Is(err, ErrParams) {
 			return addr, err
 		}
 		u.log.Warn("upstream candidate unreachable", "addr", addr, "err", err)
@@ -285,8 +328,8 @@ func (u *Uplink) redial(fallback string) {
 			u.cfg.Reconnects.Inc()
 			u.log.Info("reconnected upstream", "addr", addr, "attempts", attempt)
 			return
-		case errors.Is(err, ErrAlreadyConnected) || errors.Is(err, ErrNotConnected):
-			return // someone else attached, or the uplink closed
+		case errors.Is(err, ErrAlreadyConnected) || errors.Is(err, ErrNotConnected) || errors.Is(err, ErrParams):
+			return // someone else attached, the uplink closed, or it was refused
 		}
 	}
 }

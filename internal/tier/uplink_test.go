@@ -2,7 +2,9 @@ package tier
 
 import (
 	"errors"
+	"math"
 	"net"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -33,14 +35,15 @@ func newUplink(t *testing.T, mutate func(*UplinkConfig)) *Uplink {
 	return u
 }
 
-// rejecting starts an upstream that refuses every Hello and counts them.
-func rejecting(t *testing.T) (addr string, hellos *atomic.Int64) {
+// rejecting starts an upstream that refuses every Hello with a refusal of
+// the given kind and counts them.
+func rejecting(t *testing.T, kind transport.ErrorKind) (addr string, hellos *atomic.Int64) {
 	t.Helper()
 	hellos = new(atomic.Int64)
 	srv, err := transport.Listen("127.0.0.1:0", func(c *transport.Conn) {
 		if env, err := c.Recv(); err == nil && env.Hello != nil {
 			hellos.Add(1)
-			_ = c.Send(transport.Envelope{Error: &transport.ProtocolError{Msg: "no"}})
+			_ = c.Send(transport.Envelope{Error: &transport.ProtocolError{Msg: "no", Kind: kind}})
 		}
 	})
 	if err != nil {
@@ -52,20 +55,27 @@ func rejecting(t *testing.T) (addr string, hellos *atomic.Int64) {
 
 // TestRedialAfterRejection pins the one rule for an explicit rejection: a
 // peer with nowhere else to go stays down (redialing would loop), unless its
-// rejections are declared transient or it has candidates to fail over to.
+// rejections are declared transient or it has candidates to fail over to. A
+// refusal for other protocol parameters stays down regardless: no candidate
+// runs other parameters than the tier that refused.
 func TestRedialAfterRejection(t *testing.T) {
+	transient := func(c *UplinkConfig, _ string) { c.RetryRejected = true }
+	candidates := func(c *UplinkConfig, addr string) { c.Candidates = []string{addr, "127.0.0.1:1"} }
 	cases := []struct {
 		name   string
+		kind   transport.ErrorKind
 		mutate func(c *UplinkConfig, addr string)
 		redial bool
 	}{
-		{"nowhere else to go", func(*UplinkConfig, string) {}, false},
-		{"rejections are transient", func(c *UplinkConfig, _ string) { c.RetryRejected = true }, true},
-		{"candidates to fail over to", func(c *UplinkConfig, addr string) { c.Candidates = []string{addr, "127.0.0.1:1"} }, true},
+		{"nowhere else to go", 0, func(*UplinkConfig, string) {}, false},
+		{"rejections are transient", 0, transient, true},
+		{"candidates to fail over to", 0, candidates, true},
+		{"parameters refused, rejections transient", transport.ErrorParams, transient, false},
+		{"parameters refused, candidates to fail over to", transport.ErrorParams, candidates, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			addr, hellos := rejecting(t)
+			addr, hellos := rejecting(t, tc.kind)
 			u := newUplink(t, func(c *UplinkConfig) { tc.mutate(c, addr) })
 			if err := u.Connect(addr, time.Second); err != nil {
 				t.Fatal(err)
@@ -146,5 +156,77 @@ func TestPlaceWalksRendezvousOrder(t *testing.T) {
 	empty := newUplink(t, func(*UplinkConfig) {})
 	if _, err := empty.Place(time.Second); !errors.Is(err, ErrNotConnected) {
 		t.Fatalf("Place with no candidates: %v, want ErrNotConnected", err)
+	}
+}
+
+// TestAttachAdoptsTheAnnouncement: a peer whose Hello states no parameters
+// registers without flows, Attach returns once Adopt has run on the
+// announcement — and keeps the shard map the tier pushes after it, over an
+// unbuffered pipe — and the peer registers again under the adopted Hello.
+func TestAttachAdoptsTheAnnouncement(t *testing.T) {
+	shards := &transport.ShardMap{Aggregators: []string{"a:1", "b:1"}, Epoch: 3}
+	d, _ := newDownstream(t, func(c *DownstreamConfig) {
+		c.Epsilon = 0.3
+		c.OnJoin = func(conn *transport.Conn) { _ = conn.Send(transport.Envelope{Shards: shards}) }
+	})
+	var adopted atomic.Pointer[Params]
+	u := newUplink(t, func(c *UplinkConfig) {
+		c.Hello = func() transport.Hello {
+			h := transport.Hello{MonitorID: "peer"}
+			if p := adopted.Load(); p != nil {
+				h = p.Stated(h)
+				h.FlowIDs = []int{0, 1}
+			}
+			return h
+		}
+		c.Adopt = func(p Params) error {
+			adopted.Store(&p)
+			return nil
+		}
+	})
+	mine, theirs := transport.Pipe()
+	go d.Handle(theirs)
+	if err := u.Attach(mine); err != nil {
+		t.Fatal(err)
+	}
+	if p := adopted.Load(); p == nil || *p != d.cfg.Params {
+		t.Fatalf("adopted %v, want the tier's %v", p, d.cfg.Params)
+	}
+	waitFor(t, "the pushed shard map", func() bool {
+		u.mu.Lock()
+		defer u.mu.Unlock()
+		return slices.Equal(u.candidates, shards.Aggregators)
+	})
+	waitFor(t, "the re-registration under the adopted parameters", func() bool {
+		return slices.Equal(d.OwnedFlows(), []int{0, 1})
+	})
+}
+
+// TestAttachRefusesABadAnnouncement: an announcement no state can be built
+// from fails Attach with ErrParams and never reaches Adopt.
+func TestAttachRefusesABadAnnouncement(t *testing.T) {
+	for name, bad := range map[string]transport.Hello{
+		"zero window": {SketchLen: 4, NumFlows: 8},
+		"epsilon NaN": {SketchLen: 4, NumFlows: 8, WindowLen: 16, Epsilon: math.NaN()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var adopts atomic.Int64
+			u := newUplink(t, func(c *UplinkConfig) {
+				c.Hello = func() transport.Hello { return transport.Hello{MonitorID: "peer"} }
+				c.Adopt = func(Params) error { adopts.Add(1); return nil }
+			})
+			mine, theirs := transport.Pipe()
+			go func() {
+				if _, err := theirs.Recv(); err == nil {
+					_ = theirs.Send(transport.Envelope{Hello: &bad})
+				}
+			}()
+			if err := u.Attach(mine); !errors.Is(err, ErrParams) {
+				t.Fatalf("Attach = %v, want ErrParams", err)
+			}
+			if n := adopts.Load(); n != 0 {
+				t.Fatalf("Adopt ran %d times on a refused announcement", n)
+			}
+		})
 	}
 }

@@ -55,7 +55,9 @@ func (r Role) String() string {
 }
 
 // Hello announces a monitor to the NOC. It must be the first message on a
-// connection.
+// connection. A peer that has not adopted the protocol parameters yet states
+// WindowLen 0 and claims no flows; the tier answers that Hello with a Hello
+// of its own, the announcement: FlowIDs empty, the parameters set.
 type Hello struct {
 	// MonitorID names the monitor for logs and routing.
 	MonitorID string
@@ -78,6 +80,11 @@ type Hello struct {
 	// Hello on the same connection when its flow union grows or shrinks —
 	// the NOC treats a repeat Hello from an aggregator as re-registration.
 	Role Role
+	// NumFlows (m) and Epsilon (the VH ε) complete the protocol parameters.
+	// Zero states none: a peer built before the fields existed sends zero,
+	// and so does a deployment that leaves ε to the monitors.
+	NumFlows int
+	Epsilon  float64
 }
 
 // VolumeReport carries one interval's volumes for a monitor's flows
@@ -223,8 +230,18 @@ type ShardMap struct {
 // ProtocolError reports a fatal protocol-level problem to the peer before
 // the connection is dropped.
 type ProtocolError struct {
-	Msg string
+	Msg  string
+	Kind ErrorKind
 }
+
+// ErrorKind types a ProtocolError. Zero, what a peer built before the field
+// existed sends and reads, is untyped: a refusal a later registration may
+// clear, like a flow claim conflict during a re-shard.
+type ErrorKind int
+
+// ErrorParams refuses a peer that runs other protocol parameters than the
+// tier it dialed; redialing cannot help.
+const ErrorParams ErrorKind = 1
 
 // TraceContext carries interval-lineage tracing across the wire (see
 // internal/trace): the trace this frame belongs to and the sender-side span

@@ -26,21 +26,27 @@ import (
 // TestREADMEFlagTablesMatchBinaries keeps README's flag tables equal to the
 // three daemons' command lines as pinned by their help.golden files: every
 // flag a daemon registers has a table row, and every flag a table row names
-// is one some daemon registers.
+// is one its daemons register. A row's daemons are those its first cell names
+// in parentheses — "(noc, monitor)", "(`sketchpca-monitor`)"; names that are
+// no daemon, like `examples/distributed`, are skipped — else sketchpca-agg
+// for a row of the "Federated deployment" table, else any daemon.
 func TestREADMEFlagTablesMatchBinaries(t *testing.T) {
 	goldens, err := filepath.Glob("cmd/*/testdata/help.golden")
 	if err != nil || len(goldens) != 3 {
 		t.Fatalf("help.golden files: %v, %v; want the three daemons'", goldens, err)
 	}
 	registered := map[string]bool{}
+	byDaemon := map[string]map[string]bool{} // "noc", "agg", "monitor"
 	helpFlag := regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`)
 	for _, g := range goldens {
 		b, err := os.ReadFile(g)
 		if err != nil {
 			t.Fatal(err)
 		}
+		daemon := map[string]bool{}
+		byDaemon[strings.TrimPrefix(filepath.Base(filepath.Dir(filepath.Dir(g))), "sketchpca-")] = daemon
 		for _, m := range helpFlag.FindAllStringSubmatch(string(b), -1) {
-			registered[m[1]] = true
+			registered[m[1]], daemon[m[1]] = true, true
 		}
 	}
 
@@ -51,26 +57,50 @@ func TestREADMEFlagTablesMatchBinaries(t *testing.T) {
 	// A flag-table row is a table line whose first cell names flags in
 	// backticks; the other cells may mention flags freely.
 	documented := map[string]bool{}
+	var stale []string
 	cellFlag := regexp.MustCompile("`-([a-z][a-z0-9-]*)`")
+	owners := regexp.MustCompile(`\(([^)]*)\)`)
+	section, fenced := "", false
 	for _, line := range strings.Split(string(readme), "\n") {
+		switch {
+		case strings.HasPrefix(line, "```"):
+			fenced = !fenced
+		case !fenced && strings.HasPrefix(line, "#"):
+			section = strings.TrimSpace(strings.TrimLeft(line, "#"))
+		}
 		if !strings.HasPrefix(line, "| `-") {
 			continue
 		}
 		first := strings.SplitN(line, "|", 3)[1]
+		var daemons []string
+		if m := owners.FindStringSubmatch(first); m != nil {
+			for _, name := range strings.Split(m[1], ",") {
+				name = strings.TrimPrefix(strings.Trim(strings.TrimSpace(name), "`"), "sketchpca-")
+				if byDaemon[name] != nil {
+					daemons = append(daemons, name)
+				}
+			}
+		} else if strings.HasPrefix(section, "Federated deployment") {
+			daemons = []string{"agg"}
+		}
 		for _, m := range cellFlag.FindAllStringSubmatch(first, -1) {
-			documented[m[1]] = true
+			f := m[1]
+			documented[f] = true
+			if len(daemons) == 0 && !registered[f] {
+				stale = append(stale, "-"+f)
+			}
+			for _, d := range daemons {
+				if !byDaemon[d][f] {
+					stale = append(stale, fmt.Sprintf("-%s (%s)", f, d))
+				}
+			}
 		}
 	}
 
-	var missing, stale []string
+	var missing []string
 	for f := range registered {
 		if !documented[f] {
 			missing = append(missing, "-"+f)
-		}
-	}
-	for f := range documented {
-		if !registered[f] {
-			stale = append(stale, "-"+f)
 		}
 	}
 	sort.Strings(missing)
@@ -79,7 +109,7 @@ func TestREADMEFlagTablesMatchBinaries(t *testing.T) {
 		t.Errorf("flags in a help.golden with no README table row: %s", strings.Join(missing, " "))
 	}
 	if len(stale) > 0 {
-		t.Errorf("flags in a README table row that no daemon registers: %s", strings.Join(stale, " "))
+		t.Errorf("flags in a README table row that its daemon does not register: %s", strings.Join(stale, " "))
 	}
 }
 
