@@ -42,6 +42,17 @@ go build ./...
 GOOS=darwin go build ./...
 step_done
 
+# The wire is one binary frame per message (internal/transport/wire.go); gob
+# may stand in for an earlier build's peer in a test, never in the program.
+step "no encoding/gob outside tests"
+GOB=$(go list -f '{{.ImportPath}} {{.Imports}}' ./... | grep -w 'encoding/gob' | cut -d' ' -f1 || true)
+if [ -n "$GOB" ]; then
+    echo "encoding/gob imported by non-test code in:" >&2
+    echo "$GOB" >&2
+    exit 1
+fi
+step_done
+
 step "go test"
 go test ./...
 step_done
@@ -175,7 +186,8 @@ step_done
 
 # Fuzz smokes: ten seconds of coverage-guided input on each hostile decoder
 # (NetFlow v5 datagrams off the wire, trace CSVs off disk, peer snapshots an
-# aggregator validates and merges, the column frame of a sketch response),
+# aggregator validates and merges, a peer's message stream: the preamble and
+# frames of every kind),
 # and differentially against a reference on the routing trie every NetFlow
 # record is looked up in (a brute-force scan), on the variance histogram's
 # storage (the exact window) and on the NOC model build's eigensolver,
@@ -198,8 +210,8 @@ step "fuzz smoke (peer snapshot merge, 10s)"
 go test -run 'XXXnone' -fuzz '^FuzzMergeColumns$' -fuzztime 10s ./internal/sketch/ > /dev/null
 step_done
 
-step "fuzz smoke (sketch-response column frame, 10s)"
-go test -run 'XXXnone' -fuzz '^FuzzColumnsFrame$' -fuzztime 10s ./internal/transport/ > /dev/null
+step "fuzz smoke (message stream decoder, 10s)"
+go test -run 'XXXnone' -fuzz '^FuzzDecodeMessage$' -fuzztime 10s ./internal/transport/ > /dev/null
 step_done
 
 step "fuzz smoke (variance histogram against the exact window, 10s)"

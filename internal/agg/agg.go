@@ -153,6 +153,11 @@ type Service struct {
 	pulls sync.WaitGroup
 
 	mu sync.Mutex // guards cfg.Peers and cfg.ShardEpoch
+
+	// fwd is the merged volume report forwardVolumes refills and sends for
+	// every completed interval; fwdMu serializes the monitors' readers on it.
+	fwdMu sync.Mutex
+	fwd   transport.VolumeReport
 }
 
 // New validates cfg and builds the service.
@@ -335,20 +340,24 @@ func (s *Service) pushShardMap(conn *transport.Conn) {
 }
 
 // forwardVolumes sends one merged VolumeReport upstream for an interval in
-// which every currently-owned flow has reported.
+// which every currently-owned flow has reported, refilling one report.
 func (s *Service) forwardVolumes(iv tier.Interval) {
 	up := s.up.Conn()
 	if up == nil {
 		return
 	}
-	rep := transport.VolumeReport{MonitorID: s.cfg.ID, Interval: iv.Index}
+	s.fwdMu.Lock()
+	defer s.fwdMu.Unlock()
+	rep := &s.fwd
+	rep.MonitorID, rep.Interval = s.cfg.ID, iv.Index
+	rep.FlowIDs, rep.Volumes = rep.FlowIDs[:0], rep.Volumes[:0]
 	for f, seen := range iv.Seen {
 		if seen {
 			rep.FlowIDs = append(rep.FlowIDs, f)
 			rep.Volumes = append(rep.Volumes, iv.Volumes[f])
 		}
 	}
-	if err := up.Send(transport.Envelope{Volume: &rep}); err != nil {
+	if err := up.Send(transport.Envelope{Volume: rep}); err != nil {
 		s.log.Warn("volume forward failed", "interval", rep.Interval, "err", err)
 		return
 	}
@@ -362,6 +371,7 @@ func (s *Service) serveFetch(up *transport.Conn, upReqID uint64, tc *transport.T
 	defer s.pulls.Done()
 	down := s.down.Load()
 	p := down.Pull(nil, tc)
+	defer down.Release(p)
 	if len(p.Reports) == 0 {
 		s.log.Warn("sketch pull unanswerable: no live or cached snapshots", "request", upReqID)
 		return

@@ -122,10 +122,12 @@ func (m *Monitor) Update(t int64, volumes []float64) error {
 	return m.sk.Update(t, volumes)
 }
 
-// SketchReport carries a monitor's current sketch state to the NOC. It is
-// the wire-form sketch.Snapshot: the alias keeps transport payloads and gob
-// streams identical across the refactor (gob matches fields by name).
+// SketchReport carries a monitor's current sketch state to the NOC: the
+// wire-form sketch.Snapshot, which transport.SketchResponse carries.
 type SketchReport = sketch.Snapshot
 
 // Report extracts the current sketch state for all assigned flows.
 func (m *Monitor) Report() SketchReport { return m.sk.Snapshot() }
+
+// ReportInto is Report into dst, reusing its slices' capacity.
+func (m *Monitor) ReportInto(dst *SketchReport) { m.sk.SnapshotInto(dst) }

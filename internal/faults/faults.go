@@ -51,7 +51,7 @@ type Injector interface {
 	// Decide is consulted once per message with the transport direction
 	// (DirSend or DirRecv, from the perspective of the consulting
 	// connection) and the envelope's payload type name ("hello", "volume",
-	// "sketch_request", "sketch_response", "alarm", "error").
+	// "sketch_request", "sketch_response", "alarm", "error", "shard_map").
 	Decide(dir, msgType string) Outcome
 }
 

@@ -169,6 +169,11 @@ type Service struct {
 	core   *core.Monitor
 	oracle *oracle.Checker
 	params tier.Params
+
+	// snap is the report every sketch pull is written into and sent from;
+	// snapMu holds it from the snapshot until the send returns.
+	snapMu sync.Mutex
+	snap   core.SketchReport
 }
 
 // New validates cfg and builds the sketch state, or leaves it to the
@@ -317,7 +322,8 @@ func (s *Service) hello() transport.Hello {
 	return transport.Hello{MonitorID: s.cfg.ID}
 }
 
-// serveSketch answers one sketch pull with the current sketch state.
+// serveSketch answers one sketch pull with the current sketch state,
+// written into the service's one report.
 func (s *Service) serveSketch(conn *transport.Conn, req transport.SketchRequest, tc *transport.TraceContext) {
 	s.met.sketchReqs.Inc()
 	// Parent the serving span under the NOC's fetch span when the request
@@ -327,11 +333,13 @@ func (s *Service) serveSketch(conn *transport.Conn, req transport.SketchRequest,
 		sp = s.cfg.Trace.Start(trace.ID(tc.TraceID), trace.SpanID(tc.SpanID),
 			"monitor.sketch_report", trace.I("request", int64(req.RequestID)))
 	}
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
 	s.mu.Lock()
-	rep := s.core.Report()
+	s.core.ReportInto(&s.snap)
 	s.mu.Unlock()
-	sp.SetAttr(trace.I("sketch_interval", rep.Interval), trace.I("flows", int64(len(rep.FlowIDs))))
-	resp := transport.SketchResponse{RequestID: req.RequestID, MonitorID: s.cfg.ID, Report: rep}
+	sp.SetAttr(trace.I("sketch_interval", s.snap.Interval), trace.I("flows", int64(len(s.snap.FlowIDs))))
+	resp := transport.SketchResponse{RequestID: req.RequestID, MonitorID: s.cfg.ID, Report: s.snap}
 	if err := conn.Send(transport.Envelope{Response: &resp, Trace: tc}); err != nil {
 		sp.Event("send_error", trace.S("err", err.Error()))
 		_ = conn.Close() // a link that cannot answer is dead: let the reader see it
@@ -416,12 +424,7 @@ func (s *Service) ReportInterval(t int64, volumes []float64) error {
 		sp.End()
 		return ErrNotConnected
 	}
-	report := transport.VolumeReport{
-		MonitorID: s.cfg.ID,
-		Interval:  t,
-		FlowIDs:   s.flowIDs,
-		Volumes:   append([]float64(nil), volumes...),
-	}
+	report := transport.VolumeReport{MonitorID: s.cfg.ID, Interval: t, FlowIDs: s.flowIDs, Volumes: volumes}
 	env := transport.Envelope{Volume: &report}
 	if sp != nil {
 		env.Trace = &transport.TraceContext{TraceID: uint64(sp.Trace()), SpanID: uint64(sp.ID())}

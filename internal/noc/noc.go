@@ -276,6 +276,9 @@ type Service struct {
 	// localMon holds the NOC-side variance histograms when LocalSketches
 	// is enabled; accessed only from the processing goroutine.
 	localMon *core.Monitor
+	// pulled is the sketch pull the observation in progress fetched, released
+	// to the tier once the model is built; processing goroutine only.
+	pulled *tier.Pull
 
 	workCh   chan tier.Interval // buffered channel feeding the processor
 	procDone chan struct{}
@@ -575,6 +578,10 @@ func (s *Service) processLoop() {
 		s.detMu.Lock()
 		res, err := s.det.Observe(item.Volumes, timedFetch)
 		s.detMu.Unlock()
+		if s.pulled != nil {
+			s.down.Release(s.pulled)
+			s.pulled = nil
+		}
 		total := time.Since(start)
 		absorb()
 		if err != nil {
@@ -691,6 +698,7 @@ func (s *Service) fetchLocal(sp *trace.Span) (core.Fetch, error) {
 func (s *Service) fetchSketches(sp *trace.Span) (core.Fetch, error) {
 	m := s.cfg.Detector.NumFlows
 	p := s.down.Pull(sp, traceContext(sp))
+	s.pulled = p
 	if miss := s.down.Uncovered(p); len(miss) > 0 {
 		return core.Fetch{}, fmt.Errorf("%w: %d of %d flows missing after %d rounds",
 			ErrCoverage, len(miss), m, p.Rounds)

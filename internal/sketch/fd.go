@@ -191,25 +191,33 @@ func (m *FD) shrink() error {
 
 // Snapshot extracts the current buffer rows and running means.
 func (m *FD) Snapshot() Snapshot {
+	var rep Snapshot
+	m.SnapshotInto(&rep)
+	return rep
+}
+
+// SnapshotInto is Snapshot into dst, reusing its slices' capacity.
+func (m *FD) SnapshotInto(dst *Snapshot) {
 	w := len(m.flowIDs)
-	rep := Snapshot{
+	*dst = Snapshot{
 		Interval: m.now,
-		FlowIDs:  append([]int(nil), m.flowIDs...),
-		Means:    make([]float64, w),
-		Counts:   make([]int64, w),
+		FlowIDs:  append(dst.FlowIDs[:0], m.flowIDs...),
+		Sketches: dst.Sketches[:0],
+		Means:    resize(dst.Means, w),
+		Counts:   resize(dst.Counts, w),
 		Family:   FamilyFD,
-		FDRows:   make([][]float64, m.used),
+		FDRows:   resizeRows(dst.FDRows, m.used),
 		FDDelta:  m.delta,
 		FDEll:    m.ell,
 	}
-	for i := 0; i < m.used; i++ {
-		rep.FDRows[i] = append([]float64(nil), m.buf.RowView(i)...)
+	for i := range dst.FDRows {
+		dst.FDRows[i] = append(dst.FDRows[i][:0], m.buf.RowView(i)...)
 	}
-	if m.count > 0 {
-		for i := range rep.Means {
-			rep.Means[i] = m.sums[i] / float64(m.count)
-			rep.Counts[i] = m.count
+	for i := range dst.Means {
+		dst.Means[i], dst.Counts[i] = 0, 0
+		if m.count > 0 {
+			dst.Means[i] = m.sums[i] / float64(m.count)
+			dst.Counts[i] = m.count
 		}
 	}
-	return rep
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // FuzzMergeColumns drives hostile FD snapshots through the path an
-// aggregator exposes to its registrants: gob round-trip (the wire format),
-// Validate, then MergeColumns beside a well-formed peer's snapshot. The
+// aggregator exposes to its registrants: a lossless round trip (gob here;
+// the wire's own codec is transport's, which imports this package), Validate,
+// then MergeColumns beside a well-formed peer's snapshot. The
 // invariants: no panics, both steps only ever fail with typed ErrInput, and
 // an accepted merge covers both flow sets and still validates.
 func FuzzMergeColumns(f *testing.F) {

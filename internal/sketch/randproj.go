@@ -106,18 +106,26 @@ func (m *RandProj) Update(t int64, volumes []float64) error {
 
 // Snapshot extracts the current sketches for all assigned flows.
 func (m *RandProj) Snapshot() Snapshot {
-	rep := Snapshot{
+	var rep Snapshot
+	m.SnapshotInto(&rep)
+	return rep
+}
+
+// SnapshotInto is Snapshot into dst, reusing its slices' capacity.
+func (m *RandProj) SnapshotInto(dst *Snapshot) {
+	w := len(m.flowIDs)
+	*dst = Snapshot{
 		Interval: m.now,
-		FlowIDs:  append([]int(nil), m.flowIDs...),
-		Sketches: make([][]float64, len(m.flowIDs)),
-		Means:    make([]float64, len(m.flowIDs)),
-		Counts:   make([]int64, len(m.flowIDs)),
+		FlowIDs:  append(dst.FlowIDs[:0], m.flowIDs...),
+		Sketches: resizeRows(dst.Sketches, w),
+		Means:    resize(dst.Means, w),
+		Counts:   resize(dst.Counts, w),
 		Family:   FamilyRandProj,
+		FDRows:   dst.FDRows[:0],
 	}
 	for i, h := range m.hists {
-		rep.Sketches[i] = h.Sketch()
-		rep.Means[i] = h.EstimateMean()
-		rep.Counts[i] = h.Count()
+		dst.Sketches[i] = h.SketchInto(dst.Sketches[i])
+		dst.Means[i] = h.EstimateMean()
+		dst.Counts[i] = h.Count()
 	}
-	return rep
 }

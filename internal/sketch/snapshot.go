@@ -6,17 +6,9 @@ import (
 )
 
 // Snapshot carries a sketcher's current state to the NOC. It is the wire
-// payload of transport.SketchResponse (via the core.SketchReport alias).
-//
-// Wire compatibility: gob matches struct fields by name, so payloads encoded
-// before the Family/FD* fields existed decode with their zero values —
-// Family's zero value is FamilyRandProj, which is exactly what such payloads
-// carry — and newer payloads decode on older binaries with the unknown
-// fields dropped (same versioning stance as transport.TraceContext).
-// Sketches is the one field that may leave gob: transport.Conn ships
-// equal-length randproj columns as one little-endian transport.ColumnsFrame
-// and rebuilds the field on receipt, so it holds the same bits either way.
-// FD snapshots always travel as gob.
+// payload of transport.SketchResponse (via the core.SketchReport alias),
+// which carries every field in order and every float as its exact bit
+// pattern; a peer of another wire version is refused, not decoded.
 type Snapshot struct {
 	// Interval is the time of the most recent update covered.
 	Interval int64
@@ -95,4 +87,23 @@ func (r *Snapshot) Validate(sketchParam int) error {
 		}
 	}
 	return nil
+}
+
+// resize returns s with length n, reusing its capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// resizeRows returns rows with length n, keeping the rows its capacity
+// holds for reuse.
+func resizeRows(rows [][]float64, n int) [][]float64 {
+	if cap(rows) < n {
+		grown := make([][]float64, n)
+		copy(grown, rows[:cap(rows)])
+		return grown
+	}
+	return rows[:n]
 }

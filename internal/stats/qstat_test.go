@@ -2,6 +2,7 @@ package stats
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -280,5 +281,88 @@ func TestQuickQStatisticFinite(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// qStatisticCappedPerCap is QStatisticCapped as it was first written, one
+// QStatistic per cap from full−1 down to 1: the reference the one-pass scan
+// must match bit for bit.
+func qStatisticCappedPerCap(singularValues []float64, windowLen, normalRank int, alpha float64) (float64, int, error) {
+	q, err := QStatistic(singularValues, windowLen, normalRank, alpha)
+	if err == nil || !errors.Is(err, ErrDegenerate) {
+		return q, 0, err
+	}
+	full := len(singularValues) - normalRank
+	lastErr := err
+	for k := full - 1; k >= 1; k-- {
+		q, err := QStatistic(singularValues[normalRank:normalRank+k], windowLen, 0, alpha)
+		if err == nil {
+			return q, full - k, nil
+		}
+		if !errors.Is(err, ErrDegenerate) {
+			return 0, 0, err
+		}
+		lastErr = err
+	}
+	return 0, 0, lastErr
+}
+
+// TestQStatisticCappedMatchesPerCapScan: the one-pass cap scan returns the
+// per-cap reference's threshold bits, drop count and error on random
+// spectra, most of them capped, and on ones no cap salvages.
+func TestQStatisticCappedMatchesPerCapScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const trials = 4000
+	capped := 0
+	for trial := 0; trial < trials; trial++ {
+		m := 2 + rng.Intn(90)
+		r := rng.Intn(m)
+		n := 2 + rng.Intn(300)
+		sv := make([]float64, m)
+		// Mostly a dominant residual component over a long flat tail of
+		// about its energy, the shape that drives h0 below zero.
+		tail := (0.5 + 1.5*rng.Float64()) / math.Sqrt(float64(m-r))
+		for i := range sv {
+			switch {
+			case trial%4 == 0:
+				sv[i] = math.Pow(10, 6*rng.Float64()-3) * rng.Float64()
+			case i <= r:
+				sv[i] = 1 + rng.Float64()
+			default:
+				sv[i] = tail * (1 + 0.2*rng.Float64())
+			}
+		}
+		sortDescending(sv)
+		if trial%50 == 0 {
+			sv[r] = math.Inf(1) // no cap salvages a non-finite leading variance
+		}
+		q, drop, err := QStatisticCapped(sv, n, r, 0.01)
+		wq, wdrop, werr := qStatisticCappedPerCap(sv, n, r, 0.01)
+		if math.Float64bits(q) != math.Float64bits(wq) || drop != wdrop || fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("trial %d (m=%d r=%d n=%d): got %v, %d, %v; the per-cap scan %v, %d, %v",
+				trial, m, r, n, q, drop, err, wq, wdrop, werr)
+		}
+		if drop > 0 {
+			capped++
+		}
+	}
+	if capped < trials/4 {
+		t.Fatalf("only %d of %d spectra capped: the comparison does not exercise the scan", capped, trials)
+	}
+}
+
+// TestQStatisticCappedAllocatesNothing: a capping spectrum costs no
+// allocation, neither for the caps it rejects nor for the one it keeps.
+func TestQStatisticCappedAllocatesNothing(t *testing.T) {
+	sv := make([]float64, 81)
+	sv[0] = 1
+	for i := 1; i < len(sv); i++ {
+		sv[i] = 0.1
+	}
+	if _, drop, err := QStatisticCapped(sv, 144, 0, 0.01); err != nil || drop == 0 {
+		t.Fatalf("spectrum does not cap: drop %d, %v", drop, err)
+	}
+	if avg := testing.AllocsPerRun(100, func() { _, _, _ = QStatisticCapped(sv, 144, 0, 0.01) }); avg != 0 {
+		t.Fatalf("QStatisticCapped allocates %.1f times on a capping spectrum", avg)
 	}
 }

@@ -156,11 +156,16 @@ type Downstream struct {
 	nextReq uint64
 	// breakers and cache are keyed by registrant ID, so they survive a
 	// reconnect under the same identity. cache holds each registrant's last
-	// validated report; cols, kept only for a degraded randproj tier, each
-	// flow's newest validated column. Pull fills from the two (see fill).
+	// validated report, whole for FD and its interval alone for randproj,
+	// whose arrays are recycled; cols, kept only for a degraded randproj
+	// tier, a copy of each flow's newest validated column. Pull fills from
+	// the two (see fill).
 	breakers map[string]*breakerState
 	cache    map[string]core.SketchReport
 	cols     []column
+	// spares are released randproj responses, reused to decode the next
+	// (see Release); at most one per registrant is kept.
+	spares []*transport.SketchResponse
 	// lastVol/lastVolAt hold each flow's most recent reported volume;
 	// lastVolAt is -1 until first seen. lastInterval is the newest interval
 	// any volume report named.
@@ -327,8 +332,19 @@ func (d *Downstream) Broadcast(env transport.Envelope) (attempted, delivered int
 // Handle owns one registrant connection: the Hello handshake, then volume
 // reports, sketch responses and repeat Hellos until the link dies. Serve
 // installs it on every accepted connection; tests drive it over pipes.
+//
+// Volume reports decode into one report the connection reuses, which
+// addVolumes folds into the interval accumulator before the next is read.
+// A sketch response decodes into a spare one (see spare) that travels to
+// its pull round whole, and the connection takes another.
 func (d *Downstream) Handle(conn *transport.Conn) {
 	env, err := conn.Recv()
+	if errors.Is(err, transport.ErrVersion) {
+		d.cfg.Metrics.Rejected.Inc()
+		d.log.Warn("peer refused", "err", err)
+		_ = conn.Send(transport.Envelope{Error: &transport.ProtocolError{Msg: err.Error(), Kind: transport.ErrorVersion}})
+		return
+	}
 	if err != nil {
 		return
 	}
@@ -340,16 +356,20 @@ func (d *Downstream) Handle(conn *transport.Conn) {
 		return
 	}
 	defer d.drop(conn)
+	var vol transport.VolumeReport
+	resp := d.spare()
 	for {
-		env, err := conn.Recv()
-		if err != nil {
+		env := transport.Envelope{Volume: &vol, Response: resp}
+		if err := conn.RecvInto(&env); err != nil {
 			return
 		}
 		switch {
 		case env.Volume != nil:
 			d.addVolumes(conn, env.Volume)
 		case env.Response != nil:
-			d.routeResponse(conn, env.Response)
+			if d.routeResponse(conn, env.Response) {
+				resp = d.spare()
+			}
 		case env.Hello != nil:
 			// A repeat Hello re-registers: a mid tier re-announces when its
 			// flow union changes. A conflicting claim is rejected and the
@@ -361,6 +381,19 @@ func (d *Downstream) Handle(conn *transport.Conn) {
 			// Tolerate well-formed but unexpected frames.
 		}
 	}
+}
+
+// spare returns a released sketch response to decode into (see Release), or
+// a new one.
+func (d *Downstream) spare() *transport.SketchResponse {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if n := len(d.spares); n > 0 {
+		r := d.spares[n-1]
+		d.spares = d.spares[:n-1]
+		return r
+	}
+	return new(transport.SketchResponse)
 }
 
 // hello registers conn and settles the ownership change, or rejects it. A
@@ -563,17 +596,19 @@ func (d *Downstream) tryCompleteLocked(iv int64, acc *accum) (Interval, bool) {
 }
 
 // routeResponse hands a sketch response to the pull round waiting for it,
-// tagged with the connection it arrived on. A response to a round that is
-// over (its ID was retired) is dropped.
-func (d *Downstream) routeResponse(conn *transport.Conn, r *transport.SketchResponse) {
+// tagged with the connection it arrived on, and reports whether it did. A
+// response to a round that is over (its ID was retired) is dropped.
+func (d *Downstream) routeResponse(conn *transport.Conn, r *transport.SketchResponse) bool {
 	d.mu.Lock()
 	ch := d.rounds[r.RequestID]
 	d.mu.Unlock()
 	if ch == nil {
-		return
+		return false
 	}
 	select {
 	case ch <- response{conn, r}:
+		return true
 	default:
+		return false
 	}
 }

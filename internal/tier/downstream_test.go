@@ -1,8 +1,11 @@
 package tier
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"math"
+	"net"
 	"reflect"
 	"slices"
 	"sync"
@@ -668,5 +671,34 @@ func TestParamsValidate(t *testing.T) {
 		if err := p.Validate(); !errors.Is(err, ErrParams) {
 			t.Errorf("%s: Validate = %v, want ErrParams", name, err)
 		}
+	}
+}
+
+// TestDownstreamRefusesOtherVersions: a peer that opens with gob, as builds
+// before this wire do, is refused with an ErrorVersion the tier counts, and
+// never registers.
+func TestDownstreamRefusesOtherVersions(t *testing.T) {
+	d, _ := newDownstream(t, nil)
+	mine, theirs := net.Pipe()
+	t.Cleanup(func() { _ = mine.Close() })
+	go func() {
+		defer theirs.Close()
+		d.Handle(transport.NewConnWithMetrics(theirs, nil))
+	}()
+	h := hello("old", []int{0})
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(&transport.Envelope{Hello: &h}); err != nil {
+		t.Fatal(err)
+	}
+	go func() { _, _ = mine.Write(old.Bytes()) }()
+	env, err := transport.NewConnWithMetrics(mine, nil).Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Error == nil || env.Error.Kind != transport.ErrorVersion {
+		t.Fatalf("answer %+v, want an ErrorVersion refusal", env)
+	}
+	if n := d.cfg.Metrics.Rejected.Value(); n != 1 || registered(d, "old") {
+		t.Fatalf("rejected %d, registered %v", n, registered(d, "old"))
 	}
 }

@@ -2,6 +2,7 @@ package tier
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -30,6 +31,9 @@ type Pull struct {
 	Filled   int
 
 	by []string // per flow: ID of the report covering it, "" = uncovered
+	// held are the randproj responses Reports were decoded into, handed
+	// back by Release.
+	held []*transport.SketchResponse
 }
 
 // fromCache marks in Pull.by the flows a randproj fill covered.
@@ -85,6 +89,22 @@ func (d *Downstream) Pull(sp *trace.Span, tc *transport.TraceContext) *Pull {
 	return p
 }
 
+// Release hands the tier back the arrays p's randproj answers were decoded
+// into, to decode later answers into; p.Reports is cleared. Call it once
+// nothing reads p.Reports any more: after the model is built or the merge
+// sent. A pull never released costs allocation, not correctness.
+func (d *Downstream) Release(p *Pull) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, r := range p.held {
+		if len(d.spares) >= len(d.regs) {
+			break
+		}
+		d.spares = append(d.spares, r)
+	}
+	p.Reports, p.held = nil, nil
+}
+
 // Uncovered lists the flows p still owes: required or owned by a live
 // registrant, and not covered by a report.
 func (d *Downstream) Uncovered(p *Pull) []int {
@@ -117,9 +137,9 @@ func (p *Pull) owes(flows []int) bool {
 // its own cache entry.
 //
 //   - randproj: a flow's column depends on its own window alone (§IV-B), so
-//     each uncovered flow takes the newest cached column of that flow,
-//     whoever reported it — also one a later, smaller report left out. The
-//     columns become one report.
+//     each uncovered flow takes a copy of the newest cached column of that
+//     flow, whoever reported it — also one a later, smaller report left out.
+//     The columns become one report.
 //   - FD: a block does not split, so a registrant's last report is usable
 //     only whole — every flow it names still uncovered and not owned by a
 //     live registrant of another identity (a partly superseded block would
@@ -161,7 +181,7 @@ func (d *Downstream) fill(p *Pull) {
 			}
 			p.by[f] = fromCache
 			cached.FlowIDs = append(cached.FlowIDs, f)
-			cached.Sketches = append(cached.Sketches, c.sketch)
+			cached.Sketches = append(cached.Sketches, slices.Clone(c.sketch))
 			cached.Means = append(cached.Means, c.mean)
 			cached.Interval = max(cached.Interval, c.at)
 		}
@@ -292,12 +312,19 @@ func (d *Downstream) fold(p *Pull, in response, mid string) error {
 	}
 	for i, f := range rep.FlowIDs {
 		p.by[f] = mid
-		if c := d.cols; c != nil && (c[f].sketch == nil || rep.Interval >= c[f].at) {
-			c[f] = column{sketch: rep.Sketches[i], mean: rep.Means[i], at: rep.Interval}
+		if d.cols != nil && (d.cols[f].sketch == nil || rep.Interval >= d.cols[f].at) {
+			c := &d.cols[f]
+			c.sketch = append(c.sketch[:0], rep.Sketches[i]...)
+			c.mean, c.at = rep.Means[i], rep.Interval
 		}
 	}
 	p.Reports = append(p.Reports, *rep)
-	d.cache[mid] = *rep
+	if rep.Family == sketch.FamilyFD {
+		d.cache[mid] = *rep
+	} else {
+		d.cache[mid] = core.SketchReport{Interval: rep.Interval}
+		p.held = append(p.held, in.r)
+	}
 	if in.r.Degraded {
 		p.Degraded = true
 		p.Stale += in.r.StaleFlows

@@ -50,8 +50,9 @@ type UplinkConfig struct {
 	// like a claim conflict during a re-shard that clears once the stale
 	// owner drops — or when there is more than one candidate to fail over
 	// to; otherwise it would loop. A refusal for other protocol parameters
-	// (transport.ErrorParams) is never redialed: no candidate runs other
-	// parameters than the tier that refused.
+	// (transport.ErrorParams) or another protocol version (ErrorVersion,
+	// ErrVersion) is never redialed: no candidate runs other parameters or
+	// another build than the tier that refused.
 	Redial        RedialPolicy
 	RetryRejected bool
 	// Candidates pre-seeds the candidate list normally learned from a pushed
@@ -218,12 +219,20 @@ func (u *Uplink) Announce() bool {
 }
 
 // readLoop serves the link until it dies, then hands off to the redial loop
-// when that is enabled and sensible.
+// when that is enabled and sensible. Requests decode into one value the link
+// reuses.
 func (u *Uplink) readLoop(conn *transport.Conn, reader chan struct{}) {
 	defer close(reader)
 	rejected, refused := false, false
+	var req transport.SketchRequest
 	for !rejected {
-		env, err := conn.Recv()
+		env := transport.Envelope{Request: &req}
+		err := conn.RecvInto(&env)
+		if errors.Is(err, transport.ErrVersion) {
+			rejected, refused = true, true
+			u.cfg.Health.Set(linkHealth, obs.StatusDown, err.Error())
+			u.log.Error("upstream refused: protocol version", "err", err)
+		}
 		if err != nil {
 			break
 		}
@@ -242,7 +251,7 @@ func (u *Uplink) readLoop(conn *transport.Conn, reader chan struct{}) {
 			u.mu.Unlock()
 			u.log.Info("shard map received", "aggregators", n, "epoch", epoch)
 		case env.Error != nil:
-			rejected, refused = true, env.Error.Kind == transport.ErrorParams
+			rejected, refused = true, env.Error.Kind == transport.ErrorParams || env.Error.Kind == transport.ErrorVersion
 			u.cfg.Health.Set(linkHealth, obs.StatusDown, env.Error.Msg)
 			u.log.Error("upstream rejected the registration", "err", env.Error.Msg)
 		default:
@@ -273,6 +282,12 @@ func (u *Uplink) readLoop(conn *transport.Conn, reader chan struct{}) {
 	}
 }
 
+// isRefusal reports whether err is a refusal no redial can clear: another
+// protocol version (transport.ErrVersion) or other protocol parameters.
+func isRefusal(err error) bool {
+	return errors.Is(err, transport.ErrVersion) || errors.Is(err, ErrParams)
+}
+
 // Place connects to the first reachable candidate in this ID's rendezvous
 // order and returns its address: every peer, hashing independently, lands on
 // the upstream the others agree it belongs to. A redial makes the same walk.
@@ -292,7 +307,7 @@ func (u *Uplink) walk(fallback string, timeout time.Duration) (string, error) {
 	}
 	err := fmt.Errorf("%w: no upstream candidate", ErrNotConnected)
 	for _, addr := range order {
-		if err = u.Connect(addr, timeout); err == nil || errors.Is(err, ErrAlreadyConnected) || errors.Is(err, ErrNotConnected) || errors.Is(err, ErrParams) {
+		if err = u.Connect(addr, timeout); err == nil || errors.Is(err, ErrAlreadyConnected) || errors.Is(err, ErrNotConnected) || isRefusal(err) {
 			return addr, err
 		}
 		u.log.Warn("upstream candidate unreachable", "addr", addr, "err", err)
@@ -328,8 +343,11 @@ func (u *Uplink) redial(fallback string) {
 			u.cfg.Reconnects.Inc()
 			u.log.Info("reconnected upstream", "addr", addr, "attempts", attempt)
 			return
-		case errors.Is(err, ErrAlreadyConnected) || errors.Is(err, ErrNotConnected) || errors.Is(err, ErrParams):
-			return // someone else attached, the uplink closed, or it was refused
+		case isRefusal(err):
+			u.log.Error("upstream refused the registration", "addr", addr, "err", err)
+			return
+		case errors.Is(err, ErrAlreadyConnected) || errors.Is(err, ErrNotConnected):
+			return // someone else attached or the uplink closed
 		}
 	}
 }

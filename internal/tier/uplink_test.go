@@ -1,11 +1,16 @@
 package tier
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
+	"log/slog"
 	"math"
 	"net"
 	"slices"
 	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -226,6 +231,78 @@ func TestAttachRefusesABadAnnouncement(t *testing.T) {
 			}
 			if n := adopts.Load(); n != 0 {
 				t.Fatalf("Adopt ran %d times on a refused announcement", n)
+			}
+		})
+	}
+}
+
+// lockedBuffer is a log sink safe for the uplink's goroutines.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestOtherVersionUpstreamIsNotRedialed: a peer whose upstream answers in
+// another protocol version (a later wire, or gob from a build before this
+// one) logs one refusal and never redials it, even with candidates to fail
+// over to.
+func TestOtherVersionUpstreamIsNotRedialed(t *testing.T) {
+	var gobFrame bytes.Buffer
+	if err := gob.NewEncoder(&gobFrame).Encode(&struct{ Msg string }{"hello"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		answer []byte
+	}{
+		{"version 2", []byte("SPCA\x02\x06\x02\x00\x00\x00\x00\x04")},
+		{"gob", gobFrame.Bytes()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = ln.Close() })
+			var dials atomic.Int64
+			go func() {
+				for {
+					c, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					dials.Add(1)
+					_, _ = c.Write(tc.answer)
+					t.Cleanup(func() { _ = c.Close() })
+				}
+			}()
+			var log lockedBuffer
+			u := newUplink(t, func(c *UplinkConfig) {
+				c.Candidates = []string{ln.Addr().String(), "127.0.0.1:1"}
+				c.Log = slog.New(slog.NewTextHandler(&log, nil))
+			})
+			if err := u.Connect(ln.Addr().String(), time.Second); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the link to drop", func() bool { return u.Conn() == nil })
+			time.Sleep(50 * time.Millisecond) // ten backoff periods
+			if n := dials.Load(); n != 1 {
+				t.Errorf("%d dials of an upstream of another version, want 1", n)
+			}
+			if n := strings.Count(log.String(), "upstream refused: protocol version"); n != 1 {
+				t.Errorf("%d refusals logged, want 1:\n%s", n, log.String())
 			}
 		})
 	}

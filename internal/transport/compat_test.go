@@ -3,12 +3,13 @@ package transport
 import (
 	"bytes"
 	"encoding/gob"
-	"fmt"
+	"encoding/hex"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
 	"net"
-	"reflect"
+	"strings"
 	"testing"
 
 	"streampca/internal/core"
@@ -16,92 +17,190 @@ import (
 	"streampca/internal/sketch"
 )
 
-// legacyEnvelope mirrors the pre-TraceContext wire frame: same payload
-// fields, no Trace. gob matches struct fields by name, so this stands in
-// for a peer built from an older checkout — the mixed-version scenario of
-// a tracing rollout done one monitor at a time.
-type legacyEnvelope struct {
-	Hello    *Hello
-	Volume   *VolumeReport
-	Request  *SketchRequest
-	Response *SketchResponse
-	Alarm    *Alarm
-	Error    *ProtocolError
+// goldenFrames pins the wire format byte for byte: one frame per message
+// kind and both float forms. The hex is spaced by field, in the order
+// wire.go documents: kind, length, [trace,] payload. A change here is a
+// change of the protocol and needs a new wireVersion.
+var goldenFrames = []struct {
+	name string
+	env  Envelope
+	hex  string
+}{
+	{"hello", Envelope{Hello: &Hello{MonitorID: "m1", FlowIDs: []int{0, 5}, SketchLen: 8, WindowLen: 16,
+		Seed: 7, Role: RoleAggregator, NumFlows: 81, Epsilon: 0.01}},
+		"01 15000000 | 02 6d31 | 02 00 0a | 10 20 07 00 02 a201 | 7b14ae47e17a843f"},
+	// Integer-valued volumes take the compact form: 1500 is 4 bytes, 0 one.
+	{"volume/compact", Envelope{Volume: &VolumeReport{MonitorID: "m1", Interval: 9,
+		FlowIDs: []int{0, 1}, Volumes: []float64{1500, 0}}},
+		"02 0e000000 | 02 6d31 | 12 | 02 00 02 | 02 01 fd709740 00"},
+	{"volume/raw", Envelope{Volume: &VolumeReport{MonitorID: "m1", Interval: 9,
+		FlowIDs: []int{0, 1}, Volumes: []float64{0.1, -2.5e-3}}},
+		"02 19000000 | 02 6d31 | 12 | 02 00 02 | 02 00 9a9999999999b93f 7b14ae47e17a64bf"},
+	{"request/traced", Envelope{Request: &SketchRequest{RequestID: 42},
+		Trace: &TraceContext{TraceID: 0xdeadbeef, SpanID: 7}},
+		"83 11000000 | efbeadde00000000 0700000000000000 | 2a"},
+	// Sketch columns are raw, one run each; the means are compact.
+	{"response/randproj", Envelope{Response: &SketchResponse{RequestID: 3, MonitorID: "m1",
+		Report: core.SketchReport{Interval: 4, FlowIDs: []int{0, 1},
+			Sketches: [][]float64{{0.1, 0.2}, {0.3, 0.4}}, Means: []float64{5, 6}, Counts: []int64{4, 4}}}},
+		"04 45000000 | 03 02 6d31 00 00 | 08 02 00 02 | 02 02 00 9a9999999999b93f 9a9999999999c93f 02 00 333333333333d33f 9a9999999999d93f" +
+			" | 02 01 fe1440 fe1840 | 02 08 08 | 00 | 00 | 0000000000000000 | 00"},
+	// FD rows with exact zeros are compact, a zero one byte.
+	{"response/fd", Envelope{Response: &SketchResponse{RequestID: 3, MonitorID: "agg", Degraded: true, StaleFlows: 1,
+		Report: core.SketchReport{Interval: 9, FlowIDs: []int{2, 5}, Means: []float64{10, 20}, Counts: []int64{9, 9},
+			Family: sketch.FamilyFD, FDRows: [][]float64{{1, 0}, {0, 0.5}}, FDDelta: 0.25, FDEll: 2}}},
+		"04 2e000000 | 03 03616767 01 02 | 12 02 04 0a | 00 | 02 01 fe2440 fe3440 | 02 12 12 | 02" +
+			" | 02 02 01 fef03f 00 02 01 00 fee03f | 000000000000d03f | 04"},
+	{"alarm", Envelope{Alarm: &Alarm{Interval: 12, Distance: 9.5, Threshold: 2.25, Degraded: true,
+		Identified: []IdentifiedFlow{{Flow: 41, Amount: 5e5, Confidence: 0.93}}}},
+		"05 24000000 | 18 0000000000002340 0000000000000240 01 | 01 52 0000000080841e41 c3f5285c8fc2ed3f"},
+	{"error", Envelope{Error: &ProtocolError{Msg: "refused", Kind: ErrorVersion}},
+		"06 09000000 | 07 72656675736564 | 04"},
+	{"shard_map", Envelope{Shards: &ShardMap{Aggregators: []string{"a:1", "b:2"}, Epoch: 5}},
+		"07 0a000000 | 02 03 613a31 03 623a32 | 05"},
 }
 
-// TestTraceContextNewToOldPeer checks that envelopes carrying a
-// TraceContext decode cleanly on a peer that has never heard of the field:
-// the payload arrives intact and the trace metadata is silently dropped.
-func TestTraceContextNewToOldPeer(t *testing.T) {
-	frames := []Envelope{
-		{Request: &SketchRequest{RequestID: 42},
-			Trace: &TraceContext{TraceID: 0xdeadbeef, SpanID: 7}},
-		{Volume: &VolumeReport{MonitorID: "m1", Interval: 9,
-			FlowIDs: []int{0, 1}, Volumes: []float64{1.5, 2.5}},
-			Trace: &TraceContext{TraceID: 1, SpanID: 2}},
-		{Alarm: &Alarm{Interval: 9, Distance: 3.5, Threshold: 1.25},
-			Trace: &TraceContext{TraceID: 3}},
+func unhex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(strings.NewReplacer(" ", "", "|", "").Replace(s))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for i := range frames {
-		if err := enc.Encode(&frames[i]); err != nil {
-			t.Fatalf("encode frame %d: %v", i, err)
-		}
-	}
-	dec := gob.NewDecoder(&buf)
-	for i := range frames {
-		var got legacyEnvelope
-		if err := dec.Decode(&got); err != nil {
-			t.Fatalf("old peer failed to decode traced frame %d: %v", i, err)
-		}
-		switch i {
-		case 0:
-			if got.Request == nil || got.Request.RequestID != 42 {
-				t.Fatalf("frame 0 payload mangled: %+v", got)
+	return b
+}
+
+// TestGoldenFrames: every message kind encodes to its golden frame, and the
+// golden frame decodes back to an envelope that encodes to it again.
+func TestGoldenFrames(t *testing.T) {
+	for _, g := range goldenFrames {
+		t.Run(g.name, func(t *testing.T) {
+			want := unhex(t, g.hex)
+			got, err := appendFrame(nil, &g.env)
+			if err != nil {
+				t.Fatal(err)
 			}
-		case 1:
-			if got.Volume == nil || got.Volume.MonitorID != "m1" || len(got.Volume.Volumes) != 2 {
-				t.Fatalf("frame 1 payload mangled: %+v", got)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("frame\n got  %x\n want %x", got, want)
 			}
-		case 2:
-			if got.Alarm == nil || got.Alarm.Distance != 3.5 {
-				t.Fatalf("frame 2 payload mangled: %+v", got)
+			var back Envelope
+			n, err := decodeFrame(want, &back)
+			if err != nil || n != len(want) {
+				t.Fatalf("decode: %d of %d bytes, %v", n, len(want), err)
 			}
-		}
+			if again, _ := appendFrame(nil, &back); !bytes.Equal(again, want) {
+				t.Fatalf("re-encoded\n got  %x\n want %x", again, want)
+			}
+		})
 	}
 }
 
-// TestTraceContextOldToNewPeer checks the reverse direction: frames from a
-// peer built without the field decode into the current Envelope with a nil
-// Trace and pass Validate.
-func TestTraceContextOldToNewPeer(t *testing.T) {
-	frames := []legacyEnvelope{
-		{Hello: &Hello{MonitorID: "m2", FlowIDs: []int{3}, SketchLen: 8, WindowLen: 16, Seed: 99}},
-		{Response: &SketchResponse{RequestID: 5, MonitorID: "m2"}},
-	}
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for i := range frames {
-		if err := enc.Encode(&frames[i]); err != nil {
-			t.Fatalf("encode frame %d: %v", i, err)
+// TestConnOpensWithPreamble: the first Send writes the magic and version
+// ahead of its frame, later Sends only their frames.
+func TestConnOpensWithPreamble(t *testing.T) {
+	s := &splitStream{}
+	c := NewConnWithMetrics(s, nil)
+	for i := 0; i < 2; i++ {
+		if err := c.Send(Envelope{Request: &SketchRequest{RequestID: 42}}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	dec := gob.NewDecoder(&buf)
-	for i := range frames {
-		var got Envelope
-		if err := dec.Decode(&got); err != nil {
-			t.Fatalf("new peer failed to decode legacy frame %d: %v", i, err)
-		}
-		if got.Trace != nil {
-			t.Fatalf("frame %d grew a trace context from nowhere: %+v", i, got.Trace)
-		}
-		if err := got.Validate(); err != nil {
-			t.Fatalf("frame %d invalid after decode: %v", i, err)
+	want := unhex(t, "53504341 01 | 03 01000000 2a | 03 01000000 2a")
+	if !bytes.Equal(s.out.Bytes(), want) {
+		t.Fatalf("stream %x, want %x", s.out.Bytes(), want)
+	}
+}
+
+// TestRecvRefusesOtherProtocols: a Conn refuses, with ErrVersion, a peer whose
+// stream opens with gob (a build from before this wire) or with another
+// version of this wire, and keeps refusing.
+func TestRecvRefusesOtherProtocols(t *testing.T) {
+	var gobPeer bytes.Buffer
+	if err := gob.NewEncoder(&gobPeer).Encode(&Envelope{Hello: &Hello{MonitorID: "old", FlowIDs: []int{0}, WindowLen: 8}}); err != nil {
+		t.Fatal(err)
+	}
+	otherVersion := append(unhex(t, "53504341 02"), unhex(t, goldenFrames[0].hex)...)
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+	}{
+		{"gob peer", gobPeer.Bytes()},
+		{"version 2", otherVersion},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &splitStream{}
+			s.in.Write(tc.stream)
+			c := NewConnWithMetrics(s, nil)
+			for i := 0; i < 2; i++ {
+				if _, err := c.Recv(); !errors.Is(err, ErrVersion) {
+					t.Fatalf("recv %d: %v, want ErrVersion", i, err)
+				}
+			}
+		})
+	}
+}
+
+// TestFrameLengthCheckedBeforeAllocation: a frame declaring more than the cap
+// is ErrBadMessage at once; one declaring more than follows costs buffer in
+// proportion to the bytes that arrived, and ends as a closed connection.
+func TestFrameLengthCheckedBeforeAllocation(t *testing.T) {
+	over := append(preamble[:], unhex(t, "03 01000004 2a")...) // 0x04000001 > maxFrame
+	s := &splitStream{}
+	s.in.Write(over)
+	c := NewConnWithMetrics(s, nil)
+	if _, err := c.Recv(); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("over-cap frame: %v, want ErrBadMessage", err)
+	}
+	if cap(c.rbuf) > 2*minRead {
+		t.Fatalf("read buffer grew to %d bytes for an over-cap frame", cap(c.rbuf))
+	}
+
+	short := append(preamble[:], unhex(t, "03 00000004 2a")...) // declares 64 MiB, sends 1 byte
+	s = &splitStream{}
+	s.in.Write(short)
+	c = NewConnWithMetrics(s, nil)
+	if _, err := c.Recv(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("truncated frame: %v, want ErrClosed", err)
+	}
+	if cap(c.rbuf) > 2*minRead {
+		t.Fatalf("read buffer grew to %d bytes for 7 bytes received", cap(c.rbuf))
+	}
+
+	if _, err := decodeFrame(unhex(t, "03 02000000 2a"), new(Envelope)); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("frame longer than its bytes: %v, want ErrBadMessage", err)
+	}
+}
+
+// TestRecvIntoReusesPayloads: RecvInto decodes a payload of the kind that
+// arrived into the value the envelope points to, without allocating once its
+// slices have grown, and leaves a payload of another kind to a new value.
+func TestRecvIntoReusesPayloads(t *testing.T) {
+	s := &splitStream{}
+	tx, rx := NewConnWithMetrics(s, nil), NewConnWithMetrics(&s.out, nil)
+	send := func(v []float64) {
+		if err := tx.Send(Envelope{Volume: &VolumeReport{MonitorID: "m1", Interval: 1, FlowIDs: []int{0, 1, 2}, Volumes: v}}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if frames[0].Hello.Seed != 99 {
-		t.Fatal("sanity")
+	var vol VolumeReport
+	recv := func() Envelope {
+		env := Envelope{Volume: &vol}
+		if err := rx.RecvInto(&env); err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	send([]float64{1, 2, 3})
+	if env := recv(); env.Volume != &vol || vol.Volumes[2] != 3 {
+		t.Fatalf("decoded into %p (%+v), want the given report", env.Volume, env.Volume)
+	}
+	if avg := testing.AllocsPerRun(50, func() { send([]float64{4, 5, 6}); recv() }); avg != 0 {
+		t.Fatalf("a reused volume report round trip allocates %.1f times", avg)
+	}
+	if err := tx.Send(Envelope{Request: &SketchRequest{RequestID: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	if env := recv(); env.Volume != nil || env.Request == nil || env.Request.RequestID != 7 {
+		t.Fatalf("request decoded as %+v", env)
 	}
 }
 
@@ -134,142 +233,8 @@ func TestTraceContextOverConn(t *testing.T) {
 	}
 }
 
-// legacyHello and legacySketchReport mirror the pre-Family wire structs: a
-// Hello without the Family field and a sketch snapshot without the FD
-// payload. They stand in for a monitor built from an older checkout during a
-// family rollout.
-type legacyHello struct {
-	MonitorID string
-	FlowIDs   []int
-	SketchLen int
-	WindowLen int
-	Seed      uint64
-}
-
-type legacySketchReport struct {
-	Interval int64
-	FlowIDs  []int
-	Sketches [][]float64
-	Means    []float64
-	Counts   []int64
-	Buckets  []int
-}
-
-type legacySketchResponse struct {
-	RequestID uint64
-	MonitorID string
-	Report    legacySketchReport
-}
-
-// TestFamilyFieldOldToNewPeer: frames from a pre-Family monitor must decode
-// on the current NOC as the randproj family (the enum's zero value) with the
-// snapshot passing validation — the rollout invariant that lets families be
-// deployed one monitor at a time.
-func TestFamilyFieldOldToNewPeer(t *testing.T) {
-	old := struct {
-		Hello    *legacyHello
-		Response *legacySketchResponse
-	}{
-		Hello: &legacyHello{MonitorID: "m3", FlowIDs: []int{0, 1}, SketchLen: 2, WindowLen: 8, Seed: 7},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
-		t.Fatal(err)
-	}
-	var got Envelope
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatalf("decode legacy hello: %v", err)
-	}
-	if got.Hello == nil || got.Hello.Family != sketch.FamilyRandProj {
-		t.Fatalf("legacy hello family = %+v, want randproj zero value", got.Hello)
-	}
-
-	buf.Reset()
-	resp := legacySketchResponse{RequestID: 1, MonitorID: "m3", Report: legacySketchReport{
-		Interval: 4, FlowIDs: []int{0, 1},
-		Sketches: [][]float64{{1, 2}, {3, 4}},
-		Means:    []float64{5, 6}, Counts: []int64{4, 4}, Buckets: []int{3, 3},
-	}}
-	if err := gob.NewEncoder(&buf).Encode(&struct{ Response *legacySketchResponse }{&resp}); err != nil {
-		t.Fatal(err)
-	}
-	got = Envelope{}
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatalf("decode legacy response: %v", err)
-	}
-	if got.Response == nil || got.Response.Report.Family != sketch.FamilyRandProj {
-		t.Fatalf("legacy report family = %+v", got.Response)
-	}
-	if err := got.Response.Report.Validate(2); err != nil {
-		t.Fatalf("legacy report failed validation: %v", err)
-	}
-}
-
-// legacyFederationEnvelope mirrors the pre-federation frame: Hello without
-// Role, SketchResponse without Degraded/StaleFlows, no Shards payload.
-type legacyFederationEnvelope struct {
-	Hello    *legacyHello
-	Response *legacySketchResponse
-	Trace    *TraceContext
-}
-
-// TestFederationFieldsCompat pins the rollout invariant for the aggregator
-// tier: pre-federation peers decode the new frames keeping the fields they
-// know, and frames from such peers decode on the current build with the
-// zero-value role (monitor) and a clean (non-degraded) response.
-func TestFederationFieldsCompat(t *testing.T) {
-	// New → old: a Role-tagged, degraded response frame.
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	frames := []Envelope{
-		{Hello: &Hello{MonitorID: "agg-0", FlowIDs: []int{0, 1, 2}, SketchLen: 4,
-			WindowLen: 16, Role: RoleAggregator}},
-		{Response: &SketchResponse{RequestID: 3, MonitorID: "agg-0",
-			Degraded: true, StaleFlows: 2}},
-	}
-	for i := range frames {
-		if err := enc.Encode(&frames[i]); err != nil {
-			t.Fatalf("encode frame %d: %v", i, err)
-		}
-	}
-	dec := gob.NewDecoder(&buf)
-	var oldHello, oldResp legacyFederationEnvelope
-	if err := dec.Decode(&oldHello); err != nil {
-		t.Fatalf("old peer failed on role-tagged hello: %v", err)
-	}
-	if oldHello.Hello == nil || oldHello.Hello.MonitorID != "agg-0" || len(oldHello.Hello.FlowIDs) != 3 {
-		t.Fatalf("hello shared fields mangled for old peer: %+v", oldHello.Hello)
-	}
-	if err := dec.Decode(&oldResp); err != nil {
-		t.Fatalf("old peer failed on degraded response: %v", err)
-	}
-	if oldResp.Response == nil || oldResp.Response.RequestID != 3 {
-		t.Fatalf("response shared fields mangled for old peer: %+v", oldResp.Response)
-	}
-
-	// Old → new: a legacy frame must come out as a plain, non-degraded
-	// monitor and pass Validate.
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&legacyFederationEnvelope{
-		Hello: &legacyHello{MonitorID: "m9", FlowIDs: []int{4}, SketchLen: 4, WindowLen: 16},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var got Envelope
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatalf("new peer failed on legacy hello: %v", err)
-	}
-	if got.Hello == nil || got.Hello.Role != RoleMonitor {
-		t.Fatalf("legacy hello role = %+v, want monitor zero value", got.Hello)
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestShardMapOverConn: the aggregator-candidate map survives the live
-// transport, counts as a payload for Validate, and an old peer decoding the
-// frame sees an empty (payload-less) envelope rather than an error.
+// transport and counts as a payload for Validate.
 func TestShardMapOverConn(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
@@ -286,23 +251,9 @@ func TestShardMapOverConn(t *testing.T) {
 	if env.Shards == nil || env.Shards.Epoch != 5 || len(env.Shards.Aggregators) != 2 {
 		t.Fatalf("shard map mangled in transit: %+v", env.Shards)
 	}
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&Envelope{Shards: sm}); err != nil {
-		t.Fatal(err)
-	}
-	var old legacyFederationEnvelope
-	if err := gob.NewDecoder(&buf).Decode(&old); err != nil {
-		t.Fatalf("old peer failed on shard-map frame: %v", err)
-	}
-	if old.Hello != nil || old.Response != nil {
-		t.Fatalf("shard-map frame grew a payload for old peer: %+v", old)
-	}
 }
 
-// TestFDSnapshotOverConn: an FD snapshot (the new wire fields) survives the
-// live transport intact and an old peer decoding the same frame keeps the
-// fields it knows while dropping the FD payload cleanly.
+// TestFDSnapshotOverConn: an FD snapshot survives the live transport intact.
 func TestFDSnapshotOverConn(t *testing.T) {
 	rep := core.SketchReport{
 		Interval: 9, FlowIDs: []int{2, 5},
@@ -322,94 +273,26 @@ func TestFDSnapshotOverConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := env.Response.Report
-	if got.Family != sketch.FamilyFD || got.FDEll != 2 || got.FDDelta != 3.5 || len(got.FDRows) != 2 {
+	if got.Family != sketch.FamilyFD || got.FDEll != 2 || got.FDDelta != 3.5 || !sameBits(got.FDRows, rep.FDRows) {
 		t.Fatalf("FD payload mangled in transit: %+v", got)
 	}
 	if err := got.Validate(2); err != nil {
 		t.Fatalf("validate after transit: %v", err)
 	}
-
-	// Old peer direction: the frame decodes into the legacy shape, keeping
-	// the shared fields.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&Envelope{
-		Response: &SketchResponse{RequestID: 8, MonitorID: "fd1", Report: rep},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var old struct{ Response *legacySketchResponse }
-	if err := gob.NewDecoder(&buf).Decode(&old); err != nil {
-		t.Fatalf("old peer failed to decode fd frame: %v", err)
-	}
-	if old.Response == nil || old.Response.Report.Interval != 9 || len(old.Response.Report.Means) != 2 {
-		t.Fatalf("shared fields mangled for old peer: %+v", old.Response)
-	}
-}
-
-// legacyAlarm mirrors the pre-identification Alarm: same fields, no
-// Identified list — a subscriber built before the anomography rollout.
-type legacyAlarm struct {
-	Interval  int64
-	Distance  float64
-	Threshold float64
-	Degraded  bool
-}
-
-// TestIdentifiedAlarmNewToOldPeer checks that alarms carrying anomography
-// culprits decode on a pre-identification peer: the alarm fields arrive
-// intact and the culprit list is silently dropped.
-func TestIdentifiedAlarmNewToOldPeer(t *testing.T) {
-	frame := Envelope{Alarm: &Alarm{
-		Interval: 12, Distance: 9.5, Threshold: 2.25, Degraded: true,
-		Identified: []IdentifiedFlow{
-			{Flow: 41, Amount: 5e5, Confidence: 0.93},
-			{Flow: 7, Amount: -1e4, Confidence: 0.04},
-		},
-	}}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&frame); err != nil {
-		t.Fatalf("encode identified alarm: %v", err)
-	}
-	var got struct{ Alarm *legacyAlarm }
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatalf("old peer failed to decode identified alarm: %v", err)
-	}
-	if got.Alarm == nil || got.Alarm.Interval != 12 || got.Alarm.Distance != 9.5 ||
-		got.Alarm.Threshold != 2.25 || !got.Alarm.Degraded {
-		t.Fatalf("alarm fields mangled for old peer: %+v", got.Alarm)
-	}
-}
-
-// TestIdentifiedAlarmOldToNewPeer checks the reverse: a legacy alarm
-// decodes into the current Envelope with an empty culprit list and passes
-// Validate.
-func TestIdentifiedAlarmOldToNewPeer(t *testing.T) {
-	legacy := struct{ Alarm *legacyAlarm }{
-		Alarm: &legacyAlarm{Interval: 3, Distance: 4.5, Threshold: 1.5},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
-		t.Fatalf("encode legacy alarm: %v", err)
-	}
-	var got Envelope
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatalf("new peer failed to decode legacy alarm: %v", err)
-	}
-	if got.Alarm == nil || got.Alarm.Distance != 4.5 || len(got.Alarm.Identified) != 0 {
-		t.Fatalf("legacy alarm mangled: %+v", got.Alarm)
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatalf("legacy alarm invalid after decode: %v", err)
-	}
 }
 
 // splitStream is a Conn stream whose reads drain in and whose writes fill
 // out, so a test can play a peer's bytes in and read the Conn's bytes back.
-type splitStream struct{ in, out bytes.Buffer }
+type splitStream struct{ in, out pipeBuffer }
 
 func (s *splitStream) Read(p []byte) (int, error)  { return s.in.Read(p) }
 func (s *splitStream) Write(p []byte) (int, error) { return s.out.Write(p) }
 func (s *splitStream) Close() error                { return nil }
+
+// pipeBuffer is a bytes.Buffer usable as a Conn stream on its own.
+type pipeBuffer struct{ bytes.Buffer }
+
+func (*pipeBuffer) Close() error { return nil }
 
 // tapStream records every byte read through it.
 type tapStream struct {
@@ -430,30 +313,6 @@ func tappedPipe(ma *Metrics) (a, b *Conn, tap *tapStream) {
 	return NewConnWithMetrics(x, ma), NewConnWithMetrics(tap, nil), tap
 }
 
-// gobStream gob-encodes frames with one encoder, as one peer's stream.
-func gobStream(t *testing.T, frames ...any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for i, f := range frames {
-		if err := enc.Encode(f); err != nil {
-			t.Fatalf("encode frame %d: %v", i, err)
-		}
-	}
-	return buf.Bytes()
-}
-
-// wireEnvelope decodes the first envelope of a gob stream as it crossed the
-// wire, without a Conn, so a response's Columns is left as it arrived.
-func wireEnvelope(t *testing.T, stream []byte) Envelope {
-	t.Helper()
-	var e Envelope
-	if err := gob.NewDecoder(bytes.NewReader(stream)).Decode(&e); err != nil {
-		t.Fatalf("decode wire envelope: %v", err)
-	}
-	return e
-}
-
 // sameBits reports whether a and b hold the same float64 bit patterns.
 func sameBits(a, b [][]float64) bool {
 	if len(a) != len(b) {
@@ -472,107 +331,11 @@ func sameBits(a, b [][]float64) bool {
 	return true
 }
 
-// TestColumnsFrameNegotiation: a responder packs a response's columns as a
-// ColumnsFrame whenever the report is randproj and its columns share one
-// length; every other response is gob as before, readable by a requester
-// built before the frame existed. Whatever the wire form, this tree's Recv
-// returns the response that was sent, so the receiver's Validate says what it
-// said before the frame.
-func TestColumnsFrameNegotiation(t *testing.T) {
-	randproj := core.SketchReport{
-		Interval: 4, FlowIDs: []int{0, 1},
-		Sketches: [][]float64{{1, 2}, {3, 4}},
-		Means:    []float64{5, 6}, Counts: []int64{4, 4},
-	}
-	fd := core.SketchReport{
-		Interval: 4, FlowIDs: []int{0, 1},
-		Means: []float64{5, 6}, Counts: []int64{4, 4},
-		Family: sketch.FamilyFD, FDRows: [][]float64{{1, 0}, {0, 0.5}}, FDDelta: 0.25, FDEll: 2,
-	}
-	ragged := randproj
-	ragged.Sketches = [][]float64{{1, 2}, {3}}
-
-	for _, tc := range []struct {
-		name       string
-		rep        core.SketchReport
-		wantFramed bool
-	}{
-		{"new requester gets the frame", randproj, true},
-		{"fd is never framed", fd, false},
-		{"ragged columns fall back to gob", ragged, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := &splitStream{}
-			c := NewConnWithMetrics(s, nil)
-			sent := SketchResponse{RequestID: 1, MonitorID: "m", Report: tc.rep}
-			if err := c.Send(Envelope{Response: &sent}); err != nil {
-				t.Fatal(err)
-			}
-			wire := s.out.Bytes()
-
-			raw := wireEnvelope(t, wire).Response
-			if framed := raw.Columns != nil; framed != tc.wantFramed {
-				t.Fatalf("response framed = %v, want %v", framed, tc.wantFramed)
-			}
-			if tc.wantFramed && raw.Report.Sketches != nil {
-				t.Fatalf("framed response also carries gob columns: %v", raw.Report.Sketches)
-			}
-			if !tc.wantFramed {
-				var old struct{ Response *legacySketchResponse }
-				if err := gob.NewDecoder(bytes.NewReader(wire)).Decode(&old); err != nil {
-					t.Fatalf("old requester failed to decode the response: %v", err)
-				}
-				if !reflect.DeepEqual(old.Response.Report.Sketches, tc.rep.Sketches) {
-					t.Fatalf("old requester decoded %v, want %v", old.Response.Report.Sketches, tc.rep.Sketches)
-				}
-			}
-
-			peer := &splitStream{}
-			peer.in.Write(wire)
-			env, err := NewConnWithMetrics(peer, nil).Recv()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(*env.Response, sent) {
-				t.Fatalf("received %+v, sent %+v", *env.Response, sent)
-			}
-			got, want := env.Response.Report.Validate(2), tc.rep.Validate(2)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("receiver's Validate = %v, want %v", got, want)
-			}
-		})
-	}
-}
-
-// TestColumnsFrameNewRequesterOldResponder: a responder built before the
-// column frame existed answers in gob, and the requester decodes those
-// columns as it always has.
-func TestColumnsFrameNewRequesterOldResponder(t *testing.T) {
-	s := &splitStream{}
-	c := NewConnWithMetrics(s, nil)
-	resp := legacySketchResponse{RequestID: 6, MonitorID: "m", Report: legacySketchReport{
-		Interval: 4, FlowIDs: []int{0, 1},
-		Sketches: [][]float64{{1, 2}, {3, 4}},
-		Means:    []float64{5, 6}, Counts: []int64{4, 4}, Buckets: []int{3, 3},
-	}}
-	s.in.Write(gobStream(t, struct{ Response *legacySketchResponse }{&resp}))
-	env, err := c.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(env.Response.Report.Sketches, resp.Report.Sketches) {
-		t.Fatalf("decoded %v, want %v", env.Response.Report.Sketches, resp.Report.Sketches)
-	}
-	if err := env.Response.Report.Validate(2); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestColumnsFrameOverPipe: between two Conns of this tree a sketch pull
-// ships its columns framed, decoded bit for bit (−0, subnormals and
-// ±MaxFloat64 included), in fewer bytes than the same response in gob. The
-// columns are sketch-like, full-mantissa floats, which gob spends nine bytes
-// on; the specials sit at the head of each.
+// TestColumnsFrameOverPipe: between two Conns a sketch pull ships its
+// columns decoded bit for bit (−0, subnormals and ±MaxFloat64 included), in
+// fewer bytes than the same response in gob, the encoding of earlier builds.
+// The columns are sketch-like, full-mantissa floats, which gob spends nine
+// bytes on; the specials sit at the head of each.
 func TestColumnsFrameOverPipe(t *testing.T) {
 	specials := []float64{
 		math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1030,
@@ -593,7 +356,7 @@ func TestColumnsFrameOverPipe(t *testing.T) {
 	}
 
 	// Each response goes out twice and the second is measured: the first also
-	// carries gob's type definitions.
+	// carries the preamble (and in gob the type definitions).
 	resp := func() Envelope {
 		return Envelope{Response: &SketchResponse{RequestID: 1, MonitorID: "m", Report: rep}}
 	}
@@ -618,12 +381,10 @@ func TestColumnsFrameOverPipe(t *testing.T) {
 		}
 		size = sentBytes() - before
 	}
-	if wireEnvelope(t, tap.read.Bytes()).Response.Columns == nil {
-		t.Fatal("the response crossed the pipe without a column frame")
+	if got := int64(tap.read.Len()); got != int64(len(preamble))+2*size {
+		t.Fatalf("the receiver read %d bytes, the sender counted %d and a preamble", got, 2*size)
 	}
 
-	// The same response in plain gob, as a responder built before the frame
-	// sends it; Recv decodes those columns too.
 	var gobWire bytes.Buffer
 	enc := gob.NewEncoder(&gobWire)
 	var gobSize int64
@@ -635,16 +396,9 @@ func TestColumnsFrameOverPipe(t *testing.T) {
 		}
 		gobSize = int64(gobWire.Len() - before)
 	}
-	peer := &splitStream{}
-	peer.in.Write(gobWire.Bytes())
-	env, err := NewConnWithMetrics(peer, nil).Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gobCols := env.Response.Report.Sketches
 
-	if !sameBits(gobCols, rep.Sketches) || !sameBits(cols, rep.Sketches) {
-		t.Fatalf("columns changed in transit:\n sent  %v\n gob   %v\n frame %v", rep.Sketches, gobCols, cols)
+	if !sameBits(cols, rep.Sketches) {
+		t.Fatalf("columns changed in transit:\n sent  %v\n got   %v", rep.Sketches, cols)
 	}
 	if size >= gobSize {
 		t.Fatalf("framed response is %d bytes, gob %d", size, gobSize)

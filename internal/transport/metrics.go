@@ -15,28 +15,17 @@ const (
 	typeResponse = "sketch_response"
 	typeAlarm    = "alarm"
 	typeError    = "error"
+	typeShards   = "shard_map"
 	typeInvalid  = "invalid"
 )
 
+// typeNames maps a payload kind (wire.go) to its label; kind 0, no
+// payload, is invalid.
+var typeNames = [...]string{0: typeInvalid, kindHello: typeHello, kindVolume: typeVolume, kindRequest: typeRequest,
+	kindResponse: typeResponse, kindAlarm: typeAlarm, kindError: typeError, kindShards: typeShards}
+
 // TypeName returns the metric label for the envelope's payload type.
-func (e *Envelope) TypeName() string {
-	switch {
-	case e.Hello != nil:
-		return typeHello
-	case e.Volume != nil:
-		return typeVolume
-	case e.Request != nil:
-		return typeRequest
-	case e.Response != nil:
-		return typeResponse
-	case e.Alarm != nil:
-		return typeAlarm
-	case e.Error != nil:
-		return typeError
-	default:
-		return typeInvalid
-	}
-}
+func (e *Envelope) TypeName() string { return typeNames[e.kind()] }
 
 // Metrics holds the wire-level counters for a set of connections. One
 // Metrics instance is shared by every Conn a service owns, so /metrics
@@ -73,7 +62,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		msgName   = "streampca_transport_messages_total"
 		msgHelp   = "Envelopes moved on monitor-NOC connections, by direction and payload type."
 		bytesName = "streampca_transport_bytes_total"
-		bytesHelp = "Gob-encoded bytes moved on monitor-NOC connections, by direction."
+		bytesHelp = "Framed bytes moved on monitor-NOC connections, preambles included, by direction."
 		errName   = "streampca_transport_errors_total"
 		errHelp   = "Envelope codec failures, by operation."
 		connName  = "streampca_transport_connections_total"
@@ -83,7 +72,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		sent: make(map[string]*obs.Counter),
 		recv: make(map[string]*obs.Counter),
 	}
-	for _, t := range []string{typeHello, typeVolume, typeRequest, typeResponse, typeAlarm, typeError, typeInvalid} {
+	for _, t := range []string{typeHello, typeVolume, typeRequest, typeResponse, typeAlarm, typeError, typeShards, typeInvalid} {
 		m.sent[t] = reg.Counter(msgName, msgHelp, obs.L("direction", "sent"), obs.L("type", t))
 		m.recv[t] = reg.Counter(msgName, msgHelp, obs.L("direction", "recv"), obs.L("type", t))
 	}
@@ -141,8 +130,8 @@ func (m *Metrics) decodeError() {
 	m.decodeErrors.Inc()
 }
 
-// countingStream wraps the raw byte stream so gob traffic is measured where
-// it actually hits the wire, framing included.
+// countingStream wraps the raw byte stream so traffic is measured where it
+// actually hits the wire, preamble and frame headers included.
 type countingStream struct {
 	raw io.ReadWriteCloser
 	m   *Metrics

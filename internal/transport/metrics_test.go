@@ -131,3 +131,36 @@ func TestServerMetricsOnAcceptedConns(t *testing.T) {
 		t.Fatalf("server closed = %d", got)
 	}
 }
+
+// TestShardMapCountedByName: a shard map is counted under type="shard_map"
+// in both directions, never as "invalid", so fault rules and dashboards can
+// name it.
+func TestShardMapCountedByName(t *testing.T) {
+	regA, regB := obs.NewRegistry(), obs.NewRegistry()
+	a, b := PipeWithMetrics(NewMetrics(regA), NewMetrics(regB))
+	defer a.Close()
+	defer b.Close()
+	sent := make(chan error)
+	go func() { sent <- a.Send(Envelope{Shards: &ShardMap{Aggregators: []string{"x:1"}, Epoch: 1}}) }()
+	if _, err := b.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		reg  *obs.Registry
+		dir  string
+		typ  string
+		want int64
+	}{
+		{regA, "sent", "shard_map", 1},
+		{regB, "recv", "shard_map", 1},
+		{regA, "sent", "invalid", 0},
+		{regB, "recv", "invalid", 0},
+	} {
+		if got := counter(c.reg, "streampca_transport_messages_total", obs.L("direction", c.dir), obs.L("type", c.typ)); got != c.want {
+			t.Errorf("%s type=%s: %d, want %d", c.dir, c.typ, got, c.want)
+		}
+	}
+}

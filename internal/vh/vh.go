@@ -176,6 +176,11 @@ func New(cfg Config) (*Histogram, error) {
 		h.totalR = make([]float64, h.sketchL)
 	}
 	h.noMerge = math.Floor(20/cfg.Epsilon)+1 > float64(cfg.WindowLen)/2
+	if h.noMerge {
+		// At most n singletons are live, so push reclaims the expired
+		// prefix of a 2n store before it would ever grow.
+		h.store = make([]bucket, 0, 2*cfg.WindowLen)
+	}
 	return h, nil
 }
 
@@ -447,12 +452,19 @@ func (h *Histogram) EstimateMean() float64 {
 // Sketch returns ẑ_k = (1/√l)·(Z_all,k − μ_all·R_all,k) for k = 0…l−1
 // (eq. 17, corrected form), or nil when the histogram runs without a
 // generator. It runs in O(l) off the incrementally maintained totals.
-func (h *Histogram) Sketch() []float64 {
+func (h *Histogram) Sketch() []float64 { return h.SketchInto(nil) }
+
+// SketchInto is Sketch into dst's capacity.
+func (h *Histogram) SketchInto(dst []float64) []float64 {
 	if h.sketchL == 0 {
 		return nil
 	}
 	mean := h.EstimateMean()
-	out := make([]float64, h.sketchL)
+	out := dst[:0]
+	if cap(out) < h.sketchL {
+		out = make([]float64, h.sketchL)
+	}
+	out = out[:h.sketchL]
 	scale := 1 / math.Sqrt(float64(h.sketchL))
 	for k := range out {
 		out[k] = scale * (h.totalZ[k] - mean*h.totalR[k])
