@@ -193,7 +193,7 @@ func BenchmarkLocalMonitorUpdate(b *testing.B) {
 				update()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.w), "ns/flow")
-			b.ReportMetric(float64(mon.NumBucketsTotal())/float64(c.w), "buckets/flow")
+			b.ReportMetric(float64(mon.StateSize())/float64(c.w), "buckets/flow")
 		})
 	}
 }
@@ -239,7 +239,7 @@ func BenchmarkInstrumentedSketchUpdate(b *testing.B) {
 						b.Fatal(err)
 					}
 					updateSeconds.Observe(time.Since(start).Seconds())
-					vhBuckets.Set(float64(mon.NumBucketsTotal()))
+					vhBuckets.Set(float64(mon.StateSize()))
 					intervals.Inc()
 					lastInterval.Set(float64(i + 1))
 				}
@@ -263,7 +263,7 @@ func tracedBenchUpdate(tr *trace.Tracer, mon *core.Monitor, t int64, volumes []f
 		sp.End()
 		return err
 	}
-	sp.Event("sketch_updated", trace.I("vh_buckets", int64(mon.NumBucketsTotal())))
+	sp.Event("sketch_updated", trace.I("vh_buckets", int64(mon.StateSize())))
 	sp.End()
 	return nil
 }
@@ -621,36 +621,6 @@ func BenchmarkGram(b *testing.B) {
 	}
 }
 
-// BenchmarkMul sizes the k-blocked Mul kernel on a NOC-shaped product (model
-// projection: a tall window panel times a flow-space operator). The inner
-// dimension exceeds one L2 panel of the right operand, so the k-blocking
-// path is exercised.
-func BenchmarkMul(b *testing.B) {
-	rng := rand.New(rand.NewSource(15))
-	const rows, inner, cols = 200, 1024, 256
-	a := mat.NewMatrix(rows, inner)
-	for i := 0; i < rows; i++ {
-		row := a.RowView(i)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-	}
-	o := mat.NewMatrix(inner, cols)
-	for i := 0; i < inner; i++ {
-		row := o.RowView(i)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-	}
-	b.Run(fmt.Sprintf("shape=%dx%dx%d", rows, inner, cols), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := a.Mul(o); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkMonitorUpdate sizes the per-interval sketch update at a
 // fat-monitor flow count (1024 flows on one box).
 func BenchmarkMonitorUpdate(b *testing.B) {
@@ -821,7 +791,7 @@ func BenchmarkClusterStep(b *testing.B) {
 	const m, window = 81, 288
 	cl, err := NewCluster(ClusterConfig{
 		NumFlows: m, NumMonitors: 9, WindowLen: window, Epsilon: 0.05, Alpha: 0.01,
-		Sketch: SketchConfig{Seed: 1, SketchLen: 100}, FixedRank: 6,
+		SketchLen: 100, Seed: 1, FixedRank: 6,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -909,7 +879,7 @@ func TestWideClusterIdentifiesInjectedFlow(t *testing.T) {
 	const m, n, l, factors, spiked = 1024, 144, 100, 4, 613
 	cl, err := NewCluster(ClusterConfig{
 		NumFlows: m, NumMonitors: 8, WindowLen: n, Epsilon: 0.02, Alpha: 0.01,
-		Sketch: SketchConfig{Seed: 1, SketchLen: l}, FixedRank: 6,
+		SketchLen: l, Seed: 1, FixedRank: 6,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -144,19 +144,25 @@ eval_golden fig8 -figure 8
 eval_golden fig9 -figure 9
 step_done
 
-# The example deployment in both topologies (~0.5 s each): sketch linearity
-# makes the aggregator tier transparent, so the flat run and the
-# three-aggregator run must print the same NOC summary and detection lines.
-step "example deployment: flat and federated agree (examples/distributed -aggs 0, -aggs 3)"
+# The example deployment in both topologies and both sketcher families
+# (~0.5 s each). Every run must print its NOC summary and detection lines.
+# Sketch linearity makes the aggregator tier transparent to randproj, so its
+# flat and three-aggregator lines must be the same; FD's per-shard merges
+# depend on which monitors share an aggregator (see the example's header),
+# so its two runs are not compared.
+step "example deployment: flat and federated agree (examples/distributed -aggs 0, -aggs 3; -sketcher fd)"
 go build -o "$EVAL_TMP/distributed" ./examples/distributed
-for aggs in 0 3; do
-    "$EVAL_TMP/distributed" -aggs "$aggs" | grep -E '^(NOC|detection):' > "$EVAL_TMP/aggs$aggs"
-    if [ "$(wc -l < "$EVAL_TMP/aggs$aggs")" -ne 2 ]; then
-        echo "examples/distributed -aggs $aggs printed no summary" >&2
-        exit 1
-    fi
+for sketcher in randproj fd; do
+    for aggs in 0 3; do
+        out="$EVAL_TMP/$sketcher-aggs$aggs"
+        "$EVAL_TMP/distributed" -sketcher "$sketcher" -aggs "$aggs" | grep -E '^(NOC|detection):' > "$out"
+        if [ "$(grep -c '^NOC:' "$out")" -ne 1 ] || [ "$(grep -c '^detection:' "$out")" -ne 1 ]; then
+            echo "examples/distributed -sketcher $sketcher -aggs $aggs printed no summary" >&2
+            exit 1
+        fi
+    done
 done
-if ! diff "$EVAL_TMP/aggs0" "$EVAL_TMP/aggs3"; then
+if ! diff "$EVAL_TMP/randproj-aggs0" "$EVAL_TMP/randproj-aggs3"; then
     echo "examples/distributed: the federated summary (>) differs from the flat one (<)" >&2
     exit 1
 fi

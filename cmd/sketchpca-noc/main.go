@@ -62,7 +62,7 @@ func run(args []string) error {
 		window   = fs.Int("window", 4032, "sliding-window length in intervals (n)")
 		family   = fs.String("sketcher", "randproj", "sketcher family: randproj or fd")
 		sketchL  = fs.Int("sketch", 200, "sketch length (l for -sketcher randproj, basis budget ℓ for fd)")
-		epsilon  = fs.Float64("epsilon", tier.DefaultEpsilon, "variance-histogram ε the monitors run at (randproj only)")
+		epsilon  = fs.Float64("epsilon", core.DefaultEpsilon, "variance-histogram ε the monitors run at (randproj only)")
 		alpha    = fs.Float64("alpha", 0.01, "Q-statistic false-alarm rate")
 		rankMode = fs.String("rank-mode", "fixed", "rank selection: fixed, 3sigma or energy")
 		rank     = fs.Int("rank", 6, "normal-subspace size for -rank-mode fixed")

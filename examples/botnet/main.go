@@ -74,7 +74,8 @@ func run() error {
 		WindowLen:   windowLen,
 		Epsilon:     0.01,
 		Alpha:       alpha,
-		Sketch:      streampca.SketchConfig{Seed: 1, SketchLen: sketchLen},
+		SketchLen:   sketchLen,
+		Seed:        1,
 		Mode:        streampca.RankFixed,
 		FixedRank:   rank,
 	})

@@ -48,7 +48,8 @@ func run() error {
 		WindowLen:   windowLen,
 		Epsilon:     0.02,
 		Alpha:       0.01,
-		Sketch:      streampca.SketchConfig{Seed: 99, SketchLen: sketchLen},
+		SketchLen:   sketchLen,
+		Seed:        99,
 		Mode:        streampca.RankFixed,
 		FixedRank:   6,
 	})

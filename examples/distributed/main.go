@@ -8,16 +8,21 @@
 // the NOC assembles network-wide vectors and pulls sketches lazily; alarms
 // are broadcast back to every monitor.
 //
-// Sketch linearity makes the tier transparent: merged randproj columns are
-// byte-identical to what the flat topology delivers, so both topologies
-// print the same NOC summary and detection lines (ci.sh diffs them; the
-// differential e2e test in internal/noc pins the decisions). Pass
-// -sketcher fd for the Frequent Directions family. Expect it to miss this
-// scenario's low-profile coordinated anomaly: FD models the full stream
-// prefix per monitor block with no cross-monitor covariance, so a subtle
-// shift spread across the monitors stays inside each block's residual
-// budget (DESIGN.md §15; per-shard merged blocks under -aggs, §16; compare
-// the families head-to-head with abilene-eval -shootout).
+// The NOC states the protocol parameters (family, n, l or ℓ, ε, seed);
+// aggregators and monitors adopt its announcement. Sketch linearity makes
+// the tier transparent: merged randproj columns are byte-identical to what
+// the flat topology delivers, so both topologies print the same NOC
+// summary and detection lines (ci.sh diffs them; the differential e2e test
+// in internal/noc pins the decisions).
+//
+// Pass -sketcher fd for the Frequent Directions family (DESIGN.md §15).
+// Flat, it flags 3 of the 5 injected intervals with 2 false alarms on every
+// run. Under -aggs it is not transparent: each aggregator merges its
+// monitors' blocks into one per-shard block (DESIGN.md §16), so the model
+// depends on which monitors share an aggregator, and that follows the
+// dynamic ports. Runs of -aggs 3 have printed anywhere from 0/5 (14 to 26
+// false alarms) to 5/5 (50 to 109). Compare the families head-to-head with
+// abilene-eval -shootout.
 //
 // Pass -metrics-addr 127.0.0.1:9090 to watch the NOC's /metrics,
 // /healthz and /debug/pprof while the scenario streams.
@@ -44,7 +49,6 @@ import (
 	"streampca/internal/monitor"
 	"streampca/internal/noc"
 	"streampca/internal/obs"
-	"streampca/internal/randproj"
 	sketchpkg "streampca/internal/sketch"
 	"streampca/internal/tier"
 	"streampca/internal/trace"
@@ -152,6 +156,7 @@ func run(o options) error {
 			FixedRank: 6,
 		},
 		Seed:           seed,
+		Epsilon:        0.02,
 		Degraded:       degraded,
 		OnDecision:     func(d noc.Decision) { decisions <- d },
 		MetricsAddr:    o.metricsAddr,
@@ -170,40 +175,36 @@ func run(o options) error {
 		fmt.Printf("NOC diagnostics on http://%s/metrics\n", addr)
 	}
 
-	// Aggregator tier. Ports are dynamic, so the full candidate list is
-	// installed with SetPeers once every listener is up, then each
-	// aggregator dials the NOC and announces its (initially empty) shard.
+	// Aggregator tier. Each aggregator dials the NOC first, adopting the
+	// protocol parameters it announces, then listens. Ports are dynamic, so
+	// the full candidate list is installed with SetPeers once every
+	// listener is up.
 	aggs := make([]*agg.Service, o.aggs)
 	aggAddrs := make([]string, o.aggs)
 	aggRegs := make([]*obs.Registry, o.aggs)
 	for i := range aggs {
 		aggRegs[i] = obs.NewRegistry()
 		a, err := agg.New(agg.Config{
-			ID:        fmt.Sprintf("agg-%d", i+1),
-			Family:    fam,
-			NumFlows:  m,
-			WindowLen: windowLen,
-			SketchLen: sketchParam,
-			Seed:      seed,
-			Degraded:  degraded,
-			Redial:    tier.RedialPolicy{Enabled: true},
-			Obs:       aggRegs[i],
+			ID:       fmt.Sprintf("agg-%d", i+1),
+			Degraded: degraded,
+			Redial:   tier.RedialPolicy{Enabled: true},
+			Obs:      aggRegs[i],
 		})
 		if err != nil {
+			return err
+		}
+		defer func() { _ = a.Close() }()
+		if err := a.ConnectNOC(nocSvc.Addr(), tier.DialTimeout); err != nil {
 			return err
 		}
 		if err := a.Serve("127.0.0.1:0"); err != nil {
 			return err
 		}
-		defer func() { _ = a.Close() }()
 		aggs[i] = a
 		aggAddrs[i] = a.Addr()
 	}
 	for _, a := range aggs {
 		a.SetPeers(aggAddrs, 1)
-		if err := a.ConnectNOC(nocSvc.Addr(), tier.DialTimeout); err != nil {
-			return err
-		}
 	}
 	if o.aggs > 0 {
 		fmt.Printf("%d aggregators up: %v\n", o.aggs, aggAddrs)
@@ -211,7 +212,8 @@ func run(o options) error {
 
 	// Monitors, striping the flows. Flat, each dials the NOC; federated,
 	// each places itself on its rendezvous-preferred aggregator — the walk
-	// sketchpca-monitor -aggs makes and a failover repeats.
+	// sketchpca-monitor -aggs makes and a failover repeats. Either way the
+	// monitor adopts the parameters the tier above announces.
 	var alarmsSeen atomic.Int64
 	assign := make([][]int, numMons)
 	for f := 0; f < m; f++ {
@@ -221,12 +223,7 @@ func run(o options) error {
 	for i := range mons {
 		svc, err := monitor.New(monitor.Config{
 			ID:         fmt.Sprintf("monitor-%d", i+1),
-			Family:     fam,
 			FlowIDs:    assign[i],
-			WindowLen:  windowLen,
-			Epsilon:    0.02,
-			Sketch:     randproj.Config{Seed: seed, SketchLen: sketchParam, WindowLen: windowLen},
-			FDEll:      sketchParam,
 			Redial:     tier.RedialPolicy{Enabled: true},
 			Candidates: aggAddrs,
 			OnAlarm:    func(transport.Alarm) { alarmsSeen.Add(1) },

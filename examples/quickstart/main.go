@@ -53,7 +53,8 @@ func run() error {
 		WindowLen:   windowLen,
 		Epsilon:     0.01,
 		Alpha:       0.01,
-		Sketch:      streampca.SketchConfig{Seed: 42, SketchLen: sketchLen},
+		SketchLen:   sketchLen,
+		Seed:        42,
 		Mode:        streampca.RankFixed,
 		FixedRank:   6,
 	})

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"streampca/internal/core"
 	"streampca/internal/obs"
 	"streampca/internal/sketch"
 	"streampca/internal/tier"
@@ -44,7 +45,7 @@ type Config struct {
 	// ID names the aggregator; it is the MonitorID the NOC sees.
 	ID string
 	// Family, NumFlows, WindowLen, SketchLen and Seed are the protocol
-	// parameters (tier.Params); monitors are validated against them on
+	// parameters (core.Params); monitors are validated against them on
 	// registration exactly as the NOC would. SketchLen carries the family's
 	// sketch parameter (l for randproj, the basis budget ℓ for FD). Left all
 	// zero, ConnectNOC adopts the NOC's announcement (ε included), which the
@@ -165,8 +166,8 @@ func New(cfg Config) (*Service, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("%w: empty aggregator id", ErrConfig)
 	}
-	p := tier.Params{Family: cfg.Family, NumFlows: cfg.NumFlows, WindowLen: cfg.WindowLen, SketchLen: cfg.SketchLen, Seed: cfg.Seed}
-	if err := p.Validate(); err != nil && p != (tier.Params{}) {
+	p := core.Params{Family: cfg.Family, NumFlows: cfg.NumFlows, WindowLen: cfg.WindowLen, SketchLen: cfg.SketchLen, Seed: cfg.Seed}
+	if err := p.Validate(); err != nil && p != (core.Params{}) {
 		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	if cfg.ShardEpoch == 0 {
@@ -221,7 +222,7 @@ func New(cfg Config) (*Service, error) {
 }
 
 // build makes the downstream half under p.
-func (s *Service) build(p tier.Params) error {
+func (s *Service) build(p core.Params) error {
 	down, err := tier.NewDownstream(tier.DownstreamConfig{
 		Params:       p,
 		Pull:         s.cfg.Pull,
@@ -266,7 +267,7 @@ func (s *Service) Serve(addr string) error {
 }
 
 // Params returns the protocol parameters, zero before they are known.
-func (s *Service) Params() tier.Params { return s.down.Load().Params() }
+func (s *Service) Params() core.Params { return s.down.Load().Params() }
 
 // Addr returns the downstream listen address ("" before Serve).
 func (s *Service) Addr() string { return s.down.Load().Addr() }
@@ -293,7 +294,7 @@ func (s *Service) AttachNOC(conn *transport.Conn) error { return s.up.Attach(con
 // states no parameters while they are unknown.
 func (s *Service) hello() transport.Hello {
 	down := s.down.Load()
-	return down.Params().Stated(transport.Hello{MonitorID: s.cfg.ID, FlowIDs: down.OwnedFlows(), Role: transport.RoleAggregator})
+	return tier.Stated(down.Params(), transport.Hello{MonitorID: s.cfg.ID, FlowIDs: down.OwnedFlows(), Role: transport.RoleAggregator})
 }
 
 // announce re-sends the Hello on the live upstream connection after the

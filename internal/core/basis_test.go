@@ -194,9 +194,9 @@ func TestLeadingBasisMatchesFullSolve(t *testing.T) {
 		m, l := c.m, c.l
 		rng := rand.New(rand.NewSource(30))
 		x := lowRankStream(rng, n, m, k, 2)
-		proj := randproj.Config{Seed: 5, SketchLen: l}
+		var dist randproj.Distribution
 		if c.spiky {
-			proj.Dist = randproj.VerySparse
+			dist = randproj.VerySparse
 			x.Set(n/2, 7, x.At(n/2, 7)+400)
 		}
 		for _, family := range c.families {
@@ -206,9 +206,13 @@ func TestLeadingBasisMatchesFullSolve(t *testing.T) {
 				}
 				smallSide := c.smallSide && family == sketch.FamilyRandProj
 				name := fmt.Sprintf("m=%d/l=%d/%v/%v", m, l, family, mode)
+				sketchLen := l
+				if family == sketch.FamilyFD {
+					sketchLen = 0
+				}
 				cl, err := NewCluster(ClusterConfig{
 					NumFlows: m, NumMonitors: 3, WindowLen: n, Epsilon: 0.01, Alpha: 0.01,
-					Sketch: proj, Family: family, Mode: mode, FixedRank: c.fixedRank,
+					SketchLen: sketchLen, Seed: 5, Dist: dist, Family: family, Mode: mode, FixedRank: c.fixedRank,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -25,20 +25,26 @@ type ClusterConfig struct {
 	// Family selects the sketcher implementation on every monitor; the zero
 	// value is the paper's random projection.
 	Family sketch.Family
-	// Sketch configures the shared random projection (Seed, SketchLen,
-	// Dist, …). WindowLen is filled from the cluster's if unset. Ignored for
-	// the FD family.
-	Sketch randproj.Config
-	// FDEll is the per-monitor Frequent Directions basis budget ℓ (FD family
-	// only); 0 selects sketch.DefaultEll of each monitor's flow count. When 0,
-	// every monitor must get the same flow count (round-robin guarantees it
-	// only when NumMonitors divides NumFlows) or construction fails, since the
-	// detector needs one shared ℓ.
-	FDEll int
+	// SketchLen is the family's sketch parameter: the projection length l
+	// for randproj, the per-monitor basis budget ℓ for FD. ℓ 0 selects
+	// sketch.DefaultEll of each monitor's flow count; every monitor must then
+	// get the same count (round-robin guarantees it only when NumMonitors
+	// divides NumFlows) or construction fails, since the detector needs one
+	// shared ℓ.
+	SketchLen int
+	// Seed and Dist are the shared projection's seed and distribution
+	// (randproj only; see Params.Generator).
+	Seed uint64
+	Dist randproj.Distribution
 	// Rank configures rank selection (see DetectorConfig).
 	Mode       RankMode
 	FixedRank  int
 	EnergyFrac float64
+}
+
+// Params returns the protocol parameters cfg states.
+func (cfg ClusterConfig) Params() Params {
+	return Params{cfg.Family, cfg.NumFlows, cfg.WindowLen, cfg.SketchLen, cfg.Epsilon, cfg.Seed}
 }
 
 // Cluster is an in-process assembly of monitors and a NOC detector.
@@ -49,9 +55,7 @@ type Cluster struct {
 	// flow's position within that monitor.
 	flowOwner []int
 	flowSlot  []int
-	family    sketch.Family
-	sketchLen int
-	windowLen int
+	params    Params
 	updates   int
 }
 
@@ -74,46 +78,17 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		assign[mIdx] = append(assign[mIdx], j)
 	}
 
-	// The detector needs the shared sketch parameter: l from the generator
-	// for randproj, ℓ for FD.
-	var gen *randproj.Generator
-	var sketchLen int
-	switch cfg.Family {
-	case sketch.FamilyRandProj:
-		sketchCfg := cfg.Sketch
-		if sketchCfg.WindowLen == 0 {
-			sketchCfg.WindowLen = cfg.WindowLen
-		}
-		var err error
-		if gen, err = randproj.NewGenerator(sketchCfg); err != nil {
-			return nil, fmt.Errorf("generator: %w", err)
-		}
-		sketchLen = gen.SketchLen()
-	case sketch.FamilyFD:
-		sketchLen = cfg.FDEll
-		if sketchLen == 0 {
-			// Defaulting ℓ from the flow count only works when every monitor
-			// gets the same count; otherwise monitors would disagree on ℓ.
-			if cfg.NumFlows%cfg.NumMonitors != 0 {
-				return nil, fmt.Errorf("%w: fd ell must be set explicitly when %d monitors split %d flows unevenly",
-					ErrConfig, cfg.NumMonitors, cfg.NumFlows)
-			}
-			sketchLen = sketch.DefaultEll(len(assign[0]))
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown sketch family %d", ErrConfig, int(cfg.Family))
+	p := cfg.Params()
+	if p.Family == sketch.FamilyFD && p.SketchLen == 0 && cfg.NumFlows%cfg.NumMonitors != 0 {
+		// Defaulting ℓ from the flow count only works when every monitor
+		// gets the same count; otherwise monitors would disagree on ℓ.
+		return nil, fmt.Errorf("%w: fd ell must be set explicitly when %d monitors split %d flows unevenly",
+			ErrConfig, cfg.NumMonitors, cfg.NumFlows)
 	}
-
+	p = p.Resolve(len(assign[0]))
 	monitors := make([]*Monitor, cfg.NumMonitors)
 	for i := range monitors {
-		mon, err := NewMonitor(MonitorConfig{
-			Family:    cfg.Family,
-			FlowIDs:   assign[i],
-			WindowLen: cfg.WindowLen,
-			Epsilon:   cfg.Epsilon,
-			Gen:       gen,
-			FDEll:     sketchLen,
-		})
+		mon, err := p.NewMonitor(assign[i], cfg.Dist)
 		if err != nil {
 			return nil, fmt.Errorf("monitor %d: %w", i, err)
 		}
@@ -123,7 +98,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	det, err := NewDetector(DetectorConfig{
 		NumFlows:   cfg.NumFlows,
 		WindowLen:  cfg.WindowLen,
-		SketchLen:  sketchLen,
+		SketchLen:  p.SketchLen,
 		Alpha:      cfg.Alpha,
 		Mode:       cfg.Mode,
 		FixedRank:  cfg.FixedRank,
@@ -138,11 +113,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		detector:  det,
 		flowOwner: flowOwner,
 		flowSlot:  flowSlot,
-		family:    cfg.Family,
-		sketchLen: sketchLen,
-		windowLen: cfg.WindowLen,
+		params:    p,
 	}, nil
 }
+
+// Params returns the protocol parameters the cluster runs, the sketch
+// parameter resolved.
+func (c *Cluster) Params() Params { return c.params }
 
 // Detector returns the NOC detector.
 func (c *Cluster) Detector() *Detector { return c.detector }
@@ -176,7 +153,7 @@ func (c *Cluster) Update(t int64, volumes []float64) error {
 // Warm reports whether the monitors have seen a full window of intervals —
 // before that, models built from partial sketches are unreliable and Step
 // skips detection.
-func (c *Cluster) Warm() bool { return c.updates >= c.windowLen }
+func (c *Cluster) Warm() bool { return c.updates >= c.params.WindowLen }
 
 // AssembleFetch turns validated sketch reports into a Fetch. For the
 // randproj family it scatters them into flow-indexed Sketches and Means,
@@ -213,27 +190,7 @@ func AssembleFetch(family sketch.Family, numFlows int, reports []SketchReport) (
 }
 
 // Fetch gathers every monitor's report into the in-process FetchFunc.
-func (c *Cluster) Fetch() (Fetch, error) {
-	reports := make([]SketchReport, len(c.monitors))
-	for i, mon := range c.monitors {
-		reports[i] = mon.Report()
-		if err := reports[i].Validate(c.sketchLen); err != nil {
-			return Fetch{}, err
-		}
-	}
-	f, err := AssembleFetch(c.family, len(c.flowOwner), reports)
-	if err != nil {
-		return Fetch{}, err
-	}
-	if c.family != sketch.FamilyFD {
-		for j, s := range f.Sketches {
-			if s == nil {
-				return Fetch{}, fmt.Errorf("%w: no monitor reported flow %d", ErrInput, j)
-			}
-		}
-	}
-	return f, nil
-}
+func (c *Cluster) Fetch() (Fetch, error) { return c.params.Fetch(c.monitors...) }
 
 // Step runs one full interval: update all monitors with the volumes, then
 // drive the lazy detection protocol on the same measurement vector. During

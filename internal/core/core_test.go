@@ -196,7 +196,7 @@ func TestDetectorMatchesExactPCA(t *testing.T) {
 
 	cl, err := NewCluster(ClusterConfig{
 		NumFlows: m, NumMonitors: 3, WindowLen: n, Epsilon: 0.01, Alpha: 0.01,
-		Sketch:    randproj.Config{Seed: 7, SketchLen: l},
+		SketchLen: l, Seed: 7,
 		Mode:      RankFixed,
 		FixedRank: k,
 	})
@@ -302,7 +302,7 @@ func TestLazyProtocol(t *testing.T) {
 	x := lowRankStream(rng, n, m, k, 1)
 	cl, err := NewCluster(ClusterConfig{
 		NumFlows: m, NumMonitors: 2, WindowLen: n, Epsilon: 0.01, Alpha: 0.005,
-		Sketch:    randproj.Config{Seed: 3, SketchLen: 64},
+		SketchLen: 64, Seed: 3,
 		FixedRank: k,
 	})
 	if err != nil {
@@ -385,7 +385,7 @@ func TestDegradedFetchFlagsDecisions(t *testing.T) {
 	x := lowRankStream(rng, n, m, 2, 1)
 	cl, err := NewCluster(ClusterConfig{
 		NumFlows: m, NumMonitors: 2, WindowLen: n, Epsilon: 0.01, Alpha: 0.01,
-		Sketch:    randproj.Config{Seed: 9, SketchLen: 48},
+		SketchLen: 48, Seed: 9,
 		FixedRank: 2,
 	})
 	if err != nil {
@@ -443,7 +443,7 @@ func TestRankModesOnSketch(t *testing.T) {
 	for _, mode := range []RankMode{RankFixed, RankThreeSigma, RankEnergy} {
 		cl, err := NewCluster(ClusterConfig{
 			NumFlows: m, NumMonitors: 1, WindowLen: n, Epsilon: 0.01, Alpha: 0.01,
-			Sketch:    randproj.Config{Seed: 5, SketchLen: 128},
+			SketchLen: 128, Seed: 5,
 			Mode:      mode,
 			FixedRank: k,
 		})
@@ -477,7 +477,7 @@ func TestAttribute(t *testing.T) {
 	x := lowRankStream(rng, n, m, k, 1)
 	cl, err := NewCluster(ClusterConfig{
 		NumFlows: m, NumMonitors: 2, WindowLen: n, Epsilon: 0.01, Alpha: 0.01,
-		Sketch: randproj.Config{Seed: 8, SketchLen: 128}, FixedRank: k,
+		SketchLen: 128, Seed: 8, FixedRank: k,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -545,7 +545,7 @@ func TestAttribute(t *testing.T) {
 func TestNewClusterValidation(t *testing.T) {
 	base := ClusterConfig{
 		NumFlows: 4, NumMonitors: 2, WindowLen: 32, Epsilon: 0.1, Alpha: 0.01,
-		Sketch: randproj.Config{Seed: 1, SketchLen: 8}, FixedRank: 1,
+		SketchLen: 8, Seed: 1, FixedRank: 1,
 	}
 	if _, err := NewCluster(base); err != nil {
 		t.Fatal(err)
@@ -561,7 +561,7 @@ func TestNewClusterValidation(t *testing.T) {
 		t.Fatalf("monitors: %v", err)
 	}
 	bad = base
-	bad.Sketch.SketchLen = 0
+	bad.SketchLen = 0
 	if _, err := NewCluster(bad); err == nil {
 		t.Fatal("bad sketch config must fail")
 	}
@@ -576,7 +576,7 @@ func TestClusterPartitioningMatchesSingleMonitor(t *testing.T) {
 	mk := func(monitors int) ([][]float64, []float64) {
 		cl, err := NewCluster(ClusterConfig{
 			NumFlows: m, NumMonitors: monitors, WindowLen: n, Epsilon: 0.05, Alpha: 0.01,
-			Sketch: randproj.Config{Seed: 21, SketchLen: 16}, FixedRank: 2,
+			SketchLen: 16, Seed: 21, FixedRank: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -608,7 +608,7 @@ func TestClusterStepEndToEnd(t *testing.T) {
 	x := lowRankStream(rng, 3*n, m, k, 1)
 	cl, err := NewCluster(ClusterConfig{
 		NumFlows: m, NumMonitors: 3, WindowLen: n, Epsilon: 0.02, Alpha: 0.002,
-		Sketch: randproj.Config{Seed: 11, SketchLen: 80}, FixedRank: k,
+		SketchLen: 80, Seed: 11, FixedRank: k,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -191,7 +191,7 @@ func TestFDClusterEndToEnd(t *testing.T) {
 	x := lowRankStream(rng, 3*n, m, k, 1)
 	cl, err := NewCluster(ClusterConfig{
 		NumFlows: m, NumMonitors: 3, WindowLen: n, Alpha: 0.002,
-		Family: sketch.FamilyFD, FDEll: 4, FixedRank: 6,
+		Family: sketch.FamilyFD, SketchLen: 4, FixedRank: 6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestClusterFDEllDefaulting(t *testing.T) {
 	}
 	if _, err := NewCluster(ClusterConfig{
 		NumFlows: 31, NumMonitors: 3, WindowLen: 16, Alpha: 0.01,
-		Family: sketch.FamilyFD, FDEll: 4, FixedRank: 1,
+		Family: sketch.FamilyFD, SketchLen: 4, FixedRank: 1,
 	}); err != nil {
 		t.Fatalf("uneven split with explicit ell: %v", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"streampca/internal/anomography"
-	"streampca/internal/randproj"
 )
 
 // identifyCluster builds a warmed, modeled cluster over a low-rank stream.
@@ -19,7 +18,7 @@ func identifyCluster(t *testing.T) (*Cluster, *Detector) {
 	x := lowRankStream(rng, n, m, k, 1)
 	cl, err := NewCluster(ClusterConfig{
 		NumFlows: m, NumMonitors: 2, WindowLen: n, Epsilon: 0.01, Alpha: 0.01,
-		Sketch: randproj.Config{Seed: 8, SketchLen: 128}, FixedRank: k,
+		SketchLen: 128, Seed: 8, FixedRank: k,
 	})
 	if err != nil {
 		t.Fatal(err)

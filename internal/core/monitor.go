@@ -59,11 +59,11 @@ type MonitorConfig struct {
 	FDEll int
 }
 
-// Monitor wraps the configured sketch.Sketcher behind the stable local-
-// monitor surface. It is not safe for concurrent use; callers
-// (internal/monitor) serialize.
+// Monitor is a local monitor's sketch state: the configured sketch.Sketcher,
+// whose methods it promotes (Update, Now, FlowIDs, Snapshot, StateSize, …).
+// It is not safe for concurrent use; callers (internal/monitor) serialize.
 type Monitor struct {
-	sk sketch.Sketcher
+	sketch.Sketcher
 }
 
 // NewMonitor validates cfg and builds the configured sketcher.
@@ -79,21 +79,8 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Monitor{sk: sk}, nil
+	return &Monitor{sk}, nil
 }
-
-// Sketcher exposes the underlying sketcher (the monitor service reads the
-// resolved FD basis budget ℓ off it for its Hello).
-func (m *Monitor) Sketcher() sketch.Sketcher { return m.sk }
-
-// FlowIDs returns a copy of the assigned global flow indices.
-func (m *Monitor) FlowIDs() []int { return m.sk.FlowIDs() }
-
-// NumFlows returns w, the number of flows this monitor handles.
-func (m *Monitor) NumFlows() int { return m.sk.NumFlows() }
-
-// Now returns the interval of the most recent update.
-func (m *Monitor) Now() int64 { return m.sk.Now() }
 
 // Histogram returns the variance histogram of the i-th assigned flow
 // (FlowIDs()[i]) when the monitor runs the randproj family, nil otherwise
@@ -101,25 +88,11 @@ func (m *Monitor) Now() int64 { return m.sk.Now() }
 // owned by the monitor; callers must only read it (Aggregate, Sketch, …)
 // between updates — internal/oracle uses this for differential self-checks.
 func (m *Monitor) Histogram(i int) *vh.Histogram {
-	rp, ok := m.sk.(*sketch.RandProj)
+	rp, ok := m.Sketcher.(*sketch.RandProj)
 	if !ok {
 		return nil
 	}
 	return rp.Histogram(i)
-}
-
-// NumBucketsTotal returns the sketcher's retained-state cell count: total
-// variance-histogram buckets (randproj, the O(w·log² n) bound the paper
-// gives) or live buffer rows (FD). Cheap enough to poll every interval for
-// a state-size gauge.
-func (m *Monitor) NumBucketsTotal() int { return m.sk.StateSize() }
-
-// Update ingests the volumes of interval t; volumes[i] belongs to
-// FlowIDs()[i]. Intervals must be strictly increasing. A rejected update
-// (wrong length, non-finite volume, stale interval) leaves the sketch state
-// unchanged and names the lowest-indexed offending flow.
-func (m *Monitor) Update(t int64, volumes []float64) error {
-	return m.sk.Update(t, volumes)
 }
 
 // SketchReport carries a monitor's current sketch state to the NOC: the
@@ -127,7 +100,4 @@ func (m *Monitor) Update(t int64, volumes []float64) error {
 type SketchReport = sketch.Snapshot
 
 // Report extracts the current sketch state for all assigned flows.
-func (m *Monitor) Report() SketchReport { return m.sk.Snapshot() }
-
-// ReportInto is Report into dst, reusing its slices' capacity.
-func (m *Monitor) ReportInto(dst *SketchReport) { m.sk.SnapshotInto(dst) }
+func (m *Monitor) Report() SketchReport { return m.Snapshot() }

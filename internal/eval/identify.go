@@ -240,9 +240,9 @@ type identifyScorer struct {
 	nSum   float64
 }
 
-func newIdentifyScorer(name string, family sketch.Family, param int) *identifyScorer {
+func newIdentifyScorer(name string, family sketch.Family) *identifyScorer {
 	return &identifyScorer{
-		row:   IdentifyRow{Variant: name, Family: family, SketchParam: param},
+		row:   IdentifyRow{Variant: name, Family: family},
 		kinds: map[string]*IdentifyKindScore{},
 	}
 }
@@ -373,8 +373,8 @@ const identifyMinExplained = 0.5
 // labels.
 func (s Scenario) identifyVariant(name string, family sketch.Family) (IdentifyRow, error) {
 	tr := s.Trace
-	sc := newIdentifyScorer(name, family, s.sketchParam(family))
-	_, err := s.Replay(family, func(cl *core.Cluster, st Step) error {
+	sc := newIdentifyScorer(name, family)
+	cl, err := s.Replay(family, func(cl *core.Cluster, st Step) error {
 		if !st.Warm {
 			return nil
 		}
@@ -408,6 +408,7 @@ func (s Scenario) identifyVariant(name string, family sketch.Family) (IdentifyRo
 	if err != nil {
 		return sc.row, err
 	}
+	sc.row.SketchParam = cl.Params().SketchLen
 	return sc.finish(), nil
 }
 
@@ -421,7 +422,7 @@ const pcpRowRelFloor = 0.25
 // once (offline, no sliding window, no sketch) — the quality ceiling the
 // streaming pursuit is judged against.
 func (s Scenario) pcpIdentifyRow() (IdentifyRow, error) {
-	sc := newIdentifyScorer("pcp-offline", sketch.Family(0), 0)
+	sc := newIdentifyScorer("pcp-offline", sketch.Family(0))
 	tr, from := s.Trace, s.WindowLen
 	if from < 0 || from >= tr.NumIntervals() {
 		return sc.row, fmt.Errorf("%w: window %d of %d intervals", ErrConfig, from, tr.NumIntervals())

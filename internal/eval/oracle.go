@@ -48,7 +48,7 @@ func (s Scenario) oracleScenario() (oracle.Result, error) {
 	var total oracle.Result
 	m := s.Trace.NumFlows()
 	s.Monitors = 1
-	gen, err := randproj.NewGenerator(s.sketchConfig())
+	gen, err := s.clusterConfig(sketch.FamilyRandProj).Params().Generator(s.Dist)
 	if err != nil {
 		return total, err
 	}

@@ -70,6 +70,10 @@ type Scenario struct {
 // clusterConfig is the in-process deployment the scenario describes for one
 // sketcher family.
 func (s Scenario) clusterConfig(family sketch.Family) core.ClusterConfig {
+	sketchLen := s.SketchLen
+	if family == sketch.FamilyFD {
+		sketchLen = s.FDEll
+	}
 	return core.ClusterConfig{
 		NumFlows:    s.Trace.NumFlows(),
 		NumMonitors: s.Monitors,
@@ -77,32 +81,12 @@ func (s Scenario) clusterConfig(family sketch.Family) core.ClusterConfig {
 		Epsilon:     s.Epsilon,
 		Alpha:       s.Alpha,
 		Family:      family,
-		Sketch:      s.sketchConfig(),
-		FDEll:       s.FDEll,
+		SketchLen:   sketchLen,
+		Seed:        s.Seed,
+		Dist:        s.Dist,
 		Mode:        core.RankFixed,
 		FixedRank:   s.Rank,
 	}
-}
-
-// sketchConfig is the shared projection; s = 3 is Achlioptas' classic choice
-// for the sparse family and is ignored by the others.
-func (s Scenario) sketchConfig() randproj.Config {
-	return randproj.Config{
-		Seed: s.Seed, SketchLen: s.SketchLen, Dist: s.Dist, SparseS: 3, WindowLen: s.WindowLen,
-	}
-}
-
-// sketchParam is the family's size knob as the scorecards print it: l for
-// randproj, ℓ for fd (resolved like core.NewCluster resolves it, 0 when the
-// split is uneven and the cluster refuses to guess).
-func (s Scenario) sketchParam(family sketch.Family) int {
-	if family != sketch.FamilyFD {
-		return s.SketchLen
-	}
-	if m := s.Trace.NumFlows(); s.FDEll == 0 && s.Monitors > 0 && m%s.Monitors == 0 {
-		return sketch.DefaultEll(m / s.Monitors)
-	}
-	return s.FDEll
 }
 
 // Step is one interval of a replay, as the driver hands it to a mode.

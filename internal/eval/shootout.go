@@ -76,7 +76,7 @@ func Shootout(s Scenario, truth *Truth) ([]ShootoutRow, error) {
 // shootoutVariant replays the trace through one family's cluster, scoring
 // every truth-ready interval and timing the refresh observations.
 func (s Scenario) shootoutVariant(truth *Truth, name string, family sketch.Family) (ShootoutRow, error) {
-	row := ShootoutRow{Variant: name, Family: family, SketchParam: s.sketchParam(family)}
+	row := ShootoutRow{Variant: name, Family: family}
 	var chk *oracle.Checker
 	if family == sketch.FamilyRandProj {
 		var err error
@@ -112,6 +112,7 @@ func (s Scenario) shootoutVariant(truth *Truth, name string, family sketch.Famil
 	if err != nil {
 		return row, err
 	}
+	row.SketchParam = cl.Params().SketchLen
 	_, row.Retrains, _ = cl.Detector().Stats()
 	f, err := cl.Fetch()
 	if err != nil {

@@ -2,49 +2,21 @@ package mat
 
 import "fmt"
 
-// tileBytes is the input footprint one Mul k-block targets: half of a
-// conservative 256KB per-core L2, leaving the other half for the output rows
-// the block streams against.
-const tileBytes = 128 << 10
-
-// Mul returns the matrix product m·o as a new matrix. The inner dimension is
-// blocked into L2-sized tiles of o's rows, so a hot panel of o is streamed
-// across every output row instead of all of o being re-streamed per output
-// row. Per output entry the k-summation order is ascending regardless of the
-// blocking.
+// Mul returns the matrix product m·o as a new matrix. Per output entry the
+// k-summation order is ascending.
 func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
 	if m.cols != o.rows {
 		return nil, fmt.Errorf("%w: mul %dx%d by %dx%d", ErrShape, m.rows, m.cols, o.rows, o.cols)
 	}
 	out := NewMatrix(m.rows, o.cols)
-	// Block o's rows so the panel o[k0:k1) stays cache-resident while the
-	// output rows are swept. Pure function of the shapes.
-	kb := o.rows
-	if o.cols > 0 {
-		if kb = tileBytes / (8 * o.cols); kb < 16 {
-			kb = 16
-		}
-		if kb > o.rows {
-			kb = o.rows
-		}
-	}
-	for k0 := 0; k0 < m.cols; k0 += kb {
-		k1 := k0 + kb
-		if k1 > m.cols {
-			k1 = m.cols
-		}
-		for i := 0; i < m.rows; i++ {
-			mrow := m.data[i*m.cols+k0 : i*m.cols+k1]
-			orow := out.data[i*o.cols : (i+1)*o.cols]
-			for kk, mv := range mrow {
-				if mv == 0 {
-					continue
-				}
-				k := k0 + kk
-				okrow := o.data[k*o.cols : (k+1)*o.cols]
-				for j, ov := range okrow {
-					orow[j] += mv * ov
-				}
+	for i := 0; i < m.rows; i++ {
+		orow := out.data[i*o.cols : (i+1)*o.cols]
+		for k, mv := range m.data[i*m.cols : (i+1)*m.cols] {
+			if mv == 0 {
+				continue
+			}
+			for j, ov := range o.data[k*o.cols : (k+1)*o.cols] {
+				orow[j] += mv * ov
 			}
 		}
 	}

@@ -47,12 +47,13 @@ type Config struct {
 	// WindowLen is n and Epsilon the VH parameter ε. WindowLen 0 leaves
 	// the protocol parameters to the tier above: Connect, Place and Attach
 	// adopt its announcement (family, n, l or ℓ, seed, and ε when it states
-	// one; else Epsilon, else tier.DefaultEpsilon) and return once the
+	// one; else Epsilon, else core.DefaultEpsilon) and return once the
 	// sketch state is built. Family, Sketch and FDEll are then ignored.
 	WindowLen int
 	Epsilon   float64
-	// Sketch configures the shared random projection. WindowLen is filled
-	// from the service's when unset. Ignored for the FD family.
+	// Sketch's Seed, SketchLen and Dist are the shared random projection's,
+	// which core.Params.Generator builds; its other fields are not read.
+	// Ignored for the FD family.
 	Sketch randproj.Config
 	// FDEll is the Frequent Directions basis budget ℓ (FD family only); 0
 	// selects sketch.DefaultEll of the assigned flow count.
@@ -168,7 +169,7 @@ type Service struct {
 	mu     sync.Mutex
 	core   *core.Monitor
 	oracle *oracle.Checker
-	params tier.Params
+	params core.Params
 
 	// snap is the report every sketch pull is written into and sent from;
 	// snapMu holds it from the snapshot until the send returns.
@@ -200,7 +201,11 @@ func New(cfg Config) (*Service, error) {
 		flowIDs: append([]int(nil), cfg.FlowIDs...),
 	}
 	if cfg.WindowLen != 0 {
-		if err := s.build(cfg, 0); err != nil {
+		p := core.Params{Family: cfg.Family, WindowLen: cfg.WindowLen, SketchLen: cfg.FDEll, Epsilon: cfg.Epsilon, Seed: cfg.Sketch.Seed}
+		if cfg.Family == sketch.FamilyRandProj {
+			p.SketchLen = cfg.Sketch.SketchLen
+		}
+		if err := s.build(p, cfg.Sketch.Dist); err != nil {
 			return nil, err
 		}
 	}
@@ -227,30 +232,29 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// build makes the sketch state under cfg's parameters, in a deployment of m
-// flows (0: unknown).
-func (s *Service) build(cfg Config, m int) error {
-	p := tier.Params{Family: cfg.Family, NumFlows: m, WindowLen: cfg.WindowLen, SketchLen: cfg.FDEll, Epsilon: cfg.Epsilon, Seed: cfg.Sketch.Seed}
-	if cfg.Family == sketch.FamilyRandProj {
-		p.SketchLen = cfg.Sketch.SketchLen
-	} else if cfg.SelfCheckEvery > 0 {
+// build makes the sketch state under p, the projection drawn from dist.
+func (s *Service) build(p core.Params, dist randproj.Distribution) error {
+	every := s.cfg.SelfCheckEvery
+	if p.Family != sketch.FamilyRandProj && every > 0 {
 		return fmt.Errorf("%w: the oracle self-check shadows variance histograms and only supports the randproj family", ErrConfig)
 	}
-	cm, gen, err := p.NewMonitor(cfg.FlowIDs, cfg.Sketch)
+	p = p.Resolve(len(s.flowIDs))
+	cm, err := p.NewMonitor(s.flowIDs, dist)
 	if err != nil {
 		return fmt.Errorf("core monitor: %w", err)
 	}
-	if fd, ok := cm.Sketcher().(*sketch.FD); ok {
-		p.SketchLen = fd.Ell()
-	}
 	var chk *oracle.Checker
-	if cfg.SelfCheckEvery > 0 {
+	if every > 0 {
+		gen, err := p.Generator(dist)
+		if err != nil {
+			return err
+		}
 		chk, err = oracle.NewChecker(oracle.CheckerConfig{
-			Every:     cfg.SelfCheckEvery,
-			WindowLen: cfg.WindowLen,
-			Epsilon:   cfg.Epsilon,
+			Every:     every,
+			WindowLen: p.WindowLen,
+			Epsilon:   p.Epsilon,
 			Gen:       gen,
-			NumFlows:  len(cfg.FlowIDs),
+			NumFlows:  len(s.flowIDs),
 			Component: "monitor",
 			Log:       s.log,
 			Reg:       s.reg,
@@ -267,12 +271,10 @@ func (s *Service) build(cfg Config, m int) error {
 }
 
 // adopt builds the sketch state under the announced parameters.
-func (s *Service) adopt(p tier.Params) error {
-	cfg := s.cfg
-	cfg.Family, cfg.WindowLen, cfg.FDEll = p.Family, p.WindowLen, p.SketchLen
-	cfg.Sketch = randproj.Config{Seed: p.Seed, SketchLen: p.SketchLen}
-	cfg.Epsilon = cmp.Or(p.Epsilon, cfg.Epsilon, tier.DefaultEpsilon)
-	if err := s.build(cfg, p.NumFlows); err != nil {
+func (s *Service) adopt(p core.Params) error {
+	run := p
+	run.Epsilon = cmp.Or(p.Epsilon, s.cfg.Epsilon, core.DefaultEpsilon)
+	if err := s.build(run, 0); err != nil {
 		return err
 	}
 	s.log.Info("adopted upstream parameters", "params", fmt.Sprintf("%+v", p))
@@ -317,7 +319,7 @@ func (s *Service) hello() transport.Hello {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.params.WindowLen != 0 {
-		return s.params.Stated(transport.Hello{MonitorID: s.cfg.ID, FlowIDs: s.flowIDs})
+		return tier.Stated(s.params, transport.Hello{MonitorID: s.cfg.ID, FlowIDs: s.flowIDs})
 	}
 	return transport.Hello{MonitorID: s.cfg.ID}
 }
@@ -336,7 +338,7 @@ func (s *Service) serveSketch(conn *transport.Conn, req transport.SketchRequest,
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	s.mu.Lock()
-	s.core.ReportInto(&s.snap)
+	s.core.SnapshotInto(&s.snap)
 	s.mu.Unlock()
 	sp.SetAttr(trace.I("sketch_interval", s.snap.Interval), trace.I("flows", int64(len(s.snap.FlowIDs))))
 	resp := transport.SketchResponse{RequestID: req.RequestID, MonitorID: s.cfg.ID, Report: s.snap}
@@ -403,7 +405,7 @@ func (s *Service) ReportInterval(t int64, volumes []float64) error {
 			return fmt.Errorf("sketch update: %w", err)
 		}
 		s.met.updateSeconds.Observe(time.Since(start).Seconds())
-		buckets := s.core.NumBucketsTotal()
+		buckets := s.core.StateSize()
 		s.met.vhBuckets.Set(float64(buckets))
 		s.met.intervals.Inc()
 		s.met.lastInterval.Set(float64(t))

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"streampca/internal/core"
 	"streampca/internal/randproj"
 	"streampca/internal/tier"
 	"streampca/internal/transport"
@@ -300,7 +301,7 @@ func TestCloseUnblocksReader(t *testing.T) {
 
 // announced is an upstream's parameter announcement for the test deployment.
 func announced(eps float64) transport.Hello {
-	return tier.Params{NumFlows: 8, WindowLen: 16, SketchLen: 4, Epsilon: eps, Seed: 7}.Stated(transport.Hello{})
+	return tier.Stated(core.Params{NumFlows: 8, WindowLen: 16, SketchLen: 4, Epsilon: eps, Seed: 7}, transport.Hello{})
 }
 
 // TestAdoptsTheAnnouncement: a monitor built without parameters states none,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"streampca/internal/agg"
+	"streampca/internal/core"
 	"streampca/internal/monitor"
 	"streampca/internal/obs"
 	"streampca/internal/randproj"
@@ -22,7 +23,7 @@ import (
 // aggregator accepts its flows only under the parameters it adopted.
 func startAdoptingFederation(t *testing.T, svc *Service, nAgg, nMon int) *federation {
 	t.Helper()
-	want := tier.Params{
+	want := core.Params{
 		Family: svc.cfg.Detector.Family, NumFlows: testFlows, WindowLen: testWindow,
 		SketchLen: testSketch, Epsilon: svc.cfg.Epsilon, Seed: testSeed,
 	}

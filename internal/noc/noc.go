@@ -18,7 +18,6 @@ import (
 	"streampca/internal/faults"
 	"streampca/internal/obs"
 	"streampca/internal/oracle"
-	"streampca/internal/randproj"
 	"streampca/internal/sketch"
 	"streampca/internal/tier"
 	"streampca/internal/trace"
@@ -62,7 +61,7 @@ type Config struct {
 	// Seed is the shared randomness seed (randproj family; FD carries no
 	// shared randomness). It also seeds the fetch-backoff jitter for
 	// reproducible chaos tests. With the family, m, n and l from Detector
-	// and Epsilon it makes the protocol parameters (tier.Params) the NOC
+	// and Epsilon it makes the protocol parameters (core.Params) the NOC
 	// announces to every peer and compares every Hello against.
 	Seed uint64
 	// Pull paces the sketch pulls (tier.PullPolicy); unset fields take
@@ -102,7 +101,7 @@ type Config struct {
 	// that adopts the announcement runs its histograms at it, a Hello that
 	// states another ε is refused, and the self-check and LocalSketches use
 	// it. 0 states no ε: peers keep their own, nothing compares it, and the
-	// NOC's own uses take tier.DefaultEpsilon.
+	// NOC's own uses take core.DefaultEpsilon.
 	Epsilon float64
 	// SelfCheckEvery, when ≥ 1, enables the internal/oracle differential
 	// validator: the NOC shadows every non-degraded completed interval
@@ -291,7 +290,7 @@ type Service struct {
 
 // New validates cfg and builds the service (not yet listening).
 func New(cfg Config) (*Service, error) {
-	params := tier.Params{Family: cfg.Detector.Family, NumFlows: cfg.Detector.NumFlows, WindowLen: cfg.Detector.WindowLen,
+	params := core.Params{Family: cfg.Detector.Family, NumFlows: cfg.Detector.NumFlows, WindowLen: cfg.Detector.WindowLen,
 		SketchLen: cfg.Detector.SketchLen, Epsilon: cfg.Epsilon, Seed: cfg.Seed}
 	det, err := core.NewDetector(cfg.Detector)
 	if err != nil {
@@ -316,7 +315,7 @@ func New(cfg Config) (*Service, error) {
 		}
 		local := params
 		local.Epsilon = params.VHEpsilon()
-		if localMon, _, err = local.NewMonitor(flowIDs, randproj.Config{}); err != nil {
+		if localMon, err = local.NewMonitor(flowIDs, 0); err != nil {
 			return nil, fmt.Errorf("local sketch state: %w", err)
 		}
 	}
@@ -681,11 +680,7 @@ func (s *Service) processLoop() {
 // (§V-A variant). Called only from the processing goroutine.
 func (s *Service) fetchLocal(sp *trace.Span) (core.Fetch, error) {
 	sp.Event("local_sketches")
-	rep := s.localMon.Report()
-	if err := rep.Validate(s.cfg.Detector.SketchLen); err != nil {
-		return core.Fetch{}, err
-	}
-	return core.AssembleFetch(s.cfg.Detector.Family, s.cfg.Detector.NumFlows, []core.SketchReport{rep})
+	return s.down.Params().Fetch(s.localMon)
 }
 
 // fetchSketches implements core.FetchFunc over the registered monitors: one

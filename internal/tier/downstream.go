@@ -49,7 +49,7 @@ type Metrics struct {
 
 // DownstreamConfig parameterises the downstream half.
 type DownstreamConfig struct {
-	Params
+	core.Params
 	// RequireAll makes the required flow set [0, NumFlows) instead of empty.
 	// A required flow must be present in every completed interval (reported,
 	// or cache-filled under Degraded) and covered by every pull; a flow that
@@ -275,7 +275,7 @@ func (d *Downstream) Registrants() []Registrant {
 }
 
 // Params returns the protocol parameters the tier validates against.
-func (d *Downstream) Params() Params { return d.cfg.Params }
+func (d *Downstream) Params() core.Params { return d.cfg.Params }
 
 // Degraded returns the degraded-mode policy in force, defaults applied.
 func (d *Downstream) Degraded() DegradedPolicy { return d.cfg.Degraded }
@@ -411,7 +411,7 @@ func (d *Downstream) hello(conn *transport.Conn, h *transport.Hello, first bool)
 		return false
 	}
 	if h.WindowLen == 0 {
-		a := d.cfg.Params.Stated(transport.Hello{})
+		a := Stated(d.cfg.Params, transport.Hello{})
 		_ = conn.Send(transport.Envelope{Hello: &a})
 	}
 	if first && d.cfg.OnJoin != nil {
@@ -431,7 +431,7 @@ func (d *Downstream) register(conn *transport.Conn, h *transport.Hello) error {
 	switch got := ParamsOf(*h); {
 	case h.WindowLen == 0 && len(h.FlowIDs) > 0:
 		return fmt.Errorf("%w: peer %q claims flows under no parameters", ErrParams, h.MonitorID)
-	case h.WindowLen != 0 && !p.agrees(got):
+	case h.WindowLen != 0 && !agrees(p, got):
 		return fmt.Errorf("%w: peer %q runs %+v, the deployment %+v", ErrParams, h.MonitorID, got, p)
 	}
 	d.mu.Lock()

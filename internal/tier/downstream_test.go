@@ -3,8 +3,6 @@ package tier
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
-	"math"
 	"net"
 	"reflect"
 	"slices"
@@ -72,7 +70,7 @@ func newDownstream(t *testing.T, mutate func(*DownstreamConfig)) (*Downstream, *
 	t.Helper()
 	s := &sink{}
 	cfg := DownstreamConfig{
-		Params:       Params{Family: sketch.FamilyRandProj, NumFlows: testFlows, WindowLen: testWindow, SketchLen: testSketchLen, Seed: testSeed},
+		Params:       core.Params{Family: sketch.FamilyRandProj, NumFlows: testFlows, WindowLen: testWindow, SketchLen: testSketchLen, Seed: testSeed},
 		Pull:         PullPolicy{Timeout: 60 * time.Millisecond, Backoff: time.Millisecond},
 		PullDefaults: AggPull,
 		Metrics:      testMetrics(),
@@ -221,8 +219,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // stating returns a Hello for flows that states p.
-func stating(p Params, flows ...int) transport.Hello {
-	return p.Stated(transport.Hello{MonitorID: "b", FlowIDs: flows})
+func stating(p core.Params, flows ...int) transport.Hello {
+	return Stated(p, transport.Hello{MonitorID: "b", FlowIDs: flows})
 }
 
 // TestRegistrationClaims: one comparison of a Hello's parameters against the
@@ -231,8 +229,8 @@ func stating(p Params, flows ...int) transport.Hello {
 // of them from a peer that has not adopted the announcement yet.
 func TestRegistrationClaims(t *testing.T) {
 	const eps = 0.3
-	deployed := Params{Family: sketch.FamilyRandProj, NumFlows: testFlows, WindowLen: testWindow, SketchLen: testSketchLen, Epsilon: eps, Seed: testSeed}
-	with := func(mutate func(*Params)) Params {
+	deployed := core.Params{Family: sketch.FamilyRandProj, NumFlows: testFlows, WindowLen: testWindow, SketchLen: testSketchLen, Epsilon: eps, Seed: testSeed}
+	with := func(mutate func(*core.Params)) core.Params {
 		p := deployed
 		mutate(&p)
 		return p
@@ -255,8 +253,8 @@ func TestRegistrationClaims(t *testing.T) {
 		{"sketch length mismatch", transport.Hello{MonitorID: "b", FlowIDs: []int{2}, SketchLen: testSketchLen + 1, WindowLen: testWindow, Seed: testSeed}, false, params},
 		{"window mismatch", transport.Hello{MonitorID: "b", FlowIDs: []int{2}, SketchLen: testSketchLen, WindowLen: testWindow + 1, Seed: testSeed}, false, params},
 		{"family mismatch", transport.Hello{MonitorID: "b", FlowIDs: []int{2}, SketchLen: testSketchLen, WindowLen: testWindow, Family: sketch.FamilyFD}, false, params},
-		{"flow count mismatch", stating(with(func(p *Params) { p.NumFlows++ }), 2), false, params},
-		{"epsilon mismatch", stating(with(func(p *Params) { p.Epsilon = 0.05 }), 2), false, params},
+		{"flow count mismatch", stating(with(func(p *core.Params) { p.NumFlows++ }), 2), false, params},
+		{"epsilon mismatch", stating(with(func(p *core.Params) { p.Epsilon = 0.05 }), 2), false, params},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -650,28 +648,6 @@ func TestEpsilonUnstatedByTheDeployment(t *testing.T) {
 	p.Epsilon = 0.05
 	dial(t, d, stating(p, 2), nil)
 	waitFor(t, "registration", func() bool { return registered(d, "b") })
-}
-
-func TestParamsValidate(t *testing.T) {
-	good := Params{Family: sketch.FamilyFD, NumFlows: 4, WindowLen: 8, SketchLen: 2, Epsilon: 0.3}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for name, mutate := range map[string]func(*Params){
-		"unknown family": func(p *Params) { p.Family = 7 },
-		"no flows":       func(p *Params) { p.NumFlows = 0 },
-		"zero window":    func(p *Params) { p.WindowLen = 0 },
-		"zero sketch":    func(p *Params) { p.SketchLen = 0 },
-		"epsilon NaN":    func(p *Params) { p.Epsilon = math.NaN() },
-		"epsilon 1":      func(p *Params) { p.Epsilon = 1 },
-		"epsilon < 0":    func(p *Params) { p.Epsilon = -0.1 },
-	} {
-		p := good
-		mutate(&p)
-		if err := p.Validate(); !errors.Is(err, ErrParams) {
-			t.Errorf("%s: Validate = %v, want ErrParams", name, err)
-		}
-	}
 }
 
 // TestDownstreamRefusesOtherVersions: a peer that opens with gob, as builds

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"streampca/internal/core"
 )
 
 // TestPolicyDefaults pins the one defaulting rule for every link-policy
@@ -92,7 +94,7 @@ func TestPolicyDefaults(t *testing.T) {
 // from the role defaults it is handed, and refuses what the rule refuses.
 func TestNewDownstreamAppliesPolicies(t *testing.T) {
 	cfg := DownstreamConfig{
-		Params:       Params{NumFlows: testFlows, WindowLen: 40},
+		Params:       core.Params{NumFlows: testFlows, WindowLen: 40},
 		Pull:         PullPolicy{Retries: 3},
 		PullDefaults: AggPull,
 		Degraded:     DegradedPolicy{Enabled: true},

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"streampca/internal/core"
 	"streampca/internal/obs"
 	"streampca/internal/transport"
 )
@@ -40,9 +41,9 @@ type UplinkConfig struct {
 	// Adopt builds the owner's state from the parameters the tier above
 	// announces. It runs when the registration Hello states none (WindowLen
 	// 0), the one Hello a tier answers with the announcement: Attach reads
-	// it, checks it (Params.Validate), calls Adopt and registers again under
+	// it, checks it (core.Params.Validate), calls Adopt and registers again under
 	// the Hello that now states them.
-	Adopt func(Params) error
+	Adopt func(core.Params) error
 	// Redial, when enabled, reconnects after a link made by Connect or Place
 	// drops: the walk Place makes, then the last address. Unset backoffs
 	// take DefaultRedial's. After an explicit rejection the redial happens
@@ -191,7 +192,7 @@ func (u *Uplink) adopt(conn *transport.Conn) error {
 		case env.Hello != nil:
 			p := ParamsOf(*env.Hello)
 			if err := p.Validate(); err != nil {
-				return err
+				return fmt.Errorf("%w: %w", ErrParams, err)
 			}
 			return u.cfg.Adopt(p)
 		}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"streampca/internal/core"
 	"streampca/internal/obs"
 	"streampca/internal/transport"
 )
@@ -174,17 +175,17 @@ func TestAttachAdoptsTheAnnouncement(t *testing.T) {
 		c.Epsilon = 0.3
 		c.OnJoin = func(conn *transport.Conn) { _ = conn.Send(transport.Envelope{Shards: shards}) }
 	})
-	var adopted atomic.Pointer[Params]
+	var adopted atomic.Pointer[core.Params]
 	u := newUplink(t, func(c *UplinkConfig) {
 		c.Hello = func() transport.Hello {
 			h := transport.Hello{MonitorID: "peer"}
 			if p := adopted.Load(); p != nil {
-				h = p.Stated(h)
+				h = Stated(*p, h)
 				h.FlowIDs = []int{0, 1}
 			}
 			return h
 		}
-		c.Adopt = func(p Params) error {
+		c.Adopt = func(p core.Params) error {
 			adopted.Store(&p)
 			return nil
 		}
@@ -218,7 +219,7 @@ func TestAttachRefusesABadAnnouncement(t *testing.T) {
 			var adopts atomic.Int64
 			u := newUplink(t, func(c *UplinkConfig) {
 				c.Hello = func() transport.Hello { return transport.Hello{MonitorID: "peer"} }
-				c.Adopt = func(Params) error { adopts.Add(1); return nil }
+				c.Adopt = func(core.Params) error { adopts.Add(1); return nil }
 			})
 			mine, theirs := transport.Pipe()
 			go func() {

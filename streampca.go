@@ -26,7 +26,8 @@
 //		WindowLen:   4032, // two weeks of 5-minute intervals
 //		Epsilon:     0.01,
 //		Alpha:       0.01,
-//		Sketch:      streampca.SketchConfig{Seed: 42, SketchLen: 200},
+//		SketchLen:   200,
+//		Seed:        42,
 //		FixedRank:   6,
 //	})
 //	...

@@ -28,9 +28,9 @@ func TestFacadeClusterLifecycle(t *testing.T) {
 		WindowLen:   window,
 		Epsilon:     0.05,
 		Alpha:       0.005,
-		Sketch:      SketchConfig{Seed: 17, SketchLen: 48},
-		Mode:        RankFixed,
-		FixedRank:   2,
+		SketchLen:   48, Seed: 17,
+		Mode:      RankFixed,
+		FixedRank: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
