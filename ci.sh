@@ -145,27 +145,35 @@ eval_golden fig9 -figure 9
 step_done
 
 # The example deployment in both topologies and both sketcher families
-# (~0.5 s each). Every run must print its NOC summary and detection lines.
-# Sketch linearity makes the aggregator tier transparent to randproj, so its
-# flat and three-aggregator lines must be the same; FD's per-shard merges
-# depend on which monitors share an aggregator (see the example's header),
-# so its two runs are not compared.
-step "example deployment: flat and federated agree (examples/distributed -aggs 0, -aggs 3; -sketcher fd)"
+# (~0.5 s each), plus the randproj -ingest path (NetFlow v5 through one ingest
+# pipeline per monitor) in both topologies. Every run must print its NOC
+# summary and detection lines. Sketch linearity makes the aggregator tier
+# transparent to randproj, and the ingest path re-aggregates the same rows,
+# so its federated and both ingest lines must be the direct flat run's; FD's
+# per-shard merges depend on which monitors share an aggregator (see the
+# example's header), so its two runs are not compared.
+step "example deployment: flat, federated and ingest agree (examples/distributed -aggs 0, -aggs 3; -ingest; -sketcher fd)"
 go build -o "$EVAL_TMP/distributed" ./examples/distributed
-for sketcher in randproj fd; do
-    for aggs in 0 3; do
-        out="$EVAL_TMP/$sketcher-aggs$aggs"
-        "$EVAL_TMP/distributed" -sketcher "$sketcher" -aggs "$aggs" | grep -E '^(NOC|detection):' > "$out"
-        if [ "$(grep -c '^NOC:' "$out")" -ne 1 ] || [ "$(grep -c '^detection:' "$out")" -ne 1 ]; then
-            echo "examples/distributed -sketcher $sketcher -aggs $aggs printed no summary" >&2
-            exit 1
-        fi
-    done
+example() {
+    out="$EVAL_TMP/$1"
+    shift
+    "$EVAL_TMP/distributed" "$@" | grep -E '^(NOC|detection):' > "$out"
+    if [ "$(grep -c '^NOC:' "$out")" -ne 1 ] || [ "$(grep -c '^detection:' "$out")" -ne 1 ]; then
+        echo "examples/distributed $* printed no summary" >&2
+        exit 1
+    fi
+}
+for aggs in 0 3; do
+    example "randproj-aggs$aggs" -sketcher randproj -aggs "$aggs"
+    example "fd-aggs$aggs" -sketcher fd -aggs "$aggs"
+    example "ingest-aggs$aggs" -ingest -aggs "$aggs"
 done
-if ! diff "$EVAL_TMP/randproj-aggs0" "$EVAL_TMP/randproj-aggs3"; then
-    echo "examples/distributed: the federated summary (>) differs from the flat one (<)" >&2
-    exit 1
-fi
+for run in randproj-aggs3 ingest-aggs0 ingest-aggs3; do
+    if ! diff "$EVAL_TMP/randproj-aggs0" "$EVAL_TMP/$run"; then
+        echo "examples/distributed: the $run summary (>) differs from the direct flat one (<)" >&2
+        exit 1
+    fi
+done
 step_done
 
 # The three small examples (~0.2-0.4 s each): quickstart and ddos must end

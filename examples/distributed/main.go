@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -48,7 +49,6 @@ import (
 	"streampca/internal/ingest"
 	"streampca/internal/monitor"
 	"streampca/internal/noc"
-	"streampca/internal/obs"
 	sketchpkg "streampca/internal/sketch"
 	"streampca/internal/tier"
 	"streampca/internal/trace"
@@ -113,14 +113,19 @@ func run(o options) error {
 	m := tr.NumFlows()
 
 	// The sketch parameter is the projection length l for randproj and the
-	// per-monitor basis budget ℓ for Frequent Directions (all monitors must
-	// announce the same value, which the NOC's detector also carries). Keep
-	// 2ℓ below the per-monitor flow count: a buffer that can hold the whole
+	// per-monitor basis budget ℓ for Frequent Directions, which Deploy
+	// defaults from the monitors' flow count (core.Params.Stripe). That
+	// default keeps 2ℓ below the count: a buffer that can hold the whole
 	// local column space makes every block full-rank and the full-spectrum
-	// Q-statistic degenerate (see the abilene-eval -shootout harness).
+	// Q-statistic degenerate (see the abilene-eval -shootout harness). Under
+	// -aggs the 2N monitors split the flows unevenly and must agree on one ℓ,
+	// so state the default of the smaller share, which every monitor holds.
 	sketchParam := sketchLen
 	if fam == sketchpkg.FamilyFD {
-		sketchParam = sketchpkg.DefaultEll(m / numMons)
+		sketchParam = 0
+		if m%numMons != 0 {
+			sketchParam = core.Params{Family: fam}.Resolve(m / numMons).SketchLen
+		}
 	}
 
 	var tracer *trace.Tracer
@@ -139,13 +144,12 @@ func run(o options) error {
 	// Fault tolerance on every tier: the NOC retries missing sketch responses
 	// twice (tier.NOCPull; an aggregator pulls once, tier.AggPull, and leaves
 	// the retrying to the NOC above it) and, should a peer vanish mid-run,
-	// every tier keeps deciding on its cached state.
+	// every tier keeps deciding on its cached state. The NOC is the same in
+	// both topologies: it just sees registrants whose flows partition the
+	// network. Aggregators and monitors adopt the parameters it announces.
 	degraded := tier.DegradedPolicy{Enabled: true}
-
-	// NOC — the same in both topologies: it just sees registrants whose
-	// flows partition the network.
-	decisions := make(chan noc.Decision, total)
-	nocSvc, err := noc.New(noc.Config{
+	var alarmsSeen atomic.Int64
+	dep, err := noc.Deploy(noc.Config{
 		Detector: core.DetectorConfig{
 			Family:    fam,
 			NumFlows:  m,
@@ -158,101 +162,35 @@ func run(o options) error {
 		Seed:           seed,
 		Epsilon:        0.02,
 		Degraded:       degraded,
-		OnDecision:     func(d noc.Decision) { decisions <- d },
 		MetricsAddr:    o.metricsAddr,
 		Trace:          tracer,
 		FlightRecorder: recorder,
+	}, noc.Topology{
+		Aggregators: o.aggs,
+		Monitors:    numMons,
+		Agg:         agg.Config{Degraded: degraded, Redial: tier.RedialPolicy{Enabled: true}},
+		Monitor: func(_ int, c *monitor.Config) {
+			c.Redial = tier.RedialPolicy{Enabled: true}
+			c.OnAlarm = func(transport.Alarm) { alarmsSeen.Add(1) }
+		},
 	})
 	if err != nil {
 		return err
 	}
-	if err := nocSvc.Serve("127.0.0.1:0"); err != nil {
-		return err
-	}
-	defer nocSvc.Shutdown()
-	fmt.Printf("NOC listening on %s (sketcher=%s sketch=%d)\n", nocSvc.Addr(), fam, sketchParam)
-	if addr := nocSvc.DiagAddr(); addr != "" {
+	defer dep.Close()
+	fmt.Printf("NOC listening on %s (sketcher=%s sketch=%d)\n", dep.NOC.Addr(), fam, dep.Params.SketchLen)
+	if addr := dep.NOC.DiagAddr(); addr != "" {
 		fmt.Printf("NOC diagnostics on http://%s/metrics\n", addr)
 	}
+	fmt.Printf("%d monitors, %d aggregators\n", len(dep.Monitors), len(dep.Aggregators))
 
-	// Aggregator tier. Each aggregator dials the NOC first, adopting the
-	// protocol parameters it announces, then listens. Ports are dynamic, so
-	// the full candidate list is installed with SetPeers once every
-	// listener is up.
-	aggs := make([]*agg.Service, o.aggs)
-	aggAddrs := make([]string, o.aggs)
-	aggRegs := make([]*obs.Registry, o.aggs)
-	for i := range aggs {
-		aggRegs[i] = obs.NewRegistry()
-		a, err := agg.New(agg.Config{
-			ID:       fmt.Sprintf("agg-%d", i+1),
-			Degraded: degraded,
-			Redial:   tier.RedialPolicy{Enabled: true},
-			Obs:      aggRegs[i],
-		})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = a.Close() }()
-		if err := a.ConnectNOC(nocSvc.Addr(), tier.DialTimeout); err != nil {
-			return err
-		}
-		if err := a.Serve("127.0.0.1:0"); err != nil {
-			return err
-		}
-		aggs[i] = a
-		aggAddrs[i] = a.Addr()
-	}
-	for _, a := range aggs {
-		a.SetPeers(aggAddrs, 1)
-	}
-	if o.aggs > 0 {
-		fmt.Printf("%d aggregators up: %v\n", o.aggs, aggAddrs)
-	}
-
-	// Monitors, striping the flows. Flat, each dials the NOC; federated,
-	// each places itself on its rendezvous-preferred aggregator — the walk
-	// sketchpca-monitor -aggs makes and a failover repeats. Either way the
-	// monitor adopts the parameters the tier above announces.
-	var alarmsSeen atomic.Int64
-	assign := make([][]int, numMons)
-	for f := 0; f < m; f++ {
-		assign[f%numMons] = append(assign[f%numMons], f)
-	}
-	mons := make([]*monitor.Service, numMons)
-	for i := range mons {
-		svc, err := monitor.New(monitor.Config{
-			ID:         fmt.Sprintf("monitor-%d", i+1),
-			FlowIDs:    assign[i],
-			Redial:     tier.RedialPolicy{Enabled: true},
-			Candidates: aggAddrs,
-			OnAlarm:    func(transport.Alarm) { alarmsSeen.Add(1) },
-		})
-		if err != nil {
-			return err
-		}
-		upstream := nocSvc.Addr()
-		if o.aggs > 0 {
-			upstream, err = svc.Place(tier.DialTimeout)
-		} else {
-			err = svc.Connect(upstream, tier.DialTimeout)
-		}
-		if err != nil {
-			return err
-		}
-		defer func() { _ = svc.Close() }()
-		mons[i] = svc
-		fmt.Printf("%s -> %s (%d flows)\n", svc.ID(), upstream, len(assign[i]))
-	}
-	if err := waitCoverage(aggs, m); err != nil {
-		return err
-	}
-
-	// Stream the trace, tallying the NOC's verdicts against ground truth.
+	// Stream the trace, tallying the NOC's verdicts (on trace row
+	// Interval-1) against ground truth.
 	var hits, falseAlarms int
-	tally := func(i int, d noc.Decision) {
-		if i < windowLen || !d.Result.Anomalous {
-			return
+	tally := func(d noc.Decision, err error) error {
+		i := int(d.Interval) - 1
+		if err != nil || i < windowLen || !d.Result.Anomalous {
+			return err
 		}
 		if i >= anomalyStart && i < anomalyEnd {
 			hits++
@@ -261,37 +199,27 @@ func run(o options) error {
 		} else {
 			falseAlarms++
 		}
+		return nil
 	}
 	if o.ingest {
-		if err := streamViaIngest(tr, mons, assign, decisions, tally); err != nil {
-			return err
-		}
-	} else {
-		// Direct path: each monitor reports its slice of each interval.
-		for i := 0; i < total; i++ {
-			row := tr.Volumes.RowView(i)
-			for mi, mon := range mons {
-				local := make([]float64, len(assign[mi]))
-				for k, f := range assign[mi] {
-					local[k] = row[f]
-				}
-				if err := mon.ReportInterval(int64(i+1), local); err != nil {
-					return fmt.Errorf("%s interval %d: %w", mon.ID(), i, err)
-				}
-			}
-			// Wait for the NOC's verdict on this interval to keep the demo
-			// deterministic.
-			tally(i, waitDecision(decisions, int64(i+1)))
-		}
+		err = streamViaIngest(tr, dep, tally)
+	}
+	// Direct path: each monitor reports its slice of each interval, and the
+	// NOC's verdict is awaited to keep the demo deterministic.
+	for i := 0; !o.ingest && i < total && err == nil; i++ {
+		err = tally(dep.Step(int64(i+1), tr.Volumes.RowView(i)))
+	}
+	if err != nil {
+		return err
 	}
 
 	// Alarm broadcasts race the final report (and hop through the
 	// aggregators when there are any); give them a beat.
 	time.Sleep(300 * time.Millisecond)
-	observations, fetches, alarms := nocSvc.DetectorStats()
+	observations, fetches, alarms := dep.NOC.DetectorStats()
 	fmt.Printf("\nNOC: %d observations, %d lazy sketch pulls, %d alarms raised\n", observations, fetches, alarms)
-	for i, a := range aggs {
-		count := func(name string) int64 { return aggRegs[i].Counter("streampca_agg_"+name, "").Value() }
+	for _, a := range dep.Aggregators {
+		count := func(name string) int64 { return a.Registry().Counter("streampca_agg_"+name, "").Value() }
 		fmt.Printf("%s: %d monitors, %d volume forwards, %d merged pulls, %d alarms relayed\n",
 			a.ID(), len(a.Monitors()), count("volume_forwards_total"), count("fetches_served_total"),
 			count("alarms_relayed_total"))
@@ -312,68 +240,34 @@ func run(o options) error {
 	return nil
 }
 
-// waitCoverage waits until the aggregators' flow unions cover all m flows:
-// an aggregator re-announces its union upstream as monitors register, and
-// an interval reported before the last registration lands would be
-// forwarded short of a monitor. The flat topology has nothing to wait for.
-func waitCoverage(aggs []*agg.Service, m int) error {
-	deadline := time.Now().Add(5 * time.Second)
-	for len(aggs) > 0 {
-		covered := 0
-		for _, a := range aggs {
-			covered += len(a.FlowUnion())
-		}
-		if covered == m {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("aggregators cover %d of %d flows", covered, m)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return nil
-}
-
 // streamViaIngest replays the trace as NetFlow v5 datagrams through one
 // ingest pipeline per monitor (each seeing only its own flows) in lockstep:
 // interval i's datagrams advance every pipeline's record-clock watermark,
 // sealing interval i-1 network-wide, and the NOC's verdict is awaited
 // before moving on. Closing the pipelines drains and seals the final
 // (partial) interval — the same graceful-shutdown path the daemons use.
-func streamViaIngest(tr *traffic.Trace, mons []*monitor.Service, assign [][]int,
-	decisions chan noc.Decision, tally func(int, noc.Decision)) error {
+func streamViaIngest(tr *traffic.Trace, dep *noc.Deployment, tally func(noc.Decision, error) error) error {
 	agg, err := traffic.NewAbileneAggregator()
 	if err != nil {
 		return err
 	}
 	total := tr.NumIntervals()
-	pipes := make([]*ingest.Pipeline, len(mons))
+	pipes := make([]*ingest.Pipeline, len(dep.Monitors))
+	byMon := make([][][][]byte, len(pipes)) // [monitor][interval][k]datagram
 	for mi := range pipes {
-		mon, mine := mons[mi], assign[mi]
 		p, err := ingest.NewPipeline(ingest.Config{
 			Aggregator: agg,
 			Interval:   300 * time.Second,
-			Sink: func(iv ingest.Interval) error {
-				local := make([]float64, len(mine))
-				for k, f := range mine {
-					local[k] = iv.Volumes[f]
-				}
-				return mon.ReportInterval(iv.Seq, local)
-			},
+			Sink:       func(iv ingest.Interval) error { return dep.Report(mi, iv.Seq, iv.Volumes) },
 		})
 		if err != nil {
 			return err
 		}
 		defer func() { _ = p.Close() }()
 		pipes[mi] = p
-	}
-	byMon := make([][][][]byte, len(mons)) // [monitor][interval][k]datagram
-	for mi := range byMon {
-		grouped, err := exportGrouped(tr, assign[mi])
-		if err != nil {
+		if byMon[mi], err = exportGrouped(tr, dep.Flows[mi]); err != nil {
 			return err
 		}
-		byMon[mi] = grouped
 	}
 	fmt.Printf("ingest mode: replaying %d intervals as NetFlow v5 through %d pipelines\n",
 		total, len(pipes))
@@ -381,13 +275,15 @@ func streamViaIngest(tr *traffic.Trace, mons []*monitor.Service, assign [][]int,
 		for mi, p := range pipes {
 			for _, d := range byMon[mi][i] {
 				if err := p.HandleDatagram(d); err != nil {
-					return fmt.Errorf("%s datagram (interval %d): %w", mons[mi].ID(), i, err)
+					return fmt.Errorf("%s datagram (interval %d): %w", dep.Monitors[mi].ID(), i, err)
 				}
 			}
 		}
+		// Interval i's datagrams sealed interval i-1 (reported as i).
 		if i >= 1 {
-			// Interval i's datagrams sealed interval i-1 (reported as i).
-			tally(i-1, waitDecision(decisions, int64(i)))
+			if err := tally(dep.Decision(int64(i))); err != nil {
+				return err
+			}
 		}
 	}
 	for _, p := range pipes {
@@ -395,23 +291,18 @@ func streamViaIngest(tr *traffic.Trace, mons []*monitor.Service, assign [][]int,
 			return err
 		}
 	}
-	tally(total-1, waitDecision(decisions, int64(total)))
-	return nil
+	return tally(dep.Decision(int64(total)))
 }
 
 // exportGrouped serializes the flows of one monitor to NetFlow v5
 // datagrams, grouped by source interval (ExportTrace flushes at interval
 // boundaries, so no datagram spans two).
 func exportGrouped(tr *traffic.Trace, flows []int) ([][][]byte, error) {
-	owned := make(map[int]bool, len(flows))
-	for _, f := range flows {
-		owned[f] = true
-	}
 	out := make([][][]byte, tr.NumIntervals())
 	const base = 1_200_000_000 // ExportOptions' default BaseTime
 	var d ingest.Datagram
 	err := ingest.ExportTrace(tr, ingest.ExportOptions{
-		FlowFilter: func(id int) bool { return owned[id] },
+		FlowFilter: func(id int) bool { return slices.Contains(flows, id) },
 	}, func(buf []byte) error {
 		if err := ingest.DecodeDatagram(buf, &d); err != nil {
 			return err
@@ -421,18 +312,4 @@ func exportGrouped(tr *traffic.Trace, flows []int) ([][][]byte, error) {
 		return nil
 	})
 	return out, err
-}
-
-// waitDecision drains the decision stream until the given interval appears.
-func waitDecision(ch <-chan noc.Decision, interval int64) noc.Decision {
-	for {
-		select {
-		case d := <-ch:
-			if d.Interval == interval {
-				return d
-			}
-		case <-time.After(10 * time.Second):
-			log.Fatalf("timed out waiting for interval %d", interval)
-		}
-	}
 }

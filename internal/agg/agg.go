@@ -249,6 +249,9 @@ func (s *Service) build(p core.Params) error {
 	return nil
 }
 
+// Registry exposes the metrics registry (shared when Config.Obs was set).
+func (s *Service) Registry() *obs.Registry { return s.reg }
+
 // ID returns the aggregator's identifier.
 func (s *Service) ID() string { return s.cfg.ID }
 

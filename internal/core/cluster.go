@@ -14,7 +14,8 @@ import (
 type ClusterConfig struct {
 	// NumFlows is m.
 	NumFlows int
-	// NumMonitors partitions the flows round-robin across monitors.
+	// NumMonitors partitions the flows round-robin across monitors
+	// (Params.Stripe).
 	NumMonitors int
 	// WindowLen is n.
 	WindowLen int
@@ -51,48 +52,22 @@ func (cfg ClusterConfig) Params() Params {
 type Cluster struct {
 	monitors []*Monitor
 	detector *Detector
-	// flowOwner[j] is the monitor index owning flow j; flowSlot[j] is the
-	// flow's position within that monitor.
-	flowOwner []int
-	flowSlot  []int
-	params    Params
-	updates   int
+	params   Params
+	updates  int
 }
 
-// NewCluster builds the monitors and detector.
+// NewCluster builds the monitors, striped over the flows by Params.Stripe,
+// and the detector.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.NumFlows < 1 {
-		return nil, fmt.Errorf("%w: %d flows", ErrConfig, cfg.NumFlows)
+	assign, p, err := cfg.Params().Stripe(cfg.NumMonitors)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.NumMonitors < 1 || cfg.NumMonitors > cfg.NumFlows {
-		return nil, fmt.Errorf("%w: %d monitors for %d flows", ErrConfig, cfg.NumMonitors, cfg.NumFlows)
-	}
-	// Round-robin flow assignment.
-	assign := make([][]int, cfg.NumMonitors)
-	flowOwner := make([]int, cfg.NumFlows)
-	flowSlot := make([]int, cfg.NumFlows)
-	for j := 0; j < cfg.NumFlows; j++ {
-		mIdx := j % cfg.NumMonitors
-		flowOwner[j] = mIdx
-		flowSlot[j] = len(assign[mIdx])
-		assign[mIdx] = append(assign[mIdx], j)
-	}
-
-	p := cfg.Params()
-	if p.Family == sketch.FamilyFD && p.SketchLen == 0 && cfg.NumFlows%cfg.NumMonitors != 0 {
-		// Defaulting ℓ from the flow count only works when every monitor
-		// gets the same count; otherwise monitors would disagree on ℓ.
-		return nil, fmt.Errorf("%w: fd ell must be set explicitly when %d monitors split %d flows unevenly",
-			ErrConfig, cfg.NumMonitors, cfg.NumFlows)
-	}
-	p = p.Resolve(len(assign[0]))
 	monitors := make([]*Monitor, cfg.NumMonitors)
-	for i := range monitors {
-		mon, err := p.NewMonitor(assign[i], cfg.Dist)
-		if err != nil {
+	for i, flows := range assign {
+		if monitors[i], err = p.NewMonitor(flows, cfg.Dist); err != nil {
 			return nil, fmt.Errorf("monitor %d: %w", i, err)
 		}
-		monitors[i] = mon
 	}
 
 	det, err := NewDetector(DetectorConfig{
@@ -108,13 +83,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("detector: %w", err)
 	}
-	return &Cluster{
-		monitors:  monitors,
-		detector:  det,
-		flowOwner: flowOwner,
-		flowSlot:  flowSlot,
-		params:    p,
-	}, nil
+	return &Cluster{monitors: monitors, detector: det, params: p}, nil
 }
 
 // Params returns the protocol parameters the cluster runs, the sketch
@@ -130,19 +99,17 @@ func (c *Cluster) Monitors() []*Monitor { return c.monitors }
 
 // Update feeds interval t's full volume vector to the owning monitors.
 func (c *Cluster) Update(t int64, volumes []float64) error {
-	if len(volumes) != len(c.flowOwner) {
-		return fmt.Errorf("%w: %d volumes for %d flows", ErrInput, len(volumes), len(c.flowOwner))
+	if len(volumes) != c.params.NumFlows {
+		return fmt.Errorf("%w: %d volumes for %d flows", ErrInput, len(volumes), c.params.NumFlows)
 	}
-	// Scatter volumes to per-monitor vectors.
-	per := make([][]float64, len(c.monitors))
+	// Monitor i's s-th flow is i + s·k (Params.Stripe).
+	k := len(c.monitors)
 	for i, mon := range c.monitors {
-		per[i] = make([]float64, mon.NumFlows())
-	}
-	for j, v := range volumes {
-		per[c.flowOwner[j]][c.flowSlot[j]] = v
-	}
-	for i, mon := range c.monitors {
-		if err := mon.Update(t, per[i]); err != nil {
+		local := make([]float64, mon.NumFlows())
+		for s := range local {
+			local[s] = volumes[i+s*k]
+		}
+		if err := mon.Update(t, local); err != nil {
 			return fmt.Errorf("monitor %d: %w", i, err)
 		}
 	}

@@ -49,6 +49,25 @@ func (p Params) Resolve(w int) Params {
 	return p
 }
 
+// Stripe assigns p's m flows round-robin to k monitors (monitor i owns flows
+// i, i+k, …) and returns p as they run it: an FD budget ℓ that p leaves 0
+// becomes sketch.DefaultEll of their flow count, so an uneven split, where
+// monitors would disagree on ℓ, must state ℓ.
+func (p Params) Stripe(k int) ([][]int, Params, error) {
+	if k < 1 || k > p.NumFlows {
+		return nil, p, fmt.Errorf("%w: %d monitors for %d flows", ErrConfig, k, p.NumFlows)
+	}
+	if p.Family == sketch.FamilyFD && p.SketchLen == 0 && p.NumFlows%k != 0 {
+		return nil, p, fmt.Errorf("%w: fd ell must be set explicitly when %d monitors split %d flows unevenly",
+			ErrConfig, k, p.NumFlows)
+	}
+	assign := make([][]int, k)
+	for f := range p.NumFlows {
+		assign[f%k] = append(assign[f%k], f)
+	}
+	return assign, p.Resolve(len(assign[0])), nil
+}
+
 // Generator returns the shared projection under p, drawn from dist (0:
 // Gaussian; the sparse family at Achlioptas' s = 3), or nil for FD, which
 // projects nothing. It is a pure function of p and dist, so every site

@@ -11,77 +11,10 @@ import (
 	"streampca/internal/agg"
 	"streampca/internal/core"
 	"streampca/internal/monitor"
-	"streampca/internal/obs"
 	"streampca/internal/randproj"
 	"streampca/internal/sketch"
 	"streampca/internal/tier"
 )
-
-// startAdoptingFederation is startFederation for services built with no
-// protocol parameters: each aggregator adopts the NOC's announcement before
-// it serves, and each monitor adopts its aggregator's re-announcement — the
-// aggregator accepts its flows only under the parameters it adopted.
-func startAdoptingFederation(t *testing.T, svc *Service, nAgg, nMon int) *federation {
-	t.Helper()
-	want := core.Params{
-		Family: svc.cfg.Detector.Family, NumFlows: testFlows, WindowLen: testWindow,
-		SketchLen: testSketch, Epsilon: svc.cfg.Epsilon, Seed: testSeed,
-	}
-	fed := &federation{}
-	addrs := make([]string, nAgg)
-	for i := range addrs {
-		a, err := agg.New(agg.Config{
-			ID:       "agg-" + string(rune('1'+i)),
-			Pull:     tier.PullPolicy{Timeout: 2 * time.Second, Retries: 1},
-			Degraded: tier.DegradedPolicy{Enabled: true, MaxStaleness: 1 << 40},
-			Redial:   tier.RedialPolicy{Enabled: true},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = a.Close() })
-		if err := a.Serve("127.0.0.1:0"); err == nil {
-			t.Fatal("an aggregator served before it knew the protocol parameters")
-		}
-		if err := a.ConnectNOC(svc.Addr(), 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if got := a.Params(); got != want {
-			t.Fatalf("aggregator adopted %v, want the NOC's %v", got, want)
-		}
-		if err := a.Serve("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		fed.aggs = append(fed.aggs, a)
-		addrs[i] = a.Addr()
-	}
-	for _, a := range fed.aggs {
-		a.SetPeers(addrs, 1)
-	}
-	assign := make([][]int, nMon)
-	for f := 0; f < testFlows; f++ {
-		assign[f%nMon] = append(assign[f%nMon], f)
-	}
-	for i := range nMon {
-		mon, err := monitor.New(monitor.Config{ID: "mon-" + string(rune('a'+i)), FlowIDs: assign[i], Candidates: addrs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = mon.Close() })
-		if _, err := mon.Place(2 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		fed.mons = append(fed.mons, mon)
-	}
-	waitFor(t, "the aggregators' flow unions to cover every flow", func() bool {
-		covered := 0
-		for _, a := range fed.aggs {
-			covered += len(a.FlowUnion())
-		}
-		return covered == testFlows
-	})
-	return fed
-}
 
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -106,20 +39,38 @@ func TestParameterLessTiersMatchPinned(t *testing.T) {
 	run := func(adopt bool) []Decision {
 		cfg := nocConfig()
 		cfg.Epsilon = eps
-		svc, decisions := startNOC(t, cfg)
-		var fed *federation
-		if adopt {
-			fed = startAdoptingFederation(t, svc, 3, 6)
-		} else {
-			fed = startFederation(t, svc.Addr(), 3, 6, testFlows, sketch.FamilyRandProj, testSketch, false,
-				func(c *monitor.Config) { c.Epsilon = eps })
+		topo := Topology{Aggregators: 3, Monitors: 6, Agg: testAgg}
+		if !adopt {
+			topo.Agg.Family, topo.Agg.NumFlows, topo.Agg.WindowLen = sketch.FamilyRandProj, testFlows, testWindow
+			topo.Agg.SketchLen, topo.Agg.Seed = testSketch, testSeed
+			topo.Monitor = func(_ int, c *monitor.Config) {
+				c.WindowLen, c.Epsilon = testWindow, eps
+				c.Sketch = randproj.Config{Seed: testSeed, SketchLen: testSketch}
+			}
 		}
-		waitMonitors(t, svc, 3)
+		dep := deploy(t, cfg, topo)
+		if adopt {
+			bare, err := agg.New(agg.Config{ID: "bare"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = bare.Close() })
+			if err := bare.Serve("127.0.0.1:0"); err == nil {
+				t.Fatal("an aggregator served before it knew the protocol parameters")
+			}
+			want := core.Params{
+				Family: cfg.Detector.Family, NumFlows: testFlows, WindowLen: testWindow,
+				SketchLen: testSketch, Epsilon: eps, Seed: testSeed,
+			}
+			for _, a := range dep.Aggregators {
+				if got := a.Params(); got != want {
+					t.Fatalf("aggregator adopted %v, want the NOC's %v", got, want)
+				}
+			}
+		}
 		out := make([]Decision, 0, n)
 		for i := range n {
-			iv := int64(i + 1)
-			feedAssigned(t, fed.mons, testFlows, iv, rows[i])
-			out = append(out, nextDecision(t, decisions, iv))
+			out = append(out, step(t, dep, int64(i+1), rows[i]))
 		}
 		if adopt {
 			var log lockedBuffer
@@ -132,17 +83,14 @@ func TestParameterLessTiersMatchPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { _ = stray.Close() })
-			if err := stray.Connect(fed.aggs[0].Addr(), 2*time.Second); err != nil {
+			if err := stray.Connect(dep.Aggregators[0].Addr(), 2*time.Second); err != nil {
 				t.Fatal(err)
 			}
 			waitFor(t, "the refusal of a monitor at ε 0.05", func() bool {
 				return strings.Contains(log.String(), "upstream rejected the registration")
 			})
 		}
-		for _, m := range fed.mons {
-			_ = m.Close()
-		}
-		svc.Shutdown()
+		dep.Close()
 		return out
 	}
 	pinned, adopted := run(false), run(true)
@@ -184,29 +132,15 @@ func (b *lockedBuffer) String() string {
 // then dials nothing more — neither candidate again — and logs the refusal
 // once, over many redial periods.
 func TestRefusedRedialStops(t *testing.T) {
-	svc, _ := startNOC(t, nocConfig())
-	var aggs []*agg.Service
+	dep := deploy(t, nocConfig(), Topology{Aggregators: 2, Monitors: 1})
 	var addrs []string
-	var regs []*obs.Registry
-	for _, id := range []string{"agg-1", "agg-2"} {
-		regs = append(regs, obs.NewRegistry())
-		a, err := agg.New(agg.Config{ID: id, Obs: regs[len(regs)-1]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = a.Close() })
-		if err := a.ConnectNOC(svc.Addr(), 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Serve("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		aggs, addrs = append(aggs, a), append(addrs, a.Addr())
+	for _, a := range dep.Aggregators {
+		addrs = append(addrs, a.Addr())
 	}
 	var log lockedBuffer
 	redial := tier.RedialPolicy{Enabled: true, Backoff: 5 * time.Millisecond, BackoffMax: 20 * time.Millisecond}
 	mon, err := monitor.New(monitor.Config{
-		ID: "mon-a", FlowIDs: []int{0, 1, 2}, WindowLen: testWindow + 1, Epsilon: 0.05,
+		ID: "stray", FlowIDs: []int{0, 1, 2}, WindowLen: testWindow + 1, Epsilon: 0.05,
 		Sketch:     randproj.Config{Seed: testSeed, SketchLen: testSketch},
 		Redial:     redial,
 		Candidates: addrs,
@@ -221,8 +155,8 @@ func TestRefusedRedialStops(t *testing.T) {
 	}
 	time.Sleep(25 * redial.BackoffMax)
 	total := int64(0)
-	for i, a := range aggs {
-		n := regs[i].Counter("streampca_agg_registrations_rejected_total", "").Value()
+	for _, a := range dep.Aggregators {
+		n := a.Registry().Counter("streampca_agg_registrations_rejected_total", "").Value()
 		if n > 1 {
 			t.Errorf("%s refused the monitor %d times, want at most once", a.ID(), n)
 		}

@@ -7,6 +7,7 @@ package noc
 // (Config.Faults) or from killing monitors outright.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -14,7 +15,6 @@ import (
 	"streampca/internal/faults"
 	"streampca/internal/monitor"
 	"streampca/internal/obs"
-	"streampca/internal/randproj"
 	"streampca/internal/tier"
 	"streampca/internal/transport"
 )
@@ -41,20 +41,12 @@ func chaosRows(seed int64, total int) [][]float64 {
 	return rows
 }
 
-// feedAlive pushes one interval through the monitors whose alive flag is
-// set, preserving the round-robin flow layout of feedInterval.
-func feedAlive(t *testing.T, mons []*monitor.Service, alive []bool, interval int64, volumes []float64) {
+// reportFrom has the listed monitors report row as interval iv.
+func reportFrom(t *testing.T, dep *Deployment, iv int64, row []float64, monitors ...int) {
 	t.Helper()
-	for i, mon := range mons {
-		if !alive[i] {
-			continue
-		}
-		var local []float64
-		for f := i; f < testFlows; f += len(mons) {
-			local = append(local, volumes[f])
-		}
-		if err := mon.ReportInterval(interval, local); err != nil {
-			t.Fatalf("monitor %d interval %d: %v", i, interval, err)
+	for _, i := range monitors {
+		if err := dep.Report(i, iv, row); err != nil {
+			t.Fatalf("monitor %d interval %d: %v", i, iv, err)
 		}
 	}
 }
@@ -97,30 +89,26 @@ func TestChaosMonitorLossDegradedRecovery(t *testing.T) {
 	rows[anomalyUp-1][2] += 4000
 	rows[anomalyUp-1][6] += 3000
 
-	svc, decisions := startNOC(t, chaosConfig())
-	mons := startMonitors(t, svc.Addr(), 3)
-	waitMonitors(t, svc, 3)
-	alive := []bool{true, true, true}
+	dep := deploy(t, chaosConfig(), Topology{Monitors: 3})
+	svc, decisions := dep.NOC, dep.decisions
 
 	var interval int64
 	for ; interval < healthyEnd; interval++ {
-		feedAlive(t, mons, alive, interval+1, rows[interval])
-		d := nextDecision(t, decisions, interval+1)
+		d := step(t, dep, interval+1, rows[interval])
 		if d.Degraded {
 			t.Fatalf("interval %d degraded with all monitors up", interval+1)
 		}
 	}
 
 	// Kill monitor 1 (flows 1, 4, 7).
-	if err := mons[1].Close(); err != nil {
+	if err := dep.Monitors[1].Close(); err != nil {
 		t.Fatal(err)
 	}
-	alive[1] = false
 	waitMonitors(t, svc, 2)
 
 	for ; interval < outageEnd; interval++ {
 		iv := interval + 1
-		feedAlive(t, mons, alive, iv, rows[interval])
+		reportFrom(t, dep, iv, rows[interval], 0, 2)
 		d := nextDecision(t, decisions, iv)
 		if !d.Degraded || d.StaleFlows != 3 {
 			t.Fatalf("outage interval %d: degraded=%t stale=%d, want degraded with 3 stale flows",
@@ -149,30 +137,15 @@ func TestChaosMonitorLossDegradedRecovery(t *testing.T) {
 		t.Fatalf("fetch_errors_total = %d; degraded fallback must keep fetches succeeding", got)
 	}
 
-	// Recovery: a replacement monitor claims the dead monitor's flows.
-	repl, err := monitor.New(monitor.Config{
-		ID:        "mon-b2",
-		FlowIDs:   []int{1, 4, 7},
-		WindowLen: testWindow,
-		Epsilon:   0.05,
-		Sketch:    randproj.Config{Seed: testSeed, SketchLen: testSketch},
-	})
-	if err != nil {
+	// Recovery: a restarted monitor claims the dead monitor's flows.
+	if err := dep.Restart(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := repl.Connect(svc.Addr(), 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = repl.Close() })
-	mons[1] = repl
-	alive[1] = true
-	waitMonitors(t, svc, 3)
 
 	chaosAlarms := make(map[int64]bool)
 	for ; interval < total; interval++ {
 		iv := interval + 1
-		feedAlive(t, mons, alive, iv, rows[interval])
-		d := nextDecision(t, decisions, iv)
+		d := step(t, dep, iv, rows[interval])
 		chaosAlarms[iv] = d.Result.Anomalous
 		if iv == anomalyUp {
 			if !d.Result.Anomalous {
@@ -192,15 +165,11 @@ func TestChaosMonitorLossDegradedRecovery(t *testing.T) {
 
 	// No-fault twin: same trace, three healthy monitors throughout. Alarm
 	// verdicts must agree once the chaos deployment is healthy again.
-	twin, twinDecisions := startNOC(t, chaosConfig())
-	twinMons := startMonitors(t, twin.Addr(), 3)
-	waitMonitors(t, twin, 3)
+	twin := deploy(t, chaosConfig(), Topology{Monitors: 3})
 	twinAlarms := make(map[int64]bool)
 	for i := 0; i < total; i++ {
 		iv := int64(i + 1)
-		feedAlive(t, twinMons, []bool{true, true, true}, iv, rows[i])
-		d := nextDecision(t, twinDecisions, iv)
-		twinAlarms[iv] = d.Result.Anomalous
+		twinAlarms[iv] = step(t, twin, iv, rows[i]).Result.Anomalous
 	}
 	for iv := anomalyUp; iv <= total; iv++ {
 		if chaosAlarms[iv] != twinAlarms[iv] {
@@ -220,16 +189,13 @@ func TestChaosDelayedResponseDropped(t *testing.T) {
 		Dir: faults.DirRecv, Type: "sketch_response", Count: 1, Delay: 400 * time.Millisecond,
 	})
 	cfg.Faults = plan
-	svc, decisions := startNOC(t, cfg)
-	mons := startMonitors(t, svc.Addr(), 3)
-	waitMonitors(t, svc, 3)
+	dep := deploy(t, cfg, Topology{Monitors: 3})
+	svc := dep.NOC
 
 	rows := chaosRows(31, testWindow+1)
-	alive := []bool{true, true, true}
 	for i, row := range rows {
 		iv := int64(i + 1)
-		feedAlive(t, mons, alive, iv, row)
-		d := nextDecision(t, decisions, iv)
+		d := step(t, dep, iv, row)
 		if iv == testWindow { // first non-warmup interval: model fetch
 			if d.Degraded {
 				t.Fatalf("interval %d: retried fetch must complete healthy, got degraded", iv)
@@ -259,16 +225,13 @@ func TestChaosCorruptReportRetried(t *testing.T) {
 		Dir: faults.DirRecv, Type: "sketch_response", Count: 1, Corrupt: true,
 	})
 	cfg.Faults = plan
-	svc, decisions := startNOC(t, cfg)
-	mons := startMonitors(t, svc.Addr(), 3)
-	waitMonitors(t, svc, 3)
+	dep := deploy(t, cfg, Topology{Monitors: 3})
+	svc := dep.NOC
 
 	rows := chaosRows(45, testWindow+1)
-	alive := []bool{true, true, true}
 	for i, row := range rows {
 		iv := int64(i + 1)
-		feedAlive(t, mons, alive, iv, row)
-		d := nextDecision(t, decisions, iv)
+		d := step(t, dep, iv, row)
 		if iv == testWindow && d.Degraded {
 			t.Fatalf("interval %d: corrupt report must be recovered by retry, got degraded", iv)
 		}
@@ -294,9 +257,8 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 	cfg.Pull.Timeout = 200 * time.Millisecond
 	cfg.BreakerThreshold = 2
 	cfg.BreakerCooldown = time.Minute // stays open for the whole test
-	svc, decisions := startNOC(t, cfg)
-	mons := startMonitors(t, svc.Addr(), 3)
-	waitMonitors(t, svc, 3)
+	dep := deploy(t, cfg, Topology{Monitors: 3})
+	svc := dep.NOC
 
 	const total = 80
 	anomalyMute, anomalyHealed := int64(testWindow+5), int64(total-2)
@@ -307,20 +269,17 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 	rows[anomalyHealed-1][7] += 3000
 
 	muteFlows := []int{1, 4, 7}
-	alive := []bool{true, true, true}
 	var interval int64
 	// Healthy through the first model fetch so the sketch cache is primed.
 	for ; interval < testWindow+2; interval++ {
-		feedAlive(t, mons, alive, interval+1, rows[interval])
-		nextDecision(t, decisions, interval+1)
+		step(t, dep, interval+1, rows[interval])
 	}
 
 	// Swap monitor 1 for a mute impostor with the same identity and flows.
-	muteID := mons[1].ID()
-	if err := mons[1].Close(); err != nil {
+	muteID := dep.Monitors[1].ID()
+	if err := dep.Monitors[1].Close(); err != nil {
 		t.Fatal(err)
 	}
-	alive[1] = false
 	waitMonitors(t, svc, 2)
 	mute, err := transport.Dial(svc.Addr(), 2*time.Second)
 	if err != nil {
@@ -356,9 +315,9 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 
 	for ; interval < total-10; interval++ {
 		iv := interval + 1
-		feedAlive(t, mons, alive, iv, rows[interval])
+		reportFrom(t, dep, iv, rows[interval], 0, 2)
 		feedMute(iv)
-		d := nextDecision(t, decisions, iv)
+		d := nextDecision(t, dep.decisions, iv)
 		if iv == anomalyMute {
 			if !d.Result.Anomalous || !d.Result.Degraded || d.Result.StaleFlows != 3 {
 				t.Fatalf("interval %d: anomalous=%t degraded=%t stale=%d, want degraded rebuild around the mute monitor",
@@ -377,29 +336,16 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 	// the breaker on registration.
 	_ = mute.Close()
 	waitMonitors(t, svc, 2)
-	repl, err := monitor.New(monitor.Config{
-		ID: muteID, FlowIDs: muteFlows,
-		WindowLen: testWindow, Epsilon: 0.05,
-		Sketch: randproj.Config{Seed: testSeed, SketchLen: testSketch},
-	})
-	if err != nil {
+	if err := dep.Restart(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := repl.Connect(svc.Addr(), 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = repl.Close() })
-	mons[1] = repl
-	alive[1] = true
-	waitMonitors(t, svc, 3)
 	if got := svc.met.breakerOpen.Value(); got != 0 {
 		t.Fatalf("breaker_open gauge = %v after re-registration, want 0", got)
 	}
 
 	for ; interval < total; interval++ {
 		iv := interval + 1
-		feedAlive(t, mons, alive, iv, rows[interval])
-		d := nextDecision(t, decisions, iv)
+		d := step(t, dep, iv, rows[interval])
 		if iv == anomalyHealed {
 			if !d.Result.Anomalous {
 				t.Fatalf("interval %d: anomaly not flagged after healing", iv)
@@ -424,45 +370,19 @@ func TestChaosMonitorAutoReconnect(t *testing.T) {
 	cfg.Faults = faults.MustPlan(11, faults.Rule{
 		Dir: faults.DirRecv, Type: "volume", After: 30, Count: 1, Disconnect: true,
 	})
-	svc, decisions := startNOC(t, cfg)
-
 	reg := obs.NewRegistry()
-	assign := make([][]int, 3)
-	for f := 0; f < testFlows; f++ {
-		assign[f%3] = append(assign[f%3], f)
-	}
-	mons := make([]*monitor.Service, 3)
-	for i := range mons {
-		m, err := monitor.New(monitor.Config{
-			ID:        "mon-" + string(rune('a'+i)),
-			FlowIDs:   assign[i],
-			WindowLen: testWindow,
-			Epsilon:   0.05,
-			Sketch:    randproj.Config{Seed: testSeed, SketchLen: testSketch},
-			Redial:    tier.RedialPolicy{Enabled: true, Backoff: 20 * time.Millisecond},
-			Obs:       reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Connect(svc.Addr(), 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = m.Close() })
-		mons[i] = m
-	}
-	waitMonitors(t, svc, 3)
+	dep := deploy(t, cfg, Topology{Monitors: 3, Monitor: func(_ int, c *monitor.Config) {
+		c.Redial = tier.RedialPolicy{Enabled: true, Backoff: 20 * time.Millisecond}
+		c.Obs = reg
+	}})
+	svc := dep.NOC
 
 	// Resilient feeder: a monitor mid-reconnect refuses reports briefly.
 	feed := func(iv int64, row []float64) {
-		for i, mon := range mons {
-			var local []float64
-			for f := i; f < testFlows; f += 3 {
-				local = append(local, row[f])
-			}
+		for i := range dep.Monitors {
 			deadline := time.Now().Add(3 * time.Second)
 			for {
-				err := mon.ReportInterval(iv, local)
+				err := dep.Report(i, iv, row)
 				if err == nil {
 					break
 				}
@@ -480,7 +400,7 @@ func TestChaosMonitorAutoReconnect(t *testing.T) {
 	for i, row := range rows {
 		iv := int64(i + 1)
 		feed(iv, row)
-		if d := nextDecision(t, decisions, iv); d.Degraded {
+		if d := nextDecision(t, dep.decisions, iv); d.Degraded {
 			sawDegraded = true
 		}
 	}
@@ -492,4 +412,74 @@ func TestChaosMonitorAutoReconnect(t *testing.T) {
 		t.Fatalf("reconnects_total = %d, want 1", reconnects)
 	}
 	waitMonitors(t, svc, 3)
+}
+
+// TestMonitorRestart restarts one of six monitors between two intervals, flat
+// and behind three aggregators. Every interval still gets exactly one
+// decision, the registrant count comes back, and no decision after the
+// restarted monitor claims its flows again is degraded. The restarted
+// monitor's sketches cover only the intervals since; the test logs the alarm
+// and refresh counts over the next window beside a twin run without the
+// restart.
+func TestMonitorRestart(t *testing.T) {
+	const (
+		restartAt = testWindow + 8
+		n         = restartAt + testWindow - 1
+	)
+	rows := genRows(n, testFlows, restartAt+testWindow/2)
+	for _, aggs := range []int{0, 3} {
+		t.Run(fmt.Sprintf("aggs=%d", aggs), func(t *testing.T) {
+			run := func(restart bool) (alarms, refreshes int) {
+				topo := Topology{Aggregators: aggs, Monitors: 6, Agg: testAgg}
+				dep := deploy(t, chaosConfig(), topo)
+				registrants := func() int {
+					if aggs == 0 {
+						return len(dep.NOC.Monitors())
+					}
+					return monitorsAcross(dep.Aggregators)
+				}
+				for i, row := range rows {
+					iv := int64(i + 1)
+					if restart && iv == restartAt {
+						if err := dep.Restart(1); err != nil {
+							t.Fatal(err)
+						}
+						if got := registrants(); got != 6 {
+							t.Fatalf("%d monitors registered after the restart, want 6", got)
+						}
+					}
+					reportFrom(t, dep, iv, row, 0, 1, 2, 3, 4, 5)
+					// Decisions arrive in interval order, one each.
+					select {
+					case d := <-dep.decisions:
+						if d.Interval != iv {
+							t.Fatalf("decision on interval %d, want %d", d.Interval, iv)
+						}
+						if restart && iv >= restartAt && d.Degraded {
+							t.Fatalf("interval %d degraded after the restart: %+v", iv, d)
+						}
+						if iv >= restartAt && d.Result.Anomalous {
+							alarms++
+						}
+						if iv >= restartAt && d.Result.Refreshed {
+							refreshes++
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatalf("no decision on interval %d", iv)
+					}
+				}
+				dep.Close()
+				select {
+				case d := <-dep.decisions:
+					t.Fatalf("a second decision on interval %d", d.Interval)
+				default:
+				}
+				return alarms, refreshes
+			}
+			alarms, refreshes := run(true)
+			twinAlarms, twinRefreshes := run(false)
+			t.Logf("intervals %d-%d: %d alarms, %d refreshes after restarting a monitor at %d; %d, %d without",
+				restartAt, n, alarms, refreshes, restartAt, twinAlarms, twinRefreshes)
+		})
+	}
 }

@@ -27,7 +27,6 @@ import (
 	"streampca/internal/flow"
 	"streampca/internal/ingest"
 	"streampca/internal/monitor"
-	"streampca/internal/randproj"
 	"streampca/internal/trace"
 	"streampca/internal/traffic"
 )
@@ -111,7 +110,6 @@ func TestChaosTraceLineage(t *testing.T) {
 	cfg.Faults = plan
 	cfg.Trace = nocTracer
 	cfg.FlightRecorder = nocFlight
-	svc, decisions := startNOC(t, cfg)
 
 	// Monitors with per-component tracers; mon-a also keeps an alarm flight
 	// recorder so the broadcast leg of the lineage is audited too.
@@ -120,37 +118,15 @@ func TestChaosTraceLineage(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = monFlight.Close() })
-	assign := make([][]int, numMons)
-	for f := 0; f < testFlows; f++ {
-		assign[f%numMons] = append(assign[f%numMons], f)
-	}
 	monTracers := make([]*trace.Tracer, numMons)
-	mons := make([]*monitor.Service, numMons)
-	for i := range mons {
-		id := "mon-" + string(rune('a'+i))
-		monTracers[i] = trace.New(trace.Config{Component: "monitor/" + id})
-		mcfg := monitor.Config{
-			ID:        id,
-			FlowIDs:   assign[i],
-			WindowLen: testWindow,
-			Epsilon:   0.05,
-			Sketch:    randproj.Config{Seed: testSeed, SketchLen: testSketch},
-			Trace:     monTracers[i],
-		}
+	dep := deploy(t, cfg, Topology{Monitors: numMons, Monitor: func(i int, c *monitor.Config) {
+		monTracers[i] = trace.New(trace.Config{Component: "monitor/" + c.ID})
+		c.Trace = monTracers[i]
 		if i == 0 {
-			mcfg.FlightRecorder = monFlight
+			c.FlightRecorder = monFlight
 		}
-		m, err := monitor.New(mcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Connect(svc.Addr(), 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = m.Close() })
-		mons[i] = m
-	}
-	waitMonitors(t, svc, numMons)
+	}})
+	assign := dep.Flows
 
 	// One NetFlow v5 ingest pipeline per monitor (each sees only its own
 	// flows), sharing the monitor's tracer so ingest.seal spans carry the
@@ -165,18 +141,11 @@ func TestChaosTraceLineage(t *testing.T) {
 	}
 	pipes := make([]*ingest.Pipeline, numMons)
 	for i := range pipes {
-		mon, mine := mons[i], assign[i]
 		p, err := ingest.NewPipeline(ingest.Config{
 			Aggregator: agg,
 			Interval:   stepSec * time.Second,
-			Sink: func(iv ingest.Interval) error {
-				local := make([]float64, len(mine))
-				for k, f := range mine {
-					local[k] = iv.Volumes[f]
-				}
-				return mon.ReportInterval(iv.Seq, local)
-			},
-			Trace: monTracers[i],
+			Sink:       func(iv ingest.Interval) error { return dep.Report(i, iv.Seq, iv.Volumes) },
+			Trace:      monTracers[i],
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -227,7 +196,7 @@ func TestChaosTraceLineage(t *testing.T) {
 		if k == 0 {
 			continue
 		}
-		d := nextDecision(t, decisions, int64(k))
+		d := nextDecision(t, dep.decisions, int64(k))
 		if d.Result.Anomalous {
 			alarms[int64(k)] = d
 		}

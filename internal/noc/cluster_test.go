@@ -24,25 +24,23 @@ func TestClusterMatchesFlatDeployment(t *testing.T) {
 		{"fd/3", sketch.FamilyFD, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg, start, feed, row := nocConfig(), startMonitors, feedInterval, trafficRow
+			cfg, row := nocConfig(), trafficRow
 			if tc.family == sketch.FamilyFD {
-				cfg, start, feed = fdNocConfig(), startFDMonitors, fdFeedInterval
+				cfg = fdNocConfig()
 				row = func(rng *rand.Rand, _ int64) []float64 { return fdTrafficRow(rng) }
 			}
 			det := cfg.Detector
-			// The monitors' parameters, as startMonitors and startFDMonitors
-			// build them.
+			dep := deploy(t, cfg, Topology{Monitors: tc.monitors})
+			// The parameters the deployed monitors adopted.
+			p := dep.Params
 			cl, err := core.NewCluster(core.ClusterConfig{
-				NumFlows: det.NumFlows, NumMonitors: tc.monitors, WindowLen: det.WindowLen,
-				Epsilon: 0.05, Alpha: det.Alpha, Family: tc.family, SketchLen: det.SketchLen, Seed: testSeed,
+				NumFlows: p.NumFlows, NumMonitors: tc.monitors, WindowLen: p.WindowLen,
+				Epsilon: p.VHEpsilon(), Alpha: det.Alpha, Family: p.Family, SketchLen: p.SketchLen, Seed: p.Seed,
 				Mode: det.Mode, FixedRank: det.FixedRank,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			svc, decisions := startNOC(t, cfg)
-			mons := start(t, svc.Addr(), tc.monitors)
-			waitMonitors(t, svc, tc.monitors)
 
 			rng := rand.New(rand.NewSource(71))
 			var diffs, alarms, refreshes int
@@ -51,8 +49,7 @@ func TestClusterMatchesFlatDeployment(t *testing.T) {
 				if i > int64(det.WindowLen) && i%29 == 0 {
 					x[int(i/29)%len(x)] *= 4
 				}
-				feed(t, mons, i, x)
-				got := nextDecision(t, decisions, i)
+				got := step(t, dep, i, x)
 				want, err := cl.Step(i, x)
 				if err != nil {
 					t.Fatalf("cluster interval %d: %v", i, err)

@@ -36,50 +36,6 @@ func fdNocConfig() Config {
 	}
 }
 
-// startFDMonitors spins nMon FD monitor services partitioning fdTestFlows
-// flows (same striped assignment as startMonitors) and connects them.
-func startFDMonitors(t *testing.T, addr string, nMon int) []*monitor.Service {
-	t.Helper()
-	assign := make([][]int, nMon)
-	for f := 0; f < fdTestFlows; f++ {
-		assign[f%nMon] = append(assign[f%nMon], f)
-	}
-	mons := make([]*monitor.Service, nMon)
-	for i := range mons {
-		svc, err := monitor.New(monitor.Config{
-			ID:        "fd-" + string(rune('a'+i)),
-			Family:    sketch.FamilyFD,
-			FlowIDs:   assign[i],
-			WindowLen: testWindow,
-			FDEll:     testFDEll,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.Connect(addr, 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = svc.Close() })
-		mons[i] = svc
-	}
-	return mons
-}
-
-// fdFeedInterval pushes one interval's fdTestFlows-wide volume row through
-// the striped FD monitors.
-func fdFeedInterval(t *testing.T, mons []*monitor.Service, interval int64, volumes []float64) {
-	t.Helper()
-	for i, mon := range mons {
-		var local []float64
-		for f := i; f < fdTestFlows; f += len(mons) {
-			local = append(local, volumes[f])
-		}
-		if err := mon.ReportInterval(interval, local); err != nil {
-			t.Fatalf("monitor %d interval %d: %v", i, interval, err)
-		}
-	}
-}
-
 // fdTrafficRow synthesizes a rank-2-plus-noise volume vector over the FD
 // tests' wider flow space.
 func fdTrafficRow(rng *rand.Rand) []float64 {
@@ -98,16 +54,14 @@ func TestFDEndToEndDetection(t *testing.T) {
 	// The full distributed loop on the FD family: per-monitor block
 	// snapshots are pulled over the wire, merged at the NOC by RebuildFD,
 	// and the lazy protocol raises an alarm on a structured spike.
-	svc, decisions := startNOC(t, fdNocConfig())
-	mons := startFDMonitors(t, svc.Addr(), 3)
-	waitMonitors(t, svc, 3)
+	dep := deploy(t, fdNocConfig(), Topology{Monitors: 3})
+	svc := dep.NOC
 
 	rng := rand.New(rand.NewSource(54))
 	var interval int64
 	for i := 0; i < testWindow+10; i++ {
 		interval++
-		fdFeedInterval(t, mons, interval, fdTrafficRow(rng))
-		nextDecision(t, decisions, interval)
+		step(t, dep, interval, fdTrafficRow(rng))
 	}
 	if !svc.HasModel() {
 		t.Fatal("NOC must have built a model from FD blocks")
@@ -116,8 +70,7 @@ func TestFDEndToEndDetection(t *testing.T) {
 	var alarms int
 	for i := 0; i < 20; i++ {
 		interval++
-		fdFeedInterval(t, mons, interval, fdTrafficRow(rng))
-		if d := nextDecision(t, decisions, interval); d.Result.Anomalous {
+		if d := step(t, dep, interval, fdTrafficRow(rng)); d.Result.Anomalous {
 			alarms++
 		}
 	}
@@ -133,8 +86,7 @@ func TestFDEndToEndDetection(t *testing.T) {
 	bad := fdTrafficRow(rng)
 	bad[0] += 8000
 	bad[5] += 6000
-	fdFeedInterval(t, mons, interval, bad)
-	if d := nextDecision(t, decisions, interval); !d.Result.Anomalous {
+	if d := step(t, dep, interval, bad); !d.Result.Anomalous {
 		t.Fatalf("injected anomaly missed: %+v", d.Result)
 	}
 }
@@ -144,16 +96,14 @@ func TestFDLocalSketchesMode(t *testing.T) {
 	// FD buffer over all flows and never pulls sketches.
 	cfg := fdNocConfig()
 	cfg.LocalSketches = true
-	svc, decisions := startNOC(t, cfg)
-	mons := startFDMonitors(t, svc.Addr(), 3)
-	waitMonitors(t, svc, 3)
+	dep := deploy(t, cfg, Topology{Monitors: 3})
+	svc := dep.NOC
 
 	rng := rand.New(rand.NewSource(55))
 	var interval int64
 	for i := 0; i < testWindow+10; i++ {
 		interval++
-		fdFeedInterval(t, mons, interval, fdTrafficRow(rng))
-		nextDecision(t, decisions, interval)
+		step(t, dep, interval, fdTrafficRow(rng))
 	}
 	if !svc.HasModel() {
 		t.Fatal("NOC must build a model from its own FD buffer")
@@ -162,8 +112,7 @@ func TestFDLocalSketchesMode(t *testing.T) {
 	bad := fdTrafficRow(rng)
 	bad[1] += 5e5
 	bad[6] += 3e5
-	fdFeedInterval(t, mons, interval, bad)
-	if d := nextDecision(t, decisions, interval); !d.Result.Anomalous {
+	if d := step(t, dep, interval, bad); !d.Result.Anomalous {
 		t.Fatalf("anomaly missed in FD local-sketch mode: %+v", d.Result)
 	}
 }
@@ -175,22 +124,20 @@ func TestFDDegradedBlockFallback(t *testing.T) {
 	cfg := fdNocConfig()
 	cfg.Pull.Timeout = 500 * time.Millisecond
 	cfg.Degraded = tier.DegradedPolicy{Enabled: true, MaxStaleness: 1 << 40}
-	svc, decisions := startNOC(t, cfg)
-	mons := startFDMonitors(t, svc.Addr(), 3)
-	waitMonitors(t, svc, 3)
+	dep := deploy(t, cfg, Topology{Monitors: 3})
+	svc := dep.NOC
 
 	rng := rand.New(rand.NewSource(56))
 	var interval int64
 	for i := 0; i < testWindow+5; i++ {
 		interval++
-		fdFeedInterval(t, mons, interval, fdTrafficRow(rng))
-		nextDecision(t, decisions, interval)
+		step(t, dep, interval, fdTrafficRow(rng))
 	}
 	if !svc.HasModel() {
 		t.Fatal("warmup must have built a model (populating the block cache)")
 	}
 
-	_ = mons[2].Close()
+	_ = dep.Monitors[2].Close()
 	waitMonitors(t, svc, 2)
 
 	// A spike forces a sketch pull; the dead monitor's 13 striped flows come
@@ -199,16 +146,8 @@ func TestFDDegradedBlockFallback(t *testing.T) {
 	bad := fdTrafficRow(rng)
 	bad[0] += 5e5
 	bad[4] += 3e5
-	for i := 0; i < 2; i++ {
-		var local []float64
-		for f := i; f < fdTestFlows; f += 3 {
-			local = append(local, bad[f])
-		}
-		if err := mons[i].ReportInterval(interval, local); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d := nextDecision(t, decisions, interval)
+	reportFrom(t, dep, interval, bad, 0, 1)
+	d := nextDecision(t, dep.decisions, interval)
 	if !d.Degraded {
 		t.Fatalf("decision not degraded: %+v", d)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"streampca/internal/agg"
 	"streampca/internal/monitor"
-	"streampca/internal/sketch"
 	"streampca/internal/tier"
 	"streampca/internal/transport"
 )
@@ -19,7 +18,7 @@ import (
 // 6-monitor topology (alarm flags, distances, thresholds, culprits), and
 // every alarm must reach every monitor through both relays. The mid
 // aggregator's uplink runs over transport.Pipe (AttachNOC); the leaf tier is
-// startFederation pointed at the mid aggregator instead of the NOC.
+// a deployment's tier started below the mid aggregator instead of the NOC.
 func TestFederatedDepthTwoMatchesFlat(t *testing.T) {
 	const n = testWindow + 40
 	rows := genRows(n, testFlows, n-4)
@@ -30,63 +29,49 @@ func TestFederatedDepthTwoMatchesFlat(t *testing.T) {
 	}
 
 	run := func(deep bool) ([]Decision, *received) {
-		svc, decisions := startNOC(t, nocConfig())
 		got := &received{alarms: map[string][]transport.Alarm{}}
-		var mons []*monitor.Service
+		var dep *Deployment
 		if deep {
-			mid, err := agg.New(agg.Config{
-				ID:        "agg-mid",
-				Family:    sketch.FamilyRandProj,
-				NumFlows:  testFlows,
-				WindowLen: testWindow,
-				SketchLen: testSketch,
-				Seed:      testSeed,
-				Pull:      tier.PullPolicy{Timeout: 2 * time.Second, Retries: 1},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := mid.Serve("127.0.0.1:0"); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = mid.Close() })
-			nocEnd, midEnd := transport.Pipe()
-			go svc.down.Handle(nocEnd)
-			if err := mid.AttachNOC(midEnd); err != nil {
-				t.Fatal(err)
-			}
-			fed := startFederation(t, mid.Addr(), 3, 6, testFlows, sketch.FamilyRandProj, testSketch, false,
-				func(c *monitor.Config) {
+			var err error
+			if dep, err = deployNOC(nocConfig(), Topology{Aggregators: 3, Monitors: 6, Agg: testAgg,
+				Monitor: func(_ int, c *monitor.Config) {
 					id := c.ID
 					c.OnAlarm = func(a transport.Alarm) {
 						got.mu.Lock()
 						got.alarms[id] = append(got.alarms[id], a)
 						got.mu.Unlock()
 					}
-				})
-			mons = fed.mons
-			// The NOC must have the mid tier's full flow union on record
-			// before traffic flows: each leaf registration re-Hellos upward.
-			deadline := time.Now().Add(3 * time.Second)
-			for {
-				regs := svc.down.Registrants()
-				if len(regs) == 1 && regs[0].Flows == testFlows {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("NOC registrants %+v, want agg-mid owning %d flows", regs, testFlows)
-				}
-				time.Sleep(5 * time.Millisecond)
+				}}); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(dep.Close)
+			// The mid aggregator adopts the NOC's parameters over the pipe,
+			// then listens for the leaf tier.
+			mid, err := agg.New(agg.Config{ID: "agg-mid", Pull: tier.PullPolicy{Timeout: 2 * time.Second, Retries: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = mid.Close() })
+			nocEnd, midEnd := transport.Pipe()
+			go dep.NOC.down.Handle(nocEnd)
+			if err := mid.AttachNOC(midEnd); err != nil {
+				t.Fatal(err)
+			}
+			if err := mid.Serve("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			// The NOC has the mid tier's full flow union on record before
+			// traffic flows: each leaf registration re-Hellos upward.
+			if err := dep.deployTier(mid.Addr()); err != nil {
+				t.Fatal(err)
 			}
 		} else {
-			mons = startMonitors(t, svc.Addr(), 6)
-			waitMonitors(t, svc, 6)
+			dep = deploy(t, nocConfig(), Topology{Monitors: 6})
 		}
+		mons := dep.Monitors
 		out := make([]Decision, 0, n)
 		for i := 0; i < n; i++ {
-			iv := int64(i + 1)
-			feedAssigned(t, mons, testFlows, iv, rows[i])
-			out = append(out, nextDecision(t, decisions, iv))
+			out = append(out, step(t, dep, int64(i+1), rows[i]))
 		}
 		if deep {
 			// Alarm relays are asynchronous; wait for the last one to land
@@ -114,10 +99,7 @@ func TestFederatedDepthTwoMatchesFlat(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 			}
 		}
-		for _, m := range mons {
-			_ = m.Close()
-		}
-		svc.Shutdown()
+		dep.Close()
 		return out, got
 	}
 

@@ -9,111 +9,14 @@ import (
 	"streampca/internal/agg"
 	"streampca/internal/monitor"
 	"streampca/internal/obs"
-	"streampca/internal/randproj"
-	"streampca/internal/sketch"
 	"streampca/internal/tier"
 )
 
-// federation is one running aggregator tier plus its monitors.
-type federation struct {
-	aggs []*agg.Service
-	mons []*monitor.Service
-}
-
-// startFederation boots nAgg aggregators fronting nocAddr and nMon monitors
-// (striping numFlows flows f%nMon). With pinOneToOne false each monitor
-// registers with its rendezvous-preferred aggregator (placement may be
-// uneven — that is the point of hashing); with true (requires nMon == nAgg)
-// monitor i is pinned to aggregator i, which forces single-input merges —
-// the FD pass-through configuration. family/sketchParam/seed must match the
-// NOC's detector.
-func startFederation(t *testing.T, nocAddr string, nAgg, nMon, numFlows int,
-	family sketch.Family, sketchParam int, pinOneToOne bool, monCfg func(*monitor.Config)) *federation {
-	t.Helper()
-	fed := &federation{}
-	addrs := make([]string, nAgg)
-	for i := 0; i < nAgg; i++ {
-		a, err := agg.New(agg.Config{
-			ID:        "agg-" + string(rune('1'+i)),
-			Family:    family,
-			NumFlows:  numFlows,
-			WindowLen: testWindow,
-			SketchLen: sketchParam,
-			Seed:      testSeed,
-			Pull:      tier.PullPolicy{Timeout: 2 * time.Second, Retries: 1},
-			Degraded:  tier.DegradedPolicy{Enabled: true, MaxStaleness: 1 << 40},
-			Redial:    tier.RedialPolicy{Enabled: true},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Serve("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = a.Close() })
-		fed.aggs = append(fed.aggs, a)
-		addrs[i] = a.Addr()
-	}
-	for _, a := range fed.aggs {
-		a.SetPeers(addrs, 1)
-		if err := a.ConnectNOC(nocAddr, 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	assign := make([][]int, nMon)
-	for f := 0; f < numFlows; f++ {
-		assign[f%nMon] = append(assign[f%nMon], f)
-	}
-	for i := 0; i < nMon; i++ {
-		cfg := monitor.Config{
-			ID:         "mon-" + string(rune('a'+i)),
-			Family:     family,
-			FlowIDs:    assign[i],
-			WindowLen:  testWindow,
-			Epsilon:    0.05,
-			Sketch:     randproj.Config{Seed: testSeed, SketchLen: sketchParam},
-			FDEll:      sketchParam,
-			Candidates: addrs,
-		}
-		if monCfg != nil {
-			monCfg(&cfg)
-		}
-		svc, err := monitor.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pinOneToOne {
-			if nMon != nAgg {
-				t.Fatalf("pinOneToOne needs nMon == nAgg, got %d/%d", nMon, nAgg)
-			}
-			err = svc.Connect(addrs[i], 2*time.Second)
-		} else {
-			_, err = svc.Place(2 * time.Second)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = svc.Close() })
-		fed.mons = append(fed.mons, svc)
-	}
-	// Every flow must be claimed upstream before traffic flows: each
-	// aggregator re-hellos as monitors register, so poll the coverage.
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		covered := 0
-		for _, a := range fed.aggs {
-			covered += len(a.FlowUnion())
-		}
-		if covered == numFlows {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("flow unions cover %d of %d flows", covered, numFlows)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return fed
+// testAgg configures the aggregators of the federated tests.
+var testAgg = agg.Config{
+	Pull:     tier.PullPolicy{Timeout: 2 * time.Second, Retries: 1},
+	Degraded: tier.DegradedPolicy{Enabled: true, MaxStaleness: 1 << 40},
+	Redial:   tier.RedialPolicy{Enabled: true},
 }
 
 // monitorsAcross sums the registered monitor count over the aggregators.
@@ -154,20 +57,6 @@ func genRows(n, numFlows int, spikeAt int) [][]float64 {
 	return rows
 }
 
-// feedAssigned reports one interval through monitors striped f%len(mons).
-func feedAssigned(t *testing.T, mons []*monitor.Service, numFlows int, interval int64, row []float64) {
-	t.Helper()
-	for i, mon := range mons {
-		var local []float64
-		for f := i; f < numFlows; f += len(mons) {
-			local = append(local, row[f])
-		}
-		if err := mon.ReportInterval(interval, local); err != nil {
-			t.Fatalf("monitor %d interval %d: %v", i, interval, err)
-		}
-	}
-}
-
 // TestFederatedMatchesFlatDecisions is the correctness bar of the federated
 // tier: the same traffic driven through 3 aggregators × 6 monitors must
 // yield byte-identical alarm decisions to the flat 6-monitor topology,
@@ -187,26 +76,16 @@ func TestFederatedMatchesFlatDecisions(t *testing.T) {
 				cfg.Detector.NumFlows, cfg.Detector.SketchLen = shape.m, shape.l
 				cfg.Obs = reg
 				cfg.SelfCheckEvery = 16
-				svc, decisions := startNOC(t, cfg)
-				var mons []*monitor.Service
+				topo := Topology{Monitors: 6}
 				if federated {
-					fed := startFederation(t, svc.Addr(), 3, 6, shape.m, sketch.FamilyRandProj, shape.l, false, nil)
-					mons = fed.mons
-					waitMonitors(t, svc, 3) // the NOC sees 3 aggregator registrants
-				} else {
-					mons = startMonitorsOver(t, svc.Addr(), 6, shape.m, shape.l)
-					waitMonitors(t, svc, 6)
+					topo.Aggregators, topo.Agg = 3, testAgg
 				}
+				dep := deploy(t, cfg, topo)
 				out := make([]Decision, 0, n)
 				for i := 0; i < n; i++ {
-					iv := int64(i + 1)
-					feedAssigned(t, mons, shape.m, iv, rows[i])
-					out = append(out, nextDecision(t, decisions, iv))
+					out = append(out, step(t, dep, int64(i+1), rows[i]))
 				}
-				for _, m := range mons {
-					_ = m.Close()
-				}
-				svc.Shutdown()
+				dep.Close()
 				return out, reg
 			}
 
@@ -254,25 +133,18 @@ func TestFederatedFDOneMonitorPerAggMatchesFlat(t *testing.T) {
 	rows := genRows(n, fdTestFlows, n-4)
 
 	run := func(federated bool) []Decision {
-		svc, decisions := startNOC(t, fdNocConfig())
-		var mons []*monitor.Service
+		topo := Topology{Monitors: 3}
 		if federated {
-			fed := startFederation(t, svc.Addr(), 3, 3, fdTestFlows, sketch.FamilyFD, testFDEll, true, nil)
-			mons = fed.mons
-		} else {
-			mons = startFDMonitors(t, svc.Addr(), 3)
+			// Monitor i registers with aggregator i only.
+			topo.Aggregators, topo.Agg = 3, testAgg
+			topo.Monitor = func(i int, c *monitor.Config) { c.Candidates = c.Candidates[i : i+1] }
 		}
-		waitMonitors(t, svc, 3)
+		dep := deploy(t, fdNocConfig(), topo)
 		out := make([]Decision, 0, n)
 		for i := 0; i < n; i++ {
-			iv := int64(i + 1)
-			feedAssigned(t, mons, fdTestFlows, iv, rows[i])
-			out = append(out, nextDecision(t, decisions, iv))
+			out = append(out, step(t, dep, int64(i+1), rows[i]))
 		}
-		for _, m := range mons {
-			_ = m.Close()
-		}
-		svc.Shutdown()
+		dep.Close()
 		return out
 	}
 
@@ -298,22 +170,19 @@ func TestChaosAggregatorFailover(t *testing.T) {
 	cfg := nocConfig()
 	cfg.Pull.Timeout = 500 * time.Millisecond
 	cfg.Degraded = tier.DegradedPolicy{Enabled: true, MaxStaleness: 1 << 40}
-	svc, decisions := startNOC(t, cfg)
-	fed := startFederation(t, svc.Addr(), 3, 6, testFlows, sketch.FamilyRandProj, testSketch, false,
-		func(c *monitor.Config) {
-			// Big enough that the kill-to-failover window spans a few fed
-			// intervals (the degraded phase below), small enough to converge
-			// fast once asserted.
-			c.Redial = tier.RedialPolicy{Enabled: true, Backoff: 300 * time.Millisecond, BackoffMax: 300 * time.Millisecond}
-		})
-	waitMonitors(t, svc, 3)
+	dep := deploy(t, cfg, Topology{Aggregators: 3, Monitors: 6, Agg: testAgg, Monitor: func(_ int, c *monitor.Config) {
+		// Big enough that the kill-to-failover window spans a few fed
+		// intervals (the degraded phase below), small enough to converge
+		// fast once asserted.
+		c.Redial = tier.RedialPolicy{Enabled: true, Backoff: 300 * time.Millisecond, BackoffMax: 300 * time.Millisecond}
+	}})
+	svc, aggs := dep.NOC, dep.Aggregators
 
 	rng := rand.New(rand.NewSource(99))
 	var interval int64
 	for i := 0; i < testWindow+5; i++ {
 		interval++
-		feedAssigned(t, fed.mons, testFlows, interval, trafficRow(rng, interval))
-		nextDecision(t, decisions, interval)
+		step(t, dep, interval, trafficRow(rng, interval))
 	}
 	if !svc.HasModel() {
 		t.Fatal("warmup must have built a model")
@@ -321,7 +190,7 @@ func TestChaosAggregatorFailover(t *testing.T) {
 
 	// Kill the first aggregator that owns at least one monitor.
 	victim := -1
-	for i, a := range fed.aggs {
+	for i, a := range aggs {
 		if len(a.Monitors()) > 0 {
 			victim = i
 			break
@@ -330,25 +199,20 @@ func TestChaosAggregatorFailover(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no aggregator owns a monitor")
 	}
-	orphans := len(fed.aggs[victim].Monitors())
-	lostFlows := len(fed.aggs[victim].FlowUnion())
-	_ = fed.aggs[victim].Close()
+	orphans := len(aggs[victim].Monitors())
+	lostFlows := len(aggs[victim].FlowUnion())
+	_ = aggs[victim].Close()
 	waitMonitors(t, svc, 2)
 
 	// Degraded phase: the orphans are still backing off, so their flows are
 	// missing and must come from the NOC's volume cache.
 	interval++
 	sawStale := 0
-	for i, mon := range fed.mons {
-		var local []float64
-		for f := i; f < testFlows; f += len(fed.mons) {
-			local = append(local, trafficRow(rng, interval)[f])
-		}
-		if err := mon.ReportInterval(interval, local); err != nil {
-			continue // orphaned monitor, link down — the NOC covers its flows
-		}
+	row := trafficRow(rng, interval)
+	for i := range dep.Monitors {
+		_ = dep.Report(i, interval, row) // an orphan's link is down: the NOC covers its flows
 	}
-	d := nextDecision(t, decisions, interval)
+	d := nextDecision(t, dep.decisions, interval)
 	if !d.Degraded || d.Result.StaleFlows != lostFlows {
 		t.Fatalf("kill-window decision: degraded=%v stale=%d, want true/%d",
 			d.Degraded, d.Result.StaleFlows, lostFlows)
@@ -357,8 +221,8 @@ func TestChaosAggregatorFailover(t *testing.T) {
 
 	// Failover: every orphan must land on a survivor, and the survivors'
 	// unions must cover the whole flow space again.
-	survivors := append([]*agg.Service(nil), fed.aggs[:victim]...)
-	survivors = append(survivors, fed.aggs[victim+1:]...)
+	survivors := append([]*agg.Service(nil), aggs[:victim]...)
+	survivors = append(survivors, aggs[victim+1:]...)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		covered := 0
@@ -386,15 +250,11 @@ func TestChaosAggregatorFailover(t *testing.T) {
 		interval++
 		row := trafficRow(rng, interval)
 		row[(2*r)%testFlows] += 5e5
-		for i, mon := range fed.mons {
-			var local []float64
-			for f := i; f < testFlows; f += len(fed.mons) {
-				local = append(local, row[f])
-			}
+		for i := range dep.Monitors {
 			// Retry: a just-failed-over monitor can race its re-registration.
 			var err error
 			for a := 0; a < 50; a++ {
-				if err = mon.ReportInterval(interval, local); err == nil {
+				if err = dep.Report(i, interval, row); err == nil {
 					break
 				}
 				time.Sleep(20 * time.Millisecond)
@@ -403,7 +263,7 @@ func TestChaosAggregatorFailover(t *testing.T) {
 				t.Fatalf("monitor %d never recovered: %v", i, err)
 			}
 		}
-		d := nextDecision(t, decisions, interval)
+		d := nextDecision(t, dep.decisions, interval)
 		recovered = !d.Degraded && d.Result.StaleFlows == 0
 	}
 	if !recovered {

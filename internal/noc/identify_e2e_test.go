@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"streampca/internal/core"
-	"streampca/internal/sketch"
 	"streampca/internal/trace"
 )
 
@@ -33,15 +32,12 @@ func TestAlarmFlightRecordsCarryIdentification(t *testing.T) {
 	cfg := nocConfig()
 	cfg.FlightRecorder = flight
 	cfg.FlightTopK = 3
-	svc, decisions := startNOC(t, cfg)
-	mons := startMonitors(t, svc.Addr(), 3)
-	waitMonitors(t, svc, 3)
+	dep := deploy(t, cfg, Topology{Monitors: 3})
 
 	alarms := make(map[int64]Decision)
 	for i := 0; i < n; i++ {
 		iv := int64(i + 1)
-		feedInterval(t, mons, iv, rows[i])
-		d := nextDecision(t, decisions, iv)
+		d := step(t, dep, iv, rows[i])
 		if d.Result.Anomalous {
 			alarms[iv] = d
 		}
@@ -144,34 +140,16 @@ func TestFederatedIdentificationMatchesFlat(t *testing.T) {
 	rows := genRows(n, testFlows, n-4)
 
 	run := func(federated bool) []Decision {
-		svc, decisions := startNOC(t, nocConfig())
-		var feed func(iv int64, row []float64)
+		topo := Topology{Monitors: 6}
 		if federated {
-			fed := startFederation(t, svc.Addr(), 3, 6, testFlows, sketch.FamilyRandProj, testSketch, false, nil)
-			waitMonitors(t, svc, 3)
-			feed = func(iv int64, row []float64) { feedAssigned(t, fed.mons, testFlows, iv, row) }
-			defer func() {
-				for _, m := range fed.mons {
-					_ = m.Close()
-				}
-			}()
-		} else {
-			flatMons := startMonitors(t, svc.Addr(), 6)
-			waitMonitors(t, svc, 6)
-			feed = func(iv int64, row []float64) { feedAssigned(t, flatMons, testFlows, iv, row) }
-			defer func() {
-				for _, m := range flatMons {
-					_ = m.Close()
-				}
-			}()
+			topo.Aggregators, topo.Agg = 3, testAgg
 		}
+		dep := deploy(t, nocConfig(), topo)
 		out := make([]Decision, 0, n)
 		for i := 0; i < n; i++ {
-			iv := int64(i + 1)
-			feed(iv, rows[i])
-			out = append(out, nextDecision(t, decisions, iv))
+			out = append(out, step(t, dep, int64(i+1), rows[i]))
 		}
-		svc.Shutdown()
+		dep.Close()
 		return out
 	}
 

@@ -147,6 +147,13 @@ type Config struct {
 	IdentifyMaxK int
 }
 
+// params returns the protocol parameters cfg states.
+func (cfg Config) params() core.Params {
+	det := cfg.Detector
+	return core.Params{Family: det.Family, NumFlows: det.NumFlows, WindowLen: det.WindowLen,
+		SketchLen: det.SketchLen, Epsilon: cfg.Epsilon, Seed: cfg.Seed}
+}
+
 // metrics is the NOC's instrumentation surface. All names are under
 // streampca_noc_ and documented in README.md "Observability".
 type metrics struct {
@@ -290,8 +297,7 @@ type Service struct {
 
 // New validates cfg and builds the service (not yet listening).
 func New(cfg Config) (*Service, error) {
-	params := core.Params{Family: cfg.Detector.Family, NumFlows: cfg.Detector.NumFlows, WindowLen: cfg.Detector.WindowLen,
-		SketchLen: cfg.Detector.SketchLen, Epsilon: cfg.Epsilon, Seed: cfg.Seed}
+	params := cfg.params()
 	det, err := core.NewDetector(cfg.Detector)
 	if err != nil {
 		return nil, fmt.Errorf("detector: %w", err)

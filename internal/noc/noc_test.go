@@ -34,8 +34,9 @@ func nocConfig() Config {
 			Mode:      core.RankFixed,
 			FixedRank: 2,
 		},
-		Seed: testSeed,
-		Pull: tier.PullPolicy{Timeout: 2 * time.Second},
+		Seed:    testSeed,
+		Epsilon: 0.05,
+		Pull:    tier.PullPolicy{Timeout: 2 * time.Second},
 	}
 }
 
@@ -55,54 +56,25 @@ func startNOC(t *testing.T, cfg Config) (*Service, <-chan Decision) {
 	return svc, decisions
 }
 
-// startMonitors spins nMon monitor services partitioning testFlows flows and
-// connects them to addr.
-func startMonitors(t *testing.T, addr string, nMon int) []*monitor.Service {
+// deploy starts a deployment for the test, closed at cleanup.
+func deploy(t *testing.T, cfg Config, topo Topology) *Deployment {
 	t.Helper()
-	return startMonitorsOver(t, addr, nMon, testFlows, testSketch)
+	d, err := Deploy(cfg, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	return d
 }
 
-// startMonitorsOver is startMonitors for numFlows flows sketched at length l.
-func startMonitorsOver(t *testing.T, addr string, nMon, numFlows, l int) []*monitor.Service {
+// step is Deployment.Step, failing the test on an error.
+func step(t *testing.T, d *Deployment, interval int64, volumes []float64) Decision {
 	t.Helper()
-	assign := make([][]int, nMon)
-	for f := 0; f < numFlows; f++ {
-		assign[f%nMon] = append(assign[f%nMon], f)
+	dec, err := d.Step(interval, volumes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mons := make([]*monitor.Service, nMon)
-	for i := range mons {
-		svc, err := monitor.New(monitor.Config{
-			ID:        "mon-" + string(rune('a'+i)),
-			FlowIDs:   assign[i],
-			WindowLen: testWindow,
-			Epsilon:   0.05,
-			Sketch:    randproj.Config{Seed: testSeed, SketchLen: l},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.Connect(addr, 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = svc.Close() })
-		mons[i] = svc
-	}
-	return mons
-}
-
-// feedInterval pushes one interval's volumes through all monitors.
-func feedInterval(t *testing.T, mons []*monitor.Service, interval int64, volumes []float64) {
-	t.Helper()
-	for i, mon := range mons {
-		// Rebuild each monitor's slice per its flow assignment.
-		var local []float64
-		for f := i; f < testFlows; f += len(mons) {
-			local = append(local, volumes[f])
-		}
-		if err := mon.ReportInterval(interval, local); err != nil {
-			t.Fatalf("monitor %d interval %d: %v", i, interval, err)
-		}
-	}
+	return dec
 }
 
 // nextDecision waits for the decision of a specific interval.
@@ -148,25 +120,15 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestEndToEndDetection(t *testing.T) {
-	svc, decisions := startNOC(t, nocConfig())
-	mons := startMonitors(t, svc.Addr(), 3)
-
-	// Allow registrations to land.
-	deadline := time.Now().Add(2 * time.Second)
-	for len(svc.Monitors()) < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("monitors registered: %v", svc.Monitors())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	dep := deploy(t, nocConfig(), Topology{Monitors: 3})
+	svc := dep.NOC
 
 	rng := rand.New(rand.NewSource(50))
 	var interval int64
 	// Warm-up: fill the window.
 	for i := 0; i < testWindow+10; i++ {
 		interval++
-		feedInterval(t, mons, interval, trafficRow(rng, interval))
-		nextDecision(t, decisions, interval)
+		step(t, dep, interval, trafficRow(rng, interval))
 	}
 	if !svc.HasModel() {
 		t.Fatal("NOC must have built a model")
@@ -180,8 +142,7 @@ func TestEndToEndDetection(t *testing.T) {
 	var alarms int
 	for i := 0; i < 20; i++ {
 		interval++
-		feedInterval(t, mons, interval, trafficRow(rng, interval))
-		if d := nextDecision(t, decisions, interval); d.Result.Anomalous {
+		if d := step(t, dep, interval, trafficRow(rng, interval)); d.Result.Anomalous {
 			alarms++
 		}
 	}
@@ -194,61 +155,31 @@ func TestEndToEndDetection(t *testing.T) {
 	bad := trafficRow(rng, interval)
 	bad[0] += 5e5
 	bad[5] += 3e5
-	feedInterval(t, mons, interval, bad)
-	d := nextDecision(t, decisions, interval)
+	d := step(t, dep, interval, bad)
 	if !d.Result.Anomalous {
 		t.Fatalf("injected anomaly missed: %+v", d.Result)
 	}
 }
 
 func TestAlarmBroadcastToMonitors(t *testing.T) {
-	svc, decisions := startNOC(t, nocConfig())
-
 	var alarmMu sync.Mutex
 	var gotAlarms []transport.Alarm
 	// One bespoke monitor with an alarm callback plus two plain ones.
-	assign := [][]int{{0, 3, 6}, {1, 4, 7}, {2, 5, 8}}
-	var mons []*monitor.Service
-	for i, flows := range assign {
-		cfg := monitor.Config{
-			ID:        "m" + string(rune('0'+i)),
-			FlowIDs:   flows,
-			WindowLen: testWindow,
-			Epsilon:   0.05,
-			Sketch:    randproj.Config{Seed: testSeed, SketchLen: testSketch},
-		}
+	dep := deploy(t, nocConfig(), Topology{Monitors: 3, Monitor: func(i int, c *monitor.Config) {
 		if i == 0 {
-			cfg.OnAlarm = func(a transport.Alarm) {
+			c.OnAlarm = func(a transport.Alarm) {
 				alarmMu.Lock()
 				gotAlarms = append(gotAlarms, a)
 				alarmMu.Unlock()
 			}
 		}
-		m, err := monitor.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Connect(svc.Addr(), 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = m.Close() })
-		mons = append(mons, m)
-	}
+	}})
 
 	rng := rand.New(rand.NewSource(51))
 	var interval int64
 	feed := func(volumes []float64) Decision {
 		interval++
-		for i, mon := range mons {
-			var local []float64
-			for _, f := range assign[i] {
-				local = append(local, volumes[f])
-			}
-			if err := mon.ReportInterval(interval, local); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return nextDecision(t, decisions, interval)
+		return step(t, dep, interval, volumes)
 	}
 
 	for i := 0; i < testWindow+5; i++ {
@@ -351,19 +282,18 @@ func TestMonitorChurnRecovery(t *testing.T) {
 	// detections happen; after it reconnects, detection resumes.
 	cfg := nocConfig()
 	cfg.Pull.Timeout = 500 * time.Millisecond
-	svc, decisions := startNOC(t, cfg)
-	mons := startMonitors(t, svc.Addr(), 3)
+	dep := deploy(t, cfg, Topology{Monitors: 3})
+	svc := dep.NOC
 
 	rng := rand.New(rand.NewSource(52))
 	var interval int64
 	for i := 0; i < testWindow+5; i++ {
 		interval++
-		feedInterval(t, mons, interval, trafficRow(rng, interval))
-		nextDecision(t, decisions, interval)
+		step(t, dep, interval, trafficRow(rng, interval))
 	}
 
 	// Kill one monitor; its flows go uncovered.
-	_ = mons[2].Close()
+	_ = dep.Monitors[2].Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for len(svc.Monitors()) != 2 {
 		if time.Now().After(deadline) {
@@ -376,61 +306,25 @@ func TestMonitorChurnRecovery(t *testing.T) {
 	interval++
 	row := trafficRow(rng, interval)
 	for i := 0; i < 2; i++ {
-		var local []float64
-		for f := i; f < testFlows; f += 3 {
-			local = append(local, row[f])
-		}
-		if err := mons[i].ReportInterval(interval, local); err != nil {
+		if err := dep.Report(i, interval, row); err != nil {
 			t.Fatal(err)
 		}
 	}
 	select {
-	case d := <-decisions:
+	case d := <-dep.decisions:
 		t.Fatalf("unexpected decision %+v with a monitor down", d)
 	case <-time.After(300 * time.Millisecond):
 	}
 
-	// Reconnect a replacement for the dead monitor's flows.
-	replacement, err := monitor.New(monitor.Config{
-		ID: "replacement", FlowIDs: []int{2, 5, 8}, WindowLen: testWindow, Epsilon: 0.05,
-		Sketch: randproj.Config{Seed: testSeed, SketchLen: testSketch},
-	})
-	if err != nil {
+	// Restart the dead monitor's replacement on its flows.
+	if err := dep.Restart(2); err != nil {
 		t.Fatal(err)
-	}
-	if err := replacement.Connect(svc.Addr(), 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = replacement.Close() })
-	deadline = time.Now().Add(2 * time.Second)
-	for len(svc.Monitors()) != 3 {
-		if time.Now().After(deadline) {
-			t.Fatal("replacement never registered")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 
 	// Warm the replacement's window, then detection resumes end to end.
 	for i := 0; i < testWindow+2; i++ {
 		interval++
-		row := trafficRow(rng, interval)
-		for mi := 0; mi < 2; mi++ {
-			var local []float64
-			for f := mi; f < testFlows; f += 3 {
-				local = append(local, row[f])
-			}
-			if err := mons[mi].ReportInterval(interval, local); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var local []float64
-		for _, f := range []int{2, 5, 8} {
-			local = append(local, row[f])
-		}
-		if err := replacement.ReportInterval(interval, local); err != nil {
-			t.Fatal(err)
-		}
-		nextDecision(t, decisions, interval)
+		step(t, dep, interval, trafficRow(rng, interval))
 	}
 }
 
@@ -439,15 +333,14 @@ func TestLocalSketchesMode(t *testing.T) {
 	// as volume reporters only and never receive sketch requests.
 	cfg := nocConfig()
 	cfg.LocalSketches = true
-	svc, decisions := startNOC(t, cfg)
-	mons := startMonitors(t, svc.Addr(), 3)
+	dep := deploy(t, cfg, Topology{Monitors: 3})
+	svc := dep.NOC
 
 	rng := rand.New(rand.NewSource(53))
 	var interval int64
 	for i := 0; i < testWindow+10; i++ {
 		interval++
-		feedInterval(t, mons, interval, trafficRow(rng, interval))
-		nextDecision(t, decisions, interval)
+		step(t, dep, interval, trafficRow(rng, interval))
 	}
 	if !svc.HasModel() {
 		t.Fatal("NOC must build a model from its own histograms")
@@ -457,15 +350,14 @@ func TestLocalSketchesMode(t *testing.T) {
 	bad := trafficRow(rng, interval)
 	bad[1] += 4000
 	bad[6] += 3000
-	feedInterval(t, mons, interval, bad)
-	d := nextDecision(t, decisions, interval)
+	d := step(t, dep, interval, bad)
 	if !d.Result.Anomalous {
 		t.Fatalf("anomaly missed in local-sketch mode: %+v", d.Result)
 	}
 	// And detection keeps working even after every monitor disconnects
 	// mid-stream — the NOC's own state is self-sufficient for sketches
 	// (volume reports must still arrive, so reconnect a full-coverage one).
-	for _, m := range mons {
+	for _, m := range dep.Monitors {
 		_ = m.Close()
 	}
 	// Wait for the NOC to release the dead monitors' flow ownership before
@@ -481,10 +373,7 @@ func TestLocalSketchesMode(t *testing.T) {
 	for f := range all {
 		all[f] = f
 	}
-	solo, err := monitor.New(monitor.Config{
-		ID: "solo", FlowIDs: all, WindowLen: testWindow, Epsilon: 0.05,
-		Sketch: randproj.Config{Seed: testSeed, SketchLen: testSketch},
-	})
+	solo, err := monitor.New(monitor.Config{ID: "solo", FlowIDs: all})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +393,7 @@ func TestLocalSketchesMode(t *testing.T) {
 		if err := solo.ReportInterval(interval, trafficRow(rng, interval)); err != nil {
 			t.Fatal(err)
 		}
-		nextDecision(t, decisions, interval)
+		nextDecision(t, dep.decisions, interval)
 	}
 }
 
@@ -550,21 +439,19 @@ func TestSketchCacheStalenessIsSymmetric(t *testing.T) {
 		cfg.Degraded.MaxStaleness = maxStale
 		var flight bytes.Buffer
 		cfg.FlightRecorder = trace.NewFlightRecorder(&flight)
-		svc, decisions := startNOC(t, cfg)
-		mons := startMonitors(t, svc.Addr(), 3)
-		waitMonitors(t, svc, 3)
+		dep := deploy(t, cfg, Topology{Monitors: 3})
+		svc := dep.NOC
 		rows := chaosRows(21, testWindow+1)
 		for i, row := range rows {
-			feedInterval(t, mons, int64(i+1), row)
-			nextDecision(t, decisions, int64(i+1))
+			step(t, dep, int64(i+1), row)
 		}
 		last := int64(len(rows)) // the newest interval any volume report named
 
 		// mon-b (flows 1, 4, 7) gives way to a racer that answers one pull
 		// with mon-b's sketch state stamped `ahead` intervals past `last`.
-		rep := mons[1].Report()
+		rep := dep.Monitors[1].Report()
 		rep.Interval = last + tc.ahead
-		_ = mons[1].Close()
+		_ = dep.Monitors[1].Close()
 		waitMonitors(t, svc, 2)
 		racer, err := transport.Dial(svc.Addr(), 2*time.Second)
 		if err != nil {
@@ -617,6 +504,6 @@ func TestSketchCacheStalenessIsSymmetric(t *testing.T) {
 			t.Fatalf("ahead=%d: fetch = degraded %t, stale %d, err %v; want ErrCoverage — the cached columns are %d intervals from ref, MaxStaleness is %d",
 				tc.ahead, f.Degraded, f.StaleFlows, err, tc.ahead, maxStale)
 		}
-		svc.Shutdown()
+		dep.Close()
 	}
 }

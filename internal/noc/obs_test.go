@@ -206,56 +206,15 @@ func TestLogSummaryIsTheRegistry(t *testing.T) {
 
 	cfg := nocConfig()
 	cfg.Obs, cfg.Log, cfg.SelfCheckEvery = nocReg, slog.New(logs), 1
-	svc, decisions := startNOC(t, cfg)
-
-	a, err := agg.New(agg.Config{
-		ID: "agg-1", NumFlows: testFlows, WindowLen: testWindow, SketchLen: testSketch, Seed: testSeed,
-		Obs: aggReg, Log: slog.New(logs),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Serve("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = a.Close() })
-	if err := a.ConnectNOC(svc.Addr(), 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
 	// What the monitor daemon's ingest pipeline registers beside the monitor.
 	ingest.NewMetrics(monReg).Unroutable.Add(3)
-	flows := make([]int, testFlows)
-	for f := range flows {
-		flows[f] = f
-	}
-	mon, err := monitor.New(monitor.Config{
-		ID: "mon-a", FlowIDs: flows, WindowLen: testWindow, Epsilon: 0.05,
-		Sketch:         randproj.Config{Seed: testSeed, SketchLen: testSketch},
-		SelfCheckEvery: 1,
-		Obs:            monReg,
-		Log:            slog.New(logs),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mon.Connect(a.Addr(), 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = mon.Close() })
-	for deadline := time.Now().Add(3 * time.Second); len(a.FlowUnion()) < testFlows; {
-		if time.Now().After(deadline) {
-			t.Fatal("the aggregator never announced the monitor's flows")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	dep := deploy(t, cfg, Topology{Aggregators: 1, Monitors: 1, Agg: agg.Config{Obs: aggReg, Log: slog.New(logs)},
+		Monitor: func(_ int, c *monitor.Config) { c.SelfCheckEvery, c.Obs, c.Log = 1, monReg, slog.New(logs) }})
+	svc, a, mon := dep.NOC, dep.Aggregators[0], dep.Monitors[0]
 
 	rng := rand.New(rand.NewSource(36))
 	for i := int64(1); i <= testWindow+3; i++ {
-		if err := mon.ReportInterval(i, trafficRow(rng, i)); err != nil {
-			t.Fatal(err)
-		}
-		nextDecision(t, decisions, i)
+		step(t, dep, i, trafficRow(rng, i))
 	}
 
 	for _, c := range []struct {
@@ -368,26 +327,15 @@ func TestShutdownWithoutServe(t *testing.T) {
 func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	decisions := make(chan Decision, 1024)
-	cfg := nocConfig()
-	cfg.OnDecision = func(d Decision) { decisions <- d }
-	svc, err := New(cfg)
+	dep, err := Deploy(nocConfig(), Topology{Monitors: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Serve("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	mons := startMonitors(t, svc.Addr(), 3)
 	rng := rand.New(rand.NewSource(13))
 	for i := 1; i <= 8; i++ {
-		feedInterval(t, mons, int64(i), trafficRow(rng, int64(i)))
-		nextDecision(t, decisions, int64(i))
+		step(t, dep, int64(i), trafficRow(rng, int64(i)))
 	}
-	for _, m := range mons {
-		_ = m.Close()
-	}
-	svc.Shutdown()
+	dep.Close()
 
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before+2 {
