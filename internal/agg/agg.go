@@ -159,6 +159,11 @@ type Service struct {
 	// every completed interval; fwdMu serializes the monitors' readers on it.
 	fwdMu sync.Mutex
 	fwd   transport.VolumeReport
+	// resp is the answer serveFetch merges every downstream pull into and
+	// sends upstream; respMu serializes overlapping pulls from the merge to
+	// the send.
+	respMu sync.Mutex
+	resp   transport.SketchResponse
 }
 
 // New validates cfg and builds the service.
@@ -370,7 +375,8 @@ func (s *Service) forwardVolumes(iv tier.Interval) {
 
 // serveFetch answers one upstream sketch pull: one tier pull of the
 // registered monitors (retry rounds, breaker and, under the degraded policy,
-// cache substitution), merged into one response.
+// cache substitution), merged into the one response the service keeps and
+// sent; the pull is released after the send.
 func (s *Service) serveFetch(up *transport.Conn, upReqID uint64, tc *transport.TraceContext) {
 	defer s.pulls.Done()
 	down := s.down.Load()
@@ -380,8 +386,10 @@ func (s *Service) serveFetch(up *transport.Conn, upReqID uint64, tc *transport.T
 		s.log.Warn("sketch pull unanswerable: no live or cached snapshots", "request", upReqID)
 		return
 	}
-	merged, err := sketch.MergeColumns(p.Reports, down.Params().SketchLen)
-	if err != nil {
+	s.respMu.Lock()
+	defer s.respMu.Unlock()
+	resp := &s.resp
+	if err := sketch.MergeColumnsInto(&resp.Report, p.Reports, down.Params().SketchLen); err != nil {
 		s.met.mergeErrors.Inc()
 		s.log.Warn("sketch merge failed", "request", upReqID, "inputs", len(p.Reports), "err", err)
 		return
@@ -392,15 +400,15 @@ func (s *Service) serveFetch(up *transport.Conn, upReqID uint64, tc *transport.T
 		s.met.degradedMerges.Inc()
 		s.log.Warn("degraded merge", "request", upReqID, "stale_flows", p.Filled)
 	}
-	resp := transport.SketchResponse{
-		RequestID:  upReqID,
-		MonitorID:  s.cfg.ID,
-		Report:     merged,
-		Degraded:   p.Degraded,
-		StaleFlows: p.Stale,
-	}
-	if err := up.Send(transport.Envelope{Response: &resp, Trace: tc}); err != nil {
+	resp.RequestID, resp.MonitorID = upReqID, s.cfg.ID
+	resp.Degraded, resp.StaleFlows = p.Degraded, p.Stale
+	if err := up.Send(transport.Envelope{Response: resp, Trace: tc}); err != nil {
 		s.log.Warn("merged response send failed", "request", upReqID, "err", err)
+	}
+	if resp.Report.Family == sketch.FamilyFD {
+		// FD's merge builds its own buffer each time: keeping the last one
+		// would only hold memory.
+		resp.Report = core.SketchReport{}
 	}
 }
 

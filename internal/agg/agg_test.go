@@ -650,3 +650,66 @@ func TestBreakerSkipsMonitorThatTimesOut(t *testing.T) {
 		t.Fatalf("fourth pull took %v: it still waited out m2's timeout", took)
 	}
 }
+
+// TestOverlappingPullsShareTheKeptResponse: upstream pulls that overlap at
+// one aggregator each get their own downstream round, and each is merged
+// into the one response the service keeps and sent before the next merge
+// may overwrite it. Every monitor answers downstream request d with columns
+// derived from d, so an answer built from another pull's columns, or a
+// buffer reused while a pull still reads it, shows as a merged response
+// that is not one round's merge. ci.sh runs it under -race, ten times.
+func TestOverlappingPullsShareTheKeptResponse(t *testing.T) {
+	const pulls = 16
+	s := newTestAgg(t, testConfig())
+	shards := map[string][]int{"m1": {0, 3}, "m2": {1, 4, 6}, "m3": {2, 5, 7}}
+	for id, flows := range shards {
+		mon := attachMonitor(t, s, id, flows)
+		go func() {
+			for {
+				env, err := mon.Recv()
+				if err != nil {
+					return
+				}
+				if env.Request == nil {
+					continue
+				}
+				resp := transport.SketchResponse{RequestID: env.Request.RequestID, MonitorID: id,
+					Report: randprojReport(int64(env.Request.RequestID), flows)}
+				if mon.Send(transport.Envelope{Response: &resp}) != nil {
+					return
+				}
+			}
+		}()
+	}
+	noc, _ := attachFakeNOC(t, s)
+	for i := uint64(1); i <= pulls; i++ {
+		if err := noc.Send(transport.Envelope{Request: &transport.SketchRequest{RequestID: 1000 + i}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	answered := map[uint64]bool{}
+	for range pulls {
+		resp := recvEnvelope(t, noc).Response
+		if resp == nil {
+			t.Fatal("expected a merged response")
+		}
+		if answered[resp.RequestID] {
+			t.Fatalf("request %d answered twice", resp.RequestID)
+		}
+		answered[resp.RequestID] = true
+		d := resp.Report.Interval
+		want, err := sketch.MergeColumns([]core.SketchReport{
+			randprojReport(d, shards["m1"]), randprojReport(d, shards["m2"]), randprojReport(d, shards["m3"]),
+		}, testSketchLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(resp.Report, want) {
+			t.Fatalf("request %d: the merged response is not round %d's merge:\n got %+v\nwant %+v",
+				resp.RequestID, d, resp.Report, want)
+		}
+	}
+	if got := s.met.fetches.Value(); got != pulls {
+		t.Fatalf("%d pulls served, want %d", got, pulls)
+	}
+}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -31,9 +33,10 @@ func totalAlloc() uint64 {
 
 // TestRebuildAllocatesOnlyTheModel: once the detector's rebuild workspace is
 // sized, a randproj RebuildModel allocates the model it installs and nothing
-// else of note — no Gram, no symmetrized copy, no transpose, no solver log.
-// The model's own storage is measured by allocating a replica of it (its four
-// slices and three headers), so the allocator's size-class rounding is the
+// else of note — no Gram, no symmetrized copy, no transpose, no solver log,
+// and no Ẑ: the model's Sketch is the detector's own. The model's storage is
+// measured by allocating a replica of it (its three slices and two headers),
+// so the allocator's size-class rounding is the
 // same on both sides; the rest must fit in 4 KiB. (81, 100) is flat-*'s
 // deployed shape, solved on the m×m side; (144, 100) is fed-wide's, solved on
 // the l×l side.
@@ -57,7 +60,6 @@ func TestRebuildAllocatesOnlyTheModel(t *testing.T) {
 			for i := 0; i < calls; i++ {
 				keep = append(keep, &Model{
 					Components: mat.NewMatrix(model.Components.Rows(), model.Components.Cols()),
-					Sketch:     mat.NewMatrix(model.Sketch.Rows(), model.Sketch.Cols()),
 					Singular:   make([]float64, len(model.Singular)),
 					Means:      make([]float64, len(model.Means)),
 				})
@@ -78,6 +80,50 @@ func TestRebuildAllocatesOnlyTheModel(t *testing.T) {
 			}
 			t.Logf("a rebuild allocates %d B, the model %d B", perCall, own)
 		})
+	}
+}
+
+// TestFailedRebuildDropsTheSharedSketch: Ẑ is written into the storage the
+// installed model's Sketch shares, so a rebuild that fails after the write
+// leaves that model in force without a Sketch, and one rejected before it
+// leaves the Sketch untouched.
+func TestFailedRebuildDropsTheSharedSketch(t *testing.T) {
+	const m, l = 12, 5
+	sketches, means := gaussianSketches(rand.New(rand.NewSource(43)), m, l)
+	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: 64, SketchLen: l, Alpha: 0.01, FixedRank: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := det.RebuildModel(sketches, means, 1); err != nil {
+		t.Fatal(err)
+	}
+	model := det.Model()
+	want := model.Sketch.At(0, 0)
+
+	bad := make([][]float64, m)
+	for j := range bad {
+		bad[j] = append([]float64(nil), sketches[j]...)
+	}
+	bad[m-1][l-1] = math.NaN()
+	if err := det.RebuildModel(bad, means, 2); !errors.Is(err, ErrInput) {
+		t.Fatalf("a non-finite sketch: err = %v", err)
+	}
+	if det.Model() != model || model.Sketch == nil || model.Sketch.At(0, 0) != want {
+		t.Fatal("a rebuild rejected before the write changed the installed model's Sketch")
+	}
+
+	// Finite sketches whose Gram overflows fail in the eigensolver, after Ẑ
+	// was written.
+	for j := range bad {
+		for k := range bad[j] {
+			bad[j][k] = 1e300
+		}
+	}
+	if err := det.RebuildModel(bad, means, 3); err == nil {
+		t.Fatal("an overflowing Gram rebuilt")
+	}
+	if det.Model() != model || model.Sketch != nil {
+		t.Fatalf("after a failed fit the installed model keeps a Sketch of %v", model.Sketch.At(0, 0))
 	}
 }
 

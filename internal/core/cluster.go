@@ -122,38 +122,36 @@ func (c *Cluster) Update(t int64, volumes []float64) error {
 // skips detection.
 func (c *Cluster) Warm() bool { return c.updates >= c.params.WindowLen }
 
-// AssembleFetch turns validated sketch reports into a Fetch. For the
-// randproj family it scatters them into flow-indexed Sketches and Means,
+// Assemble fills f from validated sketch reports, reusing its arrays. For
+// the randproj family it scatters them into flow-indexed Sketches and Means,
 // leaving nil the flows no report covers (the caller rejects or fills those);
 // for FD the reports become Blocks in sketch.CanonicalOrder, so FD model
 // assembly is identical across topologies — a federated tier renames the
 // registrants and rendezvous placement permutes which name fronts which
 // shard, but the shards themselves are fixed. Interval is the newest
 // report's. The retained slices are the reports' own.
-func AssembleFetch(family sketch.Family, numFlows int, reports []SketchReport) (Fetch, error) {
-	var f Fetch
+func (f *Fetch) Assemble(family sketch.Family, numFlows int, reports []SketchReport) error {
+	*f = Fetch{Sketches: f.Sketches[:0], Means: f.Means[:0], Blocks: f.Blocks[:0]}
 	for i := range reports {
-		if reports[i].Interval > f.Interval {
-			f.Interval = reports[i].Interval
-		}
+		f.Interval = max(f.Interval, reports[i].Interval)
 	}
 	if family == sketch.FamilyFD {
-		f.Blocks = make([]SketchReport, 0, len(reports))
 		for _, i := range sketch.CanonicalOrder(reports) {
 			f.Blocks = append(f.Blocks, reports[i])
 		}
-		return f, nil
+		return nil
 	}
-	f.Sketches, f.Means = make([][]float64, numFlows), make([]float64, numFlows)
+	f.Sketches = append(f.Sketches, make([][]float64, numFlows)...)
+	f.Means = append(f.Means, make([]float64, numFlows)...)
 	for _, rep := range reports {
 		for i, id := range rep.FlowIDs {
 			if id < 0 || id >= numFlows {
-				return Fetch{}, fmt.Errorf("%w: reported flow %d of %d", ErrInput, id, numFlows)
+				return fmt.Errorf("%w: reported flow %d of %d", ErrInput, id, numFlows)
 			}
 			f.Sketches[id], f.Means[id] = rep.Sketches[i], rep.Means[i]
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // Fetch gathers every monitor's report into the in-process FetchFunc.

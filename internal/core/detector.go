@@ -79,7 +79,9 @@ type Model struct {
 	// the model was fitted to, with eigenvalues λ̂²_j: Ẑ itself (l×m) for the
 	// random-projection family, every Frequent Directions block's rows
 	// scattered onto their flows and stacked for FD. The m×m covariance itself
-	// is never kept.
+	// is never kept. The random-projection Ẑ is the detector's storage: it is
+	// valid until the next rebuild, which writes the next Ẑ into it (and,
+	// should that rebuild fail, sets this field to nil).
 	Sketch *mat.Matrix
 	// Means holds μ_all per flow, used to center measurements.
 	Means []float64
@@ -114,10 +116,12 @@ type Detector struct {
 	model *Model
 	// The randproj rebuild's workspace, sized on the first RebuildModel and
 	// reused after that, so a rebuild allocates only the model it installs:
-	// gram is the Gram of the sketch matrix's smaller side, factored in place
-	// into eig; rows lists Ẑ's rows for the m×m side, u holds the l×l side's
-	// leading eigenvectors, uj one of them and aj its right vector. y is
-	// Distance's centred measurement.
+	// z is Ẑ, which the installed model's Sketch shares; gram is the Gram of
+	// the sketch matrix's smaller side, factored in place into eig; rows lists
+	// Ẑ's rows for the m×m side, u holds the l×l side's leading eigenvectors,
+	// uj one of them and aj its right vector. y is Distance's centred
+	// measurement.
+	z      *mat.Matrix
 	gram   *mat.Matrix
 	eig    mat.EigenLeading
 	rows   [][]float64
@@ -185,11 +189,17 @@ func (d *Detector) Model() *Model { return d.model }
 // AssembleSketchMatrix organizes per-flow sketches into the l×m matrix Ẑ.
 // sketches[j] is the l-vector for global flow j; all must be present.
 func AssembleSketchMatrix(sketches [][]float64, sketchLen int) (*mat.Matrix, error) {
+	return assembleSketchMatrix(nil, sketches, sketchLen)
+}
+
+// assembleSketchMatrix writes Ẑ into z, or into a new matrix when z is nil or
+// of another shape, and returns it. Every sketch is validated before the
+// first write, so a rejected input leaves z as it was.
+func assembleSketchMatrix(z *mat.Matrix, sketches [][]float64, sketchLen int) (*mat.Matrix, error) {
 	m := len(sketches)
 	if m == 0 {
 		return nil, fmt.Errorf("%w: no sketches", ErrInput)
 	}
-	z := mat.NewMatrix(sketchLen, m)
 	for j, s := range sketches {
 		if s == nil {
 			return nil, fmt.Errorf("%w: missing sketch for flow %d", ErrInput, j)
@@ -197,11 +207,19 @@ func AssembleSketchMatrix(sketches [][]float64, sketchLen int) (*mat.Matrix, err
 		if len(s) != sketchLen {
 			return nil, fmt.Errorf("%w: sketch %d has length %d, want %d", ErrInput, j, len(s), sketchLen)
 		}
-		for k, v := range s {
+		for _, v := range s {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("%w: non-finite sketch value for flow %d", ErrInput, j)
 			}
-			z.Set(k, j, v)
+		}
+	}
+	if z == nil || z.Rows() != sketchLen || z.Cols() != m {
+		z = mat.NewMatrix(sketchLen, m)
+	}
+	for k := 0; k < sketchLen; k++ {
+		row := z.RowView(k)
+		for j, s := range sketches {
+			row[j] = s[k]
 		}
 	}
 	return z, nil
@@ -209,7 +227,9 @@ func AssembleSketchMatrix(sketches [][]float64, sketchLen int) (*mat.Matrix, err
 
 // RebuildModel runs PCA on the sketch matrix and refreshes the threshold.
 // sketches[j] and means[j] are indexed by global flow id; builtAt records the
-// sketch freshness.
+// sketch freshness. Ẑ is assembled into the detector's storage, which the
+// installed model's Sketch shares: a rebuild that fails after writing it
+// leaves that model in force with a nil Sketch.
 func (d *Detector) RebuildModel(sketches [][]float64, means []float64, builtAt int64) error {
 	if len(sketches) != d.cfg.NumFlows || len(means) != d.cfg.NumFlows {
 		return fmt.Errorf("%w: %d sketches and %d means for %d flows",
@@ -220,10 +240,11 @@ func (d *Detector) RebuildModel(sketches [][]float64, means []float64, builtAt i
 			return fmt.Errorf("%w: non-finite mean for flow %d", ErrInput, j)
 		}
 	}
-	z, err := AssembleSketchMatrix(sketches, d.cfg.SketchLen)
+	z, err := assembleSketchMatrix(d.z, sketches, d.cfg.SketchLen)
 	if err != nil {
 		return err
 	}
+	d.z = z
 	// PCA on Ẑ: the eigenvalues are λ̂², the eigenvectors the right singular
 	// vectors â. The side is chosen by shape: the l×l ẐẐᵀ when it is the
 	// smaller one and the sketch is well conditioned at the cut, the m×m
@@ -232,11 +253,14 @@ func (d *Detector) RebuildModel(sketches [][]float64, means []float64, builtAt i
 	if errors.Is(err, errNeedGram) {
 		model, err = d.fitGram(z)
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		model.Sketch = z
+		err = d.finishModel(model, len(model.Singular), means, builtAt)
 	}
-	model.Sketch = z
-	return d.finishModel(model, len(model.Singular), means, builtAt)
+	if err != nil && d.model != nil && d.model.Sketch == z {
+		d.model.Sketch = nil
+	}
+	return err
 }
 
 // errNeedGram is fitSmallSide's answer when the model has to come from the

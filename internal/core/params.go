@@ -99,7 +99,7 @@ func (p Params) NewMonitor(flowIDs []int, dist randproj.Distribution) (*Monitor,
 }
 
 // Fetch is the in-process sketch pull under p: every monitor's report,
-// validated against the sketch parameter and assembled (AssembleFetch).
+// validated against the sketch parameter and assembled (Fetch.Assemble).
 // Under randproj every flow must be covered.
 func (p Params) Fetch(mons ...*Monitor) (Fetch, error) {
 	reports := make([]SketchReport, len(mons))
@@ -109,8 +109,8 @@ func (p Params) Fetch(mons ...*Monitor) (Fetch, error) {
 			return Fetch{}, err
 		}
 	}
-	f, err := AssembleFetch(p.Family, p.NumFlows, reports)
-	if err != nil {
+	var f Fetch
+	if err := f.Assemble(p.Family, p.NumFlows, reports); err != nil {
 		return Fetch{}, err
 	}
 	for j, s := range f.Sketches {

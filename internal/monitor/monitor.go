@@ -385,10 +385,15 @@ func (s *Service) alarm(a transport.Alarm, _ *transport.TraceContext) {
 // and only re-sends the report, so the call is safe to repeat across link
 // losses and reconnects.
 func (s *Service) ReportInterval(t int64, volumes []float64) error {
-	sp := s.cfg.Trace.Start(trace.ForInterval(t), 0, "monitor.update",
-		trace.S("monitor", s.cfg.ID),
-		trace.I("interval", t),
-		trace.I("flows", int64(len(volumes))))
+	// Attributes are built only for a span: boxing them costs allocations
+	// every interval even when tracing is off.
+	sp := s.cfg.Trace.Start(trace.ForInterval(t), 0, "monitor.update")
+	if sp != nil {
+		sp.SetAttr(
+			trace.S("monitor", s.cfg.ID),
+			trace.I("interval", t),
+			trace.I("flows", int64(len(volumes))))
+	}
 	s.mu.Lock()
 	if s.core == nil {
 		s.mu.Unlock()
@@ -409,7 +414,9 @@ func (s *Service) ReportInterval(t int64, volumes []float64) error {
 		s.met.vhBuckets.Set(float64(buckets))
 		s.met.intervals.Inc()
 		s.met.lastInterval.Set(float64(t))
-		sp.Event("sketch_updated", trace.I("vh_buckets", int64(buckets)))
+		if sp != nil {
+			sp.Event("sketch_updated", trace.I("vh_buckets", int64(buckets)))
+		}
 		if s.oracle != nil {
 			// Shadow only intervals actually folded into the sketch state
 			// (retries re-enter with t ≤ Now and must not double-push).

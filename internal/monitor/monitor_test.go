@@ -371,3 +371,24 @@ func TestBadAnnouncementBuildsNoState(t *testing.T) {
 		})
 	}
 }
+
+// TestUntracedReportAllocatesNothing: with tracing off, folding an interval
+// builds no span attributes or events, so the fold and its metrics allocate
+// nothing (the link is down here, which leaves the send out).
+func TestUntracedReportAllocatesNothing(t *testing.T) {
+	svc, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	vols := []float64{10, 20, 30}
+	var ti int64
+	if avg := testing.AllocsPerRun(100, func() {
+		ti++
+		if err := svc.ReportInterval(ti, vols); !errors.Is(err, ErrNotConnected) {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("an untraced ReportInterval allocates %v times", avg)
+	}
+}

@@ -283,8 +283,10 @@ type Service struct {
 	// is enabled; accessed only from the processing goroutine.
 	localMon *core.Monitor
 	// pulled is the sketch pull the observation in progress fetched, released
-	// to the tier once the model is built; processing goroutine only.
-	pulled *tier.Pull
+	// to the tier once the model is built, and fetched its reports assembled
+	// for the detector; processing goroutine only.
+	pulled  *tier.Pull
+	fetched core.Fetch
 
 	workCh   chan tier.Interval // buffered channel feeding the processor
 	procDone chan struct{}
@@ -532,10 +534,15 @@ func (s *Service) processLoop() {
 				s.oracle.ObserveNOC(item.Index, item.Volumes, dec, model)
 			}
 		}
-		sp := s.cfg.Trace.Start(trace.ForInterval(item.Index), 0, "noc.decide",
-			trace.I("interval", item.Index),
-			trace.B("vector_degraded", vectorDegraded),
-			trace.I("stale_volume_flows", int64(item.Stale)))
+		// Span attributes and events are built only for a span: boxing
+		// them costs allocations every interval even when tracing is off.
+		sp := s.cfg.Trace.Start(trace.ForInterval(item.Index), 0, "noc.decide")
+		if sp != nil {
+			sp.SetAttr(
+				trace.I("interval", item.Index),
+				trace.B("vector_degraded", vectorDegraded),
+				trace.I("stale_volume_flows", int64(item.Stale)))
+		}
 		if item.Index < int64(s.cfg.Detector.WindowLen) {
 			absorb()
 			shadow(core.Decision{ThresholdUnavailable: true}, nil)
@@ -569,7 +576,7 @@ func (s *Service) processLoop() {
 			if err != nil {
 				s.met.fetchErrors.Inc()
 				fsp.Event("fetch_error", trace.S("err", err.Error()))
-			} else {
+			} else if fsp != nil {
 				fsp.SetAttr(
 					trace.I("sketch_interval", f.Interval),
 					trace.B("degraded", f.Degraded),
@@ -602,10 +609,12 @@ func (s *Service) processLoop() {
 				retrain = 0
 			}
 			s.met.retrainSeconds.Observe(retrain.Seconds())
-			sp.Event("retrain",
-				trace.F("seconds", retrain.Seconds()),
-				trace.B("model_degraded", res.Degraded),
-				trace.I("model_stale_flows", int64(res.StaleFlows)))
+			if sp != nil {
+				sp.Event("retrain",
+					trace.F("seconds", retrain.Seconds()),
+					trace.B("model_degraded", res.Degraded),
+					trace.I("model_stale_flows", int64(res.StaleFlows)))
+			}
 			if res.Degraded {
 				s.health.Set("detector", obs.StatusDegraded,
 					fmt.Sprintf("model rebuilt with %d cached flows", res.StaleFlows))
@@ -640,12 +649,14 @@ func (s *Service) processLoop() {
 		} else {
 			s.met.threshold.Set(res.Threshold)
 		}
-		sp.Event("decision",
-			trace.F("spe", res.Distance),
-			trace.F("threshold", res.Threshold),
-			trace.B("anomalous", res.Anomalous),
-			trace.B("degraded", degraded),
-			trace.B("refreshed", res.Refreshed))
+		if sp != nil {
+			sp.Event("decision",
+				trace.F("spe", res.Distance),
+				trace.F("threshold", res.Threshold),
+				trace.B("anomalous", res.Anomalous),
+				trace.B("degraded", degraded),
+				trace.B("refreshed", res.Refreshed))
+		}
 		var ident *core.Identification
 		if res.Anomalous {
 			s.met.alarms.Inc()
@@ -668,7 +679,9 @@ func (s *Service) processLoop() {
 				Identified: wireIdentified(ident),
 			}, Trace: traceContext(sp)})
 			s.met.alarmSends.Add(int64(sent))
-			sp.Event("alarm_broadcast", trace.I("monitors", int64(sent)))
+			if sp != nil {
+				sp.Event("alarm_broadcast", trace.I("monitors", int64(sent)))
+			}
 		}
 		if res.Anomalous || degraded {
 			s.flightRecord(item, res, false, degraded, ident)
@@ -704,10 +717,10 @@ func (s *Service) fetchSketches(sp *trace.Span) (core.Fetch, error) {
 		return core.Fetch{}, fmt.Errorf("%w: %d of %d flows missing after %d rounds",
 			ErrCoverage, len(miss), m, p.Rounds)
 	}
-	out, err := core.AssembleFetch(s.cfg.Detector.Family, m, p.Reports)
-	if err != nil {
+	if err := s.fetched.Assemble(s.cfg.Detector.Family, m, p.Reports); err != nil {
 		return core.Fetch{}, err
 	}
+	out := s.fetched
 	out.Interval, out.Degraded, out.StaleFlows = p.Interval, p.Degraded, p.Stale
 	switch {
 	case p.Filled > 0:

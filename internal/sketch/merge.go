@@ -30,40 +30,51 @@ import (
 // A single input is passed through as a deep copy, byte-identical — an
 // aggregator fronting one monitor adds no approximation.
 func MergeColumns(snaps []Snapshot, sketchParam int) (Snapshot, error) {
+	var out Snapshot
+	if err := MergeColumnsInto(&out, snaps, sketchParam); err != nil {
+		return Snapshot{}, err
+	}
+	return out, nil
+}
+
+// MergeColumnsInto is MergeColumns into dst, which must share no array with
+// an input: a randproj union and a single input's copy reuse dst's arrays,
+// growing them only when they are too small, so a caller that keeps dst
+// merges same-shaped pulls without allocating. FD's multi-input merge builds
+// a fresh buffer. On error dst's contents are unspecified.
+func MergeColumnsInto(dst *Snapshot, snaps []Snapshot, sketchParam int) error {
 	if len(snaps) == 0 {
-		return Snapshot{}, fmt.Errorf("%w: merge of no snapshots", ErrInput)
+		return fmt.Errorf("%w: merge of no snapshots", ErrInput)
 	}
 	family := snaps[0].Family
-	seen := make(map[int]struct{})
 	for i := range snaps {
 		s := &snaps[i]
 		if s.Family != family {
-			return Snapshot{}, fmt.Errorf("%w: merge mixes families %v and %v", ErrInput, family, s.Family)
+			return fmt.Errorf("%w: merge mixes families %v and %v", ErrInput, family, s.Family)
 		}
 		if err := s.Validate(sketchParam); err != nil {
-			return Snapshot{}, fmt.Errorf("merge input %d: %w", i, err)
+			return fmt.Errorf("merge input %d: %w", i, err)
 		}
 		if len(s.FlowIDs) == 0 {
-			return Snapshot{}, fmt.Errorf("%w: merge input %d covers no flows", ErrInput, i)
-		}
-		for _, id := range s.FlowIDs {
-			if _, dup := seen[id]; dup {
-				return Snapshot{}, fmt.Errorf("%w: flow %d reported by two merge inputs", ErrInput, id)
-			}
-			seen[id] = struct{}{}
+			return fmt.Errorf("%w: merge input %d covers no flows", ErrInput, i)
 		}
 	}
 	if len(snaps) == 1 {
-		return copySnapshot(&snaps[0]), nil
+		copySnapshot(dst, &snaps[0])
+		return nil
 	}
-	order := CanonicalOrder(snaps)
 	switch family {
 	case FamilyRandProj:
-		return mergeRandProj(snaps, order), nil
+		return mergeRandProj(dst, snaps)
 	case FamilyFD:
-		return mergeFD(snaps, order, sketchParam)
+		out, err := mergeFD(snaps, CanonicalOrder(snaps), sketchParam)
+		if err != nil {
+			return err
+		}
+		*dst = out
+		return nil
 	default:
-		return Snapshot{}, fmt.Errorf("%w: merge of unknown family %d", ErrInput, int(family))
+		return fmt.Errorf("%w: merge of unknown family %d", ErrInput, int(family))
 	}
 }
 
@@ -93,69 +104,82 @@ func minFlow(s *Snapshot) int {
 	return min
 }
 
-// copySnapshot deep-copies a snapshot so the merge result never aliases an
-// input's slices (inputs may be cached and reused by the caller).
-func copySnapshot(s *Snapshot) Snapshot {
+// copySnapshot deep-copies s into dst's arrays, so the merge result never
+// aliases an input's slices (inputs may be cached and reused by the caller).
+func copySnapshot(dst, s *Snapshot) {
 	out := *s
-	out.FlowIDs = append([]int(nil), s.FlowIDs...)
-	out.Means = append([]float64(nil), s.Means...)
-	out.Counts = append([]int64(nil), s.Counts...)
-	if s.Sketches != nil {
-		out.Sketches = make([][]float64, len(s.Sketches))
-		for i, v := range s.Sketches {
-			out.Sketches[i] = append([]float64(nil), v...)
-		}
-	}
-	if s.FDRows != nil {
-		out.FDRows = make([][]float64, len(s.FDRows))
-		for i, v := range s.FDRows {
-			out.FDRows[i] = append([]float64(nil), v...)
-		}
-	}
-	return out
+	out.FlowIDs = append(dst.FlowIDs[:0], s.FlowIDs...)
+	out.Means = append(dst.Means[:0], s.Means...)
+	out.Counts = append(dst.Counts[:0], s.Counts...)
+	out.Sketches = copyRows(dst.Sketches, s.Sketches)
+	out.FDRows = copyRows(dst.FDRows, s.FDRows)
+	*dst = out
 }
 
-// mergeRandProj performs the exact column union, sorted by global flow id.
-// Counts are carried when the input provides them (they are not part of
-// Validate's contract).
-func mergeRandProj(snaps []Snapshot, order []int) Snapshot {
-	type column struct {
-		id     int
-		sketch []float64
-		mean   float64
-		count  int64
+// copyRows copies src's rows into dst's, reusing their capacity.
+func copyRows(dst, src [][]float64) [][]float64 {
+	dst = resizeRows(dst, len(src))
+	for i, v := range src {
+		dst[i] = append(dst[i][:0], v...)
 	}
-	var cols []column
+	return dst
+}
+
+// mergeRandProj performs the exact column union into dst, sorted by global
+// flow id; a flow reported twice is an error. Counts are carried when the
+// input provides them (they are not part of Validate's contract).
+func mergeRandProj(dst *Snapshot, snaps []Snapshot) error {
+	n := 0
 	var interval int64
-	for _, si := range order {
-		s := &snaps[si]
-		if s.Interval > interval {
-			interval = s.Interval
-		}
-		for i, id := range s.FlowIDs {
-			c := column{id: id, sketch: append([]float64(nil), s.Sketches[i]...), mean: s.Means[i]}
-			if i < len(s.Counts) {
-				c.count = s.Counts[i]
-			}
-			cols = append(cols, c)
-		}
+	for i := range snaps {
+		n += len(snaps[i].FlowIDs)
+		interval = max(interval, snaps[i].Interval)
 	}
-	sort.Slice(cols, func(a, b int) bool { return cols[a].id < cols[b].id })
-	out := Snapshot{
+	*dst = Snapshot{
 		Interval: interval,
 		Family:   FamilyRandProj,
-		FlowIDs:  make([]int, len(cols)),
-		Sketches: make([][]float64, len(cols)),
-		Means:    make([]float64, len(cols)),
-		Counts:   make([]int64, len(cols)),
+		FlowIDs:  resize(dst.FlowIDs, n),
+		Sketches: resizeRows(dst.Sketches, n),
+		Means:    resize(dst.Means, n),
+		Counts:   resize(dst.Counts, n),
 	}
-	for i, c := range cols {
-		out.FlowIDs[i] = c.id
-		out.Sketches[i] = c.sketch
-		out.Means[i] = c.mean
-		out.Counts[i] = c.count
+	k := 0
+	for i := range snaps {
+		s := &snaps[i]
+		for j, id := range s.FlowIDs {
+			dst.FlowIDs[k] = id
+			dst.Sketches[k] = append(dst.Sketches[k][:0], s.Sketches[j]...)
+			dst.Means[k], dst.Counts[k] = s.Means[j], 0
+			if j < len(s.Counts) {
+				dst.Counts[k] = s.Counts[j]
+			}
+			k++
+		}
 	}
-	return out
+	sort.Sort((*byFlow)(dst))
+	return duplicate(dst.FlowIDs)
+}
+
+// byFlow sorts a randproj snapshot's columns by flow id.
+type byFlow Snapshot
+
+func (s *byFlow) Len() int           { return len(s.FlowIDs) }
+func (s *byFlow) Less(a, b int) bool { return s.FlowIDs[a] < s.FlowIDs[b] }
+func (s *byFlow) Swap(a, b int) {
+	s.FlowIDs[a], s.FlowIDs[b] = s.FlowIDs[b], s.FlowIDs[a]
+	s.Sketches[a], s.Sketches[b] = s.Sketches[b], s.Sketches[a]
+	s.Means[a], s.Means[b] = s.Means[b], s.Means[a]
+	s.Counts[a], s.Counts[b] = s.Counts[b], s.Counts[a]
+}
+
+// duplicate rejects a flow that appears twice in the sorted union ids.
+func duplicate(ids []int) error {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return fmt.Errorf("%w: flow %d reported by two merge inputs", ErrInput, ids[i])
+		}
+	}
+	return nil
 }
 
 // mergeFD summarizes the block-diagonal union of column-sharded FD buffers:
@@ -168,6 +192,9 @@ func mergeFD(snaps []Snapshot, order []int, ell int) (Snapshot, error) {
 		union = append(union, snaps[i].FlowIDs...)
 	}
 	sort.Ints(union)
+	if err := duplicate(union); err != nil {
+		return Snapshot{}, err
+	}
 	pos := make(map[int]int, len(union))
 	for i, id := range union {
 		pos[id] = i

@@ -345,3 +345,64 @@ func TestMergeRejects(t *testing.T) {
 		t.Fatalf("empty input err = %v", err)
 	}
 }
+
+// TestMergeColumnsIntoReusesDst: one kept destination, fed randproj unions
+// and single-input pass-throughs of different shapes in turn, always equals
+// a fresh MergeColumns of the same inputs and never shares an array with
+// them; once it has held the widest shape, a repeated merge allocates
+// nothing.
+func TestMergeColumnsIntoReusesDst(t *testing.T) {
+	const l, window, n = 8, 64, 40
+	rows := globalRows(36, n, 24)
+	wide := shardSnapshots(t, FamilyRandProj, [][]int{{0, 3, 6, 9, 12}, {1, 4, 7, 10}, {2, 5, 8, 11, 13, 14, 15}}, l, window, rows)
+	narrow := shardSnapshots(t, FamilyRandProj, [][]int{{20, 17}, {16, 23, 18}}, l, window, rows)
+	single := shardSnapshots(t, FamilyRandProj, [][]int{{4, 1, 9, 6, 2, 0, 3}}, l, window, rows)
+
+	// aliases reports whether any of a's arrays shares storage with snap's.
+	aliases := func(a *Snapshot, snap *Snapshot) bool {
+		same := func(x, y []float64) bool { return len(x) > 0 && len(y) > 0 && &x[0] == &y[0] }
+		for _, x := range a.Sketches {
+			for _, y := range snap.Sketches {
+				if same(x, y) {
+					return true
+				}
+			}
+		}
+		return same(a.Means, snap.Means) ||
+			(len(a.FlowIDs) > 0 && len(snap.FlowIDs) > 0 && &a.FlowIDs[0] == &snap.FlowIDs[0]) ||
+			(len(a.Counts) > 0 && len(snap.Counts) > 0 && &a.Counts[0] == &snap.Counts[0])
+	}
+	var dst Snapshot
+	for step, in := range [][]Snapshot{narrow, wide, single, narrow, wide[1:], single, wide} {
+		if err := MergeColumnsInto(&dst, in, l); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		want, err := MergeColumns(in, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(dst, want) {
+			t.Fatalf("step %d: the kept destination differs from a fresh merge", step)
+		}
+		for i := range in {
+			if aliases(&dst, &in[i]) {
+				t.Fatalf("step %d: the destination shares an array with input %d", step, i)
+			}
+		}
+	}
+	for _, in := range [][]Snapshot{wide, single, narrow} {
+		if avg := testing.AllocsPerRun(20, func() {
+			if err := MergeColumnsInto(&dst, in, l); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("a merge of %d inputs into a grown destination allocates %v times", len(in), avg)
+		}
+	}
+	// A flow reported twice is refused, within an input as across them.
+	twice := append([]Snapshot{}, narrow...)
+	twice[1].FlowIDs = []int{16, 23, 16}
+	if err := MergeColumnsInto(&dst, twice, l); !errors.Is(err, ErrInput) {
+		t.Fatalf("a flow reported twice within an input: err = %v", err)
+	}
+}

@@ -163,9 +163,12 @@ type Downstream struct {
 	breakers map[string]*breakerState
 	cache    map[string]core.SketchReport
 	cols     []column
-	// spares are released randproj responses, reused to decode the next
-	// (see Release); at most one per registrant is kept.
-	spares []*transport.SketchResponse
+	// spares are released randproj responses keyed by the registrant's
+	// connection they arrived on, each reused to decode that registrant's
+	// next answer, so its arrays already have the answer's shape (see
+	// Release); free is a released Pull, reused by the next.
+	spares map[*transport.Conn]*transport.SketchResponse
+	free   *Pull
 	// lastVol/lastVolAt hold each flow's most recent reported volume;
 	// lastVolAt is -1 until first seen. lastInterval is the newest interval
 	// any volume report named.
@@ -210,6 +213,7 @@ func NewDownstream(cfg DownstreamConfig) (*Downstream, error) {
 		rounds:    make(map[uint64]chan response),
 		breakers:  make(map[string]*breakerState),
 		cache:     make(map[string]core.SketchReport),
+		spares:    make(map[*transport.Conn]*transport.SketchResponse),
 		cols:      cols,
 		lastVol:   make([]float64, cfg.NumFlows),
 		lastVolAt: lastVolAt,
@@ -335,8 +339,8 @@ func (d *Downstream) Broadcast(env transport.Envelope) (attempted, delivered int
 //
 // Volume reports decode into one report the connection reuses, which
 // addVolumes folds into the interval accumulator before the next is read.
-// A sketch response decodes into a spare one (see spare) that travels to
-// its pull round whole, and the connection takes another.
+// A sketch response decodes into the registrant's spare one (see spare)
+// that travels to its pull round whole, and the connection takes another.
 func (d *Downstream) Handle(conn *transport.Conn) {
 	env, err := conn.Recv()
 	if errors.Is(err, transport.ErrVersion) {
@@ -357,7 +361,7 @@ func (d *Downstream) Handle(conn *transport.Conn) {
 	}
 	defer d.drop(conn)
 	var vol transport.VolumeReport
-	resp := d.spare()
+	resp := d.spare(conn)
 	for {
 		env := transport.Envelope{Volume: &vol, Response: resp}
 		if err := conn.RecvInto(&env); err != nil {
@@ -368,7 +372,7 @@ func (d *Downstream) Handle(conn *transport.Conn) {
 			d.addVolumes(conn, env.Volume)
 		case env.Response != nil:
 			if d.routeResponse(conn, env.Response) {
-				resp = d.spare()
+				resp = d.spare(conn)
 			}
 		case env.Hello != nil:
 			// A repeat Hello re-registers: a mid tier re-announces when its
@@ -383,14 +387,13 @@ func (d *Downstream) Handle(conn *transport.Conn) {
 	}
 }
 
-// spare returns a released sketch response to decode into (see Release), or
-// a new one.
-func (d *Downstream) spare() *transport.SketchResponse {
+// spare returns the response of conn's registrant that a pull last released
+// (see Release) to decode into, or a new one.
+func (d *Downstream) spare(conn *transport.Conn) *transport.SketchResponse {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if n := len(d.spares); n > 0 {
-		r := d.spares[n-1]
-		d.spares = d.spares[:n-1]
+	if r := d.spares[conn]; r != nil {
+		delete(d.spares, conn)
 		return r
 	}
 	return new(transport.SketchResponse)
@@ -479,6 +482,7 @@ func (d *Downstream) releaseLocked(conn *transport.Conn) *registrant {
 func (d *Downstream) drop(conn *transport.Conn) {
 	d.mu.Lock()
 	e := d.releaseLocked(conn)
+	delete(d.spares, conn)
 	d.mu.Unlock()
 	if e != nil {
 		d.log.Info("peer dropped", "peer", e.id, "flows", len(e.flows))

@@ -30,10 +30,11 @@ type Pull struct {
 	Stale    int
 	Filled   int
 
-	by []string // per flow: ID of the report covering it, "" = uncovered
+	by   []string // per flow: ID of the report covering it, "" = uncovered
+	miss []int    // Uncovered's list
 	// held are the randproj responses Reports were decoded into, handed
 	// back by Release.
-	held []*transport.SketchResponse
+	held []response
 }
 
 // fromCache marks in Pull.by the flows a randproj fill covered.
@@ -48,7 +49,13 @@ const fromCache = "(cache)"
 // per-registrant failure and breaker events; tc rides on the requests so
 // serving spans parent under it.
 func (d *Downstream) Pull(sp *trace.Span, tc *transport.TraceContext) *Pull {
-	p := &Pull{by: make([]string, d.cfg.NumFlows)}
+	d.mu.Lock()
+	p := d.free
+	d.free = nil
+	d.mu.Unlock()
+	if p == nil {
+		p = &Pull{by: make([]string, d.cfg.NumFlows)}
+	}
 	backoff := d.cfg.Pull.Backoff
 	for round := 0; round <= max(0, d.cfg.Pull.Retries); round++ {
 		miss := len(d.Uncovered(p))
@@ -89,34 +96,39 @@ func (d *Downstream) Pull(sp *trace.Span, tc *transport.TraceContext) *Pull {
 	return p
 }
 
-// Release hands the tier back the arrays p's randproj answers were decoded
-// into, to decode later answers into; p.Reports is cleared. Call it once
-// nothing reads p.Reports any more: after the model is built or the merge
-// sent. A pull never released costs allocation, not correctness.
+// Release hands the tier back p and the arrays its randproj answers were
+// decoded into: each registrant's next answer decodes into its last one, and
+// the next Pull reuses p. Call it once nothing reads p any more: after the
+// model is built or the merge sent. A pull never released costs allocation,
+// not correctness.
 func (d *Downstream) Release(p *Pull) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, r := range p.held {
-		if len(d.spares) >= len(d.regs) {
-			break
+	for _, h := range p.held {
+		if d.regs[h.conn] != nil && d.spares[h.conn] == nil {
+			d.spares[h.conn] = h.r
 		}
-		d.spares = append(d.spares, r)
 	}
-	p.Reports, p.held = nil, nil
+	clear(p.by)
+	clear(p.Reports)
+	clear(p.held)
+	*p = Pull{by: p.by, miss: p.miss[:0], Reports: p.Reports[:0], held: p.held[:0]}
+	d.free = p
 }
 
 // Uncovered lists the flows p still owes: required or owned by a live
-// registrant, and not covered by a report.
+// registrant, and not covered by a report. The list is p's, valid until the
+// next call or Release.
 func (d *Downstream) Uncovered(p *Pull) []int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var miss []int
+	p.miss = p.miss[:0]
 	for f, id := range p.by {
 		if id == "" && (d.cfg.RequireAll || d.owner[f] != nil) {
-			miss = append(miss, f)
+			p.miss = append(p.miss, f)
 		}
 	}
-	return miss
+	return p.miss
 }
 
 // owes reports whether any of flows is still uncovered.
@@ -265,7 +277,9 @@ func (d *Downstream) round(p *Pull, sp *trace.Span, tc *transport.TraceContext) 
 				d.fail(sp, mid, "invalid_report")
 				continue
 			}
-			sp.Event("report", trace.S("monitor", mid), trace.I("sketch_interval", in.r.Report.Interval))
+			if sp != nil {
+				sp.Event("report", trace.S("monitor", mid), trace.I("sketch_interval", in.r.Report.Interval))
+			}
 			if d.breakerSuccess(mid) {
 				sp.Event("breaker_close", trace.S("monitor", mid))
 			}
@@ -285,8 +299,9 @@ func (d *Downstream) round(p *Pull, sp *trace.Span, tc *transport.TraceContext) 
 // fold validates one answer and adds it to p and the cache. The
 // answer is bound to the connection it arrived on: it must carry that
 // registrant's ID and may not name a flow that another live registrant owns
-// or another report of this pull already covers. Flows nobody owns are
-// accepted — a mid tier's degraded merge covers its dead monitors' flows.
+// or another report of this pull, or an earlier entry of its own, already
+// covers. Flows nobody owns are accepted — a mid tier's degraded merge covers
+// its dead monitors' flows.
 func (d *Downstream) fold(p *Pull, in response, mid string) error {
 	rep := &in.r.Report
 	if in.r.MonitorID != mid {
@@ -300,18 +315,25 @@ func (d *Downstream) fold(p *Pull, in response, mid string) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, f := range rep.FlowIDs {
+	for i, f := range rep.FlowIDs {
+		var err error
 		switch {
 		case f < 0 || f >= d.cfg.NumFlows:
-			return fmt.Errorf("unknown flow %d", f)
+			err = fmt.Errorf("unknown flow %d", f)
 		case d.owner[f] != nil && d.owner[f].conn != in.conn:
-			return fmt.Errorf("flow %d belongs to %q", f, d.owner[f].id)
+			err = fmt.Errorf("flow %d belongs to %q", f, d.owner[f].id)
 		case p.by[f] != "":
-			return fmt.Errorf("flow %d already covered by %q", f, p.by[f])
+			err = fmt.Errorf("flow %d already covered by %q", f, p.by[f])
 		}
+		if err != nil {
+			for _, g := range rep.FlowIDs[:i] {
+				p.by[g] = ""
+			}
+			return err
+		}
+		p.by[f] = mid
 	}
 	for i, f := range rep.FlowIDs {
-		p.by[f] = mid
 		if d.cols != nil && (d.cols[f].sketch == nil || rep.Interval >= d.cols[f].at) {
 			c := &d.cols[f]
 			c.sketch = append(c.sketch[:0], rep.Sketches[i]...)
@@ -323,7 +345,7 @@ func (d *Downstream) fold(p *Pull, in response, mid string) error {
 		d.cache[mid] = *rep
 	} else {
 		d.cache[mid] = core.SketchReport{Interval: rep.Interval}
-		p.held = append(p.held, in.r)
+		p.held = append(p.held, in)
 	}
 	if in.r.Degraded {
 		p.Degraded = true

@@ -133,7 +133,7 @@ type Histogram struct {
 	// rounding in mergeScan's own comparison cannot disagree with it.
 	noMerge bool
 	// store[head:] are the live buckets, oldest first; expiry advances head
-	// and push compacts once the dead prefix is half of store.
+	// and push compacts the dead prefix (see push).
 	store   []bucket
 	head    int
 	now     int64
@@ -177,9 +177,12 @@ func New(cfg Config) (*Histogram, error) {
 	}
 	h.noMerge = math.Floor(20/cfg.Epsilon)+1 > float64(cfg.WindowLen)/2
 	if h.noMerge {
-		// At most n singletons are live, so push reclaims the expired
-		// prefix of a 2n store before it would ever grow.
-		h.store = make([]bucket, 0, 2*cfg.WindowLen)
+		// At most n singletons are live, so a full store of n + ⌈n/8⌉ + 1
+		// has a dead prefix of more than n/8 for push to reclaim: it never
+		// grows, and moves at most n buckets no more often than every n/8
+		// updates.
+		n := cfg.WindowLen
+		h.store = make([]bucket, 0, n+(n+7)/8+1)
 	}
 	return h, nil
 }
@@ -254,10 +257,11 @@ func (h *Histogram) expire(before int64) {
 	}
 }
 
-// push appends b to the live buckets, reclaiming the expired prefix of store
-// instead of growing it once that prefix is at least half of it.
+// push appends b to the live buckets, reclaiming the expired prefix of a
+// full store instead of growing it: always when no bucket can merge (New
+// sized the store for that), else once the prefix is at least half of it.
 func (h *Histogram) push(b bucket) {
-	if len(h.store) == cap(h.store) && 2*h.head >= len(h.store) {
+	if len(h.store) == cap(h.store) && (h.noMerge || 2*h.head >= len(h.store)) {
 		h.store = h.store[:copy(h.store, h.store[h.head:])]
 		h.head = 0
 	}
