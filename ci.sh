@@ -54,15 +54,16 @@ fi
 step_done
 
 # The line ceiling (ROADMAP AB): effective non-test Go lines outside bench/,
-# i.e. lines that are neither blank nor start with //, may not exceed the
-# number in LINE_CEILING. A change that deletes code lowers the ceiling; one
+# i.e. lines that are neither blank nor start with //, must equal the number
+# in LINE_CEILING. It is a ratchet: a change that deletes code writes the new
+# count there, so no slack is left for a later change to grow back into; one
 # that raises it names in CHANGES.md why the added lines are worth it.
 step "line ceiling (non-test Go lines outside bench/ against LINE_CEILING)"
 LINES=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
     xargs -0 cat | grep -v '^[[:space:]]*$' | grep -cv '^[[:space:]]*//')
 CEILING=$(cat LINE_CEILING)
-if [ "$LINES" -gt "$CEILING" ]; then
-    echo "$LINES effective non-test Go lines exceed the ceiling of $CEILING in LINE_CEILING" >&2
+if [ "$LINES" -ne "$CEILING" ]; then
+    echo "$LINES effective non-test Go lines, but LINE_CEILING says $CEILING; write $LINES to LINE_CEILING" >&2
     exit 1
 fi
 echo "   $LINES effective non-test Go lines, ceiling $CEILING"
@@ -196,28 +197,6 @@ for run in randproj-aggs3 ingest-aggs0 ingest-aggs3; do
         exit 1
     fi
 done
-step_done
-
-# The three small examples (~0.2-0.4 s each): quickstart and ddos must end
-# on their "result: ... ✔" line, botnet must print its three event rows
-# (exact vs sketch detections per injected event).
-step "small examples (examples/quickstart, examples/ddos, examples/botnet)"
-for ex in quickstart ddos botnet; do
-    go build -o "$EVAL_TMP/$ex" "./examples/$ex"
-    "$EVAL_TMP/$ex" > "$EVAL_TMP/$ex.out"
-done
-for ex in quickstart ddos; do
-    if ! grep -q '^result: .* ✔$' "$EVAL_TMP/$ex.out"; then
-        echo "examples/$ex printed no passing result line:" >&2
-        cat "$EVAL_TMP/$ex.out" >&2
-        exit 1
-    fi
-done
-if [ "$(grep -cE '^flows \[[0-9 ]+\] \[[0-9]+,[0-9]+\): +[0-9]+/[0-9]+ +[0-9]+/[0-9]+$' "$EVAL_TMP/botnet.out")" -ne 3 ]; then
-    echo "examples/botnet did not print its three event rows:" >&2
-    cat "$EVAL_TMP/botnet.out" >&2
-    exit 1
-fi
 step_done
 
 # Fuzz smokes: ten seconds of coverage-guided input on each hostile decoder

@@ -225,10 +225,11 @@ func expandBraces(p string) []string {
 	return out
 }
 
-// TestDocsNameExistingPaths: every backticked internal/… path in README.md
-// and DESIGN.md (a package directory or a file in one) exists.
+// TestDocsNameExistingPaths: every backticked internal/…, cmd/… or
+// examples/… path in README.md and DESIGN.md (a package directory or a file
+// in one) exists.
 func TestDocsNameExistingPaths(t *testing.T) {
-	path := regexp.MustCompile(`internal/(?:[\w{},]+/)*[\w{},]+(?:\.go)?`)
+	path := regexp.MustCompile(`\b(?:internal|cmd|examples)/(?:[\w{},-]+/)*[\w{},-]+(?:\.go)?`)
 	spans, where := backticked(t)
 	for i, s := range spans {
 		for _, p := range path.FindAllString(s, -1) {
