@@ -599,21 +599,26 @@ func BenchmarkSymEigen(b *testing.B) {
 	}
 }
 
-// BenchmarkGram sizes the Gram kernel: the sketch matrix shape is l×m with
-// l=200 (the paper's default sketch length) and m the network-wide flow
-// count.
+// BenchmarkGram sizes the Gram kernel: the sketch matrix shape is rows×m,
+// with rows = 200 (the paper's default sketch length) and m the network-wide
+// flow count, and at the two shapes the NOC rebuild builds: fed-wide's m = 144
+// sketches of l = 100 make the 100×100 ẐẐᵀ, the flat deployments' l = 100
+// sketch rows of m = 81 the 81×81 ẐᵀẐ.
 func BenchmarkGram(b *testing.B) {
-	const l = 200
 	rng := rand.New(rand.NewSource(14))
-	for _, m := range []int{64, 256} {
-		z := mat.NewMatrix(l, m)
-		for i := 0; i < l; i++ {
+	for _, c := range []struct{ rows, m int }{{200, 64}, {200, 256}, {144, 100}, {100, 81}} {
+		z := mat.NewMatrix(c.rows, c.m)
+		for i := 0; i < c.rows; i++ {
 			row := z.RowView(i)
 			for j := range row {
 				row[j] = rng.NormFloat64()
 			}
 		}
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+		name := fmt.Sprintf("m=%d", c.m)
+		if c.rows != 200 {
+			name = fmt.Sprintf("rows=%d/m=%d", c.rows, c.m)
+		}
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = z.Gram()
 			}

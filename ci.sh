@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Tier-1+ check: everything CI (or a reviewer) needs to trust a change.
-#   ./ci.sh    fmt + vet (linux & darwin) + build + tests + race + eval
+#   ./ci.sh    fmt + vet (linux, darwin, linux/arm64) + build + tests + race + eval
 #              goldens + fuzz and bench smokes
 #
 # Environment: CHAOS_FLIGHT_DIR overrides where the chaos e2e's
@@ -27,14 +27,20 @@ if [ -n "$UNFORMATTED" ]; then
 fi
 step_done
 
-# Vet under both first-class GOOS targets: the tree is pure Go, so a
-# darwin-only breakage (build tags, syscall drift) should fail CI on linux.
+# Vet under both first-class GOOS targets: no cgo; amd64 kernels are Go
+# assembly with a pure-Go fallback, so a darwin-only breakage (build tags,
+# syscall drift) should fail CI on linux, and an arm64 vet checks the build
+# that has no assembly (internal/mat's rowops_other.go).
 step "go vet (GOOS=linux)"
 GOOS=linux go vet ./...
 step_done
 
 step "go vet (GOOS=darwin)"
 GOOS=darwin go vet ./...
+step_done
+
+step "go vet (GOOS=linux GOARCH=arm64, the build without assembly)"
+GOOS=linux GOARCH=arm64 go vet ./...
 step_done
 
 step "go build"

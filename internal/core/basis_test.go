@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"streampca/internal/mat"
 	"streampca/internal/randproj"
@@ -169,7 +170,26 @@ func culprits(id *Identification) []int {
 // λ̂²_j past l is exactly zero, every λ̂²_j is within 4·m·2⁻⁵²·λ̂²_1 of the
 // reference's (the eigenvalue error of either solve is of that order), the
 // threshold within 1e-12 relative and distances within 1e-9.
+//
+// The m×m cases, whose bits are pinned, run a second time on mat's Go loops in
+// place of its AVX2 row kernels (mat.useAVX2, rowops.go).
 func TestLeadingBasisMatchesFullSolve(t *testing.T) {
+	have := matUseAVX2
+	defer func() { matUseAVX2 = have }()
+	t.Run("default", func(t *testing.T) { leadingBasisMatchesFullSolve(t, false) })
+	t.Run("go-loops", func(t *testing.T) {
+		matUseAVX2 = false
+		leadingBasisMatchesFullSolve(t, true)
+	})
+}
+
+// matUseAVX2 is internal/mat's switch between its AVX2 row kernels and the Go
+// loops they replace.
+//
+//go:linkname matUseAVX2 streampca/internal/mat.useAVX2
+var matUseAVX2 bool
+
+func leadingBasisMatchesFullSolve(t *testing.T, mxmOnly bool) {
 	const n, k = 300, 3
 	rp := []sketch.Family{sketch.FamilyRandProj}
 	both := []sketch.Family{sketch.FamilyRandProj, sketch.FamilyFD}
@@ -205,6 +225,9 @@ func TestLeadingBasisMatchesFullSolve(t *testing.T) {
 					continue // rejected by NewDetector
 				}
 				smallSide := c.smallSide && family == sketch.FamilyRandProj
+				if mxmOnly && smallSide {
+					continue
+				}
 				name := fmt.Sprintf("m=%d/l=%d/%v/%v", m, l, family, mode)
 				sketchLen := l
 				if family == sketch.FamilyFD {

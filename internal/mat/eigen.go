@@ -486,16 +486,40 @@ func tridiagonalize(z []float64, n int, d, e []float64) {
 		}
 		// Apply the similarity transformation to the leading i×i block:
 		// e ← A·u/h, then A ← A − u·qᵀ − q·uᵀ with q = e − (uᵀe/2h)·u.
-		zi := z[i*n : i*n+i]
-		for j := 0; j < i; j++ {
-			f = d[j]
-			zi[j] = f
-			zj := z[j*n : j*n+i]
-			g = e[j] + zj[j]*f
-			for k := j + 1; k < i; k++ {
-				g += zj[k] * d[k]
-				e[k] += zj[k] * f
+		// Row j adds zj[k]·d[j] into e[k] for k > j, then e[j] becomes
+		// e[j] + Σ_{k≥j} zj[k]·d[k], summed in k order. Rows go four at a
+		// time: their scatters in row order, then their four sums side by
+		// side, each in its own k order, so every e[j] keeps its bits.
+		du := d[:i]
+		copy(z[i*n:], du)
+		j := 0
+		for ; j+4 <= i; j += 4 {
+			z0, z1, z2, z3 := z[j*n:][:i], z[(j+1)*n:][:i], z[(j+2)*n:][:i], z[(j+3)*n:][:i]
+			d0, d1, d2, d3 := du[j], du[j+1], du[j+2], du[j+3]
+			addMul(e[j+1:i], z0[j+1:], d0)
+			addMul(e[j+2:i], z1[j+2:], d1)
+			addMul(e[j+3:i], z2[j+3:], d2)
+			addMul(e[j+4:i], z3[j+4:], d3)
+			g0 := e[j] + z0[j]*d0 + z0[j+1]*d1 + z0[j+2]*d2 + z0[j+3]*d3
+			g1 := e[j+1] + z1[j+1]*d1 + z1[j+2]*d2 + z1[j+3]*d3
+			g2 := e[j+2] + z2[j+2]*d2 + z2[j+3]*d3
+			g3 := e[j+3] + z3[j+3]*d3
+			for k := j + 4; k < i; k++ {
+				dk := du[k]
+				g0 += z0[k] * dk
+				g1 += z1[k] * dk
+				g2 += z2[k] * dk
+				g3 += z3[k] * dk
 			}
+			e[j], e[j+1], e[j+2], e[j+3] = g0, g1, g2, g3
+		}
+		for ; j < i; j++ {
+			zj := z[j*n:][:i]
+			g = e[j] + zj[j]*du[j]
+			for k := j + 1; k < i; k++ {
+				g += zj[k] * du[k]
+			}
+			addMul(e[j+1:i], zj[j+1:], du[j])
 			e[j] = g
 		}
 		f = 0
@@ -510,9 +534,7 @@ func tridiagonalize(z []float64, n int, d, e []float64) {
 		for j := 0; j < i; j++ {
 			f, g = d[j], e[j]
 			zj := z[j*n : j*n+i]
-			for k := j; k < i; k++ {
-				zj[k] -= f*e[k] + g*d[k]
-			}
+			subMul2(zj[j:], e[j:i], d[j:i], f, g)
 			d[j] = zj[i-1]
 			z[j*n+i] = 0
 		}

@@ -276,8 +276,13 @@ func gramLike(n int) []float64 {
 // shape of the same backward error; the prescribed λ and Q carry the rounding
 // of forming A, which these bounds cover.
 //
-// The leading factorization runs over the same table through checkLeading.
+// The leading factorization runs over the same table through checkLeading,
+// and everything runs on both row-update paths (onBothKernelPaths).
 func TestSymEigenPrescribedDecompositions(t *testing.T) {
+	onBothKernelPaths(t, symEigenPrescribedDecompositions)
+}
+
+func symEigenPrescribedDecompositions(t *testing.T) {
 	const eps = 0x1p-52
 	rng := rand.New(rand.NewSource(26))
 	type eigenCase struct {
@@ -504,11 +509,16 @@ func checkLeading(t *testing.T, name string, a *Matrix, ql *EigenSym) {
 // reference under internal/pca, the oracle and the evaluation goldens, so a
 // refactor of the Householder + QL stages must not move it by one ulp. The
 // digests were recorded on amd64; an architecture that fuses multiply-adds
-// rounds differently and skips.
+// rounds differently and skips. The AVX2 row kernels and the Go loops they
+// replace must both give these digests.
 func TestSymEigenPinnedDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests recorded on amd64, running on %s", runtime.GOARCH)
 	}
+	onBothKernelPaths(t, symEigenPinnedDigests)
+}
+
+func symEigenPinnedDigests(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	cases := []struct {
 		name string

@@ -51,11 +51,10 @@ func RowGramInto(dst *Matrix, rows [][]float64) error {
 // upper triangle, out[a][b] += row[a]·row[b] for b ≥ a, which is then mirrored
 // into the lower one. Rows are consumed in pairs — the panel is streamed once
 // per pair instead of once per row, and the two accumulation chains pipeline.
-// The rows are resliced to length c and each panel row's operands to the
-// panel row's length, so the compiler drops the inner loops' bounds checks.
-// Zero entries skip their inner sweep entirely (the sketch matrices this
-// kernel serves are sparse for the sparse projection families); the skip only
-// elides adding ra·row[b] terms that are exactly ±0.
+// Each panel row's update is addMul2 or addMul (rowops.go), an AVX2 kernel
+// where the CPU has one. Zero entries skip their inner sweep entirely (the
+// sketch matrices this kernel serves are sparse for the sparse projection
+// families); the skip only elides adding ra·row[b] terms that are exactly ±0.
 func gramInto(out *Matrix, rows int, row func(int) []float64) {
 	c := out.cols
 	clear(out.data)
@@ -65,20 +64,13 @@ func gramInto(out *Matrix, rows int, row func(int) []float64) {
 		for a := 0; a < c; a++ {
 			r0, r1 := row0[a], row1[a]
 			orow := out.data[a*c+a : (a+1)*c]
-			x0, x1 := row0[a:][:len(orow)], row1[a:][:len(orow)]
 			switch {
 			case r0 != 0 && r1 != 0:
-				for b := range orow {
-					orow[b] += r0*x0[b] + r1*x1[b]
-				}
+				addMul2(orow, row0[a:], row1[a:], r0, r1)
 			case r0 != 0:
-				for b := range orow {
-					orow[b] += r0 * x0[b]
-				}
+				addMul(orow, row0[a:], r0)
 			case r1 != 0:
-				for b := range orow {
-					orow[b] += r1 * x1[b]
-				}
+				addMul(orow, row1[a:], r1)
 			}
 		}
 	}
@@ -89,11 +81,7 @@ func gramInto(out *Matrix, rows int, row func(int) []float64) {
 			if ra == 0 {
 				continue
 			}
-			orow := out.data[a*c+a : (a+1)*c]
-			x := r[a:][:len(orow)]
-			for b := range orow {
-				orow[b] += ra * x[b]
-			}
+			addMul(out.data[a*c+a:(a+1)*c], r[a:], ra)
 		}
 	}
 	for b := 1; b < c; b++ {

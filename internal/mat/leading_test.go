@@ -159,8 +159,13 @@ func checkClusters(t *testing.T, name string, a *Matrix, values []float64, group
 // TestSymEigenLeadingClusters holds the leading factorization to
 // checkClusters' bounds on prescribed spectra whose leading groups are forced
 // ties and clusters of relative width 10⁻¹⁴ to 10⁻³, at the sizes the model
-// build sees: n = 8, the deployed m = 81 and 144, and l = 100.
+// build sees: n = 8, the deployed m = 81 and 144, and l = 100, on both
+// row-update paths (onBothKernelPaths).
 func TestSymEigenLeadingClusters(t *testing.T) {
+	onBothKernelPaths(t, symEigenLeadingClusters)
+}
+
+func symEigenLeadingClusters(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, n := range []int{8, 81, 100, 144} {
 		for first := range clusterWidths {

@@ -233,10 +233,7 @@ func (m *Matrix) TMulVecTo(dst, v []float64) error {
 		if vi == 0 {
 			continue
 		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, rv := range row {
-			dst[j] += vi * rv
-		}
+		addMul(dst, m.data[i*m.cols:(i+1)*m.cols], vi)
 	}
 	return nil
 }
