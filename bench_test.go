@@ -627,37 +627,50 @@ func BenchmarkGram(b *testing.B) {
 }
 
 // BenchmarkMonitorUpdate sizes the per-interval sketch update at a
-// fat-monitor flow count (1024 flows on one box).
+// fat-monitor flow count (1024 flows on one box, n = 4096, ε = 0.1: buckets
+// merge) and at the deployed monitor shapes, n = 144, l = 100, ε = 0.02, where
+// every bucket is a singleton: 27 flows (the flat-* workloads' monitors) and
+// 24 (fed-wide's). The deployed cells first fill their window twice, so every
+// timed update expires one element.
 func BenchmarkMonitorUpdate(b *testing.B) {
-	const flows = 1024
-	const window = 4096
-	b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
-		gen, err := randproj.NewGenerator(randproj.Config{Seed: 1, SketchLen: 100, WindowLen: window})
-		if err != nil {
-			b.Fatal(err)
-		}
-		flowIDs := make([]int, flows)
-		for j := range flowIDs {
-			flowIDs[j] = j
-		}
-		mon, err := core.NewMonitor(core.MonitorConfig{
-			FlowIDs: flowIDs, WindowLen: window, Epsilon: 0.1, Gen: gen,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(2))
-		volumes := make([]float64, flows)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range volumes {
-				volumes[j] = 1000 + 50*rng.NormFloat64()
-			}
-			if err := mon.Update(int64(i+1), volumes); err != nil {
+	for _, c := range []struct {
+		flows, window, warm int
+		eps                 float64
+	}{
+		{1024, 4096, 0, 0.1},
+		{27, 144, 2 * 144, 0.02},
+		{24, 144, 2 * 144, 0.02},
+	} {
+		b.Run(fmt.Sprintf("flows=%d/n=%d", c.flows, c.window), func(b *testing.B) {
+			gen, err := randproj.NewGenerator(randproj.Config{Seed: 1, SketchLen: 100, WindowLen: c.window})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			flowIDs := make([]int, c.flows)
+			for j := range flowIDs {
+				flowIDs[j] = j
+			}
+			mon, err := core.NewMonitor(core.MonitorConfig{
+				FlowIDs: flowIDs, WindowLen: c.window, Epsilon: c.eps, Gen: gen,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(2))
+			volumes := make([]float64, c.flows)
+			for i := 0; i < c.warm+b.N; i++ {
+				if i == c.warm {
+					b.ResetTimer()
+				}
+				for j := range volumes {
+					volumes[j] = 1000 + 50*rng.NormFloat64()
+				}
+				if err := mon.Update(int64(i+1), volumes); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkFDUpdate measures the Frequent Directions sketcher's per-interval

@@ -43,6 +43,32 @@ step "go vet (GOOS=linux GOARCH=arm64, the build without assembly)"
 GOOS=linux GOARCH=arm64 go vet ./...
 step_done
 
+# The row kernels and their Go loops round every product before they add it
+# (DESIGN §3.7), so sketches and models keep their bits on every GOARCH and
+# CPU: no fused multiply-add in the assembly, and none that the arm64 compiler
+# (which fuses x*y + z unless the product is converted) attributes to
+# internal/mat/rowops.go, where the Go loops live. The -S listing must show
+# rowops.go at all, or the second check would pass on nothing.
+step "no fused multiply-add (internal/**/*.s; GOARCH=arm64 internal/mat/rowops.go)"
+FUSED=$(find internal -name '*.s' -exec grep -HnE 'VF(N)?M(ADD|SUB)' {} + || true)
+if [ -n "$FUSED" ]; then
+    echo "fused multiply-add in the assembly:" >&2
+    echo "$FUSED" >&2
+    exit 1
+fi
+ROWOPS=$(GOOS=linux GOARCH=arm64 go build -gcflags=-S ./internal/mat 2>&1 | grep -E 'rowops\.go:[0-9]+\)' || true)
+if [ -z "$ROWOPS" ]; then
+    echo "the arm64 -S listing of internal/mat shows no rowops.go line" >&2
+    exit 1
+fi
+FUSED=$(echo "$ROWOPS" | grep -E '[[:space:]]F(N)?M(ADD|SUB)[DS][[:space:]]' || true)
+if [ -n "$FUSED" ]; then
+    echo "the arm64 build fuses a multiply-add in internal/mat/rowops.go:" >&2
+    echo "$FUSED" >&2
+    exit 1
+fi
+step_done
+
 step "go build"
 go build ./...
 GOOS=darwin go build ./...

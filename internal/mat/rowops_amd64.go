@@ -1,6 +1,6 @@
 package mat
 
-// The AVX2 kernels in rowops_amd64.s. Each reads x and y over len(o).
+// The AVX2 kernels in rowops_amd64.s. Each reads its rows over len(o) (len(z)).
 
 //go:noescape
 func addMulAVX2(o, x []float64, a float64)
@@ -10,6 +10,9 @@ func addMul2AVX2(o, x, y []float64, a, b float64)
 
 //go:noescape
 func subMul2AVX2(o, x, y []float64, a, b float64)
+
+//go:noescape
+func slideSumsAVX2(z, r, x, y []float64, a, b float64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -116,6 +116,57 @@ done:
 	VZEROUPPER
 	RET
 
+// func slideSumsAVX2(z, r, x, y []float64, a, b float64)
+TEXT ·slideSumsAVX2(SB), NOSPLIT, $0-112
+	MOVQ         z_base+0(FP), DI
+	MOVQ         z_len+8(FP), CX
+	MOVQ         r_base+24(FP), R8
+	MOVQ         x_base+48(FP), SI
+	MOVQ         y_base+72(FP), DX
+	VBROADCASTSD a+96(FP), Y0
+	VBROADCASTSD b+104(FP), Y1
+	XORQ         AX, AX
+	MOVQ         CX, BX
+	ANDQ         $-4, BX
+	JZ           tail
+
+loop:
+	VMOVUPD (SI)(AX*8), Y2
+	VMOVUPD (DX)(AX*8), Y3
+	VMULPD  Y2, Y0, Y4
+	VADDPD  (DI)(AX*8), Y4, Y4
+	VMULPD  Y3, Y1, Y5
+	VADDPD  Y5, Y4, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	VMOVUPD (R8)(AX*8), Y6
+	VSUBPD  Y2, Y6, Y6
+	VADDPD  Y3, Y6, Y6
+	VMOVUPD Y6, (R8)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, BX
+	JB      loop
+
+tail:
+	CMPQ   AX, CX
+	JAE    done
+	VMOVSD (SI)(AX*8), X2
+	VMOVSD (DX)(AX*8), X3
+	VMULSD X2, X0, X4
+	VADDSD (DI)(AX*8), X4, X4
+	VMULSD X3, X1, X5
+	VADDSD X5, X4, X4
+	VMOVSD X4, (DI)(AX*8)
+	VMOVSD (R8)(AX*8), X6
+	VSUBSD X2, X6, X6
+	VADDSD X3, X6, X6
+	VMOVSD X6, (R8)(AX*8)
+	INCQ   AX
+	JMP    tail
+
+done:
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

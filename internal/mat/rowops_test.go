@@ -52,8 +52,9 @@ func kernelValue(rng *rand.Rand) float64 {
 // loop it replaces on every length 0…67 (the rows shorter than minKernelLen,
 // which the dispatch keeps in Go, included), in the shapes gramInto and
 // tridiagonalize use: o a row's tail at every alignment, x and y the
-// same-offset tails of other rows. Every element of the backing arrays, the
-// ones past len(o) included, must come back with the same bits.
+// same-offset tails of other rows. SlideSums writes a second row, p, at o's
+// offset. Every element of the backing arrays, the ones past len(o) included,
+// must come back with the same bits.
 func TestRowKernelsMatchGoLoops(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 kernels on this CPU")
@@ -63,26 +64,36 @@ func TestRowKernelsMatchGoLoops(t *testing.T) {
 	const width = 67 + 4
 	kernels := []struct {
 		name         string
-		kernel, loop func(o, x, y []float64, a, b float64)
+		kernel, loop func(o, p, x, y []float64, a, b float64)
 	}{
 		{"addMul",
-			func(o, x, _ []float64, a, _ float64) { addMulAVX2(o, x[:len(o)], a) },
-			func(o, x, _ []float64, a, _ float64) { addMul(o, x, a) }},
-		{"addMul2", func(o, x, y []float64, a, b float64) { addMul2AVX2(o, x[:len(o)], y[:len(o)], a, b) }, addMul2},
-		{"subMul2", func(o, x, y []float64, a, b float64) { subMul2AVX2(o, x[:len(o)], y[:len(o)], a, b) }, subMul2},
+			func(o, _, x, _ []float64, a, _ float64) { addMulAVX2(o, x[:len(o)], a) },
+			func(o, _, x, _ []float64, a, _ float64) { addMul(o, x, a) }},
+		{"addMul2",
+			func(o, _, x, y []float64, a, b float64) { addMul2AVX2(o, x[:len(o)], y[:len(o)], a, b) },
+			func(o, _, x, y []float64, a, b float64) { addMul2(o, x, y, a, b) }},
+		{"subMul2",
+			func(o, _, x, y []float64, a, b float64) { subMul2AVX2(o, x[:len(o)], y[:len(o)], a, b) },
+			func(o, _, x, y []float64, a, b float64) { subMul2(o, x, y, a, b) }},
+		{"SlideSums",
+			func(o, p, x, y []float64, a, b float64) {
+				slideSumsAVX2(o, p[:len(o)], x[:len(o)], y[:len(o)], a, b)
+			},
+			SlideSums},
 	}
 	fill := func(s []float64) {
 		for i := range s {
 			s[i] = kernelValue(rng)
 		}
 	}
-	o, x, y := make([]float64, width+4), make([]float64, width), make([]float64, width)
-	want, got := make([]float64, len(o)), make([]float64, len(o))
+	o, p, x, y := make([]float64, width+4), make([]float64, width+4), make([]float64, width), make([]float64, width)
+	want, got := make([]float64, 2*len(o)), make([]float64, 2*len(o))
 	useAVX2 = false
 	for _, k := range kernels {
 		for n := 0; n <= 67; n++ {
 			for trial := 0; trial < 24; trial++ {
 				fill(o)
+				fill(p)
 				fill(x)
 				fill(y)
 				a, b := kernelValue(rng), kernelValue(rng)
@@ -93,12 +104,15 @@ func TestRowKernelsMatchGoLoops(t *testing.T) {
 					off = trial / 2 % 4
 				}
 				copy(want, o)
-				copy(got, o)
-				k.loop(want[off:off+n], x[off:], y[off:], a, b)
-				k.kernel(got[off:off+n], x[off:], y[off:], a, b)
+				copy(want[len(o):], p)
+				copy(got, want)
+				lo, lp := want[:len(o)], want[len(o):]
+				ko, kp := got[:len(o)], got[len(o):]
+				k.loop(lo[off:off+n], lp[off:], x[off:], y[off:], a, b)
+				k.kernel(ko[off:off+n], kp[off:], x[off:], y[off:], a, b)
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s len %d at offset %d, a=%v b=%v: element %d is %v (%#x), Go loop %v (%#x)",
+						t.Fatalf("%s len %d at offset %d, a=%v b=%v: element %d of o|p is %v (%#x), Go loop %v (%#x)",
 							k.name, n, off, a, b, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 					}
 				}

@@ -34,13 +34,6 @@ func Norm(v []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// AddScaled computes dst += s·src in place.
-func AddScaled(dst []float64, s float64, src []float64) {
-	for i, v := range src {
-		dst[i] += s * v
-	}
-}
-
 // ScaleVec multiplies v by s in place.
 func ScaleVec(v []float64, s float64) {
 	for i := range v {

@@ -63,9 +63,10 @@ func checkStorage(t testing.TB, h *Histogram) {
 // that jump between unit and 1e12 magnitude — and after every update checks
 // the storage invariants, the totals against the bucket list (checkTotals),
 // Count/EstimateMean/Sketch against a brute-force pass over the covered
-// suffix with rows regenerated from the generator, and Lemma 1 against the
-// exact window. Volumes are non-negative, as a monitor's are and as the
-// documented totals bound assumes.
+// suffix with rows regenerated from the generator, Lemma 1 against the
+// exact window, and a twin fed the same sequence through the passes Update's
+// one pass replaces (checkTwin). Volumes are non-negative, as a monitor's are
+// and as the documented totals bound assumes.
 func FuzzHistogramAgainstWindow(f *testing.F) {
 	header := func(n int, eps, l, start byte) []byte {
 		return []byte{byte(n - 1), byte((n - 1) >> 8), eps, l, start}
@@ -107,6 +108,10 @@ func FuzzHistogramAgainstWindow(f *testing.F) {
 			gen, cfg.Gen = newGenRing(t, 7, l, n)
 		}
 		h := mustHist(t, cfg)
+		if l > 0 {
+			cfg.Gen = newRing(t, 7, l, n)
+		}
+		twin := mustHist(t, cfg)
 
 		var ts []int64
 		var xs []float64
@@ -139,6 +144,7 @@ func FuzzHistogramAgainstWindow(f *testing.F) {
 
 			updateChecked(t, h, ti, x)
 			checkStorage(t, h)
+			checkTwin(t, h, twin, ti, x)
 
 			// Brute force over the covered suffix.
 			c := int(h.Count())

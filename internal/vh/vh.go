@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 
+	"streampca/internal/mat"
 	"streampca/internal/randproj"
 )
 
@@ -87,6 +88,11 @@ type Config struct {
 	// (no sketch).
 	Gen *randproj.Ring
 }
+
+// onePass lets Update slide the sketch totals in one mat.SlideSums pass when
+// one singleton leaves, one enters and no rebase is due. Only tests clear it,
+// to run the same stream through the expiry and insertion passes it replaces.
+var onePass = true
 
 // cliffFactor is how far the window sum may fall below its peak since the
 // last rebase before expiry rebases at once; see Histogram.
@@ -209,12 +215,20 @@ func (h *Histogram) Update(t int64, x float64) error {
 
 	// Step 1: delete expired buckets. A bucket expires when its oldest
 	// element leaves the window [t−n+1, t].
-	h.expire(t - int64(h.cfg.WindowLen))
+	old, slide := h.expire(t - int64(h.cfg.WindowLen))
 
 	// Step 2: create the singleton bucket B1 for the new element.
 	h.push(bucket{Timestamp: t, Count: 1, Mean: x, slot: noSlot})
-	h.addToTotals(&h.store[len(h.store)-1], 1)
+	h.addScalars(&h.store[len(h.store)-1], 1)
 	h.peakSum = math.Max(h.peakSum, math.Abs(h.totalSum))
+	if slide {
+		// Row t first: after a gap it may take the slot of the row leaving,
+		// which is then regenerated into the ring's scratch row instead.
+		in := h.cfg.Gen.Row(t)
+		mat.SlideSums(h.totalZ, h.totalR, h.cfg.Gen.Row(old.Timestamp), in, -old.Mean, x)
+	} else {
+		h.addRows(&h.store[len(h.store)-1], 1)
+	}
 
 	// Step 3: traverse from the newest side, maintaining the running union
 	// B_B of the p newest buckets, and merge the candidate pair
@@ -227,19 +241,21 @@ func (h *Histogram) Update(t int64, x float64) error {
 
 // expire drops the buckets whose oldest element is at or before the given
 // time, subtracts them from the totals and rebases when a rule of the type
-// comment says so.
-func (h *Histogram) expire(before int64) {
+// comment says so. When one singleton left and no rebase is due, it leaves
+// that bucket's sketch sums to Update's one pass: it returns the bucket and
+// slide = true.
+func (h *Histogram) expire(before int64) (old bucket, slide bool) {
 	live := h.store[h.head:]
 	drop := 0
 	for drop < len(live) && live[drop].Timestamp <= before {
 		drop++
 	}
 	if drop == 0 {
-		return
+		return bucket{}, false
 	}
 	for i := range live[:drop] {
 		b := &live[i]
-		h.addToTotals(b, -1)
+		h.addScalars(b, -1)
 		if b.slot != noSlot {
 			h.free = append(h.free, b.slot)
 		}
@@ -254,7 +270,15 @@ func (h *Histogram) expire(before int64) {
 	}
 	if scheduled || drop == len(live) || h.peakSum > cliffFactor*math.Abs(h.totalSum) {
 		h.rebaseTotals()
+		return bucket{}, false
 	}
+	if onePass && drop == 1 && live[0].slot == noSlot && h.sketchL > 0 {
+		return live[0], true
+	}
+	for i := range live[:drop] {
+		h.addRows(&live[i], -1)
+	}
+	return bucket{}, false
 }
 
 // push appends b to the live buckets, reclaiming the expired prefix of a
@@ -275,29 +299,28 @@ func (h *Histogram) rows(slot int32) (z, r []float64) {
 	return h.slab[base : base+l : base+l], h.slab[base+l : base+2*l : base+2*l]
 }
 
-// addToTotals adds sign·(n_p, n_p·μ_p, Z_p, R_p) to the totals, sign = ±1.
-// The products x·r are rounded before they are added, as a stored Z would
-// be, so the totals do not depend on whether the platform fuses them.
-func (h *Histogram) addToTotals(b *bucket, sign float64) {
+// addScalars adds sign·(n_p, n_p·μ_p) to the totals, sign = ±1.
+func (h *Histogram) addScalars(b *bucket, sign float64) {
 	h.totalCount += int64(sign) * b.Count
 	h.totalSum += sign * (float64(b.Count) * b.Mean)
+}
+
+// addRows adds sign·(Z_p, R_p) to the sketch totals, sign = ±1. mat's row
+// updates round the products x·r before they add them, as a stored Z is
+// rounded, so the totals do not depend on whether the platform fuses them.
+func (h *Histogram) addRows(b *bucket, sign float64) {
 	if h.sketchL == 0 {
 		return
 	}
-	tz, tr := h.totalZ, h.totalR[:len(h.totalZ)]
 	if b.slot == noSlot {
-		x := sign * b.Mean
-		for k, rk := range h.cfg.Gen.Row(b.Timestamp)[:len(tz)] {
-			tz[k] += float64(x * rk)
-			tr[k] += sign * rk
-		}
+		row := h.cfg.Gen.Row(b.Timestamp)
+		mat.AddScaled(h.totalZ, sign*b.Mean, row)
+		mat.AddScaled(h.totalR, sign, row)
 		return
 	}
 	z, r := h.rows(b.slot)
-	for k := range tz {
-		tz[k] += sign * z[k]
-		tr[k] += sign * r[k]
-	}
+	mat.AddScaled(h.totalZ, sign, z)
+	mat.AddScaled(h.totalR, sign, r)
 }
 
 // rebaseTotals recomputes totalCount/totalSum/totalZ/totalR from the bucket
@@ -311,7 +334,8 @@ func (h *Histogram) rebaseTotals() {
 	}
 	live := h.store[h.head:]
 	for i := range live {
-		h.addToTotals(&live[i], 1)
+		h.addScalars(&live[i], 1)
+		h.addRows(&live[i], 1)
 	}
 	h.sinceRebase = 0
 	h.peakSum = math.Abs(h.totalSum)
@@ -332,6 +356,7 @@ func (h *Histogram) mergeRows(older, newer *bucket) {
 			older.slot = int32(len(h.slab) / (2 * h.sketchL))
 			h.slab = append(h.slab, make([]float64, 2*h.sketchL)...)
 		}
+		// A first write, not 0 + x·r: a −0 product stays −0.
 		z, r := h.rows(older.slot)
 		x := older.Mean
 		for k, rk := range h.cfg.Gen.Row(older.Timestamp)[:len(z)] {
@@ -341,18 +366,14 @@ func (h *Histogram) mergeRows(older, newer *bucket) {
 	}
 	z, r := h.rows(older.slot)
 	if newer.slot == noSlot {
-		x := newer.Mean
-		for k, rk := range h.cfg.Gen.Row(newer.Timestamp)[:len(z)] {
-			z[k] += float64(x * rk)
-			r[k] += rk
-		}
+		row := h.cfg.Gen.Row(newer.Timestamp)
+		mat.AddScaled(z, newer.Mean, row)
+		mat.AddScaled(r, 1, row)
 		return
 	}
 	nz, nr := h.rows(newer.slot)
-	for k := range z {
-		z[k] += nz[k]
-		r[k] += nr[k]
-	}
+	mat.AddScaled(z, 1, nz)
+	mat.AddScaled(r, 1, nr)
 	h.free = append(h.free, newer.slot)
 }
 
