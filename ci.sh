@@ -47,26 +47,32 @@ step_done
 # (DESIGN §3.7), so sketches and models keep their bits on every GOARCH and
 # CPU: no fused multiply-add in the assembly, and none that the arm64 compiler
 # (which fuses x*y + z unless the product is converted) attributes to
-# internal/mat/rowops.go, where the Go loops live. The -S listing must show
-# rowops.go at all, or the second check would pass on nothing.
-step "no fused multiply-add (internal/**/*.s; GOARCH=arm64 internal/mat/rowops.go)"
+# internal/mat/rowops.go, where the Go loops live, or to
+# internal/stats/normal.go, whose Horner chains draw every Gaussian projection
+# row. Each -S listing must show its file at all, or the check would pass on
+# nothing.
+step "no fused multiply-add (internal/**/*.s; GOARCH=arm64 rowops.go and normal.go)"
 FUSED=$(find internal -name '*.s' -exec grep -HnE 'VF(N)?M(ADD|SUB)' {} + || true)
 if [ -n "$FUSED" ]; then
     echo "fused multiply-add in the assembly:" >&2
     echo "$FUSED" >&2
     exit 1
 fi
-ROWOPS=$(GOOS=linux GOARCH=arm64 go build -gcflags=-S ./internal/mat 2>&1 | grep -E 'rowops\.go:[0-9]+\)' || true)
-if [ -z "$ROWOPS" ]; then
-    echo "the arm64 -S listing of internal/mat shows no rowops.go line" >&2
-    exit 1
-fi
-FUSED=$(echo "$ROWOPS" | grep -E '[[:space:]]F(N)?M(ADD|SUB)[DS][[:space:]]' || true)
-if [ -n "$FUSED" ]; then
-    echo "the arm64 build fuses a multiply-add in internal/mat/rowops.go:" >&2
-    echo "$FUSED" >&2
-    exit 1
-fi
+no_fused_arm64() {
+    LISTING=$(GOOS=linux GOARCH=arm64 go build -gcflags=-S "./internal/$1" 2>&1 | grep -E "/$2:[0-9]+\)" || true)
+    if [ -z "$LISTING" ]; then
+        echo "the arm64 -S listing of internal/$1 shows no $2 line" >&2
+        exit 1
+    fi
+    FUSED=$(echo "$LISTING" | grep -E '[[:space:]]F(N)?M(ADD|SUB)[DS][[:space:]]' || true)
+    if [ -n "$FUSED" ]; then
+        echo "the arm64 build fuses a multiply-add in internal/$1/$2:" >&2
+        echo "$FUSED" >&2
+        exit 1
+    fi
+}
+no_fused_arm64 mat rowops.go
+no_fused_arm64 stats normal.go
 step_done
 
 step "go build"
@@ -197,6 +203,22 @@ eval_golden() {
 eval_golden oracle -oracle
 eval_golden fig8 -figure 8
 eval_golden fig9 -figure 9
+step_done
+
+# On amd64 the math package takes fused multiply-add paths when the CPU has
+# FMA (math.Exp's, for one), so a result that reads them differs between CPUs.
+# The pinned Gaussian rows, the goldens TestGoldenOutputs holds and -figure 8
+# must come out the same with FMA switched off.
+step "same bits without FMA (GODEBUG=cpu.fma=off: pinned rows, eval goldens)"
+if [ "$(go env GOARCH)" = amd64 ]; then
+    export GODEBUG=cpu.fma=off
+    go test -count=1 -run '^TestGaussianRowsPinned$' ./internal/randproj
+    go test -count=1 -run '^TestGoldenOutputs$' ./cmd/abilene-eval
+    eval_golden fig8 -figure 8
+    unset GODEBUG
+else
+    echo "   GOARCH $(go env GOARCH): cpu.fma is an amd64 switch, skipped"
+fi
 step_done
 
 # The example deployment in both topologies and both sketcher families

@@ -203,10 +203,7 @@ func gaussianFromBits(u uint64) float64 {
 	if p < 1e-17 {
 		p = 1e-17
 	}
-	q, err := stats.NormalQuantile(p)
-	if err != nil {
-		// Unreachable given the clamp; keep the generator total anyway.
-		return 0
-	}
+	// The clamp makes the error unreachable; NormalQuantile returns 0 with it.
+	q, _ := stats.NormalQuantile(p)
 	return q
 }

@@ -1,7 +1,10 @@
 package randproj
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sync"
@@ -185,6 +188,28 @@ func TestRowAgreesWithAt(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGaussianRowsPinned pins the Gaussian rows to the bit: an FNV-64a digest
+// of the little-endian bits of rows t = 1…2000 at seed 777, l = 100. Every
+// monitor and the NOC regenerate these rows on their own, so a change to the
+// quantile that draws them (or a CPU feature it reads, such as FMA on amd64)
+// shows here first; ci.sh reruns this test under GODEBUG=cpu.fma=off.
+func TestGaussianRowsPinned(t *testing.T) {
+	g := mustGen(t, Config{Seed: 777, SketchLen: 100})
+	h := fnv.New64a()
+	row := make([]float64, g.SketchLen())
+	var buf [8]byte
+	for tt := int64(1); tt <= 2000; tt++ {
+		g.RowInto(tt, row)
+		for _, v := range row {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "d22e9d495720f90a"; got != want {
+		t.Fatalf("row digest %s, want %s", got, want)
 	}
 }
 
