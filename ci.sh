@@ -47,11 +47,12 @@ step_done
 # (DESIGN §3.7), so sketches and models keep their bits on every GOARCH and
 # CPU: no fused multiply-add in the assembly, and none that the arm64 compiler
 # (which fuses x*y + z unless the product is converted) attributes to
-# internal/mat/rowops.go, where the Go loops live, or to
-# internal/stats/normal.go, whose Horner chains draw every Gaussian projection
-# row. Each -S listing must show its file at all, or the check would pass on
-# nothing.
-step "no fused multiply-add (internal/**/*.s; GOARCH=arm64 rowops.go and normal.go)"
+# internal/mat/rowops.go, where the Go loops live, to internal/mat/kernels.go,
+# whose Mul and TMulInto form the Frequent Directions shrink's projection, or
+# to internal/stats/normal.go, whose Horner chains draw every Gaussian
+# projection row. Each -S listing must show its file at all, or the check
+# would pass on nothing.
+step "no fused multiply-add (internal/**/*.s; GOARCH=arm64 rowops.go, kernels.go and normal.go)"
 FUSED=$(find internal -name '*.s' -exec grep -HnE 'VF(N)?M(ADD|SUB)' {} + || true)
 if [ -n "$FUSED" ]; then
     echo "fused multiply-add in the assembly:" >&2
@@ -72,6 +73,7 @@ no_fused_arm64() {
     fi
 }
 no_fused_arm64 mat rowops.go
+no_fused_arm64 mat kernels.go
 no_fused_arm64 stats normal.go
 step_done
 
@@ -105,6 +107,24 @@ if [ "$LINES" -ne "$CEILING" ]; then
     exit 1
 fi
 echo "   $LINES effective non-test Go lines, ceiling $CEILING"
+step_done
+
+# The document ceiling (ROADMAP AF): README.md, DESIGN.md and EXPERIMENTS.md
+# must each be exactly as many bytes as DOC_CEILING says, one "file bytes"
+# line each. Like LINE_CEILING it is a ratchet that prints the number to
+# write: a change that grows a document says in CHANGES.md why, and one that
+# shrinks it lowers the ceiling, so text is replaced in place rather than
+# added beside the old.
+step "document ceiling (README.md, DESIGN.md, EXPERIMENTS.md bytes against DOC_CEILING)"
+for doc in README.md DESIGN.md EXPERIMENTS.md; do
+    bytes=$(wc -c < "$doc" | tr -d ' ')
+    ceiling=$(awk -v doc="$doc" '$1 == doc { print $2 }' DOC_CEILING)
+    if [ "$bytes" != "$ceiling" ]; then
+        echo "$doc is $bytes bytes, but DOC_CEILING says '$ceiling'; write \"$doc $bytes\" in DOC_CEILING" >&2
+        exit 1
+    fi
+    echo "   $doc: $bytes bytes, ceiling $ceiling"
+done
 step_done
 
 step "go test"

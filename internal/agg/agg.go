@@ -349,8 +349,10 @@ func (s *Service) pushShardMap(conn *transport.Conn) {
 }
 
 // forwardVolumes sends one merged VolumeReport upstream for an interval in
-// which every currently-owned flow has reported, refilling one report.
+// which every currently-owned flow has reported, refilling one report, and
+// then hands the interval's arrays back to the tier.
 func (s *Service) forwardVolumes(iv tier.Interval) {
+	defer s.down.Load().ReleaseInterval(iv)
 	up := s.up.Conn()
 	if up == nil {
 		return

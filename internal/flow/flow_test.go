@@ -86,6 +86,9 @@ func TestTableInsertValidation(t *testing.T) {
 	if err := tbl.Insert(mustPrefix(t, "10.0.0.0/8"), -1); !errors.Is(err, ErrConfig) {
 		t.Fatalf("negative router: %v", err)
 	}
+	if err := tbl.Insert(mustPrefix(t, "10.0.0.0/8"), 1<<31-1); !errors.Is(err, ErrConfig) {
+		t.Fatalf("router past a slot's range: %v", err)
+	}
 	if err := tbl.Insert(mustPrefix(t, "10.0.0.0/8"), 1); err != nil {
 		t.Fatal(err)
 	}

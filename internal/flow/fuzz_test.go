@@ -27,7 +27,9 @@ func (ref refTable) lookup(a netip.Addr) (RouterID, bool) {
 // lengths nest; the flipped bits make siblings and near misses. Every
 // address at a prefix boundary, base with each bit flipped, and an IPv6
 // address must route to the reference's router or miss with it, and Len
-// must count the reference's distinct prefixes.
+// must count the reference's distinct prefixes. Over three routers, so that
+// router 3 is out of range, FlowIndex from every IPv4 probe to base, to itself
+// and to the next probe must give the reference's flow index or miss with it.
 func FuzzTableLookup(f *testing.F) {
 	f.Add(uint32(0x0a102011), []byte{0, 32, 0, 8, 32, 1, 12, 32, 2, 16, 32, 3, 24, 32, 0, 28, 32, 1, 32, 32, 2})
 	f.Add(uint32(0x0a010000), []byte{8, 32, 1, 16, 32, 1, 16, 14, 2, 17, 15, 3, 16, 32, 3})
@@ -65,6 +67,25 @@ func FuzzTableLookup(f *testing.F) {
 			got, err := tbl.Lookup(a)
 			if (err == nil) != wantOK || got != want {
 				t.Fatalf("Lookup(%v) = %d, %v; reference %d, %v", a, got, err, want, wantOK)
+			}
+		}
+		agg, err := NewAggregator(tbl, 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v4 := append(probes[:1:1], probes[2:]...)
+		for i, src := range v4 {
+			for _, dst := range []netip.Addr{v4[0], src, v4[(i+1)%len(v4)]} {
+				o, okO := ref.lookup(src)
+				d, okD := ref.lookup(dst)
+				wantOK := okO && okD && o < 3 && d < 3
+				want := 0
+				if wantOK {
+					want = int(o)*3 + int(d)
+				}
+				if got, ok := agg.FlowIndex(src.As4(), dst.As4()); ok != wantOK || got != want {
+					t.Fatalf("FlowIndex(%v, %v) = %d, %v; reference %d, %v", src, dst, got, ok, want, wantOK)
+				}
 			}
 		}
 	})

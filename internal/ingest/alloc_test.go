@@ -3,6 +3,7 @@ package ingest
 import (
 	"net/netip"
 	"testing"
+	"time"
 )
 
 // TestIngestHotPathZeroAlloc pins the steady-state decode+fold path to zero
@@ -50,5 +51,29 @@ func TestIngestHotPathZeroAlloc(t *testing.T) {
 				t.Fatalf("unroutable records counted: %v, want %v", got, want)
 			}
 		})
+	}
+}
+
+// TestSealedDeliveryAllocatesOnlyTheRow: with tracing off, handing a sealed
+// epoch to a sink that copies it out allocates nothing but the epoch's row,
+// which the fold made: the seal span's attributes are built only when there
+// is a span.
+func TestSealedDeliveryAllocatesOnlyTheRow(t *testing.T) {
+	kept := make([]float64, testAggregator(t).NumFlows())
+	p, _ := newTestPipeline(t, func(c *Config) {
+		c.Sink = func(iv Interval) error {
+			copy(kept, iv.Volumes)
+			return nil
+		}
+	})
+	defer func() { _ = p.Close() }()
+	row := make([]float64, len(kept))
+	seq := int64(1000)
+	avg := testing.AllocsPerRun(100, func() {
+		seq++
+		p.deliver(seq, sealed{epoch: 1_200_000_000 + seq, row: row, records: 4000 + seq, sealedAt: time.Now()})
+	})
+	if avg != 0 {
+		t.Fatalf("a sealed delivery allocates %.2f times beyond its row, want 0", avg)
 	}
 }

@@ -27,13 +27,15 @@ func FuzzDecodeDatagram(f *testing.F) {
 	corrupt[1] = 9 // bad version
 	f.Add(corrupt)
 
+	agg := testAggregator(f)
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		// The pipeline's batch decoder must agree with the reference decoder
 		// on accept/reject and, for accepted datagrams, on every field the
-		// shards consume (header, endpoint addresses, octet counts).
+		// fold consumes (header, the flow the endpoint addresses route to,
+		// octet counts).
 		var slab recSlab
 		var sh Header
-		serr := decodeRecords(buf, &sh, &slab)
+		serr := decodeRecords(buf, &sh, &slab, agg)
 		var d Datagram
 		if err := DecodeDatagram(buf, &d); err != nil {
 			if serr == nil {
@@ -52,9 +54,13 @@ func FuzzDecodeDatagram(f *testing.F) {
 		}
 		for i := range d.Records {
 			r, want := &slab.recs[i], &d.Records[i]
-			if r.src != want.SrcAddr.As4() || r.dst != want.DstAddr.As4() || r.octets != want.Octets {
-				t.Fatalf("record %d: slab %v/%v/%d vs %v/%v/%d", i,
-					r.src, r.dst, r.octets, want.SrcAddr.As4(), want.DstAddr.As4(), want.Octets)
+			id, ok := agg.FlowIndex(want.SrcAddr.As4(), want.DstAddr.As4())
+			if !ok {
+				id = -1
+			}
+			if r.flow != id || r.octets != want.Octets {
+				t.Fatalf("record %d: slab flow %d, %d octets vs %v→%v (flow %d), %d octets", i,
+					r.flow, r.octets, want.SrcAddr, want.DstAddr, id, want.Octets)
 			}
 		}
 		// Semantic round trip: whatever decodes must re-encode to a

@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+
+	"streampca/internal/flow"
 )
 
 // Errors returned by the package.
@@ -166,11 +168,11 @@ func DecodeDatagram(buf []byte, d *Datagram) error {
 	return nil
 }
 
-// rec is the compact per-record view the pipeline folds: the OD lookup needs
-// only the endpoint addresses, and the volume row only the bytes.
+// rec is one record as the fold adds it: its OD flow index, -1 when an
+// address matches no prefix, and its bytes.
 type rec struct {
-	src, dst [4]byte
-	octets   uint32
+	flow   int
+	octets uint32
 }
 
 // recSlab is the fixed-capacity arena one datagram's records decode into. It
@@ -185,10 +187,11 @@ type recSlab struct {
 // like DecodeDatagram (same length, version and count checks, so the two
 // paths accept and reject identical inputs — pinned by FuzzDecodeDatagram)
 // but parses only the fields the fold consumes — endpoint addresses and
-// octet counts — straight into slab, skipping the netip.Addr conversions and
-// the ten unused per-record fields. It allocates nothing, whatever the
-// input.
-func decodeRecords(buf []byte, h *Header, slab *recSlab) error {
+// octet counts — and routes the addresses through agg as it goes, storing
+// each record's flow index and octets in slab. It skips the netip.Addr
+// conversions and the ten unused per-record fields, and allocates nothing,
+// whatever the input.
+func decodeRecords(buf []byte, h *Header, slab *recSlab, agg *flow.Aggregator) error {
 	if len(buf) < HeaderLen {
 		return fmt.Errorf("%w: %d bytes, header needs %d", ErrDecode, len(buf), HeaderLen)
 	}
@@ -214,10 +217,11 @@ func decodeRecords(buf []byte, h *Header, slab *recSlab) error {
 	n := int(h.Count)
 	for i := 0; i < n; i++ {
 		b := buf[HeaderLen+i*RecordLen : HeaderLen+(i+1)*RecordLen]
-		r := &slab.recs[i]
-		r.src = [4]byte(b[0:4])
-		r.dst = [4]byte(b[4:8])
-		r.octets = binary.BigEndian.Uint32(b[20:24])
+		id, ok := agg.FlowIndex([4]byte(b[0:4]), [4]byte(b[4:8]))
+		if !ok {
+			id = -1
+		}
+		slab.recs[i] = rec{flow: id, octets: binary.BigEndian.Uint32(b[20:24])}
 	}
 	slab.n = n
 	return nil

@@ -3,7 +3,6 @@ package ingest
 import (
 	"fmt"
 	"log/slog"
-	"net/netip"
 	"sync"
 	"time"
 
@@ -243,14 +242,14 @@ func (p *Pipeline) HandleDatagram(buf []byte) error {
 		}
 	}
 
-	// Decode before taking the lock, into a slab on this goroutine's stack:
-	// the per-record parse of concurrent callers overlaps, and the locked
-	// part is the table lookup and the add.
+	// Decode and route before taking the lock, into a slab on this
+	// goroutine's stack: the per-record parse and table walks of concurrent
+	// callers overlap, and the locked part is the add.
 	var (
 		h    Header
 		slab recSlab
 	)
-	if err := decodeRecords(buf, &h, &slab); err != nil {
+	if err := decodeRecords(buf, &h, &slab, p.agg); err != nil {
 		p.met.DecodeErrors.Inc()
 		return nil
 	}
@@ -298,7 +297,7 @@ func (p *Pipeline) HandleDatagram(buf []byte) error {
 }
 
 // foldLocked adds recs to epoch's accumulator row. Records whose addresses
-// match no prefix are counted and left out; the miss allocates nothing
+// matched no prefix are counted and left out; the miss allocates nothing
 // either (TestIngestHotPathZeroAlloc).
 func (p *Pipeline) foldLocked(epoch int64, recs []rec) {
 	a := p.acc[epoch]
@@ -307,14 +306,12 @@ func (p *Pipeline) foldLocked(epoch int64, recs []rec) {
 		p.acc[epoch] = a
 	}
 	var unroutable int64
-	for i := range recs {
-		r := &recs[i]
-		id, ok := p.agg.FlowIndex(netip.AddrFrom4(r.src), netip.AddrFrom4(r.dst))
-		if !ok {
+	for _, r := range recs {
+		if r.flow < 0 {
 			unroutable++
 			continue
 		}
-		a.row[id] += float64(r.octets)
+		a.row[r.flow] += float64(r.octets)
 	}
 	a.records += int64(len(recs)) - unroutable
 	if unroutable > 0 {
@@ -356,11 +353,16 @@ func (p *Pipeline) deliverLoop() {
 
 // deliver hands one sealed epoch to the sink as interval seq.
 func (p *Pipeline) deliver(seq int64, s sealed) {
-	sp := p.cfg.Trace.Start(trace.ForInterval(seq), 0, "ingest.seal",
-		trace.I("interval", seq),
-		trace.I("epoch", s.epoch),
-		trace.I("records", s.records),
-		trace.B("partial", s.partial))
+	// Attributes are built only for a span: boxing them costs allocations
+	// every interval even when tracing is off.
+	sp := p.cfg.Trace.Start(trace.ForInterval(seq), 0, "ingest.seal")
+	if sp != nil {
+		sp.SetAttr(
+			trace.I("interval", seq),
+			trace.I("epoch", s.epoch),
+			trace.I("records", s.records),
+			trace.B("partial", s.partial))
+	}
 	volumes := s.row
 	if volumes == nil {
 		volumes = make([]float64, p.agg.NumFlows())

@@ -1,10 +1,10 @@
 package mat
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // EigenSym holds the eigendecomposition A = V·diag(Values)·Vᵀ of a symmetric
@@ -15,6 +15,11 @@ type EigenSym struct {
 	Values []float64
 	// Vectors is the n×n orthonormal matrix whose columns are eigenvectors.
 	Vectors *Matrix
+
+	// buf and idx are Factor's storage: Values and the QL iteration's
+	// scratch (6n), the component lists and the sort order (3n).
+	buf []float64
+	idx []int
 }
 
 // maxQLIterations bounds the implicit QL iteration per eigenvalue. EISPACK's
@@ -42,90 +47,123 @@ const maxQLIterations = 30
 // ErrNotFinite for NaN/Inf entries and ErrNoConverge if an eigenvalue does
 // not settle within maxQLIterations or the iteration overflows.
 func SymEigen(a *Matrix) (*EigenSym, error) {
-	z, err := symmetrized(a)
-	if err != nil {
+	e := new(EigenSym)
+	if err := e.Factor(a.Clone()); err != nil {
 		return nil, err
 	}
-	n := z.rows
-	blocks := components(z)
-	if len(blocks) <= 1 {
-		d, err := qlEigen(z)
-		if err != nil {
-			return nil, err
-		}
-		return finishEigen(d, z), nil
+	return e, nil
+}
+
+// Factor is SymEigen into e, for a caller that keeps e from solve to solve:
+// it overwrites a with the working copy ½(A+Aᵀ) and then with scratch, and
+// reuses e's storage, Values and Vectors included, whenever it is large
+// enough, so a solve at a size e has seen allocates nothing. Values and
+// Vectors are valid up to the next Factor. The errors are SymEigen's.
+func (e *EigenSym) Factor(a *Matrix) error {
+	if err := symmetrize(a); err != nil {
+		return err
 	}
+	n := a.rows
+	if len(e.buf) < 6*n {
+		e.buf, e.idx = make([]float64, 6*n), make([]int, 3*n)
+	}
+	if e.Vectors == nil || e.Vectors.rows != n || e.Vectors.cols != n {
+		e.Vectors = NewMatrix(n, n)
+	}
+	buf := e.buf
+	var d, ds, es []float64
+	for _, s := range []*[]float64{&e.Values, &d, &ds, &es} {
+		*s, buf = buf[:n:n], buf[n:]
+	}
+	cs := buf[: 0 : 2*n]
+	perm, ends, order := e.idx[:n], e.idx[n:2*n], e.idx[2*n:3*n]
 	// A block's eigenpairs take the slots of its indices: d[idx[i]] is its
-	// i-th eigenvalue, row idx[i] of vt that eigenvector scattered to n. A
-	// diagonal matrix, n blocks of one, thus reaches finishEigen exactly as
-	// the whole-matrix path hands it over, and sorts the same.
-	d, vt := make([]float64, n), NewMatrix(n, n)
-	for _, idx := range blocks {
+	// i-th eigenvalue, row idx[i] of a that eigenvector scattered to n. The
+	// row's other entries lie in other blocks' columns, zero and read by no
+	// later block, and are cleared. A diagonal matrix, n blocks of one, thus
+	// reaches finish exactly as the whole-matrix path hands it over, and
+	// sorts the same. A block solves in Vectors' storage, which finish
+	// overwrites last.
+	lo := 0
+	for _, hi := range components(a, perm, ends, order) {
+		idx := perm[lo:hi]
+		lo = hi
+		if len(idx) == n {
+			if err := qlEigen(a, d, es, cs); err != nil {
+				return err
+			}
+			break
+		}
 		k := len(idx)
-		sub := NewMatrix(k, k)
+		sub := Matrix{rows: k, cols: k, data: e.Vectors.data[:k*k]}
 		for i, r := range idx {
 			for j, c := range idx {
-				sub.data[i*k+j] = z.data[r*n+c]
+				sub.data[i*k+j] = a.data[r*n+c]
 			}
 		}
-		ds, err := qlEigen(sub)
-		if err != nil {
-			return nil, err
+		if err := qlEigen(&sub, ds[:k], es[:k], cs[:0:2*k]); err != nil {
+			return err
 		}
 		for i, r := range idx {
 			d[r] = ds[i]
+			row := a.data[r*n : (r+1)*n]
+			clear(row)
 			for j, c := range idx {
-				vt.data[r*n+c] = sub.data[i*k+j]
+				row[c] = sub.data[i*k+j]
 			}
 		}
 	}
-	return finishEigen(d, vt), nil
+	e.finish(d, a, order)
+	return nil
 }
 
-// qlEigen runs tred2 + tql2 on the symmetric z in place and returns the
-// eigenvalues (unsorted), leaving row i of z the eigenvector of the i-th.
-func qlEigen(z *Matrix) ([]float64, error) {
+// qlEigen runs tred2 + tql2 on the symmetric z in place, with d, e (length n)
+// and cs (capacity 2n) for scratch. It leaves the eigenvalues, unsorted, in d
+// and row i of z the eigenvector of d[i].
+func qlEigen(z *Matrix, d, e, cs []float64) error {
 	n := z.rows
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
-	d, e := make([]float64, n), make([]float64, n)
 	tridiagonalize(z.data, n, d, e)
 	accumulateReflections(z.data, n, d, e)
-	if err := tridiagonalQL(d, e, make([]float64, 0, 2*n), func(sw qlSweep) { sw.rotateRows(z.data, n) }); err != nil {
-		return nil, err
+	if err := tridiagonalQL(d, e, cs, func(sw qlSweep) { sw.rotateRows(z.data, n) }); err != nil {
+		return err
 	}
 	if !VecIsFinite(d) || !z.IsFinite() {
-		return nil, fmt.Errorf("%w: ql eigendecomposition overflowed", ErrNoConverge)
+		return fmt.Errorf("%w: ql eigendecomposition overflowed", ErrNoConverge)
 	}
-	return d, nil
+	return nil
 }
 
 // components partitions the indices of the symmetric z into the connected
 // components of its exact non-zero off-diagonal pattern, each in ascending
-// order and ordered by smallest index. A dense matrix is one component.
-func components(z *Matrix) [][]int {
+// order and ordered by smallest index: perm holds them one after another and
+// the returned prefix of ends where each stops. seen (length n) is scratch.
+// A dense matrix is one component.
+func components(z *Matrix, perm, ends, seen []int) []int {
 	n := z.rows
-	seen := make([]bool, n)
-	var blocks [][]int
+	clear(seen)
+	ends, next := ends[:0], 0
 	for s := range seen {
-		if seen[s] {
+		if seen[s] != 0 {
 			continue
 		}
-		seen[s] = true
-		block := []int{s}
-		for q := 0; q < len(block); q++ {
-			for j, x := range z.data[block[q]*n : (block[q]+1)*n] {
-				if x != 0 && !seen[j] {
-					seen[j] = true
-					block = append(block, j)
+		seen[s] = 1
+		lo := next
+		perm[next], next = s, next+1
+		for q := lo; q < next; q++ {
+			for j, x := range z.data[perm[q]*n : (perm[q]+1)*n] {
+				if x != 0 && seen[j] == 0 {
+					seen[j] = 1
+					perm[next], next = j, next+1
 				}
 			}
 		}
-		sort.Ints(block)
-		blocks = append(blocks, block)
+		slices.Sort(perm[lo:next])
+		ends = append(ends, next)
 	}
-	return blocks
+	return ends
 }
 
 // EigenLeading is a two-phase symmetric eigendecomposition: every eigenvalue
@@ -163,8 +201,8 @@ type EigenLeading struct {
 // SymEigenLeading factors a copy of the symmetric matrix a (see Factor); a
 // is not modified.
 func SymEigenLeading(a *Matrix) (*EigenLeading, error) {
-	z, err := symmetrized(a)
-	if err != nil {
+	z := a.Clone()
+	if err := symmetrize(z); err != nil {
 		return nil, err
 	}
 	f := new(EigenLeading)
@@ -419,24 +457,24 @@ func iamax(x []float64) int {
 	return best
 }
 
-// symmetrized validates an eigensolver's input and returns the working copy
-// ½(A+Aᵀ): the caller's matrix stays intact and slight asymmetries from
-// floating-point accumulation are averaged out.
-func symmetrized(a *Matrix) (*Matrix, error) {
+// symmetrize validates an eigensolver's input and overwrites it with the
+// working copy ½(A+Aᵀ), which averages out slight asymmetries from
+// floating-point accumulation.
+func symmetrize(a *Matrix) error {
 	n := a.rows
 	if n != a.cols {
-		return nil, fmt.Errorf("%w: eigendecomposition of %dx%d", ErrShape, a.rows, a.cols)
+		return fmt.Errorf("%w: eigendecomposition of %dx%d", ErrShape, a.rows, a.cols)
 	}
 	if !a.IsFinite() {
-		return nil, fmt.Errorf("%w: eigendecomposition input", ErrNotFinite)
+		return fmt.Errorf("%w: eigendecomposition input", ErrNotFinite)
 	}
-	w := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			w.data[i*n+j] = 0.5 * (a.data[i*n+j] + a.data[j*n+i])
+		for j := i; j < n; j++ {
+			v := 0.5 * (a.data[i*n+j] + a.data[j*n+i])
+			a.data[i*n+j], a.data[j*n+i] = v, v
 		}
 	}
-	return w, nil
+	return nil
 }
 
 // tridiagonalize reduces the symmetric n×n matrix in z to tridiagonal form
@@ -700,23 +738,19 @@ func descendingOrder(order []int, d []float64) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return d[order[a]] > d[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(d[b], d[a]) })
 }
 
-// finishEigen sorts the eigenpairs in descending eigenvalue order and
-// packages the result. Row i of vt is the eigenvector of d[i]; the output
-// holds eigenvectors as columns.
-func finishEigen(d []float64, vt *Matrix) *EigenSym {
+// finish sorts the eigenpairs in descending eigenvalue order into Values and
+// Vectors, whose column j is the eigenvector; row i of vt is the eigenvector
+// of d[i]. order (length n) is scratch.
+func (e *EigenSym) finish(d []float64, vt *Matrix, order []int) {
 	n := len(d)
-	values := make([]float64, n)
-	vectors := NewMatrix(n, n)
-	order := make([]int, n)
 	descendingOrder(order, d)
 	for j, src := range order {
-		values[j] = d[src]
+		e.Values[j] = d[src]
 		for i, x := range vt.data[src*n : (src+1)*n] {
-			vectors.data[i*n+j] = x
+			e.Vectors.data[i*n+j] = x
 		}
 	}
-	return &EigenSym{Values: values, Vectors: vectors}
 }

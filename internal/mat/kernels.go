@@ -10,17 +10,39 @@ func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
 	}
 	out := NewMatrix(m.rows, o.cols)
 	for i := 0; i < m.rows; i++ {
-		orow := out.data[i*o.cols : (i+1)*o.cols]
-		for k, mv := range m.data[i*m.cols : (i+1)*m.cols] {
-			if mv == 0 {
-				continue
-			}
-			for j, ov := range o.data[k*o.cols : (k+1)*o.cols] {
-				orow[j] += mv * ov
-			}
-		}
+		mulRow(out.data[i*o.cols:(i+1)*o.cols], m.data[i*m.cols:], 1, o)
 	}
 	return out, nil
+}
+
+// TMulInto overwrites the r×c dst with the product of the first r columns of
+// m, transposed, and o: bit for bit what Mul returns for the r×m.Rows()
+// matrix whose row i is column i of m, without forming it.
+func (m *Matrix) TMulInto(dst, o *Matrix) error {
+	if m.rows != o.rows || dst.rows > m.cols || dst.cols != o.cols {
+		return fmt.Errorf("%w: %dx%d = the first %d columns of %dx%d, transposed, by %dx%d",
+			ErrShape, dst.rows, dst.cols, dst.rows, m.rows, m.cols, o.rows, o.cols)
+	}
+	clear(dst.data)
+	for i := 0; i < dst.rows; i++ {
+		mulRow(dst.data[i*o.cols:(i+1)*o.cols], m.data[i:], m.cols, o)
+	}
+	return nil
+}
+
+// mulRow adds to out, one row of a product, a[k·stride]·(row k of o) for
+// every row k of o in ascending order, skipping the zero coefficients. Each
+// product is written float64(mv*ov) so arm64 does not fuse it into the add.
+func mulRow(out, a []float64, stride int, o *Matrix) {
+	for k := 0; k < o.rows; k++ {
+		mv := a[k*stride]
+		if mv == 0 {
+			continue
+		}
+		for j, ov := range o.data[k*o.cols : (k+1)*o.cols] {
+			out[j] += float64(mv * ov)
+		}
+	}
 }
 
 // Gram returns mᵀ·m (the c×c Gram matrix): one pass over the input rows
@@ -29,6 +51,25 @@ func (m *Matrix) Gram() *Matrix {
 	out := NewMatrix(m.cols, m.cols)
 	gramInto(out, m.rows, m.RowView)
 	return out
+}
+
+// TGramInto overwrites the r×r dst with m·mᵀ, bit for bit m.T().Gram(),
+// without forming the transpose: the columns of m are the Gram's rows, and
+// each is copied into cols (length ≥ 2r, two columns) as gramInto asks for
+// it, which is two at a time.
+func (m *Matrix) TGramInto(dst *Matrix, cols []float64) error {
+	r := m.rows
+	if dst.rows != r || dst.cols != r || len(cols) < 2*r {
+		return fmt.Errorf("%w: gram of %dx%d's rows into %dx%d with %d scratch", ErrShape, m.rows, m.cols, dst.rows, dst.cols, len(cols))
+	}
+	gramInto(dst, m.cols, func(k int) []float64 {
+		col := cols[k%2*r : (k%2+1)*r]
+		for a := range col {
+			col[a] = m.data[a*m.cols+k]
+		}
+		return col
+	})
+	return nil
 }
 
 // RowGramInto overwrites the c×c dst with the Gram of the matrix whose rows

@@ -36,9 +36,16 @@ type FD struct {
 	now   int64
 	// rowScratch holds the centered row during Update.
 	rowScratch []float64
+	// The shrink's storage, kept between shrinks: the 2ℓ×2ℓ Gram B·Bᵀ,
+	// which its eigendecomposition overwrites as the working copy, the
+	// eigenpairs, the ℓ×w projection U_ℓᵀ·B, and two columns of B for the
+	// Gram kernel.
+	gram, proj *mat.Matrix
+	eig        mat.EigenSym
+	cols       []float64
 }
 
-// NewFD validates cfg and allocates the row buffer.
+// NewFD validates cfg and allocates the row buffer and the shrink's storage.
 func NewFD(cfg Config) (*FD, error) {
 	if err := validateFlowIDs(cfg.FlowIDs); err != nil {
 		return nil, err
@@ -61,6 +68,9 @@ func NewFD(cfg Config) (*FD, error) {
 		buf:        mat.NewMatrix(2*ell, w),
 		sums:       make([]float64, w),
 		rowScratch: make([]float64, w),
+		gram:       mat.NewMatrix(2*ell, 2*ell),
+		proj:       mat.NewMatrix(ell, w),
+		cols:       make([]float64, 4*ell),
 	}, nil
 }
 
@@ -131,18 +141,20 @@ func (m *FD) insertRow(row []float64) error {
 
 // shrink halves the full buffer: eigendecompose the small side B·Bᵀ
 // (2ℓ×2ℓ), drop δ = λ_ℓ from every retained squared singular value, and
-// rebuild the top-ℓ rows as scaled left-projections of B.
+// rebuild the top-ℓ rows as scaled left-projections of B. It runs in the
+// storage m keeps, so only the first shrink allocates (mat.EigenSym.Factor's
+// scratch).
 func (m *FD) shrink() error {
-	// B·Bᵀ = (Bᵀ)ᵀ·(Bᵀ): the transpose feeds the Gram kernel, which
-	// exploits symmetry.
-	g := m.buf.T().Gram()
-	if !g.IsFinite() {
+	if err := m.buf.TGramInto(m.gram, m.cols); err != nil {
+		return fmt.Errorf("fd shrink gram: %w", err)
+	}
+	if !m.gram.IsFinite() {
 		// Finite rows whose squared sums overflow float64; hostile payloads
 		// can construct this, so fail typed instead of via the eigensolver.
 		return fmt.Errorf("%w: fd shrink overflow (non-finite Gram product)", ErrInput)
 	}
-	eig, err := mat.SymEigen(g)
-	if err != nil {
+	eig := &m.eig
+	if err := eig.Factor(m.gram); err != nil {
 		// A finite Gram whose spectrum overflows: hostile too.
 		return fmt.Errorf("%w: fd shrink eigendecomposition: %w", ErrInput, err)
 	}
@@ -152,14 +164,8 @@ func (m *FD) shrink() error {
 	}
 	// P = U_ℓᵀ·B (ℓ×w): row i is uᵢᵀB = σᵢ·vᵢᵀ, rescaled below to the
 	// shrunk singular value √(λᵢ−δ).
-	ut := mat.NewMatrix(m.ell, 2*m.ell)
-	for i := 0; i < m.ell; i++ {
-		for j := 0; j < 2*m.ell; j++ {
-			ut.Set(i, j, eig.Vectors.At(j, i))
-		}
-	}
-	p, err := ut.Mul(m.buf)
-	if err != nil {
+	p := m.proj
+	if err := eig.Vectors.TMulInto(p, m.buf); err != nil {
 		return fmt.Errorf("fd shrink projection: %w", err)
 	}
 	w := len(m.flowIDs)

@@ -161,6 +161,43 @@ func TestFDDeterministicBound(t *testing.T) {
 	}
 }
 
+// TestFDShrinkAllocatesOnlyTheFirstTime: the shrink runs in storage the
+// sketcher keeps, so once the first shrink has sized the eigensolver's
+// scratch, ℓ more updates, the last of which shrinks again, allocate nothing.
+// The shape is a fed-fd-ingest monitor's: 14 flows, DefaultEll.
+func TestFDShrinkAllocatesOnlyTheFirstTime(t *testing.T) {
+	const w = 14
+	rows := randRows(11, 64, w)
+	fd, err := NewFD(Config{Family: FamilyFD, FlowIDs: flowIDs(w)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ell, next := fd.Ell(), 0
+	update := func() {
+		if err := fd.Update(int64(next+1), rows[next%len(rows)]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for range 2 * ell {
+		update()
+	}
+	if fd.StateSize() != ell || fd.Snapshot().FDDelta == 0 {
+		t.Fatalf("after %d updates: %d rows, Δ %v; want a first shrink to %d", 2*ell, fd.StateSize(), fd.Snapshot().FDDelta, ell)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for range ell {
+			update()
+		}
+	})
+	if fd.StateSize() != ell {
+		t.Fatalf("%d rows after whole rounds of ℓ updates, want %d", fd.StateSize(), ell)
+	}
+	if allocs != 0 {
+		t.Fatalf("ℓ = %d updates with a shrink allocate %v times, want 0", ell, allocs)
+	}
+}
+
 func TestFDMeansTrackStream(t *testing.T) {
 	const w, n = 8, 50
 	rows := randRows(11, n, w)

@@ -151,7 +151,11 @@ type Downstream struct {
 	closed  bool
 	regs    map[*transport.Conn]*registrant
 	owner   []*registrant // per flow; nil = unowned
-	pending map[int64]*accum
+	pending map[int64]accum
+	// freeAcc is an interval's arrays handed back by ReleaseInterval, zeroed,
+	// for the next accumulator addVolumes opens; volumes is nil when there is
+	// none.
+	freeAcc accum
 	rounds  map[uint64]chan response
 	nextReq uint64
 	// breakers and cache are keyed by registrant ID, so they survive a
@@ -209,7 +213,7 @@ func NewDownstream(cfg DownstreamConfig) (*Downstream, error) {
 		done:      make(chan struct{}),
 		regs:      make(map[*transport.Conn]*registrant),
 		owner:     make([]*registrant, cfg.NumFlows),
-		pending:   make(map[int64]*accum),
+		pending:   make(map[int64]accum),
 		rounds:    make(map[uint64]chan response),
 		breakers:  make(map[string]*breakerState),
 		cache:     make(map[string]core.SketchReport),
@@ -497,7 +501,7 @@ func (d *Downstream) settle() {
 	d.mu.Lock()
 	var ready []Interval
 	for iv, acc := range d.pending {
-		if item, ok := d.tryCompleteLocked(iv, acc); ok {
+		if item, ok := d.tryCompleteLocked(iv, &acc); ok {
 			ready = append(ready, item)
 		}
 	}
@@ -531,8 +535,8 @@ func (d *Downstream) addVolumes(conn *transport.Conn, v *transport.VolumeReport)
 	if v.Interval > d.lastInterval {
 		d.lastInterval = v.Interval
 	}
-	acc := d.pending[v.Interval]
-	if acc == nil {
+	acc, open := d.pending[v.Interval]
+	if !open {
 		if len(d.pending) >= maxPending {
 			var oldest int64 = 1<<63 - 1
 			for iv := range d.pending {
@@ -543,8 +547,10 @@ func (d *Downstream) addVolumes(conn *transport.Conn, v *transport.VolumeReport)
 			delete(d.pending, oldest)
 			d.cfg.Metrics.Evicted.Inc()
 		}
-		acc = &accum{volumes: make([]float64, m), seen: make([]bool, m)}
-		d.pending[v.Interval] = acc
+		acc, d.freeAcc = d.freeAcc, accum{}
+		if acc.volumes == nil {
+			acc = accum{volumes: make([]float64, m), seen: make([]bool, m)}
+		}
 	}
 	for i, f := range v.FlowIDs {
 		if f < 0 || f >= m || (d.owner[f] != nil && d.owner[f] != from) {
@@ -558,7 +564,8 @@ func (d *Downstream) addVolumes(conn *transport.Conn, v *transport.VolumeReport)
 			acc.n++
 		}
 	}
-	item, complete := d.tryCompleteLocked(v.Interval, acc)
+	d.pending[v.Interval] = acc
+	item, complete := d.tryCompleteLocked(v.Interval, &acc)
 	d.mu.Unlock()
 	if complete {
 		d.cfg.OnInterval(item)
@@ -597,6 +604,24 @@ func (d *Downstream) tryCompleteLocked(iv int64, acc *accum) (Interval, bool) {
 	}
 	delete(d.pending, iv)
 	return Interval{Index: iv, Volumes: acc.volumes, Seen: acc.seen, Stale: stale}, true
+}
+
+// ReleaseInterval hands the tier back the arrays of iv, an interval it
+// delivered to OnInterval: the next interval accumulator addVolumes opens
+// reuses them. Call it once nothing reads iv any more; an interval never
+// released costs an allocation, not correctness.
+func (d *Downstream) ReleaseInterval(iv Interval) {
+	m := d.cfg.NumFlows
+	if len(iv.Volumes) != m || len(iv.Seen) != m {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.freeAcc.volumes == nil {
+		clear(iv.Volumes)
+		clear(iv.Seen)
+		d.freeAcc = accum{volumes: iv.Volumes, seen: iv.Seen}
+	}
 }
 
 // routeResponse hands a sketch response to the pull round waiting for it,

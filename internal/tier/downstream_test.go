@@ -678,3 +678,102 @@ func TestDownstreamRefusesOtherVersions(t *testing.T) {
 		t.Fatalf("rejected %d, registered %v", n, registered(d, "old"))
 	}
 }
+
+// TestReleasedIntervalIsReused: a sink that hands every interval back once it
+// is done with it (ReleaseInterval, as agg.Service does after the forward)
+// gets each later interval in the same arrays, so a steady-state interval
+// allocates no accumulator. They come back cleared: a flow reported in one
+// interval and not the next reads unseen and 0 there.
+func TestReleasedIntervalIsReused(t *testing.T) {
+	var (
+		d       *Downstream
+		mu      sync.Mutex
+		got     []Interval
+		backing []*float64
+	)
+	d, _ = newDownstream(t, func(c *DownstreamConfig) {
+		c.OnInterval = func(iv Interval) {
+			kept := Interval{Index: iv.Index, Volumes: slices.Clone(iv.Volumes), Seen: slices.Clone(iv.Seen)}
+			at := &iv.Volumes[0]
+			d.ReleaseInterval(iv)
+			mu.Lock()
+			got, backing = append(got, kept), append(backing, at)
+			mu.Unlock()
+		}
+	})
+	a := attach(t, d, "a", []int{0, 1, 2}, nil)
+	delivered := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got)
+	}
+	// Flow 3 is nobody's, so a may report it, and does only in interval 1.
+	a.volumes("a", 1, []int{0, 1, 2, 3}, 10, 11, 12, 13)
+	waitFor(t, "interval 1", func() bool { return delivered() == 1 })
+	for iv := int64(2); iv <= 5; iv++ {
+		v := float64(10 * iv)
+		a.volumes("a", iv, []int{0, 1, 2}, v, v+1, v+2)
+		waitFor(t, "the next interval", func() bool { return delivered() == int(iv) })
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, at := range backing {
+		if at != backing[0] {
+			t.Errorf("interval %d accumulated in new arrays, not the released ones", got[i].Index)
+		}
+	}
+	want := Interval{Index: 2, Volumes: []float64{20, 21, 22, 0}, Seen: []bool{true, true, true, false}}
+	if !reflect.DeepEqual(got[1], want) {
+		t.Errorf("interval 2 in released arrays = %+v, want %+v", got[1], want)
+	}
+}
+
+// TestReleasedIntervalsUnderConcurrentReports: two registrants report on
+// their own connections at once, so intervals complete, and are released, on
+// either reader while the other opens the next accumulator. Every interval
+// still carries exactly its own volumes.
+func TestReleasedIntervalsUnderConcurrentReports(t *testing.T) {
+	const intervals = 50 // below maxPending, so nothing is evicted
+	var (
+		d         *Downstream
+		mu        sync.Mutex
+		delivered int
+	)
+	d, _ = newDownstream(t, func(c *DownstreamConfig) {
+		c.OnInterval = func(iv Interval) {
+			v := float64(10 * iv.Index)
+			want := Interval{Index: iv.Index, Volumes: []float64{v, v + 1, v + 2, v + 3}, Seen: []bool{true, true, true, true}}
+			if !reflect.DeepEqual(iv, want) {
+				t.Errorf("interval %d = %+v, want %+v", iv.Index, iv, want)
+			}
+			d.ReleaseInterval(iv)
+			mu.Lock()
+			delivered++
+			mu.Unlock()
+		}
+	})
+	a := attach(t, d, "a", []int{0, 1}, nil)
+	b := attach(t, d, "b", []int{2, 3}, nil)
+	var wg sync.WaitGroup
+	for _, p := range []struct {
+		peer  *peer
+		id    string
+		flows []int
+		first float64
+	}{{a, "a", []int{0, 1}, 0}, {b, "b", []int{2, 3}, 2}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for iv := int64(1); iv <= intervals; iv++ {
+				v := float64(10*iv) + p.first
+				p.peer.volumes(p.id, iv, p.flows, v, v+1)
+			}
+		}()
+	}
+	wg.Wait()
+	waitFor(t, "every interval", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return delivered == intervals
+	})
+}

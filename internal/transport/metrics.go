@@ -145,12 +145,15 @@ func (c *countingStream) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// Write counts p before it writes it. Counted after the write, the bytes
+// could reach the peer, and whatever the peer does on them be seen, before
+// the count: a reading taken once the peer has acted (the interval
+// benchmark's wire bytes per interval) then missed a frame now and then and
+// found it in the next reading. A failed write, after which the connection
+// is closed, still counts whole.
 func (c *countingStream) Write(p []byte) (int, error) {
-	n, err := c.raw.Write(p)
-	if n > 0 {
-		c.m.bytesSent.Add(int64(n))
-	}
-	return n, err
+	c.m.bytesSent.Add(int64(len(p)))
+	return c.raw.Write(p)
 }
 
 func (c *countingStream) Close() error { return c.raw.Close() }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"io"
 	"testing"
 	"time"
 
@@ -162,5 +163,31 @@ func TestShardMapCountedByName(t *testing.T) {
 		if got := counter(c.reg, "streampca_transport_messages_total", obs.L("direction", c.dir), obs.L("type", c.typ)); got != c.want {
 			t.Errorf("%s type=%s: %d, want %d", c.dir, c.typ, got, c.want)
 		}
+	}
+}
+
+// writeProbe is a stream whose Write hands each buffer to a callback.
+type writeProbe func(p []byte)
+
+func (w writeProbe) Read([]byte) (int, error)    { return 0, io.EOF }
+func (w writeProbe) Write(p []byte) (int, error) { w(p); return len(p), nil }
+func (w writeProbe) Close() error                { return nil }
+
+// TestSentBytesCountedBeforeTheWrite: a frame's bytes are counted before they
+// reach the stream, so whoever reads the counter after the peer acted on the
+// frame (a decision, an answer) finds them counted, and a reading per
+// interval gets the same bytes in every run.
+func TestSentBytesCountedBeforeTheWrite(t *testing.T) {
+	reg := obs.NewRegistry()
+	sent := func() int64 { return counter(reg, "streampca_transport_bytes_total", obs.L("direction", "sent")) }
+	var during []int64
+	c := NewConnWithMetrics(writeProbe(func([]byte) { during = append(during, sent()) }), NewMetrics(reg))
+	for i := 0; i < 2; i++ {
+		if err := c.Send(Envelope{Alarm: &Alarm{Interval: int64(i + 1)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(during) != 2 || during[0] == 0 || during[1] != sent() {
+		t.Fatalf("counter during the writes %v, after them %d: a write's bytes must be counted before it", during, sent())
 	}
 }
