@@ -803,17 +803,19 @@ func BenchmarkIncrementalVsBatchPCA(b *testing.B) {
 	})
 }
 
-// BenchmarkClusterStep measures one full interval through the in-process
-// cluster (monitor updates + lazy NOC observation).
-func BenchmarkClusterStep(b *testing.B) {
+// BenchmarkDeploymentStep measures one full interval through a flat
+// deployment of nine monitors on loopback TCP (monitor updates, volume
+// reports, the NOC's lazy observation and its decision).
+func BenchmarkDeploymentStep(b *testing.B) {
 	const m, window = 81, 288
-	cl, err := NewCluster(ClusterConfig{
-		NumFlows: m, NumMonitors: 9, WindowLen: window, Epsilon: 0.05, Alpha: 0.01,
-		SketchLen: 100, Seed: 1, FixedRank: 6,
-	})
+	d, err := Deploy(NOCConfig{
+		Detector: DetectorConfig{NumFlows: m, WindowLen: window, SketchLen: 100, Alpha: 0.01, FixedRank: 6},
+		Epsilon:  0.05, Seed: 1,
+	}, Topology{Monitors: 9})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer d.Close()
 	rng := rand.New(rand.NewSource(10))
 	base := make([]float64, m)
 	for j := range base {
@@ -825,7 +827,7 @@ func BenchmarkClusterStep(b *testing.B) {
 		for j := range volumes {
 			volumes[j] = base[j] * (1 + 0.05*rng.NormFloat64())
 		}
-		if _, err := cl.Step(int64(i+1), volumes); err != nil {
+		if _, err := d.Step(int64(i+1), volumes); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -888,17 +890,24 @@ func BenchmarkSketchResponseCodec(b *testing.B) {
 
 var codecSink transport.Envelope
 
-// TestWideClusterIdentifiesInjectedFlow runs the in-process cluster at the
-// width BenchmarkNOCRecompute's widest cell times, m = 1024 flows sketched at
-// l = 100, where the NOC solves the l×l side: after a window of rank-4
-// traffic, one interval with one flow spiked must alarm and identify exactly
-// that flow.
+// TestWideClusterIdentifiesInjectedFlow runs eight striped monitors and a
+// detector at the width BenchmarkNOCRecompute's widest cell times, m = 1024
+// flows sketched at l = 100, where the NOC solves the l×l side: after a
+// window of rank-4 traffic, one interval with one flow spiked must alarm and
+// identify exactly that flow.
 func TestWideClusterIdentifiesInjectedFlow(t *testing.T) {
 	const m, n, l, factors, spiked = 1024, 144, 100, 4, 613
-	cl, err := NewCluster(ClusterConfig{
-		NumFlows: m, NumMonitors: 8, WindowLen: n, Epsilon: 0.02, Alpha: 0.01,
-		SketchLen: l, Seed: 1, FixedRank: 6,
-	})
+	flows, p, err := core.Params{NumFlows: m, WindowLen: n, SketchLen: l, Epsilon: 0.02, Seed: 1}.Stripe(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mons := make([]*Monitor, len(flows))
+	for i := range mons {
+		if mons[i], err = p.NewMonitor(flows[i], Gaussian); err != nil {
+			t.Fatal(err)
+		}
+	}
+	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: l, Alpha: 0.01, FixedRank: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -927,14 +936,20 @@ func TestWideClusterIdentifiesInjectedFlow(t *testing.T) {
 		return x
 	}
 	for i := 1; i <= n; i++ {
-		if err := cl.Update(int64(i), row()); err != nil {
-			t.Fatal(err)
+		x := row()
+		for s, mon := range mons {
+			local := make([]float64, len(flows[s]))
+			for k, f := range flows[s] {
+				local[k] = x[f]
+			}
+			if err := mon.Update(int64(i), local); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	x := row()
 	x[spiked] += 2000
-	det := cl.Detector()
-	dec, err := det.Observe(x, cl.Fetch)
+	dec, err := det.Observe(x, func() (core.Fetch, error) { return p.Fetch(mons...) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ import (
 	"strconv"
 	"strings"
 
-	"streampca/internal/core"
 	"streampca/internal/eval"
 	"streampca/internal/randproj"
 	"streampca/internal/sketch"
@@ -396,8 +395,8 @@ func (s *session) figure10(out io.Writer) error {
 	return nil
 }
 
-// commReport replays the scaled workload through the in-process cluster and
-// prints the communication-cost breakdown of the lazy protocol.
+// commReport replays the scaled workload through a deployment and prints the
+// communication-cost breakdown of the lazy protocol, counted by the NOC.
 func (s *session) commReport(out io.Writer) error {
 	w, err := s.workload(false)
 	if err != nil {
@@ -405,11 +404,11 @@ func (s *session) commReport(out io.Writer) error {
 	}
 	sc := w.Scenario
 	sc.Monitors, sc.SketchLen = 9, 200
-	cl, err := sc.Replay(sketch.FamilyRandProj, func(*core.Cluster, eval.Step) error { return nil })
+	d, err := sc.Replay(sketch.FamilyRandProj, nil, nil)
 	if err != nil {
 		return err
 	}
-	obs, fetches, alarms := cl.Detector().Stats()
+	obs, fetches, alarms := d.NOC.DetectorStats()
 	model := eval.CommModel{NumFlows: sc.Trace.NumFlows(), NumMonitors: sc.Monitors, SketchLen: sc.SketchLen}
 	cost, err := model.Bytes(obs, fetches)
 	if err != nil {

@@ -233,19 +233,16 @@ func leadingBasisMatchesFullSolve(t *testing.T, mxmOnly bool) {
 				if family == sketch.FamilyFD {
 					sketchLen = 0
 				}
-				cl, err := NewCluster(ClusterConfig{
-					NumFlows: m, NumMonitors: 3, WindowLen: n, Epsilon: 0.01, Alpha: 0.01,
-					SketchLen: sketchLen, Seed: 5, Dist: dist, Family: family, Mode: mode, FixedRank: c.fixedRank,
-				})
+				_, fetch, p := striped(t, Params{Family: family, NumFlows: m, WindowLen: n, SketchLen: sketchLen, Epsilon: 0.01, Seed: 5}, 3, dist, x)
+				det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: p.SketchLen, Alpha: 0.01,
+					Family: family, Mode: mode, FixedRank: c.fixedRank})
 				if err != nil {
 					t.Fatal(err)
 				}
-				driveCluster(t, cl, x)
-				f, err := cl.Fetch()
+				f, err := fetch()
 				if err != nil {
 					t.Fatal(err)
 				}
-				det := cl.Detector()
 				if err := det.Rebuild(f); err != nil {
 					t.Fatal(err)
 				}

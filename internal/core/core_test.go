@@ -177,14 +177,44 @@ func TestAssembleSketchMatrix(t *testing.T) {
 	}
 }
 
-// driveCluster feeds a measurement matrix through a cluster's monitors.
-func driveCluster(t *testing.T, c *Cluster, x *mat.Matrix) {
+// striped builds k monitors over p's flows (Params.Stripe,
+// Params.NewMonitor), feeds them the rows of x as intervals 1, 2, … (x may
+// be nil) and returns them with the pull that reads them all (Params.Fetch)
+// and p, its sketch parameter resolved.
+func striped(t *testing.T, p Params, k int, dist randproj.Distribution, x *mat.Matrix) ([]*Monitor, FetchFunc, Params) {
 	t.Helper()
-	for i := 0; i < x.Rows(); i++ {
-		if err := c.Update(int64(i+1), x.Row(i)); err != nil {
+	flows, p, err := p.Stripe(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mons := make([]*Monitor, k)
+	for i := range mons {
+		if mons[i], err = p.NewMonitor(flows[i], dist); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for i := 0; x != nil && i < x.Rows(); i++ {
+		if err := feed(mons, int64(i+1), x.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return mons, func() (Fetch, error) { return p.Fetch(mons...) }, p
+}
+
+// feed has every monitor update interval t with its flows of the
+// network-wide row.
+func feed(mons []*Monitor, t int64, row []float64) error {
+	for _, mon := range mons {
+		ids := mon.FlowIDs()
+		local := make([]float64, len(ids))
+		for s, f := range ids {
+			local[s] = row[f]
+		}
+		if err := mon.Update(t, local); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func TestDetectorMatchesExactPCA(t *testing.T) {
@@ -194,24 +224,19 @@ func TestDetectorMatchesExactPCA(t *testing.T) {
 	n, m, k, l := 256, 9, 3, 200
 	x := lowRankStream(rng, n, m, k, 2)
 
-	cl, err := NewCluster(ClusterConfig{
-		NumFlows: m, NumMonitors: 3, WindowLen: n, Epsilon: 0.01, Alpha: 0.01,
-		SketchLen: l, Seed: 7,
-		Mode:      RankFixed,
-		FixedRank: k,
-	})
+	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: l, Epsilon: 0.01, Seed: 7}, 3, 0, x)
+	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: l, Alpha: 0.01, Mode: RankFixed, FixedRank: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveCluster(t, cl, x)
-	f, err := cl.Fetch()
+	f, err := fetch()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Interval != int64(n) {
 		t.Fatalf("fetch interval = %d", f.Interval)
 	}
-	if err := cl.Detector().RebuildModel(f.Sketches, f.Means, f.Interval); err != nil {
+	if err := det.RebuildModel(f.Sketches, f.Means, f.Interval); err != nil {
 		t.Fatal(err)
 	}
 
@@ -225,7 +250,7 @@ func TestDetectorMatchesExactPCA(t *testing.T) {
 	}
 
 	// Lemma 5: leading singular values preserved within a loose (1±δ) band.
-	sk := cl.Detector().Model()
+	sk := det.Model()
 	for j := 0; j < k; j++ {
 		ratio := sk.Singular[j] / exactModel.Singular[j]
 		if ratio < 0.7 || ratio > 1.3 {
@@ -242,7 +267,7 @@ func TestDetectorMatchesExactPCA(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := cl.Detector().Distance(row)
+		ds, err := det.Distance(row)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +280,7 @@ func TestDetectorMatchesExactPCA(t *testing.T) {
 	}
 
 	// Thresholds land in the same ballpark.
-	if ratio := cl.Detector().Model().Threshold / exactDet.Threshold(); ratio < 0.5 || ratio > 2 {
+	if ratio := det.Model().Threshold / exactDet.Threshold(); ratio < 0.5 || ratio > 2 {
 		t.Fatalf("δ/Q = %v", ratio)
 	}
 }
@@ -300,26 +325,23 @@ func TestLazyProtocol(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	n, m, k := 200, 8, 2
 	x := lowRankStream(rng, n, m, k, 1)
-	cl, err := NewCluster(ClusterConfig{
-		NumFlows: m, NumMonitors: 2, WindowLen: n, Epsilon: 0.01, Alpha: 0.005,
-		SketchLen: 64, Seed: 3,
-		FixedRank: k,
-	})
+	_, pull, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 64, Epsilon: 0.01, Seed: 3}, 2, 0, x)
+	var fetches int
+	fetch := func() (Fetch, error) { fetches++; return pull() }
+	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 64, Alpha: 0.005, FixedRank: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveCluster(t, cl, x)
-	det := cl.Detector()
 
 	// First observation builds the model (one fetch).
-	dec, err := det.Observe(x.Row(n-1), cl.Fetch)
+	dec, err := det.Observe(x.Row(n-1), fetch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !dec.Refreshed {
 		t.Fatal("first observation must refresh")
 	}
-	_, fetches0, _ := det.Stats()
+	fetches0 := fetches
 	if fetches0 != 1 {
 		t.Fatalf("fetches = %d", fetches0)
 	}
@@ -327,7 +349,7 @@ func TestLazyProtocol(t *testing.T) {
 	// Typical vectors: no further fetches.
 	var normals int
 	for i := 0; i < 30; i++ {
-		dec, err := det.Observe(x.Row(rng.Intn(n)), cl.Fetch)
+		dec, err := det.Observe(x.Row(rng.Intn(n)), fetch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +357,7 @@ func TestLazyProtocol(t *testing.T) {
 			normals++
 		}
 	}
-	_, fetches1, _ := det.Stats()
+	fetches1 := fetches
 	if normals < 25 {
 		t.Fatalf("only %d/30 typical vectors below threshold", normals)
 	}
@@ -348,16 +370,15 @@ func TestLazyProtocol(t *testing.T) {
 	for j := range outlier {
 		outlier[j] += 5000 * math.Pow(-1, float64(j))
 	}
-	dec, err = det.Observe(outlier, cl.Fetch)
+	dec, err = det.Observe(outlier, fetch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !dec.Anomalous || !dec.Refreshed {
 		t.Fatalf("outlier decision = %+v", dec)
 	}
-	_, fetches2, alarms := det.Stats()
-	if fetches2 != fetches1+1 || alarms < 1 {
-		t.Fatalf("fetches %d→%d, alarms %d", fetches1, fetches2, alarms)
+	if fetches != fetches1+1 {
+		t.Fatalf("fetches %d→%d", fetches1, fetches)
 	}
 
 	if _, err := det.Observe(outlier, nil); !errors.Is(err, ErrInput) {
@@ -383,19 +404,14 @@ func TestDegradedFetchFlagsDecisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	const m, n = 6, 128
 	x := lowRankStream(rng, n, m, 2, 1)
-	cl, err := NewCluster(ClusterConfig{
-		NumFlows: m, NumMonitors: 2, WindowLen: n, Epsilon: 0.01, Alpha: 0.01,
-		SketchLen: 48, Seed: 9,
-		FixedRank: 2,
-	})
+	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 48, Epsilon: 0.01, Seed: 9}, 2, 0, x)
+	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 48, Alpha: 0.01, FixedRank: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveCluster(t, cl, x)
-	det := cl.Detector()
 
 	degradedFetch := func() (Fetch, error) {
-		f, err := cl.Fetch()
+		f, err := fetch()
 		if err != nil {
 			return Fetch{}, err
 		}
@@ -415,7 +431,7 @@ func TestDegradedFetchFlagsDecisions(t *testing.T) {
 		t.Fatalf("model = degraded %t, stale %d", mod.Degraded, mod.StaleFlows)
 	}
 	// Later observations keep the flag while the degraded model is in force.
-	dec, err = det.Observe(x.Row(0), cl.Fetch)
+	dec, err = det.Observe(x.Row(0), fetch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +443,7 @@ func TestDegradedFetchFlagsDecisions(t *testing.T) {
 	for j := range outlier {
 		outlier[j] += 1e6
 	}
-	dec, err = det.Observe(outlier, cl.Fetch)
+	dec, err = det.Observe(outlier, fetch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,24 +457,19 @@ func TestRankModesOnSketch(t *testing.T) {
 	n, m, k := 300, 10, 3
 	x := lowRankStream(rng, n, m, k, 0.5)
 	for _, mode := range []RankMode{RankFixed, RankThreeSigma, RankEnergy} {
-		cl, err := NewCluster(ClusterConfig{
-			NumFlows: m, NumMonitors: 1, WindowLen: n, Epsilon: 0.01, Alpha: 0.01,
-			SketchLen: 128, Seed: 5,
-			Mode:      mode,
-			FixedRank: k,
-		})
+		_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 128, Epsilon: 0.01, Seed: 5}, 1, 0, x)
+		det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 128, Alpha: 0.01, Mode: mode, FixedRank: k})
 		if err != nil {
 			t.Fatal(err)
 		}
-		driveCluster(t, cl, x)
-		f, err := cl.Fetch()
+		f, err := fetch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.Detector().RebuildModel(f.Sketches, f.Means, f.Interval); err != nil {
+		if err := det.RebuildModel(f.Sketches, f.Means, f.Interval); err != nil {
 			t.Fatal(err)
 		}
-		r := cl.Detector().Model().Rank
+		r := det.Model().Rank
 		if r < 0 || r > m {
 			t.Fatalf("%v: rank %d", mode, r)
 		}
@@ -475,19 +486,15 @@ func TestAttribute(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	n, m, k := 300, 10, 3
 	x := lowRankStream(rng, n, m, k, 1)
-	cl, err := NewCluster(ClusterConfig{
-		NumFlows: m, NumMonitors: 2, WindowLen: n, Epsilon: 0.01, Alpha: 0.01,
-		SketchLen: 128, Seed: 8, FixedRank: k,
-	})
+	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 128, Alpha: 0.01, FixedRank: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := cl.Detector()
 	if _, err := det.Attribute(x.Row(0), 3); !errors.Is(err, ErrNoModel) {
 		t.Fatalf("no model: %v", err)
 	}
-	driveCluster(t, cl, x)
-	f, err := cl.Fetch()
+	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 128, Epsilon: 0.01, Seed: 8}, 2, 0, x)
+	f, err := fetch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,28 +549,27 @@ func TestAttribute(t *testing.T) {
 	}
 }
 
+// TestNewClusterValidation: the blocks a cluster of monitors and a detector
+// is built from reject what cannot run — no flows, more monitors than flows,
+// no sketch length.
 func TestNewClusterValidation(t *testing.T) {
-	base := ClusterConfig{
-		NumFlows: 4, NumMonitors: 2, WindowLen: 32, Epsilon: 0.1, Alpha: 0.01,
-		SketchLen: 8, Seed: 1, FixedRank: 1,
-	}
-	if _, err := NewCluster(base); err != nil {
-		t.Fatal(err)
-	}
+	base := Params{NumFlows: 4, WindowLen: 32, SketchLen: 8, Epsilon: 0.1, Seed: 1}
+	striped(t, base, 2, 0, nil)
 	bad := base
 	bad.NumFlows = 0
-	if _, err := NewCluster(bad); !errors.Is(err, ErrConfig) {
+	if _, _, err := bad.Stripe(2); !errors.Is(err, ErrConfig) {
 		t.Fatalf("flows: %v", err)
 	}
-	bad = base
-	bad.NumMonitors = 5
-	if _, err := NewCluster(bad); !errors.Is(err, ErrConfig) {
+	if _, _, err := base.Stripe(5); !errors.Is(err, ErrConfig) {
 		t.Fatalf("monitors: %v", err)
 	}
 	bad = base
 	bad.SketchLen = 0
-	if _, err := NewCluster(bad); err == nil {
+	if _, err := bad.NewMonitor([]int{0, 2}, 0); err == nil {
 		t.Fatal("bad sketch config must fail")
+	}
+	if _, err := NewDetector(DetectorConfig{NumFlows: 4, WindowLen: 32, Alpha: 0.01, FixedRank: 1}); !errors.Is(err, ErrConfig) {
+		t.Fatalf("detector without a sketch length: %v", err)
 	}
 }
 
@@ -574,15 +580,8 @@ func TestClusterPartitioningMatchesSingleMonitor(t *testing.T) {
 	n, m := 128, 8
 	x := lowRankStream(rng, n, m, 2, 1)
 	mk := func(monitors int) ([][]float64, []float64) {
-		cl, err := NewCluster(ClusterConfig{
-			NumFlows: m, NumMonitors: monitors, WindowLen: n, Epsilon: 0.05, Alpha: 0.01,
-			SketchLen: 16, Seed: 21, FixedRank: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		driveCluster(t, cl, x)
-		f, err := cl.Fetch()
+		_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 16, Epsilon: 0.05, Seed: 21}, monitors, 0, x)
+		f, err := fetch()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -606,10 +605,8 @@ func TestClusterStepEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n, m, k := 200, 9, 2
 	x := lowRankStream(rng, 3*n, m, k, 1)
-	cl, err := NewCluster(ClusterConfig{
-		NumFlows: m, NumMonitors: 3, WindowLen: n, Epsilon: 0.02, Alpha: 0.002,
-		SketchLen: 80, Seed: 11, FixedRank: k,
-	})
+	mons, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 80, Epsilon: 0.02, Seed: 11}, 3, 0, nil)
+	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 80, Alpha: 0.002, FixedRank: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,10 +626,10 @@ func TestClusterStepEndToEnd(t *testing.T) {
 			observed[0] += 8000
 			observed[4] += 6000
 		}
-		if err := cl.Update(int64(i+1), row); err != nil {
+		if err := feed(mons, int64(i+1), row); err != nil {
 			t.Fatal(err)
 		}
-		dec, err := cl.Detector().Observe(observed, cl.Fetch)
+		dec, err := det.Observe(observed, fetch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -652,10 +649,10 @@ func TestClusterStepEndToEnd(t *testing.T) {
 	if rate := float64(alarms) / float64(steps); rate > 0.25 {
 		t.Fatalf("alarm rate %v too high", rate)
 	}
-	if err := cl.Update(1, x.Row(0)); err == nil {
+	if err := feed(mons, 1, x.Row(0)); err == nil {
 		t.Fatal("out-of-order update must fail")
 	}
-	if err := cl.Update(9999, []float64{1}); !errors.Is(err, ErrInput) {
+	if err := mons[0].Update(9999, []float64{1}); !errors.Is(err, ErrInput) {
 		t.Fatalf("short vector: %v", err)
 	}
 }

@@ -128,10 +128,6 @@ type Detector struct {
 	u      *mat.Matrix
 	uj, aj []float64
 	y      []float64
-	// counters for the lazy protocol.
-	observations int64
-	fetches      int64
-	alarms       int64
 }
 
 // NewDetector validates cfg.
@@ -741,6 +737,38 @@ type Fetch struct {
 	StaleFlows int
 }
 
+// Assemble fills f from validated sketch reports, reusing its arrays. For
+// the randproj family it scatters them into flow-indexed Sketches and Means,
+// leaving nil the flows no report covers (the caller rejects or fills those);
+// for FD the reports become Blocks in sketch.CanonicalOrder, so FD model
+// assembly is identical across topologies — a federated tier renames the
+// registrants and rendezvous placement permutes which name fronts which
+// shard, but the shards themselves are fixed. Interval is the newest
+// report's. The retained slices are the reports' own.
+func (f *Fetch) Assemble(family sketch.Family, numFlows int, reports []SketchReport) error {
+	*f = Fetch{Sketches: f.Sketches[:0], Means: f.Means[:0], Blocks: f.Blocks[:0]}
+	for i := range reports {
+		f.Interval = max(f.Interval, reports[i].Interval)
+	}
+	if family == sketch.FamilyFD {
+		for _, i := range sketch.CanonicalOrder(reports) {
+			f.Blocks = append(f.Blocks, reports[i])
+		}
+		return nil
+	}
+	f.Sketches = append(f.Sketches, make([][]float64, numFlows)...)
+	f.Means = append(f.Means, make([]float64, numFlows)...)
+	for _, rep := range reports {
+		for i, id := range rep.FlowIDs {
+			if id < 0 || id >= numFlows {
+				return fmt.Errorf("%w: reported flow %d of %d", ErrInput, id, numFlows)
+			}
+			f.Sketches[id], f.Means[id] = rep.Sketches[i], rep.Means[i]
+		}
+	}
+	return nil
+}
+
 // FetchFunc pulls fresh sketches from the local monitors.
 type FetchFunc func() (Fetch, error)
 
@@ -783,7 +811,6 @@ func (d *Detector) Observe(x []float64, fetch FetchFunc) (Decision, error) {
 	if fetch == nil {
 		return Decision{}, fmt.Errorf("%w: nil fetch", ErrInput)
 	}
-	d.observations++
 
 	var dec Decision
 	// evaluate is one step of the protocol: optionally pull fresh sketches
@@ -795,7 +822,6 @@ func (d *Detector) Observe(x []float64, fetch FetchFunc) (Decision, error) {
 			if err != nil {
 				return fmt.Errorf("fetch sketches: %w", err)
 			}
-			d.fetches++
 			if err := d.Rebuild(f); err != nil {
 				return fmt.Errorf("rebuild: %w", err)
 			}
@@ -833,12 +859,5 @@ func (d *Detector) Observe(x []float64, fetch FetchFunc) (Decision, error) {
 		return dec, nil
 	}
 	dec.Anomalous = true
-	d.alarms++
 	return dec, nil
-}
-
-// Stats reports protocol counters: observations seen, sketch fetches
-// performed and alarms raised.
-func (d *Detector) Stats() (observations, fetches, alarms int64) {
-	return d.observations, d.fetches, d.alarms
 }

@@ -182,17 +182,16 @@ func TestRebuildFDMergedBlocksStayOnOneMonitor(t *testing.T) {
 	}
 }
 
-// TestFDClusterEndToEnd runs the full lazy protocol on the FD family: an
-// in-process cluster of FD monitors, per-block model builds at the NOC, and
-// an injected structured anomaly that must still raise an alarm.
+// TestFDClusterEndToEnd runs the full lazy protocol on the FD family: three
+// striped FD monitors, per-block model builds at the detector, and an
+// injected structured anomaly that must still raise an alarm.
 func TestFDClusterEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n, m, k := 200, 27, 2
 	x := lowRankStream(rng, 3*n, m, k, 1)
-	cl, err := NewCluster(ClusterConfig{
-		NumFlows: m, NumMonitors: 3, WindowLen: n, Alpha: 0.002,
-		Family: sketch.FamilyFD, SketchLen: 4, FixedRank: 6,
-	})
+	mons, fetch, _ := striped(t, Params{Family: sketch.FamilyFD, NumFlows: m, WindowLen: n, SketchLen: 4}, 3, 0, nil)
+	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 4, Alpha: 0.002,
+		Family: sketch.FamilyFD, FixedRank: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +206,10 @@ func TestFDClusterEndToEnd(t *testing.T) {
 			observed[0] += 8000
 			observed[4] += 6000
 		}
-		if err := cl.Update(int64(i+1), row); err != nil {
+		if err := feed(mons, int64(i+1), row); err != nil {
 			t.Fatal(err)
 		}
-		dec, err := cl.Detector().Observe(observed, cl.Fetch)
+		dec, err := det.Observe(observed, fetch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,32 +229,27 @@ func TestFDClusterEndToEnd(t *testing.T) {
 	if rate := float64(alarms) / float64(steps); rate > 0.25 {
 		t.Fatalf("alarm rate %v too high", rate)
 	}
-	model := cl.Detector().Model()
+	model := det.Model()
 	if model == nil || model.ThresholdUnavailable {
 		t.Fatalf("model = %+v", model)
 	}
 }
 
-// TestClusterFDEllDefaulting: an even split defaults ℓ per monitor; an uneven
-// one must demand an explicit ℓ (monitors would otherwise disagree).
+// TestClusterFDEllDefaulting: striping FD monitors evenly defaults ℓ per
+// monitor; an uneven split must demand an explicit ℓ (monitors would
+// otherwise disagree).
 func TestClusterFDEllDefaulting(t *testing.T) {
-	if _, err := NewCluster(ClusterConfig{
-		NumFlows: 9, NumMonitors: 3, WindowLen: 16, Alpha: 0.01,
-		Family: sketch.FamilyFD, FixedRank: 1,
-	}); err != nil {
-		t.Fatalf("even split: %v", err)
+	fd := Params{Family: sketch.FamilyFD, NumFlows: 9, WindowLen: 16}
+	if _, _, p := striped(t, fd, 3, 0, nil); p.SketchLen != sketch.DefaultEll(3) {
+		t.Fatalf("even split: ℓ %d, want %d", p.SketchLen, sketch.DefaultEll(3))
 	}
-	if _, err := NewCluster(ClusterConfig{
-		NumFlows: 10, NumMonitors: 3, WindowLen: 16, Alpha: 0.01,
-		Family: sketch.FamilyFD, FixedRank: 1,
-	}); !errors.Is(err, ErrConfig) {
+	fd.NumFlows = 10
+	if _, _, err := fd.Stripe(3); !errors.Is(err, ErrConfig) {
 		t.Fatalf("uneven split without explicit ell: %v", err)
 	}
-	if _, err := NewCluster(ClusterConfig{
-		NumFlows: 31, NumMonitors: 3, WindowLen: 16, Alpha: 0.01,
-		Family: sketch.FamilyFD, SketchLen: 4, FixedRank: 1,
-	}); err != nil {
-		t.Fatalf("uneven split with explicit ell: %v", err)
+	fd.NumFlows, fd.SketchLen = 31, 4
+	if _, _, p := striped(t, fd, 3, 0, nil); p.SketchLen != 4 {
+		t.Fatalf("uneven split with explicit ell: ℓ %d", p.SketchLen)
 	}
 }
 

@@ -10,35 +10,32 @@ import (
 	"streampca/internal/anomography"
 )
 
-// identifyCluster builds a warmed, modeled cluster over a low-rank stream.
-func identifyCluster(t *testing.T) (*Cluster, *Detector) {
+// identifyDetector builds a detector modeled on two monitors' sketches of a
+// low-rank stream.
+func identifyDetector(t *testing.T) *Detector {
 	t.Helper()
 	rng := rand.New(rand.NewSource(61))
 	n, m, k := 300, 10, 3
 	x := lowRankStream(rng, n, m, k, 1)
-	cl, err := NewCluster(ClusterConfig{
-		NumFlows: m, NumMonitors: 2, WindowLen: n, Epsilon: 0.01, Alpha: 0.01,
-		SketchLen: 128, Seed: 8, FixedRank: k,
-	})
+	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 128, Epsilon: 0.01, Seed: 8}, 2, 0, x)
+	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 128, Alpha: 0.01, FixedRank: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveCluster(t, cl, x)
-	f, err := cl.Fetch()
+	f, err := fetch()
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := cl.Detector()
 	if err := det.RebuildModel(f.Sketches, f.Means, f.Interval); err != nil {
 		t.Fatal(err)
 	}
-	return cl, det
+	return det
 }
 
 func TestIdentify(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	base := lowRankStream(rng, 300, 10, 3, 1).Row(0)
-	_, det := identifyCluster(t)
+	det := identifyDetector(t)
 
 	if _, err := det.Identify([]float64{1}, 3); !errors.Is(err, ErrInput) {
 		t.Fatalf("short vector: %v", err)
@@ -112,8 +109,7 @@ func TestIdentifyDeterministicAcrossWorkers(t *testing.T) {
 	bad := lowRankStream(rng, 300, 10, 3, 1).Row(0)
 	bad[2] += 9000
 	bad[7] += 7000
-	_, det1 := identifyCluster(t)
-	_, det2 := identifyCluster(t)
+	det1, det2 := identifyDetector(t), identifyDetector(t)
 	id1, err := det1.Identify(bad, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"streampca/internal/core"
 	"streampca/internal/mat"
 	"streampca/internal/oracle"
-	"streampca/internal/sketch"
 )
 
 // BoundsReport records an empirical check of the paper's error bounds on one
@@ -42,9 +41,9 @@ func CheckBounds(s Scenario) (*BoundsReport, error) {
 		return nil, fmt.Errorf("%w: rank %d with %d flows", ErrConfig, s.Rank, m)
 	}
 
-	// Sketch side: monitors that saw exactly the trailing window, one pull,
+	// Sketch side: a monitor that saw exactly the trailing window, one pull,
 	// one model build.
-	cl, err := core.NewCluster(s.clusterConfig(sketch.FamilyRandProj))
+	mon, p, err := s.oneMonitor()
 	if err != nil {
 		return nil, err
 	}
@@ -52,15 +51,18 @@ func CheckBounds(s Scenario) (*BoundsReport, error) {
 	lo := rows - s.WindowLen
 	for i := 0; i < s.WindowLen; i++ {
 		copy(win.RowView(i), s.Trace.Volumes.RowView(lo+i))
-		if err := cl.Update(int64(lo+i+1), win.RowView(i)); err != nil {
+		if err := mon.Update(int64(lo+i+1), win.RowView(i)); err != nil {
 			return nil, err
 		}
 	}
-	f, err := cl.Fetch()
+	f, err := p.Fetch(mon)
 	if err != nil {
 		return nil, err
 	}
-	det := cl.Detector()
+	det, err := core.NewDetector(s.detector(p))
+	if err != nil {
+		return nil, err
+	}
 	if err := det.Rebuild(f); err != nil {
 		return nil, err
 	}

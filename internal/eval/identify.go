@@ -6,8 +6,8 @@ import (
 	"sort"
 
 	"streampca/internal/anomography"
-	"streampca/internal/core"
 	"streampca/internal/mat"
+	"streampca/internal/noc"
 	"streampca/internal/sketch"
 	"streampca/internal/traffic"
 )
@@ -368,19 +368,19 @@ func recallOf(ranked []int, truth map[int]bool) float64 {
 // an abstained interval counts as missed, never as a wrong identification.
 const identifyMinExplained = 0.5
 
-// identifyVariant replays the trace through one family's cluster, running
-// the pursuit on every alarmed interval and scoring against the injection
-// labels.
+// identifyVariant replays the trace through one family's deployment and
+// scores the culprits the NOC identifies on every alarmed interval against
+// the injection labels.
 func (s Scenario) identifyVariant(name string, family sketch.Family) (IdentifyRow, error) {
 	tr := s.Trace
 	sc := newIdentifyScorer(name, family)
-	cl, err := s.Replay(family, func(cl *core.Cluster, st Step) error {
-		if !st.Warm {
+	d, err := s.Replay(family, nil, func(_ *noc.Deployment, st Step) error {
+		if st.Decision.Warmup {
 			return nil
 		}
 		i := st.Index
 		injected := len(tr.AnomalousFlows(i)) > 0
-		if !st.Decision.Anomalous {
+		if !st.Decision.Result.Anomalous {
 			if injected {
 				sc.miss(tr, i)
 			}
@@ -390,11 +390,8 @@ func (s Scenario) identifyVariant(name string, family sketch.Family) (IdentifyRo
 			sc.row.FalseAlarms++
 			return nil
 		}
-		id, err := cl.Detector().Identify(st.Volumes, identifyMaxK)
-		if err != nil {
-			return err
-		}
-		if len(id.Flows) == 0 || id.ExplainedFrac < identifyMinExplained {
+		id := st.Decision.Identified
+		if id == nil || len(id.Flows) == 0 || id.ExplainedFrac < identifyMinExplained {
 			sc.miss(tr, i)
 			return nil
 		}
@@ -408,7 +405,7 @@ func (s Scenario) identifyVariant(name string, family sketch.Family) (IdentifyRo
 	if err != nil {
 		return sc.row, err
 	}
-	sc.row.SketchParam = cl.Params().SketchLen
+	sc.row.SketchParam = d.Params.SketchLen
 	return sc.finish(), nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"streampca/internal/core"
+	"streampca/internal/noc"
 	"streampca/internal/oracle"
 	"streampca/internal/randproj"
 	"streampca/internal/sketch"
@@ -38,17 +39,18 @@ func OracleSweep(s Scenario) ([]OracleRow, error) {
 	return rows, nil
 }
 
-// oracleScenario replays the workload through a one-monitor cluster and
+// oracleScenario replays the workload through a one-monitor deployment and
 // merges every sampled oracle pass. It uses the same Checker type the
 // -selfcheck daemons embed, so the eval exercises the production validation
-// path: the monitor-side checks read the cluster's own variance histograms.
+// path: the monitor-side checks read the deployed monitor's own variance
+// histograms, the NOC-side ones the model in force.
 // The checkers get their own generator from the same configuration — a
 // projection is a pure function of it.
 func (s Scenario) oracleScenario() (oracle.Result, error) {
 	var total oracle.Result
 	m := s.Trace.NumFlows()
 	s.Monitors = 1
-	gen, err := s.clusterConfig(sketch.FamilyRandProj).Params().Generator(s.Dist)
+	gen, err := s.params(sketch.FamilyRandProj).Generator(s.Dist)
 	if err != nil {
 		return total, err
 	}
@@ -66,10 +68,10 @@ func (s Scenario) oracleScenario() (oracle.Result, error) {
 	if err != nil {
 		return total, err
 	}
-	_, err = s.Replay(sketch.FamilyRandProj, func(cl *core.Cluster, st Step) error {
+	_, err = s.Replay(sketch.FamilyRandProj, nil, func(d *noc.Deployment, st Step) error {
 		t := int64(st.Index + 1)
-		total.Merge(monChk.ObserveMonitor(t, st.Volumes, cl.Monitors()[0]))
-		if res, ok := nocChk.ObserveNOC(t, st.Volumes, st.Decision, cl.Detector().Model()); ok {
+		d.Monitors[0].Inspect(func(mon *core.Monitor) { total.Merge(monChk.ObserveMonitor(t, st.Volumes, mon)) })
+		if res, ok := nocChk.ObserveNOC(t, st.Volumes, st.Decision.Result, d.NOC.Model()); ok {
 			total.Merge(res)
 		}
 		return nil

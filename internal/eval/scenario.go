@@ -13,16 +13,18 @@
 //     oracle sweep.
 //
 // Every mode takes one Scenario, and every mode that runs the lazy protocol
-// runs it through Scenario.Replay: internal/core is the thing evaluated,
-// internal/pca the independent reference, and this package holds neither a
-// detector nor a decomposition of its own.
+// runs it through Scenario.Replay, a flat noc.Deploy: the deployed services
+// are the thing evaluated, internal/pca the independent reference, and this
+// package holds neither a detector nor a decomposition of its own.
 package eval
 
 import (
 	"errors"
-	"time"
 
 	"streampca/internal/core"
+	"streampca/internal/monitor"
+	"streampca/internal/noc"
+	"streampca/internal/obs"
 	"streampca/internal/randproj"
 	"streampca/internal/sketch"
 	"streampca/internal/traffic"
@@ -58,7 +60,8 @@ type Scenario struct {
 	// monitor's flow count, which Monitors must then divide evenly).
 	SketchLen int
 	FDEll     int
-	// Monitors partitions the flows round-robin, as core.Cluster does.
+	// Monitors is how many monitors a replay deploys; they stripe the flows
+	// round-robin (core.Params.Stripe).
 	Monitors int
 	// RefitEvery is the retraining cadence of the fixed-cadence methods (the
 	// exact reference, the Fig. 7–9 sweep); 0 → 1, the paper's cost model.
@@ -67,26 +70,33 @@ type Scenario struct {
 	Dist randproj.Distribution
 }
 
-// clusterConfig is the in-process deployment the scenario describes for one
-// sketcher family.
-func (s Scenario) clusterConfig(family sketch.Family) core.ClusterConfig {
-	sketchLen := s.SketchLen
+// params are the protocol parameters the scenario states for one sketcher
+// family.
+func (s Scenario) params(family sketch.Family) core.Params {
+	p := core.Params{Family: family, NumFlows: s.Trace.NumFlows(), WindowLen: s.WindowLen,
+		SketchLen: s.SketchLen, Epsilon: s.Epsilon, Seed: s.Seed}
 	if family == sketch.FamilyFD {
-		sketchLen = s.FDEll
+		p.SketchLen = s.FDEll
 	}
-	return core.ClusterConfig{
-		NumFlows:    s.Trace.NumFlows(),
-		NumMonitors: s.Monitors,
-		WindowLen:   s.WindowLen,
-		Epsilon:     s.Epsilon,
-		Alpha:       s.Alpha,
-		Family:      family,
-		SketchLen:   sketchLen,
-		Seed:        s.Seed,
-		Dist:        s.Dist,
-		Mode:        core.RankFixed,
-		FixedRank:   s.Rank,
+	return p
+}
+
+// detector is the NOC detector the scenario runs under p.
+func (s Scenario) detector(p core.Params) core.DetectorConfig {
+	return core.DetectorConfig{NumFlows: p.NumFlows, WindowLen: p.WindowLen, SketchLen: p.SketchLen,
+		Alpha: s.Alpha, Mode: core.RankFixed, FixedRank: s.Rank, Family: p.Family}
+}
+
+// oneMonitor is the randproj sketch state of one monitor over every flow.
+// Per-flow sketches do not depend on how flows are split across monitors,
+// and one monitor draws each interval's projection row once.
+func (s Scenario) oneMonitor() (*core.Monitor, core.Params, error) {
+	flows, p, err := s.params(sketch.FamilyRandProj).Stripe(1)
+	if err != nil {
+		return nil, p, err
 	}
+	mon, err := p.NewMonitor(flows[0], s.Dist)
+	return mon, p, err
 }
 
 // Step is one interval of a replay, as the driver hands it to a mode.
@@ -95,45 +105,42 @@ type Step struct {
 	Index int
 	// Volumes is the row, valid during the callback.
 	Volumes []float64
-	// Warm is false while the monitors have seen less than a window; the
-	// detector is not consulted and Decision is zero.
-	Warm     bool
-	Decision core.Decision
-	// Observe is the wall time of the detector's observation: on a
-	// Decision.Refreshed interval, the fetch + rebuild + re-evaluation bill.
-	Observe time.Duration
+	// Decision is the NOC's: Warmup while the monitors have seen less than
+	// a window, else Result and, on an alarm, Identified.
+	Decision noc.Decision
 }
 
-// Replay is the one evaluation loop: it builds the scenario's cluster for a
-// family and walks the trace through it exactly as core.Cluster.Step would —
-// update every monitor, then, once warm, drive the lazy detection protocol on
-// the same vector — timing the observation apart from the update (which is
-// why it does not call Step) and handing each interval to visit. The cluster
-// comes back for what a mode reads after the run (protocol counters, one
-// last sketch pull).
-func (s Scenario) Replay(family sketch.Family, visit func(cl *core.Cluster, st Step) error) (*core.Cluster, error) {
-	cl, err := core.NewCluster(s.clusterConfig(family))
+// Replay is the one evaluation loop: it deploys the scenario for a family —
+// a flat noc.Deploy on loopback TCP, Monitors monitors, the NOC's metrics in
+// reg (nil: a private registry) — steps every trace row through it and
+// hands each interval to visit (nil: none). The deployment is closed when
+// Replay returns; it comes back for what a mode reads after the run (the
+// NOC's counters, the monitors' last sketch state).
+func (s Scenario) Replay(family sketch.Family, reg *obs.Registry, visit func(d *noc.Deployment, st Step) error) (*noc.Deployment, error) {
+	p := s.params(family)
+	d, err := noc.Deploy(noc.Config{
+		Detector: s.detector(p), Seed: p.Seed, Epsilon: p.Epsilon, IdentifyMaxK: identifyMaxK, Obs: reg,
+	}, noc.Topology{Monitors: s.Monitors, Monitor: func(_ int, c *monitor.Config) {
+		// Stated, not adopted: the announcement names no projection family.
+		c.Family, c.WindowLen, c.Epsilon, c.FDEll = p.Family, p.WindowLen, p.Epsilon, p.SketchLen
+		c.Sketch = randproj.Config{Seed: p.Seed, SketchLen: p.SketchLen, Dist: s.Dist}
+	}})
 	if err != nil {
 		return nil, err
 	}
-	det := cl.Detector()
-	for i := 0; i < s.Trace.NumIntervals(); i++ {
+	defer d.Close()
+	for i := range s.Trace.NumIntervals() {
 		st := Step{Index: i, Volumes: s.Trace.Volumes.RowView(i)}
-		if err := cl.Update(int64(i+1), st.Volumes); err != nil {
+		if st.Decision, err = d.Step(int64(i+1), st.Volumes); err != nil {
 			return nil, err
 		}
-		if st.Warm = cl.Warm(); st.Warm {
-			start := time.Now()
-			if st.Decision, err = det.Observe(st.Volumes, cl.Fetch); err != nil {
+		if visit != nil {
+			if err := visit(d, st); err != nil {
 				return nil, err
 			}
-			st.Observe = time.Since(start)
-		}
-		if err := visit(cl, st); err != nil {
-			return nil, err
 		}
 	}
-	return cl, nil
+	return d, nil
 }
 
 // Tally is one detector's confusion count against ground truth, in the

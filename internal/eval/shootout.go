@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"streampca/internal/core"
+	"streampca/internal/noc"
+	"streampca/internal/obs"
 	"streampca/internal/oracle"
 	"streampca/internal/sketch"
 )
@@ -37,8 +39,9 @@ type ShootoutRow struct {
 	// blind (degenerate residual spectrum, no usable δ).
 	ThresholdUnavail int
 	// Retrains is the number of sketch pulls the lazy protocol issued;
-	// RetrainNanos the wall time of the observations that included one
-	// (fetch + model rebuild + re-evaluation).
+	// RetrainNanos their wall time, sketch pull plus model rebuild, as the
+	// NOC's streampca_noc_fetch_seconds and streampca_noc_retrain_seconds
+	// sum it.
 	Retrains     int64
 	RetrainNanos int64
 	// SketchBytes sizes one full sketch pull at the end of the trace: every
@@ -73,8 +76,9 @@ func Shootout(s Scenario, truth *Truth) ([]ShootoutRow, error) {
 	return out, nil
 }
 
-// shootoutVariant replays the trace through one family's cluster, scoring
-// every truth-ready interval and timing the refresh observations.
+// shootoutVariant replays the trace through one family's deployment, scoring
+// every truth-ready interval, and reads the refresh bill off the NOC's
+// instruments.
 func (s Scenario) shootoutVariant(truth *Truth, name string, family sketch.Family) (ShootoutRow, error) {
 	row := ShootoutRow{Variant: name, Family: family}
 	var chk *oracle.Checker
@@ -89,33 +93,39 @@ func (s Scenario) shootoutVariant(truth *Truth, name string, family sketch.Famil
 			return row, err
 		}
 	}
-	cl, err := s.Replay(family, func(cl *core.Cluster, st Step) error {
-		if st.Decision.Refreshed {
-			row.RetrainNanos += st.Observe.Nanoseconds()
-		}
+	reg := obs.NewRegistry()
+	d, err := s.Replay(family, reg, func(d *noc.Deployment, st Step) error {
+		dec := st.Decision.Result
 		if chk != nil {
 			// Cold intervals only feed the checker's exact window: there is
 			// no model yet, so nothing is checked.
-			if r, ok := chk.ObserveNOC(int64(st.Index+1), st.Volumes, st.Decision, cl.Detector().Model()); ok {
+			if r, ok := chk.ObserveNOC(int64(st.Index+1), st.Volumes, dec, d.NOC.Model()); ok {
 				row.Oracle.Merge(r)
 			}
 		}
-		if !st.Warm || !truth.Ready[st.Index] {
+		if st.Decision.Warmup || !truth.Ready[st.Index] {
 			return nil
 		}
-		if st.Decision.ThresholdUnavailable {
+		if dec.ThresholdUnavailable {
 			row.ThresholdUnavail++
 		}
-		row.Add(st.Decision.Anomalous, truth.Anomalous[st.Index])
+		row.Add(dec.Anomalous, truth.Anomalous[st.Index])
 		return nil
 	})
 	if err != nil {
 		return row, err
 	}
-	row.SketchParam = cl.Params().SketchLen
-	_, row.Retrains, _ = cl.Detector().Stats()
-	f, err := cl.Fetch()
-	if err != nil {
+	row.SketchParam = d.Params.SketchLen
+	_, row.Retrains, _ = d.NOC.DetectorStats()
+	for _, h := range []string{"streampca_noc_fetch_seconds", "streampca_noc_retrain_seconds"} {
+		row.RetrainNanos += int64(reg.Histogram(h, "", nil).Snapshot().Sum * 1e9)
+	}
+	reports := make([]core.SketchReport, len(d.Monitors))
+	for i, mon := range d.Monitors {
+		reports[i] = mon.Report()
+	}
+	var f core.Fetch
+	if err := f.Assemble(family, d.Params.NumFlows, reports); err != nil {
 		return row, err
 	}
 	row.SketchBytes = fetchBytes(f)

@@ -2,7 +2,10 @@ package eval
 
 import (
 	"errors"
+	"net"
+	"runtime"
 	"testing"
+	"time"
 
 	"streampca/internal/sketch"
 )
@@ -101,5 +104,37 @@ func TestShootoutValidation(t *testing.T) {
 	s.Monitors = 5
 	if _, err := Shootout(s, truth); err == nil {
 		t.Fatal("uneven FD split must fail")
+	}
+}
+
+// TestReplayLeavesNothingRunning: every replay closes its deployment, so the
+// oracle sweep's four replays, a shoot-out's two and one more leave no
+// goroutine behind, and the last replay's NOC no longer accepts.
+func TestReplayLeavesNothingRunning(t *testing.T) {
+	s := testScenario(t)
+	truth, err := GroundTruth(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	if _, err := OracleSweep(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Shootout(s, truth); err != nil {
+		t.Fatal(err)
+	}
+	d, err := s.Replay(sketch.FamilyRandProj, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the replays:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+	}
+	if conn, err := net.DialTimeout("tcp", d.NOC.Addr(), time.Second); err == nil {
+		conn.Close()
+		t.Fatalf("the closed replay's NOC still accepts on %s", d.NOC.Addr())
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"streampca/internal/core"
 	"streampca/internal/pca"
-	"streampca/internal/sketch"
 )
 
 // ErrorPoint is one cell of the (r, l) error grid.
@@ -53,10 +52,7 @@ func SweepErrors(s Scenario, truth *Truth, ranks, sketchLens []int) ([]ErrorPoin
 // pca.Model of ẐᵀẐ and each rank a pca.Detector on it — the same distance
 // and threshold code that labels truth, fed the approximation.
 func (s Scenario) sweepRanks(truth *Truth, ranks []int) ([]ErrorPoint, error) {
-	// Per-flow sketches do not depend on how flows are split across monitors,
-	// and one monitor draws each interval's projection row once.
-	s.Monitors = 1
-	cl, err := core.NewCluster(s.clusterConfig(sketch.FamilyRandProj))
+	mon, p, err := s.oneMonitor()
 	if err != nil {
 		return nil, err
 	}
@@ -68,14 +64,14 @@ func (s Scenario) sweepRanks(truth *Truth, ranks []int) ([]ErrorPoint, error) {
 	sinceRefit := s.RefitEvery // force a fit at the first labeled interval
 	for i := 0; i < s.Trace.NumIntervals(); i++ {
 		row := s.Trace.Volumes.RowView(i)
-		if err := cl.Update(int64(i+1), row); err != nil {
+		if err := mon.Update(int64(i+1), row); err != nil {
 			return nil, err
 		}
 		if !truth.Ready[i] {
 			continue
 		}
 		if sinceRefit++; sinceRefit >= s.RefitEvery {
-			f, err := cl.Fetch()
+			f, err := p.Fetch(mon)
 			if err != nil {
 				return nil, err
 			}

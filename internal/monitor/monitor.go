@@ -480,6 +480,14 @@ func (s *Service) Report() core.SketchReport {
 	return s.core.Report()
 }
 
+// Inspect runs f on the sketch state under the service's lock; f must only
+// read it.
+func (s *Service) Inspect(f func(*core.Monitor)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f(s.core)
+}
+
 // Close tears down the NOC connection, stops any reconnect loop and waits
 // for the reader to exit. Safe to call multiple times and before Connect;
 // the service cannot be re-attached afterwards.

@@ -91,32 +91,6 @@ func TestFDEndToEndDetection(t *testing.T) {
 	}
 }
 
-func TestFDLocalSketchesMode(t *testing.T) {
-	// §V-A variant on the FD family: the NOC folds volume reports into one
-	// FD buffer over all flows and never pulls sketches.
-	cfg := fdNocConfig()
-	cfg.LocalSketches = true
-	dep := deploy(t, cfg, Topology{Monitors: 3})
-	svc := dep.NOC
-
-	rng := rand.New(rand.NewSource(55))
-	var interval int64
-	for i := 0; i < testWindow+10; i++ {
-		interval++
-		step(t, dep, interval, fdTrafficRow(rng))
-	}
-	if !svc.HasModel() {
-		t.Fatal("NOC must build a model from its own FD buffer")
-	}
-	interval++
-	bad := fdTrafficRow(rng)
-	bad[1] += 5e5
-	bad[6] += 3e5
-	if d := step(t, dep, interval, bad); !d.Result.Anomalous {
-		t.Fatalf("anomaly missed in FD local-sketch mode: %+v", d.Result)
-	}
-}
-
 func TestFDDegradedBlockFallback(t *testing.T) {
 	// When an FD monitor vanishes, the degraded fetch path substitutes its
 	// whole cached block (FD state only merges at block granularity) and the

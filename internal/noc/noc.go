@@ -90,18 +90,11 @@ type Config struct {
 	// OnDecision, when set, receives every completed-interval decision.
 	// It is called from the processing goroutine; keep it fast.
 	OnDecision func(Decision)
-	// LocalSketches enables the paper's §V-A variant for thin monitors:
-	// the NOC maintains the sketch state itself from the volume reports
-	// (variance histograms for randproj, one FD buffer for FD), so monitors
-	// need only run volume counters and are never asked for sketches. Costs
-	// the NOC O(m·log n) extra time per interval and O(m·log²n) space for
-	// randproj, O(ℓ·m) for FD.
-	LocalSketches bool
 	// Epsilon is the deployment's VH ε, announced to every peer: a monitor
 	// that adopts the announcement runs its histograms at it, a Hello that
-	// states another ε is refused, and the self-check and LocalSketches use
-	// it. 0 states no ε: peers keep their own, nothing compares it, and the
-	// NOC's own uses take core.DefaultEpsilon.
+	// states another ε is refused, and the self-check uses it. 0 states no
+	// ε: peers keep their own, nothing compares it, and the NOC's own uses
+	// take core.DefaultEpsilon.
 	Epsilon float64
 	// SelfCheckEvery, when ≥ 1, enables the internal/oracle differential
 	// validator: the NOC shadows every non-degraded completed interval
@@ -279,9 +272,6 @@ type Service struct {
 	// oracle is the -selfcheck differential validator; nil when disabled.
 	// Touched only from the processing goroutine.
 	oracle *oracle.Checker
-	// localMon holds the NOC-side variance histograms when LocalSketches
-	// is enabled; accessed only from the processing goroutine.
-	localMon *core.Monitor
 	// pulled is the sketch pull the observation in progress fetched, released
 	// to the tier once the model is built, and fetched its reports assembled
 	// for the detector; processing goroutine only.
@@ -313,20 +303,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.SelfCheckEvery > 0 && cfg.Detector.Family == sketch.FamilyFD {
 		return nil, fmt.Errorf("%w: the oracle self-check shadows variance histograms and only supports the randproj family", ErrConfig)
 	}
-	var localMon *core.Monitor
-	if cfg.LocalSketches {
-		// The monitors' state over every flow; for FD one buffer whose
-		// budget ℓ is the detector's SketchLen.
-		flowIDs := make([]int, cfg.Detector.NumFlows)
-		for j := range flowIDs {
-			flowIDs[j] = j
-		}
-		local := params
-		local.Epsilon = params.VHEpsilon()
-		if localMon, err = local.NewMonitor(flowIDs, 0); err != nil {
-			return nil, fmt.Errorf("local sketch state: %w", err)
-		}
-	}
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -344,7 +320,6 @@ func New(cfg Config) (*Service, error) {
 		met:      newMetrics(reg),
 		wireMet:  transport.NewMetrics(reg),
 		det:      det,
-		localMon: localMon,
 		workCh:   make(chan tier.Interval, 256),
 		procDone: make(chan struct{}),
 	}
@@ -465,6 +440,15 @@ func (s *Service) HasModel() bool {
 	return s.det.HasModel()
 }
 
+// Model returns the model in force, nil before the first build. Its Sketch
+// is the detector's workspace, which the next rebuild overwrites: read it
+// before the next interval is reported.
+func (s *Service) Model() *core.Model {
+	s.detMu.Lock()
+	defer s.detMu.Unlock()
+	return s.det.Model()
+}
+
 // DetectorStats reads the lazy-protocol counters from the registry:
 // observations is streampca_noc_observations_total, fetches
 // streampca_noc_retrains_total (every successful fetch triggers exactly one
@@ -516,15 +500,6 @@ func (s *Service) processLoop() {
 		// vectorDegraded marks intervals assembled with cached volumes for
 		// item.Stale unowned flows (see DegradedPolicy).
 		vectorDegraded := item.Stale > 0
-		// §V-A variant: the NOC owns the histograms, so it can test the
-		// incoming vector BEFORE folding it in (detect-then-absorb, which
-		// also limits model poisoning by the anomalous interval itself);
-		// the fold happens after the decision below.
-		absorb := func() {
-			if s.localMon != nil && item.Index > s.localMon.Now() {
-				_ = s.localMon.Update(item.Index, item.Volumes)
-			}
-		}
 		// Feed the oracle's exact shadow window. Degraded intervals are
 		// withheld: their vectors contain cache-substituted volumes, and a
 		// gap just makes the affected exact windows non-reconstructible
@@ -544,7 +519,6 @@ func (s *Service) processLoop() {
 				trace.I("stale_volume_flows", int64(item.Stale)))
 		}
 		if item.Index < int64(s.cfg.Detector.WindowLen) {
-			absorb()
 			shadow(core.Decision{ThresholdUnavailable: true}, nil)
 			s.met.warmups.Inc()
 			sp.Event("warmup")
@@ -559,10 +533,6 @@ func (s *Service) processLoop() {
 			}
 			continue
 		}
-		fetch := s.fetchSketches
-		if s.localMon != nil {
-			fetch = s.fetchLocal
-		}
 		// Time the fetch round trip separately from the whole observation;
 		// on a refresh, observe-minus-fetch is the rebuild cost (the
 		// O(m²·log n) retrain the paper bounds).
@@ -570,7 +540,7 @@ func (s *Service) processLoop() {
 		timedFetch := func() (core.Fetch, error) {
 			fsp := s.cfg.Trace.Start(sp.Trace(), sp.ID(), "noc.fetch")
 			t0 := time.Now()
-			f, err := fetch(fsp)
+			f, err := s.fetchSketches(fsp)
 			fetchDur = time.Since(t0)
 			s.met.fetchSeconds.Observe(fetchDur.Seconds())
 			if err != nil {
@@ -595,7 +565,6 @@ func (s *Service) processLoop() {
 			s.pulled = nil
 		}
 		total := time.Since(start)
-		absorb()
 		if err != nil {
 			s.log.Warn("observation failed", "interval", item.Index, "err", err)
 			sp.Event("observation_failed", trace.S("err", err.Error()))
@@ -622,9 +591,7 @@ func (s *Service) processLoop() {
 				s.health.Set("detector", obs.StatusOK, "model fresh")
 			}
 		}
-		s.detMu.Lock()
-		model := s.det.Model()
-		s.detMu.Unlock()
+		model := s.Model()
 		shadow(res, model)
 		if model != nil {
 			s.met.thresholdCapped.Set(float64(model.ThresholdCapped))
@@ -693,13 +660,6 @@ func (s *Service) processLoop() {
 				Identified: ident})
 		}
 	}
-}
-
-// fetchLocal implements core.FetchFunc from the NOC-side sketch state
-// (§V-A variant). Called only from the processing goroutine.
-func (s *Service) fetchLocal(sp *trace.Span) (core.Fetch, error) {
-	sp.Event("local_sketches")
-	return s.down.Params().Fetch(s.localMon)
 }
 
 // fetchSketches implements core.FetchFunc over the registered monitors: one

@@ -328,75 +328,6 @@ func TestMonitorChurnRecovery(t *testing.T) {
 	}
 }
 
-func TestLocalSketchesMode(t *testing.T) {
-	// §V-A variant: the NOC maintains the histograms itself; monitors act
-	// as volume reporters only and never receive sketch requests.
-	cfg := nocConfig()
-	cfg.LocalSketches = true
-	dep := deploy(t, cfg, Topology{Monitors: 3})
-	svc := dep.NOC
-
-	rng := rand.New(rand.NewSource(53))
-	var interval int64
-	for i := 0; i < testWindow+10; i++ {
-		interval++
-		step(t, dep, interval, trafficRow(rng, interval))
-	}
-	if !svc.HasModel() {
-		t.Fatal("NOC must build a model from its own histograms")
-	}
-	// Anomaly detection still works.
-	interval++
-	bad := trafficRow(rng, interval)
-	bad[1] += 4000
-	bad[6] += 3000
-	d := step(t, dep, interval, bad)
-	if !d.Result.Anomalous {
-		t.Fatalf("anomaly missed in local-sketch mode: %+v", d.Result)
-	}
-	// And detection keeps working even after every monitor disconnects
-	// mid-stream — the NOC's own state is self-sufficient for sketches
-	// (volume reports must still arrive, so reconnect a full-coverage one).
-	for _, m := range dep.Monitors {
-		_ = m.Close()
-	}
-	// Wait for the NOC to release the dead monitors' flow ownership before
-	// a full-coverage replacement can register.
-	deadline := time.Now().Add(2 * time.Second)
-	for len(svc.Monitors()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("old monitors never unregistered: %v", svc.Monitors())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	all := make([]int, testFlows)
-	for f := range all {
-		all[f] = f
-	}
-	solo, err := monitor.New(monitor.Config{ID: "solo", FlowIDs: all})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := solo.Connect(svc.Addr(), 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = solo.Close() })
-	deadline = time.Now().Add(2 * time.Second)
-	for len(svc.Monitors()) != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("solo monitor never registered")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	for i := 0; i < 5; i++ {
-		interval++
-		if err := solo.ReportInterval(interval, trafficRow(rng, interval)); err != nil {
-			t.Fatal(err)
-		}
-		nextDecision(t, dep.decisions, interval)
-	}
-}
-
 func TestFetchErrors(t *testing.T) {
 	// Exercise fetchSketches failure paths directly.
 	svc, err := New(nocConfig())

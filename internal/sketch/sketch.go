@@ -15,7 +15,7 @@
 // A Snapshot is the wire form of either family; internal/core aliases it as
 // SketchReport, so transport payloads and the NOC fetch path are generic
 // over the family. Family selection is threaded from the daemons' -sketcher
-// flag through MonitorConfig/ClusterConfig down to New.
+// flag through MonitorConfig down to New.
 package sketch
 
 import (

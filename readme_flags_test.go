@@ -187,9 +187,10 @@ func TestREADMEMetricsMatchRegistries(t *testing.T) {
 	}
 }
 
-// docFiles are the documents that describe the tree as it is; EXPERIMENTS.md
-// is a history and may name what has since gone.
-var docFiles = []string{"README.md", "DESIGN.md"}
+// docFiles are the documents the name checks read. EXPERIMENTS.md is a
+// history, but a line of it about something since retired names it outside
+// backticks, so a backticked name is one that exists.
+var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
 // backticked returns every backtick span of the documents, each with the
 // file:line it starts on.
@@ -226,8 +227,8 @@ func expandBraces(p string) []string {
 }
 
 // TestDocsNameExistingPaths: every backticked internal/…, cmd/… or
-// examples/… path in README.md and DESIGN.md (a package directory or a file
-// in one) exists.
+// examples/… path in docFiles (a package directory or a file in one)
+// exists.
 func TestDocsNameExistingPaths(t *testing.T) {
 	path := regexp.MustCompile(`\b(?:internal|cmd|examples)/(?:[\w{},-]+/)*[\w{},-]+(?:\.go)?`)
 	spans, where := backticked(t)
@@ -243,9 +244,9 @@ func TestDocsNameExistingPaths(t *testing.T) {
 }
 
 // TestDocsNameExistingDeclarations: every backticked pkg.Name or
-// pkg.Type.Member in README.md and DESIGN.md whose pkg is a package of this
-// tree resolves to a declaration in its non-test files — a top-level name,
-// then a field or method of that type.
+// pkg.Type.Member in docFiles whose pkg is a package of this tree resolves
+// to a declaration in its non-test files — a top-level name, then a field or
+// method of that type.
 func TestDocsNameExistingDeclarations(t *testing.T) {
 	// pkgs[name] holds each top-level name and each "Type.Member" of a type's
 	// fields and methods.

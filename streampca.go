@@ -17,22 +17,24 @@
 //
 // # Quick start
 //
-// The simplest entry point is a Cluster, which wires local monitors and the
-// NOC detector in-process:
+// The simplest entry point is Deploy, which starts a NOC and its local
+// monitors on loopback TCP — the services the daemons run:
 //
-//	cl, err := streampca.NewCluster(streampca.ClusterConfig{
-//		NumFlows:    81,
-//		NumMonitors: 9,
-//		WindowLen:   4032, // two weeks of 5-minute intervals
-//		Epsilon:     0.01,
-//		Alpha:       0.01,
-//		SketchLen:   200,
-//		Seed:        42,
-//		FixedRank:   6,
-//	})
+//	d, err := streampca.Deploy(streampca.NOCConfig{
+//		Detector: streampca.DetectorConfig{
+//			NumFlows:  81,
+//			WindowLen: 4032, // two weeks of 5-minute intervals
+//			SketchLen: 200,
+//			Alpha:     0.01,
+//			FixedRank: 6,
+//		},
+//		Epsilon: 0.01,
+//		Seed:    42,
+//	}, streampca.Topology{Monitors: 9})
 //	...
-//	decision, err := cl.Step(interval, volumes) // one call per interval
-//	if decision.Anomalous { ... }
+//	defer d.Close()
+//	decision, err := d.Step(interval, volumes) // one call per interval
+//	if decision.Result.Anomalous { ... }
 //
 // For a real deployment, run one monitor service per measurement site and a
 // NOC service; see the examples/distributed program and the
@@ -46,6 +48,7 @@ package streampca
 
 import (
 	"streampca/internal/core"
+	"streampca/internal/noc"
 	"streampca/internal/randproj"
 	"streampca/internal/sketch"
 )
@@ -76,10 +79,13 @@ type (
 	// SketchFamily selects the streaming-summary implementation monitors
 	// run (random projection or Frequent Directions).
 	SketchFamily = sketch.Family
-	// Cluster wires monitors and a detector in-process.
-	Cluster = core.Cluster
-	// ClusterConfig configures a Cluster.
-	ClusterConfig = core.ClusterConfig
+	// NOCConfig configures the NOC service Deploy starts.
+	NOCConfig = noc.Config
+	// Topology is what Deploy starts below the NOC: the monitors, flat or
+	// behind a tier of aggregators.
+	Topology = noc.Topology
+	// Deployment is a running NOC and the topology below it.
+	Deployment = noc.Deployment
 
 	// SketchConfig configures the shared random projection (seed,
 	// sketch length l, distribution family).
@@ -144,9 +150,10 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 	return core.NewDetector(cfg)
 }
 
-// NewCluster builds an in-process monitors+NOC assembly.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	return core.NewCluster(cfg)
+// Deploy starts a NOC and the topology below it on loopback TCP and returns
+// once the monitors claim every flow.
+func Deploy(cfg NOCConfig, topo Topology) (*Deployment, error) {
+	return noc.Deploy(cfg, topo)
 }
 
 // NewSketchGenerator builds the shared deterministic random-projection

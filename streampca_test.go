@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"streampca/internal/core"
 	"streampca/internal/traffic"
 )
 
@@ -19,60 +20,77 @@ func facadeRow(rng *rand.Rand, m int) []float64 {
 	return row
 }
 
-// TestFacadeClusterLifecycle streams each case's trace through a Cluster, one
-// Step per interval, and requires at least half of the injected intervals
-// [from, to) flagged. Half, not one: on the clean Abilene trace two of the
-// six intervals the coordinated case injects into are false alarms already.
+// TestFacadeClusterLifecycle streams each case's trace through the facade,
+// one decision per interval, and requires at least half of the injected
+// intervals [from, to) flagged. Half, not one: on the clean Abilene trace two
+// of the six intervals the coordinated case injects into are false alarms
+// already.
 func TestFacadeClusterLifecycle(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		cfg  ClusterConfig
-		// trace returns the volumes the monitors measure (interval i+1 in
-		// row i) and, where they differ, the volumes the NOC observes.
-		trace    func(t *testing.T) (rows [][]float64, observed map[int][]float64)
+		// alarms streams the case's trace (interval i+1 in row i) and
+		// returns the rows that alarmed.
+		alarms   func(t *testing.T) map[int]bool
 		from, to int
 	}{
 		{
+			// The NOC observes a vector the monitors never measured, so the
+			// case runs on the facade's Monitor and Detector: three monitors
+			// striped over 12 flows.
 			name: "spike the NOC alone observes",
-			cfg: ClusterConfig{
-				NumFlows:    12,
-				NumMonitors: 3,
-				WindowLen:   96,
-				Epsilon:     0.05,
-				Alpha:       0.005,
-				SketchLen:   48, Seed: 17,
-				Mode:      RankFixed,
-				FixedRank: 2,
-			},
-			trace: func(t *testing.T) ([][]float64, map[int][]float64) {
-				rng := rand.New(rand.NewSource(5))
-				rows := make([][]float64, 2*96)
-				for i := range rows {
-					rows[i] = facadeRow(rng, 12)
+			alarms: func(t *testing.T) map[int]bool {
+				const m, n, k = 12, 96, 3
+				gen, err := NewSketchGenerator(SketchConfig{Seed: 17, SketchLen: 48, WindowLen: n})
+				if err != nil {
+					t.Fatal(err)
 				}
-				bad := facadeRow(rng, 12)
-				bad[1] += 4e4
-				bad[7] += 3e4
-				return append(rows, facadeRow(rng, 12)), map[int][]float64{2 * 96: bad}
+				mons := make([]*Monitor, k)
+				for i := range mons {
+					if mons[i], err = NewMonitor(MonitorConfig{FlowIDs: []int{i, i + k, i + 2*k, i + 3*k},
+						WindowLen: n, Epsilon: 0.05, Gen: gen}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 48,
+					Alpha: 0.005, Mode: RankFixed, FixedRank: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fetch := func() (core.Fetch, error) { return core.Params{NumFlows: m, SketchLen: 48}.Fetch(mons...) }
+				rng := rand.New(rand.NewSource(5))
+				alarmed := map[int]bool{}
+				for i := range 2*n + 1 {
+					observed := facadeRow(rng, m)
+					row := observed
+					if i == 2*n {
+						observed[1] += 4e4
+						observed[7] += 3e4
+						row = facadeRow(rng, m)
+					}
+					for s, mon := range mons {
+						if err := mon.Update(int64(i+1), []float64{row[s], row[s+k], row[s+2*k], row[s+3*k]}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if i+1 < n {
+						continue
+					}
+					dec, err := det.Observe(observed, fetch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					alarmed[i] = dec.Anomalous
+				}
+				return alarmed
 			},
 			from: 2 * 96, to: 2*96 + 1,
 		},
 		{
 			// Four days of Abilene volumes, a coordinated low-profile anomaly
-			// on four flows for half an hour of the last day.
+			// on four flows for half an hour of the last day, through a
+			// deployment of nine monitors.
 			name: "coordinated anomaly on the Abilene trace",
-			cfg: ClusterConfig{
-				NumFlows:    len(traffic.AbileneRouters) * len(traffic.AbileneRouters),
-				NumMonitors: 9,
-				WindowLen:   traffic.IntervalsPerDay5Min,
-				Epsilon:     0.01,
-				Alpha:       0.01,
-				SketchLen:   120,
-				Seed:        42,
-				Mode:        RankFixed,
-				FixedRank:   6,
-			},
-			trace: func(t *testing.T) ([][]float64, map[int][]float64) {
+			alarms: func(t *testing.T) map[int]bool {
 				tr, err := traffic.Generate(traffic.GeneratorConfig{
 					NumIntervals: 4 * traffic.IntervalsPerDay5Min,
 					Seed:         7,
@@ -83,35 +101,39 @@ func TestFacadeClusterLifecycle(t *testing.T) {
 				if err := tr.InjectCoordinated([]int{1, 12, 30, 61}, 864, 870, 0.9); err != nil {
 					t.Fatal(err)
 				}
-				rows := make([][]float64, tr.NumIntervals())
-				for i := range rows {
-					rows[i] = tr.Volumes.RowView(i)
+				d, err := Deploy(NOCConfig{
+					Detector: DetectorConfig{
+						NumFlows:  tr.NumFlows(),
+						WindowLen: traffic.IntervalsPerDay5Min,
+						SketchLen: 120,
+						Alpha:     0.01,
+						Mode:      RankFixed,
+						FixedRank: 6,
+					},
+					Epsilon: 0.01,
+					Seed:    42,
+				}, Topology{Monitors: 9})
+				if err != nil {
+					t.Fatal(err)
 				}
-				return rows, nil
+				defer d.Close()
+				alarmed := map[int]bool{}
+				for i := range tr.NumIntervals() {
+					dec, err := d.Step(int64(i+1), tr.Volumes.RowView(i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					alarmed[i] = dec.Result.Anomalous
+				}
+				return alarmed
 			},
 			from: 864, to: 870,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cl, err := NewCluster(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, observed := tc.trace(t)
-			hits := 0
-			for i, row := range rows {
-				var dec Decision
-				if seen, ok := observed[i]; ok {
-					if err = cl.Update(int64(i+1), row); err == nil {
-						dec, err = cl.Detector().Observe(seen, cl.Fetch)
-					}
-				} else {
-					dec, err = cl.Step(int64(i+1), row)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if dec.Anomalous && i >= tc.from && i < tc.to {
+			alarmed, hits := tc.alarms(t), 0
+			for i := tc.from; i < tc.to; i++ {
+				if alarmed[i] {
 					hits++
 				}
 			}
@@ -130,8 +152,8 @@ func TestFacadeConstructorsAndErrors(t *testing.T) {
 	if _, err := NewDetector(DetectorConfig{}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("detector: %v", err)
 	}
-	if _, err := NewCluster(ClusterConfig{}); !errors.Is(err, ErrConfig) {
-		t.Fatalf("cluster: %v", err)
+	if _, err := Deploy(NOCConfig{}, Topology{}); !errors.Is(err, ErrConfig) {
+		t.Fatalf("deployment: %v", err)
 	}
 	if _, err := NewSketchGenerator(SketchConfig{}); err == nil {
 		t.Fatal("generator without sketch length must fail")
