@@ -429,30 +429,6 @@ func BenchmarkVHUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkSketchDistributions ablates the projection family (§V-B): the
-// Gaussian draw needs an inverse-CDF evaluation, tug-of-war a coin flip and
-// the sparse families mostly skip work.
-func BenchmarkSketchDistributions(b *testing.B) {
-	configs := map[string]randproj.Config{
-		"gaussian":    {Seed: 1, SketchLen: 256},
-		"tug-of-war":  {Seed: 1, SketchLen: 256, Dist: randproj.TugOfWar},
-		"sparse-s3":   {Seed: 1, SketchLen: 256, Dist: randproj.Sparse, SparseS: 3},
-		"very-sparse": {Seed: 1, SketchLen: 256, Dist: randproj.VerySparse, WindowLen: 4096},
-	}
-	for name, cfg := range configs {
-		b.Run(name, func(b *testing.B) {
-			gen, err := randproj.NewGenerator(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = gen.Row(int64(i))
-			}
-		})
-	}
-}
-
 // BenchmarkQStatistic measures the threshold computation.
 func BenchmarkQStatistic(b *testing.B) {
 	sv := make([]float64, 81)
@@ -903,7 +879,7 @@ func TestWideClusterIdentifiesInjectedFlow(t *testing.T) {
 	}
 	mons := make([]*Monitor, len(flows))
 	for i := range mons {
-		if mons[i], err = p.NewMonitor(flows[i], Gaussian); err != nil {
+		if mons[i], err = p.NewMonitor(flows[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -49,8 +49,8 @@ step_done
 # (which fuses x*y + z unless the product is converted) attributes to
 # internal/mat/rowops.go, where the Go loops live, to internal/mat/kernels.go,
 # whose Mul and TMulInto form the Frequent Directions shrink's projection, or
-# to internal/stats/normal.go, whose Horner chains draw every Gaussian
-# projection row. Each -S listing must show its file at all, or the check
+# to internal/stats/normal.go, whose Horner chains give the Q-threshold's c_α
+# (UpperQuantile). Each -S listing must show its file at all, or the check
 # would pass on nothing.
 step "no fused multiply-add (internal/**/*.s; GOARCH=arm64 rowops.go, kernels.go and normal.go)"
 FUSED=$(find internal -name '*.s' -exec grep -HnE 'VF(N)?M(ADD|SUB)' {} + || true)
@@ -227,12 +227,12 @@ step_done
 
 # On amd64 the math package takes fused multiply-add paths when the CPU has
 # FMA (math.Exp's, for one), so a result that reads them differs between CPUs.
-# The pinned Gaussian rows, the goldens TestGoldenOutputs holds and -figure 8
-# must come out the same with FMA switched off.
+# The pinned ±1 projection rows, the goldens TestGoldenOutputs holds and
+# -figure 8 must come out the same with FMA switched off.
 step "same bits without FMA (GODEBUG=cpu.fma=off: pinned rows, eval goldens)"
 if [ "$(go env GOARCH)" = amd64 ]; then
     export GODEBUG=cpu.fma=off
-    go test -count=1 -run '^TestGaussianRowsPinned$' ./internal/randproj
+    go test -count=1 -run '^TestSignRowsPinned$' ./internal/randproj
     go test -count=1 -run '^TestGoldenOutputs$' ./cmd/abilene-eval
     eval_golden fig8 -figure 8
     unset GODEBUG

@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"streampca/internal/eval"
-	"streampca/internal/randproj"
 	"streampca/internal/sketch"
 	"streampca/internal/traffic"
 )
@@ -59,23 +58,6 @@ type params struct {
 	monitors     int
 	trace        string
 	traceWindow  int
-	dist         randproj.Distribution
-}
-
-// parseDist maps the -dist flag to a projection family.
-func parseDist(s string) (randproj.Distribution, error) {
-	switch strings.ToLower(s) {
-	case "", "gaussian":
-		return randproj.Gaussian, nil
-	case "tugofwar", "tug-of-war":
-		return randproj.TugOfWar, nil
-	case "sparse":
-		return randproj.Sparse, nil
-	case "verysparse", "very-sparse":
-		return randproj.VerySparse, nil
-	default:
-		return 0, fmt.Errorf("unknown distribution %q (want gaussian, tugofwar, sparse or verysparse)", s)
-	}
 }
 
 func run(args []string, out io.Writer) error {
@@ -100,15 +82,9 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&p.monitors, "monitors", 9, "monitors partitioning the flows in the shoot-out")
 	fs.StringVar(&p.trace, "trace", "", "replay a trafficgen-format CSV instead of the synthetic workload ("+traceModes+")")
 	fs.IntVar(&p.traceWindow, "trace-window", 0, "sliding-window length when -trace is set")
-	distName := fs.String("dist", "gaussian", "projection family: gaussian, tugofwar, sparse or verysparse")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	dist, err := parseDist(*distName)
-	if err != nil {
-		return err
-	}
-	p.dist = dist
 	if p.figure == "" && !p.bounds && !p.oracle && !p.comm && !p.shootout && !p.identify {
 		return fmt.Errorf("nothing to do: pass -figure N, -bounds, -oracle, -comm, -shootout and/or -identify")
 	}
@@ -199,7 +175,7 @@ func (p params) scenario(tr *traffic.Trace, window int) eval.Scenario {
 	return eval.Scenario{
 		Trace: tr, WindowLen: window, Rank: 6, Alpha: p.alpha, Epsilon: p.epsilon,
 		Seed: uint64(p.seed), SketchLen: p.shootSketch, FDEll: p.fdEll,
-		Monitors: p.monitors, RefitEvery: p.refitEvery, Dist: p.dist,
+		Monitors: p.monitors, RefitEvery: p.refitEvery,
 	}
 }
 
@@ -425,8 +401,8 @@ func (s *session) commReport(out io.Writer) error {
 	return nil
 }
 
-// oracleReport prints one bound-violation row per projection family: the
-// full streaming pipeline is driven over the evaluation workload and
+// oracleReport prints one bound-violation row per sketch length: the full
+// streaming pipeline is driven over the evaluation workload and
 // differentially validated (exactness, Lemma 1, Lemmas 5–6, Theorem 2,
 // alarm agreement) on sampled intervals. Any nonzero violation count is a
 // numerical-correctness bug, not a statistical miss.
@@ -436,22 +412,19 @@ func (s *session) oracleReport(out io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(out, "# Oracle — differential validation of the streaming pipeline vs exact references")
-	fmt.Fprintln(out, "dist,l,checks,violations,max_rel_err,worst")
+	fmt.Fprintln(out, "l,checks,violations,max_rel_err,worst")
 	for _, l := range []int{16, 64} {
 		sc := w.Scenario
 		sc.SketchLen = l
-		rows, err := eval.OracleSweep(sc)
+		r, err := eval.Oracle(sc)
 		if err != nil {
 			return err
 		}
-		for _, r := range rows {
-			worst := ""
-			if v := r.Worst(); v != nil {
-				worst = v.String()
-			}
-			fmt.Fprintf(out, "%v,%d,%d,%d,%.3e,%s\n",
-				r.Dist, r.SketchLen, r.Checks, len(r.Violations), r.MaxRelErr, worst)
+		worst := ""
+		if v := r.Worst(); v != nil {
+			worst = v.String()
 		}
+		fmt.Fprintf(out, "%d,%d,%d,%.3e,%s\n", l, r.Checks, len(r.Violations), r.MaxRelErr, worst)
 	}
 	return nil
 }

@@ -24,10 +24,11 @@
 package anomography
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"streampca/internal/mat"
 )
@@ -133,40 +134,56 @@ type Result struct {
 	Stop StopReason
 }
 
+// Workspace is the storage Residual and Pursue work in. Kept across calls,
+// it makes a pursuit allocate only its Result's culprits once it has grown to
+// the problem's size. The zero value is ready; a Workspace is not safe for
+// concurrent use.
+type Workspace struct {
+	resid, coeff, normal []float64
+	sig, r0, r, rPrev    []float64
+	b, amounts, confs, q []float64
+	selected             []int
+	inSet                []bool
+	// grams[k-1] is the k×k signature Gram.
+	grams []*mat.Matrix
+	lsq   mat.LSQ
+}
+
 // Residual projects the centered measurement y onto the anomalous subspace:
 // r = y − P_r(P_rᵀy). pr is m×rank (nil or zero columns → the model has no
-// normal subspace and r = y).
-func Residual(pr *mat.Matrix, y []float64) ([]float64, error) {
+// normal subspace and r = y). The result is w's storage, valid until w's
+// next Residual.
+func (w *Workspace) Residual(pr *mat.Matrix, y []float64) ([]float64, error) {
 	m := len(y)
 	if !mat.VecIsFinite(y) {
 		return nil, fmt.Errorf("%w: non-finite measurement", ErrInput)
 	}
-	r := append([]float64(nil), y...)
+	w.resid = append(w.resid[:0], y...)
+	r := w.resid
 	if pr == nil || pr.Cols() == 0 {
 		return r, nil
 	}
 	if pr.Rows() != m {
 		return nil, fmt.Errorf("%w: %d components rows for %d flows", ErrInput, pr.Rows(), m)
 	}
-	coeff, err := pr.TMulVec(y) // rank entries â_jᵀy
-	if err != nil {
+	w.coeff, w.normal = slices.Grow(w.coeff[:0], pr.Cols())[:pr.Cols()], slices.Grow(w.normal[:0], m)[:m]
+	if err := pr.TMulVecTo(w.coeff, y); err != nil { // rank entries â_jᵀy
 		return nil, err
 	}
-	normal, err := pr.MulVec(coeff) // back to flow space: P_r·coeff
-	if err != nil {
+	if err := pr.MulVecTo(w.normal, w.coeff); err != nil { // back to flow space: P_r·coeff
 		return nil, err
 	}
 	for i := range r {
-		r[i] -= normal[i]
+		r[i] -= w.normal[i]
 	}
 	return r, nil
 }
 
 // Pursue runs the greedy sparse-residual pursuit. pr is the m×rank matrix
 // of principal components (column j = â_j); residual is the anomalous-
-// subspace residual r₀ = (I − P_rP_rᵀ)(x − μ), e.g. from Residual. The
-// input slices are not modified.
-func Pursue(pr *mat.Matrix, residual []float64, cfg Config) (Result, error) {
+// subspace residual r₀ = (I − P_rP_rᵀ)(x − μ), e.g. from Residual (w's own
+// included). The input slices are not modified.
+func (w *Workspace) Pursue(pr *mat.Matrix, residual []float64, cfg Config) (Result, error) {
 	m := len(residual)
 	rank := 0
 	if pr != nil {
@@ -196,7 +213,8 @@ func Pursue(pr *mat.Matrix, residual []float64, cfg Config) (Result, error) {
 
 	// ‖s_j‖² = 1 − ‖p_j‖², precomputed once: the selection loop reads it
 	// every iteration for every flow.
-	sig := make([]float64, m)
+	w.sig = slices.Grow(w.sig[:0], m)[:m]
+	sig := w.sig
 	for j := 0; j < m; j++ {
 		e := 1.0
 		if rank > 0 {
@@ -206,8 +224,8 @@ func Pursue(pr *mat.Matrix, residual []float64, cfg Config) (Result, error) {
 		sig[j] = e
 	}
 
-	r0 := append([]float64(nil), residual...)
-	r := append([]float64(nil), residual...)
+	w.r0, w.r = append(w.r0[:0], residual...), append(w.r[:0], residual...)
+	r0, r := w.r0, w.r
 	init2 := mat.Dot(r0, r0)
 	res := Result{InitialSPE: math.Sqrt(init2), ResidualSPE: math.Sqrt(init2)}
 	if init2 == 0 || (cfg.MinResidual > 0 && res.InitialSPE <= cfg.MinResidual) {
@@ -215,14 +233,17 @@ func Pursue(pr *mat.Matrix, residual []float64, cfg Config) (Result, error) {
 		return res, nil
 	}
 
+	w.inSet, w.rPrev = slices.Grow(w.inSet[:0], m)[:m], slices.Grow(w.rPrev[:0], m)[:m]
+	clear(w.inSet)
 	var (
-		selected []int
-		amounts  []float64
-		confs    []float64
-		inSet    = make([]bool, m)
+		selected = w.selected[:0]
+		amounts  = w.amounts[:0]
+		confs    = w.confs[:0]
+		inSet    = w.inSet
 		prev2    = init2
-		rPrev    = make([]float64, m)
+		rPrev    = w.rPrev
 	)
+	defer func() { w.selected, w.amounts, w.confs = selected, amounts, confs }()
 	res.Stop = StopMaxK
 	for len(selected) < maxK {
 		// Match: argmax over unselected identifiable flows of the
@@ -248,8 +269,12 @@ func Pursue(pr *mat.Matrix, residual []float64, cfg Config) (Result, error) {
 		// the signatures is G[u,v] = ⟨s_u, s_v⟩ = δ_uv − p_u·p_v and the
 		// right-hand side is b_u = ⟨r₀, s_u⟩ = r₀[u].
 		k := len(selected)
-		g := mat.NewMatrix(k, k)
-		b := make([]float64, k)
+		if len(w.grams) < k {
+			w.grams = append(w.grams, mat.NewMatrix(k, k))
+		}
+		g := w.grams[k-1]
+		w.b = slices.Grow(w.b[:0], k)[:k]
+		b := w.b
 		for u, fu := range selected {
 			b[u] = r0[fu]
 			for v, fv := range selected {
@@ -263,7 +288,7 @@ func Pursue(pr *mat.Matrix, residual []float64, cfg Config) (Result, error) {
 				g.Set(u, v, val)
 			}
 		}
-		a, err := mat.LeastSquares(g, b)
+		a, err := w.lsq.Solve(g, b)
 		if err != nil {
 			// Degenerate signature set (near-collinear flows): drop the
 			// flow that broke it and keep what is already explained.
@@ -281,12 +306,13 @@ func Pursue(pr *mat.Matrix, residual []float64, cfg Config) (Result, error) {
 			r[fu] -= a[u]
 		}
 		if rank > 0 {
-			q := make([]float64, rank)
+			w.q, w.normal = slices.Grow(w.q[:0], rank)[:rank], slices.Grow(w.normal[:0], m)[:m]
+			q, up := w.q, w.normal
+			clear(q)
 			for u, fu := range selected {
 				mat.AddScaled(q, a[u], pr.RowView(fu))
 			}
-			up, err := pr.MulVec(q) // back to flow space: P_r·q
-			if err != nil {
+			if err := pr.MulVecTo(up, q); err != nil { // back to flow space: P_r·q
 				return res, err
 			}
 			for i := 0; i < m; i++ {
@@ -299,7 +325,7 @@ func Pursue(pr *mat.Matrix, residual []float64, cfg Config) (Result, error) {
 		if cfg.MinResidual > 0 && math.Sqrt(cur2) <= cfg.MinResidual {
 			// The remaining residual would no longer alarm: accept the flow
 			// and stop, regardless of how small its marginal gain was.
-			amounts, confs = a, append(confs, gain)
+			amounts, confs = append(amounts[:0], a...), append(confs, gain)
 			prev2 = cur2
 			res.Stop = StopThreshold
 			break
@@ -313,7 +339,7 @@ func Pursue(pr *mat.Matrix, residual []float64, cfg Config) (Result, error) {
 			res.Stop = StopGain
 			break
 		}
-		amounts, confs = a, append(confs, gain)
+		amounts, confs = append(amounts[:0], a...), append(confs, gain)
 		prev2 = cur2
 	}
 
@@ -328,8 +354,8 @@ func Pursue(pr *mat.Matrix, residual []float64, cfg Config) (Result, error) {
 	}
 	// Rank by explained energy; selection order breaks ties so the ranking
 	// is deterministic.
-	sort.SliceStable(res.Culprits, func(a, b int) bool {
-		return res.Culprits[a].Confidence > res.Culprits[b].Confidence
+	slices.SortStableFunc(res.Culprits, func(a, b Culprit) int {
+		return cmp.Compare(b.Confidence, a.Confidence)
 	})
 	return res, nil
 }

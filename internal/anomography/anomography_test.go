@@ -33,7 +33,7 @@ func TestResidualOrthogonalToNormalSubspace(t *testing.T) {
 	for i := range y {
 		y[i] = rng.NormFloat64() * 100
 	}
-	res, err := Residual(pr, y)
+	res, err := new(Workspace).Residual(pr, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestPursueSingleFlow(t *testing.T) {
 	pr := randomBasis(t, m, r, 3)
 	y := make([]float64, m)
 	y[flow] = amount
-	r0, err := Residual(pr, y)
+	r0, err := new(Workspace).Residual(pr, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Pursue(pr, r0, Config{MaxK: 5})
+	res, err := new(Workspace).Pursue(pr, r0, Config{MaxK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPursueBeatsRawResidualSort(t *testing.T) {
 	pr.Set(1, 0, -math.Sqrt(0.1))
 	y := make([]float64, m)
 	y[0] = 1000
-	r0, err := Residual(pr, y)
+	r0, err := new(Workspace).Residual(pr, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPursueBeatsRawResidualSort(t *testing.T) {
 	if math.Abs(r0[1]) < math.Abs(r0[0]) {
 		t.Fatalf("test premise broken: raw residual favors the true flow (r0=%v)", r0[:2])
 	}
-	res, err := Pursue(pr, r0, Config{MaxK: 3})
+	res, err := new(Workspace).Pursue(pr, r0, Config{MaxK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestPursueMultiFlow(t *testing.T) {
 	for f, a := range truth {
 		y[f] = a
 	}
-	r0, err := Residual(pr, y)
+	r0, err := new(Workspace).Residual(pr, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Pursue(pr, r0, Config{MaxK: 8})
+	res, err := new(Workspace).Pursue(pr, r0, Config{MaxK: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +158,11 @@ func TestPursueStopsAtThreshold(t *testing.T) {
 	y := make([]float64, m)
 	y[9] = 10000
 	y[27] = 10 // far below any alarm-worthy residual
-	r0, err := Residual(pr, y)
+	r0, err := new(Workspace).Residual(pr, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Pursue(pr, r0, Config{MaxK: 8, MinResidual: 500})
+	res, err := new(Workspace).Pursue(pr, r0, Config{MaxK: 8, MinResidual: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestPursueStopsAtThreshold(t *testing.T) {
 	}
 
 	// A residual already under the threshold identifies nothing.
-	quiet, err := Pursue(pr, make([]float64, m), Config{MinResidual: 500})
+	quiet, err := new(Workspace).Pursue(pr, make([]float64, m), Config{MinResidual: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +195,11 @@ func TestPursueGainStopDiscardsNoise(t *testing.T) {
 	for i := range y {
 		y[i] += rng.NormFloat64() // tiny background noise on every flow
 	}
-	r0, err := Residual(pr, y)
+	r0, err := new(Workspace).Residual(pr, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Pursue(pr, r0, Config{MaxK: 8, MinGainFrac: 1e-3})
+	res, err := new(Workspace).Pursue(pr, r0, Config{MaxK: 8, MinGainFrac: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestPursueNoModelSubspace(t *testing.T) {
 	// rank 0: the residual is the raw centered measurement and every flow's
 	// signature is e_j, so pursuit degenerates to exact coordinate picking.
 	y := []float64{0, 0, 7000, 0, -250, 0}
-	res, err := Pursue(nil, y, Config{MaxK: 2})
+	res, err := new(Workspace).Pursue(nil, y, Config{MaxK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +241,11 @@ func TestPursueDeterministicAcrossWorkers(t *testing.T) {
 	y[71] += 12000
 	var ref Result
 	for i := 0; i < 2; i++ {
-		r0, err := Residual(pr, y)
+		r0, err := new(Workspace).Residual(pr, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Pursue(pr, r0, Config{MaxK: 6})
+		res, err := new(Workspace).Pursue(pr, r0, Config{MaxK: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,15 +267,15 @@ func TestPursueDeterministicAcrossWorkers(t *testing.T) {
 
 func TestPursueBadInput(t *testing.T) {
 	pr := randomBasis(t, 10, 2, 19)
-	if _, err := Pursue(pr, make([]float64, 7), Config{}); err == nil {
+	if _, err := new(Workspace).Pursue(pr, make([]float64, 7), Config{}); err == nil {
 		t.Fatal("shape mismatch must error")
 	}
 	bad := make([]float64, 10)
 	bad[3] = math.NaN()
-	if _, err := Pursue(pr, bad, Config{}); err == nil {
+	if _, err := new(Workspace).Pursue(pr, bad, Config{}); err == nil {
 		t.Fatal("non-finite residual must error")
 	}
-	if _, err := Residual(pr, bad); err == nil {
+	if _, err := new(Workspace).Residual(pr, bad); err == nil {
 		t.Fatal("non-finite measurement must error")
 	}
 }

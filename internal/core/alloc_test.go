@@ -151,3 +151,38 @@ func TestDistanceDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Distance allocates %v times per call, want 0", avg)
 	}
 }
+
+// TestIdentifyAllocatesOnlyItsResult: the pursuit's centred residual,
+// signature energies, working residuals, signature Gram and least-squares
+// solve live in storage the detector keeps, so an Identify that names three
+// culprits at fed-wide's m = 144 allocates only the Identification and its
+// culprit slice (64 + 80 bytes after size-class rounding).
+func TestIdentifyAllocatesOnlyItsResult(t *testing.T) {
+	const m, l, calls = 144, 100, 50
+	sketches, means := gaussianSketches(rand.New(rand.NewSource(43)), m, l)
+	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: 4032, SketchLen: l, Alpha: 0.01, FixedRank: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := det.RebuildModel(sketches, means, 0); err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, m)
+	x[5], x[70], x[140] = 400, -300, 200
+	id, err := det.Identify(x, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(id.Flows) != 3 {
+		t.Fatalf("identified %d flows (%v), want the 3 injected", len(id.Flows), id.Flows)
+	}
+	before := totalAlloc()
+	for i := 0; i < calls; i++ {
+		if _, err := det.Identify(x, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if per := (totalAlloc() - before) / calls; per > 256 {
+		t.Fatalf("Identify allocates %d bytes per call, want at most 256", per)
+	}
+}

@@ -9,7 +9,6 @@ import (
 	_ "unsafe" // go:linkname
 
 	"streampca/internal/mat"
-	"streampca/internal/randproj"
 	"streampca/internal/sketch"
 	"streampca/internal/stats"
 )
@@ -162,7 +161,9 @@ func culprits(id *Identification) []int {
 // of the m×m sketch Gram for randproj, every block pair for FD — and applies
 // the rank rule and threshold to that, for every rank mode of both families.
 // Rank and ThresholdCapped must be equal, identified culprit sets identical
-// and the Gram of Sketch the covariance the reference decomposed.
+// (and empty when the rank rule passes all m components: the distance is then
+// 0 and nothing is left to identify in) and the Gram of Sketch the covariance
+// the reference decomposed.
 //
 // Where the build solves the same Gram (l ≥ m, FD, and sketches
 // rank-deficient at the cut) spectrum and threshold agree bit for bit and
@@ -198,8 +199,7 @@ func leadingBasisMatchesFullSolve(t *testing.T, mxmOnly bool) {
 		m, l, fixedRank int
 		families        []sketch.Family
 		modes           []RankMode
-		// spiky: a very sparse projection and one spiked interval, so a left
-		// singular vector sits on a few sketch rows and the 3σ rule stops there.
+		// spiky: one spiked interval, before which the 3σ rule stops.
 		spiky bool
 		// smallSide: the randproj build must take the l×l side.
 		smallSide bool
@@ -207,16 +207,15 @@ func leadingBasisMatchesFullSolve(t *testing.T, mxmOnly bool) {
 		{24, 32, 4, both, all, false, false},
 		{48, 32, 4, both, all, true, true},
 		// Dense sketches pass the 3σ rule up to λ̂_l, a rank the l×l side
-		// cannot hold, and so does a fixed rank above l.
-		{48, 32, 4, rp, []RankMode{RankThreeSigma}, false, false},
+		// cannot hold (on this stream at l = 8: the rule stops at 28), and so
+		// does a fixed rank above l.
+		{48, 8, 4, rp, []RankMode{RankThreeSigma}, false, false},
 		{48, 4, 6, rp, []RankMode{RankFixed}, false, false},
 	} {
 		m, l := c.m, c.l
 		rng := rand.New(rand.NewSource(30))
 		x := lowRankStream(rng, n, m, k, 2)
-		var dist randproj.Distribution
 		if c.spiky {
-			dist = randproj.VerySparse
 			x.Set(n/2, 7, x.At(n/2, 7)+400)
 		}
 		for _, family := range c.families {
@@ -233,7 +232,7 @@ func leadingBasisMatchesFullSolve(t *testing.T, mxmOnly bool) {
 				if family == sketch.FamilyFD {
 					sketchLen = 0
 				}
-				_, fetch, p := striped(t, Params{Family: family, NumFlows: m, WindowLen: n, SketchLen: sketchLen, Epsilon: 0.01, Seed: 5}, 3, dist, x)
+				_, fetch, p := striped(t, Params{Family: family, NumFlows: m, WindowLen: n, SketchLen: sketchLen, Epsilon: 0.01, Seed: 5}, 3, x)
 				det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: p.SketchLen, Alpha: 0.01,
 					Family: family, Mode: mode, FixedRank: c.fixedRank})
 				if err != nil {
@@ -338,7 +337,8 @@ func leadingBasisMatchesFullSolve(t *testing.T, mxmOnly bool) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if a, b := culprits(idGot), culprits(idRef); len(a) == 0 || fmt.Sprint(a) != fmt.Sprint(b) {
+					// At rank m no anomalous subspace is left to identify in.
+					if a, b := culprits(idGot), culprits(idRef); (len(a) == 0) != (rank == m) || fmt.Sprint(a) != fmt.Sprint(b) {
 						t.Fatalf("%s: identified %v, reference %v", name, a, b)
 					}
 				}

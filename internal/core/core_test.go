@@ -119,8 +119,9 @@ func TestMonitorUpdateAndReport(t *testing.T) {
 			t.Fatal("non-finite sketch")
 		}
 	}
-	if rep.Counts[0] != 32 {
-		t.Fatalf("count = %d, want window 32", rep.Counts[0])
+	// A pull describes the window without the interval being scored.
+	if rep.Counts[0] != 31 {
+		t.Fatalf("count = %d, want window 32 less the newest interval", rep.Counts[0])
 	}
 }
 
@@ -181,7 +182,7 @@ func TestAssembleSketchMatrix(t *testing.T) {
 // Params.NewMonitor), feeds them the rows of x as intervals 1, 2, … (x may
 // be nil) and returns them with the pull that reads them all (Params.Fetch)
 // and p, its sketch parameter resolved.
-func striped(t *testing.T, p Params, k int, dist randproj.Distribution, x *mat.Matrix) ([]*Monitor, FetchFunc, Params) {
+func striped(t *testing.T, p Params, k int, x *mat.Matrix) ([]*Monitor, FetchFunc, Params) {
 	t.Helper()
 	flows, p, err := p.Stripe(k)
 	if err != nil {
@@ -189,7 +190,7 @@ func striped(t *testing.T, p Params, k int, dist randproj.Distribution, x *mat.M
 	}
 	mons := make([]*Monitor, k)
 	for i := range mons {
-		if mons[i], err = p.NewMonitor(flows[i], dist); err != nil {
+		if mons[i], err = p.NewMonitor(flows[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,7 +225,7 @@ func TestDetectorMatchesExactPCA(t *testing.T) {
 	n, m, k, l := 256, 9, 3, 200
 	x := lowRankStream(rng, n, m, k, 2)
 
-	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: l, Epsilon: 0.01, Seed: 7}, 3, 0, x)
+	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: l, Epsilon: 0.01, Seed: 7}, 3, x)
 	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: l, Alpha: 0.01, Mode: RankFixed, FixedRank: k})
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +326,7 @@ func TestLazyProtocol(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	n, m, k := 200, 8, 2
 	x := lowRankStream(rng, n, m, k, 1)
-	_, pull, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 64, Epsilon: 0.01, Seed: 3}, 2, 0, x)
+	_, pull, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 64, Epsilon: 0.01, Seed: 3}, 2, x)
 	var fetches int
 	fetch := func() (Fetch, error) { fetches++; return pull() }
 	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 64, Alpha: 0.005, FixedRank: k})
@@ -404,7 +405,7 @@ func TestDegradedFetchFlagsDecisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	const m, n = 6, 128
 	x := lowRankStream(rng, n, m, 2, 1)
-	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 48, Epsilon: 0.01, Seed: 9}, 2, 0, x)
+	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 48, Epsilon: 0.01, Seed: 9}, 2, x)
 	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 48, Alpha: 0.01, FixedRank: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -457,7 +458,7 @@ func TestRankModesOnSketch(t *testing.T) {
 	n, m, k := 300, 10, 3
 	x := lowRankStream(rng, n, m, k, 0.5)
 	for _, mode := range []RankMode{RankFixed, RankThreeSigma, RankEnergy} {
-		_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 128, Epsilon: 0.01, Seed: 5}, 1, 0, x)
+		_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 128, Epsilon: 0.01, Seed: 5}, 1, x)
 		det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 128, Alpha: 0.01, Mode: mode, FixedRank: k})
 		if err != nil {
 			t.Fatal(err)
@@ -493,7 +494,7 @@ func TestAttribute(t *testing.T) {
 	if _, err := det.Attribute(x.Row(0), 3); !errors.Is(err, ErrNoModel) {
 		t.Fatalf("no model: %v", err)
 	}
-	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 128, Epsilon: 0.01, Seed: 8}, 2, 0, x)
+	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 128, Epsilon: 0.01, Seed: 8}, 2, x)
 	f, err := fetch()
 	if err != nil {
 		t.Fatal(err)
@@ -554,7 +555,7 @@ func TestAttribute(t *testing.T) {
 // no sketch length.
 func TestNewClusterValidation(t *testing.T) {
 	base := Params{NumFlows: 4, WindowLen: 32, SketchLen: 8, Epsilon: 0.1, Seed: 1}
-	striped(t, base, 2, 0, nil)
+	striped(t, base, 2, nil)
 	bad := base
 	bad.NumFlows = 0
 	if _, _, err := bad.Stripe(2); !errors.Is(err, ErrConfig) {
@@ -565,7 +566,7 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 	bad = base
 	bad.SketchLen = 0
-	if _, err := bad.NewMonitor([]int{0, 2}, 0); err == nil {
+	if _, err := bad.NewMonitor([]int{0, 2}); err == nil {
 		t.Fatal("bad sketch config must fail")
 	}
 	if _, err := NewDetector(DetectorConfig{NumFlows: 4, WindowLen: 32, Alpha: 0.01, FixedRank: 1}); !errors.Is(err, ErrConfig) {
@@ -580,7 +581,7 @@ func TestClusterPartitioningMatchesSingleMonitor(t *testing.T) {
 	n, m := 128, 8
 	x := lowRankStream(rng, n, m, 2, 1)
 	mk := func(monitors int) ([][]float64, []float64) {
-		_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 16, Epsilon: 0.05, Seed: 21}, monitors, 0, x)
+		_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 16, Epsilon: 0.05, Seed: 21}, monitors, x)
 		f, err := fetch()
 		if err != nil {
 			t.Fatal(err)
@@ -605,7 +606,7 @@ func TestClusterStepEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n, m, k := 200, 9, 2
 	x := lowRankStream(rng, 3*n, m, k, 1)
-	mons, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 80, Epsilon: 0.02, Seed: 11}, 3, 0, nil)
+	mons, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 80, Epsilon: 0.02, Seed: 11}, 3, nil)
 	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 80, Alpha: 0.002, FixedRank: k})
 	if err != nil {
 		t.Fatal(err)

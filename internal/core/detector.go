@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"streampca/internal/anomography"
 	"streampca/internal/mat"
 	"streampca/internal/sketch"
 	"streampca/internal/stats"
@@ -119,15 +120,16 @@ type Detector struct {
 	// z is Ẑ, which the installed model's Sketch shares; gram is the Gram of
 	// the sketch matrix's smaller side, factored in place into eig; rows lists
 	// Ẑ's rows for the m×m side, u holds the l×l side's leading eigenvectors,
-	// uj one of them and aj its right vector. y is Distance's centred
-	// measurement.
-	z      *mat.Matrix
-	gram   *mat.Matrix
-	eig    mat.EigenLeading
-	rows   [][]float64
-	u      *mat.Matrix
-	uj, aj []float64
-	y      []float64
+	// uj one of them and aj its right vector. y is the centred measurement
+	// Distance and anomalousResidual score, pursuit Identify's storage.
+	z       *mat.Matrix
+	gram    *mat.Matrix
+	eig     mat.EigenLeading
+	rows    [][]float64
+	u       *mat.Matrix
+	uj, aj  []float64
+	y       []float64
+	pursuit anomography.Workspace
 }
 
 // NewDetector validates cfg.
@@ -701,6 +703,12 @@ func (d *Detector) Distance(x []float64) (float64, error) {
 			return 0, fmt.Errorf("%w: non-finite measurement for flow %d", ErrInput, j)
 		}
 		y[j] = v - d.model.Means[j]
+	}
+	if d.model.Rank >= m {
+		// The normal subspace is every direction: the distance is 0 exactly,
+		// not the rounding left of ‖y‖² − ‖P_rᵀy‖², which would alarm
+		// against a full-rank model's threshold of 0.
+		return 0, nil
 	}
 	total := mat.Dot(y, y)
 	var normal float64

@@ -189,7 +189,7 @@ func TestFDClusterEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n, m, k := 200, 27, 2
 	x := lowRankStream(rng, 3*n, m, k, 1)
-	mons, fetch, _ := striped(t, Params{Family: sketch.FamilyFD, NumFlows: m, WindowLen: n, SketchLen: 4}, 3, 0, nil)
+	mons, fetch, _ := striped(t, Params{Family: sketch.FamilyFD, NumFlows: m, WindowLen: n, SketchLen: 4}, 3, nil)
 	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 4, Alpha: 0.002,
 		Family: sketch.FamilyFD, FixedRank: 6})
 	if err != nil {
@@ -240,7 +240,7 @@ func TestFDClusterEndToEnd(t *testing.T) {
 // otherwise disagree).
 func TestClusterFDEllDefaulting(t *testing.T) {
 	fd := Params{Family: sketch.FamilyFD, NumFlows: 9, WindowLen: 16}
-	if _, _, p := striped(t, fd, 3, 0, nil); p.SketchLen != sketch.DefaultEll(3) {
+	if _, _, p := striped(t, fd, 3, nil); p.SketchLen != sketch.DefaultEll(3) {
 		t.Fatalf("even split: ℓ %d, want %d", p.SketchLen, sketch.DefaultEll(3))
 	}
 	fd.NumFlows = 10
@@ -248,7 +248,7 @@ func TestClusterFDEllDefaulting(t *testing.T) {
 		t.Fatalf("uneven split without explicit ell: %v", err)
 	}
 	fd.NumFlows, fd.SketchLen = 31, 4
-	if _, _, p := striped(t, fd, 3, 0, nil); p.SketchLen != 4 {
+	if _, _, p := striped(t, fd, 3, nil); p.SketchLen != 4 {
 		t.Fatalf("uneven split with explicit ell: ℓ %d", p.SketchLen)
 	}
 }

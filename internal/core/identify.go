@@ -27,17 +27,24 @@ type Identification struct {
 // anomalousResidual centers x against the model means and projects it onto
 // the anomalous subspace, the complement of Components = P_r. Both Attribute
 // and Identify start here, so the two views of an alarm are computed from the
-// same residual bit for bit.
+// same residual bit for bit. The residual is the detector's storage, valid
+// until the next call.
 func (d *Detector) anomalousResidual(x []float64) ([]float64, error) {
 	m := d.cfg.NumFlows
 	if len(x) != m {
 		return nil, fmt.Errorf("%w: vector of %d for %d flows", ErrInput, len(x), m)
 	}
-	y := make([]float64, m)
-	for j, v := range x {
-		y[j] = v - d.model.Means[j]
+	if len(d.y) != m {
+		d.y = make([]float64, m)
 	}
-	return anomography.Residual(d.model.Components, y)
+	for j, v := range x {
+		d.y[j] = v - d.model.Means[j]
+	}
+	r, err := d.pursuit.Residual(d.model.Components, d.y)
+	if err == nil && d.model.Rank >= m {
+		clear(r) // no anomalous subspace is left, as in Distance
+	}
+	return r, err
 }
 
 // Identify runs the anomography pursuit on a measurement against the
@@ -47,7 +54,8 @@ func (d *Detector) anomalousResidual(x []float64) ([]float64, error) {
 // the alarm would), when maxK culprits are found, or when the next flow
 // would explain a negligible fraction of the energy. maxK ≤ 0 uses
 // anomography.DefaultMaxK. Call it on alarmed measurements; on quiet ones
-// it returns an empty identification.
+// it returns an empty identification. The pursuit works in storage the
+// detector keeps: a call allocates only the Identification and its culprits.
 func (d *Detector) Identify(x []float64, maxK int) (*Identification, error) {
 	if d.model == nil {
 		return nil, ErrNoModel
@@ -63,7 +71,7 @@ func (d *Detector) Identify(x []float64, maxK int) (*Identification, error) {
 	if !d.model.ThresholdUnavailable {
 		cfg.MinResidual = d.model.Threshold
 	}
-	res, err := anomography.Pursue(d.model.Components, r0, cfg)
+	res, err := d.pursuit.Pursue(d.model.Components, r0, cfg)
 	if err != nil {
 		return nil, err
 	}

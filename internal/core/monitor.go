@@ -99,5 +99,8 @@ func (m *Monitor) Histogram(i int) *vh.Histogram {
 // wire-form sketch.Snapshot, which transport.SketchResponse carries.
 type SketchReport = sketch.Snapshot
 
-// Report extracts the current sketch state for all assigned flows.
+// Report is the monitor's Snapshot: what a sketch pull carries, in process
+// or deployed. A randproj pull describes the window before the newest
+// interval, the one the NOC is scoring; FD cannot take a row out of its
+// buffer and sends its full state.
 func (m *Monitor) Report() SketchReport { return m.Snapshot() }

@@ -68,17 +68,14 @@ func (p Params) Stripe(k int) ([][]int, Params, error) {
 	return assign, p.Resolve(len(assign[0])), nil
 }
 
-// Generator returns the shared projection under p, drawn from dist (0:
-// Gaussian; the sparse family at Achlioptas' s = 3), or nil for FD, which
-// projects nothing. It is a pure function of p and dist, so every site
-// derives the same r_tk.
-func (p Params) Generator(dist randproj.Distribution) (*randproj.Generator, error) {
+// Generator returns the shared projection under p, or nil for FD, which
+// projects nothing. It is a pure function of p, so every site derives the
+// same r_tk.
+func (p Params) Generator() (*randproj.Generator, error) {
 	if p.Family != sketch.FamilyRandProj {
 		return nil, nil
 	}
-	gen, err := randproj.NewGenerator(randproj.Config{
-		Seed: p.Seed, SketchLen: p.SketchLen, Dist: dist, SparseS: 3, WindowLen: p.WindowLen,
-	})
+	gen, err := randproj.NewGenerator(randproj.Config{Seed: p.Seed, SketchLen: p.SketchLen})
 	if err != nil {
 		return nil, fmt.Errorf("generator: %w", err)
 	}
@@ -86,10 +83,10 @@ func (p Params) Generator(dist randproj.Distribution) (*randproj.Generator, erro
 }
 
 // NewMonitor builds the sketch state of a monitor over flowIDs under p:
-// variance histograms at ε over the projection Generator(dist) for randproj,
-// or an FD buffer of budget ℓ (sketch.DefaultEll of the flow count when 0).
-func (p Params) NewMonitor(flowIDs []int, dist randproj.Distribution) (*Monitor, error) {
-	gen, err := p.Generator(dist)
+// variance histograms at ε over the projection Generator for randproj, or an
+// FD buffer of budget ℓ (sketch.DefaultEll of the flow count when 0).
+func (p Params) NewMonitor(flowIDs []int) (*Monitor, error) {
+	gen, err := p.Generator()
 	if err != nil {
 		return nil, err
 	}

@@ -69,8 +69,9 @@ func CheckBounds(s Scenario) (*BoundsReport, error) {
 	sk := det.Model()
 
 	// Exact side, on a copy: MeasureModel centers its window in place and
-	// the distance loop below reads the raw rows.
-	ref, err := oracle.MeasureModel(sk, win.Clone(), s.Alpha)
+	// the distance loop below reads the raw rows. The pull left the newest
+	// row out, so the exact side does too.
+	ref, err := oracle.MeasureModel(sk, win.Clone().RowsView(s.WindowLen-1), s.Alpha)
 	if err != nil {
 		return nil, fmt.Errorf("exact fit: %w", err)
 	}

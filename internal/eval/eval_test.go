@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"streampca/internal/randproj"
 	"streampca/internal/traffic"
 )
 
@@ -149,36 +148,6 @@ func TestSweepErrorsAgainstTruth(t *testing.T) {
 	}
 	if large.TypeI() > 0.15 || large.TypeII() > 0.5 {
 		t.Fatalf("large-sketch errors too high: TypeI=%v TypeII=%v", large.TypeI(), large.TypeII())
-	}
-}
-
-// §V-B claims the Gaussian and sparse families "give the same result": the
-// error rates across projection distributions must agree closely at a
-// moderate sketch length.
-func TestSweepDistributionEquivalence(t *testing.T) {
-	s := testScenario(t)
-	s.Seed, s.RefitEvery = 77, 8
-	truth, err := GroundTruth(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make(map[randproj.Distribution]ErrorPoint, 4)
-	for _, dist := range []randproj.Distribution{
-		randproj.Gaussian, randproj.TugOfWar, randproj.Sparse, randproj.VerySparse,
-	} {
-		s.Dist = dist
-		points, err := SweepErrors(s, truth, []int{4}, []int{96})
-		if err != nil {
-			t.Fatalf("%v: %v", dist, err)
-		}
-		results[dist] = points[0]
-	}
-	ref := results[randproj.Gaussian]
-	for dist, p := range results {
-		if math.Abs(p.TypeI()-ref.TypeI()) > 0.12 || math.Abs(p.TypeII()-ref.TypeII()) > 0.25 {
-			t.Fatalf("%v diverges from gaussian: TypeI %v vs %v, TypeII %v vs %v",
-				dist, p.TypeI(), ref.TypeI(), p.TypeII(), ref.TypeII())
-		}
 	}
 }
 

@@ -22,10 +22,8 @@ import (
 	"errors"
 
 	"streampca/internal/core"
-	"streampca/internal/monitor"
 	"streampca/internal/noc"
 	"streampca/internal/obs"
-	"streampca/internal/randproj"
 	"streampca/internal/sketch"
 	"streampca/internal/traffic"
 )
@@ -66,8 +64,6 @@ type Scenario struct {
 	// RefitEvery is the retraining cadence of the fixed-cadence methods (the
 	// exact reference, the Fig. 7–9 sweep); 0 → 1, the paper's cost model.
 	RefitEvery int
-	// Dist selects the projection family (0 → Gaussian).
-	Dist randproj.Distribution
 }
 
 // params are the protocol parameters the scenario states for one sketcher
@@ -95,7 +91,7 @@ func (s Scenario) oneMonitor() (*core.Monitor, core.Params, error) {
 	if err != nil {
 		return nil, p, err
 	}
-	mon, err := p.NewMonitor(flows[0], s.Dist)
+	mon, err := p.NewMonitor(flows[0])
 	return mon, p, err
 }
 
@@ -120,11 +116,7 @@ func (s Scenario) Replay(family sketch.Family, reg *obs.Registry, visit func(d *
 	p := s.params(family)
 	d, err := noc.Deploy(noc.Config{
 		Detector: s.detector(p), Seed: p.Seed, Epsilon: p.Epsilon, IdentifyMaxK: identifyMaxK, Obs: reg,
-	}, noc.Topology{Monitors: s.Monitors, Monitor: func(_ int, c *monitor.Config) {
-		// Stated, not adopted: the announcement names no projection family.
-		c.Family, c.WindowLen, c.Epsilon, c.FDEll = p.Family, p.WindowLen, p.Epsilon, p.SketchLen
-		c.Sketch = randproj.Config{Seed: p.Seed, SketchLen: p.SketchLen, Dist: s.Dist}
-	}})
+	}, noc.Topology{Monitors: s.Monitors})
 	if err != nil {
 		return nil, err
 	}

@@ -108,7 +108,7 @@ func TestShootoutValidation(t *testing.T) {
 }
 
 // TestReplayLeavesNothingRunning: every replay closes its deployment, so the
-// oracle sweep's four replays, a shoot-out's two and one more leave no
+// oracle's replay, a shoot-out's two and one more leave no
 // goroutine behind, and the last replay's NOC no longer accepts.
 func TestReplayLeavesNothingRunning(t *testing.T) {
 	s := testScenario(t)
@@ -117,7 +117,7 @@ func TestReplayLeavesNothingRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
-	if _, err := OracleSweep(s); err != nil {
+	if _, err := Oracle(s); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Shootout(s, truth); err != nil {

@@ -106,6 +106,11 @@ func (m *Matrix) RowView(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
+// RowsView returns the first r rows as a matrix sharing m's backing storage.
+func (m *Matrix) RowsView(r int) *Matrix {
+	return &Matrix{rows: r, cols: m.cols, data: m.data[:r*m.cols]}
+}
+
 // ColInto copies column j into dst, which must have length Rows, without
 // allocating (e.g. the detector's 3σ rank scan reusing one scratch column).
 func (m *Matrix) ColInto(j int, dst []float64) error {

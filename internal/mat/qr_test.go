@@ -47,20 +47,16 @@ func TestQRErrors(t *testing.T) {
 }
 
 func TestSolveUpperTriangular(t *testing.T) {
-	r, _ := NewMatrixFromRows([][]float64{{2, 1}, {0, 4}})
-	x, err := SolveUpperTriangular(r, []float64{5, 8})
-	if err != nil {
+	x := make([]float64, 2)
+	if err := backSubstitute(x, []float64{2, 1, 0, 4}, 2, []float64{5, 8}); err != nil {
 		t.Fatal(err)
 	}
+	// 4·x1 = 8 → x1 = 2; 2·x0 + 2 = 5 → x0 = 1.5.
 	if !almostEqual(x[0], 1.5, 1e-12) || !almostEqual(x[1], 2, 1e-12) {
 		t.Fatalf("x = %v", x)
 	}
-	sing, _ := NewMatrixFromRows([][]float64{{1, 1}, {0, 0}})
-	if _, err := SolveUpperTriangular(sing, []float64{1, 1}); !errors.Is(err, ErrSingular) {
+	if err := backSubstitute(x, []float64{1, 1, 0, 0}, 2, []float64{1, 1}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("singular: %v", err)
-	}
-	if _, err := SolveUpperTriangular(r, []float64{1}); !errors.Is(err, ErrShape) {
-		t.Fatalf("shape: %v", err)
 	}
 }
 
@@ -68,14 +64,14 @@ func TestLeastSquaresExact(t *testing.T) {
 	// Overdetermined but consistent: b = A·[1 2]ᵀ.
 	a, _ := NewMatrixFromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
 	b := []float64{1, 2, 3}
-	x, err := LeastSquares(a, b)
+	x, err := new(LSQ).Solve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(x[0], 1, 1e-10) || !almostEqual(x[1], 2, 1e-10) {
 		t.Fatalf("x = %v, want [1 2]", x)
 	}
-	if _, err := LeastSquares(a, []float64{1}); !errors.Is(err, ErrShape) {
+	if _, err := new(LSQ).Solve(a, []float64{1}); !errors.Is(err, ErrShape) {
 		t.Fatalf("shape: %v", err)
 	}
 }
@@ -91,7 +87,7 @@ func TestQuickLeastSquaresNormalEquations(t *testing.T) {
 		for i := range b {
 			b[i] = r.NormFloat64()
 		}
-		x, err := LeastSquares(a, b)
+		x, err := new(LSQ).Solve(a, b)
 		if err != nil {
 			return true // singular random draw: skip
 		}

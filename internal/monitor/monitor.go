@@ -51,8 +51,8 @@ type Config struct {
 	// sketch state is built. Family, Sketch and FDEll are then ignored.
 	WindowLen int
 	Epsilon   float64
-	// Sketch's Seed, SketchLen and Dist are the shared random projection's,
-	// which core.Params.Generator builds; its other fields are not read.
+	// Sketch's Seed and SketchLen are the shared random projection's, which
+	// core.Params.Generator builds; its other field is not read.
 	// Ignored for the FD family.
 	Sketch randproj.Config
 	// FDEll is the Frequent Directions basis budget ℓ (FD family only); 0
@@ -205,7 +205,7 @@ func New(cfg Config) (*Service, error) {
 		if cfg.Family == sketch.FamilyRandProj {
 			p.SketchLen = cfg.Sketch.SketchLen
 		}
-		if err := s.build(p, cfg.Sketch.Dist); err != nil {
+		if err := s.build(p); err != nil {
 			return nil, err
 		}
 	}
@@ -232,20 +232,20 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// build makes the sketch state under p, the projection drawn from dist.
-func (s *Service) build(p core.Params, dist randproj.Distribution) error {
+// build makes the sketch state under p.
+func (s *Service) build(p core.Params) error {
 	every := s.cfg.SelfCheckEvery
 	if p.Family != sketch.FamilyRandProj && every > 0 {
 		return fmt.Errorf("%w: the oracle self-check shadows variance histograms and only supports the randproj family", ErrConfig)
 	}
 	p = p.Resolve(len(s.flowIDs))
-	cm, err := p.NewMonitor(s.flowIDs, dist)
+	cm, err := p.NewMonitor(s.flowIDs)
 	if err != nil {
 		return fmt.Errorf("core monitor: %w", err)
 	}
 	var chk *oracle.Checker
 	if every > 0 {
-		gen, err := p.Generator(dist)
+		gen, err := p.Generator()
 		if err != nil {
 			return err
 		}
@@ -274,7 +274,7 @@ func (s *Service) build(p core.Params, dist randproj.Distribution) error {
 func (s *Service) adopt(p core.Params) error {
 	run := p
 	run.Epsilon = cmp.Or(p.Epsilon, s.cfg.Epsilon, core.DefaultEpsilon)
-	if err := s.build(run, 0); err != nil {
+	if err := s.build(run); err != nil {
 		return err
 	}
 	s.log.Info("adopted upstream parameters", "params", fmt.Sprintf("%+v", p))
@@ -324,8 +324,8 @@ func (s *Service) hello() transport.Hello {
 	return transport.Hello{MonitorID: s.cfg.ID}
 }
 
-// serveSketch answers one sketch pull with the current sketch state,
-// written into the service's one report.
+// serveSketch answers one sketch pull with the sketch state's SnapshotInto
+// (core.Monitor.Report), written into the service's one report.
 func (s *Service) serveSketch(conn *transport.Conn, req transport.SketchRequest, tc *transport.TraceContext) {
 	s.met.sketchReqs.Inc()
 	// Parent the serving span under the NOC's fetch span when the request
@@ -472,8 +472,8 @@ func (s *Service) LogSummary() {
 	s.log.Info("monitor stats", s.reg.LogArgs()...)
 }
 
-// Report returns the current sketch state (local inspection); the state
-// exists once New or the announcement built it.
+// Report returns what a sketch pull carries now (core.Monitor.Report); the
+// state exists once New or the announcement built it.
 func (s *Service) Report() core.SketchReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -122,15 +122,18 @@ func TestReportIntervalFoldsWhileDisconnected(t *testing.T) {
 	if vol := expectFrame(t, recvCh); vol.Volume == nil || vol.Volume.Interval != 4 {
 		t.Fatalf("volume = %+v", vol.Volume)
 	}
-	rep := svc.Report()
-	if rep.Interval != 4 {
-		t.Fatalf("sketch state at interval %d, want 4", rep.Interval)
-	}
-	for i, c := range rep.Counts {
-		if c != 4 {
-			t.Fatalf("flow %d summarizes %d intervals, want 4 (outage intervals lost)", rep.FlowIDs[i], c)
+	// The sketch state itself, read from the histograms: a pull (Report)
+	// leaves the newest interval out.
+	svc.Inspect(func(m *core.Monitor) {
+		if m.Now() != 4 {
+			t.Fatalf("sketch state at interval %d, want 4", m.Now())
 		}
-	}
+		for i, f := range m.FlowIDs() {
+			if c := m.Histogram(i).Count(); c != 4 {
+				t.Fatalf("flow %d summarizes %d intervals, want 4 (outage intervals lost)", f, c)
+			}
+		}
+	})
 }
 
 func TestHandshakeAndVolumeReports(t *testing.T) {

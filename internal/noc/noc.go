@@ -540,7 +540,7 @@ func (s *Service) processLoop() {
 		timedFetch := func() (core.Fetch, error) {
 			fsp := s.cfg.Trace.Start(sp.Trace(), sp.ID(), "noc.fetch")
 			t0 := time.Now()
-			f, err := s.fetchSketches(fsp)
+			f, err := s.fetchSketches(item.Index, fsp)
 			fetchDur = time.Since(t0)
 			s.met.fetchSeconds.Observe(fetchDur.Seconds())
 			if err != nil {
@@ -586,7 +586,7 @@ func (s *Service) processLoop() {
 			}
 			if res.Degraded {
 				s.health.Set("detector", obs.StatusDegraded,
-					fmt.Sprintf("model rebuilt with %d cached flows", res.StaleFlows))
+					fmt.Sprintf("model rebuilt from degraded sketches, %d cached flows", res.StaleFlows))
 			} else {
 				s.health.Set("detector", obs.StatusOK, "model fresh")
 			}
@@ -662,14 +662,19 @@ func (s *Service) processLoop() {
 	}
 }
 
-// fetchSketches implements core.FetchFunc over the registered monitors: one
-// tier pull (retry rounds, breaker, report validation and, under
-// DegradedPolicy, cache substitution — see tier.Pull), which must cover
-// every flow, assembled into core.Fetch.
+// fetchSketches implements core.FetchFunc over the registered monitors for
+// the model that scores interval t: one tier pull (retry rounds, breaker,
+// report validation and, under DegradedPolicy, cache substitution — see
+// tier.Pull), which must cover every flow, assembled into core.Fetch.
+//
+// A report leaves out its newest interval only (core.Monitor.Report), so one
+// from past t — a monitor that folded t+1 before the pull reached it — still
+// holds t, and a spike at t is absorbed into the model that scores it. Such a
+// fetch is Degraded.
 //
 // sp is the enclosing "noc.fetch" span (nil when tracing is off); the pull
 // records its rounds on it and the degraded outcome is added here.
-func (s *Service) fetchSketches(sp *trace.Span) (core.Fetch, error) {
+func (s *Service) fetchSketches(t int64, sp *trace.Span) (core.Fetch, error) {
 	m := s.cfg.Detector.NumFlows
 	p := s.down.Pull(sp, traceContext(sp))
 	s.pulled = p
@@ -682,6 +687,15 @@ func (s *Service) fetchSketches(sp *trace.Span) (core.Fetch, error) {
 	}
 	out := s.fetched
 	out.Interval, out.Degraded, out.StaleFlows = p.Interval, p.Degraded, p.Stale
+	var newest int64
+	for _, r := range p.Reports {
+		newest = max(newest, r.Interval)
+	}
+	if newest > t {
+		out.Degraded = true
+		sp.Event("sketch_ahead", trace.I("sketch_interval", newest))
+		s.log.Warn("sketch pulled past the scored interval", "interval", t, "sketch_interval", newest)
+	}
 	switch {
 	case p.Filled > 0:
 		sp.Event("degraded_fallback",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -93,6 +94,16 @@ func nextDecision(t *testing.T, decisions <-chan Decision, interval int64) Decis
 	}
 }
 
+// projectionSeeds are the committed projection seed and 1–20: a detection
+// test that passes at one seed may pass by the luck of its projection.
+func projectionSeeds() []uint64 {
+	seeds := []uint64{testSeed}
+	for s := uint64(1); s <= 20; s++ {
+		seeds = append(seeds, s)
+	}
+	return seeds
+}
+
 // trafficRow synthesizes a rank-2-plus-noise volume vector.
 func trafficRow(rng *rand.Rand, t int64) []float64 {
 	f1 := 1000 + 200*rng.NormFloat64()
@@ -120,7 +131,15 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestEndToEndDetection(t *testing.T) {
-	dep := deploy(t, nocConfig(), Topology{Monitors: 3})
+	for _, seed := range projectionSeeds() {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { endToEndDetection(t, seed) })
+	}
+}
+
+func endToEndDetection(t *testing.T, seed uint64) {
+	cfg := nocConfig()
+	cfg.Seed = seed
+	dep := deploy(t, cfg, Topology{Monitors: 3})
 	svc := dep.NOC
 
 	rng := rand.New(rand.NewSource(50))
@@ -162,10 +181,18 @@ func TestEndToEndDetection(t *testing.T) {
 }
 
 func TestAlarmBroadcastToMonitors(t *testing.T) {
+	for _, seed := range projectionSeeds() {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { alarmBroadcastToMonitors(t, seed) })
+	}
+}
+
+func alarmBroadcastToMonitors(t *testing.T, seed uint64) {
+	cfg := nocConfig()
+	cfg.Seed = seed
 	var alarmMu sync.Mutex
 	var gotAlarms []transport.Alarm
 	// One bespoke monitor with an alarm callback plus two plain ones.
-	dep := deploy(t, nocConfig(), Topology{Monitors: 3, Monitor: func(i int, c *monitor.Config) {
+	dep := deploy(t, cfg, Topology{Monitors: 3, Monitor: func(i int, c *monitor.Config) {
 		if i == 0 {
 			c.OnAlarm = func(a transport.Alarm) {
 				alarmMu.Lock()
@@ -185,9 +212,9 @@ func TestAlarmBroadcastToMonitors(t *testing.T) {
 	for i := 0; i < testWindow+5; i++ {
 		feed(trafficRow(rng, interval))
 	}
-	// Moderate, structure-breaking shift: large enough to clear the
-	// threshold, small enough that it cannot hijack a top principal
-	// component after the lazy refresh absorbs the interval.
+	// Moderate, structure-breaking shift, large enough to clear the
+	// threshold. The lazy refresh leaves the interval out of the model it
+	// is scored against.
 	bad := trafficRow(rng, interval)
 	bad[2] += 4000
 	bad[7] += 3000
@@ -334,8 +361,57 @@ func TestFetchErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.fetchSketches(nil); !errors.Is(err, ErrCoverage) {
+	if _, err := svc.fetchSketches(1, nil); !errors.Is(err, ErrCoverage) {
 		t.Fatalf("no monitors: %v", err)
+	}
+}
+
+// TestPullPastTheScoredIntervalIsDegraded: a monitor that folds t+1 before
+// the pull for t reaches it answers with a window that still holds t, so the
+// model that scores t is flagged degraded. The same spike pulled in lockstep
+// is not.
+func TestPullPastTheScoredIntervalIsDegraded(t *testing.T) {
+	dep := deploy(t, nocConfig(), Topology{Monitors: 3})
+	rng := rand.New(rand.NewSource(52))
+	var interval int64
+	for i := 0; i < testWindow+10; i++ {
+		interval++
+		step(t, dep, interval, trafficRow(rng, interval))
+	}
+	spike := func(row []float64) []float64 {
+		row[0] += 5e5
+		row[5] += 3e5
+		return row
+	}
+
+	interval++
+	if d := step(t, dep, interval, spike(trafficRow(rng, interval))); !d.Result.Refreshed || d.Degraded || d.Result.Degraded {
+		t.Fatalf("lockstep spike: refreshed %t, degraded %t; want a healthy refresh", d.Result.Refreshed, d.Degraded)
+	}
+	for range 5 {
+		interval++
+		step(t, dep, interval, trafficRow(rng, interval))
+	}
+
+	// Monitor 1 folds t and t+1 before the others report t, so the NOC
+	// completes t, and pulls for it, only after monitor 1 has moved on.
+	interval++
+	bad, next := spike(trafficRow(rng, interval)), trafficRow(rng, interval+1)
+	for _, r := range []struct {
+		mon int
+		t   int64
+		row []float64
+	}{{1, interval, bad}, {1, interval + 1, next}, {0, interval, bad}, {2, interval, bad}} {
+		if err := dep.Report(r.mon, r.t, r.row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := dep.Decision(interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Result.Refreshed || !d.Degraded || !d.Result.Degraded {
+		t.Fatalf("spike pulled past its interval: refreshed %t, degraded %t; want a degraded refresh", d.Result.Refreshed, d.Degraded)
 	}
 }
 
@@ -408,9 +484,10 @@ func TestSketchCacheStalenessIsSymmetric(t *testing.T) {
 		}()
 		// No interval is in flight, so driving the fetch path from the test
 		// does not race the processing goroutine.
-		if f, err := svc.fetchSketches(nil); err != nil || f.Degraded || f.Interval != last+tc.ahead {
-			t.Fatalf("ahead=%d: live fetch = degraded %t at interval %d, %v; want healthy at the racer's interval",
-				tc.ahead, f.Degraded, f.Interval, err)
+		// Scored at last, the racer's answer holds last: degraded.
+		if f, err := svc.fetchSketches(last, nil); err != nil || !f.Degraded || f.StaleFlows != 0 || f.Interval != last+tc.ahead {
+			t.Fatalf("ahead=%d: live fetch = degraded %t, stale %d at interval %d, %v; want degraded, nothing cached, at the racer's interval",
+				tc.ahead, f.Degraded, f.StaleFlows, f.Interval, err)
 		}
 		flight.Reset()
 		svc.flightRecord(tier.Interval{Index: last}, core.Decision{}, false, true, nil)
@@ -426,7 +503,7 @@ func TestSketchCacheStalenessIsSymmetric(t *testing.T) {
 		_ = racer.Close()
 		waitMonitors(t, svc, 2)
 
-		f, err := svc.fetchSketches(nil)
+		f, err := svc.fetchSketches(last, nil)
 		switch {
 		case tc.admitted && (err != nil || !f.Degraded || f.StaleFlows != len(racerFlows)):
 			t.Fatalf("ahead=%d: fetch = degraded %t, stale %d, err %v; want the cached columns to fill in",

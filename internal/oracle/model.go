@@ -96,7 +96,8 @@ func MeasureModel(model *core.Model, window *mat.Matrix, alpha float64) (Referen
 // model must be the detector's model in force for the decision, x the raw
 // measurement vector the decision classified, and vw a VectorWindow that was
 // fed every completed interval vector. The exact reference window is the one
-// ending at model.BuiltAt; if it cannot be reconstructed (gaps, insufficient
+// a randproj pull at model.BuiltAt describes, [BuiltAt−n+1, BuiltAt−1]; if it
+// cannot be reconstructed (gaps, insufficient
 // history) or the model was built from a degraded fetch (the paper's bounds
 // do not cover cache-substituted sketches), the check is skipped and ok is
 // false.
@@ -121,6 +122,10 @@ func CheckModel(model *core.Model, dec core.Decision, x []float64, vw *VectorWin
 	if !okWin || y.Cols() != m {
 		return res, false
 	}
+	// A randproj pull leaves out its newest interval, the one being scored
+	// (core.Monitor.Report), so the model summarizes the window without
+	// its last row.
+	y = y.RowsView(y.Rows() - 1)
 	n := y.Rows()
 	l := cfg.SketchLen
 	if l <= 0 {

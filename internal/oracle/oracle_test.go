@@ -45,13 +45,11 @@ func trafficGens() []trafficGen {
 	}
 }
 
-func newGen(t *testing.T, dist randproj.Distribution, l, n int, seed uint64) *randproj.Generator {
+func newGen(t *testing.T, l int, seed uint64) *randproj.Generator {
 	t.Helper()
-	g, err := randproj.NewGenerator(randproj.Config{
-		Seed: seed, SketchLen: l, Dist: dist, SparseS: 3, WindowLen: n,
-	})
+	g, err := randproj.NewGenerator(randproj.Config{Seed: seed, SketchLen: l})
 	if err != nil {
-		t.Fatalf("generator(%v): %v", dist, err)
+		t.Fatalf("generator: %v", err)
 	}
 	return g
 }
@@ -71,41 +69,35 @@ func newHist(t *testing.T, n int, eps float64, g *randproj.Generator) *vh.Histog
 	return h
 }
 
-// TestCheckHistogramProperty sweeps all four projection families, ε values
-// (including the adversarial sweep ε ∈ {0.05, 0.1, 0.3}) and window/sketch
-// sizes over the adversarial traffic families, asserting the full histogram
-// check — exactness to rounding error plus Lemma 1 — on every sampled
-// interval.
+// TestCheckHistogramProperty sweeps ε values (including the adversarial sweep
+// ε ∈ {0.05, 0.1, 0.3}) and window/sketch sizes over the adversarial traffic
+// families, asserting the full histogram check — exactness to rounding error
+// plus Lemma 1 — on every sampled interval.
 func TestCheckHistogramProperty(t *testing.T) {
-	dists := []randproj.Distribution{
-		randproj.Gaussian, randproj.TugOfWar, randproj.Sparse, randproj.VerySparse,
-	}
-	for _, dist := range dists {
-		for _, eps := range []float64{0.05, 0.1, 0.3} {
-			for _, dims := range []struct{ n, l int }{{64, 8}, {256, 32}} {
-				for _, tg := range trafficGens() {
-					g := newGen(t, dist, dims.l, dims.n, 0x5eed)
-					h := newHist(t, dims.n, eps, g)
-					w := NewWindow(dims.n)
-					r := rand.New(rand.NewSource(int64(dims.n)*31 + int64(eps*1000)))
-					steps := int64(3*dims.n + 17)
-					for ti := int64(1); ti <= steps; ti++ {
-						x := tg.next(r, ti)
-						if err := h.Update(ti, x); err != nil {
-							t.Fatal(err)
-						}
-						w.Push(ti, x)
-						if ti%13 != 0 && ti != steps {
-							continue
-						}
-						res := CheckHistogram(h, w, g, eps)
-						if res.Checks == 0 {
-							t.Fatalf("%v/%s eps=%v: no checks ran", dist, tg.name, eps)
-						}
-						if len(res.Violations) > 0 {
-							t.Fatalf("%v/%s eps=%v n=%d l=%d t=%d: %v",
-								dist, tg.name, eps, dims.n, dims.l, ti, res.Worst())
-						}
+	for _, eps := range []float64{0.05, 0.1, 0.3} {
+		for _, dims := range []struct{ n, l int }{{64, 8}, {256, 32}} {
+			for _, tg := range trafficGens() {
+				g := newGen(t, dims.l, 0x5eed)
+				h := newHist(t, dims.n, eps, g)
+				w := NewWindow(dims.n)
+				r := rand.New(rand.NewSource(int64(dims.n)*31 + int64(eps*1000)))
+				steps := int64(3*dims.n + 17)
+				for ti := int64(1); ti <= steps; ti++ {
+					x := tg.next(r, ti)
+					if err := h.Update(ti, x); err != nil {
+						t.Fatal(err)
+					}
+					w.Push(ti, x)
+					if ti%13 != 0 && ti != steps {
+						continue
+					}
+					res := CheckHistogram(h, w, g, eps)
+					if res.Checks == 0 {
+						t.Fatalf("%s eps=%v: no checks ran", tg.name, eps)
+					}
+					if len(res.Violations) > 0 {
+						t.Fatalf("%s eps=%v n=%d l=%d t=%d: %v",
+							tg.name, eps, dims.n, dims.l, ti, res.Worst())
 					}
 				}
 			}
@@ -139,7 +131,7 @@ func TestCheckHistogramDetectsMutations(t *testing.T) {
 		return res
 	}
 
-	g := newGen(t, randproj.Gaussian, l, n, 1)
+	g := newGen(t, l, 1)
 	if res := run(g, g, eps); len(res.Violations) > 0 {
 		t.Fatalf("control run violated: %v", res.Worst())
 	}
@@ -147,7 +139,7 @@ func TestCheckHistogramDetectsMutations(t *testing.T) {
 	// Mutation 1: the pipeline and the oracle disagree on the projection
 	// (models a dropped/duplicated scale factor or a seed mismatch — any
 	// corruption of the partial sums). The sketch exactness check must fire.
-	wrong := newGen(t, randproj.Gaussian, l, n, 2)
+	wrong := newGen(t, l, 2)
 	res := run(g, wrong, eps)
 	found := false
 	for _, v := range res.Violations {
@@ -167,7 +159,7 @@ func TestCheckHistogramDetectsMutations(t *testing.T) {
 	// still-covered elements at once: V̂ < V by a real margin the ε = 0.3
 	// bound allows but an ε = 0 claim must flag.
 	const n2 = 512
-	g2 := newGen(t, randproj.Gaussian, l, n2, 1)
+	g2 := newGen(t, l, 1)
 	h := newHist(t, n2, eps, g2)
 	w := NewWindow(n2)
 	var strict, honest Result
@@ -214,7 +206,7 @@ type pipeline struct {
 
 func newPipeline(t *testing.T, m, n, l, rank int) *pipeline {
 	t.Helper()
-	gen := newGen(t, randproj.Gaussian, l, n, 7)
+	gen := newGen(t, l, 7)
 	flowIDs := make([]int, m)
 	for i := range flowIDs {
 		flowIDs[i] = i
@@ -381,7 +373,7 @@ func TestCheckModelChecksLeadingBasisModel(t *testing.T) {
 // surfaced through the counters when the pipeline is corrupted.
 func TestCheckerSampling(t *testing.T) {
 	const m, n, l = 8, 32, 8
-	gen := newGen(t, randproj.TugOfWar, l, n, 3)
+	gen := newGen(t, l, 3)
 	flowIDs := make([]int, m)
 	for i := range flowIDs {
 		flowIDs[i] = i
@@ -426,7 +418,7 @@ func TestCheckerSampling(t *testing.T) {
 	// A checker shadowing with the wrong generator must count violations.
 	bad, err := NewChecker(CheckerConfig{
 		Every: 5, WindowLen: n, Epsilon: 0.1,
-		Gen:      newGen(t, randproj.TugOfWar, l, n, 99),
+		Gen:      newGen(t, l, 99),
 		NumFlows: m, Component: "noc", Reg: reg,
 	})
 	if err != nil {

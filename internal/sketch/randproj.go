@@ -104,7 +104,12 @@ func (m *RandProj) Update(t int64, volumes []float64) error {
 	return nil
 }
 
-// Snapshot extracts the current sketches for all assigned flows.
+// Snapshot extracts what a sketch pull carries for all assigned flows: every
+// flow's sketch, mean and count over its window without the newest interval
+// (vh.Histogram.PriorSketchInto), the one the NOC is scoring, so a spike is
+// scored against a model it is not part of. Interval stays the newest
+// interval seen; the full-window sums are the histograms' own
+// (Histogram(i).SketchInto).
 func (m *RandProj) Snapshot() Snapshot {
 	var rep Snapshot
 	m.SnapshotInto(&rep)
@@ -124,8 +129,7 @@ func (m *RandProj) SnapshotInto(dst *Snapshot) {
 		FDRows:   dst.FDRows[:0],
 	}
 	for i, h := range m.hists {
-		dst.Sketches[i] = h.SketchInto(dst.Sketches[i])
-		dst.Means[i] = h.EstimateMean()
-		dst.Counts[i] = h.Count()
+		dst.Sketches[i], dst.Means[i] = h.PriorSketchInto(dst.Sketches[i])
+		dst.Counts[i] = max(0, h.Count()-1)
 	}
 }

@@ -95,8 +95,9 @@ type Sketcher interface {
 	// Update ingests the volumes of interval t; volumes[i] belongs to
 	// FlowIDs()[i]. Intervals must be strictly increasing.
 	Update(t int64, volumes []float64) error
-	// Snapshot extracts the current sketch state in wire form, and
-	// SnapshotInto the same into dst, reusing its slices' capacity.
+	// Snapshot extracts what a sketch pull carries, in wire form: RandProj's
+	// window without its newest interval, FD's full state. SnapshotInto is
+	// the same into dst, reusing its slices' capacity.
 	Snapshot() Snapshot
 	SnapshotInto(dst *Snapshot)
 	// StateSize returns the retained-state cell count for gauges: total

@@ -384,7 +384,8 @@ func TestRandProjUpdateAllOrNothing(t *testing.T) {
 	if err := sk.Update(2, []float64{1, 2, 3, 4}); err != nil {
 		t.Fatalf("clean retry of interval 2: %v", err)
 	}
-	if snap := sk.Snapshot(); sk.Now() != 2 || !reflect.DeepEqual(snap.Counts, []int64{2, 2, 2, 2}) {
+	// A snapshot leaves out the newest interval: it counts interval 1 only.
+	if snap := sk.Snapshot(); sk.Now() != 2 || !reflect.DeepEqual(snap.Counts, []int64{1, 1, 1, 1}) {
 		t.Fatalf("after retry: now %d counts %v", sk.Now(), snap.Counts)
 	}
 }
@@ -513,5 +514,53 @@ func TestRandProjAdditiveLinearity(t *testing.T) {
 				t.Fatalf("sketch not additive at flow %d k %d: %v vs %v", j, k, got, want)
 			}
 		}
+	}
+}
+
+// TestRandProjFlowsShareTheRingExactly: w histograms reading one row ring
+// hold the bits each would hold over a ring of its own, at an ε where they
+// merge, each flow at its own intervals, so one histogram's merge reads fall
+// between another's reads of its entering and leaving rows.
+func TestRandProjFlowsShareTheRingExactly(t *testing.T) {
+	const w, l, window, eps = 6, 40, 96, 0.5
+	cfg := randproj.Config{Seed: 21, SketchLen: l, WindowLen: window}
+	gen, err := randproj.NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := NewRandProj(Config{FlowIDs: flowIDs(w), WindowLen: window, Epsilon: eps, Gen: gen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone := make([]*RandProj, w)
+	for i := range alone {
+		g, err := randproj.NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alone[i], err = NewRandProj(Config{FlowIDs: []int{i}, WindowLen: window, Epsilon: eps, Gen: g}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := randRows(8, 4*window, w)
+	merged := false
+	for ti, row := range rows {
+		it := int64(ti + 1)
+		if err := shared.Update(it, row); err != nil {
+			t.Fatal(err)
+		}
+		for i, sk := range alone {
+			if err := sk.Update(it, row[i:i+1]); err != nil {
+				t.Fatal(err)
+			}
+			got, want := shared.Histogram(i), sk.Histogram(0)
+			merged = merged || got.NumBuckets() < int(min(it, window))
+			if g, w := got.SketchInto(nil), want.SketchInto(nil); !reflect.DeepEqual(g, w) {
+				t.Fatalf("interval %d, flow %d: shared-ring sketch %v, own-ring %v", it, i, g, w)
+			}
+		}
+	}
+	if !merged {
+		t.Fatal("no histogram merged: the test does not reach the interleaved reads")
 	}
 }

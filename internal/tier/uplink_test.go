@@ -256,9 +256,9 @@ func (b *lockedBuffer) String() string {
 }
 
 // TestOtherVersionUpstreamIsNotRedialed: a peer whose upstream answers in
-// another protocol version (a later wire, or gob from a build before this
-// one) logs one refusal and never redials it, even with candidates to fail
-// over to.
+// another protocol version (wire version 1, whose pulls carried full windows
+// of Gaussian rows, or gob from a build before the wire) logs one refusal and
+// never redials it, even with candidates to fail over to.
 func TestOtherVersionUpstreamIsNotRedialed(t *testing.T) {
 	var gobFrame bytes.Buffer
 	if err := gob.NewEncoder(&gobFrame).Encode(&struct{ Msg string }{"hello"}); err != nil {
@@ -268,7 +268,7 @@ func TestOtherVersionUpstreamIsNotRedialed(t *testing.T) {
 		name   string
 		answer []byte
 	}{
-		{"version 2", []byte("SPCA\x02\x06\x02\x00\x00\x00\x00\x04")},
+		{"version 1", []byte("SPCA\x01\x06\x02\x00\x00\x00\x00\x04")},
 		{"gob", gobFrame.Bytes()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

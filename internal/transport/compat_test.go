@@ -104,7 +104,7 @@ func TestConnOpensWithPreamble(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := unhex(t, "53504341 01 | 03 01000000 2a | 03 01000000 2a")
+	want := unhex(t, "53504341 02 | 03 01000000 2a | 03 01000000 2a")
 	if !bytes.Equal(s.out.Bytes(), want) {
 		t.Fatalf("stream %x, want %x", s.out.Bytes(), want)
 	}
@@ -112,19 +112,20 @@ func TestConnOpensWithPreamble(t *testing.T) {
 
 // TestRecvRefusesOtherProtocols: a Conn refuses, with ErrVersion, a peer whose
 // stream opens with gob (a build from before this wire) or with another
-// version of this wire, and keeps refusing.
+// version of this wire (version 1 pulled full windows of Gaussian rows), and
+// keeps refusing.
 func TestRecvRefusesOtherProtocols(t *testing.T) {
 	var gobPeer bytes.Buffer
 	if err := gob.NewEncoder(&gobPeer).Encode(&Envelope{Hello: &Hello{MonitorID: "old", FlowIDs: []int{0}, WindowLen: 8}}); err != nil {
 		t.Fatal(err)
 	}
-	otherVersion := append(unhex(t, "53504341 02"), unhex(t, goldenFrames[0].hex)...)
+	otherVersion := append(unhex(t, "53504341 01"), unhex(t, goldenFrames[0].hex)...)
 	for _, tc := range []struct {
 		name   string
 		stream []byte
 	}{
 		{"gob peer", gobPeer.Bytes()},
-		{"version 2", otherVersion},
+		{"version 1", otherVersion},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &splitStream{}

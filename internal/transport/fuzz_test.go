@@ -33,9 +33,9 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(stream(Envelope{Volume: &VolumeReport{Volumes: []float64{math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.MaxFloat64, math.NaN()}}}))
 	f.Add([]byte{})
 	f.Add(preamble[:4])
-	f.Add([]byte("SPCA\x02\x03\x01\x00\x00\x00\x2a"))
-	f.Add([]byte("SPCA\x01\x03\x01\x00\x00\x04\x2a"))
-	f.Add([]byte("SPCA\x01\x04\x03\x00\x00\x00\x00\x00\x05"))
+	f.Add([]byte("SPCA\x01\x03\x01\x00\x00\x00\x2a"))
+	f.Add([]byte("SPCA\x02\x03\x01\x00\x00\x04\x2a"))
+	f.Add([]byte("SPCA\x02\x04\x03\x00\x00\x00\x00\x00\x05"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &splitStream{}

@@ -32,7 +32,10 @@ import (
 // Every float crosses as its exact bit pattern either way.
 
 const (
-	wireVersion = 1
+	// wireVersion 2: a randproj sketch pull leaves out the interval being
+	// scored and every projection row is ±1. A version-1 peer pulls the full
+	// window of Gaussian rows; mixing the two at one NOC is refused.
+	wireVersion = 2
 	// frameHeader is the kind byte and the length.
 	frameHeader = 5
 	// maxFrame caps a frame's declared length; a longer one is ErrBadMessage

@@ -162,7 +162,7 @@ func FuzzHistogramAgainstWindow(f *testing.F) {
 			}
 			for k, got := range h.Sketch() {
 				// Both sides round in proportion to the mass they sum.
-				bound := 3 * rel * float64(c) * mean * gaussRowMax / math.Sqrt(float64(l))
+				bound := 3 * rel * float64(c) * mean * rowMax / math.Sqrt(float64(l))
 				if d := math.Abs(got - sk[k]); d > bound {
 					t.Fatalf("t=%d: Sketch()[%d] = %v, covered suffix %v: off by %.3g, bound %.3g", ti, k, got, sk[k], d, bound)
 				}

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"streampca/internal/mat"
 	"streampca/internal/randproj"
@@ -222,8 +223,7 @@ func (h *Histogram) Update(t int64, x float64) error {
 	h.addScalars(&h.store[len(h.store)-1], 1)
 	h.peakSum = math.Max(h.peakSum, math.Abs(h.totalSum))
 	if slide {
-		// Row t first: after a gap it may take the slot of the row leaving,
-		// which is then regenerated into the ring's scratch row instead.
+		// The ring keeps both rows valid together.
 		in := h.cfg.Gen.Row(t)
 		mat.SlideSums(h.totalZ, h.totalR, h.cfg.Gen.Row(old.Timestamp), in, -old.Mean, x)
 	} else {
@@ -343,8 +343,7 @@ func (h *Histogram) rebaseTotals() {
 
 // mergeRows folds the sketch sums of newer into older's slab row, giving
 // older a row if it was a singleton and returning newer's if it had one. It
-// reads the operands' moments, so it runs before mergeInto. One ring row is
-// in use at a time: a second read may reuse the ring's scratch row.
+// reads the operands' moments, so it runs before mergeInto.
 func (h *Histogram) mergeRows(older, newer *bucket) {
 	if h.sketchL == 0 {
 		return
@@ -485,14 +484,37 @@ func (h *Histogram) SketchInto(dst []float64) []float64 {
 		return nil
 	}
 	mean := h.EstimateMean()
-	out := dst[:0]
-	if cap(out) < h.sketchL {
-		out = make([]float64, h.sketchL)
-	}
-	out = out[:h.sketchL]
+	out := slices.Grow(dst[:0], h.sketchL)[:h.sketchL]
 	scale := 1 / math.Sqrt(float64(h.sketchL))
 	for k := range out {
 		out[k] = scale * (h.totalZ[k] - mean*h.totalR[k])
 	}
 	return out
+}
+
+// PriorSketchInto is SketchInto over the window without its newest element
+// y_t, the measurement of the interval the histogram last took: Z − y_t·r_t
+// and R − r_t, centred on the mean of the other elements. It returns that
+// sketch and mean (0 with no other element), or nil and 0 without a
+// generator. The newest bucket is always the singleton y_t — a merge never
+// takes it — so this is exact arithmetic on the totals: the window a NOC
+// scores y_t against must not contain y_t.
+func (h *Histogram) PriorSketchInto(dst []float64) ([]float64, float64) {
+	live := h.store[h.head:]
+	if h.sketchL == 0 || len(live) == 0 {
+		return h.SketchInto(dst), 0
+	}
+	newest := live[len(live)-1]
+	y := newest.Mean
+	var mean float64
+	if rest := h.totalCount - 1; rest > 0 {
+		mean = (h.totalSum - y) / float64(rest)
+	}
+	row := h.cfg.Gen.Row(newest.Timestamp)
+	out := slices.Grow(dst[:0], h.sketchL)[:h.sketchL]
+	scale := 1 / math.Sqrt(float64(h.sketchL))
+	for k := range out {
+		out[k] = scale * ((h.totalZ[k] - y*row[k]) - mean*(h.totalR[k]-row[k]))
+	}
+	return out, mean
 }

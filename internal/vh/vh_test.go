@@ -381,6 +381,48 @@ func TestSketchExactWithoutMerging(t *testing.T) {
 	}
 }
 
+// TestPriorSketchLeavesOutTheNewest: without merging, PriorSketchInto after
+// every update equals the exact projection of the centred window without its
+// newest element, and its mean is that window's.
+func TestPriorSketchLeavesOutTheNewest(t *testing.T) {
+	l, n := 70, 32
+	g, ring := newGenRing(t, 5, l, n)
+	h := mustHist(t, Config{WindowLen: n, Epsilon: 0.001, Gen: ring})
+	rng := rand.New(rand.NewSource(78))
+	var data []float64
+	var got []float64
+	scale := 1 / math.Sqrt(float64(l))
+	for i := 0; i < 3*n; i++ {
+		x := 100 + 10*rng.NormFloat64()
+		data = append(data, x)
+		if err := h.Update(int64(i+1), x); err != nil {
+			t.Fatal(err)
+		}
+		var mean float64
+		got, mean = h.PriorSketchInto(got)
+		// The elements before the newest that are still in the window.
+		prior := data[max(0, len(data)-n) : len(data)-1]
+		var wantMean float64
+		for _, v := range prior {
+			wantMean += v / float64(len(prior))
+		}
+		if math.Abs(mean-wantMean) > 1e-9*wantMean || len(prior) == 0 && mean != 0 {
+			t.Fatalf("t=%d: prior mean %v, want %v", i+1, mean, wantMean)
+		}
+		t0 := int64(len(data) - len(prior))
+		for k := 0; k < l; k++ {
+			var want float64
+			for j, v := range prior {
+				want += (v - wantMean) * g.At(t0+int64(j), k)
+			}
+			want *= scale
+			if math.Abs(got[k]-want) > 1e-8*math.Max(1, math.Abs(want)) {
+				t.Fatalf("t=%d: prior sketch[%d] = %v, want %v", i+1, k, got[k], want)
+			}
+		}
+	}
+}
+
 func TestSketchApproximatesProjectionWithMerging(t *testing.T) {
 	// With moderate ε and merging active, the sketch must stay close to the
 	// exact projection in relative L2 error.
@@ -574,9 +616,8 @@ func TestLongRunTotalsDrift(t *testing.T) {
 	}
 }
 
-// gaussRowMax bounds |r_{tk}| for the Gaussian family, whose uniform is
-// clamped at 1e-17 before the quantile.
-const gaussRowMax = 8.5
+// rowMax is max|r_{tk}|: every projection entry is ±1.
+const rowMax = 1
 
 // totalsRelBound is the documented totals bound in its every-step form
 // (B + 2P ≤ 5n), relative to the window sum, with 8n·u on top for the
@@ -603,8 +644,8 @@ func checkTotals(t testing.TB, h *Histogram) {
 		t.Fatalf("t=%d: EstimateMean() = %v, bucket list %v: off by %.3g, bound %.3g", h.now, mean, agg.Mean, d, rel*agg.Mean)
 	}
 	count := float64(agg.Count)
-	errZ := rel * count * agg.Mean * gaussRowMax
-	errR := 13 * n * u * count * gaussRowMax
+	errZ := rel * count * agg.Mean * rowMax
+	errR := 13 * n * u * count * rowMax
 	scale := 1 / math.Sqrt(float64(h.sketchL))
 	for k, got := range h.Sketch() {
 		want := scale * (agg.Z[k] - agg.Mean*agg.R[k])

@@ -87,11 +87,9 @@ type (
 	// Deployment is a running NOC and the topology below it.
 	Deployment = noc.Deployment
 
-	// SketchConfig configures the shared random projection (seed,
-	// sketch length l, distribution family).
+	// SketchConfig configures the shared random projection (seed, sketch
+	// length l).
 	SketchConfig = randproj.Config
-	// SketchDistribution selects the projection family.
-	SketchDistribution = randproj.Distribution
 	// SketchGenerator deterministically produces the shared random
 	// numbers r_{tk}.
 	SketchGenerator = randproj.Generator
@@ -116,18 +114,6 @@ const (
 	// FamilyFD is Frequent Directions — full-prefix semantics,
 	// deterministic ‖AᵀA − BᵀB‖₂ ≤ Δ bound in O(ℓ·w) space.
 	FamilyFD = sketch.FamilyFD
-)
-
-// Random-projection families (paper §V-B).
-const (
-	// Gaussian draws projections from the standard normal distribution.
-	Gaussian = randproj.Gaussian
-	// TugOfWar draws ±1 coins (Alon et al.).
-	TugOfWar = randproj.TugOfWar
-	// Sparse is Achlioptas' {−1,0,+1} family with parameter s.
-	Sparse = randproj.Sparse
-	// VerySparse is Li's s=√n variant.
-	VerySparse = randproj.VerySparse
 )
 
 // Sentinel errors re-exported for matching with errors.Is.

@@ -169,12 +169,7 @@ func TestFacadeConstructorsAndErrors(t *testing.T) {
 	}
 }
 
-func TestFacadeDistributionConstants(t *testing.T) {
-	for _, d := range []SketchDistribution{Gaussian, TugOfWar, Sparse, VerySparse} {
-		if d.String() == "unknown" {
-			t.Fatalf("distribution %d unnamed", int(d))
-		}
-	}
+func TestFacadeRankModeNames(t *testing.T) {
 	for _, m := range []RankMode{RankFixed, RankThreeSigma, RankEnergy} {
 		if m.String() == "unknown" {
 			t.Fatalf("rank mode %d unnamed", int(m))
