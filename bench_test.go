@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -401,30 +402,65 @@ func BenchmarkLakhinaRecompute(b *testing.B) {
 }
 
 // BenchmarkVHUpdate isolates a single variance histogram's per-element cost
-// across ε (ablation: merge aggressiveness vs bucket count).
+// across ε at n = 2 048, l = 64 (ablation: merge aggressiveness vs bucket
+// count), and at the sketchpca-noc defaults n = 4 032, ε = 0.01, l = 100,
+// where buckets merge. It reports the buckets after the timed updates and
+// B/flow, the live heap one histogram holds after 3n updates of the same
+// stream (the row ring, shared by a monitor's flows, is left out).
 func BenchmarkVHUpdate(b *testing.B) {
-	for _, eps := range []float64{0.01, 0.1, 0.5} {
-		b.Run(fmt.Sprintf("eps=%v", eps), func(b *testing.B) {
-			gen, err := randproj.NewGenerator(randproj.Config{Seed: 1, SketchLen: 64})
+	for _, c := range []struct {
+		name string
+		n, l int
+		eps  float64
+	}{
+		{"eps=0.01", 2048, 64, 0.01},
+		{"eps=0.1", 2048, 64, 0.1},
+		{"eps=0.5", 2048, 64, 0.5},
+		{"noc-default", 4032, 100, 0.01},
+	} {
+		perFlow := -1.0
+		b.Run(c.name, func(b *testing.B) {
+			gen, err := randproj.NewGenerator(randproj.Config{Seed: 1, SketchLen: c.l})
 			if err != nil {
 				b.Fatal(err)
 			}
-			ring, err := randproj.NewRing(gen, 2048)
+			ring, err := randproj.NewRing(gen, c.n)
 			if err != nil {
 				b.Fatal(err)
 			}
-			h, err := vh.New(vh.Config{WindowLen: 2048, Epsilon: eps, Gen: ring})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(5))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := h.Update(int64(i+1), 100+rng.NormFloat64()); err != nil {
-					b.Fatal(err)
+			cfg := vh.Config{WindowLen: c.n, Epsilon: c.eps, Gen: ring}
+			feed := func(h *vh.Histogram, updates int) {
+				rng := rand.New(rand.NewSource(5))
+				for i := 0; i < updates; i++ {
+					if err := h.Update(int64(i+1), 100+rng.NormFloat64()); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
+			if perFlow < 0 {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				kept, err := vh.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				feed(kept, 3*c.n)
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				perFlow = float64(after.HeapAlloc) - float64(before.HeapAlloc)
+				runtime.KeepAlive(kept)
+			}
+
+			h, err := vh.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			feed(h, b.N)
+			b.StopTimer()
 			b.ReportMetric(float64(h.NumBuckets()), "buckets")
+			b.ReportMetric(perFlow, "B/flow")
 		})
 	}
 }

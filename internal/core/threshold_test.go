@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -105,5 +107,98 @@ func TestObserveCappedThresholdAlarms(t *testing.T) {
 	}
 	if dec.ThresholdUnavailable || !dec.Anomalous {
 		t.Fatalf("recovered spectrum: ThresholdUnavailable=%v Anomalous=%v", dec.ThresholdUnavailable, dec.Anomalous)
+	}
+}
+
+// TestRebuildIsScaleInvariant rebuilds one set of sketches, means and
+// traffic at 2^−40, 1 and 2^40 — volumes in another unit, down to a sketch
+// Gram near 10⁻¹⁴ — through both sides of the model build (l = 32 and
+// l = 100 at m = 81) under every rank rule: the basis and rank must be bit
+// for bit the unscaled build's, and the singular values, threshold and
+// distances that build's times the scale, exactly.
+func TestRebuildIsScaleInvariant(t *testing.T) {
+	const m = 81
+	for _, l := range []int{32, 100} {
+		for _, mode := range []RankMode{RankFixed, RankEnergy, RankThreeSigma} {
+			rng := rand.New(rand.NewSource(int64(l)))
+			sketches := make([][]float64, m)
+			means := make([]float64, m)
+			for j := range sketches {
+				sketches[j] = make([]float64, l)
+				for k := range sketches[j] {
+					sketches[j][k] = 1e3 * rng.NormFloat64() * float64(1+j%5)
+				}
+				means[j] = 1e4 * rng.Float64()
+			}
+			traffic := make([][]float64, 4)
+			for i := range traffic {
+				traffic[i] = make([]float64, m)
+				for j := range traffic[i] {
+					traffic[i][j] = means[j] + 1e3*rng.NormFloat64()
+				}
+			}
+			build := func(e int) (*Model, []float64) {
+				t.Helper()
+				det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: 144, SketchLen: l, Alpha: 0.01, Mode: mode, FixedRank: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				scale := math.Ldexp(1, e)
+				sk := make([][]float64, m)
+				mu := make([]float64, m)
+				for j := range sk {
+					sk[j] = make([]float64, l)
+					for k, v := range sketches[j] {
+						sk[j][k] = v * scale
+					}
+					mu[j] = means[j] * scale
+				}
+				if err := det.RebuildModel(sk, mu, 1); err != nil {
+					t.Fatalf("l=%d %v 2^%d: %v", l, mode, e, err)
+				}
+				var dist []float64
+				for _, x := range traffic {
+					y := make([]float64, m)
+					for j, v := range x {
+						y[j] = v * scale
+					}
+					d, err := det.Distance(y)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dist = append(dist, d)
+				}
+				return det.Model(), dist
+			}
+			want, wantDist := build(0)
+			for _, e := range []int{-40, 40} {
+				name := fmt.Sprintf("l=%d %v 2^%d", l, mode, e)
+				got, dist := build(e)
+				if got.Rank != want.Rank || got.ThresholdUnavailable != want.ThresholdUnavailable {
+					t.Fatalf("%s: rank %d (threshold unavailable %v), unscaled %d (%v)",
+						name, got.Rank, got.ThresholdUnavailable, want.Rank, want.ThresholdUnavailable)
+				}
+				for i, r := 0, got.Components.Rows(); i < r; i++ {
+					for j := 0; j < got.Rank; j++ {
+						if a, b := got.Components.At(i, j), want.Components.At(i, j); math.Float64bits(a) != math.Float64bits(b) {
+							t.Fatalf("%s: basis[%d][%d] = %v, unscaled %v", name, i, j, a, b)
+						}
+					}
+				}
+				same := func(what string, got, want float64) {
+					t.Helper()
+					if w := math.Ldexp(want, e); math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("%s: %s = %v, want %v", name, what, got, w)
+					}
+				}
+				for j, s := range want.Singular {
+					same(fmt.Sprintf("λ̂_%d", j), got.Singular[j], s)
+				}
+				same("threshold", got.Threshold, want.Threshold)
+				for i, d := range wantDist {
+					same(fmt.Sprintf("distance %d", i), dist[i], d)
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -52,12 +53,51 @@ func TestIngestHotPathZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+	// One datagram per epoch seals its predecessor. Once a few rows have
+	// gone round, the fold takes each new epoch's row from those the sink
+	// is done with, so a steady-state seal allocates nothing.
+	t.Run("seal", func(t *testing.T) {
+		kept := make([]float64, testAggregator(t).NumFlows())
+		p, _ := newTestPipeline(t, func(c *Config) {
+			c.Sink = func(iv Interval) error {
+				copy(kept, iv.Volumes)
+				return nil
+			}
+		})
+		defer func() { _ = p.Close() }()
+		base := int64(1_200_000_000)
+		var bufs [][]byte
+		for i := 0; i < 64; i++ {
+			bufs = append(bufs, dgram(t, uint32(i), base+int64(i), i%3, (i+1)%3, 100))
+		}
+		i := 0
+		seal := func() {
+			if err := p.HandleDatagram(bufs[i]); err != nil {
+				t.Fatal(err)
+			}
+			// Delivery counts an epoch once it has handed the row before
+			// it back.
+			for p.Metrics().EpochsSealed.Value() < int64(i) {
+				runtime.Gosched()
+			}
+			i++
+		}
+		for i < 8 {
+			seal()
+		}
+		if avg := testing.AllocsPerRun(50, seal); avg != 0 {
+			t.Fatalf("a steady-state seal allocates %.2f times, want 0", avg)
+		}
+		if kept[(i-2)%3*3+(i-1)%3] != 100 {
+			t.Fatalf("the last sealed row is %v", kept)
+		}
+	})
 }
 
 // TestSealedDeliveryAllocatesOnlyTheRow: with tracing off, handing a sealed
-// epoch to a sink that copies it out allocates nothing but the epoch's row,
-// which the fold made: the seal span's attributes are built only when there
-// is a span.
+// epoch to a sink that copies it out allocates nothing beyond the epoch's
+// row, which the fold took and delivery hands back: the seal span's
+// attributes are built only when there is a span.
 func TestSealedDeliveryAllocatesOnlyTheRow(t *testing.T) {
 	kept := make([]float64, testAggregator(t).NumFlows())
 	p, _ := newTestPipeline(t, func(c *Config) {

@@ -57,7 +57,8 @@ type Interval struct {
 	// are delivered too, so Seq never skips).
 	Seq int64
 	// Volumes is the network-wide OD volume row, indexed like the
-	// aggregator's flow ids (length NumFlows).
+	// aggregator's flow ids (length NumFlows). The pipeline reuses it once
+	// the sink's next call has returned (see Config.Sink).
 	Volumes []float64
 	// Records is the number of flow records folded into this interval.
 	Records int64
@@ -86,8 +87,10 @@ type Config struct {
 	// Default 64.
 	MaxEpochJump int64
 	// Sink receives each sealed interval, in strictly increasing Seq
-	// order, from a single goroutine. A Sink error is counted and logged;
-	// the pipeline keeps running.
+	// order, from a single goroutine. Interval.Volumes stays valid only
+	// until the sink's next call returns; a sink that keeps it longer
+	// copies it. A Sink error is counted and logged; the pipeline keeps
+	// running.
 	Sink func(Interval) error
 	// Faults, when non-nil, is consulted once per datagram (direction
 	// "recv", type "netflow") so chaos suites can drop, delay or corrupt
@@ -104,8 +107,14 @@ type Config struct {
 	Trace *trace.Tracer
 }
 
-// sealed is one epoch's volume row: open in Pipeline.acc while records fold
-// into it, then on its way to the sink.
+// openEpoch is an epoch's accumulator in Pipeline.acc: its volume row and
+// the records folded into it.
+type openEpoch struct {
+	row     []float64
+	records int64
+}
+
+// sealed is one epoch's volume row on its way to the sink.
 type sealed struct {
 	epoch    int64
 	row      []float64 // nil when the epoch saw no datagram
@@ -148,7 +157,15 @@ type Pipeline struct {
 	watermark     int64
 	sealedThrough int64
 	closed        bool
-	acc           map[int64]*sealed // open epochs, at most slack+2 at once
+	acc           map[int64]openEpoch // at most slack+2 at once
+
+	// spare holds a zeroed row the sink is done with, for the next epoch's
+	// accumulator: with the open epoch's row and held, three rows go round
+	// while the sink keeps up. held is the row of the interval the sink took
+	// last, which deliver hands back once the sink's next call returns; only
+	// the delivery goroutine touches it.
+	spare chan []float64
+	held  []float64
 
 	sealCh      chan sealed
 	deliverDone chan struct{}
@@ -198,7 +215,8 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		intervalNs:  cfg.Interval.Nanoseconds(),
 		slackEpochs: (cfg.Lateness.Nanoseconds() + cfg.Interval.Nanoseconds() - 1) / cfg.Interval.Nanoseconds(),
 		maxJump:     cfg.MaxEpochJump,
-		acc:         make(map[int64]*sealed),
+		acc:         make(map[int64]openEpoch),
+		spare:       make(chan []float64, 1),
 		sealCh:      make(chan sealed, sealBacklog),
 		deliverDone: make(chan struct{}),
 	}
@@ -300,10 +318,9 @@ func (p *Pipeline) HandleDatagram(buf []byte) error {
 // matched no prefix are counted and left out; the miss allocates nothing
 // either (TestIngestHotPathZeroAlloc).
 func (p *Pipeline) foldLocked(epoch int64, recs []rec) {
-	a := p.acc[epoch]
-	if a == nil {
-		a = &sealed{epoch: epoch, row: make([]float64, p.agg.NumFlows())}
-		p.acc[epoch] = a
+	a, ok := p.acc[epoch]
+	if !ok {
+		a = openEpoch{row: p.spareRow()}
 	}
 	var unroutable int64
 	for _, r := range recs {
@@ -314,6 +331,7 @@ func (p *Pipeline) foldLocked(epoch int64, recs []rec) {
 		a.row[r.flow] += float64(r.octets)
 	}
 	a.records += int64(len(recs)) - unroutable
+	p.acc[epoch] = a
 	if unroutable > 0 {
 		p.met.Unroutable.Add(unroutable)
 	}
@@ -329,15 +347,24 @@ func (p *Pipeline) sealThroughLocked(target int64, partial bool) {
 	}
 	now := time.Now()
 	for e := p.sealedThrough + 1; e <= target; e++ {
-		s := sealed{epoch: e}
-		if a := p.acc[e]; a != nil {
-			s = *a
+		s := sealed{epoch: e, partial: partial, sealedAt: now}
+		if a, ok := p.acc[e]; ok {
+			s.row, s.records = a.row, a.records
 			delete(p.acc, e)
 		}
-		s.partial, s.sealedAt = partial, now
 		p.sealCh <- s
 	}
 	p.sealedThrough = target
+}
+
+// spareRow returns a zero row, one the sink is done with when there is one.
+func (p *Pipeline) spareRow() []float64 {
+	select {
+	case row := <-p.spare:
+		return row
+	default:
+		return make([]float64, p.agg.NumFlows())
+	}
 }
 
 // deliverLoop numbers the sealed epochs and calls the sink, one at a time,
@@ -365,7 +392,7 @@ func (p *Pipeline) deliver(seq int64, s sealed) {
 	}
 	volumes := s.row
 	if volumes == nil {
-		volumes = make([]float64, p.agg.NumFlows())
+		volumes = p.spareRow()
 	}
 	iv := Interval{
 		Epoch:   s.epoch,
@@ -379,6 +406,16 @@ func (p *Pipeline) deliver(seq int64, s sealed) {
 		p.log.Warn("ingest sink rejected interval", "seq", seq, "epoch", s.epoch, "err", err)
 		sp.Event("sink_error", trace.S("err", err.Error()))
 	}
+	// The previous row goes back now, not this one: a sink may hand the
+	// interval on and read it until its next call.
+	if p.held != nil {
+		clear(p.held)
+		select {
+		case p.spare <- p.held:
+		default:
+		}
+	}
+	p.held = volumes
 	p.met.EpochsSealed.Inc()
 	if s.partial {
 		p.met.PartialEpochs.Inc()

@@ -37,9 +37,12 @@ type sinkRecorder struct {
 	err       error // returned to the pipeline when set
 }
 
+// sink keeps a copy of the interval's row: the pipeline reuses the one it
+// hands over.
 func (s *sinkRecorder) sink(iv Interval) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	iv.Volumes = append([]float64(nil), iv.Volumes...)
 	s.intervals = append(s.intervals, iv)
 	return s.err
 }

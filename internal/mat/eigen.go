@@ -186,10 +186,12 @@ type EigenLeading struct {
 	h    []float64
 	// off[i] couples rows i−1 and i of T, off[0] = off[n] = 0. T splits into
 	// unreduced blocks at the exact zeros of off, and blk[j] is the first row
-	// of the block Values[j] is an eigenvalue of. norm is ‖T‖₁.
-	off  []float64
-	blk  []int
-	norm float64
+	// of the block Values[j] is an eigenvalue of. norm is ‖T‖₁, and scale
+	// the power of two 2^−⌊log₂ norm⌋ the inverse iteration multiplies T by.
+	off   []float64
+	blk   []int
+	norm  float64
+	scale float64
 	// Scratch, all carved from buf: QL's d, e and rotations cs; the iterate
 	// x, two entries longer than n; the rows of U in T − λI = P·L·U (diagonal
 	// u0, superdiagonals u1, u2); the back-transform's dot products g.
@@ -257,6 +259,10 @@ func (f *EigenLeading) Factor(a *Matrix) error {
 			f.u0[i] = f.u0[i-1]
 		}
 	}
+	f.scale = 1
+	if f.norm > 0 {
+		f.scale = math.Ldexp(1, -math.Ilogb(f.norm))
+	}
 	if err := tridiagonalQL(f.d, f.e, f.cs, func(qlSweep) {}); err != nil {
 		return err
 	}
@@ -308,8 +314,11 @@ func (f *EigenLeading) Vector(j int) ([]float64, error) {
 // vectors writes the eigenvectors for Values[from:k] into the n×(k−from)
 // row-major w. It finds the eigenvectors of T for Values[:k] that tv does
 // not hold yet, in order, and keeps them there; each comes from inverse
-// iteration on its block of T under LAPACK dstein's rules (a block of one is
-// a unit vector):
+// iteration on its block of T·2^−⌊log₂‖T‖₁⌋ under LAPACK dstein's rules (a
+// block of one is a unit vector). The growth test below is an absolute bound,
+// which no step meets on a matrix much smaller than 1; the power-of-two scale
+// is exact, so every power-of-two multiple of a matrix gets its vectors bit
+// for bit. The rules:
 //   - a shift within 10·ε·|λ| of the one before it in the block is moved that
 //     far below it, so that equal eigenvalues get distinct shifts;
 //   - the start vector is pseudo-random, seeded by the column;
@@ -365,7 +374,7 @@ func (f *EigenLeading) vectors(w []float64, from, k int) error {
 			if its == 9 {
 				return fmt.Errorf("%w: inverse iteration for eigenvector %d of %d", ErrNoConverge, c, n)
 			}
-			f.solveShifted(x, lo, lam+float64(grown/4)*1e-8*f.norm)
+			f.solveShifted(x, lo, (lam+float64(grown/4)*1e-8*f.norm)*f.scale)
 			for p := 0; p < c; p++ {
 				prev := f.tv[p*n+lo : p*n+hi]
 				AddScaled(x, -Dot(x, prev), prev)
@@ -411,20 +420,21 @@ func (f *EigenLeading) vectors(w []float64, from, k int) error {
 	return nil
 }
 
-// solveShifted overwrites the iterate x on T's block from row lo with
-// (T − λI)⁻¹·s·x: Gaussian elimination with partial pivoting on magnitude
-// (LAPACK dlagtf), s scaling L⁻¹P·x by dstein's n·‖T‖₁·max(ε, |u_nn|)/‖x‖∞,
-// and back substitution that takes a pivot below ε·‖T‖₁ as ±ε·‖T‖₁ (LAPACK
-// dlagts).
+// solveShifted overwrites the iterate x on the block from row lo of the
+// scaled T' = T·f.scale with (T' − λI)⁻¹·s·x: Gaussian elimination with
+// partial pivoting on magnitude (LAPACK dlagtf), s scaling L⁻¹P·x by
+// dstein's n·‖T'‖₁·max(ε, |u_nn|)/‖x‖∞, and back substitution that takes a
+// pivot below ε·‖T'‖₁ as ±ε·‖T'‖₁ (LAPACK dlagts).
 func (f *EigenLeading) solveShifted(x []float64, lo int, lam float64) {
 	const eps = 0x1p-52
 	b, n, off, u0, u1, u2 := len(x), f.n, f.off[lo:], f.u0[lo:], f.u1[lo:], f.u2[lo:]
-	scale := float64(b) * f.norm / math.Abs(x[iamax(x)])
+	sc, norm := f.scale, f.norm*f.scale
+	scale := float64(b) * norm / math.Abs(x[iamax(x)])
 	x = f.x[lo:]
 	x[b], x[b+1] = 0, 0
-	p0, p1 := f.refl[lo*n+lo]-lam, off[1]
+	p0, p1 := f.refl[lo*n+lo]*sc-lam, off[1]*sc
 	for i := 0; i+1 < b; i++ {
-		sub, q0, q1 := off[i+1], f.refl[(lo+i+1)*(n+1)]-lam, off[i+2]
+		sub, q0, q1 := off[i+1]*sc, f.refl[(lo+i+1)*(n+1)]*sc-lam, off[i+2]*sc
 		if math.Abs(sub) <= math.Abs(p0) {
 			m := sub / p0
 			u0[i], u1[i], u2[i] = p0, p1, 0
@@ -439,8 +449,8 @@ func (f *EigenLeading) solveShifted(x []float64, lo int, lam float64) {
 	ScaleVec(x[:b], scale*math.Max(eps, math.Abs(p0)))
 	for i := b - 1; i >= 0; i-- {
 		t, p := x[i]-(u1[i]*x[i+1]+u2[i]*x[i+2]), u0[i]
-		if math.Abs(p) < eps*f.norm {
-			p = math.Copysign(eps*f.norm, p)
+		if math.Abs(p) < eps*norm {
+			p = math.Copysign(eps*norm, p)
 		}
 		x[i] = t / p
 	}

@@ -179,28 +179,113 @@ func symEigenLeadingClusters(t *testing.T) {
 // FuzzSymEigenLeading differentially checks SymEigenLeading against SymEigen
 // on fuzzer-chosen inputs: n ≤ 48, a clustered spectrum with forced ties
 // (clusteredSpectrum, its widths starting where the fuzzer says) and a seeded
-// orthogonal basis, held to checkClusters' bounds. The seed corpus ends with
-// an n = 3 input whose projector is 3.5 times n·ε·‖A‖/gap from SymEigen's,
-// and five inputs that broke the bounds under LAPACK dstein's own rules (see
-// EigenLeading.vectors): four whose three-member clusters of relative width
-// 0 or 10⁻¹⁴ leaked under its stopping rule, one whose vectors of different
-// clusters it left too far from orthogonal.
+// orthogonal basis, held to checkClusters' bounds, the whole matrix scaled by
+// 2^e for a fuzzer-chosen e in [−60, 60]; the scaled matrix must factor into
+// the unscaled one's vectors bit for bit and its values times 2^e (see
+// checkScaled). The seed corpus ends with an n = 3 input whose projector is
+// 3.5 times n·ε·‖A‖/gap from SymEigen's, and five inputs that broke the
+// bounds under LAPACK dstein's own rules (see EigenLeading.vectors): four
+// whose three-member clusters of relative width 0 or 10⁻¹⁴ leaked under its
+// stopping rule, one whose vectors of different clusters it left too far
+// from orthogonal.
 func FuzzSymEigenLeading(f *testing.F) {
 	for _, seed := range []struct {
 		seed  int64
 		n     uint8
 		first uint8
+		exp   int8
 	}{
-		{1, 8, 0}, {2, 48, 1}, {3, 3, 2}, {4, 17, 3}, {5, 33, 4}, {6, 1, 0},
-		{16254, 2, 4}, {-43, 46, 4}, {18279, 39, 0}, {-13422, 34, 0}, {-6264, 40, 4}, {-57, 111, 73},
+		{1, 8, 0, 0}, {2, 48, 1, -60}, {3, 3, 2, 60}, {4, 17, 3, -27}, {5, 33, 4, 13}, {6, 1, 0, -1},
+		{16254, 2, 4, 0}, {-43, 46, 4, 0}, {18279, 39, 0, 0}, {-13422, 34, 0, 0}, {-6264, 40, 4, 0}, {-57, 111, 73, 0},
 	} {
-		f.Add(seed.seed, seed.n, seed.first)
+		f.Add(seed.seed, seed.n, seed.first, seed.exp)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, n, first uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, n, first uint8, exp int8) {
 		rng := rand.New(rand.NewSource(seed))
 		size := 1 + int(n)%48
+		e := int(exp) % 61
 		values, groups := clusteredSpectrum(rng, size, int(first)%len(clusterWidths))
 		a, _ := rotated(t, rng, values)
-		checkClusters(t, fmt.Sprintf("seed=%d/n=%d/first=%d", seed, size, first), a, values, groups)
+		scaled := a.Clone()
+		ScaleVec(scaled.data, math.Ldexp(1, e))
+		for i := range values {
+			values[i] = math.Ldexp(values[i], e)
+		}
+		name := fmt.Sprintf("seed=%d/n=%d/first=%d/e=%d", seed, size, first, e)
+		checkClusters(t, name, scaled, values, groups)
+		checkScaled(t, name, a, e)
 	})
+}
+
+// checkScaled requires SymEigenLeading to factor 2^e·a into a's vectors bit
+// for bit and a's values times 2^e: the model build reads the same basis
+// whatever unit the volumes come in.
+func checkScaled(t *testing.T, name string, a *Matrix, e int) {
+	t.Helper()
+	scaled := a.Clone()
+	ScaleVec(scaled.data, math.Ldexp(1, e))
+	want, err := SymEigenLeading(a)
+	if err != nil {
+		t.Fatalf("%s: SymEigenLeading: %v", name, err)
+	}
+	got, err := SymEigenLeading(scaled)
+	if err != nil {
+		t.Fatalf("%s: SymEigenLeading of the scaled matrix: %v", name, err)
+	}
+	for j, v := range want.Values {
+		if w := math.Ldexp(v, e); math.Float64bits(got.Values[j]) != math.Float64bits(w) {
+			t.Fatalf("%s: λ_%d = %v, want %v", name, j, got.Values[j], w)
+		}
+	}
+	n := a.Rows()
+	wv, err := want.Vectors(n)
+	if err != nil {
+		t.Fatalf("%s: Vectors(%d): %v", name, n, err)
+	}
+	gv, err := got.Vectors(n)
+	if err != nil {
+		t.Fatalf("%s: Vectors(%d) of the scaled matrix: %v", name, n, err)
+	}
+	for i, x := range gv.data {
+		if math.Float64bits(x) != math.Float64bits(wv.data[i]) {
+			t.Fatalf("%s: vector entry %d is %v, unscaled %v", name, i, x, wv.data[i])
+		}
+	}
+}
+
+// TestSymEigenLeadingAnyScale: the leading vectors of s·G, G the Gram of a
+// seeded 100×81 Gaussian matrix, are found for s from 10⁻²⁰ to 10⁶ (the
+// inverse iteration's growth test used to fail every step from s = 10⁻⁸
+// down), equal G's within rounding, and equal them bit for bit when s is a
+// power of two.
+func TestSymEigenLeadingAnyScale(t *testing.T) {
+	g := randomMatrix(rand.New(rand.NewSource(10)), 100, 81).Gram()
+	ref, err := SymEigenLeading(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Vectors(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []float64{1e-20, 1e-16, 1e-12, 1e-8, 1e-6, 1e-3, 1e3, 1e6} {
+		a := g.Clone()
+		ScaleVec(a.data, s)
+		f, err := SymEigenLeading(a)
+		if err != nil {
+			t.Fatalf("s=%g: %v", s, err)
+		}
+		v, err := f.Vectors(6)
+		if err != nil {
+			t.Fatalf("s=%g: Vectors(6): %v", s, err)
+		}
+		for i, x := range v.data {
+			if d := math.Abs(x - want.data[i]); d > 1e-9 {
+				t.Fatalf("s=%g: vector entry %d is %v, unscaled %v", s, i, x, want.data[i])
+			}
+		}
+	}
+	for _, e := range []int{-70, -40, -27, -1, 1, 40, 70} {
+		checkScaled(t, fmt.Sprintf("e=%d", e), g, e)
+	}
 }

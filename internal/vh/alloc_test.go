@@ -25,18 +25,15 @@ func TestEstimateVarianceZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestNonMergingUpdatesAllocateNothing: a histogram that cannot merge (every
-// deployed point: 2 + 20/ε > n/2) sizes its bucket store once in New, to the
-// window and an eighth, so three windows of updates after it allocate
-// nothing and the store never grows past n + n/8 + 1 buckets.
+// TestNonMergingUpdatesAllocateNothing: where no bucket can merge (every
+// deployed point: 2 + 20/ε > n/2) a histogram is its window ring, which New
+// sizes to n, so three windows of updates after it allocate nothing, the
+// merged list stays empty and all n buckets are ring slots.
 func TestNonMergingUpdatesAllocateNothing(t *testing.T) {
 	const n = 144
 	h, err := New(Config{WindowLen: n, Epsilon: 0.01, Gen: newRing(t, 3, 100, n)})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !h.noMerge {
-		t.Fatal("the configuration merges")
 	}
 	rng := rand.New(rand.NewSource(11))
 	xs := make([]float64, 3*n)
@@ -44,23 +41,20 @@ func TestNonMergingUpdatesAllocateNothing(t *testing.T) {
 		xs[i] = 1e6 * rng.Float64()
 	}
 	var before, after runtime.MemStats
-	const limit = n + n/8 + 1
-	if c := cap(h.store); c > limit {
-		t.Fatalf("New sized the store at %d buckets, more than %d", c, limit)
-	}
-	peak := 0
 	runtime.ReadMemStats(&before)
 	for i, x := range xs {
 		if err := h.Update(int64(i+1), x); err != nil {
 			t.Fatal(err)
 		}
-		peak = max(peak, cap(h.store))
 	}
 	runtime.ReadMemStats(&after)
 	if got := after.Mallocs - before.Mallocs; got != 0 {
 		t.Fatalf("3n updates allocated %d times", got)
 	}
-	if peak > limit {
-		t.Fatalf("the store grew to %d buckets, more than %d", peak, limit)
+	if cap(h.merged) != 0 || len(h.slab) != 0 {
+		t.Fatalf("a bucket merged: %d merged buckets, %d slab floats", len(h.merged), len(h.slab))
+	}
+	if h.NumBuckets() != n || len(h.window) != n {
+		t.Fatalf("%d buckets in a ring of %d, want %d of %d", h.NumBuckets(), len(h.window), n, n)
 	}
 }

@@ -2,25 +2,45 @@ package vh
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"streampca/internal/randproj"
 )
 
-// checkStorage asserts the storage invariants of the bucket list: timestamps
-// strictly increasing, Σ count = Count(), a slab row for exactly the
-// non-singleton buckets, and every slab row either owned by one bucket or on
-// the free list, never both and never neither.
+// checkStorage asserts the storage invariants of the window ring and the
+// merged list: newest is the slot of now and holds a live singleton, singles
+// counts the ring's live elements, every merged bucket summarises at least
+// two elements, spans times in the window before the newest element and after
+// the merged bucket before it, and shares none of them with a singleton; the
+// buckets walk in
+// strictly increasing time order and Σ count = Count(); and every slab row is
+// either owned by one merged bucket or on the free list, never both and never
+// neither, with a row for every merged bucket of a sketching histogram.
 func checkStorage(t testing.TB, h *Histogram) {
 	t.Helper()
-	live := h.store[h.head:]
+	n := int64(len(h.window))
+	if want := int((h.now%n + n) % n); h.newest != want {
+		t.Fatalf("t=%d: newest slot %d, want %d", h.now, h.newest, want)
+	}
+	if h.NumBuckets() > 0 && math.IsNaN(h.window[h.newest]) {
+		t.Fatalf("t=%d: the newest element is not a live singleton", h.now)
+	}
+	singles := 0
+	for _, x := range h.window {
+		if !math.IsNaN(x) {
+			singles++
+		}
+	}
+	if singles != h.singles {
+		t.Fatalf("t=%d: %d live singletons in the ring, singles = %d", h.now, singles, h.singles)
+	}
 	slots := 0
 	if h.sketchL > 0 {
 		slots = len(h.slab) / (2 * h.sketchL)
 	}
 	owner := make([]int, slots) // 0 unowned, 1 a bucket, 2 the free list
 	claim := func(slot int32, who int) {
-		t.Helper()
 		if slot < 0 || int(slot) >= slots {
 			t.Fatalf("t=%d: slab row %d out of range [0, %d)", h.now, slot, slots)
 		}
@@ -29,21 +49,47 @@ func checkStorage(t testing.TB, h *Histogram) {
 		}
 		owner[slot] = who
 	}
-	var count int64
-	for i, b := range live {
-		if i > 0 && b.Timestamp <= live[i-1].Timestamp {
-			t.Fatalf("t=%d: bucket %d timestamp %d not after %d", h.now, i, b.Timestamp, live[i-1].Timestamp)
+	for i, b := range h.merged {
+		if b.Count < 2 {
+			t.Fatalf("t=%d: merged bucket %d summarises %d elements", h.now, i, b.Count)
 		}
-		if b.Count < 1 {
-			t.Fatalf("t=%d: bucket %d summarises %d elements", h.now, i, b.Count)
+		if b.Timestamp <= h.now-n || b.Timestamp >= h.now {
+			t.Fatalf("t=%d: merged bucket %d at time %d, outside [now−n+1, now)", h.now, i, b.Timestamp)
 		}
-		count += b.Count
-		if wantRow := h.sketchL > 0 && b.Count > 1; wantRow != (b.slot != noSlot) {
-			t.Fatalf("t=%d: bucket %d of %d elements has slab row %d", h.now, i, b.Count, b.slot)
+		if i > 0 && b.Timestamp <= h.merged[i-1].Timestamp {
+			t.Fatalf("t=%d: merged bucket %d timestamp %d not after %d", h.now, i, b.Timestamp, h.merged[i-1].Timestamp)
+		}
+		if b.Last < b.Timestamp+b.Count-1 || b.Last >= h.now {
+			t.Fatalf("t=%d: merged bucket %d of %d elements spans times [%d, %d]", h.now, i, b.Count, b.Timestamp, b.Last)
+		}
+		if i > 0 && b.Timestamp <= h.merged[i-1].Last {
+			t.Fatalf("t=%d: merged bucket %d starts at %d, inside the one before it", h.now, i, b.Timestamp)
+		}
+		for ti := b.Timestamp; ti <= b.Last; ti++ {
+			if x := h.window[h.slotAfter(h.newest, ti-h.now)]; !math.IsNaN(x) {
+				t.Fatalf("t=%d: time %d is both in merged bucket %d and singleton %v", h.now, ti, i, x)
+			}
+		}
+		if wantRow := h.sketchL > 0; wantRow != (b.slot != noSlot) {
+			t.Fatalf("t=%d: merged bucket %d has slab row %d", h.now, i, b.slot)
 		}
 		if b.slot != noSlot {
 			claim(b.slot, 1)
 		}
+	}
+	var count int64
+	visited := 0
+	last := h.now - n
+	h.each(h.now, func(b bucket) {
+		if b.Timestamp <= last {
+			t.Fatalf("t=%d: bucket %d timestamp %d not after %d", h.now, visited, b.Timestamp, last)
+		}
+		last = b.Last
+		count += b.Count
+		visited++
+	})
+	if visited != h.NumBuckets() {
+		t.Fatalf("t=%d: the walk visits %d buckets, NumBuckets() = %d", h.now, visited, h.NumBuckets())
 	}
 	if count != h.Count() {
 		t.Fatalf("t=%d: Count() = %d, buckets sum to %d", h.now, h.Count(), count)
@@ -182,4 +228,64 @@ func FuzzHistogramAgainstWindow(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDaemonDefaultMerges runs the sketchpca-noc defaults (n = 4 032,
+// ε = 0.01, l = 100), where rule 2 can fire (n ≥ 40/ε + 4), for three
+// windows of uniform volumes with one gap of a few intervals and one longer
+// than the window. Every update checks the storage invariants; every 127th
+// the totals against the bucket list and Lemma 1 against the exact window. Buckets must merge both before the long gap and after it.
+func TestDaemonDefaultMerges(t *testing.T) {
+	const (
+		n, l, eps = 4032, 100, 0.01
+		every     = 127
+	)
+	h := mustHist(t, Config{WindowLen: n, Epsilon: eps, Gen: newRing(t, 1, l, n)})
+	rng := rand.New(rand.NewSource(1))
+	var ts []int64
+	var xs []float64
+	var ti int64
+	mergedBefore, mergedAfter := 0, 0
+	for i := 0; i < 3*n; i++ {
+		ti++
+		switch i {
+		case n / 2:
+			ti += 5
+		case n + n/2:
+			ti += n + 3
+		}
+		x := 1e6 * rng.Float64()
+		ts, xs = append(ts, ti), append(xs, x)
+		if err := h.Update(ti, x); err != nil {
+			t.Fatal(err)
+		}
+		checkStorage(t, h)
+		if i < n+n/2 {
+			mergedBefore = max(mergedBefore, len(h.merged))
+		} else {
+			mergedAfter = max(mergedAfter, len(h.merged))
+		}
+		if i%every != 0 {
+			continue
+		}
+		checkTotals(t, h)
+		inWindow := 0
+		for j := len(ts) - 1; j >= 0 && ts[j] > ti-n; j-- {
+			inWindow++
+		}
+		win := xs[len(xs)-inWindow:]
+		_, exact, _ := exactWindow(win, inWindow)
+		var sumSq float64
+		for _, v := range win {
+			sumSq += v * v
+		}
+		slack := 1e-12 * float64(inWindow) * sumSq
+		if est := h.EstimateVariance(); est > exact+slack || est < (1-eps)*exact-slack {
+			t.Fatalf("t=%d: V̂ = %v outside [(1−ε)V, V] for V = %v", ti, est, exact)
+		}
+	}
+	if mergedBefore == 0 || mergedAfter == 0 {
+		t.Fatalf("merged buckets: at most %d before the long gap and %d after it, want some in both", mergedBefore, mergedAfter)
+	}
+	t.Logf("%d buckets, %d merged, at the end", h.NumBuckets(), len(h.merged))
 }

@@ -39,16 +39,19 @@ var (
 // bucket summarizes a contiguous subsequence of measurements
 // (paper §IV-B bucket statistics).
 //
-// A singleton bucket is its element: Count = 1, Mean = x, Var = 0, and its
-// sketch sums Z = x·r_τ, R = r_τ are read from the row ring, which any
-// holder of the shared seed can refill. Only a bucket that a merge has made
-// non-singleton owns a Z|R row, one slot of the histogram's slab.
+// A histogram stores a singleton bucket as its element alone, one float of
+// its window ring: Count = 1, Mean = x, Var = 0, and its sketch sums
+// Z = x·r_τ, R = r_τ are read from the row ring, which any holder of the
+// shared seed can refill. Only a bucket that a merge has made non-singleton is
+// kept as a bucket, and owns a Z|R row, one slot of the histogram's slab.
 type bucket struct {
 	// Timestamp is the arrival time of the bucket's OLDEST element. A new
 	// singleton bucket gets the element's time; a merged bucket inherits
 	// the older operand's timestamp ("the merged bucket's time stamp is
 	// set to be the time stamp of the older one").
 	Timestamp int64
+	// Last is the arrival time of the bucket's newest element.
+	Last int64
 	// Count is the number of elements summarized (n_p).
 	Count int64
 	// Mean is the arithmetic mean of the elements (μ_p).
@@ -75,6 +78,7 @@ func (a *bucket) mergeInto(b *bucket) {
 	a.Var = a.Var + b.Var + na*nb/total*diff*diff
 	a.Mean = (na*a.Mean + nb*b.Mean) / total
 	a.Count += b.Count
+	a.Last = b.Last
 }
 
 // Config parameterizes a Histogram.
@@ -101,6 +105,12 @@ const cliffFactor = 64
 
 // Histogram is the per-flow variance histogram. It is not safe for
 // concurrent use; the owning monitor serializes updates.
+//
+// Its buckets are held in two places that together keep their time order:
+// a ring of n floats, one per time of the window, which holds each live
+// singleton's element, and the list of merged buckets, oldest first. Where
+// nothing merges (rule 2 cannot fire below n = 40/ε + 4) the list stays
+// empty and the ring is the exact window.
 //
 // The linear summary statistics (element count, volume sum and the sketch
 // sums Z, R) are additionally maintained incrementally, so Sketch and
@@ -134,20 +144,23 @@ const cliffFactor = 64
 type Histogram struct {
 	cfg     Config
 	sketchL int
-	// noMerge records that 2 + 20/ε > n/2: rule 2 needs n_A ≥ 2 and
-	// n_B ≥ (10/ε)·n_A inside half a window, so no pair can ever merge and
-	// every bucket stays a singleton. It is set one short of that, so that
-	// rounding in mergeScan's own comparison cannot disagree with it.
-	noMerge bool
-	// store[head:] are the live buckets, oldest first; expiry advances head
-	// and push compacts the dead prefix (see push).
-	store   []bucket
-	head    int
+	// window[τ mod n] is the element of time τ ∈ [now−n+1, now] while it is
+	// a live singleton bucket, else NaN (no update at τ, or a merge took it);
+	// newest is the slot of now, and singles counts the live singletons.
+	window  []float64
+	newest  int
+	singles int
+	// since is the time of the first update after the histogram was last
+	// empty: no bucket is older, so the walks start there when it is
+	// inside the window.
+	since int64
+	// merged are the live non-singleton buckets, oldest first.
+	merged  []bucket
 	now     int64
 	started bool
 
-	// slab holds one Z|R row of 2l floats per non-singleton bucket; free
-	// lists the rows handed back by merges and expiry.
+	// slab holds one Z|R row of 2l floats per merged bucket; free lists the
+	// rows handed back by merges and expiry.
 	slab []float64
 	free []int32
 
@@ -172,7 +185,10 @@ func New(cfg Config) (*Histogram, error) {
 	if math.IsNaN(cfg.Epsilon) || cfg.Epsilon <= 0 || cfg.Epsilon >= 1 {
 		return nil, fmt.Errorf("%w: epsilon %v", ErrConfig, cfg.Epsilon)
 	}
-	h := &Histogram{cfg: cfg}
+	h := &Histogram{cfg: cfg, window: make([]float64, cfg.WindowLen)}
+	for i := range h.window {
+		h.window[i] = math.NaN()
+	}
 	if cfg.Gen != nil {
 		if cfg.Gen.WindowLen() < cfg.WindowLen {
 			return nil, fmt.Errorf("%w: row ring serves windows of %d, histogram window is %d",
@@ -182,21 +198,12 @@ func New(cfg Config) (*Histogram, error) {
 		h.totalZ = make([]float64, h.sketchL)
 		h.totalR = make([]float64, h.sketchL)
 	}
-	h.noMerge = math.Floor(20/cfg.Epsilon)+1 > float64(cfg.WindowLen)/2
-	if h.noMerge {
-		// At most n singletons are live, so a full store of n + ⌈n/8⌉ + 1
-		// has a dead prefix of more than n/8 for push to reclaim: it never
-		// grows, and moves at most n buckets no more often than every n/8
-		// updates.
-		n := cfg.WindowLen
-		h.store = make([]bucket, 0, n+(n+7)/8+1)
-	}
 	return h, nil
 }
 
 // NumBuckets returns the current number of buckets: the summary holds one
 // float per singleton bucket and 2l per merged one.
-func (h *Histogram) NumBuckets() int { return len(h.store) - h.head }
+func (h *Histogram) NumBuckets() int { return h.singles + len(h.merged) }
 
 // Count returns the number of elements currently summarized.
 func (h *Histogram) Count() int64 { return h.totalCount }
@@ -210,7 +217,6 @@ func (h *Histogram) Update(t int64, x float64) error {
 	if h.started && t <= h.now {
 		return fmt.Errorf("%w: t = %d, current time %d", ErrOutOfOrder, t, h.now)
 	}
-	h.now = t
 	h.started = true
 	h.sinceRebase++
 
@@ -219,24 +225,78 @@ func (h *Histogram) Update(t int64, x float64) error {
 	old, slide := h.expire(t - int64(h.cfg.WindowLen))
 
 	// Step 2: create the singleton bucket B1 for the new element.
-	h.push(bucket{Timestamp: t, Count: 1, Mean: x, slot: noSlot})
-	h.addScalars(&h.store[len(h.store)-1], 1)
+	if h.NumBuckets() == 0 {
+		h.since = t
+	}
+	h.newest = h.slotAfter(h.newest, t-h.now)
+	h.now = t
+	h.window[h.newest] = x
+	h.singles++
+	b := single(t, x)
+	h.addScalars(&b, 1)
 	h.peakSum = math.Max(h.peakSum, math.Abs(h.totalSum))
 	if slide {
 		// The ring keeps both rows valid together.
 		in := h.cfg.Gen.Row(t)
 		mat.SlideSums(h.totalZ, h.totalR, h.cfg.Gen.Row(old.Timestamp), in, -old.Mean, x)
 	} else {
-		h.addRows(&h.store[len(h.store)-1], 1)
+		h.addRows(&b, 1)
 	}
 
 	// Step 3: traverse from the newest side, maintaining the running union
 	// B_B of the p newest buckets, and merge the candidate pair
 	// (B_{p+1}, B_{p+2}) when both rules pass.
-	if !h.noMerge {
-		h.mergeScan()
-	}
+	h.mergeScan()
 	return nil
+}
+
+// single is the bucket of the singleton x at time t.
+func single(t int64, x float64) bucket {
+	return bucket{Timestamp: t, Last: t, Count: 1, Mean: x, slot: noSlot}
+}
+
+// slotAfter returns the window slot of the time d intervals after the one
+// whose slot is i.
+func (h *Histogram) slotAfter(i int, d int64) int {
+	n := int64(len(h.window))
+	if d >= n || d <= -n {
+		d %= n
+	}
+	j := int64(i) + d
+	if j >= n {
+		j -= n
+	} else if j < 0 {
+		j += n
+	}
+	return int(j)
+}
+
+// first returns the oldest time that can hold a live bucket, and its window
+// slot.
+func (h *Histogram) first() (int64, int) {
+	t := max(h.now-int64(len(h.window))+1, h.since)
+	return t, h.slotAfter(h.newest, t-h.now)
+}
+
+// each calls f on the live buckets of times up to end, oldest first.
+func (h *Histogram) each(end int64, f func(bucket)) {
+	t, i := h.first()
+	for next := 0; t <= end; {
+		if next < len(h.merged) && h.merged[next].Timestamp == t {
+			b := h.merged[next]
+			next++
+			f(b)
+			// A merge emptied the slots of the times it covers.
+			i, t = h.slotAfter(i, b.Last-t+1), b.Last+1
+			continue
+		}
+		if x := h.window[i]; !math.IsNaN(x) {
+			f(single(t, x))
+		}
+		if t, i = t+1, i+1; i == len(h.window) {
+			i = 0
+		}
+	}
 }
 
 // expire drops the buckets whose oldest element is at or before the given
@@ -245,51 +305,61 @@ func (h *Histogram) Update(t int64, x float64) error {
 // that bucket's sketch sums to Update's one pass: it returns the bucket and
 // slide = true.
 func (h *Histogram) expire(before int64) (old bucket, slide bool) {
-	live := h.store[h.head:]
-	drop := 0
-	for drop < len(live) && live[drop].Timestamp <= before {
-		drop++
+	live := h.NumBuckets()
+	if live == 0 {
+		return bucket{}, false
 	}
+	end := min(before, h.now)
+	drop := 0
+	h.each(end, func(b bucket) {
+		if drop == 0 {
+			old = b
+		}
+		drop++
+		h.addScalars(&b, -1)
+	})
 	if drop == 0 {
 		return bucket{}, false
 	}
-	for i := range live[:drop] {
-		b := &live[i]
-		h.addScalars(b, -1)
-		if b.slot != noSlot {
-			h.free = append(h.free, b.slot)
-		}
-	}
-	h.head += drop
 	h.peakSum = math.Max(h.peakSum, math.Abs(h.totalSum))
 	// More updates than survivors: with the bucket this update adds, at most
 	// one scheduled rebase per NumBuckets() updates.
-	scheduled := h.sinceRebase > len(live)-drop
+	scheduled := h.sinceRebase > live-drop
 	if scheduled {
 		h.scheduledRebases++
 	}
-	if scheduled || drop == len(live) || h.peakSum > cliffFactor*math.Abs(h.totalSum) {
+	rebase := scheduled || drop == live || h.peakSum > cliffFactor*math.Abs(h.totalSum)
+	slide = !rebase && onePass && drop == 1 && old.Count == 1 && h.sketchL > 0
+	if !rebase && !slide {
+		h.each(end, func(b bucket) { h.addRows(&b, -1) })
+	}
+	h.remove(end, drop)
+	if rebase {
 		h.rebaseTotals()
 		return bucket{}, false
 	}
-	if onePass && drop == 1 && live[0].slot == noSlot && h.sketchL > 0 {
-		return live[0], true
-	}
-	for i := range live[:drop] {
-		h.addRows(&live[i], -1)
-	}
-	return bucket{}, false
+	return old, slide
 }
 
-// push appends b to the live buckets, reclaiming the expired prefix of a
-// full store instead of growing it: always when no bucket can merge (New
-// sized the store for that), else once the prefix is at least half of it.
-func (h *Histogram) push(b bucket) {
-	if len(h.store) == cap(h.store) && (h.noMerge || 2*h.head >= len(h.store)) {
-		h.store = h.store[:copy(h.store, h.store[h.head:])]
-		h.head = 0
+// remove takes the drop live buckets of times up to end out of the window
+// and the merged list, handing the merged ones' slab rows back.
+func (h *Histogram) remove(end int64, drop int) {
+	for t, i := h.first(); t <= end; t++ {
+		h.window[i] = math.NaN()
+		if i++; i == len(h.window) {
+			i = 0
+		}
 	}
-	h.store = append(h.store, b)
+	k := 0
+	for ; k < len(h.merged) && h.merged[k].Timestamp <= end; k++ {
+		if s := h.merged[k].slot; s != noSlot {
+			h.free = append(h.free, s)
+		}
+	}
+	if k > 0 {
+		h.merged = h.merged[:copy(h.merged, h.merged[k:])]
+	}
+	h.singles -= drop - k
 }
 
 // rows returns the Z and R halves of a slab row.
@@ -332,11 +402,10 @@ func (h *Histogram) rebaseTotals() {
 		h.totalZ[k] = 0
 		h.totalR[k] = 0
 	}
-	live := h.store[h.head:]
-	for i := range live {
-		h.addScalars(&live[i], 1)
-		h.addRows(&live[i], 1)
-	}
+	h.each(h.now, func(b bucket) {
+		h.addScalars(&b, 1)
+		h.addRows(&b, 1)
+	})
 	h.sinceRebase = 0
 	h.peakSum = math.Abs(h.totalSum)
 }
@@ -376,59 +445,127 @@ func (h *Histogram) mergeRows(older, newer *bucket) {
 	h.free = append(h.free, newer.slot)
 }
 
+// pos is where mergeScan holds a live bucket: the time and window slot of
+// its oldest element and the number of merged buckets older than it; a
+// merged bucket is h.merged[older].
+type pos struct {
+	t      int64
+	i      int
+	older  int
+	merged bool
+}
+
+// at returns the bucket at p.
+func (h *Histogram) at(p pos) bucket {
+	if p.merged {
+		return h.merged[p.older]
+	}
+	return single(p.t, h.window[p.i])
+}
+
+// merge replaces the adjacent buckets at older and newer by their union and
+// returns where that lies.
+func (h *Histogram) merge(older, newer pos) pos {
+	a, b := h.at(older), h.at(newer)
+	h.mergeRows(&a, &b)
+	a.mergeInto(&b)
+	switch {
+	case older.merged && newer.merged:
+		h.merged[older.older] = a
+		h.merged = slices.Delete(h.merged, newer.older, newer.older+1)
+	case older.merged:
+		h.merged[older.older] = a
+	case newer.merged:
+		h.merged[newer.older] = a
+	default:
+		h.merged = slices.Insert(h.merged, older.older, a)
+	}
+	for _, p := range [2]pos{older, newer} {
+		if !p.merged {
+			h.window[p.i] = math.NaN()
+			h.singles--
+		}
+	}
+	older.merged = true
+	return older
+}
+
 // mergeScan implements step 3 of Fig. 3.
 func (h *Histogram) mergeScan() {
 	eps := h.cfg.Epsilon
 	halfWindow := float64(h.cfg.WindowLen) / 2
+	// Rule 2 needs n_B ≥ (10/ε)·n_A with n_A ≥ 2 and n_A + n_B ≤ n/2: when
+	// the largest such n_B fails it, so does every pair, in the same
+	// rounding as the test below.
+	if 2 > eps/10*float64(h.cfg.WindowLen/2-2) {
+		return
+	}
 
-	live := h.store[h.head:]
-	last := len(live) - 1
-	// Running stats of B_B = the p newest buckets; start with p = 1.
-	bbCount := live[last].Count
-	bbMean := live[last].Mean
-	bbVar := live[last].Var
-	p := 1
-
+	// Running stats of B_B = the p newest buckets; start with p = 1, the
+	// singleton Update just made. Each step walks back from newer to the
+	// bucket before it: B_{p+1} on the first step, while newer is still
+	// B_1 (nCount = 0), and B_{p+2} after.
+	bbCount, bbMean, bbVar := int64(1), h.window[h.newest], 0.0
+	gone, _ := h.first()
+	gone-- // the newest time that holds no bucket
+	newer := pos{t: h.now, i: h.newest, older: len(h.merged)}
+	var nCount int64
+	var nMean, nVar float64
 	for {
-		newerIdx := last - p     // B_{p+1}
-		olderIdx := newerIdx - 1 // B_{p+2}
-		if olderIdx < 0 {
-			return
+		// Back over the empty slots to a singleton, or to the merged
+		// bucket that ends there.
+		older := pos{t: newer.t, i: newer.i, older: newer.older}
+		oCount, oMean, oVar := int64(1), 0.0, 0.0
+		for {
+			if older.t--; older.t <= gone {
+				return
+			}
+			if older.i--; older.i < 0 {
+				older.i = len(h.window) - 1
+			}
+			if oMean = h.window[older.i]; !math.IsNaN(oMean) {
+				break
+			}
+			if k := older.older; k > 0 && h.merged[k-1].Last == older.t {
+				m := &h.merged[k-1]
+				older = pos{t: m.Timestamp, i: h.slotAfter(older.i, m.Timestamp-older.t), older: k - 1, merged: true}
+				oCount, oMean, oVar = m.Count, m.Mean, m.Var
+				break
+			}
 		}
-		older := &live[olderIdx]
-		newer := &live[newerIdx]
-		aCount := older.Count + newer.Count
+		if nCount == 0 {
+			newer, nCount, nMean, nVar = older, oCount, oMean, oVar
+			continue
+		}
+		aCount := oCount + nCount
 		if float64(aCount)+float64(bbCount) > halfWindow {
 			return
 		}
 		// Rule 2: n_A ≤ (ε/10)·n_B, the integer test first.
 		// Rule 1: V_{A∪B} − V_B = V_A + n_A n_B (μ_A−μ_B)²/(n_A+n_B) ≤ (ε/5)·V_B.
 		if float64(aCount) <= eps/10*float64(bbCount) {
-			no, nn := float64(older.Count), float64(newer.Count)
-			d := older.Mean - newer.Mean
-			aVar := older.Var + newer.Var + no*nn/(no+nn)*d*d
-			aMean := (no*older.Mean + nn*newer.Mean) / float64(aCount)
+			no, nn := float64(oCount), float64(nCount)
+			d := oMean - nMean
+			aVar := oVar + nVar + no*nn/(no+nn)*d*d
+			aMean := (no*oMean + nn*nMean) / float64(aCount)
 			diff := aMean - bbMean
 			cross := float64(aCount) * float64(bbCount) / float64(aCount+bbCount) * diff * diff
 			if aVar+cross <= eps/5*bbVar {
-				h.mergeRows(older, newer)
-				older.mergeInto(newer)
-				copy(live[newerIdx:], live[newerIdx+1:])
-				live = live[:last]
-				h.store = h.store[:len(h.store)-1]
-				last--
 				// p and B_B unchanged; retest the new candidate pair.
+				newer = h.merge(older, newer)
+				b := h.at(newer)
+				nCount, nMean, nVar = b.Count, b.Mean, b.Var
 				continue
 			}
 		}
 		// Advance: fold B_{p+1} into B_B.
-		nb, bb := float64(newer.Count), float64(bbCount)
+		nb, bb := float64(nCount), float64(bbCount)
 		total := nb + bb
-		d := newer.Mean - bbMean
-		bbVar = newer.Var + bbVar + nb*bb/total*d*d
-		bbMean = (nb*newer.Mean + bb*bbMean) / total
-		bbCount += newer.Count
-		p++
+		d := nMean - bbMean
+		bbVar = nVar + bbVar + nb*bb/total*d*d
+		bbMean = (nb*nMean + bb*bbMean) / total
+		bbCount += nCount
+		newer, nCount, nMean, nVar = older, oCount, oMean, oVar
 	}
 }
 
@@ -448,20 +585,18 @@ func (h *Histogram) EstimateVariance() float64 {
 // same pairwise-merge recurrence as bucket.mergeInto, skipping the sketch
 // slices.
 func (h *Histogram) aggregateMoments() (count int64, mean, variance float64) {
-	live := h.store[h.head:]
-	if len(live) == 0 {
-		return 0, 0, 0
-	}
-	count, mean, variance = live[0].Count, live[0].Mean, live[0].Var
-	for i := 1; i < len(live); i++ {
-		b := &live[i]
+	h.each(h.now, func(b bucket) {
+		if count == 0 {
+			count, mean, variance = b.Count, b.Mean, b.Var
+			return
+		}
 		na, nb := float64(count), float64(b.Count)
 		total := na + nb
 		d := mean - b.Mean
 		variance = variance + b.Var + na*nb/total*d*d
 		mean = (na*mean + nb*b.Mean) / total
 		count += b.Count
-	}
+	})
 	return count, mean, variance
 }
 
@@ -500,17 +635,15 @@ func (h *Histogram) SketchInto(dst []float64) []float64 {
 // takes it — so this is exact arithmetic on the totals: the window a NOC
 // scores y_t against must not contain y_t.
 func (h *Histogram) PriorSketchInto(dst []float64) ([]float64, float64) {
-	live := h.store[h.head:]
-	if h.sketchL == 0 || len(live) == 0 {
+	if h.sketchL == 0 || h.NumBuckets() == 0 {
 		return h.SketchInto(dst), 0
 	}
-	newest := live[len(live)-1]
-	y := newest.Mean
+	y := h.window[h.newest]
 	var mean float64
 	if rest := h.totalCount - 1; rest > 0 {
 		mean = (h.totalSum - y) / float64(rest)
 	}
-	row := h.cfg.Gen.Row(newest.Timestamp)
+	row := h.cfg.Gen.Row(h.now)
 	out := slices.Grow(dst[:0], h.sketchL)[:h.sketchL]
 	scale := 1 / math.Sqrt(float64(h.sketchL))
 	for k := range out {

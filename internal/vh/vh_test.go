@@ -273,7 +273,7 @@ func TestBucketCompression(t *testing.T) {
 func TestBucketsOrdering(t *testing.T) {
 	h := mustHist(t, Config{WindowLen: 10, Epsilon: 0.1})
 	feed(t, h, []float64{1, 2, 3})
-	bs := h.store[h.head:]
+	bs := liveBuckets(h)
 	if len(bs) != 3 {
 		t.Fatalf("buckets = %d", len(bs))
 	}
@@ -282,6 +282,14 @@ func TestBucketsOrdering(t *testing.T) {
 			t.Fatal("buckets must be ordered oldest first")
 		}
 	}
+}
+
+// liveBuckets lists the histogram's buckets oldest first, as its walks see
+// them.
+func liveBuckets(h *Histogram) []bucket {
+	var bs []bucket
+	h.each(h.now, func(b bucket) { bs = append(bs, b) })
+	return bs
 }
 
 // summary is a bucket with its sketch sums materialised.
@@ -296,7 +304,7 @@ type summary struct {
 // histogram yields a zero summary.
 func aggregate(h *Histogram) summary {
 	all := summary{Z: make([]float64, h.sketchL), R: make([]float64, h.sketchL)}
-	for i, b := range h.store[h.head:] {
+	for i, b := range liveBuckets(h) {
 		if h.sketchL > 0 {
 			if b.slot == noSlot {
 				for k, r := range h.cfg.Gen.Row(b.Timestamp) {
