@@ -57,7 +57,7 @@ func BenchmarkFig05CoordinatedTrace(b *testing.B) {
 func benchScenario(b *testing.B, perDay, total, window int) eval.Scenario {
 	return eval.Scenario{
 		Trace: benchTrace(b, perDay, total, window), WindowLen: window, Rank: 6,
-		Alpha: 0.01, Epsilon: 0.01, Seed: 9, RefitEvery: 16,
+		Alpha: 0.01, Seed: 9, RefitEvery: 16,
 	}
 }
 
@@ -135,30 +135,25 @@ func BenchmarkFig10NOCOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkLocalMonitorUpdate measures the Theorem 1 local-monitor cost
-// O(w·log n) per interval: the four ε = 0.1 cells earlier PRs recorded, the
-// n × ε grid EXPERIMENTS.md tabulates (which holds the paper's point,
-// n = 4032, ε = 0.01) and the benchmark's deployed point. Every cell is
-// warmed with 2n updates first, so a cell times the sliding window and not
-// its fill, and reports the buckets a flow holds beside the time it costs.
+// BenchmarkLocalMonitorUpdate measures the local-monitor cost per interval:
+// the four n × l cells earlier PRs recorded, the windows EXPERIMENTS.md
+// tabulates (which hold the paper's n = 4032) and the benchmark's deployed
+// point. Every cell is warmed with 2n updates first, so a cell times the
+// sliding window and not its fill, and reports the elements a flow holds
+// beside the time it costs.
 func BenchmarkLocalMonitorUpdate(b *testing.B) {
-	type cell struct {
-		w, n, l int
-		eps     float64
-	}
-	cells := []cell{{27, 144, 100, 0.02}} // bench/'s deployment: 27 flows per monitor
+	type cell struct{ w, n, l int }
+	cells := []cell{{27, 144, 100}} // bench/'s deployment: 27 flows per monitor
 	for _, n := range []int{512, 4096} {
 		for _, l := range []int{32, 200} {
-			cells = append(cells, cell{9, n, l, 0.1})
+			cells = append(cells, cell{9, n, l})
 		}
 	}
 	for _, n := range []int{144, 576, 4032} {
-		for _, eps := range []float64{0.01, 0.02, 0.1} {
-			cells = append(cells, cell{9, n, 100, eps})
-		}
+		cells = append(cells, cell{9, n, 100})
 	}
 	for _, c := range cells {
-		b.Run(fmt.Sprintf("w=%d/n=%d/l=%d/eps=%v", c.w, c.n, c.l, c.eps), func(b *testing.B) {
+		b.Run(fmt.Sprintf("w=%d/n=%d/l=%d", c.w, c.n, c.l), func(b *testing.B) {
 			gen, err := randproj.NewGenerator(randproj.Config{Seed: 1, SketchLen: c.l, WindowLen: c.n})
 			if err != nil {
 				b.Fatal(err)
@@ -168,7 +163,7 @@ func BenchmarkLocalMonitorUpdate(b *testing.B) {
 				flowIDs[j] = j
 			}
 			mon, err := core.NewMonitor(core.MonitorConfig{
-				FlowIDs: flowIDs, WindowLen: c.n, Epsilon: c.eps, Gen: gen,
+				FlowIDs: flowIDs, WindowLen: c.n, Gen: gen,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -194,7 +189,7 @@ func BenchmarkLocalMonitorUpdate(b *testing.B) {
 				update()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.w), "ns/flow")
-			b.ReportMetric(float64(mon.StateSize())/float64(c.w), "buckets/flow")
+			b.ReportMetric(float64(mon.StateSize())/float64(c.w), "elements/flow")
 		})
 	}
 }
@@ -218,7 +213,7 @@ func BenchmarkInstrumentedSketchUpdate(b *testing.B) {
 					flowIDs[j] = j
 				}
 				mon, err := core.NewMonitor(core.MonitorConfig{
-					FlowIDs: flowIDs, WindowLen: n, Epsilon: 0.1, Gen: gen,
+					FlowIDs: flowIDs, WindowLen: n, Gen: gen,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -287,7 +282,7 @@ func BenchmarkTracedSketchUpdate(b *testing.B) {
 			flowIDs[j] = j
 		}
 		mon, err := core.NewMonitor(core.MonitorConfig{
-			FlowIDs: flowIDs, WindowLen: n, Epsilon: 0.1, Gen: gen,
+			FlowIDs: flowIDs, WindowLen: n, Gen: gen,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -402,25 +397,22 @@ func BenchmarkLakhinaRecompute(b *testing.B) {
 }
 
 // BenchmarkVHUpdate isolates a single variance histogram's per-element cost
-// across ε at n = 2 048, l = 64 (ablation: merge aggressiveness vs bucket
-// count), and at the sketchpca-noc defaults n = 4 032, ε = 0.01, l = 100,
-// where buckets merge. It reports the buckets after the timed updates and
-// B/flow, the live heap one histogram holds after 3n updates of the same
-// stream (the row ring, shared by a monitor's flows, is left out).
+// at l = 100: at the benchmark workloads' n = 144, at n = 2 048 and at the
+// sketchpca-noc default n = 4 032. It reports B/flow, the live heap one
+// histogram holds after 3n updates of the same stream (the row ring, shared
+// by a monitor's flows, is left out).
 func BenchmarkVHUpdate(b *testing.B) {
 	for _, c := range []struct {
 		name string
-		n, l int
-		eps  float64
+		n    int
 	}{
-		{"eps=0.01", 2048, 64, 0.01},
-		{"eps=0.1", 2048, 64, 0.1},
-		{"eps=0.5", 2048, 64, 0.5},
-		{"noc-default", 4032, 100, 0.01},
+		{"n=144", 144},
+		{"n=2048", 2048},
+		{"noc-default", 4032},
 	} {
 		perFlow := -1.0
 		b.Run(c.name, func(b *testing.B) {
-			gen, err := randproj.NewGenerator(randproj.Config{Seed: 1, SketchLen: c.l})
+			gen, err := randproj.NewGenerator(randproj.Config{Seed: 1, SketchLen: 100})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -428,7 +420,7 @@ func BenchmarkVHUpdate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := vh.Config{WindowLen: c.n, Epsilon: c.eps, Gen: ring}
+			cfg := vh.Config{WindowLen: c.n, Gen: ring}
 			feed := func(h *vh.Histogram, updates int) {
 				rng := rand.New(rand.NewSource(5))
 				for i := 0; i < updates; i++ {
@@ -459,7 +451,6 @@ func BenchmarkVHUpdate(b *testing.B) {
 			b.ResetTimer()
 			feed(h, b.N)
 			b.StopTimer()
-			b.ReportMetric(float64(h.NumBuckets()), "buckets")
 			b.ReportMetric(perFlow, "B/flow")
 		})
 	}
@@ -639,19 +630,15 @@ func BenchmarkGram(b *testing.B) {
 }
 
 // BenchmarkMonitorUpdate sizes the per-interval sketch update at a
-// fat-monitor flow count (1024 flows on one box, n = 4096, ε = 0.1: buckets
-// merge) and at the deployed monitor shapes, n = 144, l = 100, ε = 0.02, where
-// every bucket is a singleton: 27 flows (the flat-* workloads' monitors) and
-// 24 (fed-wide's). The deployed cells first fill their window twice, so every
-// timed update expires one element.
+// fat-monitor flow count (1024 flows on one box, n = 4096) and at the
+// deployed monitor shapes, n = 144, l = 100: 27 flows (the flat-* workloads'
+// monitors) and 24 (fed-wide's). The deployed cells first fill their window
+// twice, so every timed update expires one element.
 func BenchmarkMonitorUpdate(b *testing.B) {
-	for _, c := range []struct {
-		flows, window, warm int
-		eps                 float64
-	}{
-		{1024, 4096, 0, 0.1},
-		{27, 144, 2 * 144, 0.02},
-		{24, 144, 2 * 144, 0.02},
+	for _, c := range []struct{ flows, window, warm int }{
+		{1024, 4096, 0},
+		{27, 144, 2 * 144},
+		{24, 144, 2 * 144},
 	} {
 		b.Run(fmt.Sprintf("flows=%d/n=%d", c.flows, c.window), func(b *testing.B) {
 			gen, err := randproj.NewGenerator(randproj.Config{Seed: 1, SketchLen: 100, WindowLen: c.window})
@@ -663,7 +650,7 @@ func BenchmarkMonitorUpdate(b *testing.B) {
 				flowIDs[j] = j
 			}
 			mon, err := core.NewMonitor(core.MonitorConfig{
-				FlowIDs: flowIDs, WindowLen: c.window, Epsilon: c.eps, Gen: gen,
+				FlowIDs: flowIDs, WindowLen: c.window, Gen: gen,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -822,7 +809,7 @@ func BenchmarkDeploymentStep(b *testing.B) {
 	const m, window = 81, 288
 	d, err := Deploy(NOCConfig{
 		Detector: DetectorConfig{NumFlows: m, WindowLen: window, SketchLen: 100, Alpha: 0.01, FixedRank: 6},
-		Epsilon:  0.05, Seed: 1,
+		Seed:     1,
 	}, Topology{Monitors: 9})
 	if err != nil {
 		b.Fatal(err)
@@ -909,7 +896,7 @@ var codecSink transport.Envelope
 // identify exactly that flow.
 func TestWideClusterIdentifiesInjectedFlow(t *testing.T) {
 	const m, n, l, factors, spiked = 1024, 144, 100, 4, 613
-	flows, p, err := core.Params{NumFlows: m, WindowLen: n, SketchLen: l, Epsilon: 0.02, Seed: 1}.Stripe(8)
+	flows, p, err := core.Params{NumFlows: m, WindowLen: n, SketchLen: l, Seed: 1}.Stripe(8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,6 @@ type params struct {
 	full         bool
 	seed         int64
 	refitEvery   int
-	epsilon      float64
 	alpha        float64
 	shootSketch  int
 	fdEll        int
@@ -69,7 +68,6 @@ func run(args []string, out io.Writer) error {
 	fs.BoolVar(&p.full, "full", false, "paper-scale dimensions (slow)")
 	fs.Int64Var(&p.seed, "seed", 2008, "workload seed")
 	fs.IntVar(&p.refitEvery, "refit", 8, "retraining cadence in intervals (1 = paper cost model)")
-	fs.Float64Var(&p.epsilon, "epsilon", 0.01, "variance-histogram ε (paper: 0.01)")
 	fs.Float64Var(&p.alpha, "alpha", 0.01, "Q-statistic false-alarm rate (paper: 0.01)")
 	fs.BoolVar(&p.comm, "comm", false, "report the lazy protocol's communication cost")
 	fs.BoolVar(&p.shootout, "shootout", false, "run the sketcher-family shoot-out (randproj, fd) with per-family oracle checks")
@@ -173,7 +171,7 @@ type workload struct {
 // field they sweep.
 func (p params) scenario(tr *traffic.Trace, window int) eval.Scenario {
 	return eval.Scenario{
-		Trace: tr, WindowLen: window, Rank: 6, Alpha: p.alpha, Epsilon: p.epsilon,
+		Trace: tr, WindowLen: window, Rank: 6, Alpha: p.alpha,
 		Seed: uint64(p.seed), SketchLen: p.shootSketch, FDEll: p.fdEll,
 		Monitors: p.monitors, RefitEvery: p.refitEvery,
 	}
@@ -301,8 +299,8 @@ func (s *session) errorSurface(out io.Writer, oneMinute bool) error {
 		return err
 	}
 	fmt.Fprintf(out, "# Figure %s — Type I and Type II errors vs (r, l), %s intervals\n", figure, label)
-	fmt.Fprintf(out, "# window n=%d, trace %d intervals, epsilon=%v, alpha=%v, truth rank r*=6, %d true anomalies, %d true normals\n",
-		w.WindowLen, w.Trace.NumIntervals(), s.epsilon, s.alpha, truth.NumAnomalous, truth.NumNormal)
+	fmt.Fprintf(out, "# window n=%d, trace %d intervals, alpha=%v, truth rank r*=6, %d true anomalies, %d true normals\n",
+		w.WindowLen, w.Trace.NumIntervals(), s.alpha, truth.NumAnomalous, truth.NumNormal)
 	fmt.Fprintln(out, "r,l,typeI,typeII")
 	for _, pt := range points {
 		fmt.Fprintf(out, "%d,%d,%.4f,%.4f\n", pt.Rank, pt.SketchLen, pt.TypeI(), pt.TypeII())
@@ -403,7 +401,7 @@ func (s *session) commReport(out io.Writer) error {
 
 // oracleReport prints one bound-violation row per sketch length: the full
 // streaming pipeline is driven over the evaluation workload and
-// differentially validated (exactness, Lemma 1, Lemmas 5–6, Theorem 2,
+// differentially validated (exactness, Lemmas 5–6, Theorem 2,
 // alarm agreement) on sampled intervals. Any nonzero violation count is a
 // numerical-correctness bug, not a statistical miss.
 func (s *session) oracleReport(out io.Writer) error {

@@ -310,7 +310,6 @@ func TestChaosIngestFaultyDatagrams(t *testing.T) {
 		ID:        "chaos-ingest",
 		FlowIDs:   []int{0, 1, 2, 3, 4, 5, 6, 7, 8},
 		WindowLen: e2eWindow,
-		Epsilon:   0.01,
 		Sketch:    randproj.Config{Seed: e2eSeed, SketchLen: e2eSketch, WindowLen: e2eWindow},
 	})
 	if err != nil {

@@ -6,10 +6,10 @@
 // Usage:
 //
 //	sketchpca-noc -listen 127.0.0.1:7100 -flows 81 -window 4032 \
-//	    -sketch 200 -epsilon 0.01 -alpha 0.01 -rank 6 -seed 42
+//	    -sketch 200 -alpha 0.01 -rank 6 -seed 42
 //
 // The NOC states the protocol parameters — -sketcher, -flows, -window,
-// -sketch, -epsilon and -seed — once for the deployment: it announces them
+// -sketch and -seed — once for the deployment: it announces them
 // to every monitor and aggregator that registers, which adopt them. With
 // -sketcher fd, -sketch carries the Frequent Directions basis budget ℓ
 // instead of the projection length l.
@@ -62,7 +62,6 @@ func run(args []string) error {
 		window   = fs.Int("window", 4032, "sliding-window length in intervals (n)")
 		family   = fs.String("sketcher", "randproj", "sketcher family: randproj or fd")
 		sketchL  = fs.Int("sketch", 200, "sketch length (l for -sketcher randproj, basis budget ℓ for fd)")
-		epsilon  = fs.Float64("epsilon", core.DefaultEpsilon, "variance-histogram ε the monitors run at (randproj only)")
 		alpha    = fs.Float64("alpha", 0.01, "Q-statistic false-alarm rate")
 		rankMode = fs.String("rank-mode", "fixed", "rank selection: fixed, 3sigma or energy")
 		rank     = fs.Int("rank", 6, "normal-subspace size for -rank-mode fixed")
@@ -115,7 +114,6 @@ func run(args []string) error {
 			EnergyFrac: *energy,
 		},
 		Seed:           *seed,
-		Epsilon:        *epsilon,
 		SelfCheckEvery: *selfchk,
 		Pull:           *pull,
 		Degraded:       *degraded,
@@ -149,8 +147,8 @@ func run(args []string) error {
 	if err := svc.Serve(*listen); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "sketchpca-noc: listening on %s (m=%d n=%d sketch=%d epsilon=%g family=%s)\n",
-		svc.Addr(), *flows, *window, *sketchL, *epsilon, fam)
+	fmt.Fprintf(os.Stderr, "sketchpca-noc: listening on %s (m=%d n=%d sketch=%d family=%s)\n",
+		svc.Addr(), *flows, *window, *sketchL, fam)
 	if addr := svc.DiagAddr(); addr != "" {
 		fmt.Fprintf(os.Stderr, "sketchpca-noc: diagnostics on http://%s/metrics\n", addr)
 	}

@@ -123,9 +123,8 @@ func (d *daemon) decision(t *testing.T, iv int) string {
 }
 
 // TestDaemonsAdoptTheNOCsParameters runs the built daemons: sketchpca-noc
-// states ε = 0.3 and self-checks every interval, and a sketchpca-monitor
-// given only -noc, -id and -flows adopts the NOC's parameters — its
-// histograms run at ε = 0.3, and so does the NOC's checker. Its decisions,
+// states the parameters and self-checks every interval, and a
+// sketchpca-monitor given only -noc, -id and -flows adopts them. Its decisions,
 // fed in lockstep, equal those of a monitor built with every parameter
 // pinned, which is what the monitor daemon built from its own flags before
 // the NOC stated them.
@@ -159,15 +158,15 @@ func TestDaemonsAdoptTheNOCsParameters(t *testing.T) {
 	startNOC := func() (*daemon, string) {
 		noc := startDaemon(t, filepath.Join(bin, "sketchpca-noc"),
 			"-listen", "127.0.0.1:0", "-flows", "4", "-window", "8", "-sketch", "6", "-seed", "5",
-			"-epsilon", "0.3", "-selfcheck", "1", "-rank", "1")
+			"-selfcheck", "1", "-rank", "1")
 		return noc, noc.awaitStderr(t, regexp.MustCompile(`listening on (\S+)`))
 	}
 
 	// The parameter-less monitor daemon, fed one CSV row per decision.
 	noc, addr := startNOC()
-	noc.awaitStderr(t, regexp.MustCompile(`oracle self-check on.* epsilon=(0\.3)\b`))
+	noc.awaitStderr(t, regexp.MustCompile(`oracle self-check (on)`))
 	mon := startDaemon(t, filepath.Join(bin, "sketchpca-monitor"), "-noc", addr, "-id", "m", "-flows", "0,1,2,3")
-	mon.awaitStderr(t, regexp.MustCompile(`adopted upstream parameters.* params="\{Family:randproj NumFlows:4 WindowLen:8 SketchLen:6 (Epsilon:0\.3) Seed:5\}"`))
+	mon.awaitStderr(t, regexp.MustCompile(`adopted upstream parameters.* params="\{Family:randproj NumFlows:4 WindowLen:8 SketchLen:6 (Seed:5)\}"`))
 	var adopted []string
 	for i, row := range rows {
 		cells := make([]string, len(row))
@@ -192,7 +191,7 @@ func TestDaemonsAdoptTheNOCsParameters(t *testing.T) {
 	// The same feed through a monitor pinned to every parameter.
 	noc, addr = startNOC()
 	pinned, err := monitor.New(monitor.Config{
-		ID: "m", FlowIDs: []int{0, 1, 2, 3}, WindowLen: 8, Epsilon: 0.3,
+		ID: "m", FlowIDs: []int{0, 1, 2, 3}, WindowLen: 8,
 		Sketch: randproj.Config{Seed: 5, SketchLen: 6},
 	})
 	if err != nil {

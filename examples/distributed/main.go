@@ -8,7 +8,7 @@
 // the NOC assembles network-wide vectors and pulls sketches lazily; alarms
 // are broadcast back to every monitor.
 //
-// The NOC states the protocol parameters (family, n, l or ℓ, ε, seed);
+// The NOC states the protocol parameters (family, n, l or ℓ, seed);
 // aggregators and monitors adopt its announcement. Sketch linearity makes
 // the tier transparent: merged randproj columns are byte-identical to what
 // the flat topology delivers, so both topologies print the same NOC
@@ -160,7 +160,6 @@ func run(o options) error {
 			FixedRank: 6,
 		},
 		Seed:           seed,
-		Epsilon:        0.02,
 		Degraded:       degraded,
 		MetricsAddr:    o.metricsAddr,
 		Trace:          tracer,

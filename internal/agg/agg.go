@@ -48,7 +48,7 @@ type Config struct {
 	// parameters (core.Params); monitors are validated against them on
 	// registration exactly as the NOC would. SketchLen carries the family's
 	// sketch parameter (l for randproj, the basis budget ℓ for FD). Left all
-	// zero, ConnectNOC adopts the NOC's announcement (ε included), which the
+	// zero, ConnectNOC adopts the NOC's announcement, which the
 	// service then announces to its monitors; it cannot Serve before.
 	Family    sketch.Family
 	NumFlows  int

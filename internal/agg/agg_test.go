@@ -167,6 +167,18 @@ func recvEnvelope(t *testing.T, c *transport.Conn) transport.Envelope {
 	}
 }
 
+// response reads the fake NOC's link up to the next sketch response. The
+// aggregator re-announces its flow union with a Hello whenever a monitor's
+// registration changes it, and such a Hello can land before the answer.
+func response(t *testing.T, noc *transport.Conn) *transport.SketchResponse {
+	t.Helper()
+	for {
+		if env := recvEnvelope(t, noc); env.Response != nil {
+			return env.Response
+		}
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool, what string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -339,8 +351,8 @@ func TestFetchSubstitutesCachedSnapshot(t *testing.T) {
 	}
 	goServe(t, m1, "m1", randprojReport(2, []int{0, 1}))
 	goServe(t, m2, "m2", randprojReport(2, []int{4, 5}))
-	if env := recvEnvelope(t, noc); env.Response == nil || env.Response.Degraded {
-		t.Fatalf("warm-up pull failed: %+v", env)
+	if resp := response(t, noc); resp.Degraded {
+		t.Fatalf("warm-up pull degraded: %+v", resp)
 	}
 
 	// Second pull: m2 reads the request (the pipe is unbuffered, so someone
@@ -352,18 +364,15 @@ func TestFetchSubstitutesCachedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	goServe(t, m1, "m1", randprojReport(3, []int{0, 1}))
-	env := recvEnvelope(t, noc)
-	if env.Response == nil {
-		t.Fatalf("expected degraded response, got %+v", env)
+	resp := response(t, noc)
+	if !resp.Degraded || resp.StaleFlows != 2 {
+		t.Fatalf("degraded = %v stale = %d, want true/2", resp.Degraded, resp.StaleFlows)
 	}
-	if !env.Response.Degraded || env.Response.StaleFlows != 2 {
-		t.Fatalf("degraded = %v stale = %d, want true/2", env.Response.Degraded, env.Response.StaleFlows)
+	if want := []int{0, 1, 4, 5}; !reflect.DeepEqual(resp.Report.FlowIDs, want) {
+		t.Fatalf("degraded merge flows = %v, want %v", resp.Report.FlowIDs, want)
 	}
-	if want := []int{0, 1, 4, 5}; !reflect.DeepEqual(env.Response.Report.FlowIDs, want) {
-		t.Fatalf("degraded merge flows = %v, want %v", env.Response.Report.FlowIDs, want)
-	}
-	if env.Response.Report.Interval != 3 {
-		t.Fatalf("degraded merge interval = %d, want 3 (max of live + cached)", env.Response.Report.Interval)
+	if resp.Report.Interval != 3 {
+		t.Fatalf("degraded merge interval = %d, want 3 (max of live + cached)", resp.Report.Interval)
 	}
 	_ = m2 // kept open but silent
 }
@@ -378,22 +387,13 @@ func TestDegradedMergeFillsPartlyReclaimedMonitor(t *testing.T) {
 	m1 := attachMonitor(t, s, "m1", []int{0, 1})
 	m2 := attachMonitor(t, s, "m2", []int{4, 5})
 	noc, _ := attachFakeNOC(t, s)
-	// Re-Hellos announcing the changing union arrive between the responses.
-	response := func() *transport.SketchResponse {
-		t.Helper()
-		for {
-			if env := recvEnvelope(t, noc); env.Response != nil {
-				return env.Response
-			}
-		}
-	}
 
 	if err := noc.Send(transport.Envelope{Request: &transport.SketchRequest{RequestID: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	goServe(t, m1, "m1", randprojReport(2, []int{0, 1}))
 	goServe(t, m2, "m2", randprojReport(2, []int{4, 5}))
-	if resp := response(); resp.Degraded {
+	if resp := response(t, noc); resp.Degraded {
 		t.Fatalf("warm-up pull degraded: %+v", resp)
 	}
 
@@ -406,7 +406,7 @@ func TestDegradedMergeFillsPartlyReclaimedMonitor(t *testing.T) {
 	}
 	goServe(t, m1, "m1", randprojReport(3, []int{0, 1}))
 	goServe(t, m3, "m3", randprojReport(3, []int{5}))
-	resp := response()
+	resp := response(t, noc)
 	if !resp.Degraded || resp.StaleFlows != 1 {
 		t.Fatalf("degraded = %v stale = %d, want true/1 (flow 4 from m2's cached column)", resp.Degraded, resp.StaleFlows)
 	}

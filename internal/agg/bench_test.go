@@ -60,7 +60,7 @@ func benchShardSnapshots(b *testing.B, family sketch.Family, shards, width, sket
 		}
 		sk, err := sketch.New(sketch.Config{
 			Family: family, FlowIDs: ids, WindowLen: window,
-			Epsilon: 0.1, Gen: gen, Ell: sketchParam,
+			Gen: gen, Ell: sketchParam,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -232,7 +232,7 @@ func leadingBasisMatchesFullSolve(t *testing.T, mxmOnly bool) {
 				if family == sketch.FamilyFD {
 					sketchLen = 0
 				}
-				_, fetch, p := striped(t, Params{Family: family, NumFlows: m, WindowLen: n, SketchLen: sketchLen, Epsilon: 0.01, Seed: 5}, 3, x)
+				_, fetch, p := striped(t, Params{Family: family, NumFlows: m, WindowLen: n, SketchLen: sketchLen, Seed: 5}, 3, x)
 				det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: p.SketchLen, Alpha: 0.01,
 					Family: family, Mode: mode, FixedRank: c.fixedRank})
 				if err != nil {

@@ -56,11 +56,10 @@ func TestNewMonitorValidation(t *testing.T) {
 		name string
 		cfg  MonitorConfig
 	}{
-		{name: "no flows", cfg: MonitorConfig{WindowLen: 64, Epsilon: 0.1, Gen: g}},
-		{name: "nil gen", cfg: MonitorConfig{FlowIDs: []int{0}, WindowLen: 64, Epsilon: 0.1}},
-		{name: "negative flow", cfg: MonitorConfig{FlowIDs: []int{-1}, WindowLen: 64, Epsilon: 0.1, Gen: g}},
-		{name: "duplicate flow", cfg: MonitorConfig{FlowIDs: []int{2, 2}, WindowLen: 64, Epsilon: 0.1, Gen: g}},
-		{name: "bad epsilon", cfg: MonitorConfig{FlowIDs: []int{0}, WindowLen: 64, Epsilon: 2, Gen: g}},
+		{name: "no flows", cfg: MonitorConfig{WindowLen: 64, Gen: g}},
+		{name: "nil gen", cfg: MonitorConfig{FlowIDs: []int{0}, WindowLen: 64}},
+		{name: "negative flow", cfg: MonitorConfig{FlowIDs: []int{-1}, WindowLen: 64, Gen: g}},
+		{name: "duplicate flow", cfg: MonitorConfig{FlowIDs: []int{2, 2}, WindowLen: 64, Gen: g}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -69,7 +68,7 @@ func TestNewMonitorValidation(t *testing.T) {
 			}
 		})
 	}
-	mon, err := NewMonitor(MonitorConfig{FlowIDs: []int{3, 1}, WindowLen: 64, Epsilon: 0.1, Gen: g})
+	mon, err := NewMonitor(MonitorConfig{FlowIDs: []int{3, 1}, WindowLen: 64, Gen: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestNewMonitorValidation(t *testing.T) {
 
 func TestMonitorUpdateAndReport(t *testing.T) {
 	g := testGen(t, 6, 32)
-	mon, err := NewMonitor(MonitorConfig{FlowIDs: []int{0, 1, 2}, WindowLen: 32, Epsilon: 0.05, Gen: g})
+	mon, err := NewMonitor(MonitorConfig{FlowIDs: []int{0, 1, 2}, WindowLen: 32, Gen: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +224,7 @@ func TestDetectorMatchesExactPCA(t *testing.T) {
 	n, m, k, l := 256, 9, 3, 200
 	x := lowRankStream(rng, n, m, k, 2)
 
-	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: l, Epsilon: 0.01, Seed: 7}, 3, x)
+	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: l, Seed: 7}, 3, x)
 	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: l, Alpha: 0.01, Mode: RankFixed, FixedRank: k})
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +325,7 @@ func TestLazyProtocol(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	n, m, k := 200, 8, 2
 	x := lowRankStream(rng, n, m, k, 1)
-	_, pull, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 64, Epsilon: 0.01, Seed: 3}, 2, x)
+	_, pull, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 64, Seed: 3}, 2, x)
 	var fetches int
 	fetch := func() (Fetch, error) { fetches++; return pull() }
 	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 64, Alpha: 0.005, FixedRank: k})
@@ -405,7 +404,7 @@ func TestDegradedFetchFlagsDecisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	const m, n = 6, 128
 	x := lowRankStream(rng, n, m, 2, 1)
-	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 48, Epsilon: 0.01, Seed: 9}, 2, x)
+	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 48, Seed: 9}, 2, x)
 	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 48, Alpha: 0.01, FixedRank: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +457,7 @@ func TestRankModesOnSketch(t *testing.T) {
 	n, m, k := 300, 10, 3
 	x := lowRankStream(rng, n, m, k, 0.5)
 	for _, mode := range []RankMode{RankFixed, RankThreeSigma, RankEnergy} {
-		_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 128, Epsilon: 0.01, Seed: 5}, 1, x)
+		_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 128, Seed: 5}, 1, x)
 		det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 128, Alpha: 0.01, Mode: mode, FixedRank: k})
 		if err != nil {
 			t.Fatal(err)
@@ -494,7 +493,7 @@ func TestAttribute(t *testing.T) {
 	if _, err := det.Attribute(x.Row(0), 3); !errors.Is(err, ErrNoModel) {
 		t.Fatalf("no model: %v", err)
 	}
-	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 128, Epsilon: 0.01, Seed: 8}, 2, x)
+	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 128, Seed: 8}, 2, x)
 	f, err := fetch()
 	if err != nil {
 		t.Fatal(err)
@@ -554,7 +553,7 @@ func TestAttribute(t *testing.T) {
 // is built from reject what cannot run — no flows, more monitors than flows,
 // no sketch length.
 func TestNewClusterValidation(t *testing.T) {
-	base := Params{NumFlows: 4, WindowLen: 32, SketchLen: 8, Epsilon: 0.1, Seed: 1}
+	base := Params{NumFlows: 4, WindowLen: 32, SketchLen: 8, Seed: 1}
 	striped(t, base, 2, nil)
 	bad := base
 	bad.NumFlows = 0
@@ -581,7 +580,7 @@ func TestClusterPartitioningMatchesSingleMonitor(t *testing.T) {
 	n, m := 128, 8
 	x := lowRankStream(rng, n, m, 2, 1)
 	mk := func(monitors int) ([][]float64, []float64) {
-		_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 16, Epsilon: 0.05, Seed: 21}, monitors, x)
+		_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 16, Seed: 21}, monitors, x)
 		f, err := fetch()
 		if err != nil {
 			t.Fatal(err)
@@ -606,7 +605,7 @@ func TestClusterStepEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n, m, k := 200, 9, 2
 	x := lowRankStream(rng, 3*n, m, k, 1)
-	mons, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 80, Epsilon: 0.02, Seed: 11}, 3, nil)
+	mons, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 80, Seed: 11}, 3, nil)
 	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 80, Alpha: 0.002, FixedRank: k})
 	if err != nil {
 		t.Fatal(err)

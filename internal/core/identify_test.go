@@ -17,7 +17,7 @@ func identifyDetector(t *testing.T) *Detector {
 	rng := rand.New(rand.NewSource(61))
 	n, m, k := 300, 10, 3
 	x := lowRankStream(rng, n, m, k, 1)
-	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 128, Epsilon: 0.01, Seed: 8}, 2, x)
+	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 128, Seed: 8}, 2, x)
 	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 128, Alpha: 0.01, FixedRank: k})
 	if err != nil {
 		t.Fatal(err)

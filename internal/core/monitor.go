@@ -49,7 +49,10 @@ type MonitorConfig struct {
 	// WindowLen is n, the sliding-window length in intervals (randproj; the
 	// FD family summarizes the full stream prefix).
 	WindowLen int
-	// Epsilon is the VH approximation parameter ε ∈ (0, 1) (randproj only).
+	// Epsilon is not read: variance histograms keep the exact window. It
+	// stays because the benchmark (bench/) sets it.
+	//
+	// Deprecated: unread.
 	Epsilon float64
 	// Gen is the shared random-number generator; required for the randproj
 	// family so sketches from different monitors combine at the NOC.
@@ -72,7 +75,6 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 		Family:    cfg.Family,
 		FlowIDs:   cfg.FlowIDs,
 		WindowLen: cfg.WindowLen,
-		Epsilon:   cfg.Epsilon,
 		Gen:       cfg.Gen,
 		Ell:       cfg.FDEll,
 	})

@@ -1,44 +1,35 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 
 	"streampca/internal/randproj"
 	"streampca/internal/sketch"
 )
 
-// DefaultEpsilon is the paper's VH ε, run wherever a deployment states none.
-const DefaultEpsilon = 0.01
-
 // Params are the protocol parameters of a deployment: the sketcher family, m,
 // the window n, the family's sketch parameter (l for randproj, the basis
-// budget ℓ for FD), the VH ε and the shared projection seed. The NOC states
-// them, every tier below adopts them or is built with them (internal/tier
-// carries them on the wire), and NewMonitor is where they become monitor
-// sketch state, in process or deployed. Epsilon 0 states no ε.
+// budget ℓ for FD) and the shared projection seed. The NOC states them,
+// every tier below adopts them or is built with them (internal/tier carries
+// them on the wire), and NewMonitor is where they become monitor sketch
+// state, in process or deployed.
 type Params struct {
 	Family    sketch.Family
 	NumFlows  int
 	WindowLen int
 	SketchLen int
-	Epsilon   float64
 	Seed      uint64
 }
 
-// Validate checks p as input from another process: a known family, m, n
-// and the sketch parameter at least 1, and ε either unstated or in (0, 1)
-// (NaN fails both comparisons).
+// Validate checks p as input from another process: a known family, and m, n
+// and the sketch parameter at least 1.
 func (p Params) Validate() error {
 	if p.Family != sketch.FamilyRandProj && p.Family != sketch.FamilyFD || p.NumFlows < 1 || p.WindowLen < 1 ||
-		p.SketchLen < 1 || p.Epsilon != 0 && !(p.Epsilon > 0 && p.Epsilon < 1) {
+		p.SketchLen < 1 {
 		return fmt.Errorf("%w: protocol parameters %+v", ErrConfig, p)
 	}
 	return nil
 }
-
-// VHEpsilon is the ε variance histograms run at under p.
-func (p Params) VHEpsilon() float64 { return cmp.Or(p.Epsilon, DefaultEpsilon) }
 
 // Resolve returns p as a monitor of w flows runs it: an FD basis budget ℓ
 // that p leaves 0 is sketch.DefaultEll(w).
@@ -83,7 +74,7 @@ func (p Params) Generator() (*randproj.Generator, error) {
 }
 
 // NewMonitor builds the sketch state of a monitor over flowIDs under p:
-// variance histograms at ε over the projection Generator for randproj, or an
+// variance histograms over the projection Generator for randproj, or an
 // FD buffer of budget ℓ (sketch.DefaultEll of the flow count when 0).
 func (p Params) NewMonitor(flowIDs []int) (*Monitor, error) {
 	gen, err := p.Generator()
@@ -91,7 +82,7 @@ func (p Params) NewMonitor(flowIDs []int) (*Monitor, error) {
 		return nil, err
 	}
 	return NewMonitor(MonitorConfig{
-		Family: p.Family, FlowIDs: flowIDs, WindowLen: p.WindowLen, Epsilon: p.Epsilon, Gen: gen, FDEll: p.SketchLen,
+		Family: p.Family, FlowIDs: flowIDs, WindowLen: p.WindowLen, Gen: gen, FDEll: p.SketchLen,
 	})
 }
 

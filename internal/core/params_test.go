@@ -2,14 +2,13 @@ package core
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"streampca/internal/sketch"
 )
 
 func TestParamsValidate(t *testing.T) {
-	good := Params{Family: sketch.FamilyFD, NumFlows: 4, WindowLen: 8, SketchLen: 2, Epsilon: 0.3}
+	good := Params{Family: sketch.FamilyFD, NumFlows: 4, WindowLen: 8, SketchLen: 2}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -18,9 +17,6 @@ func TestParamsValidate(t *testing.T) {
 		"no flows":       func(p *Params) { p.NumFlows = 0 },
 		"zero window":    func(p *Params) { p.WindowLen = 0 },
 		"zero sketch":    func(p *Params) { p.SketchLen = 0 },
-		"epsilon NaN":    func(p *Params) { p.Epsilon = math.NaN() },
-		"epsilon 1":      func(p *Params) { p.Epsilon = 1 },
-		"epsilon < 0":    func(p *Params) { p.Epsilon = -0.1 },
 	} {
 		p := good
 		mutate(&p)

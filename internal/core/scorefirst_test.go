@@ -32,7 +32,7 @@ func TestSpikeScoredAgainstTheWindowBeforeIt(t *testing.T) {
 					}
 					spiked[row] = true
 				}
-				flows, p, err := Params{NumFlows: tr.NumFlows(), WindowLen: n, SketchLen: 100, Epsilon: 0.01, Seed: projSeed}.Stripe(3)
+				flows, p, err := Params{NumFlows: tr.NumFlows(), WindowLen: n, SketchLen: 100, Seed: projSeed}.Stripe(3)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -34,10 +34,10 @@ func testTrace(t *testing.T) *traffic.Trace {
 }
 
 // testScenario is the set-up the small-network tests share: n = 128, r = 4,
-// the paper's ε and α, four monitors over the 16 flows.
+// the paper's α, four monitors over the 16 flows.
 func testScenario(t *testing.T) Scenario {
 	return Scenario{
-		Trace: testTrace(t), WindowLen: 128, Rank: 4, Alpha: 0.01, Epsilon: 0.01,
+		Trace: testTrace(t), WindowLen: 128, Rank: 4, Alpha: 0.01,
 		Seed: 9, SketchLen: 64, Monitors: 4, RefitEvery: 4,
 	}
 }

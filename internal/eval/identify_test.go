@@ -22,7 +22,7 @@ func identifyTestTrace(t *testing.T) *traffic.Trace {
 // monitors; the tests give fd one wide shard (fdMonitors = 1).
 func identifyTestScenario(t *testing.T) Scenario {
 	return Scenario{
-		Trace: identifyTestTrace(t), WindowLen: 128, Rank: 4, Alpha: 0.01, Epsilon: 0.01,
+		Trace: identifyTestTrace(t), WindowLen: 128, Rank: 4, Alpha: 0.01,
 		Seed: 9, SketchLen: 64, Monitors: 4,
 	}
 }

@@ -25,7 +25,7 @@ func Oracle(s Scenario) (oracle.Result, error) {
 	}
 	checker := func(component string) (*oracle.Checker, error) {
 		return oracle.NewChecker(oracle.CheckerConfig{
-			Every: oracleEvery, WindowLen: s.WindowLen, Epsilon: s.Epsilon,
+			Every: oracleEvery, WindowLen: s.WindowLen,
 			Alpha: s.Alpha, Gen: gen, NumFlows: m, Component: component,
 		})
 	}

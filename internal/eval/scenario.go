@@ -47,10 +47,8 @@ type Scenario struct {
 	// Rank is the fixed normal-subspace size r — of the detector under
 	// test, and r* of the exact method when it labels truth.
 	Rank int
-	// Alpha is the Q-statistic false-alarm rate, Epsilon the variance
-	// histogram's ε (paper: 0.01 both).
-	Alpha   float64
-	Epsilon float64
+	// Alpha is the Q-statistic false-alarm rate (paper: 0.01).
+	Alpha float64
 	// Seed feeds the shared projection generator.
 	Seed uint64
 	// SketchLen is the random-projection l; FDEll the per-monitor Frequent
@@ -70,7 +68,7 @@ type Scenario struct {
 // family.
 func (s Scenario) params(family sketch.Family) core.Params {
 	p := core.Params{Family: family, NumFlows: s.Trace.NumFlows(), WindowLen: s.WindowLen,
-		SketchLen: s.SketchLen, Epsilon: s.Epsilon, Seed: s.Seed}
+		SketchLen: s.SketchLen, Seed: s.Seed}
 	if family == sketch.FamilyFD {
 		p.SketchLen = s.FDEll
 	}
@@ -115,7 +113,7 @@ type Step struct {
 func (s Scenario) Replay(family sketch.Family, reg *obs.Registry, visit func(d *noc.Deployment, st Step) error) (*noc.Deployment, error) {
 	p := s.params(family)
 	d, err := noc.Deploy(noc.Config{
-		Detector: s.detector(p), Seed: p.Seed, Epsilon: p.Epsilon, IdentifyMaxK: identifyMaxK, Obs: reg,
+		Detector: s.detector(p), Seed: p.Seed, IdentifyMaxK: identifyMaxK, Obs: reg,
 	}, noc.Topology{Monitors: s.Monitors})
 	if err != nil {
 		return nil, err

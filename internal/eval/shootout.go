@@ -85,7 +85,7 @@ func (s Scenario) shootoutVariant(truth *Truth, name string, family sketch.Famil
 	if family == sketch.FamilyRandProj {
 		var err error
 		chk, err = oracle.NewChecker(oracle.CheckerConfig{
-			Every: oracleEvery, WindowLen: s.WindowLen, Epsilon: s.Epsilon,
+			Every: oracleEvery, WindowLen: s.WindowLen,
 			Alpha: s.Alpha, SketchLen: s.SketchLen, NumFlows: s.Trace.NumFlows(),
 			Component: "shootout",
 		})

@@ -10,7 +10,6 @@
 package monitor
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -44,13 +43,16 @@ type Config struct {
 	Family sketch.Family
 	// FlowIDs lists the global flows this monitor measures.
 	FlowIDs []int
-	// WindowLen is n and Epsilon the VH parameter ε. WindowLen 0 leaves
-	// the protocol parameters to the tier above: Connect, Place and Attach
-	// adopt its announcement (family, n, l or ℓ, seed, and ε when it states
-	// one; else Epsilon, else core.DefaultEpsilon) and return once the
-	// sketch state is built. Family, Sketch and FDEll are then ignored.
+	// WindowLen is n. WindowLen 0 leaves the protocol parameters to the
+	// tier above: Connect, Place and Attach adopt its announcement (family,
+	// n, l or ℓ and seed) and return once the sketch state is built. Family,
+	// Sketch and FDEll are then ignored.
 	WindowLen int
-	Epsilon   float64
+	// Epsilon is not read: variance histograms keep the exact window. It
+	// stays because the benchmark (bench/) sets it.
+	//
+	// Deprecated: unread.
+	Epsilon float64
 	// Sketch's Seed and SketchLen are the shared random projection's, which
 	// core.Params.Generator builds; its other field is not read.
 	// Ignored for the FD family.
@@ -76,7 +78,7 @@ type Config struct {
 	// SelfCheckEvery, when ≥ 1, enables the internal/oracle differential
 	// validator: the service shadows every interval with an exact sliding
 	// window per flow and every SelfCheckEvery-th interval checks the
-	// histograms' stats, sketches and Lemma 1 bound against it, recording
+	// histograms' coverage, stats and sketches against it, recording
 	// streampca_monitor_oracle_* metrics and logging violations. Costs one
 	// exact window of memory per flow plus an O(w·n·l) pass per sampled
 	// interval; 0 (the default) disables. The checker reads per-flow
@@ -135,7 +137,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		alarmsRecv: reg.Counter("streampca_monitor_alarms_received_total",
 			"Alarm broadcasts received from the NOC."),
 		vhBuckets: reg.Gauge("streampca_monitor_vh_buckets",
-			"Sketch state cells: variance-histogram buckets summed over assigned flows (randproj, O(w log^2 n) space) or live FD buffer rows (≤ 2ℓ)."),
+			"Sketch state cells: window elements summed over assigned flows (randproj, at most w·n) or live FD buffer rows (≤ 2ℓ)."),
 		lastInterval: reg.Gauge("streampca_monitor_last_interval",
 			"Most recent interval folded into the sketch state."),
 		reconnects: reg.Counter("streampca_monitor_reconnects_total",
@@ -201,7 +203,7 @@ func New(cfg Config) (*Service, error) {
 		flowIDs: append([]int(nil), cfg.FlowIDs...),
 	}
 	if cfg.WindowLen != 0 {
-		p := core.Params{Family: cfg.Family, WindowLen: cfg.WindowLen, SketchLen: cfg.FDEll, Epsilon: cfg.Epsilon, Seed: cfg.Sketch.Seed}
+		p := core.Params{Family: cfg.Family, WindowLen: cfg.WindowLen, SketchLen: cfg.FDEll, Seed: cfg.Sketch.Seed}
 		if cfg.Family == sketch.FamilyRandProj {
 			p.SketchLen = cfg.Sketch.SketchLen
 		}
@@ -252,7 +254,6 @@ func (s *Service) build(p core.Params) error {
 		chk, err = oracle.NewChecker(oracle.CheckerConfig{
 			Every:     every,
 			WindowLen: p.WindowLen,
-			Epsilon:   p.Epsilon,
 			Gen:       gen,
 			NumFlows:  len(s.flowIDs),
 			Component: "monitor",
@@ -272,9 +273,7 @@ func (s *Service) build(p core.Params) error {
 
 // adopt builds the sketch state under the announced parameters.
 func (s *Service) adopt(p core.Params) error {
-	run := p
-	run.Epsilon = cmp.Or(p.Epsilon, s.cfg.Epsilon, core.DefaultEpsilon)
-	if err := s.build(run); err != nil {
+	if err := s.build(p); err != nil {
 		return err
 	}
 	s.log.Info("adopted upstream parameters", "params", fmt.Sprintf("%+v", p))

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -51,7 +50,6 @@ func testConfig() Config {
 		ID:        "mon-1",
 		FlowIDs:   []int{0, 1, 2},
 		WindowLen: 16,
-		Epsilon:   0.1,
 		Sketch:    randproj.Config{Seed: 7, SketchLen: 4},
 	}
 }
@@ -303,8 +301,8 @@ func TestCloseUnblocksReader(t *testing.T) {
 }
 
 // announced is an upstream's parameter announcement for the test deployment.
-func announced(eps float64) transport.Hello {
-	return tier.Stated(core.Params{NumFlows: 8, WindowLen: 16, SketchLen: 4, Epsilon: eps, Seed: 7}, transport.Hello{})
+func announced() transport.Hello {
+	return tier.Stated(core.Params{NumFlows: 8, WindowLen: 16, SketchLen: 4, Seed: 7}, transport.Hello{})
 }
 
 // TestAdoptsTheAnnouncement: a monitor built without parameters states none,
@@ -327,7 +325,7 @@ func TestAdoptsTheAnnouncement(t *testing.T) {
 	if env := expectFrame(t, recvCh); env.Hello == nil || env.Hello.WindowLen != 0 || len(env.Hello.FlowIDs) != 0 {
 		t.Fatalf("first Hello = %+v, want one stating no parameters and no flows", env.Hello)
 	}
-	a := announced(0.3)
+	a := announced()
 	if err := remote.Send(transport.Envelope{Hello: &a}); err != nil {
 		t.Fatal(err)
 	}
@@ -344,14 +342,13 @@ func TestAdoptsTheAnnouncement(t *testing.T) {
 }
 
 // TestBadAnnouncementBuildsNoState: the announcement is input from another
-// process; one with a zero window or a NaN ε fails Attach and leaves the
-// monitor without sketch state.
+// process; one with a zero window fails Attach and leaves the monitor
+// without sketch state.
 func TestBadAnnouncementBuildsNoState(t *testing.T) {
-	zeroWindow := announced(0.3)
+	zeroWindow := announced()
 	zeroWindow.WindowLen = 0
 	for name, bad := range map[string]transport.Hello{
 		"zero window": zeroWindow,
-		"epsilon NaN": announced(math.NaN()),
 	} {
 		t.Run(name, func(t *testing.T) {
 			svc, err := New(Config{ID: "mon-1", FlowIDs: []int{0, 1, 2}})

@@ -28,23 +28,20 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestParameterLessTiersMatchPinned: aggregators and monitors built with no
-// parameters, under a NOC that states ε = 0.3, run at the NOC's parameters
-// and make the decisions of the same deployment with every service pinned to
-// them — and a pinned monitor at another ε is refused by an aggregator that
-// adopted 0.3.
+// parameters run at the NOC's parameters and make the decisions of the same
+// deployment with every service pinned to them — and a pinned monitor at
+// another seed is refused by an aggregator that adopted the NOC's.
 func TestParameterLessTiersMatchPinned(t *testing.T) {
 	const n = testWindow + 40
-	const eps = 0.3
 	rows := genRows(n, testFlows, n-4)
 	run := func(adopt bool) []Decision {
 		cfg := nocConfig()
-		cfg.Epsilon = eps
 		topo := Topology{Aggregators: 3, Monitors: 6, Agg: testAgg}
 		if !adopt {
 			topo.Agg.Family, topo.Agg.NumFlows, topo.Agg.WindowLen = sketch.FamilyRandProj, testFlows, testWindow
 			topo.Agg.SketchLen, topo.Agg.Seed = testSketch, testSeed
 			topo.Monitor = func(_ int, c *monitor.Config) {
-				c.WindowLen, c.Epsilon = testWindow, eps
+				c.WindowLen = testWindow
 				c.Sketch = randproj.Config{Seed: testSeed, SketchLen: testSketch}
 			}
 		}
@@ -60,7 +57,7 @@ func TestParameterLessTiersMatchPinned(t *testing.T) {
 			}
 			want := core.Params{
 				Family: cfg.Detector.Family, NumFlows: testFlows, WindowLen: testWindow,
-				SketchLen: testSketch, Epsilon: eps, Seed: testSeed,
+				SketchLen: testSketch, Seed: testSeed,
 			}
 			for _, a := range dep.Aggregators {
 				if got := a.Params(); got != want {
@@ -75,8 +72,8 @@ func TestParameterLessTiersMatchPinned(t *testing.T) {
 		if adopt {
 			var log lockedBuffer
 			stray, err := monitor.New(monitor.Config{
-				ID: "stray", FlowIDs: []int{0}, WindowLen: testWindow, Epsilon: 0.05,
-				Sketch: randproj.Config{Seed: testSeed, SketchLen: testSketch},
+				ID: "stray", FlowIDs: []int{0}, WindowLen: testWindow,
+				Sketch: randproj.Config{Seed: testSeed + 1, SketchLen: testSketch},
 				Log:    slog.New(slog.NewTextHandler(&log, nil)),
 			})
 			if err != nil {
@@ -86,7 +83,7 @@ func TestParameterLessTiersMatchPinned(t *testing.T) {
 			if err := stray.Connect(dep.Aggregators[0].Addr(), 2*time.Second); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, "the refusal of a monitor at ε 0.05", func() bool {
+			waitFor(t, "the refusal of a monitor at another seed", func() bool {
 				return strings.Contains(log.String(), "upstream rejected the registration")
 			})
 		}
@@ -140,7 +137,7 @@ func TestRefusedRedialStops(t *testing.T) {
 	var log lockedBuffer
 	redial := tier.RedialPolicy{Enabled: true, Backoff: 5 * time.Millisecond, BackoffMax: 20 * time.Millisecond}
 	mon, err := monitor.New(monitor.Config{
-		ID: "stray", FlowIDs: []int{0, 1, 2}, WindowLen: testWindow + 1, Epsilon: 0.05,
+		ID: "stray", FlowIDs: []int{0, 1, 2}, WindowLen: testWindow + 1,
 		Sketch:     randproj.Config{Seed: testSeed, SketchLen: testSketch},
 		Redial:     redial,
 		Candidates: addrs,

@@ -148,7 +148,7 @@ func TestFamilyMismatchRejected(t *testing.T) {
 
 	fdSvc, _ := startNOC(t, fdNocConfig())
 	rpMon, err := monitor.New(monitor.Config{
-		ID: "rp", FlowIDs: []int{0, 1, 2}, WindowLen: testWindow, Epsilon: 0.05,
+		ID: "rp", FlowIDs: []int{0, 1, 2}, WindowLen: testWindow,
 		Sketch: randproj.Config{Seed: testSeed, SketchLen: testFDEll},
 	})
 	if err != nil {

@@ -61,8 +61,8 @@ type Config struct {
 	// Seed is the shared randomness seed (randproj family; FD carries no
 	// shared randomness). It also seeds the fetch-backoff jitter for
 	// reproducible chaos tests. With the family, m, n and l from Detector
-	// and Epsilon it makes the protocol parameters (core.Params) the NOC
-	// announces to every peer and compares every Hello against.
+	// it makes the protocol parameters (core.Params) the NOC announces to
+	// every peer and compares every Hello against.
 	Seed uint64
 	// Pull paces the sketch pulls (tier.PullPolicy); unset fields take
 	// tier.NOCPull's. Partial results of a round are kept, and a retry round
@@ -90,12 +90,6 @@ type Config struct {
 	// OnDecision, when set, receives every completed-interval decision.
 	// It is called from the processing goroutine; keep it fast.
 	OnDecision func(Decision)
-	// Epsilon is the deployment's VH ε, announced to every peer: a monitor
-	// that adopts the announcement runs its histograms at it, a Hello that
-	// states another ε is refused, and the self-check uses it. 0 states no
-	// ε: peers keep their own, nothing compares it, and the NOC's own uses
-	// take core.DefaultEpsilon.
-	Epsilon float64
 	// SelfCheckEvery, when ≥ 1, enables the internal/oracle differential
 	// validator: the NOC shadows every non-degraded completed interval
 	// vector and every SelfCheckEvery-th interval validates the model in
@@ -144,7 +138,7 @@ type Config struct {
 func (cfg Config) params() core.Params {
 	det := cfg.Detector
 	return core.Params{Family: det.Family, NumFlows: det.NumFlows, WindowLen: det.WindowLen,
-		SketchLen: det.SketchLen, Epsilon: cfg.Epsilon, Seed: cfg.Seed}
+		SketchLen: det.SketchLen, Seed: cfg.Seed}
 }
 
 // metrics is the NOC's instrumentation surface. All names are under
@@ -352,7 +346,6 @@ func New(cfg Config) (*Service, error) {
 		chk, err := oracle.NewChecker(oracle.CheckerConfig{
 			Every:     cfg.SelfCheckEvery,
 			WindowLen: cfg.Detector.WindowLen,
-			Epsilon:   params.VHEpsilon(),
 			Alpha:     cfg.Detector.Alpha,
 			SketchLen: cfg.Detector.SketchLen,
 			NumFlows:  m,
@@ -364,7 +357,7 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("oracle checker: %w", err)
 		}
 		s.oracle = chk
-		log.Info("oracle self-check on", "every", cfg.SelfCheckEvery, "epsilon", params.VHEpsilon())
+		log.Info("oracle self-check on", "every", cfg.SelfCheckEvery)
 	}
 	s.health.Set("noc", obs.StatusDegraded, "not serving yet")
 	s.health.Set("detector", obs.StatusDegraded, "no model built")

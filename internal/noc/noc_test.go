@@ -35,9 +35,8 @@ func nocConfig() Config {
 			Mode:      core.RankFixed,
 			FixedRank: 2,
 		},
-		Seed:    testSeed,
-		Epsilon: 0.05,
-		Pull:    tier.PullPolicy{Timeout: 2 * time.Second},
+		Seed: testSeed,
+		Pull: tier.PullPolicy{Timeout: 2 * time.Second},
 	}
 }
 
@@ -248,7 +247,7 @@ func TestRejectsMismatchedMonitor(t *testing.T) {
 
 	// Wrong seed: rejected at hello.
 	bad, err := monitor.New(monitor.Config{
-		ID: "bad", FlowIDs: []int{0}, WindowLen: testWindow, Epsilon: 0.05,
+		ID: "bad", FlowIDs: []int{0}, WindowLen: testWindow,
 		Sketch: randproj.Config{Seed: 1, SketchLen: testSketch},
 	})
 	if err != nil {
@@ -269,7 +268,7 @@ func TestRejectsMismatchedMonitor(t *testing.T) {
 
 	// Overlapping flows: second registration rejected.
 	ok1, err := monitor.New(monitor.Config{
-		ID: "ok1", FlowIDs: []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, WindowLen: testWindow, Epsilon: 0.05,
+		ID: "ok1", FlowIDs: []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, WindowLen: testWindow,
 		Sketch: randproj.Config{Seed: testSeed, SketchLen: testSketch},
 	})
 	if err != nil {
@@ -288,7 +287,7 @@ func TestRejectsMismatchedMonitor(t *testing.T) {
 	}
 
 	dup, err := monitor.New(monitor.Config{
-		ID: "dup", FlowIDs: []int{3}, WindowLen: testWindow, Epsilon: 0.05,
+		ID: "dup", FlowIDs: []int{3}, WindowLen: testWindow,
 		Sketch: randproj.Config{Seed: testSeed, SketchLen: testSketch},
 	})
 	if err != nil {

@@ -53,7 +53,6 @@ func TestPipeTransportCountersEndToEnd(t *testing.T) {
 		ID:        "pipe-mon",
 		FlowIDs:   flowIDs,
 		WindowLen: testWindow,
-		Epsilon:   0.05,
 		Sketch:    randproj.Config{Seed: testSeed, SketchLen: testSketch},
 		Obs:       monReg,
 	})

@@ -17,16 +17,14 @@ type CheckerConfig struct {
 	Every int
 	// WindowLen is n.
 	WindowLen int
-	// Epsilon is the pipeline's configured ε.
-	Epsilon float64
 	// Alpha is the detector's false-alarm rate (NOC side; ignored by the
 	// monitor side).
 	Alpha float64
 	// Gen is the shared projection generator (monitor side; the NOC side
 	// only needs l and may leave Gen nil and set SketchLen instead).
 	Gen *randproj.Generator
-	// SketchLen is l for the spectral checks' EffectiveEpsilon widening when
-	// Gen is nil; ignored otherwise.
+	// SketchLen is l for the spectral checks' EffectiveEpsilon when Gen is
+	// nil; ignored otherwise.
 	SketchLen int
 	// NumFlows is the per-daemon flow count: w assigned flows for a monitor,
 	// m network-wide flows for the NOC.
@@ -123,7 +121,7 @@ func (c *Checker) ObserveMonitor(t int64, volumes []float64, mon *core.Monitor) 
 		if h == nil {
 			continue
 		}
-		res.Merge(CheckHistogram(h, c.windows[i], c.cfg.Gen, c.cfg.Epsilon))
+		res.Merge(CheckHistogram(h, c.windows[i], c.cfg.Gen))
 	}
 	c.record(res)
 	return res
@@ -147,11 +145,7 @@ func (c *Checker) ObserveNOC(t int64, x []float64, dec core.Decision, model *cor
 	if c.cfg.Gen != nil {
 		l = c.cfg.Gen.SketchLen()
 	}
-	res, ok := CheckModel(model, dec, x, c.vectors, ModelCheckConfig{
-		Epsilon:   c.cfg.Epsilon,
-		Alpha:     c.cfg.Alpha,
-		SketchLen: l,
-	})
+	res, ok := CheckModel(model, dec, x, c.vectors, ModelCheckConfig{Alpha: c.cfg.Alpha, SketchLen: l})
 	if ok {
 		c.record(res)
 	}

@@ -10,14 +10,11 @@ import (
 
 // ModelCheckConfig parameterizes the spectral and detection checks.
 type ModelCheckConfig struct {
-	// Epsilon is the VH approximation parameter the pipeline was configured
-	// with; the checks widen it to EffectiveEpsilon for the sketch length.
-	Epsilon float64
 	// Alpha is the detector's false-alarm rate, used to fit the exact
 	// reference threshold.
 	Alpha float64
-	// SketchLen is l, for the EffectiveEpsilon widening. 0 falls back to the
-	// window length (the JL term at its smallest — conservative).
+	// SketchLen is l, for EffectiveEpsilon. 0 falls back to the window
+	// length (the JL term at its smallest — conservative).
 	SketchLen int
 	// DeadBand is the relative margin around the thresholds inside which
 	// alarm disagreement is tolerated (the bounds allow the two detectors to
@@ -131,7 +128,7 @@ func CheckModel(model *core.Model, dec core.Decision, x []float64, vw *VectorWin
 	if l <= 0 {
 		l = n
 	}
-	eps := EffectiveEpsilon(cfg.Epsilon, n, l)
+	eps := EffectiveEpsilon(n, l)
 	deadBand := cfg.DeadBand
 	if deadBand == 0 {
 		deadBand = 0.2
@@ -161,7 +158,7 @@ func CheckModel(model *core.Model, dec core.Decision, x []float64, vw *VectorWin
 			break // descending: everything after is insignificant too
 		}
 		// A significant component past the sketch's rank (λ̂ = 0 beyond l rows)
-		// is a relative error of 1, which only a small l's widened ε admits.
+		// is a relative error of 1, which only a small l's large ε admits.
 		hat := model.Singular[j] * model.Singular[j]
 		if e := math.Abs(hat-exact) / exact; e > worst {
 			worst, worstJ = e, j

@@ -4,23 +4,20 @@
 // (accumulated drift, dropped scale factors, degenerate thresholds) fail a
 // check instead of quietly degrading detection quality.
 //
-// Three layers of checks, from tight to probabilistic:
+// Two layers of checks, from tight to probabilistic:
 //
-//   - Exactness (tolerance ~1e-9 relative): the variance histogram's merge
-//     step is algebraically exact — only dropping whole buckets at expiry
-//     approximates — so the VH's count/mean/variance/sketch over its covered
-//     element set must match an exact recomputation over the same trailing
+//   - Exactness (tolerance ~1e-9 relative): the variance histogram keeps the
+//     whole window, so its count must be the exact window's and its
+//     mean/variance/sketch must match an exact recomputation over the same
 //     elements to rounding error. This is the tier that catches the
 //     incremental-totals drift class of bug.
-//   - Lemma 1 (eq. 10): (1−ε)·V ≤ V̂ ≤ V against the exact sliding-window
-//     variance.
 //   - Spectral / detection (Lemmas 5–6, Theorem 2): the sketch model's
 //     singular values within (1±3ε) of the exact window's (eq. 25), the
 //     sketched covariance within √6·ε·‖Y‖²_F in Frobenius norm (eq. 26), the
 //     anomaly distance within the additive Theorem 2 bound, and alarm
-//     agreement with an exact batch detector outside a dead band. These hold
-//     with the paper's ε only for l = Ω(log n/ε²) (Lemma 4), so the checks
-//     widen ε to EffectiveEpsilon at small l.
+//     agreement with an exact batch detector outside a dead band. With an
+//     exact window the only ε left is the projection's: these hold for
+//     l = Ω(log n/ε²) (Lemma 4), so the checks take ε = EffectiveEpsilon(n, l).
 //
 // The package is consumed three ways: the seeded property suite in this
 // package's tests (run in CI), the sampling Checker embedded in the monitor
@@ -34,7 +31,7 @@ import (
 
 // Violation is one failed bound.
 type Violation struct {
-	// Check names the bound, e.g. "vh-sketch-exact", "lemma1-lower", "lemma5".
+	// Check names the bound, e.g. "vh-sketch-exact", "lemma5".
 	Check string
 	// Err is the observed dimensionless error measure and Bound the value it
 	// was required to stay below.
@@ -108,17 +105,12 @@ func (r *Result) Worst() *Violation {
 // gross error (a dropped 1/√l scale, a sign flip) still violates.
 const jlConstant = 1.0
 
-// EffectiveEpsilon widens the configured ε with the projection error floor
-// √(c·ln n / l): the paper's spectral bounds assume l = Ω(log n/ε²)
-// (Lemma 4), so for small sketch lengths the JL term dominates whatever ε the
-// variance histogram was configured with.
-func EffectiveEpsilon(eps float64, windowLen, sketchLen int) float64 {
-	if sketchLen < 1 {
-		return eps
-	}
+// EffectiveEpsilon is the projection error floor √(c·ln n / l): the paper's
+// spectral bounds assume l = Ω(log n/ε²) (Lemma 4), and with an exact window
+// the projection is the only approximation left.
+func EffectiveEpsilon(windowLen, sketchLen int) float64 {
 	n := math.Max(2, float64(windowLen))
-	jl := math.Sqrt(jlConstant * math.Log(n) / float64(sketchLen))
-	return math.Max(eps, jl)
+	return math.Sqrt(jlConstant * math.Log(n) / math.Max(1, float64(sketchLen)))
 }
 
 // relTo returns |a−b| normalized by the larger of |b| and floor — the shared

@@ -56,49 +56,45 @@ func newGen(t *testing.T, l int, seed uint64) *randproj.Generator {
 
 // newHist builds a stand-alone histogram with a private row ring over g. The
 // checks keep reading g itself: the reference must not read the ring it checks.
-func newHist(t *testing.T, n int, eps float64, g *randproj.Generator) *vh.Histogram {
+func newHist(t *testing.T, n int, g *randproj.Generator) *vh.Histogram {
 	t.Helper()
 	ring, err := randproj.NewRing(g, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := vh.New(vh.Config{WindowLen: n, Epsilon: eps, Gen: ring})
+	h, err := vh.New(vh.Config{WindowLen: n, Gen: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return h
 }
 
-// TestCheckHistogramProperty sweeps ε values (including the adversarial sweep
-// ε ∈ {0.05, 0.1, 0.3}) and window/sketch sizes over the adversarial traffic
-// families, asserting the full histogram check — exactness to rounding error
-// plus Lemma 1 — on every sampled interval.
+// TestCheckHistogramProperty sweeps window/sketch sizes over the adversarial
+// traffic families, asserting the full histogram check — exact coverage and
+// exactness to rounding error — on every sampled interval.
 func TestCheckHistogramProperty(t *testing.T) {
-	for _, eps := range []float64{0.05, 0.1, 0.3} {
-		for _, dims := range []struct{ n, l int }{{64, 8}, {256, 32}} {
-			for _, tg := range trafficGens() {
-				g := newGen(t, dims.l, 0x5eed)
-				h := newHist(t, dims.n, eps, g)
-				w := NewWindow(dims.n)
-				r := rand.New(rand.NewSource(int64(dims.n)*31 + int64(eps*1000)))
-				steps := int64(3*dims.n + 17)
-				for ti := int64(1); ti <= steps; ti++ {
-					x := tg.next(r, ti)
-					if err := h.Update(ti, x); err != nil {
-						t.Fatal(err)
-					}
-					w.Push(ti, x)
-					if ti%13 != 0 && ti != steps {
-						continue
-					}
-					res := CheckHistogram(h, w, g, eps)
-					if res.Checks == 0 {
-						t.Fatalf("%s eps=%v: no checks ran", tg.name, eps)
-					}
-					if len(res.Violations) > 0 {
-						t.Fatalf("%s eps=%v n=%d l=%d t=%d: %v",
-							tg.name, eps, dims.n, dims.l, ti, res.Worst())
-					}
+	for _, dims := range []struct{ n, l int }{{64, 8}, {256, 32}} {
+		for _, tg := range trafficGens() {
+			g := newGen(t, dims.l, 0x5eed)
+			h := newHist(t, dims.n, g)
+			w := NewWindow(dims.n)
+			r := rand.New(rand.NewSource(int64(dims.n) * 31))
+			steps := int64(3*dims.n + 17)
+			for ti := int64(1); ti <= steps; ti++ {
+				x := tg.next(r, ti)
+				if err := h.Update(ti, x); err != nil {
+					t.Fatal(err)
+				}
+				w.Push(ti, x)
+				if ti%13 != 0 && ti != steps {
+					continue
+				}
+				res := CheckHistogram(h, w, g)
+				if res.Checks == 0 {
+					t.Fatalf("%s: no checks ran", tg.name)
+				}
+				if len(res.Violations) > 0 {
+					t.Fatalf("%s n=%d l=%d t=%d: %v", tg.name, dims.n, dims.l, ti, res.Worst())
 				}
 			}
 		}
@@ -108,89 +104,54 @@ func TestCheckHistogramProperty(t *testing.T) {
 // TestCheckHistogramDetectsMutations asserts the oracle actually has teeth:
 // plausible implementation bugs must produce violations, not silent passes.
 func TestCheckHistogramDetectsMutations(t *testing.T) {
-	const n, l, eps = 128, 16, 0.3
+	const n, l = 128, 16
 
-	// run merges checks over many intervals: bucket expiry (the lossy step)
-	// only intermittently leaves the covered set short of the full window, so
-	// a single end-of-run probe can land on a fully-covered interval.
-	run := func(g, oracleGen *randproj.Generator, checkEps float64) Result {
-		h := newHist(t, n, eps, g)
+	// run merges checks over many intervals. skip, when positive, is a time
+	// whose element only the oracle's window takes.
+	run := func(g, oracleGen *randproj.Generator, skip int64) Result {
+		h := newHist(t, n, g)
 		w := NewWindow(n)
 		r := rand.New(rand.NewSource(11))
 		var res Result
 		for ti := int64(1); ti <= 3*n; ti++ {
 			x := 50 + 40*math.Sin(float64(ti)/9) + r.NormFloat64()
-			if err := h.Update(ti, x); err != nil {
-				t.Fatal(err)
+			if ti != skip {
+				if err := h.Update(ti, x); err != nil {
+					t.Fatal(err)
+				}
 			}
 			w.Push(ti, x)
 			if ti > n && ti%5 == 0 {
-				res.Merge(CheckHistogram(h, w, oracleGen, checkEps))
+				res.Merge(CheckHistogram(h, w, oracleGen))
 			}
 		}
 		return res
 	}
+	only := func(res Result, check string) {
+		t.Helper()
+		if len(res.Violations) == 0 {
+			t.Fatalf("%s: mutation not detected", check)
+		}
+		for _, v := range res.Violations {
+			if v.Check != check {
+				t.Fatalf("%s: the mutation tripped %v", check, v)
+			}
+		}
+	}
 
 	g := newGen(t, l, 1)
-	if res := run(g, g, eps); len(res.Violations) > 0 {
+	if res := run(g, g, 0); len(res.Violations) > 0 {
 		t.Fatalf("control run violated: %v", res.Worst())
 	}
 
 	// Mutation 1: the pipeline and the oracle disagree on the projection
 	// (models a dropped/duplicated scale factor or a seed mismatch — any
 	// corruption of the partial sums). The sketch exactness check must fire.
-	wrong := newGen(t, l, 2)
-	res := run(g, wrong, eps)
-	found := false
-	for _, v := range res.Violations {
-		if v.Check == "vh-sketch-exact" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("corrupted projection not detected: %+v", res.Violations)
-	}
+	only(run(g, newGen(t, l, 2), 0), "vh-sketch-exact")
 
-	// Mutation 2: claiming a tighter ε than the histogram honors. The merge
-	// rules only fire once n_A ≤ (ε/10)·n_B is satisfiable under the
-	// half-window cap — i.e. for n > 40/ε — so use a window large enough
-	// that constant stretches actually merge into multi-element buckets.
-	// When a step change then crosses the window, expiry drops several
-	// still-covered elements at once: V̂ < V by a real margin the ε = 0.3
-	// bound allows but an ε = 0 claim must flag.
-	const n2 = 512
-	g2 := newGen(t, l, 1)
-	h := newHist(t, n2, eps, g2)
-	w := NewWindow(n2)
-	var strict, honest Result
-	for ti := int64(1); ti <= 4*n2; ti++ {
-		x := 1.0
-		if (ti/n2)%2 == 1 {
-			x = 1001
-		}
-		if err := h.Update(ti, x); err != nil {
-			t.Fatal(err)
-		}
-		w.Push(ti, x)
-		if ti > n2 {
-			strict.Merge(CheckHistogram(h, w, g2, 0))
-			honest.Merge(CheckHistogram(h, w, g2, eps))
-		}
-	}
-	if len(honest.Violations) > 0 {
-		t.Fatalf("true-eps control violated on step traffic: %v", honest.Worst())
-	}
-	found = false
-	for _, v := range strict.Violations {
-		if v.Check == "lemma1-lower" {
-			found = true
-		} else {
-			t.Fatalf("eps=0 claim tripped an unexpected check: %v", v)
-		}
-	}
-	if !found {
-		t.Fatal("eps=0 claim against a lossy histogram not detected")
-	}
+	// Mutation 2: the oracle's window holds an element the histogram never
+	// took (a lost update). Coverage must fire while it is in the window.
+	only(run(g, g, 2*n+3), "vh-coverage")
 }
 
 // pipeline is one end-to-end sketch-PCA stack over synthetic correlated
@@ -212,7 +173,7 @@ func newPipeline(t *testing.T, m, n, l, rank int) *pipeline {
 		flowIDs[i] = i
 	}
 	mon, err := core.NewMonitor(core.MonitorConfig{
-		FlowIDs: flowIDs, WindowLen: n, Epsilon: 0.1, Gen: gen,
+		FlowIDs: flowIDs, WindowLen: n, Gen: gen,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +220,7 @@ func TestCheckModelEndToEnd(t *testing.T) {
 	for _, l := range []int{24, 16} {
 		t.Run(fmt.Sprintf("l=%d", l), func(t *testing.T) {
 			p := newPipeline(t, m, n, l, rank)
-			cfg := ModelCheckConfig{Epsilon: 0.1, Alpha: 0.01, SketchLen: l}
+			cfg := ModelCheckConfig{Alpha: 0.01, SketchLen: l}
 
 			checked := 0
 			var lastDec core.Decision
@@ -349,7 +310,7 @@ func TestCheckModelChecksLeadingBasisModel(t *testing.T) {
 			if r, c := model.Sketch.Rows(), model.Sketch.Cols(); r != l || c != m {
 				t.Fatalf("sketch is %dx%d, want %dx%d", r, c, l, m)
 			}
-			cfg := ModelCheckConfig{Epsilon: 0.1, Alpha: 0.01, SketchLen: l}
+			cfg := ModelCheckConfig{Alpha: 0.01, SketchLen: l}
 			res, ok := CheckModel(model, dec, x, p.vw, cfg)
 			if !ok || res.Checks == 0 {
 				t.Fatalf("fresh model not checked: ok=%v checks=%d", ok, res.Checks)
@@ -379,14 +340,14 @@ func TestCheckerSampling(t *testing.T) {
 		flowIDs[i] = i
 	}
 	mon, err := core.NewMonitor(core.MonitorConfig{
-		FlowIDs: flowIDs, WindowLen: n, Epsilon: 0.1, Gen: gen,
+		FlowIDs: flowIDs, WindowLen: n, Gen: gen,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
 	chk, err := NewChecker(CheckerConfig{
-		Every: 5, WindowLen: n, Epsilon: 0.1, Gen: gen,
+		Every: 5, WindowLen: n, Gen: gen,
 		NumFlows: m, Component: "monitor", Reg: reg,
 	})
 	if err != nil {
@@ -417,7 +378,7 @@ func TestCheckerSampling(t *testing.T) {
 
 	// A checker shadowing with the wrong generator must count violations.
 	bad, err := NewChecker(CheckerConfig{
-		Every: 5, WindowLen: n, Epsilon: 0.1,
+		Every: 5, WindowLen: n,
 		Gen:      newGen(t, l, 99),
 		NumFlows: m, Component: "noc", Reg: reg,
 	})
@@ -449,7 +410,7 @@ func TestCheckerNOCObserve(t *testing.T) {
 	p := newPipeline(t, m, n, l, rank)
 	reg := obs.NewRegistry()
 	chk, err := NewChecker(CheckerConfig{
-		Every: 4, WindowLen: n, Epsilon: 0.1, Alpha: 0.01,
+		Every: 4, WindowLen: n, Alpha: 0.01,
 		Gen: p.gen, NumFlows: m, Component: "noc", Reg: reg,
 	})
 	if err != nil {
@@ -484,15 +445,16 @@ func TestCheckerNOCObserve(t *testing.T) {
 	}
 }
 
-// TestEffectiveEpsilon pins the widening behavior: the JL floor dominates at
-// small l, the configured ε at large l, and it shrinks monotonically in l.
+// TestEffectiveEpsilon pins the projection floor √(ln n / l): nothing else
+// widens it, it shrinks monotonically in l, and a window under 2 counts as 2.
 func TestEffectiveEpsilon(t *testing.T) {
-	if got := EffectiveEpsilon(0.1, 256, 1<<20); got != 0.1 {
-		t.Fatalf("huge l: %v, want the configured eps", got)
+	if got, want := EffectiveEpsilon(256, 8), math.Sqrt(math.Log(256)/8); got != want {
+		t.Fatalf("n=256 l=8: %v, want %v", got, want)
 	}
-	small := EffectiveEpsilon(0.1, 256, 8)
-	large := EffectiveEpsilon(0.1, 256, 64)
-	if !(small > large && large >= 0.1) {
+	if got, want := EffectiveEpsilon(1, 1<<20), math.Sqrt(math.Log(2)/(1<<20)); got != want {
+		t.Fatalf("n=1 l=2^20: %v, want %v", got, want)
+	}
+	if small, large := EffectiveEpsilon(256, 8), EffectiveEpsilon(256, 64); !(small > large) {
 		t.Fatalf("not monotone: eps(8)=%v eps(64)=%v", small, large)
 	}
 }

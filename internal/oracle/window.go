@@ -61,12 +61,6 @@ func (w *Window) TrailingStats(k int) (mean, ss float64) {
 	return mean, ss
 }
 
-// Stats computes the exact mean and sum of squared deviations over every
-// retained element (the full current window).
-func (w *Window) Stats() (mean, ss float64) {
-	return w.TrailingStats(len(w.vals))
-}
-
 // TrailingSumSquares returns Σx² over the k most recent elements — the
 // magnitude scale the exactness tolerances are anchored to.
 func (w *Window) TrailingSumSquares(k int) float64 {

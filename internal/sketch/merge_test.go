@@ -28,7 +28,7 @@ func shardSnapshots(t *testing.T, family Family, assign [][]int, sketchParam, wi
 	for si, ids := range assign {
 		sk, err := New(Config{
 			Family: family, FlowIDs: ids, WindowLen: window,
-			Epsilon: 0.1, Gen: gen, Ell: sketchParam,
+			Gen: gen, Ell: sketchParam,
 		})
 		if err != nil {
 			t.Fatal(err)

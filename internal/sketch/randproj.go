@@ -33,7 +33,7 @@ func NewRandProj(cfg Config) (*RandProj, error) {
 	}
 	hists := make([]*vh.Histogram, len(cfg.FlowIDs))
 	for i := range cfg.FlowIDs {
-		h, err := vh.New(vh.Config{WindowLen: cfg.WindowLen, Epsilon: cfg.Epsilon, Gen: ring})
+		h, err := vh.New(vh.Config{WindowLen: cfg.WindowLen, Gen: ring})
 		if err != nil {
 			return nil, fmt.Errorf("histogram for flow %d: %w", cfg.FlowIDs[i], err)
 		}
@@ -67,13 +67,12 @@ func (m *RandProj) Histogram(i int) *vh.Histogram {
 	return m.hists[i]
 }
 
-// StateSize sums the variance-histogram bucket counts across all assigned
-// flows — the O(w·log² n) sketch-state size the paper bounds, cheap enough
-// to poll every interval for a state-size gauge.
+// StateSize sums the window element counts across all assigned flows, at
+// most w·n, cheap enough to poll every interval for a state-size gauge.
 func (m *RandProj) StateSize() int {
 	total := 0
 	for _, h := range m.hists {
-		total += h.NumBuckets()
+		total += int(h.Count())
 	}
 	return total
 }

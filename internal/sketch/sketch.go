@@ -101,7 +101,7 @@ type Sketcher interface {
 	Snapshot() Snapshot
 	SnapshotInto(dst *Snapshot)
 	// StateSize returns the retained-state cell count for gauges: total
-	// variance-histogram buckets for RandProj, live buffer rows for FD.
+	// window elements for RandProj, live buffer rows for FD.
 	StateSize() int
 }
 
@@ -115,8 +115,6 @@ type Config struct {
 	// WindowLen is n, the sliding-window length in intervals (RandProj; FD
 	// summarizes the full stream prefix and ignores it).
 	WindowLen int
-	// Epsilon is the VH approximation parameter ε ∈ (0, 1) (RandProj only).
-	Epsilon float64
 	// Gen is the shared projection generator (RandProj only; required so
 	// sketches from different monitors combine at the NOC).
 	Gen *randproj.Generator

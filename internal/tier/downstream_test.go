@@ -225,11 +225,10 @@ func stating(p core.Params, flows ...int) transport.Hello {
 
 // TestRegistrationClaims: one comparison of a Hello's parameters against the
 // deployment's refuses every mismatch with a typed refusal, and accepts what a
-// peer leaves unstated — m and ε from a peer built before it stated them, all
-// of them from a peer that has not adopted the announcement yet.
+// peer leaves unstated — m from a peer built before it stated it, all of them
+// from a peer that has not adopted the announcement yet.
 func TestRegistrationClaims(t *testing.T) {
-	const eps = 0.3
-	deployed := core.Params{Family: sketch.FamilyRandProj, NumFlows: testFlows, WindowLen: testWindow, SketchLen: testSketchLen, Epsilon: eps, Seed: testSeed}
+	deployed := core.Params{Family: sketch.FamilyRandProj, NumFlows: testFlows, WindowLen: testWindow, SketchLen: testSketchLen, Seed: testSeed}
 	with := func(mutate func(*core.Params)) core.Params {
 		p := deployed
 		mutate(&p)
@@ -254,7 +253,6 @@ func TestRegistrationClaims(t *testing.T) {
 		{"window mismatch", transport.Hello{MonitorID: "b", FlowIDs: []int{2}, SketchLen: testSketchLen, WindowLen: testWindow + 1, Seed: testSeed}, false, params},
 		{"family mismatch", transport.Hello{MonitorID: "b", FlowIDs: []int{2}, SketchLen: testSketchLen, WindowLen: testWindow, Family: sketch.FamilyFD}, false, params},
 		{"flow count mismatch", stating(with(func(p *core.Params) { p.NumFlows++ }), 2), false, params},
-		{"epsilon mismatch", stating(with(func(p *core.Params) { p.Epsilon = 0.05 }), 2), false, params},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -637,17 +635,6 @@ func TestAddrAndShutdownWithoutServe(t *testing.T) {
 	}
 	d.Shutdown()
 	d.Shutdown()
-}
-
-// TestEpsilonUnstatedByTheDeployment: a tier that states no ε compares none,
-// so monitors built with any ε register, as under every library deployment
-// before the NOC stated it.
-func TestEpsilonUnstatedByTheDeployment(t *testing.T) {
-	d, _ := newDownstream(t, nil)
-	p := d.cfg.Params
-	p.Epsilon = 0.05
-	dial(t, d, stating(p, 2), nil)
-	waitFor(t, "registration", func() bool { return registered(d, "b") })
 }
 
 // TestDownstreamRefusesOtherVersions: a peer that opens with gob, as builds

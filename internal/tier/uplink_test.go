@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"log/slog"
-	"math"
 	"net"
 	"slices"
 	"strconv"
@@ -172,7 +171,6 @@ func TestPlaceWalksRendezvousOrder(t *testing.T) {
 func TestAttachAdoptsTheAnnouncement(t *testing.T) {
 	shards := &transport.ShardMap{Aggregators: []string{"a:1", "b:1"}, Epoch: 3}
 	d, _ := newDownstream(t, func(c *DownstreamConfig) {
-		c.Epsilon = 0.3
 		c.OnJoin = func(conn *transport.Conn) { _ = conn.Send(transport.Envelope{Shards: shards}) }
 	})
 	var adopted atomic.Pointer[core.Params]
@@ -213,7 +211,6 @@ func TestAttachAdoptsTheAnnouncement(t *testing.T) {
 func TestAttachRefusesABadAnnouncement(t *testing.T) {
 	for name, bad := range map[string]transport.Hello{
 		"zero window": {SketchLen: 4, NumFlows: 8},
-		"epsilon NaN": {SketchLen: 4, NumFlows: 8, WindowLen: 16, Epsilon: math.NaN()},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var adopts atomic.Int64

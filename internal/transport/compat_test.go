@@ -27,8 +27,8 @@ var goldenFrames = []struct {
 	hex  string
 }{
 	{"hello", Envelope{Hello: &Hello{MonitorID: "m1", FlowIDs: []int{0, 5}, SketchLen: 8, WindowLen: 16,
-		Seed: 7, Role: RoleAggregator, NumFlows: 81, Epsilon: 0.01}},
-		"01 15000000 | 02 6d31 | 02 00 0a | 10 20 07 00 02 a201 | 7b14ae47e17a843f"},
+		Seed: 7, Role: RoleAggregator, NumFlows: 81}},
+		"01 0d000000 | 02 6d31 | 02 00 0a | 10 20 07 00 02 a201"},
 	// Integer-valued volumes take the compact form: 1500 is 4 bytes, 0 one.
 	{"volume/compact", Envelope{Volume: &VolumeReport{MonitorID: "m1", Interval: 9,
 		FlowIDs: []int{0, 1}, Volumes: []float64{1500, 0}}},
@@ -104,7 +104,7 @@ func TestConnOpensWithPreamble(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := unhex(t, "53504341 02 | 03 01000000 2a | 03 01000000 2a")
+	want := unhex(t, "53504341 03 | 03 01000000 2a | 03 01000000 2a")
 	if !bytes.Equal(s.out.Bytes(), want) {
 		t.Fatalf("stream %x, want %x", s.out.Bytes(), want)
 	}
@@ -112,20 +112,21 @@ func TestConnOpensWithPreamble(t *testing.T) {
 
 // TestRecvRefusesOtherProtocols: a Conn refuses, with ErrVersion, a peer whose
 // stream opens with gob (a build from before this wire) or with another
-// version of this wire (version 1 pulled full windows of Gaussian rows), and
-// keeps refusing.
+// version of this wire (version 1 pulled full windows of Gaussian rows,
+// version 2 carried ε in Hello), and keeps refusing.
 func TestRecvRefusesOtherProtocols(t *testing.T) {
 	var gobPeer bytes.Buffer
 	if err := gob.NewEncoder(&gobPeer).Encode(&Envelope{Hello: &Hello{MonitorID: "old", FlowIDs: []int{0}, WindowLen: 8}}); err != nil {
 		t.Fatal(err)
 	}
-	otherVersion := append(unhex(t, "53504341 01"), unhex(t, goldenFrames[0].hex)...)
+	version := func(v string) []byte { return append(unhex(t, "53504341 "+v), unhex(t, goldenFrames[0].hex)...) }
 	for _, tc := range []struct {
 		name   string
 		stream []byte
 	}{
 		{"gob peer", gobPeer.Bytes()},
-		{"version 1", otherVersion},
+		{"version 1", version("01")},
+		{"version 2", version("02")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &splitStream{}

@@ -78,10 +78,8 @@ type Hello struct {
 	// Hello on the same connection when its flow union grows or shrinks —
 	// the NOC treats a repeat Hello from an aggregator as re-registration.
 	Role Role
-	// NumFlows (m) and Epsilon (the VH ε) complete the protocol parameters.
-	// Zero states none, as a deployment that leaves ε to the monitors does.
+	// NumFlows (m) completes the protocol parameters.
 	NumFlows int
-	Epsilon  float64
 }
 
 // VolumeReport carries one interval's volumes for a monitor's flows

@@ -32,10 +32,10 @@ import (
 // Every float crosses as its exact bit pattern either way.
 
 const (
-	// wireVersion 2: a randproj sketch pull leaves out the interval being
-	// scored and every projection row is ±1. A version-1 peer pulls the full
-	// window of Gaussian rows; mixing the two at one NOC is refused.
-	wireVersion = 2
+	// wireVersion 3: Hello carries no variance-histogram ε. Version 2 added
+	// it; version 1 pulled the full window of Gaussian rows. Mixing versions
+	// at one NOC is refused.
+	wireVersion = 3
 	// frameHeader is the kind byte and the length.
 	frameHeader = 5
 	// maxFrame caps a frame's declared length; a longer one is ErrBadMessage
@@ -182,7 +182,6 @@ func (e *Envelope) code(c *codec) {
 		c.int((*int)(&h.Family))
 		c.int((*int)(&h.Role))
 		c.int(&h.NumFlows)
-		c.float(&h.Epsilon)
 	case kindVolume:
 		v := e.Volume
 		c.str(&v.MonitorID)

@@ -135,7 +135,7 @@ func TestREADMEMetricsMatchRegistries(t *testing.T) {
 	}
 	defer aggSvc.Close()
 	monSvc, err := monitor.New(monitor.Config{
-		ID: "m", FlowIDs: []int{0, 1}, WindowLen: 8, Epsilon: 0.1,
+		ID: "m", FlowIDs: []int{0, 1}, WindowLen: 8,
 		Sketch:         randproj.Config{SketchLen: 2},
 		SelfCheckEvery: 1,
 		Obs:            reg,

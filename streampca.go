@@ -28,8 +28,7 @@
 //			Alpha:     0.01,
 //			FixedRank: 6,
 //		},
-//		Epsilon: 0.01,
-//		Seed:    42,
+//		Seed: 42,
 //	}, streampca.Topology{Monitors: 9})
 //	...
 //	defer d.Close()

@@ -47,7 +47,7 @@ func TestFacadeClusterLifecycle(t *testing.T) {
 				mons := make([]*Monitor, k)
 				for i := range mons {
 					if mons[i], err = NewMonitor(MonitorConfig{FlowIDs: []int{i, i + k, i + 2*k, i + 3*k},
-						WindowLen: n, Epsilon: 0.05, Gen: gen}); err != nil {
+						WindowLen: n, Gen: gen}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -110,8 +110,7 @@ func TestFacadeClusterLifecycle(t *testing.T) {
 						Mode:      RankFixed,
 						FixedRank: 6,
 					},
-					Epsilon: 0.01,
-					Seed:    42,
+					Seed: 42,
 				}, Topology{Monitors: 9})
 				if err != nil {
 					t.Fatal(err)
