@@ -282,33 +282,45 @@ step_done
 # storage (the exact window) and on the NOC model build's eigensolver,
 # mat.SymEigenLeading's inverse iteration (the all-pairs mat.SymEigen, on
 # spectra with forced ties and clusters). Go allows one -fuzz target per
-# invocation.
+# invocation. Minimizing an input that found new coverage gets ten runs of
+# the body, not the default 60 s: the variance-histogram seeds are hundreds
+# of bytes, so the default spends the whole smoke minimizing the first such
+# input. Each smoke prints its last progress line (elapsed, execs, new
+# inputs), and all of its output if it fails.
+fuzz_smoke() {
+    if ! go test -run 'XXXnone' -fuzz "^$1\$" -fuzztime 10s -fuzzminimizetime 10x "./internal/$2/" > "$EVAL_TMP/fuzz.out" 2>&1; then
+        cat "$EVAL_TMP/fuzz.out" >&2
+        exit 1
+    fi
+    grep 'elapsed:' "$EVAL_TMP/fuzz.out" | tail -n 1
+}
+
 step "fuzz smoke (NetFlow decoder, 10s)"
-go test -run 'XXXnone' -fuzz '^FuzzDecodeDatagram$' -fuzztime 10s ./internal/ingest/ > /dev/null
+fuzz_smoke FuzzDecodeDatagram ingest
 step_done
 
 step "fuzz smoke (prefix trie against a brute-force scan, 10s)"
-go test -run 'XXXnone' -fuzz '^FuzzTableLookup$' -fuzztime 10s ./internal/flow/ > /dev/null
+fuzz_smoke FuzzTableLookup flow
 step_done
 
 step "fuzz smoke (trace CSV reader, 10s)"
-go test -run 'XXXnone' -fuzz '^FuzzReadCSV$' -fuzztime 10s ./internal/traffic/ > /dev/null
+fuzz_smoke FuzzReadCSV traffic
 step_done
 
 step "fuzz smoke (peer snapshot merge, 10s)"
-go test -run 'XXXnone' -fuzz '^FuzzMergeColumns$' -fuzztime 10s ./internal/sketch/ > /dev/null
+fuzz_smoke FuzzMergeColumns sketch
 step_done
 
 step "fuzz smoke (message stream decoder, 10s)"
-go test -run 'XXXnone' -fuzz '^FuzzDecodeMessage$' -fuzztime 10s ./internal/transport/ > /dev/null
+fuzz_smoke FuzzDecodeMessage transport
 step_done
 
 step "fuzz smoke (variance histogram against the exact window, 10s)"
-go test -run 'XXXnone' -fuzz '^FuzzHistogramAgainstWindow$' -fuzztime 10s ./internal/vh/ > /dev/null
+fuzz_smoke FuzzHistogramAgainstWindow vh
 step_done
 
 step "fuzz smoke (leading eigenvectors against the all-pairs eigensolver, 10s)"
-go test -run 'XXXnone' -fuzz '^FuzzSymEigenLeading$' -fuzztime 10s ./internal/mat/ > /dev/null
+fuzz_smoke FuzzSymEigenLeading mat
 step_done
 
 step "bench smoke (1 iteration per benchmark)"

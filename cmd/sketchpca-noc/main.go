@@ -40,20 +40,6 @@ func main() {
 	}
 }
 
-// parseRankMode maps the -rank-mode flag to a core.RankMode.
-func parseRankMode(s string) (core.RankMode, error) {
-	switch strings.ToLower(s) {
-	case "fixed":
-		return core.RankFixed, nil
-	case "3sigma":
-		return core.RankThreeSigma, nil
-	case "energy":
-		return core.RankEnergy, nil
-	default:
-		return 0, fmt.Errorf("unknown rank mode %q (want fixed, 3sigma or energy)", s)
-	}
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("sketchpca-noc", flag.ContinueOnError)
 	var (
@@ -63,9 +49,8 @@ func run(args []string) error {
 		family   = fs.String("sketcher", "randproj", "sketcher family: randproj or fd")
 		sketchL  = fs.Int("sketch", 200, "sketch length (l for -sketcher randproj, basis budget ℓ for fd)")
 		alpha    = fs.Float64("alpha", 0.01, "Q-statistic false-alarm rate")
-		rankMode = fs.String("rank-mode", "fixed", "rank selection: fixed, 3sigma or energy")
-		rank     = fs.Int("rank", 6, "normal-subspace size for -rank-mode fixed")
-		energy   = fs.Float64("energy", 0.9, "retained energy for -rank-mode energy")
+		rank     = fs.Int("rank", 6, "normal-subspace size when -energy is 0")
+		energy   = fs.Float64("energy", 0, "retained spectral energy in (0, 1] that chooses the rank instead of -rank (0 = off)")
 		seed     = fs.Uint64("seed", 42, "shared randomness seed")
 		quiet    = fs.Bool("quiet", false, "print only alarms, not every decision")
 		pull     = cliflags.Pull(fs, tier.NOCPull, "timeout for one sketch-pull round")
@@ -73,17 +58,12 @@ func run(args []string) error {
 		selfchk  = cliflags.SelfCheck(fs, "validate every Nth interval against an exact batch-PCA oracle (0 = off)")
 		metrics  = cliflags.Metrics(fs, "/metrics, /healthz and /debug/pprof")
 		tracing  = cliflags.Trace(fs, "append one JSONL audit record per alarm/degraded decision to this file (off when empty)")
-		flightK  = fs.Int("flight-topk", 0, "residual flows attributed per alarm flight record (0 = default 5, -1 disables)")
 		identK   = fs.Int("identify-topk", 0, "max anomography culprits identified per alarm (0 = default, -1 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	mode, err := parseRankMode(*rankMode)
-	if err != nil {
-		return err
-	}
 	fam, err := sketch.ParseFamily(*family)
 	if err != nil {
 		return fmt.Errorf("-sketcher: %w", err)
@@ -101,7 +81,6 @@ func run(args []string) error {
 		MetricsAddr:    metrics.Addr,
 		Trace:          tracer,
 		FlightRecorder: recorder,
-		FlightTopK:     *flightK,
 		IdentifyMaxK:   *identK,
 		Detector: core.DetectorConfig{
 			Family:     fam,
@@ -109,7 +88,6 @@ func run(args []string) error {
 			WindowLen:  *window,
 			SketchLen:  *sketchL,
 			Alpha:      *alpha,
-			Mode:       mode,
 			FixedRank:  *rank,
 			EnergyFrac: *energy,
 		},

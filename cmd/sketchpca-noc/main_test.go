@@ -1,44 +1,11 @@
 package main
 
-import (
-	"testing"
-
-	"streampca/internal/core"
-)
-
-func TestParseRankMode(t *testing.T) {
-	tests := []struct {
-		in      string
-		want    core.RankMode
-		wantErr bool
-	}{
-		{in: "fixed", want: core.RankFixed},
-		{in: "FIXED", want: core.RankFixed},
-		{in: "3sigma", want: core.RankThreeSigma},
-		{in: "energy", want: core.RankEnergy},
-		{in: "bogus", wantErr: true},
-		{in: "", wantErr: true},
-	}
-	for _, tt := range tests {
-		got, err := parseRankMode(tt.in)
-		if tt.wantErr {
-			if err == nil {
-				t.Fatalf("%q: want error", tt.in)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("%q: %v", tt.in, err)
-		}
-		if got != tt.want {
-			t.Fatalf("%q = %v, want %v", tt.in, got, tt.want)
-		}
-	}
-}
+import "testing"
 
 func TestRunRejectsBadConfig(t *testing.T) {
 	cases := [][]string{
-		{"-rank-mode", "bogus"},
+		{"-energy", "NaN"},
+		{"-energy", "1.5"},
 		{"-flows", "0"},
 		{"-alpha", "2"},
 		{"-rank", "999"},

@@ -156,7 +156,6 @@ func run(o options) error {
 			WindowLen: windowLen,
 			SketchLen: sketchParam,
 			Alpha:     0.01,
-			Mode:      core.RankFixed,
 			FixedRank: 6,
 		},
 		Seed:           seed,

@@ -26,7 +26,7 @@ type fullBuild struct {
 
 // fullRandProj decomposes the fetch's sketch Gram with the all-pairs
 // mat.SymEigen.
-func fullRandProj(t *testing.T, f Fetch, l int) (fullBuild, *mat.Matrix) {
+func fullRandProj(t *testing.T, f Fetch, l int) fullBuild {
 	t.Helper()
 	z, err := AssembleSketchMatrix(f.Sketches, l)
 	if err != nil {
@@ -41,7 +41,7 @@ func fullRandProj(t *testing.T, f Fetch, l int) (fullBuild, *mat.Matrix) {
 	for j, lam := range eig.Values {
 		sv[j] = math.Sqrt(math.Max(lam, 0))
 	}
-	return fullBuild{sv: sv, realLen: len(sv), v: eig.Vectors, cov: g}, z
+	return fullBuild{sv: sv, realLen: len(sv), v: eig.Vectors, cov: g}
 }
 
 // fullFD scatters every FD block's small-side singular pairs into m×m and
@@ -106,44 +106,23 @@ func column(a *mat.Matrix, j int) []float64 {
 	return c
 }
 
-// rank applies mode's rule to the full build the way the detector used to:
-// 3σ projects the sketch matrix z on the full build's columns.
-func (fb fullBuild) rank(t *testing.T, cfg DetectorConfig, z *mat.Matrix) int {
-	t.Helper()
+// rank applies the detector's rank rule to the full build's spectrum.
+func (fb fullBuild) rank(cfg DetectorConfig) int {
 	sv := fb.sv[:fb.realLen]
-	switch cfg.Mode {
-	case RankEnergy:
-		var total, acc float64
-		for _, s := range sv {
-			total += s * s
-		}
-		for j, s := range sv {
-			acc += s * s
-			if acc >= cfg.EnergyFrac*total {
-				return j + 1
-			}
-		}
-		return len(sv)
-	case RankThreeSigma:
-		l := z.Rows()
-		for j, s := range sv {
-			if s == 0 {
-				return j
-			}
-			proj, err := z.MulVec(column(fb.v, j))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range proj {
-				if math.Abs(p) > 3*s/math.Sqrt(float64(l)) {
-					return j
-				}
-			}
-		}
-		return len(sv)
-	default:
+	if cfg.EnergyFrac == 0 {
 		return cfg.FixedRank
 	}
+	var total, acc float64
+	for _, s := range sv {
+		total += s * s
+	}
+	for j, s := range sv {
+		acc += s * s
+		if acc >= cfg.EnergyFrac*total {
+			return j + 1
+		}
+	}
+	return len(sv)
 }
 
 // culprits returns the identified flows as a sorted set.
@@ -159,7 +138,7 @@ func culprits(id *Identification) []int {
 // TestLeadingBasisMatchesFullSolve is the differential test of the model
 // build against one that keeps every component — the all-pairs mat.SymEigen
 // of the m×m sketch Gram for randproj, every block pair for FD — and applies
-// the rank rule and threshold to that, for every rank mode of both families.
+// the rank rule and threshold to that, for both rank rules of both families.
 // Rank and ThresholdCapped must be equal, identified culprit sets identical
 // (and empty when the rank rule passes all m components: the distance is then
 // 0 and nothing is left to identify in) and the Gram of Sketch the covariance
@@ -194,23 +173,21 @@ func leadingBasisMatchesFullSolve(t *testing.T, mxmOnly bool) {
 	const n, k = 300, 3
 	rp := []sketch.Family{sketch.FamilyRandProj}
 	both := []sketch.Family{sketch.FamilyRandProj, sketch.FamilyFD}
-	all := []RankMode{RankFixed, RankEnergy, RankThreeSigma}
+	// An energy fraction of 0 is the fixed rank.
+	all := []float64{0, 0.9}
 	for _, c := range []struct {
 		m, l, fixedRank int
 		families        []sketch.Family
-		modes           []RankMode
-		// spiky: one spiked interval, before which the 3σ rule stops.
+		energies        []float64
+		// spiky: one spiked interval in the stream.
 		spiky bool
 		// smallSide: the randproj build must take the l×l side.
 		smallSide bool
 	}{
 		{24, 32, 4, both, all, false, false},
 		{48, 32, 4, both, all, true, true},
-		// Dense sketches pass the 3σ rule up to λ̂_l, a rank the l×l side
-		// cannot hold (on this stream at l = 8: the rule stops at 28), and so
-		// does a fixed rank above l.
-		{48, 8, 4, rp, []RankMode{RankThreeSigma}, false, false},
-		{48, 4, 6, rp, []RankMode{RankFixed}, false, false},
+		// A fixed rank above l, which the l×l side cannot hold.
+		{48, 4, 6, rp, []float64{0}, false, false},
 	} {
 		m, l := c.m, c.l
 		rng := rand.New(rand.NewSource(30))
@@ -219,22 +196,19 @@ func leadingBasisMatchesFullSolve(t *testing.T, mxmOnly bool) {
 			x.Set(n/2, 7, x.At(n/2, 7)+400)
 		}
 		for _, family := range c.families {
-			for _, mode := range c.modes {
-				if family == sketch.FamilyFD && mode == RankThreeSigma {
-					continue // rejected by NewDetector
-				}
+			for _, energy := range c.energies {
 				smallSide := c.smallSide && family == sketch.FamilyRandProj
 				if mxmOnly && smallSide {
 					continue
 				}
-				name := fmt.Sprintf("m=%d/l=%d/%v/%v", m, l, family, mode)
+				name := fmt.Sprintf("m=%d/l=%d/%v/energy=%v", m, l, family, energy)
 				sketchLen := l
 				if family == sketch.FamilyFD {
 					sketchLen = 0
 				}
 				_, fetch, p := striped(t, Params{Family: family, NumFlows: m, WindowLen: n, SketchLen: sketchLen, Seed: 5}, 3, x)
 				det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: p.SketchLen, Alpha: 0.01,
-					Family: family, Mode: mode, FixedRank: c.fixedRank})
+					Family: family, EnergyFrac: energy, FixedRank: c.fixedRank})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -248,13 +222,12 @@ func leadingBasisMatchesFullSolve(t *testing.T, mxmOnly bool) {
 				got := det.Model()
 
 				var full fullBuild
-				var z *mat.Matrix
 				if family == sketch.FamilyFD {
 					full = fullFD(t, f, m)
 				} else {
-					full, z = fullRandProj(t, f, l)
+					full = fullRandProj(t, f, l)
 				}
-				rank := full.rank(t, det.cfg, z)
+				rank := full.rank(det.cfg)
 				threshold, capped, err := stats.QStatisticCapped(full.sv[:full.realLen], n, rank, 0.01)
 				if err != nil {
 					t.Fatalf("%s: reference threshold: %v", name, err)

@@ -9,6 +9,7 @@ import (
 	"streampca/internal/mat"
 	"streampca/internal/pca"
 	"streampca/internal/randproj"
+	"streampca/internal/sketch"
 )
 
 func testGen(t *testing.T, l, window int) *randproj.Generator {
@@ -135,22 +136,16 @@ func TestNewDetectorValidation(t *testing.T) {
 		{NumFlows: 5, WindowLen: 100, SketchLen: 0, Alpha: 0.01},
 		{NumFlows: 5, WindowLen: 100, SketchLen: 10, Alpha: 0},
 		{NumFlows: 5, WindowLen: 100, SketchLen: 10, Alpha: 0.01, FixedRank: 9},
-		{NumFlows: 5, WindowLen: 100, SketchLen: 10, Alpha: 0.01, Mode: RankEnergy, EnergyFrac: 2},
-		{NumFlows: 5, WindowLen: 100, SketchLen: 10, Alpha: 0.01, Mode: RankMode(42)},
+		{NumFlows: 5, WindowLen: 100, SketchLen: 10, Alpha: 0.01, EnergyFrac: 2},
+		{NumFlows: 5, WindowLen: 100, SketchLen: 10, Alpha: 0.01, EnergyFrac: math.NaN()},
+		{NumFlows: 5, WindowLen: 100, SketchLen: 10, Alpha: 0.01, EnergyFrac: -0.1},
+		{NumFlows: 5, WindowLen: 100, SketchLen: 10, Alpha: 0.01, EnergyFrac: 1.5},
+		{NumFlows: 5, WindowLen: 100, SketchLen: 10, Alpha: 0.01, EnergyFrac: math.Inf(1)},
+		{NumFlows: 5, WindowLen: 100, SketchLen: 10, Alpha: 0.01, Family: sketch.Family(42)},
 	}
 	for i, cfg := range bad {
 		if _, err := NewDetector(cfg); !errors.Is(err, ErrConfig) {
 			t.Fatalf("case %d: want ErrConfig, got %v", i, err)
-		}
-	}
-}
-
-func TestRankModeString(t *testing.T) {
-	for mode, want := range map[RankMode]string{
-		RankFixed: "fixed", RankThreeSigma: "3sigma", RankEnergy: "energy", RankMode(9): "unknown",
-	} {
-		if got := mode.String(); got != want {
-			t.Fatalf("%d.String() = %q", int(mode), got)
 		}
 	}
 }
@@ -225,7 +220,7 @@ func TestDetectorMatchesExactPCA(t *testing.T) {
 	x := lowRankStream(rng, n, m, k, 2)
 
 	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: l, Seed: 7}, 3, x)
-	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: l, Alpha: 0.01, Mode: RankFixed, FixedRank: k})
+	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: l, Alpha: 0.01, FixedRank: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,9 +451,9 @@ func TestRankModesOnSketch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n, m, k := 300, 10, 3
 	x := lowRankStream(rng, n, m, k, 0.5)
-	for _, mode := range []RankMode{RankFixed, RankThreeSigma, RankEnergy} {
+	for _, energy := range []float64{0, 0.9} {
 		_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 128, Seed: 5}, 1, x)
-		det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 128, Alpha: 0.01, Mode: mode, FixedRank: k})
+		det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 128, Alpha: 0.01, EnergyFrac: energy, FixedRank: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,82 +465,12 @@ func TestRankModesOnSketch(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := det.Model().Rank
-		if r < 0 || r > m {
-			t.Fatalf("%v: rank %d", mode, r)
-		}
-		if mode == RankFixed && r != k {
+		if energy == 0 && r != k {
 			t.Fatalf("fixed rank = %d, want %d", r, k)
 		}
-		if mode == RankEnergy && (r < 1 || r > k+2) {
+		if energy != 0 && (r < 1 || r > k+2) {
 			t.Fatalf("energy rank = %d for rank-%d data", r, k)
 		}
-	}
-}
-
-func TestAttribute(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	n, m, k := 300, 10, 3
-	x := lowRankStream(rng, n, m, k, 1)
-	det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 128, Alpha: 0.01, FixedRank: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := det.Attribute(x.Row(0), 3); !errors.Is(err, ErrNoModel) {
-		t.Fatalf("no model: %v", err)
-	}
-	_, fetch, _ := striped(t, Params{NumFlows: m, WindowLen: n, SketchLen: 128, Seed: 8}, 2, x)
-	f, err := fetch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := det.RebuildModel(f.Sketches, f.Means, f.Interval); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := det.Attribute([]float64{1}, 3); !errors.Is(err, ErrInput) {
-		t.Fatalf("short vector: %v", err)
-	}
-
-	// Perturb two flows heavily: attribution must rank them first.
-	bad := x.Row(0)
-	bad[2] += 9000
-	bad[7] += 7000
-	top, err := det.Attribute(bad, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 2 {
-		t.Fatalf("topK = %d entries", len(top))
-	}
-	got := map[int]bool{top[0].Flow: true, top[1].Flow: true}
-	if !got[2] || !got[7] {
-		t.Fatalf("attribution = %+v, want flows 2 and 7", top)
-	}
-	if top[0].Share < top[1].Share {
-		t.Fatal("contributions must be sorted descending")
-	}
-	// Shares across all flows sum to 1.
-	all, err := det.Attribute(bad, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, c := range all {
-		sum += c.Share
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("shares sum to %v", sum)
-	}
-	// ‖residual‖ from attribution equals the reported distance.
-	var norm2 float64
-	for _, c := range all {
-		norm2 += c.Residual * c.Residual
-	}
-	dist, err := det.Distance(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(math.Sqrt(norm2)-dist) > 1e-6*math.Max(1, dist) {
-		t.Fatalf("‖residual‖ = %v, distance = %v", math.Sqrt(norm2), dist)
 	}
 }
 

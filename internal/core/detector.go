@@ -12,33 +12,16 @@ import (
 	"streampca/internal/stats"
 )
 
-// RankMode selects how the NOC chooses the normal-subspace size r.
+// RankMode is not read: EnergyFrac alone chooses the rank rule. It stays
+// because the benchmark (bench/) sets DetectorConfig.Mode to RankFixed.
+//
+// Deprecated: unread.
 type RankMode int
 
-const (
-	// RankFixed uses the configured FixedRank (the paper's evaluation
-	// sweeps r = 1…10 this way).
-	RankFixed RankMode = iota + 1
-	// RankThreeSigma applies the 3σ-heuristic of §IV-D to the sketch
-	// matrix's projections.
-	RankThreeSigma
-	// RankEnergy picks the smallest r retaining EnergyFrac of Σλ̂².
-	RankEnergy
-)
-
-// String implements fmt.Stringer.
-func (m RankMode) String() string {
-	switch m {
-	case RankFixed:
-		return "fixed"
-	case RankThreeSigma:
-		return "3sigma"
-	case RankEnergy:
-		return "energy"
-	default:
-		return "unknown"
-	}
-}
+// RankFixed is not read.
+//
+// Deprecated: unread.
+const RankFixed RankMode = 1
 
 // DetectorConfig parameterizes the NOC-side detector.
 type DetectorConfig struct {
@@ -53,18 +36,22 @@ type DetectorConfig struct {
 	SketchLen int
 	// Alpha is the false-alarm rate for the δ threshold.
 	Alpha float64
-	// Mode selects rank determination; defaults to RankFixed.
+	// Mode is not read: EnergyFrac alone chooses the rank rule. It stays
+	// because the benchmark (bench/) sets it.
+	//
+	// Deprecated: unread.
 	Mode RankMode
-	// FixedRank is r for RankFixed.
+	// FixedRank is r when EnergyFrac is 0 (the paper's evaluation sweeps
+	// r = 1…10 this way).
 	FixedRank int
-	// EnergyFrac is the retained-energy fraction for RankEnergy
-	// (defaults to 0.9, the paper's "90% energy" observation).
+	// EnergyFrac, when non-zero, chooses r instead of FixedRank: the smallest
+	// r whose λ̂²_j retain that fraction of Σλ̂² (the paper's "90% energy"
+	// observation reads 0.9). It must lie in (0, 1].
 	EnergyFrac float64
 	// Family is the sketcher family the monitors run; the zero value is
 	// the paper's random projection. For sketch.FamilyFD, Rebuild consumes
 	// Fetch.Blocks and builds the model per monitor block on the small
-	// side; RankThreeSigma is unsupported (it needs the global sketch
-	// matrix, which FD never materializes).
+	// side.
 	Family sketch.Family
 }
 
@@ -121,7 +108,7 @@ type Detector struct {
 	// the sketch matrix's smaller side, factored in place into eig; rows lists
 	// Ẑ's rows for the m×m side, u holds the l×l side's leading eigenvectors,
 	// uj one of them and aj its right vector. y is the centred measurement
-	// Distance and anomalousResidual score, pursuit Identify's storage.
+	// Distance and Identify score, pursuit Identify's storage.
 	z       *mat.Matrix
 	gram    *mat.Matrix
 	eig     mat.EigenLeading
@@ -146,33 +133,13 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 	if math.IsNaN(cfg.Alpha) || cfg.Alpha <= 0 || cfg.Alpha >= 1 {
 		return nil, fmt.Errorf("%w: alpha %v", ErrConfig, cfg.Alpha)
 	}
-	if cfg.Mode == 0 {
-		cfg.Mode = RankFixed
+	if f := cfg.EnergyFrac; f != 0 && !(f > 0 && f <= 1) {
+		return nil, fmt.Errorf("%w: energy fraction %v", ErrConfig, f)
 	}
-	switch cfg.Mode {
-	case RankFixed:
-		if cfg.FixedRank < 0 || cfg.FixedRank > cfg.NumFlows {
-			return nil, fmt.Errorf("%w: fixed rank %d with %d flows", ErrConfig, cfg.FixedRank, cfg.NumFlows)
-		}
-	case RankThreeSigma:
-		// No parameters.
-	case RankEnergy:
-		if cfg.EnergyFrac == 0 {
-			cfg.EnergyFrac = 0.9
-		}
-		if cfg.EnergyFrac <= 0 || cfg.EnergyFrac > 1 {
-			return nil, fmt.Errorf("%w: energy fraction %v", ErrConfig, cfg.EnergyFrac)
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown rank mode %d", ErrConfig, int(cfg.Mode))
+	if cfg.EnergyFrac == 0 && (cfg.FixedRank < 0 || cfg.FixedRank > cfg.NumFlows) {
+		return nil, fmt.Errorf("%w: fixed rank %d with %d flows", ErrConfig, cfg.FixedRank, cfg.NumFlows)
 	}
-	switch cfg.Family {
-	case sketch.FamilyRandProj:
-	case sketch.FamilyFD:
-		if cfg.Mode == RankThreeSigma {
-			return nil, fmt.Errorf("%w: rank mode 3sigma needs the global sketch matrix, which the fd family never materializes", ErrConfig)
-		}
-	default:
+	if cfg.Family != sketch.FamilyRandProj && cfg.Family != sketch.FamilyFD {
 		return nil, fmt.Errorf("%w: unknown sketch family %d", ErrConfig, int(cfg.Family))
 	}
 	return &Detector{cfg: cfg}, nil
@@ -287,16 +254,14 @@ func (d *Detector) factor(n int, rows [][]float64) error {
 // Past the sketch's numerical rank, where λ̂²_j ≤ m·2⁻⁵²·λ̂²_1 (l < m, or a
 // rank-deficient sketch), the eigenvalues are rounding noise of one
 // near-null space and its eigenvectors are not determined by the matrix: any
-// orthonormal basis of it is as good. There, and only there, the vectors the
-// rank rule reads and the basis keeps are the all-pairs mat.SymEigen's, the
-// exact reference the oracle decomposes, and a rank past it takes all r
-// columns from there. Only a rank rule that reads past the numerical rank
-// gets there — a fixed rank above l, or a 3σ rule that passes every component
-// above rounding — and the path exists so that such a model is the one the
-// reference builds (TestLeadingBasisMatchesFullSolve's l < m rows). No
-// rebuild of abilene-eval's evaluations or of the benchmark's workloads takes
-// it. It allocates an m×m Gram and the full solve besides the model, 179 KB
-// at m = 81.
+// orthonormal basis of it is as good. A rank past it — a fixed rank above l,
+// or an energy fraction near enough 1 to count rounding noise — takes all r
+// columns from the all-pairs mat.SymEigen, the exact reference the
+// oracle decomposes, so that such a model is the one the reference builds
+// (TestLeadingBasisMatchesFullSolve's l < m row). No rebuild of
+// abilene-eval's evaluations or of the benchmark's workloads takes that path.
+// It allocates an m×m Gram and the full solve besides the model, 179 KB at
+// m = 81.
 func (d *Detector) fitGram(z *mat.Matrix) (*Model, error) {
 	d.rows = d.rows[:0]
 	for k := 0; k < z.Rows(); k++ {
@@ -313,42 +278,22 @@ func (d *Detector) fitGram(z *mat.Matrix) (*Model, error) {
 	for k < m && d.eig.Values[k] > floor {
 		k++
 	}
-	var full *mat.EigenSym
-	vector := func(j int) ([]float64, error) {
-		if j < k {
-			return d.eig.Vector(j)
-		}
-		if full == nil {
-			if full, err = mat.SymEigen(z.Gram()); err != nil {
-				return nil, err
-			}
-		}
-		col := make([]float64, m)
-		return col, full.Vectors.ColInto(j, col)
-	}
 	sv := singularValues(d.eig.Values, m)
-	rank, built, err := d.chooseRank(sv, z, vector)
-	if err != nil {
-		return nil, fmt.Errorf("rank selection: %w", err)
-	}
+	rank := d.chooseRank(sv)
+	basis := mat.NewMatrix(m, rank)
 	if rank > k {
 		// The whole basis, so that its leading columns share the rounding of
 		// the near-null ones and stay orthogonal to them within n·ε, not
 		// ε·λ̂²_1/λ̂²_{k−1}.
-		if _, err := vector(k); err != nil {
+		full, err := mat.SymEigen(z.Gram())
+		if err != nil {
 			return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
 		}
-		basis := mat.NewMatrix(m, rank)
 		for i := 0; i < m; i++ {
 			copy(basis.RowView(i), full.Vectors.RowView(i)[:rank])
 		}
-		return &Model{Components: basis, Singular: sv, Rank: rank}, nil
-	}
-	basis := columns(m, rank, built)
-	if built == nil {
-		if err := d.eig.VectorsInto(basis); err != nil {
-			return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
-		}
+	} else if err := d.eig.VectorsInto(basis); err != nil {
+		return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
 	}
 	return &Model{Components: basis, Singular: sv, Rank: rank}, nil
 }
@@ -360,11 +305,10 @@ func (d *Detector) fitGram(z *mat.Matrix) (*Model, error) {
 // solved.
 //
 // It returns errNeedGram when l ≥ m, or when the sketch is rank-deficient at
-// the cut: when the first residual component, or any component the rank rule
-// reads, has λ̂²_j ≤ l·2⁻⁵²·λ̂²_1 (always so for r ≥ l). There Ẑᵀu_j/λ̂_j is
-// rounding noise rather than a unit vector, and the Gram's rounding-level
-// eigenvalues, which stand where this side has exact zeros, would set the
-// residual spectrum and the 3σ rule's stopping point.
+// the cut: when the first residual component has λ̂²_j ≤ l·2⁻⁵²·λ̂²_1 (always
+// so for r ≥ l). There Ẑᵀu_j/λ̂_j is rounding noise rather than a unit
+// vector, and the Gram's rounding-level eigenvalues, which stand where this
+// side has exact zeros, would set the residual spectrum.
 func (d *Detector) fitSmallSide(z *mat.Matrix, sketches [][]float64) (*Model, error) {
 	l := z.Rows()
 	if l >= z.Cols() {
@@ -381,28 +325,11 @@ func (d *Detector) fitSmallSide(z *mat.Matrix, sketches [][]float64) (*Model, er
 	for k < l && eig.Values[k] > floor {
 		k++
 	}
-	vector := func(j int) ([]float64, error) {
-		if j >= k {
-			return nil, errNeedGram
-		}
-		u, err := eig.Vector(j)
-		if err != nil {
-			return nil, err
-		}
-		a := make([]float64, d.cfg.NumFlows)
-		return a, rightVector(a, z, u, sv[j])
-	}
-	rank, built, err := d.chooseRank(sv, z, vector)
-	if err != nil {
-		return nil, fmt.Errorf("rank selection: %w", err)
-	}
+	rank := d.chooseRank(sv)
 	if rank >= k {
 		return nil, errNeedGram
 	}
-	basis := columns(d.cfg.NumFlows, rank, built)
-	if built != nil {
-		return &Model{Components: basis, Singular: sv, Rank: rank}, nil
-	}
+	basis := mat.NewMatrix(d.cfg.NumFlows, rank)
 	if d.u == nil || d.u.Rows() != l || d.u.Cols() != rank {
 		d.u = mat.NewMatrix(l, rank)
 	}
@@ -424,18 +351,6 @@ func (d *Detector) fitSmallSide(z *mat.Matrix, sketches [][]float64) (*Model, er
 		}
 	}
 	return &Model{Components: basis, Singular: sv, Rank: rank}, nil
-}
-
-// columns returns the m×r basis whose first columns are vecs[:r], or a zero
-// one for nil vecs.
-func columns(m, r int, vecs [][]float64) *mat.Matrix {
-	basis := mat.NewMatrix(m, r)
-	for j := 0; j < r && vecs != nil; j++ {
-		for i, x := range vecs[j] {
-			basis.Set(i, j, x)
-		}
-	}
-	return basis
 }
 
 // singularValues returns λ̂_j = √λ̂²_j for the descending eigenvalues of a
@@ -587,10 +502,7 @@ func (d *Detector) RebuildFD(blocks []sketch.Snapshot, builtAt int64) error {
 	for j := 0; j < realLen; j++ {
 		sv[j] = pairs[j].s
 	}
-	rank, _, err := d.chooseRank(sv[:realLen], nil, nil)
-	if err != nil {
-		return fmt.Errorf("rank selection: %w", err)
-	}
+	rank := d.chooseRank(sv[:realLen])
 	// Columns past the kept spectrum stay zero: a fixed rank may exceed it.
 	basis := mat.NewMatrix(m, rank)
 	for j := 0; j < rank && j < realLen; j++ {
@@ -627,61 +539,28 @@ func (d *Detector) Rebuild(f Fetch) error {
 	return d.RebuildModel(f.Sketches, f.Means, f.Interval)
 }
 
-// chooseRank applies the configured rank policy to a freshly decomposed
-// sketch matrix: sv is its spectrum. Only RankThreeSigma reads z, the sketch
-// matrix, and vector(j), â_j — asking for one vector at a time until its rule
-// stops; both are nil for FD, and NewDetector rejects that combination. It
-// returns the vectors it asked for, at least the first r, for the caller to
-// keep; nil under the other rules.
-func (d *Detector) chooseRank(sv []float64, z *mat.Matrix, vector func(int) ([]float64, error)) (int, [][]float64, error) {
-	switch d.cfg.Mode {
-	case RankFixed:
-		return d.cfg.FixedRank, nil, nil
-	case RankEnergy:
-		var total float64
-		for _, s := range sv {
-			total += s * s
-		}
-		if total == 0 {
-			return 0, nil, nil
-		}
-		var acc float64
-		for j, s := range sv {
-			acc += s * s
-			if acc >= d.cfg.EnergyFrac*total {
-				return j + 1, nil, nil
-			}
-		}
-		return len(sv), nil, nil
-	case RankThreeSigma:
-		// Examine Ẑ·â_j one component at a time; the first projection with
-		// an element beyond 3σ_j starts the anomalous subspace (§IV-D).
-		l := z.Rows()
-		proj := make([]float64, l)
-		built := [][]float64{}
-		for j := 0; j < len(sv); j++ {
-			if sv[j] == 0 {
-				return j, built, nil
-			}
-			sigma := sv[j] / math.Sqrt(float64(l))
-			col, err := vector(j)
-			if err != nil {
-				return 0, nil, err
-			}
-			built = append(built, col)
-			if err := z.MulVecTo(proj, col); err != nil {
-				return 0, nil, err
-			}
-			for _, v := range proj {
-				if math.Abs(v) > 3*sigma {
-					return j, built, nil
-				}
-			}
-		}
-		return len(sv), built, nil
-	default:
-		return 0, nil, fmt.Errorf("%w: unknown rank mode %d", ErrConfig, int(d.cfg.Mode))
+// chooseRank applies the configured rank rule to a freshly decomposed
+// spectrum sv: FixedRank when EnergyFrac is 0, else the smallest r retaining
+// EnergyFrac of Σλ̂².
+func (d *Detector) chooseRank(sv []float64) int {
+	if d.cfg.EnergyFrac == 0 {
+		return d.cfg.FixedRank
 	}
+	var total float64
+	for _, s := range sv {
+		total += s * s
+	}
+	if total == 0 {
+		return 0
+	}
+	var acc float64
+	for j, s := range sv {
+		acc += s * s
+		if acc >= d.cfg.EnergyFrac*total {
+			return j + 1
+		}
+	}
+	return len(sv)
 }
 
 // Distance computes the anomaly distance d_Ẑ(y) of a raw measurement vector

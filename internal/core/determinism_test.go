@@ -122,11 +122,11 @@ func TestDetectorRebuildDeterministic(t *testing.T) {
 
 	run := func() *Model {
 		det, err := NewDetector(DetectorConfig{
-			NumFlows:  numFlows,
-			WindowLen: 256,
-			SketchLen: sketchLen,
-			Alpha:     0.01,
-			Mode:      RankThreeSigma,
+			NumFlows:   numFlows,
+			WindowLen:  256,
+			SketchLen:  sketchLen,
+			Alpha:      0.01,
+			EnergyFrac: 0.9,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -50,7 +50,7 @@ func TestRebuildFDTruncatedSpectrumThresholdUnavailable(t *testing.T) {
 	blocks := fdBlocks(t, [][]int{{0, 1, 2, 3, 4, 5}}, ell, x)
 	det, err := NewDetector(DetectorConfig{
 		NumFlows: m, WindowLen: 32, SketchLen: ell,
-		Alpha: 0.01, Mode: RankFixed, FixedRank: m,
+		Alpha: 0.01, FixedRank: m,
 		Family: sketch.FamilyFD,
 	})
 	if err != nil {
@@ -95,7 +95,7 @@ func TestRebuildFDValidation(t *testing.T) {
 	}
 	det, err := NewDetector(DetectorConfig{
 		NumFlows: m, WindowLen: 16, SketchLen: ell,
-		Alpha: 0.01, Mode: RankFixed, FixedRank: 1,
+		Alpha: 0.01, FixedRank: 1,
 		Family: sketch.FamilyFD,
 	})
 	if err != nil {
@@ -159,7 +159,7 @@ func TestRebuildFDMergedBlocksStayOnOneMonitor(t *testing.T) {
 	}
 	det, err := NewDetector(DetectorConfig{
 		NumFlows: m, WindowLen: n, SketchLen: ell,
-		Alpha: 0.01, Mode: RankFixed, FixedRank: rank,
+		Alpha: 0.01, FixedRank: rank,
 		Family: sketch.FamilyFD,
 	})
 	if err != nil {
@@ -250,17 +250,5 @@ func TestClusterFDEllDefaulting(t *testing.T) {
 	fd.NumFlows, fd.SketchLen = 31, 4
 	if _, _, p := striped(t, fd, 3, nil); p.SketchLen != 4 {
 		t.Fatalf("uneven split with explicit ell: ℓ %d", p.SketchLen)
-	}
-}
-
-// TestDetectorRejectsFDThreeSigma: the 3σ rank heuristic needs the global
-// sketch matrix, which FD never materializes.
-func TestDetectorRejectsFDThreeSigma(t *testing.T) {
-	_, err := NewDetector(DetectorConfig{
-		NumFlows: 4, WindowLen: 16, SketchLen: 2, Alpha: 0.01,
-		Mode: RankThreeSigma, Family: sketch.FamilyFD,
-	})
-	if !errors.Is(err, ErrConfig) {
-		t.Fatalf("fd + 3sigma: %v", err)
 	}
 }

@@ -24,29 +24,6 @@ type Identification struct {
 	Stop string
 }
 
-// anomalousResidual centers x against the model means and projects it onto
-// the anomalous subspace, the complement of Components = P_r. Both Attribute
-// and Identify start here, so the two views of an alarm are computed from the
-// same residual bit for bit. The residual is the detector's storage, valid
-// until the next call.
-func (d *Detector) anomalousResidual(x []float64) ([]float64, error) {
-	m := d.cfg.NumFlows
-	if len(x) != m {
-		return nil, fmt.Errorf("%w: vector of %d for %d flows", ErrInput, len(x), m)
-	}
-	if len(d.y) != m {
-		d.y = make([]float64, m)
-	}
-	for j, v := range x {
-		d.y[j] = v - d.model.Means[j]
-	}
-	r, err := d.pursuit.Residual(d.model.Components, d.y)
-	if err == nil && d.model.Rank >= m {
-		clear(r) // no anomalous subspace is left, as in Distance
-	}
-	return r, err
-}
-
 // Identify runs the anomography pursuit on a measurement against the
 // in-force model: it returns the ranked set of flows whose injections
 // explain the anomalous residual, stopping when the unexplained residual
@@ -60,9 +37,24 @@ func (d *Detector) Identify(x []float64, maxK int) (*Identification, error) {
 	if d.model == nil {
 		return nil, ErrNoModel
 	}
-	r0, err := d.anomalousResidual(x)
+	m := d.cfg.NumFlows
+	if len(x) != m {
+		return nil, fmt.Errorf("%w: vector of %d for %d flows", ErrInput, len(x), m)
+	}
+	if len(d.y) != m {
+		d.y = make([]float64, m)
+	}
+	// Centre x against the model means and project it onto the anomalous
+	// subspace, the complement of Components = P_r.
+	for j, v := range x {
+		d.y[j] = v - d.model.Means[j]
+	}
+	r0, err := d.pursuit.Residual(d.model.Components, d.y)
 	if err != nil {
 		return nil, err
+	}
+	if d.model.Rank >= m {
+		clear(r0) // no anomalous subspace is left, as in Distance
 	}
 	cfg := anomography.Config{
 		MaxK:         maxK,

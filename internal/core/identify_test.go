@@ -70,6 +70,14 @@ func TestIdentify(t *testing.T) {
 	if id.Flows[0].Flow != 2 {
 		t.Fatalf("heavier injection must rank first: %+v", id.Flows)
 	}
+	// The pursuit starts from the residual Distance measures.
+	dist, err := det.Distance(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(id.InitialSPE-dist) > 1e-6*math.Max(1, dist) {
+		t.Fatalf("initial SPE %v, distance %v", id.InitialSPE, dist)
+	}
 	thr := det.Model().Threshold
 	if id.InitialSPE <= thr {
 		t.Fatalf("test premise broken: injected SPE %g under threshold %g", id.InitialSPE, thr)

@@ -33,7 +33,7 @@ func TestRebuildModelCapsDegenerateSpectrum(t *testing.T) {
 	const m = 101
 	det, err := NewDetector(DetectorConfig{
 		NumFlows: m, WindowLen: 64, SketchLen: m,
-		Alpha: 0.01, Mode: RankFixed, FixedRank: 0,
+		Alpha: 0.01, FixedRank: 0,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestObserveCappedThresholdAlarms(t *testing.T) {
 	const m = 101
 	det, err := NewDetector(DetectorConfig{
 		NumFlows: m, WindowLen: 64, SketchLen: m,
-		Alpha: 0.01, Mode: RankFixed, FixedRank: 0,
+		Alpha: 0.01, FixedRank: 0,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestObserveCappedThresholdAlarms(t *testing.T) {
 func TestRebuildIsScaleInvariant(t *testing.T) {
 	const m = 81
 	for _, l := range []int{32, 100} {
-		for _, mode := range []RankMode{RankFixed, RankEnergy, RankThreeSigma} {
+		for _, energy := range []float64{0, 0.9} {
 			rng := rand.New(rand.NewSource(int64(l)))
 			sketches := make([][]float64, m)
 			means := make([]float64, m)
@@ -139,7 +139,7 @@ func TestRebuildIsScaleInvariant(t *testing.T) {
 			}
 			build := func(e int) (*Model, []float64) {
 				t.Helper()
-				det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: 144, SketchLen: l, Alpha: 0.01, Mode: mode, FixedRank: 4})
+				det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: 144, SketchLen: l, Alpha: 0.01, EnergyFrac: energy, FixedRank: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -154,7 +154,7 @@ func TestRebuildIsScaleInvariant(t *testing.T) {
 					mu[j] = means[j] * scale
 				}
 				if err := det.RebuildModel(sk, mu, 1); err != nil {
-					t.Fatalf("l=%d %v 2^%d: %v", l, mode, e, err)
+					t.Fatalf("l=%d energy=%v 2^%d: %v", l, energy, e, err)
 				}
 				var dist []float64
 				for _, x := range traffic {
@@ -172,7 +172,7 @@ func TestRebuildIsScaleInvariant(t *testing.T) {
 			}
 			want, wantDist := build(0)
 			for _, e := range []int{-40, 40} {
-				name := fmt.Sprintf("l=%d %v 2^%d", l, mode, e)
+				name := fmt.Sprintf("l=%d energy=%v 2^%d", l, energy, e)
 				got, dist := build(e)
 				if got.Rank != want.Rank || got.ThresholdUnavailable != want.ThresholdUnavailable {
 					t.Fatalf("%s: rank %d (threshold unavailable %v), unscaled %d (%v)",

@@ -78,7 +78,7 @@ func (s Scenario) params(family sketch.Family) core.Params {
 // detector is the NOC detector the scenario runs under p.
 func (s Scenario) detector(p core.Params) core.DetectorConfig {
 	return core.DetectorConfig{NumFlows: p.NumFlows, WindowLen: p.WindowLen, SketchLen: p.SketchLen,
-		Alpha: s.Alpha, Mode: core.RankFixed, FixedRank: s.Rank, Family: p.Family}
+		Alpha: s.Alpha, FixedRank: s.Rank, Family: p.Family}
 }
 
 // oneMonitor is the randproj sketch state of one monitor over every flow.

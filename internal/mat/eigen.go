@@ -225,7 +225,7 @@ func SymEigenLeading(a *Matrix) (*EigenLeading, error) {
 //
 // a must be exactly symmetric, as Gram's output is: unlike SymEigenLeading's
 // copy, it is not averaged with its transpose. Factor overwrites a and reads
-// it again in Vectors and Vector, up to the next Factor, which reuses f's
+// it again in Vectors and VectorsInto, up to the next Factor, which reuses f's
 // storage (Values included) whenever it is large enough. It returns ErrShape
 // for non-square input and ErrNoConverge if an eigenvalue does not settle or
 // the solve overflows, NaN and Inf entries included (SymEigenLeading reports
@@ -285,7 +285,7 @@ func (f *EigenLeading) Vectors(k int) (*Matrix, error) {
 		return nil, fmt.Errorf("%w: %d leading eigenvectors of %d", ErrShape, k, f.n)
 	}
 	w := NewMatrix(f.n, k)
-	return w, f.vectors(w.data, 0, k)
+	return w, f.vectors(w.data, k)
 }
 
 // VectorsInto is Vectors(dst.Cols()) into the caller's n×k dst.
@@ -293,26 +293,10 @@ func (f *EigenLeading) VectorsInto(dst *Matrix) error {
 	if dst.rows != f.n || dst.cols > f.n {
 		return fmt.Errorf("%w: %d leading eigenvectors of %d into %dx%d", ErrShape, dst.cols, f.n, dst.rows, dst.cols)
 	}
-	return f.vectors(dst.data, 0, dst.cols)
+	return f.vectors(dst.data, dst.cols)
 }
 
-// Vector returns the unit eigenvector for Values[j], bit for bit column j of
-// any Vectors(k) with k > j: a column depends only on the columns before it
-// (see vectors), which Vector finds too but does not back-transform. It
-// returns ErrShape for j outside [0, n).
-func (f *EigenLeading) Vector(j int) ([]float64, error) {
-	if j < 0 || j >= f.n {
-		return nil, fmt.Errorf("%w: eigenvector %d of %d", ErrShape, j, f.n)
-	}
-	v := make([]float64, f.n)
-	if err := f.vectors(v, j, j+1); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// vectors writes the eigenvectors for Values[from:k] into the n×(k−from)
-// row-major w. It finds the eigenvectors of T for Values[:k] that tv does
+// vectors writes the eigenvectors for Values[:k] into the n×k row-major w. It finds the eigenvectors of T for Values[:k] that tv does
 // not hold yet, in order, and keeps them there; each comes from inverse
 // iteration on its block of T·2^−⌊log₂‖T‖₁⌋ under LAPACK dstein's rules (a
 // block of one is a unit vector). The growth test below is an absolute bound,
@@ -350,7 +334,7 @@ func (f *EigenLeading) Vector(j int) ([]float64, error) {
 // found once per Factor, in order, whatever the calls asked for. The
 // reflectors then take w's columns to A's coordinates, first to last; the
 // columns share every pass over them but no arithmetic.
-func (f *EigenLeading) vectors(w []float64, from, k int) error {
+func (f *EigenLeading) vectors(w []float64, k int) error {
 	n := f.n
 	for len(f.tv) < k*n {
 		c := len(f.tv) / n
@@ -390,10 +374,9 @@ func (f *EigenLeading) vectors(w []float64, from, k int) error {
 			f.tv[c*n+lo+i] = v / norm
 		}
 	}
-	k -= from
 	for c := 0; c < k; c++ {
 		for i := 0; i < n; i++ {
-			w[i*k+c] = f.tv[(from+c)*n+i]
+			w[i*k+c] = f.tv[c*n+i]
 		}
 	}
 	g := f.g[:k]

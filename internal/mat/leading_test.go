@@ -57,13 +57,27 @@ func sortDescending(x []float64) {
 	copy(x, sorted)
 }
 
+// leadingVectors returns all n eigenvectors of a from a new factor.
+func leadingVectors(t *testing.T, a *Matrix) *Matrix {
+	t.Helper()
+	f, err := SymEigenLeading(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := f.Vectors(a.Rows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // checkClusters holds SymEigenLeading on a = Q·diag(values)·Qᵀ to the
 // leading-vector contract, with ql = SymEigen(a) the reference and k the
 // number of values the groups cover. With ε = 2⁻⁵², ‖A‖ the Frobenius norm
 // and ν = max(n, 8):
 //
 //	the Values equal ql's bit for bit when a is irreducible;
-//	Vector(j) is column j of Vectors(k) bit for bit;
+//	Vectors(k) is the first k columns of another factor's Vectors(n) bit for bit;
 //	‖VᵀV − I‖_F              ≤ 4·ν·ε;
 //	‖A·v_j − λ_j·v_j‖         ≤ 2·ν·ε·‖A‖ for every j < k;
 //	‖V_G·V_Gᵀ − W_G·W_Gᵀ‖_F  ≤ n·ε·‖A‖/gap_G for each group G, from n = 8,
@@ -107,14 +121,15 @@ func checkClusters(t *testing.T, name string, a *Matrix, values []float64, group
 	if err != nil {
 		t.Fatalf("%s: Vectors(%d): %v", name, k, err)
 	}
+	all := leadingVectors(t, a)
+	u := make([]float64, n)
 	for j := 0; j < k; j++ {
-		u, err := f.Vector(j)
-		if err != nil {
-			t.Fatalf("%s: Vector(%d): %v", name, j, err)
+		if err := v.ColInto(j, u); err != nil {
+			t.Fatal(err)
 		}
 		for i, x := range u {
-			if math.Float64bits(x) != math.Float64bits(v.At(i, j)) {
-				t.Fatalf("%s: Vector(%d) differs from column %d of Vectors(%d) at %d", name, j, j, k, i)
+			if math.Float64bits(x) != math.Float64bits(all.At(i, j)) {
+				t.Fatalf("%s: column %d of Vectors(%d) differs from Vectors(%d)'s at %d", name, j, k, n, i)
 			}
 		}
 		av, _ := a.MulVec(u)

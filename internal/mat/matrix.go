@@ -112,7 +112,7 @@ func (m *Matrix) RowsView(r int) *Matrix {
 }
 
 // ColInto copies column j into dst, which must have length Rows, without
-// allocating (e.g. the detector's 3σ rank scan reusing one scratch column).
+// allocating (e.g. the detector reading its l×l side's eigenvectors one by one).
 func (m *Matrix) ColInto(j int, dst []float64) error {
 	if len(dst) != m.rows {
 		return fmt.Errorf("%w: column of %d rows into buffer of %d", ErrShape, m.rows, len(dst))

@@ -89,7 +89,7 @@ func TestChaosTraceLineage(t *testing.T) {
 
 	rows := chaosRows(53, total+1)
 	// Structure-breaking shifts on flows 2 (mon-c) and 6 (mon-a): big enough
-	// to clear the threshold, attributable by the flight recorder's top-k.
+	// to clear the threshold, named by the alarm's identification.
 	rows[anomaly-1][2] += 4000
 	rows[anomaly-1][6] += 3000
 
@@ -307,16 +307,13 @@ func TestChaosTraceLineage(t *testing.T) {
 				fm.ID, fm.SketchAge, fm.Stale, fm.BreakerOpen)
 		}
 	}
-	// Attribution must finger the injected flows (2 and 6).
-	got := make(map[int]bool, len(rec.TopFlows))
-	for _, tf := range rec.TopFlows {
-		got[tf.Flow] = true
+	// Identification must name exactly the injected flows (2 and 6).
+	got := make(map[int]bool, len(rec.Identified))
+	for _, f := range rec.Identified {
+		got[f.Flow] = true
 	}
-	if !got[2] || !got[6] {
-		t.Errorf("top residual flows %v must include the injected flows 2 and 6", rec.TopFlows)
-	}
-	if len(rec.TopFlows) > 0 && rec.TopFlows[0].Flow != 2 && rec.TopFlows[0].Flow != 6 {
-		t.Errorf("top residual flow %v is not one of the injected flows", rec.TopFlows[0])
+	if len(got) != 2 || !got[2] || !got[6] {
+		t.Errorf("identified flows %+v, want exactly the injected flows 2 and 6", rec.Identified)
 	}
 
 	// --- Broadcast leg: mon-a's alarm flight record links the same trace. ---

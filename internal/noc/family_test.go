@@ -29,7 +29,6 @@ func fdNocConfig() Config {
 			WindowLen: testWindow,
 			SketchLen: testFDEll,
 			Alpha:     0.002,
-			Mode:      core.RankFixed,
 			FixedRank: 2,
 		},
 		Pull: tier.PullPolicy{Timeout: 2 * time.Second},

@@ -8,11 +8,6 @@ import (
 	"streampca/internal/trace"
 )
 
-// defaultFlightTopK is how many residual flows a flight record attributes
-// when Config.FlightTopK is unset; five covers the paper's evaluation
-// scenarios (1–2 injected flows) with room for collateral contributions.
-const defaultFlightTopK = 5
-
 // FlightMonitor describes one registered monitor's state at decision time:
 // how fresh its last validated sketch report was and whether its circuit
 // breaker currently excludes it from fetches.
@@ -34,8 +29,8 @@ type FlightMonitor struct {
 
 // FlightRecord is one line of the NOC's alarm flight recorder: everything
 // needed to reconstruct an alarm (or a degraded decision) offline — the
-// trace to look up in /debug/trace, the SPE-vs-threshold comparison, which
-// flows drove the residual, and how fresh each monitor's contribution was.
+// trace to look up in /debug/trace, the SPE-vs-threshold comparison, the
+// flows Identify named, and how fresh each monitor's contribution was.
 type FlightRecord struct {
 	Kind      string   `json:"kind"` // "noc.decision"
 	Trace     trace.ID `json:"trace"`
@@ -56,11 +51,6 @@ type FlightRecord struct {
 	ModelDegraded    bool `json:"model_degraded,omitempty"`
 	ModelStaleFlows  int  `json:"model_stale_flows,omitempty"`
 	Refreshed        bool `json:"refreshed,omitempty"`
-	// TopFlows ranks the flows driving the anomalous residual, from
-	// core.Detector.Attribute (paper eq. 4; alarmed decisions only — quiet
-	// and merely-degraded records skip the attribution; empty during warmup,
-	// when no model exists).
-	TopFlows []core.FlowContribution `json:"top_flows,omitempty"`
 	// Identified is the anomography pursuit's culprit set for an alarmed
 	// decision, ranked by confidence; IdentifyExplained and IdentifyStop
 	// are the pursuit's explained-energy fraction and stop reason.
@@ -72,8 +62,8 @@ type FlightRecord struct {
 }
 
 // flightRecord appends one audit line for this decision. Called only from
-// the processing goroutine (detMu discipline). ident is the identification
-// already computed for an alarmed decision (nil otherwise).
+// the processing goroutine. ident is the identification already computed
+// for an alarmed decision (nil otherwise).
 func (s *Service) flightRecord(item tier.Interval, res core.Decision, warmup, degraded bool, ident *core.Identification) {
 	fr := s.cfg.FlightRecorder
 	if fr == nil {
@@ -95,16 +85,6 @@ func (s *Service) flightRecord(item tier.Interval, res core.Decision, warmup, de
 		ModelDegraded:        res.Degraded,
 		ModelStaleFlows:      res.StaleFlows,
 		Refreshed:            res.Refreshed,
-	}
-	// Attribution is alarm-only: quiet and merely-degraded records carry no
-	// residual ranking, so the common path never pays the projection.
-	if !warmup && res.Anomalous && s.cfg.FlightTopK > 0 {
-		s.detMu.Lock()
-		top, err := s.det.Attribute(item.Volumes, s.cfg.FlightTopK)
-		s.detMu.Unlock()
-		if err == nil {
-			rec.TopFlows = top
-		}
 	}
 	if ident != nil {
 		rec.Identified = ident.Flows

@@ -31,7 +31,6 @@ func TestAlarmFlightRecordsCarryIdentification(t *testing.T) {
 
 	cfg := nocConfig()
 	cfg.FlightRecorder = flight
-	cfg.FlightTopK = 3
 	dep := deploy(t, cfg, Topology{Monitors: 3})
 
 	alarms := make(map[int64]Decision)
@@ -103,13 +102,12 @@ func TestAlarmFlightRecordsCarryIdentification(t *testing.T) {
 	}
 }
 
-// TestFlightRecordJSON pins a flight record's JSON keys, the two per-flow
-// lists included: the records are read offline, so the keys are a format.
+// TestFlightRecordJSON pins a flight record's JSON keys, the per-flow list
+// included: the records are read offline, so the keys are a format.
 func TestFlightRecordJSON(t *testing.T) {
 	rec := FlightRecord{
 		Kind: "noc.decision", Trace: 0x2a, Interval: 7, UnixNanos: 1,
 		SPE: 3.5, Threshold: 2, Anomalous: true, Degraded: false,
-		TopFlows:          []core.FlowContribution{{Flow: 4, Residual: -1.5, Share: 0.75}},
 		Identified:        []core.IdentifiedFlow{{Flow: 4, Amount: 250, Confidence: 0.5}},
 		IdentifyExplained: 0.5, IdentifyStop: "threshold",
 		Monitors: []FlightMonitor{{ID: "m", Flows: 9, SketchInterval: 6, SketchAge: 1}},
@@ -120,7 +118,6 @@ func TestFlightRecordJSON(t *testing.T) {
 	}
 	want := `{"kind":"noc.decision","trace":"000000000000002a","interval":7,"unix_ns":1,` +
 		`"spe":3.5,"threshold":2,"anomalous":true,"degraded":false,` +
-		`"top_flows":[{"flow":4,"residual":-1.5,"share":0.75}],` +
 		`"identified":[{"flow":4,"amount":250,"confidence":0.5}],` +
 		`"identify_explained":0.5,"identify_stop":"threshold",` +
 		`"monitors":[{"id":"m","flows":9,"sketch_interval":6,"sketch_age":1}]}`

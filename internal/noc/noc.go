@@ -117,15 +117,10 @@ type Config struct {
 	// Nil (the default) costs one pointer check per call site.
 	Trace *trace.Tracer
 	// FlightRecorder, when non-nil, appends one JSONL FlightRecord per
-	// alarm and per degraded decision: trace ID, SPE vs threshold, top-k
-	// residual flows and the contributing monitor set with sketch ages —
+	// alarm and per degraded decision: trace ID, SPE vs threshold, the
+	// identified culprits and the contributing monitor set with sketch ages —
 	// enough to reconstruct the decision offline. Nil disables.
 	FlightRecorder *trace.FlightRecorder
-	// FlightTopK is how many residual flows the flight recorder attributes
-	// on alarm records (core.Detector.Attribute). 0 selects the default of
-	// 5; negative disables the attribution. Attribution runs only on
-	// alarmed decisions — quiet and merely-degraded intervals skip it.
-	FlightTopK int
 	// IdentifyMaxK caps the anomography culprits identified per alarmed
 	// decision (core.Detector.Identify). 0 selects anomography's default;
 	// negative disables identification entirely. Identifications are
@@ -290,9 +285,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if err := params.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
-	}
-	if cfg.FlightTopK == 0 {
-		cfg.FlightTopK = defaultFlightTopK
 	}
 	if cfg.SelfCheckEvery > 0 && cfg.Detector.Family == sketch.FamilyFD {
 		return nil, fmt.Errorf("%w: the oracle self-check shadows variance histograms and only supports the randproj family", ErrConfig)

@@ -32,7 +32,6 @@ func nocConfig() Config {
 			WindowLen: testWindow,
 			SketchLen: testSketch,
 			Alpha:     0.01,
-			Mode:      core.RankFixed,
 			FixedRank: 2,
 		},
 		Seed: testSeed,

@@ -180,7 +180,7 @@ func newPipeline(t *testing.T, m, n, l, rank int) *pipeline {
 	}
 	det, err := core.NewDetector(core.DetectorConfig{
 		NumFlows: m, WindowLen: n, SketchLen: l,
-		Alpha: 0.01, Mode: core.RankFixed, FixedRank: rank,
+		Alpha: 0.01, FixedRank: rank,
 	})
 	if err != nil {
 		t.Fatal(err)

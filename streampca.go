@@ -73,8 +73,6 @@ type (
 	Decision = core.Decision
 	// FetchFunc pulls fresh sketches from local monitors.
 	FetchFunc = core.FetchFunc
-	// RankMode selects how the normal-subspace size is chosen.
-	RankMode = core.RankMode
 	// SketchFamily selects the streaming-summary implementation monitors
 	// run (random projection or Frequent Directions).
 	SketchFamily = sketch.Family
@@ -92,16 +90,6 @@ type (
 	// SketchGenerator deterministically produces the shared random
 	// numbers r_{tk}.
 	SketchGenerator = randproj.Generator
-)
-
-// Rank-selection modes (paper §IV-D).
-const (
-	// RankFixed uses a configured fixed r.
-	RankFixed = core.RankFixed
-	// RankThreeSigma applies the 3σ-heuristic to the sketch projections.
-	RankThreeSigma = core.RankThreeSigma
-	// RankEnergy retains a configured fraction of spectral energy.
-	RankEnergy = core.RankEnergy
 )
 
 // Sketcher families (-sketcher flag spellings via ParseSketchFamily).

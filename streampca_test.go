@@ -52,7 +52,7 @@ func TestFacadeClusterLifecycle(t *testing.T) {
 					}
 				}
 				det, err := NewDetector(DetectorConfig{NumFlows: m, WindowLen: n, SketchLen: 48,
-					Alpha: 0.005, Mode: RankFixed, FixedRank: 2})
+					Alpha: 0.005, FixedRank: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,7 +107,6 @@ func TestFacadeClusterLifecycle(t *testing.T) {
 						WindowLen: traffic.IntervalsPerDay5Min,
 						SketchLen: 120,
 						Alpha:     0.01,
-						Mode:      RankFixed,
 						FixedRank: 6,
 					},
 					Seed: 42,
@@ -165,13 +164,5 @@ func TestFacadeConstructorsAndErrors(t *testing.T) {
 	}
 	if _, err := det.Distance([]float64{1, 2}); !errors.Is(err, ErrNoModel) {
 		t.Fatalf("no model: %v", err)
-	}
-}
-
-func TestFacadeRankModeNames(t *testing.T) {
-	for _, m := range []RankMode{RankFixed, RankThreeSigma, RankEnergy} {
-		if m.String() == "unknown" {
-			t.Fatalf("rank mode %d unnamed", int(m))
-		}
 	}
 }
