@@ -27,6 +27,8 @@ import (
 	"strings"
 
 	"streampca/internal/eval"
+	"streampca/internal/noc"
+	"streampca/internal/obs"
 	"streampca/internal/sketch"
 	"streampca/internal/traffic"
 )
@@ -369,8 +371,10 @@ func (s *session) figure10(out io.Writer) error {
 	return nil
 }
 
-// commReport replays the scaled workload through a deployment and prints the
-// communication-cost breakdown of the lazy protocol, counted by the NOC.
+// commReport replays the scaled workload through a deployment and prints
+// the lazy protocol's communication cost as the bytes the NOC's transport
+// received on each scored interval, split by whether the interval pulled
+// sketches.
 func (s *session) commReport(out io.Writer) error {
 	w, err := s.workload(false)
 	if err != nil {
@@ -378,24 +382,37 @@ func (s *session) commReport(out io.Writer) error {
 	}
 	sc := w.Scenario
 	sc.Monitors, sc.SketchLen = 9, 200
-	d, err := sc.Replay(sketch.FamilyRandProj, nil, nil)
+	reg := obs.NewRegistry()
+	var recv *obs.Counter
+	var lastBytes, lastFetches int64
+	var intervals, bytes [2]int64 // [0] quiet, [1] pulled
+	d, err := sc.Replay(sketch.FamilyRandProj, reg, func(d *noc.Deployment, st eval.Step) error {
+		if recv == nil {
+			recv = reg.Counter("streampca_transport_bytes_total", "", obs.L("direction", "recv"))
+		}
+		_, fetches, _ := d.NOC.DetectorStats()
+		received := recv.Value()
+		if !st.Decision.Warmup {
+			pulled := 0
+			if fetches > lastFetches {
+				pulled = 1
+			}
+			intervals[pulled]++
+			bytes[pulled] += received - lastBytes
+		}
+		lastBytes, lastFetches = received, fetches
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	obs, fetches, alarms := d.NOC.DetectorStats()
-	model := eval.CommModel{NumFlows: sc.Trace.NumFlows(), NumMonitors: sc.Monitors, SketchLen: sc.SketchLen}
-	cost, err := model.Bytes(obs, fetches)
-	if err != nil {
-		return err
+	observations, fetches, alarms := d.NOC.DetectorStats()
+	fmt.Fprintln(out, "# Communication cost — bytes the NOC's transport received on each scored interval")
+	fmt.Fprintf(out, "observations,%d\nfetches,%d\nalarms,%d\n", observations, fetches, alarms)
+	for i, kind := range []string{"quiet", "pull"} {
+		fmt.Fprintf(out, "%s_intervals,%d\n%s_bytes,%d\nbytes_per_%s_interval,%.0f\n",
+			kind, intervals[i], kind, bytes[i], kind, float64(bytes[i])/float64(max(1, intervals[i])))
 	}
-	lazy := cost.LazyBytes
-	if lazy < 1 {
-		lazy = 1
-	}
-	fmt.Fprintln(out, "# Communication cost — lazy sketch pulls vs eager per-interval pushes")
-	fmt.Fprintf(out, "observations,%d\nfetches,%d\nalarms,%d\n", obs, fetches, alarms)
-	fmt.Fprintf(out, "volume_bytes,%d\nlazy_sketch_bytes,%d\neager_sketch_bytes,%d\nsavings_factor,%.1f\n",
-		cost.VolumeBytes, cost.LazyBytes, cost.EagerBytes, float64(cost.EagerBytes)/float64(lazy))
 	return nil
 }
 

@@ -181,7 +181,7 @@ func TestCommReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"observations,", "fetches,", "lazy_sketch_bytes,", "savings_factor,"} {
+	for _, want := range []string{"observations,", "fetches,", "quiet_bytes,", "pull_bytes,"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}

@@ -11,6 +11,7 @@ import (
 	"streampca/internal/sketch"
 	"streampca/internal/tier"
 	"streampca/internal/transport"
+	"streampca/internal/vh"
 )
 
 const (
@@ -191,21 +192,30 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// randprojReport builds a valid randproj snapshot with recognizable values.
+// randprojReport builds a valid randproj snapshot with recognizable values:
+// its columns are the exact sums a monitor's are, over interval elements
+// and one R′ the flows share.
 func randprojReport(interval int64, flows []int) core.SketchReport {
 	rep := core.SketchReport{
 		Interval: interval,
 		FlowIDs:  append([]int(nil), flows...),
 		Family:   sketch.FamilyRandProj,
+		RowSums:  [][]float64{make([]float64, testSketchLen)},
+	}
+	r := rep.RowSums[0]
+	for k := range r {
+		r[k] = float64(interval * int64(1-2*(k%2)))
 	}
 	for _, f := range flows {
+		mean := vh.Mean(float64(int64(f)*1000*interval+7), interval)
 		col := make([]float64, testSketchLen)
-		for j := range col {
-			col[j] = float64(f*100+j) + float64(interval)/10
+		for k := range col {
+			col[k] = vh.Centred(float64(f*100+k)+float64(interval), r[k], mean, vh.Scale(testSketchLen))
 		}
 		rep.Sketches = append(rep.Sketches, col)
-		rep.Means = append(rep.Means, float64(f))
+		rep.Means = append(rep.Means, mean)
 		rep.Counts = append(rep.Counts, interval)
+		rep.RowSumOf = append(rep.RowSumOf, 0)
 	}
 	return rep
 }
@@ -373,6 +383,19 @@ func TestFetchSubstitutesCachedSnapshot(t *testing.T) {
 	}
 	if resp.Report.Interval != 3 {
 		t.Fatalf("degraded merge interval = %d, want 3 (max of live + cached)", resp.Report.Interval)
+	}
+	// The cached columns keep their counts and R′, so they cross to the NOC
+	// as integer sums (only those decode with an R′), bit for bit.
+	cached := randprojReport(2, []int{4, 5})
+	for i, j := range []int{2, 3} {
+		got := &resp.Report
+		if got.RowSum(j) == nil || !reflect.DeepEqual(got.RowSum(j), cached.RowSums[0]) {
+			t.Fatalf("flow %d came without its R′ %v: %+v", got.FlowIDs[j], cached.RowSums[0], got)
+		}
+		if !reflect.DeepEqual(got.Sketches[j], cached.Sketches[i]) || got.Means[j] != cached.Means[i] || got.Counts[j] != cached.Counts[i] {
+			t.Fatalf("flow %d = %v μ %v c %d, want the cached %v μ %v c %d", got.FlowIDs[j],
+				got.Sketches[j], got.Means[j], got.Counts[j], cached.Sketches[i], cached.Means[i], cached.Counts[i])
+		}
 	}
 	_ = m2 // kept open but silent
 }

@@ -111,6 +111,8 @@ func copySnapshot(dst, s *Snapshot) {
 	out.FlowIDs = append(dst.FlowIDs[:0], s.FlowIDs...)
 	out.Means = append(dst.Means[:0], s.Means...)
 	out.Counts = append(dst.Counts[:0], s.Counts...)
+	out.RowSumOf = append(dst.RowSumOf[:0], s.RowSumOf...)
+	out.RowSums = copyRows(dst.RowSums, s.RowSums)
 	out.Sketches = copyRows(dst.Sketches, s.Sketches)
 	out.FDRows = copyRows(dst.FDRows, s.FDRows)
 	*dst = out
@@ -126,14 +128,16 @@ func copyRows(dst, src [][]float64) [][]float64 {
 }
 
 // mergeRandProj performs the exact column union into dst, sorted by global
-// flow id; a flow reported twice is an error. Counts are carried when the
-// input provides them (they are not part of Validate's contract).
+// flow id; a flow reported twice is an error. Each column keeps its count
+// and its R′, which the union keeps once for each input that carried it.
 func mergeRandProj(dst *Snapshot, snaps []Snapshot) error {
 	n := 0
 	var interval int64
+	sums := false
 	for i := range snaps {
 		n += len(snaps[i].FlowIDs)
 		interval = max(interval, snaps[i].Interval)
+		sums = sums || len(snaps[i].RowSums) > 0
 	}
 	*dst = Snapshot{
 		Interval: interval,
@@ -142,6 +146,11 @@ func mergeRandProj(dst *Snapshot, snaps []Snapshot) error {
 		Sketches: resizeRows(dst.Sketches, n),
 		Means:    resize(dst.Means, n),
 		Counts:   resize(dst.Counts, n),
+		RowSums:  dst.RowSums[:0],
+		RowSumOf: dst.RowSumOf[:0],
+	}
+	if sums {
+		dst.RowSumOf = resize(dst.RowSumOf, n)
 	}
 	k := 0
 	for i := range snaps {
@@ -149,9 +158,12 @@ func mergeRandProj(dst *Snapshot, snaps []Snapshot) error {
 		for j, id := range s.FlowIDs {
 			dst.FlowIDs[k] = id
 			dst.Sketches[k] = append(dst.Sketches[k][:0], s.Sketches[j]...)
-			dst.Means[k], dst.Counts[k] = s.Means[j], 0
-			if j < len(s.Counts) {
-				dst.Counts[k] = s.Counts[j]
+			dst.Means[k], dst.Counts[k] = s.Means[j], s.Counts[j]
+			if sums {
+				dst.RowSumOf[k] = -1
+				if rs := s.RowSum(j); rs != nil {
+					dst.RowSumOf[k] = dst.rowSumIndex(rs)
+				}
 			}
 			k++
 		}
@@ -170,6 +182,9 @@ func (s *byFlow) Swap(a, b int) {
 	s.Sketches[a], s.Sketches[b] = s.Sketches[b], s.Sketches[a]
 	s.Means[a], s.Means[b] = s.Means[b], s.Means[a]
 	s.Counts[a], s.Counts[b] = s.Counts[b], s.Counts[a]
+	if len(s.RowSumOf) > 0 {
+		s.RowSumOf[a], s.RowSumOf[b] = s.RowSumOf[b], s.RowSumOf[a]
+	}
 }
 
 // duplicate rejects a flow that appears twice in the sorted union ids.

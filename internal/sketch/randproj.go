@@ -108,7 +108,8 @@ func (m *RandProj) Update(t int64, volumes []float64) error {
 // (vh.Histogram.PriorSketchInto), the one the NOC is scoring, so a spike is
 // scored against a model it is not part of. Interval stays the newest
 // interval seen; the full-window sums are the histograms' own
-// (Histogram(i).SketchInto).
+// (Histogram(i).SketchInto). Every histogram took the same intervals (Update
+// feeds all or none), so the flows share one R′, RowSums[0].
 func (m *RandProj) Snapshot() Snapshot {
 	var rep Snapshot
 	m.SnapshotInto(&rep)
@@ -124,11 +125,18 @@ func (m *RandProj) SnapshotInto(dst *Snapshot) {
 		Sketches: resizeRows(dst.Sketches, w),
 		Means:    resize(dst.Means, w),
 		Counts:   resize(dst.Counts, w),
+		RowSums:  dst.RowSums[:0],
+		RowSumOf: resize(dst.RowSumOf, w),
 		Family:   FamilyRandProj,
 		FDRows:   dst.FDRows[:0],
 	}
 	for i, h := range m.hists {
 		dst.Sketches[i], dst.Means[i] = h.PriorSketchInto(dst.Sketches[i])
 		dst.Counts[i] = max(0, h.Count()-1)
+		dst.RowSumOf[i] = 0
+	}
+	if len(m.hists) > 0 {
+		dst.RowSums = resizeRows(dst.RowSums, 1)
+		dst.RowSums[0] = m.hists[0].PriorRowSumsInto(dst.RowSums[0])
 	}
 }

@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Snapshot carries a sketcher's current state to the NOC. It is the wire
@@ -21,6 +22,13 @@ type Snapshot struct {
 	Means []float64
 	// Counts[i] is the number of summarized intervals for the flow.
 	Counts []int64
+	// RowSums are the distinct ±1 row sums R′ = Σ r_t over the windows the
+	// columns summarize, and RowSumOf[i] is the index of column i's, or −1
+	// where it is not known (RandProj only; both are empty when none is).
+	// With byte-count volumes a column and its mean are exact integer sums
+	// over R′, and a pull sends those instead (transport's wire.go).
+	RowSums  [][]float64
+	RowSumOf []int
 
 	// Family identifies the producing sketcher; zero is FamilyRandProj.
 	Family Family
@@ -41,9 +49,22 @@ func (r *Snapshot) Validate(sketchParam int) error {
 	n := len(r.FlowIDs)
 	switch r.Family {
 	case FamilyRandProj:
-		if len(r.Sketches) != n || len(r.Means) != n {
-			return fmt.Errorf("%w: report arrays disagree (%d flows, %d sketches, %d means)",
-				ErrInput, n, len(r.Sketches), len(r.Means))
+		if len(r.Sketches) != n || len(r.Means) != n || len(r.Counts) != n {
+			return fmt.Errorf("%w: report arrays disagree (%d flows, %d sketches, %d means, %d counts)",
+				ErrInput, n, len(r.Sketches), len(r.Means), len(r.Counts))
+		}
+		if len(r.RowSumOf) != 0 && len(r.RowSumOf) != n {
+			return fmt.Errorf("%w: %d row-sum indices for %d flows", ErrInput, len(r.RowSumOf), n)
+		}
+		for i, k := range r.RowSumOf {
+			if k < -1 || k >= len(r.RowSums) {
+				return fmt.Errorf("%w: flow %d names row sum %d of %d", ErrInput, r.FlowIDs[i], k, len(r.RowSums))
+			}
+		}
+		for _, rs := range r.RowSums {
+			if len(rs) != sketchParam {
+				return fmt.Errorf("%w: a row sum has length %d, want %d", ErrInput, len(rs), sketchParam)
+			}
 		}
 		for i, s := range r.Sketches {
 			if len(s) != sketchParam {
@@ -95,6 +116,28 @@ func resize[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// RowSum returns column i's R′, or nil when it is not known.
+func (r *Snapshot) RowSum(i int) []float64 {
+	if i >= len(r.RowSumOf) || r.RowSumOf[i] < 0 {
+		return nil
+	}
+	return r.RowSums[r.RowSumOf[i]]
+}
+
+// rowSumIndex returns the index of the row sum equal to v, appending a copy
+// of v when there is none: snapshots of one interval share their R′.
+func (r *Snapshot) rowSumIndex(v []float64) int {
+	for k, rs := range r.RowSums {
+		if slices.Equal(rs, v) {
+			return k
+		}
+	}
+	n := len(r.RowSums)
+	r.RowSums = resizeRows(r.RowSums, n+1)
+	r.RowSums[n] = append(r.RowSums[n][:0], v...)
+	return n
 }
 
 // resizeRows returns rows with length n, keeping the rows its capacity

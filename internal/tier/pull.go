@@ -195,7 +195,12 @@ func (d *Downstream) fill(p *Pull) {
 			cached.FlowIDs = append(cached.FlowIDs, f)
 			cached.Sketches = append(cached.Sketches, slices.Clone(c.sketch))
 			cached.Means = append(cached.Means, c.mean)
+			cached.Counts = append(cached.Counts, c.count)
 			cached.Interval = max(cached.Interval, c.at)
+			cached.RowSumOf = append(cached.RowSumOf, cachedRowSum(&cached, d.cache[c.from], c))
+		}
+		if len(cached.RowSums) == 0 {
+			cached.RowSumOf = nil
 		}
 		if len(cached.FlowIDs) > 0 {
 			p.Reports = append(p.Reports, cached)
@@ -337,14 +342,25 @@ func (d *Downstream) fold(p *Pull, in response, mid string) error {
 		if d.cols != nil && (d.cols[f].sketch == nil || rep.Interval >= d.cols[f].at) {
 			c := &d.cols[f]
 			c.sketch = append(c.sketch[:0], rep.Sketches[i]...)
-			c.mean, c.at = rep.Means[i], rep.Interval
+			c.mean, c.count, c.at, c.from, c.row = rep.Means[i], rep.Counts[i], rep.Interval, mid, -1
+			if i < len(rep.RowSumOf) {
+				c.row = rep.RowSumOf[i]
+			}
 		}
 	}
 	p.Reports = append(p.Reports, *rep)
 	if rep.Family == sketch.FamilyFD {
 		d.cache[mid] = *rep
 	} else {
-		d.cache[mid] = core.SketchReport{Interval: rep.Interval}
+		entry := core.SketchReport{Interval: rep.Interval}
+		if d.cols != nil {
+			// The columns just cached name this report's R′, kept once.
+			entry.RowSums = slices.Grow(d.cache[mid].RowSums[:0], len(rep.RowSums))[:len(rep.RowSums)]
+			for k, rs := range rep.RowSums {
+				entry.RowSums[k] = append(entry.RowSums[k][:0], rs...)
+			}
+		}
+		d.cache[mid] = entry
 		p.held = append(p.held, in)
 	}
 	if in.r.Degraded {
@@ -353,6 +369,22 @@ func (d *Downstream) fold(p *Pull, in response, mid string) error {
 	}
 	p.Interval = max(p.Interval, rep.Interval)
 	return nil
+}
+
+// cachedRowSum returns the index in cached.RowSums of c's R′, adding a copy
+// when it is not there, or −1 when c's R′ is unknown: it came without one,
+// or from's later report has replaced it.
+func cachedRowSum(cached *core.SketchReport, from core.SketchReport, c column) int {
+	if c.row < 0 || from.Interval != c.at || c.row >= len(from.RowSums) {
+		return -1
+	}
+	rs := from.RowSums[c.row]
+	k := slices.IndexFunc(cached.RowSums, func(v []float64) bool { return slices.Equal(v, rs) })
+	if k < 0 {
+		k = len(cached.RowSums)
+		cached.RowSums = append(cached.RowSums, slices.Clone(rs))
+	}
+	return k
 }
 
 // openLocked reports whether b has reached the failure threshold.

@@ -53,8 +53,8 @@ func TestInjectPortScan(t *testing.T) {
 			t.Fatalf("flow %d is not an outgoing flow of router %d", f, src)
 		}
 		for i := start; i < end; i++ {
-			want := base.At(i, f) + mag*tr.baseMeans[f]
-			if math.Abs(tr.Volumes.At(i, f)-want) > 1e-9*want {
+			want := base.At(i, f) + math.Round(mag*tr.baseMeans[f])
+			if tr.Volumes.At(i, f) != want {
 				t.Fatalf("flow %d interval %d: %g want %g", f, i, tr.Volumes.At(i, f), want)
 			}
 		}

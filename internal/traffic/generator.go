@@ -63,7 +63,8 @@ type Injection struct {
 
 // Trace is a generated OD-flow volume matrix with ground-truth labels.
 type Trace struct {
-	// Volumes is the n×m matrix of per-interval OD-flow byte volumes.
+	// Volumes is the n×m matrix of per-interval OD-flow byte volumes, whole
+	// bytes when generated.
 	Volumes *mat.Matrix
 	// FlowNames[j] names OD flow j ("ATLA→CHIC").
 	FlowNames []string
@@ -244,11 +245,7 @@ func Generate(cfg GeneratorConfig) (*Trace, error) {
 					fmix += l * factorSeries[f][i]
 				}
 			}
-			v := baseMeans[j] * fmix * (1 + cfg.LocalNoiseLevel*rng.NormFloat64())
-			if v < 0 {
-				v = 0
-			}
-			row[j] = v
+			row[j] = max(0, math.Round(baseMeans[j]*fmix*(1+cfg.LocalNoiseLevel*rng.NormFloat64())))
 		}
 	}
 
@@ -324,7 +321,7 @@ func (tr *Trace) inject(kind AnomalyKind, flows []int, start, end int, magnitude
 	for i := start; i < end; i++ {
 		row := tr.Volumes.RowView(i)
 		for _, f := range flows {
-			row[f] += magnitude * tr.baseMeans[f]
+			row[f] += math.Round(magnitude * tr.baseMeans[f])
 		}
 	}
 	tr.Injections = append(tr.Injections, Injection{
@@ -360,7 +357,7 @@ func (tr *Trace) InjectFlashCrowd(destIdx, start, end int, peakMagnitude float64
 		ramp := float64(i-start+1) / span
 		row := tr.Volumes.RowView(i)
 		for _, f := range flows {
-			row[f] += peakMagnitude * ramp * tr.baseMeans[f]
+			row[f] += math.Round(peakMagnitude * ramp * tr.baseMeans[f])
 		}
 	}
 	tr.Injections = append(tr.Injections, Injection{

@@ -8,7 +8,9 @@
 // periodicities plus long-range-dependent noise — through a gravity-model
 // loading matrix, so the measurement matrix is approximately low-rank.
 // Anomalies (high-profile spikes, coordinated low-profile shifts, flash
-// crowds) are injected on top and recorded as ground-truth labels.
+// crowds) are injected on top and recorded as ground-truth labels. Volumes
+// are whole bytes, as NetFlow's octet counts are: the generator and every
+// injection round what they write.
 package traffic
 
 import (

@@ -15,6 +15,7 @@ import (
 	"streampca/internal/core"
 	"streampca/internal/obs"
 	"streampca/internal/sketch"
+	"streampca/internal/vh"
 )
 
 // goldenFrames pins the wire format byte for byte: one frame per message
@@ -39,12 +40,21 @@ var goldenFrames = []struct {
 	{"request/traced", Envelope{Request: &SketchRequest{RequestID: 42},
 		Trace: &TraceContext{TraceID: 0xdeadbeef, SpanID: 7}},
 		"83 11000000 | efbeadde00000000 0700000000000000 | 2a"},
-	// Sketch columns are raw, one run each; the means are compact.
+	// Columns without row sums are raw: a run, the mean, the count.
 	{"response/randproj", Envelope{Response: &SketchResponse{RequestID: 3, MonitorID: "m1",
 		Report: core.SketchReport{Interval: 4, FlowIDs: []int{0, 1},
 			Sketches: [][]float64{{0.1, 0.2}, {0.3, 0.4}}, Means: []float64{5, 6}, Counts: []int64{4, 4}}}},
-		"04 45000000 | 03 02 6d31 00 00 | 08 02 00 02 | 02 02 00 9a9999999999b93f 9a9999999999c93f 02 00 333333333333d33f 9a9999999999d93f" +
-			" | 02 01 fe1440 fe1840 | 02 08 08 | 00 | 00 | 0000000000000000 | 00"},
+		"04 4e000000 | 03 02 6d31 00 00 | 08 02 00 02 | 02" +
+			" | 00 02 00 9a9999999999b93f 9a9999999999c93f 0000000000001440 08" +
+			" | 00 02 00 333333333333d33f 9a9999999999d93f 0000000000001840 08 | 00 | 00 | 0000000000000000 | 00"},
+	// Columns that are exact sums go as them: the first with R′ = (2, −2),
+	// c′ = 4, S′ = 10 and Z′ = (13, −3), the second reusing R′ with S′ = 6
+	// and Z′ = (7, 1). R′, c′ and S′ are zigzag varints, Z′ zigzag
+	// integers of the byte width that leads them.
+	{"response/sums", Envelope{Response: &SketchResponse{RequestID: 3, MonitorID: "m1",
+		Report: sumsReport(4, []float64{2, -2}, []int64{10, 6}, [][]float64{{13, -3}, {7, 1}})}},
+		"04 25000000 | 03 02 6d31 00 00 | 0a 02 00 02 | 02" +
+			" | 01 02 04 03 08 14 01 1a 05 | 02 08 0c 01 0e 02 | 00 | 00 | 0000000000000000 | 00"},
 	// FD rows with exact zeros are compact, a zero one byte.
 	{"response/fd", Envelope{Response: &SketchResponse{RequestID: 3, MonitorID: "agg", Degraded: true, StaleFlows: 1,
 		Report: core.SketchReport{Interval: 9, FlowIDs: []int{2, 5}, Means: []float64{10, 20}, Counts: []int64{9, 9},
@@ -58,6 +68,26 @@ var goldenFrames = []struct {
 		"06 09000000 | 07 72656675736564 | 04"},
 	{"shard_map", Envelope{Shards: &ShardMap{Aggregators: []string{"a:1", "b:2"}, Epoch: 5}},
 		"07 0a000000 | 02 03 613a31 03 623a32 | 05"},
+}
+
+// sumsReport is a randproj report whose columns are the exact sums given:
+// flow i has count c′, volume sum sums[i], projection sums z[i] and the
+// flows' shared row sums r.
+func sumsReport(count int64, r []float64, sums []int64, z [][]float64) core.SketchReport {
+	rep := core.SketchReport{Interval: count + 1, RowSums: [][]float64{r}}
+	for i, s := range sums {
+		mean := vh.Mean(float64(s), count)
+		col := make([]float64, len(r))
+		for k := range col {
+			col[k] = vh.Centred(z[i][k], r[k], mean, vh.Scale(len(r)))
+		}
+		rep.FlowIDs = append(rep.FlowIDs, i)
+		rep.Sketches = append(rep.Sketches, col)
+		rep.Means = append(rep.Means, mean)
+		rep.Counts = append(rep.Counts, count)
+		rep.RowSumOf = append(rep.RowSumOf, 0)
+	}
+	return rep
 }
 
 func unhex(t *testing.T, s string) []byte {
@@ -104,7 +134,7 @@ func TestConnOpensWithPreamble(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := unhex(t, "53504341 03 | 03 01000000 2a | 03 01000000 2a")
+	want := unhex(t, "53504341 04 | 03 01000000 2a | 03 01000000 2a")
 	if !bytes.Equal(s.out.Bytes(), want) {
 		t.Fatalf("stream %x, want %x", s.out.Bytes(), want)
 	}
@@ -113,7 +143,8 @@ func TestConnOpensWithPreamble(t *testing.T) {
 // TestRecvRefusesOtherProtocols: a Conn refuses, with ErrVersion, a peer whose
 // stream opens with gob (a build from before this wire) or with another
 // version of this wire (version 1 pulled full windows of Gaussian rows,
-// version 2 carried ε in Hello), and keeps refusing.
+// version 2 carried ε in Hello, version 3 sent every column as floats), and
+// keeps refusing.
 func TestRecvRefusesOtherProtocols(t *testing.T) {
 	var gobPeer bytes.Buffer
 	if err := gob.NewEncoder(&gobPeer).Encode(&Envelope{Hello: &Hello{MonitorID: "old", FlowIDs: []int{0}, WindowLen: 8}}); err != nil {
@@ -127,6 +158,7 @@ func TestRecvRefusesOtherProtocols(t *testing.T) {
 		{"gob peer", gobPeer.Bytes()},
 		{"version 1", version("01")},
 		{"version 2", version("02")},
+		{"version 3", version("03")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &splitStream{}
@@ -355,6 +387,7 @@ func TestColumnsFrameOverPipe(t *testing.T) {
 		rep.FlowIDs = append(rep.FlowIDs, i)
 		rep.Sketches = append(rep.Sketches, col)
 		rep.Means = append(rep.Means, float64(i))
+		rep.Counts = append(rep.Counts, 8)
 	}
 
 	// Each response goes out twice and the second is measured: the first also

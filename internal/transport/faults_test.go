@@ -111,6 +111,7 @@ func TestFaultCorruptResponse(t *testing.T) {
 		Interval: 3, FlowIDs: []int{0, 1},
 		Sketches: [][]float64{{1, 2}, {3, 4}},
 		Means:    []float64{1, 1},
+		Counts:   []int64{2, 2},
 	}
 	fd := core.SketchReport{
 		Interval: 3, FlowIDs: []int{0, 1}, Means: []float64{1, 1},

@@ -5,6 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+
+	"streampca/internal/sketch"
+	"streampca/internal/vh"
 )
 
 // The wire format. A connection opens with the preamble: the magic "SPCA"
@@ -15,11 +19,11 @@ import (
 //	trace    16 bytes when flagged: TraceID and SpanID, little-endian
 //	payload  the payload's fields in declaration order
 //
-// Integers are varints, unsigned for IDs, seeds and epochs; bools one byte;
-// float64 scalars their 8-byte little-endian bit pattern. A string or any
-// other list (ints, culprits, addresses, the rows of a [][]float64) is a
-// uvarint count and the elements. A []float64 is one run: a uvarint count
-// and, unless it is zero, a form byte and the values:
+// Integers are varints (zigzag when signed), unsigned for IDs, seeds and
+// epochs; bools one byte; float64 scalars their 8-byte little-endian bit
+// pattern. A string or any other list (ints, culprits, addresses, the rows
+// of a [][]float64) is a uvarint count and the elements. A []float64 is one
+// run: a uvarint count and, unless it is zero, a form byte and the values:
 //
 //   - formRaw: each value's 8-byte little-endian bit pattern;
 //   - formCompact: gob's float rule, the bit pattern byte-reversed and sent
@@ -28,22 +32,51 @@ import (
 //
 // The encoder takes whichever form is shorter for the run: integer-valued
 // floats, like NetFlow byte counts, are a few bytes compact, and the exact
-// zeros of an aggregator-merged FD row one each; sketch columns are raw.
-// Every float crosses as its exact bit pattern either way.
+// zeros of an aggregator-merged FD row one each. Every float crosses as its
+// exact bit pattern either way.
+//
+// A sketch report's columns are a uvarint count k and, when k is 0 (FD),
+// the means as a run and the counts as a list; else the k columns, each
+// with its flow's mean and count, which such a report must have for every
+// column. A column is a form byte and
+//
+//   - colRaw: the column as a run, its mean as a float, its count;
+//   - colSums, colSumsAgain: the exact sums the column and its mean are
+//     (vh.Centred): for colSums the row sums R′ (a uvarint l and l varints),
+//     for colSumsAgain none, as it reuses the previous integer column's;
+//     then the count c′ and the volume sum S′, varints, and the l
+//     projection sums Z′: a byte w of 1 to 7 and l zigzag integers of w
+//     little-endian bytes each. The decoder rebuilds μ = S′/c′ (0 when
+//     c′ = 0) and ẑ_k = (Z′_k − μ·R′_k)/√l. It refuses c′ < 0, |R′_k| > c′,
+//     R′_k of the other parity than c′, |S′| ≥ 2⁵³ and
+//     |Z′_k| + |μ|·|R′_k| ≥ 2⁵⁰.
+//
+// The encoder sends a column as sums only when the column rebuilt from them
+// has the bits it holds: with ±1 rows and byte counts every pulled column
+// does, at about 4 B a Z′ against 8 raw. Anything else goes raw. Z′ are
+// packed at their column's width, not varints, because a run of fixed-width
+// integers decodes several times faster and varints saved under 1 %.
 
 const (
-	// wireVersion 3: Hello carries no variance-histogram ε. Version 2 added
-	// it; version 1 pulled the full window of Gaussian rows. Mixing versions
-	// at one NOC is refused.
-	wireVersion = 3
+	// wireVersion 4: sketch columns travel as exact integer sums. Version 3
+	// sent them as float runs; version 2 carried the variance-histogram ε
+	// in Hello; version 1 pulled the full window of Gaussian rows. Mixing
+	// versions at one NOC is refused.
+	wireVersion = 4
 	// frameHeader is the kind byte and the length.
 	frameHeader = 5
 	// maxFrame caps a frame's declared length; a longer one is ErrBadMessage
 	// before anything is read into memory. A randproj response at m = 4096,
-	// l = 1024 is 32 MiB.
+	// l = 1024 is 32 MiB with raw columns and about half that as sums; the
+	// sums of one frame may decode to at most maxFrame/8 floats, what the
+	// largest raw frame holds.
 	maxFrame = 1 << 26
 	// traceFlag marks a frame whose header carries a TraceContext.
 	traceFlag = 0x80
+	// sumsBound bounds every |Z′_k| + |μ|·|R′_k| of an integer column: far
+	// above any window of byte counts, and 3 bits below 2⁵³, where integers
+	// are exact floats, for the rounding of the rebuilt column.
+	sumsBound = 1 << 50
 )
 
 var preamble = [...]byte{'S', 'P', 'C', 'A', wireVersion}
@@ -63,6 +96,13 @@ const (
 const (
 	formRaw byte = iota
 	formCompact
+)
+
+// Sketch column forms.
+const (
+	colRaw byte = iota
+	colSums
+	colSumsAgain
 )
 
 // checkPreamble reports whether b, the first len(preamble) bytes a peer sent,
@@ -88,7 +128,9 @@ func appendFrame(dst []byte, e *Envelope) ([]byte, error) {
 	if e.Trace != nil {
 		c.trace(e.Trace)
 	}
-	e.code(&c)
+	if e.code(&c); c.err != nil {
+		return dst, c.err
+	}
 	n := len(c.b) - start - frameHeader
 	if n > maxFrame {
 		return dst, fmt.Errorf("%w: %d-byte frame exceeds the %d-byte cap", ErrBadMessage, n, maxFrame)
@@ -199,12 +241,7 @@ func (e *Envelope) code(c *codec) {
 		rep := &r.Report
 		c.varint(&rep.Interval)
 		c.ints(&rep.FlowIDs)
-		c.rows(&rep.Sketches)
-		c.floats(&rep.Means)
-		list(c, &rep.Counts, 1)
-		for i := range rep.Counts {
-			c.varint(&rep.Counts[i])
-		}
+		c.columns(rep)
 		c.int((*int)(&rep.Family))
 		c.rows(&rep.FDRows)
 		c.float(&rep.FDDelta)
@@ -269,11 +306,14 @@ type codec struct {
 	enc bool
 	b   []byte
 	err error
-	// spare is what is left of one array that decoded raw runs without
-	// room of their own are carved from, sized on first need for every
-	// float the frame's remaining bytes can hold: a fresh response's
-	// columns take one allocation, not one each.
+	// spare is what is left of one array that decoded columns without room
+	// of their own are carved from, sized on first need for every float
+	// the frame's remaining bytes can hold: a fresh response's columns take
+	// one allocation, not one each.
 	spare []float64
+	// fromSums counts the floats integer columns decoded into, which
+	// maxFrame caps.
+	fromSums int
 }
 
 func (c *codec) fail(format string, args ...any) {
@@ -410,14 +450,7 @@ func (c *codec) floats(v *[]float64) {
 	c.b = c.b[1:]
 	switch {
 	case form == formRaw && n <= len(c.b)/8:
-		if cap(*v) >= n {
-			*v = (*v)[:n]
-		} else {
-			if len(c.spare) < n {
-				c.spare = make([]float64, len(c.b)/8)
-			}
-			*v, c.spare = c.spare[:n:n], c.spare[n:]
-		}
+		c.carve(v, n, len(c.b)/8)
 		for i := range *v {
 			(*v)[i] = math.Float64frombits(binary.LittleEndian.Uint64(c.b[8*i:]))
 		}
@@ -430,6 +463,19 @@ func (c *codec) floats(v *[]float64) {
 	default:
 		c.fail("float run of %d values in form %d, %d bytes left", n, form, len(c.b))
 	}
+}
+
+// carve gives *v length n in its own capacity or, lacking it, in the
+// spare, which is sized for need floats when it runs short.
+func (c *codec) carve(v *[]float64, n, need int) {
+	if cap(*v) >= n {
+		*v = (*v)[:n]
+		return
+	}
+	if len(c.spare) < n {
+		c.spare = make([]float64, max(n, need))
+	}
+	*v, c.spare = c.spare[:n:n], c.spare[n:]
 }
 
 // appendRun appends the form byte and the values of a non-empty run.
@@ -494,4 +540,270 @@ func (c *codec) rows(v *[][]float64) {
 	for i := range *v {
 		c.floats(&(*v)[i])
 	}
+}
+
+// columns codes a sketch report's columns, means and counts (see the format
+// comment). Decoding keeps the capacity of rep's arrays.
+func (c *codec) columns(rep *sketch.Snapshot) {
+	k := c.count(len(rep.Sketches), 1)
+	if k == 0 {
+		c.floats(&rep.Means)
+		list(c, &rep.Counts, 1)
+		for i := range rep.Counts {
+			c.varint(&rep.Counts[i])
+		}
+		if !c.enc {
+			setLen(&rep.Sketches, 0)
+			setLen(&rep.RowSums, 0)
+			setLen(&rep.RowSumOf, 0)
+		}
+		return
+	}
+	if !c.enc {
+		setLen(&rep.Sketches, k)
+		setLen(&rep.Means, k)
+		setLen(&rep.Counts, k)
+	} else if len(rep.Means) != k || len(rep.Counts) != k {
+		c.fail("%d sketch columns with %d means and %d counts", k, len(rep.Means), len(rep.Counts))
+		return
+	}
+	st := rowState{at: -1} // the R′ of the latest integer column
+	for i := range k {
+		if c.enc {
+			c.appendColumn(rep, i, &st)
+		} else {
+			c.column(rep, i, &st)
+		}
+	}
+	switch {
+	case c.enc:
+	case st.at < 0:
+		setLen(&rep.RowSums, 0)
+		setLen(&rep.RowSumOf, 0)
+	default:
+		rep.RowSums = rep.RowSums[:st.at+1]
+	}
+}
+
+// rowState is what a frame's integer columns share: the R′ of the latest,
+// rows = rep.RowSums[at] (at −1: none), its largest |R′_k|, and the count
+// it was last found to fit (−1: none yet). The row sums a decoder reads go
+// to rep.RowSums in order.
+type rowState struct {
+	rows  []float64
+	at    int
+	max   float64
+	count int64
+}
+
+// fit checks that st.rows are the row sums of count ±1 rows: integers of
+// count's parity with |R′_k| ≤ count < 2⁵³.
+func (st *rowState) fit(count int64) bool {
+	if count == st.count {
+		return true
+	}
+	st.max = 0
+	for _, r := range st.rows {
+		if r != math.Trunc(r) || !(math.Abs(r) <= float64(count) && math.Abs(r) < 1<<53) || (int64(r)-count)%2 != 0 {
+			return false
+		}
+		st.max = max(st.max, math.Abs(r))
+	}
+	st.count = count
+	return true
+}
+
+// appendColumn appends column i of rep: as sums when they rebuild its bits,
+// else raw.
+func (c *codec) appendColumn(rep *sketch.Snapshot, i int, st *rowState) {
+	mark := len(c.b)
+	if i < len(rep.RowSumOf) && rep.RowSumOf[i] >= 0 && rep.RowSumOf[i] < len(rep.RowSums) &&
+		c.appendSums(rep, i, rep.RowSumOf[i], st) {
+		return
+	}
+	c.b = append(c.b[:mark], colRaw)
+	c.floats(&rep.Sketches[i])
+	c.float(&rep.Means[i])
+	c.varint(&rep.Counts[i])
+}
+
+// appendSums appends column i of rep, ẑ with mean μ over c′ windowed
+// elements and the row sums rep.RowSums[at], as colSums, or colSumsAgain
+// when they are st's, recovering S′ = round(μ·c′) and
+// Z′_k = round(ẑ_k·√l + μ·R′_k). It reports false, having appended an
+// unspecified tail, when the sums are out of range or do not rebuild the
+// column's and the mean's exact bits; st then names no R′. It keeps every
+// |Z′_k| < 2⁴⁸ and |μ|·|R′_k| < 2⁴⁹, inside the decoder's range with room
+// for the rounding of their sum.
+func (c *codec) appendSums(rep *sketch.Snapshot, i, at int, st *rowState) bool {
+	z, mean, count, rs := rep.Sketches[i], rep.Means[i], rep.Counts[i], rep.RowSums[at]
+	sum := math.Round(mean * float64(count))
+	if len(rs) != len(z) || count < 0 || !(math.Abs(sum) < 1<<53) ||
+		math.Float64bits(vh.Mean(sum, count)) != math.Float64bits(mean) {
+		return false
+	}
+	again := st.at == at
+	if !again {
+		*st = rowState{rows: rs, at: at, count: -1}
+	}
+	if !st.fit(count) || !(math.Abs(mean)*st.max < 1<<49) {
+		st.at = -1
+		return false
+	}
+	if again {
+		c.b = append(c.b, colSumsAgain)
+	} else {
+		c.b = binary.AppendUvarint(append(c.b, colSums), uint64(len(rs)))
+		for _, r := range rs {
+			c.b = binary.AppendVarint(c.b, int64(r))
+		}
+	}
+	c.b = binary.AppendVarint(binary.AppendVarint(c.b, count), int64(sum))
+	var ok bool
+	if c.b, ok = appendZ(c.b, z, rs, mean); !ok {
+		st.at = -1
+	}
+	return ok
+}
+
+// appendZ appends Z′_k = round(ẑ_k·√l + μ·R′_k) for the column z as a
+// width byte w and l zigzag integers of w little-endian bytes each, or
+// reports false when one is not below 2⁴⁸ or does not rebuild ẑ_k's bits.
+// Each is first written as 8 bytes, then packed to w in place.
+func appendZ(b []byte, z, rs []float64, mean float64) ([]byte, bool) {
+	root, scale := math.Sqrt(float64(len(z))), vh.Scale(len(z))
+	rs = rs[:len(z)]
+	start := len(b) + 1
+	b = slices.Grow(b, 8*len(z)+1)[:start+8*len(z)]
+	words := b[start:]
+	var all uint64
+	for k, v := range z {
+		// Rounded to an integer by the float adder where |zk| < 2⁵¹; the
+		// checks below refuse the rest.
+		zk := float64(v*root) + float64(mean*rs[k]) + 0x1.8p52 - 0x1.8p52
+		if !(math.Abs(zk) < 1<<48) {
+			return b, false
+		}
+		zi := int64(zk) // as the decoder reads it: −0 is 0
+		if math.Float64bits(vh.Centred(float64(zi), rs[k], mean, scale)) != math.Float64bits(v) {
+			return b, false
+		}
+		u := uint64(zi)<<1 ^ uint64(zi>>63)
+		all |= u
+		binary.LittleEndian.PutUint64(words[8*k:], u)
+	}
+	w := max(1, (bits.Len64(all)+7)/8)
+	b[start-1] = byte(w)
+	for k := range z {
+		binary.LittleEndian.PutUint64(words[w*k:], binary.LittleEndian.Uint64(words[8*k:]))
+	}
+	return b[:start+w*len(z)], true
+}
+
+// sumsInto rebuilds the column z from the width byte w and the l zigzag
+// integers of w bytes at the head of b, z_k = vh.Centred(Z′_k, R′_k, μ),
+// and returns the rest of b, or false when b is short, w is not 1 to 7 or a
+// Z′_k is out of range. maxR is max|R′_k|.
+func sumsInto(z []float64, b []byte, rs []float64, mean, maxR float64) ([]byte, bool) {
+	if len(b) < 1 || b[0] < 1 || b[0] > 7 || len(b)-1 < int(b[0])*len(z) {
+		return b, false
+	}
+	w, scale := int(b[0]), vh.Scale(len(z))
+	b, rs = b[1:], rs[:len(z)]
+	mask := uint64(1)<<(8*w) - 1
+	// Six bytes hold |Z′_k| < 2⁴⁷, and with |μ|·max|R′| < 2⁴⁹ every such
+	// Z′_k is in range without the sum.
+	checked := w > 6 || !(math.Abs(mean)*maxR < 1<<49)
+	for k := range z {
+		var u uint64
+		if p := b[w*k:]; len(p) >= 8 {
+			u = binary.LittleEndian.Uint64(p) & mask
+		} else {
+			for j := w - 1; j >= 0; j-- {
+				u = u<<8 | uint64(p[j])
+			}
+		}
+		zk := float64(int64(u>>1) ^ -int64(u&1))
+		if checked && !(math.Abs(zk)+float64(math.Abs(mean)*math.Abs(rs[k])) < sumsBound) {
+			return b, false
+		}
+		z[k] = vh.Centred(zk, rs[k], mean, scale)
+	}
+	return b[w*len(z):], true
+}
+
+// column decodes column i of rep's columns into rep, the row sums of
+// colSums into rep.RowSums[st.at+1].
+func (c *codec) column(rep *sketch.Snapshot, i int, st *rowState) {
+	if len(c.b) < 1 {
+		c.fail("truncated column")
+		return
+	}
+	form := c.b[0]
+	c.b = c.b[1:]
+	switch {
+	case form == colRaw:
+		c.floats(&rep.Sketches[i])
+		c.float(&rep.Means[i])
+		c.varint(&rep.Counts[i])
+		if st.at >= 0 {
+			rep.RowSumOf[i] = -1
+		}
+		return
+	case form == colSums && st.at < 0:
+		// The first integer column: the columns before it have no R′.
+		setLen(&rep.RowSums, len(rep.Sketches))
+		setLen(&rep.RowSumOf, len(rep.Sketches))
+		for j := range i {
+			rep.RowSumOf[j] = -1
+		}
+		fallthrough
+	case form == colSums:
+		l := c.count(0, 1)
+		if c.fromSums += l; c.fromSums > maxFrame/8 {
+			c.fail("row sums of %d values", l)
+			return
+		}
+		st.at++
+		rs := &rep.RowSums[st.at]
+		setLen(rs, l)
+		for k := range *rs {
+			var r int64
+			if c.varint(&r); r <= -1<<53 || r >= 1<<53 {
+				c.fail("row sum %d out of range", r)
+				return
+			}
+			(*rs)[k] = float64(r)
+		}
+		st.rows, st.count = *rs, -1
+	case form == colSumsAgain:
+		if st.at < 0 {
+			c.fail("column %d repeats the row sums of no column", i)
+			return
+		}
+	default:
+		c.fail("column form %d", form)
+		return
+	}
+	var count, sum int64
+	c.varint(&count)
+	c.varint(&sum)
+	if count < 0 || !(math.Abs(float64(sum)) < 1<<53) || !st.fit(count) {
+		c.fail("column %d: count %d, sum %d or row sums out of range", i, count, sum)
+		return
+	}
+	rs, l := st.rows, len(st.rows)
+	if c.fromSums += l; l > len(c.b) || c.fromSums > maxFrame/8 {
+		c.fail("column %d of %d values, %d bytes left", i, l, len(c.b))
+		return
+	}
+	mean := vh.Mean(float64(sum), count)
+	z := &rep.Sketches[i]
+	c.carve(z, l, min((len(rep.Sketches)-i)*l, len(c.b), maxFrame/8-c.fromSums+l))
+	var ok bool
+	if c.b, ok = sumsInto(*z, c.b, rs, mean, st.max); !ok {
+		c.fail("column %d: a projection sum unread or out of range", i)
+		return
+	}
+	rep.Means[i], rep.Counts[i], rep.RowSumOf[i] = mean, count, st.at
 }

@@ -296,12 +296,7 @@ func (h *Histogram) EstimateVariance() float64 {
 }
 
 // EstimateMean returns the mean of the window's elements (μ).
-func (h *Histogram) EstimateMean() float64 {
-	if h.totalCount == 0 {
-		return 0
-	}
-	return h.totalSum / float64(h.totalCount)
-}
+func (h *Histogram) EstimateMean() float64 { return Mean(h.totalSum, h.totalCount) }
 
 // Sketch returns ẑ_k = (1/√l)·(Z_k − μ·R_k) for k = 0…l−1 (eq. 17,
 // corrected form), or nil when the histogram runs without a generator. It
@@ -315,9 +310,9 @@ func (h *Histogram) SketchInto(dst []float64) []float64 {
 	}
 	mean := h.EstimateMean()
 	out := slices.Grow(dst[:0], h.sketchL)[:h.sketchL]
-	scale := 1 / math.Sqrt(float64(h.sketchL))
+	scale := Scale(h.sketchL)
 	for k := range out {
-		out[k] = scale * (h.totalZ[k] - mean*h.totalR[k])
+		out[k] = Centred(h.totalZ[k], h.totalR[k], mean, scale)
 	}
 	return out
 }
@@ -332,15 +327,46 @@ func (h *Histogram) PriorSketchInto(dst []float64) ([]float64, float64) {
 		return h.SketchInto(dst), 0
 	}
 	y := h.window[h.newest]
-	var mean float64
-	if rest := h.totalCount - 1; rest > 0 {
-		mean = (h.totalSum - y) / float64(rest)
-	}
+	mean := Mean(h.totalSum-y, h.totalCount-1)
 	row := h.cfg.Gen.Row(h.now)
 	out := slices.Grow(dst[:0], h.sketchL)[:h.sketchL]
-	scale := 1 / math.Sqrt(float64(h.sketchL))
+	scale := Scale(h.sketchL)
 	for k := range out {
-		out[k] = scale * ((h.totalZ[k] - y*row[k]) - mean*(h.totalR[k]-row[k]))
+		out[k] = Centred(h.totalZ[k]-y*row[k], h.totalR[k]-row[k], mean, scale)
 	}
 	return out, mean
 }
+
+// PriorRowSumsInto writes into dst's capacity R′ = R − r_t, the ±1 row sums
+// over the window PriorSketchInto summarizes, or returns nil without a
+// generator. Histograms that took the same intervals return the same R′.
+func (h *Histogram) PriorRowSumsInto(dst []float64) []float64 {
+	if h.sketchL == 0 {
+		return nil
+	}
+	out := append(dst[:0], h.totalR...)
+	if h.totalCount > 0 {
+		for k, r := range h.cfg.Gen.Row(h.now) {
+			out[k] -= r
+		}
+	}
+	return out
+}
+
+// Mean is sum/count, the mean of count elements that sum to sum, or 0 when
+// count is 0.
+func Mean(sum float64, count int64) float64 {
+	if count <= 0 {
+		return 0
+	}
+	return sum / float64(count)
+}
+
+// Scale is 1/√l, the factor of eq. 17 at sketch length l.
+func Scale(l int) float64 { return 1 / math.Sqrt(float64(l)) }
+
+// Centred is one entry of a sketch column, scale·(Z − μ·R). The product μ·R
+// is rounded before the difference, as mat's row updates round theirs, so no
+// platform fuses it: PriorSketchInto and a NOC that rebuilds a column from
+// the exact sums Z′, R′ and S′/c′ a pull sent get the same bits everywhere.
+func Centred(z, r, mean, scale float64) float64 { return scale * (z - float64(mean*r)) }
