@@ -383,24 +383,9 @@ func (s *session) commReport(out io.Writer) error {
 	sc := w.Scenario
 	sc.Monitors, sc.SketchLen = 9, 200
 	reg := obs.NewRegistry()
-	var recv *obs.Counter
-	var lastBytes, lastFetches int64
-	var intervals, bytes [2]int64 // [0] quiet, [1] pulled
+	var received eval.Received
 	d, err := sc.Replay(sketch.FamilyRandProj, reg, func(d *noc.Deployment, st eval.Step) error {
-		if recv == nil {
-			recv = reg.Counter("streampca_transport_bytes_total", "", obs.L("direction", "recv"))
-		}
-		_, fetches, _ := d.NOC.DetectorStats()
-		received := recv.Value()
-		if !st.Decision.Warmup {
-			pulled := 0
-			if fetches > lastFetches {
-				pulled = 1
-			}
-			intervals[pulled]++
-			bytes[pulled] += received - lastBytes
-		}
-		lastBytes, lastFetches = received, fetches
+		received.Observe(reg, d, st)
 		return nil
 	})
 	if err != nil {
@@ -410,8 +395,8 @@ func (s *session) commReport(out io.Writer) error {
 	fmt.Fprintln(out, "# Communication cost — bytes the NOC's transport received on each scored interval")
 	fmt.Fprintf(out, "observations,%d\nfetches,%d\nalarms,%d\n", observations, fetches, alarms)
 	for i, kind := range []string{"quiet", "pull"} {
-		fmt.Fprintf(out, "%s_intervals,%d\n%s_bytes,%d\nbytes_per_%s_interval,%.0f\n",
-			kind, intervals[i], kind, bytes[i], kind, float64(bytes[i])/float64(max(1, intervals[i])))
+		fmt.Fprintf(out, "%s_intervals,%d\n%s_bytes,%d\nbytes_per_%s_interval,%d\n",
+			kind, received.Intervals[i], kind, received.Bytes[i], kind, received.PerInterval(i == 1))
 	}
 	return nil
 }
@@ -444,9 +429,9 @@ func (s *session) oracleReport(out io.Writer) error {
 	return nil
 }
 
-// shootoutReport runs the sketcher families over the same
-// trace and ground truth and prints one scorecard row each: detection
-// accuracy, the size of one sketch pull, the measured retrain bill, and the
+// shootoutReport runs the sketcher families over the same trace and ground
+// truth and prints one scorecard row each: detection accuracy, the bytes
+// the NOC received on a pulling interval, the measured retrain bill, and the
 // per-family oracle outcome (exact-batch model checks for randproj, the
 // deterministic ‖AᵀA−BᵀB‖₂ ≤ Δ ≤ ‖A‖²_F/ℓ replay for fd).
 func (s *session) shootoutReport(out io.Writer) error {
@@ -466,7 +451,7 @@ func (s *session) shootoutReport(out io.Writer) error {
 		fmt.Fprintf(out, "%s,%d,%.4f,%.4f,%d,%d,%d,%d,%.1f,%d,%d,%d,%.3e\n",
 			r.Variant, r.SketchParam, r.TypeI(), r.TypeII(), r.FalseAlarms, r.Misses,
 			r.ThresholdUnavail, r.Retrains, float64(r.RetrainNanos)/1e6,
-			r.SketchBytes, r.Oracle.Checks, len(r.Oracle.Violations), r.Oracle.MaxRelErr)
+			r.PullBytes, r.Oracle.Checks, len(r.Oracle.Violations), r.Oracle.MaxRelErr)
 		if v := r.Oracle.Worst(); v != nil {
 			fmt.Fprintf(out, "# %s worst violation: %s\n", r.Variant, v)
 		}

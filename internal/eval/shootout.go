@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"math"
 
 	"streampca/internal/core"
 	"streampca/internal/noc"
@@ -25,7 +26,8 @@ var onlineVariants = []struct {
 const oracleEvery = 16
 
 // ShootoutRow is one variant's scorecard: detection accuracy against the
-// ground truth (paper §VI definitions), the space one full sketch pull costs,
+// ground truth (paper §VI definitions), the bytes a sketch pull puts on the
+// wire,
 // the measured retrain bill of the lazy protocol, and the family's
 // differential validation.
 type ShootoutRow struct {
@@ -44,10 +46,10 @@ type ShootoutRow struct {
 	// sum it.
 	Retrains     int64
 	RetrainNanos int64
-	// SketchBytes sizes one full sketch pull at the end of the trace: every
-	// float64 the monitors ship — the per-retrain network cost and the
-	// NOC-side memory the model build reads.
-	SketchBytes int64
+	// PullBytes is what the NOC's transport received on an average scored
+	// interval that pulled sketches (Received): the per-retrain network
+	// cost.
+	PullBytes int64
 	// Oracle is the family's differential validation: the randproj variant
 	// runs the sampled exact-batch model oracle (the -selfcheck path), the
 	// FD variant replays every monitor's centered stream and asserts the
@@ -94,7 +96,9 @@ func (s Scenario) shootoutVariant(truth *Truth, name string, family sketch.Famil
 		}
 	}
 	reg := obs.NewRegistry()
+	var received Received
 	d, err := s.Replay(family, reg, func(d *noc.Deployment, st Step) error {
+		received.Observe(reg, d, st)
 		dec := st.Decision.Result
 		if chk != nil {
 			// Cold intervals only feed the checker's exact window: there is
@@ -128,30 +132,48 @@ func (s Scenario) shootoutVariant(truth *Truth, name string, family sketch.Famil
 	if err := f.Assemble(family, d.Params.NumFlows, reports); err != nil {
 		return row, err
 	}
-	row.SketchBytes = fetchBytes(f)
+	row.PullBytes = received.PerInterval(true)
 	for _, blk := range f.Blocks {
 		row.Oracle.Merge(oracle.CheckFD(s.Trace.Volumes, blk))
 	}
 	return row, nil
 }
 
-// fetchBytes sizes one full sketch pull: 8 bytes per float64 the monitors
-// ship (per-flow sketch vectors and means for randproj; basis rows, means
-// and Δ per block for fd).
-func fetchBytes(f core.Fetch) int64 {
-	var floats int64
-	if len(f.Blocks) > 0 {
-		for _, b := range f.Blocks {
-			floats += int64(len(b.Means)) + 1 // running means + Δ
-			for _, r := range b.FDRows {
-				floats += int64(len(r))
-			}
+// Received splits what a deployment's NOC transport received, the
+// streampca_transport_bytes_total{direction="recv"} counter of its
+// registry, between the scored intervals that pulled sketches and those
+// that did not. A Replay visit feeds it every step.
+type Received struct {
+	// Intervals and Bytes count the scored intervals and the bytes received
+	// on them: [0] quiet, [1] pulled.
+	Intervals, Bytes  [2]int64
+	last, lastFetches int64
+}
+
+// Observe accounts the step d just took.
+func (r *Received) Observe(reg *obs.Registry, d *noc.Deployment, st Step) {
+	received := reg.Counter("streampca_transport_bytes_total", "", obs.L("direction", "recv")).Value()
+	_, fetches, _ := d.NOC.DetectorStats()
+	if !st.Decision.Warmup {
+		pulled := 0
+		if fetches > r.lastFetches {
+			pulled = 1
 		}
-		return 8 * floats
+		r.Intervals[pulled]++
+		r.Bytes[pulled] += received - r.last
 	}
-	for _, s := range f.Sketches {
-		floats += int64(len(s))
+	r.last, r.lastFetches = received, fetches
+}
+
+// PerInterval is the mean bytes received on a pulling or a quiet scored
+// interval, rounded, or 0 when there was none.
+func (r *Received) PerInterval(pulled bool) int64 {
+	i := 0
+	if pulled {
+		i = 1
 	}
-	floats += int64(len(f.Means))
-	return 8 * floats
+	if r.Intervals[i] == 0 {
+		return 0
+	}
+	return int64(math.Round(float64(r.Bytes[i]) / float64(r.Intervals[i])))
 }

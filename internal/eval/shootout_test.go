@@ -28,7 +28,7 @@ func TestShootoutFamilies(t *testing.T) {
 	for i, row := range rows {
 		t.Logf("%s: typeI=%.3f typeII=%.3f retrains=%d retrain_ns=%d bytes=%d unavail=%d oracle=%d/%d maxrel=%.3g %s",
 			row.Variant, row.TypeI(), row.TypeII(), row.Retrains, row.RetrainNanos,
-			row.SketchBytes, row.ThresholdUnavail, len(row.Oracle.Violations), row.Oracle.Checks,
+			row.PullBytes, row.ThresholdUnavail, len(row.Oracle.Violations), row.Oracle.Checks,
 			row.Oracle.MaxRelErr, row.Oracle.Worst())
 		if row.Variant != wantVariants[i] {
 			t.Fatalf("row %d variant %q, want %q", i, row.Variant, wantVariants[i])
@@ -47,7 +47,7 @@ func TestShootoutFamilies(t *testing.T) {
 		if row.RetrainNanos <= 0 {
 			t.Fatalf("%s retrain cost not measured", row.Variant)
 		}
-		if row.SketchBytes <= 0 {
+		if row.PullBytes <= 0 {
 			t.Fatalf("%s sketch pull has no size", row.Variant)
 		}
 		if row.Oracle.Checks < 1 {
@@ -73,9 +73,9 @@ func TestShootoutFamilies(t *testing.T) {
 		t.Fatalf("fd oracle violations: %s", fd.Oracle.Worst())
 	}
 	// Space: FD blocks (≤ 2ℓ rows of w floats per monitor) must undercut the
-	// randproj pull (l floats per flow) at these dimensions.
-	if fd.SketchBytes >= rp.SketchBytes {
-		t.Fatalf("fd pull (%d B) not smaller than randproj (%d B)", fd.SketchBytes, rp.SketchBytes)
+	// randproj pull (l sums per flow) on the wire at these dimensions.
+	if fd.PullBytes >= rp.PullBytes {
+		t.Fatalf("fd pull (%d B) not smaller than randproj (%d B)", fd.PullBytes, rp.PullBytes)
 	}
 	// Accuracy: randproj runs the lazy retrain-on-alarm protocol (staler
 	// models than the sweep's fixed cadence), so the bounds are looser than

@@ -15,6 +15,10 @@ package mat
 // build attributes a fused instruction to this file.
 var useAVX2 = haveAVX2()
 
+// UsesAVX2 reports whether the kernels run the AVX2 assembly, for another
+// package's kernels to follow the same rule.
+func UsesAVX2() bool { return useAVX2 }
+
 // minKernelLen is the shortest row the kernels take. On the benchmark's
 // 2-vCPU Xeon host a call into the assembly costs about 5 ns before its first
 // element and the Go loop about 1 ns an element, so below 8 elements the loop

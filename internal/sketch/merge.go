@@ -153,16 +153,26 @@ func mergeRandProj(dst *Snapshot, snaps []Snapshot) error {
 		dst.RowSumOf = resize(dst.RowSumOf, n)
 	}
 	k := 0
+	var buf [4]int
 	for i := range snaps {
 		s := &snaps[i]
+		// at[r] is the index in dst of s.RowSums[r], once a column names it.
+		at := buf[:0]
+		for range s.RowSums {
+			at = append(at, -1)
+		}
 		for j, id := range s.FlowIDs {
 			dst.FlowIDs[k] = id
 			dst.Sketches[k] = append(dst.Sketches[k][:0], s.Sketches[j]...)
 			dst.Means[k], dst.Counts[k] = s.Means[j], s.Counts[j]
 			if sums {
 				dst.RowSumOf[k] = -1
-				if rs := s.RowSum(j); rs != nil {
-					dst.RowSumOf[k] = dst.rowSumIndex(rs)
+				if j < len(s.RowSumOf) && s.RowSumOf[j] >= 0 {
+					r := s.RowSumOf[j]
+					if at[r] < 0 {
+						at[r] = dst.rowSumIndex(s.RowSums[r])
+					}
+					dst.RowSumOf[k] = at[r]
 				}
 			}
 			k++

@@ -128,16 +128,15 @@ type breakerState struct {
 	openUntil time.Time
 }
 
-// column is one flow's cached randproj sketch column: what the report of
-// registrant from at interval at carried for it, its R′ that report's
-// RowSums[row] (−1: none).
+// column is one flow's cached randproj sketch column: what the report at
+// interval at carried for it, and its R′ (nil: none), which the columns of
+// that report share and nothing writes.
 type column struct {
 	sketch []float64
 	mean   float64
 	count  int64
 	at     int64
-	from   string
-	row    int
+	rows   []float64
 }
 
 type response struct {
@@ -165,10 +164,10 @@ type Downstream struct {
 	nextReq uint64
 	// breakers and cache are keyed by registrant ID, so they survive a
 	// reconnect under the same identity. cache holds each registrant's last
-	// validated report, whole for FD and its interval and R′ alone for
-	// randproj, whose arrays are recycled; cols, kept only for a degraded
-	// randproj tier, a copy of each flow's newest validated column. Pull
-	// fills from the two (see fill).
+	// validated report, whole for FD and its interval alone for randproj,
+	// whose arrays are recycled; cols, kept only for a degraded randproj
+	// tier, a copy of each flow's newest validated column. Pull fills from
+	// the two (see fill).
 	breakers map[string]*breakerState
 	cache    map[string]core.SketchReport
 	cols     []column

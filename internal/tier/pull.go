@@ -197,7 +197,7 @@ func (d *Downstream) fill(p *Pull) {
 			cached.Means = append(cached.Means, c.mean)
 			cached.Counts = append(cached.Counts, c.count)
 			cached.Interval = max(cached.Interval, c.at)
-			cached.RowSumOf = append(cached.RowSumOf, cachedRowSum(&cached, d.cache[c.from], c))
+			cached.RowSumOf = append(cached.RowSumOf, rowSumIndex(&cached, c.rows))
 		}
 		if len(cached.RowSums) == 0 {
 			cached.RowSumOf = nil
@@ -338,13 +338,20 @@ func (d *Downstream) fold(p *Pull, in response, mid string) error {
 		}
 		p.by[f] = mid
 	}
+	var rows [][]float64 // rep's R′, cloned once for the columns cached
 	for i, f := range rep.FlowIDs {
 		if d.cols != nil && (d.cols[f].sketch == nil || rep.Interval >= d.cols[f].at) {
+			if rows == nil {
+				rows = make([][]float64, len(rep.RowSums))
+			}
 			c := &d.cols[f]
 			c.sketch = append(c.sketch[:0], rep.Sketches[i]...)
-			c.mean, c.count, c.at, c.from, c.row = rep.Means[i], rep.Counts[i], rep.Interval, mid, -1
-			if i < len(rep.RowSumOf) {
-				c.row = rep.RowSumOf[i]
+			c.mean, c.count, c.at, c.rows = rep.Means[i], rep.Counts[i], rep.Interval, nil
+			if j := rep.RowSumOf; i < len(j) && j[i] >= 0 {
+				if rows[j[i]] == nil {
+					rows[j[i]] = slices.Clone(rep.RowSums[j[i]])
+				}
+				c.rows = rows[j[i]]
 			}
 		}
 	}
@@ -352,15 +359,7 @@ func (d *Downstream) fold(p *Pull, in response, mid string) error {
 	if rep.Family == sketch.FamilyFD {
 		d.cache[mid] = *rep
 	} else {
-		entry := core.SketchReport{Interval: rep.Interval}
-		if d.cols != nil {
-			// The columns just cached name this report's R′, kept once.
-			entry.RowSums = slices.Grow(d.cache[mid].RowSums[:0], len(rep.RowSums))[:len(rep.RowSums)]
-			for k, rs := range rep.RowSums {
-				entry.RowSums[k] = append(entry.RowSums[k][:0], rs...)
-			}
-		}
-		d.cache[mid] = entry
+		d.cache[mid] = core.SketchReport{Interval: rep.Interval}
 		p.held = append(p.held, in)
 	}
 	if in.r.Degraded {
@@ -371,18 +370,16 @@ func (d *Downstream) fold(p *Pull, in response, mid string) error {
 	return nil
 }
 
-// cachedRowSum returns the index in cached.RowSums of c's R′, adding a copy
-// when it is not there, or −1 when c's R′ is unknown: it came without one,
-// or from's later report has replaced it.
-func cachedRowSum(cached *core.SketchReport, from core.SketchReport, c column) int {
-	if c.row < 0 || from.Interval != c.at || c.row >= len(from.RowSums) {
+// rowSumIndex returns the index in cached.RowSums of rows, adding it when it
+// is not there, or −1 for none. Columns cached from one report share its R′.
+func rowSumIndex(cached *core.SketchReport, rows []float64) int {
+	if len(rows) == 0 {
 		return -1
 	}
-	rs := from.RowSums[c.row]
-	k := slices.IndexFunc(cached.RowSums, func(v []float64) bool { return slices.Equal(v, rs) })
+	k := slices.IndexFunc(cached.RowSums, func(v []float64) bool { return &v[0] == &rows[0] })
 	if k < 0 {
 		k = len(cached.RowSums)
-		cached.RowSums = append(cached.RowSums, slices.Clone(rs))
+		cached.RowSums = append(cached.RowSums, rows)
 	}
 	return k
 }

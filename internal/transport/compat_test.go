@@ -44,17 +44,18 @@ var goldenFrames = []struct {
 	{"response/randproj", Envelope{Response: &SketchResponse{RequestID: 3, MonitorID: "m1",
 		Report: core.SketchReport{Interval: 4, FlowIDs: []int{0, 1},
 			Sketches: [][]float64{{0.1, 0.2}, {0.3, 0.4}}, Means: []float64{5, 6}, Counts: []int64{4, 4}}}},
-		"04 4e000000 | 03 02 6d31 00 00 | 08 02 00 02 | 02" +
+		"04 50000000 | 03 02 6d31 00 00 | 08 02 00 02 | 02 | 00 | 00" +
 			" | 00 02 00 9a9999999999b93f 9a9999999999c93f 0000000000001440 08" +
 			" | 00 02 00 333333333333d33f 9a9999999999d93f 0000000000001840 08 | 00 | 00 | 0000000000000000 | 00"},
-	// Columns that are exact sums go as them: the first with R′ = (2, −2),
-	// c′ = 4, S′ = 10 and Z′ = (13, −3), the second reusing R′ with S′ = 6
-	// and Z′ = (7, 1). R′, c′ and S′ are zigzag varints, Z′ zigzag
-	// integers of the byte width that leads them.
+	// Columns that are exact sums go as them: both over the one R′ = (2, −2),
+	// sent first, with c′ = 4, the first with S′ = 10 and Z′ = (13, −3), the
+	// second with S′ = 6 and Z′ = (7, 1). R′, its indices, c′ and S′ are
+	// zigzag varints, Z′ two's-complement integers of the byte width that
+	// leads them.
 	{"response/sums", Envelope{Response: &SketchResponse{RequestID: 3, MonitorID: "m1",
 		Report: sumsReport(4, []float64{2, -2}, []int64{10, 6}, [][]float64{{13, -3}, {7, 1}})}},
-		"04 25000000 | 03 02 6d31 00 00 | 0a 02 00 02 | 02" +
-			" | 01 02 04 03 08 14 01 1a 05 | 02 08 0c 01 0e 02 | 00 | 00 | 0000000000000000 | 00"},
+		"04 29000000 | 03 02 6d31 00 00 | 0a 02 00 02 | 02 | 01 02 04 03 | 02 00 00" +
+			" | 01 08 14 01 0d fd | 01 08 0c 01 07 01 | 00 | 00 | 0000000000000000 | 00"},
 	// FD rows with exact zeros are compact, a zero one byte.
 	{"response/fd", Envelope{Response: &SketchResponse{RequestID: 3, MonitorID: "agg", Degraded: true, StaleFlows: 1,
 		Report: core.SketchReport{Interval: 9, FlowIDs: []int{2, 5}, Means: []float64{10, 20}, Counts: []int64{9, 9},

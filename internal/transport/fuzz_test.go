@@ -43,14 +43,14 @@ func FuzzDecodeMessage(f *testing.F) {
 	}
 	f.Add(stream(all...))
 	f.Add(stream(Envelope{Volume: &VolumeReport{Volumes: []float64{math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.MaxFloat64, math.NaN()}}}))
-	// A response whose middle column is no exact sum: sums, raw, then sums
-	// that reuse the first column's row sums.
+	// A response whose middle column is no exact sum and names no row sums:
+	// sums, raw, then sums over the first column's row sums.
 	mixed := sumsReport(6, []float64{2, -4, 0}, []int64{41, 7, 9}, [][]float64{{5, -9, 2}, {1, 1, 1}, {0, 3, -2}})
 	mixed.Sketches[1][2] = 0.5
 	mixed.RowSumOf[1] = -1
 	f.Add(stream(Envelope{Response: &SketchResponse{RequestID: 9, MonitorID: "mix", Report: mixed}}))
 	// A volume sum whose varint overflows 64 bits.
-	payload := unhexF(f, "03 02 6d31 00 00 0a 02 00 02 02 01 02 04 03 08 ffffffffffffffffffff01 01 1a 05 02 08 0c 01 0e 02 00 00 0000000000000000 00")
+	payload := unhexF(f, "03 02 6d31 00 00 0a 02 00 02 02 01 02 04 03 02 00 00 01 08 ffffffffffffffffffff01 01 0d fd 01 08 0c 01 07 01 00 00 0000000000000000 00")
 	f.Add(append(binary.LittleEndian.AppendUint32(append(preamble[:], kindResponse), uint32(len(payload))), payload...))
 	f.Add([]byte{})
 	f.Add(preamble[:4])

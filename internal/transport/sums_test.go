@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"streampca/internal/mat"
 	"streampca/internal/randproj"
 	"streampca/internal/sketch"
 )
@@ -25,28 +27,34 @@ func sumsFrame(t *testing.T, cols string) []byte {
 	return append(binary.LittleEndian.AppendUint32([]byte{kindResponse}, uint32(len(b))), b...)
 }
 
-// TestDecodeRefusesBadSums: a column of sums that no window can produce, or
-// one whose varints overflow or whose integers are cut short, is
-// ErrBadMessage. The first case is the golden frame itself, which decodes.
+// TestDecodeRefusesBadSums: a column of sums that no window can produce,
+// or names no row sums, or one whose varints overflow or whose integers are
+// cut short, is ErrBadMessage. The first case is the golden frame itself,
+// which decodes.
 func TestDecodeRefusesBadSums(t *testing.T) {
-	const again = " | 02 08 0c 01 0e 02"
+	const rs, second = "01 02 04 03 | 02 00 00", " | 01 08 0c 01 07 01"
 	for _, tc := range []struct {
 		name, cols string
 		ok         bool
 	}{
-		{"golden", "01 02 04 03 08 14 01 1a 05" + again, true},
-		{"negative count", "01 02 04 03 07 14 01 1a 05" + again, false},
-		{"row sum above the count", "01 02 0c 03 08 14 01 1a 05" + again, false},
-		{"row sum of the other parity", "01 02 02 03 08 14 01 1a 05" + again, false},
-		{"row sum the next column's count cannot hold", "01 02 04 03 08 14 01 1a 05 | 02 02 0c 01 0e 02", false},
-		// Z′_0 = 2⁵⁰, zigzag 2⁵¹, in 7 bytes.
-		{"projection sum at 2^50", "01 02 04 03 08 14 07 00000000000008 05000000000000" + again, false},
-		{"overflowing varint", "01 02 04 03 08 ffffffffffffffffffff01 01 1a 05" + again, false},
-		{"width 0", "01 02 04 03 08 14 00 1a 05" + again, false},
-		{"width 8", "01 02 04 03 08 14 08 1a00000000000000 0500000000000000" + again, false},
-		{"integers cut short", "01 02 04 03 08 14 07 1a00", false},
-		{"repeat with nothing to repeat", "02 08 14 01 1a 05" + again, false},
-		{"unknown column form", "03 02 04 03 08 14 01 1a 05" + again, false},
+		{"golden", rs + " | 01 08 14 01 0d fd" + second, true},
+		{"negative count", rs + " | 01 07 14 01 0d fd" + second, false},
+		{"row sum above the count", "01 02 0c 03 | 02 00 00 | 01 08 14 01 0d fd" + second, false},
+		{"row sum of the other parity", "01 02 02 03 | 02 00 00 | 01 08 14 01 0d fd" + second, false},
+		{"row sum the second column's count cannot hold", rs + " | 01 08 14 01 0d fd | 01 02 0c 01 07 01", false},
+		// R′_0 = 2⁵³, zigzag 2⁵⁴.
+		{"row sum at 2^53", "01 02 80808080808080 20 03 | 02 00 00 | 01 08 14 01 0d fd" + second, false},
+		{"sums without row sums", "00 | 00 | 01 08 14 01 0d fd" + second, false},
+		{"sums whose row sums are unknown", "01 02 04 03 | 02 01 00 | 01 08 14 01 0d fd" + second, false},
+		{"row sums index past the end", "01 02 04 03 | 02 02 00 | 01 08 14 01 0d fd" + second, false},
+		{"one index for two columns", "01 02 04 03 | 01 00 | 01 08 14 01 0d fd" + second, false},
+		// Z′_0 = 2⁵⁰ in 7 bytes.
+		{"projection sum at 2^50", rs + " | 01 08 14 07 00000000000004 fdffffffffffff" + second, false},
+		{"overflowing varint", rs + " | 01 08 ffffffffffffffffffff01 01 0d fd" + second, false},
+		{"width 0", rs + " | 01 08 14 00 0d fd" + second, false},
+		{"width 8", rs + " | 01 08 14 08 0d00000000000000 fdffffffffffffff" + second, false},
+		{"integers cut short", rs + " | 01 08 14 07 0d00", false},
+		{"unknown column form", rs + " | 02 08 14 01 0d fd" + second, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var e Envelope
@@ -93,17 +101,48 @@ func sameReport(t *testing.T, got, want sketch.Snapshot) {
 	}
 }
 
+// forms returns the form each column of rep is sent in.
+func forms(rep *sketch.Snapshot) []byte {
+	var out []byte
+	fit := rowFit{row: -1}
+	for i := range rep.Sketches {
+		c := codec{enc: true}
+		c.appendColumn(rep, i, &fit)
+		out = append(out, c.b[0])
+	}
+	return out
+}
+
+// paths runs f on the Go loops and, where the CPU has them, on the AVX2
+// kernels, and returns what each returned.
+func paths(t *testing.T, f func() []byte) [][]byte {
+	t.Helper()
+	have := useAVX2
+	defer func() { useAVX2 = have }()
+	var out [][]byte
+	for _, avx := range []bool{false, true} {
+		if avx && !mat.UsesAVX2() {
+			continue
+		}
+		useAVX2 = avx
+		out = append(out, f())
+	}
+	return out
+}
+
 // TestWholeByteWindowsCrossAsSums is the codec's property over what
-// monitors produce: for random whole-byte windows — volumes up to 2³²,
-// intervals skipped, a flow's first element (count 0 without it), two
-// monitors of different histories merged, so two R′ alternate — every
-// column crosses as sums, and decoding returns the columns, means and counts
-// bit for bit.
+// monitors produce: for random whole-byte windows — volumes up to 2⁸ to
+// 2³², so every width S′ takes, intervals skipped, a flow's first element
+// (count 0 without it), two monitors of different histories merged, so two
+// R′ alternate — every column crosses as sums, decoding returns the
+// columns, means and counts bit for bit, and the Go loops and the AVX2
+// kernels send the same bytes.
 func TestWholeByteWindowsCrossAsSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	for trial := range 40 {
+	for trial := range 60 {
 		l := 1 + rng.Intn(70)
 		window := 1 + rng.Intn(40)
+		top := int64(1) << (8 + rng.Intn(25))
 		gen, err := randproj.NewGenerator(randproj.Config{Seed: rng.Uint64(), SketchLen: l})
 		if err != nil {
 			t.Fatal(err)
@@ -125,7 +164,7 @@ func TestWholeByteWindowsCrossAsSums(t *testing.T) {
 			for range steps {
 				vols := make([]float64, len(flows))
 				for i := range vols {
-					vols[i] = float64(rng.Int63n(1<<32 + 1))
+					vols[i] = float64(rng.Int63n(top + 1))
 				}
 				now += 1 + int64(rng.Intn(2+mon))
 				if err := rp.Update(now, vols); err != nil {
@@ -138,12 +177,22 @@ func TestWholeByteWindowsCrossAsSums(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := roundTrip(t, merged)
-		sameReport(t, got, merged)
-		for i := range got.FlowIDs {
-			if got.RowSum(i) == nil {
-				t.Fatalf("trial %d: flow %d crossed raw", trial, got.FlowIDs[i])
+		frames := paths(t, func() []byte {
+			got, _ := roundTrip(t, merged)
+			sameReport(t, got, merged)
+			for i, form := range forms(&merged) {
+				if form != colSums {
+					t.Fatalf("trial %d: flow %d crossed raw", trial, merged.FlowIDs[i])
+				}
 			}
+			b, err := appendFrame(nil, &Envelope{Response: &SketchResponse{Report: merged}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		})
+		if len(frames) == 2 && !bytes.Equal(frames[0], frames[1]) {
+			t.Fatalf("trial %d: the AVX2 kernels sent\n%x\nthe Go loops\n%x", trial, frames[1], frames[0])
 		}
 	}
 }
@@ -165,11 +214,14 @@ func TestFractionalVolumesCrossRaw(t *testing.T) {
 		}
 	}
 	rep := rp.Snapshot()
-	got, size := roundTrip(t, rep)
-	sameReport(t, got, rep)
-	if got.RowSum(0) != nil || got.RowSum(1) != nil || size < 2*24*8 {
-		t.Fatalf("fractional columns crossed as sums (%d B): %+v", size, got)
-	}
+	paths(t, func() []byte {
+		got, size := roundTrip(t, rep)
+		sameReport(t, got, rep)
+		if f := forms(&rep); f[0] != colRaw || f[1] != colRaw || size < 2*24*8 {
+			t.Fatalf("fractional columns crossed as sums (%d B): %+v", size, got)
+		}
+		return nil
+	})
 }
 
 // BenchmarkSketchResponseCodec encodes and decodes one monitor's pull
@@ -207,7 +259,8 @@ func BenchmarkSketchResponseCodec(b *testing.B) {
 			var buf []byte
 			into := Envelope{Response: new(SketchResponse)}
 			b.ReportAllocs()
-			for b.Loop() {
+			b.ResetTimer()
+			for range b.N {
 				if buf, err = appendFrame(buf[:0], &env); err != nil {
 					b.Fatal(err)
 				}

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"streampca/internal/mat"
 	"streampca/internal/sketch"
 	"streampca/internal/vh"
 )
@@ -36,26 +37,27 @@ import (
 // exact bit pattern either way.
 //
 // A sketch report's columns are a uvarint count k and, when k is 0 (FD),
-// the means as a run and the counts as a list; else the k columns, each
-// with its flow's mean and count, which such a report must have for every
-// column. A column is a form byte and
+// the means as a run and the counts as a list; else the row sums R′ (a list
+// of rows, each a uvarint l and l varints), the index into them of each
+// column's R′ (a list of k ints, −1 where unknown, or none), and the k
+// columns, each with its flow's mean and count, which such a report must
+// have for every column. A column is a form byte and
 //
 //   - colRaw: the column as a run, its mean as a float, its count;
-//   - colSums, colSumsAgain: the exact sums the column and its mean are
-//     (vh.Centred): for colSums the row sums R′ (a uvarint l and l varints),
-//     for colSumsAgain none, as it reuses the previous integer column's;
-//     then the count c′ and the volume sum S′, varints, and the l
-//     projection sums Z′: a byte w of 1 to 7 and l zigzag integers of w
-//     little-endian bytes each. The decoder rebuilds μ = S′/c′ (0 when
-//     c′ = 0) and ẑ_k = (Z′_k − μ·R′_k)/√l. It refuses c′ < 0, |R′_k| > c′,
-//     R′_k of the other parity than c′, |S′| ≥ 2⁵³ and
-//     |Z′_k| + |μ|·|R′_k| ≥ 2⁵⁰.
+//   - colSums: the exact sums the column and its mean are (vh.Centred) over
+//     the R′ it names: the count c′ and the volume sum S′, varints, and the l
+//     projection sums Z′: a byte w of 1 to 7 and l two's-complement integers
+//     of w little-endian bytes each. The decoder rebuilds μ = S′/c′ (0 when
+//     c′ = 0) and ẑ_k = (Z′_k − μ·R′_k)/√l. It refuses a column that names
+//     no R′, c′ < 0, |R′_k| > c′, R′_k of the other parity than c′,
+//     |R′_k| or |S′| ≥ 2⁵³ and |Z′_k| + |μ|·|R′_k| ≥ 2⁵⁰.
 //
 // The encoder sends a column as sums only when the column rebuilt from them
 // has the bits it holds: with ±1 rows and byte counts every pulled column
 // does, at about 4 B a Z′ against 8 raw. Anything else goes raw. Z′ are
-// packed at their column's width, not varints, because a run of fixed-width
-// integers decodes several times faster and varints saved under 1 %.
+// packed at the width of S′, which holds every Z′_k of a window whose
+// volumes share a sign, so each is written once; fixed-width integers decode
+// several times faster than varints, which saved under 1 %.
 
 const (
 	// wireVersion 4: sketch columns travel as exact integer sums. Version 3
@@ -98,11 +100,16 @@ const (
 	formCompact
 )
 
+// useAVX2 routes the 4-byte sums of appendZ and sumsInto, the width of
+// every column of byte counts below 2³¹ a window, to the amd64 kernels of
+// sums_amd64.s when mat's kernels run theirs; only tests clear it, to run
+// the Go loops on the same inputs.
+var useAVX2 = mat.UsesAVX2()
+
 // Sketch column forms.
 const (
 	colRaw byte = iota
 	colSums
-	colSumsAgain
 )
 
 // checkPreamble reports whether b, the first len(preamble) bytes a peer sent,
@@ -542,8 +549,8 @@ func (c *codec) rows(v *[][]float64) {
 	}
 }
 
-// columns codes a sketch report's columns, means and counts (see the format
-// comment). Decoding keeps the capacity of rep's arrays.
+// columns codes a sketch report's columns, means, counts and row sums (see
+// the format comment). Decoding keeps the capacity of rep's arrays.
 func (c *codec) columns(rep *sketch.Snapshot) {
 	k := c.count(len(rep.Sketches), 1)
 	if k == 0 {
@@ -567,58 +574,87 @@ func (c *codec) columns(rep *sketch.Snapshot) {
 		c.fail("%d sketch columns with %d means and %d counts", k, len(rep.Means), len(rep.Counts))
 		return
 	}
-	st := rowState{at: -1} // the R′ of the latest integer column
+	c.rowSums(&rep.RowSums)
+	c.ints(&rep.RowSumOf)
+	if n := len(rep.RowSumOf); n != 0 && n != k {
+		c.fail("%d row-sum indices for %d columns", n, k)
+	}
+	for i, j := range rep.RowSumOf {
+		if j < -1 || j >= len(rep.RowSums) {
+			c.fail("column %d names row sums %d of %d", i, j, len(rep.RowSums))
+		}
+	}
+	if c.err != nil {
+		return
+	}
+	fit := rowFit{row: -1}
 	for i := range k {
 		if c.enc {
-			c.appendColumn(rep, i, &st)
+			c.appendColumn(rep, i, &fit)
 		} else {
-			c.column(rep, i, &st)
+			c.column(rep, i, &fit)
 		}
 	}
-	switch {
-	case c.enc:
-	case st.at < 0:
-		setLen(&rep.RowSums, 0)
-		setLen(&rep.RowSumOf, 0)
-	default:
-		rep.RowSums = rep.RowSums[:st.at+1]
+}
+
+// rowSums codes the row sums R′: a list of rows, each a list of varints.
+func (c *codec) rowSums(v *[][]float64) {
+	list(c, v, 1)
+	for j := range *v {
+		rs := &(*v)[j]
+		n := c.count(len(*rs), 1)
+		if !c.enc {
+			if c.fromSums += n; c.fromSums > maxFrame/8 {
+				c.fail("row sums of %d values", n)
+				return
+			}
+			setLen(rs, n)
+		}
+		for k := range *rs {
+			r := int64((*rs)[k])
+			if c.enc && float64(r) != (*rs)[k] {
+				c.fail("row sum %v is not an integer", (*rs)[k])
+			}
+			if c.varint(&r); !c.enc {
+				(*rs)[k] = float64(r)
+			}
+			if r <= -1<<53 || r >= 1<<53 {
+				c.fail("row sum %d out of range", r)
+			}
+		}
 	}
 }
 
-// rowState is what a frame's integer columns share: the R′ of the latest,
-// rows = rep.RowSums[at] (at −1: none), its largest |R′_k|, and the count
-// it was last found to fit (−1: none yet). The row sums a decoder reads go
-// to rep.RowSums in order.
-type rowState struct {
-	rows  []float64
-	at    int
-	max   float64
+// rowFit caches the last row sums found to be those of count ±1 rows, by
+// their index, with their largest |R′_k| (row −1: none yet).
+type rowFit struct {
+	row   int
 	count int64
+	max   float64
 }
 
-// fit checks that st.rows are the row sums of count ±1 rows: integers of
-// count's parity with |R′_k| ≤ count < 2⁵³.
-func (st *rowState) fit(count int64) bool {
-	if count == st.count {
+// check reports whether rs, rep.RowSums[row], are the row sums of count ±1
+// rows: integers of count's parity with |R′_k| ≤ count.
+func (f *rowFit) check(rs []float64, row int, count int64) bool {
+	if row == f.row && count == f.count {
 		return true
 	}
-	st.max = 0
-	for _, r := range st.rows {
-		if r != math.Trunc(r) || !(math.Abs(r) <= float64(count) && math.Abs(r) < 1<<53) || (int64(r)-count)%2 != 0 {
+	f.row, f.max = -1, 0
+	for _, r := range rs {
+		if !(math.Abs(r) <= float64(count)) || (int64(r)-count)&1 != 0 {
 			return false
 		}
-		st.max = max(st.max, math.Abs(r))
+		f.max = max(f.max, math.Abs(r))
 	}
-	st.count = count
+	f.row, f.count = row, count
 	return true
 }
 
 // appendColumn appends column i of rep: as sums when they rebuild its bits,
 // else raw.
-func (c *codec) appendColumn(rep *sketch.Snapshot, i int, st *rowState) {
+func (c *codec) appendColumn(rep *sketch.Snapshot, i int, fit *rowFit) {
 	mark := len(c.b)
-	if i < len(rep.RowSumOf) && rep.RowSumOf[i] >= 0 && rep.RowSumOf[i] < len(rep.RowSums) &&
-		c.appendSums(rep, i, rep.RowSumOf[i], st) {
+	if rs := rep.RowSum(i); rs != nil && c.appendSums(rep, i, rs, fit) {
 		return
 	}
 	c.b = append(c.b[:mark], colRaw)
@@ -628,171 +664,129 @@ func (c *codec) appendColumn(rep *sketch.Snapshot, i int, st *rowState) {
 }
 
 // appendSums appends column i of rep, ẑ with mean μ over c′ windowed
-// elements and the row sums rep.RowSums[at], as colSums, or colSumsAgain
-// when they are st's, recovering S′ = round(μ·c′) and
-// Z′_k = round(ẑ_k·√l + μ·R′_k). It reports false, having appended an
-// unspecified tail, when the sums are out of range or do not rebuild the
-// column's and the mean's exact bits; st then names no R′. It keeps every
-// |Z′_k| < 2⁴⁸ and |μ|·|R′_k| < 2⁴⁹, inside the decoder's range with room
-// for the rounding of their sum.
-func (c *codec) appendSums(rep *sketch.Snapshot, i, at int, st *rowState) bool {
-	z, mean, count, rs := rep.Sketches[i], rep.Means[i], rep.Counts[i], rep.RowSums[at]
+// elements and the row sums rs, as colSums, recovering S′ = round(μ·c′)
+// and Z′ (appendZ). It reports false, having appended an unspecified tail,
+// when the sums are out of range or do not rebuild the column's and the
+// mean's exact bits. It keeps |μ|·|R′_k| < 2⁴⁹, inside the decoder's range
+// with room for the rounding of Z′_k + μ·R′_k.
+func (c *codec) appendSums(rep *sketch.Snapshot, i int, rs []float64, fit *rowFit) bool {
+	z, mean, count := rep.Sketches[i], rep.Means[i], rep.Counts[i]
 	sum := math.Round(mean * float64(count))
-	if len(rs) != len(z) || count < 0 || !(math.Abs(sum) < 1<<53) ||
-		math.Float64bits(vh.Mean(sum, count)) != math.Float64bits(mean) {
+	if len(rs) != len(z) || count < 0 || !(math.Abs(sum) < 1<<47) ||
+		math.Float64bits(vh.Mean(sum, count)) != math.Float64bits(mean) ||
+		!fit.check(rs, rep.RowSumOf[i], count) || !(math.Abs(mean)*fit.max < 1<<49) {
 		return false
 	}
-	again := st.at == at
-	if !again {
-		*st = rowState{rows: rs, at: at, count: -1}
-	}
-	if !st.fit(count) || !(math.Abs(mean)*st.max < 1<<49) {
-		st.at = -1
-		return false
-	}
-	if again {
-		c.b = append(c.b, colSumsAgain)
-	} else {
-		c.b = binary.AppendUvarint(append(c.b, colSums), uint64(len(rs)))
-		for _, r := range rs {
-			c.b = binary.AppendVarint(c.b, int64(r))
-		}
-	}
-	c.b = binary.AppendVarint(binary.AppendVarint(c.b, count), int64(sum))
+	c.b = binary.AppendVarint(binary.AppendVarint(append(c.b, colSums), count), int64(sum))
 	var ok bool
-	if c.b, ok = appendZ(c.b, z, rs, mean); !ok {
-		st.at = -1
-	}
+	c.b, ok = appendZ(c.b, z, rs, mean, (bits.Len64(uint64(math.Abs(sum)))+8)/8)
 	return ok
 }
 
-// appendZ appends Z′_k = round(ẑ_k·√l + μ·R′_k) for the column z as a
-// width byte w and l zigzag integers of w little-endian bytes each, or
-// reports false when one is not below 2⁴⁸ or does not rebuild ẑ_k's bits.
-// Each is first written as 8 bytes, then packed to w in place.
-func appendZ(b []byte, z, rs []float64, mean float64) ([]byte, bool) {
+// appendZ appends Z′_k = round(ẑ_k·√l + μ·R′_k) for the column z as the
+// width byte w and l two's-complement integers of w little-endian bytes
+// each, or reports false when one does not fit or does not rebuild ẑ_k's
+// bits. w is the width of S′: each Z′_k sums ±y_t, so |Z′_k| ≤ |S′| when
+// the window's volumes share a sign, as byte counts do. Each Z′_k is
+// stored as 8 bytes, which the next overwrites past w.
+func appendZ(b []byte, z, rs []float64, mean float64, w int) ([]byte, bool) {
 	root, scale := math.Sqrt(float64(len(z))), vh.Scale(len(z))
 	rs = rs[:len(z)]
-	start := len(b) + 1
-	b = slices.Grow(b, 8*len(z)+1)[:start+8*len(z)]
-	words := b[start:]
-	var all uint64
-	for k, v := range z {
-		// Rounded to an integer by the float adder where |zk| < 2⁵¹; the
-		// checks below refuse the rest.
-		zk := float64(v*root) + float64(mean*rs[k]) + 0x1.8p52 - 0x1.8p52
-		if !(math.Abs(zk) < 1<<48) {
+	half := uint64(1) << (8*w - 1)
+	b = append(slices.Grow(b, 1+w*len(z)+8), byte(w))
+	start := len(b)
+	out := b[start : start+w*len(z)+8]
+	k0 := 0
+	if w == 4 && useAVX2 {
+		k0 = len(z) &^ 3
+		if !appendZ4AVX2(out[:4*k0], z[:k0], rs[:k0], mean, root, scale) {
 			return b, false
 		}
-		zi := int64(zk) // as the decoder reads it: −0 is 0
-		if math.Float64bits(vh.Centred(float64(zi), rs[k], mean, scale)) != math.Float64bits(v) {
+	}
+	o := w * k0
+	for k := k0; k < len(z); k++ {
+		// Rounded to an integer by the float adder where |zk| < 2⁵¹, and
+		// never −0; the checks below refuse the rest. The last is
+		// vh.Centred(zk, R′_k, μ) with its product p reused.
+		v, p := z[k], float64(mean*rs[k])
+		zk := float64(v*root) + p + 0x1.8p52 - 0x1.8p52
+		zi := int64(zk)
+		if !(math.Abs(zk) < 1<<48) || uint64(zi)+half >= 2*half ||
+			math.Float64bits(scale*(zk-p)) != math.Float64bits(v) {
 			return b, false
 		}
-		u := uint64(zi)<<1 ^ uint64(zi>>63)
-		all |= u
-		binary.LittleEndian.PutUint64(words[8*k:], u)
+		binary.LittleEndian.PutUint64(out[o:o+8], uint64(zi))
+		o += w
 	}
-	w := max(1, (bits.Len64(all)+7)/8)
-	b[start-1] = byte(w)
-	for k := range z {
-		binary.LittleEndian.PutUint64(words[w*k:], binary.LittleEndian.Uint64(words[8*k:]))
-	}
-	return b[:start+w*len(z)], true
+	return b[:start+o], true
 }
 
-// sumsInto rebuilds the column z from the width byte w and the l zigzag
-// integers of w bytes at the head of b, z_k = vh.Centred(Z′_k, R′_k, μ),
-// and returns the rest of b, or false when b is short, w is not 1 to 7 or a
-// Z′_k is out of range. maxR is max|R′_k|.
+// sumsInto rebuilds the column z from the width byte w and the l integers
+// of w bytes at the head of b, z_k = vh.Centred(Z′_k, R′_k, μ), and returns
+// the rest of b, or false when b is short, w is not 1 to 7 or a Z′_k is out
+// of range. maxR is max|R′_k|. Each Z′_k is loaded as 8 bytes: a response
+// has at least 8 after its columns, so b must too.
 func sumsInto(z []float64, b []byte, rs []float64, mean, maxR float64) ([]byte, bool) {
-	if len(b) < 1 || b[0] < 1 || b[0] > 7 || len(b)-1 < int(b[0])*len(z) {
+	if len(b) < 1 || b[0] < 1 || b[0] > 7 || len(b)-1 < int(b[0])*len(z)+8 {
 		return b, false
 	}
 	w, scale := int(b[0]), vh.Scale(len(z))
 	b, rs = b[1:], rs[:len(z)]
-	mask := uint64(1)<<(8*w) - 1
-	// Six bytes hold |Z′_k| < 2⁴⁷, and with |μ|·max|R′| < 2⁴⁹ every such
+	sh := uint(64 - 8*w)
+	// Six bytes hold |Z′_k| ≤ 2⁴⁷, and with |μ|·max|R′| < 2⁴⁹ every such
 	// Z′_k is in range without the sum.
-	checked := w > 6 || !(math.Abs(mean)*maxR < 1<<49)
-	for k := range z {
-		var u uint64
-		if p := b[w*k:]; len(p) >= 8 {
-			u = binary.LittleEndian.Uint64(p) & mask
-		} else {
-			for j := w - 1; j >= 0; j-- {
-				u = u<<8 | uint64(p[j])
+	if w > 6 || !(math.Abs(mean)*maxR < 1<<49) {
+		for k := range z {
+			zk := float64(int64(binary.LittleEndian.Uint64(b[w*k:])<<sh) >> sh)
+			if !(math.Abs(zk)+float64(math.Abs(mean)*math.Abs(rs[k])) < sumsBound) {
+				return b, false
 			}
 		}
-		zk := float64(int64(u>>1) ^ -int64(u&1))
-		if checked && !(math.Abs(zk)+float64(math.Abs(mean)*math.Abs(rs[k])) < sumsBound) {
-			return b, false
-		}
+	}
+	k0 := 0
+	if w == 4 && useAVX2 {
+		k0 = len(z) &^ 3
+		sumsInto4AVX2(z[:k0], b[:4*k0], rs[:k0], mean, scale)
+	}
+	for k := k0; k < len(z); k++ {
+		zk := float64(int64(binary.LittleEndian.Uint64(b[w*k:])<<sh) >> sh)
 		z[k] = vh.Centred(zk, rs[k], mean, scale)
 	}
 	return b[w*len(z):], true
 }
 
-// column decodes column i of rep's columns into rep, the row sums of
-// colSums into rep.RowSums[st.at+1].
-func (c *codec) column(rep *sketch.Snapshot, i int, st *rowState) {
+// column decodes column i of rep's columns into rep.
+func (c *codec) column(rep *sketch.Snapshot, i int, fit *rowFit) {
 	if len(c.b) < 1 {
 		c.fail("truncated column")
 		return
 	}
 	form := c.b[0]
 	c.b = c.b[1:]
-	switch {
-	case form == colRaw:
+	switch form {
+	case colRaw:
 		c.floats(&rep.Sketches[i])
 		c.float(&rep.Means[i])
 		c.varint(&rep.Counts[i])
-		if st.at >= 0 {
-			rep.RowSumOf[i] = -1
-		}
 		return
-	case form == colSums && st.at < 0:
-		// The first integer column: the columns before it have no R′.
-		setLen(&rep.RowSums, len(rep.Sketches))
-		setLen(&rep.RowSumOf, len(rep.Sketches))
-		for j := range i {
-			rep.RowSumOf[j] = -1
-		}
-		fallthrough
-	case form == colSums:
-		l := c.count(0, 1)
-		if c.fromSums += l; c.fromSums > maxFrame/8 {
-			c.fail("row sums of %d values", l)
-			return
-		}
-		st.at++
-		rs := &rep.RowSums[st.at]
-		setLen(rs, l)
-		for k := range *rs {
-			var r int64
-			if c.varint(&r); r <= -1<<53 || r >= 1<<53 {
-				c.fail("row sum %d out of range", r)
-				return
-			}
-			(*rs)[k] = float64(r)
-		}
-		st.rows, st.count = *rs, -1
-	case form == colSumsAgain:
-		if st.at < 0 {
-			c.fail("column %d repeats the row sums of no column", i)
-			return
-		}
+	case colSums:
 	default:
 		c.fail("column form %d", form)
+		return
+	}
+	rs := rep.RowSum(i)
+	if rs == nil {
+		c.fail("column %d sent as sums names no row sums", i)
 		return
 	}
 	var count, sum int64
 	c.varint(&count)
 	c.varint(&sum)
-	if count < 0 || !(math.Abs(float64(sum)) < 1<<53) || !st.fit(count) {
+	if count < 0 || !(math.Abs(float64(sum)) < 1<<53) || !fit.check(rs, rep.RowSumOf[i], count) {
 		c.fail("column %d: count %d, sum %d or row sums out of range", i, count, sum)
 		return
 	}
-	rs, l := st.rows, len(st.rows)
+	l := len(rs)
 	if c.fromSums += l; l > len(c.b) || c.fromSums > maxFrame/8 {
 		c.fail("column %d of %d values, %d bytes left", i, l, len(c.b))
 		return
@@ -801,9 +795,9 @@ func (c *codec) column(rep *sketch.Snapshot, i int, st *rowState) {
 	z := &rep.Sketches[i]
 	c.carve(z, l, min((len(rep.Sketches)-i)*l, len(c.b), maxFrame/8-c.fromSums+l))
 	var ok bool
-	if c.b, ok = sumsInto(*z, c.b, rs, mean, st.max); !ok {
+	if c.b, ok = sumsInto(*z, c.b, rs, mean, fit.max); !ok {
 		c.fail("column %d: a projection sum unread or out of range", i)
 		return
 	}
-	rep.Means[i], rep.Counts[i], rep.RowSumOf[i] = mean, count, st.at
+	rep.Means[i], rep.Counts[i] = mean, count
 }
