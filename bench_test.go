@@ -9,6 +9,7 @@ package streampca
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -888,6 +889,52 @@ func BenchmarkSketchResponseCodec(b *testing.B) {
 }
 
 var codecSink transport.Envelope
+
+// BenchmarkVolumeReportCodec round-trips one interval's VolumeReport through
+// a transport.Conn on a buffer (Send, then RecvInto the one report a tier's
+// reader reuses), at the flows a report carries in the benchmark workloads:
+// 27 per flat monitor (m = 81 over three), 24 per federated monitor and 48
+// per aggregator. The volumes are whole bytes, so they travel as varints;
+// "implicit" leaves the flow list to the connection's Hello, as a monitor
+// does. B/msg is the encoded size of one report.
+func BenchmarkVolumeReportCodec(b *testing.B) {
+	for _, flows := range []int{27, 24, 48} {
+		for _, list := range []string{"explicit", "implicit"} {
+			b.Run(fmt.Sprintf("flows=%d/%s", flows, list), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(int64(flows)))
+				rep := transport.VolumeReport{MonitorID: "mon-0", Interval: 1000}
+				for f := 0; f < flows; f++ {
+					if list == "explicit" {
+						rep.FlowIDs = append(rep.FlowIDs, 3*f)
+					}
+					rep.Volumes = append(rep.Volumes, math.Round(1e6*rng.ExpFloat64()))
+				}
+				stream := &loopStream{}
+				conn := transport.NewConnWithMetrics(stream, nil)
+				var got transport.VolumeReport
+				roundTrip := func() int {
+					if err := conn.Send(transport.Envelope{Volume: &rep}); err != nil {
+						b.Fatal(err)
+					}
+					n := stream.Len()
+					env := transport.Envelope{Volume: &got}
+					if err := conn.RecvInto(&env); err != nil {
+						b.Fatal(err)
+					}
+					return n
+				}
+				roundTrip() // the first carries the preamble
+				var size int
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					size += roundTrip()
+				}
+				b.ReportMetric(float64(size)/float64(b.N), "B/msg")
+			})
+		}
+	}
+}
 
 // TestWideClusterIdentifiesInjectedFlow runs eight striped monitors and a
 // detector at the width BenchmarkNOCRecompute's widest cell times, m = 1024

@@ -228,6 +228,7 @@ func New(cfg Config) (*Service, error) {
 
 // build makes the downstream half under p.
 func (s *Service) build(p core.Params) error {
+	foreign, mismatch := tier.DroppedReports(s.reg, "streampca_agg_volume_reports_dropped_total")
 	down, err := tier.NewDownstream(tier.DownstreamConfig{
 		Params:       p,
 		Pull:         s.cfg.Pull,
@@ -235,12 +236,14 @@ func (s *Service) build(p core.Params) error {
 		Degraded:     s.cfg.Degraded,
 		WireMetrics:  s.wireMet,
 		Metrics: tier.Metrics{
-			Registrants:  s.met.monitors,
-			Rejected:     s.met.rejects,
-			Evicted:      s.met.intervalDrops,
-			PullRetries:  s.met.fetchRetries,
-			BreakerOpen:  s.met.breakerOpen,
-			BreakerOpens: s.met.breakerOpens,
+			Registrants:     s.met.monitors,
+			Rejected:        s.met.rejects,
+			Evicted:         s.met.intervalDrops,
+			PullRetries:     s.met.fetchRetries,
+			BreakerOpen:     s.met.breakerOpen,
+			BreakerOpens:    s.met.breakerOpens,
+			DroppedForeign:  foreign,
+			DroppedMismatch: mismatch,
 		},
 		Log:        s.log,
 		OnInterval: s.forwardVolumes,
@@ -350,11 +353,12 @@ func (s *Service) pushShardMap(conn *transport.Conn) {
 
 // forwardVolumes sends one merged VolumeReport upstream for an interval in
 // which every currently-owned flow has reported, refilling one report, and
-// then hands the interval's arrays back to the tier.
+// then hands the interval's arrays back to the tier. The report's flow list
+// goes implicit only when it is the union the NOC link last announced
+// (tier.Uplink.SendVolume): a same-size union swap must not reattribute it.
 func (s *Service) forwardVolumes(iv tier.Interval) {
 	defer s.down.Load().ReleaseInterval(iv)
-	up := s.up.Conn()
-	if up == nil {
+	if s.up.Conn() == nil {
 		return
 	}
 	s.fwdMu.Lock()
@@ -368,7 +372,7 @@ func (s *Service) forwardVolumes(iv tier.Interval) {
 			rep.Volumes = append(rep.Volumes, iv.Volumes[f])
 		}
 	}
-	if err := up.Send(transport.Envelope{Volume: rep}); err != nil {
+	if err := s.up.SendVolume(transport.Envelope{Volume: rep}); err != nil {
 		s.log.Warn("volume forward failed", "interval", rep.Interval, "err", err)
 		return
 	}

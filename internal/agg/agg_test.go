@@ -3,11 +3,14 @@ package agg
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"streampca/internal/core"
+	"streampca/internal/obs"
 	"streampca/internal/sketch"
 	"streampca/internal/tier"
 	"streampca/internal/transport"
@@ -299,11 +302,83 @@ func TestVolumeMergeForward(t *testing.T) {
 	if env.Volume.MonitorID != "agg-test" || env.Volume.Interval != 1 {
 		t.Fatalf("merged header wrong: %+v", env.Volume)
 	}
-	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(env.Volume.FlowIDs, want) {
-		t.Fatalf("merged flows = %v, want %v", env.Volume.FlowIDs, want)
+	// The forward covers the union the Hello announced, so it leaves the
+	// list implicit: the volumes come in the announced order.
+	if len(env.Volume.FlowIDs) != 0 {
+		t.Fatalf("merged flows = %v, want the announced union left implicit", env.Volume.FlowIDs)
 	}
 	if want := []float64{10, 11, 12, 13}; !reflect.DeepEqual(env.Volume.Volumes, want) {
 		t.Fatalf("merged volumes = %v, want %v", env.Volume.Volumes, want)
+	}
+}
+
+// TestUnionSwapNeverReattributesVolumes: an aggregator whose union is
+// swapped for another of the same size forwards, for the interval its
+// departed monitors reported, a list unlike the one it last announced, so
+// the NOC, a real downstream tier reading implicit lists against the
+// aggregator's last Hello, attributes every volume to the flow its monitor
+// reported it for.
+func TestUnionSwapNeverReattributesVolumes(t *testing.T) {
+	s := newTestAgg(t, testConfig())
+	var mu sync.Mutex
+	var got []tier.Interval
+	noc, err := tier.NewDownstream(tier.DownstreamConfig{
+		Params: s.Params(),
+		Pull:   tier.PullPolicy{Timeout: 300 * time.Millisecond},
+		Metrics: tier.Metrics{
+			Registrants: &obs.Gauge{}, Rejected: &obs.Counter{}, Evicted: &obs.Counter{}, PullRetries: &obs.Counter{},
+			BreakerOpen: &obs.Gauge{}, BreakerOpens: &obs.Counter{}, DroppedForeign: &obs.Counter{}, DroppedMismatch: &obs.Counter{},
+		},
+		OnInterval: func(iv tier.Interval) {
+			mu.Lock()
+			got = append(got, tier.Interval{Index: iv.Index, Volumes: slices.Clone(iv.Volumes), Seen: slices.Clone(iv.Seen)})
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(noc.Shutdown)
+	m1 := attachMonitor(t, s, "m1", []int{0, 1})
+	m2 := attachMonitor(t, s, "m2", []int{2, 3})
+	m3 := attachMonitor(t, s, "m3", []int{4})
+	up, aggSide := transport.Pipe()
+	go noc.Handle(up)
+	if err := s.AttachNOC(aggSide); err != nil {
+		t.Fatal(err)
+	}
+	owns := func(want ...int) func() bool {
+		return func() bool { return slices.Equal(noc.OwnedFlows(), want) }
+	}
+	waitFor(t, owns(0, 1, 2, 3, 4), "the NOC holding the aggregator's union")
+
+	send := func(c *transport.Conn, id string, flows []int, vols ...float64) {
+		t.Helper()
+		v := transport.VolumeReport{MonitorID: id, Interval: 7, FlowIDs: flows, Volumes: vols}
+		if err := c.Send(transport.Envelope{Volume: &v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(m2, "m2", []int{2, 3}, 20, 30)
+	send(m3, "m3", []int{4}, 40)
+	waitFor(t, func() bool { return s.down.Load().PendingIntervals() == 1 }, "interval 7 pending on m1")
+	// m2 leaves: the union shrinks to {0, 1, 4}, announced while interval 7
+	// still waits on m1. m1 leaves: interval 7 completes over {2, 3, 4},
+	// as long as the union last announced.
+	_ = m2.Close()
+	waitFor(t, owns(0, 1, 4), "the NOC holding the shrunk union")
+	_ = m1.Close()
+	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(got) == 1 }, "interval 7 at the NOC")
+	iv := got[0]
+	for f, want := range map[int]float64{2: 20, 3: 30, 4: 40} {
+		if !iv.Seen[f] || iv.Volumes[f] != want {
+			t.Errorf("flow %d: seen %t, volume %v, want %v", f, iv.Seen[f], iv.Volumes[f], want)
+		}
+	}
+	for _, f := range []int{0, 1} {
+		if iv.Seen[f] {
+			t.Errorf("flow %d, which no report carried, was attributed %v", f, iv.Volumes[f])
+		}
 	}
 }
 

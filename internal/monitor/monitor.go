@@ -426,18 +426,19 @@ func (s *Service) ReportInterval(t int64, volumes []float64) error {
 	}
 	s.mu.Unlock()
 
-	conn := s.up.Conn()
-	if conn == nil {
-		sp.Event("not_connected")
-		sp.End()
-		return ErrNotConnected
-	}
 	report := transport.VolumeReport{MonitorID: s.cfg.ID, Interval: t, FlowIDs: s.flowIDs, Volumes: volumes}
 	env := transport.Envelope{Volume: &report}
 	if sp != nil {
 		env.Trace = &transport.TraceContext{TraceID: uint64(sp.Trace()), SpanID: uint64(sp.ID())}
 	}
-	if err := conn.Send(env); err != nil {
+	// The link's Hello announced these flows, so SendVolume leaves them out.
+	err := s.up.SendVolume(env)
+	if errors.Is(err, ErrNotConnected) {
+		sp.Event("not_connected")
+		sp.End()
+		return ErrNotConnected
+	}
+	if err != nil {
 		s.met.reportErrors.Inc()
 		s.health.Set("noc-link", obs.StatusDown, err.Error())
 		sp.Event("report_send_error", trace.S("err", err.Error()))

@@ -309,6 +309,7 @@ func New(cfg Config) (*Service, error) {
 		workCh:   make(chan tier.Interval, 256),
 		procDone: make(chan struct{}),
 	}
+	foreign, mismatch := tier.DroppedReports(reg, "streampca_noc_volume_reports_dropped_total")
 	s.down, err = tier.NewDownstream(tier.DownstreamConfig{
 		Params:           params,
 		RequireAll:       true,
@@ -320,12 +321,14 @@ func New(cfg Config) (*Service, error) {
 		Faults:           cfg.Faults,
 		WireMetrics:      s.wireMet,
 		Metrics: tier.Metrics{
-			Registrants:  s.met.monitors,
-			Rejected:     s.met.rejects,
-			Evicted:      s.met.drops,
-			PullRetries:  s.met.fetchRetries,
-			BreakerOpen:  s.met.breakerOpen,
-			BreakerOpens: s.met.breakerOpens,
+			Registrants:     s.met.monitors,
+			Rejected:        s.met.rejects,
+			Evicted:         s.met.drops,
+			PullRetries:     s.met.fetchRetries,
+			BreakerOpen:     s.met.breakerOpen,
+			BreakerOpens:    s.met.breakerOpens,
+			DroppedForeign:  foreign,
+			DroppedMismatch: mismatch,
 		},
 		Log:        log,
 		OnInterval: s.enqueue,

@@ -45,6 +45,19 @@ type Metrics struct {
 	PullRetries  *obs.Counter // pull rounds after the first
 	BreakerOpen  *obs.Gauge   // registrants currently excluded from pulls
 	BreakerOpens *obs.Counter // closed→open transitions
+	// Volume reports dropped: sent under another ID than the connection
+	// registered, or with another number of volumes than flows (see
+	// addVolumes). The roles register both as one counter with a reason
+	// label (DroppedReports).
+	DroppedForeign, DroppedMismatch *obs.Counter
+}
+
+// DroppedReports registers the two volume-report drop counters of Metrics
+// as the series of name under reason="foreign_identity" and
+// reason="flow_count".
+func DroppedReports(reg *obs.Registry, name string) (foreign, mismatch *obs.Counter) {
+	const help = "Volume reports dropped, by reason: under a foreign identity, or with a volume count unlike the flow count."
+	return reg.Counter(name, help, obs.L("reason", "foreign_identity")), reg.Counter(name, help, obs.L("reason", "flow_count"))
 }
 
 // DownstreamConfig parameterises the downstream half.
@@ -521,19 +534,31 @@ func (d *Downstream) settle() {
 
 // addVolumes folds a volume report into its interval accumulator. The report
 // is bound to the connection it arrived on: it must carry the sender's
-// registered ID, and entries naming a flow another live registrant owns are
+// registered ID, an empty flow list stands for the flows of the sender's
+// last Hello, and entries naming a flow another live registrant owns are
 // skipped. Flows nobody owns are accepted — a mid tier legitimately forwards
-// what a monitor reported before it died.
+// what a monitor reported before it died. A report under another ID, or
+// whose volumes do not match its flows in number, is dropped, counted and
+// logged.
 func (d *Downstream) addVolumes(conn *transport.Conn, v *transport.VolumeReport) {
-	if len(v.FlowIDs) != len(v.Volumes) {
-		return // malformed; drop
-	}
 	m := d.cfg.NumFlows
 	d.mu.Lock()
 	from := d.regs[conn]
 	if from == nil || v.MonitorID != from.id {
 		d.mu.Unlock()
+		d.cfg.Metrics.DroppedForeign.Inc()
 		d.log.Warn("volume report under a foreign identity dropped", "claimed", v.MonitorID)
+		return
+	}
+	flows := v.FlowIDs
+	if len(flows) == 0 {
+		flows = from.flows
+	}
+	if len(flows) != len(v.Volumes) {
+		d.mu.Unlock()
+		d.cfg.Metrics.DroppedMismatch.Inc()
+		d.log.Warn("volume report with a volume count unlike its flow count dropped",
+			"peer", from.id, "interval", v.Interval, "flows", len(flows), "volumes", len(v.Volumes))
 		return
 	}
 	if v.Interval > d.lastInterval {
@@ -556,7 +581,7 @@ func (d *Downstream) addVolumes(conn *transport.Conn, v *transport.VolumeReport)
 			acc = accum{volumes: make([]float64, m), seen: make([]bool, m)}
 		}
 	}
-	for i, f := range v.FlowIDs {
+	for i, f := range flows {
 		if f < 0 || f >= m || (d.owner[f] != nil && d.owner[f] != from) {
 			continue
 		}

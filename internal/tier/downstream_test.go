@@ -55,12 +55,14 @@ func (s *sink) indices() []int64 {
 func testMetrics() Metrics {
 	reg := obs.NewRegistry()
 	return Metrics{
-		Registrants:  reg.Gauge("registrants", ""),
-		Rejected:     reg.Counter("rejected", ""),
-		Evicted:      reg.Counter("evicted", ""),
-		PullRetries:  reg.Counter("retries", ""),
-		BreakerOpen:  reg.Gauge("breaker_open", ""),
-		BreakerOpens: reg.Counter("breaker_opens", ""),
+		Registrants:     reg.Gauge("registrants", ""),
+		Rejected:        reg.Counter("rejected", ""),
+		Evicted:         reg.Counter("evicted", ""),
+		PullRetries:     reg.Counter("retries", ""),
+		BreakerOpen:     reg.Gauge("breaker_open", ""),
+		BreakerOpens:    reg.Counter("breaker_opens", ""),
+		DroppedForeign:  reg.Counter("dropped_foreign", ""),
+		DroppedMismatch: reg.Counter("dropped_mismatch", ""),
 	}
 }
 
@@ -500,6 +502,41 @@ func TestFramesBoundToTheirConnection(t *testing.T) {
 	b.setAnswer(func(p *peer, id uint64) { p.respond(id, "b", 5, []int{0, 1, 2, 3}) })
 	if p := d.Pull(nil, nil); len(d.Uncovered(p)) != 0 {
 		t.Fatalf("b's report over unowned flows refused: uncovered %v", d.Uncovered(p))
+	}
+}
+
+// TestImplicitFlowList: a volume report with no flow list reads against the
+// flows of its connection's last Hello, in that order; one whose volumes do
+// not match those flows in number, or sent under another ID, is dropped and
+// counted by reason.
+func TestImplicitFlowList(t *testing.T) {
+	d, s := newDownstream(t, func(c *DownstreamConfig) { c.RequireAll = true })
+	a := attach(t, d, "a", []int{1, 0}, nil)
+	b := attach(t, d, "b", []int{2, 3}, nil)
+	met := d.cfg.Metrics
+
+	a.volumes("a", 1, nil, 11, 10)
+	b.volumes("b", 1, nil, 666)      // one volume for two flows
+	b.volumes("a", 1, nil, 666, 666) // a's ID on b's connection
+	waitFor(t, "both drops counted", func() bool {
+		return met.DroppedMismatch.Value() == 1 && met.DroppedForeign.Value() == 1
+	})
+	b.volumes("b", 1, nil, 12, 13)
+	waitFor(t, "interval 1", func() bool { return len(s.indices()) == 1 })
+	if got := s.intervals[0].Volumes; !reflect.DeepEqual(got, []float64{10, 11, 12, 13}) {
+		t.Fatalf("interval 1 = %v, want the volumes in each Hello's order", got)
+	}
+
+	h := hello("b", []int{3, 2}) // a re-Hello reorders b's list
+	b.send(transport.Envelope{Hello: &h})
+	b.volumes("b", 2, nil, 23, 22)
+	a.volumes("a", 2, []int{0, 1}, 20, 21) // an explicit list still rules
+	waitFor(t, "interval 2", func() bool { return len(s.indices()) == 2 })
+	if got := s.intervals[1].Volumes; !reflect.DeepEqual(got, []float64{20, 21, 22, 23}) {
+		t.Fatalf("interval 2 = %v, want b's volumes read against its re-Hello", got)
+	}
+	if met.DroppedMismatch.Value() != 1 || met.DroppedForeign.Value() != 1 {
+		t.Fatalf("drops = %d mismatched, %d foreign, want 1 and 1", met.DroppedMismatch.Value(), met.DroppedForeign.Value())
 	}
 }
 

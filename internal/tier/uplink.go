@@ -75,8 +75,12 @@ type Uplink struct {
 	stop chan struct{}
 
 	// helloMu serializes Hellos so a stale announcement can never overtake a
-	// fresher one on the wire. Lock order: helloMu before mu.
+	// fresher one on the wire, and orders volume reports against them
+	// (SendVolume). Lock order: helloMu before mu.
 	helloMu sync.Mutex
+	// announced is a copy of the flow list of the last Hello sent on the
+	// current link; guarded by helloMu.
+	announced []int
 
 	mu     sync.Mutex
 	conn   *transport.Conn
@@ -149,7 +153,7 @@ func (u *Uplink) Attach(conn *transport.Conn) error {
 	u.mu.Unlock()
 
 	hello := u.cfg.Hello()
-	err := conn.Send(transport.Envelope{Hello: &hello})
+	err := u.sendHello(conn, &hello)
 	if err == nil && hello.WindowLen == 0 {
 		err = u.adopt(conn)
 	}
@@ -171,9 +175,41 @@ func (u *Uplink) Attach(conn *transport.Conn) error {
 		// takes what the tier pushes meanwhile, and sees a failed send as
 		// the dead link it is.
 		hello = u.cfg.Hello()
-		_ = conn.Send(transport.Envelope{Hello: &hello})
+		_ = u.sendHello(conn, &hello)
 	}
 	return nil
+}
+
+// sendHello sends h on conn and, once it went out, keeps its flow list as
+// the one SendVolume compares against. The caller holds helloMu.
+func (u *Uplink) sendHello(conn *transport.Conn, h *transport.Hello) error {
+	if err := conn.Send(transport.Envelope{Hello: h}); err != nil {
+		return err
+	}
+	u.announced = append(u.announced[:0], h.FlowIDs...)
+	return nil
+}
+
+// SendVolume sends env, a volume report, on the live link, or returns
+// ErrNotConnected. The report's flow list goes implicit (empty) when it
+// equals the list of the last Hello sent on the link, which the tier above
+// then reads it against; helloMu keeps a Hello from passing between that
+// comparison and the send. env.Volume is as given again on return.
+func (u *Uplink) SendVolume(env transport.Envelope) error {
+	u.helloMu.Lock()
+	defer u.helloMu.Unlock()
+	conn := u.Conn()
+	if conn == nil {
+		return ErrNotConnected
+	}
+	v := env.Volume
+	ids := v.FlowIDs
+	if slices.Equal(ids, u.announced) {
+		v.FlowIDs = nil
+	}
+	err := conn.Send(env)
+	v.FlowIDs = ids
+	return err
 }
 
 // adopt reads the announcement that answers a Hello stating no parameters,
@@ -211,7 +247,7 @@ func (u *Uplink) Announce() bool {
 		return false
 	}
 	hello := u.cfg.Hello()
-	if err := conn.Send(transport.Envelope{Hello: &hello}); err != nil {
+	if err := u.sendHello(conn, &hello); err != nil {
 		u.log.Warn("re-hello send failed", "err", err)
 		return false
 	}

@@ -305,3 +305,66 @@ func TestOtherVersionUpstreamIsNotRedialed(t *testing.T) {
 		})
 	}
 }
+
+// TestSendVolumeRacesAnnounce: reports whose flow list is the one announced
+// go implicit, and a Hello swapping the list for another of the same size
+// can never land between that comparison and the send. One goroutine swaps
+// the peer's flows between {0, 1} and {2, 3}, another reports each volume
+// as ten times its flow under whichever list it read; the downstream, which
+// reads implicit lists against the last Hello, must attribute every volume
+// to its flow.
+func TestSendVolumeRacesAnnounce(t *testing.T) {
+	d, s := newDownstream(t, nil)
+	var swapped atomic.Bool
+	flows := func() []int {
+		if swapped.Load() {
+			return []int{2, 3}
+		}
+		return []int{0, 1}
+	}
+	u := newUplink(t, func(c *UplinkConfig) {
+		c.Hello = func() transport.Hello { return hello("peer", flows()) }
+	})
+	mine, theirs := transport.Pipe()
+	go d.Handle(theirs)
+	if err := u.Attach(mine); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "registration", func() bool { return registered(d, "peer") })
+
+	const reports = 400
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < reports/4; i++ {
+			swapped.Store(!swapped.Load())
+			u.Announce()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := int64(1); i <= reports; i++ {
+			f := flows()
+			v := transport.VolumeReport{MonitorID: "peer", Interval: i, FlowIDs: f, Volumes: []float64{float64(10 * f[0]), float64(10 * f[1])}}
+			if err := u.SendVolume(transport.Envelope{Volume: &v}); err != nil {
+				t.Errorf("report %d: %v", i, err)
+				return
+			}
+			if !slices.Equal(v.FlowIDs, f) {
+				t.Errorf("report %d: SendVolume left the list %v, want %v", i, v.FlowIDs, f)
+			}
+		}
+	}()
+	wg.Wait()
+	waitFor(t, "some intervals delivered", func() bool { return len(s.indices()) > 0 })
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, iv := range s.intervals {
+		for f, seen := range iv.Seen {
+			if seen && iv.Volumes[f] != float64(10*f) {
+				t.Fatalf("interval %d: flow %d was attributed %v", iv.Index, f, iv.Volumes[f])
+			}
+		}
+	}
+}

@@ -19,7 +19,7 @@ import (
 )
 
 // goldenFrames pins the wire format byte for byte: one frame per message
-// kind and both float forms. The hex is spaced by field, in the order
+// kind and every float form. The hex is spaced by field, in the order
 // wire.go documents: kind, length, [trace,] payload. A change here is a
 // change of the protocol and needs a new wireVersion.
 var goldenFrames = []struct {
@@ -30,10 +30,19 @@ var goldenFrames = []struct {
 	{"hello", Envelope{Hello: &Hello{MonitorID: "m1", FlowIDs: []int{0, 5}, SketchLen: 8, WindowLen: 16,
 		Seed: 7, Role: RoleAggregator, NumFlows: 81}},
 		"01 0d000000 | 02 6d31 | 02 00 0a | 10 20 07 00 02 a201"},
-	// Integer-valued volumes take the compact form: 1500 is 4 bytes, 0 one.
-	{"volume/compact", Envelope{Volume: &VolumeReport{MonitorID: "m1", Interval: 9,
+	// Integer-valued volumes take the int form: 1500 is the zigzag varint
+	// of 3000, 2 bytes, and 0 one.
+	{"volume/ints", Envelope{Volume: &VolumeReport{MonitorID: "m1", Interval: 9,
 		FlowIDs: []int{0, 1}, Volumes: []float64{1500, 0}}},
-		"02 0e000000 | 02 6d31 | 12 | 02 00 02 | 02 01 fd709740 00"},
+		"02 0c000000 | 02 6d31 | 12 | 02 00 02 | 02 02 b817 00"},
+	// An empty flow list leaves the flows to the connection's last Hello.
+	{"volume/implicit", Envelope{Volume: &VolumeReport{MonitorID: "m1", Interval: 9,
+		Volumes: []float64{1500, 0}}},
+		"02 0a000000 | 02 6d31 | 12 | 00 | 02 02 b817 00"},
+	// A non-integral run that compact shortens: 0.5 is 3 bytes, 0 one.
+	{"volume/compact", Envelope{Volume: &VolumeReport{MonitorID: "m1", Interval: 9,
+		FlowIDs: []int{0, 1}, Volumes: []float64{0.5, 0}}},
+		"02 0d000000 | 02 6d31 | 12 | 02 00 02 | 02 01 fee03f 00"},
 	{"volume/raw", Envelope{Volume: &VolumeReport{MonitorID: "m1", Interval: 9,
 		FlowIDs: []int{0, 1}, Volumes: []float64{0.1, -2.5e-3}}},
 		"02 19000000 | 02 6d31 | 12 | 02 00 02 | 02 00 9a9999999999b93f 7b14ae47e17a64bf"},
@@ -56,12 +65,13 @@ var goldenFrames = []struct {
 		Report: sumsReport(4, []float64{2, -2}, []int64{10, 6}, [][]float64{{13, -3}, {7, 1}})}},
 		"04 29000000 | 03 02 6d31 00 00 | 0a 02 00 02 | 02 | 01 02 04 03 | 02 00 00" +
 			" | 01 08 14 01 0d fd | 01 08 0c 01 07 01 | 00 | 00 | 0000000000000000 | 00"},
-	// FD rows with exact zeros are compact, a zero one byte.
+	// FD rows with exact zeros are one byte a zero: an integral row and the
+	// means as varints, the other row compact.
 	{"response/fd", Envelope{Response: &SketchResponse{RequestID: 3, MonitorID: "agg", Degraded: true, StaleFlows: 1,
 		Report: core.SketchReport{Interval: 9, FlowIDs: []int{2, 5}, Means: []float64{10, 20}, Counts: []int64{9, 9},
 			Family: sketch.FamilyFD, FDRows: [][]float64{{1, 0}, {0, 0.5}}, FDDelta: 0.25, FDEll: 2}}},
-		"04 2e000000 | 03 03616767 01 02 | 12 02 04 0a | 00 | 02 01 fe2440 fe3440 | 02 12 12 | 02" +
-			" | 02 02 01 fef03f 00 02 01 00 fee03f | 000000000000d03f | 04"},
+		"04 28000000 | 03 03616767 01 02 | 12 02 04 0a | 00 | 02 02 14 28 | 02 12 12 | 02" +
+			" | 02 | 02 02 02 00 | 02 01 00 fee03f | 000000000000d03f | 04"},
 	{"alarm", Envelope{Alarm: &Alarm{Interval: 12, Distance: 9.5, Threshold: 2.25, Degraded: true,
 		Identified: []IdentifiedFlow{{Flow: 41, Amount: 5e5, Confidence: 0.93}}}},
 		"05 24000000 | 18 0000000000002340 0000000000000240 01 | 01 52 0000000080841e41 c3f5285c8fc2ed3f"},
@@ -135,7 +145,7 @@ func TestConnOpensWithPreamble(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := unhex(t, "53504341 04 | 03 01000000 2a | 03 01000000 2a")
+	want := unhex(t, "53504341 05 | 03 01000000 2a | 03 01000000 2a")
 	if !bytes.Equal(s.out.Bytes(), want) {
 		t.Fatalf("stream %x, want %x", s.out.Bytes(), want)
 	}
@@ -144,8 +154,9 @@ func TestConnOpensWithPreamble(t *testing.T) {
 // TestRecvRefusesOtherProtocols: a Conn refuses, with ErrVersion, a peer whose
 // stream opens with gob (a build from before this wire) or with another
 // version of this wire (version 1 pulled full windows of Gaussian rows,
-// version 2 carried ε in Hello, version 3 sent every column as floats), and
-// keeps refusing.
+// version 2 carried ε in Hello, version 3 sent every column as floats,
+// version 4 had no int runs and no implicit flow lists), and keeps
+// refusing.
 func TestRecvRefusesOtherProtocols(t *testing.T) {
 	var gobPeer bytes.Buffer
 	if err := gob.NewEncoder(&gobPeer).Encode(&Envelope{Hello: &Hello{MonitorID: "old", FlowIDs: []int{0}, WindowLen: 8}}); err != nil {
@@ -160,6 +171,7 @@ func TestRecvRefusesOtherProtocols(t *testing.T) {
 		{"version 1", version("01")},
 		{"version 2", version("02")},
 		{"version 3", version("03")},
+		{"version 4", version("04")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &splitStream{}

@@ -43,6 +43,20 @@ func FuzzDecodeMessage(f *testing.F) {
 	}
 	f.Add(stream(all...))
 	f.Add(stream(Envelope{Volume: &VolumeReport{Volumes: []float64{math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.MaxFloat64, math.NaN()}}}))
+	// Int runs: the widest integers the form takes, and whole bytes beside
+	// a −0 and a NaN, which close it.
+	f.Add(stream(Envelope{Volume: &VolumeReport{MonitorID: "m1", Volumes: []float64{1<<53 - 1, -(1<<53 - 1)}}}))
+	f.Add(stream(Envelope{Volume: &VolumeReport{MonitorID: "m1", Volumes: []float64{1500, math.Copysign(0, -1), math.NaN()}}}))
+	// Implicit-list volume reports whose int run holds 2⁵³, which the
+	// decoder refuses, a varint that runs past 64 bits, and one that spells
+	// 0 in five bytes.
+	volume := func(run []byte) []byte {
+		payload := append(unhexF(f, "02 6d31 12 00 01 02"), run...)
+		return append(binary.LittleEndian.AppendUint32(append(preamble[:], kindVolume), uint32(len(payload))), payload...)
+	}
+	f.Add(volume(binary.AppendVarint(nil, 1<<53)))
+	f.Add(volume(unhexF(f, "ffffffffffffffffffff01")))
+	f.Add(volume(unhexF(f, "8080808000"))) // 0, overlong but in range
 	// A response whose middle column is no exact sum and names no row sums:
 	// sums, raw, then sums over the first column's row sums.
 	mixed := sumsReport(6, []float64{2, -4, 0}, []int64{41, 7, 9}, [][]float64{{5, -9, 2}, {1, 1, 1}, {0, 3, -2}})

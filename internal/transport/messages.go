@@ -87,8 +87,11 @@ type Hello struct {
 type VolumeReport struct {
 	MonitorID string
 	Interval  int64
-	FlowIDs   []int
-	Volumes   []float64
+	// FlowIDs names the flow of each volume. Empty, it means the flows of
+	// the last Hello on the connection, in that order (tier.Uplink.SendVolume
+	// leaves it so).
+	FlowIDs []int
+	Volumes []float64
 }
 
 // SketchRequest asks a monitor for its current sketch state.

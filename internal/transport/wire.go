@@ -29,12 +29,20 @@ import (
 //   - formRaw: each value's 8-byte little-endian bit pattern;
 //   - formCompact: gob's float rule, the bit pattern byte-reversed and sent
 //     as an unsigned integer, one byte below 0x80, else a count byte (256−k)
-//     and k big-endian bytes with the leading zeros dropped: 1–9 B a value.
+//     and k big-endian bytes with the leading zeros dropped: 1–9 B a value;
+//   - formInt: each value a zigzag varint, open to a run whose every value
+//     is an integer of magnitude below 2⁵³ and none −0. The decoder refuses
+//     a varint of 2⁵³ or more in magnitude.
 //
-// The encoder takes whichever form is shorter for the run: integer-valued
-// floats, like NetFlow byte counts, are a few bytes compact, and the exact
-// zeros of an aggregator-merged FD row one each. Every float crosses as its
-// exact bit pattern either way.
+// The encoder takes the shortest form for the run, raw on a tie, then int:
+// whole-byte volumes, like NetFlow byte counts, are varints (3–4 B a value
+// where compact takes about 5), the exact zeros of an aggregator-merged FD
+// row one byte each, and large powers of two compact. Every float crosses
+// as its exact bit pattern in every form.
+//
+// A volume report whose flow list is empty reads against the flows of the
+// last Hello on its connection, in that order (tier.Downstream.addVolumes);
+// the codec sends the list it is given.
 //
 // A sketch report's columns are a uvarint count k and, when k is 0 (FD),
 // the means as a run and the counts as a list; else the row sums R′ (a list
@@ -60,11 +68,13 @@ import (
 // several times faster than varints, which saved under 1 %.
 
 const (
-	// wireVersion 4: sketch columns travel as exact integer sums. Version 3
-	// sent them as float runs; version 2 carried the variance-histogram ε
-	// in Hello; version 1 pulled the full window of Gaussian rows. Mixing
-	// versions at one NOC is refused.
-	wireVersion = 4
+	// wireVersion 5: integer float runs travel as varints, and a volume
+	// report may leave its flow list to the Hello. Version 4 sent sketch
+	// columns as exact integer sums first; version 3 sent them as float
+	// runs; version 2 carried the variance-histogram ε in Hello; version 1
+	// pulled the full window of Gaussian rows. Mixing versions at one NOC is
+	// refused.
+	wireVersion = 5
 	// frameHeader is the kind byte and the length.
 	frameHeader = 5
 	// maxFrame caps a frame's declared length; a longer one is ErrBadMessage
@@ -98,7 +108,12 @@ const (
 const (
 	formRaw byte = iota
 	formCompact
+	formInt
 )
+
+// intBound bounds the magnitude of a formInt value: every integer below it
+// is an exact float64.
+const intBound = 1 << 53
 
 // useAVX2 routes the 4-byte sums of appendZ and sumsInto, the width of
 // every column of byte counts below 2³¹ a window, to the amd64 kernels of
@@ -467,6 +482,16 @@ func (c *codec) floats(v *[]float64) {
 		for i := range *v {
 			(*v)[i] = c.compact()
 		}
+	case form == formInt && n <= len(c.b):
+		setLen(v, n)
+		for i := range *v {
+			x, k := binary.Varint(c.b)
+			if k <= 0 || x <= -intBound || x >= intBound {
+				c.fail("float run value %d of %d: bad or out-of-range varint", i, n)
+				return
+			}
+			(*v)[i], c.b = float64(x), c.b[k:]
+		}
 	default:
 		c.fail("float run of %d values in form %d, %d bytes left", n, form, len(c.b))
 	}
@@ -485,34 +510,51 @@ func (c *codec) carve(v *[]float64, n, need int) {
 	*v, c.spare = c.spare[:n:n], c.spare[n:]
 }
 
-// appendRun appends the form byte and the values of a non-empty run.
+// appendRun appends the form byte and the values of a non-empty run, in
+// the shortest form (see the format comment).
 func appendRun(dst []byte, xs []float64) []byte {
-	compact := 0
+	compact, ints := 0, 0 // ints is −1 once a value has no formInt
 	for _, x := range xs {
 		if u := compactBits(x); u < 0x80 {
 			compact++
 		} else {
 			compact += 1 + (bits.Len64(u)+7)/8
 		}
+		if v := int64(x); ints >= 0 && float64(v) == x && v > -intBound && v < intBound && (v != 0 || !math.Signbit(x)) {
+			ints += (bits.Len64(uint64(v<<1^v>>63)|1) + 6) / 7
+		} else {
+			ints = -1
+		}
 	}
-	if compact >= 8*len(xs) {
-		dst = append(dst, formRaw)
+	form, size := formRaw, 8*len(xs)
+	if ints >= 0 && ints < size {
+		form, size = formInt, ints
+	}
+	if compact < size {
+		form = formCompact
+	}
+	dst = append(dst, form)
+	switch form {
+	case formRaw:
 		for _, x := range xs {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 		}
-		return dst
-	}
-	dst = append(dst, formCompact)
-	for _, x := range xs {
-		u := compactBits(x)
-		if u < 0x80 {
-			dst = append(dst, byte(u))
-			continue
+	case formInt:
+		for _, x := range xs {
+			dst = binary.AppendVarint(dst, int64(x))
 		}
-		k := (bits.Len64(u) + 7) / 8
-		dst = append(dst, byte(256-k))
-		for s := 8 * (k - 1); s >= 0; s -= 8 {
-			dst = append(dst, byte(u>>s))
+	default:
+		for _, x := range xs {
+			u := compactBits(x)
+			if u < 0x80 {
+				dst = append(dst, byte(u))
+				continue
+			}
+			k := (bits.Len64(u) + 7) / 8
+			dst = append(dst, byte(256-k))
+			for s := 8 * (k - 1); s >= 0; s -= 8 {
+				dst = append(dst, byte(u>>s))
+			}
 		}
 	}
 	return dst
