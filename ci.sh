@@ -182,6 +182,14 @@ step "go test -race -count=10 (overlapping pulls at one aggregator)"
 go test -race -count=10 -run '^TestOverlappingPullsShareTheKeptResponse$' ./internal/agg
 step_done
 
+# A Downstream reuses its pull rounds (tier.Downstream.round: the response
+# channel, the awaited set and the timer, drained when a round retires): ten
+# race runs of the tests that pull back to back, at once, and past a round
+# that timed out.
+step "go test -race -count=10 (reused pull rounds)"
+go test -race -count=10 -run '^(TestPullRoundsAreReused|TestLateAnswerNeverReachesTheNextPull|TestRetireDrainsAnswersRoutedToTheRound|TestOverlappingPullsTakeTheirOwnRounds)$' ./internal/tier
+step_done
+
 # Identification-quality gate (PR10): the anomography suite replays five
 # labeled attack scenarios over a synthetic Abilene-like week (m=81 flows)
 # and scores the culprits each online family names against the injected

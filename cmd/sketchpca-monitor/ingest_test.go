@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -53,7 +54,7 @@ func e2eNOC(t testing.TB) (*noc.Service, chan noc.Decision) {
 			Alpha: 0.01, FixedRank: 1,
 		},
 		Seed:       e2eSeed,
-		OnDecision: func(d noc.Decision) { decisions <- d },
+		OnDecision: func(d noc.Decision) { decisions <- keepVector(d) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,6 +282,9 @@ func TestRunIngestMatchesDirectFeed(t *testing.T) {
 		b, okB := gotB[i]
 		if !okA || !okB {
 			t.Fatalf("interval %d missing (ingest=%v csv=%v)", i, okA, okB)
+		}
+		if !slices.ContainsFunc(b.Vector, func(v float64) bool { return v != 0 }) {
+			t.Errorf("interval %d: the CSV path's vector is all zero", i)
 		}
 		for j := range b.Vector {
 			if a.Vector[j] != b.Vector[j] {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -88,7 +89,8 @@ const (
 	testSeed   = 5
 )
 
-// startNOC serves a NOC for the test deployment and returns its decisions.
+// startNOC serves a NOC for the test deployment and returns its decisions,
+// each with its own copy of the Vector the NOC recycles.
 func startNOC(t *testing.T) (*noc.Service, <-chan noc.Decision) {
 	t.Helper()
 	decisions := make(chan noc.Decision, 64)
@@ -98,7 +100,7 @@ func startNOC(t *testing.T) (*noc.Service, <-chan noc.Decision) {
 			Alpha: 0.01, FixedRank: 1,
 		},
 		Seed:       testSeed,
-		OnDecision: func(d noc.Decision) { decisions <- d },
+		OnDecision: func(d noc.Decision) { decisions <- keepVector(d) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +110,13 @@ func startNOC(t *testing.T) (*noc.Service, <-chan noc.Decision) {
 	}
 	t.Cleanup(svc.Shutdown)
 	return svc, decisions
+}
+
+// keepVector returns d with a copy of its Vector, which is valid only until
+// OnDecision returns.
+func keepVector(d noc.Decision) noc.Decision {
+	d.Vector = slices.Clone(d.Vector)
+	return d
 }
 
 // csvCell is the test trace's volume of flow f at interval i.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"streampca/internal/anomography"
@@ -55,7 +56,12 @@ type DetectorConfig struct {
 	Family sketch.Family
 }
 
-// Model is a fitted sketch-PCA model at the NOC.
+// Model is a fitted sketch-PCA model at the NOC. A random-projection detector
+// alternates two models and rebuilds into the one not in force, reusing its
+// arrays: a Model stays valid while it is in force and through the rebuild
+// that replaces it, and the rebuild after that writes over it. A rebuild that
+// fails leaves the model in force as it was (but see Sketch). An FD rebuild
+// builds a new model.
 type Model struct {
 	// Components is the m×Rank leading basis P_r: column j is â_j, the
 	// unit eigenvector of λ̂²_j. The m − Rank residual directions are never
@@ -102,17 +108,19 @@ type Model struct {
 type Detector struct {
 	cfg   DetectorConfig
 	model *Model
+	// models are the two a random-projection detector alternates; model
+	// points at one of them once a RebuildModel succeeded (see Model).
+	models [2]Model
 	// The randproj rebuild's workspace, sized on the first RebuildModel and
-	// reused after that, so a rebuild allocates only the model it installs:
-	// z is Ẑ, which the installed model's Sketch shares; gram is the Gram of
-	// the sketch matrix's smaller side, factored in place into eig; rows lists
-	// Ẑ's rows for the m×m side, u holds the l×l side's leading eigenvectors,
-	// uj one of them and aj its right vector. y is the centred measurement
-	// Distance and Identify score, pursuit Identify's storage.
+	// reused after that, so that once both models are sized too a rebuild
+	// allocates nothing: z is Ẑ, which the installed model's Sketch shares;
+	// gram is the Gram of the sketch matrix's smaller side, factored in place
+	// into eig; u holds the l×l side's leading eigenvectors, uj one of them
+	// and aj its right vector. y is the centred measurement Distance and
+	// Identify score, pursuit Identify's storage.
 	z       *mat.Matrix
 	gram    *mat.Matrix
 	eig     mat.EigenLeading
-	rows    [][]float64
 	u       *mat.Matrix
 	uj, aj  []float64
 	y       []float64
@@ -214,9 +222,10 @@ func (d *Detector) RebuildModel(sketches [][]float64, means []float64, builtAt i
 	// vectors â. The side is chosen by shape: the l×l ẐẐᵀ when it is the
 	// smaller one and the sketch is well conditioned at the cut, the m×m
 	// Gram otherwise.
-	model, err := d.fitSmallSide(z, sketches)
+	model := d.spare()
+	err = d.fitSmallSide(model, z, sketches)
 	if errors.Is(err, errNeedGram) {
-		model, err = d.fitGram(z)
+		err = d.fitGram(model, z)
 	}
 	if err == nil {
 		model.Sketch = z
@@ -228,17 +237,36 @@ func (d *Detector) RebuildModel(sketches [][]float64, means []float64, builtAt i
 	return err
 }
 
+// spare returns the model a rebuild fills: the one of d.models not in force,
+// cleared but for its arrays, which the fit reuses when their shape matches.
+func (d *Detector) spare() *Model {
+	next := &d.models[0]
+	if d.model == next {
+		next = &d.models[1]
+	}
+	*next = Model{Components: next.Components, Singular: next.Singular, Means: next.Means}
+	return next
+}
+
+// components returns model's m×r basis, for the fit to write every entry of.
+func components(model *Model, m, r int) *mat.Matrix {
+	if b := model.Components; b == nil || b.Rows() != m || b.Cols() != r {
+		model.Components = mat.NewMatrix(m, r)
+	}
+	return model.Components
+}
+
 // errNeedGram is fitSmallSide's answer when the model has to come from the
 // m×m Gram instead.
 var errNeedGram = errors.New("core: sketch model needs the m×m Gram")
 
-// factor builds the n×n Gram of rows, each of length n, in the workspace and
-// factors it in place into d.eig.
-func (d *Detector) factor(n int, rows [][]float64) error {
+// factor has gram write an n×n Gram into the workspace and factors it in
+// place into d.eig.
+func (d *Detector) factor(n int, gram func(dst *mat.Matrix) error) error {
 	if d.gram == nil || d.gram.Rows() != n {
 		d.gram = mat.NewMatrix(n, n)
 	}
-	if err := mat.RowGramInto(d.gram, rows); err != nil {
+	if err := gram(d.gram); err != nil {
 		return err
 	}
 	if err := d.eig.Factor(d.gram); err != nil {
@@ -247,8 +275,8 @@ func (d *Detector) factor(n int, rows [][]float64) error {
 	return nil
 }
 
-// fitGram fits the model through the m×m Gram ẐᵀẐ. The threshold reads
-// every λ̂, the detector only the leading r vectors, so only those are built,
+// fitGram fits model through the m×m Gram ẐᵀẐ. The threshold reads every
+// λ̂, the detector only the leading r vectors, so only those are built,
 // straight into the model's basis.
 //
 // Past the sketch's numerical rank, where λ̂²_j ≤ m·2⁻⁵²·λ̂²_1 (l < m, or a
@@ -260,17 +288,10 @@ func (d *Detector) factor(n int, rows [][]float64) error {
 // oracle decomposes, so that such a model is the one the reference builds
 // (TestLeadingBasisMatchesFullSolve's l < m row). No rebuild of
 // abilene-eval's evaluations or of the benchmark's workloads takes that path.
-// It allocates an m×m Gram and the full solve besides the model, 179 KB at
-// m = 81.
-func (d *Detector) fitGram(z *mat.Matrix) (*Model, error) {
-	d.rows = d.rows[:0]
-	for k := 0; k < z.Rows(); k++ {
-		d.rows = append(d.rows, z.RowView(k))
-	}
-	err := d.factor(z.Cols(), d.rows)
-	clear(d.rows)
-	if err != nil {
-		return nil, err
+// It allocates an m×m Gram and the full solve, 179 KB at m = 81.
+func (d *Detector) fitGram(model *Model, z *mat.Matrix) error {
+	if err := d.factor(z.Cols(), z.GramInto); err != nil {
+		return err
 	}
 	m := d.cfg.NumFlows
 	floor := float64(m) * 0x1p-52 * d.eig.Values[0]
@@ -278,27 +299,27 @@ func (d *Detector) fitGram(z *mat.Matrix) (*Model, error) {
 	for k < m && d.eig.Values[k] > floor {
 		k++
 	}
-	sv := singularValues(d.eig.Values, m)
-	rank := d.chooseRank(sv)
-	basis := mat.NewMatrix(m, rank)
-	if rank > k {
+	model.Singular = singularValues(model.Singular, d.eig.Values, m)
+	model.Rank = d.chooseRank(model.Singular)
+	basis := components(model, m, model.Rank)
+	if model.Rank > k {
 		// The whole basis, so that its leading columns share the rounding of
 		// the near-null ones and stay orthogonal to them within n·ε, not
 		// ε·λ̂²_1/λ̂²_{k−1}.
 		full, err := mat.SymEigen(z.Gram())
 		if err != nil {
-			return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
+			return fmt.Errorf("sketch eigendecomposition: %w", err)
 		}
 		for i := 0; i < m; i++ {
-			copy(basis.RowView(i), full.Vectors.RowView(i)[:rank])
+			copy(basis.RowView(i), full.Vectors.RowView(i)[:model.Rank])
 		}
 	} else if err := d.eig.VectorsInto(basis); err != nil {
-		return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
+		return fmt.Errorf("sketch eigendecomposition: %w", err)
 	}
-	return &Model{Components: basis, Singular: sv, Rank: rank}, nil
+	return nil
 }
 
-// fitSmallSide fits the model through the l×l matrix ẐẐᵀ, built straight from
+// fitSmallSide fits model through the l×l matrix ẐẐᵀ, built straight from
 // the per-flow sketches (the rows of Ẑᵀ), which has the Gram's non-zero
 // spectrum: its eigenpairs are (λ̂²_j, u_j), â_j = Ẑᵀu_j/λ̂_j, and the other
 // m − l eigenvalues of the Gram are exactly zero. Nothing m×m is formed or
@@ -309,16 +330,17 @@ func (d *Detector) fitGram(z *mat.Matrix) (*Model, error) {
 // so for r ≥ l). There Ẑᵀu_j/λ̂_j is rounding noise rather than a unit
 // vector, and the Gram's rounding-level eigenvalues, which stand where this
 // side has exact zeros, would set the residual spectrum.
-func (d *Detector) fitSmallSide(z *mat.Matrix, sketches [][]float64) (*Model, error) {
+func (d *Detector) fitSmallSide(model *Model, z *mat.Matrix, sketches [][]float64) error {
 	l := z.Rows()
 	if l >= z.Cols() {
-		return nil, errNeedGram
+		return errNeedGram
 	}
-	if err := d.factor(l, sketches); err != nil {
-		return nil, err
+	if err := d.factor(l, func(dst *mat.Matrix) error { return mat.RowGramInto(dst, sketches) }); err != nil {
+		return err
 	}
 	eig := &d.eig
-	sv := singularValues(eig.Values, d.cfg.NumFlows)
+	sv := singularValues(model.Singular, eig.Values, d.cfg.NumFlows)
+	model.Singular = sv
 	// λ̂_0 … λ̂_{k−1} are the components above rounding level.
 	floor := float64(l) * 0x1p-52 * eig.Values[0]
 	k := 0
@@ -327,37 +349,39 @@ func (d *Detector) fitSmallSide(z *mat.Matrix, sketches [][]float64) (*Model, er
 	}
 	rank := d.chooseRank(sv)
 	if rank >= k {
-		return nil, errNeedGram
+		return errNeedGram
 	}
-	basis := mat.NewMatrix(d.cfg.NumFlows, rank)
+	model.Rank = rank
+	basis := components(model, d.cfg.NumFlows, rank)
 	if d.u == nil || d.u.Rows() != l || d.u.Cols() != rank {
 		d.u = mat.NewMatrix(l, rank)
 	}
 	if err := eig.VectorsInto(d.u); err != nil {
-		return nil, fmt.Errorf("sketch eigendecomposition: %w", err)
+		return fmt.Errorf("sketch eigendecomposition: %w", err)
 	}
 	if len(d.uj) != l || len(d.aj) != d.cfg.NumFlows {
 		d.uj, d.aj = make([]float64, l), make([]float64, d.cfg.NumFlows)
 	}
 	for j := 0; j < rank; j++ {
 		if err := d.u.ColInto(j, d.uj); err != nil {
-			return nil, err
+			return err
 		}
 		if err := rightVector(d.aj, z, d.uj, sv[j]); err != nil {
-			return nil, err
+			return err
 		}
 		for f, x := range d.aj {
 			basis.Set(f, j, x)
 		}
 	}
-	return &Model{Components: basis, Singular: sv, Rank: rank}, nil
+	return nil
 }
 
-// singularValues returns λ̂_j = √λ̂²_j for the descending eigenvalues of a
-// sketch Gram, negative rounding clamped to zero and the tail zero-padded to
-// m entries.
-func singularValues(values []float64, m int) []float64 {
-	sv := make([]float64, m)
+// singularValues writes into sv, resized to m entries, λ̂_j = √λ̂²_j for the
+// descending eigenvalues of a sketch Gram, negative rounding clamped to zero
+// and the tail zero-padded, and returns it.
+func singularValues(sv, values []float64, m int) []float64 {
+	sv = slices.Grow(sv[:0], m)[:m]
+	clear(sv)
 	for j, lam := range values {
 		if lam < 0 {
 			lam = 0
@@ -382,9 +406,9 @@ func rightVector(dst []float64, b *mat.Matrix, u []float64, s float64) error {
 // finishModel runs the family-independent tail of every rebuild: the
 // Q-statistic threshold over the real (non-padded) part of the spectrum and
 // model installation. model carries the family's Components, Singular,
-// Sketch and Rank.
+// Sketch and Rank; its Means array is reused.
 func (d *Detector) finishModel(model *Model, realLen int, means []float64, builtAt int64) error {
-	model.Means = append([]float64(nil), means...)
+	model.Means = append(model.Means[:0], means...)
 	model.BuiltAt = builtAt
 	if model.Rank >= realLen && realLen < d.cfg.NumFlows {
 		// Truncated spectrum (FD keeps ≤ Σ2ℓ bases) with the whole of it
@@ -643,8 +667,10 @@ func (f *Fetch) Assemble(family sketch.Family, numFlows int, reports []SketchRep
 		}
 		return nil
 	}
-	f.Sketches = append(f.Sketches, make([][]float64, numFlows)...)
-	f.Means = append(f.Means, make([]float64, numFlows)...)
+	f.Sketches = slices.Grow(f.Sketches, numFlows)[:numFlows]
+	f.Means = slices.Grow(f.Means, numFlows)[:numFlows]
+	clear(f.Sketches)
+	clear(f.Means)
 	for _, rep := range reports {
 		for i, id := range rep.FlowIDs {
 			if id < 0 || id >= numFlows {

@@ -53,6 +53,15 @@ func (m *Matrix) Gram() *Matrix {
 	return out
 }
 
+// GramInto overwrites the c×c dst with mᵀ·m, bit for bit Gram's.
+func (m *Matrix) GramInto(dst *Matrix) error {
+	if dst.rows != m.cols || dst.cols != m.cols {
+		return fmt.Errorf("%w: gram of %dx%d into %dx%d", ErrShape, m.rows, m.cols, dst.rows, dst.cols)
+	}
+	gramInto(dst, m.rows, m.RowView)
+	return nil
+}
+
 // TGramInto overwrites the r×r dst with m·mᵀ, bit for bit m.T().Gram(),
 // without forming the transpose: the columns of m are the Gram's rows, and
 // each is copied into cols (length ≥ 2r, two columns) as gramInto asks for

@@ -52,6 +52,23 @@ func TestGramWorkersMatchesTranspose(t *testing.T) {
 	}
 }
 
+// TestGramIntoIsGram: GramInto writes Gram's bits over whatever dst held,
+// and refuses a dst of another shape.
+func TestGramIntoIsGram(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	m := randomSparseMatrix(rng, 17, 9)
+	dst := randomSparseMatrix(rng, 9, 9)
+	if err := m.GramInto(dst); err != nil {
+		t.Fatal(err)
+	}
+	if !dst.Equal(m.Gram(), 0) {
+		t.Fatal("GramInto differs from Gram")
+	}
+	if err := m.GramInto(NewMatrix(9, 8)); !errors.Is(err, ErrShape) {
+		t.Fatalf("a 9x8 dst: err = %v, want ErrShape", err)
+	}
+}
+
 // TestGramWorkersZeroHeavy: Gram's zero-skip fast path must agree with a
 // dense reference on matrices dominated by zeros (whole zero rows, zero columns,
 // and isolated nonzeros — the shapes the sparse projection families actually

@@ -339,7 +339,9 @@ func (s *Service) serveSketch(conn *transport.Conn, req transport.SketchRequest,
 	s.mu.Lock()
 	s.core.SnapshotInto(&s.snap)
 	s.mu.Unlock()
-	sp.SetAttr(trace.I("sketch_interval", s.snap.Interval), trace.I("flows", int64(len(s.snap.FlowIDs))))
+	if sp != nil {
+		sp.SetAttr(trace.I("sketch_interval", s.snap.Interval), trace.I("flows", int64(len(s.snap.FlowIDs))))
+	}
 	resp := transport.SketchResponse{RequestID: req.RequestID, MonitorID: s.cfg.ID, Report: s.snap}
 	if err := conn.Send(transport.Envelope{Response: &resp, Trace: tc}); err != nil {
 		sp.Event("send_error", trace.S("err", err.Error()))

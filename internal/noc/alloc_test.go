@@ -8,11 +8,17 @@ import (
 
 // TestRefreshAllocatesLessThanOneSketchMatrix: a stale trip moves Ẑ through
 // storage each tier keeps — the aggregators' merge destinations, the tier's
-// per-registrant response buffers, the detector's workspace — so an interval
-// that refreshes the model allocates less than one l×m Ẑ more than a quiet
-// interval does, flat and behind 3 aggregators, at flat-*'s m = 81, l = 100.
+// per-registrant response buffers and pull rounds, the detector's workspace
+// and its two models — so an interval that refreshes the model allocates less
+// than one l×m Ẑ more than a quiet interval does, flat and behind 3
+// aggregators, at flat-*'s m = 81, l = 100. The NOC recycles each interval's
+// row, so flat, a quiet interval allocates at most 1 100 B and a refreshing
+// one 2 300 B, the process's whole count: mostly the copy of the decision's
+// vector Deployment queues (704 B) and, on alarm, the identification and the
+// monitors' alarm decode.
 func TestRefreshAllocatesLessThanOneSketchMatrix(t *testing.T) {
 	const m, l, minRefreshes = 81, 100, 20
+	const flatQuiet, flatRefresh = 1100, 2300
 	for _, aggs := range []int{0, 3} {
 		cfg := nocConfig()
 		cfg.Detector.NumFlows, cfg.Detector.SketchLen = m, l
@@ -64,6 +70,10 @@ func TestRefreshAllocatesLessThanOneSketchMatrix(t *testing.T) {
 		if r-q >= l*m*8 {
 			t.Errorf("%d aggregators: a refresh allocates %.0f B more than a quiet interval, at least one Ẑ (%d B)",
 				aggs, r-q, l*m*8)
+		}
+		if aggs == 0 && (q > flatQuiet || r > flatRefresh) {
+			t.Errorf("flat: a quiet interval allocates %.0f B (limit %d), a refreshing one %.0f B (limit %d)",
+				q, flatQuiet, r, flatRefresh)
 		}
 	}
 }

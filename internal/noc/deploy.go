@@ -2,6 +2,8 @@ package noc
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"streampca/internal/agg"
@@ -39,6 +41,11 @@ type Deployment struct {
 	topo       Topology
 	candidates []string
 	decisions  chan Decision
+	// locals[i] holds monitor i's share of the row Report hands it, under
+	// localMu[i]; timeout bounds Decision's wait.
+	locals  [][]float64
+	localMu []sync.Mutex
+	timeout *time.Timer
 }
 
 // Deploy starts a deployment in the reference wiring order. The NOC starts
@@ -70,9 +77,14 @@ func deployNOC(cfg Config, topo Topology) (*Deployment, error) {
 	// The queue holds what Decision has not read yet: a caller reads every
 	// interval's, and 1024 leaves room for ones it skips. Past that a
 	// decision is dropped rather than stall the NOC, whose Shutdown waits
-	// for it.
-	d := &Deployment{Params: p, Flows: flows, topo: topo, decisions: make(chan Decision, 1024)}
+	// for it. A queued decision owns a copy of its Vector.
+	d := &Deployment{Params: p, Flows: flows, topo: topo, decisions: make(chan Decision, 1024),
+		locals: make([][]float64, len(flows)), localMu: make([]sync.Mutex, len(flows))}
+	for i, f := range flows {
+		d.locals[i] = make([]float64, len(f))
+	}
 	cfg.OnDecision = func(dec Decision) {
+		dec.Vector = slices.Clone(dec.Vector)
 		select {
 		case d.decisions <- dec:
 		default:
@@ -150,7 +162,9 @@ func (d *Deployment) await(covered bool) error {
 // Report has monitor i report its flows of the network-wide row as interval
 // t.
 func (d *Deployment) Report(i int, t int64, row []float64) error {
-	local := make([]float64, len(d.Flows[i]))
+	d.localMu[i].Lock()
+	defer d.localMu[i].Unlock()
+	local := d.locals[i]
 	for k, f := range d.Flows[i] {
 		local[k] = row[f]
 	}
@@ -169,15 +183,27 @@ func (d *Deployment) Step(t int64, row []float64) (Decision, error) {
 }
 
 // Decision waits for the NOC's decision on interval t, discarding those
-// before it.
+// before it. One goroutine at a time reads the decisions.
 func (d *Deployment) Decision(t int64) (Decision, error) {
-	for timeout := time.After(10 * time.Second); ; {
+	if d.timeout == nil {
+		d.timeout = time.NewTimer(10 * time.Second)
+	} else {
+		d.timeout.Reset(10 * time.Second)
+	}
+	for {
 		select {
 		case dec := <-d.decisions:
-			if dec.Interval == t {
-				return dec, nil
+			if dec.Interval != t {
+				continue
 			}
-		case <-timeout:
+			if !d.timeout.Stop() {
+				select {
+				case <-d.timeout.C:
+				default:
+				}
+			}
+			return dec, nil
+		case <-d.timeout.C:
 			return Decision{}, fmt.Errorf("noc: no decision on interval %d", t)
 		}
 	}

@@ -32,11 +32,13 @@ func (s *Service) identify(item tier.Interval, sp *trace.Span) *core.Identificat
 	}
 	s.met.identifies.Inc()
 	s.met.identifiedFlows.Set(float64(len(id.Flows)))
-	sp.Event("identify",
-		trace.I("culprits", int64(len(id.Flows))),
-		trace.F("explained_frac", id.ExplainedFrac),
-		trace.F("residual_spe", id.ResidualSPE),
-		trace.S("stop", id.Stop))
+	if sp != nil {
+		sp.Event("identify",
+			trace.I("culprits", int64(len(id.Flows))),
+			trace.F("explained_frac", id.ExplainedFrac),
+			trace.F("residual_spe", id.ResidualSPE),
+			trace.S("stop", id.Stop))
+	}
 	return id
 }
 

@@ -7,6 +7,7 @@
 package noc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -35,7 +36,10 @@ var (
 // Decision couples a detector decision with the interval it concerns.
 type Decision struct {
 	Interval int64
-	Vector   []float64
+	// Vector is the interval's assembled measurement vector. It is the tier's
+	// storage, recycled for a later interval: valid until OnDecision returns,
+	// so a callback that keeps it copies it.
+	Vector []float64
 	// Warmup is true for intervals before a full window has elapsed:
 	// detection was skipped and Result is zero.
 	Warmup bool
@@ -88,7 +92,8 @@ type Config struct {
 	// connection — the chaos-testing hook. Production leaves it nil.
 	Faults faults.Injector
 	// OnDecision, when set, receives every completed-interval decision.
-	// It is called from the processing goroutine; keep it fast.
+	// It is called from the processing goroutine; keep it fast. The
+	// decision's Vector is valid until it returns.
 	OnDecision func(Decision)
 	// SelfCheckEvery, when ≥ 1, enables the internal/oracle differential
 	// validator: the NOC shadows every non-degraded completed interval
@@ -266,6 +271,8 @@ type Service struct {
 	// for the detector; processing goroutine only.
 	pulled  *tier.Pull
 	fetched core.Fetch
+	// culprits is the alarm log's culprit list; processing goroutine only.
+	culprits []int
 
 	workCh   chan tier.Interval // buffered channel feeding the processor
 	procDone chan struct{}
@@ -428,9 +435,10 @@ func (s *Service) HasModel() bool {
 	return s.det.HasModel()
 }
 
-// Model returns the model in force, nil before the first build. Its Sketch
-// is the detector's workspace, which the next rebuild overwrites: read it
-// before the next interval is reported.
+// Model returns the model in force, nil before the first build. It stays
+// valid through the next rebuild, but its Sketch is the detector's workspace,
+// which that rebuild overwrites: read it before the next interval is
+// reported (see core.Model).
 func (s *Service) Model() *core.Model {
 	s.detMu.Lock()
 	defer s.detMu.Unlock()
@@ -468,6 +476,7 @@ func (s *Service) enqueue(item tier.Interval) {
 	case s.workCh <- item:
 	default:
 		s.met.drops.Inc()
+		s.down.ReleaseInterval(item)
 	}
 }
 
@@ -479,174 +488,185 @@ func traceContext(sp *trace.Span) *transport.TraceContext {
 	return &transport.TraceContext{TraceID: uint64(sp.Trace()), SpanID: uint64(sp.ID())}
 }
 
-// processLoop serializes detection over completed intervals. Intervals
-// before a full window are reported as warm-up without running the detector
-// — models built from partial sketches would be unreliable.
+// processLoop serializes detection over completed intervals and hands each
+// interval's arrays back to the tier once it is decided.
 func (s *Service) processLoop() {
 	defer close(s.procDone)
 	for item := range s.workCh {
-		// vectorDegraded marks intervals assembled with cached volumes for
-		// item.Stale unowned flows (see DegradedPolicy).
-		vectorDegraded := item.Stale > 0
-		// Feed the oracle's exact shadow window. Degraded intervals are
-		// withheld: their vectors contain cache-substituted volumes, and a
-		// gap just makes the affected exact windows non-reconstructible
-		// (checks skip) instead of silently comparing against wrong data.
-		shadow := func(dec core.Decision, model *core.Model) {
-			if s.oracle != nil && !vectorDegraded {
-				s.oracle.ObserveNOC(item.Index, item.Volumes, dec, model)
-			}
+		s.process(item)
+		s.down.ReleaseInterval(item)
+	}
+}
+
+// process decides one completed interval. Intervals before a full window are
+// reported as warm-up without running the detector — models built from
+// partial sketches would be unreliable.
+func (s *Service) process(item tier.Interval) {
+	// vectorDegraded marks intervals assembled with cached volumes for
+	// item.Stale unowned flows (see DegradedPolicy).
+	vectorDegraded := item.Stale > 0
+	// Feed the oracle's exact shadow window. Degraded intervals are
+	// withheld: their vectors contain cache-substituted volumes, and a
+	// gap just makes the affected exact windows non-reconstructible
+	// (checks skip) instead of silently comparing against wrong data.
+	shadow := func(dec core.Decision, model *core.Model) {
+		if s.oracle != nil && !vectorDegraded {
+			s.oracle.ObserveNOC(item.Index, item.Volumes, dec, model)
 		}
-		// Span attributes and events are built only for a span: boxing
-		// them costs allocations every interval even when tracing is off.
-		sp := s.cfg.Trace.Start(trace.ForInterval(item.Index), 0, "noc.decide")
-		if sp != nil {
-			sp.SetAttr(
-				trace.I("interval", item.Index),
-				trace.B("vector_degraded", vectorDegraded),
-				trace.I("stale_volume_flows", int64(item.Stale)))
-		}
-		if item.Index < int64(s.cfg.Detector.WindowLen) {
-			shadow(core.Decision{ThresholdUnavailable: true}, nil)
-			s.met.warmups.Inc()
-			sp.Event("warmup")
-			if vectorDegraded {
-				s.met.degraded.Inc()
-				s.flightRecord(item, core.Decision{ThresholdUnavailable: true}, true, true, nil)
-			}
-			sp.End()
-			if s.cfg.OnDecision != nil {
-				s.cfg.OnDecision(Decision{Interval: item.Index, Vector: item.Volumes,
-					Warmup: true, Degraded: vectorDegraded, StaleFlows: item.Stale})
-			}
-			continue
-		}
-		// Time the fetch round trip separately from the whole observation;
-		// on a refresh, observe-minus-fetch is the rebuild cost (the
-		// O(m²·log n) retrain the paper bounds).
-		var fetchDur time.Duration
-		timedFetch := func() (core.Fetch, error) {
-			fsp := s.cfg.Trace.Start(sp.Trace(), sp.ID(), "noc.fetch")
-			t0 := time.Now()
-			f, err := s.fetchSketches(item.Index, fsp)
-			fetchDur = time.Since(t0)
-			s.met.fetchSeconds.Observe(fetchDur.Seconds())
-			if err != nil {
-				s.met.fetchErrors.Inc()
-				fsp.Event("fetch_error", trace.S("err", err.Error()))
-			} else if fsp != nil {
-				fsp.SetAttr(
-					trace.I("sketch_interval", f.Interval),
-					trace.B("degraded", f.Degraded),
-					trace.I("stale_flows", int64(f.StaleFlows)))
-			}
-			fsp.End()
-			return f, err
-		}
-		s.met.observations.Inc()
-		start := time.Now()
-		s.detMu.Lock()
-		res, err := s.det.Observe(item.Volumes, timedFetch)
-		s.detMu.Unlock()
-		if s.pulled != nil {
-			s.down.Release(s.pulled)
-			s.pulled = nil
-		}
-		total := time.Since(start)
-		if err != nil {
-			s.log.Warn("observation failed", "interval", item.Index, "err", err)
-			sp.Event("observation_failed", trace.S("err", err.Error()))
-			sp.End()
-			continue // fetch failed (e.g. monitor churn); next interval retries
-		}
-		if res.Refreshed {
-			s.met.retrains.Inc()
-			retrain := total - fetchDur
-			if retrain < 0 {
-				retrain = 0
-			}
-			s.met.retrainSeconds.Observe(retrain.Seconds())
-			if sp != nil {
-				sp.Event("retrain",
-					trace.F("seconds", retrain.Seconds()),
-					trace.B("model_degraded", res.Degraded),
-					trace.I("model_stale_flows", int64(res.StaleFlows)))
-			}
-			if res.Degraded {
-				s.health.Set("detector", obs.StatusDegraded,
-					fmt.Sprintf("model rebuilt from degraded sketches, %d cached flows", res.StaleFlows))
-			} else {
-				s.health.Set("detector", obs.StatusOK, "model fresh")
-			}
-		}
-		model := s.Model()
-		shadow(res, model)
-		if model != nil {
-			s.met.thresholdCapped.Set(float64(model.ThresholdCapped))
-		}
-		degraded := vectorDegraded || res.Degraded
-		if degraded {
+	}
+	// Span attributes and events are built only for a span: boxing
+	// them costs allocations every interval even when tracing is off.
+	sp := s.cfg.Trace.Start(trace.ForInterval(item.Index), 0, "noc.decide")
+	if sp != nil {
+		sp.SetAttr(
+			trace.I("interval", item.Index),
+			trace.B("vector_degraded", vectorDegraded),
+			trace.I("stale_volume_flows", int64(item.Stale)))
+	}
+	if item.Index < int64(s.cfg.Detector.WindowLen) {
+		shadow(core.Decision{ThresholdUnavailable: true}, nil)
+		s.met.warmups.Inc()
+		sp.Event("warmup")
+		if vectorDegraded {
 			s.met.degraded.Inc()
-		}
-		s.met.spe.Set(res.Distance)
-		if res.ThresholdUnavailable {
-			// The spectrum admits no Jackson–Mudholkar limit: the detector
-			// could not compare d(y) against anything this interval. Surface
-			// it loudly (the old behavior compared against NaN, which is
-			// always false and silently never alarms) and leave the
-			// threshold gauge at its last usable value.
-			s.met.thresholdUnavailable.Inc()
-			sp.Event("threshold_unavailable")
-			s.health.Set("detector", obs.StatusDegraded,
-				"threshold unavailable: degenerate residual spectrum")
-			s.log.Warn("threshold unavailable, interval not classified",
-				"interval", item.Index, "distance", res.Distance)
-		} else {
-			s.met.threshold.Set(res.Threshold)
-		}
-		if sp != nil {
-			sp.Event("decision",
-				trace.F("spe", res.Distance),
-				trace.F("threshold", res.Threshold),
-				trace.B("anomalous", res.Anomalous),
-				trace.B("degraded", degraded),
-				trace.B("refreshed", res.Refreshed))
-		}
-		var ident *core.Identification
-		if res.Anomalous {
-			s.met.alarms.Inc()
-			ident = s.identify(item, sp)
-			culprits := make([]int, 0, 8)
-			if ident != nil {
-				for _, f := range ident.Flows {
-					culprits = append(culprits, f.Flow)
-				}
-			}
-			s.log.Warn("anomaly detected", "interval", item.Index,
-				"distance", res.Distance, "threshold", res.Threshold, "degraded", degraded,
-				"culprits", culprits)
-			// Best effort, with the decision span's context attached.
-			sent, _ := s.down.Broadcast(transport.Envelope{Alarm: &transport.Alarm{
-				Interval:   item.Index,
-				Distance:   res.Distance,
-				Threshold:  res.Threshold,
-				Degraded:   degraded,
-				Identified: wireIdentified(ident),
-			}, Trace: traceContext(sp)})
-			s.met.alarmSends.Add(int64(sent))
-			if sp != nil {
-				sp.Event("alarm_broadcast", trace.I("monitors", int64(sent)))
-			}
-		}
-		if res.Anomalous || degraded {
-			s.flightRecord(item, res, false, degraded, ident)
+			s.flightRecord(item, core.Decision{ThresholdUnavailable: true}, true, true, nil)
 		}
 		sp.End()
 		if s.cfg.OnDecision != nil {
 			s.cfg.OnDecision(Decision{Interval: item.Index, Vector: item.Volumes,
-				Degraded: degraded, StaleFlows: item.Stale, Result: res,
-				Identified: ident})
+				Warmup: true, Degraded: vectorDegraded, StaleFlows: item.Stale})
 		}
+		return
+	}
+	// Time the fetch round trip separately from the whole observation;
+	// on a refresh, observe-minus-fetch is the rebuild cost (the
+	// O(m²·log n) retrain the paper bounds).
+	var fetchDur time.Duration
+	timedFetch := func() (core.Fetch, error) {
+		fsp := s.cfg.Trace.Start(sp.Trace(), sp.ID(), "noc.fetch")
+		t0 := time.Now()
+		f, err := s.fetchSketches(item.Index, fsp)
+		fetchDur = time.Since(t0)
+		s.met.fetchSeconds.Observe(fetchDur.Seconds())
+		if err != nil {
+			s.met.fetchErrors.Inc()
+			fsp.Event("fetch_error", trace.S("err", err.Error()))
+		} else if fsp != nil {
+			fsp.SetAttr(
+				trace.I("sketch_interval", f.Interval),
+				trace.B("degraded", f.Degraded),
+				trace.I("stale_flows", int64(f.StaleFlows)))
+		}
+		fsp.End()
+		return f, err
+	}
+	s.met.observations.Inc()
+	start := time.Now()
+	s.detMu.Lock()
+	res, err := s.det.Observe(item.Volumes, timedFetch)
+	s.detMu.Unlock()
+	if s.pulled != nil {
+		s.down.Release(s.pulled)
+		s.pulled = nil
+	}
+	total := time.Since(start)
+	if err != nil {
+		s.log.Warn("observation failed", "interval", item.Index, "err", err)
+		sp.Event("observation_failed", trace.S("err", err.Error()))
+		sp.End()
+		return // fetch failed (e.g. monitor churn); next interval retries
+	}
+	if res.Refreshed {
+		s.met.retrains.Inc()
+		retrain := total - fetchDur
+		if retrain < 0 {
+			retrain = 0
+		}
+		s.met.retrainSeconds.Observe(retrain.Seconds())
+		if sp != nil {
+			sp.Event("retrain",
+				trace.F("seconds", retrain.Seconds()),
+				trace.B("model_degraded", res.Degraded),
+				trace.I("model_stale_flows", int64(res.StaleFlows)))
+		}
+		if res.Degraded {
+			s.health.Set("detector", obs.StatusDegraded,
+				fmt.Sprintf("model rebuilt from degraded sketches, %d cached flows", res.StaleFlows))
+		} else {
+			s.health.Set("detector", obs.StatusOK, "model fresh")
+		}
+	}
+	model := s.Model()
+	shadow(res, model)
+	if model != nil {
+		s.met.thresholdCapped.Set(float64(model.ThresholdCapped))
+	}
+	degraded := vectorDegraded || res.Degraded
+	if degraded {
+		s.met.degraded.Inc()
+	}
+	s.met.spe.Set(res.Distance)
+	if res.ThresholdUnavailable {
+		// The spectrum admits no Jackson–Mudholkar limit: the detector
+		// could not compare d(y) against anything this interval. Surface
+		// it loudly (the old behavior compared against NaN, which is
+		// always false and silently never alarms) and leave the
+		// threshold gauge at its last usable value.
+		s.met.thresholdUnavailable.Inc()
+		sp.Event("threshold_unavailable")
+		s.health.Set("detector", obs.StatusDegraded,
+			"threshold unavailable: degenerate residual spectrum")
+		s.log.Warn("threshold unavailable, interval not classified",
+			"interval", item.Index, "distance", res.Distance)
+	} else {
+		s.met.threshold.Set(res.Threshold)
+	}
+	if sp != nil {
+		sp.Event("decision",
+			trace.F("spe", res.Distance),
+			trace.F("threshold", res.Threshold),
+			trace.B("anomalous", res.Anomalous),
+			trace.B("degraded", degraded),
+			trace.B("refreshed", res.Refreshed))
+	}
+	var ident *core.Identification
+	if res.Anomalous {
+		s.met.alarms.Inc()
+		ident = s.identify(item, sp)
+		// The log's arguments, like span attributes, are boxed only for a
+		// logger that writes them.
+		if s.log.Enabled(context.Background(), slog.LevelWarn) {
+			s.culprits = s.culprits[:0]
+			if ident != nil {
+				for _, f := range ident.Flows {
+					s.culprits = append(s.culprits, f.Flow)
+				}
+			}
+			s.log.Warn("anomaly detected", "interval", item.Index,
+				"distance", res.Distance, "threshold", res.Threshold, "degraded", degraded,
+				"culprits", s.culprits)
+		}
+		// Best effort, with the decision span's context attached.
+		sent, _ := s.down.Broadcast(transport.Envelope{Alarm: &transport.Alarm{
+			Interval:   item.Index,
+			Distance:   res.Distance,
+			Threshold:  res.Threshold,
+			Degraded:   degraded,
+			Identified: wireIdentified(ident),
+		}, Trace: traceContext(sp)})
+		s.met.alarmSends.Add(int64(sent))
+		if sp != nil {
+			sp.Event("alarm_broadcast", trace.I("monitors", int64(sent)))
+		}
+	}
+	if res.Anomalous || degraded {
+		s.flightRecord(item, res, false, degraded, ident)
+	}
+	sp.End()
+	if s.cfg.OnDecision != nil {
+		s.cfg.OnDecision(Decision{Interval: item.Index, Vector: item.Volumes,
+			Degraded: degraded, StaleFlows: item.Stale, Result: res,
+			Identified: ident})
 	}
 }
 

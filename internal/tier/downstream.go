@@ -128,6 +128,10 @@ type registrant struct {
 // the oldest is evicted and counted (Metrics.Evicted).
 const maxPending = 64
 
+// maxFree bounds the released interval arrays and the retired pull rounds a
+// tier keeps for reuse.
+const maxFree = 2
+
 type accum struct {
 	volumes []float64
 	seen    []bool
@@ -163,17 +167,25 @@ type Downstream struct {
 	log  *slog.Logger
 	done chan struct{}
 
+	// bcastMu serializes Broadcast, which reuses bcast.
+	bcastMu sync.Mutex
+	bcast   []*transport.Conn
+
 	mu      sync.Mutex
 	server  *transport.Server
 	closed  bool
 	regs    map[*transport.Conn]*registrant
 	owner   []*registrant // per flow; nil = unowned
 	pending map[int64]accum
-	// freeAcc is an interval's arrays handed back by ReleaseInterval, zeroed,
-	// for the next accumulator addVolumes opens; volumes is nil when there is
-	// none.
-	freeAcc accum
-	rounds  map[uint64]chan response
+	// freeAcc holds intervals' arrays handed back by ReleaseInterval or
+	// evicted, zeroed, for the next accumulators addVolumes opens; at most
+	// maxFree. One is not enough: a sink may release an interval after the
+	// next one's first report arrived.
+	freeAcc []accum
+	// rounds are the pull rounds in progress by request ID; idle are retired
+	// ones kept for reuse, at most maxFree (see round).
+	rounds  map[uint64]*pullRound
+	idle    []*pullRound
 	nextReq uint64
 	// breakers and cache are keyed by registrant ID, so they survive a
 	// reconnect under the same identity. cache holds each registrant's last
@@ -231,7 +243,7 @@ func NewDownstream(cfg DownstreamConfig) (*Downstream, error) {
 		regs:      make(map[*transport.Conn]*registrant),
 		owner:     make([]*registrant, cfg.NumFlows),
 		pending:   make(map[int64]accum),
-		rounds:    make(map[uint64]chan response),
+		rounds:    make(map[uint64]*pullRound),
 		breakers:  make(map[string]*breakerState),
 		cache:     make(map[string]core.SketchReport),
 		spares:    make(map[*transport.Conn]*transport.SketchResponse),
@@ -338,10 +350,13 @@ func (d *Downstream) PendingIntervals() int {
 }
 
 // Broadcast sends env to every registrant, best effort, and reports how many
-// sends were attempted and how many succeeded.
+// sends were attempted and how many succeeded. Broadcasts run one at a time,
+// over a list of the registrants the tier reuses.
 func (d *Downstream) Broadcast(env transport.Envelope) (attempted, delivered int) {
+	d.bcastMu.Lock()
+	defer d.bcastMu.Unlock()
 	d.mu.Lock()
-	conns := make([]*transport.Conn, 0, len(d.regs))
+	conns := d.bcast[:0]
 	for c := range d.regs {
 		conns = append(conns, c)
 	}
@@ -351,6 +366,8 @@ func (d *Downstream) Broadcast(env transport.Envelope) (attempted, delivered int
 			delivered++
 		}
 	}
+	clear(conns)
+	d.bcast = conns
 	return len(conns), delivered
 }
 
@@ -573,11 +590,14 @@ func (d *Downstream) addVolumes(conn *transport.Conn, v *transport.VolumeReport)
 					oldest = iv
 				}
 			}
+			old := d.pending[oldest]
 			delete(d.pending, oldest)
+			d.recycleLocked(old.volumes, old.seen)
 			d.cfg.Metrics.Evicted.Inc()
 		}
-		acc, d.freeAcc = d.freeAcc, accum{}
-		if acc.volumes == nil {
+		if n := len(d.freeAcc); n > 0 {
+			acc, d.freeAcc = d.freeAcc[n-1], d.freeAcc[:n-1]
+		} else {
 			acc = accum{volumes: make([]float64, m), seen: make([]bool, m)}
 		}
 	}
@@ -636,35 +656,40 @@ func (d *Downstream) tryCompleteLocked(iv int64, acc *accum) (Interval, bool) {
 }
 
 // ReleaseInterval hands the tier back the arrays of iv, an interval it
-// delivered to OnInterval: the next interval accumulator addVolumes opens
-// reuses them. Call it once nothing reads iv any more; an interval never
-// released costs an allocation, not correctness.
+// delivered to OnInterval: a later interval accumulator addVolumes opens
+// reuses them. Call it once, when nothing reads iv any more; an interval
+// never released costs an allocation, not correctness.
 func (d *Downstream) ReleaseInterval(iv Interval) {
-	m := d.cfg.NumFlows
-	if len(iv.Volumes) != m || len(iv.Seen) != m {
-		return
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.freeAcc.volumes == nil {
-		clear(iv.Volumes)
-		clear(iv.Seen)
-		d.freeAcc = accum{volumes: iv.Volumes, seen: iv.Seen}
+	d.recycleLocked(iv.Volumes, iv.Seen)
+}
+
+// recycleLocked zeroes an interval's arrays and keeps them for a later
+// accumulator while fewer than maxFree are kept. Caller holds d.mu.
+func (d *Downstream) recycleLocked(volumes []float64, seen []bool) {
+	m := d.cfg.NumFlows
+	if len(volumes) != m || len(seen) != m || len(d.freeAcc) >= maxFree {
+		return
 	}
+	clear(volumes)
+	clear(seen)
+	d.freeAcc = append(d.freeAcc, accum{volumes: volumes, seen: seen})
 }
 
 // routeResponse hands a sketch response to the pull round waiting for it,
 // tagged with the connection it arrived on, and reports whether it did. A
-// response to a round that is over (its ID was retired) is dropped.
+// response to a round that is over (its ID was retired) is dropped. The send
+// happens under d.mu, so once retire has drained a round nothing reaches it.
 func (d *Downstream) routeResponse(conn *transport.Conn, r *transport.SketchResponse) bool {
 	d.mu.Lock()
-	ch := d.rounds[r.RequestID]
-	d.mu.Unlock()
-	if ch == nil {
+	defer d.mu.Unlock()
+	rd := d.rounds[r.RequestID]
+	if rd == nil {
 		return false
 	}
 	select {
-	case ch <- response{conn, r}:
+	case rd.ch <- response{conn, r}:
 		return true
 	default:
 		return false

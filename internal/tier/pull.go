@@ -217,6 +217,58 @@ func (d *Downstream) fill(p *Pull) {
 	}
 }
 
+// pullRound is one pull round's meeting point with the connection readers:
+// the registrants it awaits, the channel routeResponse delivers their
+// answers on, its response timer and the request it sends. Rounds are reused
+// (takeRoundLocked, retire); Pulls running at once on one Downstream (an
+// aggregator's overlapping upstream requests) each take their own.
+type pullRound struct {
+	ch       chan response
+	awaiting map[*transport.Conn]string
+	timer    *time.Timer
+	req      transport.SketchRequest
+}
+
+// takeRoundLocked returns a retired round, or a new one whose timer is
+// stopped. Caller holds d.mu.
+func (d *Downstream) takeRoundLocked() *pullRound {
+	if n := len(d.idle); n > 0 {
+		rd := d.idle[n-1]
+		d.idle = d.idle[:n-1]
+		return rd
+	}
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &pullRound{awaiting: make(map[*transport.Conn]string), timer: t}
+}
+
+// retire ends rd: its request ID stops routing, its timer is stopped and
+// drained, and the answers that arrived too late to be read are handed back
+// as their registrants' spares, so none reaches a later round that reuses rd.
+// It is kept for reuse while fewer than maxFree are.
+func (d *Downstream) retire(rd *pullRound) {
+	if !rd.timer.Stop() {
+		select {
+		case <-rd.timer.C:
+		default:
+		}
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	delete(d.rounds, rd.req.RequestID)
+	rd.req.RequestID = 0
+	for len(rd.ch) > 0 {
+		in := <-rd.ch
+		if d.regs[in.conn] != nil && d.spares[in.conn] == nil {
+			d.spares[in.conn] = in.r
+		}
+	}
+	clear(rd.awaiting)
+	if len(d.idle) < maxFree {
+		d.idle = append(d.idle, rd)
+	}
+}
+
 // round issues one pull round and folds every validated answer that arrives
 // before Pull.Timeout into p. A failed send or bad report from one registrant
 // never aborts the round — it is charged to that registrant's breaker and the
@@ -224,7 +276,7 @@ func (d *Downstream) fill(p *Pull) {
 func (d *Downstream) round(p *Pull, sp *trace.Span, tc *transport.TraceContext) int {
 	now := time.Now()
 	d.mu.Lock()
-	awaiting := make(map[*transport.Conn]string)
+	rd := d.takeRoundLocked()
 	var skipped []string
 	for c, e := range d.regs {
 		if !p.owes(e.flows) {
@@ -234,49 +286,44 @@ func (d *Downstream) round(p *Pull, sp *trace.Span, tc *transport.TraceContext) 
 			skipped = append(skipped, e.id)
 			continue
 		}
-		awaiting[c] = e.id
+		rd.awaiting[c] = e.id
 	}
-	var ch chan response
-	var id uint64
-	if len(awaiting) > 0 {
+	if len(rd.awaiting) > 0 {
 		d.nextReq++
-		id = d.nextReq
-		ch = make(chan response, len(awaiting))
-		d.rounds[id] = ch
+		rd.req.RequestID = d.nextReq
+		if cap(rd.ch) < len(rd.awaiting) {
+			rd.ch = make(chan response, len(rd.awaiting))
+		}
+		d.rounds[rd.req.RequestID] = rd
 	}
 	d.mu.Unlock()
+	// Retiring the round makes routeResponse drop any straggler to it.
+	defer d.retire(rd)
 	sort.Strings(skipped)
 	for _, mid := range skipped {
 		sp.Event("breaker_skip", trace.S("monitor", mid))
 	}
-	if ch == nil {
+	if len(rd.awaiting) == 0 {
 		return 0
 	}
-	// Retiring the ID makes routeResponse drop any straggler to this round.
-	defer func() {
-		d.mu.Lock()
-		delete(d.rounds, id)
-		d.mu.Unlock()
-	}()
 
-	for c, mid := range awaiting {
-		if err := c.Send(transport.Envelope{Request: &transport.SketchRequest{RequestID: id}, Trace: tc}); err != nil {
+	for c, mid := range rd.awaiting {
+		if err := c.Send(transport.Envelope{Request: &rd.req, Trace: tc}); err != nil {
 			d.log.Warn("sketch request send failed", "peer", mid, "err", err)
 			d.fail(sp, mid, "request_send_failed")
-			delete(awaiting, c)
+			delete(rd.awaiting, c)
 		}
 	}
-	asked := len(awaiting)
-	timer := time.NewTimer(d.cfg.Pull.Timeout)
-	defer timer.Stop()
-	for len(awaiting) > 0 {
+	asked := len(rd.awaiting)
+	rd.timer.Reset(d.cfg.Pull.Timeout)
+	for len(rd.awaiting) > 0 {
 		select {
-		case in := <-ch:
-			mid, ok := awaiting[in.conn]
+		case in := <-rd.ch:
+			mid, ok := rd.awaiting[in.conn]
 			if !ok {
 				continue // duplicate, or a peer this round did not ask
 			}
-			delete(awaiting, in.conn)
+			delete(rd.awaiting, in.conn)
 			if err := d.fold(p, in, mid); err != nil {
 				d.log.Warn("invalid sketch report", "peer", mid, "err", err)
 				d.fail(sp, mid, "invalid_report")
@@ -288,9 +335,9 @@ func (d *Downstream) round(p *Pull, sp *trace.Span, tc *transport.TraceContext) 
 			if d.breakerSuccess(mid) {
 				sp.Event("breaker_close", trace.S("monitor", mid))
 			}
-		case <-timer.C:
-			for _, mid := range awaiting {
-				d.log.Warn("sketch response timed out", "peer", mid, "request", id, "timeout", d.cfg.Pull.Timeout)
+		case <-rd.timer.C:
+			for _, mid := range rd.awaiting {
+				d.log.Warn("sketch response timed out", "peer", mid, "request", rd.req.RequestID, "timeout", d.cfg.Pull.Timeout)
 				d.fail(sp, mid, "response_timeout")
 			}
 			return asked
