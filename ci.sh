@@ -50,9 +50,12 @@ step_done
 # internal/mat/rowops.go, where the Go loops live, to internal/mat/kernels.go,
 # whose Mul and TMulInto form the Frequent Directions shrink's projection, or
 # to internal/stats/normal.go, whose Horner chains give the Q-threshold's c_α
-# (UpperQuantile). Each -S listing must show its file at all, or the check
-# would pass on nothing.
-step "no fused multiply-add (internal/**/*.s; GOARCH=arm64 rowops.go, kernels.go and normal.go)"
+# (UpperQuantile), to internal/core/detector.go, whose distance and energy
+# sums decide an alarm at the margin, to internal/vh/vh.go, whose variance
+# and prior sketch feed the model, or to internal/transport/wire.go, whose
+# round(μ·R′_k) rebuilds every projection sum a pull carries. Each -S listing
+# must show its file at all, or the check would pass on nothing.
+step "no fused multiply-add (internal/**/*.s; GOARCH=arm64 rowops.go, kernels.go, normal.go, detector.go, vh.go and wire.go)"
 FUSED=$(find internal -name '*.s' -exec grep -HnE 'VF(N)?M(ADD|SUB)' {} + || true)
 if [ -n "$FUSED" ]; then
     echo "fused multiply-add in the assembly:" >&2
@@ -75,6 +78,9 @@ no_fused_arm64() {
 no_fused_arm64 mat rowops.go
 no_fused_arm64 mat kernels.go
 no_fused_arm64 stats normal.go
+no_fused_arm64 core detector.go
+no_fused_arm64 vh vh.go
+no_fused_arm64 transport wire.go
 step_done
 
 step "go build"

@@ -572,14 +572,14 @@ func (d *Detector) chooseRank(sv []float64) int {
 	}
 	var total float64
 	for _, s := range sv {
-		total += s * s
+		total += float64(s * s)
 	}
 	if total == 0 {
 		return 0
 	}
 	var acc float64
 	for j, s := range sv {
-		acc += s * s
+		acc += float64(s * s)
 		if acc >= d.cfg.EnergyFrac*total {
 			return j + 1
 		}
@@ -618,9 +618,9 @@ func (d *Detector) Distance(x []float64) (float64, error) {
 	for j := 0; j < d.model.Rank; j++ {
 		var s float64
 		for i := 0; i < m; i++ {
-			s += d.model.Components.At(i, j) * y[i]
+			s += float64(d.model.Components.At(i, j) * y[i])
 		}
-		normal += s * s
+		normal += float64(s * s)
 	}
 	rem := total - normal
 	if rem < 0 {

@@ -10,6 +10,7 @@
 package monitor
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -60,7 +61,9 @@ type Config struct {
 	// FDEll is the Frequent Directions basis budget ℓ (FD family only); 0
 	// selects sketch.DefaultEll of the assigned flow count.
 	FDEll int
-	// OnAlarm, when set, is invoked for alarms pushed by the NOC.
+	// OnAlarm, when set, is invoked for alarms pushed by the NOC. The
+	// alarm's Identified array is reused for the next alarm: a callback that
+	// keeps it past its return copies it.
 	OnAlarm func(transport.Alarm)
 	// Redial (tier.RedialPolicy), when enabled, redials after the NOC link
 	// drops, resends Hello and resumes serving sketch pulls: over the
@@ -353,8 +356,11 @@ func (s *Service) serveSketch(conn *transport.Conn, req transport.SketchRequest,
 // alarm records an alarm broadcast and hands it to Config.OnAlarm.
 func (s *Service) alarm(a transport.Alarm, _ *transport.TraceContext) {
 	s.met.alarmsRecv.Inc()
-	s.log.Warn("alarm from NOC", "interval", a.Interval,
-		"distance", a.Distance, "threshold", a.Threshold, "degraded", a.Degraded)
+	// The log's arguments are boxed only for a logger that writes them.
+	if s.log.Enabled(context.Background(), slog.LevelWarn) {
+		s.log.Warn("alarm from NOC", "interval", a.Interval,
+			"distance", a.Distance, "threshold", a.Threshold, "degraded", a.Degraded)
+	}
 	if fr := s.cfg.FlightRecorder; fr != nil {
 		s.mu.Lock()
 		last := s.core.Now()

@@ -2,6 +2,8 @@ package monitor
 
 import (
 	"errors"
+	"io"
+	"log/slog"
 	"reflect"
 	"testing"
 	"time"
@@ -208,6 +210,42 @@ func TestSketchRequestServed(t *testing.T) {
 	localRep := svc.Report()
 	if localRep.Interval != 20 {
 		t.Fatalf("local report interval = %d", localRep.Interval)
+	}
+}
+
+// TestReceivedAlarmAllocatesNothing: once the link has decoded one alarm,
+// a traced alarm naming culprits costs the monitor no allocation, from its
+// frame to the callback, under a logger that drops warnings.
+func TestReceivedAlarmAllocatesNothing(t *testing.T) {
+	got := make(chan int64, 1)
+	cfg := testConfig()
+	cfg.Log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError}))
+	cfg.OnAlarm = func(a transport.Alarm) { got <- a.Interval }
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, remote := transport.Pipe()
+	recvCh := startReader(remote)
+	if err := svc.Attach(local); err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	expectFrame(t, recvCh) // hello
+	alarm := transport.Alarm{Interval: 5, Distance: 9, Threshold: 3, Identified: []transport.IdentifiedFlow{
+		{Flow: 1, Amount: 2e5, Confidence: 0.9}, {Flow: 2, Amount: 1e5, Confidence: 0.6}}}
+	env := transport.Envelope{Alarm: &alarm, Trace: &transport.TraceContext{TraceID: 7, SpanID: 9}}
+	receive := func() {
+		if err := remote.Send(env); err != nil {
+			t.Fatal(err)
+		}
+		if i := <-got; i != alarm.Interval {
+			t.Fatalf("alarm for interval %d, sent %d", i, alarm.Interval)
+		}
+	}
+	receive()
+	if n := testing.AllocsPerRun(50, receive); n != 0 {
+		t.Fatalf("a received alarm allocates %v times", n)
 	}
 }
 

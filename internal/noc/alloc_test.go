@@ -14,11 +14,12 @@ import (
 // aggregators, at flat-*'s m = 81, l = 100. The NOC recycles each interval's
 // row, so flat, a quiet interval allocates at most 1 100 B and a refreshing
 // one 2 300 B, the process's whole count: mostly the copy of the decision's
-// vector Deployment queues (704 B) and, on alarm, the identification and the
-// monitors' alarm decode.
+// vector Deployment queues (704 B) and the identification on alarm. Behind
+// the 3 degraded aggregators, whose column caches reuse their copies of each
+// report's R′, a refreshing interval allocates at most 2 600 B.
 func TestRefreshAllocatesLessThanOneSketchMatrix(t *testing.T) {
 	const m, l, minRefreshes = 81, 100, 20
-	const flatQuiet, flatRefresh = 1100, 2300
+	const flatQuiet, flatRefresh, fedRefresh = 1100, 2300, 2600
 	for _, aggs := range []int{0, 3} {
 		cfg := nocConfig()
 		cfg.Detector.NumFlows, cfg.Detector.SketchLen = m, l
@@ -74,6 +75,9 @@ func TestRefreshAllocatesLessThanOneSketchMatrix(t *testing.T) {
 		if aggs == 0 && (q > flatQuiet || r > flatRefresh) {
 			t.Errorf("flat: a quiet interval allocates %.0f B (limit %d), a refreshing one %.0f B (limit %d)",
 				q, flatQuiet, r, flatRefresh)
+		}
+		if aggs > 0 && r > fedRefresh {
+			t.Errorf("%d degraded aggregators: a refreshing interval allocates %.0f B (limit %d)", aggs, r, fedRefresh)
 		}
 	}
 }

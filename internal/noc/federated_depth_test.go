@@ -2,6 +2,7 @@ package noc
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -37,6 +38,7 @@ func TestFederatedDepthTwoMatchesFlat(t *testing.T) {
 				Monitor: func(_ int, c *monitor.Config) {
 					id := c.ID
 					c.OnAlarm = func(a transport.Alarm) {
+						a.Identified = slices.Clone(a.Identified) // reused for the next alarm
 						got.mu.Lock()
 						got.alarms[id] = append(got.alarms[id], a)
 						got.mu.Unlock()

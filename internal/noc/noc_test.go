@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -193,6 +194,7 @@ func alarmBroadcastToMonitors(t *testing.T, seed uint64) {
 	dep := deploy(t, cfg, Topology{Monitors: 3, Monitor: func(i int, c *monitor.Config) {
 		if i == 0 {
 			c.OnAlarm = func(a transport.Alarm) {
+				a.Identified = slices.Clone(a.Identified) // reused for the next alarm
 				alarmMu.Lock()
 				gotAlarms = append(gotAlarms, a)
 				alarmMu.Unlock()

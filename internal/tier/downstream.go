@@ -146,14 +146,21 @@ type breakerState struct {
 }
 
 // column is one flow's cached randproj sketch column: what the report at
-// interval at carried for it, and its R′ (nil: none), which the columns of
-// that report share and nothing writes.
+// interval at carried for it, and its R′ (nil: none), a copy the columns of
+// that report share.
 type column struct {
 	sketch []float64
 	mean   float64
 	count  int64
 	at     int64
-	rows   []float64
+	rows   *rowCopy
+}
+
+// rowCopy is a copy of one report's R′ and the number of cached columns
+// that point at it; at none, fold reuses it for the next report's.
+type rowCopy struct {
+	sums []float64
+	refs int
 }
 
 type response struct {
@@ -196,6 +203,10 @@ type Downstream struct {
 	breakers map[string]*breakerState
 	cache    map[string]core.SketchReport
 	cols     []column
+	// freeRows are R′ copies no cached column points at; folding is a fold's
+	// scratch, the copy of each of its report's R′.
+	freeRows []*rowCopy
+	folding  []*rowCopy
 	// spares are released randproj responses keyed by the registrant's
 	// connection they arrived on, each reused to decode that registrant's
 	// next answer, so its arrays already have the answer's shape (see

@@ -623,21 +623,38 @@ func TestDegradedFillGranularity(t *testing.T) {
 }
 
 // TestDegradedFillKeepsColumnsASmallerReportLeftOut: a randproj column stays
-// in the cache after its registrant's later report no longer names the flow.
+// in the cache, with its R′, after its registrant's later report no longer
+// names the flow, though that report's R′ reuses a copy the cache let go.
 func TestDegradedFillKeepsColumnsASmallerReportLeftOut(t *testing.T) {
 	d, _ := newDownstream(t, func(c *DownstreamConfig) {
 		c.RequireAll = true
 		c.Degraded = DegradedPolicy{Enabled: true, MaxStaleness: 2}
 	})
+	// withRows answers with flows at interval over the one R′ rows.
+	withRows := func(interval int64, flows []int, rows []float64) func(*peer, uint64) {
+		return func(p *peer, reqID uint64) {
+			rep := report(interval, flows)
+			rep.RowSums, rep.RowSumOf = [][]float64{rows}, make([]int, len(flows))
+			p.send(transport.Envelope{Response: &transport.SketchResponse{RequestID: reqID, MonitorID: "b", Report: rep}})
+		}
+	}
 	attach(t, d, "a", []int{0, 1}, honest(11))
-	b := attach(t, d, "b", []int{2, 3}, honest(10))
-	d.Pull(nil, nil)
+	b := attach(t, d, "b", []int{2, 3}, withRows(9, []int{2, 3}, []float64{1, -1, 3}))
+	d.Release(d.Pull(nil, nil))
+	b.setAnswer(withRows(10, []int{2, 3}, []float64{2, 0, -2}))
+	d.Release(d.Pull(nil, nil))
 	h := hello("b", []int{2})
 	b.send(transport.Envelope{Hello: &h})
 	waitFor(t, "b shrinks", func() bool { return len(d.OwnedFlows()) == 3 })
-	b.setAnswer(func(p *peer, reqID uint64) { p.respond(reqID, "b", 11, []int{2}) })
-	if p := d.Pull(nil, nil); p.Filled != 1 || len(d.Uncovered(p)) != 0 {
+	b.setAnswer(withRows(11, []int{2}, []float64{5, 3, 1}))
+	p := d.Pull(nil, nil)
+	if p.Filled != 1 || len(d.Uncovered(p)) != 0 {
 		t.Fatalf("b's smaller report: filled %d, uncovered %v; want flow 3 from b's earlier report", p.Filled, d.Uncovered(p))
+	}
+	for _, rep := range p.Reports {
+		if i := slices.Index(rep.FlowIDs, 3); i >= 0 && !slices.Equal(rep.RowSum(i), []float64{2, 0, -2}) {
+			t.Fatalf("flow 3 filled over R′ %v, want its report's (2 0 -2)", rep.RowSum(i))
+		}
 	}
 }
 

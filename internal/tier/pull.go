@@ -187,6 +187,7 @@ func (d *Downstream) fill(p *Pull) {
 		}
 	} else {
 		cached := core.SketchReport{Family: sketch.FamilyRandProj}
+		var from []*rowCopy
 		for f, c := range d.cols {
 			if p.by[f] != "" || c.sketch == nil || !d.cfg.Degraded.Fresh(ref, c.at) {
 				continue
@@ -197,7 +198,7 @@ func (d *Downstream) fill(p *Pull) {
 			cached.Means = append(cached.Means, c.mean)
 			cached.Counts = append(cached.Counts, c.count)
 			cached.Interval = max(cached.Interval, c.at)
-			cached.RowSumOf = append(cached.RowSumOf, rowSumIndex(&cached, c.rows))
+			cached.RowSumOf = append(cached.RowSumOf, rowSumIndex(&cached, &from, c.rows))
 		}
 		if len(cached.RowSums) == 0 {
 			cached.RowSumOf = nil
@@ -385,23 +386,24 @@ func (d *Downstream) fold(p *Pull, in response, mid string) error {
 		}
 		p.by[f] = mid
 	}
-	var rows [][]float64 // rep's R′, cloned once for the columns cached
+	rows := append(d.folding[:0], make([]*rowCopy, len(rep.RowSums))...) // rep's R′, copied once for the columns cached
 	for i, f := range rep.FlowIDs {
 		if d.cols != nil && (d.cols[f].sketch == nil || rep.Interval >= d.cols[f].at) {
-			if rows == nil {
-				rows = make([][]float64, len(rep.RowSums))
-			}
 			c := &d.cols[f]
 			c.sketch = append(c.sketch[:0], rep.Sketches[i]...)
+			d.release(c.rows)
 			c.mean, c.count, c.at, c.rows = rep.Means[i], rep.Counts[i], rep.Interval, nil
 			if j := rep.RowSumOf; i < len(j) && j[i] >= 0 {
 				if rows[j[i]] == nil {
-					rows[j[i]] = slices.Clone(rep.RowSums[j[i]])
+					rows[j[i]] = d.copyRows(rep.RowSums[j[i]])
 				}
 				c.rows = rows[j[i]]
+				c.rows.refs++
 			}
 		}
 	}
+	clear(rows)
+	d.folding = rows
 	p.Reports = append(p.Reports, *rep)
 	if rep.Family == sketch.FamilyFD {
 		d.cache[mid] = *rep
@@ -417,16 +419,40 @@ func (d *Downstream) fold(p *Pull, in response, mid string) error {
 	return nil
 }
 
-// rowSumIndex returns the index in cached.RowSums of rows, adding it when it
-// is not there, or −1 for none. Columns cached from one report share its R′.
-func rowSumIndex(cached *core.SketchReport, rows []float64) int {
-	if len(rows) == 0 {
+// copyRows returns a copy of rs that no cached column points at yet, in a
+// freed one's array when there is one. The caller holds d.mu.
+func (d *Downstream) copyRows(rs []float64) *rowCopy {
+	c := new(rowCopy)
+	if n := len(d.freeRows); n > 0 {
+		c, d.freeRows = d.freeRows[n-1], d.freeRows[:n-1]
+	}
+	c.sums = append(c.sums[:0], rs...)
+	return c
+}
+
+// release drops a cached column's hold on its R′ copy c (nil: none), which
+// goes back to be reused once no column holds it. The caller holds d.mu.
+func (d *Downstream) release(c *rowCopy) {
+	if c != nil {
+		if c.refs--; c.refs == 0 {
+			d.freeRows = append(d.freeRows, c)
+		}
+	}
+}
+
+// rowSumIndex returns the index in cached.RowSums of a copy of rows' R′,
+// adding one when from, the copies already added, lacks rows, or −1 for
+// none. Columns cached from one report share its R′; the cached report owns
+// its copy, since a later fold may reuse rows'.
+func rowSumIndex(cached *core.SketchReport, from *[]*rowCopy, rows *rowCopy) int {
+	if rows == nil || len(rows.sums) == 0 {
 		return -1
 	}
-	k := slices.IndexFunc(cached.RowSums, func(v []float64) bool { return &v[0] == &rows[0] })
+	k := slices.Index(*from, rows)
 	if k < 0 {
 		k = len(cached.RowSums)
-		cached.RowSums = append(cached.RowSums, rows)
+		cached.RowSums = append(cached.RowSums, slices.Clone(rows.sums))
+		*from = append(*from, rows)
 	}
 	return k
 }

@@ -35,7 +35,9 @@ type UplinkConfig struct {
 	Hello func() transport.Hello
 	// OnRequest serves a sketch pull arriving on c; it runs on the link's
 	// reader and should hand long work to another goroutine. OnAlarm receives
-	// alarm broadcasts. tc is the frame's trace context, if any.
+	// alarm broadcasts; the alarm's Identified array and tc are reused for the
+	// next alarm, so they are valid until it returns. tc is the frame's trace
+	// context, if any.
 	OnRequest func(c *transport.Conn, req transport.SketchRequest, tc *transport.TraceContext)
 	OnAlarm   func(a transport.Alarm, tc *transport.TraceContext)
 	// Adopt builds the owner's state from the parameters the tier above
@@ -256,14 +258,19 @@ func (u *Uplink) Announce() bool {
 }
 
 // readLoop serves the link until it dies, then hands off to the redial loop
-// when that is enabled and sensible. Requests decode into one value the link
-// reuses.
+// when that is enabled and sensible. Requests, alarms and trace contexts
+// decode into values the link reuses; a request's trace context is copied,
+// since OnRequest may hand it to another goroutine.
 func (u *Uplink) readLoop(conn *transport.Conn, reader chan struct{}) {
 	defer close(reader)
 	rejected, refused := false, false
-	var req transport.SketchRequest
+	var (
+		req   transport.SketchRequest
+		alarm transport.Alarm
+		tc    transport.TraceContext
+	)
 	for !rejected {
-		env := transport.Envelope{Request: &req}
+		env := transport.Envelope{Request: &req, Alarm: &alarm, Trace: &tc}
 		err := conn.RecvInto(&env)
 		if errors.Is(err, transport.ErrVersion) {
 			rejected, refused = true, true
@@ -275,7 +282,12 @@ func (u *Uplink) readLoop(conn *transport.Conn, reader chan struct{}) {
 		}
 		switch {
 		case env.Request != nil:
-			u.cfg.OnRequest(conn, *env.Request, env.Trace)
+			var own *transport.TraceContext
+			if env.Trace != nil {
+				own = new(transport.TraceContext)
+				*own = *env.Trace
+			}
+			u.cfg.OnRequest(conn, *env.Request, own)
 		case env.Alarm != nil:
 			u.cfg.OnAlarm(*env.Alarm, env.Trace)
 		case env.Shards != nil:

@@ -59,12 +59,13 @@ var goldenFrames = []struct {
 	// Columns that are exact sums go as them: both over the one R′ = (2, −2),
 	// sent first, with c′ = 4, the first with S′ = 10 and Z′ = (13, −3), the
 	// second with S′ = 6 and Z′ = (7, 1). R′, its indices, c′ and S′ are
-	// zigzag varints, Z′ two's-complement integers of the byte width that
-	// leads them.
+	// zigzag varints; each Z′_k goes as its residual from round(μ·R′_k),
+	// (13 − 5, −3 + 5) = (8, 2) at μ = 2.5 and (7 − 3, 1 + 3) = (4, 4) at
+	// μ = 1.5, two's-complement integers of the byte width that leads them.
 	{"response/sums", Envelope{Response: &SketchResponse{RequestID: 3, MonitorID: "m1",
 		Report: sumsReport(4, []float64{2, -2}, []int64{10, 6}, [][]float64{{13, -3}, {7, 1}})}},
 		"04 29000000 | 03 02 6d31 00 00 | 0a 02 00 02 | 02 | 01 02 04 03 | 02 00 00" +
-			" | 01 08 14 01 0d fd | 01 08 0c 01 07 01 | 00 | 00 | 0000000000000000 | 00"},
+			" | 01 08 14 01 08 02 | 01 08 0c 01 04 04 | 00 | 00 | 0000000000000000 | 00"},
 	// FD rows with exact zeros are one byte a zero: an integral row and the
 	// means as varints, the other row compact.
 	{"response/fd", Envelope{Response: &SketchResponse{RequestID: 3, MonitorID: "agg", Degraded: true, StaleFlows: 1,
@@ -145,7 +146,7 @@ func TestConnOpensWithPreamble(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := unhex(t, "53504341 05 | 03 01000000 2a | 03 01000000 2a")
+	want := unhex(t, "53504341 06 | 03 01000000 2a | 03 01000000 2a")
 	if !bytes.Equal(s.out.Bytes(), want) {
 		t.Fatalf("stream %x, want %x", s.out.Bytes(), want)
 	}
@@ -155,8 +156,8 @@ func TestConnOpensWithPreamble(t *testing.T) {
 // stream opens with gob (a build from before this wire) or with another
 // version of this wire (version 1 pulled full windows of Gaussian rows,
 // version 2 carried ε in Hello, version 3 sent every column as floats,
-// version 4 had no int runs and no implicit flow lists), and keeps
-// refusing.
+// version 4 had no int runs and no implicit flow lists, version 5 sent each
+// projection sum whole), and keeps refusing.
 func TestRecvRefusesOtherProtocols(t *testing.T) {
 	var gobPeer bytes.Buffer
 	if err := gob.NewEncoder(&gobPeer).Encode(&Envelope{Hello: &Hello{MonitorID: "old", FlowIDs: []int{0}, WindowLen: 8}}); err != nil {
@@ -172,6 +173,7 @@ func TestRecvRefusesOtherProtocols(t *testing.T) {
 		{"version 2", version("02")},
 		{"version 3", version("03")},
 		{"version 4", version("04")},
+		{"version 5", version("05")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &splitStream{}

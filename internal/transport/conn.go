@@ -144,11 +144,11 @@ func (c *Conn) Recv() (Envelope, error) {
 }
 
 // RecvInto reads the next envelope into e: a payload of the kind that
-// arrived is decoded into the value e already points to, reusing its
-// slices' capacity, or into a new one, and e's other payload pointers are
-// cleared. The caller decides what is recycled and must not hand a reused
-// value to anyone who keeps it past the next RecvInto into it. A TraceContext
-// is always new. On error e's payload values may hold a partial decode.
+// arrived, and a TraceContext, is decoded into the value e already points
+// to, reusing its slices' capacity, or into a new one, and e's other
+// payload pointers are cleared. The caller decides what is recycled and must
+// not hand a reused value to anyone who keeps it past the next RecvInto into
+// it. On error e's payload values may hold a partial decode.
 func (c *Conn) RecvInto(e *Envelope) error {
 	into := *e
 	for {

@@ -63,9 +63,20 @@ func FuzzDecodeMessage(f *testing.F) {
 	mixed.Sketches[1][2] = 0.5
 	mixed.RowSumOf[1] = -1
 	f.Add(stream(Envelope{Response: &SketchResponse{RequestID: 9, MonitorID: "mix", Report: mixed}}))
-	// A volume sum whose varint overflows 64 bits.
-	payload := unhexF(f, "03 02 6d31 00 00 0a 02 00 02 02 01 02 04 03 02 00 00 01 08 ffffffffffffffffffff01 01 0d fd 01 08 0c 01 07 01 00 00 0000000000000000 00")
-	f.Add(append(binary.LittleEndian.AppendUint32(append(preamble[:], kindResponse), uint32(len(payload))), payload...))
+	// Residuals of one, three and seven bytes: D = (8, 2), (70002, −2) and
+	// (2⁴⁷, 0).
+	f.Add(stream(Envelope{Response: &SketchResponse{RequestID: 9, MonitorID: "w",
+		Report: sumsReport(4, []float64{2, -2}, []int64{10, 6, -6}, [][]float64{{13, -3}, {70005, -5}, {1<<47 - 3, 3}})}}))
+	// A volume sum whose varint overflows 64 bits; a residual at the top of
+	// its range (Z′_0 = 2⁵⁰ − 6), and one past it.
+	for _, cols := range []string{
+		"01 08 ffffffffffffffffffff01 01 08 02",
+		"01 08 14 07 f5ffffffffff03 02000000000000",
+		"01 08 14 07 f6ffffffffff03 02000000000000",
+	} {
+		payload := unhexF(f, "03 02 6d31 00 00 0a 02 00 02 02 01 02 04 03 02 00 00 "+cols+" 01 08 0c 01 04 04 00 00 0000000000000000 00")
+		f.Add(append(binary.LittleEndian.AppendUint32(append(preamble[:], kindResponse), uint32(len(payload))), payload...))
+	}
 	f.Add([]byte{})
 	f.Add(preamble[:4])
 	f.Add([]byte("SPCA\x01\x03\x01\x00\x00\x00\x2a"))

@@ -1,10 +1,13 @@
 package transport
 
-// The AVX2 kernels in sums_amd64.s, for columns of 4-byte sums: each takes a
-// multiple of four elements, len(z).
+// The AVX2 kernels in sums_amd64.s: each takes a multiple of four elements,
+// len(z) or n, packAVX2 a width w of 1 to 3 and sumsIntoAVX2 one of 1 to 4.
 
 //go:noescape
-func appendZ4AVX2(out []byte, z, rs []float64, mean, root, scale float64) bool
+func residualsAVX2(out []byte, z, rs []float64, mean, root, scale float64) (acc uint64, ok bool)
 
 //go:noescape
-func sumsInto4AVX2(z []float64, b []byte, rs []float64, mean, scale float64)
+func packAVX2(b []byte, n, w int)
+
+//go:noescape
+func sumsIntoAVX2(z []float64, b []byte, rs []float64, mean, scale float64, w int)

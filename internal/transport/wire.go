@@ -54,32 +54,38 @@ import (
 //   - colRaw: the column as a run, its mean as a float, its count;
 //   - colSums: the exact sums the column and its mean are (vh.Centred) over
 //     the R′ it names: the count c′ and the volume sum S′, varints, and the l
-//     projection sums Z′: a byte w of 1 to 7 and l two's-complement integers
-//     of w little-endian bytes each. The decoder rebuilds μ = S′/c′ (0 when
-//     c′ = 0) and ẑ_k = (Z′_k − μ·R′_k)/√l. It refuses a column that names
-//     no R′, c′ < 0, |R′_k| > c′, R′_k of the other parity than c′,
-//     |R′_k| or |S′| ≥ 2⁵³ and |Z′_k| + |μ|·|R′_k| ≥ 2⁵⁰.
+//     projection sums Z′, each as its residual D_k = Z′_k − round(μ·R′_k)
+//     from what the mean predicts: a byte w of 1 to 7 and l two's-complement
+//     integers of w little-endian bytes each. The decoder rebuilds μ = S′/c′
+//     (0 when c′ = 0), Z′_k = D_k + round(μ·R′_k), rounding half to even,
+//     and ẑ_k = (Z′_k − μ·R′_k)/√l. It refuses a column that names no R′,
+//     c′ < 0, |R′_k| > c′, R′_k of the other parity than c′, |R′_k| or
+//     |S′| ≥ 2⁵³ and |Z′_k| + |μ|·|R′_k| ≥ 2⁵⁰.
 //
 // The encoder sends a column as sums only when the column rebuilt from them
 // has the bits it holds: with ±1 rows and byte counts every pulled column
-// does, at about 4 B a Z′ against 8 raw. Anything else goes raw. Z′ are
-// packed at the width of S′, which holds every Z′_k of a window whose
-// volumes share a sign, so each is written once; fixed-width integers decode
+// does. Anything else goes raw. D_k is √l·ẑ_k to within ½, the window's
+// deviation from its mean projected, so w, the fewest bytes that hold a column's every D_k,
+// follows the spread of the flow's window, not its volume: about 3 B a sum
+// on byte-count traffic, against 4 for Z′ itself (version 5) and 8 raw; a
+// spike widens only its own flow's column. Fixed-width integers decode
 // several times faster than varints, which saved under 1 %.
 
 const (
-	// wireVersion 5: integer float runs travel as varints, and a volume
-	// report may leave its flow list to the Hello. Version 4 sent sketch
+	// wireVersion 6: a sums column sends each projection sum as its
+	// residual from round(μ·R′_k). Version 5 sent Z′ itself at the byte
+	// width of S′, and first sent integer float runs as varints and let a
+	// volume report leave its flow list to the Hello; version 4 sent sketch
 	// columns as exact integer sums first; version 3 sent them as float
 	// runs; version 2 carried the variance-histogram ε in Hello; version 1
 	// pulled the full window of Gaussian rows. Mixing versions at one NOC is
 	// refused.
-	wireVersion = 5
+	wireVersion = 6
 	// frameHeader is the kind byte and the length.
 	frameHeader = 5
 	// maxFrame caps a frame's declared length; a longer one is ErrBadMessage
 	// before anything is read into memory. A randproj response at m = 4096,
-	// l = 1024 is 32 MiB with raw columns and about half that as sums; the
+	// l = 1024 is 32 MiB with raw columns and under half that as sums; the
 	// sums of one frame may decode to at most maxFrame/8 floats, what the
 	// largest raw frame holds.
 	maxFrame = 1 << 26
@@ -115,10 +121,9 @@ const (
 // is an exact float64.
 const intBound = 1 << 53
 
-// useAVX2 routes the 4-byte sums of appendZ and sumsInto, the width of
-// every column of byte counts below 2³¹ a window, to the amd64 kernels of
-// sums_amd64.s when mat's kernels run theirs; only tests clear it, to run
-// the Go loops on the same inputs.
+// useAVX2 routes the residuals of appendZ and sumsInto at widths of 1 to 4
+// bytes to the amd64 kernels of sums_amd64.s when mat's kernels run theirs;
+// only tests clear it, to run the Go loops on the same inputs.
 var useAVX2 = mat.UsesAVX2()
 
 // Sketch column forms.
@@ -162,9 +167,10 @@ func appendFrame(dst []byte, e *Envelope) ([]byte, error) {
 }
 
 // decodeFrame decodes the frame at the head of b into e and returns its
-// size. A payload of the kind that arrived is decoded into the value e
-// already points to, reusing its slices' capacity, or into a new one; every
-// other payload pointer is cleared. A frame that is short, declares more
+// size. A payload of the kind that arrived, and a TraceContext, is decoded
+// into the value e already points to, reusing its slices' capacity, or into
+// a new one; every other payload pointer is cleared, and the TraceContext's
+// when the frame carries none. A frame that is short, declares more
 // than maxFrame or than b holds, names no known kind, or does not end where
 // its payload does is ErrBadMessage, and every count is checked against the
 // bytes left before anything is allocated for it.
@@ -179,7 +185,7 @@ func decodeFrame(b []byte, e *Envelope) (int, error) {
 	c := codec{b: b[frameHeader : frameHeader+int(n)]}
 	var out Envelope
 	if kind&traceFlag != 0 {
-		out.Trace = new(TraceContext)
+		out.Trace = reuse(e.Trace)
 		c.trace(out.Trace)
 	}
 	switch kind &^ traceFlag {
@@ -681,14 +687,18 @@ func (f *rowFit) check(rs []float64, row int, count int64) bool {
 	if row == f.row && count == f.count {
 		return true
 	}
-	f.row, f.max = -1, 0
+	f.row = -1
+	top := 0.0 // kept out of f, whose store each element would wait on
 	for _, r := range rs {
-		if !(math.Abs(r) <= float64(count)) || (int64(r)-count)&1 != 0 {
+		a := math.Abs(r)
+		if !(a <= float64(count)) || (int64(r)-count)&1 != 0 {
 			return false
 		}
-		f.max = max(f.max, math.Abs(r))
+		if a > top {
+			top = a
+		}
 	}
-	f.row, f.count = row, count
+	f.row, f.count, f.max = row, count, top
 	return true
 }
 
@@ -721,53 +731,99 @@ func (c *codec) appendSums(rep *sketch.Snapshot, i int, rs []float64, fit *rowFi
 	}
 	c.b = binary.AppendVarint(binary.AppendVarint(append(c.b, colSums), count), int64(sum))
 	var ok bool
-	c.b, ok = appendZ(c.b, z, rs, mean, (bits.Len64(uint64(math.Abs(sum)))+8)/8)
+	c.b, ok = appendZ(c.b, z, rs, mean)
 	return ok
 }
 
-// appendZ appends Z′_k = round(ẑ_k·√l + μ·R′_k) for the column z as the
-// width byte w and l two's-complement integers of w little-endian bytes
-// each, or reports false when one does not fit or does not rebuild ẑ_k's
-// bits. w is the width of S′: each Z′_k sums ±y_t, so |Z′_k| ≤ |S′| when
-// the window's volumes share a sign, as byte counts do. Each Z′_k is
-// stored as 8 bytes, which the next overwrites past w.
-func appendZ(b []byte, z, rs []float64, mean float64, w int) ([]byte, bool) {
-	root, scale := math.Sqrt(float64(len(z))), vh.Scale(len(z))
-	rs = rs[:len(z)]
-	half := uint64(1) << (8*w - 1)
-	b = append(slices.Grow(b, 1+w*len(z)+8), byte(w))
+// appendZ appends the column z as the width byte w and l two's-complement
+// integers of w little-endian bytes each, the residuals D_k (residuals), or
+// reports false when a ẑ_k does not rebuild or a D_k is outside
+// [−2⁴⁸, 2⁴⁸). w is the fewest bytes that hold every D_k. The residuals are
+// written where the packed ones go, 4 bytes each, which hold them all when
+// w ≤ 4, else 8, then packed in place.
+func appendZ(b []byte, z, rs []float64, mean float64) ([]byte, bool) {
+	b = append(slices.Grow(b, 1+8*len(z)), 0)
 	start := len(b)
-	out := b[start : start+w*len(z)+8]
-	k0 := 0
-	if w == 4 && useAVX2 {
-		k0 = len(z) &^ 3
-		if !appendZ4AVX2(out[:4*k0], z[:k0], rs[:k0], mean, root, scale) {
-			return b, false
-		}
+	out := b[start : start+8*len(z)]
+	acc, ok := residuals(out, z, rs[:len(z)], mean, 4)
+	if !ok || acc >= 1<<49 {
+		return b, false
 	}
-	o := w * k0
-	for k := k0; k < len(z); k++ {
-		// Rounded to an integer by the float adder where |zk| < 2⁵¹, and
-		// never −0; the checks below refuse the rest. The last is
-		// vh.Centred(zk, R′_k, μ) with its product p reused.
-		v, p := z[k], float64(mean*rs[k])
-		zk := float64(v*root) + p + 0x1.8p52 - 0x1.8p52
-		zi := int64(zk)
-		if !(math.Abs(zk) < 1<<48) || uint64(zi)+half >= 2*half ||
-			math.Float64bits(scale*(zk-p)) != math.Float64bits(v) {
-			return b, false
-		}
-		binary.LittleEndian.PutUint64(out[o:o+8], uint64(zi))
-		o += w
+	w := (max(bits.Len64(acc), 1) + 7) / 8
+	if w > 4 {
+		residuals(out, z, rs[:len(z)], mean, 8)
 	}
-	return b[:start+o], true
+	pack(out, len(z), w)
+	b[start-1] = byte(w)
+	return b[:start+w*len(z)], true
 }
 
-// sumsInto rebuilds the column z from the width byte w and the l integers
-// of w bytes at the head of b, z_k = vh.Centred(Z′_k, R′_k, μ), and returns
-// the rest of b, or false when b is short, w is not 1 to 7 or a Z′_k is out
-// of range. maxR is max|R′_k|. Each Z′_k is loaded as 8 bytes: a response
-// has at least 8 after its columns, so b must too.
+// residuals writes D_k = Z′_k − round(p_k), where p_k = μ·R′_k and Z′_k =
+// round(ẑ_k·√l + p_k), into out as little-endian integers every stride
+// bytes, 4 (their low bytes) or 8, and returns the OR of every
+// D_k ^ D_k<<1, which has a bit set at or above bit s exactly when some D_k
+// needs more than s bits: its bit length is the width in bits that holds
+// them all (0 when all are 0). It reports false when a
+// vh.Centred(Z′_k, R′_k, μ) is not ẑ_k's bits. out must hold 8 bytes from
+// the last integer's slot.
+//
+// |p_k| ≤ |S′| < 2⁴⁷ (appendSums), and D_k is the bits of M + Z′_k less
+// those of M + round(p_k), M = 1.5·2⁵². Where |Z′_k| < 2⁵¹ that is the
+// integer; past it, or for a NaN, |D_k| > 2⁴⁸, which appendZ refuses. So
+// every D_k sent rebuilds Z′_k = D_k + round(p_k), |Z′_k| < 2⁴⁹.
+func residuals(out []byte, z, rs []float64, mean float64, stride int) (uint64, bool) {
+	root, scale := math.Sqrt(float64(len(z))), vh.Scale(len(z))
+	var acc uint64
+	k0 := 0
+	if useAVX2 && stride == 4 {
+		k0 = len(z) &^ 3
+		var ok bool
+		if acc, ok = residualsAVX2(out[:4*k0], z[:k0], rs[:k0], mean, root, scale); !ok {
+			return 0, false
+		}
+	}
+	for k := k0; k < len(z); k++ {
+		// The last is vh.Centred(zk, R′_k, μ) with its product p reused.
+		v, p := z[k], float64(mean*rs[k])
+		x := float64(v*root) + p + 0x1.8p52
+		zk := x - 0x1.8p52
+		if math.Float64bits(scale*(zk-p)) != math.Float64bits(v) {
+			return 0, false
+		}
+		d := int64(math.Float64bits(x)) - int64(math.Float64bits(p+0x1.8p52))
+		acc |= uint64(d ^ d<<1)
+		binary.LittleEndian.PutUint64(out[stride*k:], uint64(d))
+	}
+	return acc, true
+}
+
+// pack moves the n integers at the head of b, residuals' 4-byte slots for
+// w ≤ 4 and 8-byte ones past it, to w bytes each, in place. Each store
+// ends where the next integer is still to be read.
+func pack(b []byte, n, w int) {
+	switch {
+	case w > 4:
+		for k := range n {
+			binary.LittleEndian.PutUint64(b[w*k:], binary.LittleEndian.Uint64(b[8*k:]))
+		}
+	case w < 4:
+		k0 := 0
+		if useAVX2 {
+			k0 = n &^ 3
+			packAVX2(b, k0, w)
+		}
+		for k := k0; k < n; k++ {
+			binary.LittleEndian.PutUint32(b[w*k:], binary.LittleEndian.Uint32(b[4*k:]))
+		}
+	}
+}
+
+// sumsInto rebuilds the column z from the width byte w and the l residuals
+// D_k of w bytes at the head of b, Z′_k = D_k + round(μ·R′_k) and z_k =
+// vh.Centred(Z′_k, R′_k, μ), and returns the rest of b, or false when b is
+// short, w is not 1 to 7 or a Z′_k is out of range. maxR is max|R′_k|. Each
+// D_k is loaded as 8 bytes: a response has at least 8 after its columns, so
+// b must too.
 func sumsInto(z []float64, b []byte, rs []float64, mean, maxR float64) ([]byte, bool) {
 	if len(b) < 1 || b[0] < 1 || b[0] > 7 || len(b)-1 < int(b[0])*len(z)+8 {
 		return b, false
@@ -775,24 +831,27 @@ func sumsInto(z []float64, b []byte, rs []float64, mean, maxR float64) ([]byte, 
 	w, scale := int(b[0]), vh.Scale(len(z))
 	b, rs = b[1:], rs[:len(z)]
 	sh := uint(64 - 8*w)
-	// Six bytes hold |Z′_k| ≤ 2⁴⁷, and with |μ|·max|R′| < 2⁴⁹ every such
-	// Z′_k is in range without the sum.
-	if w > 6 || !(math.Abs(mean)*maxR < 1<<49) {
+	// Six bytes hold |D_k| ≤ 2⁴⁷, and with |μ|·max|R′| < 2⁴⁸ every such
+	// Z′_k is in range without the sum. Past 2⁵⁰ the rounding of p is not
+	// exact, and the sum refuses it.
+	if w > 6 || !(math.Abs(mean)*maxR < 1<<48) {
 		for k := range z {
-			zk := float64(int64(binary.LittleEndian.Uint64(b[w*k:])<<sh) >> sh)
-			if !(math.Abs(zk)+float64(math.Abs(mean)*math.Abs(rs[k])) < sumsBound) {
+			p := float64(mean * rs[k])
+			zk := float64(int64(binary.LittleEndian.Uint64(b[w*k:])<<sh)>>sh) + (p + 0x1.8p52 - 0x1.8p52)
+			if !(math.Abs(zk)+math.Abs(p) < sumsBound) {
 				return b, false
 			}
 		}
 	}
 	k0 := 0
-	if w == 4 && useAVX2 {
+	if w <= 4 && useAVX2 {
 		k0 = len(z) &^ 3
-		sumsInto4AVX2(z[:k0], b[:4*k0], rs[:k0], mean, scale)
+		sumsIntoAVX2(z[:k0], b, rs[:k0], mean, scale, w)
 	}
 	for k := k0; k < len(z); k++ {
-		zk := float64(int64(binary.LittleEndian.Uint64(b[w*k:])<<sh) >> sh)
-		z[k] = vh.Centred(zk, rs[k], mean, scale)
+		p := float64(mean * rs[k])
+		zk := float64(int64(binary.LittleEndian.Uint64(b[w*k:])<<sh)>>sh) + (p + 0x1.8p52 - 0x1.8p52)
+		z[k] = scale * (zk - p)
 	}
 	return b[w*len(z):], true
 }

@@ -288,8 +288,8 @@ func (h *Histogram) EstimateVariance() float64 {
 		na := float64(count)
 		total := na + 1
 		d := mean - x
-		variance += na / total * d * d
-		mean = (na*mean + x) / total
+		variance += float64(na / total * d * d)
+		mean = (float64(na*mean) + x) / total
 		count++
 	})
 	return variance
@@ -332,7 +332,7 @@ func (h *Histogram) PriorSketchInto(dst []float64) ([]float64, float64) {
 	out := slices.Grow(dst[:0], h.sketchL)[:h.sketchL]
 	scale := Scale(h.sketchL)
 	for k := range out {
-		out[k] = Centred(h.totalZ[k]-y*row[k], h.totalR[k]-row[k], mean, scale)
+		out[k] = Centred(h.totalZ[k]-float64(y*row[k]), h.totalR[k]-row[k], mean, scale)
 	}
 	return out, mean
 }
