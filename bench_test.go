@@ -175,7 +175,7 @@ func BenchmarkLocalMonitorUpdate(b *testing.B) {
 			update := func() {
 				t++
 				for j := range volumes {
-					volumes[j] = 1000 + 50*rng.NormFloat64()
+					volumes[j] = math.Round(1000 + 50*rng.NormFloat64())
 				}
 				if err := mon.Update(t, volumes); err != nil {
 					b.Fatal(err)
@@ -229,7 +229,7 @@ func BenchmarkInstrumentedSketchUpdate(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for j := range volumes {
-						volumes[j] = 1000 + 50*rng.NormFloat64()
+						volumes[j] = math.Round(1000 + 50*rng.NormFloat64())
 					}
 					start := time.Now()
 					if err := mon.Update(int64(i+1), volumes); err != nil {
@@ -297,7 +297,7 @@ func BenchmarkTracedSketchUpdate(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := range volumes {
-				volumes[j] = 1000 + 50*rng.NormFloat64()
+				volumes[j] = math.Round(1000 + 50*rng.NormFloat64())
 			}
 			if err := mon.Update(int64(i+1), volumes); err != nil {
 				b.Fatal(err)
@@ -318,7 +318,7 @@ func BenchmarkTracedSketchUpdate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := range volumes {
-					volumes[j] = 1000 + 50*rng.NormFloat64()
+					volumes[j] = math.Round(1000 + 50*rng.NormFloat64())
 				}
 				if err := tracedBenchUpdate(mode.tracer, mon, int64(i+1), volumes); err != nil {
 					b.Fatal(err)
@@ -384,7 +384,7 @@ func BenchmarkLakhinaRecompute(b *testing.B) {
 			for i := 0; i < n; i++ {
 				row := x.RowView(i)
 				for j := range row {
-					row[j] = 1000 + 50*rng.NormFloat64()
+					row[j] = math.Round(1000 + 50*rng.NormFloat64())
 				}
 			}
 			b.ResetTimer()
@@ -425,7 +425,7 @@ func BenchmarkVHUpdate(b *testing.B) {
 			feed := func(h *vh.Histogram, updates int) {
 				rng := rand.New(rand.NewSource(5))
 				for i := 0; i < updates; i++ {
-					if err := h.Update(int64(i+1), 100+rng.NormFloat64()); err != nil {
+					if err := h.Update(int64(i+1), math.Round(100+rng.NormFloat64())); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -663,7 +663,7 @@ func BenchmarkMonitorUpdate(b *testing.B) {
 					b.ResetTimer()
 				}
 				for j := range volumes {
-					volumes[j] = 1000 + 50*rng.NormFloat64()
+					volumes[j] = math.Round(1000 + 50*rng.NormFloat64())
 				}
 				if err := mon.Update(int64(i+1), volumes); err != nil {
 					b.Fatal(err)
@@ -694,7 +694,7 @@ func BenchmarkFDUpdate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := range volumes {
-					volumes[j] = 1000 + 50*rng.NormFloat64()
+					volumes[j] = math.Round(1000 + 50*rng.NormFloat64())
 				}
 				if err := fd.Update(int64(i+1), volumes); err != nil {
 					b.Fatal(err)
@@ -728,7 +728,7 @@ func BenchmarkFDModelBuild(b *testing.B) {
 				volumes := make([]float64, flowsPerBlock)
 				for t := 1; t <= 96; t++ { // several shrink cycles deep
 					for j := range volumes {
-						volumes[j] = 1000 + 50*rng.NormFloat64()
+						volumes[j] = math.Round(1000 + 50*rng.NormFloat64())
 					}
 					if err := fd.Update(int64(t), volumes); err != nil {
 						b.Fatal(err)
@@ -764,7 +764,7 @@ func BenchmarkIncrementalVsBatchPCA(b *testing.B) {
 	for i := range rows {
 		row := make([]float64, m)
 		for j := range row {
-			row[j] = 1000 + 50*rng.NormFloat64()
+			row[j] = math.Round(1000 + 50*rng.NormFloat64())
 		}
 		rows[i] = row
 	}
@@ -825,7 +825,7 @@ func BenchmarkDeploymentStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range volumes {
-			volumes[j] = base[j] * (1 + 0.05*rng.NormFloat64())
+			volumes[j] = math.Round(base[j] * (1 + 0.05*rng.NormFloat64()))
 		}
 		if _, err := d.Step(int64(i+1), volumes); err != nil {
 			b.Fatal(err)
@@ -978,6 +978,7 @@ func TestWideClusterIdentifiesInjectedFlow(t *testing.T) {
 			for k, w := range loads[j] {
 				x[j] += w * f[k]
 			}
+			x[j] = math.Round(x[j])
 		}
 		return x
 	}

@@ -27,11 +27,11 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -48,6 +48,7 @@ import (
 	"streampca/internal/trace"
 	"streampca/internal/traffic"
 	"streampca/internal/transport"
+	"streampca/internal/vh"
 )
 
 func main() {
@@ -194,15 +195,17 @@ func run(args []string, in io.Reader, shutdown <-chan os.Signal) error {
 			if err != nil {
 				return fmt.Errorf("line %d column %d: %w", lineNo, f, err)
 			}
-			// ParseFloat accepts "NaN" and "Inf"; the sketch state does not.
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("line %d column %d: non-finite volume %q", lineNo, f, fields[idx])
+			// ParseFloat accepts "NaN", "Inf" and fractions; the sketch state
+			// takes whole bytes. At n = 1 the check refuses what no window
+			// takes; the adopted n's bound is the sketch state's to check.
+			if err := vh.CheckVolume(v, 1); err != nil {
+				return fmt.Errorf("line %d column %d: %w", lineNo, f, err)
 			}
 			volumes[i] = v
 		}
 		// Interval indices start at 1 on the wire (0 is "never updated").
 		if err := svc.ReportInterval(interval+1, volumes); err != nil {
-			if redial.Enabled {
+			if redial.Enabled && !errors.Is(err, vh.ErrVolume) {
 				// The link is down and being redialed; shedding intervals
 				// beats killing the daemon (the NOC degrades gracefully).
 				fmt.Fprintf(os.Stderr, "%s: interval %d not reported: %v\n", *id, interval+1, err)

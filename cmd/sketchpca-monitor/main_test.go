@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"slices"
 	"strconv"
@@ -10,6 +11,7 @@ import (
 
 	"streampca/internal/core"
 	"streampca/internal/noc"
+	"streampca/internal/vh"
 )
 
 func TestParseIntList(t *testing.T) {
@@ -212,8 +214,10 @@ func TestRunReadsColumnsByFlowID(t *testing.T) {
 	}
 }
 
-// A NaN or Inf cell parses as a float; the CSV loop must refuse it by line
-// and column instead of handing it to the sketch state.
+// A NaN, Inf, fractional or too large cell parses as a float; the CSV loop
+// must refuse it by line and column (vh.CheckVolume) instead of handing it to
+// the sketch state, and fail on a cell past 2⁵³/n at the adopted window
+// (2⁵⁰ at n = 8), which the sketch state refuses, instead of shedding it.
 func TestRunRejectsNonFiniteCell(t *testing.T) {
 	svc, err := noc.New(noc.Config{
 		Detector: core.DetectorConfig{NumFlows: 2, WindowLen: 8, SketchLen: 4, Alpha: 0.01, FixedRank: 1},
@@ -225,11 +229,11 @@ func TestRunRejectsNonFiniteCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Shutdown()
-	for _, cell := range []string{"NaN", "+Inf"} {
+	for _, cell := range []string{"NaN", "+Inf", "12.5", "9007199254740992", "1125899906842624"} {
 		in := strings.NewReader("0,10,20\n1,11," + cell + "\n")
 		err := run([]string{"-noc", svc.Addr(), "-flows", "0,1"}, in, nil)
-		if err == nil || !strings.Contains(err.Error(), "line 2 column 1: non-finite") {
-			t.Fatalf("cell %s: got %v, want a line 2 column 1 non-finite error", cell, err)
+		if !errors.Is(err, vh.ErrVolume) || !strings.Contains(err.Error(), "line 2") {
+			t.Fatalf("cell %s: got %v, want a line 2 vh.ErrVolume", cell, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -146,7 +147,7 @@ func TestDaemonsAdoptTheNOCsParameters(t *testing.T) {
 		base := 1000 + 100*rng.NormFloat64()
 		rows[i] = make([]float64, flows)
 		for f := range rows[i] {
-			rows[i][f] = float64(f+1)*base + 10*rng.NormFloat64()
+			rows[i][f] = math.Round(float64(f+1)*base + 10*rng.NormFloat64())
 		}
 	}
 	// Spikes in turning directions, so the refresh cannot absorb them all

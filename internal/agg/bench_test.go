@@ -2,6 +2,7 @@ package agg
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -68,7 +69,7 @@ func benchShardSnapshots(b *testing.B, family sketch.Family, shards, width, sket
 		local := make([]float64, width)
 		for t := 1; t <= window; t++ {
 			for i := range local {
-				local[i] = 500 + 50*rng.NormFloat64()
+				local[i] = math.Round(500 + 50*rng.NormFloat64())
 			}
 			if err := sk.Update(int64(t), local); err != nil {
 				b.Fatal(err)

@@ -41,7 +41,7 @@ func lowRankStream(rng *rand.Rand, n, m, k int, noise float64) *mat.Matrix {
 			for j := 0; j < k; j++ {
 				s += basis.At(a, j) * coeff[j]
 			}
-			v := 1000 + s + noise*rng.NormFloat64()
+			v := math.Round(1000 + s + noise*rng.NormFloat64())
 			if v < 0 {
 				v = 0
 			}

@@ -31,7 +31,7 @@ func TestMonitorUpdateDeterministic(t *testing.T) {
 	for i := range stream {
 		stream[i] = make([]float64, numFlows)
 		for j := range stream[i] {
-			stream[i][j] = 100 + 10*rng.NormFloat64()
+			stream[i][j] = math.Round(100 + 10*rng.NormFloat64())
 		}
 	}
 

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -40,7 +41,7 @@ func TestRefreshAllocatesLessThanOneSketchMatrix(t *testing.T) {
 			// flow, a different one each time, spikes.
 			f1, f2 := 1000+200*rng.NormFloat64(), 500+100*rng.NormFloat64()
 			for j := range row {
-				row[j] = float64(j%3+1)*f1 + float64(j%4+1)*f2 + 10*rng.NormFloat64()
+				row[j] = math.Round(float64(j%3+1)*f1 + float64(j%4+1)*f2 + 10*rng.NormFloat64())
 			}
 			if i > testWindow && i%4 == 0 {
 				row[(7*i)%m] += 5e4

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func fdTrafficRow(rng *rand.Rand) []float64 {
 	for j := range row {
 		w1 := float64(j%3) + 1
 		w2 := float64(j%4) + 1
-		row[j] = w1*f1 + w2*f2 + 10*rng.NormFloat64()
+		row[j] = math.Round(w1*f1 + w2*f2 + 10*rng.NormFloat64())
 	}
 	return row
 }

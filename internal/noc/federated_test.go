@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -45,7 +46,7 @@ func genRows(n, numFlows int, spikeAt int) [][]float64 {
 		for j := range row {
 			w1 := float64(j%3) + 1
 			w2 := float64(j%4) + 1
-			row[j] = w1*f1 + w2*f2 + 10*rng.NormFloat64()
+			row[j] = math.Round(w1*f1 + w2*f2 + 10*rng.NormFloat64())
 		}
 		if i >= spikeAt && i < spikeAt+4 {
 			k := i - spikeAt

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -111,7 +112,7 @@ func trafficRow(rng *rand.Rand, t int64) []float64 {
 	for j := range row {
 		w1 := float64(j%3) + 1
 		w2 := float64(j%4) + 1
-		row[j] = w1*f1 + w2*f2 + 10*rng.NormFloat64()
+		row[j] = math.Round(w1*f1 + w2*f2 + 10*rng.NormFloat64())
 	}
 	return row
 }

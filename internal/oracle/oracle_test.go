@@ -13,7 +13,8 @@ import (
 	"streampca/internal/vh"
 )
 
-// traffic families for the adversarial Lemma 1 / exactness property suite.
+// traffic families for the adversarial Lemma 1 / exactness property suite,
+// in whole bytes as a monitor's volumes are.
 type trafficGen struct {
 	name string
 	next func(r *rand.Rand, t int64) float64
@@ -22,25 +23,25 @@ type trafficGen struct {
 func trafficGens() []trafficGen {
 	return []trafficGen{
 		{"random-walk", func(r *rand.Rand, t int64) float64 {
-			return 100 + 10*math.Sin(float64(t)/17) + r.NormFloat64()
+			return math.Round(100 + 10*math.Sin(float64(t)/17) + r.NormFloat64())
 		}},
 		{"constant", func(r *rand.Rand, t int64) float64 {
-			return 42.5
+			return 42
 		}},
 		{"step-change", func(r *rand.Rand, t int64) float64 {
 			// Level shifts by three orders of magnitude every 50 intervals.
-			base := 1.0
+			base := 1e3
 			if (t/50)%2 == 1 {
-				base = 1000
+				base = 1e6
 			}
-			return base * (1 + 0.01*r.Float64())
+			return math.Round(base * (1 + 0.01*r.Float64()))
 		}},
 		{"heavy-tail", func(r *rand.Rand, t int64) float64 {
-			x := 1 + r.Float64()
+			x := 1e3 * (1 + r.Float64())
 			if r.Float64() < 0.02 {
 				x *= 1e6 // volume spike
 			}
-			return x
+			return math.Round(x)
 		}},
 	}
 }
@@ -70,8 +71,9 @@ func newHist(t *testing.T, n int, g *randproj.Generator) *vh.Histogram {
 }
 
 // TestCheckHistogramProperty sweeps window/sketch sizes over the adversarial
-// traffic families, asserting the full histogram check — exact coverage and
-// exactness to rounding error — on every sampled interval.
+// traffic families, asserting the full histogram check — exact coverage,
+// bit-exact mean and sketch, the variance to rounding error — on every
+// sampled interval.
 func TestCheckHistogramProperty(t *testing.T) {
 	for _, dims := range []struct{ n, l int }{{64, 8}, {256, 32}} {
 		for _, tg := range trafficGens() {
@@ -114,7 +116,7 @@ func TestCheckHistogramDetectsMutations(t *testing.T) {
 		r := rand.New(rand.NewSource(11))
 		var res Result
 		for ti := int64(1); ti <= 3*n; ti++ {
-			x := 50 + 40*math.Sin(float64(ti)/9) + r.NormFloat64()
+			x := math.Round(50 + 40*math.Sin(float64(ti)/9) + r.NormFloat64())
 			if ti != skip {
 				if err := h.Update(ti, x); err != nil {
 					t.Fatal(err)
@@ -193,13 +195,14 @@ func newPipeline(t *testing.T, m, n, l, rank int) *pipeline {
 }
 
 // vector draws one network-wide measurement: a few shared low-rank factors
-// plus per-flow noise, so the window has a meaningful normal subspace.
+// plus per-flow noise, so the window has a meaningful normal subspace, in
+// whole bytes at a scale where rounding them leaves that structure as it is.
 func (p *pipeline) vector(ti int64) []float64 {
 	f1 := math.Sin(float64(ti) / 11)
 	f2 := math.Cos(float64(ti) / 29)
 	x := make([]float64, p.m)
 	for j := range x {
-		x[j] = 100 + 40*f1*float64(1+j%3) + 25*f2*float64(1+j%5) + 2*p.r.NormFloat64()
+		x[j] = math.Round(1e3 * (100 + 40*f1*float64(1+j%3) + 25*f2*float64(1+j%5) + 2*p.r.NormFloat64()))
 	}
 	return x
 }
@@ -357,7 +360,7 @@ func TestCheckerSampling(t *testing.T) {
 	for ti := int64(1); ti <= 3*n; ti++ {
 		x := make([]float64, m)
 		for j := range x {
-			x[j] = 10 + r.NormFloat64()
+			x[j] = math.Round(10 + r.NormFloat64())
 		}
 		if err := mon.Update(ti, x); err != nil {
 			t.Fatal(err)
@@ -388,7 +391,7 @@ func TestCheckerSampling(t *testing.T) {
 	for ti := int64(1); ti <= 2*n; ti++ {
 		x := make([]float64, m)
 		for j := range x {
-			x[j] = 10 + r.NormFloat64()
+			x[j] = math.Round(10 + r.NormFloat64())
 		}
 		if err := mon.Update(3*n+ti, x); err != nil {
 			t.Fatal(err)

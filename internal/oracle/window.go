@@ -1,10 +1,9 @@
 package oracle
 
 import (
-	"math"
-
 	"streampca/internal/mat"
 	"streampca/internal/randproj"
+	"streampca/internal/vh"
 )
 
 // Window is the exact sliding-window reference for one flow: the raw
@@ -74,38 +73,30 @@ func (w *Window) TrailingSumSquares(k int) float64 {
 	return s
 }
 
-// TrailingSketch recomputes the sketch ẑ_k = (1/√l)·Σ (x_i − mean)·r_{t_i,k}
-// exactly over the k most recent elements, using the centering mean the
-// caller supplies (pass the histogram's own μ̂ to isolate the partial-sum
-// arithmetic from the mean estimate). The second return carries a per-
-// direction magnitude scale for tolerance normalization: it includes the raw
-// |x_i| and |mean| alongside the deviation, because the histogram computes
-// ẑ as Z − μ̂·R from partial sums whose roundoff scales with the raw
-// magnitudes even when the deviations cancel exactly (constant flows).
-func (w *Window) TrailingSketch(g *randproj.Generator, k int, mean float64) (sketch, scale []float64) {
+// TrailingSketch recomputes the sketch ẑ_k = (1/√l)·(Z_k − mean·R_k) over
+// the k most recent elements from Z_k = Σ x_i·r_{t_i,k} and R_k = Σ r_{t_i,k},
+// summed afresh, and the centring mean the caller supplies, with vh.Centred.
+// Whole-byte volumes make both sums exact integers, so a histogram's sketch
+// over the same elements and mean has the same bits.
+func (w *Window) TrailingSketch(g *randproj.Generator, k int, mean float64) []float64 {
 	l := g.SketchLen()
-	sketch = make([]float64, l)
-	scale = make([]float64, l)
+	z, r := make([]float64, l), make([]float64, l)
 	if k <= 0 || k > len(w.vals) {
-		return sketch, scale
+		return z
 	}
 	row := make([]float64, l)
-	lo := len(w.vals) - k
-	for i := lo; i < len(w.vals); i++ {
+	for i := len(w.vals) - k; i < len(w.vals); i++ {
 		g.RowInto(w.times[i], row)
-		d := w.vals[i] - mean
-		mag := abs(d) + abs(w.vals[i]) + abs(mean)
-		for j, r := range row {
-			sketch[j] += d * r
-			scale[j] += mag * abs(r)
+		for j, rj := range row {
+			z[j] += w.vals[i] * rj
+			r[j] += rj
 		}
 	}
-	inv := 1 / math.Sqrt(float64(l))
-	for j := range sketch {
-		sketch[j] *= inv
-		scale[j] *= inv
+	scale := vh.Scale(l)
+	for j := range z {
+		z[j] = vh.Centred(z[j], r[j], mean, scale)
 	}
-	return sketch, scale
+	return z
 }
 
 // VectorWindow retains the recent network-wide measurement vectors the NOC
@@ -168,11 +159,4 @@ func (w *VectorWindow) MatrixEnding(t int64) (y *mat.Matrix, t0 int64, ok bool) 
 		copy(y.RowView(i), w.rows[lo+i])
 	}
 	return y, w.times[lo], true
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

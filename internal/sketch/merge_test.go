@@ -53,7 +53,7 @@ func globalRows(seed int64, n, m int) [][]float64 {
 	for t := range rows {
 		rows[t] = make([]float64, m)
 		for j := range rows[t] {
-			rows[t][j] = 500 + 50*rng.NormFloat64()
+			rows[t][j] = math.Round(500 + 50*rng.NormFloat64())
 		}
 	}
 	return rows

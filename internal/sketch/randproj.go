@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"fmt"
-	"math"
 
 	"streampca/internal/randproj"
 	"streampca/internal/vh"
@@ -14,6 +13,7 @@ import (
 type RandProj struct {
 	flowIDs []int
 	hists   []*vh.Histogram
+	window  int
 	now     int64
 }
 
@@ -39,7 +39,7 @@ func NewRandProj(cfg Config) (*RandProj, error) {
 		}
 		hists[i] = h
 	}
-	return &RandProj{flowIDs: append([]int(nil), cfg.FlowIDs...), hists: hists}, nil
+	return &RandProj{flowIDs: append([]int(nil), cfg.FlowIDs...), hists: hists, window: cfg.WindowLen}, nil
 }
 
 // Family implements Sketcher.
@@ -78,10 +78,11 @@ func (m *RandProj) StateSize() int {
 }
 
 // Update ingests the volumes of interval t; volumes[i] belongs to
-// FlowIDs()[i]. Intervals must be strictly increasing. The input is validated
-// before any histogram is touched, so a rejected call leaves the sketcher
-// unchanged and the same interval can be retried; the error names the
-// lowest-indexed offending flow.
+// FlowIDs()[i]. Intervals must be strictly increasing and every volume must
+// pass vh.CheckVolume at the window length. The input is validated before any
+// histogram is touched, so a rejected call leaves the sketcher unchanged and
+// the same interval can be retried; the error names the lowest-indexed
+// offending flow.
 func (m *RandProj) Update(t int64, volumes []float64) error {
 	if len(volumes) != len(m.flowIDs) {
 		return fmt.Errorf("%w: %d volumes for %d flows", ErrInput, len(volumes), len(m.flowIDs))
@@ -90,8 +91,8 @@ func (m *RandProj) Update(t int64, volumes []float64) error {
 		return fmt.Errorf("%w: flow %d: interval %d not after %d", ErrInput, m.flowIDs[0], t, m.now)
 	}
 	for i, v := range volumes {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: flow %d: non-finite volume at interval %d", ErrInput, m.flowIDs[i], t)
+		if err := vh.CheckVolume(v, m.window); err != nil {
+			return fmt.Errorf("%w: flow %d: interval %d: %w", ErrInput, m.flowIDs[i], t, err)
 		}
 	}
 	for i, h := range m.hists {

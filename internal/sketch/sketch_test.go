@@ -9,6 +9,7 @@ import (
 
 	"streampca/internal/mat"
 	"streampca/internal/randproj"
+	"streampca/internal/vh"
 )
 
 // centerStream replays FD's running-mean centering over raw rows, returning
@@ -67,7 +68,7 @@ func randRows(seed int64, n, w int) [][]float64 {
 	for t := range rows {
 		rows[t] = make([]float64, w)
 		for i := range rows[t] {
-			rows[t][i] = 100 + 10*rng.NormFloat64()
+			rows[t][i] = math.Round(100 + 10*rng.NormFloat64())
 		}
 	}
 	return rows
@@ -348,9 +349,10 @@ func TestRandProjSnapshotMatchesValidate(t *testing.T) {
 	}
 }
 
-// TestRandProjUpdateAllOrNothing: a rejected Update (the issue's reproducer:
-// a NaN in the third of four flows) must leave every histogram untouched, so
-// the same interval can be retried with clean volumes.
+// TestRandProjUpdateAllOrNothing: a rejected Update (a NaN, a fraction or a
+// volume too large for exact window sums in the third of four flows) must
+// leave every histogram untouched, so the same interval can be retried with
+// clean volumes.
 func TestRandProjUpdateAllOrNothing(t *testing.T) {
 	const l, window = 8, 32
 	gen, err := randproj.NewGenerator(randproj.Config{Seed: 3, SketchLen: l, WindowLen: window})
@@ -368,24 +370,29 @@ func TestRandProjUpdateAllOrNothing(t *testing.T) {
 	for _, bad := range [][]float64{
 		{1, 2, math.NaN(), 4},
 		{1, 2, 3, math.Inf(1)},
+		{1, 2, 3.5, 4},
+		{1, 2, 1 << 48, 4}, // 2⁴⁸·32 = 2⁵³
 		{1, 2, 3},
 	} {
 		err := sk.Update(2, bad)
 		if after := sk.Snapshot(); !reflect.DeepEqual(after, before) || sk.Now() != 1 {
 			t.Fatalf("%v: state moved on a rejected update (%v):\n before %+v\n after  %+v", bad, err, before, after)
 		}
-		if !errors.Is(err, ErrInput) {
-			t.Fatalf("%v: err = %v, want ErrInput", bad, err)
+		if !errors.Is(err, ErrInput) || len(bad) == 4 && !errors.Is(err, vh.ErrVolume) {
+			t.Fatalf("%v: err = %v, want ErrInput and, for a volume, vh.ErrVolume", bad, err)
 		}
+	}
+	if err := sk.Update(2, []float64{1, 2, 1<<48 - 1, 4}); err != nil {
+		t.Fatalf("the largest volume a window of %d takes: %v", window, err)
 	}
 	if err := sk.Update(1, []float64{1, 2, 3, 4}); !errors.Is(err, ErrInput) {
 		t.Fatalf("stale interval: err = %v, want ErrInput", err)
 	}
-	if err := sk.Update(2, []float64{1, 2, 3, 4}); err != nil {
-		t.Fatalf("clean retry of interval 2: %v", err)
+	if err := sk.Update(3, []float64{1, 2, 3, 4}); err != nil {
+		t.Fatalf("clean interval 3: %v", err)
 	}
-	// A snapshot leaves out the newest interval: it counts interval 1 only.
-	if snap := sk.Snapshot(); sk.Now() != 2 || !reflect.DeepEqual(snap.Counts, []int64{1, 1, 1, 1}) {
+	// A snapshot leaves out the newest interval: it counts intervals 1 and 2.
+	if snap := sk.Snapshot(); sk.Now() != 3 || !reflect.DeepEqual(snap.Counts, []int64{2, 2, 2, 2}) {
 		t.Fatalf("after retry: now %d counts %v", sk.Now(), snap.Counts)
 	}
 }
@@ -418,7 +425,7 @@ func TestRandProjUpdateZeroAlloc(t *testing.T) {
 			update := func() {
 				ti++
 				for i := range volumes {
-					volumes[i] = 1000 + 50*rng.NormFloat64()
+					volumes[i] = math.Round(1000 + 50*rng.NormFloat64())
 				}
 				if err := sk.Update(ti, volumes); err != nil {
 					t.Fatal(err)
@@ -515,9 +522,7 @@ func TestRandProjAdditiveLinearity(t *testing.T) {
 }
 
 // TestRandProjFlowsShareTheRingExactly: w histograms reading one row ring
-// hold the bits each would hold over a ring of its own, although one
-// histogram's scheduled rebase, which reads every row of its window, falls
-// between another's reads of its entering and leaving rows.
+// hold the bits each would hold over a ring of its own.
 func TestRandProjFlowsShareTheRingExactly(t *testing.T) {
 	const w, l, window = 6, 40, 96
 	cfg := randproj.Config{Seed: 21, SketchLen: l, WindowLen: window}

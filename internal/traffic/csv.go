@@ -20,10 +20,11 @@ var ErrCSV = errors.New("traffic: malformed trace CSV")
 //	interval,<flow name>,...,<flow name>[,label]
 //	0,12345,...,67890[,0|1]
 //
-// The label column is optional; when present it populates the trace's
-// ground-truth labels. Flow names of the form "A→B" over a consistent
-// router set also recover RouterNames; otherwise RouterNames stays empty
-// and injection helpers that need the topology are unavailable.
+// Volumes must be non-negative whole numbers of bytes. The label column is
+// optional; when present it populates the trace's ground-truth labels. Flow
+// names of the form "A→B" over a consistent router set also recover
+// RouterNames; otherwise RouterNames stays empty and injection helpers that
+// need the topology are unavailable.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
@@ -71,7 +72,8 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: line %d column %d: %v", ErrCSV, lineNo, j, err)
 			}
-			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			// Volumes are whole bytes; NaN fails the Trunc test too.
+			if v < 0 || v != math.Trunc(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("%w: line %d column %d: invalid volume %v", ErrCSV, lineNo, j, v)
 			}
 			row[j] = v

@@ -87,6 +87,7 @@ func TestReadCSVErrors(t *testing.T) {
 		"interval,f1\n0\n",               // short row
 		"interval,f1\n0,abc\n",           // bad volume
 		"interval,f1\n0,-5\n",            // negative volume
+		"interval,f1\n0,5.5\n",           // fractional volume
 		"interval,f1,label\n0,5,maybe\n", // bad label
 		"interval,f1\n",                  // no data rows
 	}

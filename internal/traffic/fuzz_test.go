@@ -1,14 +1,16 @@
 package traffic
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
 
 // FuzzReadCSV asserts the trace parser's contract on arbitrary text:
-// malformed headers, field-count mismatches, bad numbers, and bogus labels
-// must return an error — never panic — and whatever parses must have
-// internally consistent dimensions.
+// malformed headers, field-count mismatches, bad numbers, volumes that are
+// no whole bytes, and bogus labels must return an error — never panic — and
+// whatever parses must have internally consistent dimensions and whole-byte
+// volumes.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("interval,f0,f1\n0,1,2\n1,3,4\n")
 	f.Add("interval,A→B,B→A,label\n0,1,2,0\n1,3,4,1\n")
@@ -16,6 +18,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("interval\n0\n")
 	f.Add("interval,f0\n0,NaN\n")
 	f.Add("interval,f0\n0,-1\n")
+	f.Add("interval,f0,f1\n0,1,2.5\n")
 	f.Add("interval,f0,label\n0,1,2\n")
 	f.Add("not,a,header\n0,1,2\n")
 	f.Add("")
@@ -37,6 +40,13 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		if n := len(tr.RouterNames); n > 0 && n*n != tr.NumFlows() {
 			t.Fatalf("recovered %d routers for %d flows", n, tr.NumFlows())
+		}
+		for i := range tr.NumIntervals() {
+			for _, v := range tr.Volumes.RowView(i) {
+				if v < 0 || v != math.Trunc(v) || math.IsInf(v, 0) {
+					t.Fatalf("accepted volume %v", v)
+				}
+			}
 		}
 	})
 }

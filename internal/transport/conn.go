@@ -214,10 +214,11 @@ func (c *Conn) next(e *Envelope) error {
 	return err
 }
 
-// fill reads until n unread bytes are buffered. The buffer grows by minRead
-// or by what is missing, but never by more than its own size per read, so a
-// frame that declares more than the peer sends costs memory in proportion to
-// what arrived.
+// fill reads until n unread bytes are buffered. A full buffer doubles, by at
+// least minRead: never by more than its own size per read, so a frame that
+// declares more than the peer sends costs memory in proportion to what
+// arrived, and frames that grow a few bytes at a time (integer sums widening
+// as a window fills) reallocate it a logarithmic number of times.
 func (c *Conn) fill(n int) error {
 	if c.r == len(c.rbuf) {
 		c.r, c.rbuf = 0, c.rbuf[:0]
@@ -228,8 +229,7 @@ func (c *Conn) fill(n int) error {
 			c.r = 0
 		}
 		if len(c.rbuf) == cap(c.rbuf) {
-			grow := min(n-(len(c.rbuf)-c.r), max(cap(c.rbuf), minRead))
-			c.rbuf = slices.Grow(c.rbuf, max(grow, minRead))
+			c.rbuf = slices.Grow(c.rbuf, max(cap(c.rbuf), minRead))
 		}
 		k, err := c.raw.Read(c.rbuf[len(c.rbuf):cap(c.rbuf)])
 		c.rbuf = c.rbuf[:len(c.rbuf)+k]

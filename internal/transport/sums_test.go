@@ -223,8 +223,11 @@ func TestWholeByteWindowsCrossAsSums(t *testing.T) {
 	}
 }
 
-// TestFractionalVolumesCrossRaw: a window of fractional volumes is no exact
-// integer sum, so its columns cross raw, still bit for bit.
+// TestFractionalVolumesCrossRaw: a column that is no exact integer sum, as a
+// window of fractional volumes would give, crosses raw, still bit for bit.
+// Monitors refuse such volumes (vh.CheckVolume), so the columns are built
+// here: a mean that no whole sum over its count gives, and a ẑ_k that no
+// integer Z′_k rebuilds.
 func TestFractionalVolumesCrossRaw(t *testing.T) {
 	gen, err := randproj.NewGenerator(randproj.Config{Seed: 5, SketchLen: 24})
 	if err != nil {
@@ -235,11 +238,16 @@ func TestFractionalVolumesCrossRaw(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := range 20 {
-		if err := rp.Update(int64(s+1), []float64{1500.25 * float64(s), 3e6 + math.Pi}); err != nil {
+		if err := rp.Update(int64(s+1), []float64{1500 * float64(s), 3e6 + 7*float64(s*s)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rep := rp.Snapshot()
+	if w := widths(&rep); w[0] == 0 || w[1] == 0 {
+		t.Fatalf("whole-byte columns crossed raw: widths %v", w)
+	}
+	rep.Means[0] += 0.25
+	rep.Sketches[1][3] += math.Pi
 	paths(t, func() []byte {
 		got, size := roundTrip(t, rep)
 		sameReport(t, got, rep)
@@ -472,8 +480,9 @@ func TestSumsPastTheRangeCrossRaw(t *testing.T) {
 }
 
 // BenchmarkSketchResponseCodec encodes and decodes one monitor's pull
-// response, 27 flows at l = 100 over a whole-byte window of 144 (sums) or
-// a fractional one (raw), into a reused envelope as a Conn does.
+// response, 27 flows at l = 100 over a whole-byte window of 144 (sums), or
+// the same with means no whole sum gives, as a fractional window's are
+// (raw), into a reused envelope as a Conn does.
 func BenchmarkSketchResponseCodec(b *testing.B) {
 	for _, form := range []struct {
 		name string
@@ -496,13 +505,17 @@ func BenchmarkSketchResponseCodec(b *testing.B) {
 			vols := make([]float64, len(flows))
 			for t := range 150 {
 				for i := range vols {
-					vols[i] = float64(rng.Int63n(4e6)) + form.frac
+					vols[i] = float64(rng.Int63n(4e6))
 				}
 				if err := rp.Update(int64(t+1), vols); err != nil {
 					b.Fatal(err)
 				}
 			}
-			env := Envelope{Response: &SketchResponse{RequestID: 1, MonitorID: "m", Report: rp.Snapshot()}}
+			rep := rp.Snapshot()
+			for i := range rep.Means {
+				rep.Means[i] += form.frac
+			}
+			env := Envelope{Response: &SketchResponse{RequestID: 1, MonitorID: "m", Report: rep}}
 			var buf []byte
 			into := Envelope{Response: new(SketchResponse)}
 			b.ReportAllocs()

@@ -740,9 +740,13 @@ func (c *codec) appendSums(rep *sketch.Snapshot, i int, rs []float64, fit *rowFi
 // reports false when a ẑ_k does not rebuild or a D_k is outside
 // [−2⁴⁸, 2⁴⁸). w is the fewest bytes that hold every D_k. The residuals are
 // written where the packed ones go, 4 bytes each, which hold them all when
-// w ≤ 4, else 8, then packed in place.
+// w ≤ 4, else 8, then packed in place. A b too short for that doubles, so a
+// message that grows a few bytes at a time rarely reallocates it.
 func appendZ(b []byte, z, rs []float64, mean float64) ([]byte, bool) {
-	b = append(slices.Grow(b, 1+8*len(z)), 0)
+	if need := 1 + 8*len(z); cap(b)-len(b) < need {
+		b = slices.Grow(b, max(need, len(b)))
+	}
+	b = append(b, 0)
 	start := len(b)
 	out := b[start : start+8*len(z)]
 	acc, ok := residuals(out, z, rs[:len(z)], mean, 4)

@@ -1,6 +1,7 @@
 package vh
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -16,7 +17,7 @@ func TestEstimateVarianceZeroAlloc(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 1024; i++ {
-		if err := h.Update(int64(i+1), rng.NormFloat64()); err != nil {
+		if err := h.Update(int64(i+1), math.Round(1e3*rng.NormFloat64())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -38,7 +39,7 @@ func TestNonMergingUpdatesAllocateNothing(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		xs := make([]float64, 3*n)
 		for i := range xs {
-			xs[i] = 1e6 * rng.Float64()
+			xs[i] = math.Round(1e6 * rng.Float64())
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -1,10 +1,10 @@
 package vh
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
-
-	"streampca/internal/randproj"
 )
 
 // checkStorage asserts the storage invariants of the window ring: newest is
@@ -44,14 +44,13 @@ func checkStorage(t testing.TB, h *Histogram) {
 }
 
 // FuzzHistogramAgainstWindow drives one histogram with a decoded update
-// sequence — unit steps with occasional gaps around n and past 3n, volumes
-// that jump between unit and 1e12 magnitude — and after every update checks
-// the storage invariants, the totals against a fresh sum (checkTotals),
-// Count, EstimateMean, EstimateVariance, Sketch and PriorSketchInto against a
-// brute-force pass over the exact window with rows regenerated from the
-// generator, and a twin fed the same sequence through the passes Update's one
-// pass replaces (checkTwin). Volumes are non-negative, as a monitor's are and
-// as the documented totals bound assumes.
+// sequence — unit steps with occasional gaps around n and past 3n, whole-byte
+// volumes that jump between unit and 2⁴⁰ magnitude (capped at the largest the
+// window takes) — and after every update checks the storage invariants, the
+// totals, EstimateMean, Sketch and PriorSketchInto against fresh sums over
+// the exact window with rows read off the generator (checkExact), and
+// EstimateVariance against a two-pass variance. A decoded fraction or volume
+// past the bound must be refused with ErrVolume and change nothing.
 func FuzzHistogramAgainstWindow(f *testing.F) {
 	header := func(n int, l, start byte) []byte {
 		return []byte{byte(n - 1), byte((n - 1) >> 8), l, start}
@@ -64,12 +63,14 @@ func FuzzHistogramAgainstWindow(f *testing.F) {
 	}
 	// The deployed point (n = 144).
 	f.Add(steady(header(144, 8, 0), 3*144, 40))
-	// A magnitude cliff in the middle: the cliffFactor rebase.
-	cliff := steady(header(64, 4, 0), 100, 10)
-	cliff = append(cliff, 0, 0xe3)
-	cliff = steady(cliff, 100, 10)
-	cliff = append(cliff, 0, 0xe3)
-	f.Add(steady(cliff, 100, 10))
+	// A window of 2⁴⁰-magnitude volumes, then unit ones, twice.
+	big := steady(header(64, 4, 0), 100, 10)
+	big = append(big, 0, 0xe3)
+	big = steady(big, 100, 10)
+	big = append(big, 0, 0xe3)
+	f.Add(steady(big, 100, 10))
+	// Refused values among accepted ones: a fraction, then one past the bound.
+	f.Add(steady(append(steady(header(300, 8, 0), 20, 3), 0, 0xc4, 0, 0xc5), 20, 3))
 	// The gap cases of TestExpiryWithTimeGaps: n−1+k, 3n+7+k, a negative start.
 	f.Add(append(steady(header(5, 3, 200), 6, 9), 0x0e, 9, 0x1e, 9, 0x2e, 9, 0x0f, 9, 0x0d, 9))
 	f.Add(steady(header(1, 0, 0), 4, 1))
@@ -78,115 +79,75 @@ func FuzzHistogramAgainstWindow(f *testing.F) {
 }
 
 func runFuzzBody(t *testing.T, data []byte) {
-	{
-		if len(data) < 4 {
-			return
+	if len(data) < 4 {
+		return
+	}
+	n := 1 + (int(data[0])|int(data[1])<<8)%300
+	l := int(data[2] % 9)
+	ti := -4 * int64(data[3])
+	data = data[4:]
+	if len(data) > 2*1500 {
+		data = data[:2*1500]
+	}
+
+	e := newExactRun(t, n, l)
+	e.ti = ti
+	// largest is the largest volume the window takes: |x|·n < 2⁵³.
+	largest := math.Floor((1<<53 - 1) / float64(n))
+	scale := 1.0
+	for ; len(data) >= 2; data = data[2:] {
+		// Low nibble picks the step, high nibble widens it.
+		step, wide := int64(data[0]&0x0f), int64(data[0]>>4)
+		var gap int64
+		switch {
+		case step < 12:
+			gap = 1
+		case step == 12:
+			gap = 2
+		case step == 13:
+			gap = 1 + wide
+		case step == 14:
+			gap = max(1, int64(n)-1+wide)
+		default:
+			gap = 3*int64(n) + 7 + wide
 		}
-		n := 1 + (int(data[0])|int(data[1])<<8)%300
-		l := int(data[2] % 9)
-		ti := -4 * int64(data[3])
-		data = data[4:]
-		if len(data) > 2*1500 {
-			data = data[:2*1500]
+		// The top three bits: 111 flips the magnitude regime, 110 makes the
+		// low five a refused value, odd ones a fraction and even ones past
+		// the bound. Zero stays zero.
+		v := float64(data[1] & 0x1f)
+		switch data[1] & 0xe0 {
+		case 0xe0:
+			if scale == 1 {
+				scale = 1 << 40
+			} else {
+				scale = 1
+			}
+		case 0xc0:
+			bad := largest + 1 + v
+			if int(v)%2 == 1 {
+				bad = v + 0.5
+			}
+			before := stateOf(e.h)
+			if err := e.h.Update(e.ti+gap, bad); !errors.Is(err, ErrVolume) {
+				t.Fatalf("t=%d: Update(%v) = %v, want ErrVolume", e.ti+gap, bad, err)
+			}
+			if !slices.Equal(stateOf(e.h), before) {
+				t.Fatalf("t=%d: the refused volume %v changed the histogram", e.ti+gap, bad)
+			}
+			continue
 		}
+		e.step(t, gap, min(scale*v, largest))
+		checkStorage(t, e.h)
 
-		cfg := Config{WindowLen: n}
-		var gen *randproj.Generator
-		if l > 0 {
-			gen, cfg.Gen = newGenRing(t, 7, l, n)
+		// The variance, with the oracle's slack for what neither side can
+		// resolve below ulp·Σx².
+		_, exact, c := exactWindow(e.w.xs, n)
+		var sumSq float64
+		for _, x := range e.w.xs {
+			sumSq += x * x
 		}
-		h := mustHist(t, cfg)
-		if l > 0 {
-			cfg.Gen = newRing(t, 7, l, n)
-		}
-		twin := mustHist(t, cfg)
-
-		var ts []int64
-		var xs []float64
-		var prior []float64
-		scale := 1.0
-		for ; len(data) >= 2; data = data[2:] {
-			// Low nibble picks the step, high nibble widens it.
-			step, wide := int64(data[0]&0x0f), int64(data[0]>>4)
-			switch {
-			case step < 12:
-				ti++
-			case step == 12:
-				ti += 2
-			case step == 13:
-				ti += 1 + wide
-			case step == 14:
-				ti += max(1, int64(n)-1+wide)
-			default:
-				ti += 3*int64(n) + 7 + wide
-			}
-			// Top three bits set flips the magnitude regime; zero stays zero.
-			if data[1]&0xe0 == 0xe0 {
-				if scale == 1 {
-					scale = 1e12
-				} else {
-					scale = 1
-				}
-			}
-			x := scale * float64(data[1]&0x1f) / 8
-			ts, xs = append(ts, ti), append(xs, x)
-
-			updateChecked(t, h, ti, x)
-			checkStorage(t, h)
-			checkTwin(t, h, twin, ti, x)
-
-			// Brute force over the exact window.
-			c := 0
-			for i := len(ts) - 1; i >= 0 && ts[i] > ti-int64(n); i-- {
-				c++
-			}
-			if h.Count() != int64(c) {
-				t.Fatalf("t=%d: histogram holds %d elements, window %d", ti, h.Count(), c)
-			}
-			rel := totalsRelBound(n)
-			// Both sides round in proportion to the mass they sum.
-			mean, sk := suffixStats(gen, ts, xs, c)
-			bound := 3 * rel * float64(c) * mean * rowMax / math.Sqrt(float64(max(l, 1)))
-			if d := math.Abs(h.EstimateMean() - mean); d > rel*mean {
-				t.Fatalf("t=%d: EstimateMean() = %v, window %v", ti, h.EstimateMean(), mean)
-			}
-			for k, got := range h.Sketch() {
-				if d := math.Abs(got - sk[k]); d > bound {
-					t.Fatalf("t=%d: Sketch()[%d] = %v, window %v: off by %.3g, bound %.3g", ti, k, got, sk[k], d, bound)
-				}
-			}
-			var priorMean float64
-			var priorSk []float64
-			if c > 1 && gen != nil {
-				priorMean, priorSk = suffixStats(gen, ts[:len(ts)-1], xs[:len(xs)-1], c-1)
-			}
-			var gotMean float64
-			prior, gotMean = h.PriorSketchInto(prior)
-			if d := math.Abs(gotMean - priorMean); d > rel*mean*float64(c) {
-				t.Fatalf("t=%d: PriorSketchInto mean %v, window without the newest %v", ti, gotMean, priorMean)
-			}
-			for k, got := range prior {
-				want := 0.0
-				if priorSk != nil {
-					want = priorSk[k]
-				}
-				if d := math.Abs(got - want); d > 2*bound {
-					t.Fatalf("t=%d: PriorSketchInto[%d] = %v, window without the newest %v: off by %.3g, bound %.3g", ti, k, got, want, d, 2*bound)
-				}
-			}
-
-			// The variance, with the oracle's slack for what neither side
-			// can resolve below ulp·Σx².
-			win := xs[len(xs)-c:]
-			_, exact, _ := exactWindow(win, c)
-			var sumSq float64
-			for _, v := range win {
-				sumSq += v * v
-			}
-			slack := 1e-12 * float64(c) * sumSq
-			if est := h.EstimateVariance(); math.Abs(est-exact) > slack {
-				t.Fatalf("t=%d: EstimateVariance() = %v, window %v", ti, est, exact)
-			}
+		if est := e.h.EstimateVariance(); math.Abs(est-exact) > 1e-12*float64(c)*sumSq {
+			t.Fatalf("t=%d: EstimateVariance() = %v, window %v", e.ti, est, exact)
 		}
 	}
 }

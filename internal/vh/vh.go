@@ -3,16 +3,16 @@
 // with the random-projection sums Z_k = Σ x_i·r_{ik} and R_k = Σ r_{ik} over
 // the window maintained beside it.
 //
-// A histogram ingests one traffic-volume measurement per interval and keeps
-// the window's last n elements, one float each: a singleton's ±1 row is
-// regenerated from the shared seed, so the window and its running totals are
-// the whole state. From the totals the NOC reconstructs
-// ẑ_k = (1/√l)·(Z_k − μ·R_k), the random projection of the centred traffic
-// column (eq. 17; see DESIGN.md §3.2 for the n_all typo in the printed
-// formula). The paper's variance histogram (Zhang & Guan, PODS'07) would merge
-// elements into buckets to hold O((1/ε)·log n) of them; here a merged bucket
-// would cost a 2l-float sum row for about two elements, so nothing merges and
-// every statistic is the exact window's.
+// A histogram ingests one traffic-volume measurement per interval, a whole
+// number of bytes (CheckVolume), and keeps the window's last n elements, one
+// float each: a singleton's ±1 row is regenerated from the shared seed, so
+// the window and its running totals are the whole state. From the totals the
+// NOC reconstructs ẑ_k = (1/√l)·(Z_k − μ·R_k), the random projection of the
+// centred traffic column (eq. 17; see DESIGN.md §3.2 for the n_all typo in
+// the printed formula). The paper's variance histogram (Zhang & Guan,
+// PODS'07) would merge elements into buckets to hold O((1/ε)·log n) of them;
+// here a merged bucket would cost a 2l-float sum row for about two elements,
+// so nothing merges and every statistic is the exact window's.
 package vh
 
 import (
@@ -31,9 +31,20 @@ var (
 	ErrConfig = errors.New("vh: invalid configuration")
 	// ErrOutOfOrder indicates an update older than the current time.
 	ErrOutOfOrder = errors.New("vh: out-of-order update")
-	// ErrNotFinite indicates a NaN/Inf measurement.
-	ErrNotFinite = errors.New("vh: non-finite measurement")
+	// ErrVolume indicates a measurement CheckVolume refuses.
+	ErrVolume = errors.New("vh: volume is not a whole number below 2^53/n")
 )
+
+// CheckVolume refuses a measurement x that would make the totals of a
+// window-n histogram inexact: NaN, ±Inf, a non-integer, or |x|·n ≥ 2⁵³.
+func CheckVolume(x float64, n int) error {
+	// NaN fails the first test and ±Inf the second. |x|·n is an integer, so
+	// it rounds to 2⁵³ or more exactly when it is that large.
+	if x != math.Trunc(x) || math.Abs(x)*float64(n) >= 1<<53 {
+		return fmt.Errorf("%w: x = %v, n = %d", ErrVolume, x, n)
+	}
+	return nil
+}
 
 // Config parameterizes a Histogram.
 type Config struct {
@@ -46,15 +57,6 @@ type Config struct {
 	Gen *randproj.Ring
 }
 
-// onePass lets Update slide the sketch totals in one mat.SlideSums pass when
-// one element leaves, one enters and no rebase is due. Only tests clear it,
-// to run the same stream through the expiry and insertion passes it replaces.
-var onePass = true
-
-// cliffFactor is how far the window sum may fall below its peak since the
-// last rebase before expiry rebases at once; see Histogram.
-const cliffFactor = 64
-
 // Histogram is the per-flow window summary. It is not safe for concurrent
 // use; the owning monitor serializes updates.
 //
@@ -62,32 +64,11 @@ const cliffFactor = 64
 // the element of that time or NaN where no update came. The linear summary
 // statistics (element count, volume sum and the sketch sums Z, R) are
 // maintained incrementally, so Sketch and EstimateMean run in O(l) and O(1)
-// instead of walking the window. Expiry subtracts what it drops, which costs
-// O(l) but leaves rounding residue behind; rebaseTotals re-sums the window
-// to shed it
-//
-//   - once at least as many updates as there are live elements have passed
-//     since the last rebase (amortised O(l) per update), at the next expiry;
-//   - at once when the window sum has fallen more than cliffFactor below its
-//     peak since the last rebase, because residue is sized by the totals it
-//     was rounded in, not by what is left;
-//   - trivially when the window empties.
-//
-// Error bound. Let B be the elements the last rebase summed and P the updates
-// since (P ≤ B + n: the next expiry is at most n updates away), u = 2⁻⁵³.
-// The rebase rounds B times and every update since at most twice, each time
-// by at most u times the running total. For the non-negative volumes a
-// monitor feeds, |totalZ_k| ≤ max|r|·totalSum and the second rule keeps the
-// running totalSum within cliffFactor of the present one, so at every step
-//
-//	|totalSum − Σ x_i|         ≤ (B + 2P)·u·cliffFactor·totalSum
-//	|totalZ_k − Σ x_i·r_{ik}|  ≤ (B + 2P)·u·cliffFactor·totalSum·max|r|
-//	|totalR_k − Σ r_{ik}|      ≤ (B + 2P)·u·totalCount·max|r|
-//
-// which is under 5n·u·cliffFactor ≈ 1.4e−10 relative at n = 4032. Signed
-// inputs that cancel inside the window can hide their mass from |totalSum|;
-// their residue is sized by that mass and lasts until the next scheduled
-// rebase.
+// instead of walking the window. Every element is an integer with
+// |x| < 2⁵³/n (Update refuses any other), and the rows are ±1, so every
+// total and every partial sum on the way to one is an integer below 2⁵³ in
+// magnitude: float64 holds each exactly, and the totals equal a fresh sum
+// over the window, bit for bit, in any order. Expiry subtracts what it drops.
 type Histogram struct {
 	cfg     Config
 	sketchL int
@@ -107,12 +88,6 @@ type Histogram struct {
 	totalSum   float64
 	totalZ     []float64
 	totalR     []float64
-	// sinceRebase counts updates since rebaseTotals last ran, peakSum is the
-	// largest |totalSum| seen since then.
-	sinceRebase int
-	peakSum     float64
-	// scheduledRebases counts the rebases the first rule above triggered.
-	scheduledRebases int
 }
 
 // New validates cfg and returns an empty histogram.
@@ -141,16 +116,16 @@ func (h *Histogram) Count() int64 { return h.totalCount }
 
 // Update ingests the measurement x for interval t: the elements that left
 // the window [t−n+1, t] expire and x enters. Updates must have strictly
-// increasing t.
+// increasing t, and x must pass CheckVolume; a refused update changes
+// nothing.
 func (h *Histogram) Update(t int64, x float64) error {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return fmt.Errorf("%w: x = %v at t = %d", ErrNotFinite, x, t)
+	if err := CheckVolume(x, h.cfg.WindowLen); err != nil {
+		return fmt.Errorf("t = %d: %w", t, err)
 	}
 	if h.started && t <= h.now {
 		return fmt.Errorf("%w: t = %d, current time %d", ErrOutOfOrder, t, h.now)
 	}
 	h.started = true
-	h.sinceRebase++
 
 	oldT, oldX, slide := h.expire(t - int64(h.cfg.WindowLen))
 	if h.totalCount == 0 {
@@ -161,7 +136,6 @@ func (h *Histogram) Update(t int64, x float64) error {
 	h.window[h.newest] = x
 	h.totalCount++
 	h.totalSum += x
-	h.peakSum = math.Max(h.peakSum, math.Abs(h.totalSum))
 	if slide {
 		// The ring keeps both rows valid together.
 		in := h.cfg.Gen.Row(t)
@@ -201,53 +175,33 @@ func (h *Histogram) each(end int64, f func(t int64, x float64)) {
 	}
 }
 
-// expire drops the elements of times at or before the given one, subtracts
-// them from the totals and rebases when a rule of the type comment says so.
-// When one element left and no rebase is due, it leaves that element's sketch
-// sums to Update's one pass: it returns the element and slide = true.
+// expire drops the elements of times at or before the given one and subtracts
+// them from the totals. When one element left and the histogram sketches, it
+// leaves that element's sketch sums to Update's one mat.SlideSums pass: it
+// returns the element and slide = true.
 func (h *Histogram) expire(before int64) (oldT int64, oldX float64, slide bool) {
-	live := h.totalCount
-	if live == 0 {
+	if h.totalCount == 0 {
 		return 0, 0, false
 	}
-	end := min(before, h.now)
-	var drop int64
-	h.each(end, func(t int64, x float64) {
+	drop := 0
+	h.each(min(before, h.now), func(t int64, x float64) {
 		if drop == 0 {
 			oldT, oldX = t, x
+		} else {
+			h.addRows(t, x, -1)
 		}
 		drop++
 		h.totalCount--
 		h.totalSum -= x
-	})
-	if drop == 0 {
-		return 0, 0, false
-	}
-	h.peakSum = math.Max(h.peakSum, math.Abs(h.totalSum))
-	// More updates than survivors: with the element this update adds, at
-	// most one scheduled rebase per Count() updates.
-	scheduled := int64(h.sinceRebase) > live-drop
-	if scheduled {
-		h.scheduledRebases++
-	}
-	rebase := scheduled || drop == live || h.peakSum > cliffFactor*math.Abs(h.totalSum)
-	slide = !rebase && onePass && drop == 1 && h.sketchL > 0
-	h.each(end, func(t int64, x float64) {
-		if !rebase && !slide {
-			h.addRows(t, x, -1)
-		}
 		h.window[h.slotAfter(h.newest, t-h.now)] = math.NaN()
 	})
-	if rebase {
-		h.rebaseTotals()
-		return 0, 0, false
+	if drop > 1 {
+		h.addRows(oldT, oldX, -1)
 	}
-	return oldT, oldX, slide
+	return oldT, oldX, drop == 1 && h.sketchL > 0
 }
 
-// addRows adds sign·(x·r_t, r_t) to the sketch totals, sign = ±1. mat's row
-// updates round the products x·r before they add them, so the totals do not
-// depend on whether the platform fuses them.
+// addRows adds sign·(x·r_t, r_t) to the sketch totals, sign = ±1.
 func (h *Histogram) addRows(t int64, x, sign float64) {
 	if h.sketchL == 0 {
 		return
@@ -255,22 +209,6 @@ func (h *Histogram) addRows(t int64, x, sign float64) {
 	row := h.cfg.Gen.Row(t)
 	mat.AddScaled(h.totalZ, sign*x, row)
 	mat.AddScaled(h.totalR, sign, row)
-}
-
-// rebaseTotals recomputes totalCount/totalSum/totalZ/totalR from the window,
-// O(n·l).
-func (h *Histogram) rebaseTotals() {
-	h.totalCount = 0
-	h.totalSum = 0
-	clear(h.totalZ)
-	clear(h.totalR)
-	h.each(h.now, func(t int64, x float64) {
-		h.totalCount++
-		h.totalSum += x
-		h.addRows(t, x, 1)
-	})
-	h.sinceRebase = 0
-	h.peakSum = math.Abs(h.totalSum)
 }
 
 // EstimateVariance returns V, the window's sum of squared deviations (eq. 10).

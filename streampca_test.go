@@ -2,6 +2,7 @@ package streampca
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -15,7 +16,7 @@ func facadeRow(rng *rand.Rand, m int) []float64 {
 	f2 := 400 + 60*rng.NormFloat64()
 	row := make([]float64, m)
 	for j := range row {
-		row[j] = float64(j%3+1)*f1 + float64(j%2+1)*f2 + 5*rng.NormFloat64()
+		row[j] = math.Round(float64(j%3+1)*f1 + float64(j%2+1)*f2 + 5*rng.NormFloat64())
 	}
 	return row
 }
