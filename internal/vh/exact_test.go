@@ -178,16 +178,15 @@ func (e *exactRun) step(t testing.TB, gap int64, x float64) {
 	checkExact(t, e.h, e.w)
 }
 
-// TestTotalsExactEveryStep holds the totals to a fresh sum over the window,
-// bit for bit, after every update (checkExact), on both of mat's row-update
-// paths. There a stream has steady updates; gaps of exactly n + 1 between
-// the element leaving and the one entering (both rows in one ring slot),
-// random gaps and gaps past 3n; and zero volumes against the rows' −1
-// entries (−0 products), at the deployed monitor's point and with rows
-// shorter than the kernels take. The long run alternates phases of 2⁴⁰-
-// magnitude and unit volumes for 10⁶ updates: what a window of the former
-// left behind would dwarf the latter.
-func TestTotalsExactEveryStep(t *testing.T) {
+// TestOnePassMatchesThePasses holds the steady step's one mat.SlideSums pass
+// (one element out, one in) and the expiry and insertion passes of the other
+// steps to the reference's fresh passes over the window, bit for bit, after
+// every update (checkExact), on both of mat's row-update paths. The stream
+// has steady updates; gaps of exactly n + 1 between the element leaving and
+// the one entering (both rows in one ring slot), random gaps and gaps past
+// 3n; and zero volumes against the rows' −1 entries (−0 products), at the
+// deployed monitor's point and with rows shorter than the kernels take.
+func TestOnePassMatchesThePasses(t *testing.T) {
 	have := matUseAVX2
 	defer func() { matUseAVX2 = have }()
 	for _, p := range []struct {
@@ -207,6 +206,40 @@ func TestTotalsExactEveryStep(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTotalsBoundEveryStep runs six phases of 1 024 updates that alternate
+// unit and 2⁴⁰-magnitude volumes, once at steady times and once with random
+// gaps and a jump of n/2 every 777 updates, and checks after every update
+// that the totals stay within their bound of a fresh sum over the window.
+// With whole-byte volumes that bound is zero: checkExact, bit for bit.
+func TestTotalsBoundEveryStep(t *testing.T) {
+	const n, l, phase = 256, 4, 1024
+	for _, gaps := range []bool{false, true} {
+		e := newExactRun(t, n, l)
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 6*phase; i++ {
+			x := 1 + float64(rng.Intn(2))
+			if (i/phase)%2 == 1 {
+				x = math.Round((1 + rng.Float64()) * (1 << 40))
+			}
+			gap := int64(1)
+			if gaps {
+				gap += int64(rng.Intn(3))
+				if i%777 == 776 {
+					gap += n / 2
+				}
+			}
+			e.step(t, gap, x)
+		}
+	}
+}
+
+// TestTotalsExactEveryStep holds the totals to a fresh sum over the window,
+// bit for bit, after every update (checkExact) of a long run: 10⁶ updates
+// alternating phases of 2⁴⁰-magnitude and unit volumes, where what a window
+// of the former left behind would dwarf the latter.
+func TestTotalsExactEveryStep(t *testing.T) {
 	t.Run("long-run", func(t *testing.T) {
 		const n, l, phase, updates = 32, 4, 1024, 1_000_000
 		e := newExactRun(t, n, l)
