@@ -52,10 +52,12 @@ step_done
 # to internal/stats/normal.go, whose Horner chains give the Q-threshold's c_α
 # (UpperQuantile), to internal/core/detector.go, whose distance and energy
 # sums decide an alarm at the margin, to internal/vh/vh.go, whose variance
-# and prior sketch feed the model, or to internal/transport/wire.go, whose
-# round(μ·R′_k) rebuilds every projection sum a pull carries. Each -S listing
-# must show its file at all, or the check would pass on nothing.
-step "no fused multiply-add (internal/**/*.s; GOARCH=arm64 rowops.go, kernels.go, normal.go, detector.go, vh.go and wire.go)"
+# and prior sketch feed the model, to internal/transport/wire.go, whose
+# round(μ·R′_k) rebuilds every projection sum a pull carries, or to
+# internal/sketch/delta.go, whose Applier rebuilds them to apply a delta pull.
+# Each -S listing must show its file at all, or the check would pass on
+# nothing.
+step "no fused multiply-add (internal/**/*.s; GOARCH=arm64 rowops.go, kernels.go, normal.go, detector.go, vh.go, wire.go and delta.go)"
 FUSED=$(find internal -name '*.s' -exec grep -HnE 'VF(N)?M(ADD|SUB)' {} + || true)
 if [ -n "$FUSED" ]; then
     echo "fused multiply-add in the assembly:" >&2
@@ -81,6 +83,7 @@ no_fused_arm64 stats normal.go
 no_fused_arm64 core detector.go
 no_fused_arm64 vh vh.go
 no_fused_arm64 transport wire.go
+no_fused_arm64 sketch delta.go
 step_done
 
 step "go build"
@@ -293,7 +296,9 @@ step_done
 # frames of every kind),
 # and differentially against a reference on the routing trie every NetFlow
 # record is looked up in (a brute-force scan), on the variance histogram's
-# storage (the exact window) and on the NOC model build's eigensolver,
+# storage (the exact window), on delta sketch pulls (a fresh SnapshotInto
+# against the column each applied delta rebuilds) and on the NOC model
+# build's eigensolver,
 # mat.SymEigenLeading's inverse iteration (the all-pairs mat.SymEigen, on
 # spectra with forced ties and clusters). Go allows one -fuzz target per
 # invocation. Minimizing an input that found new coverage gets ten runs of
@@ -331,6 +336,10 @@ step_done
 
 step "fuzz smoke (variance histogram against the exact window, 10s)"
 fuzz_smoke FuzzHistogramAgainstWindow vh
+step_done
+
+step "fuzz smoke (delta pulls against a fresh snapshot, 10s)"
+fuzz_smoke FuzzDeltaPull sketch
 step_done
 
 step "fuzz smoke (leading eigenvectors against the all-pairs eigensolver, 10s)"

@@ -203,7 +203,7 @@ func New(cfg Config) (*Service, error) {
 		Adopt: s.build,
 		OnRequest: func(c *transport.Conn, req transport.SketchRequest, tc *transport.TraceContext) {
 			s.pulls.Add(1)
-			go s.serveFetch(c, req.RequestID, tc)
+			go s.serveFetch(c, req, tc)
 		},
 		OnAlarm: s.relayAlarm,
 		Redial:  cfg.Redial,
@@ -229,6 +229,7 @@ func New(cfg Config) (*Service, error) {
 // build makes the downstream half under p.
 func (s *Service) build(p core.Params) error {
 	foreign, mismatch := tier.DroppedReports(s.reg, "streampca_agg_volume_reports_dropped_total")
+	raw, sums, delta := tier.PulledColumns(s.reg, "streampca_agg_pulled_columns_total")
 	down, err := tier.NewDownstream(tier.DownstreamConfig{
 		Params:       p,
 		Pull:         s.cfg.Pull,
@@ -244,6 +245,9 @@ func (s *Service) build(p core.Params) error {
 			BreakerOpens:    s.met.breakerOpens,
 			DroppedForeign:  foreign,
 			DroppedMismatch: mismatch,
+			PulledRaw:       raw,
+			PulledSums:      sums,
+			PulledDelta:     delta,
 		},
 		Log:        s.log,
 		OnInterval: s.forwardVolumes,
@@ -379,14 +383,14 @@ func (s *Service) forwardVolumes(iv tier.Interval) {
 	s.met.volumeForwards.Inc()
 }
 
-// serveFetch answers one upstream sketch pull: one tier pull of the
+// serveFetch answers one upstream sketch pull: one tier relay of it to the
 // registered monitors (retry rounds, breaker and, under the degraded policy,
-// cache substitution), merged into the one response the service keeps and
-// sent; the pull is released after the send.
-func (s *Service) serveFetch(up *transport.Conn, upReqID uint64, tc *transport.TraceContext) {
+// cache substitution; delta columns as they came), merged into the one
+// response the service keeps and sent; the pull is released after the send.
+func (s *Service) serveFetch(up *transport.Conn, req transport.SketchRequest, tc *transport.TraceContext) {
 	defer s.pulls.Done()
-	down := s.down.Load()
-	p := down.Pull(nil, tc)
+	down, upReqID := s.down.Load(), req.RequestID
+	p := down.Relay(req.Since, tc)
 	defer down.Release(p)
 	if len(p.Reports) == 0 {
 		s.log.Warn("sketch pull unanswerable: no live or cached snapshots", "request", upReqID)

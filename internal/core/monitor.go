@@ -101,6 +101,14 @@ func (m *Monitor) Histogram(i int) *vh.Histogram {
 // wire-form sketch.Snapshot, which transport.SketchResponse carries.
 type SketchReport = sketch.Snapshot
 
+// DeltaInto is sketch.RandProj.DeltaInto: the monitor's report as delta
+// columns against its report at interval since, or false when it cannot
+// give one (and always under FD, which keeps its pull whole).
+func (m *Monitor) DeltaInto(dst *SketchReport, since int64) bool {
+	rp, ok := m.Sketcher.(*sketch.RandProj)
+	return ok && rp.DeltaInto(dst, since)
+}
+
 // Report is the monitor's Snapshot: what a sketch pull carries, in process
 // or deployed. A randproj pull describes the window before the newest
 // interval, the one the NOC is scoring; FD cannot take a row out of its

@@ -39,8 +39,15 @@ func AddScaled(dst []float64, s float64, src []float64) {
 //
 // where x is the leaving element's row and a its negated value, y and b the
 // entering element's row and value. It is a variance histogram's steady-state
-// update (internal/vh) in one pass instead of two.
+// update (internal/vh) in one pass instead of two. With r nil it slides z
+// alone, as z[k] += a·x[k] + b·y[k]: the same bits wherever a·x[k] + b·y[k]
+// is exact, as it is for ±1 rows and whole-byte volumes over a window of
+// n ≥ 2, each below 2⁵³/n.
 func SlideSums(z, r, x, y []float64, a, b float64) {
+	if r == nil {
+		addMul2(z, x, y, a, b)
+		return
+	}
 	r, x, y = r[:len(z)], x[:len(z)], y[:len(z)]
 	if useAVX2 && len(z) >= minKernelLen {
 		slideSumsAVX2(z, r, x, y, a, b)

@@ -327,7 +327,8 @@ func (s *Service) hello() transport.Hello {
 }
 
 // serveSketch answers one sketch pull with the sketch state's SnapshotInto
-// (core.Monitor.Report), written into the service's one report.
+// (core.Monitor.Report), or its delta since the interval the request names
+// when it can give one, written into the service's one report.
 func (s *Service) serveSketch(conn *transport.Conn, req transport.SketchRequest, tc *transport.TraceContext) {
 	s.met.sketchReqs.Inc()
 	// Parent the serving span under the NOC's fetch span when the request
@@ -340,10 +341,14 @@ func (s *Service) serveSketch(conn *transport.Conn, req transport.SketchRequest,
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	s.mu.Lock()
-	s.core.SnapshotInto(&s.snap)
+	delta := req.Since != 0 && s.core.DeltaInto(&s.snap, req.Since)
+	if !delta {
+		s.core.SnapshotInto(&s.snap)
+	}
 	s.mu.Unlock()
 	if sp != nil {
-		sp.SetAttr(trace.I("sketch_interval", s.snap.Interval), trace.I("flows", int64(len(s.snap.FlowIDs))))
+		sp.SetAttr(trace.I("sketch_interval", s.snap.Interval), trace.I("flows", int64(len(s.snap.FlowIDs))),
+			trace.B("delta", delta))
 	}
 	resp := transport.SketchResponse{RequestID: req.RequestID, MonitorID: s.cfg.ID, Report: s.snap}
 	if err := conn.Send(transport.Envelope{Response: &resp, Trace: tc}); err != nil {

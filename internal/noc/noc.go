@@ -317,6 +317,7 @@ func New(cfg Config) (*Service, error) {
 		procDone: make(chan struct{}),
 	}
 	foreign, mismatch := tier.DroppedReports(reg, "streampca_noc_volume_reports_dropped_total")
+	raw, sums, delta := tier.PulledColumns(reg, "streampca_noc_pulled_columns_total")
 	s.down, err = tier.NewDownstream(tier.DownstreamConfig{
 		Params:           params,
 		RequireAll:       true,
@@ -336,6 +337,9 @@ func New(cfg Config) (*Service, error) {
 			BreakerOpens:    s.met.breakerOpens,
 			DroppedForeign:  foreign,
 			DroppedMismatch: mismatch,
+			PulledRaw:       raw,
+			PulledSums:      sums,
+			PulledDelta:     delta,
 		},
 		Log:        log,
 		OnInterval: s.enqueue,
@@ -555,7 +559,8 @@ func (s *Service) process(item tier.Interval) {
 			fsp.SetAttr(
 				trace.I("sketch_interval", f.Interval),
 				trace.B("degraded", f.Degraded),
-				trace.I("stale_flows", int64(f.StaleFlows)))
+				trace.I("stale_flows", int64(f.StaleFlows)),
+				trace.I("delta_columns", int64(s.pulled.Forms.Delta)))
 		}
 		fsp.End()
 		return f, err

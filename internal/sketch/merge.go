@@ -113,6 +113,11 @@ func copySnapshot(dst, s *Snapshot) {
 	out.Counts = append(dst.Counts[:0], s.Counts...)
 	out.RowSumOf = append(dst.RowSumOf[:0], s.RowSumOf...)
 	out.RowSums = copyRows(dst.RowSums, s.RowSums)
+	out.DeltaOf = append(dst.DeltaOf[:0], s.DeltaOf...)
+	out.Deltas = resize(dst.Deltas, len(s.Deltas))
+	for i, d := range s.Deltas {
+		out.Deltas[i].copyFrom(&d)
+	}
 	out.Sketches = copyRows(dst.Sketches, s.Sketches)
 	out.FDRows = copyRows(dst.FDRows, s.FDRows)
 	*dst = out
@@ -128,16 +133,24 @@ func copyRows(dst, src [][]float64) [][]float64 {
 }
 
 // mergeRandProj performs the exact column union into dst, sorted by global
-// flow id; a flow reported twice is an error. Each column keeps its count
-// and its R′, which the union keeps once for each input that carried it.
+// flow id; a flow reported twice is an error. Each column keeps its count,
+// its R′ and its delta, which the union keeps once for each input that
+// carried them; the inputs' delta columns must share their Since.
 func mergeRandProj(dst *Snapshot, snaps []Snapshot) error {
 	n := 0
-	var interval int64
+	var interval, since int64
 	sums := false
 	for i := range snaps {
-		n += len(snaps[i].FlowIDs)
-		interval = max(interval, snaps[i].Interval)
-		sums = sums || len(snaps[i].RowSums) > 0
+		s := &snaps[i]
+		n += len(s.FlowIDs)
+		interval = max(interval, s.Interval)
+		sums = sums || len(s.RowSums) > 0
+		if len(s.DeltaOf) > 0 {
+			if since != 0 && s.Since != since {
+				return fmt.Errorf("%w: merge of deltas since %d and %d", ErrInput, since, s.Since)
+			}
+			since = s.Since
+		}
 	}
 	*dst = Snapshot{
 		Interval: interval,
@@ -148,20 +161,39 @@ func mergeRandProj(dst *Snapshot, snaps []Snapshot) error {
 		Counts:   resize(dst.Counts, n),
 		RowSums:  dst.RowSums[:0],
 		RowSumOf: dst.RowSumOf[:0],
+		Since:    since,
+		Deltas:   dst.Deltas[:0],
+		DeltaOf:  dst.DeltaOf[:0],
 	}
 	if sums {
 		dst.RowSumOf = resize(dst.RowSumOf, n)
 	}
+	if since != 0 {
+		dst.DeltaOf = resize(dst.DeltaOf, n)
+	}
 	k := 0
-	var buf [4]int
+	var buf, dbuf [4]int
 	for i := range snaps {
 		s := &snaps[i]
-		// at[r] is the index in dst of s.RowSums[r], once a column names it.
-		at := buf[:0]
+		// at[r] is the index in dst of s.RowSums[r], once a column names it;
+		// dat[g] that of s.Deltas[g].
+		at, dat := buf[:0], dbuf[:0]
 		for range s.RowSums {
 			at = append(at, -1)
 		}
+		for range s.Deltas {
+			dat = append(dat, -1)
+		}
 		for j, id := range s.FlowIDs {
+			if since != 0 {
+				dst.DeltaOf[k] = -1
+				if g := s.deltaOf(j); g >= 0 {
+					if dat[g] < 0 {
+						dat[g] = dst.deltaIndex(&s.Deltas[g])
+					}
+					dst.DeltaOf[k] = dat[g]
+				}
+			}
 			dst.FlowIDs[k] = id
 			dst.Sketches[k] = append(dst.Sketches[k][:0], s.Sketches[j]...)
 			dst.Means[k], dst.Counts[k] = s.Means[j], s.Counts[j]
@@ -194,6 +226,9 @@ func (s *byFlow) Swap(a, b int) {
 	s.Counts[a], s.Counts[b] = s.Counts[b], s.Counts[a]
 	if len(s.RowSumOf) > 0 {
 		s.RowSumOf[a], s.RowSumOf[b] = s.RowSumOf[b], s.RowSumOf[a]
+	}
+	if len(s.DeltaOf) > 0 {
+		s.DeltaOf[a], s.DeltaOf[b] = s.DeltaOf[b], s.DeltaOf[a]
 	}
 }
 

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"math"
 
 	"streampca/internal/randproj"
 	"streampca/internal/vh"
@@ -14,7 +15,12 @@ type RandProj struct {
 	flowIDs []int
 	hists   []*vh.Histogram
 	window  int
-	now     int64
+	// start is the first interval updated, 0 before it; now the last.
+	start, now int64
+	// left keeps what left the windows for DeltaInto, whose scratch slots
+	// is.
+	left  departed
+	slots []int
 }
 
 // NewRandProj validates cfg and builds the per-flow histograms.
@@ -31,15 +37,15 @@ func NewRandProj(cfg Config) (*RandProj, error) {
 	if err != nil {
 		return nil, fmt.Errorf("row ring: %w", err)
 	}
-	hists := make([]*vh.Histogram, len(cfg.FlowIDs))
-	for i := range cfg.FlowIDs {
-		h, err := vh.New(vh.Config{WindowLen: cfg.WindowLen, Gen: ring})
-		if err != nil {
-			return nil, fmt.Errorf("histogram for flow %d: %w", cfg.FlowIDs[i], err)
-		}
-		hists[i] = h
+	hists, err := vh.NewGroup(vh.Config{WindowLen: cfg.WindowLen, Gen: ring}, len(cfg.FlowIDs))
+	if err != nil {
+		return nil, fmt.Errorf("histograms: %w", err)
 	}
-	return &RandProj{flowIDs: append([]int(nil), cfg.FlowIDs...), hists: hists, window: cfg.WindowLen}, nil
+	k, w := kept(cfg.Gen.SketchLen()), len(cfg.FlowIDs)
+	return &RandProj{
+		flowIDs: append([]int(nil), cfg.FlowIDs...), hists: hists, window: cfg.WindowLen,
+		left: departed{times: make([]int64, k), vals: make([]float64, k*w), forgot: math.MinInt64},
+	}, nil
 }
 
 // Family implements Sketcher.
@@ -95,6 +101,15 @@ func (m *RandProj) Update(t int64, volumes []float64) error {
 			return fmt.Errorf("%w: flow %d: interval %d: %w", ErrInput, m.flowIDs[i], t, err)
 		}
 	}
+	if m.start == 0 {
+		m.start = t
+	}
+	n := int64(m.window)
+	for old := max(m.now-n+1, m.start); old <= min(t-n, m.now); old++ {
+		if _, ok := m.hists[0].At(old); ok {
+			m.left.add(old, m.hists)
+		}
+	}
 	for i, h := range m.hists {
 		if err := h.Update(t, volumes[i]); err != nil {
 			return fmt.Errorf("flow %d: %w", m.flowIDs[i], err)
@@ -130,6 +145,8 @@ func (m *RandProj) SnapshotInto(dst *Snapshot) {
 		RowSumOf: resize(dst.RowSumOf, w),
 		Family:   FamilyRandProj,
 		FDRows:   dst.FDRows[:0],
+		Deltas:   dst.Deltas[:0],
+		DeltaOf:  dst.DeltaOf[:0],
 	}
 	for i, h := range m.hists {
 		dst.Sketches[i], dst.Means[i] = h.PriorSketchInto(dst.Sketches[i])

@@ -29,6 +29,15 @@ type Snapshot struct {
 	// over R′, and a pull sends those instead (transport's wire.go).
 	RowSums  [][]float64
 	RowSumOf []int
+	// Delta columns (RandProj only; see DeltaInto). Column i is one where
+	// DeltaOf[i] ≥ 0: Sketches[i] holds its flow's volumes at the times of
+	// Deltas[DeltaOf[i]], entered then left, its mean and count are unset,
+	// and it stands for the column the report at interval Since held for the
+	// flow, moved on by them (Applier). DeltaOf is empty when no column is
+	// one, and Since is 0.
+	Since   int64
+	Deltas  []Delta
+	DeltaOf []int
 
 	// Family identifies the producing sketcher; zero is FamilyRandProj.
 	Family Family
@@ -66,9 +75,16 @@ func (r *Snapshot) Validate(sketchParam int) error {
 				return fmt.Errorf("%w: a row sum has length %d, want %d", ErrInput, len(rs), sketchParam)
 			}
 		}
+		if err := r.validateDeltas(sketchParam); err != nil {
+			return err
+		}
 		for i, s := range r.Sketches {
-			if len(s) != sketchParam {
-				return fmt.Errorf("%w: sketch %d has length %d, want %d", ErrInput, i, len(s), sketchParam)
+			want := sketchParam
+			if g := r.deltaOf(i); g >= 0 {
+				want = r.Deltas[g].Len()
+			}
+			if len(s) != want {
+				return fmt.Errorf("%w: sketch %d has length %d, want %d", ErrInput, i, len(s), want)
 			}
 			for _, v := range s {
 				if math.IsNaN(v) || math.IsInf(v, 0) {

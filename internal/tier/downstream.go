@@ -50,6 +50,16 @@ type Metrics struct {
 	// addVolumes). The roles register both as one counter with a reason
 	// label (DroppedReports).
 	DroppedForeign, DroppedMismatch *obs.Counter
+	// Sketch columns pulled, by the form they crossed in (PulledColumns).
+	PulledRaw, PulledSums, PulledDelta *obs.Counter
+}
+
+// PulledColumns registers the pulled-column counters of Metrics as the
+// series of name under form="raw", form="sums" and form="delta".
+func PulledColumns(reg *obs.Registry, name string) (raw, sums, delta *obs.Counter) {
+	const help = "Sketch columns pulled, by the form they crossed in: raw floats, exact sums, or a delta against the copy this tier kept."
+	return reg.Counter(name, help, obs.L("form", "raw")), reg.Counter(name, help, obs.L("form", "sums")),
+		reg.Counter(name, help, obs.L("form", "delta"))
 }
 
 // DroppedReports registers the two volume-report drop counters of Metrics
@@ -168,6 +178,16 @@ type response struct {
 	r    *transport.SketchResponse
 }
 
+// link is what a tier keeps of one registrant connection's answers: last,
+// the answer the last released pull used (whole, unless the pull relayed
+// deltas) and at, its interval, which the next request names as Since (0:
+// none, or its delta did not apply); spare, a response for the reader to
+// decode the next answer into.
+type link struct {
+	last, spare *transport.SketchResponse
+	at          int64
+}
+
 // Downstream is the half of a tier that faces its registrants.
 type Downstream struct {
 	cfg  DownstreamConfig
@@ -207,12 +227,14 @@ type Downstream struct {
 	// scratch, the copy of each of its report's R′.
 	freeRows []*rowCopy
 	folding  []*rowCopy
-	// spares are released randproj responses keyed by the registrant's
-	// connection they arrived on, each reused to decode that registrant's
-	// next answer, so its arrays already have the answer's shape (see
-	// Release); free is a released Pull, reused by the next.
-	spares map[*transport.Conn]*transport.SketchResponse
-	free   *Pull
+	// links keep each registrant connection's answers: the last, which a
+	// delta applies to, and a spare to decode the next into, so its arrays
+	// already have the answer's shape (see Release). applier applies
+	// deltas, under applyMu; free is a released Pull, reused by the next.
+	links   map[*transport.Conn]*link
+	applyMu sync.Mutex
+	applier *sketch.Applier
+	free    *Pull
 	// lastVol/lastVolAt hold each flow's most recent reported volume;
 	// lastVolAt is -1 until first seen. lastInterval is the newest interval
 	// any volume report named.
@@ -247,6 +269,11 @@ func NewDownstream(cfg DownstreamConfig) (*Downstream, error) {
 	if cfg.Degraded.Enabled && cfg.Family == sketch.FamilyRandProj {
 		cols = make([]column, cfg.NumFlows)
 	}
+	// Deltas are randproj's, and applied only where its generator is.
+	var applier *sketch.Applier
+	if gen, err := cfg.Params.Generator(); err == nil && gen != nil {
+		applier = sketch.NewApplier(gen, cfg.WindowLen, cfg.NumFlows)
+	}
 	return &Downstream{
 		cfg:       cfg,
 		log:       cfg.Log,
@@ -257,7 +284,8 @@ func NewDownstream(cfg DownstreamConfig) (*Downstream, error) {
 		rounds:    make(map[uint64]*pullRound),
 		breakers:  make(map[string]*breakerState),
 		cache:     make(map[string]core.SketchReport),
-		spares:    make(map[*transport.Conn]*transport.SketchResponse),
+		links:     make(map[*transport.Conn]*link),
+		applier:   applier,
 		cols:      cols,
 		lastVol:   make([]float64, cfg.NumFlows),
 		lastVolAt: lastVolAt,
@@ -388,8 +416,8 @@ func (d *Downstream) Broadcast(env transport.Envelope) (attempted, delivered int
 //
 // Volume reports decode into one report the connection reuses, which
 // addVolumes folds into the interval accumulator before the next is read.
-// A sketch response decodes into the registrant's spare one (see spare)
-// that travels to its pull round whole, and the connection takes another.
+// A sketch response decodes into the registrant's spare one, taken once
+// the response has arrived, that travels to its pull round whole.
 func (d *Downstream) Handle(conn *transport.Conn) {
 	env, err := conn.Recv()
 	if errors.Is(err, transport.ErrVersion) {
@@ -410,19 +438,17 @@ func (d *Downstream) Handle(conn *transport.Conn) {
 	}
 	defer d.drop(conn)
 	var vol transport.VolumeReport
-	resp := d.spare(conn)
+	spare := func() *transport.SketchResponse { return d.spare(conn) }
 	for {
-		env := transport.Envelope{Volume: &vol, Response: resp}
-		if err := conn.RecvInto(&env); err != nil {
+		env := transport.Envelope{Volume: &vol}
+		if err := conn.RecvWith(&env, spare); err != nil {
 			return
 		}
 		switch {
 		case env.Volume != nil:
 			d.addVolumes(conn, env.Volume)
 		case env.Response != nil:
-			if d.routeResponse(conn, env.Response) {
-				resp = d.spare(conn)
-			}
+			d.routeResponse(conn, env.Response)
 		case env.Hello != nil:
 			// A repeat Hello re-registers: a mid tier re-announces when its
 			// flow union changes. A conflicting claim is rejected and the
@@ -436,16 +462,29 @@ func (d *Downstream) Handle(conn *transport.Conn) {
 	}
 }
 
-// spare returns the response of conn's registrant that a pull last released
-// (see Release) to decode into, or a new one.
+// spare returns the response of conn's registrant that a pull handed back
+// (see Release) to decode into, or a new one. The reader takes it only when
+// an answer arrives, after the pull before has handed its answers back, so
+// a registrant's answers go round two responses: the one kept for the next
+// delta to apply to, and the one the answer decodes into.
 func (d *Downstream) spare(conn *transport.Conn) *transport.SketchResponse {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if r := d.spares[conn]; r != nil {
-		delete(d.spares, conn)
+	if k := d.links[conn]; k != nil && k.spare != nil {
+		r := k.spare
+		k.spare = nil
 		return r
 	}
 	return new(transport.SketchResponse)
+}
+
+// keepLocked hands r, an answer conn's reader decoded and no pull reads
+// now, back as conn's spare, unless it has one or is gone. Caller holds
+// d.mu.
+func (d *Downstream) keepLocked(conn *transport.Conn, r *transport.SketchResponse) {
+	if k := d.links[conn]; k != nil && k.spare == nil {
+		k.spare = r
+	}
 }
 
 // hello registers conn and settles the ownership change, or rejects it. A
@@ -499,6 +538,13 @@ func (d *Downstream) register(conn *transport.Conn, h *transport.Hello) error {
 	}
 	e := &registrant{id: h.MonitorID, flows: append([]int(nil), h.FlowIDs...), conn: conn, role: h.Role}
 	d.regs[conn] = e
+	// A (re-)registration may change the flows the registrant answers for:
+	// its next answer is asked whole.
+	if k := d.links[conn]; k != nil {
+		k.at = 0
+	} else {
+		d.links[conn] = new(link)
+	}
 	for _, f := range e.flows {
 		d.owner[f] = e
 	}
@@ -531,7 +577,7 @@ func (d *Downstream) releaseLocked(conn *transport.Conn) *registrant {
 func (d *Downstream) drop(conn *transport.Conn) {
 	d.mu.Lock()
 	e := d.releaseLocked(conn)
-	delete(d.spares, conn)
+	delete(d.links, conn)
 	d.mu.Unlock()
 	if e != nil {
 		d.log.Info("peer dropped", "peer", e.id, "flows", len(e.flows))
@@ -689,20 +735,20 @@ func (d *Downstream) recycleLocked(volumes []float64, seen []bool) {
 }
 
 // routeResponse hands a sketch response to the pull round waiting for it,
-// tagged with the connection it arrived on, and reports whether it did. A
-// response to a round that is over (its ID was retired) is dropped. The send
-// happens under d.mu, so once retire has drained a round nothing reaches it.
+// tagged with the connection it arrived on, or back as conn's spare when
+// there is none: a response to a round that is over (its ID was retired) is
+// dropped. The send happens under d.mu, so once retire has drained a round
+// nothing reaches it. It reports whether a round took r.
 func (d *Downstream) routeResponse(conn *transport.Conn, r *transport.SketchResponse) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	rd := d.rounds[r.RequestID]
-	if rd == nil {
-		return false
+	if rd := d.rounds[r.RequestID]; rd != nil {
+		select {
+		case rd.ch <- response{conn, r}:
+			return true
+		default:
+		}
 	}
-	select {
-	case rd.ch <- response{conn, r}:
-		return true
-	default:
-		return false
-	}
+	d.keepLocked(conn, r)
+	return false
 }

@@ -63,6 +63,9 @@ func testMetrics() Metrics {
 		BreakerOpens:    reg.Counter("breaker_opens", ""),
 		DroppedForeign:  reg.Counter("dropped_foreign", ""),
 		DroppedMismatch: reg.Counter("dropped_mismatch", ""),
+		PulledRaw:       reg.Counter("pulled_raw", ""),
+		PulledSums:      reg.Counter("pulled_sums", ""),
+		PulledDelta:     reg.Counter("pulled_delta", ""),
 	}
 }
 
@@ -101,6 +104,7 @@ type peer struct {
 
 	mu       sync.Mutex
 	requests []uint64
+	sinces   []int64 // each request's Since
 	rejected bool
 	refusal  transport.ErrorKind
 	answer   func(p *peer, reqID uint64)
@@ -145,6 +149,7 @@ func (p *peer) pump() {
 		case env.Request != nil:
 			p.mu.Lock()
 			p.requests = append(p.requests, env.Request.RequestID)
+			p.sinces = append(p.sinces, env.Request.Since)
 			answer := p.answer
 			p.mu.Unlock()
 			if answer != nil {

@@ -29,9 +29,15 @@ type Pull struct {
 	Degraded bool
 	Stale    int
 	Filled   int
+	// Forms counts the answers' columns by the form they crossed in.
+	Forms transport.ColumnForms
 
-	by   []string // per flow: ID of the report covering it, "" = uncovered
-	miss []int    // Uncovered's list
+	// relay and since are Relay's: delta columns stay unapplied, and since
+	// is the interval the tier above asked since.
+	relay bool
+	since int64
+	by    []string // per flow: ID of the report covering it, "" = uncovered
+	miss  []int    // Uncovered's list
 	// held are the randproj responses Reports were decoded into, handed
 	// back by Release.
 	held []response
@@ -48,7 +54,27 @@ const fromCache = "(cache)"
 // filled from cache (see fill). sp, when non-nil, receives retry,
 // per-registrant failure and breaker events; tc rides on the requests so
 // serving spans parent under it.
+//
+// A randproj tier not under DegradedPolicy asks each registrant for a delta
+// against the last answer it keeps from it (link), and applies the delta
+// columns that come back (sketch.Applier), so every report is whole. An
+// answer that fails to fold, a delta that does not apply among them, drops
+// that copy: the retry asks for whole columns.
 func (d *Downstream) Pull(sp *trace.Span, tc *transport.TraceContext) *Pull {
+	return d.pull(sp, tc, false, 0)
+}
+
+// Relay is Pull for a tier that answers a pull from above asking since the
+// given interval (0: whole columns). It asks a registrant for the delta
+// since that interval only when the registrant's answer in this tier's last
+// released pull was of that interval, so the copy above holds what the delta
+// applies to, and it leaves delta columns unapplied in Reports, for the tier
+// above to apply.
+func (d *Downstream) Relay(since int64, tc *transport.TraceContext) *Pull {
+	return d.pull(nil, tc, true, since)
+}
+
+func (d *Downstream) pull(sp *trace.Span, tc *transport.TraceContext, relay bool, since int64) *Pull {
 	d.mu.Lock()
 	p := d.free
 	d.free = nil
@@ -56,6 +82,7 @@ func (d *Downstream) Pull(sp *trace.Span, tc *transport.TraceContext) *Pull {
 	if p == nil {
 		p = &Pull{by: make([]string, d.cfg.NumFlows)}
 	}
+	p.relay, p.since = relay, since
 	backoff := d.cfg.Pull.Backoff
 	for round := 0; round <= max(0, d.cfg.Pull.Retries); round++ {
 		miss := len(d.Uncovered(p))
@@ -105,8 +132,11 @@ func (d *Downstream) Release(p *Pull) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, h := range p.held {
-		if d.regs[h.conn] != nil && d.spares[h.conn] == nil {
-			d.spares[h.conn] = h.r
+		if k := d.links[h.conn]; k != nil {
+			if k.spare == nil {
+				k.spare = k.last
+			}
+			k.last, k.at = h.r, h.r.Report.Interval
 		}
 	}
 	clear(p.by)
@@ -114,6 +144,19 @@ func (d *Downstream) Release(p *Pull) {
 	clear(p.held)
 	*p = Pull{by: p.by, miss: p.miss[:0], Reports: p.Reports[:0], held: p.held[:0]}
 	d.free = p
+}
+
+// Kept calls f with the ID of each registrant and the last answer the tier
+// keeps from it, whole unless a Relay pull kept it, while the tier's lock is
+// held: f must not keep the report or call into the tier.
+func (d *Downstream) Kept(f func(id string, rep *core.SketchReport)) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for c, k := range d.links {
+		if e := d.regs[c]; e != nil && k.last != nil {
+			f(e.id, &k.last.Report)
+		}
+	}
 }
 
 // Uncovered lists the flows p still owes: required or owned by a live
@@ -225,9 +268,15 @@ func (d *Downstream) fill(p *Pull) {
 // aggregator's overlapping upstream requests) each take their own.
 type pullRound struct {
 	ch       chan response
-	awaiting map[*transport.Conn]string
+	awaiting map[*transport.Conn]asked
 	timer    *time.Timer
 	req      transport.SketchRequest
+}
+
+// asked is a registrant a round awaits: its ID and the Since it was asked.
+type asked struct {
+	id    string
+	since int64
 }
 
 // takeRoundLocked returns a retired round, or a new one whose timer is
@@ -240,7 +289,7 @@ func (d *Downstream) takeRoundLocked() *pullRound {
 	}
 	t := time.NewTimer(time.Hour)
 	t.Stop()
-	return &pullRound{awaiting: make(map[*transport.Conn]string), timer: t}
+	return &pullRound{awaiting: make(map[*transport.Conn]asked), timer: t}
 }
 
 // retire ends rd: its request ID stops routing, its timer is stopped and
@@ -260,9 +309,7 @@ func (d *Downstream) retire(rd *pullRound) {
 	rd.req.RequestID = 0
 	for len(rd.ch) > 0 {
 		in := <-rd.ch
-		if d.regs[in.conn] != nil && d.spares[in.conn] == nil {
-			d.spares[in.conn] = in.r
-		}
+		d.keepLocked(in.conn, in.r)
 	}
 	clear(rd.awaiting)
 	if len(d.idle) < maxFree {
@@ -287,7 +334,7 @@ func (d *Downstream) round(p *Pull, sp *trace.Span, tc *transport.TraceContext) 
 			skipped = append(skipped, e.id)
 			continue
 		}
-		rd.awaiting[c] = e.id
+		rd.awaiting[c] = asked{e.id, d.sinceLocked(c, p)}
 	}
 	if len(rd.awaiting) > 0 {
 		d.nextReq++
@@ -308,10 +355,11 @@ func (d *Downstream) round(p *Pull, sp *trace.Span, tc *transport.TraceContext) 
 		return 0
 	}
 
-	for c, mid := range rd.awaiting {
+	for c, a := range rd.awaiting {
+		rd.req.Since = a.since
 		if err := c.Send(transport.Envelope{Request: &rd.req, Trace: tc}); err != nil {
-			d.log.Warn("sketch request send failed", "peer", mid, "err", err)
-			d.fail(sp, mid, "request_send_failed")
+			d.log.Warn("sketch request send failed", "peer", a.id, "err", err)
+			d.fail(sp, a.id, "request_send_failed")
 			delete(rd.awaiting, c)
 		}
 	}
@@ -320,26 +368,28 @@ func (d *Downstream) round(p *Pull, sp *trace.Span, tc *transport.TraceContext) 
 	for len(rd.awaiting) > 0 {
 		select {
 		case in := <-rd.ch:
-			mid, ok := rd.awaiting[in.conn]
+			a, ok := rd.awaiting[in.conn]
 			if !ok {
 				continue // duplicate, or a peer this round did not ask
 			}
 			delete(rd.awaiting, in.conn)
-			if err := d.fold(p, in, mid); err != nil {
+			mid, interval := a.id, in.r.Report.Interval
+			if err := d.fold(p, in, a); err != nil {
+				d.forget(in.conn)
 				d.log.Warn("invalid sketch report", "peer", mid, "err", err)
 				d.fail(sp, mid, "invalid_report")
 				continue
 			}
 			if sp != nil {
-				sp.Event("report", trace.S("monitor", mid), trace.I("sketch_interval", in.r.Report.Interval))
+				sp.Event("report", trace.S("monitor", mid), trace.I("sketch_interval", interval))
 			}
 			if d.breakerSuccess(mid) {
 				sp.Event("breaker_close", trace.S("monitor", mid))
 			}
 		case <-rd.timer.C:
-			for _, mid := range rd.awaiting {
-				d.log.Warn("sketch response timed out", "peer", mid, "request", rd.req.RequestID, "timeout", d.cfg.Pull.Timeout)
-				d.fail(sp, mid, "response_timeout")
+			for _, a := range rd.awaiting {
+				d.log.Warn("sketch response timed out", "peer", a.id, "request", rd.req.RequestID, "timeout", d.cfg.Pull.Timeout)
+				d.fail(sp, a.id, "response_timeout")
 			}
 			return asked
 		case <-d.done:
@@ -354,9 +404,10 @@ func (d *Downstream) round(p *Pull, sp *trace.Span, tc *transport.TraceContext) 
 // registrant's ID and may not name a flow that another live registrant owns
 // or another report of this pull, or an earlier entry of its own, already
 // covers. Flows nobody owns are accepted — a mid tier's degraded merge covers
-// its dead monitors' flows.
-func (d *Downstream) fold(p *Pull, in response, mid string) error {
-	rep := &in.r.Report
+// its dead monitors' flows. Delta columns must be the ones a asked for, and
+// Pull applies them here (Relay keeps them).
+func (d *Downstream) fold(p *Pull, in response, a asked) error {
+	rep, mid := &in.r.Report, a.id
 	if in.r.MonitorID != mid {
 		return fmt.Errorf("answers as %q", in.r.MonitorID)
 	}
@@ -366,6 +417,17 @@ func (d *Downstream) fold(p *Pull, in response, mid string) error {
 	if rep.Family != d.cfg.Family {
 		return fmt.Errorf("sketcher family %v, want %v", rep.Family, d.cfg.Family)
 	}
+	if len(rep.DeltaOf) > 0 {
+		if a.since == 0 || rep.Since != a.since {
+			return fmt.Errorf("%w: a delta since %d, asked since %d", transport.ErrBadMessage, rep.Since, a.since)
+		}
+		if !p.relay {
+			if err := d.apply(in.conn, rep); err != nil {
+				return err
+			}
+		}
+	}
+	forms := in.r.Forms
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for i, f := range rep.FlowIDs {
@@ -405,18 +467,71 @@ func (d *Downstream) fold(p *Pull, in response, mid string) error {
 	clear(rows)
 	d.folding = rows
 	p.Reports = append(p.Reports, *rep)
-	if rep.Family == sketch.FamilyFD {
-		d.cache[mid] = *rep
-	} else {
-		d.cache[mid] = core.SketchReport{Interval: rep.Interval}
-		p.held = append(p.held, in)
-	}
 	if in.r.Degraded {
 		p.Degraded = true
 		p.Stale += in.r.StaleFlows
 	}
 	p.Interval = max(p.Interval, rep.Interval)
+	p.Forms.Add(forms)
+	d.cfg.Metrics.PulledRaw.Add(int64(forms.Raw))
+	d.cfg.Metrics.PulledSums.Add(int64(forms.Sums))
+	d.cfg.Metrics.PulledDelta.Add(int64(forms.Delta))
+	if rep.Family == sketch.FamilyFD {
+		// The cache and Reports keep the report's arrays; the response
+		// decodes the registrant's next answer into arrays of its own.
+		d.cache[mid] = *rep
+		in.r.Report = core.SketchReport{}
+		d.keepLocked(in.conn, in.r)
+	} else {
+		d.cache[mid] = core.SketchReport{Interval: rep.Interval}
+		p.held = append(p.held, in)
+	}
 	return nil
+}
+
+// sinceLocked returns the Since a pull asks of conn's registrant: see Pull
+// and Relay. Caller holds d.mu.
+func (d *Downstream) sinceLocked(conn *transport.Conn, p *Pull) int64 {
+	k := d.links[conn]
+	switch {
+	case k == nil || d.cfg.Family != sketch.FamilyRandProj || d.cfg.Degraded.Enabled || (d.applier == nil && !p.relay):
+		return 0
+	case p.relay && k.at != p.since:
+		return 0
+	}
+	return k.at
+}
+
+// apply applies rep's delta columns to the last answer kept from conn, the
+// one its Since names; a delta that does not apply is ErrBadMessage. Pulls
+// that apply deltas, the NOC's, run one at a time: only their Release
+// replaces that answer.
+func (d *Downstream) apply(conn *transport.Conn, rep *core.SketchReport) error {
+	d.mu.Lock()
+	var base *core.SketchReport
+	if k := d.links[conn]; k != nil && k.last != nil {
+		base = &k.last.Report
+	}
+	d.mu.Unlock()
+	d.applyMu.Lock()
+	defer d.applyMu.Unlock()
+	if err := d.applier.Apply(rep, base); err != nil {
+		return fmt.Errorf("%w: %w", transport.ErrBadMessage, err)
+	}
+	return nil
+}
+
+// forget drops the answer kept from conn after one that failed to fold:
+// the next request asks for whole columns.
+func (d *Downstream) forget(conn *transport.Conn) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if k := d.links[conn]; k != nil {
+		if k.spare == nil {
+			k.spare = k.last
+		}
+		k.last, k.at = nil, 0
+	}
 }
 
 // copyRows returns a copy of rs that no cached column points at yet, in a

@@ -109,7 +109,7 @@ func TestRetireDrainsAnswersRoutedToTheRound(t *testing.T) {
 	time.Sleep(10 * time.Millisecond) // the timer fires; nobody reads it
 	d.retire(rd)
 	d.mu.Lock()
-	spare, idle := d.spares[conn], slices.Clone(d.idle)
+	spare, idle := d.links[conn].spare, slices.Clone(d.idle)
 	d.mu.Unlock()
 	if spare != late || len(idle) != 1 || idle[0] != rd {
 		t.Fatalf("after retire: spare %p (the drained answer %p), idle %v (the round %p)", spare, late, idle, rd)

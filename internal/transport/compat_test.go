@@ -53,7 +53,7 @@ var goldenFrames = []struct {
 	{"response/randproj", Envelope{Response: &SketchResponse{RequestID: 3, MonitorID: "m1",
 		Report: core.SketchReport{Interval: 4, FlowIDs: []int{0, 1},
 			Sketches: [][]float64{{0.1, 0.2}, {0.3, 0.4}}, Means: []float64{5, 6}, Counts: []int64{4, 4}}}},
-		"04 50000000 | 03 02 6d31 00 00 | 08 02 00 02 | 02 | 00 | 00" +
+		"04 51000000 | 03 02 6d31 00 00 | 08 02 00 02 | 02 | 00 | 00 | 00" +
 			" | 00 02 00 9a9999999999b93f 9a9999999999c93f 0000000000001440 08" +
 			" | 00 02 00 333333333333d33f 9a9999999999d93f 0000000000001840 08 | 00 | 00 | 0000000000000000 | 00"},
 	// Columns that are exact sums go as them: both over the one R′ = (2, −2),
@@ -64,8 +64,20 @@ var goldenFrames = []struct {
 	// μ = 1.5, two's-complement integers of the byte width that leads them.
 	{"response/sums", Envelope{Response: &SketchResponse{RequestID: 3, MonitorID: "m1",
 		Report: sumsReport(4, []float64{2, -2}, []int64{10, 6}, [][]float64{{13, -3}, {7, 1}})}},
-		"04 29000000 | 03 02 6d31 00 00 | 0a 02 00 02 | 02 | 01 02 04 03 | 02 00 00" +
+		"04 2a000000 | 03 02 6d31 00 00 | 0a 02 00 02 | 02 | 01 02 04 03 | 02 00 00 | 00" +
 			" | 01 08 14 01 08 02 | 01 08 0c 01 04 04 | 00 | 00 | 0000000000000000 | 00"},
+	// A request since interval 300 (zigzag 600) asks for deltas against it.
+	{"request/since", Envelope{Request: &SketchRequest{RequestID: 42, Since: 300}},
+		"03 03000000 | 2a | d804"},
+	// Delta columns against the report at interval 7: one delta, times 7
+	// and 8 entered and 2 left, as zigzag varints t − 7, and each flow's
+	// volumes at them.
+	{"response/delta", Envelope{Response: &SketchResponse{RequestID: 3, MonitorID: "m1",
+		Report: core.SketchReport{Interval: 9, FlowIDs: []int{0, 1}, Since: 7,
+			Deltas: []sketch.Delta{{Entered: []int64{7, 8}, Left: []int64{2}}}, DeltaOf: []int{0, 0},
+			Sketches: [][]float64{{1500, 0, 3}, {4, 5, 6}}, Means: []float64{0, 0}, Counts: []int64{0, 0}}}},
+		"04 2a000000 | 03 02 6d31 00 00 | 12 02 00 02 | 02 | 00 | 00 | 01 0e 02 00 02 01 09" +
+			" | 02 00 b817 00 06 | 02 00 08 0a 0c | 00 | 00 | 0000000000000000 | 00"},
 	// FD rows with exact zeros are one byte a zero: an integral row and the
 	// means as varints, the other row compact.
 	{"response/fd", Envelope{Response: &SketchResponse{RequestID: 3, MonitorID: "agg", Degraded: true, StaleFlows: 1,
@@ -146,7 +158,7 @@ func TestConnOpensWithPreamble(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := unhex(t, "53504341 06 | 03 01000000 2a | 03 01000000 2a")
+	want := unhex(t, "53504341 07 | 03 01000000 2a | 03 01000000 2a")
 	if !bytes.Equal(s.out.Bytes(), want) {
 		t.Fatalf("stream %x, want %x", s.out.Bytes(), want)
 	}
@@ -157,7 +169,7 @@ func TestConnOpensWithPreamble(t *testing.T) {
 // version of this wire (version 1 pulled full windows of Gaussian rows,
 // version 2 carried ε in Hello, version 3 sent every column as floats,
 // version 4 had no int runs and no implicit flow lists, version 5 sent each
-// projection sum whole), and keeps refusing.
+// projection sum whole, version 6 had no deltas), and keeps refusing.
 func TestRecvRefusesOtherProtocols(t *testing.T) {
 	var gobPeer bytes.Buffer
 	if err := gob.NewEncoder(&gobPeer).Encode(&Envelope{Hello: &Hello{MonitorID: "old", FlowIDs: []int{0}, WindowLen: 8}}); err != nil {
@@ -174,6 +186,7 @@ func TestRecvRefusesOtherProtocols(t *testing.T) {
 		{"version 3", version("03")},
 		{"version 4", version("04")},
 		{"version 5", version("05")},
+		{"version 6", version("06")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &splitStream{}

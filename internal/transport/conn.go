@@ -150,9 +150,17 @@ func (c *Conn) Recv() (Envelope, error) {
 // not hand a reused value to anyone who keeps it past the next RecvInto into
 // it. On error e's payload values may hold a partial decode.
 func (c *Conn) RecvInto(e *Envelope) error {
+	return c.RecvWith(e, nil)
+}
+
+// RecvWith is RecvInto, except that a sketch response, when resp is not nil,
+// is decoded into the value resp returns, which it calls only once one has
+// arrived: a reader that waits for any message need not set aside a
+// response before the peer sends one.
+func (c *Conn) RecvWith(e *Envelope, resp func() *SketchResponse) error {
 	into := *e
 	for {
-		if err := c.next(e); err != nil {
+		if err := c.next(e, resp); err != nil {
 			return err
 		}
 		if c.inj != nil {
@@ -177,8 +185,9 @@ func (c *Conn) RecvInto(e *Envelope) error {
 	}
 }
 
-// next reads and decodes one frame, checking the peer's preamble first.
-func (c *Conn) next(e *Envelope) error {
+// next reads and decodes one frame, checking the peer's preamble first; a
+// response goes into resp's value when resp is not nil.
+func (c *Conn) next(e *Envelope, resp func() *SketchResponse) error {
 	if c.rerr != nil {
 		return c.rerr
 	}
@@ -205,6 +214,9 @@ func (c *Conn) next(e *Envelope) error {
 	}
 	if err := c.fill(frameHeader + int(n)); err != nil {
 		return c.readError(err)
+	}
+	if resp != nil && c.rbuf[c.r]&^traceFlag == kindResponse {
+		e.Response = resp()
 	}
 	_, err := decodeFrame(c.rbuf[c.r:c.r+frameHeader+int(n)], e)
 	c.r += frameHeader + int(n)

@@ -8,6 +8,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"streampca/internal/sketch"
 )
 
 // unhexF is unhex for a fuzz target's seeds.
@@ -74,7 +76,21 @@ func FuzzDecodeMessage(f *testing.F) {
 		"01 08 14 07 f5ffffffffff03 02000000000000",
 		"01 08 14 07 f6ffffffffff03 02000000000000",
 	} {
-		payload := unhexF(f, "03 02 6d31 00 00 0a 02 00 02 02 01 02 04 03 02 00 00 "+cols+" 01 08 0c 01 04 04 00 00 0000000000000000 00")
+		payload := unhexF(f, "03 02 6d31 00 00 0a 02 00 02 02 01 02 04 03 02 00 00 00 "+cols+" 01 08 0c 01 04 04 00 00 0000000000000000 00")
+		f.Add(append(binary.LittleEndian.AppendUint32(append(preamble[:], kindResponse), uint32(len(payload))), payload...))
+	}
+	// Version 7: a request since an interval, and a response whose sums
+	// column sits beside delta columns of two deltas.
+	f.Add(stream(Envelope{Request: &SketchRequest{RequestID: 5, Since: 1 << 40}}))
+	deltas := sumsReport(4, []float64{2, -2}, []int64{10, 6, 2}, [][]float64{{13, -3}, {7, 1}, {1, 1}})
+	deltas.Since, deltas.DeltaOf = 3, []int{-1, 0, 1}
+	deltas.Deltas = []sketch.Delta{{Entered: []int64{3, 4}}, {Entered: []int64{4}, Left: []int64{1, 2}}}
+	deltas.Sketches[1], deltas.Sketches[2] = []float64{-7, 1 << 40}, []float64{3, 0, -(1<<53 - 1)}
+	f.Add(stream(Envelope{Response: &SketchResponse{RequestID: 9, MonitorID: "d", Report: deltas}}))
+	// Deltas the decoder refuses: a time after the interval, times out of
+	// order, and a column naming a delta past the end.
+	for _, d := range []string{"01 0e 01 06 00 | 02 00 02 04", "01 0e 02 02 00 00 | 02 00 02 04", "01 0e 01 00 00 | 02 01 02"} {
+		payload := unhexF(f, strings.ReplaceAll("03 02 6d31 00 00 12 01 00 01 00 00 "+d+" 00 00 0000000000000000 00", "|", ""))
 		f.Add(append(binary.LittleEndian.AppendUint32(append(preamble[:], kindResponse), uint32(len(payload))), payload...))
 	}
 	f.Add([]byte{})

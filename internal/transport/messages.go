@@ -97,6 +97,10 @@ type VolumeReport struct {
 // SketchRequest asks a monitor for its current sketch state.
 type SketchRequest struct {
 	RequestID uint64
+	// Since is the interval of the registrant's last answer that the
+	// requester keeps whole, 0 for none: a randproj registrant may answer
+	// with delta columns against it (sketch.RandProj.DeltaInto).
+	Since int64
 }
 
 // SketchResponse answers a SketchRequest.
@@ -111,6 +115,20 @@ type SketchResponse struct {
 	// leave both zero.
 	Degraded   bool
 	StaleFlows int
+	// Forms counts the columns a decoded response carried in each form; the
+	// decoder sets it and nothing is sent for it.
+	Forms ColumnForms
+}
+
+// ColumnForms counts sketch columns by the form they crossed the wire in:
+// raw floats, exact sums, or a delta against the requester's copy.
+type ColumnForms struct {
+	Raw, Sums, Delta int
+}
+
+// Add adds o's counts to f's.
+func (f *ColumnForms) Add(o ColumnForms) {
+	f.Raw, f.Sums, f.Delta = f.Raw+o.Raw, f.Sums+o.Sums, f.Delta+o.Delta
 }
 
 // IdentifiedFlow names one culprit OD flow attached to an alarm by the

@@ -34,22 +34,22 @@ func sumsFrame(t *testing.T, cols string) []byte {
 // "accepted" decode. Both columns run over R′ = (2, −2) with c′ = 4, so
 // Z′_k = D_k + round(μ·R′_k) and |Z′_k| + |μ·R′_k| must stay below 2⁵⁰.
 func TestDecodeRefusesBadSums(t *testing.T) {
-	const rs, second = "01 02 04 03 | 02 00 00", " | 01 08 0c 01 04 04"
+	const rs, second = "01 02 04 03 | 02 00 00 | 00", " | 01 08 0c 01 04 04"
 	for _, tc := range []struct {
 		name, cols string
 		ok         bool
 	}{
 		{"golden", rs + " | 01 08 14 01 08 02" + second, true},
 		{"negative count", rs + " | 01 07 14 01 08 02" + second, false},
-		{"row sum above the count", "01 02 0c 03 | 02 00 00 | 01 08 14 01 08 02" + second, false},
-		{"row sum of the other parity", "01 02 02 03 | 02 00 00 | 01 08 14 01 08 02" + second, false},
+		{"row sum above the count", "01 02 0c 03 | 02 00 00 | 00 | 01 08 14 01 08 02" + second, false},
+		{"row sum of the other parity", "01 02 02 03 | 02 00 00 | 00 | 01 08 14 01 08 02" + second, false},
 		{"row sum the second column's count cannot hold", rs + " | 01 08 14 01 08 02 | 01 02 0c 01 04 04", false},
 		// R′_0 = 2⁵³, zigzag 2⁵⁴.
-		{"row sum at 2^53", "01 02 80808080808080 20 03 | 02 00 00 | 01 08 14 01 08 02" + second, false},
-		{"sums without row sums", "00 | 00 | 01 08 14 01 08 02" + second, false},
-		{"sums whose row sums are unknown", "01 02 04 03 | 02 01 00 | 01 08 14 01 08 02" + second, false},
-		{"row sums index past the end", "01 02 04 03 | 02 02 00 | 01 08 14 01 08 02" + second, false},
-		{"one index for two columns", "01 02 04 03 | 01 00 | 01 08 14 01 08 02" + second, false},
+		{"row sum at 2^53", "01 02 80808080808080 20 03 | 02 00 00 | 00 | 01 08 14 01 08 02" + second, false},
+		{"sums without row sums", "00 | 00 | 00 | 01 08 14 01 08 02" + second, false},
+		{"sums whose row sums are unknown", "01 02 04 03 | 02 01 00 | 00 | 01 08 14 01 08 02" + second, false},
+		{"row sums index past the end", "01 02 04 03 | 02 02 00 | 00 | 01 08 14 01 08 02" + second, false},
+		{"one index for two columns", "01 02 04 03 | 01 00 | 00 | 01 08 14 01 08 02" + second, false},
 		// S′ = 10, μ·R′ = (5, −5): D_0 = 2⁵⁰ − 11 gives Z′_0 = 2⁵⁰ − 6, the
 		// largest in range; one more is past it, and D_0 = 2⁵⁰ − 5 puts Z′_0
 		// at 2⁵⁰. D_1 = −2⁵⁰ + 11 gives Z′_1 = −2⁵⁰ + 6.
@@ -67,7 +67,7 @@ func TestDecodeRefusesBadSums(t *testing.T) {
 		{"width 0", rs + " | 01 08 14 00 08 02" + second, false},
 		{"width 8", rs + " | 01 08 14 08 0800000000000000 0200000000000000" + second, false},
 		{"integers cut short", rs + " | 01 08 14 07 0800", false},
-		{"unknown column form", rs + " | 02 08 14 01 08 02" + second, false},
+		{"unknown column form", rs + " | 03 08 14 01 08 02" + second, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			paths(t, func() []byte {

@@ -44,12 +44,16 @@ import (
 // last Hello on its connection, in that order (tier.Downstream.addVolumes);
 // the codec sends the list it is given.
 //
+// A sketch request's Since is a varint after its ID, left out when 0.
+//
 // A sketch report's columns are a uvarint count k and, when k is 0 (FD),
 // the means as a run and the counts as a list; else the row sums R′ (a list
 // of rows, each a uvarint l and l varints), the index into them of each
-// column's R′ (a list of k ints, −1 where unknown, or none), and the k
-// columns, each with its flow's mean and count, which such a report must
-// have for every column. A column is a form byte and
+// column's R′ (a list of k ints, −1 where unknown, or none), the deltas (a
+// uvarint count and, unless it is 0, Since and each delta's entered and
+// left times as two lists of varints t − Since), and the k columns, each
+// with its flow's mean and count, which such a report must have for every
+// column but a delta one. A column is a form byte and
 //
 //   - colRaw: the column as a run, its mean as a float, its count;
 //   - colSums: the exact sums the column and its mean are (vh.Centred) over
@@ -60,7 +64,12 @@ import (
 //     (0 when c′ = 0), Z′_k = D_k + round(μ·R′_k), rounding half to even,
 //     and ẑ_k = (Z′_k − μ·R′_k)/√l. It refuses a column that names no R′,
 //     c′ < 0, |R′_k| > c′, R′_k of the other parity than c′, |R′_k| or
-//     |S′| ≥ 2⁵³ and |Z′_k| + |μ|·|R′_k| ≥ 2⁵⁰.
+//     |S′| ≥ 2⁵³ and |Z′_k| + |μ|·|R′_k| ≥ 2⁵⁰;
+//   - colDelta: the index of the column's delta, a uvarint, and its flow's
+//     volumes at the delta's times, entered then left, as zigzag varints
+//     below 2⁵³ in magnitude (sketch.Delta; the requester applies them).
+//     The decoder refuses an index past the deltas, and a delta whose times
+//     do not ascend within [Since, Interval] entered and [1, Since) left.
 //
 // The encoder sends a column as sums only when the column rebuilt from them
 // has the bits it holds: with ±1 rows and byte counts every pulled column
@@ -72,15 +81,17 @@ import (
 // several times faster than varints, which saved under 1 %.
 
 const (
-	// wireVersion 6: a sums column sends each projection sum as its
-	// residual from round(μ·R′_k). Version 5 sent Z′ itself at the byte
+	// wireVersion 7: a request names the interval of the answer the
+	// requester keeps, and a column may be a delta against it. Version 6
+	// first sent a sums column's projection sums as their residuals from
+	// round(μ·R′_k). Version 5 sent Z′ itself at the byte
 	// width of S′, and first sent integer float runs as varints and let a
 	// volume report leave its flow list to the Hello; version 4 sent sketch
 	// columns as exact integer sums first; version 3 sent them as float
 	// runs; version 2 carried the variance-histogram ε in Hello; version 1
 	// pulled the full window of Gaussian rows. Mixing versions at one NOC is
 	// refused.
-	wireVersion = 6
+	wireVersion = 7
 	// frameHeader is the kind byte and the length.
 	frameHeader = 5
 	// maxFrame caps a frame's declared length; a longer one is ErrBadMessage
@@ -130,6 +141,7 @@ var useAVX2 = mat.UsesAVX2()
 const (
 	colRaw byte = iota
 	colSums
+	colDelta
 )
 
 // checkPreamble reports whether b, the first len(preamble) bytes a peer sent,
@@ -260,6 +272,7 @@ func (e *Envelope) code(c *codec) {
 		c.floats(&v.Volumes)
 	case kindRequest:
 		c.uvarint(&e.Request.RequestID)
+		c.trailing(&e.Request.Since)
 	case kindResponse:
 		r := e.Response
 		c.uvarint(&r.RequestID)
@@ -270,6 +283,9 @@ func (e *Envelope) code(c *codec) {
 		c.varint(&rep.Interval)
 		c.ints(&rep.FlowIDs)
 		c.columns(rep)
+		if !c.enc {
+			r.Forms = c.forms
+		}
 		c.int((*int)(&rep.Family))
 		c.rows(&rep.FDRows)
 		c.float(&rep.FDDelta)
@@ -342,6 +358,8 @@ type codec struct {
 	// fromSums counts the floats integer columns decoded into, which
 	// maxFrame caps.
 	fromSums int
+	// forms counts the columns decoded by form.
+	forms ColumnForms
 }
 
 func (c *codec) fail(format string, args ...any) {
@@ -392,6 +410,18 @@ func (c *codec) varint(v *int64) {
 		return
 	}
 	*v, c.b = x, c.b[n:]
+}
+
+// trailing codes v, the last field of its payload, as a varint, or as
+// nothing when it is 0.
+func (c *codec) trailing(v *int64) {
+	switch {
+	case c.enc && *v == 0:
+	case c.enc || len(c.b) > 0:
+		c.varint(v)
+	default:
+		*v = 0
+	}
 }
 
 func (c *codec) int(v *int) {
@@ -611,6 +641,9 @@ func (c *codec) columns(rep *sketch.Snapshot) {
 			setLen(&rep.Sketches, 0)
 			setLen(&rep.RowSums, 0)
 			setLen(&rep.RowSumOf, 0)
+			setLen(&rep.Deltas, 0)
+			setLen(&rep.DeltaOf, 0)
+			rep.Since = 0
 		}
 		return
 	}
@@ -632,6 +665,7 @@ func (c *codec) columns(rep *sketch.Snapshot) {
 			c.fail("column %d names row sums %d of %d", i, j, len(rep.RowSums))
 		}
 	}
+	c.deltas(rep, k)
 	if c.err != nil {
 		return
 	}
@@ -673,6 +707,47 @@ func (c *codec) rowSums(v *[][]float64) {
 	}
 }
 
+// deltas codes the deltas a report's delta columns name: a uvarint count
+// and, unless it is 0, Since and each delta's entered and left times, each
+// a list of varints t − Since. Decoding sizes rep.DeltaOf for k columns
+// when there are deltas and refuses times out of order or range.
+func (c *codec) deltas(rep *sketch.Snapshot, k int) {
+	if c.enc && len(rep.DeltaOf) != 0 && len(rep.DeltaOf) != k {
+		c.fail("%d delta indices for %d columns", len(rep.DeltaOf), k)
+	}
+	list(c, &rep.Deltas, 2)
+	if len(rep.Deltas) == 0 {
+		if !c.enc {
+			rep.Since = 0
+			setLen(&rep.DeltaOf, 0)
+		}
+		return
+	}
+	c.varint(&rep.Since)
+	for i := range rep.Deltas {
+		d := &rep.Deltas[i]
+		c.times(&d.Entered, rep.Since)
+		c.times(&d.Left, rep.Since)
+		if !c.enc && !d.Within(rep.Since, rep.Interval) {
+			c.fail("a delta since %d names times out of order or range", rep.Since)
+		}
+	}
+	if !c.enc {
+		setLen(&rep.DeltaOf, k)
+	}
+}
+
+// times codes a list of times as varints t − since.
+func (c *codec) times(v *[]int64, since int64) {
+	list(c, v, 1)
+	for i := range *v {
+		d := (*v)[i] - since
+		if c.varint(&d); !c.enc {
+			(*v)[i] = since + d
+		}
+	}
+}
+
 // rowFit caches the last row sums found to be those of count ±1 rows, by
 // their index, with their largest |R′_k| (row −1: none yet).
 type rowFit struct {
@@ -705,6 +780,17 @@ func (f *rowFit) check(rs []float64, row int, count int64) bool {
 // appendColumn appends column i of rep: as sums when they rebuild its bits,
 // else raw.
 func (c *codec) appendColumn(rep *sketch.Snapshot, i int, fit *rowFit) {
+	if len(rep.DeltaOf) > 0 && rep.DeltaOf[i] >= 0 {
+		c.b = binary.AppendUvarint(append(c.b, colDelta), uint64(rep.DeltaOf[i]))
+		for _, x := range rep.Sketches[i] {
+			if v := int64(x); float64(v) == x && v > -intBound && v < intBound {
+				c.b = binary.AppendVarint(c.b, v)
+			} else {
+				c.fail("delta volume %v is not a whole number below 2^53", x)
+			}
+		}
+		return
+	}
 	mark := len(c.b)
 	if rs := rep.RowSum(i); rs != nil && c.appendSums(rep, i, rs, fit) {
 		return
@@ -868,13 +954,22 @@ func (c *codec) column(rep *sketch.Snapshot, i int, fit *rowFit) {
 	}
 	form := c.b[0]
 	c.b = c.b[1:]
+	if len(rep.DeltaOf) > 0 {
+		rep.DeltaOf[i] = -1
+	}
 	switch form {
 	case colRaw:
+		c.forms.Raw++
 		c.floats(&rep.Sketches[i])
 		c.float(&rep.Means[i])
 		c.varint(&rep.Counts[i])
 		return
 	case colSums:
+		c.forms.Sums++
+	case colDelta:
+		c.forms.Delta++
+		c.deltaColumn(rep, i)
+		return
 	default:
 		c.fail("column form %d", form)
 		return
@@ -905,4 +1000,29 @@ func (c *codec) column(rep *sketch.Snapshot, i int, fit *rowFit) {
 		return
 	}
 	rep.Means[i], rep.Counts[i] = mean, count
+}
+
+// deltaColumn decodes the rest of column i, sent as colDelta, into rep.
+func (c *codec) deltaColumn(rep *sketch.Snapshot, i int) {
+	var g uint64
+	if c.uvarint(&g); c.err != nil || g >= uint64(len(rep.Deltas)) {
+		c.fail("delta column %d names delta %d of %d", i, g, len(rep.Deltas))
+		return
+	}
+	n := rep.Deltas[g].Len()
+	if n > len(c.b) {
+		c.fail("delta column %d of %d volumes, %d bytes left", i, n, len(c.b))
+		return
+	}
+	v := &rep.Sketches[i]
+	c.carve(v, n, min((len(rep.Sketches)-i)*n, len(c.b)))
+	for j := range *v {
+		x, k := binary.Varint(c.b)
+		if k <= 0 || x <= -intBound || x >= intBound {
+			c.fail("delta column %d: a bad or out-of-range volume", i)
+			return
+		}
+		(*v)[j], c.b = float64(x), c.b[k:]
+	}
+	rep.DeltaOf[i], rep.Means[i], rep.Counts[i] = int(g), 0, 0
 }

@@ -69,6 +69,10 @@ type Config struct {
 // total and every partial sum on the way to one is an integer below 2⁵³ in
 // magnitude: float64 holds each exactly, and the totals equal a fresh sum
 // over the window, bit for bit, in any order. Expiry subtracts what it drops.
+//
+// R depends only on which times the window holds, so the histograms of a
+// group (NewGroup), which take the same times, share one: the first slides
+// it and every one reads it.
 type Histogram struct {
 	cfg     Config
 	sketchL int
@@ -88,6 +92,7 @@ type Histogram struct {
 	totalSum   float64
 	totalZ     []float64
 	totalR     []float64
+	keepsR     bool
 }
 
 // New validates cfg and returns an empty histogram.
@@ -107,8 +112,28 @@ func New(cfg Config) (*Histogram, error) {
 		h.sketchL = cfg.Gen.SketchLen()
 		h.totalZ = make([]float64, h.sketchL)
 		h.totalR = make([]float64, h.sketchL)
+		h.keepsR = true
 	}
 	return h, nil
+}
+
+// NewGroup returns w empty histograms under cfg that share one R: every
+// update must reach all of them at the same times, the first first, and a
+// sketch is read only once all took the interval. (A window of one keeps an
+// R each: the slide of Z alone is exact only from two; see mat.SlideSums.)
+func NewGroup(cfg Config, w int) ([]*Histogram, error) {
+	hs := make([]*Histogram, w)
+	for i := range hs {
+		h, err := New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 && h.keepsR && cfg.WindowLen > 1 {
+			h.totalR, h.keepsR = hs[0].totalR, false
+		}
+		hs[i] = h
+	}
+	return hs, nil
 }
 
 // Count returns the number of elements in the window.
@@ -138,8 +163,11 @@ func (h *Histogram) Update(t int64, x float64) error {
 	h.totalSum += x
 	if slide {
 		// The ring keeps both rows valid together.
-		in := h.cfg.Gen.Row(t)
-		mat.SlideSums(h.totalZ, h.totalR, h.cfg.Gen.Row(oldT), in, -oldX, x)
+		in, r := h.cfg.Gen.Row(t), h.totalR
+		if !h.keepsR {
+			r = nil
+		}
+		mat.SlideSums(h.totalZ, r, h.cfg.Gen.Row(oldT), in, -oldX, x)
 	} else {
 		h.addRows(t, x, 1)
 	}
@@ -208,7 +236,18 @@ func (h *Histogram) addRows(t int64, x, sign float64) {
 	}
 	row := h.cfg.Gen.Row(t)
 	mat.AddScaled(h.totalZ, sign*x, row)
-	mat.AddScaled(h.totalR, sign, row)
+	if h.keepsR {
+		mat.AddScaled(h.totalR, sign, row)
+	}
+}
+
+// At returns the element of time t and whether the window holds one.
+func (h *Histogram) At(t int64) (float64, bool) {
+	if !h.started || t > h.now || t <= h.now-int64(len(h.window)) {
+		return 0, false
+	}
+	x := h.window[h.slotAfter(h.newest, t-h.now)]
+	return x, !math.IsNaN(x)
 }
 
 // EstimateVariance returns V, the window's sum of squared deviations (eq. 10).
