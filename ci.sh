@@ -52,12 +52,14 @@ step_done
 # to internal/stats/normal.go, whose Horner chains give the Q-threshold's c_α
 # (UpperQuantile), to internal/core/detector.go, whose distance and energy
 # sums decide an alarm at the margin, to internal/vh/vh.go, whose variance
-# and prior sketch feed the model, to internal/transport/wire.go, whose
-# round(μ·R′_k) rebuilds every projection sum a pull carries, or to
-# internal/sketch/delta.go, whose Applier rebuilds them to apply a delta pull.
+# and prior sketch feed the model, to internal/vh/sums.go, which recovers a
+# column's projection sums to send them or apply a delta to them, to
+# internal/transport/wire.go, whose round(μ·R′_k) rebuilds every projection
+# sum a pull carries, or to internal/sketch/delta.go, whose Applier slides
+# them to apply a delta pull.
 # Each -S listing must show its file at all, or the check would pass on
 # nothing.
-step "no fused multiply-add (internal/**/*.s; GOARCH=arm64 rowops.go, kernels.go, normal.go, detector.go, vh.go, wire.go and delta.go)"
+step "no fused multiply-add (internal/**/*.s; GOARCH=arm64 rowops.go, kernels.go, normal.go, detector.go, vh.go, sums.go, wire.go and delta.go)"
 FUSED=$(find internal -name '*.s' -exec grep -HnE 'VF(N)?M(ADD|SUB)' {} + || true)
 if [ -n "$FUSED" ]; then
     echo "fused multiply-add in the assembly:" >&2
@@ -82,6 +84,7 @@ no_fused_arm64 mat kernels.go
 no_fused_arm64 stats normal.go
 no_fused_arm64 core detector.go
 no_fused_arm64 vh vh.go
+no_fused_arm64 vh sums.go
 no_fused_arm64 transport wire.go
 no_fused_arm64 sketch delta.go
 step_done

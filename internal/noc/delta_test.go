@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,16 +14,16 @@ import (
 	"streampca/internal/traffic"
 )
 
-// TestDeltaPullsAreTheMonitorsBits: flat, and behind three aggregators of
-// which one runs the degraded policy (so its monitors answer whole), pulls
-// that land 1 to K+2 intervals apart go as deltas where they can, around a
-// skipped interval and a monitor restart; on every refresh the columns,
-// means, counts and R′ the NOC keeps are each monitor's SnapshotInto, bit for
-// bit, and the detector's are the same columns and means.
+// TestDeltaPullsAreTheMonitorsBits: flat, and behind three aggregators,
+// pulls that land 1 to K+2 intervals apart go as deltas where they can,
+// around a skipped interval and a monitor restart; behind three aggregators
+// under the degraded policy every column goes whole. On every refresh the
+// columns and means the detector reads are each monitor's SnapshotInto, bit
+// for bit. (tier's tests hold the counts and R′ to it as well.)
 func TestDeltaPullsAreTheMonitorsBits(t *testing.T) {
 	const window, l = 32, 48
-	const k = l / 16 // sketch.RandProj's K
-	tr, err := traffic.Generate(traffic.GeneratorConfig{NumIntervals: 4 * window, Seed: 61})
+	const k = l / 4 // sketch.RandProj's K
+	tr, err := traffic.Generate(traffic.GeneratorConfig{NumIntervals: 5 * window, Seed: 61})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,21 +38,17 @@ func TestDeltaPullsAreTheMonitorsBits(t *testing.T) {
 	}
 	skip, restart := int64(spikes[3]+1), int64(spikes[9]+1)
 	m := tr.NumFlows()
-	for _, aggs := range []int{0, 3} {
-		t.Run(fmt.Sprintf("aggregators=%d", aggs), func(t *testing.T) {
+	relaying := agg.Config{Pull: tier.PullPolicy{Timeout: 2 * time.Second, Retries: 1}, Redial: tier.RedialPolicy{Enabled: true}}
+	for _, topo := range []Topology{
+		{Monitors: 6},
+		{Monitors: 6, Aggregators: 3, Agg: relaying},
+		{Monitors: 6, Aggregators: 3, Agg: testAgg},
+	} {
+		degraded := topo.Agg.Degraded.Enabled
+		t.Run(fmt.Sprintf("aggregators=%d,degraded=%v", topo.Aggregators, degraded), func(t *testing.T) {
 			cfg := nocConfig()
 			cfg.Detector.NumFlows, cfg.Detector.WindowLen, cfg.Detector.SketchLen = m, window, l
 			cfg.Obs = obs.NewRegistry()
-			topo := Topology{Monitors: 6}
-			if aggs > 0 {
-				topo.Aggregators = aggs
-				topo.Agg = agg.Config{Pull: tier.PullPolicy{Timeout: 2 * time.Second, Retries: 1}, Redial: tier.RedialPolicy{Enabled: true}}
-				topo.Aggregator = func(i int, c *agg.Config) {
-					if i == 0 {
-						c.Degraded = tier.DegradedPolicy{Enabled: true, MaxStaleness: 1 << 40}
-					}
-				}
-			}
 			d := deploy(t, cfg, topo)
 			pulled := func(form string) int64 {
 				return cfg.Obs.Counter("streampca_noc_pulled_columns_total", "", obs.L("form", form)).Value()
@@ -78,64 +75,35 @@ func TestDeltaPullsAreTheMonitorsBits(t *testing.T) {
 			}
 			t.Logf("refreshes %v, gaps %v; columns pulled raw %d, as sums %d, as deltas %d",
 				refreshes, gaps, pulled("raw"), pulled("sums"), pulled("delta"))
-			if len(refreshes) < len(spikes)/2 || pulled("delta") < int64(m) || pulled("sums") < int64(m) {
-				t.Fatalf("%d refreshes, %d delta and %d sums columns: the comparison is vacuous",
+			if len(refreshes) < len(spikes)/2 || (pulled("delta") < int64(m)) != degraded || pulled("sums") < int64(m) {
+				t.Fatalf("%d refreshes, %d delta and %d sums columns: the comparison is vacuous, or a degraded tier relayed deltas",
 					len(refreshes), pulled("delta"), pulled("sums"))
 			}
 		})
 	}
 }
 
-// checkKept requires the answers the NOC keeps from its registrants, and the
-// detector's fetch, to hold for every flow the column, mean, count and R′ of
-// its monitor's SnapshotInto, bit for bit.
+// checkKept requires the columns and means the detector read to be, for
+// every flow, those of its monitor's SnapshotInto, bit for bit.
 func checkKept(t *testing.T, d *Deployment, at int64) {
 	t.Helper()
-	type column struct {
-		sketch, rows []float64
-		mean         float64
-		count        int64
-	}
-	want := make(map[int]column)
+	seen := 0
 	for _, mon := range d.Monitors {
 		mon.Inspect(func(cm *core.Monitor) {
 			var snap core.SketchReport
 			cm.SnapshotInto(&snap)
 			for j, f := range snap.FlowIDs {
-				want[f] = column{snap.Sketches[j], snap.RowSum(j), snap.Means[j], snap.Counts[j]}
+				got, want := d.NOC.fetched.Sketches[f], snap.Sketches[j]
+				if !slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) ||
+					math.Float64bits(d.NOC.fetched.Means[f]) != math.Float64bits(snap.Means[j]) {
+					t.Fatalf("interval %d flow %d: the detector read ẑ %v, μ %v; the monitor's are %v, %v",
+						at, f, got, d.NOC.fetched.Means[f], want, snap.Means[j])
+				}
+				seen++
 			}
 		})
 	}
-	same := func(a, b []float64) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k := range a {
-			if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
-				return false
-			}
-		}
-		return true
-	}
-	seen := 0
-	d.NOC.down.Kept(func(id string, rep *core.SketchReport) {
-		for i, f := range rep.FlowIDs {
-			w := want[f]
-			if !same(rep.Sketches[i], w.sketch) || !same(rep.RowSum(i), w.rows) ||
-				math.Float64bits(rep.Means[i]) != math.Float64bits(w.mean) || rep.Counts[i] != w.count {
-				t.Fatalf("interval %d flow %d (from %s): the NOC keeps count %d, μ %v, ẑ %v, R′ %v; the monitor's are %d, %v, %v, %v",
-					at, f, id, rep.Counts[i], rep.Means[i], rep.Sketches[i], rep.RowSum(i), w.count, w.mean, w.sketch, w.rows)
-			}
-			seen++
-		}
-	})
-	if seen != len(want) {
-		t.Fatalf("interval %d: the NOC keeps %d columns of %d", at, seen, len(want))
-	}
-	for f, w := range want {
-		if !same(d.NOC.fetched.Sketches[f], w.sketch) || math.Float64bits(d.NOC.fetched.Means[f]) != math.Float64bits(w.mean) {
-			t.Fatalf("interval %d flow %d: the detector read ẑ %v, μ %v; the monitor's are %v, %v",
-				at, f, d.NOC.fetched.Sketches[f], d.NOC.fetched.Means[f], w.sketch, w.mean)
-		}
+	if seen != len(d.NOC.fetched.Sketches) {
+		t.Fatalf("interval %d: the monitors hold %d columns, the detector read %d", at, seen, len(d.NOC.fetched.Sketches))
 	}
 }

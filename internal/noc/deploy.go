@@ -20,10 +20,8 @@ type Topology struct {
 	// Monitors is how many monitors stripe the flows (core.Params.Stripe).
 	Monitors int
 	// Agg configures every aggregator; Deploy names each. Protocol
-	// parameters it leaves unset are adopted from the NOC. Aggregator, when
-	// set, edits aggregator i's configuration after that.
-	Agg        agg.Config
-	Aggregator func(i int, c *agg.Config)
+	// parameters it leaves unset are adopted from the NOC.
+	Agg agg.Config
 	// Monitor, when set, edits monitor i's configuration after Deploy has
 	// filled its ID, FlowIDs and Candidates. Protocol parameters it leaves
 	// unset are adopted from the tier above.
@@ -104,9 +102,6 @@ func (d *Deployment) deployTier(upstream string) error {
 	for i := range d.topo.Aggregators {
 		cfg := d.topo.Agg
 		cfg.ID = fmt.Sprintf("agg-%d", i+1)
-		if d.topo.Aggregator != nil {
-			d.topo.Aggregator(i, &cfg)
-		}
 		a, err := agg.New(cfg)
 		if err != nil {
 			return err

@@ -1,7 +1,6 @@
 package sketch
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -21,11 +20,9 @@ type Delta struct {
 }
 
 // kept is K, how many of the values that left its windows a RandProj keeps
-// for DeltaInto at sketch length l: ⌊l/16⌋, so a delta carries at most
-// 2K ≤ l/8 volumes a flow. The requester slides a column by each volume at
-// O(l), what decoding the whole column costs, so deltas are kept to the
-// short pull gaps where they save the most bytes for the least work.
-func kept(l int) int { return l / 16 }
+// for DeltaInto at sketch length l: ⌊l/4⌋, so a delta carries at most
+// 2K ≤ l/2 volumes a flow, never more numbers than the sums it stands for.
+func kept(l int) int { return l / 4 }
 
 // Len is the number of volumes a column of the delta carries.
 func (d *Delta) Len() int { return len(d.Entered) + len(d.Left) }
@@ -197,10 +194,6 @@ func (m *RandProj) DeltaInto(dst *Snapshot, since int64) bool {
 	return true
 }
 
-// errBaseSums is Apply's refusal of a base column whose sums it cannot
-// recover: one not of whole-byte volumes, or of sums near 2⁵⁰ or past.
-var errBaseSums = errors.New("the base column is not the sums of whole-byte volumes within range")
-
 // Applier turns a pull's delta columns back into whole ones at the side
 // that asked for them (see Apply). It keeps the scratch that takes and is
 // not safe for concurrent use.
@@ -246,16 +239,16 @@ func NewApplier(gen *randproj.Generator, windowLen, m int) *Applier {
 // Apply rewrites the delta columns of rep, a validated report, as the whole
 // columns they stand for, against base, the whole report from the same
 // registrant at interval rep.Since. For each flow it recovers the sums under
-// base's column, Z′ and S′ = μ·c′ (the ones vh.Centred gave its ẑ and μ
-// from, found as transport's sums codec finds them), moves them, c′ and R′
-// on by the volumes that entered and left, and centres them again. Every sum
-// is an integer below 2⁵³, so each column gets the bits the registrant's
-// own SnapshotInto gives it.
+// base's column, Z′ (vh.Sums) and S′ = μ·c′, moves them, c′ and R′ on by
+// the volumes that entered and left, and centres them again. Every sum is an
+// integer below 2⁵³, so each column gets the bits the registrant's own
+// SnapshotInto gives it.
 //
 // A delta since another interval than base's, a time before rep.Since's
 // window, a flow base has no column or no R′ for, a volume vh.CheckVolume
-// refuses at n, a base column whose sums do not give its bits, or a count
-// outside [0, n) is an error wrapping ErrInput, and leaves rep's columns,
+// refuses at n, a base column whose sums do not give its bits
+// (vh.ErrNotSums), or a count outside [0, n) is an error wrapping ErrInput,
+// and leaves rep's columns,
 // means, counts and R′ as they were.
 func (a *Applier) Apply(rep, base *Snapshot) error {
 	if len(rep.DeltaOf) == 0 {
@@ -298,12 +291,12 @@ func (a *Applier) Apply(rep, base *Snapshot) error {
 		}
 		z = z[:l]
 		rep.Sketches[col.i] = z
-		if !baseSums(z, base.Sketches[col.b], base.RowSum(col.b), base.Means[col.b]) {
+		if err := vh.Sums(z, base.Sketches[col.b], base.RowSum(col.b), base.Means[col.b]); err != nil {
 			for _, col := range a.cols[:c+1] {
 				n := rep.Deltas[rep.DeltaOf[col.i]].Len()
 				rep.Sketches[col.i] = append(rep.Sketches[col.i][:0], a.vols[col.off:col.off+n]...)
 			}
-			return fmt.Errorf("%w: flow %d: %w", ErrInput, rep.FlowIDs[col.i], errBaseSums)
+			return fmt.Errorf("%w: flow %d's base column: %w", ErrInput, rep.FlowIDs[col.i], err)
 		}
 	}
 	if len(rep.RowSumOf) == 0 {
@@ -440,7 +433,7 @@ func (a *Applier) check(rep, base *Snapshot) error {
 		mean, count := base.Means[b], base.Counts[b]
 		sum := math.Round(mean * float64(count))
 		if count < 0 || !(math.Abs(sum) < 1<<53) || math.Float64bits(vh.Mean(sum, count)) != math.Float64bits(mean) {
-			return fmt.Errorf("%w: flow %d: %w", ErrInput, f, errBaseSums)
+			return fmt.Errorf("%w: flow %d's base mean: %w", ErrInput, f, vh.ErrNotSums)
 		}
 		for _, x := range rep.Sketches[i] {
 			if err := vh.CheckVolume(x, int(a.window)); err != nil {
@@ -457,24 +450,4 @@ func (a *Applier) check(rep, base *Snapshot) error {
 		a.vols = append(a.vols, rep.Sketches[i]...)
 	}
 	return nil
-}
-
-// baseSums recovers into z the projection sums Z′_k under a base column zb
-// of mean μ over R′ rs, the integers that vh.Centred(Z′_k, R′_k, μ) gives its
-// ẑ_k from. It reports false when no integers give their bits, or when a
-// |Z′_k| + |μ·R′_k| reaches 2⁵⁰, past which two integers may give one ẑ_k
-// (transport's sums codec draws the same line).
-func baseSums(z, zb, rs []float64, mean float64) bool {
-	l := len(zb)
-	z, rs = z[:l], rs[:l]
-	root, scale := math.Sqrt(float64(l)), vh.Scale(l)
-	for k, v := range zb {
-		p := float64(mean * rs[k])
-		zk := math.RoundToEven(float64(v*root) + p)
-		if !(math.Abs(zk)+math.Abs(p) < 1<<50) || math.Float64bits(vh.Centred(zk, rs[k], mean, scale)) != math.Float64bits(v) {
-			return false
-		}
-		z[k] = zk
-	}
-	return true
 }

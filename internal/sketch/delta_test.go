@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"streampca/internal/randproj"
+	"streampca/internal/vh"
 )
 
 // requester is what a pull's asking side keeps of one sketcher's answers:
@@ -38,7 +39,7 @@ func (q *requester) pull(t *testing.T, sk *RandProj, huge bool) {
 		switch err := q.applier.Apply(&got, &q.base); {
 		case err == nil:
 			q.deltas++
-		case huge && errors.Is(err, errBaseSums):
+		case huge && errors.Is(err, vh.ErrNotSums):
 			delta = false
 		default:
 			t.Fatalf("interval %d: the delta since %d does not apply: %v", sk.now, q.base.Interval, err)
@@ -214,10 +215,10 @@ func TestApplyRefusesBadDeltas(t *testing.T) {
 	sameBits(t, 20, &delta, &want)
 }
 
-// BenchmarkApply applies one monitor's delta of a pull gap of 1, 4 and
-// K = 6 at the bench's n = 144, l = 100 and 27 flows (one flat-* monitor).
+// BenchmarkApply applies one monitor's delta of a pull gap of 1, 4, 16 and
+// K = 25 at the bench's n = 144, l = 100 and 27 flows (one flat-* monitor).
 func BenchmarkApply(b *testing.B) {
-	for _, gap := range []int64{1, 4, 6} {
+	for _, gap := range []int64{1, 4, 16, 25} {
 		b.Run(fmt.Sprintf("gap=%d", gap), func(b *testing.B) { benchmarkApply(b, gap) })
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"streampca/internal/core"
 	"streampca/internal/faults"
 	"streampca/internal/obs"
+	"streampca/internal/randproj"
 	"streampca/internal/sketch"
 	"streampca/internal/transport"
 )
@@ -180,9 +181,9 @@ type response struct {
 
 // link is what a tier keeps of one registrant connection's answers: last,
 // the answer the last released pull used (whole, unless the pull relayed
-// deltas) and at, its interval, which the next request names as Since (0:
-// none, or its delta did not apply); spare, a response for the reader to
-// decode the next answer into.
+// deltas), and at, its interval, which the next request names as Since (0:
+// none, or its answer did not fold or arrive); spare, a response for the
+// reader to decode the next answer into.
 type link struct {
 	last, spare *transport.SketchResponse
 	at          int64
@@ -230,8 +231,12 @@ type Downstream struct {
 	// links keep each registrant connection's answers: the last, which a
 	// delta applies to, and a spare to decode the next into, so its arrays
 	// already have the answer's shape (see Release). applier applies
-	// deltas, under applyMu; free is a released Pull, reused by the next.
+	// deltas under gen, under applyMu: the tier that requires every flow,
+	// the top one, makes it up front, any other when it first applies one,
+	// so a tier that only relays deltas keeps no scratch for them. free is a
+	// released Pull, reused by the next.
 	links   map[*transport.Conn]*link
+	gen     *randproj.Generator
 	applyMu sync.Mutex
 	applier *sketch.Applier
 	free    *Pull
@@ -270,8 +275,9 @@ func NewDownstream(cfg DownstreamConfig) (*Downstream, error) {
 		cols = make([]column, cfg.NumFlows)
 	}
 	// Deltas are randproj's, and applied only where its generator is.
+	gen, _ := cfg.Params.Generator()
 	var applier *sketch.Applier
-	if gen, err := cfg.Params.Generator(); err == nil && gen != nil {
+	if gen != nil && cfg.RequireAll {
 		applier = sketch.NewApplier(gen, cfg.WindowLen, cfg.NumFlows)
 	}
 	return &Downstream{
@@ -285,6 +291,7 @@ func NewDownstream(cfg DownstreamConfig) (*Downstream, error) {
 		breakers:  make(map[string]*breakerState),
 		cache:     make(map[string]core.SketchReport),
 		links:     make(map[*transport.Conn]*link),
+		gen:       gen,
 		applier:   applier,
 		cols:      cols,
 		lastVol:   make([]float64, cfg.NumFlows),

@@ -124,10 +124,10 @@ func (d *Downstream) pull(sp *trace.Span, tc *transport.TraceContext, relay bool
 }
 
 // Release hands the tier back p and the arrays its randproj answers were
-// decoded into: each registrant's next answer decodes into its last one, and
-// the next Pull reuses p. Call it once nothing reads p any more: after the
-// model is built or the merge sent. A pull never released costs allocation,
-// not correctness.
+// decoded into: each registrant's answer becomes the last one kept from it,
+// which the next request names as Since, and the next Pull reuses p. Call it
+// once nothing reads p any more: after the model is built or the merge sent.
+// A pull never released costs allocation, not correctness.
 func (d *Downstream) Release(p *Pull) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -144,19 +144,6 @@ func (d *Downstream) Release(p *Pull) {
 	clear(p.held)
 	*p = Pull{by: p.by, miss: p.miss[:0], Reports: p.Reports[:0], held: p.held[:0]}
 	d.free = p
-}
-
-// Kept calls f with the ID of each registrant and the last answer the tier
-// keeps from it, whole unless a Relay pull kept it, while the tier's lock is
-// held: f must not keep the report or call into the tier.
-func (d *Downstream) Kept(f func(id string, rep *core.SketchReport)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for c, k := range d.links {
-		if e := d.regs[c]; e != nil && k.last != nil {
-			f(e.id, &k.last.Report)
-		}
-	}
 }
 
 // Uncovered lists the flows p still owes: required or owned by a live
@@ -355,11 +342,17 @@ func (d *Downstream) round(p *Pull, sp *trace.Span, tc *transport.TraceContext) 
 		return 0
 	}
 
+	// A registrant asked and not folded may have moved on past the copy this
+	// tier keeps (a relaying tier below releases its pull whether or not its
+	// answer arrives here, and its monitors' next deltas start from that
+	// answer): forget drops the copy, and the next request asks for whole
+	// columns.
 	for c, a := range rd.awaiting {
 		rd.req.Since = a.since
 		if err := c.Send(transport.Envelope{Request: &rd.req, Trace: tc}); err != nil {
 			d.log.Warn("sketch request send failed", "peer", a.id, "err", err)
 			d.fail(sp, a.id, "request_send_failed")
+			d.forget(c)
 			delete(rd.awaiting, c)
 		}
 	}
@@ -387,9 +380,10 @@ func (d *Downstream) round(p *Pull, sp *trace.Span, tc *transport.TraceContext) 
 				sp.Event("breaker_close", trace.S("monitor", mid))
 			}
 		case <-rd.timer.C:
-			for _, a := range rd.awaiting {
+			for c, a := range rd.awaiting {
 				d.log.Warn("sketch response timed out", "peer", a.id, "request", rd.req.RequestID, "timeout", d.cfg.Pull.Timeout)
 				d.fail(sp, a.id, "response_timeout")
+				d.forget(c)
 			}
 			return asked
 		case <-d.done:
@@ -494,7 +488,7 @@ func (d *Downstream) fold(p *Pull, in response, a asked) error {
 func (d *Downstream) sinceLocked(conn *transport.Conn, p *Pull) int64 {
 	k := d.links[conn]
 	switch {
-	case k == nil || d.cfg.Family != sketch.FamilyRandProj || d.cfg.Degraded.Enabled || (d.applier == nil && !p.relay):
+	case k == nil || d.cfg.Family != sketch.FamilyRandProj || d.cfg.Degraded.Enabled || (d.gen == nil && !p.relay):
 		return 0
 	case p.relay && k.at != p.since:
 		return 0
@@ -515,6 +509,9 @@ func (d *Downstream) apply(conn *transport.Conn, rep *core.SketchReport) error {
 	d.mu.Unlock()
 	d.applyMu.Lock()
 	defer d.applyMu.Unlock()
+	if d.applier == nil {
+		d.applier = sketch.NewApplier(d.gen, d.cfg.WindowLen, d.cfg.NumFlows)
+	}
 	if err := d.applier.Apply(rep, base); err != nil {
 		return fmt.Errorf("%w: %w", transport.ErrBadMessage, err)
 	}

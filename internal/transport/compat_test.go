@@ -129,7 +129,7 @@ func TestGoldenFrames(t *testing.T) {
 	for _, g := range goldenFrames {
 		t.Run(g.name, func(t *testing.T) {
 			want := unhex(t, g.hex)
-			got, err := appendFrame(nil, &g.env)
+			got, err := appendFrame(nil, nil, &g.env)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestGoldenFrames(t *testing.T) {
 			if err != nil || n != len(want) {
 				t.Fatalf("decode: %d of %d bytes, %v", n, len(want), err)
 			}
-			if again, _ := appendFrame(nil, &back); !bytes.Equal(again, want) {
+			if again, _ := appendFrame(nil, nil, &back); !bytes.Equal(again, want) {
 				t.Fatalf("re-encoded\n got  %x\n want %x", again, want)
 			}
 		})

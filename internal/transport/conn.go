@@ -31,7 +31,8 @@ type Conn struct {
 
 	sendMu sync.Mutex
 	wbuf   []byte
-	opened bool // the preamble went out
+	zs     []float64 // appendFrame's scratch
+	opened bool      // the preamble went out
 
 	// Reader state, owned by the Recv goroutine: rbuf[r:] is buffered and
 	// unread. rerr sticks once the stream cannot be read on: a refused
@@ -100,7 +101,7 @@ func (c *Conn) Send(e Envelope) error {
 		if o.Corrupt {
 			// Damage a copy that owns its arrays, made by a round trip
 			// through the codec.
-			frame, err := appendFrame(nil, &e)
+			frame, err := appendFrame(nil, nil, &e)
 			if err != nil {
 				return err
 			}
@@ -118,7 +119,7 @@ func (c *Conn) Send(e Envelope) error {
 	if !c.opened {
 		buf = append(buf, preamble[:]...)
 	}
-	buf, err := appendFrame(buf, &e)
+	buf, err := appendFrame(buf, &c.zs, &e)
 	c.wbuf = buf
 	if err == nil {
 		_, err = c.raw.Write(buf)
@@ -227,10 +228,13 @@ func (c *Conn) next(e *Envelope, resp func() *SketchResponse) error {
 }
 
 // fill reads until n unread bytes are buffered. A full buffer doubles, by at
-// least minRead: never by more than its own size per read, so a frame that
-// declares more than the peer sends costs memory in proportion to what
-// arrived, and frames that grow a few bytes at a time (integer sums widening
-// as a window fills) reallocate it a logarithmic number of times.
+// least minRead; once three times its size holds the frame, it grows to hold
+// the frame and a quarter again. It never grows by more than a few times its
+// size per read, so a frame that declares more than the peer sends costs
+// memory in proportion to what arrived; frames that grow a few bytes at a
+// time (integer sums widening as a window fills) reallocate it a
+// logarithmic number of times, and frames within a quarter of the one that
+// last grew it never do.
 func (c *Conn) fill(n int) error {
 	if c.r == len(c.rbuf) {
 		c.r, c.rbuf = 0, c.rbuf[:0]
@@ -241,7 +245,11 @@ func (c *Conn) fill(n int) error {
 			c.r = 0
 		}
 		if len(c.rbuf) == cap(c.rbuf) {
-			c.rbuf = slices.Grow(c.rbuf, max(cap(c.rbuf), minRead))
+			want := max(2*cap(c.rbuf), minRead)
+			if n <= 3*cap(c.rbuf) {
+				want = max(want, n+n/4)
+			}
+			c.rbuf = slices.Grow(c.rbuf, want-len(c.rbuf))
 		}
 		k, err := c.raw.Read(c.rbuf[len(c.rbuf):cap(c.rbuf)])
 		c.rbuf = c.rbuf[:len(c.rbuf)+k]

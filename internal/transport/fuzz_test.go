@@ -32,7 +32,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		b := preamble[:]
 		for i := range envs {
 			var err error
-			if b, err = appendFrame(b, &envs[i]); err != nil {
+			if b, err = appendFrame(b, nil, &envs[i]); err != nil {
 				f.Fatal(err)
 			}
 		}
@@ -114,7 +114,7 @@ func FuzzDecodeMessage(f *testing.F) {
 			if err := e.Validate(); err != nil {
 				t.Fatalf("decoded an invalid envelope: %v", err)
 			}
-			once, err := appendFrame(nil, &e)
+			once, err := appendFrame(nil, nil, &e)
 			if err != nil {
 				t.Fatalf("re-encode: %v", err)
 			}
@@ -122,7 +122,7 @@ func FuzzDecodeMessage(f *testing.F) {
 			if _, err := decodeFrame(once, &back); err != nil {
 				t.Fatalf("decode of a re-encoded frame: %v", err)
 			}
-			if twice, _ := appendFrame(nil, &back); !bytes.Equal(once, twice) {
+			if twice, _ := appendFrame(nil, nil, &back); !bytes.Equal(once, twice) {
 				t.Fatalf("frame changed in a round trip:\n %x\n %x", once, twice)
 			}
 		}

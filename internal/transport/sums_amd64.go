@@ -1,10 +1,10 @@
 package transport
 
 // The AVX2 kernels in sums_amd64.s: each takes a multiple of four elements,
-// len(z) or n, packAVX2 a width w of 1 to 3 and sumsIntoAVX2 one of 1 to 4.
+// len(zs), len(z) or n, packAVX2 a width w of 1 to 3 and sumsIntoAVX2 one of 1 to 4.
 
 //go:noescape
-func residualsAVX2(out []byte, z, rs []float64, mean, root, scale float64) (acc uint64, ok bool)
+func residualsAVX2(out []byte, zs, rs []float64, mean float64) (acc uint64)
 
 //go:noescape
 func packAVX2(b []byte, n, w int)

@@ -43,56 +43,43 @@ DATA unpackMasks<>+48(SB)/8, $0x0706050403020100
 DATA unpackMasks<>+56(SB)/8, $0x0f0e0d0c0b0a0908
 GLOBL unpackMasks<>(SB), RODATA|NOPTR, $64
 
-// func residualsAVX2(out []byte, z, rs []float64, mean, root, scale float64) (acc uint64, ok bool)
+// func residualsAVX2(out []byte, zs, rs []float64, mean float64) (acc uint64)
 //
 // Each D_k goes to out as its low 4 bytes.
-TEXT ·residualsAVX2(SB), NOSPLIT, $0-105
+TEXT ·residualsAVX2(SB), NOSPLIT, $0-88
 	MOVQ         out_base+0(FP), DI
-	MOVQ         z_base+24(FP), SI
-	MOVQ         z_len+32(FP), CX
+	MOVQ         zs_base+24(FP), SI
+	MOVQ         zs_len+32(FP), CX
 	MOVQ         rs_base+48(FP), DX
 	VBROADCASTSD mean+72(FP), Y0
-	VBROADCASTSD root+80(FP), Y1
-	VBROADCASTSD scale+88(FP), Y2
 	VBROADCASTSD magic<>(SB), Y3
 	VMOVDQU      lowDwords<>(SB), Y4
-	VPCMPEQQ     Y5, Y5, Y5           // all ones while every ẑ_k rebuilds
 	VPXOR        Y15, Y15, Y15        // the OR of D_k ^ D_k<<1
 	XORQ         AX, AX
 	TESTQ        CX, CX
 	JZ           done
 
 loop:
-	VMOVUPD  (SI)(AX*8), Y7       // ẑ_k
-	VMULPD   (DX)(AX*8), Y0, Y8   // p = μ·R′_k
-	VMULPD   Y7, Y1, Y9           // ẑ_k·√l
-	VADDPD   Y8, Y9, Y9
-	VADDPD   Y3, Y9, Y9           // M + Z′_k
-	VSUBPD   Y3, Y9, Y10          // Z′_k
-	VSUBPD   Y8, Y10, Y10
-	VMULPD   Y2, Y10, Y10         // vh.Centred(Z′_k, R′_k, μ)
-	VPCMPEQQ Y7, Y10, Y10         // the bits of ẑ_k
-	VPAND    Y10, Y5, Y5
-	VADDPD   Y3, Y8, Y8           // M + round(p)
-	VPSUBQ   Y8, Y9, Y8           // D_k
-	VPERMD   Y8, Y4, Y12
-	VMOVDQU  X12, (DI)(AX*4)
-	VPADDQ   Y8, Y8, Y11          // D_k<<1
-	VPXOR    Y11, Y8, Y8
-	VPOR     Y8, Y15, Y15
-	ADDQ     $4, AX
-	CMPQ     AX, CX
-	JB       loop
+	VMULPD  (DX)(AX*8), Y0, Y8   // p = μ·R′_k
+	VMOVUPD (SI)(AX*8), Y9
+	VADDPD  Y3, Y9, Y9           // M + Z′_k
+	VADDPD  Y3, Y8, Y8           // M + round(p)
+	VPSUBQ  Y8, Y9, Y8           // D_k
+	VPERMD  Y8, Y4, Y12
+	VMOVDQU X12, (DI)(AX*4)
+	VPADDQ  Y8, Y8, Y11          // D_k<<1
+	VPXOR   Y11, Y8, Y8
+	VPOR    Y8, Y15, Y15
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JB      loop
 
 done:
 	VEXTRACTI128 $1, Y15, X14
 	VPOR         X14, X15, X15
 	VPSHUFD      $0x4e, X15, X14
 	VPOR         X14, X15, X15
-	VMOVQ        X15, acc+96(FP)
-	VMOVMSKPD    Y5, BX
-	CMPQ         BX, $15
-	SETEQ        ok+104(FP)
+	VMOVQ        X15, acc+80(FP)
 	VZEROUPPER
 	RET
 

@@ -3,7 +3,7 @@
 package transport
 
 // Never called: mat.UsesAVX2 is false off amd64.
-func residualsAVX2(out []byte, z, rs []float64, mean, root, scale float64) (acc uint64, ok bool) {
+func residualsAVX2(out []byte, zs, rs []float64, mean float64) (acc uint64) {
 	panic("transport: no AVX2 kernels on this GOARCH")
 }
 

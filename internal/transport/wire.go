@@ -102,10 +102,6 @@ const (
 	maxFrame = 1 << 26
 	// traceFlag marks a frame whose header carries a TraceContext.
 	traceFlag = 0x80
-	// sumsBound bounds every |Z′_k| + |μ|·|R′_k| of an integer column: far
-	// above any window of byte counts, and 3 bits below 2⁵³, where integers
-	// are exact floats, for the rounding of the rebuilt column.
-	sumsBound = 1 << 50
 )
 
 var preamble = [...]byte{'S', 'P', 'C', 'A', wireVersion}
@@ -156,14 +152,15 @@ func checkPreamble(b []byte) error {
 	return nil
 }
 
-// appendFrame appends e's frame to dst. e must hold exactly one payload.
-func appendFrame(dst []byte, e *Envelope) ([]byte, error) {
+// appendFrame appends e's frame to dst. e must hold exactly one payload. zs,
+// when not nil, is the sender's scratch for a column's sums (appendSums).
+func appendFrame(dst []byte, zs *[]float64, e *Envelope) ([]byte, error) {
 	start := len(dst)
 	kind := e.kind()
 	if e.Trace != nil {
 		kind |= traceFlag
 	}
-	c := codec{enc: true, b: append(dst, kind, 0, 0, 0, 0)}
+	c := codec{enc: true, b: append(dst, kind, 0, 0, 0, 0), zs: zs}
 	if e.Trace != nil {
 		c.trace(e.Trace)
 	}
@@ -360,6 +357,8 @@ type codec struct {
 	fromSums int
 	// forms counts the columns decoded by form.
 	forms ColumnForms
+	// zs is the encoder's scratch for a column's Z′ (appendSums).
+	zs *[]float64
 }
 
 func (c *codec) fail(format string, args ...any) {
@@ -803,7 +802,7 @@ func (c *codec) appendColumn(rep *sketch.Snapshot, i int, fit *rowFit) {
 
 // appendSums appends column i of rep, ẑ with mean μ over c′ windowed
 // elements and the row sums rs, as colSums, recovering S′ = round(μ·c′)
-// and Z′ (appendZ). It reports false, having appended an unspecified tail,
+// and Z′ (vh.Sums). It reports false, having appended an unspecified tail,
 // when the sums are out of range or do not rebuild the column's and the
 // mean's exact bits. It keeps |μ|·|R′_k| < 2⁴⁹, inside the decoder's range
 // with room for the rounding of Z′_k + μ·R′_k.
@@ -815,76 +814,71 @@ func (c *codec) appendSums(rep *sketch.Snapshot, i int, rs []float64, fit *rowFi
 		!fit.check(rs, rep.RowSumOf[i], count) || !(math.Abs(mean)*fit.max < 1<<49) {
 		return false
 	}
+	if c.zs == nil {
+		c.zs = new([]float64)
+	}
+	zs := slices.Grow((*c.zs)[:0], len(z))[:len(z)]
+	*c.zs = zs
+	if vh.Sums(zs, z, rs, mean) != nil {
+		return false
+	}
 	c.b = binary.AppendVarint(binary.AppendVarint(append(c.b, colSums), count), int64(sum))
 	var ok bool
-	c.b, ok = appendZ(c.b, z, rs, mean)
+	c.b, ok = appendZ(c.b, zs, rs, mean)
 	return ok
 }
 
-// appendZ appends the column z as the width byte w and l two's-complement
-// integers of w little-endian bytes each, the residuals D_k (residuals), or
-// reports false when a ẑ_k does not rebuild or a D_k is outside
+// appendZ appends the sums zs of a column of mean μ over rs as the width
+// byte w and l two's-complement integers of w little-endian bytes each, the
+// residuals D_k (residuals), or reports false when a D_k is outside
 // [−2⁴⁸, 2⁴⁸). w is the fewest bytes that hold every D_k. The residuals are
 // written where the packed ones go, 4 bytes each, which hold them all when
 // w ≤ 4, else 8, then packed in place. A b too short for that doubles, so a
 // message that grows a few bytes at a time rarely reallocates it.
-func appendZ(b []byte, z, rs []float64, mean float64) ([]byte, bool) {
-	if need := 1 + 8*len(z); cap(b)-len(b) < need {
+func appendZ(b []byte, zs, rs []float64, mean float64) ([]byte, bool) {
+	if need := 1 + 8*len(zs); cap(b)-len(b) < need {
 		b = slices.Grow(b, max(need, len(b)))
 	}
 	b = append(b, 0)
 	start := len(b)
-	out := b[start : start+8*len(z)]
-	acc, ok := residuals(out, z, rs[:len(z)], mean, 4)
-	if !ok || acc >= 1<<49 {
+	out := b[start : start+8*len(zs)]
+	acc := residuals(out, zs, rs[:len(zs)], mean, 4)
+	if acc >= 1<<49 {
 		return b, false
 	}
 	w := (max(bits.Len64(acc), 1) + 7) / 8
 	if w > 4 {
-		residuals(out, z, rs[:len(z)], mean, 8)
+		residuals(out, zs, rs[:len(zs)], mean, 8)
 	}
-	pack(out, len(z), w)
+	pack(out, len(zs), w)
 	b[start-1] = byte(w)
-	return b[:start+w*len(z)], true
+	return b[:start+w*len(zs)], true
 }
 
-// residuals writes D_k = Z′_k − round(p_k), where p_k = μ·R′_k and Z′_k =
-// round(ẑ_k·√l + p_k), into out as little-endian integers every stride
-// bytes, 4 (their low bytes) or 8, and returns the OR of every
-// D_k ^ D_k<<1, which has a bit set at or above bit s exactly when some D_k
-// needs more than s bits: its bit length is the width in bits that holds
-// them all (0 when all are 0). It reports false when a
-// vh.Centred(Z′_k, R′_k, μ) is not ẑ_k's bits. out must hold 8 bytes from
-// the last integer's slot.
+// residuals writes D_k = Z′_k − round(p_k), where p_k = μ·R′_k, into out
+// as little-endian integers every stride bytes, 4 (their low bytes) or 8,
+// and returns the OR of every D_k ^ D_k<<1, which has a bit set at or above
+// bit s exactly when some D_k needs more than s bits: its bit length is the
+// width in bits that holds them all (0 when all are 0). out must hold 8
+// bytes from the last integer's slot.
 //
-// |p_k| ≤ |S′| < 2⁴⁷ (appendSums), and D_k is the bits of M + Z′_k less
-// those of M + round(p_k), M = 1.5·2⁵². Where |Z′_k| < 2⁵¹ that is the
-// integer; past it, or for a NaN, |D_k| > 2⁴⁸, which appendZ refuses. So
-// every D_k sent rebuilds Z′_k = D_k + round(p_k), |Z′_k| < 2⁴⁹.
-func residuals(out []byte, z, rs []float64, mean float64, stride int) (uint64, bool) {
-	root, scale := math.Sqrt(float64(len(z))), vh.Scale(len(z))
+// Every |Z′_k| + |p_k| < 2⁵⁰ (vh.Sums), and D_k is the bits of M + Z′_k
+// less those of M + round(p_k), M = 1.5·2⁵², the integer itself. So every
+// D_k sent rebuilds Z′_k = D_k + round(p_k).
+func residuals(out []byte, zs, rs []float64, mean float64, stride int) uint64 {
 	var acc uint64
 	k0 := 0
 	if useAVX2 && stride == 4 {
-		k0 = len(z) &^ 3
-		var ok bool
-		if acc, ok = residualsAVX2(out[:4*k0], z[:k0], rs[:k0], mean, root, scale); !ok {
-			return 0, false
-		}
+		k0 = len(zs) &^ 3
+		acc = residualsAVX2(out[:4*k0], zs[:k0], rs[:k0], mean)
 	}
-	for k := k0; k < len(z); k++ {
-		// The last is vh.Centred(zk, R′_k, μ) with its product p reused.
-		v, p := z[k], float64(mean*rs[k])
-		x := float64(v*root) + p + 0x1.8p52
-		zk := x - 0x1.8p52
-		if math.Float64bits(scale*(zk-p)) != math.Float64bits(v) {
-			return 0, false
-		}
-		d := int64(math.Float64bits(x)) - int64(math.Float64bits(p+0x1.8p52))
+	for k := k0; k < len(zs); k++ {
+		p := float64(mean * rs[k])
+		d := int64(math.Float64bits(zs[k]+0x1.8p52)) - int64(math.Float64bits(p+0x1.8p52))
 		acc |= uint64(d ^ d<<1)
 		binary.LittleEndian.PutUint64(out[stride*k:], uint64(d))
 	}
-	return acc, true
+	return acc
 }
 
 // pack moves the n integers at the head of b, residuals' 4-byte slots for
@@ -928,7 +922,7 @@ func sumsInto(z []float64, b []byte, rs []float64, mean, maxR float64) ([]byte, 
 		for k := range z {
 			p := float64(mean * rs[k])
 			zk := float64(int64(binary.LittleEndian.Uint64(b[w*k:])<<sh)>>sh) + (p + 0x1.8p52 - 0x1.8p52)
-			if !(math.Abs(zk)+math.Abs(p) < sumsBound) {
+			if !(math.Abs(zk)+math.Abs(p) < vh.SumsBound) {
 				return b, false
 			}
 		}
