@@ -22,7 +22,7 @@ import (
 // for bit. (tier's tests hold the counts and R′ to it as well.)
 func TestDeltaPullsAreTheMonitorsBits(t *testing.T) {
 	const window, l = 32, 48
-	const k = l / 4 // sketch.RandProj's K
+	const k = l / 20 // sketch.RandProj's K
 	tr, err := traffic.Generate(traffic.GeneratorConfig{NumIntervals: 5 * window, Seed: 61})
 	if err != nil {
 		t.Fatal(err)

@@ -20,9 +20,11 @@ type Delta struct {
 }
 
 // kept is K, how many of the values that left its windows a RandProj keeps
-// for DeltaInto at sketch length l: ⌊l/4⌋, so a delta carries at most
-// 2K ≤ l/2 volumes a flow, never more numbers than the sums it stands for.
-func kept(l int) int { return l / 4 }
+// for DeltaInto at sketch length l: ⌊l/20⌋, so a delta carries at most
+// 2K ≤ l/10 volumes a flow. Pulls further apart send sums, so an alarm's
+// bytes are those of a short delta or of the sums and seldom anything
+// between, whichever seed drives the traffic (see DESIGN §3.2).
+func kept(l int) int { return l / 20 }
 
 // Len is the number of volumes a column of the delta carries.
 func (d *Delta) Len() int { return len(d.Entered) + len(d.Left) }

@@ -133,7 +133,7 @@ func runPulls(t *testing.T, seed int64, window, l, w, steps int, huge bool) int 
 // restart, every column a delta rebuilds is SnapshotInto's, and most pulls
 // go as deltas.
 func TestDeltaPullsRebuildSnapshots(t *testing.T) {
-	for _, c := range []struct{ window, l, w, steps int }{{144, 100, 27, 600}, {8, 16, 3, 400}, {3, 32, 2, 200}} {
+	for _, c := range []struct{ window, l, w, steps int }{{144, 100, 27, 600}, {8, 20, 3, 400}, {3, 40, 2, 200}} {
 		deltas := runPulls(t, 5, c.window, c.l, c.w, c.steps, false)
 		if deltas == 0 {
 			t.Fatalf("n=%d l=%d: no pull went as a delta", c.window, c.l)
@@ -158,7 +158,7 @@ func FuzzDeltaPull(f *testing.F) {
 // and a count past the window each
 // fail with ErrInput and leave the report as it was.
 func TestApplyRefusesBadDeltas(t *testing.T) {
-	const window, l = 8, 32 // K = 2
+	const window, l = 8, 40 // K = 2
 	gen, err := randproj.NewGenerator(randproj.Config{Seed: 3, SketchLen: l})
 	if err != nil {
 		t.Fatal(err)
@@ -215,10 +215,10 @@ func TestApplyRefusesBadDeltas(t *testing.T) {
 	sameBits(t, 20, &delta, &want)
 }
 
-// BenchmarkApply applies one monitor's delta of a pull gap of 1, 4, 16 and
-// K = 25 at the bench's n = 144, l = 100 and 27 flows (one flat-* monitor).
+// BenchmarkApply applies one monitor's delta of a pull gap of 1, 4 and
+// K = 5 at the bench's n = 144, l = 100 and 27 flows (one flat-* monitor).
 func BenchmarkApply(b *testing.B) {
-	for _, gap := range []int64{1, 4, 16, 25} {
+	for _, gap := range []int64{1, 4, 5} {
 		b.Run(fmt.Sprintf("gap=%d", gap), func(b *testing.B) { benchmarkApply(b, gap) })
 	}
 }

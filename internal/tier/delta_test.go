@@ -18,7 +18,7 @@ import (
 // fails that round as invalid, applies nothing, and the retry asks since 0
 // and takes the whole columns.
 func TestBadDeltaIsRefusedAndTheRetryAsksForSums(t *testing.T) {
-	const l = 32
+	const l = 40 // K = 2
 	params := core.Params{Family: sketch.FamilyRandProj, NumFlows: testFlows, WindowLen: testWindow, SketchLen: l, Seed: testSeed}
 	d, _ := newDownstream(t, func(c *DownstreamConfig) {
 		c.Params = params
@@ -72,7 +72,7 @@ func TestBadDeltaIsRefusedAndTheRetryAsksForSums(t *testing.T) {
 // pulls 1 interval apart go as deltas, and every column the upper tier
 // assembles is its monitor's SnapshotInto, bit for bit.
 func TestRelayedDeltasStartFromTheCopyAbove(t *testing.T) {
-	const l = 32
+	const l = 40 // K = 2
 	params := core.Params{Family: sketch.FamilyRandProj, NumFlows: testFlows, WindowLen: testWindow, SketchLen: l, Seed: testSeed}
 	mid, _ := newDownstream(t, func(c *DownstreamConfig) { c.Params = params })
 	up, _ := newDownstream(t, func(c *DownstreamConfig) {

@@ -474,6 +474,10 @@ func (d *Downstream) Handle(conn *transport.Conn) {
 // an answer arrives, after the pull before has handed its answers back, so
 // a registrant's answers go round two responses: the one kept for the next
 // delta to apply to, and the one the answer decodes into.
+//
+// A new randproj response comes with room for a whole column per flow of
+// the registrant, so the two hold the same arrays whether the answers came
+// as sums or as the shorter deltas, in whatever order.
 func (d *Downstream) spare(conn *transport.Conn) *transport.SketchResponse {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -482,7 +486,15 @@ func (d *Downstream) spare(conn *transport.Conn) *transport.SketchResponse {
 		k.spare = nil
 		return r
 	}
-	return new(transport.SketchResponse)
+	r := new(transport.SketchResponse)
+	if e, l := d.regs[conn], d.cfg.SketchLen; e != nil && d.cfg.Family == sketch.FamilyRandProj && l > 0 {
+		room := make([]float64, len(e.flows)*l)
+		r.Report.Sketches = make([][]float64, len(e.flows))
+		for i := range r.Report.Sketches {
+			r.Report.Sketches[i] = room[i*l : i*l : (i+1)*l]
+		}
+	}
+	return r
 }
 
 // keepLocked hands r, an answer conn's reader decoded and no pull reads
